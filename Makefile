@@ -5,15 +5,19 @@ GO ?= go
 .PHONY: all build test test-race vet fmt-check bench bench-exp \
 	bench-baseline bench-check bench-scaling-baseline scaling-check \
 	test-generic cross-smoke examples-smoke scenario-smoke \
-	service-smoke chaos-smoke crash-smoke ci clean
+	service-smoke chaos-smoke crash-smoke bench-vet ci clean
 
 all: build
 
 build:
 	$(GO) build ./...
 
+# Tier-1 at three scheduler widths: worker defaults derive from GOMAXPROCS,
+# so a test that is green on one host's core count by accident fails here.
 test:
-	$(GO) test ./...
+	@set -e; for p in 1 2 8; do \
+		echo "== go test ./... (GOMAXPROCS=$$p) =="; \
+		GOMAXPROCS=$$p $(GO) test -count=1 ./...; done
 
 # Race detector over the concurrency surfaces: the engine worker pool, the
 # sharded checkpointing pipeline, the execution layer's cancellation paths,
@@ -135,7 +139,13 @@ crash-smoke:
 		-galactosd /tmp/galactosd-crash-smoke \
 		$(if $(CHAOS_SUMMARY),-chaos-summary "$(CHAOS_SUMMARY)")
 
-ci: fmt-check build vet test bench
+# bench/ is its own module (outside `go build ./...`): vet and build it so
+# an API deletion that breaks the repository benchmark fails here, not in
+# the benchmark pipeline.
+bench-vet:
+	cd bench && $(GO) vet . && $(GO) build -o /dev/null .
+
+ci: fmt-check build vet test bench bench-vet
 
 clean:
 	$(GO) clean ./...

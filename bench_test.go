@@ -46,10 +46,7 @@ func BenchmarkCompute(b *testing.B) {
 	b.ResetTimer()
 	var pairs uint64
 	for i := 0; i < b.N; i++ {
-		res, err := galactos.Compute(cat, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := compute(b, cat, cfg)
 		pairs += res.Pairs
 	}
 	b.ReportMetric(float64(pairs)/b.Elapsed().Seconds()/1e6, "Mpairs/s")
@@ -294,10 +291,7 @@ func BenchmarkFigure4Breakdown(b *testing.B) {
 	b.ResetTimer()
 	var pairs uint64
 	for i := 0; i < b.N; i++ {
-		res, err := galactos.Compute(cat, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := compute(b, cat, cfg)
 		pairs = res.Pairs
 	}
 	b.ReportMetric(float64(pairs)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mpairs/s")
@@ -311,15 +305,13 @@ func BenchmarkFigure5Threads(b *testing.B) {
 			cfg := benchConfig(12)
 			cfg.Workers = w
 			for i := 0; i < b.N; i++ {
-				if _, err := galactos.Compute(cat, cfg); err != nil {
-					b.Fatal(err)
-				}
+				compute(b, cat, cfg)
 			}
 		})
 	}
 }
 
-// BenchmarkFigure6Weak runs the distributed pipeline at fixed work per rank
+// BenchmarkFigure6Weak runs the k-d decomposition at fixed work per rank
 // (weak scaling, Fig. 6); the reported metric is the simulated cluster
 // time, i.e. the slowest rank.
 func BenchmarkFigure6Weak(b *testing.B) {
@@ -338,7 +330,7 @@ func BenchmarkFigure6Weak(b *testing.B) {
 	}
 }
 
-// BenchmarkFigure7Strong runs the distributed pipeline at fixed total work
+// BenchmarkFigure7Strong runs the k-d decomposition at fixed total work
 // (strong scaling, Fig. 7).
 func BenchmarkFigure7Strong(b *testing.B) {
 	cat := benchCatalog(6000, 4)
@@ -364,10 +356,7 @@ func BenchmarkSection51SingleNode(b *testing.B) {
 	cfg := benchConfig(15)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := galactos.Compute(cat, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := compute(b, cat, cfg)
 		b.ReportMetric(res.FlopsEstimate()/b.Elapsed().Seconds()*float64(i+1)/float64(b.N)/1e9, "modelGF/s")
 	}
 }
@@ -384,9 +373,7 @@ func BenchmarkSection54Precision(b *testing.B) {
 			cfg := benchConfig(12)
 			cfg.Finder = f.kind
 			for i := 0; i < b.N; i++ {
-				if _, err := galactos.Compute(cat, cfg); err != nil {
-					b.Fatal(err)
-				}
+				compute(b, cat, cfg)
 			}
 		})
 	}
@@ -404,9 +391,7 @@ func BenchmarkFigure1BAOMap(b *testing.B) {
 	cfg.SelfCount = false
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := galactos.Compute(cat, cfg); err != nil {
-			b.Fatal(err)
-		}
+		compute(b, cat, cfg)
 	}
 }
 
@@ -418,9 +403,7 @@ func BenchmarkSE15Isotropic(b *testing.B) {
 	cfg.IsotropicOnly = true
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := galactos.Compute(cat, cfg); err != nil {
-			b.Fatal(err)
-		}
+		compute(b, cat, cfg)
 	}
 }
 
@@ -451,9 +434,7 @@ func BenchmarkBucketSize(b *testing.B) {
 			cfg := benchConfig(12)
 			cfg.BucketSize = k
 			for i := 0; i < b.N; i++ {
-				if _, err := galactos.Compute(cat, cfg); err != nil {
-					b.Fatal(err)
-				}
+				compute(b, cat, cfg)
 			}
 		})
 	}
@@ -470,9 +451,7 @@ func BenchmarkNeighborFinder(b *testing.B) {
 			cfg := benchConfig(12)
 			cfg.Finder = f.kind
 			for i := 0; i < b.N; i++ {
-				if _, err := galactos.Compute(cat, cfg); err != nil {
-					b.Fatal(err)
-				}
+				compute(b, cat, cfg)
 			}
 		})
 	}
@@ -491,9 +470,7 @@ func BenchmarkScheduling(b *testing.B) {
 			cfg.Scheduling = s.kind
 			cfg.Workers = 4
 			for i := 0; i < b.N; i++ {
-				if _, err := galactos.Compute(cat, cfg); err != nil {
-					b.Fatal(err)
-				}
+				compute(b, cat, cfg)
 			}
 		})
 	}
@@ -507,17 +484,14 @@ func BenchmarkSharded(b *testing.B) {
 	cfg := benchConfig(12)
 	b.Run("single", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := galactos.Compute(cat, cfg); err != nil {
-				b.Fatal(err)
-			}
+			compute(b, cat, cfg)
 		}
 	})
 	for _, nshards := range []int{4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", nshards), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := galactos.ShardedCompute(cat, nshards, cfg); err != nil {
-					b.Fatal(err)
-				}
+				run(b, galactos.Request{Catalog: cat, Config: cfg,
+					Backend: galactos.BackendSpec{Name: "sharded", Shards: nshards}})
 			}
 		})
 	}
@@ -531,9 +505,7 @@ func BenchmarkSelfCount(b *testing.B) {
 			cfg := benchConfig(10)
 			cfg.SelfCount = on
 			for i := 0; i < b.N; i++ {
-				if _, err := galactos.Compute(cat, cfg); err != nil {
-					b.Fatal(err)
-				}
+				compute(b, cat, cfg)
 			}
 		})
 	}

@@ -489,8 +489,7 @@ func expSharded(s float64) error {
 	// The double-precision finder isolates the sharding error: with kd32
 	// the image-shifted halo coordinates round differently in float32 than
 	// the wrapped originals, so a rare near-bin-edge pair can hop radial
-	// bins (the Sec. 5.4 precision sensitivity expPrecision measures; the
-	// distributed mpi path shares it).
+	// bins (the Sec. 5.4 precision sensitivity expPrecision measures).
 	cfg.Finder = core.FinderKD64
 	cat := catalog.Clustered(n, 12*cfg.RMax, catalog.DefaultClusterParams(), 33)
 	defer debug.SetGCPercent(debug.SetGCPercent(20)) // peaks ~ live set, not garbage

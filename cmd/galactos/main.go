@@ -2,15 +2,15 @@
 // correlation function of a galaxy catalog: the production entry point of
 // the library, mirroring the pipeline of the paper's Algorithm 1. Every run
 // goes through the unified execution layer (-backend): the in-memory
-// engine, the bounded-memory sharded pipeline (optionally streaming the
-// catalog from disk shard-by-shard), or the simulated multi-node pipeline.
+// engine or the bounded-memory sharded pipeline (optionally streaming the
+// catalog from disk shard-by-shard).
 // SIGINT/SIGTERM cancel the run cleanly: completed shard checkpoints are
 // kept on disk so -resume can pick the run back up.
 //
 // Examples:
 //
 //	galactos -in catalog.glxc -rmax 200 -nbins 20 -lmax 10 -out zeta
-//	galactos -in survey.csv -los radial -backend dist -ranks 4 -out zeta
+//	galactos -in survey.csv -los radial -backend sharded -shards 4 -out zeta
 //	galactos -in huge.glxc -backend sharded -shards 16 -stream -checkpoint-dir ckpt -resume -out zeta
 //	galactos -scenario list
 //	galactos -scenario all -n 900 -seed 1 -backend sharded -shards 2
@@ -68,8 +68,7 @@ func main() {
 		noSelf  = flag.Bool("no-selfcount", false, "skip self-pair correction (raw kernel mode)")
 		bucket  = flag.Int("bucket", 128, "pair bucket size")
 
-		backend = flag.String("backend", "", "execution backend: local | sharded | dist (default: inferred from -shards/-ranks)")
-		ranks   = flag.Int("ranks", 1, "simulated MPI ranks (dist backend)")
+		backend = flag.String("backend", "", "execution backend: local | sharded (default: inferred from -shards/-checkpoint-dir/-stream)")
 
 		perfJSON = flag.String("perf-json", "", "write a machine-readable perfstat report (pairs/sec, FLOP rate, phase breakdown) to this path")
 
@@ -141,28 +140,19 @@ func main() {
 		fatalf("unknown -finder %q", *finder)
 	}
 
-	// Backend selection: explicit -backend wins; otherwise the legacy
-	// flags imply it (-shards/-checkpoint-dir -> sharded, -ranks -> dist).
-	// A contradiction is an error, never a silent drop: a user who asked
-	// for shards must not get a fully-resident local run.
+	// Backend selection: explicit -backend wins; otherwise the sharded
+	// flags imply it (-shards/-checkpoint-dir/-stream -> sharded). A
+	// contradiction is an error, never a silent drop: a user who asked for
+	// shards must not get a fully-resident local run.
 	name := *backend
 	if name == "" {
-		switch {
-		case (*shards > 1 || *ckptDir != "" || *stream) && *ranks > 1:
-			fatalf("-shards/-checkpoint-dir/-stream and -ranks are alternative scale-out paths; pick one (or set -backend)")
-		case *shards > 1 || *ckptDir != "" || *stream:
+		name = "local"
+		if *shards > 1 || *ckptDir != "" || *stream {
 			name = "sharded"
-		case *ranks > 1:
-			name = "dist"
-		default:
-			name = "local"
 		}
 	}
 	if name != "sharded" && (*shards > 1 || *resume || *keepCkpts || *stream || *shardPar != 1 || *ckptDir != "") {
 		fatalf("-shards, -resume, -keep-checkpoints, -stream, -checkpoint-dir and -shard-concurrency require the sharded backend (got -backend %s)", name)
-	}
-	if name != "dist" && *ranks > 1 {
-		fatalf("-ranks requires the dist backend (got -backend %s)", name)
 	}
 	if *stream && *shardPar != 1 {
 		fatalf("-shard-concurrency has no effect with -stream (the streaming pipeline is the minimum-memory path and computes slabs sequentially)")
@@ -175,7 +165,6 @@ func main() {
 		Resume:           *resume,
 		Keep:             *keepCkpts,
 		Stream:           *stream,
-		Ranks:            *ranks,
 	}
 	b, err := spec.Backend()
 	if err != nil {

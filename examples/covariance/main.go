@@ -7,7 +7,7 @@
 // This example runs the registry's jackknife-covariance scenario
 // (`galactos -scenario jackknife-covariance` runs the identical recipe):
 // the catalog is split into spatial regions with the same k-d partitioner
-// the distributed pipeline uses, the full sample and every leave-one-out
+// the sharded backend uses, the full sample and every leave-one-out
 // catalog run through the execution layer, and the delete-one samples feed
 // the jackknife covariance. The example then inverts the matrix (the step
 // the paper warns is sensitive to having too few samples) and reports

@@ -14,20 +14,17 @@
 //	})
 //	// run.Result.IsoZeta(l, b1, b2), run.Result.ZetaM(l1, l2, m, b1, b2)
 //
-// The Request's Backend spec scales the same job out-of-core (sharded, with
-// checkpoints and streaming ingestion) or across simulated MPI ranks
-// (dist); serialized to JSON, the identical Request is the wire schema of
-// the galactosd job service (see cmd/galactosd and the client package). The
-// legacy Compute*/ShardedCompute variants remain as deprecated thin
-// wrappers over Run; see DESIGN.md, "Service layer", for the deprecation
-// policy.
+// The Request's Backend spec scales the same job out-of-core (sharded: k-d
+// partitioning, halo copies, ordered reduction, with checkpoints and
+// streaming ingestion); serialized to JSON, the identical Request is the
+// wire schema of the galactosd job service (see cmd/galactosd and the client
+// package).
 //
-// The package also exposes the distributed pipeline (k-d partitioning, halo
-// exchange, reduction) over an in-process message-passing runtime, the
-// 2-point correlation function, brute-force verification oracles, jackknife
-// covariance estimation, and synthetic catalog generators — everything
-// needed to reproduce the paper's evaluation. See DESIGN.md for the system
-// inventory and EXPERIMENTS.md for the measured results.
+// The package also exposes the 2-point correlation function, brute-force
+// verification oracles, jackknife covariance estimation, and synthetic
+// catalog generators — everything needed to reproduce the paper's
+// evaluation. See DESIGN.md for the system inventory and EXPERIMENTS.md for
+// the measured results.
 package galactos
 
 import (
@@ -41,7 +38,6 @@ import (
 	"galactos/internal/exec"
 	"galactos/internal/geom"
 	"galactos/internal/gridded"
-	"galactos/internal/partition"
 	"galactos/internal/perfstat"
 	"galactos/internal/scenario"
 	"galactos/internal/shard"
@@ -76,9 +72,6 @@ type Combo = core.Combo
 
 // Breakdown reports where the computation time went (paper Fig. 4).
 type Breakdown = core.Breakdown
-
-// RankStats reports per-rank load statistics from a distributed run.
-type RankStats = partition.RankStats
 
 // ClusterParams configures the halo-model catalog generator.
 type ClusterParams = catalog.ClusterParams
@@ -122,17 +115,16 @@ const (
 func DefaultConfig() Config { return core.DefaultConfig() }
 
 // Backend is one execution strategy of the unified execution layer
-// (internal/exec): Local, Sharded, or Distributed. All three run the same
-// job descriptor and feed the same telemetry; see DESIGN.md, "Execution
-// layer".
+// (internal/exec): Local or Sharded. Both run the same job descriptor and
+// feed the same telemetry; see DESIGN.md, "Execution layer".
 type Backend = exec.Backend
 
 // BackendSpec selects and parameterizes a backend from flag-shaped inputs
 // (the cmd/galactos -backend surface).
 type BackendSpec = exec.Spec
 
-// UnitStats is the uniform per-unit (engine run / shard / rank) report of a
-// backend run.
+// UnitStats is the uniform per-unit (engine run / shard) report of a backend
+// run.
 type UnitStats = exec.UnitStats
 
 // RunResult bundles a backend run's outputs: the merged Result, per-unit
@@ -170,138 +162,15 @@ func ShardedBackend(nshards int, opts ShardOptions) Backend {
 	return b
 }
 
-// DistributedBackend runs the simulated multi-node pipeline over nranks
-// in-process ranks.
-func DistributedBackend(nranks int) Backend { return exec.Distributed{Ranks: nranks} }
-
-// RunBackend executes a 3PCF job on any backend under the shared timing and
-// perfstat telemetry.
-//
-// Deprecated: use Run with a Request (set Via for a constructed Backend, or
-// the serializable Backend spec).
-func RunBackend(ctx context.Context, b Backend, src CatalogSource, cfg Config) (*RunResult, error) {
-	return Run(ctx, Request{Source: src, Config: cfg, Via: b})
-}
-
-// Compute runs the single-node anisotropic 3PCF over a catalog.
-//
-// Deprecated: use Run with a Request.
-func Compute(cat *Catalog, cfg Config) (*Result, error) {
-	return ComputeContext(context.Background(), cat, cfg)
-}
-
-// ComputeContext is Compute under a context: cancelling ctx stops the
-// worker loop at its next scheduling chunk and returns ctx.Err().
-//
-// Deprecated: use Run with a Request.
-func ComputeContext(ctx context.Context, cat *Catalog, cfg Config) (*Result, error) {
-	run, err := Run(ctx, Request{Catalog: cat, Config: cfg})
-	if err != nil {
-		return nil, err
-	}
-	return run.Result, nil
-}
-
 // ComputeSubset computes with an explicit primary mask (halo copies or
 // sub-sample analyses).
 func ComputeSubset(cat *Catalog, primary []bool, cfg Config) (*Result, error) {
 	return core.ComputeSubset(cat, primary, cfg)
 }
 
-// ComputeDistributed runs the full multi-node pipeline of the paper —
-// k-d partitioning across nranks ranks (need not be a power of two), halo
-// exchange, embarrassingly parallel node-local 3PCF, final reduction — on
-// the in-process message-passing runtime. It returns the reduced result and
-// per-rank load statistics.
-//
-// Deprecated: use Run with a Request whose Backend spec names "dist".
-func ComputeDistributed(cat *Catalog, nranks int, cfg Config) (*Result, []RankStats, error) {
-	run, err := Run(context.Background(), Request{
-		Catalog: cat,
-		Config:  cfg,
-		Via:     exec.Distributed{Ranks: nranks},
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	st := make([]RankStats, len(run.Units))
-	for i, u := range run.Units {
-		st[i] = RankStats{Rank: u.Unit, NOwned: u.NOwned, NHalo: u.NHalo, Pairs: u.Pairs, Elapsed: u.Elapsed}
-	}
-	return run.Result, st, nil
-}
-
-// ShardStats reports per-shard load statistics from a sharded run.
-type ShardStats = shard.Stats
-
 // ShardOptions configures the sharded out-of-core pipeline: shard count,
 // concurrency bound, checkpoint directory, and resume-from-checkpoint.
 type ShardOptions = shard.Options
-
-// ShardedCompute runs the bounded-memory sharded pipeline (DESIGN.md,
-// "shard"): the catalog is cut into nshards halo-padded spatial shards with
-// the same k-d partitioner as the distributed path, each shard's node-local
-// 3PCF runs in turn, and the partial multipoles are merged. The result
-// matches a single-shot run to floating-point rounding while the peak
-// engine footprint is that of one shard.
-//
-// Deprecated: use Run with a Request whose Backend spec names "sharded".
-func ShardedCompute(cat *Catalog, nshards int, cfg Config) (*Result, []ShardStats, error) {
-	return ComputeSharded(cat, cfg, ShardOptions{NShards: nshards})
-}
-
-// ComputeSharded is ShardedCompute with full options: bounded shard
-// concurrency, per-shard checkpoints of the partial Result in the versioned
-// binary format, and resume-from-checkpoint after a killed run.
-//
-// Deprecated: use Run with a Request whose Backend spec names "sharded".
-func ComputeSharded(cat *Catalog, cfg Config, opts ShardOptions) (*Result, []ShardStats, error) {
-	return ComputeShardedContext(context.Background(), cat, cfg, opts)
-}
-
-// ComputeShardedContext is ComputeSharded under a context: cancellation
-// stops the pipeline promptly and leaves completed shards' checkpoints (and
-// the manifest) on disk, so the run is resumable like a killed one.
-//
-// Deprecated: use Run with a Request whose Backend spec names "sharded".
-func ComputeShardedContext(ctx context.Context, cat *Catalog, cfg Config, opts ShardOptions) (*Result, []ShardStats, error) {
-	return runSharded(ctx, Request{Catalog: cat, Config: cfg, Log: opts.Log}, opts, false)
-}
-
-// ComputeShardedStream runs the sharded pipeline over a streaming catalog
-// source (e.g. NewFileSource): the catalog is never loaded whole — three
-// sequential passes plan equal-count slabs, spill each slab's galaxies plus
-// halo to disk, and the engine computes one slab at a time.
-//
-// Deprecated: use Run with a Request whose Backend spec names "sharded"
-// with Stream set.
-func ComputeShardedStream(ctx context.Context, src CatalogSource, cfg Config, opts ShardOptions) (*Result, []ShardStats, error) {
-	return runSharded(ctx, Request{Source: src, Config: cfg, Log: opts.Log}, opts, true)
-}
-
-// runSharded routes the deprecated sharded wrappers through Run, mapping
-// the legacy ShardOptions onto the sharded backend and the uniform
-// UnitStats back onto the legacy per-shard form.
-func runSharded(ctx context.Context, req Request, opts ShardOptions, stream bool) (*Result, []ShardStats, error) {
-	req.Via = exec.Sharded{
-		NShards:       opts.NShards,
-		MaxConcurrent: opts.MaxConcurrent,
-		CheckpointDir: opts.CheckpointDir,
-		Resume:        opts.Resume,
-		Keep:          opts.Keep,
-		Stream:        stream,
-	}
-	run, err := Run(ctx, req)
-	if err != nil {
-		return nil, nil, err
-	}
-	st := make([]ShardStats, len(run.Units))
-	for i, u := range run.Units {
-		st[i] = ShardStats{Shard: u.Unit, NOwned: u.NOwned, NHalo: u.NHalo,
-			Pairs: u.Pairs, Elapsed: u.Elapsed, Resumed: u.Resumed}
-	}
-	return run.Result, st, nil
-}
 
 // SaveResult writes a Result checkpoint in the versioned binary format
 // (atomic: written to a temporary file and renamed into place).
@@ -317,9 +186,9 @@ func LoadResult(path string) (*Result, error) { return core.LoadResult(path) }
 // benchmark-regression gate compares against BENCH_baseline.json.
 type PerfReport = perfstat.Report
 
-// CollectPerf builds a PerfReport from any computed Result — single-shot,
-// sharded, or distributed — plus the run's configuration (which contributes
-// the worker/scheduling scenario fields) and wall clock.
+// CollectPerf builds a PerfReport from any computed Result — single-shot or
+// sharded — plus the run's configuration (which contributes the
+// worker/scheduling scenario fields) and wall clock.
 func CollectPerf(label string, cfg Config, res *Result, elapsed time.Duration) *PerfReport {
 	return perfstat.Collect(label, cfg, res, elapsed)
 }

@@ -1,6 +1,7 @@
 package galactos_test
 
 import (
+	"context"
 	"math"
 	"path/filepath"
 	"testing"
@@ -17,13 +18,26 @@ func smallConfig() galactos.Config {
 	return cfg
 }
 
+// run executes one request through the facade's canonical entrypoint.
+func run(tb testing.TB, req galactos.Request) *galactos.RunResult {
+	tb.Helper()
+	r, err := galactos.Run(context.Background(), req)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return r
+}
+
+// compute is the single-node run most tests and benchmarks want.
+func compute(tb testing.TB, cat *galactos.Catalog, cfg galactos.Config) *galactos.Result {
+	tb.Helper()
+	return run(tb, galactos.Request{Catalog: cat, Config: cfg}).Result
+}
+
 func TestPublicComputeMatchesBruteForce(t *testing.T) {
 	cat := galactos.GenerateClustered(100, 150, galactos.DefaultClusterParams(), 2)
 	cfg := smallConfig()
-	got, err := galactos.Compute(cat, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := compute(t, cat, cfg)
 	want, err := galactos.BruteForce3PCF(cat, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -33,60 +47,47 @@ func TestPublicComputeMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestPublicDistributedMatchesSingle(t *testing.T) {
+func TestPublicShardedNonPowerOfTwoMatchesSingle(t *testing.T) {
 	cat := galactos.GenerateUniform(600, 180, 3)
 	cfg := smallConfig()
-	single, err := galactos.Compute(cat, cfg)
-	if err != nil {
-		t.Fatal(err)
+	single := compute(t, cat, cfg)
+	sharded := run(t, galactos.Request{Catalog: cat, Config: cfg,
+		Backend: galactos.BackendSpec{Name: "sharded", Shards: 3}})
+	if len(sharded.Units) != 3 {
+		t.Errorf("%d shard stats", len(sharded.Units))
 	}
-	dist, stats, err := galactos.ComputeDistributed(cat, 3, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(stats) != 3 {
-		t.Errorf("%d rank stats", len(stats))
-	}
-	if d := dist.MaxAbsDiff(single); d > 1e-9*single.MaxAbs() {
-		t.Errorf("distributed differs by %v", d)
+	if d := sharded.Result.MaxAbsDiff(single); d > 1e-9*single.MaxAbs() {
+		t.Errorf("sharded differs by %v", d)
 	}
 	owned := 0
-	for _, s := range stats {
-		owned += s.NOwned
+	for _, u := range sharded.Units {
+		owned += u.NOwned
 	}
 	if owned != cat.Len() {
-		t.Errorf("ranks own %d galaxies, want %d", owned, cat.Len())
+		t.Errorf("shards own %d galaxies, want %d", owned, cat.Len())
 	}
 }
 
 func TestPublicShardedMatchesSingle(t *testing.T) {
 	cat := galactos.GenerateClustered(700, 170, galactos.DefaultClusterParams(), 4)
 	cfg := smallConfig()
-	single, err := galactos.Compute(cat, cfg)
-	if err != nil {
-		t.Fatal(err)
+	single := compute(t, cat, cfg)
+	sharded := run(t, galactos.Request{Catalog: cat, Config: cfg,
+		Backend: galactos.BackendSpec{Name: "sharded", Shards: 4}})
+	if len(sharded.Units) != 4 {
+		t.Errorf("%d shard stats", len(sharded.Units))
 	}
-	sharded, stats, err := galactos.ShardedCompute(cat, 4, cfg)
-	if err != nil {
-		t.Fatal(err)
+	if sharded.Result.Pairs != single.Pairs {
+		t.Errorf("sharded pairs %d, want %d", sharded.Result.Pairs, single.Pairs)
 	}
-	if len(stats) != 4 {
-		t.Errorf("%d shard stats", len(stats))
-	}
-	if sharded.Pairs != single.Pairs {
-		t.Errorf("sharded pairs %d, want %d", sharded.Pairs, single.Pairs)
-	}
-	if d := sharded.MaxAbsDiff(single); d > 1e-9*single.MaxAbs() {
+	if d := sharded.Result.MaxAbsDiff(single); d > 1e-9*single.MaxAbs() {
 		t.Errorf("sharded differs by %v", d)
 	}
 }
 
 func TestPublicResultIO(t *testing.T) {
 	cat := galactos.GenerateClustered(300, 150, galactos.DefaultClusterParams(), 5)
-	res, err := galactos.Compute(cat, smallConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := compute(t, cat, smallConfig())
 	path := filepath.Join(t.TempDir(), "zeta.gres")
 	if err := galactos.SaveResult(path, res); err != nil {
 		t.Fatal(err)
@@ -145,14 +146,8 @@ func TestPublicDataMinusRandomSuppressesZeta(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := smallConfig()
-	resDR, err := galactos.Compute(combined, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resD, err := galactos.Compute(data, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	resDR := compute(t, combined, cfg)
+	resD := compute(t, data, cfg)
 	// The raw data monopole is large and positive; the D-R monopole must be
 	// much smaller in magnitude.
 	var raw, corr float64

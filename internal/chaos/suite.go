@@ -83,8 +83,6 @@ func Suite(n int, seed int64, scratch string) ([]Case, error) {
 					workerDelay(5, 4),
 					{Name: "shard.checkpoint.save", Kind: faultpoint.KindError, Count: 2},
 				}},
-			{"dist", exec.Spec{Name: "dist", Ranks: 2},
-				[]faultpoint.Point{workerDelay(4, 4)}},
 		}
 		for _, be := range backends {
 			b, err := be.spec.Backend()

@@ -135,8 +135,8 @@ type Config struct {
 	// to it up to floating-point regrouping.
 	BucketSize int
 	// Workers is the run's total worker budget; <= 0 means GOMAXPROCS.
-	// Backends that run several engine instances concurrently (distributed
-	// ranks, concurrent shards) split this budget across them via
+	// Backends that run several engine instances concurrently (concurrent
+	// shards) split this budget across them via
 	// DivideWorkers, so the budget describes the whole run, not one engine.
 	Workers int
 	// Finder selects the neighbor-search substrate.
@@ -182,9 +182,9 @@ func DefaultConfig() Config {
 
 // Normalize fills defaults and validates. It returns the effective config.
 // It is the single place worker counts (and every other <= 0 tunable) are
-// resolved to positive values: the engine, the sharded pipeline, and the
-// distributed driver all consume an already-normalized Workers instead of
-// re-deriving it from GOMAXPROCS themselves.
+// resolved to positive values: the engine and the sharded pipeline both
+// consume an already-normalized Workers instead of re-deriving it from
+// GOMAXPROCS themselves.
 func (c Config) Normalize() (Config, error) {
 	if c.RMax <= 0 || c.RMin < 0 || c.RMax <= c.RMin {
 		return c, fmt.Errorf("core: invalid radial range [%v, %v)", c.RMin, c.RMax)

@@ -56,9 +56,9 @@ func ComputeContext(ctx context.Context, cat *catalog.Catalog, cfg Config) (*Res
 
 // ComputeSubset runs the computation treating only the galaxies with
 // primary[i] == true as primaries; all galaxies act as secondaries. A nil
-// mask means every galaxy is a primary. This is how the distributed driver
-// excludes halo-exchange copies ("ignoring secondary galaxies that are in
-// the k-d tree because of halo exchange", Sec. 3.3).
+// mask means every galaxy is a primary. This is how the sharded pipeline
+// excludes halo copies ("ignoring secondary galaxies that are in the k-d
+// tree because of halo exchange", Sec. 3.3).
 func ComputeSubset(cat *catalog.Catalog, primary []bool, cfg Config) (*Result, error) {
 	return computeSubset(context.Background(), cat, primary, cfg, engineModes{})
 }

@@ -210,7 +210,7 @@ func TestSubsetMaskRestrictsPrimaries(t *testing.T) {
 
 func TestSubsetsSumToWhole(t *testing.T) {
 	// Splitting primaries into two disjoint masks and adding the results
-	// must equal the full computation: the exact property the distributed
+	// must equal the full computation: the exact property the sharded
 	// reduction relies on.
 	cat := catalog.Clustered(300, 160, catalog.DefaultClusterParams(), 10)
 	cfg := smallConfig()
@@ -391,22 +391,39 @@ func TestConfigEffectiveWorkers(t *testing.T) {
 }
 
 func TestNormalizeFillsWorkerDefault(t *testing.T) {
-	cfg := smallConfig()
-	cfg.Workers = 0
-	norm, err := cfg.Normalize()
+	unset := smallConfig()
+	unset.Workers = 0
+	norm, err := unset.Normalize()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if norm.Workers < 1 {
 		t.Fatalf("Normalize left Workers at %d", norm.Workers)
 	}
-	if div := norm.DivideWorkers(2); div.Workers != norm.Workers {
-		t.Fatalf("DivideWorkers touched an explicit worker count: %d -> %d", norm.Workers, div.Workers)
+	// DivideWorkers divides the normalized budget across slots, floors at
+	// one worker per slot, and is the identity for slots <= 1. Explicit
+	// worker counts keep the verdict independent of GOMAXPROCS.
+	for _, tc := range []struct{ workers, slots, want int }{
+		{8, 2, 4},
+		{8, 3, 2},
+		{2, 2, 1},
+		{2, 5, 1},
+		{1, 1 << 20, 1},
+		{7, 1, 7},
+		{7, 0, 7},
+	} {
+		cfg := smallConfig()
+		cfg.Workers = tc.workers
+		if got := cfg.DivideWorkers(tc.slots).Workers; got != tc.want {
+			t.Errorf("DivideWorkers(%d) of %d workers = %d, want %d", tc.slots, tc.workers, got, tc.want)
+		}
 	}
-	unset := smallConfig()
-	unset.Workers = 0
-	if div := unset.DivideWorkers(1 << 20); div.Workers != 1 {
-		t.Fatalf("DivideWorkers floor is %d, want 1", div.Workers)
+	// Division commutes with normalization: the unset budget divides to
+	// what the normalized one does.
+	for _, slots := range []int{2, 3, 1 << 20} {
+		if a, b := unset.DivideWorkers(slots).Workers, norm.DivideWorkers(slots).Workers; a != b {
+			t.Errorf("slots=%d: unset budget divides to %d, normalized to %d", slots, a, b)
+		}
 	}
 }
 

@@ -70,7 +70,7 @@ type Breakdown struct {
 	WorkerTotal time.Duration
 }
 
-// Add accumulates another breakdown (used by the distributed reduction).
+// Add accumulates another breakdown (used by the sharded reduction).
 func (b *Breakdown) Add(o Breakdown) {
 	b.IO += o.IO
 	b.TreeBuild += o.TreeBuild
@@ -100,7 +100,7 @@ type Result struct {
 	Aniso      []complex128
 	NPrimaries int
 	// NGalaxies is the number of galaxies in the local volume (primaries
-	// plus halo copies for distributed runs).
+	// plus halo copies for sharded runs).
 	NGalaxies int
 	// Pairs is the number of primary–secondary pairs processed by the
 	// multipole kernel (the paper's 8.17e15 for the full Outer Rim run).
@@ -176,8 +176,8 @@ func (r *Result) IsoZeta(l, b1, b2 int) float64 {
 	return 4 * math.Pi / float64(2*l+1) * sum
 }
 
-// Add accumulates another result into r (the final reduction of the
-// distributed computation). Both results must share LMax and binning.
+// Add accumulates another result into r (the final reduction of a
+// decomposed computation). Both results must share LMax and binning.
 func (r *Result) Add(o *Result) error {
 	if r.LMax != o.LMax || r.Bins != o.Bins {
 		return fmt.Errorf("core: cannot merge results with different configurations (LMax %d/%d, bins %+v/%+v)",

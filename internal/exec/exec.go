@@ -1,14 +1,14 @@
 // Package exec is the unified execution layer: one backend-agnostic way to
-// run a 3PCF job through any of the three compute paths — the in-memory
-// engine (Local), the bounded-memory out-of-core pipeline (Sharded, with an
-// optional streaming-ingestion mode), and the simulated multi-node pipeline
-// (Distributed). A job is a catalog source plus a core.Config; a Backend
-// turns it into a core.Result and uniform per-unit statistics. Run wraps
-// any backend with the shared wall-clock timing and perfstat collection, so
-// every path feeds the same phase breakdown and pairs/sec report, and every
-// path honors context cancellation with the same semantics: prompt return
-// with ctx.Err(), no leaked goroutines, and (for checkpointed sharded runs)
-// a resumable checkpoint directory. See DESIGN.md, "Execution layer".
+// run a 3PCF job through either compute path — the in-memory engine (Local)
+// or the bounded-memory out-of-core pipeline (Sharded, with an optional
+// streaming-ingestion mode). A job is a catalog source plus a core.Config; a
+// Backend turns it into a core.Result and uniform per-unit statistics. Run
+// wraps any backend with the shared wall-clock timing and perfstat
+// collection, so every path feeds the same phase breakdown and pairs/sec
+// report, and every path honors context cancellation with the same
+// semantics: prompt return with ctx.Err(), no leaked goroutines, and (for
+// checkpointed sharded runs) a resumable checkpoint directory. See
+// DESIGN.md, "Execution layer".
 package exec
 
 import (
@@ -19,8 +19,6 @@ import (
 
 	"galactos/internal/catalog"
 	"galactos/internal/core"
-	"galactos/internal/mpi"
-	"galactos/internal/partition"
 	"galactos/internal/perfstat"
 	"galactos/internal/shard"
 )
@@ -42,8 +40,7 @@ type Job struct {
 }
 
 // UnitStats is the uniform per-execution-unit report: a unit is the single
-// engine run of the local backend, one shard of the sharded backend, or one
-// rank of the distributed backend.
+// engine run of the local backend or one shard of the sharded backend.
 type UnitStats struct {
 	// Unit is the unit index in deterministic backend order.
 	Unit int
@@ -59,7 +56,7 @@ type UnitStats struct {
 
 // Backend is one execution strategy for a Job.
 type Backend interface {
-	// Name identifies the backend ("local", "sharded", "dist").
+	// Name identifies the backend ("local" or "sharded").
 	Name() string
 	// Run executes the job. Cancelling ctx returns ctx.Err() promptly and
 	// leaks no goroutines.
@@ -77,8 +74,7 @@ type RunResult struct {
 
 // Run executes a job on a backend under the shared telemetry: one wall
 // clock around the whole pipeline and one perfstat collection, identical
-// across backends (this replaces the per-path timing code the three
-// drivers used to carry).
+// across backends.
 //
 // Run normalizes the job's config exactly once, here at entry, and hands
 // every backend the normalized form; an invalid config is rejected before
@@ -161,13 +157,6 @@ func Staged(b Backend, stage string) Backend {
 	}
 }
 
-// materialize loads the job's source into memory (the fast path unwraps a
-// MemorySource without copying). Transient IO failures retry under the
-// catalog read policy; ctx bounds the backoff waits.
-func materialize(ctx context.Context, job *Job) (*catalog.Catalog, error) {
-	return catalog.ReadAllContext(ctx, job.Source)
-}
-
 // Local runs the single-node in-memory engine.
 type Local struct{}
 
@@ -176,7 +165,10 @@ func (Local) Name() string { return "local" }
 
 // Run implements Backend.
 func (Local) Run(ctx context.Context, job *Job) (*core.Result, []UnitStats, error) {
-	cat, err := materialize(ctx, job)
+	// Load the source into memory (the fast path unwraps a MemorySource
+	// without copying). Transient IO failures retry under the catalog read
+	// policy; ctx bounds the backoff waits.
+	cat, err := catalog.ReadAllContext(ctx, job.Source)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -251,63 +243,10 @@ func (b Sharded) Run(ctx context.Context, job *Job) (*core.Result, []UnitStats, 
 	return res, units, nil
 }
 
-// Distributed runs the simulated multi-node pipeline over the in-process
-// message-passing runtime.
-type Distributed struct {
-	// Ranks is the number of simulated MPI ranks (>= 1, any value).
-	Ranks int
-}
-
-// Name implements Backend.
-func (Distributed) Name() string { return "dist" }
-
-// Run implements Backend.
-func (b Distributed) Run(ctx context.Context, job *Job) (*core.Result, []UnitStats, error) {
-	if b.Ranks <= 0 {
-		return nil, nil, fmt.Errorf("exec: Ranks %d must be positive", b.Ranks)
-	}
-	cat, err := materialize(ctx, job)
-	if err != nil {
-		return nil, nil, err
-	}
-	// All ranks run concurrently as goroutines: split the total worker
-	// budget across them so the host is not oversubscribed Ranks-fold.
-	cfg := job.Config.DivideWorkers(b.Ranks)
-	var (
-		res      *core.Result
-		stats    []partition.RankStats
-		firstErr error
-	)
-	mpi.Run(b.Ranks, func(c *mpi.Comm) {
-		var in *catalog.Catalog
-		if c.Rank() == 0 {
-			in = cat
-		}
-		r, s, err := partition.ComputeDistributed(ctx, c, in, cfg)
-		if c.Rank() == 0 {
-			res, stats, firstErr = r, s, err
-		}
-	})
-	if firstErr != nil {
-		return nil, nil, firstErr
-	}
-	units := make([]UnitStats, len(stats))
-	for i, s := range stats {
-		units[i] = UnitStats{
-			Unit:    s.Rank,
-			NOwned:  s.NOwned,
-			NHalo:   s.NHalo,
-			Pairs:   s.Pairs,
-			Elapsed: s.Elapsed,
-		}
-	}
-	return res, units, nil
-}
-
 // Spec selects and parameterizes a backend from flag-shaped inputs (the
 // cmd/galactos -backend surface).
 type Spec struct {
-	// Name is "local", "sharded", or "dist".
+	// Name is "local" or "sharded".
 	Name string
 	// Shards / ShardConcurrency / CheckpointDir / Resume / Keep / Stream
 	// parameterize the sharded backend.
@@ -317,26 +256,20 @@ type Spec struct {
 	Resume           bool
 	Keep             bool
 	Stream           bool
-	// Ranks parameterizes the distributed backend.
-	Ranks int
 }
 
 // Backend resolves the spec. A spec that parameterizes a backend it does
 // not select is an error, never a silent drop: a caller who set Shards or
 // CheckpointDir must not get a fully-resident local run.
 func (s Spec) Backend() (Backend, error) {
-	shardedParams := s.Shards > 1 || s.ShardConcurrency > 1 || s.CheckpointDir != "" ||
-		s.Resume || s.Keep || s.Stream
 	switch s.Name {
 	case "local", "":
-		if shardedParams || s.Ranks > 1 {
-			return nil, fmt.Errorf("exec: local backend selected but sharded/distributed parameters set (%+v)", s)
+		if s.Shards > 1 || s.ShardConcurrency > 1 || s.CheckpointDir != "" ||
+			s.Resume || s.Keep || s.Stream {
+			return nil, fmt.Errorf("exec: local backend selected but sharded parameters set (%+v)", s)
 		}
 		return Local{}, nil
 	case "sharded":
-		if s.Ranks > 1 {
-			return nil, fmt.Errorf("exec: sharded backend selected but Ranks = %d set", s.Ranks)
-		}
 		nshards := s.Shards
 		if nshards <= 0 {
 			nshards = 1
@@ -349,16 +282,7 @@ func (s Spec) Backend() (Backend, error) {
 			Keep:          s.Keep,
 			Stream:        s.Stream,
 		}, nil
-	case "dist":
-		if shardedParams {
-			return nil, fmt.Errorf("exec: dist backend selected but sharded parameters set (%+v)", s)
-		}
-		ranks := s.Ranks
-		if ranks <= 0 {
-			ranks = 1
-		}
-		return Distributed{Ranks: ranks}, nil
 	default:
-		return nil, fmt.Errorf("exec: unknown backend %q (want local, sharded, or dist)", s.Name)
+		return nil, fmt.Errorf("exec: unknown backend %q (want local or sharded)", s.Name)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -67,17 +68,14 @@ func assertBitwise(t *testing.T, name string, a, b *core.Result) {
 }
 
 // TestBackendEquivalenceGolden is the backend-equivalence golden test: on a
-// fixed seeded catalog, the Local, Sharded, and Distributed backends
-// produce bitwise-identical Results. Two layers:
+// fixed seeded catalog, the Local and Sharded backends produce the same
+// Result. Two layers:
 //
-//  1. Degenerate decompositions (1 shard, 1 rank) must match Local exactly
-//     — all three paths reduce to the same primary loop in the same order.
-//  2. Matched multi-unit decompositions (k shards vs k ranks) must match
-//     each other exactly: the sequential k-d split is the twin of the
-//     distributed partitioning, and both reduce partials in unit order.
-//
-// Local vs the multi-unit paths differs only by floating-point summation
-// order; that distance is asserted tiny relative to the signal.
+//  1. The degenerate decomposition (1 shard) must match Local bitwise — both
+//     paths reduce to the same primary loop in the same order.
+//  2. Multi-shard decompositions (incl. the non-power-of-two k = 3) differ
+//     from Local only by floating-point summation order; that distance is
+//     asserted tiny relative to the signal.
 func TestBackendEquivalenceGolden(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -98,14 +96,10 @@ func TestBackendEquivalenceGolden(t *testing.T) {
 
 			local := runBackend(t, Local{}, cat, cfg)
 			sharded1 := runBackend(t, Sharded{NShards: 1}, cat, cfg)
-			dist1 := runBackend(t, Distributed{Ranks: 1}, cat, cfg)
 			assertBitwise(t, "local vs sharded(1)", local, sharded1)
-			assertBitwise(t, "local vs dist(1)", local, dist1)
 
 			for _, k := range []int{2, 3} {
 				sharded := runBackend(t, Sharded{NShards: k}, cat, cfg)
-				dist := runBackend(t, Distributed{Ranks: k}, cat, cfg)
-				assertBitwise(t, "sharded(k) vs dist(k)", sharded, dist)
 				if d, m := local.MaxAbsDiff(sharded), local.MaxAbs(); d > 1e-9*m {
 					t.Fatalf("local vs sharded(%d): max |diff| %.3e vs scale %.3e", k, d, m)
 				}
@@ -172,7 +166,7 @@ func cancelConfig() core.Config {
 // context.Canceled promptly and leaks no goroutines, on every backend.
 func TestCancellationPromptAndLeakFree(t *testing.T) {
 	cat := catalog.Clustered(6000, 250, catalog.DefaultClusterParams(), 71)
-	backends := []Backend{Local{}, Sharded{NShards: 4}, Distributed{Ranks: 2}}
+	backends := []Backend{Local{}, Sharded{NShards: 4}}
 	for _, b := range backends {
 		t.Run(b.Name(), func(t *testing.T) {
 			baseline := runtime.NumGoroutine()
@@ -260,7 +254,6 @@ func TestSpecBackendSelection(t *testing.T) {
 		{Spec{Name: "local"}, "local"},
 		{Spec{Name: ""}, "local"},
 		{Spec{Name: "sharded", Shards: 4}, "sharded"},
-		{Spec{Name: "dist", Ranks: 3}, "dist"},
 	} {
 		b, err := tc.spec.Backend()
 		if err != nil {
@@ -273,14 +266,18 @@ func TestSpecBackendSelection(t *testing.T) {
 	if _, err := (Spec{Name: "mpi"}).Backend(); err == nil {
 		t.Fatal("unknown backend name accepted")
 	}
+	// The retired goroutine-rank backend is an explicit error that names
+	// what remains, never a panic or a silent local run.
+	_, err := (Spec{Name: "dist"}).Backend()
+	if err == nil || !strings.Contains(err.Error(), "local") || !strings.Contains(err.Error(), "sharded") {
+		t.Fatalf("removed backend: want an error naming local and sharded, got %v", err)
+	}
 	// Contradictions are errors, never silent drops.
 	for _, spec := range []Spec{
 		{Name: "local", Shards: 16},
 		{Name: "local", CheckpointDir: "ckpt"},
-		{Name: "local", Ranks: 8},
-		{Name: "sharded", Shards: 4, Ranks: 8},
-		{Name: "dist", Ranks: 4, Stream: true},
-		{Name: "dist", Ranks: 4, Shards: 16},
+		{Name: "local", Stream: true},
+		{Name: "local", Resume: true},
 	} {
 		if _, err := spec.Backend(); err == nil {
 			t.Fatalf("contradictory spec silently accepted: %+v", spec)
@@ -293,7 +290,7 @@ func TestSpecBackendSelection(t *testing.T) {
 func TestRunCollectsUniformPerf(t *testing.T) {
 	cat := openCatalog(t, 400)
 	cfg := testConfig()
-	for _, b := range []Backend{Local{}, Sharded{NShards: 2}, Distributed{Ranks: 2}} {
+	for _, b := range []Backend{Local{}, Sharded{NShards: 2}} {
 		run, err := Run(context.Background(), b, &Job{Source: catalog.NewMemorySource(cat), Config: cfg})
 		if err != nil {
 			t.Fatalf("%s: %v", b.Name(), err)

@@ -1,3 +1,17 @@
+// Package partition implements the spatial decomposition of Sec. 3.2: a
+// recursive k-d partitioning that splits the part count into two groups of
+// nearly equal (not necessarily power-of-two) sizes and divides galaxies in
+// proportion to the group sizes, followed by a halo selection that copies
+// every galaxy within Rmax of a part's subdomain boundary into that part —
+// eliminating all communication during the 3PCF evaluation itself.
+//
+// One deliberate mechanical substitution (documented in DESIGN.md): halo
+// galaxies are selected per target box directly, instead of replaying the
+// tree branch by branch. The paper itself notes the irregular partitioning
+// "prevents a priori computation of a process's neighbor list"; the
+// box-based selection produces exactly the halo set the tree replay
+// produces, including periodic images (halo copies carry image-shifted
+// coordinates so each part computes in open boundaries).
 package partition
 
 import (
@@ -9,14 +23,13 @@ import (
 	"galactos/internal/geom"
 )
 
-// Part is one spatially-local piece of a sequential k-d split: the owned
-// subdomain box and the indices of the galaxies inside it. Parts are the
-// shard unit of the out-of-core pipeline (package shard). Unlike
-// Distribute, which hands every rank its galaxies (plus halo) at once over
-// the mpi runtime, a Part holds 4-byte indices into the source catalog and
-// carries no halo — halo copies are materialized per shard, on demand, by
-// Halo — so the split itself adds only len(catalog) indices of memory no
-// matter how many parts there are.
+// Part is one spatially-local piece of a k-d split: the owned subdomain box
+// and the indices of the galaxies inside it. Parts are the shard unit of the
+// out-of-core pipeline (package shard) and the simulated ranks of the
+// scaling experiments (package sim). A Part holds 4-byte indices into the
+// source catalog and carries no halo — halo copies are materialized per
+// part, on demand, by Halo — so the split itself adds only len(catalog)
+// indices of memory no matter how many parts there are.
 type Part struct {
 	// Box is the part's owned subdomain (half-open).
 	Box geom.Box
@@ -26,11 +39,11 @@ type Part struct {
 	Index []int32
 }
 
-// Split cuts cat into nparts spatially-local parts with the same recursive
-// proportional k-d cuts as the distributed Distribute — at each level the
-// widest axis of the region is cut so the two sides hold galaxy counts
-// proportional to ceil(k/2) and floor(k/2) — but sequentially, without the
-// mpi runtime. nparts need not be a power of two. The split is
+// Split cuts cat into nparts spatially-local parts with recursive
+// proportional k-d cuts: at each level the widest axis of the region is cut
+// so the two sides hold galaxy counts proportional to ceil(k/2) and
+// floor(k/2) — the paper's relaxation of the perfect-binary-tree constraint
+// (9636 nodes), so nparts need not be a power of two. The split is
 // deterministic: the same catalog and nparts always produce the same parts
 // in the same (depth-first, low-coordinate-first) order, which is what lets
 // a resumed sharded run match its checkpoints to shards by index alone.
@@ -67,7 +80,7 @@ func Split(cat *catalog.Catalog, nparts int) ([]Part, error) {
 		if nLeft > len(idx) {
 			nLeft = len(idx)
 		}
-		cut := selectCutIdx(cat, idx, axis, nLeft, region)
+		cut := selectCut(cat, idx, axis, nLeft, region)
 		left, right := region, region
 		left.Max = left.Max.WithComponent(axis, cut)
 		right.Min = right.Min.WithComponent(axis, cut)
@@ -78,10 +91,11 @@ func Split(cat *catalog.Catalog, nparts int) ([]Part, error) {
 	return parts, nil
 }
 
-// selectCutIdx orders idx[0:n) below idx[n:) along axis (in place, by the
-// referenced galaxy coordinates) and returns the cut coordinate — the index
-// twin of selectCut.
-func selectCutIdx(cat *catalog.Catalog, idx []int32, axis, n int, region geom.Box) float64 {
+// selectCut orders idx[0:n) below idx[n:) along axis (in place, by the
+// referenced galaxy coordinates) and returns the cut coordinate. Sorting
+// keeps the implementation simple and deterministic; setup cost is dwarfed
+// by the O(N^2) main computation.
+func selectCut(cat *catalog.Catalog, idx []int32, axis, n int, region geom.Box) float64 {
 	coord := func(i int32) float64 { return cat.Galaxies[i].Pos.Component(axis) }
 	sort.Slice(idx, func(a, b int) bool { return coord(idx[a]) < coord(idx[b]) })
 	switch {
@@ -92,6 +106,8 @@ func selectCutIdx(cat *catalog.Catalog, idx []int32, axis, n int, region geom.Bo
 	case n >= len(idx):
 		return region.Max.Component(axis)
 	default:
+		// Midpoint between the last kept and first shipped galaxy keeps the
+		// cut strictly separating.
 		return (coord(idx[n-1]) + coord(idx[n])) / 2
 	}
 }
@@ -100,8 +116,7 @@ func selectCutIdx(cat *catalog.Catalog, idx []int32, axis, n int, region geom.Bo
 // owned by another part — or any galaxy under a nonzero periodic image,
 // including parts[i]'s own (the periodic self-halo) — whose image lies
 // within rmax of parts[i].Box. Image shifts are baked into the returned
-// coordinates, exactly as in Distribute's halo exchange, so the shard
-// computes in open boundaries.
+// coordinates, so the part computes in open boundaries.
 func Halo(cat *catalog.Catalog, parts []Part, i int, rmax float64) []catalog.Galaxy {
 	images := cat.Box.Images(rmax)
 	var halo []catalog.Galaxy
@@ -128,6 +143,43 @@ func Halo(cat *catalog.Catalog, parts []Part, i int, rmax float64) []catalog.Gal
 		}
 	}
 	return halo
+}
+
+// Materialize builds parts[i]'s node-local problem under cutoff rmax: an
+// open-boundary catalog holding the owned galaxies followed by the halo
+// copies, and the primary mask marking the owned ones (halo copies are
+// secondaries only, per Sec. 3.3).
+func Materialize(cat *catalog.Catalog, parts []Part, i int, rmax float64) (*catalog.Catalog, []bool) {
+	owned := parts[i].Index
+	halo := Halo(cat, parts, i, rmax)
+	local := &catalog.Catalog{ // open boundaries: periodic images are baked in
+		Galaxies: make([]catalog.Galaxy, 0, len(owned)+len(halo)),
+	}
+	for _, gi := range owned {
+		local.Galaxies = append(local.Galaxies, cat.Galaxies[gi])
+	}
+	local.Galaxies = append(local.Galaxies, halo...)
+	primary := make([]bool, local.Len())
+	for j := range owned {
+		primary[j] = true
+	}
+	return local, primary
+}
+
+// pointBoxDist returns the Euclidean distance from p to box (0 inside).
+func pointBoxDist(p geom.Vec3, b geom.Box) float64 {
+	d2 := 0.0
+	for axis := 0; axis < 3; axis++ {
+		c := p.Component(axis)
+		lo := b.Min.Component(axis)
+		hi := b.Max.Component(axis)
+		if c < lo {
+			d2 += (lo - c) * (lo - c)
+		} else if c > hi {
+			d2 += (c - hi) * (c - hi)
+		}
+	}
+	return math.Sqrt(d2)
 }
 
 // boxBoxDist returns the Euclidean distance between two axis-aligned boxes

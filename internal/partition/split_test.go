@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"math"
 	"testing"
 
 	"galactos/internal/catalog"
@@ -105,6 +106,71 @@ func TestHaloContainsExactlyTheBoundaryGalaxies(t *testing.T) {
 		}
 		if got != want {
 			t.Fatalf("part %d: %d zero-image halo copies, want %d", i, got, want)
+		}
+	}
+}
+
+func TestHaloContainsAllNeededSecondaries(t *testing.T) {
+	// For every part and every owned primary, the materialized local catalog
+	// must contain every galaxy of the global (periodic) catalog within rmax.
+	cat := catalog.Uniform(600, 150, 23)
+	const rmax = 30.0
+	parts, err := Split(cat, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pi := range parts {
+		local, primary := Materialize(cat, parts, pi, rmax)
+		if local.Box.L != 0 {
+			t.Fatalf("part %d: local catalog is periodic (L = %v)", pi, local.Box.L)
+		}
+		for i, p := range primary {
+			if p != (i < len(parts[pi].Index)) {
+				t.Fatalf("part %d: primary mask wrong at %d", pi, i)
+			}
+		}
+		for i := range parts[pi].Index {
+			p := local.Galaxies[i].Pos
+			// Count neighbors in the global periodic catalog.
+			want := 0
+			for _, g := range cat.Galaxies {
+				d := cat.Box.Separation(p, g.Pos).Norm()
+				if d > 0 && d < rmax {
+					want++
+				}
+			}
+			// Count neighbors in the local open-boundary catalog.
+			got := 0
+			for j, g := range local.Galaxies {
+				if j == i {
+					continue
+				}
+				d := g.Pos.Sub(p).Norm()
+				if d > 0 && d < rmax {
+					got++
+				}
+			}
+			if got != want {
+				t.Fatalf("part %d primary %d: %d local neighbors, want %d", pi, i, got, want)
+			}
+		}
+	}
+}
+
+func TestPointBoxDist(t *testing.T) {
+	b := geom.Box{Min: geom.Vec3{X: 0, Y: 0, Z: 0}, Max: geom.Vec3{X: 10, Y: 10, Z: 10}}
+	cases := []struct {
+		p    geom.Vec3
+		want float64
+	}{
+		{geom.Vec3{X: 5, Y: 5, Z: 5}, 0},
+		{geom.Vec3{X: 15, Y: 5, Z: 5}, 5},
+		{geom.Vec3{X: -3, Y: -4, Z: 5}, 5},
+		{geom.Vec3{X: 13, Y: 14, Z: 10}, 5},
+	}
+	for _, c := range cases {
+		if got := pointBoxDist(c.p, b); math.Abs(got-c.want) > 1e-12 {
+			t.Errorf("pointBoxDist(%v) = %v, want %v", c.p, got, c.want)
 		}
 	}
 }

@@ -26,7 +26,7 @@ type Report struct {
 	// Label names the scenario, e.g. "bench-baseline".
 	Label string `json:"label"`
 	// Backend names the execution path that produced the measurement
-	// ("local", "sharded", "dist"; empty for direct engine calls). Filled
+	// ("local" or "sharded"; empty for direct engine calls). Filled
 	// by the execution layer, which collects one report shape for every
 	// backend.
 	Backend string `json:"backend,omitempty"`

@@ -262,9 +262,9 @@ func isoMidpoint() *Scenario {
 			n = clampN(n, 300)
 			// Open boundaries: the midpoint frame depends on both galaxies'
 			// absolute positions, so the periodic image shifts the sharded
-			// and distributed backends apply to halo copies would move the
-			// LOS. A survey-like open volume (midpoint's natural geometry)
-			// keeps every backend on the same coordinates.
+			// backend applies to halo copies would move the LOS. A
+			// survey-like open volume (midpoint's natural geometry) keeps
+			// every backend on the same coordinates.
 			boxed := catalog.Clustered(n, 240, catalog.DefaultClusterParams(), seed)
 			cat := &catalog.Catalog{Galaxies: boxed.Galaxies}
 			o, _, err := runOne(ctx, b, name, cat, cfg, n, seed)

@@ -186,9 +186,9 @@ func restoreTerminal(jr journal.JobRecord) *job {
 // requeueInterrupted rebuilds a job the previous process died holding
 // (queued or running, no end record) and puts it back on the queue under
 // its original id. A job whose request cannot be recovered — submitted
-// with an in-process Source or Via, or torn beyond decoding — is restored
-// failed instead: better an honest failure the client can see than a
-// silent disappearance.
+// with an in-process Source or Via, torn beyond decoding, or naming a
+// backend this build no longer has — is restored failed instead: better an
+// honest failure the client can see than a silent disappearance.
 func (s *Server) requeueInterrupted(jr journal.JobRecord) *job {
 	var req galactos.Request
 	var src galactos.CatalogSource
@@ -198,6 +198,8 @@ func (s *Server) requeueInterrupted(jr journal.JobRecord) *job {
 	} else if uerr := json.Unmarshal(jr.Submit.Request, &req); uerr != nil {
 		err = fmt.Errorf("decoding journaled request: %w", uerr)
 	} else if src, uerr = req.ResolveSource(); uerr != nil {
+		err = fmt.Errorf("re-resolving journaled request: %w", uerr)
+	} else if _, uerr = req.ResolveBackend(); uerr != nil {
 		err = fmt.Errorf("re-resolving journaled request: %w", uerr)
 	}
 

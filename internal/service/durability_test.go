@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -138,7 +139,8 @@ func TestRestartRestoresTerminalJobsAndCache(t *testing.T) {
 // TestJournalReplayRequeuesInterruptedJob hand-writes the journal a killed
 // process leaves — a submit record and a start record, no end — and
 // requires the next boot to re-enqueue the job under its original id, run
-// it, and keep the id counter past every journaled id.
+// it, and keep the id counter past every journaled id. A sibling record
+// naming the retired dist backend must come back failed, not crash the boot.
 func TestJournalReplayRequeuesInterruptedJob(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
@@ -164,23 +166,55 @@ func TestJournalReplayRequeuesInterruptedJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const id = "job-000003"
+	// A second interrupted job was journaled by an older build against the
+	// retired "dist" backend: same request, backend spec rewritten on the
+	// wire.
+	var wire map[string]any
+	if err := json.Unmarshal(reqJSON, &wire); err != nil {
+		t.Fatal(err)
+	}
+	wire["backend"] = map[string]any{"Name": "dist", "Ranks": 2}
+	distJSON, err := json.Marshal(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const id, distID = "job-000003", "job-000002"
 	must := func(err error) {
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	must(jnl.Append(journal.Record{
-		Type: journal.RecordSubmit, ID: id, Time: time.Now().UTC(),
-		Key: catHash + "+" + fp, CatHash: catHash, Fingerprint: fp,
-		Label: req.Label, Request: reqJSON,
-	}))
-	must(jnl.Append(journal.Record{Type: journal.RecordStart, ID: id, Time: time.Now().UTC()}))
+	for _, sub := range []struct {
+		id      string
+		request []byte
+	}{{distID, distJSON}, {id, reqJSON}} {
+		must(jnl.Append(journal.Record{
+			Type: journal.RecordSubmit, ID: sub.id, Time: time.Now().UTC(),
+			Key: catHash + "+" + fp, CatHash: catHash, Fingerprint: fp,
+			Label: req.Label, Request: sub.request,
+		}))
+		must(jnl.Append(journal.Record{Type: journal.RecordStart, ID: sub.id, Time: time.Now().UTC()}))
+	}
 	must(jnl.Close())
 
 	svc, cl, _ := startRestartable(t, service.Options{Workers: 1, StateDir: dir})
 	if got := svc.Stats().RequeuedJobs; got != 1 {
 		t.Fatalf("RequeuedJobs = %d, want 1", got)
+	}
+
+	// The removed-backend job is restored failed — the error, naming the
+	// backends that remain, is in its event log — and the pool serves on.
+	var distLog []string
+	dst, err := cl.Watch(ctx, distID, func(ev client.Event) { distLog = append(distLog, ev.Message) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dst.State != service.StateFailed {
+		t.Fatalf("dist job ended %s, want failed", dst.State)
+	}
+	if all := strings.Join(distLog, "\n"); !strings.Contains(all, `"dist"`) || !strings.Contains(all, "local or sharded") {
+		t.Fatalf("dist job's event log does not carry the removed-backend error:\n%s", all)
 	}
 	st, err := cl.Wait(ctx, id)
 	if err != nil {

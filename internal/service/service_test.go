@@ -204,6 +204,9 @@ func TestSubmitValidation(t *testing.T) {
 		{"contradictory backend", func(r *galactos.Request) {
 			r.Backend = galactos.BackendSpec{Name: "local", Shards: 4}
 		}},
+		{"removed dist backend", func(r *galactos.Request) {
+			r.Backend = galactos.BackendSpec{Name: "dist"}
+		}},
 		{"unreadable catalog file", func(r *galactos.Request) {
 			r.Catalog = nil
 			r.Path = "no/such/catalog.glxc"

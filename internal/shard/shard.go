@@ -1,17 +1,17 @@
 // Package shard implements the out-of-core sharded 3PCF pipeline: the
 // single-machine analogue of the paper's Sec. 3.2/3.3 scale-out strategy
 // (partition spatially, pad with halo copies, compute each piece
-// independently, reduce the partial multipoles). Where package partition
-// drives every rank concurrently over the in-process mpi runtime — all
-// rank-local state resident at once — shard cuts the catalog into
-// spatially-local pieces with the same k-d partitioner and computes them a
-// bounded number at a time, so the peak engine footprint (neighbor index,
-// per-worker accumulators, pair buckets) is that of one shard, not the whole
-// catalog. Each shard's partial core.Result can be checkpointed to disk in
-// the versioned binary format of core.WriteResult and a killed run resumed:
-// shards with a valid checkpoint are loaded instead of recomputed, and the
-// deterministic split plus fixed merge order make the resumed result
-// identical to an uninterrupted one. See DESIGN.md, "shard".
+// independently, reduce the partial multipoles). Where the paper gives every
+// piece its own MPI rank — all rank-local state resident at once — shard
+// cuts the catalog into spatially-local pieces with the k-d partitioner of
+// package partition and computes them a bounded number at a time, so the
+// peak engine footprint (neighbor index, per-worker accumulators, pair
+// buckets) is that of one shard, not the whole catalog. Each shard's partial
+// core.Result can be checkpointed to disk in the versioned binary format of
+// core.WriteResult and a killed run resumed: shards with a valid checkpoint
+// are loaded instead of recomputed, and the deterministic split plus fixed
+// merge order make the resumed result identical to an uninterrupted one. See
+// DESIGN.md, "shard".
 package shard
 
 import (
@@ -102,8 +102,9 @@ type Options struct {
 	Log func(format string, args ...any)
 }
 
-// Stats reports one shard's share of the work, mirroring
-// partition.RankStats for the distributed path.
+// Stats reports one shard's share of the work, used for the load-balance
+// analysis of Sec. 5.2/5.3 (the paper observed ~25% imbalance in weak
+// scaling and up to 60% pair-count variation in strong scaling).
 type Stats struct {
 	// Shard is the shard index in split order.
 	Shard int
@@ -367,27 +368,16 @@ func computeShard(ctx context.Context, cat *catalog.Catalog, parts []partition.P
 	}
 
 	start := time.Now()
-	halo := partition.Halo(cat, parts, i, cfg.RMax)
-	local := &catalog.Catalog{ // open boundaries: periodic images are baked in
-		Galaxies: make([]catalog.Galaxy, 0, len(owned)+len(halo)),
-	}
-	for _, gi := range owned {
-		local.Galaxies = append(local.Galaxies, cat.Galaxies[gi])
-	}
-	local.Galaxies = append(local.Galaxies, halo...)
-	primary := make([]bool, local.Len())
-	for j := range owned {
-		primary[j] = true
-	}
+	local, primary := partition.Materialize(cat, parts, i, cfg.RMax)
 	res, err := core.ComputeSubsetContext(ctx, local, primary, cfg)
 	if err != nil {
 		return nil, st, err
 	}
-	st.NHalo = len(halo)
+	st.NHalo = local.Len() - len(owned)
 	st.Pairs = res.Pairs
 	st.Elapsed = time.Since(start)
 	logf("shard %d/%d: computed %d primaries + %d halo in %v (%d pairs)",
-		i, opts.NShards, len(owned), len(halo), st.Elapsed.Round(time.Millisecond), res.Pairs)
+		i, opts.NShards, len(owned), st.NHalo, st.Elapsed.Round(time.Millisecond), res.Pairs)
 
 	if opts.CheckpointDir != "" {
 		if err := saveCheckpoint(ctx, checkpointPath(opts.CheckpointDir, i, opts.NShards), res); err != nil {

@@ -1,23 +1,22 @@
 // Package sim contains the experiment drivers that regenerate the paper's
 // figures and tables (see DESIGN.md's experiment index). The multi-node
-// experiments run the real partition + halo-exchange + reduction pipeline
-// over the in-process MPI runtime, then measure each rank's node-local
-// computation in isolation: after the halo exchange the computation is
-// embarrassingly parallel (Sec. 3.2), so a rank's isolated wall-clock equals
-// its dedicated-node time, and the simulated cluster's time-to-solution is
-// the maximum over ranks. This keeps the scaling figures honest on hosts
-// with any core count, including single-core machines.
+// experiments run the real k-d split + halo selection of package partition
+// (one part per simulated rank, the decomposition the sharded backend
+// computes on), then measure each rank's node-local computation in
+// isolation: after the halo exchange the computation is embarrassingly
+// parallel (Sec. 3.2), so a rank's isolated wall-clock equals its
+// dedicated-node time, and the simulated cluster's time-to-solution is the
+// maximum over ranks. This keeps the scaling figures honest on hosts with
+// any core count, including single-core machines.
 package sim
 
 import (
 	"fmt"
 	"runtime"
-	"sync"
 	"time"
 
 	"galactos/internal/catalog"
 	"galactos/internal/core"
-	"galactos/internal/mpi"
 	"galactos/internal/partition"
 	"galactos/internal/perfmodel"
 )
@@ -74,36 +73,25 @@ type ScalePoint struct {
 	TotalPairs       uint64
 }
 
-// rankWork captures one rank's post-exchange problem.
+// rankWork captures one rank's node-local problem.
 type rankWork struct {
 	local   *catalog.Catalog
 	primary []bool
 }
 
-// distributeOnly runs partitioning + halo exchange over the MPI runtime and
-// collects every rank's local problem.
+// distributeOnly cuts cat into one part per simulated rank and materializes
+// every rank's local problem (owned galaxies plus halo copies within rmax).
 func distributeOnly(cat *catalog.Catalog, nranks int, rmax float64) ([]rankWork, error) {
+	if cat.Box.L > 0 && rmax >= cat.Box.L/2 {
+		return nil, fmt.Errorf("sim: rmax %v must be below half the periodic box %v", rmax, cat.Box.L)
+	}
+	parts, err := partition.Split(cat, nranks)
+	if err != nil {
+		return nil, err
+	}
 	works := make([]rankWork, nranks)
-	var mu sync.Mutex
-	var firstErr error
-	mpi.Run(nranks, func(c *mpi.Comm) {
-		var in *catalog.Catalog
-		if c.Rank() == 0 {
-			in = cat
-		}
-		dom, err := partition.Distribute(c, in, rmax)
-		mu.Lock()
-		defer mu.Unlock()
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			return
-		}
-		works[c.Rank()] = rankWork{local: dom.Local, primary: dom.Primary}
-	})
-	if firstErr != nil {
-		return nil, firstErr
+	for i := range parts {
+		works[i].local, works[i].primary = partition.Materialize(cat, parts, i, rmax)
 	}
 	return works, nil
 }

@@ -198,5 +198,11 @@ func TestScalingPointMatchesDirectCompute(t *testing.T) {
 	if d := total.MaxAbsDiff(single); d > 1e-9*single.MaxAbs() {
 		t.Errorf("cluster sim differs from single node by %v", d)
 	}
+	// Halo selection assumes one periodic image per axis: an rmax at or
+	// past half the box must be rejected, not silently under-haloed.
+	cfg.RMax = cat.Box.L / 2
+	if _, _, err := scalingPoint(cat, 3, cfg); err == nil {
+		t.Error("rmax >= L/2 accepted")
+	}
 	var _ time.Duration // keep the time import honest under refactors
 }

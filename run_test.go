@@ -46,7 +46,6 @@ func TestRunNormalizesOnce(t *testing.T) {
 	}{
 		{"local", galactos.BackendSpec{}},
 		{"sharded", galactos.BackendSpec{Name: "sharded", Shards: 2}},
-		{"dist", galactos.BackendSpec{Name: "dist", Ranks: 2}},
 	}
 	for _, b := range backends {
 		t.Run(b.name, func(t *testing.T) {
