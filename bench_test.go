@@ -101,6 +101,29 @@ func BenchmarkKernelTile(b *testing.B) {
 	b.ReportMetric(float64(b.N)*n/b.Elapsed().Seconds()/1e6, "Mpairs/s")
 }
 
+// BenchmarkSelfMoments measures the self-pair layer alone: the Legendre
+// moments sum_j w_j^2 P_L(mu_j), L <= 2 lmax, of one tile — all the
+// SelfCount correction costs per pair. The tile length is iso_survey's
+// typical (primary, bin) tile, so the four-pair body and the tail both run.
+func BenchmarkSelfMoments(b *testing.B) {
+	const n = 19
+	rng := rand.New(rand.NewSource(17))
+	zs := make([]float64, n)
+	ws := make([]float64, n)
+	for i := range zs {
+		zs[i], ws[i] = 2*rng.Float64()-1, 1
+	}
+	for _, lmax := range []int{4, 10} {
+		b.Run(fmt.Sprintf("lmax=%d", lmax), func(b *testing.B) {
+			out := make([]float64, 2*lmax+1)
+			for i := 0; i < b.N; i++ {
+				sphharm.LegendreMoments(zs, ws, out)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/pair")
+		})
+	}
+}
+
 // BenchmarkQueryRadius isolates the neighbor-gathering phase (perfstat's
 // tree_search): the fused multi-image radius query per finder substrate, at
 // the BenchmarkCompute scenario's geometry. The k-d trees sweep all 27

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/cmplx"
 	"runtime/debug"
 	"sort"
 	"sync"
@@ -198,13 +197,15 @@ type engine struct {
 
 // zetaChannel caches one canonical channel's constants for the block-level
 // outer-product sweep: the flattened Aniso base offset, the (m >= 0) pair
-// indices of the two a_lm legs, and the channel index into the self-pair
-// tensor. Channels excluded by IsotropicOnly are filtered out at build time
-// so the hot loop carries no per-channel mode branch.
+// indices of the two a_lm legs, and (SelfCount only) the Legendre series of
+// Y_l1m conj(Y_l2m) that turns the block's self-pair moments into the
+// channel's diagonal correction. Channels excluded by IsotropicOnly are
+// filtered out at build time so the hot loop carries no per-channel mode
+// branch.
 type zetaChannel struct {
 	base   int
 	i1, i2 int32
-	ci     int32
+	self   []sphharm.LegendreTerm
 }
 
 func (e *engine) buildFinder() error {
@@ -241,12 +242,15 @@ func (e *engine) buildFinder() error {
 		if e.cfg.IsotropicOnly && c.L1 != c.L2 {
 			continue
 		}
-		e.channels = append(e.channels, zetaChannel{
+		ch := zetaChannel{
 			base: ci * nb * nb,
 			i1:   int32(sphharm.PairIndex(c.L1, c.M)),
 			i2:   int32(sphharm.PairIndex(c.L2, c.M)),
-			ci:   int32(ci),
-		})
+		}
+		if e.cfg.SelfCount {
+			ch.self = sphharm.SelfProduct(c.L1, c.L2, c.M)
+		}
+		e.channels = append(e.channels, ch)
 	}
 	return nil
 }
@@ -617,9 +621,8 @@ type workerState struct {
 	blockTlOff []int32 // per-primary offsets into blockTl
 	blockPw    []float64
 	blockAniso []complex128 // per-block zeta accumulator (committed per block)
-	selfT      []complex128 // [a][bin][channel] self-pair tensor (SelfCount only)
 
-	// IsotropicOnly fast-ladder arenas, replacing blockAniso/wXY/selfT: the
+	// IsotropicOnly fast-ladder arenas, replacing blockAniso/wXY: the
 	// iso channels are in bijection with the pc (l, m) slots, their zeta
 	// tiles are real (downstream consumers read only the real parts), and
 	// the primary-weight scaling folds into the zeta primitive — so the iso
@@ -628,10 +631,13 @@ type workerState struct {
 	// channels IsotropicOnly filters out. aSlab switches to split re/im
 	// halves per (slot, primary) in this mode (see processBlock).
 	blockIso []float64 // per-block real zeta accumulator, indexed by (l,m) slot
-	selfIso  []float64 // [a][bin][slot] real self-pair tensor (SelfCount only)
 
-	yScr []float64    // monomial scratch for point evaluation
-	yPt  []complex128 // per-point Y_lm scratch
+	// Self-pair correction (SelfCount only): selfW is the block's [bin][L]
+	// array of primary-weighted Legendre moments sum_a pw_a sum_j w_j^2
+	// P_L(mu_j), L <= 2 LMax, from which stage 3 derives every channel's
+	// diagonal self term (see sphharm.SelfProduct); selfMom is the per-tile
+	// moment scratch.
+	selfW, selfMom []float64
 
 	blockPairs uint64
 	blockNP    int
@@ -658,8 +664,6 @@ func (e *engine) newWorkerState() *workerState {
 		blockTl:    make([]int32, K*nb),
 		blockTlOff: make([]int32, K+1),
 		blockPw:    make([]float64, K),
-		yScr:       make([]float64, e.mono.Len()),
-		yPt:        make([]complex128, pc),
 	}
 	if e.cfg.IsotropicOnly {
 		s.blockIso = make([]float64, pc*nb*nb)
@@ -684,11 +688,9 @@ func (e *engine) newWorkerState() *workerState {
 		s.cpz = make([]float64, K*K)
 	}
 	if e.cfg.SelfCount {
-		if e.cfg.IsotropicOnly {
-			s.selfIso = make([]float64, K*nb*pc)
-		} else {
-			s.selfT = make([]complex128, K*nb*e.combos.Len())
-		}
+		nL := 2*e.cfg.LMax + 1
+		s.selfW = make([]float64, nb*nL)
+		s.selfMom = make([]float64, nL)
 	}
 	return s
 }
@@ -701,8 +703,10 @@ func (e *engine) newWorkerState() *workerState {
 // the plane-parallel path), consumed whole-tile by the multipole kernel,
 // and reduced into the block's a_lm slabs. Stage 3 accumulates the zeta
 // outer products channel-major over the whole block, so each channel's
-// nb x nb tile is loaded once per block instead of once per primary. The
-// result lands in s.blockAniso for the caller to commit.
+// nb x nb tile is loaded once per block instead of once per primary, and
+// with SelfCount subtracts each channel's diagonal self term from the
+// block's Legendre-moment array. The result lands in s.blockAniso for the
+// caller to commit.
 func (e *engine) processBlock(s *workerState, b int) {
 	blk := e.blocks[b]
 	prim := e.primaryIdx[blk.lo:blk.hi]
@@ -771,14 +775,10 @@ func (e *engine) processBlock(s *workerState, b int) {
 		for _, bb := range s.tl {
 			beg := int(bb) * s.tileCap
 			end := beg + int(s.cnt[bb])
-			xs := s.tx[beg:end]
-			ys := s.ty[beg:end]
-			zs := s.tz[beg:end]
-			ws := s.tw[beg:end]
-			s.kern.AccumulateTile(xs, ys, zs, ws, s.acc[bb])
-			if s.selfT != nil || s.selfIso != nil {
-				e.accumulateSelfPairs(s, a, bb, xs, ys, zs, ws)
-			}
+			s.kern.AccumulateTile(s.tx[beg:end], s.ty[beg:end], s.tz[beg:end], s.tw[beg:end], s.acc[bb])
+		}
+		if s.selfW != nil {
+			s.accumulateSelfPairs(pw)
 		}
 		s.tConsume += time.Since(t0)
 		s.blockPairs += uint64(n)
@@ -863,7 +863,6 @@ func (e *engine) processBlock(s *workerState, b int) {
 		s.tAlmZeta += time.Since(t0)
 		return
 	}
-	nchan := e.combos.Len()
 	stride2 := K * 2 * nb
 	allDense := int(s.blockTlOff[K]) == K*nb
 	for _, ch := range e.channels {
@@ -900,25 +899,13 @@ func (e *engine) processBlock(s *workerState, b int) {
 				}
 			}
 		}
-		if s.selfT != nil {
-			// Diagonal self-pair subtraction, off the hot loop.
-			for a := 0; a < K; a++ {
-				pwc := complex(s.blockPw[a], 0)
-				st := s.selfT[a*nb*nchan:]
-				for _, bb := range s.blockTl[s.blockTlOff[a]:s.blockTlOff[a+1]] {
-					dst[int(bb)*nb+int(bb)] -= pwc * st[int(bb)*nchan+int(ch.ci)]
-				}
+		if ch.self != nil {
+			for bb := 0; bb < nb; bb++ {
+				dst[bb*nb+bb] -= complex(s.selfTerm(ch.self, bb), 0)
 			}
 		}
 	}
-	if s.selfT != nil {
-		for a := 0; a < K; a++ {
-			for _, bb := range s.blockTl[s.blockTlOff[a]:s.blockTlOff[a+1]] {
-				o := (a*nb + int(bb)) * nchan
-				clear(s.selfT[o : o+nchan])
-			}
-		}
-	}
+	clear(s.selfW)
 	s.tAlmZeta += time.Since(t0)
 }
 
@@ -936,7 +923,6 @@ func (e *engine) processBlock(s *workerState, b int) {
 // and dense-scan traversals stay bitwise interchangeable.
 func (e *engine) zetaIsoBlock(s *workerState, K int) {
 	nb := e.bins.N
-	pc := e.pc
 	nb2 := nb * nb
 	stride2 := K * 2 * nb
 	allDense := int(s.blockTlOff[K]) == K*nb
@@ -970,24 +956,13 @@ func (e *engine) zetaIsoBlock(s *workerState, K int) {
 				}
 			}
 		}
-		if s.selfIso != nil {
-			for a := 0; a < K; a++ {
-				pw := s.blockPw[a]
-				st := s.selfIso[a*nb*pc:]
-				for _, bb := range s.blockTl[s.blockTlOff[a]:s.blockTlOff[a+1]] {
-					dst[int(bb)*nb+int(bb)] -= pw * st[int(bb)*pc+slot]
-				}
+		if ch.self != nil {
+			for bb := 0; bb < nb; bb++ {
+				dst[bb*nb+bb] -= s.selfTerm(ch.self, bb)
 			}
 		}
 	}
-	if s.selfIso != nil {
-		for a := 0; a < K; a++ {
-			for _, bb := range s.blockTl[s.blockTlOff[a]:s.blockTlOff[a+1]] {
-				o := (a*nb + int(bb)) * pc
-				clear(s.selfIso[o : o+pc])
-			}
-		}
-	}
+	clear(s.selfW)
 }
 
 // assembleTiles builds one primary's bin-sorted SoA pair tiles from its
@@ -1201,42 +1176,35 @@ func (e *engine) growTiles(s *workerState, n int) {
 	s.tw = make([]float64, nb*n)
 }
 
-// accumulateSelfPairs folds one tile's secondaries into the primary's
-// per-bin self-pair tensor (SelfCount only): the w^2 Y_l1m Y*_l2m terms
-// subtracted from diagonal (b, b) channels after the zeta outer products.
-// It runs over the already-rotated tile columns, off the kernel hot loop,
-// walking the prebuilt channel list (mode filtering happened at engine
-// build).
-func (e *engine) accumulateSelfPairs(s *workerState, a int, bin int32, xs, ys, zs, ws []float64) {
+// accumulateSelfPairs adds one primary's self-pair moments to the block's
+// [bin][L] array (SelfCount only): per touched bin, the Legendre moments of
+// the already-rotated tile's z column under the squared secondary weights,
+// scaled by the primary weight. Timed once per primary — a tile is a few
+// hundred nanoseconds of work, too short to bracket with its own clock reads.
+func (s *workerState) accumulateSelfPairs(pw float64) {
 	t0 := time.Now()
-	if e.cfg.IsotropicOnly {
-		// Iso channels pair a slot with itself, so the self term is the real
-		// |Y_lm|^2 — accumulated with the same x*re + y*im shape the iso
-		// zeta primitive uses.
-		pc := e.pc
-		st := s.selfIso[(a*e.bins.N+int(bin))*pc:]
-		for j := range xs {
-			e.ytab.EvalPoint(xs[j], ys[j], zs[j], s.yScr, s.yPt)
-			w2 := ws[j] * ws[j]
-			for _, ch := range e.channels {
-				y := s.yPt[ch.i1]
-				re, im := real(y), imag(y)
-				st[ch.i1] += (w2*re)*re + (w2*im)*im
-			}
-		}
-		s.tSelf += time.Since(t0)
-		return
-	}
-	nchan := e.combos.Len()
-	st := s.selfT[(a*e.bins.N+int(bin))*nchan:]
-	for j := range xs {
-		e.ytab.EvalPoint(xs[j], ys[j], zs[j], s.yScr, s.yPt)
-		w2 := complex(ws[j]*ws[j], 0)
-		for _, ch := range e.channels {
-			y1 := s.yPt[ch.i1]
-			y2 := s.yPt[ch.i2]
-			st[ch.ci] += w2 * y1 * cmplx.Conj(y2)
+	mom := s.selfMom
+	for _, bb := range s.tl {
+		beg := int(bb) * s.tileCap
+		end := beg + int(s.cnt[bb])
+		sphharm.LegendreMoments(s.tz[beg:end], s.tw[beg:end], mom)
+		w := s.selfW[int(bb)*len(mom):][:len(mom)]
+		for l, v := range mom {
+			w[l] += pw * v
 		}
 	}
 	s.tSelf += time.Since(t0)
+}
+
+// selfTerm contracts bin bb's block moments with one channel's Legendre
+// series: the block's summed w_i w_j^2 Y_l1m(rhat_ij) conj(Y_l2m(rhat_ij)),
+// which stage 3 subtracts from the channel's (bb, bb) element. It is real
+// for every channel because the two harmonics share m.
+func (s *workerState) selfTerm(series []sphharm.LegendreTerm, bb int) float64 {
+	w := s.selfW[bb*len(s.selfMom):]
+	var sum float64
+	for _, tm := range series {
+		sum += tm.C * w[tm.L]
+	}
+	return sum
 }

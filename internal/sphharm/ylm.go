@@ -152,8 +152,9 @@ func dotRI(terms []ylmTermRI, m []float64) float64 {
 
 // EvalPoint evaluates Y_lm(xhat) for every (l, m >= 0) at a single unit
 // vector, writing into out (length PairCount(L)). scratch must have length
-// Mono.Len(); it is overwritten. Used for the self-count correction and as
-// the reference path in tests.
+// Mono.Len(); it is overwritten. The engine never calls it (its self-count
+// correction runs on Legendre moments, see SelfProduct): this is the
+// independent oracle internal/bruteforce and the tests evaluate against.
 func (t *YlmTable) EvalPoint(x, y, z float64, scratch []float64, out []complex128) {
 	t.Mono.Evaluate(x, y, z, scratch)
 	t.Alm(scratch, out)
