@@ -161,12 +161,22 @@ func BenchmarkQueryRadius(b *testing.B) {
 
 // BenchmarkAlmZeta isolates the reduction phase (perfstat's alm_zeta) at
 // block granularity, the way engine.processBlock runs it: per primary the
-// lane-sum Reduce, monomial -> a_lm conversion, and the packed slab fill,
-// then the channel-major zeta stage folding the whole block into each
-// channel's tile through one fused ZetaBatch call (BenchmarkCompute shape:
-// 10 bins, l_max 10, all bins touched, 32-primary blocks).
+// lane-sum Reduce, monomial -> a_lm conversion, and the slab fill by bin
+// (untouched bins zero-padded), then one fused ZetaBatch call per channel
+// folding the whole block into the channel's tile (10 bins, l_max 10).
+// "dense" is the all-bins-touched 32-primary block; "aniso_box" is the
+// occupancy measured on that workload (seed 2: 124 blocks, mean K 21, 37 %
+// of primaries missing one inner bin) — the shape the engine mostly runs.
 func BenchmarkAlmZeta(b *testing.B) {
-	const lmax, nb, K = 10, 10, 32
+	b.Run("dense", func(b *testing.B) { benchAlmZeta(b, 32, 0) })
+	b.Run("aniso_box", func(b *testing.B) { benchAlmZeta(b, 21, 0.37) })
+}
+
+// benchAlmZeta runs one K-primary block's stage 2 reduction + stage 3 zeta
+// per iteration; missFrac of the primaries leave one of the three innermost
+// bins untouched.
+func benchAlmZeta(b *testing.B, K int, missFrac float64) {
+	const lmax, nb = 10, 10
 	mono := sphharm.NewMonomialTable(lmax)
 	ytab := sphharm.NewYlmTable(lmax, mono)
 	combos := core.NewComboTable(lmax)
@@ -178,6 +188,13 @@ func BenchmarkAlmZeta(b *testing.B) {
 		acc[bin] = make([]float64, sphharm.AccumulatorLen(mono))
 		for i := range acc[bin] {
 			acc[bin][i] = rng.NormFloat64()
+		}
+	}
+	missing := make([]int, K) // the bin primary a did not touch, -1 for none
+	for a := range missing {
+		missing[a] = -1
+		if rng.Float64() < missFrac {
+			missing[a] = rng.Intn(3)
 		}
 	}
 	msums := make([]float64, mono.Len())
@@ -192,7 +209,16 @@ func BenchmarkAlmZeta(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for a := 0; a < K; a++ {
+			if missing[a] >= 0 {
+				for o := a * 2 * nb; o < pc*stride2; o += stride2 {
+					clear(aSlab[o : o+2*nb])
+					clear(wXY[o : o+2*nb])
+				}
+			}
 			for t := 0; t < nb; t++ {
+				if t == missing[a] {
+					continue
+				}
 				sphharm.Reduce(acc[t], msums)
 				ytab.AlmRI(msums, reScr, imScr)
 				o := a*2*nb + 2*t
@@ -214,7 +240,30 @@ func BenchmarkAlmZeta(b *testing.B) {
 				aSlab[i2:i2+stride2], wXY[i1:i1+stride2], nb, K)
 		}
 	}
-	b.ReportMetric(float64(b.N)*K/b.Elapsed().Seconds()/1e3, "kprimaries/s")
+	b.ReportMetric(float64(b.N)*float64(K)/b.Elapsed().Seconds()/1e3, "kprimaries/s")
+}
+
+// BenchmarkPairsPerPrimary sweeps the one regime where zero-padded slabs
+// cost more than they save: fewer pairs per primary than radial bins, so
+// most of each slab row is padding and the dense zeta update multiplies
+// zeros. Uniform(4000) in a 100 box at 20 bins, l_max 10; RMax 6 / 10 / 16 /
+// 25 gives ~3.6 / 17 / 69 / 262 pairs per primary. EXPERIMENTS.md ("Layer:
+// a_lm/zeta") records the sweep against the sparse-sweep engine it replaced:
+// the crossover sits near pairs per primary = NBins.
+func BenchmarkPairsPerPrimary(b *testing.B) {
+	cat := catalog.Uniform(4000, 100, 9)
+	for _, rmax := range []float64{6, 10, 16, 25} {
+		b.Run(fmt.Sprintf("rmax=%g", rmax), func(b *testing.B) {
+			cfg := benchConfig(rmax)
+			cfg.NBins = 20
+			cfg.Workers = 1
+			var res *galactos.Result
+			for i := 0; i < b.N; i++ {
+				res = compute(b, cat, cfg)
+			}
+			b.ReportMetric(float64(res.Pairs)/float64(res.NPrimaries), "pairs/primary")
+		})
+	}
 }
 
 // BenchmarkCellGather attributes the gather phase: the block-granular

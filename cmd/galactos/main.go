@@ -15,6 +15,7 @@
 //	galactos -scenario list
 //	galactos -scenario all -n 900 -seed 1 -backend sharded -shards 2
 //	galactos -chaos -n 500 -seed 1
+//	galactos -in catalog.glxc -cpuprofile cpu.prof && go tool pprof -list 'engine..processBlock' cpu.prof
 //
 // Scenario mode (-scenario) runs the survey-science scenario registry
 // instead of a catalog file: each registry entry generates its pinned seeded
@@ -45,6 +46,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"runtime/pprof"
 	"syscall"
 	"time"
 
@@ -70,7 +72,8 @@ func main() {
 
 		backend = flag.String("backend", "", "execution backend: local | sharded (default: inferred from -shards/-checkpoint-dir/-stream)")
 
-		perfJSON = flag.String("perf-json", "", "write a machine-readable perfstat report (pairs/sec, FLOP rate, phase breakdown) to this path")
+		perfJSON   = flag.String("perf-json", "", "write a machine-readable perfstat report (pairs/sec, FLOP rate, phase breakdown) to this path")
+		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this path (read it with go tool pprof)")
 
 		shards    = flag.Int("shards", 1, "spatial shards (sharded backend)")
 		shardPar  = flag.Int("shard-concurrency", 1, "shards computed concurrently")
@@ -90,6 +93,17 @@ func main() {
 		chaosSummary = flag.String("chaos-summary", "", "append the chaos sweep's markdown tables to this file (chaos mode)")
 	)
 	flag.Parse()
+	if *cpuProfile != "" {
+		f, err := os.Create(*cpuProfile)
+		if err != nil {
+			fatalf("-cpuprofile: %v", err)
+		}
+		defer f.Close()
+		if err := pprof.StartCPUProfile(f); err != nil {
+			fatalf("-cpuprofile: %v", err)
+		}
+		defer pprof.StopCPUProfile()
+	}
 	if *scen == "list" {
 		listScenarios()
 		return
@@ -107,6 +121,7 @@ func main() {
 	if *scen == "" && *in == "" {
 		fmt.Fprintln(os.Stderr, "galactos: -in catalog is required (or -scenario)")
 		flag.Usage()
+		pprof.StopCPUProfile()
 		os.Exit(2)
 	}
 
@@ -309,7 +324,11 @@ func writeIso(path string, res *core.Result) error {
 	return f.Close()
 }
 
+// fatalf reports the error and exits. os.Exit skips main's deferred calls,
+// so the -cpuprofile file is completed here (a no-op when none was started);
+// SIGINT ends here too, as a cancelled context.
 func fatalf(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "galactos: "+format+"\n", args...)
+	pprof.StopCPUProfile()
 	os.Exit(1)
 }

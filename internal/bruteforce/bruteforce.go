@@ -25,6 +25,12 @@ import (
 // in the primary's line-of-sight frame. The result is directly comparable
 // (same layout, same normalization) to core.Compute with SelfCount enabled.
 func Aniso(cat *catalog.Catalog, cfg core.Config) (*core.Result, error) {
+	return aniso(cat, cfg, false)
+}
+
+// aniso is Aniso with a switch for the degenerate j == k terms: withSelf
+// keeps them, which is what core.Compute accumulates with SelfCount off.
+func aniso(cat *catalog.Catalog, cfg core.Config, withSelf bool) (*core.Result, error) {
 	cfg = fillDefaults(cfg)
 	bins, err := hist.NewBinning(cfg.RMin, cfg.RMax, cfg.NBins)
 	if err != nil {
@@ -82,7 +88,7 @@ func Aniso(cat *catalog.Catalog, cfg core.Config) (*core.Result, error) {
 		for a := range secs {
 			sj := &secs[a]
 			for b := range secs {
-				if a == b {
+				if a == b && !withSelf {
 					continue // same secondary: not a triangle
 				}
 				sk := &secs[b]

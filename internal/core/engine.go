@@ -608,17 +608,16 @@ type workerState struct {
 	reScr, imScr   []float64 // contiguous AlmRI output per (primary, bin)
 
 	// Block-level a_lm slabs, packed (re, im) pairs laid out [(l,m) slot i]
-	// [local primary a][touched slot t] (slot-major, per-primary stride
-	// 2*nb): wXY holds the primary-weight-scaled coefficients (the b1 leg
-	// of the zeta outer product) and aSlab the unweighted ones (the a2
-	// leg). The slabs persist across the whole block so the zeta stage can
-	// run channel-major — each channel reads its two legs as contiguous
-	// streams over the block's primaries and folds them into one cache-hot
-	// nb x nb tile via sphharm.ZetaBatch, which derives the conjugate
-	// interleave in-register.
+	// [local primary a][bin] (slot-major, per-primary stride 2*nb): wXY
+	// holds the primary-weight-scaled coefficients (the b1 leg of the zeta
+	// outer product) and aSlab the unweighted ones (the a2 leg). Bins a
+	// primary did not touch hold exact zeros, so every primary's row is a
+	// full nb-bin vector and the zeta stage is a dense rank-K update: each
+	// channel reads its two legs as contiguous streams over the block's
+	// primaries and folds them into one cache-hot nb x nb tile with a single
+	// sphharm.ZetaBatch call, which derives the conjugate interleave
+	// in-register.
 	wXY, aSlab []float64
-	blockTl    []int32 // concatenated touched-bin lists of the block's primaries
-	blockTlOff []int32 // per-primary offsets into blockTl
 	blockPw    []float64
 	blockAniso []complex128 // per-block zeta accumulator (committed per block)
 
@@ -651,19 +650,17 @@ func (e *engine) newWorkerState() *workerState {
 	pc := e.pc
 	K := e.cfg.ChunkSize
 	s := &workerState{
-		kern:       sphharm.NewKernel(e.mono, e.cfg.BucketSize),
-		acc:        make([][]float64, nb),
-		centers:    make([]geom.Vec3, K),
-		cnt:        make([]int32, nb),
-		tl:         make([]int32, 0, nb),
-		tlDense:    make([]int32, 0, nb),
-		msums:      make([]float64, e.mono.Len()),
-		reScr:      make([]float64, pc),
-		imScr:      make([]float64, pc),
-		aSlab:      make([]float64, K*pc*2*nb),
-		blockTl:    make([]int32, K*nb),
-		blockTlOff: make([]int32, K+1),
-		blockPw:    make([]float64, K),
+		kern:    sphharm.NewKernel(e.mono, e.cfg.BucketSize),
+		acc:     make([][]float64, nb),
+		centers: make([]geom.Vec3, K),
+		cnt:     make([]int32, nb),
+		tl:      make([]int32, 0, nb),
+		tlDense: make([]int32, 0, nb),
+		msums:   make([]float64, e.mono.Len()),
+		reScr:   make([]float64, pc),
+		imScr:   make([]float64, pc),
+		aSlab:   make([]float64, K*pc*2*nb),
+		blockPw: make([]float64, K),
 	}
 	if e.cfg.IsotropicOnly {
 		s.blockIso = make([]float64, pc*nb*nb)
@@ -764,7 +761,6 @@ func (e *engine) processBlock(s *workerState, b int) {
 
 	// Stage 2: per primary, assemble + consume tiles and reduce into the
 	// block's a_lm slabs.
-	s.blockTlOff[0] = 0
 	for a := 0; a < K; a++ {
 		pi := prim[a]
 		pw := e.ws[pi]
@@ -797,26 +793,35 @@ func (e *engine) processBlock(s *workerState, b int) {
 				}
 			}
 		}
-		off := int(s.blockTlOff[a])
-		copy(s.blockTl[off:], tl)
-		s.blockTlOff[a+1] = int32(off + len(tl))
-		// Slab layout is [slot][local primary][touched slot] (slot-major,
-		// per-primary stride 2*nb, packed to this block's K so the scatter
-		// stays as compact as the block), so the zeta stage reads each leg
-		// as one contiguous stream per channel.
+		// Slab layout is [slot][local primary][bin] (slot-major, per-primary
+		// stride 2*nb, packed to this block's K so the scatter stays as
+		// compact as the block), so the zeta stage reads each leg as one
+		// contiguous stream per channel. A primary that missed a bin gets
+		// exact zeros there: its rows are cleared first and the touched bins
+		// written over them. Zero-padding is value-exact — a zeta element
+		// that starts at +0 and only gains finite products is unchanged by
+		// the extra `+ x*0` terms.
 		stride2 := K * 2 * nb
 		wXY, aS := s.wXY, s.aSlab
 		reScr, imScr := s.reScr, s.imScr
+		if len(tl) < nb {
+			for o := a * 2 * nb; o < pc*stride2; o += stride2 {
+				clear(aS[o : o+2*nb])
+				if !e.cfg.IsotropicOnly {
+					clear(wXY[o : o+2*nb])
+				}
+			}
+		}
 		if e.cfg.IsotropicOnly {
 			// Iso slab layout: split re/im halves per (slot, primary) — re
 			// at [o, o+nb), im at [o+nb, o+2nb), same per-primary stride —
 			// so the iso zeta primitive streams each half contiguously with
 			// no deinterleave, and the weighted leg (wXY) is never built:
 			// the primary weight folds into the primitive instead.
-			for t, bb := range tl {
+			for _, bb := range tl {
 				sphharm.Reduce(s.acc[bb], s.msums)
 				e.ytab.AlmRI(s.msums, reScr, imScr)
-				o := a*2*nb + t
+				o := a*2*nb + int(bb)
 				for i := 0; i < pc; i++ {
 					aS[o] = reScr[i]
 					aS[o+nb] = imScr[i]
@@ -824,10 +829,10 @@ func (e *engine) processBlock(s *workerState, b int) {
 				}
 			}
 		} else {
-			for t, bb := range tl {
+			for _, bb := range tl {
 				sphharm.Reduce(s.acc[bb], s.msums)
 				e.ytab.AlmRI(s.msums, reScr, imScr)
-				o := a*2*nb + 2*t
+				o := a*2*nb + 2*int(bb)
 				for i := 0; i < pc; i++ {
 					re, im := reScr[i], imScr[i]
 					wXY[o] = pw * re
@@ -851,12 +856,12 @@ func (e *engine) processBlock(s *workerState, b int) {
 	}
 	s.blockNP = K
 
-	// Stage 3: zeta outer products, channel-major over the block. Per Aniso
-	// element the additions run in ascending local-primary order — exactly
-	// the order the per-primary engine produced — so regrouping the loops
-	// around the channel changes nothing bitwise while keeping the
-	// channel's nb x nb tile and the Aniso write target cache-hot across
-	// all K primaries.
+	// Stage 3: zeta outer products, one dense rank-K update per channel: the
+	// whole block folds into the channel's nb x nb tile in a single fused
+	// call, so the tile and the Aniso write target stay cache-hot across all
+	// K primaries. Per Aniso element the additions run in ascending
+	// local-primary order — exactly the order the per-primary engine
+	// produced.
 	t0 = time.Now()
 	if e.cfg.IsotropicOnly {
 		e.zetaIsoBlock(s, K)
@@ -864,41 +869,11 @@ func (e *engine) processBlock(s *workerState, b int) {
 		return
 	}
 	stride2 := K * 2 * nb
-	allDense := int(s.blockTlOff[K]) == K*nb
 	for _, ch := range e.channels {
 		dst := s.blockAniso[ch.base : ch.base+nb*nb]
 		base1 := int(ch.i1) * stride2
 		base2 := int(ch.i2) * stride2
-		if allDense {
-			// Every primary touched every bin (the common dense case): the
-			// whole block folds into the channel tile in one fused call.
-			sphharm.ZetaBatch(dst, s.aSlab[base2:base2+K*2*nb], s.wXY[base1:base1+K*2*nb], nb, K)
-		} else {
-			for a := 0; a < K; a++ {
-				tlo, thi := int(s.blockTlOff[a]), int(s.blockTlOff[a+1])
-				nt := thi - tlo
-				if nt == 0 {
-					continue
-				}
-				o1 := base1 + a*2*nb
-				o2 := base2 + a*2*nb
-				if nt == nb {
-					sphharm.ZetaBatch(dst, s.aSlab[o2:o2+2*nb], s.wXY[o1:o1+2*nb], nb, 1)
-					continue
-				}
-				tl := s.blockTl[tlo:thi]
-				for t1 := 0; t1 < nt; t1++ {
-					x := s.wXY[o1+2*t1]
-					y := s.wXY[o1+2*t1+1]
-					row := dst[int(tl[t1])*nb : int(tl[t1])*nb+nb]
-					for t2, b2 := range tl {
-						re2 := s.aSlab[o2+2*t2]
-						im2 := s.aSlab[o2+2*t2+1]
-						row[b2] += complex(x*re2+y*im2, y*re2-x*im2)
-					}
-				}
-			}
-		}
+		sphharm.ZetaBatch(dst, s.aSlab[base2:base2+stride2], s.wXY[base1:base1+stride2], nb, K)
 		if ch.self != nil {
 			for bb := 0; bb < nb; bb++ {
 				dst[bb*nb+bb] -= complex(s.selfTerm(ch.self, bb), 0)
@@ -915,47 +890,20 @@ func (e *engine) processBlock(s *workerState, b int) {
 //
 //	dst[b1*nb+b2] += (pw*re[b1])*re[b2] + (pw*im[b1])*im[b2]
 //
-// — and the slabs carry split re/im halves (see the stage-2 fill), so the
-// dense case folds a whole block through sphharm.ZetaBatchIso at half the
-// flops and half the tile traffic of the complex path. The loop structure
-// (channel-major, ascending local-primary order, dense/single/sparse split)
-// mirrors the anisotropic stage exactly, so the blocked, reference-gather,
-// and dense-scan traversals stay bitwise interchangeable.
+// — and the slabs carry split re/im halves (see the stage-2 fill), so a
+// whole block folds through one sphharm.ZetaBatchIso call per channel at
+// half the flops and half the tile traffic of the complex path. The loop
+// structure (channel-major, ascending local-primary order) mirrors the
+// anisotropic stage exactly, so the blocked, reference-gather, and
+// dense-scan traversals stay bitwise interchangeable.
 func (e *engine) zetaIsoBlock(s *workerState, K int) {
 	nb := e.bins.N
 	nb2 := nb * nb
 	stride2 := K * 2 * nb
-	allDense := int(s.blockTlOff[K]) == K*nb
 	for _, ch := range e.channels {
 		slot := int(ch.i1)
 		dst := s.blockIso[slot*nb2 : slot*nb2+nb2]
-		base := slot * stride2
-		if allDense {
-			sphharm.ZetaBatchIso(dst, s.aSlab[base:base+K*2*nb], s.blockPw[:K], nb, K)
-		} else {
-			for a := 0; a < K; a++ {
-				tlo, thi := int(s.blockTlOff[a]), int(s.blockTlOff[a+1])
-				nt := thi - tlo
-				if nt == 0 {
-					continue
-				}
-				o := base + a*2*nb
-				if nt == nb {
-					sphharm.ZetaBatchIso(dst, s.aSlab[o:o+2*nb], s.blockPw[a:a+1], nb, 1)
-					continue
-				}
-				pw := s.blockPw[a]
-				tl := s.blockTl[tlo:thi]
-				for t1 := 0; t1 < nt; t1++ {
-					x := pw * s.aSlab[o+t1]
-					y := pw * s.aSlab[o+nb+t1]
-					row := dst[int(tl[t1])*nb : int(tl[t1])*nb+nb]
-					for t2, b2 := range tl {
-						row[b2] += x*s.aSlab[o+t2] + y*s.aSlab[o+nb+t2]
-					}
-				}
-			}
-		}
+		sphharm.ZetaBatchIso(dst, s.aSlab[slot*stride2:(slot+1)*stride2], s.blockPw[:K], nb, K)
 		if ch.self != nil {
 			for bb := 0; bb < nb; bb++ {
 				dst[bb*nb+bb] -= s.selfTerm(ch.self, bb)
