@@ -4,7 +4,7 @@ GO ?= go
 
 .PHONY: all build test test-race vet fmt-check bench bench-exp \
 	bench-baseline bench-check bench-scaling-baseline scaling-check \
-	test-generic cross-smoke examples-smoke scenario-smoke \
+	test-generic golden cross-smoke examples-smoke scenario-smoke \
 	service-smoke chaos-smoke crash-smoke bench-vet bench-test ci clean
 
 all: build
@@ -85,6 +85,16 @@ scaling-check:
 # where the default pass never exercises them.
 test-generic:
 	GALACTOS_LANE_DISPATCH=generic $(GO) test -count=1 ./internal/sphharm/... ./internal/core/...
+
+# Regenerate the scenario goldens after a deliberate change of the answer's
+# bits (a regrouped sum, a new lane body), then verify them. Each pass covers
+# every dispatch tag this host has — TestGoldenHashes rebinds the lane
+# primitives itself — so run it on an AVX-512 host, or the avx512 entries keep
+# their old hashes and fail there. Review the diff: it should touch exactly
+# the tags the change moves.
+golden:
+	$(GO) test -count=1 ./internal/scenario -run TestGoldenHashes -update-golden
+	$(GO) test -count=1 ./internal/scenario -run TestGoldenHashes
 
 # Cross-compile smoke: the build must stay portable (arm64 has no asm lane
 # bodies — the generic path must fill in) and legal at the highest amd64

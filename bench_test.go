@@ -76,29 +76,39 @@ func BenchmarkKernelAccumulate(b *testing.B) {
 	b.ReportMetric(float64(b.N)*128/b.Elapsed().Seconds()/1e6, "Mpairs/s")
 }
 
-// BenchmarkKernelTile measures the tile kernel the engine actually runs:
-// one whole same-bin tile (chunked internally at 128), with the hoisted
-// z-power ladder and the AVX-512 lane primitives where available.
+// BenchmarkKernelTile measures the tile kernel the engine actually runs —
+// the hoisted z-power ladder, one dispatch per chunk, AVX-512 lane bodies
+// where available — at the chunk lengths the engine hands it: 8, 22, 73 are
+// the mean pairs per kernel chunk on stream_sharded, iso_survey and
+// aniso_box (EXPERIMENTS.md "Layer: block commit + chunk dispatch"), 128 is
+// one full chunk, and 1024 (eight chunks) is the bench's
+// sphharm.tile_ns_per_pair probe shape. ns/chunk at n <= 128 is the chunk's
+// fixed cost plus n pairs of streaming work.
 func BenchmarkKernelTile(b *testing.B) {
 	mono := sphharm.NewMonomialTable(10)
-	k := sphharm.NewKernel(mono, 128)
-	const n = 1024
-	xs := make([]float64, n)
-	ys := make([]float64, n)
-	zs := make([]float64, n)
-	ws := make([]float64, n)
-	for i := range xs {
-		xs[i], ys[i], zs[i], ws[i] = 0.5, 0.5, 0.70710678, 1
+	for _, n := range []int{8, 22, 73, 128, 1024} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			k := sphharm.NewKernel(mono, 128)
+			xs := make([]float64, n)
+			ys := make([]float64, n)
+			zs := make([]float64, n)
+			ws := make([]float64, n)
+			for i := range xs {
+				xs[i], ys[i], zs[i], ws[i] = 0.5, 0.5, 0.70710678, 1
+			}
+			acc := make([]float64, sphharm.AccumulatorLen(mono))
+			b.SetBytes(int64(n) * 3 * 8)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k.AccumulateTile(xs, ys, zs, ws, acc)
+			}
+			ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+			chunks := float64((n + 127) / 128)
+			b.ReportMetric(ns/chunks, "ns/chunk")
+			b.ReportMetric(ns/float64(n), "ns/pair")
+			b.ReportMetric(float64(n)*float64(sphharm.FlopsPerPair(10))/ns, "GFLOP/s")
+		})
 	}
-	acc := make([]float64, sphharm.AccumulatorLen(mono))
-	b.SetBytes(n * 3 * 8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k.AccumulateTile(xs, ys, zs, ws, acc)
-	}
-	flops := float64(b.N) * n * float64(sphharm.FlopsPerPair(10))
-	b.ReportMetric(flops/b.Elapsed().Seconds()/1e9, "GFLOP/s")
-	b.ReportMetric(float64(b.N)*n/b.Elapsed().Seconds()/1e6, "Mpairs/s")
 }
 
 // BenchmarkSelfMoments measures the self-pair layer alone: the Legendre
@@ -160,20 +170,24 @@ func BenchmarkQueryRadius(b *testing.B) {
 }
 
 // BenchmarkAlmZeta isolates the reduction phase (perfstat's alm_zeta) at
-// block granularity, the way engine.processBlock runs it: per primary the
-// lane-sum Reduce, monomial -> a_lm conversion, and the slab fill by bin
-// (untouched bins zero-padded), then one fused ZetaBatch call per channel
-// folding the whole block into the channel's tile (10 bins, l_max 10).
-// "dense" is the all-bins-touched 32-primary block; "aniso_box" is the
-// occupancy measured on that workload (seed 2: 124 blocks, mean K 21, 37 %
-// of primaries missing one inner bin) — the shape the engine mostly runs.
+// commit-unit granularity, the way engine.processBlock runs it: per primary
+// the lane-sum Reduce, monomial -> a_lm conversion, and the slab fill by bin
+// (untouched bins zero-padded), then per channel the tile clear, one fused
+// ZetaBatch call folding the whole unit into the tile, and the commit into
+// the partial result (10 bins, l_max 10). "dense" is the all-bins-touched
+// 32-primary unit; "aniso_box" is the occupancy measured on that workload
+// (seed 2: mean K 21, 37 % of primaries missing one inner bin); "k=2" is
+// what a unit was on stream_sharded while a unit was one cell (mean K 1.6) —
+// the per-unit tile traffic of 286 channels spread over two primaries, the
+// cost coalescing cells into units amortises.
 func BenchmarkAlmZeta(b *testing.B) {
 	b.Run("dense", func(b *testing.B) { benchAlmZeta(b, 32, 0) })
 	b.Run("aniso_box", func(b *testing.B) { benchAlmZeta(b, 21, 0.37) })
+	b.Run("k=2", func(b *testing.B) { benchAlmZeta(b, 2, 0) })
 }
 
-// benchAlmZeta runs one K-primary block's stage 2 reduction + stage 3 zeta
-// per iteration; missFrac of the primaries leave one of the three innermost
+// benchAlmZeta runs one K-primary unit's stage 2 reduction, stage 3 zeta and
+// commit per iteration; missFrac of the primaries leave one of the three innermost
 // bins untouched.
 func benchAlmZeta(b *testing.B, K int, missFrac float64) {
 	const lmax, nb = 10, 10
@@ -204,6 +218,7 @@ func benchAlmZeta(b *testing.B, K int, missFrac float64) {
 	aSlab := make([]float64, pc*stride2)
 	wXY := make([]float64, pc*stride2)
 	aniso := make([]complex128, combos.Len()*nb*nb)
+	partial := make([]complex128, len(aniso))
 	const pw = 1.25
 
 	b.ResetTimer()
@@ -235,21 +250,26 @@ func benchAlmZeta(b *testing.B, K int, missFrac float64) {
 		for ci, c := range combos.Combos {
 			i1 := sphharm.PairIndex(c.L1, c.M) * stride2
 			i2 := sphharm.PairIndex(c.L2, c.M) * stride2
-			base := ci * nb * nb
-			sphharm.ZetaBatch(aniso[base:base+nb*nb],
-				aSlab[i2:i2+stride2], wXY[i1:i1+stride2], nb, K)
+			tile := aniso[ci*nb*nb : (ci+1)*nb*nb]
+			clear(tile)
+			sphharm.ZetaBatch(tile, aSlab[i2:i2+stride2], wXY[i1:i1+stride2], nb, K)
+		}
+		for j, v := range aniso {
+			partial[j] += v
 		}
 	}
 	b.ReportMetric(float64(b.N)*float64(K)/b.Elapsed().Seconds()/1e3, "kprimaries/s")
 }
 
-// BenchmarkPairsPerPrimary sweeps the one regime where zero-padded slabs
-// cost more than they save: fewer pairs per primary than radial bins, so
-// most of each slab row is padding and the dense zeta update multiplies
-// zeros. Uniform(4000) in a 100 box at 20 bins, l_max 10; RMax 6 / 10 / 16 /
-// 25 gives ~3.6 / 17 / 69 / 262 pairs per primary. EXPERIMENTS.md ("Layer:
-// a_lm/zeta") records the sweep against the sparse-sweep engine it replaced:
-// the crossover sits near pairs per primary = NBins.
+// BenchmarkPairsPerPrimary sweeps pairs per primary at fixed N: the regime
+// where the engine's costs that do not scale with pairs show. Uniform(4000)
+// in a 100 box at 20 bins, l_max 10; RMax 6 / 10 / 16 / 25 gives ~3.6 / 17 /
+// 69 / 262 pairs per primary. While a commit unit was one cell the sparse
+// end lost — the 3.6 row took 1.5 s, twice the 262 row, because ~4000
+// one-primary units each paid the 286-channel clear, zeta call and commit,
+// and every few-pair kernel chunk ~140 dispatches; with cells coalesced into
+// units and one ladder dispatch per chunk the time grows with the pair
+// count again (EXPERIMENTS.md "Layer: block commit + chunk dispatch").
 func BenchmarkPairsPerPrimary(b *testing.B) {
 	cat := catalog.Uniform(4000, 100, 9)
 	for _, rmax := range []float64{6, 10, 16, 25} {

@@ -15,7 +15,7 @@
 //	galactos -scenario list
 //	galactos -scenario all -n 900 -seed 1 -backend sharded -shards 2
 //	galactos -chaos -n 500 -seed 1
-//	galactos -in catalog.glxc -cpuprofile cpu.prof && go tool pprof -list 'engine..processBlock' cpu.prof
+//	galactos -in catalog.glxc -cpuprofile cpu.prof && go tool pprof -list 'engine..process(Block|Cell)' cpu.prof
 //
 // Scenario mode (-scenario) runs the survey-science scenario registry
 // instead of a catalog file: each registry entry generates its pinned seeded

@@ -22,8 +22,10 @@ import (
 //
 //	zeta^m_{l1 l2}(bin_j, bin_k) += w_p w_j w_k Y_{l1 m}(rhat_j) Y*_{l2 m}(rhat_k)
 //
-// in the primary's line-of-sight frame. The result is directly comparable
-// (same layout, same normalization) to core.Compute with SelfCount enabled.
+// in the configured line-of-sight frame (the global z axis, the primary's
+// radial frame, or each pair's midpoint frame). The result is directly
+// comparable (same layout, same normalization) to core.Compute with
+// SelfCount enabled.
 func Aniso(cat *catalog.Catalog, cfg core.Config) (*core.Result, error) {
 	return aniso(cat, cfg, false)
 }
@@ -56,8 +58,7 @@ func aniso(cat *catalog.Catalog, cfg core.Config, withSelf bool) (*core.Result, 
 
 	for p := range pts {
 		var rot geom.Rotation
-		rotate := cfg.LOS == core.LOSRadial
-		if rotate {
+		if cfg.LOS == core.LOSRadial {
 			rot = geom.ToLineOfSight(pts[p].Sub(cfg.Observer))
 		}
 		var secs []sec
@@ -75,8 +76,12 @@ func aniso(cat *catalog.Catalog, cfg core.Config, withSelf bool) (*core.Result, 
 			if bin < 0 {
 				continue
 			}
-			if rotate {
+			switch cfg.LOS {
+			case core.LOSRadial:
 				sep = rot.Apply(sep)
+			case core.LOSMidpoint:
+				sep = geom.MidpointLOS(pts[p].Sub(cfg.Observer).Normalized(),
+					pts[j].Sub(cfg.Observer).Normalized()).Apply(sep)
 			}
 			u := sep.Scale(1 / r)
 			y := make([]complex128, npair)

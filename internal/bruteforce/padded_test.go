@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"galactos/internal/catalog"
@@ -77,37 +79,114 @@ func TestEngineMatchesBruteForcePaddedShapes(t *testing.T) {
 				cat.Box = geom.Periodic{}
 				cfg.Observer = geom.Vec3{X: -500, Y: -300, Z: -1000}
 			}
-			want, err := aniso(cat, cfg, !selfCount)
-			if err != nil {
-				t.Fatal(err)
+			requireEngineMatchesAniso(t, cat, cfg)
+		}
+	}
+}
+
+// unitCatalog engineers the commit-unit shapes of the blocked traversal in
+// an open 90 box for RMax 20 / 5 bins with BlockCell 30 and ChunkSize 8, so
+// a unit closes before it passes 4 primaries. In Morton order the first
+// cells hold 2, 1, 1 | 3, 1 | 2, 1, 1 primaries:
+//
+//   - unit 0 spans three cells: a close pair (an intra-cell folded pair), a
+//     galaxy farther than RMax from everything (an all-zero slab row in the
+//     middle of the unit), and a one-primary cell whose neighbours all live
+//     in the next unit;
+//   - unit 1 starts at a non-zero slab offset with a three-primary cell and
+//     ends on a one-primary cell;
+//   - unit 2 spans three cells again;
+//   - a 20-galaxy clump in one grid cell is cut into cells of 8, 8 and 4
+//     that each stand alone.
+//
+// Every slab row past a unit's first cell is written at the cell's offset
+// into the unit, so dropping that offset makes the cells of a unit overwrite
+// each other and every comparison below fail.
+func unitCatalog() *catalog.Catalog {
+	pos := []geom.Vec3{
+		{X: 0, Y: 0, Z: 0}, {X: 2, Y: 3, Z: 1}, // cell (0,0,0)
+		{X: 50, Y: 5, Z: 5},                                              // cell (1,0,0): no neighbour
+		{X: 28, Y: 40, Z: 5},                                             // cell (0,1,0)
+		{X: 33, Y: 42, Z: 6}, {X: 36, Y: 38, Z: 4}, {X: 40, Y: 45, Z: 8}, // cell (1,1,0)
+		{X: 27, Y: 5, Z: 34},                       // cell (0,0,1)
+		{X: 32, Y: 6, Z: 33}, {X: 35, Y: 9, Z: 36}, // cell (1,0,1)
+		{X: 25, Y: 40, Z: 38}, // cell (0,1,1)
+		{X: 34, Y: 36, Z: 33}, // cell (1,1,1)
+	}
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 20; i++ { // cell (2,2,0)
+		pos = append(pos, geom.Vec3{X: 62 + 12*rng.Float64(), Y: 62 + 12*rng.Float64(), Z: 2 + 12*rng.Float64()})
+	}
+	cat := &catalog.Catalog{}
+	for i, p := range pos {
+		w := 1.0
+		if i%4 == 0 {
+			w = -0.6
+		} else if i%3 == 0 {
+			w = 1.7
+		}
+		cat.Galaxies = append(cat.Galaxies, catalog.Galaxy{Pos: p, Weight: w})
+	}
+	return cat
+}
+
+// TestEngineMatchesBruteForceUnitSpanningCells runs the engine over
+// unitCatalog in every ladder form — anisotropic and IsotropicOnly,
+// SelfCount on and off, plane-parallel, radial and midpoint line of sight
+// (the two pair-folding frames and the one that rotates per primary) —
+// against direct triplet counting.
+func TestEngineMatchesBruteForceUnitSpanningCells(t *testing.T) {
+	base := testConfig()
+	base.RMax = 20
+	base.BlockCell = 30
+	base.ChunkSize = 8
+	base.Observer = geom.Vec3{X: -500, Y: -300, Z: -1000}
+	requireUnitShapes(t, unitCatalog(), base)
+
+	for _, los := range []core.LOSMode{core.LOSPlaneParallel, core.LOSRadial, core.LOSMidpoint} {
+		for _, selfCount := range []bool{true, false} {
+			cfg := base
+			cfg.LOS = los
+			cfg.SelfCount = selfCount
+			requireEngineMatchesAniso(t, unitCatalog(), cfg)
+		}
+	}
+}
+
+// requireEngineMatchesAniso compares core.Compute, anisotropic and
+// IsotropicOnly, with direct triplet counting under cfg at 1e-9 of the
+// largest channel.
+func requireEngineMatchesAniso(t *testing.T, cat *catalog.Catalog, cfg core.Config) {
+	t.Helper()
+	want, err := aniso(cat, cfg, !cfg.SelfCount)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scale := want.MaxAbs()
+	for _, isoOnly := range []bool{false, true} {
+		cfg.IsotropicOnly = isoOnly
+		label := fmt.Sprintf("%v selfcount=%v iso=%v", cfg.LOS, cfg.SelfCount, isoOnly)
+		got, err := core.Compute(cat, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if got.Pairs != want.Pairs || got.NPrimaries != want.NPrimaries {
+			t.Fatalf("%s: %d pairs over %d primaries, want %d over %d",
+				label, got.Pairs, got.NPrimaries, want.Pairs, want.NPrimaries)
+		}
+		nb2 := cfg.NBins * cfg.NBins
+		for ci, c := range want.Combos.Combos {
+			if isoOnly && c.L1 != c.L2 {
+				continue
 			}
-			scale := want.MaxAbs()
-			for _, isoOnly := range []bool{false, true} {
-				cfg.IsotropicOnly = isoOnly
-				label := fmt.Sprintf("%v selfcount=%v iso=%v", los, selfCount, isoOnly)
-				got, err := core.Compute(cat, cfg)
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
+			for i := ci * nb2; i < (ci+1)*nb2; i++ {
+				g, w := got.Aniso[i], want.Aniso[i]
+				if isoOnly { // the isotropic ladder keeps real parts only
+					g, w = complex(real(g), 0), complex(real(w), 0)
 				}
-				if got.Pairs != want.Pairs || got.NPrimaries != want.NPrimaries {
-					t.Fatalf("%s: %d pairs over %d primaries, want %d over %d",
-						label, got.Pairs, got.NPrimaries, want.Pairs, want.NPrimaries)
-				}
-				nb2 := cfg.NBins * cfg.NBins
-				for ci, c := range want.Combos.Combos {
-					if isoOnly && c.L1 != c.L2 {
-						continue
-					}
-					for i := ci * nb2; i < (ci+1)*nb2; i++ {
-						g, w := got.Aniso[i], want.Aniso[i]
-						if isoOnly { // the isotropic ladder keeps real parts only
-							g, w = complex(real(g), 0), complex(real(w), 0)
-						}
-						if d := math.Hypot(real(g-w), imag(g-w)); d > 1e-9*scale {
-							t.Fatalf("%s: zeta^%d_{%d %d}[%d] = %v, want %v (scale %v)",
-								label, c.M, c.L1, c.L2, i-ci*nb2, g, w, scale)
-						}
-					}
+				if d := math.Hypot(real(g-w), imag(g-w)); d > 1e-9*scale {
+					t.Fatalf("%s: zeta^%d_{%d %d}[%d] = %v, want %v (scale %v)",
+						label, c.M, c.L1, c.L2, i-ci*nb2, g, w, scale)
 				}
 			}
 		}
@@ -144,5 +223,55 @@ func requirePaddedShapes(t *testing.T, cat *catalog.Catalog, cfg core.Config) {
 	}
 	if none < 2 || some < 10 || all < 10 {
 		t.Fatalf("catalog lost its padded shapes: %d primaries touch no bin, %d some, %d all", none, some, all)
+	}
+}
+
+// requireUnitShapes fails when unitCatalog no longer produces the unit
+// shapes the test exists for. It restates buildBlocks' contract
+// independently: primaries sort by the Morton code of their BlockCell grid
+// cell (anchored at the coordinate minimum in an open box), a cell is a run
+// of one code capped at ChunkSize, and a unit is a run of cells closed
+// before it passes ChunkSize/2 primaries.
+func requireUnitShapes(t *testing.T, cat *catalog.Catalog, cfg core.Config) {
+	t.Helper()
+	org := cat.Galaxies[0].Pos
+	for _, g := range cat.Galaxies {
+		org = geom.Vec3{X: math.Min(org.X, g.Pos.X), Y: math.Min(org.Y, g.Pos.Y), Z: math.Min(org.Z, g.Pos.Z)}
+	}
+	codes := make([]uint64, cat.Len())
+	for i, g := range cat.Galaxies {
+		d := g.Pos.Sub(org).Scale(1 / cfg.BlockCell)
+		for bit := 0; bit < 21; bit++ {
+			for ax, v := range [3]uint64{uint64(d.X), uint64(d.Y), uint64(d.Z)} {
+				codes[i] |= (v >> bit & 1) << (3*bit + ax)
+			}
+		}
+	}
+	sorted := append([]uint64(nil), codes...)
+	sort.Slice(sorted, func(a, b int) bool { return sorted[a] < sorted[b] })
+	var units [][]int // primaries per cell, per unit
+	np := 0
+	for i := 0; i < len(sorted); {
+		k := 1
+		for i+k < len(sorted) && sorted[i+k] == sorted[i] && k < cfg.ChunkSize {
+			k++
+		}
+		if len(units) == 0 || np+k > cfg.ChunkSize/2 {
+			units = append(units, nil)
+			np = 0
+		}
+		units[len(units)-1] = append(units[len(units)-1], k)
+		np += k
+		i += k
+	}
+	want := [][]int{{2, 1, 1}, {3, 1}, {2, 1, 1}, {8}, {8}, {4}}
+	if !reflect.DeepEqual(units, want) {
+		t.Fatalf("catalog lost its unit shapes: cells per unit %v, want %v", units, want)
+	}
+	const lonely = 2 // the middle cell of unit 0
+	for j, q := range cat.Galaxies {
+		if d := cat.Box.Distance(cat.Galaxies[lonely].Pos, q.Pos); j != lonely && d < cfg.RMax {
+			t.Fatalf("galaxy %d has a neighbour at %v: unit 0 lost its all-zero slab row", lonely, d)
+		}
 	}
 }

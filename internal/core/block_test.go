@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -179,5 +180,91 @@ func testProcessBlockAllocFree(t *testing.T, cfg Config) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state processBlock allocates %.1f objects/run, want 0", allocs)
+	}
+}
+
+// TestUnitsPartitionCells pins the two-level partition buildBlocks hands the
+// scheduler. Cells are contiguous, non-empty runs of the Morton-sorted
+// primaries that cover every primary once and hold at most ChunkSize of
+// them; commit units are contiguous, non-empty runs of cells that cover
+// every cell once, so a cell is never split. A unit of several cells stays
+// within ChunkSize/2 primaries, and units are maximal: a unit closes only
+// because its successor's first cell would have pushed it past that bound
+// (so a cell at or above the bound stands alone). The partition depends on
+// the catalog, ChunkSize and BlockCell only — Workers and Scheduling, which
+// decide who processes a unit, must not move a boundary, or the commit order
+// (and with it the result bits) would follow the execution topology.
+func TestUnitsPartitionCells(t *testing.T) {
+	cat := catalog.Clustered(3000, 200, catalog.DefaultClusterParams(), 87)
+	for _, shape := range []struct {
+		chunk     int
+		blockCell float64
+	}{{0, 0}, {64, 0}, {16, 12}, {4, 0}, {3, 9}, {1, 0}} {
+		var refCells, refUnits []blockRange
+		for _, workers := range []int{1, 2, 8} {
+			for _, sched := range []SchedKind{SchedStatic, SchedDynamic} {
+				cfg := propConfig()
+				cfg.ChunkSize, cfg.BlockCell = shape.chunk, shape.blockCell
+				cfg.Workers, cfg.Scheduling = workers, sched
+				cfg, err := cfg.Normalize()
+				if err != nil {
+					t.Fatal(err)
+				}
+				e := &engine{cfg: cfg, box: cat.Box, pts: cat.Positions()}
+				e.primaryIdx = primaryIndices(nil, cat.Len())
+				e.buildBlocks()
+				if refCells == nil {
+					refCells, refUnits = e.cells, e.blocks
+					checkPartition(t, e, cat.Len())
+					continue
+				}
+				if !slices.Equal(e.cells, refCells) || !slices.Equal(e.blocks, refUnits) {
+					t.Fatalf("chunk %d: partition moved with workers=%d sched=%v", shape.chunk, workers, sched)
+				}
+			}
+		}
+	}
+}
+
+func checkPartition(t *testing.T, e *engine, n int) {
+	t.Helper()
+	chunk := int32(e.cfg.ChunkSize)
+	next := int32(0)
+	for i, c := range e.cells {
+		if c.lo != next || c.hi <= c.lo || c.hi-c.lo > chunk {
+			t.Fatalf("chunk %d: cell %d = %v after primary %d", chunk, i, c, next)
+		}
+		next = c.hi
+	}
+	if next != int32(n) {
+		t.Fatalf("chunk %d: cells cover %d of %d primaries", chunk, next, n)
+	}
+	primaries := func(u blockRange) int32 { return e.cells[u.hi-1].hi - e.cells[u.lo].lo }
+	next = 0
+	multi := 0
+	for i, u := range e.blocks {
+		if u.lo != next || u.hi <= u.lo {
+			t.Fatalf("chunk %d: unit %d = %v after cell %d", chunk, i, u, next)
+		}
+		next = u.hi
+		if u.hi-u.lo > 1 {
+			multi++
+			if primaries(u) > chunk/2 {
+				t.Fatalf("chunk %d: unit %d spans %d cells with %d primaries, bound %d",
+					chunk, i, u.hi-u.lo, primaries(u), chunk/2)
+			}
+		}
+		if int(u.hi) < len(e.cells) {
+			if succ := e.cells[u.hi]; primaries(u)+succ.hi-succ.lo <= chunk/2 {
+				t.Fatalf("chunk %d: unit %d closed early: %d primaries + next cell's %d fit the bound %d",
+					chunk, i, primaries(u), succ.hi-succ.lo, chunk/2)
+			}
+		}
+	}
+	if next != int32(len(e.cells)) {
+		t.Fatalf("chunk %d: units cover %d of %d cells", chunk, next, len(e.cells))
+	}
+	if chunk >= 16 && multi == 0 {
+		t.Fatalf("chunk %d: no unit spans more than one cell; the test lost its shape", chunk)
 	}
 }

@@ -75,18 +75,18 @@ func (f FinderKind) String() string {
 	}
 }
 
-// SchedKind selects how cell blocks are distributed over workers. Both
-// policies commit block contributions in ascending block order (dynamic via
+// SchedKind selects how commit units are distributed over workers. Both
+// policies commit unit contributions in ascending unit order (dynamic via
 // group-ordered commits), so results are bitwise identical across policies
 // at a fixed worker count.
 type SchedKind int
 
 const (
-	// SchedDynamic hands out cell blocks from a shared counter ("OpenMP
+	// SchedDynamic hands out commit units from a shared counter ("OpenMP
 	// dynamic scheduling ... gives a significant performance boost over
 	// using a static schedule", Sec. 3.3).
 	SchedDynamic SchedKind = iota
-	// SchedStatic assigns each worker one contiguous block range up front.
+	// SchedStatic assigns each worker one contiguous unit range up front.
 	SchedStatic
 )
 
@@ -147,13 +147,14 @@ type Config struct {
 	GridCell float64
 	// Scheduling selects dynamic or static primary distribution.
 	Scheduling SchedKind
-	// ChunkSize caps the number of primaries in one cell block — the
-	// scheduling and gather unit of the blocked traversal. Primaries are
-	// sorted into BlockCell-sized grid cells (Morton order); each cell's
-	// run is split into blocks of at most ChunkSize primaries, and the
-	// scheduler (dynamic or static) hands out whole blocks. <= 0 selects
-	// 64. Before the blocked traversal this field was the dynamic-
-	// scheduling primary chunk; it is now the block capacity.
+	// ChunkSize caps the number of primaries in one cell — the gather and
+	// pair-fold unit of the blocked traversal — and, through it, in one
+	// commit unit. Primaries are sorted into BlockCell-sized grid cells
+	// (Morton order); each grid cell's run is split into cells of at most
+	// ChunkSize primaries, consecutive cells coalesce into commit units
+	// that close before passing ChunkSize/2 primaries (a larger cell
+	// stands alone), and the scheduler (dynamic or static) hands out whole
+	// units. <= 0 selects 64.
 	ChunkSize int
 	// BlockCell is the side length of the cells primaries are sorted into
 	// for the blocked traversal (<= 0 selects RMax/2). Smaller cells mean

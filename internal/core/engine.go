@@ -21,8 +21,8 @@ import (
 )
 
 // fpWorkerBlock injects inside an engine worker goroutine, at the top of
-// each block: an error or panic here exercises the worker isolation path
-// (the panic is recovered block-locally, the commit clock still advances,
+// each commit unit: an error or panic here exercises the worker isolation path
+// (the panic is recovered unit-locally, the commit clock still advances,
 // and the run fails with a stack-carrying error instead of crashing the
 // process), a delay perturbs scheduling without changing the result.
 var fpWorkerBlock = faultpoint.New("core.worker.block")
@@ -48,7 +48,7 @@ func Compute(cat *catalog.Catalog, cfg Config) (*Result, error) {
 }
 
 // ComputeContext is Compute under a context: cancelling ctx makes the
-// worker loop stop at the next cell block and return ctx.Err().
+// worker loop stop at the next commit unit and return ctx.Err().
 func ComputeContext(ctx context.Context, cat *catalog.Catalog, cfg Config) (*Result, error) {
 	return ComputeSubsetContext(ctx, cat, nil, cfg)
 }
@@ -149,11 +149,14 @@ func primaryIndices(mask []bool, n int) []int32 {
 	return idx
 }
 
-// blockRange is one scheduling unit of the blocked traversal: a run of
-// cell-sorted primaries from a single grid cell, capped at ChunkSize
-// primaries. Blocks are gathered through one shared finder traversal, and
-// within a block the plane-parallel path enumerates each intra-block pair
-// once.
+// blockRange is a half-open index range [lo, hi). The blocked traversal has
+// two granularities, both built by buildBlocks. A cell (engine.cells, ranges
+// of primaryIdx) is a run of cell-sorted primaries from a single grid cell,
+// capped at ChunkSize: the gather and pair-fold unit — one shared finder
+// traversal, and on the swap-invariant lines of sight each intra-cell pair
+// enumerated once. A commit unit (engine.blocks, ranges of cells) is a run
+// of consecutive cells: the scheduling, zeta and commit unit — what a worker
+// claims, folds through one rank-K zeta update per channel, and commits.
 type blockRange struct{ lo, hi int32 }
 
 type engine struct {
@@ -164,9 +167,10 @@ type engine struct {
 	box  geom.Periodic
 	pts  []geom.Vec3
 	ws   []float64
-	// primaryIdx holds the primaries in cell-sorted (Morton) order; blocks
-	// index contiguous runs of it.
+	// primaryIdx holds the primaries in cell-sorted (Morton) order; cells
+	// index contiguous runs of it, blocks contiguous runs of cells.
 	primaryIdx []int32
+	cells      []blockRange
 	blocks     []blockRange
 
 	finder NeighborFinder
@@ -188,17 +192,17 @@ type engine struct {
 
 	modes engineModes
 
-	next atomic.Int64 // dynamic scheduling: next block to hand out
+	next atomic.Int64 // dynamic scheduling: next unit to hand out
 
 	// failed flags a worker panic/fault so the other workers stop claiming
-	// blocks at their next per-block check instead of finishing a doomed run.
+	// units at their next per-unit check instead of finishing a doomed run.
 	failed atomic.Bool
 }
 
-// zetaChannel caches one canonical channel's constants for the block-level
+// zetaChannel caches one canonical channel's constants for the unit-level
 // outer-product sweep: the flattened Aniso base offset, the (m >= 0) pair
 // indices of the two a_lm legs, and (SelfCount only) the Legendre series of
-// Y_l1m conj(Y_l2m) that turns the block's self-pair moments into the
+// Y_l1m conj(Y_l2m) that turns the unit's self-pair moments into the
 // channel's diagonal correction. Channels excluded by IsotropicOnly are
 // filtered out at build time so the hot loop carries no per-channel mode
 // branch.
@@ -256,12 +260,19 @@ func (e *engine) buildFinder() error {
 }
 
 // buildBlocks sorts the primaries into BlockCell-sized grid cells, orders
-// the cells along a Morton curve (so consecutive blocks are spatial
-// neighbors and the finder's nodes stay cache-warm across blocks), and cuts
-// each cell's run into blocks of at most ChunkSize primaries. The sort key
-// carries the original index as tiebreak, so the order — and therefore the
-// floating-point accumulation order of every downstream sum — is fully
-// deterministic.
+// the cells along a Morton curve (so consecutive cells are spatial
+// neighbors and the finder's nodes stay cache-warm across them), cuts each
+// cell's run into cells of at most ChunkSize primaries, and coalesces
+// consecutive cells into commit units: a unit closes before it would pass
+// ChunkSize/2 primaries, a cell is never split, and a cell at or above that
+// bound stands alone. The per-unit costs that do not scale with pairs — the
+// accumulator clear, the channel tile traffic of the zeta update, the commit
+// — are then paid once per ~ChunkSize/2 primaries however sparse the cells
+// are, while the two unit slabs stay L2-resident beside the accumulator.
+// The sort key carries the original index as tiebreak, and cells and units
+// depend only on the catalog, ChunkSize and BlockCell, so the order — and
+// therefore the floating-point accumulation order of every downstream sum —
+// is fully deterministic.
 func (e *engine) buildBlocks() {
 	n := len(e.primaryIdx)
 	if n == 0 {
@@ -303,10 +314,21 @@ func (e *engine) buildBlocks() {
 	lo := int32(0)
 	for i := 1; i <= n; i++ {
 		if i == n || ks[i].key != ks[lo].key || int32(i)-lo == cap32 {
-			e.blocks = append(e.blocks, blockRange{lo: lo, hi: int32(i)})
+			e.cells = append(e.cells, blockRange{lo: lo, hi: int32(i)})
 			lo = int32(i)
 		}
 	}
+	bound := cap32 / 2
+	first, np := int32(0), int32(0) // the open unit's first cell and primary count
+	for c, cell := range e.cells {
+		k := cell.hi - cell.lo
+		if int32(c) > first && np+k > bound {
+			e.blocks = append(e.blocks, blockRange{lo: first, hi: int32(c)})
+			first, np = int32(c), 0
+		}
+		np += k
+	}
+	e.blocks = append(e.blocks, blockRange{lo: first, hi: int32(len(e.cells))})
 }
 
 // cellCoord clamps a scaled coordinate into the 21-bit Morton range.
@@ -337,13 +359,13 @@ func morton3(x, y, z uint32) uint64 {
 }
 
 // commitClock orders dynamic-scheduling commits within each worker group:
-// blocks land in their group's partial result in ascending block order, the
-// exact order a static schedule produces, so the two policies are bitwise
-// interchangeable (see run).
+// commit units land in their group's partial result in ascending unit order,
+// the exact order a static schedule produces, so the two policies are
+// bitwise interchangeable (see run).
 type commitClock struct {
 	mu   sync.Mutex
 	cond sync.Cond
-	next []int32 // per group: next block index allowed to commit
+	next []int32 // per group: next unit index allowed to commit
 }
 
 func newCommitClock(nw, nB int) *commitClock {
@@ -355,7 +377,7 @@ func newCommitClock(nw, nB int) *commitClock {
 	return c
 }
 
-// acquire blocks until block b is the next committer of group g. The caller
+// acquire blocks until unit b is the next committer of group g. The caller
 // then owns partial[g] until it calls release.
 func (c *commitClock) acquire(g int, b int32) {
 	c.mu.Lock()
@@ -365,7 +387,7 @@ func (c *commitClock) acquire(g int, b int32) {
 	c.mu.Unlock()
 }
 
-// release marks block b committed (or abandoned, on cancellation) and wakes
+// release marks unit b committed (or abandoned, on cancellation) and wakes
 // the group's successor.
 func (c *commitClock) release(g int, b int32) {
 	c.mu.Lock()
@@ -374,19 +396,22 @@ func (c *commitClock) release(g int, b int32) {
 	c.cond.Broadcast()
 }
 
-// run executes the block loop across workers and merges their results.
+// run executes the unit loop across workers and merges their results.
 //
-// Determinism contract: the blocks are partitioned into nw contiguous
+// Determinism contract: the commit units (e.blocks — a function of the
+// catalog, ChunkSize and BlockCell only) are partitioned into nw contiguous
 // groups (the static schedule's ranges). Static workers own one group each
-// and commit their blocks in ascending order as they go; dynamic workers
-// grab blocks from the shared counter for load balance but commit each
-// block into its group's partial result in ascending block order, gated by
-// the commitClock. Either way every Aniso element receives its per-block
-// contributions in ascending block order and the group partials merge in
+// and commit their units in ascending order as they go; dynamic workers
+// grab units from the shared counter for load balance but commit each unit
+// into its group's partial result in ascending unit order, gated by the
+// commitClock. Either way every Aniso element receives its per-unit
+// contributions in ascending unit order and the group partials merge in
 // group order — so results are bitwise identical across scheduling policies
-// and across any dynamic interleaving, at a fixed worker count.
+// and across any dynamic interleaving, at a fixed worker count. The worker
+// count is clamped to the unit count, so a catalog that coalesces into
+// fewer units than workers runs on fewer workers.
 //
-// Cancelling the engine context makes every worker stop at its next block;
+// Cancelling the engine context makes every worker stop at its next unit;
 // run then discards the partial results and reports ctx.Err().
 func (e *engine) run() (*Result, error) {
 	nB := len(e.blocks)
@@ -457,11 +482,11 @@ func (e *engine) run() (*Result, error) {
 	return total, nil
 }
 
-// worker processes cell blocks according to the scheduling policy.
-// Cancellation is checked once per block: prompt (a block is at most
+// worker processes commit units according to the scheduling policy.
+// Cancellation is checked once per unit: prompt (a unit is at most
 // ChunkSize primaries) without putting a context load on the pair loop.
 //
-// Panic isolation: each block runs under safeProcessBlock, so a panic
+// Panic isolation: each unit runs under safeProcessBlock, so a panic
 // inside the pair/kernel pipeline is recovered block-locally and surfaces
 // as the run's error with the offending stack — never a crashed process.
 // The recovery preserves the scheduling invariants: a claimed dynamic slot
@@ -516,7 +541,7 @@ func (e *engine) worker(w, nw int, partials []*Result, gFor []int32, clock *comm
 	return s
 }
 
-// safeProcessBlock runs one block with panic isolation: a recovered panic
+// safeProcessBlock runs one commit unit with panic isolation: a recovered panic
 // (an engine bug, or an injected core.worker.block fault) becomes an error
 // carrying the panic value and stack.
 func (e *engine) safeProcessBlock(s *workerState, b int) (err error) {
@@ -532,12 +557,14 @@ func (e *engine) safeProcessBlock(s *workerState, b int) (err error) {
 	return nil
 }
 
-// commitInto folds the worker's block accumulators into a partial result.
+// commitInto folds the worker's unit accumulators into a partial result.
 // Only active channels are touched; IsotropicOnly leaves the rest zero and
 // commits its real tiles with zero imaginary parts (the iso fast ladder
 // never accumulates the imaginary components, which no isotropic consumer
-// reads — IsoZeta and the estimator take real parts only).
+// reads — IsoZeta and the estimator take real parts only). The commit is
+// the tail of the zeta stage and is charged to its clock.
 func (e *engine) commitInto(dst *Result, s *workerState) {
+	t0 := time.Now()
 	nb2 := e.bins.N * e.bins.N
 	if e.cfg.IsotropicOnly {
 		for _, ch := range e.channels {
@@ -557,39 +584,49 @@ func (e *engine) commitInto(dst *Result, s *workerState) {
 	dst.Pairs += s.blockPairs
 	dst.NPrimaries += s.blockNP
 	dst.SumWeight += s.blockSumW
+	s.tAlmZeta += time.Since(t0)
+}
+
+// lap charges the time since *t to *d and restarts the clock at the same
+// reading: the read that ends one phase starts the next, so the phase clocks
+// partition a unit's time at one clock read per boundary.
+func lap(t *time.Time, d *time.Duration) {
+	now := time.Now()
+	*d += now.Sub(*t)
+	*t = now
 }
 
 // workerState carries one worker's scratch memory: the per-primary tile
-// pipeline of the pair-tile engine plus the block-level arenas (gathered
-// neighbor lists, the intra-block pair cache, per-primary a_lm slabs, and
-// the block's Aniso accumulator). Everything is allocated once per worker
-// and reused across blocks — the steady-state block loop performs no
-// allocations (pinned by TestProcessBlockAllocFree).
+// pipeline of the pair-tile engine plus the cell-level arenas (gathered
+// neighbor lists, the intra-cell pair cache) and the unit-level ones
+// (per-primary a_lm slabs, the unit's Aniso accumulator). Everything is
+// allocated once per worker and reused across units — the steady-state unit
+// loop performs no allocations (pinned by TestProcessBlockAllocFree).
 type workerState struct {
 	kern *sphharm.Kernel
 	acc  [][]float64 // per-bin lane-striped monomial accumulators
 
-	// err records the worker's terminal failure (a recovered block panic or
+	// err records the worker's terminal failure (a recovered unit panic or
 	// injected fault); run surfaces the first one after the pool drains.
 	err error
 
-	// Block gather: query centers and the shared-traversal result.
+	// Cell gather: query centers and the shared-traversal result.
 	centers []geom.Vec3
 	nbr     nbr.Block
 
-	// Intra-block pair cache (plane-parallel pair-symmetric path). Block
-	// members are located through a small open-addressed hash over the
-	// block's primary ids (L1-resident, a few Lanes of entries — not a
-	// catalog-sized lookup table, whose random accesses would miss cache
-	// on large catalogs and whose footprint would scale with N x workers).
-	// For an intra-block pair the walker with the lower local index caches
+	// Intra-cell pair cache (pair-symmetric path). Cell members are located
+	// through a small open-addressed hash over the cell's primary ids
+	// (L1-resident, a few Lanes of entries — not a catalog-sized lookup
+	// table, whose random accesses would miss cache on large catalogs and
+	// whose footprint would scale with N x workers).
+	// For an intra-cell pair the walker with the lower local index caches
 	// the pair's unit vector and radial bin at slot lo*K + hi; the
 	// higher-local walker fetches it with the exact parity fold (component
 	// negation) instead of recomputing separation, sqrt, and bin. cbin
 	// encodes 0 = not walked, 1 = walked but outside the radial range,
 	// bin+2 otherwise.
 	symKeys       []int32 // hash keys: galaxy id, -1 empty
-	symVals       []int32 // hash values: block-local index
+	symVals       []int32 // hash values: cell-local index
 	symMask       uint32  // table size - 1 (power of two)
 	cbin          []int32
 	cpx, cpy, cpz []float64
@@ -607,19 +644,19 @@ type workerState struct {
 	msums          []float64 // reduced monomial sums scratch
 	reScr, imScr   []float64 // contiguous AlmRI output per (primary, bin)
 
-	// Block-level a_lm slabs, packed (re, im) pairs laid out [(l,m) slot i]
-	// [local primary a][bin] (slot-major, per-primary stride 2*nb): wXY
+	// Unit-level a_lm slabs, packed (re, im) pairs laid out [(l,m) slot i]
+	// [unit-local primary a][bin] (slot-major, per-primary stride 2*nb): wXY
 	// holds the primary-weight-scaled coefficients (the b1 leg of the zeta
 	// outer product) and aSlab the unweighted ones (the a2 leg). Bins a
 	// primary did not touch hold exact zeros, so every primary's row is a
 	// full nb-bin vector and the zeta stage is a dense rank-K update: each
-	// channel reads its two legs as contiguous streams over the block's
+	// channel reads its two legs as contiguous streams over the unit's
 	// primaries and folds them into one cache-hot nb x nb tile with a single
 	// sphharm.ZetaBatch call, which derives the conjugate interleave
 	// in-register.
 	wXY, aSlab []float64
 	blockPw    []float64
-	blockAniso []complex128 // per-block zeta accumulator (committed per block)
+	blockAniso []complex128 // per-unit zeta accumulator (committed per unit)
 
 	// IsotropicOnly fast-ladder arenas, replacing blockAniso/wXY: the
 	// iso channels are in bijection with the pc (l, m) slots, their zeta
@@ -629,9 +666,9 @@ type workerState struct {
 	// complex one, fills one slab instead of two, and never materializes the
 	// channels IsotropicOnly filters out. aSlab switches to split re/im
 	// halves per (slot, primary) in this mode (see processBlock).
-	blockIso []float64 // per-block real zeta accumulator, indexed by (l,m) slot
+	blockIso []float64 // per-unit real zeta accumulator, indexed by (l,m) slot
 
-	// Self-pair correction (SelfCount only): selfW is the block's [bin][L]
+	// Self-pair correction (SelfCount only): selfW is the unit's [bin][L]
 	// array of primary-weighted Legendre moments sum_a pw_a sum_j w_j^2
 	// P_L(mu_j), L <= 2 LMax, from which stage 3 derives every channel's
 	// diagonal self term (see sphharm.SelfProduct); selfMom is the per-tile
@@ -692,50 +729,79 @@ func (e *engine) newWorkerState() *workerState {
 	return s
 }
 
-// processBlock runs Algorithm 1's inner loop for one cell block of
-// primaries. Stage 1 gathers every primary's neighbor list through one
-// shared finder traversal. Stage 2 walks the block's primaries in order:
-// each primary's neighbors are assembled into bin-sorted SoA tiles (with
-// intra-block pairs fetched from the pair cache instead of recomputed, on
-// the plane-parallel path), consumed whole-tile by the multipole kernel,
-// and reduced into the block's a_lm slabs. Stage 3 accumulates the zeta
-// outer products channel-major over the whole block, so each channel's
-// nb x nb tile is loaded once per block instead of once per primary, and
-// with SelfCount subtracts each channel's diagonal self term from the
-// block's Legendre-moment array. The result lands in s.blockAniso for the
-// caller to commit.
+// processBlock runs Algorithm 1's inner loop for one commit unit. Stages 1
+// and 2 run cell by cell (processCell): each cell's neighbor lists are
+// gathered through one shared finder traversal, and its primaries' tiles are
+// assembled, consumed by the multipole kernel and reduced into the unit's
+// a_lm slabs. Stage 3 then accumulates the zeta outer products channel-major
+// over the whole unit, so each channel's nb x nb tile is cleared, updated
+// and later committed once per unit instead of once per cell, and with
+// SelfCount subtracts each channel's diagonal self term from the unit's
+// Legendre-moment array. The result lands in s.blockAniso (s.blockIso) for
+// the caller to commit.
 func (e *engine) processBlock(s *workerState, b int) {
-	blk := e.blocks[b]
-	prim := e.primaryIdx[blk.lo:blk.hi]
-	K := len(prim)
+	cells := e.cells[e.blocks[b].lo:e.blocks[b].hi]
+	first := cells[0].lo
+	K := int(cells[len(cells)-1].hi - first) // the unit's primaries
+	nb := e.bins.N
+	s.blockPairs, s.blockNP, s.blockSumW = 0, K, 0
+
+	t := time.Now()
+	for _, cell := range cells {
+		e.processCell(s, e.primaryIdx[cell.lo:cell.hi], int(cell.lo-first), K, &t)
+	}
+
+	// Stage 3: zeta outer products, one dense rank-K update per channel: the
+	// whole unit folds into the channel's freshly cleared nb x nb tile in a
+	// single fused call, so the tile stays cache-hot across all K primaries.
+	// Per Aniso element the additions run in ascending unit-local primary
+	// order — exactly the order a per-primary engine produces.
+	if e.cfg.IsotropicOnly {
+		e.zetaIsoBlock(s, K)
+		lap(&t, &s.tAlmZeta)
+		return
+	}
+	stride2 := K * 2 * nb
+	for _, ch := range e.channels {
+		dst := s.blockAniso[ch.base : ch.base+nb*nb]
+		clear(dst)
+		base1 := int(ch.i1) * stride2
+		base2 := int(ch.i2) * stride2
+		sphharm.ZetaBatch(dst, s.aSlab[base2:base2+stride2], s.wXY[base1:base1+stride2], nb, K)
+		if ch.self != nil {
+			for bb := 0; bb < nb; bb++ {
+				dst[bb*nb+bb] -= complex(s.selfTerm(ch.self, bb), 0)
+			}
+		}
+	}
+	clear(s.selfW)
+	lap(&t, &s.tAlmZeta)
+}
+
+// processCell runs stages 1 and 2 for one cell of a commit unit: prim is the
+// cell's primaries, a0 the unit-local index of the first of them, and K the
+// unit's primary count (the slab stride). t is the unit's running phase
+// clock (see lap).
+func (e *engine) processCell(s *workerState, prim []int32, a0, K int, t *time.Time) {
+	nc := len(prim)
 	nb := e.bins.N
 	pc := e.pc
 
-	if e.cfg.IsotropicOnly {
-		clear(s.blockIso) // the iso channels cover every (l, m) slot
-	} else {
-		for _, ch := range e.channels {
-			clear(s.blockAniso[ch.base : ch.base+nb*nb])
-		}
-	}
-	s.blockPairs, s.blockNP, s.blockSumW = 0, 0, 0
-
-	// Stage 1: gather all neighbor lists for the block.
-	t0 := time.Now()
+	// Stage 1: gather all neighbor lists for the cell.
 	if e.modes.refGather {
-		s.nbr.Reset(K)
+		s.nbr.Reset(nc)
 		for _, pi := range prim {
 			s.nbr.IDs = e.finder.QueryRadiusImages(e.pts[pi], e.cfg.RMax, e.images, s.nbr.IDs)
 			s.nbr.Seal()
 		}
 	} else {
-		centers := s.centers[:K]
+		centers := s.centers[:nc]
 		for i, pi := range prim {
 			centers[i] = e.pts[pi]
 		}
 		e.finder.QueryRadiusImagesBlock(centers, e.cfg.RMax, e.images, &s.nbr)
 	}
-	s.tGather += time.Since(t0)
+	lap(t, &s.tGather)
 
 	// The pair fold needs a swap-invariant line of sight: plane-parallel
 	// (shared global frame) and midpoint (per-pair bisector frame, bitwise
@@ -743,9 +809,9 @@ func (e *engine) processBlock(s *workerState, b int) {
 	// follows the primary, so the two directions of a pair see different
 	// rotations.
 	useSym := (e.cfg.LOS == LOSPlaneParallel || e.cfg.LOS == LOSMidpoint) &&
-		!e.modes.refGather && K > 1
+		!e.modes.refGather && nc > 1
 	if useSym {
-		clear(s.cbin[:K*K])
+		clear(s.cbin[:nc*nc])
 		for i := range s.symKeys {
 			s.symKeys[i] = -1
 		}
@@ -760,13 +826,12 @@ func (e *engine) processBlock(s *workerState, b int) {
 	}
 
 	// Stage 2: per primary, assemble + consume tiles and reduce into the
-	// block's a_lm slabs.
-	for a := 0; a < K; a++ {
+	// unit's a_lm slabs.
+	for a := 0; a < nc; a++ {
 		pi := prim[a]
 		pw := e.ws[pi]
 		nbrs := s.nbr.List(a)
 
-		t0 = time.Now()
 		n := e.assembleTiles(s, a, prim, pi, nbrs, useSym)
 		for _, bb := range s.tl {
 			beg := int(bb) * s.tileCap
@@ -776,14 +841,13 @@ func (e *engine) processBlock(s *workerState, b int) {
 		if s.selfW != nil {
 			s.accumulateSelfPairs(pw)
 		}
-		s.tConsume += time.Since(t0)
+		lap(t, &s.tConsume)
 		s.blockPairs += uint64(n)
 
 		// Reduce the lane accumulators, convert to a_lm, and transpose into
-		// the block slabs. The counting sort hands the touched list over in
+		// the unit slabs. The counting sort hands the touched list over in
 		// ascending bin order; the dense-scan reference must enumerate the
 		// same bins in the same order (pinned bitwise by the property test).
-		t0 = time.Now()
 		tl := s.tl
 		if e.modes.denseScan {
 			tl = s.tlDense[:0]
@@ -793,19 +857,20 @@ func (e *engine) processBlock(s *workerState, b int) {
 				}
 			}
 		}
-		// Slab layout is [slot][local primary][bin] (slot-major, per-primary
-		// stride 2*nb, packed to this block's K so the scatter stays as
-		// compact as the block), so the zeta stage reads each leg as one
-		// contiguous stream per channel. A primary that missed a bin gets
+		// Slab layout is [slot][unit-local primary][bin] (slot-major,
+		// per-primary stride 2*nb, packed to this unit's K so the scatter
+		// stays as compact as the unit), so the zeta stage reads each leg as
+		// one contiguous stream per channel. A primary that missed a bin gets
 		// exact zeros there: its rows are cleared first and the touched bins
 		// written over them. Zero-padding is value-exact — a zeta element
 		// that starts at +0 and only gains finite products is unchanged by
 		// the extra `+ x*0` terms.
 		stride2 := K * 2 * nb
+		row := (a0 + a) * 2 * nb
 		wXY, aS := s.wXY, s.aSlab
 		reScr, imScr := s.reScr, s.imScr
 		if len(tl) < nb {
-			for o := a * 2 * nb; o < pc*stride2; o += stride2 {
+			for o := row; o < pc*stride2; o += stride2 {
 				clear(aS[o : o+2*nb])
 				if !e.cfg.IsotropicOnly {
 					clear(wXY[o : o+2*nb])
@@ -821,7 +886,7 @@ func (e *engine) processBlock(s *workerState, b int) {
 			for _, bb := range tl {
 				sphharm.Reduce(s.acc[bb], s.msums)
 				e.ytab.AlmRI(s.msums, reScr, imScr)
-				o := a*2*nb + int(bb)
+				o := row + int(bb)
 				for i := 0; i < pc; i++ {
 					aS[o] = reScr[i]
 					aS[o+nb] = imScr[i]
@@ -832,7 +897,7 @@ func (e *engine) processBlock(s *workerState, b int) {
 			for _, bb := range tl {
 				sphharm.Reduce(s.acc[bb], s.msums)
 				e.ytab.AlmRI(s.msums, reScr, imScr)
-				o := a*2*nb + 2*int(bb)
+				o := row + 2*int(bb)
 				for i := 0; i < pc; i++ {
 					re, im := reScr[i], imScr[i]
 					wXY[o] = pw * re
@@ -850,38 +915,10 @@ func (e *engine) processBlock(s *workerState, b int) {
 			s.cnt[bb] = 0
 		}
 		s.tl = s.tl[:0]
-		s.blockPw[a] = pw
+		s.blockPw[a0+a] = pw
 		s.blockSumW += pw
-		s.tAlmZeta += time.Since(t0)
+		lap(t, &s.tAlmZeta)
 	}
-	s.blockNP = K
-
-	// Stage 3: zeta outer products, one dense rank-K update per channel: the
-	// whole block folds into the channel's nb x nb tile in a single fused
-	// call, so the tile and the Aniso write target stay cache-hot across all
-	// K primaries. Per Aniso element the additions run in ascending
-	// local-primary order — exactly the order the per-primary engine
-	// produced.
-	t0 = time.Now()
-	if e.cfg.IsotropicOnly {
-		e.zetaIsoBlock(s, K)
-		s.tAlmZeta += time.Since(t0)
-		return
-	}
-	stride2 := K * 2 * nb
-	for _, ch := range e.channels {
-		dst := s.blockAniso[ch.base : ch.base+nb*nb]
-		base1 := int(ch.i1) * stride2
-		base2 := int(ch.i2) * stride2
-		sphharm.ZetaBatch(dst, s.aSlab[base2:base2+stride2], s.wXY[base1:base1+stride2], nb, K)
-		if ch.self != nil {
-			for bb := 0; bb < nb; bb++ {
-				dst[bb*nb+bb] -= complex(s.selfTerm(ch.self, bb), 0)
-			}
-		}
-	}
-	clear(s.selfW)
-	s.tAlmZeta += time.Since(t0)
 }
 
 // zetaIsoBlock is processBlock's stage 3 for IsotropicOnly: the zeta outer
@@ -891,7 +928,7 @@ func (e *engine) processBlock(s *workerState, b int) {
 //	dst[b1*nb+b2] += (pw*re[b1])*re[b2] + (pw*im[b1])*im[b2]
 //
 // — and the slabs carry split re/im halves (see the stage-2 fill), so a
-// whole block folds through one sphharm.ZetaBatchIso call per channel at
+// whole unit folds through one sphharm.ZetaBatchIso call per channel at
 // half the flops and half the tile traffic of the complex path. The loop
 // structure (channel-major, ascending local-primary order) mirrors the
 // anisotropic stage exactly, so the blocked, reference-gather, and
@@ -903,6 +940,7 @@ func (e *engine) zetaIsoBlock(s *workerState, K int) {
 	for _, ch := range e.channels {
 		slot := int(ch.i1)
 		dst := s.blockIso[slot*nb2 : slot*nb2+nb2]
+		clear(dst)
 		sphharm.ZetaBatchIso(dst, s.aSlab[slot*stride2:(slot+1)*stride2], s.blockPw[:K], nb, K)
 		if ch.self != nil {
 			for bb := 0; bb < nb; bb++ {
@@ -1124,7 +1162,7 @@ func (e *engine) growTiles(s *workerState, n int) {
 	s.tw = make([]float64, nb*n)
 }
 
-// accumulateSelfPairs adds one primary's self-pair moments to the block's
+// accumulateSelfPairs adds one primary's self-pair moments to the unit's
 // [bin][L] array (SelfCount only): per touched bin, the Legendre moments of
 // the already-rotated tile's z column under the squared secondary weights,
 // scaled by the primary weight. Timed once per primary — a tile is a few
@@ -1144,8 +1182,8 @@ func (s *workerState) accumulateSelfPairs(pw float64) {
 	s.tSelf += time.Since(t0)
 }
 
-// selfTerm contracts bin bb's block moments with one channel's Legendre
-// series: the block's summed w_i w_j^2 Y_l1m(rhat_ij) conj(Y_l2m(rhat_ij)),
+// selfTerm contracts bin bb's unit moments with one channel's Legendre
+// series: the unit's summed w_i w_j^2 Y_l1m(rhat_ij) conj(Y_l2m(rhat_ij)),
 // which stage 3 subtracts from the channel's (bb, bb) element. It is real
 // for every channel because the two harmonics share m.
 func (s *workerState) selfTerm(series []sphharm.LegendreTerm, bb int) float64 {

@@ -67,7 +67,8 @@ func AccumulatorLen(t *MonomialTable) int { return t.Len() * Lanes }
 // the lane-striped accumulator acc (length AccumulatorLen(Table)). xs, ys,
 // zs hold the scaled separations (dx/r etc., so x^2+y^2+z^2 = 1 per pair)
 // and ws the pair weights; all four must share a length <= the bucket
-// capacity.
+// capacity. This is the bucketed Sec. 3.3.2 reference, kept in pure Go under
+// every dispatch tag: the engine consumes tiles through AccumulateTile.
 func (k *Kernel) Accumulate(xs, ys, zs, ws []float64, acc []float64) {
 	n := len(xs)
 	if n == 0 {
@@ -91,14 +92,14 @@ func (k *Kernel) Accumulate(xs, ys, zs, ws []float64, acc []float64) {
 	i := 0
 	for kk := 0; kk <= l; kk++ {
 		if kk > 0 {
-			mulInto(xk, xs)
+			mulIntoGeneric(xk, xs)
 		}
 		copy(xy, xk)
 		for p := 0; p <= l-kk; p++ {
 			if p > 0 {
-				mulInto(xy, ys)
+				mulIntoGeneric(xy, ys)
 			}
-			addLanes(acc[i*Lanes:i*Lanes+Lanes], xy)
+			addLanesGeneric(acc[i*Lanes:i*Lanes+Lanes], xy)
 			i++
 			src := xy // the q recurrence starts from the z^0 products
 			for q := 1; q <= l-kk-p; q++ {
@@ -158,6 +159,18 @@ func (k *Kernel) accumulateChunk(xs, ys, zs, ws []float64, acc []float64) {
 			mulCols(zq, k.zpow[(q-2)*k.cap:(q-2)*k.cap+n], zs)
 		}
 	}
+	ladder(acc, xk, xy, xs, ys, k.zpow, k.cap, l)
+}
+
+// ladderRows is the pure-Go body of the ladder primitive: the (k, p) rows in
+// canonical order, each x^k / y^p running-product update a mulInto call and
+// each row one rowLanes call folding its whole q ladder (the z^0 lane add
+// plus every z^q fused multiply-accumulate over the hoisted z-power columns
+// at stride zcap). xk holds the pair weights on entry; xy is scratch. The
+// vector body (ladderAsm) performs the same operations in the same order
+// without returning to Go between rows, so within a dispatch tag the two are
+// bit-identical (TestLadderMatchesRowsBitwise).
+func ladderRows(acc, xk, xy, xs, ys, zpow []float64, zcap, l int) {
 	i := 0
 	for kk := 0; kk <= l; kk++ {
 		if kk > 0 {
@@ -168,14 +181,8 @@ func (k *Kernel) accumulateChunk(xs, ys, zs, ws []float64, acc []float64) {
 			if p > 0 {
 				mulInto(xy, ys)
 			}
-			// One fused call folds the whole q ladder of this (k, p) row:
-			// the z^0 lane add plus every z^q fused multiply-accumulate,
-			// walking the hoisted z-power columns at stride cap. Cuts the
-			// per-monomial dispatch (an indirect call and slice setup per
-			// monomial) down to one per row — 66 instead of 286 calls per
-			// chunk at l = 10.
 			nq := l - kk - p
-			rowLanes(acc[i*Lanes:(i+nq+1)*Lanes], xy, k.zpow, k.cap)
+			rowLanes(acc[i*Lanes:(i+nq+1)*Lanes], xy, zpow, zcap)
 			i += nq + 1
 		}
 	}
@@ -187,12 +194,10 @@ func (k *Kernel) accumulateChunk(xs, ys, zs, ws []float64, acc []float64) {
 // All callers pass matched column lengths — the vector bodies trust the
 // driving slice's length the same way the generic bodies do.
 var (
-	addLanes     = addLanesGeneric
-	fmaLanes     = fmaLanesGeneric
+	ladder       = ladderRows
 	rowLanes     = rowLanesGeneric
 	mulInto      = mulIntoGeneric
 	mulCols      = mulColsGeneric
-	zetaBlock    = zetaBlockGeneric
 	zetaBatch    = zetaBatchGeneric
 	zetaBatchIso = zetaBatchIsoGeneric
 	reduce       = reduceGeneric
@@ -206,12 +211,10 @@ var laneDispatchVector = false
 // bindGenericLanes rebinds every lane primitive to its portable pure-Go
 // body.
 func bindGenericLanes() {
-	addLanes = addLanesGeneric
-	fmaLanes = fmaLanesGeneric
+	ladder = ladderRows
 	rowLanes = rowLanesGeneric
 	mulInto = mulIntoGeneric
 	mulCols = mulColsGeneric
-	zetaBlock = zetaBlockGeneric
 	zetaBatch = zetaBatchGeneric
 	zetaBatchIso = zetaBatchIsoGeneric
 	reduce = reduceGeneric
@@ -277,8 +280,7 @@ func mulColsGeneric(dst, a, b []float64) {
 // addLanesGeneric folds src into one monomial's Lanes-striped accumulator
 // group a, pair j landing in lane j & (Lanes-1). The lane sums are carried
 // in registers across the whole bucket, so the accumulator group is loaded
-// and stored once instead of once per pair. addLanes dispatches here when
-// no vector implementation is available (see kernel_lanes_amd64.go).
+// and stored once instead of once per pair.
 func addLanesGeneric(a, src []float64) {
 	a = a[:Lanes:Lanes]
 	a0, a1, a2, a3, a4, a5, a6, a7 := a[0], a[1], a[2], a[3], a[4], a[5], a[6], a[7]
@@ -320,8 +322,8 @@ func addLanesGeneric(a, src []float64) {
 // mulAddLanes advances the z recurrence one power — dst = src .* zs — and
 // folds the products into one monomial's lane group a. dst aliases src after
 // the first power; keeping the products in dst feeds the next call. The lane
-// map and accumulation order match addLanes exactly, so bucket contents
-// produce identical lane sums to the pre-blocked loop.
+// map and accumulation order match addLanesGeneric exactly, so bucket
+// contents produce identical lane sums to the pre-blocked loop.
 func mulAddLanes(a, dst, src, zs []float64) {
 	a = a[:Lanes:Lanes]
 	a0, a1, a2, a3, a4, a5, a6, a7 := a[0], a[1], a[2], a[3], a[4], a[5], a[6], a[7]
@@ -377,7 +379,7 @@ func mulAddLanes(a, dst, src, zs []float64) {
 // storing the products anywhere: the degree-major ladder reads the hoisted
 // z-power column instead of carrying a running z product through memory, so
 // each q >= 1 monomial costs two loads and zero stores per pair. The lane
-// map matches addLanes/mulAddLanes (pair j lands in lane j & (Lanes-1)).
+// map matches addLanesGeneric/mulAddLanes (pair j lands in lane j & (Lanes-1)).
 func fmaLanesGeneric(a, src, zq []float64) {
 	a = a[:Lanes:Lanes]
 	a0, a1, a2, a3, a4, a5, a6, a7 := a[0], a[1], a[2], a[3], a[4], a[5], a[6], a[7]
@@ -449,31 +451,6 @@ func (k *Kernel) AccumulateScalar(xs, ys, zs, ws []float64, m []float64) {
 	}
 }
 
-// ZetaBlock folds one channel's whole zeta outer-product block of the
-// engine's per-primary reduction, for the dense case where the primary
-// touched every radial bin: dst is the channel's nb x nb complex matrix
-// (row-major over (b1, b2)), and row t gains (xs[t], ys[t]) ⊗ (u, v):
-//
-//	dst[t*nb+i] += complex(xs[t]*u[2i] + ys[t]*v[2i],
-//	                       xs[t]*u[2i+1] + ys[t]*v[2i+1])
-//
-// The caller interleaves the second a_lm leg as u = [re0, -im0, re1, ...]
-// (conjugate-interleaved) and v = [im0, re0, im1, ...] (swapped), and passes
-// the weighted first leg as (xs, ys), so each row is w_p a1(b1) conj(a2)
-// computed as two broadcast multiply-adds over the packed float64 view —
-// the shape the vector dispatch exploits. nb is len(xs) (= len(ys)); dst
-// must hold nb*nb values and u, v at least 2*nb each.
-func ZetaBlock(dst []complex128, u, v, xs, ys []float64) {
-	nb := len(xs)
-	if nb == 0 {
-		return
-	}
-	if len(ys) != nb || len(dst) != nb*nb || len(u) < 2*nb || len(v) < 2*nb {
-		panic("sphharm: ZetaBlock shape mismatch")
-	}
-	zetaBlock(dst, u, v, xs, ys)
-}
-
 // ZetaBatch folds k dense primaries' zeta contributions to one channel in a
 // single call: dst is the channel's nb x nb complex matrix (row-major over
 // (b1, b2)), and for each primary a the row t1 gains
@@ -485,10 +462,10 @@ func ZetaBlock(dst []complex128, u, v, xs, ys []float64) {
 // packed (re, im) pairs with per-primary stride 2*nb. This is k
 // back-to-back dense per-primary updates fused so the channel's dst tile is
 // loaded and stored once per column strip instead of once per (primary,
-// row) — the cache shape of the engine's block-level zeta stage. The
-// conjugate interleave ZetaBlock wants as u/v inputs is derived in-register
-// on the vector path (an odd-lane sign flip and a pair swap), so callers
-// fill one packed slab per leg instead of two interleavings.
+// row) — the cache shape of the engine's unit-level zeta stage. The
+// conjugate and swapped interleavings of the second leg are derived
+// in-register on the vector path (an odd-lane sign flip and a pair swap), so
+// callers fill one packed slab per leg.
 func ZetaBatch(dst []complex128, a2, xy []float64, nb, k int) {
 	if nb <= 0 || k <= 0 {
 		return
@@ -553,18 +530,6 @@ func zetaBatchIsoGeneric(dst, a2, w []float64, nb, k int) {
 			for t2 := range row {
 				row[t2] += x*re2[t2] + y*im2[t2]
 			}
-		}
-	}
-}
-
-// zetaBlockGeneric is the pure-Go body of ZetaBlock.
-func zetaBlockGeneric(dst []complex128, u, v, xs, ys []float64) {
-	nb := len(xs)
-	for t := 0; t < nb; t++ {
-		row := dst[t*nb : (t+1)*nb]
-		x, y := xs[t], ys[t]
-		for i := range row {
-			row[i] += complex(x*u[2*i]+y*v[2*i], x*u[2*i+1]+y*v[2*i+1])
 		}
 	}
 }

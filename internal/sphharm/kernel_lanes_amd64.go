@@ -23,16 +23,14 @@ import "os"
 // unaffected.
 
 // Implemented in kernel_lanes_amd64.s. Each trusts the driving slice's
-// length (src for the lane folds, dst for the elementwise ops, xs for the
-// zeta block) exactly like its generic counterpart.
+// length (xy for the ladder and its rows, dst for the elementwise ops)
+// exactly like its generic counterpart.
 func cpuidAsm(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 func xgetbvAsm() (eax, edx uint32)
-func addLanesAsm(a, src []float64)
-func fmaLanesAsm(a, src, zq []float64)
+func ladderAsm(acc, xk, xy, xs, ys, zpow []float64, zcap, l int)
+func rowLanesAsm(acc, xy, zpow []float64, zcap int)
 func mulIntoAsm(dst, src []float64)
 func mulColsAsm(dst, a, b []float64)
-func zetaBlockAsm(dst []complex128, u, v, xs, ys []float64)
-func rowLanesAsm(acc, xy, zpow []float64, zcap int)
 func zetaBatchAsm(dst []complex128, a2, xy []float64, nb, k int)
 func zetaBatchIsoAsm(dst, a2, w []float64, nb, k int)
 func reduceAsm(acc, out []float64)
@@ -56,12 +54,10 @@ func init() {
 // (init here, SetLaneDispatch in kernel.go) only reach it when useAVX512
 // already passed.
 func bindVectorLanes() {
-	addLanes = addLanesAsm
-	fmaLanes = fmaLanesAsm
+	ladder = ladderAsm
 	rowLanes = rowLanesAsm
 	mulInto = mulIntoAsm
 	mulCols = mulColsAsm
-	zetaBlock = zetaBlockAsm
 	zetaBatch = zetaBatchAsm
 	zetaBatchIso = zetaBatchIsoAsm
 	reduce = reduceAsm

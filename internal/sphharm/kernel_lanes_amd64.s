@@ -6,7 +6,7 @@
 // Lanes = 8 float64 accumulator group as one ZMM register and walk the pair
 // columns in 512-bit steps; tails shorter than 8 pairs use an opmask so pair
 // j still lands in lane j&7 (masked EVEX memory operands suppress faults on
-// the masked-out lanes, so partial blocks never over-read). Only Z16-Z23 are
+// the masked-out lanes, so partial blocks never over-read). Only Z16-Z28 are
 // used: the high registers have no legacy-SSE upper state, so no VZEROUPPER
 // is needed on return.
 
@@ -27,119 +27,6 @@ TEXT ·xgetbvAsm(SB), NOSPLIT, $0-8
 	XGETBV
 	MOVL AX, eax+0(FP)
 	MOVL DX, edx+4(FP)
-	RET
-
-// func addLanesAsm(a, src []float64)
-// a[0:8] gains the lane-striped sums of src: four independent accumulator
-// chains over 32-pair blocks, folded into a at the end.
-TEXT ·addLanesAsm(SB), NOSPLIT, $0-48
-	MOVQ a_base+0(FP), DI
-	MOVQ src_base+24(FP), SI
-	MOVQ src_len+32(FP), CX
-	VMOVUPD (DI), Z16
-	VPXORQ  Z17, Z17, Z17
-	VPXORQ  Z18, Z18, Z18
-	VPXORQ  Z19, Z19, Z19
-	MOVQ    CX, DX
-	SHRQ    $5, DX
-	JZ      addblocks
-
-addquad:
-	VADDPD (SI), Z16, Z16
-	VADDPD 64(SI), Z17, Z17
-	VADDPD 128(SI), Z18, Z18
-	VADDPD 192(SI), Z19, Z19
-	ADDQ   $256, SI
-	DECQ   DX
-	JNZ    addquad
-
-addblocks:
-	MOVQ CX, DX
-	ANDQ $31, DX
-	SHRQ $3, DX
-	JZ   addtail
-
-addblock:
-	VADDPD (SI), Z16, Z16
-	ADDQ   $64, SI
-	DECQ   DX
-	JNZ    addblock
-
-addtail:
-	ANDQ $7, CX
-	JZ   addfold
-	MOVL $1, AX
-	SHLL CX, AX
-	DECL AX
-	KMOVW AX, K1
-	VADDPD (SI), Z16, K1, Z16
-
-addfold:
-	VADDPD  Z17, Z16, Z16
-	VADDPD  Z19, Z18, Z18
-	VADDPD  Z18, Z16, Z16
-	VMOVUPD Z16, (DI)
-	RET
-
-// func fmaLanesAsm(a, src, zq []float64)
-// a[0:8] gains the lane-striped sums of src[j]*zq[j]: fused multiply-adds
-// over four independent chains, folded into a at the end.
-TEXT ·fmaLanesAsm(SB), NOSPLIT, $0-72
-	MOVQ a_base+0(FP), DI
-	MOVQ src_base+24(FP), SI
-	MOVQ src_len+32(FP), CX
-	MOVQ zq_base+48(FP), BX
-	VMOVUPD (DI), Z16
-	VPXORQ  Z17, Z17, Z17
-	VPXORQ  Z18, Z18, Z18
-	VPXORQ  Z19, Z19, Z19
-	MOVQ    CX, DX
-	SHRQ    $5, DX
-	JZ      fmablocks
-
-fmaquad:
-	VMOVUPD (SI), Z20
-	VMOVUPD 64(SI), Z21
-	VMOVUPD 128(SI), Z22
-	VMOVUPD 192(SI), Z23
-	VFMADD231PD (BX), Z20, Z16
-	VFMADD231PD 64(BX), Z21, Z17
-	VFMADD231PD 128(BX), Z22, Z18
-	VFMADD231PD 192(BX), Z23, Z19
-	ADDQ $256, SI
-	ADDQ $256, BX
-	DECQ DX
-	JNZ  fmaquad
-
-fmablocks:
-	MOVQ CX, DX
-	ANDQ $31, DX
-	SHRQ $3, DX
-	JZ   fmatail
-
-fmablock:
-	VMOVUPD (SI), Z20
-	VFMADD231PD (BX), Z20, Z16
-	ADDQ $64, SI
-	ADDQ $64, BX
-	DECQ DX
-	JNZ  fmablock
-
-fmatail:
-	ANDQ $7, CX
-	JZ   fmafold
-	MOVL $1, AX
-	SHLL CX, AX
-	DECL AX
-	KMOVW AX, K1
-	VMOVUPD.Z (SI), K1, Z20
-	VFMADD231PD (BX), Z20, K1, Z16
-
-fmafold:
-	VADDPD  Z17, Z16, Z16
-	VADDPD  Z19, Z18, Z18
-	VADDPD  Z18, Z16, Z16
-	VMOVUPD Z16, (DI)
 	RET
 
 // func mulColsAsm(dst, a, b []float64)
@@ -193,125 +80,62 @@ mctail:
 mcdone:
 	RET
 
-// func zetaBlockAsm(dst []complex128, u, v, xs, ys []float64)
-// One channel's nb x nb zeta block (nb = len(xs)): the packed float64 view
-// of row t (length 2*nb) gains xs[t]*u + ys[t]*v — two broadcast fused
-// multiply-adds per 8-lane step, rows walked back to back in one call.
-TEXT ·zetaBlockAsm(SB), NOSPLIT, $0-120
-	MOVQ dst_base+0(FP), DI
-	MOVQ u_base+24(FP), SI
-	MOVQ v_base+48(FP), BX
-	MOVQ xs_base+72(FP), R8
-	MOVQ xs_len+80(FP), R10
-	MOVQ ys_base+96(FP), R9
-
-	// Per-row geometry: 2*nb packed floats = R12 full 8-blocks + CX tail.
-	MOVQ R10, R11
-	SHLQ $1, R11
-	MOVQ R11, R12
-	SHRQ $3, R12
-	MOVQ R11, CX
-	ANDQ $7, CX
-	MOVL $1, AX
-	SHLL CX, AX
-	DECL AX
+// laneGeometry<> splits a column of CX pairs the way every lane fold walks
+// it: R10 = 32-pair quads (four accumulator chains), R11 = whole 8-pair
+// blocks after them, CX = tail pairs with K1 their write mask (empty when
+// CX is 0). Clobbers AX.
+TEXT laneGeometry<>(SB), NOSPLIT, $0
+	MOVQ  CX, R10
+	SHRQ  $5, R10
+	MOVQ  CX, R11
+	ANDQ  $31, R11
+	SHRQ  $3, R11
+	ANDQ  $7, CX
+	MOVL  $1, AX
+	SHLL  CX, AX
+	DECL  AX
 	KMOVW AX, K1
+	RET
 
-	MOVQ R10, R13 // remaining rows
-
-zbrow:
-	VBROADCASTSD (R8), Z20
-	VBROADCASTSD (R9), Z21
-	ADDQ $8, R8
-	ADDQ $8, R9
-	MOVQ SI, R14 // u cursor
-	MOVQ BX, R15 // v cursor
-	MOVQ R12, DX
+// mulBody<> multiplies the column at R14 elementwise by the column at R15
+// over the lane geometry above (the x^k / y^p running-product updates).
+// Advances R14 and R15; clobbers DX and Z16.
+TEXT mulBody<>(SB), NOSPLIT, $0
+	LEAQ  (R11)(R10*4), DX
 	TESTQ DX, DX
-	JZ   zbtail
+	JZ    mbtail
 
-zbloop:
-	VMOVUPD (DI), Z16
-	VFMADD231PD (R14), Z20, Z16
-	VFMADD231PD (R15), Z21, Z16
-	VMOVUPD Z16, (DI)
+mbloop:
+	VMOVUPD (R14), Z16
+	VMULPD  (R15), Z16, Z16
+	VMOVUPD Z16, (R14)
 	ADDQ    $64, R14
 	ADDQ    $64, R15
-	ADDQ    $64, DI
 	DECQ    DX
-	JNZ     zbloop
+	JNZ     mbloop
 
-zbtail:
-	TESTQ CX, CX
-	JZ    zbnext
-	VMOVUPD.Z (DI), K1, Z16
-	VMOVUPD.Z (R14), K1, Z17
-	VMOVUPD.Z (R15), K1, Z18
-	VFMADD231PD Z17, Z20, K1, Z16
-	VFMADD231PD Z18, Z21, K1, Z16
-	VMOVUPD Z16, K1, (DI)
-	LEAQ (DI)(CX*8), DI
-
-zbnext:
-	DECQ R13
-	JNZ  zbrow
+mbtail:
+	VMOVUPD.Z (R14), K1, Z16
+	VMULPD.Z  (R15), Z16, K1, Z16
+	VMOVUPD   Z16, K1, (R14)
 	RET
 
 // func mulIntoAsm(dst, src []float64)
-// dst *= src elementwise (the x^k / y^p running-product updates).
+// dst *= src elementwise.
 TEXT ·mulIntoAsm(SB), NOSPLIT, $0-48
-	MOVQ dst_base+0(FP), DI
+	MOVQ dst_base+0(FP), R14
 	MOVQ dst_len+8(FP), CX
-	MOVQ src_base+24(FP), SI
-	MOVQ CX, DX
-	SHRQ $4, DX
-	JZ   mulblocks
-
-mulpair:
-	VMOVUPD (DI), Z16
-	VMOVUPD 64(DI), Z17
-	VMULPD  (SI), Z16, Z16
-	VMULPD  64(SI), Z17, Z17
-	VMOVUPD Z16, (DI)
-	VMOVUPD Z17, 64(DI)
-	ADDQ    $128, SI
-	ADDQ    $128, DI
-	DECQ    DX
-	JNZ     mulpair
-
-mulblocks:
-	MOVQ CX, DX
-	ANDQ $15, DX
-	SHRQ $3, DX
-	JZ   multail
-
-	VMOVUPD (DI), Z16
-	VMULPD  (SI), Z16, Z16
-	VMOVUPD Z16, (DI)
-	ADDQ    $64, SI
-	ADDQ    $64, DI
-
-multail:
-	ANDQ $7, CX
-	JZ   muldone
-	MOVL $1, AX
-	SHLL CX, AX
-	DECL AX
-	KMOVW AX, K1
-	VMOVUPD.Z (DI), K1, Z16
-	VMULPD.Z  (SI), Z16, K1, Z16
-	VMOVUPD   Z16, K1, (DI)
-
-muldone:
+	MOVQ src_base+24(FP), R15
+	CALL laneGeometry<>(SB)
+	CALL mulBody<>(SB)
 	RET
 
 // func rowLanesAsm(acc, xy, zpow []float64, zcap int)
 // One whole (k, p) ladder row in a single call: acc holds nq+1 lane groups,
 // group 0 gains the lane-striped sums of xy and group q >= 1 the fused
 // multiply-accumulated sums of xy .* z^q, reading the hoisted z-power
-// columns at stride zcap. Per group the arithmetic is exactly addLanesAsm /
-// fmaLanesAsm (four independent chains, folded at the end), so fusing the
-// row only removes per-monomial call dispatch.
+// columns at stride zcap. This is the row-by-row form the fused ladder is
+// pinned against; ladderAsm runs the same rowBody<> for chunks with a quad.
 TEXT ·rowLanesAsm(SB), NOSPLIT, $0-80
 	MOVQ acc_base+0(FP), DI
 	MOVQ acc_len+8(FP), R8
@@ -321,19 +145,17 @@ TEXT ·rowLanesAsm(SB), NOSPLIT, $0-80
 	MOVQ zcap+72(FP), R9
 	SHLQ $3, R9 // z-power column stride, bytes
 	SHRQ $3, R8 // lane groups = nq+1
+	CALL laneGeometry<>(SB)
+	CALL rowBody<>(SB)
+	RET
 
-	// Loop geometry shared by every row: quads, single blocks, tail mask.
-	MOVQ CX, R10
-	SHRQ $5, R10
-	MOVQ CX, R11
-	ANDQ $31, R11
-	SHRQ $3, R11
-	ANDQ $7, CX
-	MOVL $1, AX
-	SHLL CX, AX
-	DECL AX
-	KMOVW AX, K1
-
+// rowBody<> folds one ladder row: DI = the row's first lane group (advanced
+// past the row on return), R8 = its group count, SI = xy, BX = the z-power
+// columns at byte stride R9, and the lane geometry in R10, R11, CX, K1. Per
+// group the lane sums run as four independent chains over the quads (blocks
+// and the tail extend chain 0) and fold (c0 + c1) + (c2 + c3). Clobbers AX,
+// BX, DX, R8, R14, R15 and Z16-Z27.
+TEXT rowBody<>(SB), NOSPLIT, $0
 	// Row 0: acc[0:8] += lane sums of xy.
 	VMOVUPD (DI), Z16
 	VPXORQ  Z17, Z17, Z17
@@ -397,7 +219,7 @@ rlpair:
 	VPXORQ  Z27, Z27, Z27
 	MOVQ    SI, R14
 	MOVQ    BX, R15
-	LEAQ    (BX)(R9*1), R12
+	LEAQ    (BX)(R9*1), AX
 	MOVQ    R10, DX
 	TESTQ   DX, DX
 	JZ      rpblocks
@@ -411,13 +233,13 @@ rpquad:
 	VFMADD231PD 64(R15), Z21, Z17
 	VFMADD231PD 128(R15), Z22, Z18
 	VFMADD231PD 192(R15), Z23, Z19
-	VFMADD231PD (R12), Z20, Z24
-	VFMADD231PD 64(R12), Z21, Z25
-	VFMADD231PD 128(R12), Z22, Z26
-	VFMADD231PD 192(R12), Z23, Z27
+	VFMADD231PD (AX), Z20, Z24
+	VFMADD231PD 64(AX), Z21, Z25
+	VFMADD231PD 128(AX), Z22, Z26
+	VFMADD231PD 192(AX), Z23, Z27
 	ADDQ $256, R14
 	ADDQ $256, R15
-	ADDQ $256, R12
+	ADDQ $256, AX
 	DECQ DX
 	JNZ  rpquad
 
@@ -429,10 +251,10 @@ rpblocks:
 rpblock:
 	VMOVUPD (R14), Z20
 	VFMADD231PD (R15), Z20, Z16
-	VFMADD231PD (R12), Z20, Z24
+	VFMADD231PD (AX), Z20, Z24
 	ADDQ $64, R14
 	ADDQ $64, R15
-	ADDQ $64, R12
+	ADDQ $64, AX
 	DECQ DX
 	JNZ  rpblock
 
@@ -441,7 +263,7 @@ rptail:
 	JZ    rpfold
 	VMOVUPD.Z (R14), K1, Z20
 	VFMADD231PD (R15), Z20, K1, Z16
-	VFMADD231PD (R12), Z20, K1, Z24
+	VFMADD231PD (AX), Z20, K1, Z24
 
 rpfold:
 	VADDPD  Z17, Z16, Z16
@@ -508,8 +330,143 @@ rlfold:
 	VADDPD  Z19, Z18, Z18
 	VADDPD  Z18, Z16, Z16
 	VMOVUPD Z16, (DI)
+	ADDQ    $64, DI
 
 rldone:
+	RET
+
+// func ladderAsm(acc, xk, xy, xs, ys, zpow []float64, zcap, l int)
+// The whole (k, p) ladder of one chunk (n = len(xk) pairs, xk holding the
+// weights) in a single call: the operations of ladderRows in the same order
+// — x^k and x^k y^p running products, one lane fold per monomial — without
+// returning to Go between rows, so the result is bit-identical to the
+// row-by-row path.
+//
+// A chunk with a 32-pair quad walks the xk / xy scratch columns through
+// mulBody<> and rowBody<>. A shorter chunk is at most four 8-pair vectors
+// per column, so both running products stay in registers (Z24-Z27 and
+// Z20-Z23, vector v under mask K(2+v)) and a lane group is one load, four
+// masked ops extending chain 0 in pair order, and one store. The three idle
+// chains of the row-by-row fold hold +0 there: (x + 0) + (0 + 0) is x + 0,
+// one add of the zero register Z28.
+TEXT ·ladderAsm(SB), NOSPLIT, $0-160
+	MOVQ acc_base+0(FP), DI
+	MOVQ xk_len+32(FP), CX
+	MOVQ zcap+144(FP), R9
+	SHLQ $3, R9 // z-power column stride, bytes
+	MOVQ l+152(FP), R12 // l - k: the order left for y and z
+	CMPQ CX, $32
+	JB   ldshort
+
+	MOVQ xy_base+48(FP), SI
+	CALL laneGeometry<>(SB)
+
+ldk:
+	// xy = xk
+	MOVQ xk_base+24(FP), R14
+	MOVQ SI, R15
+	LEAQ (R11)(R10*4), DX
+
+ldcopy:
+	VMOVUPD (R14), Z16
+	VMOVUPD Z16, (R15)
+	ADDQ    $64, R14
+	ADDQ    $64, R15
+	DECQ    DX
+	JNZ     ldcopy
+	VMOVUPD.Z (R14), K1, Z16
+	VMOVUPD   Z16, K1, (R15)
+	LEAQ 1(R12), R13 // lane groups of the p = 0 row
+
+ldp:
+	MOVQ zpow_base+120(FP), BX
+	MOVQ R13, R8
+	CALL rowBody<>(SB)
+	DECQ R13
+	JZ   ldknext
+	MOVQ SI, R14 // xy *= ys
+	MOVQ ys_base+96(FP), R15
+	CALL mulBody<>(SB)
+	JMP  ldp
+
+ldknext:
+	DECQ R12
+	JS   lddone
+	MOVQ xk_base+24(FP), R14 // xk *= xs
+	MOVQ xs_base+72(FP), R15
+	CALL mulBody<>(SB)
+	JMP  ldk
+
+ldshort:
+	MOVL  $1, AX
+	SHLQ  CX, AX
+	DECQ  AX
+	KMOVW AX, K2
+	SHRQ  $8, AX
+	KMOVW AX, K3
+	SHRQ  $8, AX
+	KMOVW AX, K4
+	SHRQ  $8, AX
+	KMOVW AX, K5
+	VPXORQ Z28, Z28, Z28
+	MOVQ xk_base+24(FP), SI
+	VMOVUPD.Z (SI), K2, Z24
+	VMOVUPD.Z 64(SI), K3, Z25
+	VMOVUPD.Z 128(SI), K4, Z26
+	VMOVUPD.Z 192(SI), K5, Z27
+	MOVQ xs_base+72(FP), SI
+	MOVQ ys_base+96(FP), R10
+	MOVQ zpow_base+120(FP), R11
+
+lsk:
+	VMOVAPD Z24, Z20
+	VMOVAPD Z25, Z21
+	VMOVAPD Z26, Z22
+	VMOVAPD Z27, Z23
+	LEAQ 1(R12), R13
+
+lsp:
+	MOVQ R11, BX
+	MOVQ R13, R8
+	VMOVUPD (DI), Z16
+	VADDPD  Z20, Z16, K2, Z16
+	VADDPD  Z21, Z16, K3, Z16
+	VADDPD  Z22, Z16, K4, Z16
+	VADDPD  Z23, Z16, K5, Z16
+	JMP     lsfold
+
+lsgroup:
+	VMOVUPD (DI), Z16
+	VFMADD231PD (BX), Z20, K2, Z16
+	VFMADD231PD 64(BX), Z21, K3, Z16
+	VFMADD231PD 128(BX), Z22, K4, Z16
+	VFMADD231PD 192(BX), Z23, K5, Z16
+	ADDQ R9, BX
+
+lsfold:
+	VADDPD  Z28, Z16, Z16
+	VMOVUPD Z16, (DI)
+	ADDQ    $64, DI
+	DECQ    R8
+	JNZ     lsgroup
+	DECQ    R13
+	JZ      lsknext
+	VMULPD.Z (R10), Z20, K2, Z20 // xy *= ys
+	VMULPD.Z 64(R10), Z21, K3, Z21
+	VMULPD.Z 128(R10), Z22, K4, Z22
+	VMULPD.Z 192(R10), Z23, K5, Z23
+	JMP      lsp
+
+lsknext:
+	DECQ R12
+	JS   lddone
+	VMULPD.Z (SI), Z24, K2, Z24 // xk *= xs
+	VMULPD.Z 64(SI), Z25, K3, Z25
+	VMULPD.Z 128(SI), Z26, K4, Z26
+	VMULPD.Z 192(SI), Z27, K5, Z27
+	JMP      lsk
+
+lddone:
 	RET
 
 // oddSignMask flips the sign of the odd (imaginary) float64 lanes: XORing a

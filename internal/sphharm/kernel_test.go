@@ -253,9 +253,10 @@ func TestKernelTilePanicsOnMismatch(t *testing.T) {
 }
 
 func TestLanePrimitivesMatchGeneric(t *testing.T) {
-	// The dispatched lane primitives (AVX-512 on capable amd64 hosts) must
-	// agree with the pure-Go bodies for every tail length; the vector path
-	// regroups each lane's additions, so agreement is to rounding, not bits.
+	// The dispatched elementwise primitives (AVX-512 on capable amd64 hosts)
+	// must agree with the pure-Go bodies for every tail length. The lane
+	// folds are covered by TestRowLanesMatchesGeneric (row against the
+	// per-monomial generic sequence) and TestLadderMatchesRowsBitwise.
 	if !HasAVX512() {
 		t.Skip("no vector path on this host; dispatch is the generic code")
 	}
@@ -275,18 +276,6 @@ func TestLanePrimitivesMatchGeneric(t *testing.T) {
 				}
 			}
 		}
-
-		a1 := []float64{1, 2, 3, 4, 5, 6, 7, 8}
-		a2 := append([]float64(nil), a1...)
-		addLanes(a1, src)
-		addLanesGeneric(a2, src)
-		check("addLanes", a1, a2)
-
-		a1 = []float64{1, 2, 3, 4, 5, 6, 7, 8}
-		a2 = append([]float64(nil), a1...)
-		fmaLanes(a1, src, zq)
-		fmaLanesGeneric(a2, src, zq)
-		check("fmaLanes", a1, a2)
 
 		d1 := append([]float64(nil), src...)
 		d2 := append([]float64(nil), src...)
@@ -423,10 +412,54 @@ func TestRowLanesMatchesGeneric(t *testing.T) {
 	}
 }
 
+func TestLadderMatchesRowsBitwise(t *testing.T) {
+	// The one-dispatch-per-chunk ladder must be bit-identical to the
+	// row-by-row path it replaces (one mulInto per running-product update,
+	// one rowLanes per row) under each dispatch tag — the fused vector body
+	// performs the same operations in the same order — for every chunk shape:
+	// register-resident (n < 32, every vector count and tail), with quads,
+	// and across AccumulateTile's chunking, folding twice into an accumulator
+	// that is not zero.
+	was := laneDispatchVector
+	defer SetLaneDispatch(was)
+	for _, vector := range []bool{false, true} {
+		if SetLaneDispatch(vector) != vector {
+			continue // no vector bodies on this host
+		}
+		rng := rand.New(rand.NewSource(99))
+		for _, l := range []int{0, 1, 4, 10} {
+			tab := NewMonomialTable(l)
+			k := NewKernel(tab, 128)
+			rows := NewKernel(tab, 128)
+			for _, n := range []int{1, 3, 7, 8, 9, 31, 32, 33, 100, 128, 129, 300, 1023} {
+				xs, ys, zs, ws := randBucket(rng, n)
+				got := make([]float64, AccumulatorLen(tab))
+				for i := range got {
+					got[i] = rng.NormFloat64()
+				}
+				want := append([]float64(nil), got...)
+				for rep := 0; rep < 2; rep++ {
+					k.AccumulateTile(xs, ys, zs, ws, got)
+					bound := ladder
+					ladder = ladderRows
+					rows.AccumulateTile(xs, ys, zs, ws, want)
+					ladder = bound
+				}
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("%s l=%d n=%d acc[%d]: ladder %v vs rows %v (not bitwise)",
+							LaneDispatch(), l, n, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestZetaBatchMatchesPerPrimaryBlock(t *testing.T) {
 	// ZetaBatch over K packed primaries must agree with K sequential dense
-	// per-primary updates through ZetaBlock (the interleaved u/v form it
-	// replaces), for every nb strip/row shape and K.
+	// per-primary updates (the generic body at k = 1, one primary's slab
+	// rows at a time), for every nb strip/row shape and K.
 	rng := rand.New(rand.NewSource(93))
 	for _, nb := range []int{1, 2, 3, 4, 7, 8, 10, 16, 20} {
 		for _, k := range []int{1, 2, 5, 31} {
@@ -444,22 +477,9 @@ func TestZetaBatchMatchesPerPrimaryBlock(t *testing.T) {
 				want[i] = v
 			}
 			ZetaBatch(got, a2, xy, nb, k)
-			u := make([]float64, 2*nb)
-			v := make([]float64, 2*nb)
-			xs := make([]float64, nb)
-			ys := make([]float64, nb)
 			for a := 0; a < k; a++ {
 				ao := a * 2 * nb
-				for t2 := 0; t2 < nb; t2++ {
-					re2, im2 := a2[ao+2*t2], a2[ao+2*t2+1]
-					u[2*t2] = re2
-					u[2*t2+1] = -im2
-					v[2*t2] = im2
-					v[2*t2+1] = re2
-					xs[t2] = xy[ao+2*t2]
-					ys[t2] = xy[ao+2*t2+1]
-				}
-				ZetaBlock(want, u, v, xs, ys)
+				zetaBatchGeneric(want, a2[ao:ao+2*nb], xy[ao:ao+2*nb], nb, 1)
 			}
 			for i := range want {
 				if cmplx.Abs(got[i]-want[i]) > 1e-12*(1+cmplx.Abs(want[i])) {
