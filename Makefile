@@ -5,7 +5,7 @@ GO ?= go
 .PHONY: all build test test-race vet fmt-check bench bench-exp \
 	bench-baseline bench-check bench-scaling-baseline scaling-check \
 	test-generic golden cross-smoke examples-smoke scenario-smoke \
-	service-smoke chaos-smoke crash-smoke bench-vet bench-test ci clean
+	service-smoke chaos-smoke crash-smoke bench-vet bench-test fuzz-smoke ci clean
 
 all: build
 
@@ -161,7 +161,16 @@ bench-vet:
 bench-test:
 	cd bench && $(GO) test -count=1 ./...
 
-ci: fmt-check build vet test bench bench-vet bench-test
+# Five seconds of native fuzzing per decoder that reads bytes it did not
+# just write (resultio, the binary catalog cursor, the journal segment
+# reader), seeded from the round-trip and rejection tests: never a panic,
+# and the block codecs keep agreeing with their per-record oracles.
+fuzz-smoke:
+	$(GO) test -run=^$$ -fuzz=FuzzReadResult -fuzztime=5s ./internal/core
+	$(GO) test -run=^$$ -fuzz=FuzzBinaryCursor -fuzztime=5s ./internal/catalog
+	$(GO) test -run=^$$ -fuzz=FuzzReplaySegment -fuzztime=5s ./internal/journal
+
+ci: fmt-check build vet test bench bench-vet bench-test fuzz-smoke
 
 clean:
 	$(GO) clean ./...

@@ -6,8 +6,10 @@
 package galactos_test
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"testing"
 
 	"galactos"
@@ -16,6 +18,7 @@ import (
 	"galactos/internal/core"
 	"galactos/internal/geom"
 	"galactos/internal/grid"
+	"galactos/internal/hist"
 	"galactos/internal/kdtree"
 	"galactos/internal/nbr"
 	"galactos/internal/sim"
@@ -615,5 +618,89 @@ func BenchmarkTwoPCF(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.ReportMetric(float64(pc.NPairs)/b.Elapsed().Seconds()*float64(i+1)/float64(b.N)/1e6, "Mpairs/s")
+	}
+}
+
+var codecSink int
+
+// BenchmarkResultCodec measures the resultio block codec at the two result
+// sizes the repository benchmark's workloads produce: 458 KB (LMax 10, 10
+// bins: aniso_box, service_mix) and 20 KB (LMax 4, 6 bins: stream_sharded's
+// shard checkpoints). verify is what a cache hit pays instead of decode.
+func BenchmarkResultCodec(b *testing.B) {
+	for _, shape := range []struct{ lmax, nbins int }{{10, 10}, {4, 6}} {
+		bins, err := hist.NewBinning(0, 15, shape.nbins)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res := core.NewResult(shape.lmax, bins)
+		rng := rand.New(rand.NewSource(1))
+		for i := range res.Aniso {
+			res.Aniso[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+		}
+		var enc bytes.Buffer
+		if err := core.WriteResult(&enc, res); err != nil {
+			b.Fatal(err)
+		}
+		name := fmt.Sprintf("%dKB", enc.Len()/1000)
+		b.Run(name+"/encode", func(b *testing.B) {
+			b.SetBytes(int64(enc.Len()))
+			var buf bytes.Buffer
+			for i := 0; i < b.N; i++ {
+				buf.Reset()
+				if err := core.WriteResult(&buf, res); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(name+"/decode", func(b *testing.B) {
+			b.SetBytes(int64(enc.Len()))
+			for i := 0; i < b.N; i++ {
+				got, err := core.ReadResult(bytes.NewReader(enc.Bytes()))
+				if err != nil {
+					b.Fatal(err)
+				}
+				codecSink += len(got.Aniso)
+			}
+		})
+		b.Run(name+"/verify", func(b *testing.B) {
+			b.SetBytes(int64(enc.Len()))
+			for i := 0; i < b.N; i++ {
+				if err := core.VerifyResult(enc.Bytes()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkCatalogHash measures the content hash that keys every service
+// request, at the catalog sizes of the repository benchmark (service_mix
+// 500, aniso_box 2600, stream_sharded 24000 galaxies), from memory and from
+// a binary file. At 16 KB the number is the fixed cost of a pass, not
+// SHA-256.
+func BenchmarkCatalogHash(b *testing.B) {
+	dir := b.TempDir()
+	for _, n := range []int{500, 2600, 24000} {
+		cat := benchCatalog(n, 3)
+		path := filepath.Join(dir, fmt.Sprintf("cat-%d.glxc", n))
+		if err := catalog.SaveBinary(path, cat); err != nil {
+			b.Fatal(err)
+		}
+		for _, src := range []struct {
+			name string
+			src  catalog.Source
+		}{{"memory", catalog.NewMemorySource(cat)}, {"file", catalog.NewFileSource(path)}} {
+			b.Run(fmt.Sprintf("n=%d/%s", n, src.name), func(b *testing.B) {
+				b.SetBytes(int64(n * catalog.RecordSize))
+				for i := 0; i < b.N; i++ {
+					h, err := catalog.Hash(src.src)
+					if err != nil {
+						b.Fatal(err)
+					}
+					codecSink += len(h)
+				}
+			})
+		}
 	}
 }

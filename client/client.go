@@ -375,6 +375,13 @@ func (c *Client) ResultBytes(ctx context.Context, id string) ([]byte, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, apiError(resp)
 	}
+	// A stated length, up to a size no result approaches, is read into one
+	// exact buffer instead of io.ReadAll's doubling ones.
+	if n := resp.ContentLength; n >= 0 && n <= 1<<30 {
+		data := make([]byte, n)
+		_, err := io.ReadFull(resp.Body, data)
+		return data, err
+	}
 	return io.ReadAll(resp.Body)
 }
 

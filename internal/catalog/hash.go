@@ -21,7 +21,7 @@ const hashVersion = "GCAT1"
 // content — an in-memory catalog, the binary file it was saved to, and a CSV
 // carrying the same galaxies all hash identically — which makes it the
 // catalog half of the service result-cache key. The catalog is never
-// materialized: peak memory is one chunk.
+// materialized: peak memory is one block.
 func Hash(src Source) (string, error) {
 	return HashContext(context.Background(), src)
 }
@@ -32,18 +32,11 @@ func Hash(src Source) (string, error) {
 // the digest).
 func HashContext(ctx context.Context, src Source) (string, error) {
 	var sum string
-	err := retry.Policy{}.Do(ctx, "catalog hash", func() error {
-		got, err := hashOnce(src)
-		if err != nil {
-			return err
-		}
-		sum = got
-		return nil
+	err := retry.Policy{}.Do(ctx, "catalog hash", func() (err error) {
+		sum, err = hashOnce(src)
+		return err
 	})
-	if err != nil {
-		return "", err
-	}
-	return sum, nil
+	return sum, err
 }
 
 // hashOnce is one hashing pass.
@@ -56,15 +49,16 @@ func hashOnce(src Source) (string, error) {
 
 	h := sha256.New()
 	h.Write([]byte(hashVersion))
-	buf := make([]Galaxy, ChunkSize)
-	rec := make([]byte, RecordSize)
+	block := uint64(BlockRecords)
+	if left, ok := remaining(cur); ok {
+		block = min(block, left)
+	}
+	buf := make([]Galaxy, block)
+	raw := make([]byte, RecordSize*len(buf))
 	var count uint64
 	for {
 		n, err := cur.Next(buf)
-		for _, g := range buf[:n] {
-			PutRecord(rec, g)
-			h.Write(rec)
-		}
+		h.Write(putRecords(raw, buf[:n]))
 		count += uint64(n)
 		if err == io.EOF {
 			break

@@ -40,37 +40,45 @@ func PutRecord(dst []byte, g Galaxy) {
 	binary.LittleEndian.PutUint64(dst[24:32], math.Float64bits(g.Weight))
 }
 
-// GetRecord unpacks one record from src[:RecordSize].
-func GetRecord(src []byte) Galaxy { return decodeRecord(src) }
+// BlockRecords is the unit the binary codec converts, hashes and moves at a
+// time: a Read, Write or hash update carries 64 KB of packed records, or the
+// whole catalog when that is less, rather than one record.
+const BlockRecords = 2048
+
+// putRecords packs gs into dst[:RecordSize*len(gs)] and returns that slice.
+func putRecords(dst []byte, gs []Galaxy) []byte {
+	for i, g := range gs {
+		PutRecord(dst[i*RecordSize:], g)
+	}
+	return dst[:len(gs)*RecordSize]
+}
 
 // WriteBinary writes the catalog in the binary format.
 func WriteBinary(w io.Writer, c *Catalog) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	if _, err := bw.WriteString(binaryMagic); err != nil {
+	var hdr [24]byte
+	copy(hdr[0:4], binaryMagic)
+	binary.LittleEndian.PutUint32(hdr[4:8], binaryVersion)
+	binary.LittleEndian.PutUint64(hdr[8:16], math.Float64bits(c.Box.L))
+	binary.LittleEndian.PutUint64(hdr[16:24], uint64(len(c.Galaxies)))
+	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
-	hdr := make([]byte, 20)
-	binary.LittleEndian.PutUint32(hdr[0:4], binaryVersion)
-	binary.LittleEndian.PutUint64(hdr[4:12], math.Float64bits(c.Box.L))
-	binary.LittleEndian.PutUint64(hdr[12:20], uint64(len(c.Galaxies)))
-	if _, err := bw.Write(hdr); err != nil {
-		return err
-	}
-	rec := make([]byte, RecordSize)
-	for _, g := range c.Galaxies {
-		PutRecord(rec, g)
-		if _, err := bw.Write(rec); err != nil {
+	raw := make([]byte, RecordSize*min(BlockRecords, len(c.Galaxies)))
+	for gs := c.Galaxies; len(gs) > 0; {
+		k := min(BlockRecords, len(gs))
+		if _, err := w.Write(putRecords(raw, gs[:k])); err != nil {
 			return err
 		}
+		gs = gs[k:]
 	}
-	return bw.Flush()
+	return nil
 }
 
 // readBinaryHeader parses the fixed header, returning the box side and the
 // declared galaxy count.
 func readBinaryHeader(br io.Reader) (l float64, n uint64, err error) {
-	head := make([]byte, 24)
-	if _, err := io.ReadFull(br, head); err != nil {
+	var head [24]byte
+	if _, err := io.ReadFull(br, head[:]); err != nil {
 		return 0, 0, fmt.Errorf("catalog: reading header: %w", err)
 	}
 	if string(head[0:4]) != binaryMagic {
@@ -88,8 +96,8 @@ func readBinaryHeader(br io.Reader) (l float64, n uint64, err error) {
 	return l, n, nil
 }
 
-// decodeRecord unpacks one 32-byte (x, y, z, w) record.
-func decodeRecord(rec []byte) Galaxy {
+// GetRecord unpacks one record from rec[:RecordSize].
+func GetRecord(rec []byte) Galaxy {
 	return Galaxy{
 		Pos: geom.Vec3{
 			X: math.Float64frombits(binary.LittleEndian.Uint64(rec[0:8])),
@@ -100,22 +108,14 @@ func decodeRecord(rec []byte) Galaxy {
 	}
 }
 
-// ReadBinary reads a catalog in the binary format.
+// ReadBinary reads a catalog in the binary format by draining the binary
+// cursor.
 func ReadBinary(r io.Reader) (*Catalog, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	l, n, err := readBinaryHeader(br)
+	cur, err := OpenBinary(r, nil)
 	if err != nil {
 		return nil, err
 	}
-	c := &Catalog{Box: geom.Periodic{L: l}, Galaxies: make([]Galaxy, n)}
-	rec := make([]byte, 32)
-	for i := range c.Galaxies {
-		if _, err := io.ReadFull(br, rec); err != nil {
-			return nil, fmt.Errorf("catalog: reading record %d: %w", i, err)
-		}
-		c.Galaxies[i] = decodeRecord(rec)
-	}
-	return c, nil
+	return drain(cur)
 }
 
 // WriteCSV writes "x,y,z,w" rows preceded by a "# L=<box>" comment header.
@@ -137,21 +137,7 @@ func WriteCSV(w io.Writer, c *Catalog) error {
 // It drains the streaming CSV cursor — the one implementation of the
 // dialect.
 func ReadCSV(r io.Reader) (*Catalog, error) {
-	cur := newCSVCursor(r, nil)
-	c := &Catalog{}
-	buf := make([]Galaxy, ChunkSize)
-	for {
-		n, err := cur.Next(buf)
-		c.Galaxies = append(c.Galaxies, buf[:n]...)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	c.Box = cur.Box()
-	return c, nil
+	return drain(newCSVCursor(r, nil))
 }
 
 // SaveBinary writes the catalog to a file.

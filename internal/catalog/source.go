@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -66,31 +67,34 @@ func ReadAllContext(ctx context.Context, src Source) (*Catalog, error) {
 	}
 	var c *Catalog
 	err := retry.Policy{}.Do(ctx, "catalog read", func() error {
-		got, err := readAllOnce(src)
+		cur, err := src.Open()
 		if err != nil {
 			return err
 		}
-		c = got
-		return nil
+		c, err = drain(cur)
+		return err
 	})
-	if err != nil {
-		return nil, err
-	}
-	return c, nil
+	return c, err
 }
 
-// readAllOnce is one materialization pass.
-func readAllOnce(src Source) (*Catalog, error) {
-	cur, err := src.Open()
-	if err != nil {
-		return nil, err
-	}
+// drain materializes the rest of cur's pass and closes it, decoding straight
+// into the catalog's own array. A cursor that knows its length is taken at
+// its word up to ChunkSize records, so the usual catalog is one exact
+// allocation; past that, and for cursors that do not know (CSV), the array
+// doubles as records actually arrive.
+func drain(cur Cursor) (*Catalog, error) {
 	defer cur.Close()
 	c := &Catalog{}
-	buf := make([]Galaxy, ChunkSize)
 	for {
-		n, err := cur.Next(buf)
-		c.Galaxies = append(c.Galaxies, buf[:n]...)
+		if len(c.Galaxies) == cap(c.Galaxies) {
+			grow := max(len(c.Galaxies), BlockRecords)
+			if left, ok := remaining(cur); ok {
+				grow = int(min(left, uint64(max(grow, ChunkSize))))
+			}
+			c.Galaxies = slices.Grow(c.Galaxies, grow)
+		}
+		n, err := cur.Next(c.Galaxies[len(c.Galaxies):cap(c.Galaxies)])
+		c.Galaxies = c.Galaxies[:len(c.Galaxies)+n]
 		if err == io.EOF {
 			break
 		}
@@ -100,6 +104,15 @@ func readAllOnce(src Source) (*Catalog, error) {
 	}
 	c.Box = cur.Box()
 	return c, nil
+}
+
+// remaining reports how many records are left in cur's pass, for the
+// cursors that know (they have a left method).
+func remaining(cur Cursor) (uint64, bool) {
+	if c, ok := cur.(interface{ left() uint64 }); ok {
+		return c.left(), true
+	}
+	return 0, false
 }
 
 // MemorySource adapts an in-memory catalog to the Source interface — the
@@ -124,6 +137,8 @@ type memoryCursor struct {
 }
 
 func (c *memoryCursor) Box() geom.Periodic { return c.cat.Box }
+
+func (c *memoryCursor) left() uint64 { return uint64(len(c.cat.Galaxies) - c.pos) }
 
 func (c *memoryCursor) Next(buf []Galaxy) (int, error) {
 	if c.pos >= len(c.cat.Galaxies) {
@@ -167,11 +182,12 @@ func (s *FileSource) Open() (Cursor, error) {
 // OpenBinary starts a streaming pass over a binary-format catalog carried
 // by any io.Reader. closer, when non-nil, is closed by Cursor.Close.
 func OpenBinary(r io.Reader, closer io.Closer) (Cursor, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	l, n, err := readBinaryHeader(br)
+	l, n, err := readBinaryHeader(r)
 	if err != nil {
 		return nil, err
 	}
+	// The read buffer is one block, or the whole body when that is less.
+	br := bufio.NewReaderSize(r, int(min(BlockRecords, n))*RecordSize)
 	return &binaryCursor{br: br, closer: closer, box: geom.Periodic{L: l}, remaining: n}, nil
 }
 
@@ -180,11 +196,15 @@ type binaryCursor struct {
 	closer    io.Closer
 	box       geom.Periodic
 	remaining uint64
-	rec       [32]byte
 }
 
 func (c *binaryCursor) Box() geom.Periodic { return c.box }
 
+func (c *binaryCursor) left() uint64 { return c.remaining }
+
+// Next decodes whole blocks out of the read buffer. A stream that ends
+// early yields its whole records and then fails the way a record-at-a-time
+// reader would: io.EOF on a record boundary, io.ErrUnexpectedEOF inside one.
 func (c *binaryCursor) Next(buf []Galaxy) (int, error) {
 	if err := fpSourceRead.Inject(); err != nil {
 		return 0, err
@@ -192,17 +212,24 @@ func (c *binaryCursor) Next(buf []Galaxy) (int, error) {
 	if c.remaining == 0 {
 		return 0, io.EOF
 	}
-	n := len(buf)
-	if uint64(n) > c.remaining {
-		n = int(c.remaining)
-	}
-	for i := 0; i < n; i++ {
-		if _, err := io.ReadFull(c.br, c.rec[:]); err != nil {
-			return i, fmt.Errorf("catalog: reading record: %w", err)
+	n := 0
+	for n < len(buf) && c.remaining > 0 {
+		k := int(min(uint64(len(buf)-n), c.remaining, BlockRecords))
+		block, err := c.br.Peek(k * RecordSize)
+		k = len(block) / RecordSize
+		for i := 0; i < k; i++ {
+			buf[n+i] = GetRecord(block[i*RecordSize:])
 		}
-		buf[i] = decodeRecord(c.rec[:])
+		c.br.Discard(k * RecordSize)
+		c.remaining -= uint64(k)
+		n += k
+		if err != nil {
+			if err == io.EOF && len(block)%RecordSize != 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return n, fmt.Errorf("catalog: reading record: %w", err)
+		}
 	}
-	c.remaining -= uint64(n)
 	if c.remaining == 0 {
 		return n, io.EOF
 	}
@@ -220,7 +247,7 @@ func (c *binaryCursor) Close() error {
 // ReadCSV dialect: '#' comments, an optional "L=<val>" box token).
 func newCSVCursor(r io.Reader, closer io.Closer) Cursor {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(nil, 1<<20) // lines up to 1 MB; the buffer starts small and grows to them
 	return &csvCursor{sc: sc, closer: closer}
 }
 

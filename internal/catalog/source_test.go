@@ -27,9 +27,9 @@ func assertSameCatalog(t *testing.T, got, want *Catalog) {
 	}
 }
 
-// drain reads a source with a deliberately awkward buffer size so chunk
+// drainWith reads a source with a deliberately awkward buffer size so chunk
 // boundaries are exercised.
-func drain(t *testing.T, src Source, bufLen int) *Catalog {
+func drainWith(t *testing.T, src Source, bufLen int) *Catalog {
 	t.Helper()
 	cur, err := src.Open()
 	if err != nil {
@@ -54,7 +54,7 @@ func drain(t *testing.T, src Source, bufLen int) *Catalog {
 
 func TestMemorySourceRoundTrip(t *testing.T) {
 	cat := sourceFixture()
-	got := drain(t, NewMemorySource(cat), 7)
+	got := drainWith(t, NewMemorySource(cat), 7)
 	assertSameCatalog(t, got, cat)
 }
 
@@ -66,8 +66,8 @@ func TestFileSourceBinaryRoundTrip(t *testing.T) {
 	}
 	src := NewFileSource(path)
 	// Two passes: the streaming pipeline reopens sources repeatedly.
-	assertSameCatalog(t, drain(t, src, 100), cat)
-	assertSameCatalog(t, drain(t, src, 999), cat)
+	assertSameCatalog(t, drainWith(t, src, 100), cat)
+	assertSameCatalog(t, drainWith(t, src, 999), cat)
 }
 
 func TestFileSourceCSVRoundTrip(t *testing.T) {
@@ -83,7 +83,7 @@ func TestFileSourceCSVRoundTrip(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got := drain(t, NewFileSource(path), 63)
+	got := drainWith(t, NewFileSource(path), 63)
 	assertSameCatalog(t, got, cat)
 }
 
@@ -98,8 +98,8 @@ func TestReaderSourceSpoolsAndDeletes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameCatalog(t, drain(t, src, 11), cat)
-	assertSameCatalog(t, drain(t, src, 512), cat) // re-openable
+	assertSameCatalog(t, drainWith(t, src, 11), cat)
+	assertSameCatalog(t, drainWith(t, src, 512), cat) // re-openable
 	if err := src.Close(); err != nil {
 		t.Fatal(err)
 	}

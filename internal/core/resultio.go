@@ -1,15 +1,14 @@
 package core
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash"
 	"hash/crc64"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"galactos/internal/hist"
@@ -48,15 +47,29 @@ const (
 
 var resultCRCTable = crc64.MakeTable(crc64.ECMA)
 
+const (
+	resultHeaderLen = 136
+	// resultBlock is the unit of conversion, checksumming and IO: 4096
+	// channels, so hash/crc64 runs its slicing-8 path, and still in L2. A
+	// smaller result uses a buffer of its own size.
+	resultBlock = 1 << 16
+	// resultTrust is how many channels ReadResult allocates on the header's
+	// word alone (1 MB); beyond it the array doubles as the bytes arrive.
+	resultTrust = 1 << 16
+)
+
+// comboCount is NewComboTable(lmax).Len() in closed form, so a header can be
+// checked without building the table.
+func comboCount(lmax int) uint64 {
+	l := uint64(lmax)
+	return (l + 1) * (l + 2) * (l + 3) / 6
+}
+
 // WriteResult writes r in the versioned binary format.
 func WriteResult(w io.Writer, r *Result) error {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	h := crc64.New(resultCRCTable)
-	mw := io.MultiWriter(bw, h)
-
-	buf := make([]byte, 136)
-	copy(buf[0:4], resultMagic)
 	le := binary.LittleEndian
+	buf := make([]byte, min(resultBlock, resultHeaderLen+16*len(r.Aniso)+8))
+	copy(buf[0:4], resultMagic)
 	le.PutUint32(buf[4:8], resultVersion)
 	le.PutUint32(buf[8:12], uint32(r.LMax))
 	le.PutUint32(buf[12:16], uint32(r.Bins.N))
@@ -67,106 +80,158 @@ func WriteResult(w io.Writer, r *Result) error {
 	le.PutUint64(buf[48:56], r.Pairs)
 	le.PutUint64(buf[56:64], math.Float64bits(r.SumWeight))
 	t := r.Timings
-	for i, d := range []int64{
-		int64(t.IO), int64(t.TreeBuild), int64(t.Gather), int64(t.Consume),
-		int64(t.SelfCount), int64(t.AlmZeta), int64(t.Total), int64(t.WorkerTotal),
+	for i, d := range [8]time.Duration{
+		t.IO, t.TreeBuild, t.Gather, t.Consume, t.SelfCount, t.AlmZeta, t.Total, t.WorkerTotal,
 	} {
 		le.PutUint64(buf[64+8*i:72+8*i], uint64(d))
 	}
 	le.PutUint64(buf[128:136], uint64(len(r.Aniso)))
-	if _, err := mw.Write(buf); err != nil {
+
+	// Fill the block, and whenever it is full checksum and write it; the
+	// header shares the first block and the trailer the last.
+	n, crc := resultHeaderLen, uint64(0)
+	flush := func() error {
+		crc = crc64.Update(crc, resultCRCTable, buf[:n])
+		_, err := w.Write(buf[:n])
+		n = 0
 		return err
 	}
-
-	rec := make([]byte, 16)
 	for _, v := range r.Aniso {
-		le.PutUint64(rec[0:8], math.Float64bits(real(v)))
-		le.PutUint64(rec[8:16], math.Float64bits(imag(v)))
-		if _, err := mw.Write(rec); err != nil {
+		if n+16 > len(buf) {
+			if err := flush(); err != nil {
+				return err
+			}
+		}
+		le.PutUint64(buf[n:n+8], math.Float64bits(real(v)))
+		le.PutUint64(buf[n+8:n+16], math.Float64bits(imag(v)))
+		n += 16
+	}
+	if n+8 > len(buf) {
+		if err := flush(); err != nil {
 			return err
 		}
 	}
+	crc = crc64.Update(crc, resultCRCTable, buf[:n])
+	le.PutUint64(buf[n:n+8], crc)
+	_, err := w.Write(buf[:n+8])
+	return err
+}
 
-	le.PutUint64(rec[0:8], h.Sum64())
-	if _, err := bw.Write(rec[0:8]); err != nil {
+// parseResultHeader applies the header half of the acceptance rule shared by
+// ReadResult and VerifyResult: magic, version, plausible LMax and bin count,
+// a valid binning, and a channel count that is the one LMax and the bin
+// count imply.
+func parseResultHeader(buf []byte) (lmax int, bins hist.Binning, channels uint64, err error) {
+	le := binary.LittleEndian
+	if string(buf[0:4]) != resultMagic {
+		return 0, bins, 0, fmt.Errorf("core: bad result magic %q", buf[0:4])
+	}
+	if v := le.Uint32(buf[4:8]); v != resultVersion {
+		return 0, bins, 0, fmt.Errorf("core: unsupported result version %d (want %d)", v, resultVersion)
+	}
+	lmax = int(le.Uint32(buf[8:12]))
+	nbins := int(le.Uint32(buf[12:16]))
+	if lmax < 0 || lmax > resultMaxLMax {
+		return 0, bins, 0, fmt.Errorf("core: implausible LMax %d in result header", lmax)
+	}
+	if nbins <= 0 || nbins > resultMaxBins {
+		return 0, bins, 0, fmt.Errorf("core: implausible bin count %d in result header", nbins)
+	}
+	bins, err = hist.NewBinning(math.Float64frombits(le.Uint64(buf[16:24])),
+		math.Float64frombits(le.Uint64(buf[24:32])), nbins)
+	if err != nil {
+		return 0, bins, 0, fmt.Errorf("core: invalid binning in result header: %w", err)
+	}
+	channels = comboCount(lmax) * uint64(nbins) * uint64(nbins)
+	if n := le.Uint64(buf[128:136]); n != channels {
+		return 0, bins, 0, fmt.Errorf("core: result header claims %d channels, LMax %d with %d bins implies %d",
+			n, lmax, nbins, channels)
+	}
+	return lmax, bins, channels, nil
+}
+
+// VerifyResult reports whether data is exactly one encoded result that
+// ReadResult would accept — same header rule, exact length, CRC-64 — without
+// materialising it: what a cache must know of bytes it did not just write.
+func VerifyResult(data []byte) error {
+	if len(data) < resultHeaderLen {
+		return fmt.Errorf("core: reading result header: %w", io.ErrUnexpectedEOF)
+	}
+	_, _, channels, err := parseResultHeader(data)
+	if err != nil {
 		return err
 	}
-	return bw.Flush()
+	if want := resultHeaderLen + 16*channels + 8; uint64(len(data)) != want {
+		return fmt.Errorf("core: result is %d bytes, its header implies %d: truncated or trailing data", len(data), want)
+	}
+	body := len(data) - 8
+	want := crc64.Checksum(data[:body], resultCRCTable)
+	if got := binary.LittleEndian.Uint64(data[body:]); got != want {
+		return fmt.Errorf("core: result checksum mismatch (file %016x, computed %016x): corrupt or truncated", got, want)
+	}
+	return nil
 }
 
 // ReadResult reads a Result in the versioned binary format, rejecting
-// unknown versions, impossible headers, truncation, and checksum
-// mismatches.
+// unknown versions, impossible headers, truncation, checksum mismatches and
+// bytes after the checksum. Memory follows the bytes that actually arrive,
+// not the header's claim (see resultTrust).
 func ReadResult(r io.Reader) (*Result, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	h := crc64.New(resultCRCTable)
-
-	buf := make([]byte, 136)
-	if err := readFullCRC(br, h, buf); err != nil {
+	le := binary.LittleEndian
+	var hdr [resultHeaderLen]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, fmt.Errorf("core: reading result header: %w", err)
 	}
-	le := binary.LittleEndian
-	if string(buf[0:4]) != resultMagic {
-		return nil, fmt.Errorf("core: bad result magic %q", buf[0:4])
-	}
-	if v := le.Uint32(buf[4:8]); v != resultVersion {
-		return nil, fmt.Errorf("core: unsupported result version %d (want %d)", v, resultVersion)
-	}
-	lmax := int(le.Uint32(buf[8:12]))
-	nbins := int(le.Uint32(buf[12:16]))
-	if lmax < 0 || lmax > resultMaxLMax {
-		return nil, fmt.Errorf("core: implausible LMax %d in result header", lmax)
-	}
-	if nbins <= 0 || nbins > resultMaxBins {
-		return nil, fmt.Errorf("core: implausible bin count %d in result header", nbins)
-	}
-	bins, err := hist.NewBinning(math.Float64frombits(le.Uint64(buf[16:24])),
-		math.Float64frombits(le.Uint64(buf[24:32])), nbins)
+	lmax, bins, channels, err := parseResultHeader(hdr[:])
 	if err != nil {
-		return nil, fmt.Errorf("core: invalid binning in result header: %w", err)
+		return nil, err
 	}
-
-	res := NewResult(lmax, bins)
-	res.NPrimaries = int(le.Uint64(buf[32:40]))
-	res.NGalaxies = int(le.Uint64(buf[40:48]))
-	res.Pairs = le.Uint64(buf[48:56])
-	res.SumWeight = math.Float64frombits(le.Uint64(buf[56:64]))
-	durs := [8]int64{}
+	res := &Result{
+		LMax:       lmax,
+		Bins:       bins,
+		Combos:     NewComboTable(lmax),
+		NPrimaries: int(le.Uint64(hdr[32:40])),
+		NGalaxies:  int(le.Uint64(hdr[40:48])),
+		Pairs:      le.Uint64(hdr[48:56]),
+		SumWeight:  math.Float64frombits(le.Uint64(hdr[56:64])),
+	}
+	var durs [8]int64
 	for i := range durs {
-		durs[i] = int64(le.Uint64(buf[64+8*i : 72+8*i]))
+		durs[i] = int64(le.Uint64(hdr[64+8*i : 72+8*i]))
 	}
 	res.Timings = breakdownFromNanos(durs)
-	if n := le.Uint64(buf[128:136]); n != uint64(len(res.Aniso)) {
-		return nil, fmt.Errorf("core: result header claims %d channels, LMax %d with %d bins implies %d",
-			n, lmax, nbins, len(res.Aniso))
-	}
 
-	rec := make([]byte, 16)
-	for i := range res.Aniso {
-		if err := readFullCRC(br, h, rec); err != nil {
-			return nil, fmt.Errorf("core: reading result channel %d: %w", i, err)
+	crc := crc64.Update(0, resultCRCTable, hdr[:])
+	buf := make([]byte, min(resultBlock, 16*channels+8))
+	res.Aniso = make([]complex128, 0, min(resultTrust, channels))
+	for left := channels; left > 0; {
+		k := int(min(left, resultBlock/16))
+		if _, err := io.ReadFull(r, buf[:16*k]); err != nil {
+			return nil, fmt.Errorf("core: reading result channel %d: %w", len(res.Aniso), err)
 		}
-		res.Aniso[i] = complex(math.Float64frombits(le.Uint64(rec[0:8])),
-			math.Float64frombits(le.Uint64(rec[8:16])))
+		crc = crc64.Update(crc, resultCRCTable, buf[:16*k])
+		if len(res.Aniso)+k > cap(res.Aniso) {
+			res.Aniso = slices.Grow(res.Aniso, int(min(uint64(cap(res.Aniso)), left)))
+		}
+		out := res.Aniso[len(res.Aniso) : len(res.Aniso)+k]
+		for i := range out {
+			out[i] = complex(math.Float64frombits(le.Uint64(buf[16*i:16*i+8])),
+				math.Float64frombits(le.Uint64(buf[16*i+8:16*i+16])))
+		}
+		res.Aniso = res.Aniso[:len(res.Aniso)+k]
+		left -= uint64(k)
 	}
 
-	want := h.Sum64()
-	if _, err := io.ReadFull(br, rec[0:8]); err != nil {
+	if _, err := io.ReadFull(r, buf[:8]); err != nil {
 		return nil, fmt.Errorf("core: reading result checksum: %w", err)
 	}
-	if got := le.Uint64(rec[0:8]); got != want {
-		return nil, fmt.Errorf("core: result checksum mismatch (file %016x, computed %016x): corrupt or truncated", got, want)
+	if got := le.Uint64(buf[:8]); got != crc {
+		return nil, fmt.Errorf("core: result checksum mismatch (file %016x, computed %016x): corrupt or truncated", got, crc)
+	}
+	if n, _ := r.Read(buf[:1]); n != 0 {
+		return nil, fmt.Errorf("core: trailing data after result checksum")
 	}
 	return res, nil
-}
-
-// readFullCRC fills buf from r while feeding the bytes into the checksum.
-func readFullCRC(r io.Reader, h hash.Hash64, buf []byte) error {
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return err
-	}
-	_, _ = h.Write(buf) // hash.Hash never errors
-	return nil
 }
 
 func breakdownFromNanos(d [8]int64) Breakdown {
@@ -182,18 +247,23 @@ func breakdownFromNanos(d [8]int64) Breakdown {
 	}
 }
 
-// SaveResult writes r to path atomically: the bytes go to a temporary file
-// in the same directory which is renamed over path only after a successful
-// flush, so a crash mid-write never leaves a half-written checkpoint under
-// the final name.
+// SaveResult writes r to path atomically (WriteFileAtomic), so a crash
+// mid-write never leaves a half-written checkpoint under the final name.
 func SaveResult(path string, r *Result) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
+	return WriteFileAtomic(path, func(w io.Writer) error { return WriteResult(w, r) })
+}
+
+// WriteFileAtomic lands what write produces under path: the bytes go to a
+// temporary file in the same directory, which is fsynced and renamed over
+// path only after a successful write, so a kill leaves the old file or the
+// new one, never a torn file under the final name.
+func WriteFileAtomic(path string, write func(io.Writer) error) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
 		return err
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if err := WriteResult(tmp, r); err != nil {
+	if err := write(tmp); err != nil {
 		tmp.Close()
 		return err
 	}

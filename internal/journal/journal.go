@@ -22,7 +22,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc64"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -32,12 +31,15 @@ import (
 
 // Record types. A job's life is submit -> start -> end; evict marks a
 // terminal job dropped from the registry by the retention bound, so replay
-// can never resurrect it.
+// can never resurrect it. A job answered from the result cache never runs,
+// so its whole life is one hit record: the submit fields without a request,
+// and the end fields.
 const (
 	RecordSubmit = "submit"
 	RecordStart  = "start"
 	RecordEnd    = "end"
 	RecordEvict  = "evict"
+	RecordHit    = "hit"
 )
 
 // Record is one journal entry. Only the fields of its Type are set: submit
@@ -68,9 +70,10 @@ type Record struct {
 const (
 	segMagic   = "GJL1"
 	segVersion = 1
-	// frameMax bounds a single record's payload; a length field beyond it
-	// is corruption, not a giant record.
-	frameMax = 64 << 20
+	// MaxFrameBytes bounds a single record's payload: Append refuses a
+	// larger one, so on replay a length field beyond it is corruption, not
+	// a giant record.
+	MaxFrameBytes = 64 << 20
 	// DefaultRotateBytes is the segment size past which Append rotates to a
 	// fresh segment file.
 	DefaultRotateBytes = 4 << 20
@@ -102,6 +105,7 @@ type Journal struct {
 	seq     int   // sequence number of the open segment
 	size    int64 // bytes written to the open segment
 	dropped int   // poison frames dropped during replay
+	syncs   int   // fsyncs issued
 	closed  bool
 }
 
@@ -193,21 +197,21 @@ func (j *Journal) openSegment(seq int) error {
 		f.Close()
 		return err
 	}
-	if !j.opts.NoSync {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return err
-		}
-	}
 	j.f, j.seq, j.size = f, seq, int64(len(hdr))
+	if err := j.sync(); err != nil {
+		f.Close()
+		return err
+	}
 	return nil
 }
 
-// Append commits one record: frame, write, fsync. It returns only after the
-// record is durable (unless NoSync), so a crash after Append returns can
-// never lose it. Segments past RotateBytes rotate first.
-func (j *Journal) Append(r Record) error {
-	frame, err := encodeFrame(r)
+// Append commits records as one batch: every frame in one write, then one
+// fsync. It returns only after the batch is durable (unless NoSync); a crash
+// during it leaves a prefix of whole frames and at most one torn one, which
+// replay drops. A record that does not fit a frame fails the batch before
+// anything is written. Segments past RotateBytes rotate first.
+func (j *Journal) Append(recs ...Record) error {
+	batch, err := encodeFrames(recs)
 	if err != nil {
 		return err
 	}
@@ -221,14 +225,25 @@ func (j *Journal) Append(r Record) error {
 			return err
 		}
 	}
-	if _, err := j.f.Write(frame); err != nil {
+	return j.commitLocked(batch)
+}
+
+// commitLocked writes batch to the open segment and makes it durable.
+func (j *Journal) commitLocked(batch []byte) error {
+	if _, err := j.f.Write(batch); err != nil {
 		return err
 	}
-	j.size += int64(len(frame))
-	if !j.opts.NoSync {
-		return j.f.Sync()
+	j.size += int64(len(batch))
+	return j.sync()
+}
+
+// sync is the commit point of everything written to the open segment.
+func (j *Journal) sync() error {
+	if j.opts.NoSync {
+		return nil
 	}
-	return nil
+	j.syncs++
+	return j.f.Sync()
 }
 
 func (j *Journal) rotateLocked() error {
@@ -246,6 +261,10 @@ func (j *Journal) rotateLocked() error {
 // newest-first so a partially-swept journal still replays the compacted
 // segment last.
 func (j *Journal) Compact(live []Record) error {
+	batch, err := encodeFrames(live)
+	if err != nil {
+		return err
+	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.closed {
@@ -257,20 +276,8 @@ func (j *Journal) Compact(live []Record) error {
 		return err
 	}
 	old.Close()
-	for _, r := range live {
-		frame, err := encodeFrame(r)
-		if err != nil {
-			return err
-		}
-		if _, err := j.f.Write(frame); err != nil {
-			return err
-		}
-		j.size += int64(len(frame))
-	}
-	if !j.opts.NoSync {
-		if err := j.f.Sync(); err != nil {
-			return err
-		}
+	if err := j.commitLocked(batch); err != nil {
+		return err
 	}
 	seqs, err := segments(j.opts.Dir)
 	if err != nil {
@@ -308,6 +315,13 @@ func (j *Journal) Dropped() int {
 	return j.dropped
 }
 
+// Syncs reports how many fsyncs the journal has issued (tests, benchmarks).
+func (j *Journal) Syncs() int {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.syncs
+}
+
 // Segments reports the current number of segment files (tests and stats).
 func (j *Journal) Segments() (int, error) {
 	j.mu.Lock()
@@ -316,18 +330,36 @@ func (j *Journal) Segments() (int, error) {
 	return len(seqs), err
 }
 
-// encodeFrame frames one record: uint32 payload length, CRC-64/ECMA of the
-// payload, then the JSON payload.
-func encodeFrame(r Record) ([]byte, error) {
+// encodeFrames frames recs back to back, in a buffer sized up front: a
+// boot compaction's batch is megabytes of journaled requests.
+func encodeFrames(recs []Record) (batch []byte, err error) {
+	size := 0
+	for _, r := range recs {
+		size += 512 + len(r.Request) + len(r.Error)
+	}
+	batch = make([]byte, 0, size)
+	for _, r := range recs {
+		if batch, err = appendFrame(batch, r); err != nil {
+			return nil, err
+		}
+	}
+	return batch, nil
+}
+
+// appendFrame appends one framed record to dst: uint32 payload length,
+// CRC-64/ECMA of the payload, then the JSON payload.
+func appendFrame(dst []byte, r Record) ([]byte, error) {
 	payload, err := json.Marshal(r)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	frame := make([]byte, 12+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint64(frame[4:12], crc64.Checksum(payload, crcTable))
-	copy(frame[12:], payload)
-	return frame, nil
+	if len(payload) > MaxFrameBytes {
+		return dst, fmt.Errorf("journal: %s record of job %s is %d bytes, over the %d-byte frame limit",
+			r.Type, r.ID, len(payload), MaxFrameBytes)
+	}
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = binary.LittleEndian.AppendUint64(dst, crc64.Checksum(payload, crcTable))
+	return append(dst, payload...), nil
 }
 
 // replaySegment reads one segment, returning the records before the first
@@ -335,48 +367,43 @@ func encodeFrame(r Record) ([]byte, error) {
 // and how many trailing frames/bytes were dropped (0 or 1 — replay stops at
 // the first poison frame; whatever follows it is untrusted by construction).
 // A missing or short header poisons the whole segment rather than erroring:
-// the journal's contract is that a kill can land anywhere.
+// the journal's contract is that a kill can land anywhere. The segment is
+// read whole and framed in place, so a corrupt length field costs a
+// comparison, never an allocation.
 func replaySegment(path string) ([]Record, int, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, 0, err
 	}
-	defer f.Close()
+	records, dropped := decodeSegment(data)
+	return records, dropped, nil
+}
 
-	var hdr [8]byte
-	if _, err := io.ReadFull(f, hdr[:]); err != nil {
-		return nil, 1, nil // torn before the header completed
+func decodeSegment(data []byte) ([]Record, int) {
+	if len(data) < 8 || string(data[0:4]) != segMagic || binary.LittleEndian.Uint32(data[4:8]) != segVersion {
+		return nil, 1 // torn before the header completed, or a foreign or future file: poison, not fatal
 	}
-	if string(hdr[0:4]) != segMagic || binary.LittleEndian.Uint32(hdr[4:8]) != segVersion {
-		return nil, 1, nil // foreign or future file: treat as poison, not fatal
-	}
-
 	var records []Record
-	var lenCRC [12]byte
-	for {
-		if _, err := io.ReadFull(f, lenCRC[:]); err != nil {
-			if err == io.EOF {
-				return records, 0, nil // clean end
-			}
-			return records, 1, nil // torn mid-frame-header
+	for rest := data[8:]; len(rest) > 0; {
+		if len(rest) < 12 {
+			return records, 1 // torn mid-frame-header
 		}
-		n := binary.LittleEndian.Uint32(lenCRC[0:4])
-		if n == 0 || n > frameMax {
-			return records, 1, nil // implausible length: corruption
+		n := uint64(binary.LittleEndian.Uint32(rest[0:4]))
+		if n == 0 || n > MaxFrameBytes || n > uint64(len(rest)-12) {
+			return records, 1 // implausible length (corruption) or torn mid-payload
 		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(f, payload); err != nil {
-			return records, 1, nil // torn mid-payload
-		}
-		if crc64.Checksum(payload, crcTable) != binary.LittleEndian.Uint64(lenCRC[4:12]) {
-			return records, 1, nil // corrupt payload
+		payload := rest[12 : 12+n]
+		if crc64.Checksum(payload, crcTable) != binary.LittleEndian.Uint64(rest[4:12]) {
+			return records, 1 // corrupt payload
 		}
 		var r Record
 		if err := json.Unmarshal(payload, &r); err != nil {
-			return records, 1, nil // CRC-clean but undecodable: still poison
+			return records, 1 // CRC-clean but undecodable: still poison
 		}
 		records = append(records, r)
+		rest = rest[12+n:]
 	}
+	return records, 0
 }
 
 // JobRecord is the folded per-job view Reduce produces: the submit record,
@@ -394,7 +421,8 @@ func (jr *JobRecord) Terminal() bool { return jr.End != nil }
 // Reduce folds a replayed record stream into per-job state, in first-submit
 // order. The fold is idempotent — duplicate records (a compaction raced by a
 // kill replays some records twice) change nothing: the first submit and the
-// first end win, starts are a flag. Evicted jobs are dropped entirely, so a
+// first end win, starts are a flag, and a hit record folds as the submit and
+// the end it stands for. Evicted jobs are dropped entirely, so a
 // job evicted under the retention bound can never resurrect on replay;
 // orphan records (start/end/evict with no submit in the replayed window)
 // are ignored.
@@ -410,6 +438,14 @@ func Reduce(records []Record) []JobRecord {
 				continue
 			}
 			byID[r.ID] = &JobRecord{Submit: *r}
+			order = append(order, r.ID)
+		case RecordHit:
+			if _, ok := byID[r.ID]; ok {
+				continue
+			}
+			sub, end := *r, Record{Type: RecordEnd, ID: r.ID, Time: r.Time, State: r.State, CacheHit: r.CacheHit}
+			sub.Type, sub.State, sub.CacheHit = RecordSubmit, "", false
+			byID[r.ID] = &JobRecord{Submit: sub, End: &end}
 			order = append(order, r.ID)
 		case RecordStart:
 			if jr, ok := byID[r.ID]; ok {

@@ -16,7 +16,7 @@ import (
 )
 
 // This file is the server half of the crash-only durability layer (the
-// storage half is internal/journal and diskcache.go). A -state-dir server
+// storage half is internal/journal and store.go). A -state-dir server
 // journals every job-lifecycle commit point and, at boot, replays the
 // journal into the registry: terminal jobs reappear (bounded by
 // RetainJobs), and jobs the previous process died holding are re-enqueued
@@ -24,18 +24,14 @@ import (
 // directories. See DESIGN.md, "Durability" for the record format and the
 // replay state machine.
 
-// openState opens the durability layer under Options.StateDir: the
-// disk-backed result cache, the journal (replaying every segment), and the
+// openState opens the durability layer under Options.StateDir beside the
+// disk-backed result store: the journal (replaying every segment) and the
 // recovered job registry. Called from New before any worker starts, so
 // recovery observes a quiescent server.
 func (s *Server) openState() error {
 	sd := s.opts.StateDir
 	if err := os.MkdirAll(filepath.Join(sd, "jobs"), 0o755); err != nil {
 		return fmt.Errorf("service: creating state dir: %w", err)
-	}
-	store, err := newDiskCache(filepath.Join(sd, "cache"), s.opts.CacheEntries)
-	if err != nil {
-		return fmt.Errorf("service: opening result cache: %w", err)
 	}
 	jnl, records, err := journal.Open(journal.Options{
 		Dir:         filepath.Join(sd, "journal"),
@@ -45,7 +41,6 @@ func (s *Server) openState() error {
 	if err != nil {
 		return fmt.Errorf("service: opening journal: %w", err)
 	}
-	s.store = store
 	s.jnl = jnl
 	if n := jnl.Dropped(); n > 0 {
 		s.logf("journal: dropped %d torn or corrupt frames during replay", n)
@@ -117,7 +112,7 @@ func (s *Server) recoverJobs(records []journal.Record) {
 
 	// Compact to exactly the registered jobs' records. Jobs that just
 	// failed during recovery (unrecoverable request, queue overflow) get
-	// their end record here rather than via journalEnd — one write for the
+	// their end record here rather than via retire — one write for the
 	// whole boot. A compaction failure is survivable: the un-compacted
 	// journal still replays to the same state (Reduce is idempotent).
 	live := make([]journal.Record, 0, 2*len(s.order))
@@ -145,7 +140,7 @@ func (s *Server) recoverJobs(records []journal.Record) {
 
 // restoreTerminal rebuilds a terminal job from its journal records. The
 // encoded result is not loaded here: the result endpoint fetches it from
-// the disk cache on demand (resultFor), and answers 410 Gone if the cache
+// the result store on demand (resultFor), and answers 410 Gone if the store
 // evicted it meanwhile.
 func restoreTerminal(jr journal.JobRecord) *job {
 	ctx, cancel := context.WithCancel(context.Background())
@@ -225,10 +220,10 @@ func (s *Server) requeueInterrupted(jr journal.JobRecord) *job {
 	return j
 }
 
-// resultFor returns a done job's encoded result, reloading it from the
-// result store for jobs restored from the journal (whose bytes live on
-// disk, not in the job). ok reports whether the bytes are available; a
-// restored job whose cache entry was evicted or poisoned yields false.
+// resultFor returns a done job's encoded result: the store's bytes the job
+// has shared since it finished, or for a job restored from the journal a
+// fetch from the store by key. ok reports whether the bytes are available;
+// a restored job whose cache entry was evicted or poisoned yields false.
 func (s *Server) resultFor(j *job) ([]byte, State, bool) {
 	data, st := j.resultBytes()
 	if st != StateDone {
@@ -241,13 +236,11 @@ func (s *Server) resultFor(j *job) ([]byte, State, bool) {
 	return data, st, ok
 }
 
-// submitRecord builds the journal record that commits a submission. Only
-// requests carrying no in-process Source or Via serialize completely; for
-// the rest the record keeps identity and key but replay cannot re-run
-// them.
-func submitRecord(j *job, req galactos.Request) journal.Record {
+// identityRecord starts a job's first journal record: who it is and what
+// it is keyed by.
+func identityRecord(typ string, j *job) journal.Record {
 	r := journal.Record{
-		Type:    journal.RecordSubmit,
+		Type:    typ,
 		ID:      j.id,
 		Time:    time.Now().UTC(),
 		Key:     j.key,
@@ -257,11 +250,29 @@ func submitRecord(j *job, req galactos.Request) journal.Record {
 	if fp, ok := strings.CutPrefix(j.key, j.catHash+"+"); ok {
 		r.Fingerprint = fp
 	}
+	return r
+}
+
+// submitRecord builds the journal record that commits a submission. Only
+// requests carrying no in-process Source or Via serialize completely; for
+// the rest the record keeps identity and key but replay cannot re-run
+// them.
+func submitRecord(j *job, req galactos.Request) journal.Record {
+	r := identityRecord(journal.RecordSubmit, j)
 	if req.Source == nil && req.Via == nil {
 		if data, err := json.Marshal(req); err == nil {
 			r.Request = data
 		}
 	}
+	return r
+}
+
+// hitRecord is the one record of a job answered from the store: its
+// submission and its terminal state together, with no request — nothing
+// will ever re-run it.
+func hitRecord(j *job) journal.Record {
+	r, end := identityRecord(journal.RecordHit, j), endRecord(j)
+	r.Time, r.State, r.CacheHit = end.Time, end.State, end.CacheHit
 	return r
 }
 
@@ -282,25 +293,26 @@ func endRecord(j *job) journal.Record {
 	return r
 }
 
-// journalAppend appends one record, best-effort: lifecycle appends after
-// the submit commit log failures instead of failing the job (the job
-// already ran; losing a start/end record only costs a re-run at the next
-// boot).
-func (s *Server) journalAppend(r journal.Record) {
-	if s.jnl == nil {
-		return
+// withEvictions is one commit's records: first, then an evict record for
+// every job the retention bound pushed out with it.
+func withEvictions(first journal.Record, victims []*job) []journal.Record {
+	recs := append(make([]journal.Record, 0, 1+len(victims)), first)
+	for _, v := range victims {
+		recs = append(recs, journal.Record{Type: journal.RecordEvict, ID: v.id, Time: time.Now().UTC()})
 	}
-	if err := s.jnl.Append(r); err != nil {
-		s.logf("journal: append %s/%s: %v", r.Type, r.ID, err)
-	}
+	return recs
 }
 
-// journalEnd commits a job's terminal state.
-func (s *Server) journalEnd(j *job) {
+// journalAppend commits records, best-effort: lifecycle appends after the
+// submit commit log failures instead of failing the job (the job already
+// ran; losing a start/end record only costs a re-run at the next boot).
+func (s *Server) journalAppend(recs ...journal.Record) {
 	if s.jnl == nil {
 		return
 	}
-	s.journalAppend(endRecord(j))
+	if err := s.jnl.Append(recs...); err != nil {
+		s.logf("journal: append %s/%s: %v", recs[0].Type, recs[0].ID, err)
+	}
 }
 
 func (s *Server) closeJournal() {

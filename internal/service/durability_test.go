@@ -71,7 +71,7 @@ func TestRestartRestoresTerminalJobsAndCache(t *testing.T) {
 	}
 	stop1()
 
-	svc2, cl2, _ := startRestartable(t, service.Options{Workers: 1, StateDir: dir})
+	svc2, cl2, stop2 := startRestartable(t, service.Options{Workers: 1, StateDir: dir})
 	stats := svc2.Stats()
 	if !stats.Durable {
 		t.Error("state-dir server does not report Durable")
@@ -113,9 +113,9 @@ func TestRestartRestoresTerminalJobsAndCache(t *testing.T) {
 		t.Error("cache-hit bytes differ from the cold run's bytes")
 	}
 
-	// Destroy the cached entry: the restored job's result is Gone (its
-	// bytes lived only on disk), while the hit job still serves from its
-	// in-memory copy.
+	// One store holds the bytes, and every job shares them. Destroy the
+	// cache files: both jobs still answer, from the store's resident set,
+	// without a disk read.
 	ents, err := os.ReadDir(filepath.Join(dir, "cache"))
 	if err != nil {
 		t.Fatal(err)
@@ -123,16 +123,30 @@ func TestRestartRestoresTerminalJobsAndCache(t *testing.T) {
 	for _, e := range ents {
 		os.Remove(filepath.Join(dir, "cache", e.Name()))
 	}
-	if _, err := cl2.ResultBytes(ctx, st.ID); err == nil {
-		t.Error("restored job served a result whose cache entry was deleted")
-	} else {
-		var apiErr *client.APIError
-		if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusGone {
-			t.Errorf("evicted restored result = %v, want HTTP 410", err)
+	for _, id := range []string{st.ID, hit.ID} {
+		got, err := cl2.ResultBytes(ctx, id)
+		if err != nil || string(got) != string(coldBytes) {
+			t.Errorf("%s: resident result should survive deletion of its file (err %v)", id, err)
 		}
 	}
-	if _, err := cl2.ResultBytes(ctx, hit.ID); err != nil {
-		t.Errorf("in-memory result should survive cache deletion: %v", err)
+	stop2()
+
+	// After another restart the bytes are in neither the directory nor a
+	// resident set: both jobs are restored — the hit from its single
+	// journal record — and both results are Gone.
+	svc3, cl3, _ := startRestartable(t, service.Options{Workers: 1, StateDir: dir})
+	if got := svc3.Stats().RestoredJobs; got != 2 {
+		t.Errorf("RestoredJobs = %d, want 2", got)
+	}
+	if back, err := cl3.Status(ctx, hit.ID); err != nil || back.State != service.StateDone || !back.CacheHit || back.Key != st.Key {
+		t.Errorf("restored hit job = %+v (err %v), want a done cache hit with key %s", back, err, st.Key)
+	}
+	for _, id := range []string{st.ID, hit.ID} {
+		_, err := cl3.ResultBytes(ctx, id)
+		var apiErr *client.APIError
+		if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusGone {
+			t.Errorf("%s: result with no bytes anywhere = %v, want HTTP 410", id, err)
+		}
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"strconv"
 
 	"galactos"
+	"galactos/internal/journal"
 )
 
 // Handler returns the galactosd HTTP API:
@@ -73,9 +74,22 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
+// maxRequestBytes bounds a submission body. The journal re-serializes an
+// accepted request into one frame, and the densest body the decoder takes
+// (a catalog of empty galaxy objects, 3 bytes each on the wire and 41
+// re-serialized) grows under 16x on the way, so whatever gets past this
+// bound fits journal.MaxFrameBytes and can never poison a replay.
+const maxRequestBytes = journal.MaxFrameBytes / 16
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req galactos.Request
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(&req); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf(
+				"request body exceeds %d bytes: save the catalog where the server can read it and submit its path instead of an inline catalog", tooLarge.Limit))
+			return
+		}
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 		return
 	}
@@ -144,6 +158,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
 	w.Write(data)
 }
 

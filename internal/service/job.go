@@ -33,7 +33,7 @@ type job struct {
 	err        error
 	cacheHit   bool
 	run        *galactos.RunResult // fresh runs only
-	encoded    []byte              // resultio bytes (fresh or cached)
+	encoded    []byte              // resultio bytes, shared with the result store: never written
 	queuedAt   time.Time
 	startedAt  time.Time
 	finishedAt time.Time

@@ -17,6 +17,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"path/filepath"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
@@ -104,7 +105,7 @@ type Options struct {
 // Handler, stop with Shutdown.
 type Server struct {
 	opts  Options
-	store resultStore
+	store *resultStore
 	jnl   *journal.Journal // nil without a StateDir
 	queue chan *job
 
@@ -148,10 +149,18 @@ func New(opts Options) (*Server, error) {
 	if opts.RetainJobs == 0 {
 		opts.RetainJobs = 256
 	}
+	cacheDir := "" // a memory-only store
+	if opts.StateDir != "" {
+		cacheDir = filepath.Join(opts.StateDir, "cache")
+	}
+	store, err := newResultStore(cacheDir, opts.CacheEntries)
+	if err != nil {
+		return nil, fmt.Errorf("service: opening result cache: %w", err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		opts:       opts,
-		store:      newResultCache(opts.CacheEntries),
+		store:      store,
 		queue:      make(chan *job, opts.QueueDepth),
 		rootCtx:    ctx,
 		rootCancel: cancel,
@@ -177,7 +186,8 @@ func (s *Server) logf(format string, args ...any) {
 }
 
 // Submit validates and registers a job. Cache hits complete immediately
-// (state done, CacheHit set) without consuming a worker; misses queue.
+// (state done, CacheHit set, see submitHit) without consuming a worker;
+// misses queue.
 // Errors wrap ErrBadRequest, ErrQueueFull, or ErrDraining.
 func (s *Server) Submit(req galactos.Request) (*job, error) {
 	src, err := req.ResolveSource()
@@ -197,10 +207,23 @@ func (s *Server) Submit(req galactos.Request) (*job, error) {
 	}
 	key := catHash + "+" + fp
 
+	// The lookup comes first: an answer the store already holds needs no
+	// queue slot, no request on record and no worker.
+	if data, ok := s.store.get(key); ok {
+		return s.submitHit(req.Label, key, catHash, data)
+	}
+
+	// Everything from the admission checks to the queue send happens under
+	// s.mu on purpose: Shutdown sets draining and closes s.queue under the
+	// same lock, and only submissions send, so once the checks pass the
+	// channel is open and has room — a submission racing a shutdown gets
+	// ErrDraining, never a send on a closed channel, and the send cannot
+	// block. A rejected job is never journaled or registered, so it can't
+	// replay, linger in Jobs() or inflate any counter.
 	s.mu.Lock()
-	if s.draining {
+	if err := s.readyLocked(); err != nil {
 		s.mu.Unlock()
-		return nil, ErrDraining
+		return nil, err
 	}
 	id := fmt.Sprintf("job-%06d", s.nextID.Add(1))
 	ctx, cancel := context.WithCancel(s.rootCtx)
@@ -220,92 +243,97 @@ func (s *Server) Submit(req galactos.Request) (*job, error) {
 			return nil, fmt.Errorf("journaling submission: %w", err)
 		}
 	}
-
-	if data, ok := s.store.get(key); ok {
-		s.jobs[id] = j
-		s.order = append(s.order, j)
-		s.mu.Unlock()
-		s.submitted.Add(1)
-		s.hits.Add(1)
-		s.done.Add(1)
-		j.finish(StateDone, nil, nil, data, true)
-		s.journalEnd(j)
-		s.evictTerminal()
-		s.logf("%s: cache hit (%s)", id, key[:12])
-		return j, nil
-	}
-
-	// The send happens under s.mu on purpose: Shutdown sets draining and
-	// closes s.queue under the same lock, so the non-draining check above
-	// guarantees the channel is still open here — a submission racing a
-	// shutdown gets ErrDraining, never a send on a closed channel. The
-	// select never blocks, so holding the lock across it is safe. A
-	// rejected job is never registered, so it can't linger in Jobs() or
-	// inflate any counter.
-	select {
-	case s.queue <- j:
-		s.jobs[id] = j
-		s.order = append(s.order, j)
-		s.mu.Unlock()
-		s.submitted.Add(1)
-		s.misses.Add(1)
-		s.logf("%s: queued (%s)", id, key[:12])
-		return j, nil
-	default:
-		s.mu.Unlock()
-		cancel()
-		// A rejected job was never registered, so evict its submit record:
-		// replay must not resurrect a submission the client was told
-		// failed. Best-effort — a lost evict leaves a submit+no-end pair
-		// that replays as queued and simply re-runs, which is safe.
-		s.journalAppend(journal.Record{
-			Type: journal.RecordEvict, ID: id, Time: time.Now().UTC(),
-		})
-		return nil, ErrQueueFull
-	}
+	s.queue <- j
+	s.jobs[id] = j
+	s.order = append(s.order, j)
+	s.mu.Unlock()
+	s.submitted.Add(1)
+	s.misses.Add(1)
+	s.logf("%s: queued (%s)", id, key[:12])
+	return j, nil
 }
 
-// evictTerminal drops the oldest terminal jobs beyond Options.RetainJobs
-// from the registry (called after every terminal transition), releasing
-// their event logs and encoded results. Queued and running jobs are never
-// evicted.
-func (s *Server) evictTerminal() {
-	if s.opts.RetainJobs < 0 {
-		return
-	}
-	var evicted []string
+// submitHit registers a job answered from the store. Nothing will ever run
+// it, so its whole registry transition — the job in, already done, and what
+// the retention bound pushes out — is one journal commit, made under s.mu
+// before the job can be seen: a kill at any byte of it replays to "no such
+// job" or to this job done. It keeps no request and shares the store's bytes.
+func (s *Server) submitHit(label, key, catHash string, data []byte) (*job, error) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel() // terminal on arrival: nothing will ever run under this ctx
 	s.mu.Lock()
-	terminal := 0
+	if s.draining {
+		s.mu.Unlock()
+		return nil, ErrDraining
+	}
+	id := fmt.Sprintf("job-%06d", s.nextID.Add(1))
+	j := newJob(id, galactos.Request{Label: label}, nil, key, ctx, cancel)
+	j.catHash = catHash
+	j.finish(StateDone, nil, nil, data, true)
+	victims := s.overRetentionLocked(1)
+	if s.jnl != nil {
+		if err := s.jnl.Append(withEvictions(hitRecord(j), victims)...); err != nil {
+			s.mu.Unlock()
+			return nil, fmt.Errorf("journaling submission: %w", err)
+		}
+	}
+	s.jobs[id] = j
+	s.order = append(s.order, j)
+	s.removeLocked(victims)
+	s.mu.Unlock()
+	s.submitted.Add(1)
+	s.hits.Add(1)
+	s.done.Add(1)
+	s.logf("%s: cache hit (%s)", id, key[:12])
+	return j, nil
+}
+
+// overRetentionLocked returns the oldest terminal jobs Options.RetainJobs
+// no longer has room for once incoming more terminal jobs are registered.
+// Queued and running jobs are never evicted. Callers hold s.mu.
+func (s *Server) overRetentionLocked(incoming int) []*job {
+	if s.opts.RetainJobs < 0 {
+		return nil
+	}
+	var terminal []*job
 	for _, j := range s.order {
 		if j.terminal() {
-			terminal++
+			terminal = append(terminal, j)
 		}
 	}
-	drop := terminal - s.opts.RetainJobs
-	if drop > 0 {
-		keep := s.order[:0]
-		for _, j := range s.order {
-			if drop > 0 && j.terminal() {
-				delete(s.jobs, j.id)
-				evicted = append(evicted, j.id)
-				drop--
-				continue
-			}
+	return terminal[:max(0, len(terminal)+incoming-s.opts.RetainJobs)]
+}
+
+// removeLocked drops victims from the registry, releasing their event logs
+// and result references; their ids answer 404 from here on. Callers hold
+// s.mu.
+func (s *Server) removeLocked(victims []*job) {
+	if len(victims) == 0 {
+		return
+	}
+	for _, v := range victims {
+		delete(s.jobs, v.id)
+	}
+	keep := s.order[:0]
+	for _, j := range s.order {
+		if s.jobs[j.id] == j {
 			keep = append(keep, j)
 		}
-		for i := len(keep); i < len(s.order); i++ {
-			s.order[i] = nil // release for GC
-		}
-		s.order = keep
 	}
+	clear(s.order[len(keep):]) // release for GC
+	s.order = keep
+}
+
+// retire follows every terminal transition of a registered job: it applies
+// the retention bound, then journals the job's end record and the evictions
+// it caused as one commit (the end first — replay must not resurrect a job
+// whose id already answers 404).
+func (s *Server) retire(j *job) {
+	s.mu.Lock()
+	victims := s.overRetentionLocked(0)
+	s.removeLocked(victims)
 	s.mu.Unlock()
-	// Journal evictions outside s.mu (each append fsyncs): replay must not
-	// resurrect a job whose id already answers 404.
-	for _, id := range evicted {
-		s.journalAppend(journal.Record{
-			Type: journal.RecordEvict, ID: id, Time: time.Now().UTC(),
-		})
-	}
+	s.journalAppend(withEvictions(endRecord(j), victims)...)
 }
 
 func (s *Server) worker() {
@@ -319,11 +347,8 @@ func (s *Server) worker() {
 // backend's progress lines into the job's event log and caching the
 // resultio-encoded result on success.
 func (s *Server) runJob(j *job) {
-	defer s.evictTerminal()
-	// LIFO with the evictTerminal defer above: the end record commits
-	// before any evict record this job's completion triggers.
 	defer func() {
-		s.journalEnd(j)
+		s.retire(j)
 		s.removeJobDir(j.id)
 	}()
 	if j.ctx.Err() != nil || !j.start() {
@@ -471,8 +496,7 @@ func (s *Server) Cancel(id string) (*job, bool) {
 	}
 	j.mu.Unlock()
 	if terminalized {
-		s.journalEnd(j)
-		s.evictTerminal()
+		s.retire(j)
 	}
 	return j, true
 }
@@ -483,9 +507,14 @@ func (s *Server) Cancel(id string) (*job, bool) {
 // server is still alive, just not ready.
 func (s *Server) Ready() error {
 	s.mu.Lock()
-	draining := s.draining
-	s.mu.Unlock()
-	if draining {
+	defer s.mu.Unlock()
+	return s.readyLocked()
+}
+
+// readyLocked is Ready, and Submit's admission check for a job that must
+// queue. Callers hold s.mu.
+func (s *Server) readyLocked() error {
+	if s.draining {
 		return ErrDraining
 	}
 	if len(s.queue) >= cap(s.queue) {
