@@ -81,10 +81,12 @@ scaling-check:
 		$(if $(BENCHDIFF_SUMMARY),-summary "$(BENCHDIFF_SUMMARY)")
 
 # Second pass of the kernel-adjacent test suites with the portable lane
-# primitives forced, so the generic bodies stay correct on AVX-512 CI hosts
-# where the default pass never exercises them.
+# bodies forced — the sphharm primitives and the k-d tree's gather tests —
+# so they stay correct on AVX-512 CI hosts where the default pass never
+# exercises them.
 test-generic:
-	GALACTOS_LANE_DISPATCH=generic $(GO) test -count=1 ./internal/sphharm/... ./internal/core/...
+	GALACTOS_LANE_DISPATCH=generic $(GO) test -count=1 ./internal/sphharm/... ./internal/core/... \
+		./internal/kdtree/... ./internal/nbr/...
 
 # Regenerate the scenario goldens after a deliberate change of the answer's
 # bits (a regrouped sum, a new lane body), then verify them. Each pass covers
@@ -97,8 +99,9 @@ golden:
 	$(GO) test -count=1 ./internal/scenario -run TestGoldenHashes
 
 # Cross-compile smoke: the build must stay portable (arm64 has no asm lane
-# bodies — the generic path must fill in) and legal at the highest amd64
-# feature level. Build-only; no emulation is available to run the result.
+# bodies — the noasm files of lanes, sphharm and kdtree must fill in) and
+# legal at the highest amd64 feature level. Build-only; no emulation is
+# available to run the result.
 cross-smoke:
 	GOOS=linux GOARCH=arm64 $(GO) build ./...
 	GOOS=linux GOARCH=amd64 GOAMD64=v4 $(GO) build ./...

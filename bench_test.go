@@ -7,9 +7,11 @@ package galactos_test
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"galactos"
@@ -289,59 +291,65 @@ func BenchmarkPairsPerPrimary(b *testing.B) {
 	}
 }
 
-// BenchmarkCellGather attributes the gather phase: the block-granular
-// QueryRadiusImagesBlock (one shared traversal per cell block of primaries)
-// against the same primaries issuing per-primary QueryRadiusImages calls —
-// the two traversals the engine's blocked/reference paths run, whose
-// per-center results are bitwise identical. The block path's advantage
-// (shared node descent, leaf bulk accept/reject) is what the perfstat
-// `gather` phase row in benchdiff's summary tracks.
-func BenchmarkCellGather(b *testing.B) {
-	cat := benchCatalog(6000, 5)
+// BenchmarkUnitGather attributes the gather phase at the geometry the engine
+// issues on a sparse input (stream_sharded's: RMax 5 at the Outer Rim
+// density, ~39 neighbours per query): one commit unit's 31 primaries — a run
+// of the Morton order over RMax/2 cells — queried across all 27 periodic
+// images. "lanes" and "portable" are the two bodies of the unit-level
+// QueryRadiusImagesBlock, "per-primary" the single-center QueryRadiusImages
+// calls whose lists it must reproduce; each reports ns per neighbour found.
+func BenchmarkUnitGather(b *testing.B) {
+	cat := benchCatalog(24000, 5)
 	pts := cat.Positions()
-	const rmax = 15.0
+	const rmax, K = 5.0, 31
 	images := cat.Box.Images(rmax)
-	tree := kdtree.Build[float32](pts, 0)
-	// One cell block's worth of primaries (the engine's unit): the members
-	// of pts[0]'s RMax/2 grid cell, spatially colocated like a real block.
-	const K = 32
-	cell := rmax / 2
-	cellOf := func(p geom.Vec3) [3]int {
-		return [3]int{int(p.X / cell), int(p.Y / cell), int(p.Z / cell)}
-	}
-	home := cellOf(pts[0])
-	var centers []geom.Vec3
-	for _, p := range pts {
-		if cellOf(p) == home {
-			centers = append(centers, p)
-			if len(centers) == K {
-				break
+	key := func(p geom.Vec3) (k uint64) {
+		for ax, v := range [3]uint64{uint64(p.X / (rmax / 2)), uint64(p.Y / (rmax / 2)), uint64(p.Z / (rmax / 2))} {
+			for bit := 0; bit < 21; bit++ {
+				k |= (v >> bit & 1) << (3*bit + ax)
 			}
 		}
+		return k
 	}
+	sorted := slices.Clone(pts)
+	slices.SortFunc(sorted, func(p, q geom.Vec3) int { return cmp.Compare(key(p), key(q)) })
+	centers := sorted[len(sorted)/2:][:K]
 
-	b.Run("block", func(b *testing.B) {
-		var blk nbr.Block
-		var neighbors uint64
+	run := func(b *testing.B, query func(*kdtree.Tree[float32]) int) {
+		tree := kdtree.Build[float32](pts, 0) // binds the lane bodies in effect
+		neighbors := 0
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			tree.QueryRadiusImagesBlock(centers, rmax, images, &blk)
-			neighbors += uint64(len(blk.IDs))
+			neighbors += query(tree)
 		}
-		b.ReportMetric(float64(b.N)*float64(len(centers))/b.Elapsed().Seconds()/1e3, "kqueries/s")
-		b.ReportMetric(float64(neighbors)/b.Elapsed().Seconds()/1e6, "Mnbrs/s")
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(neighbors), "ns/nbr")
+		b.ReportMetric(float64(neighbors)/float64(b.N*K), "nbrs/query")
+	}
+	var blk nbr.Block
+	block := func(tree *kdtree.Tree[float32]) int {
+		tree.QueryRadiusImagesBlock(centers, rmax, images, &blk)
+		return len(blk.IDs)
+	}
+	defer sphharm.SetLaneDispatch(sphharm.LaneDispatch() == "avx512")
+	b.Run("lanes", func(b *testing.B) {
+		if !sphharm.SetLaneDispatch(true) {
+			b.Skip("no AVX-512 lane bodies on this host")
+		}
+		run(b, block)
+	})
+	b.Run("portable", func(b *testing.B) {
+		sphharm.SetLaneDispatch(false)
+		run(b, block)
 	})
 	b.Run("per-primary", func(b *testing.B) {
-		buf := make([]int32, 0, 1<<16)
-		var neighbors uint64
-		for i := 0; i < b.N; i++ {
+		buf := make([]int32, 0, 1<<12)
+		run(b, func(tree *kdtree.Tree[float32]) int {
 			buf = buf[:0]
 			for _, c := range centers {
 				buf = tree.QueryRadiusImages(c, rmax, images, buf)
 			}
-			neighbors += uint64(len(buf))
-		}
-		b.ReportMetric(float64(b.N)*float64(len(centers))/b.Elapsed().Seconds()/1e3, "kqueries/s")
-		b.ReportMetric(float64(neighbors)/b.Elapsed().Seconds()/1e6, "Mnbrs/s")
+			return len(buf)
+		})
 	})
 }
 

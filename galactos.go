@@ -87,9 +87,8 @@ const (
 	// LOSPlaneParallel uses the global z axis (simulation boxes).
 	LOSPlaneParallel = core.LOSPlaneParallel
 	// LOSMidpoint builds each pair's frame from the unit bisector of the two
-	// position vectors (the Slepian–Eisenstein midpoint convention). The LOS
-	// is invariant under pair swap, so the engine's (-1)^l symmetry fold
-	// applies, unlike LOSRadial.
+	// position vectors (the Slepian–Eisenstein midpoint convention): a
+	// per-pair frame, invariant under pair swap, unlike LOSRadial.
 	LOSMidpoint = core.LOSMidpoint
 )
 

@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
+	"hash/fnv"
 	"math"
 	"runtime"
 	"slices"
@@ -183,24 +185,35 @@ func testProcessBlockAllocFree(t *testing.T, cfg Config) {
 	}
 }
 
-// TestUnitsPartitionCells pins the two-level partition buildBlocks hands the
-// scheduler. Cells are contiguous, non-empty runs of the Morton-sorted
-// primaries that cover every primary once and hold at most ChunkSize of
-// them; commit units are contiguous, non-empty runs of cells that cover
-// every cell once, so a cell is never split. A unit of several cells stays
-// within ChunkSize/2 primaries, and units are maximal: a unit closes only
-// because its successor's first cell would have pushed it past that bound
-// (so a cell at or above the bound stands alone). The partition depends on
-// the catalog, ChunkSize and BlockCell only — Workers and Scheduling, which
-// decide who processes a unit, must not move a boundary, or the commit order
-// (and with it the result bits) would follow the execution topology.
+// TestUnitsPartitionCells pins the unit cuts buildBlocks hands the
+// scheduler. Units are contiguous, non-empty runs of the Morton-sorted
+// primaries that cover every primary once, and they close only on cell
+// edges — where the Morton key changes, or where one key's run is cut at a
+// multiple of ChunkSize — so a cell is never split. A unit of several cells
+// stays within ChunkSize/2 primaries, and units are maximal: a unit closes
+// only because its successor's first cell would have pushed it past that
+// bound (so a cell at or above the bound stands alone). The cuts are also
+// pinned outright (unit count and a hash of the boundaries and the primary
+// order, recorded when units were still built from an explicit cell list):
+// the commit order, and with it every result bit, follows them. They depend
+// on the catalog, ChunkSize and BlockCell only — Workers and Scheduling,
+// which decide who processes a unit, must not move a boundary.
 func TestUnitsPartitionCells(t *testing.T) {
 	cat := catalog.Clustered(3000, 200, catalog.DefaultClusterParams(), 87)
 	for _, shape := range []struct {
 		chunk     int
 		blockCell float64
-	}{{0, 0}, {64, 0}, {16, 12}, {4, 0}, {3, 9}, {1, 0}} {
-		var refCells, refUnits []blockRange
+		units     int
+		hash      uint64
+	}{
+		{0, 0, 103, 0xeed8fbde794016d},
+		{64, 0, 103, 0xeed8fbde794016d},
+		{16, 12, 405, 0xca92fe8f2b2d7d4a},
+		{4, 0, 1007, 0x4ea778aa688d21ae},
+		{3, 9, 2368, 0x8f2401fd3c46c788},
+		{1, 0, 3000, 0x4177311503e43fe8},
+	} {
+		var ref []blockRange
 		for _, workers := range []int{1, 2, 8} {
 			for _, sched := range []SchedKind{SchedStatic, SchedDynamic} {
 				cfg := propConfig()
@@ -213,12 +226,23 @@ func TestUnitsPartitionCells(t *testing.T) {
 				e := &engine{cfg: cfg, box: cat.Box, pts: cat.Positions()}
 				e.primaryIdx = primaryIndices(nil, cat.Len())
 				e.buildBlocks()
-				if refCells == nil {
-					refCells, refUnits = e.cells, e.blocks
-					checkPartition(t, e, cat.Len())
+				if ref == nil {
+					ref = e.blocks
+					checkPartition(t, e)
+					h := fnv.New64a()
+					for _, u := range e.blocks {
+						fmt.Fprintf(h, "%d,", u.hi)
+					}
+					for _, pi := range e.primaryIdx {
+						fmt.Fprintf(h, "%d,", pi)
+					}
+					if len(e.blocks) != shape.units || h.Sum64() != shape.hash {
+						t.Fatalf("chunk %d: unit cuts moved: %d units, hash %#x; pinned %d, %#x",
+							shape.chunk, len(e.blocks), h.Sum64(), shape.units, shape.hash)
+					}
 					continue
 				}
-				if !slices.Equal(e.cells, refCells) || !slices.Equal(e.blocks, refUnits) {
+				if !slices.Equal(e.blocks, ref) {
 					t.Fatalf("chunk %d: partition moved with workers=%d sched=%v", shape.chunk, workers, sched)
 				}
 			}
@@ -226,43 +250,59 @@ func TestUnitsPartitionCells(t *testing.T) {
 	}
 }
 
-func checkPartition(t *testing.T, e *engine, n int) {
+func checkPartition(t *testing.T, e *engine) {
 	t.Helper()
 	chunk := int32(e.cfg.ChunkSize)
-	next := int32(0)
-	for i, c := range e.cells {
-		if c.lo != next || c.hi <= c.lo || c.hi-c.lo > chunk {
-			t.Fatalf("chunk %d: cell %d = %v after primary %d", chunk, i, c, next)
+	// Periodic box: cells anchor at the corner. cellEnd[i] reports whether a
+	// cell ends after sorted primary i-1: the key changes there, or the key's
+	// run has reached a multiple of ChunkSize.
+	n := int32(len(e.primaryIdx))
+	key := func(i int32) uint64 {
+		p := e.pts[e.primaryIdx[i]].Scale(1 / e.cfg.BlockCell)
+		return morton3(cellCoord(p.X), cellCoord(p.Y), cellCoord(p.Z))
+	}
+	cellEnd := make([]bool, n+1)
+	run := int32(0)
+	for i := int32(1); i <= n; i++ {
+		run++
+		if i == n || key(i) != key(i-1) {
+			cellEnd[i], run = true, 0
+		} else if run%chunk == 0 {
+			cellEnd[i] = true
 		}
-		next = c.hi
 	}
-	if next != int32(n) {
-		t.Fatalf("chunk %d: cells cover %d of %d primaries", chunk, next, n)
+	nextCell := func(i int32) int32 { // end of the cell that starts at i
+		for i++; !cellEnd[i]; i++ {
+		}
+		return i
 	}
-	primaries := func(u blockRange) int32 { return e.cells[u.hi-1].hi - e.cells[u.lo].lo }
-	next = 0
+	next := int32(0)
 	multi := 0
 	for i, u := range e.blocks {
 		if u.lo != next || u.hi <= u.lo {
-			t.Fatalf("chunk %d: unit %d = %v after cell %d", chunk, i, u, next)
+			t.Fatalf("chunk %d: unit %d = %v after primary %d", chunk, i, u, next)
 		}
 		next = u.hi
-		if u.hi-u.lo > 1 {
-			multi++
-			if primaries(u) > chunk/2 {
-				t.Fatalf("chunk %d: unit %d spans %d cells with %d primaries, bound %d",
-					chunk, i, u.hi-u.lo, primaries(u), chunk/2)
-			}
+		if !cellEnd[u.hi] {
+			t.Fatalf("chunk %d: unit %d = %v closes inside a cell", chunk, i, u)
 		}
-		if int(u.hi) < len(e.cells) {
-			if succ := e.cells[u.hi]; primaries(u)+succ.hi-succ.lo <= chunk/2 {
+		if k := u.hi - u.lo; nextCell(u.lo) < u.hi {
+			multi++
+			if k > chunk/2 {
+				t.Fatalf("chunk %d: unit %d spans several cells with %d primaries, bound %d", chunk, i, k, chunk/2)
+			}
+		} else if k > chunk {
+			t.Fatalf("chunk %d: single-cell unit %d holds %d primaries", chunk, i, k)
+		}
+		if u.hi < n {
+			if succ := nextCell(u.hi) - u.hi; u.hi-u.lo+succ <= chunk/2 {
 				t.Fatalf("chunk %d: unit %d closed early: %d primaries + next cell's %d fit the bound %d",
-					chunk, i, primaries(u), succ.hi-succ.lo, chunk/2)
+					chunk, i, u.hi-u.lo, succ, chunk/2)
 			}
 		}
 	}
-	if next != int32(len(e.cells)) {
-		t.Fatalf("chunk %d: units cover %d of %d cells", chunk, next, len(e.cells))
+	if next != n {
+		t.Fatalf("chunk %d: units cover %d of %d primaries", chunk, next, n)
 	}
 	if chunk >= 16 && multi == 0 {
 		t.Fatalf("chunk %d: no unit spans more than one cell; the test lost its shape", chunk)

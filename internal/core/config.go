@@ -28,9 +28,8 @@ const (
 	// LOSMidpoint builds each pair's frame from the unit bisector of the two
 	// galaxy direction vectors (the Slepian–Eisenstein midpoint convention):
 	// the line of sight is a per-pair quantity, symmetric under swapping the
-	// pair's endpoints while the separation vector negates. That symmetry is
-	// what lets the engine's (-1)^l pair fold — previously plane-parallel
-	// only — apply to a survey-realistic (radially varying) line of sight.
+	// pair's endpoints while the separation vector negates — the standard
+	// survey choice when wide-angle bias matters.
 	LOSMidpoint
 )
 
@@ -147,18 +146,17 @@ type Config struct {
 	GridCell float64
 	// Scheduling selects dynamic or static primary distribution.
 	Scheduling SchedKind
-	// ChunkSize caps the number of primaries in one cell — the gather and
-	// pair-fold unit of the blocked traversal — and, through it, in one
-	// commit unit. Primaries are sorted into BlockCell-sized grid cells
-	// (Morton order); each grid cell's run is split into cells of at most
-	// ChunkSize primaries, consecutive cells coalesce into commit units
-	// that close before passing ChunkSize/2 primaries (a larger cell
-	// stands alone), and the scheduler (dynamic or static) hands out whole
-	// units. <= 0 selects 64.
+	// ChunkSize caps the number of primaries in one commit unit — the
+	// gather, zeta and scheduling unit of the blocked traversal. Primaries
+	// are sorted into BlockCell-sized grid cells (Morton order); each grid
+	// cell's run is split into cells of at most ChunkSize primaries,
+	// consecutive cells coalesce into commit units that close before
+	// passing ChunkSize/2 primaries (a larger cell stands alone), and the
+	// scheduler (dynamic or static) hands out whole units. <= 0 selects 64.
 	ChunkSize int
 	// BlockCell is the side length of the cells primaries are sorted into
 	// for the blocked traversal (<= 0 selects RMax/2). Smaller cells mean
-	// tighter shared gathers but less traversal amortization.
+	// tighter unit bounding boxes but more unit cuts.
 	BlockCell float64
 }
 

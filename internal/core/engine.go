@@ -30,12 +30,12 @@ var fpWorkerBlock = faultpoint.New("core.worker.block")
 // NeighborFinder is the substrate abstraction: anything that can return all
 // point indices within a radius of any of a set of image centers.
 // kdtree.Tree and grid.Grid satisfy it. The engine gathers through one
-// block-granular QueryRadiusImagesBlock call per cell block, which must
+// block-granular QueryRadiusImagesBlock call per commit unit, which must
 // return, for every center, a neighbor list bitwise-identical in content
 // and order to the center's own QueryRadiusImages call — the blocked and
-// per-primary traversals are interchangeable, and the engine's property
-// tests pin that. QueryRadiusImages remains the single-center form (the
-// reference path and external tools use it).
+// per-primary traversals are interchangeable, and the finder and engine
+// property tests pin that. QueryRadiusImages remains the single-center form
+// (the reference path and external tools use it).
 type NeighborFinder interface {
 	QueryRadiusImages(center geom.Vec3, r float64, images []geom.Vec3, out []int32) []int32
 	QueryRadiusImagesBlock(centers []geom.Vec3, r float64, images []geom.Vec3, blk *nbr.Block)
@@ -76,12 +76,10 @@ type engineModes struct {
 	// scanning all NBins counters (the pre-touched-list behavior) instead
 	// of walking the touched list.
 	denseScan bool
-	// refGather replaces the blocked traversal's two amortizations — the
-	// shared block-granular finder query and the pair-symmetric intra-block
-	// scatter — with one QueryRadiusImages call and a full recompute per
-	// primary. Scheduling, block order, and the downstream reduction are
-	// untouched, so refGather isolates exactly the mechanisms the blocked
-	// traversal introduced.
+	// refGather replaces the unit's shared block-granular finder query with
+	// one QueryRadiusImages call per primary. Scheduling, unit order, and the
+	// downstream reduction are untouched, so refGather isolates exactly the
+	// mechanism the blocked traversal introduced.
 	refGather bool
 }
 
@@ -149,14 +147,11 @@ func primaryIndices(mask []bool, n int) []int32 {
 	return idx
 }
 
-// blockRange is a half-open index range [lo, hi). The blocked traversal has
-// two granularities, both built by buildBlocks. A cell (engine.cells, ranges
-// of primaryIdx) is a run of cell-sorted primaries from a single grid cell,
-// capped at ChunkSize: the gather and pair-fold unit — one shared finder
-// traversal, and on the swap-invariant lines of sight each intra-cell pair
-// enumerated once. A commit unit (engine.blocks, ranges of cells) is a run
-// of consecutive cells: the scheduling, zeta and commit unit — what a worker
-// claims, folds through one rank-K zeta update per channel, and commits.
+// blockRange is a half-open range [lo, hi) of primaryIdx: one commit unit, a
+// run of Morton-adjacent primaries built by buildBlocks. The unit is the
+// engine's one granularity — what a worker claims, gathers through one
+// finder query, folds through one rank-K zeta update per channel, and
+// commits.
 type blockRange struct{ lo, hi int32 }
 
 type engine struct {
@@ -167,10 +162,9 @@ type engine struct {
 	box  geom.Periodic
 	pts  []geom.Vec3
 	ws   []float64
-	// primaryIdx holds the primaries in cell-sorted (Morton) order; cells
-	// index contiguous runs of it, blocks contiguous runs of cells.
+	// primaryIdx holds the primaries in cell-sorted (Morton) order; blocks
+	// index contiguous runs of it.
 	primaryIdx []int32
-	cells      []blockRange
 	blocks     []blockRange
 
 	finder NeighborFinder
@@ -178,9 +172,7 @@ type engine struct {
 	// intrinsically periodic (k-d trees); a single zero offset otherwise.
 	images []geom.Vec3
 	// nhat caches the unit observer→galaxy direction of every point
-	// (LOSMidpoint only). Precomputing it once per run makes the per-pair
-	// bisector nhat[i] + nhat[j] a bitwise-commutative two-add expression —
-	// the swap-invariance the pair-symmetry fold needs — and removes two
+	// (LOSMidpoint only): precomputing it once per run removes two
 	// normalizations from the pair loop.
 	nhat []geom.Vec3
 
@@ -261,18 +253,19 @@ func (e *engine) buildFinder() error {
 
 // buildBlocks sorts the primaries into BlockCell-sized grid cells, orders
 // the cells along a Morton curve (so consecutive cells are spatial
-// neighbors and the finder's nodes stay cache-warm across them), cuts each
-// cell's run into cells of at most ChunkSize primaries, and coalesces
-// consecutive cells into commit units: a unit closes before it would pass
-// ChunkSize/2 primaries, a cell is never split, and a cell at or above that
-// bound stands alone. The per-unit costs that do not scale with pairs — the
-// accumulator clear, the channel tile traffic of the zeta update, the commit
-// — are then paid once per ~ChunkSize/2 primaries however sparse the cells
-// are, while the two unit slabs stay L2-resident beside the accumulator.
-// The sort key carries the original index as tiebreak, and cells and units
-// depend only on the catalog, ChunkSize and BlockCell, so the order — and
-// therefore the floating-point accumulation order of every downstream sum —
-// is fully deterministic.
+// neighbors: a unit's bounding box stays a few cells wide and the finder's
+// nodes stay cache-warm from one unit to the next), and cuts the sorted run
+// into commit units on cell boundaries: a cell is one grid cell's run capped
+// at ChunkSize primaries, a unit closes before it would pass ChunkSize/2
+// primaries, a cell is never split, and a cell at or above that bound stands
+// alone. The per-unit costs that do not scale with pairs — the tree walk of
+// the gather, the accumulator clear, the channel tile traffic of the zeta
+// update, the commit — are then paid once per ~ChunkSize/2 primaries however
+// sparse the cells are, while the two unit slabs stay L2-resident beside the
+// accumulator. The sort key carries the original index as tiebreak, and the
+// units depend only on the catalog, ChunkSize and BlockCell, so the order —
+// and therefore the floating-point accumulation order of every downstream
+// sum — is fully deterministic.
 func (e *engine) buildBlocks() {
 	n := len(e.primaryIdx)
 	if n == 0 {
@@ -311,24 +304,20 @@ func (e *engine) buildBlocks() {
 		e.primaryIdx[i] = k.pi
 	}
 	cap32 := int32(e.cfg.ChunkSize)
-	lo := int32(0)
-	for i := 1; i <= n; i++ {
-		if i == n || ks[i].key != ks[lo].key || int32(i)-lo == cap32 {
-			e.cells = append(e.cells, blockRange{lo: lo, hi: int32(i)})
-			lo = int32(i)
-		}
-	}
 	bound := cap32 / 2
-	first, np := int32(0), int32(0) // the open unit's first cell and primary count
-	for c, cell := range e.cells {
-		k := cell.hi - cell.lo
-		if int32(c) > first && np+k > bound {
-			e.blocks = append(e.blocks, blockRange{lo: first, hi: int32(c)})
-			first, np = int32(c), 0
+	first, lo := int32(0), int32(0) // first primary of the open unit and of the open cell
+	for i := int32(1); i <= int32(n); i++ {
+		if i < int32(n) && ks[i].key == ks[lo].key && i-lo < cap32 {
+			continue
 		}
-		np += k
+		// [lo, i) is a cell: it joins the open unit unless that passes the bound.
+		if lo > first && i-first > bound {
+			e.blocks = append(e.blocks, blockRange{lo: first, hi: lo})
+			first = lo
+		}
+		lo = i
 	}
-	e.blocks = append(e.blocks, blockRange{lo: first, hi: int32(len(e.cells))})
+	e.blocks = append(e.blocks, blockRange{lo: first, hi: int32(n)})
 }
 
 // cellCoord clamps a scaled coordinate into the 21-bit Morton range.
@@ -597,11 +586,11 @@ func lap(t *time.Time, d *time.Duration) {
 }
 
 // workerState carries one worker's scratch memory: the per-primary tile
-// pipeline of the pair-tile engine plus the cell-level arenas (gathered
-// neighbor lists, the intra-cell pair cache) and the unit-level ones
-// (per-primary a_lm slabs, the unit's Aniso accumulator). Everything is
-// allocated once per worker and reused across units — the steady-state unit
-// loop performs no allocations (pinned by TestProcessBlockAllocFree).
+// pipeline of the pair-tile engine plus the unit-level arenas (gathered
+// neighbor lists, per-primary a_lm slabs, the unit's Aniso accumulator).
+// Everything is allocated once per worker and reused across units — the
+// steady-state unit loop performs no allocations (pinned by
+// TestProcessBlockAllocFree).
 type workerState struct {
 	kern *sphharm.Kernel
 	acc  [][]float64 // per-bin lane-striped monomial accumulators
@@ -610,26 +599,9 @@ type workerState struct {
 	// injected fault); run surfaces the first one after the pool drains.
 	err error
 
-	// Cell gather: query centers and the shared-traversal result.
+	// Unit gather: query centers and the block query's result.
 	centers []geom.Vec3
 	nbr     nbr.Block
-
-	// Intra-cell pair cache (pair-symmetric path). Cell members are located
-	// through a small open-addressed hash over the cell's primary ids
-	// (L1-resident, a few Lanes of entries — not a catalog-sized lookup
-	// table, whose random accesses would miss cache on large catalogs and
-	// whose footprint would scale with N x workers).
-	// For an intra-cell pair the walker with the lower local index caches
-	// the pair's unit vector and radial bin at slot lo*K + hi; the
-	// higher-local walker fetches it with the exact parity fold (component
-	// negation) instead of recomputing separation, sqrt, and bin. cbin
-	// encodes 0 = not walked, 1 = walked but outside the radial range,
-	// bin+2 otherwise.
-	symKeys       []int32 // hash keys: galaxy id, -1 empty
-	symVals       []int32 // hash values: cell-local index
-	symMask       uint32  // table size - 1 (power of two)
-	cbin          []int32
-	cpx, cpy, cpz []float64
 
 	// Pair-tile scratch (per primary). The t* columns hold the bin-sorted
 	// SoA pair tiles as nb fixed-stride segments (bin b's pairs at
@@ -708,19 +680,6 @@ func (e *engine) newWorkerState() *workerState {
 	for b := 0; b < nb; b++ {
 		s.acc[b] = make([]float64, sphharm.AccumulatorLen(e.mono))
 	}
-	if (e.cfg.LOS == LOSPlaneParallel || e.cfg.LOS == LOSMidpoint) && !e.modes.refGather {
-		m := 4
-		for m < 4*K {
-			m *= 2
-		}
-		s.symKeys = make([]int32, m)
-		s.symVals = make([]int32, m)
-		s.symMask = uint32(m - 1)
-		s.cbin = make([]int32, K*K)
-		s.cpx = make([]float64, K*K)
-		s.cpy = make([]float64, K*K)
-		s.cpz = make([]float64, K*K)
-	}
 	if e.cfg.SelfCount {
 		nL := 2*e.cfg.LMax + 1
 		s.selfW = make([]float64, nb*nL)
@@ -729,110 +688,56 @@ func (e *engine) newWorkerState() *workerState {
 	return s
 }
 
-// processBlock runs Algorithm 1's inner loop for one commit unit. Stages 1
-// and 2 run cell by cell (processCell): each cell's neighbor lists are
-// gathered through one shared finder traversal, and its primaries' tiles are
-// assembled, consumed by the multipole kernel and reduced into the unit's
-// a_lm slabs. Stage 3 then accumulates the zeta outer products channel-major
-// over the whole unit, so each channel's nb x nb tile is cleared, updated
-// and later committed once per unit instead of once per cell, and with
-// SelfCount subtracts each channel's diagonal self term from the unit's
-// Legendre-moment array. The result lands in s.blockAniso (s.blockIso) for
-// the caller to commit.
+// processBlock runs Algorithm 1's inner loop for one commit unit. Stage 1
+// gathers every primary's neighbor list through one finder query for the
+// whole unit. Stage 2 runs per primary: its tiles are assembled, consumed by
+// the multipole kernel and reduced into the unit's a_lm slabs. Stage 3 then
+// accumulates the zeta outer products channel-major over the whole unit, so
+// each channel's nb x nb tile is cleared, updated and later committed once
+// per unit, and with SelfCount subtracts each channel's diagonal self term
+// from the unit's Legendre-moment array. The result lands in s.blockAniso
+// (s.blockIso) for the caller to commit.
 func (e *engine) processBlock(s *workerState, b int) {
-	cells := e.cells[e.blocks[b].lo:e.blocks[b].hi]
-	first := cells[0].lo
-	K := int(cells[len(cells)-1].hi - first) // the unit's primaries
-	nb := e.bins.N
-	s.blockPairs, s.blockNP, s.blockSumW = 0, K, 0
-
-	t := time.Now()
-	for _, cell := range cells {
-		e.processCell(s, e.primaryIdx[cell.lo:cell.hi], int(cell.lo-first), K, &t)
-	}
-
-	// Stage 3: zeta outer products, one dense rank-K update per channel: the
-	// whole unit folds into the channel's freshly cleared nb x nb tile in a
-	// single fused call, so the tile stays cache-hot across all K primaries.
-	// Per Aniso element the additions run in ascending unit-local primary
-	// order — exactly the order a per-primary engine produces.
-	if e.cfg.IsotropicOnly {
-		e.zetaIsoBlock(s, K)
-		lap(&t, &s.tAlmZeta)
-		return
-	}
-	stride2 := K * 2 * nb
-	for _, ch := range e.channels {
-		dst := s.blockAniso[ch.base : ch.base+nb*nb]
-		clear(dst)
-		base1 := int(ch.i1) * stride2
-		base2 := int(ch.i2) * stride2
-		sphharm.ZetaBatch(dst, s.aSlab[base2:base2+stride2], s.wXY[base1:base1+stride2], nb, K)
-		if ch.self != nil {
-			for bb := 0; bb < nb; bb++ {
-				dst[bb*nb+bb] -= complex(s.selfTerm(ch.self, bb), 0)
-			}
-		}
-	}
-	clear(s.selfW)
-	lap(&t, &s.tAlmZeta)
-}
-
-// processCell runs stages 1 and 2 for one cell of a commit unit: prim is the
-// cell's primaries, a0 the unit-local index of the first of them, and K the
-// unit's primary count (the slab stride). t is the unit's running phase
-// clock (see lap).
-func (e *engine) processCell(s *workerState, prim []int32, a0, K int, t *time.Time) {
-	nc := len(prim)
+	prim := e.primaryIdx[e.blocks[b].lo:e.blocks[b].hi]
+	K := len(prim)
 	nb := e.bins.N
 	pc := e.pc
+	s.blockPairs, s.blockNP, s.blockSumW = 0, K, 0
 
-	// Stage 1: gather all neighbor lists for the cell.
+	// Stage 1: gather all neighbor lists for the unit.
+	t := time.Now()
 	if e.modes.refGather {
-		s.nbr.Reset(nc)
+		s.nbr.Reset(K)
 		for _, pi := range prim {
 			s.nbr.IDs = e.finder.QueryRadiusImages(e.pts[pi], e.cfg.RMax, e.images, s.nbr.IDs)
 			s.nbr.Seal()
 		}
 	} else {
-		centers := s.centers[:nc]
+		centers := s.centers[:K]
 		for i, pi := range prim {
 			centers[i] = e.pts[pi]
 		}
 		e.finder.QueryRadiusImagesBlock(centers, e.cfg.RMax, e.images, &s.nbr)
 	}
-	lap(t, &s.tGather)
+	lap(&t, &s.tGather)
 
-	// The pair fold needs a swap-invariant line of sight: plane-parallel
-	// (shared global frame) and midpoint (per-pair bisector frame, bitwise
-	// identical from both endpoints) qualify; radial does not — its frame
-	// follows the primary, so the two directions of a pair see different
-	// rotations.
-	useSym := (e.cfg.LOS == LOSPlaneParallel || e.cfg.LOS == LOSMidpoint) &&
-		!e.modes.refGather && nc > 1
-	if useSym {
-		clear(s.cbin[:nc*nc])
-		for i := range s.symKeys {
-			s.symKeys[i] = -1
+	if s.tileCap == 0 {
+		// First touch: a bin holds at most a whole list, so the first unit's
+		// longest list is the size this run's traffic asks for (a fixed
+		// 4096 cost a sparse run 4*NBins*32 KB of zeroing per engine start).
+		n := 64
+		for n < s.nbr.MaxLen() {
+			n *= 2
 		}
-		for a, pi := range prim {
-			h := symHash(pi) & s.symMask
-			for s.symKeys[h] >= 0 {
-				h = (h + 1) & s.symMask
-			}
-			s.symKeys[h] = pi
-			s.symVals[h] = int32(a)
-		}
+		e.growTiles(s, n)
 	}
 
 	// Stage 2: per primary, assemble + consume tiles and reduce into the
 	// unit's a_lm slabs.
-	for a := 0; a < nc; a++ {
-		pi := prim[a]
+	stride2 := K * 2 * nb
+	for a, pi := range prim {
 		pw := e.ws[pi]
-		nbrs := s.nbr.List(a)
-
-		n := e.assembleTiles(s, a, prim, pi, nbrs, useSym)
+		n := e.assembleTiles(s, pi, s.nbr.List(a))
 		for _, bb := range s.tl {
 			beg := int(bb) * s.tileCap
 			end := beg + int(s.cnt[bb])
@@ -841,7 +746,7 @@ func (e *engine) processCell(s *workerState, prim []int32, a0, K int, t *time.Ti
 		if s.selfW != nil {
 			s.accumulateSelfPairs(pw)
 		}
-		lap(t, &s.tConsume)
+		lap(&t, &s.tConsume)
 		s.blockPairs += uint64(n)
 
 		// Reduce the lane accumulators, convert to a_lm, and transpose into
@@ -865,8 +770,7 @@ func (e *engine) processCell(s *workerState, prim []int32, a0, K int, t *time.Ti
 		// written over them. Zero-padding is value-exact — a zeta element
 		// that starts at +0 and only gains finite products is unchanged by
 		// the extra `+ x*0` terms.
-		stride2 := K * 2 * nb
-		row := (a0 + a) * 2 * nb
+		row := a * 2 * nb
 		wXY, aS := s.wXY, s.aSlab
 		reScr, imScr := s.reScr, s.imScr
 		if len(tl) < nb {
@@ -915,10 +819,35 @@ func (e *engine) processCell(s *workerState, prim []int32, a0, K int, t *time.Ti
 			s.cnt[bb] = 0
 		}
 		s.tl = s.tl[:0]
-		s.blockPw[a0+a] = pw
+		s.blockPw[a] = pw
 		s.blockSumW += pw
-		lap(t, &s.tAlmZeta)
+		lap(&t, &s.tAlmZeta)
 	}
+
+	// Stage 3: zeta outer products, one dense rank-K update per channel: the
+	// whole unit folds into the channel's freshly cleared nb x nb tile in a
+	// single fused call, so the tile stays cache-hot across all K primaries.
+	// Per Aniso element the additions run in ascending unit-local primary
+	// order — exactly the order a per-primary engine produces.
+	if e.cfg.IsotropicOnly {
+		e.zetaIsoBlock(s, K)
+		lap(&t, &s.tAlmZeta)
+		return
+	}
+	for _, ch := range e.channels {
+		dst := s.blockAniso[ch.base : ch.base+nb*nb]
+		clear(dst)
+		base1 := int(ch.i1) * stride2
+		base2 := int(ch.i2) * stride2
+		sphharm.ZetaBatch(dst, s.aSlab[base2:base2+stride2], s.wXY[base1:base1+stride2], nb, K)
+		if ch.self != nil {
+			for bb := 0; bb < nb; bb++ {
+				dst[bb*nb+bb] -= complex(s.selfTerm(ch.self, bb), 0)
+			}
+		}
+	}
+	clear(s.selfW)
+	lap(&t, &s.tAlmZeta)
 }
 
 // zetaIsoBlock is processBlock's stage 3 for IsotropicOnly: the zeta outer
@@ -954,52 +883,23 @@ func (e *engine) zetaIsoBlock(s *workerState, K int) {
 // assembleTiles builds one primary's bin-sorted SoA pair tiles from its
 // gathered neighbor list and returns the pair count. One branch-light pass
 // normalizes separations, assigns radial bins (hoisted inverse width —
-// identical binning to hist.Binning.Index), and counts pairs per bin; the
-// line-of-sight rotation is then applied column-wise over the whole gather
-// at once; and a counting-sort scatter groups the unit vectors by bin. The
-// touched-bin list falls out of the counts in ascending order.
-//
-// On the pair-symmetric path (useSym), each intra-block pair is enumerated
-// once: the endpoint with the lower block-local index computes separation,
-// norm, and bin, scatters the pair into its own tile, and caches the unit
-// vector; the higher endpoint fetches the cached entry and applies the
-// (-1)^ell parity fold of Y_lm(-rhat) = (-1)^ell Y_lm(rhat) by negating
-// the cached components — IEEE negation is exact, and minimal-image
-// separations are antisymmetric bitwise, so the fetched entry is
-// bit-for-bit the value the reference per-primary path computes (the 0-x
-// form keeps even the sign of zero components identical). The multipole
-// ladder then consumes the folded components unchanged. A cache miss (the
-// finder admitted the pair in one direction only, possible at the float32
-// radius boundary) falls back to the full computation.
-//
-// The fold extends to LOSMidpoint because the bisector frame is the same
-// from both endpoints: the cached entry is the *rotated* unit vector, the
-// rotation is MidpointLOS(nhat[i], nhat[j]) — bitwise swap-invariant — and
-// a rotation applied to a negated vector is the negation of the rotated
-// vector up to the sign of exactly-zero components, which the 0-x fetch
-// canonicalizes identically on both paths. LOSRadial frames follow the
-// primary, so no fold applies and the rotation stays column-wise after the
-// pair loop.
-func (e *engine) assembleTiles(s *workerState, a int, prim []int32, pi int32, nbrs []int32, useSym bool) int {
-	if s.tileCap == 0 {
-		e.growTiles(s, 4096)
-	}
+// identical binning to hist.Binning.Index), counts pairs per bin and scatters
+// the unit vectors into their bin's segment; the touched-bin list falls out
+// of the counts in ascending order. A bin that overflows its segment doubles
+// the capacity and redoes the primary (rare — capacity only ever grows).
+func (e *engine) assembleTiles(s *workerState, pi int32, nbrs []int32) int {
 	for {
-		n, ok := e.tryAssembleTiles(s, a, prim, pi, nbrs, useSym)
+		n, ok := e.tryAssembleTiles(s, pi, nbrs)
 		if ok {
 			return n
 		}
-		// A bin overflowed its tile segment: double the capacity and redo
-		// the primary (rare — capacity only ever grows, and the partial
-		// pair-cache writes are idempotent under the retry).
 		e.growTiles(s, 2*s.tileCap)
 	}
 }
 
 // tryAssembleTiles is one assembly attempt at the current tile capacity; it
 // reports false when a bin's segment would overflow.
-func (e *engine) tryAssembleTiles(s *workerState, a int, prim []int32, pi int32, nbrs []int32, useSym bool) (int, bool) {
-	K := len(prim)
+func (e *engine) tryAssembleTiles(s *workerState, pi int32, nbrs []int32) (int, bool) {
 	ppos := e.pts[pi]
 	rmin, rmax := e.bins.RMin, e.bins.RMax
 	invW := e.invW
@@ -1008,7 +908,6 @@ func (e *engine) tryAssembleTiles(s *workerState, a int, prim []int32, pi int32,
 	tx, ty, tz, tw := s.tx, s.ty, s.tz, s.tw
 	cnt := s.cnt
 	pts, ws := e.pts, e.ws
-	symKeys, symVals, symMask := s.symKeys, s.symVals, s.symMask
 	mid := e.cfg.LOS == LOSMidpoint
 	var pn geom.Vec3
 	if mid {
@@ -1019,49 +918,13 @@ func (e *engine) tryAssembleTiles(s *workerState, a int, prim []int32, pi int32,
 		if j == pi {
 			continue
 		}
-		cacheSlot := int32(-1)
-		if useSym {
-			if bl := blockLocal(symKeys, symVals, symMask, j); bl >= 0 {
-				if int(bl) < a {
-					c := int(bl)*K + a
-					if enc := s.cbin[c]; enc != 0 {
-						if enc == 1 {
-							continue // walked, outside the radial range
-						}
-						bin := enc - 2
-						if cnt[bin] == cap32 {
-							clear(cnt)
-							return 0, false
-						}
-						d := bin*cap32 + cnt[bin]
-						tx[d] = 0 - s.cpx[c]
-						ty[d] = 0 - s.cpy[c]
-						tz[d] = 0 - s.cpz[c]
-						tw[d] = ws[j]
-						cnt[bin]++
-						n++
-						continue
-					}
-					// Not walked by the partner (asymmetric finder
-					// membership): compute without caching.
-				} else {
-					cacheSlot = int32(a*K + int(bl))
-				}
-			}
-		}
 		sep := e.box.Separation(ppos, pts[j])
 		r2 := sep.Norm2()
 		if r2 == 0 {
-			if cacheSlot >= 0 {
-				s.cbin[cacheSlot] = 1
-			}
 			continue // coincident tracer: no direction, not a triangle side
 		}
 		r := math.Sqrt(r2)
 		if r < rmin || r >= rmax {
-			if cacheSlot >= 0 {
-				s.cbin[cacheSlot] = 1
-			}
 			continue
 		}
 		bin := int32((r - rmin) * invW)
@@ -1075,9 +938,7 @@ func (e *engine) tryAssembleTiles(s *workerState, a int, prim []int32, pi int32,
 		if mid {
 			// Midpoint frames are per pair, so the rotation fuses into the
 			// pair loop (plane-parallel needs none; radial rotates
-			// column-wise below). Rotating before the scatter means the
-			// cached entry is already in the pair's frame — exactly what the
-			// parity fold negates.
+			// column-wise below).
 			v := geom.MidpointLOS(pn, e.nhat[j]).Apply(geom.Vec3{X: ux, Y: uy, Z: uz})
 			ux, uy, uz = v.X, v.Y, v.Z
 		}
@@ -1092,12 +953,6 @@ func (e *engine) tryAssembleTiles(s *workerState, a int, prim []int32, pi int32,
 		tw[d] = ws[j]
 		cnt[bin]++
 		n++
-		if cacheSlot >= 0 {
-			s.cpx[cacheSlot] = ux
-			s.cpy[cacheSlot] = uy
-			s.cpz[cacheSlot] = uz
-			s.cbin[cacheSlot] = bin + 2
-		}
 	}
 	// Touched bins in ascending order, straight off the counts.
 	s.tl = s.tl[:0]
@@ -1107,8 +962,7 @@ func (e *engine) tryAssembleTiles(s *workerState, a int, prim []int32, pi int32,
 		}
 	}
 	// Rotation to the line of sight (Fig. 2), column-wise per tile segment.
-	// For plane-parallel mode the z axis is already the line of sight
-	// (which is what makes the shared-frame parity fold valid), and
+	// For plane-parallel mode the z axis is already the line of sight, and
 	// midpoint frames were applied per pair above. Rotating unit vectors
 	// after normalization is exact: the rotation preserves the norm.
 	if e.cfg.LOS == LOSRadial {
@@ -1120,30 +974,6 @@ func (e *engine) tryAssembleTiles(s *workerState, a int, prim []int32, pi int32,
 		}
 	}
 	return n, true
-}
-
-// symHash spreads galaxy ids over the block-membership hash (Fibonacci
-// multiplicative hashing; the caller masks to the table size).
-func symHash(j int32) uint32 {
-	return uint32(j) * 2654435761
-}
-
-// blockLocal returns j's block-local primary index from the membership
-// hash, or -1 when j is not a primary of the current block. The table is
-// at most 25% loaded, so misses (the overwhelmingly common case) resolve
-// in ~one probe of an L1-resident table.
-func blockLocal(keys, vals []int32, mask uint32, j int32) int32 {
-	h := symHash(j) & mask
-	for {
-		k := keys[h]
-		if k == j {
-			return vals[h]
-		}
-		if k < 0 {
-			return -1
-		}
-		h = (h + 1) & mask
-	}
 }
 
 // growTiles raises the per-bin tile segment capacity to at least n

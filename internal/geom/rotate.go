@@ -110,9 +110,8 @@ func ToLineOfSight(p Vec3) Rotation {
 //
 // The construction is bitwise symmetric in its arguments: IEEE addition is
 // commutative, so na + nb and nb + na are the same vector bit for bit, and
-// ToLineOfSight of that vector is one deterministic function of its input.
-// That exact swap-invariance is what the engine's pair-symmetry fold relies
-// on — both endpoints of a pair derive the identical rotation, while the
+// ToLineOfSight of that vector is one deterministic function of its input —
+// both endpoints of a pair derive the identical rotation, while the
 // separation they rotate negates. Antipodal directions (na = -nb) have no
 // bisector; ToLineOfSight maps the zero sum to the identity frame, keeping
 // the function total and still swap-invariant.

@@ -8,10 +8,14 @@
 package kdtree
 
 import (
+	"math"
+	"math/bits"
 	"runtime"
+	"slices"
 	"sync"
 
 	"galactos/internal/geom"
+	"galactos/internal/lanes"
 	"galactos/internal/nbr"
 )
 
@@ -25,21 +29,42 @@ type point[T Float] struct {
 	id      int32
 }
 
+// chunk holds 16 tree-order points as columns, the shape leafHits16 tests at
+// once. A leaf owns whole chunks; the lanes past its last point carry +Inf
+// coordinates, which are within no radius.
+type chunk[T Float] struct {
+	x, y, z [16]T
+	id      [16]int32
+}
+
 type node[T Float] struct {
 	// Bounding box of all points under this node ("marked" k-d tree info,
 	// Sec. 2.1): enables exact pruning in radius queries.
 	minX, minY, minZ T
 	maxX, maxY, maxZ T
 	left, right      int32 // children; -1 for leaf
-	start, end       int32 // leaf point range
+	// Point range: indices into pts while building, into the padded chunk
+	// lanes (point i is lane i&15 of chunk i>>4) once packed, so a leaf's
+	// start is a multiple of 16.
+	start, end int32
 }
 
 // Tree is an immutable spatial index over a fixed point set. Queries are
 // safe for concurrent use; building is parallel across subtrees.
 type Tree[T Float] struct {
-	pts      []point[T]
+	pts      []point[T] // build-time only; pack moves the points into chunks
+	chunks   []chunk[T]
 	nodes    []node[T]
 	leafSize int
+	n        int
+
+	// The two 16-lane tests of the block query, bound at Build to the
+	// process's lane-dispatch decision: the AVX-512 bodies on a float32 tree
+	// when lanes.Vector(), the portable boxMask16 / leafHits16 otherwise.
+	// The bodies return identical values, so which one runs never shows in a
+	// result.
+	boxMask  func(b *boxes16[T], cx, cy, cz, r2 T) uint16
+	leafHits func(c *chunk[T], cx, cy, cz, r2 T, out *[16]int32) int
 }
 
 // DefaultLeafSize balances tree depth against leaf scan cost.
@@ -54,6 +79,12 @@ func Build[T Float](pts []geom.Vec3, leafSize int) *Tree[T] {
 	t := &Tree[T]{
 		pts:      make([]point[T], len(pts)),
 		leafSize: leafSize,
+		n:        len(pts),
+		boxMask:  boxMask16[T],
+		leafHits: leafHits16[T],
+	}
+	if lanes.Vector() {
+		bindLanes(t)
 	}
 	for i, p := range pts {
 		t.pts[i] = point[T]{T(p.X), T(p.Y), T(p.Z), int32(i)}
@@ -69,7 +100,45 @@ func Build[T Float](pts []geom.Vec3, leafSize int) *Tree[T] {
 	var wg sync.WaitGroup
 	t.build(root, 0, int32(len(t.pts)), 0, maxDepth, &mu, &wg)
 	wg.Wait()
+	t.pack()
 	return t
+}
+
+// pack moves the built points into the padded chunk columns the queries
+// read, leaf by leaf in tree order, and rewrites each leaf's range to its
+// chunk lanes.
+func (t *Tree[T]) pack() {
+	nch := 0
+	for i := range t.nodes {
+		if nd := &t.nodes[i]; nd.left < 0 {
+			nch += int(nd.end-nd.start+15) / 16
+		}
+	}
+	t.chunks = make([]chunk[T], nch)
+	inf := T(math.Inf(1))
+	next := int32(0) // next free chunk
+	stack := []int32{0}
+	for len(stack) > 0 {
+		nd := &t.nodes[stack[len(stack)-1]]
+		stack = stack[:len(stack)-1]
+		if nd.left >= 0 {
+			stack = append(stack, nd.right, nd.left)
+			continue
+		}
+		pts := t.pts[nd.start:nd.end]
+		nd.start = next * 16
+		nd.end = nd.start + int32(len(pts))
+		for i := 0; i < (len(pts)+15)&^15; i++ {
+			c, k := &t.chunks[int(next)+i>>4], i&15
+			if i < len(pts) {
+				c.x[k], c.y[k], c.z[k], c.id[k] = pts[i].x, pts[i].y, pts[i].z, pts[i].id
+			} else {
+				c.x[k], c.y[k], c.z[k], c.id[k] = inf, inf, inf, -1
+			}
+		}
+		next += int32(len(pts)+15) / 16
+	}
+	t.pts = nil
 }
 
 // parallelDepth returns how many top tree levels spawn goroutines.
@@ -209,7 +278,7 @@ func (t *Tree[T]) selectNth(start, end, nth int32, axis int) {
 }
 
 // Len returns the number of indexed points.
-func (t *Tree[T]) Len() int { return len(t.pts) }
+func (t *Tree[T]) Len() int { return t.n }
 
 // QueryRadius appends to out the original indices of all points within
 // distance r of center (inclusive), and returns the extended slice. The
@@ -271,13 +340,15 @@ func (t *Tree[T]) query(cx, cy, cz, r2 T, out []int32) []int32 {
 			continue
 		}
 		if nd.left < 0 {
-			for i := nd.start; i < nd.end; i++ {
-				p := &t.pts[i]
-				dx := p.x - cx
-				dy := p.y - cy
-				dz := p.z - cz
-				if dx*dx+dy*dy+dz*dz <= r2 {
-					out = append(out, p.id)
+			for i := nd.start; i < nd.end; i += 16 {
+				c := &t.chunks[i>>4]
+				for k := range min(16, nd.end-i) {
+					dx := c.x[k] - cx
+					dy := c.y[k] - cy
+					dz := c.z[k] - cz
+					if T(dx*dx)+T(dy*dy)+T(dz*dz) <= r2 {
+						out = append(out, c.id[k])
+					}
 				}
 			}
 			continue
@@ -287,73 +358,87 @@ func (t *Tree[T]) query(cx, cy, cz, r2 T, out []int32) []int32 {
 	return out
 }
 
+// boxes16 holds 16 reached leaves: their bounding boxes as columns, the shape
+// boxMask16 tests at once, and their chunk ranges [c0, c1).
+type boxes16[T Float] struct {
+	minX, maxX, minY, maxY, minZ, maxZ [16]T
+	c0, c1                             [16]int32
+}
+
+// leafList is the block query's scratch (kept on the nbr.Block between
+// calls): the leaves pass 1 reached, image by image in tree order. Each
+// image's run starts a fresh boxes16 group and the unused lanes of its last
+// group hold the never-hit box [+Inf, -Inf], so pass 2 tests whole groups.
+type leafList[T Float] struct {
+	boxes []boxes16[T]
+	segs  []imageRun
+	stack []int32
+	never boxes16[T]
+}
+
+// imageRun is one periodic image's run of boxes16 groups [lo, hi).
+type imageRun struct{ img, lo, hi int32 }
+
+func newLeafList[T Float]() *leafList[T] {
+	l := &leafList[T]{}
+	inf := T(math.Inf(1))
+	for k := 0; k < 16; k++ {
+		l.never.minX[k], l.never.minY[k], l.never.minZ[k] = inf, inf, inf
+		l.never.maxX[k], l.never.maxY[k], l.never.maxZ[k] = -inf, -inf, -inf
+	}
+	return l
+}
+
 // QueryRadiusImagesBlock answers the radius query for a whole block of
-// centers out of one shared traversal per periodic image, filling blk with
-// per-center neighbor lists whose content and order are identical to
-// per-center QueryRadiusImages calls (the engine's bitwise property tests
-// pin this). The traversal descends a node only while its bounding box is
-// within r of the bounding box of the shifted centers; at each reached leaf
-// every center applies the same monotone test ladder its own query would: a
-// leaf-box rejection (the per-node prune of the individual traversal —
-// valid because a child box is never closer than its parent under the
-// monotone float arithmetic of axisDist2), a whole-leaf acceptance when the
-// farthest corner is within r (every per-point test would pass), and the
-// per-point distance test otherwise. Node descent and leaf point loads are
-// paid once per block instead of once per center — the saving the engine's
-// `gather` phase telemetry attributes. (A dual traversal carrying per-node
-// active-center lists was tried and measured slower at survey geometries:
-// with RMax a sizable fraction of the box, nearly every center stays
-// active through most internal levels, so per-level filtering costs more
-// than the leaf-level tests it saves.)
+// centers, filling blk with per-center neighbor lists whose content and order
+// are identical to per-center QueryRadiusImages calls: per image, the
+// tree-order points with d^2 <= r^2 (TestBlockQueryMatchesPerCenter and the
+// engine's bitwise property tests pin this). Every prune below only skips
+// leaves whose box is farther than r from the center under the monotone float
+// arithmetic of the point test, so none can drop a point that test admits.
+//
+// Pass 1 walks the tree once per image against the centers' bounding box and
+// records the reached leaves. The box is taken in float64 and shifted and
+// cast per image — shift + cast is monotone, so every shifted center lies
+// inside it. Pass 2 goes center-major over that list, so ids land directly
+// in each center's run: boxMask over 16 leaf boxes at a time, then leafHits
+// over the 16-point chunks of each leaf that passed. Node descent is paid
+// once per block, and both tests run in lanes.
 func (t *Tree[T]) QueryRadiusImagesBlock(centers []geom.Vec3, r float64, images []geom.Vec3, blk *nbr.Block) {
 	nc := len(centers)
 	blk.Reset(nc)
 	if len(t.nodes) == 0 || nc == 0 {
-		blk.Group(nc)
+		for range centers {
+			blk.Seal()
+		}
 		return
+	}
+	l, _ := blk.Scratch.(*leafList[T])
+	if l == nil {
+		l = newLeafList[T]()
+		blk.Scratch = l
 	}
 	rr := T(r)
 	r2 := rr * rr
-	blk.GrowCenters(nc)
-	cx, cy, cz := blk.CX, blk.CY, blk.CZ
-	for _, off := range images {
-		// Shift + cast each center exactly as the individual query does
-		// (float64 add, then one rounding into the storage precision); the
-		// float64 scratch holds the T value losslessly.
-		var bb [6]T // min/max of the shifted centers
-		for i, c := range centers {
-			x := T(c.X + off.X)
-			y := T(c.Y + off.Y)
-			z := T(c.Z + off.Z)
-			cx[i], cy[i], cz[i] = float64(x), float64(y), float64(z)
-			if i == 0 {
-				bb = [6]T{x, x, y, y, z, z}
-				continue
-			}
-			if x < bb[0] {
-				bb[0] = x
-			} else if x > bb[1] {
-				bb[1] = x
-			}
-			if y < bb[2] {
-				bb[2] = y
-			} else if y > bb[3] {
-				bb[3] = y
-			}
-			if z < bb[4] {
-				bb[4] = z
-			} else if z > bb[5] {
-				bb[5] = z
-			}
-		}
-		stack := append(blk.Nodes[:0], 0)
+
+	lo, hi := centers[0], centers[0]
+	for _, c := range centers[1:] {
+		lo = geom.Vec3{X: min(lo.X, c.X), Y: min(lo.Y, c.Y), Z: min(lo.Z, c.Z)}
+		hi = geom.Vec3{X: max(hi.X, c.X), Y: max(hi.Y, c.Y), Z: max(hi.Z, c.Z)}
+	}
+	l.boxes, l.segs = l.boxes[:0], l.segs[:0]
+	for k, off := range images {
+		x0, x1 := T(lo.X+off.X), T(hi.X+off.X)
+		y0, y1 := T(lo.Y+off.Y), T(hi.Y+off.Y)
+		z0, z1 := T(lo.Z+off.Z), T(hi.Z+off.Z)
+		g0, n := len(l.boxes), 0
+		stack := append(l.stack[:0], 0)
 		for len(stack) > 0 {
-			ni := stack[len(stack)-1]
+			nd := &t.nodes[stack[len(stack)-1]]
 			stack = stack[:len(stack)-1]
-			nd := &t.nodes[ni]
-			d2 := intervalDist2(nd.minX, nd.maxX, bb[0], bb[1]) +
-				intervalDist2(nd.minY, nd.maxY, bb[2], bb[3]) +
-				intervalDist2(nd.minZ, nd.maxZ, bb[4], bb[5])
+			d2 := intervalDist2(nd.minX, nd.maxX, x0, x1) +
+				intervalDist2(nd.minY, nd.maxY, y0, y1) +
+				intervalDist2(nd.minZ, nd.maxZ, z0, z1)
 			if d2 > r2 {
 				continue
 			}
@@ -361,39 +446,92 @@ func (t *Tree[T]) QueryRadiusImagesBlock(centers []geom.Vec3, r float64, images 
 				stack = append(stack, nd.right, nd.left)
 				continue
 			}
-			for ci := 0; ci < nc; ci++ {
-				ccx, ccy, ccz := T(cx[ci]), T(cy[ci]), T(cz[ci])
-				dlo := axisDist2(ccx, nd.minX, nd.maxX) +
-					axisDist2(ccy, nd.minY, nd.maxY) +
-					axisDist2(ccz, nd.minZ, nd.maxZ)
-				if dlo > r2 {
-					continue
-				}
-				dhi := axisFarDist2(ccx, nd.minX, nd.maxX) +
-					axisFarDist2(ccy, nd.minY, nd.maxY) +
-					axisFarDist2(ccz, nd.minZ, nd.maxZ)
-				if dhi <= r2 {
-					for i := nd.start; i < nd.end; i++ {
-						blk.CandLoc = append(blk.CandLoc, int32(ci))
-						blk.CandID = append(blk.CandID, t.pts[i].id)
-					}
-					continue
-				}
-				for i := nd.start; i < nd.end; i++ {
-					p := &t.pts[i]
-					dx := p.x - ccx
-					dy := p.y - ccy
-					dz := p.z - ccz
-					if dx*dx+dy*dy+dz*dz <= r2 {
-						blk.CandLoc = append(blk.CandLoc, int32(ci))
-						blk.CandID = append(blk.CandID, p.id)
+			if n&15 == 0 {
+				l.boxes = append(l.boxes, l.never)
+			}
+			b, j := &l.boxes[g0+n>>4], n&15
+			b.minX[j], b.maxX[j] = nd.minX, nd.maxX
+			b.minY[j], b.maxY[j] = nd.minY, nd.maxY
+			b.minZ[j], b.maxZ[j] = nd.minZ, nd.maxZ
+			b.c0[j], b.c1[j] = nd.start>>4, (nd.end+15)>>4
+			n++
+		}
+		l.stack = stack
+		if n > 0 {
+			l.segs = append(l.segs, imageRun{img: int32(k), lo: int32(g0), hi: int32(len(l.boxes))})
+		}
+	}
+
+	ids := blk.IDs
+	for _, c := range centers {
+		for _, sg := range l.segs {
+			// Shift + cast exactly as the individual query does (float64 add,
+			// then one rounding into the storage precision).
+			off := images[sg.img]
+			cx, cy, cz := T(c.X+off.X), T(c.Y+off.Y), T(c.Z+off.Z)
+			for g := sg.lo; g < sg.hi; g++ {
+				b := &l.boxes[g]
+				for m := t.boxMask(b, cx, cy, cz, r2); m != 0; m &= m - 1 {
+					j := bits.TrailingZeros16(m)
+					for ch := b.c0[j]; ch < b.c1[j]; ch++ {
+						ids = slices.Grow(ids, 16) // leafHits writes whole 16-lane rows
+						n := len(ids)
+						ids = ids[:n+t.leafHits(&t.chunks[ch], cx, cy, cz, r2, (*[16]int32)(ids[n:n+16]))]
 					}
 				}
 			}
 		}
-		blk.Nodes = stack[:0]
+		blk.IDs = ids
+		blk.Seal()
 	}
-	blk.Group(nc)
+}
+
+// boxMask16 is the portable leaf-box test: bit j is set when box j of b is
+// within r of the center, the distance being the sum over X, Y, Z of
+// max(lo-c, c-hi, 0)^2 — the values of the branchy axisDist2. Like
+// leafHits16 it is comparison only and writes each product as T(d*d), so no
+// build can fuse a multiply into an add and the AVX-512 bodies (VMULPS and
+// VADDPS in the same order) are bit-identical by construction.
+func boxMask16[T Float](b *boxes16[T], cx, cy, cz, r2 T) uint16 {
+	var m uint16
+	for j := 0; j < 16; j++ {
+		dx := axisGap(b.minX[j], b.maxX[j], cx)
+		dy := axisGap(b.minY[j], b.maxY[j], cy)
+		dz := axisGap(b.minZ[j], b.maxZ[j], cz)
+		if T(dx*dx)+T(dy*dy)+T(dz*dz) <= r2 {
+			m |= 1 << j
+		}
+	}
+	return m
+}
+
+// axisGap returns max(lo-c, c-hi, 0): how far c lies outside [lo, hi].
+func axisGap[T Float](lo, hi, c T) T {
+	d := lo - c
+	if e := c - hi; e > d {
+		d = e
+	}
+	if d < 0 {
+		d = 0
+	}
+	return d
+}
+
+// leafHits16 is the portable point test: it writes the ids of the chunk's
+// points with ((dx^2 + dy^2) + dz^2) <= r2 to the front of out, in lane
+// order, and returns their count. Lanes past the count are scratch.
+func leafHits16[T Float](c *chunk[T], cx, cy, cz, r2 T, out *[16]int32) int {
+	n := 0
+	for k := 0; k < 16; k++ {
+		dx := c.x[k] - cx
+		dy := c.y[k] - cy
+		dz := c.z[k] - cz
+		out[n&15] = c.id[k]
+		if T(dx*dx)+T(dy*dy)+T(dz*dz) <= r2 {
+			n++
+		}
+	}
+	return n
 }
 
 // intervalDist2 returns the squared distance between two intervals along
@@ -401,36 +539,23 @@ func (t *Tree[T]) QueryRadiusImagesBlock(centers []geom.Vec3, r float64, images 
 func intervalDist2[T Float](alo, ahi, blo, bhi T) T {
 	if alo > bhi {
 		d := alo - bhi
-		return d * d
+		return T(d * d)
 	}
 	if blo > ahi {
 		d := blo - ahi
-		return d * d
+		return T(d * d)
 	}
 	return 0
-}
-
-// axisFarDist2 returns the squared distance from c to the farther endpoint
-// of [lo, hi]. Summed over axes it bounds every in-box point's squared
-// distance from above in the same monotone float arithmetic the per-point
-// test uses, which makes the whole-leaf acceptance exact.
-func axisFarDist2[T Float](c, lo, hi T) T {
-	d1 := c - lo
-	d2 := hi - c
-	if d1 < d2 {
-		d1 = d2
-	}
-	return d1 * d1
 }
 
 func axisDist2[T Float](c, lo, hi T) T {
 	if c < lo {
 		d := lo - c
-		return d * d
+		return T(d * d)
 	}
 	if c > hi {
 		d := c - hi
-		return d * d
+		return T(d * d)
 	}
 	return 0
 }

@@ -1,20 +1,19 @@
-// Package nbr defines the result-and-scratch type shared by the
-// block-granular neighbor queries (QueryRadiusImagesBlock on the k-d tree
-// and grid finders). A Block carries, for a batch of query centers, the
-// concatenated per-center neighbor id lists produced by one shared
-// traversal. The contract the finders uphold — and the engine's bitwise
-// property tests pin — is that each center's list has exactly the content
-// and order its own QueryRadiusImages call would produce; the block entry
-// point only amortizes the traversal, never changes the answer.
+// Package nbr defines the result type shared by the block-granular neighbor
+// queries (QueryRadiusImagesBlock on the k-d tree and grid finders). A Block
+// carries, for a batch of query centers, the concatenated per-center
+// neighbor id lists. The contract the finders uphold — and the finder and
+// engine bitwise tests pin — is that each center's list has exactly the
+// content and order its own QueryRadiusImages call would produce; the block
+// entry point only amortizes the traversal, never changes the answer.
 //
 // The struct doubles as reusable scratch: all slices grow amortized and are
-// reused across blocks, so a steady-state block query performs no
+// reused across queries, so a steady-state block query performs no
 // allocations. A Block is owned by a single worker and is not safe for
 // concurrent use.
 package nbr
 
-// Block is the output of one block-granular neighbor query plus the scratch
-// the finders traverse with.
+// Block is the output of one block-granular neighbor query. Finders fill it
+// center by center: append the center's ids to IDs, then Seal.
 type Block struct {
 	// IDs holds the neighbor ids of all centers, grouped by center: center
 	// c's neighbors are IDs[Offs[c]:Offs[c+1]], in the center's individual
@@ -22,30 +21,9 @@ type Block struct {
 	IDs []int32
 	// Offs has len(centers)+1 entries once the query completes.
 	Offs []int32
-
-	// CandID/CandLoc are the shared-traversal scratch: candidates appended
-	// in traversal order as (center-local index, point id) pairs, regrouped
-	// per center by Group. Finders append to them directly.
-	CandID  []int32
-	CandLoc []int32
-	// Nodes is traversal-stack scratch for tree finders.
-	Nodes []int32
-	// CX/CY/CZ are per-image shifted-center scratch for finders that
-	// pre-transform the centers (the k-d tree's image shift + storage-
-	// precision cast). Each holds one float64 per center.
-	CX, CY, CZ []float64
-
-	counts []int32
-}
-
-// GrowCenters sizes the shifted-center scratch for n centers.
-func (b *Block) GrowCenters(n int) {
-	if cap(b.CX) < n {
-		b.CX = make([]float64, n)
-		b.CY = make([]float64, n)
-		b.CZ = make([]float64, n)
-	}
-	b.CX, b.CY, b.CZ = b.CX[:n], b.CY[:n], b.CZ[:n]
+	// Scratch belongs to the finder that last filled the block (the k-d
+	// tree keeps its reached-leaf list here); callers leave it alone.
+	Scratch any
 }
 
 // Reset prepares the block for a query over n centers: results are cleared,
@@ -58,48 +36,23 @@ func (b *Block) Reset(n int) {
 		b.Offs = b.Offs[:1]
 	}
 	b.Offs[0] = 0
-	b.CandID = b.CandID[:0]
-	b.CandLoc = b.CandLoc[:0]
 }
 
-// Seal ends the current center's id run. Finders that fill IDs directly,
-// one center at a time (the grid's per-center cell sweep), call it after
-// each center instead of going through the candidate lists.
+// Seal ends the current center's id run.
 func (b *Block) Seal() {
 	b.Offs = append(b.Offs, int32(len(b.IDs)))
-}
-
-// Group builds IDs/Offs from the candidate lists of a shared traversal over
-// n centers. The counting sort is stable, so each center's ids keep their
-// traversal (= individual query) order.
-func (b *Block) Group(n int) {
-	if cap(b.counts) < n {
-		b.counts = make([]int32, n)
-	}
-	counts := b.counts[:n]
-	clear(counts)
-	for _, loc := range b.CandLoc {
-		counts[loc]++
-	}
-	off := int32(0)
-	for c := 0; c < n; c++ {
-		cnt := counts[c]
-		counts[c] = off // becomes the running scatter cursor
-		off += cnt
-		b.Offs = append(b.Offs, off)
-	}
-	if cap(b.IDs) < len(b.CandID) {
-		b.IDs = make([]int32, len(b.CandID))
-	}
-	b.IDs = b.IDs[:len(b.CandID)]
-	for k, id := range b.CandID {
-		c := b.CandLoc[k]
-		b.IDs[counts[c]] = id
-		counts[c]++
-	}
 }
 
 // List returns center c's neighbor ids.
 func (b *Block) List(c int) []int32 {
 	return b.IDs[b.Offs[c]:b.Offs[c+1]]
+}
+
+// MaxLen returns the length of the longest neighbor list.
+func (b *Block) MaxLen() int {
+	m := int32(0)
+	for c := 1; c < len(b.Offs); c++ {
+		m = max(m, b.Offs[c]-b.Offs[c-1])
+	}
+	return int(m)
 }

@@ -239,11 +239,11 @@ func periodicIso() *Scenario {
 	}
 }
 
-// isoMidpoint runs the isotropic 3PCF under the midpoint line of sight: the
-// pair-swap-symmetric survey convention whose frames admit the engine's
-// (-1)^l fold, on the IsotropicOnly fast ladder. Together the row pins the
-// two new hot paths end-to-end (golden hashes under both dispatch tags,
-// cross-backend equivalence via the shared harnesses).
+// isoMidpoint runs the isotropic 3PCF under the midpoint line of sight (the
+// pair-swap-symmetric survey convention, rotated per pair) on the
+// IsotropicOnly fast ladder. The row pins the two paths end-to-end (golden
+// hashes under both dispatch tags, cross-backend equivalence via the shared
+// harnesses).
 func isoMidpoint() *Scenario {
 	const name = "iso-midpoint"
 	cfg := core.Config{

@@ -1,5 +1,7 @@
 package sphharm
 
+import "galactos/internal/lanes"
+
 // The multipole accumulation kernel (Sec. 3.3 of the paper). The dominant
 // cost of Galactos is accumulating, for each galaxy pair, the 286 (at l=10)
 // weighted power combinations (dx/r)^k (dy/r)^p (dz/r)^q into the radial
@@ -203,11 +205,6 @@ var (
 	reduce       = reduceGeneric
 )
 
-// laneDispatchVector tracks which bodies the lane-primitive variables are
-// currently bound to; it backs the LaneDispatch tag golden results are
-// keyed by.
-var laneDispatchVector = false
-
 // bindGenericLanes rebinds every lane primitive to its portable pure-Go
 // body.
 func bindGenericLanes() {
@@ -218,7 +215,6 @@ func bindGenericLanes() {
 	zetaBatch = zetaBatchGeneric
 	zetaBatchIso = zetaBatchIsoGeneric
 	reduce = reduceGeneric
-	laneDispatchVector = false
 }
 
 // SetLaneDispatch selects the lane-primitive implementation: vector
@@ -228,19 +224,22 @@ func bindGenericLanes() {
 // not synchronized against running kernels — callers (the scenario golden
 // harness, kernel ablations) must switch only between runs.
 func SetLaneDispatch(vector bool) bool {
-	if vector && HasAVX512() {
+	if lanes.Set(vector) {
 		bindVectorLanes()
 	} else {
 		bindGenericLanes()
 	}
-	return laneDispatchVector
+	return lanes.Vector()
 }
+
+// HasAVX512 reports whether this host has the AVX-512 lane bodies.
+func HasAVX512() bool { return lanes.HasAVX512() }
 
 // LaneDispatch names the lane-primitive binding in effect ("avx512" or
 // "generic"). Results computed under different tags agree only to rounding,
 // so bitwise golden hashes must be compared per tag.
 func LaneDispatch() string {
-	if laneDispatchVector {
+	if lanes.Vector() {
 		return "avx512"
 	}
 	return "generic"

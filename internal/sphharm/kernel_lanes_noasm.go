@@ -5,9 +5,6 @@ package sphharm
 // Non-amd64 hosts run the pure-Go lane primitives (the package function
 // variables keep their generic bindings from kernel.go).
 
-// HasAVX512 reports whether the lane primitives run on the AVX-512 path.
-func HasAVX512() bool { return false }
-
 // bindVectorLanes is unreachable without a vector implementation;
-// SetLaneDispatch guards every call with HasAVX512.
+// SetLaneDispatch only calls it when lanes.Set accepted the vector bodies.
 func bindVectorLanes() {}

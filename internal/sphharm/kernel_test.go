@@ -420,7 +420,7 @@ func TestLadderMatchesRowsBitwise(t *testing.T) {
 	// register-resident (n < 32, every vector count and tail), with quads,
 	// and across AccumulateTile's chunking, folding twice into an accumulator
 	// that is not zero.
-	was := laneDispatchVector
+	was := LaneDispatch() == "avx512"
 	defer SetLaneDispatch(was)
 	for _, vector := range []bool{false, true} {
 		if SetLaneDispatch(vector) != vector {
