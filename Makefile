@@ -5,7 +5,7 @@ GO ?= go
 .PHONY: all build test test-race vet fmt-check bench bench-exp \
 	bench-baseline bench-check bench-scaling-baseline scaling-check \
 	test-generic golden cross-smoke examples-smoke scenario-smoke \
-	service-smoke chaos-smoke crash-smoke bench-vet bench-test fuzz-smoke ci clean
+	service-smoke chaos-smoke crash-smoke bench-vet bench-test fuzz-smoke loc ci clean
 
 all: build
 
@@ -166,12 +166,21 @@ bench-test:
 
 # Five seconds of native fuzzing per decoder that reads bytes it did not
 # just write (resultio, the binary catalog cursor, the journal segment
-# reader), seeded from the round-trip and rejection tests: never a panic,
-# and the block codecs keep agreeing with their per-record oracles.
+# reader, the shard checkpoint manifest), seeded from the round-trip and
+# rejection tests: never a panic, and the block codecs keep agreeing with
+# their per-record oracles.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzReadResult -fuzztime=5s ./internal/core
 	$(GO) test -run=^$$ -fuzz=FuzzBinaryCursor -fuzztime=5s ./internal/catalog
 	$(GO) test -run=^$$ -fuzz=FuzzReplaySegment -fuzztime=5s ./internal/journal
+	$(GO) test -run=^$$ -fuzz=FuzzManifest -fuzztime=5s ./internal/shard
+
+# The line budget as a command (ROADMAP item 6): non-test Go lines per
+# package outside bench/, and their total.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' -print0 | xargs -0 wc -l | \
+		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+			END { for (d in n) printf "%7d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d  total\n", t }'
 
 ci: fmt-check build vet test bench bench-vet bench-test fuzz-smoke
 

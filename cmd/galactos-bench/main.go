@@ -475,9 +475,10 @@ func expPrecision(s float64) error {
 func expSharded(s float64) error {
 	// The sharded pipeline trades a little wall-clock (halo copies are
 	// computed once per shard instead of shared) for a bounded engine
-	// footprint: only one shard's neighbor index and accumulators are live
-	// at a time, and partials round-trip through the on-disk checkpoint
-	// format. The multipoles must match single shot to rounding. Sharding
+	// footprint: only one shard's galaxies, neighbor index and accumulators
+	// are live at a time. The multipoles must match single shot to rounding
+	// — shards keep the source's box and coordinates, so every primary sees
+	// the pairs, bins and line of sight of the single-shot run. Sharding
 	// pays off when RMax is small against the box (local shards, thin
 	// halos) — the paper's regime (200 vs 3000 Mpc/h) — so this experiment
 	// uses a sparse box of 12x RMax rather than the Outer Rim density, and
@@ -486,11 +487,6 @@ func expSharded(s float64) error {
 	cfg := perfConfig(18)
 	cfg.LMax = 6
 	cfg.NBins = 10
-	// The double-precision finder isolates the sharding error: with kd32
-	// the image-shifted halo coordinates round differently in float32 than
-	// the wrapped originals, so a rare near-bin-edge pair can hop radial
-	// bins (the Sec. 5.4 precision sensitivity expPrecision measures).
-	cfg.Finder = core.FinderKD64
 	cat := catalog.Clustered(n, 12*cfg.RMax, catalog.DefaultClusterParams(), 33)
 	defer debug.SetGCPercent(debug.SetGCPercent(20)) // peaks ~ live set, not garbage
 
@@ -512,8 +508,7 @@ func expSharded(s float64) error {
 		return err
 	}
 	defer os.RemoveAll(dir)
-	// Both sharded modes run through the facade, exactly as
-	// `galactos -backend sharded` does.
+	// Through the facade, exactly as `galactos -backend sharded` does.
 	for _, nshards := range []int{4, 8} {
 		stop := sim.HeapSampler()
 		srun, err := galactos.Run(context.Background(), galactos.Request{
@@ -530,28 +525,9 @@ func expSharded(s float64) error {
 			srun.Result.MaxAbsDiff(single))
 	}
 
-	// The streaming-ingestion mode: the catalog is consumed from disk
-	// shard-by-shard, so not even the source needs to be resident (here it
-	// still is — the generator made it — but the pipeline never touches
-	// the in-memory copy).
-	path := filepath.Join(dir, "stream.glxc")
-	if err := catalog.SaveBinary(path, cat); err != nil {
-		return err
-	}
-	stop = sim.HeapSampler()
-	frun, err := galactos.Run(context.Background(), galactos.Request{
-		Path: path, Config: cfg, Label: "bench-sharded-stream",
-		Backend: galactos.BackendSpec{Name: "sharded", Shards: 8, Stream: true},
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("   8 slabs (stream)  %-10v  %6.1f MB   %.3e\n",
-		frun.Elapsed.Round(time.Millisecond), float64(stop())/(1<<20),
-		frun.Result.MaxAbsDiff(single))
-	fmt.Println("both peaks include the catalog (shared by the two paths); the sharded")
-	fmt.Println("excess over it stays near one shard's engine state as shards grow, and")
-	fmt.Println("the streaming mode drops the resident-catalog requirement entirely.")
+	fmt.Println("every peak includes the generated catalog, which this experiment keeps")
+	fmt.Println("resident; the sharded excess over it stays near one shard's engine state")
+	fmt.Println("as shards grow, and a run given a catalog path never holds the catalog.")
 	return nil
 }
 

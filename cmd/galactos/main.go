@@ -2,8 +2,8 @@
 // correlation function of a galaxy catalog: the production entry point of
 // the library, mirroring the pipeline of the paper's Algorithm 1. Every run
 // goes through the unified execution layer (-backend): the in-memory
-// engine or the bounded-memory sharded pipeline (optionally streaming the
-// catalog from disk shard-by-shard).
+// engine, or the bounded-memory sharded pipeline that streams the catalog
+// from disk one shard at a time.
 // SIGINT/SIGTERM cancel the run cleanly: completed shard checkpoints are
 // kept on disk so -resume can pick the run back up.
 //
@@ -11,7 +11,7 @@
 //
 //	galactos -in catalog.glxc -rmax 200 -nbins 20 -lmax 10 -out zeta
 //	galactos -in survey.csv -los radial -backend sharded -shards 4 -out zeta
-//	galactos -in huge.glxc -backend sharded -shards 16 -stream -checkpoint-dir ckpt -resume -out zeta
+//	galactos -in huge.glxc -backend sharded -shards 16 -checkpoint-dir ckpt -resume -out zeta
 //	galactos -scenario list
 //	galactos -scenario all -n 900 -seed 1 -backend sharded -shards 2
 //	galactos -chaos -n 500 -seed 1
@@ -70,14 +70,12 @@ func main() {
 		noSelf  = flag.Bool("no-selfcount", false, "skip self-pair correction (raw kernel mode)")
 		bucket  = flag.Int("bucket", 128, "pair bucket size")
 
-		backend = flag.String("backend", "", "execution backend: local | sharded (default: inferred from -shards/-checkpoint-dir/-stream)")
+		backend = flag.String("backend", "", "execution backend: local | sharded (default: inferred from -shards/-checkpoint-dir)")
 
 		perfJSON   = flag.String("perf-json", "", "write a machine-readable perfstat report (pairs/sec, FLOP rate, phase breakdown) to this path")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this path (read it with go tool pprof)")
 
-		shards    = flag.Int("shards", 1, "spatial shards (sharded backend)")
-		shardPar  = flag.Int("shard-concurrency", 1, "shards computed concurrently")
-		stream    = flag.Bool("stream", false, "stream the catalog from disk shard-by-shard (sharded backend; bounds peak memory)")
+		shards    = flag.Int("shards", 1, "spatial shards (sharded backend: the catalog streams from -in one shard at a time, never fully resident)")
 		ckptDir   = flag.String("checkpoint-dir", "", "directory for per-shard Result checkpoints (sharded backend)")
 		resume    = flag.Bool("resume", false, "reuse valid checkpoints found in -checkpoint-dir")
 		keepCkpts = flag.Bool("keep-checkpoints", false, "keep per-shard checkpoints after a successful merge")
@@ -156,30 +154,25 @@ func main() {
 	}
 
 	// Backend selection: explicit -backend wins; otherwise the sharded
-	// flags imply it (-shards/-checkpoint-dir/-stream -> sharded). A
+	// flags imply it (-shards/-checkpoint-dir -> sharded). A
 	// contradiction is an error, never a silent drop: a user who asked for
 	// shards must not get a fully-resident local run.
 	name := *backend
 	if name == "" {
 		name = "local"
-		if *shards > 1 || *ckptDir != "" || *stream {
+		if *shards > 1 || *ckptDir != "" {
 			name = "sharded"
 		}
 	}
-	if name != "sharded" && (*shards > 1 || *resume || *keepCkpts || *stream || *shardPar != 1 || *ckptDir != "") {
-		fatalf("-shards, -resume, -keep-checkpoints, -stream, -checkpoint-dir and -shard-concurrency require the sharded backend (got -backend %s)", name)
-	}
-	if *stream && *shardPar != 1 {
-		fatalf("-shard-concurrency has no effect with -stream (the streaming pipeline is the minimum-memory path and computes slabs sequentially)")
+	if name != "sharded" && (*shards > 1 || *resume || *keepCkpts || *ckptDir != "") {
+		fatalf("-shards, -resume, -keep-checkpoints and -checkpoint-dir require the sharded backend (got -backend %s)", name)
 	}
 	spec := galactos.BackendSpec{
-		Name:             name,
-		Shards:           *shards,
-		ShardConcurrency: *shardPar,
-		CheckpointDir:    *ckptDir,
-		Resume:           *resume,
-		Keep:             *keepCkpts,
-		Stream:           *stream,
+		Name:          name,
+		Shards:        *shards,
+		CheckpointDir: *ckptDir,
+		Resume:        *resume,
+		Keep:          *keepCkpts,
 	}
 	b, err := spec.Backend()
 	if err != nil {
@@ -192,15 +185,12 @@ func main() {
 	defer cancel()
 
 	if *scen != "" {
-		if *stream {
-			fatalf("-stream has no effect in scenario mode (scenario catalogs are generated in memory)")
-		}
 		runScenarios(ctx, b, *scen, *scenN, *scenSeed, *scenSummary)
 		return
 	}
 
-	// The streaming sharded backend never materializes the catalog; every
-	// other path loads it up front. Execution goes through the facade's one
+	// The sharded backend never materializes the catalog; the local one
+	// loads it up front. Execution goes through the facade's one
 	// canonical entrypoint: the Request below, serialized, is also a valid
 	// galactosd job.
 	req := galactos.Request{
@@ -211,7 +201,7 @@ func main() {
 			fmt.Printf("  "+format+"\n", args...)
 		},
 	}
-	if *stream && name == "sharded" {
+	if name == "sharded" {
 		fmt.Printf("streaming %s (catalog never fully resident)\n", *in)
 		req.Path = *in
 	} else {

@@ -14,11 +14,11 @@
 //	})
 //	// run.Result.IsoZeta(l, b1, b2), run.Result.ZetaM(l1, l2, m, b1, b2)
 //
-// The Request's Backend spec scales the same job out-of-core (sharded: k-d
-// partitioning, halo copies, ordered reduction, with checkpoints and
-// streaming ingestion); serialized to JSON, the identical Request is the
-// wire schema of the galactosd job service (see cmd/galactosd and the client
-// package).
+// The Request's Backend spec scales the same job out-of-core (sharded: the
+// catalog streamed into slabs with halo copies, computed one at a time and
+// reduced in order, with checkpoints); serialized to JSON, the identical
+// Request is the wire schema of the galactosd job service (see
+// cmd/galactosd and the client package).
 //
 // The package also exposes the 2-point correlation function, brute-force
 // verification oracles, jackknife covariance estimation, and synthetic
@@ -40,7 +40,6 @@ import (
 	"galactos/internal/gridded"
 	"galactos/internal/perfstat"
 	"galactos/internal/scenario"
-	"galactos/internal/shard"
 	"galactos/internal/stats"
 	"galactos/internal/twopcf"
 )
@@ -145,31 +144,11 @@ func NewFileSource(path string) CatalogSource { return catalog.NewFileSource(pat
 // LocalBackend runs the single-node in-memory engine.
 func LocalBackend() Backend { return exec.Local{} }
 
-// ShardedBackend runs the bounded-memory out-of-core pipeline. A Log in
-// opts becomes the run's progress logger.
-func ShardedBackend(nshards int, opts ShardOptions) Backend {
-	b := Backend(exec.Sharded{
-		NShards:       nshards,
-		MaxConcurrent: opts.MaxConcurrent,
-		CheckpointDir: opts.CheckpointDir,
-		Resume:        opts.Resume,
-		Keep:          opts.Keep,
-	})
-	if opts.Log != nil {
-		b = exec.WithLog(b, opts.Log)
-	}
-	return b
-}
-
 // ComputeSubset computes with an explicit primary mask (halo copies or
 // sub-sample analyses).
 func ComputeSubset(cat *Catalog, primary []bool, cfg Config) (*Result, error) {
 	return core.ComputeSubset(cat, primary, cfg)
 }
-
-// ShardOptions configures the sharded out-of-core pipeline: shard count,
-// concurrency bound, checkpoint directory, and resume-from-checkpoint.
-type ShardOptions = shard.Options
 
 // SaveResult writes a Result checkpoint in the versioned binary format
 // (atomic: written to a temporary file and renamed into place).

@@ -122,7 +122,7 @@ func Suite(n int, seed int64, scratch string) ([]Case, error) {
 	streamPass := 0
 	streamRun := func(ctx context.Context) (string, error) {
 		streamPass++
-		b := exec.Sharded{NShards: 3, Stream: true,
+		b := exec.Sharded{NShards: 3,
 			CheckpointDir: filepath.Join(streamDir, fmt.Sprintf("ckpt-%d", streamPass))}
 		run, err := exec.Run(ctx, b, &exec.Job{
 			Source: catalog.NewFileSource(streamPath),

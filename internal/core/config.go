@@ -133,10 +133,7 @@ type Config struct {
 	// cache-resident (the paper's bucket size, 128). Results are invariant
 	// to it up to floating-point regrouping.
 	BucketSize int
-	// Workers is the run's total worker budget; <= 0 means GOMAXPROCS.
-	// Backends that run several engine instances concurrently (concurrent
-	// shards) split this budget across them via
-	// DivideWorkers, so the budget describes the whole run, not one engine.
+	// Workers is the engine's worker count; <= 0 means GOMAXPROCS.
 	Workers int
 	// Finder selects the neighbor-search substrate.
 	Finder FinderKind
@@ -233,27 +230,4 @@ func (c Config) EffectiveWorkers(n int) int {
 		w = 1
 	}
 	return w
-}
-
-// DivideWorkers returns a copy of the config with the total worker budget
-// split across `slots` concurrent engine instances (never below 1 per slot),
-// so running several engines at once does not oversubscribe the host. An
-// unset budget (<= 0) divides GOMAXPROCS, exactly as Normalize would resolve
-// it — the division commutes with normalization, which is what lets the
-// execution layer normalize a job's config exactly once at entry and still
-// hand every backend the same per-engine budget it would have derived from
-// the raw config.
-func (c Config) DivideWorkers(slots int) Config {
-	if slots <= 1 {
-		return c
-	}
-	w := c.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	c.Workers = w / slots
-	if c.Workers < 1 {
-		c.Workers = 1
-	}
-	return c
 }

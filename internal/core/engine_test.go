@@ -400,31 +400,6 @@ func TestNormalizeFillsWorkerDefault(t *testing.T) {
 	if norm.Workers < 1 {
 		t.Fatalf("Normalize left Workers at %d", norm.Workers)
 	}
-	// DivideWorkers divides the normalized budget across slots, floors at
-	// one worker per slot, and is the identity for slots <= 1. Explicit
-	// worker counts keep the verdict independent of GOMAXPROCS.
-	for _, tc := range []struct{ workers, slots, want int }{
-		{8, 2, 4},
-		{8, 3, 2},
-		{2, 2, 1},
-		{2, 5, 1},
-		{1, 1 << 20, 1},
-		{7, 1, 7},
-		{7, 0, 7},
-	} {
-		cfg := smallConfig()
-		cfg.Workers = tc.workers
-		if got := cfg.DivideWorkers(tc.slots).Workers; got != tc.want {
-			t.Errorf("DivideWorkers(%d) of %d workers = %d, want %d", tc.slots, tc.workers, got, tc.want)
-		}
-	}
-	// Division commutes with normalization: the unset budget divides to
-	// what the normalized one does.
-	for _, slots := range []int{2, 3, 1 << 20} {
-		if a, b := unset.DivideWorkers(slots).Workers, norm.DivideWorkers(slots).Workers; a != b {
-			t.Errorf("slots=%d: unset budget divides to %d, normalized to %d", slots, a, b)
-		}
-	}
 }
 
 func TestComputeContextCancelled(t *testing.T) {

@@ -1,14 +1,13 @@
 // Package exec is the unified execution layer: one backend-agnostic way to
 // run a 3PCF job through either compute path — the in-memory engine (Local)
-// or the bounded-memory out-of-core pipeline (Sharded, with an optional
-// streaming-ingestion mode). A job is a catalog source plus a core.Config; a
-// Backend turns it into a core.Result and uniform per-unit statistics. Run
-// wraps any backend with the shared wall-clock timing and perfstat
-// collection, so every path feeds the same phase breakdown and pairs/sec
-// report, and every path honors context cancellation with the same
-// semantics: prompt return with ctx.Err(), no leaked goroutines, and (for
-// checkpointed sharded runs) a resumable checkpoint directory. See
-// DESIGN.md, "Execution layer".
+// or the bounded-memory out-of-core slab pipeline (Sharded). A job is a
+// catalog source plus a core.Config; a Backend turns it into a core.Result
+// and uniform per-unit statistics. Run wraps any backend with the shared
+// wall-clock timing and perfstat collection, so every path feeds the same
+// phase breakdown and pairs/sec report, and every path honors context
+// cancellation with the same semantics: prompt return with ctx.Err(), no
+// leaked goroutines, and (for checkpointed sharded runs) a resumable
+// checkpoint directory. See DESIGN.md, "Execution layer".
 package exec
 
 import (
@@ -26,9 +25,8 @@ import (
 // Job is the shared job descriptor: what to compute, over which catalog,
 // with which run options.
 type Job struct {
-	// Source supplies the catalog. Backends that need it resident
-	// materialize it; the sharded backend consumes non-memory sources
-	// shard-by-shard through the streaming pipeline.
+	// Source supplies the catalog. The local backend materializes it; the
+	// sharded backend streams it, whatever kind of source it is.
 	Source catalog.Source
 	// Config is the engine configuration (normalized by the backend).
 	Config core.Config
@@ -78,10 +76,7 @@ type RunResult struct {
 //
 // Run normalizes the job's config exactly once, here at entry, and hands
 // every backend the normalized form; an invalid config is rejected before
-// any catalog IO. Backends that run several engines concurrently divide the
-// normalized total worker budget across their engine slots
-// (core.Config.DivideWorkers), and that division commutes with
-// normalization — so a job submitted with defaulted tunables and the same
+// any catalog IO — so a job submitted with defaulted tunables and the same
 // job with the normalized config spelled out produce bitwise-identical
 // results on every backend.
 func Run(ctx context.Context, b Backend, job *Job) (*RunResult, error) {
@@ -185,22 +180,16 @@ func (Local) Run(ctx context.Context, job *Job) (*core.Result, []UnitStats, erro
 	}}, nil
 }
 
-// Sharded runs the bounded-memory out-of-core pipeline: the k-d shard
-// pipeline for in-memory sources, the streaming slab pipeline for
-// everything else (or always, when Stream is set).
+// Sharded runs the bounded-memory out-of-core pipeline (shard.Compute): the
+// source is streamed into equal-count slabs computed one at a time.
 type Sharded struct {
-	// NShards is the number of spatial shards (>= 1).
+	// NShards is the number of slabs (>= 1).
 	NShards int
-	// MaxConcurrent bounds concurrent shards (in-memory pipeline only).
-	MaxConcurrent int
 	// CheckpointDir/Resume/Keep are the checkpoint options of
 	// shard.Options.
 	CheckpointDir string
 	Resume        bool
 	Keep          bool
-	// Stream forces the streaming slab pipeline even for in-memory
-	// sources (non-memory sources always stream).
-	Stream bool
 }
 
 // Name implements Backend.
@@ -208,24 +197,13 @@ func (Sharded) Name() string { return "sharded" }
 
 // Run implements Backend.
 func (b Sharded) Run(ctx context.Context, job *Job) (*core.Result, []UnitStats, error) {
-	opts := shard.Options{
+	res, stats, err := shard.Compute(ctx, job.Source, job.Config, shard.Options{
 		NShards:       b.NShards,
-		MaxConcurrent: b.MaxConcurrent,
 		CheckpointDir: b.CheckpointDir,
 		Resume:        b.Resume,
 		Keep:          b.Keep,
 		Log:           job.Log,
-	}
-	var (
-		res   *core.Result
-		stats []shard.Stats
-		err   error
-	)
-	if mem, ok := job.Source.(*catalog.MemorySource); ok && !b.Stream {
-		res, stats, err = shard.ComputeContext(ctx, mem.Cat, job.Config, opts)
-	} else {
-		res, stats, err = shard.ComputeStream(ctx, job.Source, job.Config, opts)
-	}
+	})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -248,14 +226,29 @@ func (b Sharded) Run(ctx context.Context, job *Job) (*core.Result, []UnitStats, 
 type Spec struct {
 	// Name is "local" or "sharded".
 	Name string
-	// Shards / ShardConcurrency / CheckpointDir / Resume / Keep / Stream
-	// parameterize the sharded backend.
-	Shards           int
+	// Shards / CheckpointDir / Resume / Keep parameterize the sharded
+	// backend.
+	Shards int
+	// Deprecated: every sharded run computes one slab at a time. See Stream.
 	ShardConcurrency int
 	CheckpointDir    string
 	Resume           bool
 	Keep             bool
-	Stream           bool
+	// Deprecated: every sharded run streams its source, so Stream and
+	// ShardConcurrency select nothing. They still decode (journaled and wire
+	// requests carry them) and are ignored, with one progress line saying so
+	// (DeprecationNote); the next version makes setting them an error, the
+	// way the dist backend was retired.
+	Stream bool
+}
+
+// DeprecationNote returns the progress line a run logs when the spec sets a
+// deprecated field, or "" when it sets none.
+func (s Spec) DeprecationNote() string {
+	if !s.Stream && s.ShardConcurrency <= 1 {
+		return ""
+	}
+	return "backend spec: Stream and ShardConcurrency are deprecated and ignored (every sharded run streams its catalog one slab at a time); a later version rejects them"
 }
 
 // Backend resolves the spec. A spec that parameterizes a backend it does
@@ -276,11 +269,9 @@ func (s Spec) Backend() (Backend, error) {
 		}
 		return Sharded{
 			NShards:       nshards,
-			MaxConcurrent: s.ShardConcurrency,
 			CheckpointDir: s.CheckpointDir,
 			Resume:        s.Resume,
 			Keep:          s.Keep,
-			Stream:        s.Stream,
 		}, nil
 	default:
 		return nil, fmt.Errorf("exec: unknown backend %q (want local or sharded)", s.Name)

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"math"
 	"os"
@@ -28,9 +29,7 @@ func testConfig() core.Config {
 	return cfg
 }
 
-// openCatalog is a fixed seeded open-boundary catalog: with no periodic
-// wrap, the degenerate single-unit decompositions preserve galaxy order
-// exactly, which is what makes the cross-backend comparison bitwise.
+// openCatalog is a fixed seeded open-boundary (survey-like) catalog.
 func openCatalog(t *testing.T, n int) *catalog.Catalog {
 	t.Helper()
 	cat := catalog.Clustered(n, 220, catalog.DefaultClusterParams(), 137)
@@ -76,23 +75,34 @@ func assertBitwise(t *testing.T, name string, a, b *core.Result) {
 //  2. Multi-shard decompositions (incl. the non-power-of-two k = 3) differ
 //     from Local only by floating-point summation order; that distance is
 //     asserted tiny relative to the signal.
+//
+// The periodic rows are the ones a decomposition can get wrong: a halo copy
+// moved to its periodic image keeps every separation but not the lines of
+// sight built from absolute positions (midpoint: 1.7 % off when halo copies
+// were image-shifted). Slabs keep the source's box and coordinates.
 func TestBackendEquivalenceGolden(t *testing.T) {
+	offBox := geom.Vec3{X: -250, Y: -300, Z: -350}
 	cases := []struct {
-		name   string
-		mutate func(*core.Config)
+		name     string
+		periodic bool
+		mutate   func(*core.Config)
 	}{
-		{"default", func(*core.Config) {}},
-		{"isotropic-only", func(c *core.Config) { c.IsotropicOnly = true }},
-		{"los-radial", func(c *core.Config) {
-			c.LOS = core.LOSRadial
-			c.Observer = geom.Vec3{X: -250, Y: -300, Z: -350}
-		}},
+		{"default", false, func(*core.Config) {}},
+		{"isotropic-only", false, func(c *core.Config) { c.IsotropicOnly = true }},
+		{"los-radial", false, func(c *core.Config) { c.LOS, c.Observer = core.LOSRadial, offBox }},
+		{"periodic-los-midpoint", true, func(c *core.Config) { c.LOS, c.Observer = core.LOSMidpoint, offBox }},
+		{"periodic-los-radial", true, func(c *core.Config) { c.LOS, c.Observer = core.LOSRadial, offBox }},
 	}
-	cat := openCatalog(t, 600)
+	open := openCatalog(t, 600)
+	periodic := catalog.Clustered(800, 240, catalog.DefaultClusterParams(), 137)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := testConfig()
 			tc.mutate(&cfg)
+			cat := open
+			if tc.periodic {
+				cat = periodic
+			}
 
 			local := runBackend(t, Local{}, cat, cfg)
 			sharded1 := runBackend(t, Sharded{NShards: 1}, cat, cfg)
@@ -120,7 +130,7 @@ func TestStreamingShardedMatchesLocal(t *testing.T) {
 		t.Fatal(err)
 	}
 	local := runBackend(t, Local{}, cat, cfg)
-	res, units, err := Sharded{NShards: 3, Stream: true}.Run(context.Background(),
+	res, units, err := Sharded{NShards: 3}.Run(context.Background(),
 		&Job{Source: catalog.NewFileSource(path), Config: cfg})
 	if err != nil {
 		t.Fatal(err)
@@ -271,6 +281,30 @@ func TestSpecBackendSelection(t *testing.T) {
 	_, err := (Spec{Name: "dist"}).Backend()
 	if err == nil || !strings.Contains(err.Error(), "local") || !strings.Contains(err.Error(), "sharded") {
 		t.Fatalf("removed backend: want an error naming local and sharded, got %v", err)
+	}
+	// The deprecated Stream / ShardConcurrency fields still decode, select
+	// nothing — the resolved backend is the one the spec without them
+	// resolves to, so it runs to the same bits — and are reported.
+	var old, plain Spec
+	for text, spec := range map[string]*Spec{
+		`{"Name":"sharded","Shards":2,"ShardConcurrency":2,"Stream":true}`: &old,
+		`{"Name":"sharded","Shards":2}`:                                    &plain,
+	} {
+		if err := json.Unmarshal([]byte(text), spec); err != nil {
+			t.Fatalf("%s: %v", text, err)
+		}
+	}
+	bo, err := old.Backend()
+	if err != nil {
+		t.Fatalf("spec with deprecated fields rejected: %v", err)
+	}
+	if bp, _ := plain.Backend(); bo != bp {
+		t.Fatalf("deprecated fields changed the backend: %+v vs %+v", bo, bp)
+	}
+	cat, cfg := openCatalog(t, 300), testConfig()
+	assertBitwise(t, "spec with vs without deprecated fields", runBackend(t, bo, cat, cfg), runBackend(t, Sharded{NShards: 2}, cat, cfg))
+	if old.DeprecationNote() == "" || plain.DeprecationNote() != "" || (Spec{Name: "sharded", ShardConcurrency: 1}).DeprecationNote() != "" {
+		t.Fatal("DeprecationNote must fire for Stream or ShardConcurrency > 1, and only then")
 	}
 	// Contradictions are errors, never silent drops.
 	for _, spec := range []Spec{

@@ -260,11 +260,11 @@ func isoMidpoint() *Scenario {
 		MinN:       300,
 		Run: func(ctx context.Context, b exec.Backend, n int, seed int64) (*Outcome, error) {
 			n = clampN(n, 300)
-			// Open boundaries: the midpoint frame depends on both galaxies'
-			// absolute positions, so the periodic image shifts the sharded
-			// backend applies to halo copies would move the LOS. A
-			// survey-like open volume (midpoint's natural geometry) keeps
-			// every backend on the same coordinates.
+			// Open boundaries: a survey-like volume is the midpoint
+			// frame's natural geometry (it is built from both galaxies'
+			// absolute positions). Every backend computes on the source's
+			// own coordinates, so a periodic box would agree across
+			// backends too — exec's TestBackendEquivalenceGolden pins that.
 			boxed := catalog.Clustered(n, 240, catalog.DefaultClusterParams(), seed)
 			cat := &catalog.Catalog{Galaxies: boxed.Galaxies}
 			o, _, err := runOne(ctx, b, name, cat, cfg, n, seed)

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"galactos"
 	"galactos/client"
 	"galactos/internal/catalog"
 	"galactos/internal/journal"
@@ -154,7 +155,9 @@ func TestRestartRestoresTerminalJobsAndCache(t *testing.T) {
 // process leaves — a submit record and a start record, no end — and
 // requires the next boot to re-enqueue the job under its original id, run
 // it, and keep the id counter past every journaled id. A sibling record
-// naming the retired dist backend must come back failed, not crash the boot.
+// naming the retired dist backend must come back failed, not crash the boot;
+// one carrying the deprecated Stream / ShardConcurrency fields must run as
+// the request without them does, with one line saying they were ignored.
 func TestJournalReplayRequeuesInterruptedJob(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
@@ -193,19 +196,27 @@ func TestJournalReplayRequeuesInterruptedJob(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	const id, distID = "job-000003", "job-000002"
+	// A third was journaled by the build before this one, which still read
+	// Stream and ShardConcurrency. It gets its own cache key so it runs.
+	wire["backend"] = map[string]any{"Name": "sharded", "Shards": 2, "ShardConcurrency": 2, "Stream": true}
+	oldJSON, err := json.Marshal(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const id, distID, oldID = "job-000003", "job-000002", "job-000001"
 	must := func(err error) {
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, sub := range []struct {
-		id      string
+		id, key string
 		request []byte
-	}{{distID, distJSON}, {id, reqJSON}} {
+	}{{oldID, "old+" + fp, oldJSON}, {distID, catHash + "+" + fp, distJSON}, {id, catHash + "+" + fp, reqJSON}} {
 		must(jnl.Append(journal.Record{
 			Type: journal.RecordSubmit, ID: sub.id, Time: time.Now().UTC(),
-			Key: catHash + "+" + fp, CatHash: catHash, Fingerprint: fp,
+			Key: sub.key, CatHash: catHash, Fingerprint: fp,
 			Label: req.Label, Request: sub.request,
 		}))
 		must(jnl.Append(journal.Record{Type: journal.RecordStart, ID: sub.id, Time: time.Now().UTC()}))
@@ -213,8 +224,36 @@ func TestJournalReplayRequeuesInterruptedJob(t *testing.T) {
 	must(jnl.Close())
 
 	svc, cl, _ := startRestartable(t, service.Options{Workers: 1, StateDir: dir})
-	if got := svc.Stats().RequeuedJobs; got != 1 {
-		t.Fatalf("RequeuedJobs = %d, want 1", got)
+	if got := svc.Stats().RequeuedJobs; got != 2 {
+		t.Fatalf("RequeuedJobs = %d, want 2", got)
+	}
+
+	// The deprecated fields select nothing: the job runs to the bits of the
+	// same request without them, and says once that it ignored them.
+	var oldLog []string
+	ost, err := cl.Watch(ctx, oldID, func(ev client.Event) { oldLog = append(oldLog, ev.Message) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ost.State != service.StateDone {
+		t.Fatalf("job with deprecated backend fields ended %s (%s), want done", ost.State, ost.Error)
+	}
+	if n := strings.Count(strings.Join(oldLog, "\n"), "deprecated and ignored"); n != 1 {
+		t.Errorf("%d deprecation lines in the job's event log, want 1:\n%s", n, strings.Join(oldLog, "\n"))
+	}
+	got, err := cl.Result(ctx, oldID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain := req
+	plain.Backend = galactos.BackendSpec{Name: "sharded", Shards: 2}
+	want, err := galactos.Run(ctx, plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Pairs != want.Result.Pairs || got.MaxAbsDiff(want.Result) != 0 {
+		t.Errorf("deprecated fields changed the answer: pairs %d vs %d, max |diff| %v",
+			got.Pairs, want.Result.Pairs, got.MaxAbsDiff(want.Result))
 	}
 
 	// The removed-backend job is restored failed — the error, naming the

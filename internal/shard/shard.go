@@ -1,17 +1,23 @@
 // Package shard implements the out-of-core sharded 3PCF pipeline: the
 // single-machine analogue of the paper's Sec. 3.2/3.3 scale-out strategy
-// (partition spatially, pad with halo copies, compute each piece
-// independently, reduce the partial multipoles). Where the paper gives every
-// piece its own MPI rank — all rank-local state resident at once — shard
-// cuts the catalog into spatially-local pieces with the k-d partitioner of
-// package partition and computes them a bounded number at a time, so the
-// peak engine footprint (neighbor index, per-worker accumulators, pair
-// buckets) is that of one shard, not the whole catalog. Each shard's partial
-// core.Result can be checkpointed to disk in the versioned binary format of
-// core.WriteResult and a killed run resumed: shards with a valid checkpoint
-// are loaded instead of recomputed, and the deterministic split plus fixed
-// merge order make the resumed result identical to an uninterrupted one. See
-// DESIGN.md, "shard".
+// (partition spatially, pad with halo copies within RMax, compute each piece
+// alone, reduce the partial multipoles). Where the paper gives every piece
+// its own MPI rank — all rank-local state resident at once — Compute streams
+// a catalog.Source through three sequential passes (count / bounds / weight,
+// an equal-count histogram along the widest axis that fixes the slab cuts,
+// a spill pass that scatters every galaxy into per-slab record files: owned,
+// plus halo membership for every slab within RMax along the cut axis,
+// periodic wrap included) and then computes one slab at a time, so peak
+// memory is one slab's galaxies plus halo plus one engine, whatever the
+// catalog's size and wherever it lives — a memory source takes the same
+// path. Slab catalogs keep the source's periodic box and unshifted
+// coordinates, so the engine's own image handling covers the wrap and every
+// primary sees exactly the neighbour set (and line of sight) of a
+// single-shot run. Each slab's partial core.Result can be checkpointed in
+// the binary format of core.WriteResult and a killed run resumed: slabs with
+// a valid checkpoint are loaded instead of recomputed, and the deterministic
+// plan plus fixed merge order make the resumed result identical to an
+// uninterrupted one. See DESIGN.md, "shard".
 package shard
 
 import (
@@ -20,30 +26,27 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 	"time"
 
 	"galactos/internal/catalog"
 	"galactos/internal/core"
 	"galactos/internal/faultpoint"
 	"galactos/internal/hist"
-	"galactos/internal/partition"
 	"galactos/internal/retry"
 )
 
-// Faultpoints of the checkpoint/spill IO paths. Loads degrade (an unusable
-// checkpoint means recompute, and after retry an unreadable merge partial is
-// the one hard failure); saves and spills retry under the default policy —
-// SaveResult writes to a temp file and renames, and spill files are
-// truncated on re-create, so every attempt starts clean.
+// Faultpoints of the checkpoint IO paths. Loads degrade (an unusable
+// checkpoint means recompute); saves retry under the default policy —
+// SaveResult writes to a temp file and renames, so every attempt starts
+// clean.
 var (
 	fpCkptSave = faultpoint.New("shard.checkpoint.save")
 	fpCkptLoad = faultpoint.New("shard.checkpoint.load")
 )
 
-// saveCheckpoint persists one shard's partial with bounded retries: the
+// saveCheckpoint persists one slab's partial with bounded retries: the
 // atomic temp-file-plus-rename write makes each attempt all-or-nothing.
-// Cancellation is deliberately detached: a shard whose compute finished as
+// Cancellation is deliberately detached: a slab whose compute finished as
 // the run was cancelled must still land its checkpoint — that is what makes
 // a cancelled run resumable — and the retry schedule is bounded, so the
 // detachment cannot stall shutdown meaningfully.
@@ -57,69 +60,44 @@ func saveCheckpoint(ctx context.Context, path string, res *core.Result) error {
 	})
 }
 
-// loadPartial reads one shard's checkpointed partial for the merge, with
-// bounded retries: at merge time the partial is the only copy of the shard's
-// work, so a transient read failure must not discard the run.
-func loadPartial(ctx context.Context, path string) (*core.Result, error) {
-	var res *core.Result
-	err := retry.Policy{}.Do(ctx, "checkpoint load", func() error {
-		if err := fpCkptLoad.Inject(); err != nil {
-			return err
-		}
-		got, err := core.LoadResult(path)
-		if err != nil {
-			return err
-		}
-		res = got
-		return nil
-	})
-	return res, err
-}
-
 // Options configures a sharded computation beyond the engine Config.
 type Options struct {
-	// NShards is the number of spatial shards (>= 1).
+	// NShards is the number of slabs (>= 1).
 	NShards int
-	// MaxConcurrent bounds how many shards compute at once; <= 0 means 1
-	// (fully sequential, minimum memory). When > 1 and Config.Workers is
-	// unset, the engine workers are divided among concurrent shards so the
-	// host is not oversubscribed.
-	MaxConcurrent int
 	// CheckpointDir, when non-empty, is created if needed and receives one
-	// binary partial-Result file per shard plus a manifest.json recording
-	// the run's identity. Completed partials are released from memory and
-	// streamed back at merge time, so peak memory holds one shard's engine
-	// state plus two Results.
+	// binary partial-Result file per slab, a manifest.json recording the
+	// run's identity, and the spill scratch (the disk the operator chose for
+	// this run's state; without it the spill goes to a fresh temp dir).
 	CheckpointDir string
-	// Resume reuses valid checkpoints found in CheckpointDir: shards whose
+	// Resume reuses valid checkpoints found in CheckpointDir: slabs whose
 	// file loads cleanly and matches the manifest are not recomputed.
 	// Requires CheckpointDir.
 	Resume bool
-	// Keep retains the per-shard checkpoint files after a successful merge
+	// Keep retains the per-slab checkpoint files after a successful merge
 	// (by default they are removed once the merged result exists).
 	Keep bool
-	// Log, when non-nil, receives one progress line per shard event.
+	// Log, when non-nil, receives one progress line per slab event.
 	Log func(format string, args ...any)
 }
 
-// Stats reports one shard's share of the work, used for the load-balance
+// Stats reports one slab's share of the work, used for the load-balance
 // analysis of Sec. 5.2/5.3 (the paper observed ~25% imbalance in weak
 // scaling and up to 60% pair-count variation in strong scaling).
 type Stats struct {
-	// Shard is the shard index in split order.
+	// Shard is the slab index in cut order.
 	Shard int
-	// NOwned and NHalo count the shard's primaries and halo copies.
+	// NOwned and NHalo count the slab's primaries and halo copies.
 	NOwned, NHalo int
-	// Pairs is the shard's kernel pair count.
+	// Pairs is the slab's kernel pair count.
 	Pairs uint64
-	// Elapsed is the shard's compute wall-clock (0 when resumed).
+	// Elapsed is the slab's compute wall-clock (0 when resumed).
 	Elapsed time.Duration
-	// Resumed marks shards restored from a checkpoint instead of computed.
+	// Resumed marks slabs restored from a checkpoint instead of computed.
 	Resumed bool
 }
 
-// manifest pins a checkpoint directory to one (catalog, config, shard
-// count) so a resume cannot silently merge partials from a different run.
+// manifest pins a checkpoint directory to one (catalog, config, slab count)
+// so a resume cannot silently merge partials from a different run.
 type manifest struct {
 	Version       int     `json:"version"`
 	NShards       int     `json:"nshards"`
@@ -136,20 +114,23 @@ type manifest struct {
 	ObserverZ     float64 `json:"observer_z"`
 	SelfCount     bool    `json:"self_count"`
 	IsotropicOnly bool    `json:"isotropic_only"`
-	// Stream marks a streaming-slab run: its shard decomposition differs
-	// from the k-d split, so the two modes' checkpoints never mix.
-	Stream bool `json:"stream"`
 }
 
-const manifestVersion = 1
+// manifestVersion 2 is the slab decomposition as the only one. Version 1
+// also described k-d shards (told apart by a "stream" field that no longer
+// decodes), whose partials can share LMax, bins and even owned counts with a
+// slab's: a version-1 directory is refused under Resume, never merged.
+// Migration: rerun without -resume (the directory is overwritten), or
+// delete it — version-1 checkpoints cannot be converted.
+const manifestVersion = 2
 
-func newManifest(ngalaxies int, boxL, sumWeight float64, cfg core.Config, nshards int) manifest {
+func newManifest(sc *sourceScan, cfg core.Config, nshards int) manifest {
 	return manifest{
 		Version:       manifestVersion,
 		NShards:       nshards,
-		NGalaxies:     ngalaxies,
-		BoxL:          boxL,
-		SumWeight:     sumWeight,
+		NGalaxies:     sc.n,
+		BoxL:          sc.box.L,
+		SumWeight:     sc.sumW,
 		RMax:          cfg.RMax,
 		RMin:          cfg.RMin,
 		NBins:         cfg.NBins,
@@ -163,40 +144,25 @@ func newManifest(ngalaxies int, boxL, sumWeight float64, cfg core.Config, nshard
 	}
 }
 
-// ShardedCompute runs the sharded pipeline with default options: nshards
-// sequential shards, no checkpointing. It is the drop-in bounded-memory
-// alternative to core.Compute; the merged multipoles agree with the
-// single-shot result to floating-point rounding.
-func ShardedCompute(cat *catalog.Catalog, nshards int, cfg core.Config) (*core.Result, []Stats, error) {
-	return Compute(cat, cfg, Options{NShards: nshards})
-}
-
-// Compute runs the full sharded pipeline: k-d split, per-shard halo
-// materialization and node-local 3PCF under the concurrency bound, optional
-// checkpointing, and the deterministic in-order merge. Stats are returned
-// in shard order.
-func Compute(cat *catalog.Catalog, cfg core.Config, opts Options) (*core.Result, []Stats, error) {
-	return ComputeContext(context.Background(), cat, cfg, opts)
-}
-
-// ComputeContext is Compute under a context. Cancelling ctx stops the
-// pipeline promptly: no new shard starts, in-flight shards abandon their
-// engines at the next scheduling chunk, and ctx.Err() is returned.
-// Checkpoints of shards that completed before the cancellation stay on
-// disk (along with the manifest), so a cancelled checkpointed run is
-// resumable exactly like a killed one.
-func ComputeContext(ctx context.Context, cat *catalog.Catalog, cfg core.Config, opts Options) (*core.Result, []Stats, error) {
-	if cat == nil {
-		return nil, nil, fmt.Errorf("shard: nil catalog")
+// Compute runs the sharded pipeline over a catalog source: scan, plan,
+// spill, then one slab at a time through the node-local engine, optional
+// checkpointing, and the deterministic in-order merge. The merged
+// multipoles agree with a single-shot run to floating-point rounding
+// (identical pair sets, different accumulation order); stats are returned
+// in slab order. Cancelling ctx stops the pipeline promptly with ctx.Err():
+// no new slab starts and the running engine abandons its work at the next
+// scheduling chunk. Checkpoints of slabs that completed before the
+// cancellation stay on disk (along with the manifest), so a cancelled
+// checkpointed run is resumable exactly like a killed one.
+func Compute(ctx context.Context, src catalog.Source, cfg core.Config, opts Options) (*core.Result, []Stats, error) {
+	if src == nil {
+		return nil, nil, fmt.Errorf("shard: nil catalog source")
 	}
 	if opts.NShards <= 0 {
 		return nil, nil, fmt.Errorf("shard: NShards %d must be positive", opts.NShards)
 	}
 	if opts.Resume && opts.CheckpointDir == "" {
 		return nil, nil, fmt.Errorf("shard: Resume requires CheckpointDir")
-	}
-	if cat.Box.L > 0 && cfg.RMax >= cat.Box.L/2 {
-		return nil, nil, fmt.Errorf("shard: RMax %v must be below half the periodic box %v", cfg.RMax, cat.Box.L)
 	}
 	bins, err := hist.NewBinning(cfg.RMin, cfg.RMax, cfg.NBins)
 	if err != nil {
@@ -206,106 +172,239 @@ func ComputeContext(ctx context.Context, cat *catalog.Catalog, cfg core.Config, 
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	concurrent := opts.MaxConcurrent
-	if concurrent <= 0 {
-		concurrent = 1
-	}
-	if concurrent > opts.NShards {
-		concurrent = opts.NShards
-	}
-	shardCfg := cfg.DivideWorkers(concurrent)
 
 	pipelineStart := time.Now()
-	parts, err := partition.Split(cat, opts.NShards)
+	// Every pass is a self-contained scan that reopens the source, so a
+	// transient mid-pass failure (source IO or spill IO) restarts just that
+	// pass under the default retry policy.
+	var sc *sourceScan
+	err = retry.Policy{}.Do(ctx, "catalog scan", func() (err error) {
+		sc, err = scanSource(ctx, src)
+		return err
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	if sc.box.L > 0 && cfg.RMax >= sc.box.L/2 {
+		return nil, nil, fmt.Errorf("shard: RMax %v must be below half the periodic box %v", cfg.RMax, sc.box.L)
+	}
+
+	if opts.CheckpointDir != "" {
+		if err := prepareDir(opts.CheckpointDir, newManifest(sc, cfg, opts.NShards), opts.Resume); err != nil {
+			return nil, nil, err
+		}
+	}
+	// finish stamps the merged result — each partial counts its own halo
+	// copies in NGalaxies and the merged Total timing is the max over slabs,
+	// where the result describes the whole catalog and the true wall clock —
+	// and clears the run state that must not outlive a successful merge.
+	finish := func(total *core.Result, stats []Stats) (*core.Result, []Stats, error) {
+		total.NGalaxies = sc.n
+		total.Timings.Total = time.Since(pipelineStart)
+		finishCheckpoints(opts)
+		return total, stats, nil
+	}
+
+	// Resume: one validation pass over the slab checkpoints. If every slab
+	// has one (the manifest above pinned the run identity, and the slab
+	// plan is deterministic), merge them directly — no histogram pass, no
+	// spill rewrite of the catalog. Otherwise the validity mask feeds the
+	// spill pass below so intact slabs are counted but not rewritten, and
+	// only they are loaded again, against their owned count.
+	skip := make([]bool, opts.NShards)
+	if opts.Resume {
+		total, stats, valid, all := scanCheckpoints(sc, bins, cfg, opts, logf)
+		if all {
+			logf("shard: resumed all %d slabs from checkpoints (no re-spill)", opts.NShards)
+			return finish(total, stats)
+		}
+		skip = valid
+	}
+
+	var plan *slabPlan
+	err = retry.Policy{}.Do(ctx, "slab plan", func() (err error) {
+		plan, err = planSlabs(ctx, src, sc, opts.NShards)
+		return err
+	})
 	if err != nil {
 		return nil, nil, err
 	}
 
+	// Spill lives next to the checkpoints when there are any (the default
+	// temp dir may be a RAM-backed tmpfs, which would defeat the
+	// bounded-memory goal); otherwise a fresh temp dir. Removed in full on
+	// every exit.
+	var spillDir string
 	if opts.CheckpointDir != "" {
-		m := newManifest(cat.Len(), cat.Box.L, cat.TotalWeight(), cfg, opts.NShards)
-		if err := prepareDir(opts.CheckpointDir, m, opts); err != nil {
+		spillDir = filepath.Join(opts.CheckpointDir, spillDirName)
+		if err := os.MkdirAll(spillDir, 0o755); err != nil {
 			return nil, nil, err
 		}
-	}
-
-	// inMemory holds completed partials only when there is no checkpoint
-	// dir; with one, partials live on disk and are streamed at merge time.
-	inMemory := make([]*core.Result, opts.NShards)
-	stats := make([]Stats, opts.NShards)
-	var (
-		wg       sync.WaitGroup
-		sem      = make(chan struct{}, concurrent)
-		mu       sync.Mutex
-		firstErr error
-	)
-	for i := range parts {
-		if ctx.Err() != nil {
-			break
-		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer func() { <-sem; wg.Done() }()
-			mu.Lock()
-			failed := firstErr != nil
-			mu.Unlock()
-			if failed || ctx.Err() != nil {
-				return
-			}
-			res, st, err := computeShard(ctx, cat, parts, i, shardCfg, opts, logf)
-			if err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = fmt.Errorf("shard %d/%d: %w", i, opts.NShards, err)
-				}
-				mu.Unlock()
-				return
-			}
-			stats[i] = st
-			if opts.CheckpointDir == "" {
-				inMemory[i] = res
-			}
-		}(i)
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+	} else if spillDir, err = os.MkdirTemp("", "galactos-spill-*"); err != nil {
 		return nil, nil, err
 	}
-	if firstErr != nil {
-		return nil, nil, firstErr
+	defer os.RemoveAll(spillDir)
+
+	// spill scatters the source into the files of every slab skip leaves
+	// writable, restarting the whole pass on a transient failure (re-created
+	// files truncate, so a torn pass leaves no residue).
+	spill := func(op string, skip []bool) (owned, halo []int, err error) {
+		err = retry.Policy{}.Do(ctx, op, func() (err error) {
+			owned, halo, err = spillSlabs(ctx, src, plan, cfg.RMax, spillDir, skip)
+			return err
+		})
+		return owned, halo, err
+	}
+	owned, halo, err := spill("slab spill", skip)
+	if err != nil {
+		return nil, nil, err
 	}
 
-	// Merge in shard order: deterministic, and with checkpoints only two
-	// Results are resident at a time.
 	total := core.NewResult(cfg.LMax, bins)
-	for i := range parts {
-		partial := inMemory[i]
-		if opts.CheckpointDir != "" {
-			partial, err = loadPartial(ctx, checkpointPath(opts.CheckpointDir, i, opts.NShards))
-			if err != nil {
-				return nil, nil, fmt.Errorf("shard: merging shard %d: %w", i, err)
+	stats := make([]Stats, opts.NShards)
+	for i := range stats {
+		if err := ctx.Err(); err != nil {
+			return nil, nil, err
+		}
+		stats[i] = Stats{Shard: i, NOwned: owned[i], NHalo: halo[i]}
+		var partial *core.Result
+		if skip[i] { // validated by the resume pass in all but its owned count
+			partial, stats[i].Resumed = loadCheckpoint(opts.CheckpointDir, i, opts.NShards, bins, cfg.LMax, owned[i], logf)
+		}
+		if stats[i].Resumed {
+			stats[i].Pairs = partial.Pairs
+			logf("shard %d/%d: resumed from checkpoint (%d primaries, %d pairs)",
+				i, opts.NShards, partial.NPrimaries, partial.Pairs)
+		} else {
+			if skip[i] {
+				// The pre-validated checkpoint failed the primary-count
+				// revalidation: it was written by a run with a different slab
+				// decomposition (possible only across code versions — the plan
+				// is otherwise deterministic). Its records were skipped by the
+				// spill pass, so degrade like every other unusable checkpoint:
+				// one more pass that writes this slab alone, then recompute.
+				logf("shard %d/%d: re-spilling slab", i, opts.NShards)
+				only := make([]bool, opts.NShards)
+				for j := range only {
+					only[j] = j != i
+				}
+				if _, _, err := spill("slab re-spill", only); err != nil {
+					return nil, nil, fmt.Errorf("shard %d/%d: %w", i, opts.NShards, err)
+				}
+			}
+			if partial, err = computeSlab(ctx, plan, &stats[i], spillDir, bins, cfg, opts, logf); err != nil {
+				return nil, nil, fmt.Errorf("shard %d/%d: %w", i, opts.NShards, err)
 			}
 		}
 		if err := total.Merge(partial); err != nil {
 			return nil, nil, fmt.Errorf("shard: merging shard %d: %w", i, err)
 		}
 	}
-	// Each partial counts its own halo copies in NGalaxies; the merged
-	// result describes the whole catalog. Likewise the merged Total timing
-	// (the max over shards, a concurrent-ranks convention) understates a
-	// bounded-concurrency pipeline: report the true wall clock so perfstat
-	// rates stay honest.
-	total.NGalaxies = cat.Len()
-	total.Timings.Total = time.Since(pipelineStart)
+	return finish(total, stats)
+}
 
-	finishCheckpoints(opts)
-	return total, stats, nil
+// scanCheckpoints makes the single resume pass over the slab checkpoints:
+// valid[i] records which slabs hold a loadable, configuration-matching
+// checkpoint, and when every slab does and the primary counts cover the
+// catalog exactly, the merged total and stats are returned with all=true
+// (the no-re-spill fast path). Otherwise the caller falls back to the
+// plan/spill path, which counts — but does not rewrite — the valid slabs and
+// revalidates each against its owned count.
+func scanCheckpoints(sc *sourceScan, bins hist.Binning, cfg core.Config, opts Options, logf func(string, ...any)) (*core.Result, []Stats, []bool, bool) {
+	total := core.NewResult(cfg.LMax, bins)
+	stats := make([]Stats, opts.NShards)
+	valid := make([]bool, opts.NShards)
+	all := true
+	primaries := 0
+	for i := range valid {
+		res, ok := loadCheckpoint(opts.CheckpointDir, i, opts.NShards, bins, cfg.LMax, -1, logf)
+		if !ok {
+			all = false
+			continue
+		}
+		valid[i] = true
+		primaries += res.NPrimaries
+		stats[i] = Stats{
+			Shard:   i,
+			NOwned:  res.NPrimaries,
+			NHalo:   res.NGalaxies - res.NPrimaries,
+			Pairs:   res.Pairs,
+			Resumed: true,
+		}
+		if all && total.Merge(res) != nil {
+			all = false
+		}
+	}
+	return total, stats, valid, all && primaries == sc.n
+}
+
+// computeSlab produces one slab's partial result from its spill files (st
+// names the slab and its record counts, and receives the pair count and
+// compute wall clock), persisting it when the run checkpoints.
+func computeSlab(ctx context.Context, plan *slabPlan, st *Stats, spillDir string, bins hist.Binning, cfg core.Config, opts Options, logf func(string, ...any)) (*core.Result, error) {
+	// A slab with no primaries contributes nothing: skip the engine and
+	// emit an empty partial so checkpoint bookkeeping stays uniform.
+	res := core.NewResult(cfg.LMax, bins)
+	if st.NOwned > 0 {
+		start := time.Now()
+		local := &catalog.Catalog{
+			Box:      plan.box, // slab coordinates are unshifted: keep the wrap
+			Galaxies: make([]catalog.Galaxy, 0, st.NOwned+st.NHalo),
+		}
+		var err error
+		if local.Galaxies, err = readSpill(ctx, spillPath(spillDir, st.Shard, "own"), st.NOwned, local.Galaxies); err != nil {
+			return nil, err
+		}
+		if local.Galaxies, err = readSpill(ctx, spillPath(spillDir, st.Shard, "halo"), st.NHalo, local.Galaxies); err != nil {
+			return nil, err
+		}
+		primary := make([]bool, local.Len())
+		for j := 0; j < st.NOwned; j++ {
+			primary[j] = true
+		}
+		if res, err = core.ComputeSubsetContext(ctx, local, primary, cfg); err != nil {
+			return nil, err
+		}
+		st.Pairs = res.Pairs
+		st.Elapsed = time.Since(start)
+		logf("shard %d/%d: computed %d primaries + %d halo in %v (%d pairs)",
+			st.Shard, opts.NShards, st.NOwned, st.NHalo, st.Elapsed.Round(time.Millisecond), res.Pairs)
+	}
+	if opts.CheckpointDir != "" {
+		if err := saveCheckpoint(ctx, checkpointPath(opts.CheckpointDir, st.Shard, opts.NShards), res); err != nil {
+			return nil, fmt.Errorf("checkpointing: %w", err)
+		}
+	}
+	return res, nil
+}
+
+// loadCheckpoint returns slab i's checkpointed partial if it exists, loads
+// cleanly (the format rejects truncation and corruption), and matches the
+// run's multipole shape and — once the spill pass has counted it, nOwned >=
+// 0 — the slab's primary count. Any mismatch means recompute, not failure: a
+// killed run may leave arbitrary debris.
+func loadCheckpoint(dir string, i, nshards int, bins hist.Binning, lmax, nOwned int, logf func(string, ...any)) (*core.Result, bool) {
+	res, err := core.LoadResult(checkpointPath(dir, i, nshards))
+	if err == nil {
+		err = fpCkptLoad.Inject()
+	}
+	if err != nil {
+		if !os.IsNotExist(err) {
+			logf("shard %d/%d: discarding unusable checkpoint: %v", i, nshards, err)
+		}
+		return nil, false
+	}
+	if res.LMax != lmax || res.Bins != bins || (nOwned >= 0 && res.NPrimaries != nOwned) {
+		logf("shard %d/%d: checkpoint does not match this run; recomputing", i, nshards)
+		return nil, false
+	}
+	return res, true
 }
 
 // finishCheckpoints removes run state that must not outlive a successful
-// merge: streaming spill scratch always (a kill can strand it under the
-// checkpoint dir), and the per-shard checkpoints plus manifest unless the
-// caller asked to keep them.
+// merge: spill scratch always (a kill can strand it under the checkpoint
+// dir), and the per-slab checkpoints plus manifest unless the caller asked
+// to keep them.
 func finishCheckpoints(opts Options) {
 	if opts.CheckpointDir == "" {
 		return
@@ -320,119 +419,46 @@ func finishCheckpoints(opts Options) {
 	os.Remove(filepath.Join(opts.CheckpointDir, manifestName))
 }
 
-// removeStaleTemps deletes temporary files left behind by SaveResult calls
-// in runs that were killed mid-write (the atomic rename never happened, so
-// only debris with the .tmp suffix pattern can remain).
-func removeStaleTemps(dir string) {
+const manifestName = "manifest.json"
+
+// parseManifest decodes a manifest file, refusing any version but the
+// current one: fields mean what this build says they mean only at its own
+// version.
+func parseManifest(data []byte) (manifest, error) {
+	var m manifest
+	if err := json.Unmarshal(data, &m); err != nil {
+		return manifest{}, fmt.Errorf("unreadable %s (%v)", manifestName, err)
+	}
+	if m.Version != manifestVersion {
+		return manifest{}, fmt.Errorf("%s is version %d, this build writes version %d", manifestName, m.Version, manifestVersion)
+	}
+	return m, nil
+}
+
+// prepareDir creates the checkpoint directory, clears the temp files of
+// SaveResult calls killed mid-write (the atomic rename never happened, so
+// only debris with the .tmp suffix pattern can remain) and reconciles the
+// manifest: a resume must find a manifest describing this exact run (or
+// none, for a run killed before the manifest was written); a fresh run
+// overwrites.
+func prepareDir(dir string, want manifest, resume bool) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
 	stale, _ := filepath.Glob(filepath.Join(dir, "shard-*.gres.tmp*"))
 	for _, p := range stale {
 		os.Remove(p)
 	}
-}
-
-// computeShard produces shard i's partial result: from a valid checkpoint
-// when resuming, otherwise by materializing the halo and running the
-// node-local engine. With a checkpoint dir the partial is persisted and the
-// returned *core.Result is only meaningful for the in-memory path.
-func computeShard(ctx context.Context, cat *catalog.Catalog, parts []partition.Part, i int, cfg core.Config, opts Options, logf func(string, ...any)) (*core.Result, Stats, error) {
-	owned := parts[i].Index
-	st := Stats{Shard: i, NOwned: len(owned)}
-
-	if opts.Resume {
-		if res, ok := loadCheckpoint(opts.CheckpointDir, i, opts.NShards, cfg, len(owned), logf); ok {
-			st.NHalo = res.NGalaxies - len(owned)
-			st.Pairs = res.Pairs
-			st.Resumed = true
-			logf("shard %d/%d: resumed from checkpoint (%d primaries, %d pairs)",
-				i, opts.NShards, res.NPrimaries, res.Pairs)
-			if opts.CheckpointDir != "" {
-				return nil, st, nil
-			}
-			return res, st, nil
-		}
-	}
-
-	if len(owned) == 0 {
-		// A shard with no primaries contributes nothing; skip the engine
-		// (and the halo scan) and emit an empty partial so checkpoint
-		// bookkeeping stays uniform.
-		bins := hist.Binning{RMin: cfg.RMin, RMax: cfg.RMax, N: cfg.NBins}
-		res := core.NewResult(cfg.LMax, bins)
-		if opts.CheckpointDir != "" {
-			if err := saveCheckpoint(ctx, checkpointPath(opts.CheckpointDir, i, opts.NShards), res); err != nil {
-				return nil, st, fmt.Errorf("checkpointing: %w", err)
-			}
-			return nil, st, nil
-		}
-		return res, st, nil
-	}
-
-	start := time.Now()
-	local, primary := partition.Materialize(cat, parts, i, cfg.RMax)
-	res, err := core.ComputeSubsetContext(ctx, local, primary, cfg)
-	if err != nil {
-		return nil, st, err
-	}
-	st.NHalo = local.Len() - len(owned)
-	st.Pairs = res.Pairs
-	st.Elapsed = time.Since(start)
-	logf("shard %d/%d: computed %d primaries + %d halo in %v (%d pairs)",
-		i, opts.NShards, len(owned), st.NHalo, st.Elapsed.Round(time.Millisecond), res.Pairs)
-
-	if opts.CheckpointDir != "" {
-		if err := saveCheckpoint(ctx, checkpointPath(opts.CheckpointDir, i, opts.NShards), res); err != nil {
-			return nil, st, fmt.Errorf("checkpointing: %w", err)
-		}
-		return nil, st, nil
-	}
-	return res, st, nil
-}
-
-// loadCheckpoint returns shard i's checkpointed partial if it exists, loads
-// cleanly (the format rejects truncation and corruption), and matches the
-// expected configuration and primary count. Any mismatch means recompute,
-// not failure: a killed run may leave arbitrary debris.
-func loadCheckpoint(dir string, i, nshards int, cfg core.Config, nOwned int, logf func(string, ...any)) (*core.Result, bool) {
-	path := checkpointPath(dir, i, nshards)
-	if err := fpCkptLoad.Inject(); err != nil {
-		logf("shard %d/%d: discarding unusable checkpoint: %v", i, nshards, err)
-		return nil, false
-	}
-	res, err := core.LoadResult(path)
-	if err != nil {
-		if !os.IsNotExist(err) {
-			logf("shard %d/%d: discarding unusable checkpoint: %v", i, nshards, err)
-		}
-		return nil, false
-	}
-	bins := hist.Binning{RMin: cfg.RMin, RMax: cfg.RMax, N: cfg.NBins}
-	if res.LMax != cfg.LMax || res.Bins != bins || res.NPrimaries != nOwned {
-		logf("shard %d/%d: checkpoint does not match this run; recomputing", i, nshards)
-		return nil, false
-	}
-	return res, true
-}
-
-const manifestName = "manifest.json"
-
-// prepareDir creates the checkpoint directory and reconciles its manifest:
-// a resume must find a manifest describing this exact run (or none, for a
-// run killed before the manifest was written); a fresh run overwrites.
-func prepareDir(dir string, want manifest, opts Options) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	removeStaleTemps(dir)
 	path := filepath.Join(dir, manifestName)
-	if opts.Resume {
+	if resume {
 		data, err := os.ReadFile(path)
 		if err == nil {
-			var got manifest
-			if jsonErr := json.Unmarshal(data, &got); jsonErr != nil {
-				return fmt.Errorf("shard: unreadable %s (%v); remove %s or drop Resume", manifestName, jsonErr, dir)
+			got, err := parseManifest(data)
+			if err == nil && got != want {
+				err = fmt.Errorf("manifest mismatch")
 			}
-			if got != want {
-				return fmt.Errorf("shard: checkpoint dir %s belongs to a different run (manifest mismatch); remove it or drop Resume", dir)
+			if err != nil {
+				return fmt.Errorf("shard: checkpoint dir %s belongs to a different run (%v); remove it or drop Resume", dir, err)
 			}
 			return nil
 		} else if !os.IsNotExist(err) {
@@ -446,7 +472,7 @@ func prepareDir(dir string, want manifest, opts Options) error {
 	return os.WriteFile(path, data, 0o644)
 }
 
-// checkpointPath names shard i's partial-Result file.
+// checkpointPath names slab i's partial-Result file.
 func checkpointPath(dir string, i, nshards int) string {
 	return filepath.Join(dir, fmt.Sprintf("shard-%04d-of-%04d.gres", i, nshards))
 }

@@ -10,8 +10,13 @@ import (
 
 	"galactos/internal/catalog"
 	"galactos/internal/core"
-	"galactos/internal/partition"
 )
+
+// compute runs the pipeline over an in-memory catalog: a memory source takes
+// the same scan/plan/spill path as a file.
+func compute(cat *catalog.Catalog, cfg core.Config, opts Options) (*core.Result, []Stats, error) {
+	return Compute(context.Background(), catalog.NewMemorySource(cat), cfg, opts)
+}
 
 func testConfig() core.Config {
 	cfg := core.DefaultConfig()
@@ -70,7 +75,7 @@ func TestShardedMatchesSingleShotPeriodic(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, nshards := range []int{1, 2, 4, 5, 8} {
-		got, stats, err := ShardedCompute(cat, nshards, cfg)
+		got, stats, err := compute(cat, cfg, Options{NShards: nshards})
 		if err != nil {
 			t.Fatalf("nshards=%d: %v", nshards, err)
 		}
@@ -98,42 +103,28 @@ func TestShardedMatchesSingleShotOpenBoundaries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := ShardedCompute(cat, 4, cfg)
+	got, _, err := compute(cat, cfg, Options{NShards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireMatches(t, "sharded open", got, single)
 }
 
-func TestShardedConcurrentMatchesSequential(t *testing.T) {
-	cat := catalog.Clustered(800, 170, catalog.DefaultClusterParams(), 11)
-	cfg := testConfig()
-	single, err := core.Compute(cat, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := Compute(cat, cfg, Options{NShards: 6, MaxConcurrent: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireMatches(t, "concurrent", got, single)
-}
-
 func TestShardedCheckpointMatchesInMemory(t *testing.T) {
 	cat := catalog.Clustered(600, 160, catalog.DefaultClusterParams(), 13)
 	cfg := testConfig()
 	cfg.Workers = 1 // single worker => deterministic accumulation order
-	mem, _, err := Compute(cat, cfg, Options{NShards: 4})
+	mem, _, err := compute(cat, cfg, Options{NShards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	chk, _, err := Compute(cat, cfg, Options{NShards: 4, CheckpointDir: dir})
+	chk, _, err := compute(cat, cfg, Options{NShards: 4, CheckpointDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The checkpointed path round-trips every partial through the binary
-	// format; the format is exact, so the merged results are bitwise equal.
+	// Checkpointing only writes each partial on its way to the merge: the
+	// merged results are bitwise equal.
 	if d := chk.MaxAbsDiff(mem); d != 0 {
 		t.Errorf("checkpointed result differs from in-memory by %v", d)
 	}
@@ -158,7 +149,7 @@ func TestResumeAfterKill(t *testing.T) {
 	const nshards = 4
 
 	fullDir := t.TempDir()
-	full, _, err := Compute(cat, cfg, Options{NShards: nshards, CheckpointDir: fullDir, Keep: true})
+	full, _, err := compute(cat, cfg, Options{NShards: nshards, CheckpointDir: fullDir, Keep: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +170,7 @@ func TestResumeAfterKill(t *testing.T) {
 		}
 	}
 
-	resumed, stats, err := Compute(cat, cfg, Options{NShards: nshards, CheckpointDir: killedDir, Resume: true})
+	resumed, stats, err := compute(cat, cfg, Options{NShards: nshards, CheckpointDir: killedDir, Resume: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,40 +191,6 @@ func TestResumeAfterKill(t *testing.T) {
 	}
 }
 
-func TestResumeRecomputesCorruptCheckpoint(t *testing.T) {
-	cat := catalog.Clustered(500, 150, catalog.DefaultClusterParams(), 19)
-	cfg := testConfig()
-	cfg.Workers = 1
-	const nshards = 4
-
-	dir := t.TempDir()
-	full, _, err := Compute(cat, cfg, Options{NShards: nshards, CheckpointDir: dir, Keep: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Corrupt one checkpoint in place (flip a payload byte).
-	victim := checkpointPath(dir, 2, nshards)
-	data, err := os.ReadFile(victim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)/2] ^= 0x01
-	if err := os.WriteFile(victim, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	resumed, stats, err := Compute(cat, cfg, Options{NShards: nshards, CheckpointDir: dir, Resume: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats[2].Resumed {
-		t.Error("corrupt checkpoint was trusted instead of recomputed")
-	}
-	if d := resumed.MaxAbsDiff(full); d != 0 {
-		t.Errorf("result after recomputing corrupt shard differs by %v", d)
-	}
-}
-
 func TestStaleTempCheckpointsRemoved(t *testing.T) {
 	cat := catalog.Clustered(300, 140, catalog.DefaultClusterParams(), 37)
 	cfg := testConfig()
@@ -243,7 +200,7 @@ func TestStaleTempCheckpointsRemoved(t *testing.T) {
 	if err := os.WriteFile(stale, []byte("partial write"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Compute(cat, cfg, Options{NShards: 2, CheckpointDir: dir}); err != nil {
+	if _, _, err := compute(cat, cfg, Options{NShards: 2, CheckpointDir: dir}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(stale); !os.IsNotExist(err) {
@@ -255,12 +212,12 @@ func TestResumeRejectsForeignManifest(t *testing.T) {
 	cat := catalog.Clustered(300, 140, catalog.DefaultClusterParams(), 23)
 	cfg := testConfig()
 	dir := t.TempDir()
-	if _, _, err := Compute(cat, cfg, Options{NShards: 2, CheckpointDir: dir, Keep: true}); err != nil {
+	if _, _, err := compute(cat, cfg, Options{NShards: 2, CheckpointDir: dir, Keep: true}); err != nil {
 		t.Fatal(err)
 	}
 	other := cfg
 	other.LMax = cfg.LMax + 1
-	_, _, err := Compute(cat, other, Options{NShards: 2, CheckpointDir: dir, Resume: true})
+	_, _, err := compute(cat, other, Options{NShards: 2, CheckpointDir: dir, Resume: true})
 	if err == nil || !strings.Contains(err.Error(), "different run") {
 		t.Fatalf("resume with a mismatched manifest accepted (err = %v)", err)
 	}
@@ -278,10 +235,7 @@ func TestMergeAssociativity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parts, err := partitionSplitPartials(cat, 4, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	parts := slabPartials(t, cat, 4, cfg)
 	groupings := [][][]int{
 		{{0}, {1}, {2}, {3}},
 		{{0, 1}, {2, 3}},
@@ -306,40 +260,47 @@ func TestMergeAssociativity(t *testing.T) {
 	}
 }
 
-// partitionSplitPartials computes the per-shard partial results directly
-// through the same internals Compute uses, so the groupings above exercise
-// real shard outputs.
-func partitionSplitPartials(cat *catalog.Catalog, nshards int, cfg core.Config) ([]*core.Result, error) {
-	out := make([]*core.Result, nshards)
-	parts, err := partition.Split(cat, nshards)
-	if err != nil {
-		return nil, err
+// slabPartials returns the per-slab partial results of a real run: the
+// checkpoints Compute wrote, so the groupings above exercise real shard
+// outputs.
+func slabPartials(t *testing.T, cat *catalog.Catalog, nshards int, cfg core.Config) []*core.Result {
+	t.Helper()
+	dir := t.TempDir()
+	if _, _, err := compute(cat, cfg, Options{NShards: nshards, CheckpointDir: dir, Keep: true}); err != nil {
+		t.Fatal(err)
 	}
-	for i := range parts {
-		res, _, err := computeShard(context.Background(), cat, parts, i, cfg, Options{NShards: nshards}, func(string, ...any) {})
+	out := make([]*core.Result, nshards)
+	for i := range out {
+		res, err := core.LoadResult(checkpointPath(dir, i, nshards))
 		if err != nil {
-			return nil, err
+			t.Fatal(err)
 		}
 		out[i] = res
 	}
-	return out, nil
+	return out
 }
 
 func TestOptionsValidation(t *testing.T) {
 	cat := catalog.Uniform(50, 100, 1)
 	cfg := testConfig()
-	if _, _, err := Compute(cat, cfg, Options{NShards: 0}); err == nil {
+	if _, _, err := compute(cat, cfg, Options{NShards: 0}); err == nil {
 		t.Error("NShards = 0 accepted")
 	}
-	if _, _, err := Compute(cat, cfg, Options{NShards: 2, Resume: true}); err == nil {
+	if _, _, err := compute(cat, cfg, Options{NShards: 2, Resume: true}); err == nil {
 		t.Error("Resume without CheckpointDir accepted")
 	}
-	if _, _, err := Compute(nil, cfg, Options{NShards: 2}); err == nil {
+	if _, _, err := Compute(context.Background(), nil, cfg, Options{NShards: 2}); err == nil {
+		t.Error("nil source accepted")
+	}
+	if _, _, err := compute(nil, cfg, Options{NShards: 2}); err == nil {
 		t.Error("nil catalog accepted")
+	}
+	if _, _, err := compute(&catalog.Catalog{}, cfg, Options{NShards: 2}); err == nil {
+		t.Error("empty catalog accepted")
 	}
 	big := cfg
 	big.RMax = 60 // >= half the periodic box
-	if _, _, err := Compute(catalog.Uniform(50, 100, 1), big, Options{NShards: 2}); err == nil {
+	if _, _, err := compute(cat, big, Options{NShards: 2}); err == nil {
 		t.Error("RMax >= L/2 accepted")
 	}
 }
@@ -351,7 +312,7 @@ func TestMoreShardsThanGalaxies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := ShardedCompute(cat, 10, cfg)
+	got, _, err := compute(cat, cfg, Options{NShards: 10})
 	if err != nil {
 		t.Fatal(err)
 	}

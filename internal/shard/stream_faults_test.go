@@ -20,7 +20,7 @@ func streamFaultSetup(t *testing.T, seed int64) (*catalog.Catalog, core.Config, 
 	cfg := streamConfig()
 	cfg.Workers = 1
 	dir := t.TempDir()
-	first, _, err := ComputeStream(context.Background(), catalog.NewMemorySource(cat), cfg,
+	first, _, err := compute(cat, cfg,
 		Options{NShards: 3, CheckpointDir: dir, Keep: true})
 	if err != nil {
 		t.Fatal(err)
@@ -28,8 +28,7 @@ func streamFaultSetup(t *testing.T, seed int64) (*catalog.Catalog, core.Config, 
 	return cat, cfg, dir, first
 }
 
-// TestStreamCorruptSlabCheckpointRecomputed mirrors the in-memory pipeline's
-// corrupt-checkpoint case (shard_test.go): a slab checkpoint with a flipped
+// TestStreamCorruptSlabCheckpointRecomputed: a slab checkpoint with a flipped
 // payload byte is detected, recomputed, and the merged result is bitwise
 // identical — recompute-and-continue, never a hard failure.
 func TestStreamCorruptSlabCheckpointRecomputed(t *testing.T) {
@@ -44,7 +43,7 @@ func TestStreamCorruptSlabCheckpointRecomputed(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, stats, err := ComputeStream(context.Background(), catalog.NewMemorySource(cat), cfg,
+	res, stats, err := compute(cat, cfg,
 		Options{NShards: 3, CheckpointDir: dir, Resume: true})
 	if err != nil {
 		t.Fatal(err)
@@ -71,7 +70,7 @@ func TestStreamTruncatedSlabCheckpointRecomputed(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, stats, err := ComputeStream(context.Background(), catalog.NewMemorySource(cat), cfg,
+	res, stats, err := compute(cat, cfg,
 		Options{NShards: 3, CheckpointDir: dir, Resume: true})
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +101,7 @@ func TestStreamMismatchedCheckpointRespilled(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, stats, err := ComputeStream(context.Background(), catalog.NewMemorySource(cat), cfg,
+	got, stats, err := compute(cat, cfg,
 		Options{NShards: 3, CheckpointDir: dir, Resume: true})
 	if err != nil {
 		t.Fatal(err)
@@ -132,7 +131,7 @@ func TestStreamAbsorbsTransientFaults(t *testing.T) {
 	}
 	src := catalog.NewFileSource(path)
 
-	clean, _, err := ComputeStream(context.Background(), src, cfg,
+	clean, _, err := Compute(context.Background(), src, cfg,
 		Options{NShards: 3, CheckpointDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
@@ -147,7 +146,7 @@ func TestStreamAbsorbsTransientFaults(t *testing.T) {
 	))
 	defer faultpoint.Disable()
 
-	res, _, err := ComputeStream(context.Background(), src, cfg,
+	res, _, err := Compute(context.Background(), src, cfg,
 		Options{NShards: 3, CheckpointDir: t.TempDir()})
 	if err != nil {
 		t.Fatalf("streaming run did not absorb transient faults: %v", err)

@@ -1,7 +1,9 @@
 package shard
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -31,7 +33,7 @@ func TestStreamMatchesSingleShotOpenBoundaries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, stats, err := ComputeStream(context.Background(), catalog.NewMemorySource(cat), cfg, Options{NShards: 4})
+	res, stats, err := compute(cat, cfg, Options{NShards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +72,7 @@ func TestStreamPeriodicWrapHalo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := ComputeStream(context.Background(), catalog.NewMemorySource(cat), cfg, Options{NShards: 3})
+	res, _, err := compute(cat, cfg, Options{NShards: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +92,7 @@ func TestStreamCheckpointResume(t *testing.T) {
 	dir := t.TempDir()
 	src := catalog.NewMemorySource(cat)
 
-	first, _, err := ComputeStream(context.Background(), src, cfg, Options{NShards: 3, CheckpointDir: dir, Keep: true})
+	first, _, err := Compute(context.Background(), src, cfg, Options{NShards: 3, CheckpointDir: dir, Keep: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +104,7 @@ func TestStreamCheckpointResume(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, spillDirName, "slab-0000.own.spill"), []byte("junk"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	res, stats, err := ComputeStream(context.Background(), src, cfg, Options{NShards: 3, CheckpointDir: dir, Resume: true})
+	res, stats, err := Compute(context.Background(), src, cfg, Options{NShards: 3, CheckpointDir: dir, Resume: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,14 +132,14 @@ func TestStreamPartialResume(t *testing.T) {
 	dir := t.TempDir()
 	src := catalog.NewMemorySource(cat)
 
-	first, _, err := ComputeStream(context.Background(), src, cfg, Options{NShards: 3, CheckpointDir: dir, Keep: true})
+	first, _, err := Compute(context.Background(), src, cfg, Options{NShards: 3, CheckpointDir: dir, Keep: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := os.Remove(checkpointPath(dir, 1, 3)); err != nil {
 		t.Fatal(err)
 	}
-	res, stats, err := ComputeStream(context.Background(), src, cfg, Options{NShards: 3, CheckpointDir: dir, Resume: true})
+	res, stats, err := Compute(context.Background(), src, cfg, Options{NShards: 3, CheckpointDir: dir, Resume: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,19 +157,76 @@ func TestStreamPartialResume(t *testing.T) {
 	}
 }
 
-// TestStreamRejectsForeignCheckpointDir: the streaming and in-memory
-// pipelines decompose differently, so a streaming resume must refuse an
-// in-memory run's checkpoint directory instead of merging wrong partials.
+// TestStreamRejectsForeignCheckpointDir: a directory written at manifest
+// version 1 — by the deleted k-d pipeline ("stream": false) or by the slab
+// pipeline of that build — is refused under Resume with an error naming the
+// version. With the stream field gone the two decode alike, and a k-d
+// partial can share LMax, bins and owned count with a slab's, so nothing
+// after the manifest would stop the merge.
 func TestStreamRejectsForeignCheckpointDir(t *testing.T) {
 	cat := catalog.Clustered(500, 160, catalog.DefaultClusterParams(), 29)
 	cfg := streamConfig()
 	dir := t.TempDir()
-	if _, _, err := Compute(cat, cfg, Options{NShards: 3, CheckpointDir: dir, Keep: true}); err != nil {
+	if _, _, err := compute(cat, cfg, Options{NShards: 3, CheckpointDir: dir, Keep: true}); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err := ComputeStream(context.Background(), catalog.NewMemorySource(cat), cfg,
-		Options{NShards: 3, CheckpointDir: dir, Resume: true})
-	if err == nil || !strings.Contains(err.Error(), "different run") {
-		t.Fatalf("expected a manifest-mismatch error, got %v", err)
+	path := filepath.Join(dir, manifestName)
+	current, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
+	for _, stream := range []string{"false", "true"} {
+		v1 := strings.Replace(string(current), `"version": 2,`, `"version": 1,`, 1)
+		v1 = strings.Replace(v1, "\n}", ",\n  \"stream\": "+stream+"\n}", 1)
+		if v1 == string(current) || !strings.Contains(v1, `"stream"`) {
+			t.Fatalf("could not derive a version-1 manifest from:\n%s", current)
+		}
+		if err := os.WriteFile(path, []byte(v1), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, _, err := compute(cat, cfg, Options{NShards: 3, CheckpointDir: dir, Resume: true})
+		if err == nil || !strings.Contains(err.Error(), "different run") || !strings.Contains(err.Error(), "version 1") {
+			t.Fatalf("stream=%s: expected a different-run error naming version 1, got %v", stream, err)
+		}
+	}
+	// The same directory without Resume is simply overwritten.
+	if _, _, err := compute(cat, cfg, Options{NShards: 3, CheckpointDir: dir}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// FuzzManifest: the manifest is bytes this build did not necessarily write
+// (a resume reads whatever an earlier run or an operator left), so the
+// loader must answer every input with a manifest of the current version or
+// an error — never a panic, never another version's fields taken at this
+// version's meaning — and what it accepts must survive a rewrite.
+func FuzzManifest(f *testing.F) {
+	cfg := streamConfig()
+	written, err := json.MarshalIndent(newManifest(&sourceScan{n: 700, sumW: 700, box: geom.Periodic{L: 160}}, cfg, 3), "", "  ")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(written)
+	f.Add(written[:len(written)/2])
+	f.Add(bytes.Replace(written, []byte(`"version": 2`), []byte(`"version": 1`), 1))
+	f.Add(bytes.Replace(written, []byte(`"nshards": 3`), []byte(`"nshards": 1e999`), 1))
+	f.Add([]byte(`{"version": 2, "stream": true}`))
+	f.Add([]byte(`[2]`))
+	f.Add([]byte(nil))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := parseManifest(data)
+		if err != nil {
+			return
+		}
+		if m.Version != manifestVersion {
+			t.Fatalf("accepted a version-%d manifest: %s", m.Version, data)
+		}
+		again, err := json.Marshal(m)
+		if err != nil {
+			t.Fatalf("accepted manifest does not re-encode: %v", err)
+		}
+		if back, err := parseManifest(again); err != nil || back != m {
+			t.Fatalf("accepted manifest does not survive a rewrite: %+v -> %+v (%v)", m, back, err)
+		}
+	})
 }

@@ -115,6 +115,9 @@ func Run(ctx context.Context, req Request) (*RunResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	if note := req.Backend.DeprecationNote(); note != "" && req.Log != nil {
+		req.Log("%s", note)
+	}
 	if req.TimeoutSec > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutSec*float64(time.Second)))
