@@ -57,33 +57,10 @@ func BenchmarkCompute(b *testing.B) {
 	b.ReportMetric(float64(pairs)/b.Elapsed().Seconds()/1e6, "Mpairs/s")
 }
 
-// BenchmarkKernelAccumulate measures the hot multipole kernel alone: the
-// 286-term power-combination accumulation over one 128-pair bucket
-// (Sec. 3.3.2; the paper reaches 1017 GF/s = 39% of Xeon Phi peak here).
-func BenchmarkKernelAccumulate(b *testing.B) {
-	mono := sphharm.NewMonomialTable(10)
-	k := sphharm.NewKernel(mono, 128)
-	xs := make([]float64, 128)
-	ys := make([]float64, 128)
-	zs := make([]float64, 128)
-	ws := make([]float64, 128)
-	for i := range xs {
-		xs[i], ys[i], zs[i], ws[i] = 0.5, 0.5, 0.70710678, 1
-	}
-	acc := make([]float64, sphharm.AccumulatorLen(mono))
-	b.SetBytes(128 * 3 * 8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k.Accumulate(xs, ys, zs, ws, acc)
-	}
-	flops := float64(b.N) * 128 * float64(sphharm.FlopsPerPair(10))
-	b.ReportMetric(flops/b.Elapsed().Seconds()/1e9, "GFLOP/s")
-	b.ReportMetric(float64(b.N)*128/b.Elapsed().Seconds()/1e6, "Mpairs/s")
-}
-
-// BenchmarkKernelTile measures the tile kernel the engine actually runs —
-// the hoisted z-power ladder, one dispatch per chunk, AVX-512 lane bodies
-// where available — at the chunk lengths the engine hands it: 8, 22, 73 are
+// BenchmarkKernelTile measures the multipole kernel alone (Sec. 3.3.2; the
+// paper reaches 1017 GF/s = 39% of Xeon Phi peak on its 286-monomial form) —
+// the (l+1)^2-sum ladder over hoisted z powers, one dispatch per chunk,
+// AVX-512 lane bodies where available — at the chunk lengths the engine hands it: 8, 22, 73 are
 // the mean pairs per kernel chunk on stream_sharded, iso_survey and
 // aniso_box (EXPERIMENTS.md "Layer: block commit + chunk dispatch"), 128 is
 // one full chunk, and 1024 (eight chunks) is the bench's
@@ -351,26 +328,6 @@ func BenchmarkUnitGather(b *testing.B) {
 			return len(buf)
 		})
 	})
-}
-
-// BenchmarkKernelScalar is the unbucketed baseline for the same work
-// (the pre-binning/post-binning ablation of Sec. 3.3.1).
-func BenchmarkKernelScalar(b *testing.B) {
-	mono := sphharm.NewMonomialTable(10)
-	k := sphharm.NewKernel(mono, 128)
-	xs := make([]float64, 128)
-	ys := make([]float64, 128)
-	zs := make([]float64, 128)
-	ws := make([]float64, 128)
-	for i := range xs {
-		xs[i], ys[i], zs[i], ws[i] = 0.5, 0.5, 0.70710678, 1
-	}
-	m := make([]float64, mono.Len())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k.AccumulateScalar(xs, ys, zs, ws, m)
-	}
-	b.ReportMetric(float64(b.N)*128/b.Elapsed().Seconds()/1e6, "Mpairs/s")
 }
 
 // BenchmarkTable1 measures construction of a density-matched weak-scaling

@@ -123,7 +123,7 @@ func fatalf(format string, args ...any) {
 }
 
 // perfConfig is the paper-shaped configuration scaled to local Rmax: full
-// l_max = 10 (286 power combinations), 20 radial bins, no self-count (the
+// l_max = 10, 20 radial bins, no self-count (the
 // paper's kernel cost model), bucket 128.
 func perfConfig(rmax float64) core.Config {
 	cfg := core.DefaultConfig()
@@ -264,7 +264,8 @@ func expSingleNode(s float64) error {
 	fmt.Printf("  multipole kernel: 1017 GF/s = 39%% of peak; 609 FLOPs/pair total\n")
 	fmt.Printf("this host (Go, single node):\n")
 	fmt.Printf("  pair rate:        %.3e pairs/s\n", rate)
-	fmt.Printf("  model FLOP rate:  %.2f GF/s (609 flops/pair model)\n", gf)
+	fmt.Printf("  model FLOP rate:  %.2f GF/s (%.0f flops/pair: this kernel's count + the paper's 37 of tree search)\n",
+		gf, res.FlopsEstimate()/float64(max(res.Pairs, 1)))
 	fmt.Printf("  kernel fraction:  %.0f%% of worker time (paper: 55%%)\n",
 		100*float64(res.Timings.Consume)/float64(res.Timings.WorkerTotal))
 	return nil

@@ -29,7 +29,7 @@ func main() {
 	cfg := galactos.DefaultConfig()
 	cfg.RMax = 60   // max triangle side (must be < box/2)
 	cfg.NBins = 6   // 10 Mpc/h shells
-	cfg.LMax = 5    // multipole order (286 power combinations at 10)
+	cfg.LMax = 5    // multipole order (the paper runs 10)
 	cfg.Workers = 0 // all cores
 	// SelfCount subtracts the secondary-paired-with-itself term so diagonal
 	// bins are exact triplet counts; it costs a few x the raw kernel. Keep

@@ -113,8 +113,8 @@ type Config struct {
 	// NBins is the number of radial shells between RMin and RMax (the
 	// paper bins at ~10 Mpc/h width: 20 bins over [0, 200)).
 	NBins int
-	// LMax is the maximum multipole order (the paper uses 10, giving 286
-	// power combinations per pair).
+	// LMax is the maximum multipole order (the paper uses 10: 286 power
+	// combinations per pair there, (LMax+1)^2 = 121 independent sums here).
 	LMax int
 	// LOS selects the line-of-sight convention.
 	LOS LOSMode

@@ -593,7 +593,7 @@ func lap(t *time.Time, d *time.Duration) {
 // TestProcessBlockAllocFree).
 type workerState struct {
 	kern *sphharm.Kernel
-	acc  [][]float64 // per-bin lane-striped monomial accumulators
+	acc  [][]float64 // per-bin lane-striped power-sum accumulators
 
 	// err records the worker's terminal failure (a recovered unit panic or
 	// injected fault); run surfaces the first one after the pool drains.
@@ -613,7 +613,7 @@ type workerState struct {
 	cnt            []int32   // per-bin pair counts for the current primary
 	tl             []int32   // touched bin ids, ascending (from the counts)
 	tlDense        []int32   // dense-scan scratch (reference path only)
-	msums          []float64 // reduced monomial sums scratch
+	msums          []float64 // reduced power sums scratch
 	reScr, imScr   []float64 // contiguous AlmRI output per (primary, bin)
 
 	// Unit-level a_lm slabs, packed (re, im) pairs laid out [(l,m) slot i]
@@ -657,7 +657,14 @@ type workerState struct {
 func (e *engine) newWorkerState() *workerState {
 	nb := e.bins.N
 	pc := e.pc
-	K := e.cfg.ChunkSize
+	// The unit arenas hold the largest unit of this run, not ChunkSize:
+	// buildBlocks closes a unit before it passes ChunkSize/2 unless a single
+	// cell exceeds that, so sizing by the cap zeroes twice the memory any
+	// unit touches.
+	K := 0
+	for _, b := range e.blocks {
+		K = max(K, int(b.hi-b.lo))
+	}
 	s := &workerState{
 		kern:    sphharm.NewKernel(e.mono, e.cfg.BucketSize),
 		acc:     make([][]float64, nb),
@@ -788,7 +795,7 @@ func (e *engine) processBlock(s *workerState, b int) {
 			// no deinterleave, and the weighted leg (wXY) is never built:
 			// the primary weight folds into the primitive instead.
 			for _, bb := range tl {
-				sphharm.Reduce(s.acc[bb], s.msums)
+				sphharm.ReduceClear(s.acc[bb], s.msums)
 				e.ytab.AlmRI(s.msums, reScr, imScr)
 				o := row + int(bb)
 				for i := 0; i < pc; i++ {
@@ -799,7 +806,7 @@ func (e *engine) processBlock(s *workerState, b int) {
 			}
 		} else {
 			for _, bb := range tl {
-				sphharm.Reduce(s.acc[bb], s.msums)
+				sphharm.ReduceClear(s.acc[bb], s.msums)
 				e.ytab.AlmRI(s.msums, reScr, imScr)
 				o := row + 2*int(bb)
 				for i := 0; i < pc; i++ {
@@ -813,9 +820,9 @@ func (e *engine) processBlock(s *workerState, b int) {
 			}
 		}
 		// Reset per-primary state (touched bins only, so sparse primaries
-		// stay cheap and untouched bins are never written).
+		// stay cheap and untouched bins are never written); ReduceClear
+		// already zeroed their accumulators.
 		for _, bb := range s.tl {
-			sphharm.Zero(s.acc[bb])
 			s.cnt[bb] = 0
 		}
 		s.tl = s.tl[:0]

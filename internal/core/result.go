@@ -19,7 +19,7 @@ type Combo struct {
 }
 
 // ComboTable enumerates all canonical combos up to LMax. At LMax = 10 there
-// are 286 channels, coincidentally equal to the monomial count.
+// are 286 channels.
 type ComboTable struct {
 	LMax   int
 	Combos []Combo
@@ -235,11 +235,12 @@ func (r *Result) MaxAbs() float64 {
 	return max
 }
 
-// FlopsEstimate returns the kernel floating-point work implied by the pair
-// count under the paper's cost model (Sec. 5.1: 576 flops in the multipole
-// kernel plus ~37 in the tree search per pair, 609 total, adjusted to the
-// exact monomial count for LMax != 10).
+// FlopsEstimate returns the floating-point work implied by the pair count:
+// per pair, the multipole kernel's exact operation count
+// (sphharm.FlopsPerPair: 286 at LMax = 10, where the paper's kernel spends
+// 576 on its 286 monomials) plus the paper's ~37 for the tree search
+// (Sec. 5.1).
 func (r *Result) FlopsEstimate() float64 {
-	perPair := float64(sphharm.FlopsPerPair(r.LMax)) + 4 + 37
+	perPair := float64(sphharm.FlopsPerPair(r.LMax)) + 37
 	return perPair * float64(r.Pairs)
 }

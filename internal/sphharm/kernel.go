@@ -3,50 +3,60 @@ package sphharm
 import "galactos/internal/lanes"
 
 // The multipole accumulation kernel (Sec. 3.3 of the paper). The dominant
-// cost of Galactos is accumulating, for each galaxy pair, the 286 (at l=10)
-// weighted power combinations (dx/r)^k (dy/r)^p (dz/r)^q into the radial
-// bin's monomial sums. The paper vectorizes this over *pairs* (not over
-// monomials), processes pairs in buckets sized to fill the vector registers,
-// and keeps an 8-element sub-accumulator per monomial so that N/8 vector
-// reductions collapse into a single reduction per primary (Sec. 3.3.2).
-//
-// This implementation mirrors that structure exactly:
+// cost of Galactos is accumulating, for each galaxy pair, the weighted power
+// sums of its unit separation into the radial bin's accumulator. The paper
+// accumulates all 286 (at l = 10) combinations x^k y^p z^q; this kernel
+// accumulates the (l+1)^2 = 121 sums Re/Im of w (x+iy)^m z^j that span the
+// same space on the unit sphere (see MonomialTable). The structure is the
+// paper's: vectorized over *pairs*, pairs consumed in chunks sized to stay
+// cache-resident, and an 8-element sub-accumulator per sum so that N/8
+// vector reductions collapse into a single reduction per primary
+// (Sec. 3.3.2).
 //
 //   - separations are stored structure-of-arrays (contiguous dx, dy, dz
 //     slices — the data-locality layout of Sec. 3.3.3);
-//   - the kernel walks monomials in the canonical (k, p, q) order, deriving
-//     each value from the previous by a single multiply on a running-product
-//     array, so the per-pair cost is 2 flops per monomial (1 mul + 1 add),
-//     i.e. 572 flops/pair at l = 10 versus the paper's 576 count;
-//   - each monomial accumulates into Lanes (=8) interleaved partial sums,
-//     folded once per primary by Reduce.
+//   - per chunk one complex running power (c, s) = w (x+iy)^m is carried
+//     from (w, 0) by a rotation per order m, the z-power columns are hoisted,
+//     and each row folds c (then s) times z^j into its lane groups;
+//   - each sum accumulates into Lanes (=8) interleaved partial sums, folded
+//     once per primary by Reduce.
 
 // Lanes is the sub-accumulator width: 8 float64 values fill one 512-bit
 // vector register on the paper's Xeon Phi target.
 const Lanes = 8
 
-// FlopsPerPair returns the kernel's floating-point cost model per galaxy
-// pair at maximum order l: one multiply and one add per monomial. The paper
-// quotes 286*2 = 576 (rounding up for the bucket-management overhead); the
-// exact recurrence count is 2*MonomialCount(l).
-func FlopsPerPair(l int) int { return 2 * MonomialCount(l) }
+// FlopsPerPair returns the kernel's exact floating-point operation count per
+// galaxy pair at maximum order l, a fused multiply-add counting 2:
+//
+//   - lane folds: one add for the j = 0 sum of each of the 2l+1 rows and one
+//     multiply-add for each of the other l^2 sums — 2l^2 + 2l + 1;
+//   - the running power: 2 multiplies for the first rotation (s = 0 there)
+//     and 2 multiplies + 2 multiply-adds for each of the other l-1 —
+//     2 + 6(l-1);
+//   - the hoisted z-power columns z^2..z^l: l-1 multiplies.
+//
+// That is 286 at l = 10, against the paper's 576 for its 286 monomials.
+func FlopsPerPair(l int) int {
+	n := 2*l*l + 2*l + 1
+	if l >= 1 {
+		n += 2 + 6*(l-1) + (l - 1)
+	}
+	return n
+}
 
-// Kernel accumulates monomial sums over pair buckets for a fixed maximum
-// order. A Kernel is owned by a single worker (thread): it carries scratch
-// buffers and is not safe for concurrent use. Accumulators live outside the
-// kernel (one per radial bin) so one kernel serves all bins.
+// Kernel accumulates the MonomialTable sums over pair tiles for a fixed
+// maximum order. A Kernel is owned by a single worker (thread): it carries
+// scratch buffers and is not safe for concurrent use. Accumulators live
+// outside the kernel (one per radial bin) so one kernel serves all bins.
 type Kernel struct {
 	Table *MonomialTable
 	cap   int
-	xk    []float64 // running w * x^k per pair
-	xy    []float64 // running w * x^k * y^p per pair
-	cur   []float64 // running w * x^k * y^p * z^q per pair
+	c, s  []float64 // running w Re (x+iy)^m and w Im (x+iy)^m per pair
 	zpow  []float64 // hoisted z-power columns: zpow[(q-1)*cap:...] holds z^q
 }
 
-// NewKernel returns a kernel for monomial table t handling buckets of at
-// most bucketCap pairs; AccumulateTile consumes tiles of any length in
-// chunks of that capacity.
+// NewKernel returns a kernel for table t consuming tiles in chunks of at
+// most bucketCap pairs.
 func NewKernel(t *MonomialTable, bucketCap int) *Kernel {
 	if bucketCap <= 0 {
 		panic("sphharm: bucket capacity must be positive")
@@ -54,75 +64,23 @@ func NewKernel(t *MonomialTable, bucketCap int) *Kernel {
 	return &Kernel{
 		Table: t,
 		cap:   bucketCap,
-		xk:    make([]float64, bucketCap),
-		xy:    make([]float64, bucketCap),
-		cur:   make([]float64, bucketCap),
+		c:     make([]float64, bucketCap),
+		s:     make([]float64, bucketCap),
 		zpow:  make([]float64, t.L*bucketCap),
 	}
 }
 
 // AccumulatorLen returns the length of the lane-striped accumulator slice
-// required by Accumulate for table t: one group of Lanes values per monomial.
+// AccumulateTile requires for table t: one group of Lanes values per sum.
 func AccumulatorLen(t *MonomialTable) int { return t.Len() * Lanes }
 
-// Accumulate adds the weighted power combinations of a bucket of pairs into
-// the lane-striped accumulator acc (length AccumulatorLen(Table)). xs, ys,
-// zs hold the scaled separations (dx/r etc., so x^2+y^2+z^2 = 1 per pair)
-// and ws the pair weights; all four must share a length <= the bucket
-// capacity. This is the bucketed Sec. 3.3.2 reference, kept in pure Go under
-// every dispatch tag: the engine consumes tiles through AccumulateTile.
-func (k *Kernel) Accumulate(xs, ys, zs, ws []float64, acc []float64) {
-	n := len(xs)
-	if n == 0 {
-		return
-	}
-	if len(ys) != n || len(zs) != n || len(ws) != n {
-		panic("sphharm: bucket slice length mismatch")
-	}
-	if n > k.cap {
-		panic("sphharm: bucket exceeds kernel capacity")
-	}
-	if len(acc) != AccumulatorLen(k.Table) {
-		panic("sphharm: accumulator length mismatch")
-	}
-	l := k.Table.L
-	xk := k.xk[:n]
-	xy := k.xy[:n]
-	cur := k.cur[:n]
-	copy(xk, ws)
-
-	i := 0
-	for kk := 0; kk <= l; kk++ {
-		if kk > 0 {
-			mulIntoGeneric(xk, xs)
-		}
-		copy(xy, xk)
-		for p := 0; p <= l-kk; p++ {
-			if p > 0 {
-				mulIntoGeneric(xy, ys)
-			}
-			addLanesGeneric(acc[i*Lanes:i*Lanes+Lanes], xy)
-			i++
-			src := xy // the q recurrence starts from the z^0 products
-			for q := 1; q <= l-kk-p; q++ {
-				mulAddLanes(acc[i*Lanes:i*Lanes+Lanes], cur, src, zs)
-				src = cur
-				i++
-			}
-		}
-	}
-}
-
-// AccumulateTile adds the weighted power combinations of one whole same-bin
-// pair tile into the lane-striped accumulator acc. This is the engine's hot
-// path: the bin-sorted gather hands it every pair of one radial bin at once
-// (any length), and the tile is consumed in chunks of the kernel capacity so
-// the running-product scratch stays cache-resident. Each chunk runs a
-// degree-major monomial ladder: the pair weights are prescaled into the
-// degree-0 row, the z-power columns z^q are hoisted and computed once per
-// chunk, and every monomial with q >= 1 folds x^k y^p * z^q into its lane
-// group in a single fused multiply-accumulate sweep — unlike the bucketed
-// reference kernel, no running z product is stored back per monomial.
+// AccumulateTile adds the weighted power sums of one whole same-bin pair
+// tile into the lane-striped accumulator acc (length AccumulatorLen(Table)).
+// xs, ys, zs hold the scaled separations (dx/r etc., so x^2+y^2+z^2 = 1 per
+// pair) and ws the pair weights. This is the engine's hot path: the
+// bin-sorted gather hands it every pair of one radial bin at once (any
+// length), and the tile is consumed in chunks of the kernel capacity so the
+// scratch columns stay cache-resident.
 func (k *Kernel) AccumulateTile(xs, ys, zs, ws []float64, acc []float64) {
 	n := len(xs)
 	if len(ys) != n || len(zs) != n || len(ws) != n {
@@ -148,11 +106,10 @@ func (k *Kernel) accumulateChunk(xs, ys, zs, ws []float64, acc []float64) {
 		return
 	}
 	l := k.Table.L
-	xk := k.xk[:n]
-	xy := k.xy[:n]
-	copy(xk, ws) // weight prescale fused into the degree-0 row
+	c := k.c[:n]
+	copy(c, ws) // weight prescale fused into the m = 0 row
 	// Hoist the z-power columns: zpow[q-1] holds z^q for the whole chunk,
-	// computed once and reused by every (k, p) row of the ladder.
+	// computed once and reused by every row of the ladder.
 	for q := 1; q <= l; q++ {
 		zq := k.zpow[(q-1)*k.cap : (q-1)*k.cap+n]
 		if q == 1 {
@@ -161,32 +118,32 @@ func (k *Kernel) accumulateChunk(xs, ys, zs, ws []float64, acc []float64) {
 			mulCols(zq, k.zpow[(q-2)*k.cap:(q-2)*k.cap+n], zs)
 		}
 	}
-	ladder(acc, xk, xy, xs, ys, k.zpow, k.cap, l)
+	ladder(acc, c, k.s[:n], xs, ys, k.zpow, k.cap, l)
 }
 
-// ladderRows is the pure-Go body of the ladder primitive: the (k, p) rows in
-// canonical order, each x^k / y^p running-product update a mulInto call and
-// each row one rowLanes call folding its whole q ladder (the z^0 lane add
-// plus every z^q fused multiply-accumulate over the hoisted z-power columns
-// at stride zcap). xk holds the pair weights on entry; xy is scratch. The
-// vector body (ladderAsm) performs the same operations in the same order
-// without returning to Go between rows, so within a dispatch tag the two are
+// ladderRows is the pure-Go body of the ladder primitive: the rows in
+// MonomialTable order, each advance of the running power (c, s) a rotate
+// call (two mulCols for the first, where s is still 0) and each row one
+// rowLanes call folding its whole j ladder (the z^0 lane add plus every z^j
+// fused multiply-accumulate over the hoisted z-power columns at stride
+// zcap). c holds the pair weights on entry; s is scratch. The vector body
+// (ladderAsm) performs the same operations in the same order without
+// returning to Go between rows, so within a dispatch tag the two are
 // bit-identical (TestLadderMatchesRowsBitwise).
-func ladderRows(acc, xk, xy, xs, ys, zpow []float64, zcap, l int) {
-	i := 0
-	for kk := 0; kk <= l; kk++ {
-		if kk > 0 {
-			mulInto(xk, xs)
+func ladderRows(acc, c, s, xs, ys, zpow []float64, zcap, l int) {
+	rowLanes(acc[:(l+1)*Lanes], c, zpow, zcap)
+	i := l + 1
+	for m := 1; m <= l; m++ {
+		if m == 1 {
+			mulCols(s, c, ys)
+			mulCols(c, c, xs)
+		} else {
+			rotate(c, s, xs, ys)
 		}
-		copy(xy, xk)
-		for p := 0; p <= l-kk; p++ {
-			if p > 0 {
-				mulInto(xy, ys)
-			}
-			nq := l - kk - p
-			rowLanes(acc[i*Lanes:(i+nq+1)*Lanes], xy, zpow, zcap)
-			i += nq + 1
-		}
+		n := l - m + 1
+		rowLanes(acc[i*Lanes:(i+n)*Lanes], c, zpow, zcap)
+		rowLanes(acc[(i+n)*Lanes:(i+2*n)*Lanes], s, zpow, zcap)
+		i += 2 * n
 	}
 }
 
@@ -198,8 +155,9 @@ func ladderRows(acc, xk, xy, xs, ys, zpow []float64, zcap, l int) {
 var (
 	ladder       = ladderRows
 	rowLanes     = rowLanesGeneric
-	mulInto      = mulIntoGeneric
+	rotate       = rotateGeneric
 	mulCols      = mulColsGeneric
+	almRI        = almRIGeneric
 	zetaBatch    = zetaBatchGeneric
 	zetaBatchIso = zetaBatchIsoGeneric
 	reduce       = reduceGeneric
@@ -210,8 +168,9 @@ var (
 func bindGenericLanes() {
 	ladder = ladderRows
 	rowLanes = rowLanesGeneric
-	mulInto = mulIntoGeneric
+	rotate = rotateGeneric
 	mulCols = mulColsGeneric
+	almRI = almRIGeneric
 	zetaBatch = zetaBatchGeneric
 	zetaBatchIso = zetaBatchIsoGeneric
 	reduce = reduceGeneric
@@ -245,29 +204,34 @@ func LaneDispatch() string {
 	return "generic"
 }
 
-// rowLanesGeneric folds one (k, p) ladder row — acc holds nq+1 lane groups,
-// where group q gains the lane-striped sums of xy .* z^q (group 0 is the
-// plain add) and z^q is the hoisted column zpow[(q-1)*zcap:]. The per-group
+// rowLanesGeneric folds one ladder row — acc holds nq+1 lane groups, where
+// group q gains the lane-striped sums of src .* z^q (group 0 is the plain
+// add) and z^q is the hoisted column zpow[(q-1)*zcap:]. The per-group
 // arithmetic is exactly addLanesGeneric / fmaLanesGeneric, so fusing the
-// row changes nothing numerically; it only removes per-monomial dispatch.
-func rowLanesGeneric(acc, xy, zpow []float64, zcap int) {
-	addLanesGeneric(acc[:Lanes], xy)
+// row changes nothing numerically; it only removes per-sum dispatch.
+func rowLanesGeneric(acc, src, zpow []float64, zcap int) {
+	addLanesGeneric(acc[:Lanes], src)
 	nq := len(acc)/Lanes - 1
 	for q := 1; q <= nq; q++ {
-		fmaLanesGeneric(acc[q*Lanes:q*Lanes+Lanes], xy, zpow[(q-1)*zcap:(q-1)*zcap+len(xy)])
+		fmaLanesGeneric(acc[q*Lanes:q*Lanes+Lanes], src, zpow[(q-1)*zcap:(q-1)*zcap+len(src)])
 	}
 }
 
-// mulIntoGeneric multiplies dst elementwise by src (the x^k / y^p
-// running-product updates).
-func mulIntoGeneric(dst, src []float64) {
-	for j, v := range src[:len(dst)] {
-		dst[j] *= v
+// rotateGeneric advances the running power one order in place:
+// (c, s) <- (c*x - s*y, c*y + s*x), i.e. c + is times x + iy.
+func rotateGeneric(c, s, xs, ys []float64) {
+	s = s[:len(c)]
+	xs = xs[:len(c)]
+	ys = ys[:len(c)]
+	for j, cj := range c {
+		sj, x, y := s[j], xs[j], ys[j]
+		c[j] = cj*x - sj*y
+		s[j] = cj*y + sj*x
 	}
 }
 
-// mulColsGeneric writes a .* b into dst (the hoisted z-power column
-// recurrence z^q = z^(q-1) * z).
+// mulColsGeneric writes a .* b into dst, which may alias a (the hoisted
+// z-power column recurrence z^q = z^(q-1) * z, and the first rotation).
 func mulColsGeneric(dst, a, b []float64) {
 	a = a[:len(dst)]
 	b = b[:len(dst)]
@@ -276,10 +240,10 @@ func mulColsGeneric(dst, a, b []float64) {
 	}
 }
 
-// addLanesGeneric folds src into one monomial's Lanes-striped accumulator
-// group a, pair j landing in lane j & (Lanes-1). The lane sums are carried
-// in registers across the whole bucket, so the accumulator group is loaded
-// and stored once instead of once per pair.
+// addLanesGeneric folds src into one sum's Lanes-striped accumulator group
+// a, pair j landing in lane j & (Lanes-1). The lane sums are carried in
+// registers across the whole chunk, so the accumulator group is loaded and
+// stored once instead of once per pair.
 func addLanesGeneric(a, src []float64) {
 	a = a[:Lanes:Lanes]
 	a0, a1, a2, a3, a4, a5, a6, a7 := a[0], a[1], a[2], a[3], a[4], a[5], a[6], a[7]
@@ -318,67 +282,11 @@ func addLanesGeneric(a, src []float64) {
 	a[0], a[1], a[2], a[3], a[4], a[5], a[6], a[7] = a0, a1, a2, a3, a4, a5, a6, a7
 }
 
-// mulAddLanes advances the z recurrence one power — dst = src .* zs — and
-// folds the products into one monomial's lane group a. dst aliases src after
-// the first power; keeping the products in dst feeds the next call. The lane
-// map and accumulation order match addLanesGeneric exactly, so bucket
-// contents produce identical lane sums to the pre-blocked loop.
-func mulAddLanes(a, dst, src, zs []float64) {
-	a = a[:Lanes:Lanes]
-	a0, a1, a2, a3, a4, a5, a6, a7 := a[0], a[1], a[2], a[3], a[4], a[5], a[6], a[7]
-	j := 0
-	for ; j+Lanes <= len(dst); j += Lanes {
-		d := dst[j : j+Lanes : j+Lanes]
-		s := src[j : j+Lanes : j+Lanes]
-		z := zs[j : j+Lanes : j+Lanes]
-		c0 := s[0] * z[0]
-		c1 := s[1] * z[1]
-		c2 := s[2] * z[2]
-		c3 := s[3] * z[3]
-		c4 := s[4] * z[4]
-		c5 := s[5] * z[5]
-		c6 := s[6] * z[6]
-		c7 := s[7] * z[7]
-		d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7] = c0, c1, c2, c3, c4, c5, c6, c7
-		a0 += c0
-		a1 += c1
-		a2 += c2
-		a3 += c3
-		a4 += c4
-		a5 += c5
-		a6 += c6
-		a7 += c7
-	}
-	for ; j < len(dst); j++ {
-		c := src[j] * zs[j]
-		dst[j] = c
-		switch j & (Lanes - 1) {
-		case 0:
-			a0 += c
-		case 1:
-			a1 += c
-		case 2:
-			a2 += c
-		case 3:
-			a3 += c
-		case 4:
-			a4 += c
-		case 5:
-			a5 += c
-		case 6:
-			a6 += c
-		default:
-			a7 += c
-		}
-	}
-	a[0], a[1], a[2], a[3], a[4], a[5], a[6], a[7] = a0, a1, a2, a3, a4, a5, a6, a7
-}
-
-// fmaLanesGeneric folds src .* zq into one monomial's lane group a without
-// storing the products anywhere: the degree-major ladder reads the hoisted
-// z-power column instead of carrying a running z product through memory, so
-// each q >= 1 monomial costs two loads and zero stores per pair. The lane
-// map matches addLanesGeneric/mulAddLanes (pair j lands in lane j & (Lanes-1)).
+// fmaLanesGeneric folds src .* zq into one sum's lane group a without
+// storing the products anywhere: the ladder reads the hoisted z-power column
+// instead of carrying a running z product through memory, so each j >= 1 sum
+// costs two loads and zero stores per pair. The lane map matches
+// addLanesGeneric (pair j lands in lane j & (Lanes-1)).
 func fmaLanesGeneric(a, src, zq []float64) {
 	a = a[:Lanes:Lanes]
 	a0, a1, a2, a3, a4, a5, a6, a7 := a[0], a[1], a[2], a[3], a[4], a[5], a[6], a[7]
@@ -417,37 +325,6 @@ func fmaLanesGeneric(a, src, zq []float64) {
 		}
 	}
 	a[0], a[1], a[2], a[3], a[4], a[5], a[6], a[7] = a0, a1, a2, a3, a4, a5, a6, a7
-}
-
-// AccumulateScalar is the straightforward per-pair reference implementation
-// (no bucketing, no lane striping). It writes plain monomial sums into m
-// (length Table.Len()). Used to validate Accumulate and in the
-// pre-binning/post-binning ablation benchmark.
-func (k *Kernel) AccumulateScalar(xs, ys, zs, ws []float64, m []float64) {
-	if len(m) != k.Table.Len() {
-		panic("sphharm: monomial sum length mismatch")
-	}
-	l := k.Table.L
-	for j := range xs {
-		x, y, z, w := xs[j], ys[j], zs[j], ws[j]
-		i := 0
-		xk := w
-		for kk := 0; kk <= l; kk++ {
-			xy := xk
-			for p := 0; p <= l-kk; p++ {
-				cur := xy
-				m[i] += cur
-				i++
-				for q := 1; q <= l-kk-p; q++ {
-					cur *= z
-					m[i] += cur
-					i++
-				}
-				xy *= y
-			}
-			xk *= x
-		}
-	}
 }
 
 // ZetaBatch folds k dense primaries' zeta contributions to one channel in a
@@ -533,34 +410,40 @@ func zetaBatchIsoGeneric(dst, a2, w []float64, nb, k int) {
 	}
 }
 
-// Reduce folds a lane-striped accumulator into plain monomial sums: the
-// single reduction per primary that replaces N/8 in-loop reductions
-// (Sec. 3.3.2). out must have length Table.Len(); it is overwritten. The
-// vector dispatch performs the identical pairwise tree in-register, so its
-// results are bitwise equal to the generic body.
+// Reduce folds a lane-striped accumulator into plain sums: the single
+// reduction per primary that replaces N/8 in-loop reductions (Sec. 3.3.2).
+// out must have length len(acc)/Lanes; it is overwritten. The vector
+// dispatch performs the identical pairwise tree in-register, so its results
+// are bitwise equal to the generic body.
 func Reduce(acc []float64, out []float64) {
 	if len(acc) != len(out)*Lanes {
 		panic("sphharm: Reduce length mismatch")
 	}
-	reduce(acc, out)
+	reduce(acc, out, false)
 }
 
-// reduceGeneric is the pure-Go body of Reduce.
-func reduceGeneric(acc []float64, out []float64) {
+// ReduceClear is Reduce that also zeroes acc behind its loads — the engine's
+// per-touched-bin reduce and reset in one pass over the accumulator. The
+// sums are bitwise those of Reduce.
+func ReduceClear(acc []float64, out []float64) {
+	if len(acc) != len(out)*Lanes {
+		panic("sphharm: ReduceClear length mismatch")
+	}
+	reduce(acc, out, true)
+}
+
+// reduceGeneric is the pure-Go body of Reduce and ReduceClear.
+func reduceGeneric(acc []float64, out []float64, zero bool) {
 	for i := range out {
-		a := acc[i*Lanes : i*Lanes+Lanes]
+		a := (*[Lanes]float64)(acc[i*Lanes : i*Lanes+Lanes])
 		// Pairwise tree reduction, matching a vector fold.
 		s01 := a[0] + a[1]
 		s23 := a[2] + a[3]
 		s45 := a[4] + a[5]
 		s67 := a[6] + a[7]
 		out[i] = (s01 + s23) + (s45 + s67)
-	}
-}
-
-// Zero clears a lane-striped accumulator in place.
-func Zero(acc []float64) {
-	for i := range acc {
-		acc[i] = 0
+		if zero {
+			*a = [Lanes]float64{}
+		}
 	}
 }

@@ -23,15 +23,16 @@ import "galactos/internal/lanes"
 // unaffected.
 
 // Implemented in kernel_lanes_amd64.s. Each trusts the driving slice's
-// length (xy for the ladder and its rows, dst for the elementwise ops)
+// length (c for the ladder and the rotation, src for a row, dst for mulCols)
 // exactly like its generic counterpart.
-func ladderAsm(acc, xk, xy, xs, ys, zpow []float64, zcap, l int)
-func rowLanesAsm(acc, xy, zpow []float64, zcap int)
-func mulIntoAsm(dst, src []float64)
+func ladderAsm(acc, c, s, xs, ys, zpow []float64, zcap, l int)
+func rowLanesAsm(acc, src, zpow []float64, zcap int)
+func rotateAsm(c, s, xs, ys []float64)
 func mulColsAsm(dst, a, b []float64)
+func almRIAsm(blocks []almBlock, cols, m, re, im []float64)
 func zetaBatchAsm(dst []complex128, a2, xy []float64, nb, k int)
 func zetaBatchIsoAsm(dst, a2, w []float64, nb, k int)
-func reduceAsm(acc, out []float64)
+func reduceAsm(acc, out []float64, zero bool)
 
 func init() {
 	if lanes.Vector() {
@@ -45,9 +46,15 @@ func init() {
 func bindVectorLanes() {
 	ladder = ladderAsm
 	rowLanes = rowLanesAsm
-	mulInto = mulIntoAsm
+	rotate = rotateAsm
 	mulCols = mulColsAsm
+	almRI = almRIVector
 	zetaBatch = zetaBatchAsm
 	zetaBatchIso = zetaBatchIsoAsm
 	reduce = reduceAsm
+}
+
+// almRIVector is the AVX-512 body of AlmRI.
+func almRIVector(t *YlmTable, m, re, im []float64) {
+	almRIAsm(t.blocks, t.cols, m, re, im)
 }

@@ -6,60 +6,9 @@
 // Lanes = 8 float64 accumulator group as one ZMM register and walk the pair
 // columns in 512-bit steps; tails shorter than 8 pairs use an opmask so pair
 // j still lands in lane j&7 (masked EVEX memory operands suppress faults on
-// the masked-out lanes, so partial blocks never over-read). Only Z16-Z28 are
+// the masked-out lanes, so partial blocks never over-read). Only Z16-Z30 are
 // used: the high registers have no legacy-SSE upper state, so no VZEROUPPER
 // is needed on return.
-
-// func mulColsAsm(dst, a, b []float64)
-// dst = a .* b elementwise (the hoisted z-power column recurrence).
-TEXT ·mulColsAsm(SB), NOSPLIT, $0-72
-	MOVQ dst_base+0(FP), DI
-	MOVQ dst_len+8(FP), CX
-	MOVQ a_base+24(FP), SI
-	MOVQ b_base+48(FP), BX
-	MOVQ CX, DX
-	SHRQ $4, DX
-	JZ   mcblocks
-
-mcpair:
-	VMOVUPD (SI), Z16
-	VMOVUPD 64(SI), Z17
-	VMULPD  (BX), Z16, Z16
-	VMULPD  64(BX), Z17, Z17
-	VMOVUPD Z16, (DI)
-	VMOVUPD Z17, 64(DI)
-	ADDQ    $128, SI
-	ADDQ    $128, BX
-	ADDQ    $128, DI
-	DECQ    DX
-	JNZ     mcpair
-
-mcblocks:
-	MOVQ CX, DX
-	ANDQ $15, DX
-	SHRQ $3, DX
-	JZ   mctail
-
-	VMOVUPD (SI), Z16
-	VMULPD  (BX), Z16, Z16
-	VMOVUPD Z16, (DI)
-	ADDQ    $64, SI
-	ADDQ    $64, BX
-	ADDQ    $64, DI
-
-mctail:
-	ANDQ $7, CX
-	JZ   mcdone
-	MOVL $1, AX
-	SHLL CX, AX
-	DECL AX
-	KMOVW AX, K1
-	VMOVUPD.Z (SI), K1, Z16
-	VMULPD.Z  (BX), Z16, K1, Z16
-	VMOVUPD   Z16, K1, (DI)
-
-mcdone:
-	RET
 
 // laneGeometry<> splits a column of CX pairs the way every lane fold walks
 // it: R10 = 32-pair quads (four accumulator chains), R11 = whole 8-pair
@@ -78,50 +27,100 @@ TEXT laneGeometry<>(SB), NOSPLIT, $0
 	KMOVW AX, K1
 	RET
 
-// mulBody<> multiplies the column at R14 elementwise by the column at R15
-// over the lane geometry above (the x^k / y^p running-product updates).
-// Advances R14 and R15; clobbers DX and Z16.
-TEXT mulBody<>(SB), NOSPLIT, $0
-	LEAQ  (R11)(R10*4), DX
-	TESTQ DX, DX
-	JZ    mbtail
+// mulColsBody<> writes the elementwise product of the columns at R14 and R15
+// to the column at DX (which may be either) over the lane geometry above.
+// Advances R14, R15 and DX; clobbers R8 and Z16.
+TEXT mulColsBody<>(SB), NOSPLIT, $0
+	LEAQ  (R11)(R10*4), R8
+	TESTQ R8, R8
+	JZ    mctail
 
-mbloop:
+mcloop:
 	VMOVUPD (R14), Z16
 	VMULPD  (R15), Z16, Z16
-	VMOVUPD Z16, (R14)
+	VMOVUPD Z16, (DX)
 	ADDQ    $64, R14
 	ADDQ    $64, R15
-	DECQ    DX
-	JNZ     mbloop
+	ADDQ    $64, DX
+	DECQ    R8
+	JNZ     mcloop
 
-mbtail:
+mctail:
 	VMOVUPD.Z (R14), K1, Z16
 	VMULPD.Z  (R15), Z16, K1, Z16
-	VMOVUPD   Z16, K1, (R14)
+	VMOVUPD   Z16, K1, (DX)
 	RET
 
-// func mulIntoAsm(dst, src []float64)
-// dst *= src elementwise.
-TEXT ·mulIntoAsm(SB), NOSPLIT, $0-48
-	MOVQ dst_base+0(FP), R14
+// func mulColsAsm(dst, a, b []float64)
+// dst = a .* b elementwise (the hoisted z-power column recurrence).
+TEXT ·mulColsAsm(SB), NOSPLIT, $0-72
+	MOVQ dst_base+0(FP), DX
 	MOVQ dst_len+8(FP), CX
-	MOVQ src_base+24(FP), R15
+	MOVQ a_base+24(FP), R14
+	MOVQ b_base+48(FP), R15
 	CALL laneGeometry<>(SB)
-	CALL mulBody<>(SB)
+	CALL mulColsBody<>(SB)
 	RET
 
-// func rowLanesAsm(acc, xy, zpow []float64, zcap int)
-// One whole (k, p) ladder row in a single call: acc holds nq+1 lane groups,
-// group 0 gains the lane-striped sums of xy and group q >= 1 the fused
-// multiply-accumulated sums of xy .* z^q, reading the hoisted z-power
+// rotateBody<> advances the running power one order over the lane geometry:
+// with c at R14, s at R15, x at AX and y at DX,
+// (c, s) <- (fma(c, x, -(s*y)), fma(c, y, s*x)). Advances all four;
+// clobbers R8 and Z16-Z18.
+TEXT rotateBody<>(SB), NOSPLIT, $0
+	LEAQ  (R11)(R10*4), R8
+	TESTQ R8, R8
+	JZ    rttail
+
+rtloop:
+	VMOVUPD     (R14), Z16
+	VMOVUPD     (R15), Z17
+	VMULPD      (DX), Z17, Z18
+	VMULPD      (AX), Z17, Z17
+	VFMADD231PD (DX), Z16, Z17
+	VFMSUB132PD (AX), Z18, Z16
+	VMOVUPD     Z16, (R14)
+	VMOVUPD     Z17, (R15)
+	ADDQ        $64, R14
+	ADDQ        $64, R15
+	ADDQ        $64, AX
+	ADDQ        $64, DX
+	DECQ        R8
+	JNZ         rtloop
+
+rttail:
+	VMOVUPD.Z   (R14), K1, Z16
+	VMOVUPD.Z   (R15), K1, Z17
+	VMULPD.Z    (DX), Z17, K1, Z18
+	VMULPD.Z    (AX), Z17, K1, Z17
+	VFMADD231PD (DX), Z16, K1, Z17
+	VFMSUB132PD (AX), Z18, K1, Z16
+	VMOVUPD     Z16, K1, (R14)
+	VMOVUPD     Z17, K1, (R15)
+	RET
+
+// func rotateAsm(c, s, xs, ys []float64)
+// (c, s) <- (c*x - s*y, c*y + s*x) elementwise.
+TEXT ·rotateAsm(SB), NOSPLIT, $0-96
+	MOVQ c_base+0(FP), R14
+	MOVQ c_len+8(FP), CX
+	MOVQ s_base+24(FP), R15
+	CALL laneGeometry<>(SB)
+	MOVQ xs_base+48(FP), AX
+	MOVQ ys_base+72(FP), DX
+	CALL rotateBody<>(SB)
+	RET
+
+// func rowLanesAsm(acc, src, zpow []float64, zcap int)
+// One whole ladder row in a single call: acc holds nq+1 lane groups, group 0
+// gains the lane-striped sums of src and group q >= 1 the fused
+// multiply-accumulated sums of src .* z^q, reading the hoisted z-power
 // columns at stride zcap. This is the row-by-row form the fused ladder is
 // pinned against; ladderAsm runs the same rowBody<> for chunks with a quad.
 TEXT ·rowLanesAsm(SB), NOSPLIT, $0-80
 	MOVQ acc_base+0(FP), DI
 	MOVQ acc_len+8(FP), R8
-	MOVQ xy_base+24(FP), SI
-	MOVQ xy_len+32(FP), CX
+	MOVQ src_base+24(FP), SI
+	MOVQ src_len+32(FP), CX
 	MOVQ zpow_base+48(FP), BX
 	MOVQ zcap+72(FP), R9
 	SHLQ $3, R9 // z-power column stride, bytes
@@ -131,13 +130,13 @@ TEXT ·rowLanesAsm(SB), NOSPLIT, $0-80
 	RET
 
 // rowBody<> folds one ladder row: DI = the row's first lane group (advanced
-// past the row on return), R8 = its group count, SI = xy, BX = the z-power
+// past the row on return), R8 = its group count, SI = src, BX = the z-power
 // columns at byte stride R9, and the lane geometry in R10, R11, CX, K1. Per
 // group the lane sums run as four independent chains over the quads (blocks
 // and the tail extend chain 0) and fold (c0 + c1) + (c2 + c3). Clobbers AX,
 // BX, DX, R8, R14, R15 and Z16-Z27.
 TEXT rowBody<>(SB), NOSPLIT, $0
-	// Row 0: acc[0:8] += lane sums of xy.
+	// Row 0: acc[0:8] += lane sums of src.
 	VMOVUPD (DI), Z16
 	VPXORQ  Z17, Z17, Z17
 	VPXORQ  Z18, Z18, Z18
@@ -182,8 +181,8 @@ r0fold:
 	DECQ R8
 	JZ   rldone
 
-	// Rows 1..nq: acc[q*8:] += lane sums of xy .* z^q. Rows are consumed in
-	// pairs so each xy load feeds two z-power columns (25% fewer loads on
+	// Rows 1..nq: acc[q*8:] += lane sums of src .* z^q. Rows are consumed in
+	// pairs so each src load feeds two z-power columns (25% fewer loads on
 	// the load-bound ladder); an odd final row falls through to the single-
 	// row loop.
 rlpair:
@@ -316,67 +315,64 @@ rlfold:
 rldone:
 	RET
 
-// func ladderAsm(acc, xk, xy, xs, ys, zpow []float64, zcap, l int)
-// The whole (k, p) ladder of one chunk (n = len(xk) pairs, xk holding the
-// weights) in a single call: the operations of ladderRows in the same order
-// — x^k and x^k y^p running products, one lane fold per monomial — without
-// returning to Go between rows, so the result is bit-identical to the
-// row-by-row path.
+// func ladderAsm(acc, c, s, xs, ys, zpow []float64, zcap, l int)
+// The whole ladder of one chunk (n = len(c) pairs, c holding the weights) in
+// a single call: the operations of ladderRows in the same order — the m = 0
+// row, then per order the running-power update and the Re and Im rows —
+// without returning to Go between rows, so the result is bit-identical to
+// the row-by-row path.
 //
-// A chunk with a 32-pair quad walks the xk / xy scratch columns through
-// mulBody<> and rowBody<>. A shorter chunk is at most four 8-pair vectors
-// per column, so both running products stay in registers (Z24-Z27 and
-// Z20-Z23, vector v under mask K(2+v)) and a lane group is one load, four
-// masked ops extending chain 0 in pair order, and one store. The three idle
+// A chunk with a 32-pair quad walks the c / s scratch columns through
+// mulColsBody<>, rotateBody<> and rowBody<>. A shorter chunk is at most four
+// 8-pair vectors per column, so both halves of the running power stay in
+// registers (c in Z24-Z27, s in Z20-Z23, vector v under mask K(2+v)) and a
+// lane group is one load, four masked ops extending chain 0 in pair order,
+// and one store; an order's Re and Im rows advance together, group by group,
+// as two independent chains over the same z-power column. The three idle
 // chains of the row-by-row fold hold +0 there: (x + 0) + (0 + 0) is x + 0,
 // one add of the zero register Z28.
 TEXT ·ladderAsm(SB), NOSPLIT, $0-160
 	MOVQ acc_base+0(FP), DI
-	MOVQ xk_len+32(FP), CX
+	MOVQ c_len+32(FP), CX
 	MOVQ zcap+144(FP), R9
 	SHLQ $3, R9 // z-power column stride, bytes
-	MOVQ l+152(FP), R12 // l - k: the order left for y and z
+	MOVQ l+152(FP), R12 // l - m + 1: the lane groups of order m's rows
 	CMPQ CX, $32
 	JB   ldshort
 
-	MOVQ xy_base+48(FP), SI
 	CALL laneGeometry<>(SB)
-
-ldk:
-	// xy = xk
-	MOVQ xk_base+24(FP), R14
-	MOVQ SI, R15
-	LEAQ (R11)(R10*4), DX
-
-ldcopy:
-	VMOVUPD (R14), Z16
-	VMOVUPD Z16, (R15)
-	ADDQ    $64, R14
-	ADDQ    $64, R15
-	DECQ    DX
-	JNZ     ldcopy
-	VMOVUPD.Z (R14), K1, Z16
-	VMOVUPD   Z16, K1, (R15)
-	LEAQ 1(R12), R13 // lane groups of the p = 0 row
-
-ldp:
+	MOVQ c_base+24(FP), SI // m = 0 row
 	MOVQ zpow_base+120(FP), BX
-	MOVQ R13, R8
+	LEAQ 1(R12), R8
 	CALL rowBody<>(SB)
-	DECQ R13
-	JZ   ldknext
-	MOVQ SI, R14 // xy *= ys
+	TESTQ R12, R12
+	JZ   lddone
+	MOVQ SI, R14 // m = 1: s = c .* ys, c = c .* xs
 	MOVQ ys_base+96(FP), R15
-	CALL mulBody<>(SB)
-	JMP  ldp
-
-ldknext:
-	DECQ R12
-	JS   lddone
-	MOVQ xk_base+24(FP), R14 // xk *= xs
+	MOVQ s_base+48(FP), DX
+	CALL mulColsBody<>(SB)
+	MOVQ SI, R14
 	MOVQ xs_base+72(FP), R15
-	CALL mulBody<>(SB)
-	JMP  ldk
+	MOVQ SI, DX
+	CALL mulColsBody<>(SB)
+
+ldm:
+	MOVQ c_base+24(FP), SI
+	MOVQ zpow_base+120(FP), BX
+	MOVQ R12, R8
+	CALL rowBody<>(SB)
+	MOVQ s_base+48(FP), SI
+	MOVQ zpow_base+120(FP), BX
+	MOVQ R12, R8
+	CALL rowBody<>(SB)
+	DECQ R12
+	JZ   lddone
+	MOVQ c_base+24(FP), R14
+	MOVQ SI, R15
+	MOVQ xs_base+72(FP), AX
+	MOVQ ys_base+96(FP), DX
+	CALL rotateBody<>(SB)
+	JMP  ldm
 
 ldshort:
 	MOVL  $1, AX
@@ -390,7 +386,7 @@ ldshort:
 	SHRQ  $8, AX
 	KMOVW AX, K5
 	VPXORQ Z28, Z28, Z28
-	MOVQ xk_base+24(FP), SI
+	MOVQ c_base+24(FP), SI
 	VMOVUPD.Z (SI), K2, Z24
 	VMOVUPD.Z 64(SI), K3, Z25
 	VMOVUPD.Z 128(SI), K4, Z26
@@ -399,55 +395,183 @@ ldshort:
 	MOVQ ys_base+96(FP), R10
 	MOVQ zpow_base+120(FP), R11
 
-lsk:
-	VMOVAPD Z24, Z20
-	VMOVAPD Z25, Z21
-	VMOVAPD Z26, Z22
-	VMOVAPD Z27, Z23
-	LEAQ 1(R12), R13
-
-lsp:
+	// m = 0 row: l + 1 groups of c.
 	MOVQ R11, BX
-	MOVQ R13, R8
+	LEAQ 1(R12), R8
 	VMOVUPD (DI), Z16
-	VADDPD  Z20, Z16, K2, Z16
-	VADDPD  Z21, Z16, K3, Z16
-	VADDPD  Z22, Z16, K4, Z16
-	VADDPD  Z23, Z16, K5, Z16
-	JMP     lsfold
+	VADDPD  Z24, Z16, K2, Z16
+	VADDPD  Z25, Z16, K3, Z16
+	VADDPD  Z26, Z16, K4, Z16
+	VADDPD  Z27, Z16, K5, Z16
+	JMP     ls0fold
 
-lsgroup:
+ls0group:
 	VMOVUPD (DI), Z16
-	VFMADD231PD (BX), Z20, K2, Z16
-	VFMADD231PD 64(BX), Z21, K3, Z16
-	VFMADD231PD 128(BX), Z22, K4, Z16
-	VFMADD231PD 192(BX), Z23, K5, Z16
+	VFMADD231PD (BX), Z24, K2, Z16
+	VFMADD231PD 64(BX), Z25, K3, Z16
+	VFMADD231PD 128(BX), Z26, K4, Z16
+	VFMADD231PD 192(BX), Z27, K5, Z16
 	ADDQ R9, BX
 
-lsfold:
+ls0fold:
 	VADDPD  Z28, Z16, Z16
 	VMOVUPD Z16, (DI)
 	ADDQ    $64, DI
 	DECQ    R8
-	JNZ     lsgroup
-	DECQ    R13
-	JZ      lsknext
-	VMULPD.Z (R10), Z20, K2, Z20 // xy *= ys
-	VMULPD.Z 64(R10), Z21, K3, Z21
-	VMULPD.Z 128(R10), Z22, K4, Z22
-	VMULPD.Z 192(R10), Z23, K5, Z23
-	JMP      lsp
-
-lsknext:
-	DECQ R12
-	JS   lddone
-	VMULPD.Z (SI), Z24, K2, Z24 // xk *= xs
+	JNZ     ls0group
+	TESTQ   R12, R12
+	JZ      lddone
+	VMULPD.Z (R10), Z24, K2, Z20 // m = 1: s = c .* ys, c = c .* xs
+	VMULPD.Z 64(R10), Z25, K3, Z21
+	VMULPD.Z 128(R10), Z26, K4, Z22
+	VMULPD.Z 192(R10), Z27, K5, Z23
+	VMULPD.Z (SI), Z24, K2, Z24
 	VMULPD.Z 64(SI), Z25, K3, Z25
 	VMULPD.Z 128(SI), Z26, K4, Z26
 	VMULPD.Z 192(SI), Z27, K5, Z27
-	JMP      lsk
+
+lsm:
+	// Re row at DI (c), Im row right after it at DX (s), R12 groups each.
+	MOVQ R12, DX
+	SHLQ $6, DX
+	ADDQ DI, DX
+	MOVQ R11, BX
+	MOVQ R12, R8
+	VMOVUPD (DI), Z16
+	VMOVUPD (DX), Z17
+	VADDPD  Z24, Z16, K2, Z16
+	VADDPD  Z20, Z17, K2, Z17
+	VADDPD  Z25, Z16, K3, Z16
+	VADDPD  Z21, Z17, K3, Z17
+	VADDPD  Z26, Z16, K4, Z16
+	VADDPD  Z22, Z17, K4, Z17
+	VADDPD  Z27, Z16, K5, Z16
+	VADDPD  Z23, Z17, K5, Z17
+	JMP     lsmfold
+
+lsmgroup:
+	VMOVUPD (DI), Z16
+	VMOVUPD (DX), Z17
+	VFMADD231PD (BX), Z24, K2, Z16
+	VFMADD231PD (BX), Z20, K2, Z17
+	VFMADD231PD 64(BX), Z25, K3, Z16
+	VFMADD231PD 64(BX), Z21, K3, Z17
+	VFMADD231PD 128(BX), Z26, K4, Z16
+	VFMADD231PD 128(BX), Z22, K4, Z17
+	VFMADD231PD 192(BX), Z27, K5, Z16
+	VFMADD231PD 192(BX), Z23, K5, Z17
+	ADDQ R9, BX
+
+lsmfold:
+	VADDPD  Z28, Z16, Z16
+	VADDPD  Z28, Z17, Z17
+	VMOVUPD Z16, (DI)
+	VMOVUPD Z17, (DX)
+	ADDQ    $64, DI
+	ADDQ    $64, DX
+	DECQ    R8
+	JNZ     lsmgroup
+	MOVQ    DX, DI
+	DECQ    R12
+	JZ      lddone
+	// (c, s) <- (fma(c, x, -(s*y)), fma(c, y, s*x)), as rotateBody<>.
+	VMULPD.Z    (R10), Z20, K2, Z16
+	VMULPD.Z    (SI), Z20, K2, Z20
+	VFMADD231PD (R10), Z24, K2, Z20
+	VFMSUB132PD (SI), Z16, K2, Z24
+	VMULPD.Z    64(R10), Z21, K3, Z17
+	VMULPD.Z    64(SI), Z21, K3, Z21
+	VFMADD231PD 64(R10), Z25, K3, Z21
+	VFMSUB132PD 64(SI), Z17, K3, Z25
+	VMULPD.Z    128(R10), Z22, K4, Z18
+	VMULPD.Z    128(SI), Z22, K4, Z22
+	VFMADD231PD 128(R10), Z26, K4, Z22
+	VFMSUB132PD 128(SI), Z18, K4, Z26
+	VMULPD.Z    192(R10), Z23, K5, Z19
+	VMULPD.Z    192(SI), Z23, K5, Z23
+	VFMADD231PD 192(R10), Z27, K5, Z23
+	VFMSUB132PD 192(SI), Z19, K5, Z27
+	JMP         lsm
 
 lddone:
+	RET
+
+// func almRIAsm(blocks []almBlock, cols, m, re, im []float64)
+// The a_lm conversion as one matrix-vector product per almBlock: eight
+// degrees of one order accumulate column by column, the block's column of
+// coefficients times the broadcast Re-row (Im-row) sum, in two chains each
+// (even and odd columns: the parity of l - m puts a degree's terms all in
+// one, so every lane still adds its terms in ascending j), then scatter to
+// their PairIndex slots. An m = 0 block reads its Re row for both and
+// scatters zeros as the imaginary parts.
+TEXT ·almRIAsm(SB), NOSPLIT, $0-120
+	MOVQ blocks_base+0(FP), SI
+	MOVQ blocks_len+8(FP), R8
+	MOVQ cols_base+24(FP), DX
+	MOVQ m_base+48(FP), R9
+	MOVQ re_base+72(FP), DI
+	MOVQ im_base+96(FP), R10
+	TESTQ R8, R8
+	JZ   almdone
+
+almblock:
+	MOVQ (SI), AX
+	LEAQ (R9)(AX*8), R14 // Re row
+	MOVQ R14, R15
+	MOVQ 8(SI), BX
+	TESTQ BX, BX
+	JS   almcols
+	LEAQ (R9)(BX*8), R15 // Im row
+
+almcols:
+	MOVQ 16(SI), CX
+	VPXORQ Z16, Z16, Z16
+	VPXORQ Z17, Z17, Z17
+	VPXORQ Z18, Z18, Z18
+	VPXORQ Z19, Z19, Z19
+	MOVQ CX, R11
+	SHRQ $1, R11
+	JZ   almodd
+
+almpair:
+	VMOVUPD (DX), Z20
+	VMOVUPD 64(DX), Z21
+	VFMADD231PD.BCST (R14), Z20, Z16
+	VFMADD231PD.BCST (R15), Z20, Z17
+	VFMADD231PD.BCST 8(R14), Z21, Z18
+	VFMADD231PD.BCST 8(R15), Z21, Z19
+	ADDQ $128, DX
+	ADDQ $16, R14
+	ADDQ $16, R15
+	DECQ R11
+	JNZ  almpair
+
+almodd:
+	TESTQ $1, CX
+	JZ   almfold
+	VMOVUPD (DX), Z20
+	VFMADD231PD.BCST (R14), Z20, Z16
+	VFMADD231PD.BCST (R15), Z20, Z17
+	ADDQ $64, DX
+
+almfold:
+	VADDPD Z18, Z16, Z16
+	VADDPD Z19, Z17, Z17
+	TESTQ BX, BX
+	JNS  almstore
+	VPXORQ Z17, Z17, Z17
+
+almstore:
+	VMOVDQU64 32(SI), Z30
+	KMOVW 24(SI), K1
+	KMOVW K1, K2
+	VSCATTERQPD Z16, K1, (DI)(Z30*8)
+	VSCATTERQPD Z17, K2, (R10)(Z30*8)
+	ADDQ $96, SI
+	DECQ R8
+	JNZ  almblock
+
+almdone:
 	RET
 
 // oddSignMask flips the sign of the odd (imaginary) float64 lanes: XORing a
@@ -705,17 +829,23 @@ isostripnext:
 	JB   isostriploop
 	RET
 
-// func reduceAsm(acc, out []float64)
-// Lane-striped accumulator fold, two monomials per iteration. Each group's
+// func reduceAsm(acc, out []float64, zero bool)
+// Lane-striped accumulator fold, two sums per iteration. Each group's
 // pairwise tree — (a0+a1)+(a2+a3) then +((a4+a5)+(a6+a7)) — is performed
 // in-register with the exact same addition pairing as the generic body, so
 // the results are bitwise identical: an in-pair swap + add forms the s01..
 // s67 sums, a per-128-lane compact + swap + add forms s0123/s4567, and the
-// 256-bit halves meet in the final scalar add.
-TEXT ·reduceAsm(SB), NOSPLIT, $0-48
+// 256-bit halves meet in the final scalar add. With zero set, each group is
+// cleared behind its load (a store of Z28 under K1, which is empty
+// otherwise).
+TEXT ·reduceAsm(SB), NOSPLIT, $0-49
 	MOVQ acc_base+0(FP), SI
 	MOVQ out_base+24(FP), DI
 	MOVQ out_len+32(FP), CX
+	MOVBLZX zero+48(FP), AX
+	NEGL AX
+	KMOVW AX, K1
+	VPXORQ Z28, Z28, Z28
 	MOVQ CX, DX
 	SHRQ $1, DX
 	JZ   rdsingle
@@ -723,6 +853,8 @@ TEXT ·reduceAsm(SB), NOSPLIT, $0-48
 rdpair:
 	VMOVUPD (SI), Z16
 	VMOVUPD 64(SI), Z20
+	VMOVUPD Z28, K1, (SI)
+	VMOVUPD Z28, K1, 64(SI)
 	VPERMILPD $0x55, Z16, Z17
 	VPERMILPD $0x55, Z20, Z21
 	VADDPD Z17, Z16, Z16 // [s01 s01 s23 s23 | s45 s45 s67 s67]
@@ -748,6 +880,7 @@ rdsingle:
 	ANDQ $1, CX
 	JZ   rddone
 	VMOVUPD (SI), Z16
+	VMOVUPD Z28, K1, (SI)
 	VPERMILPD $0x55, Z16, Z17
 	VADDPD Z17, Z16, Z16
 	VPERMPD $0x08, Z16, Z16

@@ -9,39 +9,64 @@ import (
 
 func TestMonomialCount(t *testing.T) {
 	cases := []struct{ l, want int }{
-		{0, 1}, {1, 4}, {2, 10}, {3, 20}, {10, 286},
+		{0, 1}, {1, 4}, {2, 9}, {3, 16}, {10, 121},
 	}
 	for _, c := range cases {
-		if got := MonomialCount(c.l); got != c.want {
-			t.Errorf("MonomialCount(%d) = %d, want %d", c.l, got, c.want)
+		tab := NewMonomialTable(c.l)
+		if got := tab.Len(); got != c.want {
+			t.Errorf("NewMonomialTable(%d).Len() = %d, want %d", c.l, got, c.want)
+		}
+		if got := AccumulatorLen(tab); got != c.want*Lanes {
+			t.Errorf("AccumulatorLen(l=%d) = %d, want %d", c.l, got, c.want*Lanes)
 		}
 	}
+}
+
+// basisFn names one sum of the kernel's basis: the real (or imaginary) part
+// of w (x+iy)^m z^j.
+type basisFn struct {
+	m, j int
+	im   bool
+}
+
+// basisLayout enumerates the basis in the documented MonomialTable order,
+// independently of MonomialTable.rows.
+func basisLayout(l int) []basisFn {
+	var out []basisFn
+	for j := 0; j <= l; j++ {
+		out = append(out, basisFn{0, j, false})
+	}
+	for m := 1; m <= l; m++ {
+		for _, im := range []bool{false, true} {
+			for j := 0; j <= l-m; j++ {
+				out = append(out, basisFn{m, j, im})
+			}
+		}
+	}
+	return out
 }
 
 func TestMonomialTableOrderAndIndex(t *testing.T) {
-	tab := NewMonomialTable(5)
-	if tab.Len() != MonomialCount(5) {
-		t.Fatalf("Len = %d, want %d", tab.Len(), MonomialCount(5))
+	for _, l := range []int{0, 1, 5, 10} {
+		tab := NewMonomialTable(l)
+		layout := basisLayout(l)
+		if tab.Len() != len(layout) {
+			t.Fatalf("l=%d: Len = %d, want %d", l, tab.Len(), len(layout))
+		}
+		for i, f := range layout {
+			re, im := tab.rows(f.m)
+			got := re + f.j
+			if f.im {
+				got = im + f.j
+			}
+			if got != i {
+				t.Fatalf("l=%d: sum (m=%d, j=%d, im=%v) at %d, want %d", l, f.m, f.j, f.im, got, i)
+			}
+		}
+		if _, im := tab.rows(0); im >= 0 {
+			t.Fatalf("l=%d: the m = 0 row has an Im row at %d", l, im)
+		}
 	}
-	for i := 0; i < tab.Len(); i++ {
-		k, p, q := int(tab.K[i]), int(tab.P[i]), int(tab.Q[i])
-		if k+p+q > 5 {
-			t.Fatalf("monomial %d has total order %d", i, k+p+q)
-		}
-		if tab.Index(k, p, q) != i {
-			t.Fatalf("Index(%d,%d,%d) = %d, want %d", k, p, q, tab.Index(k, p, q), i)
-		}
-	}
-}
-
-func TestMonomialIndexPanicsOutOfRange(t *testing.T) {
-	tab := NewMonomialTable(3)
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for out-of-range monomial")
-		}
-	}()
-	tab.Index(2, 2, 2)
 }
 
 func TestMonomialEvaluate(t *testing.T) {
@@ -50,26 +75,40 @@ func TestMonomialEvaluate(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 50; trial++ {
 		x, y, z := rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()
-		tab.Evaluate(x, y, z, out)
-		for i := range out {
-			want := math.Pow(x, float64(tab.K[i])) * math.Pow(y, float64(tab.P[i])) * math.Pow(z, float64(tab.Q[i]))
+		tab.evaluate(x, y, z, out)
+		for i, f := range basisLayout(6) {
+			v := cmplx.Pow(complex(x, y), complex(float64(f.m), 0)) * complex(math.Pow(z, float64(f.j)), 0)
+			want := real(v)
+			if f.im {
+				want = imag(v)
+			}
 			if math.Abs(out[i]-want) > 1e-9*(1+math.Abs(want)) {
-				t.Fatalf("monomial %d (%d,%d,%d) = %v, want %v",
-					i, tab.K[i], tab.P[i], tab.Q[i], out[i], want)
+				t.Fatalf("sum %d (m=%d, j=%d, im=%v) = %v, want %v", i, f.m, f.j, f.im, out[i], want)
 			}
 		}
 	}
 }
 
-// directSums computes monomial sums the obvious O(n * len) way with math.Pow.
-func directSums(tab *MonomialTable, xs, ys, zs, ws []float64) []float64 {
-	out := make([]float64, tab.Len())
+// directSums computes the basis sums the obvious O(n * len) way: (x+iy)^m
+// expanded binomially into x^(m-a) y^a with math.Pow.
+func directSums(l int, xs, ys, zs, ws []float64) []float64 {
+	layout := basisLayout(l)
+	out := make([]float64, len(layout))
 	for j := range xs {
-		for i := range out {
-			out[i] += ws[j] *
-				math.Pow(xs[j], float64(tab.K[i])) *
-				math.Pow(ys[j], float64(tab.P[i])) *
-				math.Pow(zs[j], float64(tab.Q[i]))
+		for i, f := range layout {
+			var v float64
+			a0 := 0
+			if f.im {
+				a0 = 1
+			}
+			for a := a0; a <= f.m; a += 2 { // i^a = (-1)^(a/2) times 1 or i
+				term := binomial(f.m, a) * math.Pow(xs[j], float64(f.m-a)) * math.Pow(ys[j], float64(a))
+				if (a/2)%2 == 1 {
+					term = -term
+				}
+				v += term
+			}
+			out[i] += ws[j] * v * math.Pow(zs[j], float64(f.j))
 		}
 	}
 	return out
@@ -88,52 +127,76 @@ func randBucket(rng *rand.Rand, n int) (xs, ys, zs, ws []float64) {
 	return
 }
 
-func TestKernelAccumulateMatchesDirect(t *testing.T) {
-	const L = 10
-	tab := NewMonomialTable(L)
-	k := NewKernel(tab, 128)
-	rng := rand.New(rand.NewSource(6))
-	for _, n := range []int{1, 2, 7, 8, 9, 64, 127, 128} {
-		xs, ys, zs, ws := randBucket(rng, n)
-		acc := make([]float64, AccumulatorLen(tab))
-		k.Accumulate(xs, ys, zs, ws, acc)
-		got := make([]float64, tab.Len())
-		Reduce(acc, got)
-		want := directSums(tab, xs, ys, zs, ws)
-		for i := range got {
-			if math.Abs(got[i]-want[i]) > 1e-9*(1+math.Abs(want[i])) {
-				t.Fatalf("n=%d monomial %d: %v vs %v", n, i, got[i], want[i])
-			}
+// eachDispatch runs f under every lane dispatch tag this host has, restoring
+// the binding in effect afterwards.
+func eachDispatch(t *testing.T, f func(tag string)) {
+	t.Helper()
+	was := LaneDispatch() == "avx512"
+	defer SetLaneDispatch(was)
+	for _, vector := range []bool{false, true} {
+		if SetLaneDispatch(vector) != vector {
+			continue // no vector bodies on this host
 		}
+		f(LaneDispatch())
 	}
 }
 
-func TestKernelScalarMatchesBucketed(t *testing.T) {
-	const L = 8
-	tab := NewMonomialTable(L)
-	k := NewKernel(tab, 64)
-	rng := rand.New(rand.NewSource(16))
-	xs, ys, zs, ws := randBucket(rng, 64)
-
-	acc := make([]float64, AccumulatorLen(tab))
-	k.Accumulate(xs, ys, zs, ws, acc)
-	bucketed := make([]float64, tab.Len())
-	Reduce(acc, bucketed)
-
-	scalar := make([]float64, tab.Len())
-	k.AccumulateScalar(xs, ys, zs, ws, scalar)
-
-	for i := range scalar {
-		if math.Abs(scalar[i]-bucketed[i]) > 1e-10*(1+math.Abs(scalar[i])) {
-			t.Fatalf("monomial %d: scalar %v vs bucketed %v", i, scalar[i], bucketed[i])
+func TestKernelAccumulateMatchesDirect(t *testing.T) {
+	// The oracle that shares none of the kernel's tables: AccumulateTile ->
+	// Reduce -> AlmRI must equal sum_j w_j Y_lm(rhat_j) with Y_lm from the
+	// closed form in spherical angles, on random unit vectors and on the
+	// degenerate ones (poles, equator, x = 0, y = 0), for tile lengths that
+	// hit the masked tail, the register-resident path and the quad path.
+	const maxL = 12
+	degenerate := [][3]float64{
+		{0, 0, 1}, {0, 0, -1},
+		{1, 0, 0}, {-1, 0, 0}, {0, 1, 0}, {0, -1, 0}, {0.6, -0.8, 0},
+		{0, 0.6, 0.8}, {0, -0.8, -0.6}, {0.8, 0, -0.6}, {-0.6, 0, 0.8},
+	}
+	rng := rand.New(rand.NewSource(6))
+	for ti, n := range []int{0, 1, 7, 8, 9, 31, 32, 33, 127, 128, 129, 1000} {
+		xs, ys, zs, ws := randBucket(rng, n)
+		for j := 0; j < n; j += 3 {
+			d := degenerate[(ti+j/3)%len(degenerate)]
+			xs[j], ys[j], zs[j] = d[0], d[1], d[2]
 		}
+		want := make([]complex128, PairCount(maxL))
+		sumAbsW := 0.0
+		for j := range xs {
+			theta, phi := math.Acos(zs[j]), math.Atan2(ys[j], xs[j])
+			for l := 0; l <= maxL; l++ {
+				for m := 0; m <= l; m++ {
+					want[PairIndex(l, m)] += complex(ws[j], 0) * YlmDirect(l, m, theta, phi)
+				}
+			}
+			sumAbsW += math.Abs(ws[j])
+		}
+		eachDispatch(t, func(tag string) {
+			for _, L := range []int{0, 1, 4, 10, maxL} {
+				mono := NewMonomialTable(L)
+				ytab := NewYlmTable(L, mono)
+				acc := make([]float64, AccumulatorLen(mono))
+				NewKernel(mono, 128).AccumulateTile(xs, ys, zs, ws, acc)
+				sums := make([]float64, mono.Len())
+				Reduce(acc, sums)
+				re := make([]float64, PairCount(L))
+				im := make([]float64, PairCount(L))
+				ytab.AlmRI(sums, re, im)
+				for i := range re {
+					if d := cmplx.Abs(complex(re[i], im[i]) - want[i]); d > 1e-12*sumAbsW {
+						t.Fatalf("%s L=%d n=%d a_lm[%d]: %v vs %v (off by %.3g, sum|w| = %.3g)",
+							tag, L, n, i, complex(re[i], im[i]), want[i], d, sumAbsW)
+					}
+				}
+			}
+		})
 	}
 }
 
 func TestKernelAccumulateIsAdditive(t *testing.T) {
-	// Accumulating two buckets into one accumulator equals accumulating
-	// their concatenation: the property the bucket-flushing machinery
-	// relies on (Sec. 3.3.1).
+	// Accumulating two tiles into one accumulator equals accumulating their
+	// concatenation: the property per-bin accumulation across chunks relies
+	// on (Sec. 3.3.1).
 	const L = 6
 	tab := NewMonomialTable(L)
 	k := NewKernel(tab, 256)
@@ -141,19 +204,19 @@ func TestKernelAccumulateIsAdditive(t *testing.T) {
 	xs, ys, zs, ws := randBucket(rng, 200)
 
 	accSplit := make([]float64, AccumulatorLen(tab))
-	k.Accumulate(xs[:77], ys[:77], zs[:77], ws[:77], accSplit)
-	k.Accumulate(xs[77:], ys[77:], zs[77:], ws[77:], accSplit)
+	k.AccumulateTile(xs[:77], ys[:77], zs[:77], ws[:77], accSplit)
+	k.AccumulateTile(xs[77:], ys[77:], zs[77:], ws[77:], accSplit)
 	split := make([]float64, tab.Len())
 	Reduce(accSplit, split)
 
 	accAll := make([]float64, AccumulatorLen(tab))
-	k.Accumulate(xs, ys, zs, ws, accAll)
+	k.AccumulateTile(xs, ys, zs, ws, accAll)
 	all := make([]float64, tab.Len())
 	Reduce(accAll, all)
 
 	for i := range all {
 		if math.Abs(all[i]-split[i]) > 1e-9*(1+math.Abs(all[i])) {
-			t.Fatalf("monomial %d: split %v vs whole %v", i, split[i], all[i])
+			t.Fatalf("sum %d: split %v vs whole %v", i, split[i], all[i])
 		}
 	}
 }
@@ -171,44 +234,50 @@ func TestKernelTileMatchesDirect(t *testing.T) {
 		k.AccumulateTile(xs, ys, zs, ws, acc)
 		got := make([]float64, tab.Len())
 		Reduce(acc, got)
-		want := directSums(tab, xs, ys, zs, ws)
+		want := directSums(L, xs, ys, zs, ws)
 		for i := range got {
 			if math.Abs(got[i]-want[i]) > 1e-9*(1+math.Abs(want[i])) {
-				t.Fatalf("n=%d monomial %d: %v vs %v", n, i, got[i], want[i])
+				t.Fatalf("n=%d sum %d: %v vs %v", n, i, got[i], want[i])
 			}
 		}
 	}
 }
 
-func TestKernelTileMatchesBucketed(t *testing.T) {
-	// Tile and bucketed kernels share the lane map and ladder order, so the
-	// only difference is z-power association: (xy*z)*z... vs xy*(z*z...).
-	const L = 9
-	tab := NewMonomialTable(L)
-	k := NewKernel(tab, 64)
-	rng := rand.New(rand.NewSource(23))
-	xs, ys, zs, ws := randBucket(rng, 64)
-
-	tileAcc := make([]float64, AccumulatorLen(tab))
-	k.AccumulateTile(xs, ys, zs, ws, tileAcc)
-	tile := make([]float64, tab.Len())
-	Reduce(tileAcc, tile)
-
-	bucketAcc := make([]float64, AccumulatorLen(tab))
-	k.Accumulate(xs, ys, zs, ws, bucketAcc)
-	bucketed := make([]float64, tab.Len())
-	Reduce(bucketAcc, bucketed)
-
-	for i := range tile {
-		if math.Abs(tile[i]-bucketed[i]) > 1e-10*(1+math.Abs(bucketed[i])) {
-			t.Fatalf("monomial %d: tile %v vs bucketed %v", i, tile[i], bucketed[i])
+func TestKernelDispatchAgreesWithGeneric(t *testing.T) {
+	// The AVX-512 ladder regroups each lane's additions and contracts
+	// multiply-adds into FMAs: its reduced sums agree with the portable
+	// ladder's to 1e-13 of the tile's total weight, not to the bit.
+	if !HasAVX512() {
+		t.Skip("no vector path on this host; dispatch is the generic code")
+	}
+	rng := rand.New(rand.NewSource(41))
+	for _, L := range []int{1, 4, 10} {
+		tab := NewMonomialTable(L)
+		for _, n := range []int{1, 7, 31, 32, 100, 1000} {
+			xs, ys, zs, ws := randBucket(rng, n)
+			sumAbsW := 0.0
+			for _, w := range ws {
+				sumAbsW += math.Abs(w)
+			}
+			sums := map[string][]float64{}
+			eachDispatch(t, func(tag string) {
+				acc := make([]float64, AccumulatorLen(tab))
+				NewKernel(tab, 128).AccumulateTile(xs, ys, zs, ws, acc)
+				sums[tag] = make([]float64, tab.Len())
+				Reduce(acc, sums[tag])
+			})
+			for i, g := range sums["generic"] {
+				if math.Abs(sums["avx512"][i]-g) > 1e-13*sumAbsW {
+					t.Fatalf("L=%d n=%d sum %d: avx512 %v vs generic %v", L, n, i, sums["avx512"][i], g)
+				}
+			}
 		}
 	}
 }
 
 func TestKernelTileChunkingInvariance(t *testing.T) {
 	// Consuming one tile with different chunk capacities only regroups the
-	// lane sums; the reduced monomial sums must agree to rounding.
+	// lane sums; the reduced sums must agree to rounding.
 	const L = 8
 	tab := NewMonomialTable(L)
 	rng := rand.New(rand.NewSource(29))
@@ -226,28 +295,31 @@ func TestKernelTileChunkingInvariance(t *testing.T) {
 		Reduce(acc, got)
 		for i := range got {
 			if math.Abs(got[i]-ref[i]) > 1e-9*(1+math.Abs(ref[i])) {
-				t.Fatalf("cap=%d monomial %d: %v vs %v", cap, i, got[i], ref[i])
+				t.Fatalf("cap=%d sum %d: %v vs %v", cap, i, got[i], ref[i])
 			}
 		}
 	}
+}
+
+// mustPanic fails the test unless f panics.
+func mustPanic(t *testing.T, name string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s: expected panic", name)
+		}
+	}()
+	f()
 }
 
 func TestKernelTilePanicsOnMismatch(t *testing.T) {
 	tab := NewMonomialTable(4)
 	k := NewKernel(tab, 16)
 	acc := make([]float64, AccumulatorLen(tab))
-	mustPanic := func(name string, f func()) {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s: expected panic", name)
-			}
-		}()
-		f()
-	}
-	mustPanic("length mismatch", func() {
+	mustPanic(t, "length mismatch", func() {
 		k.AccumulateTile(make([]float64, 3), make([]float64, 2), make([]float64, 3), make([]float64, 3), acc)
 	})
-	mustPanic("bad accumulator", func() {
+	mustPanic(t, "bad accumulator", func() {
 		k.AccumulateTile(make([]float64, 3), make([]float64, 3), make([]float64, 3), make([]float64, 3), acc[:5])
 	})
 }
@@ -256,38 +328,44 @@ func TestLanePrimitivesMatchGeneric(t *testing.T) {
 	// The dispatched elementwise primitives (AVX-512 on capable amd64 hosts)
 	// must agree with the pure-Go bodies for every tail length. The lane
 	// folds are covered by TestRowLanesMatchesGeneric (row against the
-	// per-monomial generic sequence) and TestLadderMatchesRowsBitwise.
+	// per-sum generic sequence) and TestLadderMatchesRowsBitwise.
 	if !HasAVX512() {
 		t.Skip("no vector path on this host; dispatch is the generic code")
 	}
 	rng := rand.New(rand.NewSource(37))
 	for _, n := range []int{1, 2, 7, 8, 9, 15, 16, 31, 32, 33, 63, 64, 100, 128, 257} {
-		src := make([]float64, n)
-		zq := make([]float64, n)
-		for j := range src {
-			src[j] = rng.NormFloat64()
-			zq[j] = rng.NormFloat64()
+		col := func() []float64 {
+			c := make([]float64, n)
+			for j := range c {
+				c[j] = rng.NormFloat64()
+			}
+			return c
 		}
+		src, zq, xs, ys := col(), col(), col(), col()
 		check := func(name string, got, want []float64) {
 			t.Helper()
 			for i := range want {
-				if math.Abs(got[i]-want[i]) > 1e-12*(1+math.Abs(want[i])) {
-					t.Fatalf("%s n=%d lane/elem %d: %v vs %v", name, n, i, got[i], want[i])
+				if math.Abs(got[i]-want[i]) > 1e-13*(1+math.Abs(want[i])) {
+					t.Fatalf("%s n=%d elem %d: %v vs %v", name, n, i, got[i], want[i])
 				}
 			}
 		}
-
-		d1 := append([]float64(nil), src...)
-		d2 := append([]float64(nil), src...)
-		mulInto(d1, zq)
-		mulIntoGeneric(d2, zq)
-		check("mulInto", d1, d2)
 
 		c1 := make([]float64, n)
 		c2 := make([]float64, n)
 		mulCols(c1, src, zq)
 		mulColsGeneric(c2, src, zq)
 		check("mulCols", c1, c2)
+		mulCols(c1, c1, zq) // dst aliasing a, as the first rotation calls it
+		mulColsGeneric(c2, c2, zq)
+		check("mulCols in place", c1, c2)
+
+		s1 := append([]float64(nil), zq...)
+		s2 := append([]float64(nil), zq...)
+		rotate(c1, s1, xs, ys)
+		rotateGeneric(c2, s2, xs, ys)
+		check("rotate c", c1, c2)
+		check("rotate s", s1, s2)
 	}
 }
 
@@ -295,7 +373,7 @@ func TestKernelEmptyBucketNoop(t *testing.T) {
 	tab := NewMonomialTable(4)
 	k := NewKernel(tab, 16)
 	acc := make([]float64, AccumulatorLen(tab))
-	k.Accumulate(nil, nil, nil, nil, acc)
+	k.AccumulateTile(nil, nil, nil, nil, acc)
 	for i, v := range acc {
 		if v != 0 {
 			t.Fatalf("accumulator touched at %d: %v", i, v)
@@ -304,49 +382,53 @@ func TestKernelEmptyBucketNoop(t *testing.T) {
 }
 
 func TestKernelPanicsOnMismatch(t *testing.T) {
-	tab := NewMonomialTable(4)
-	k := NewKernel(tab, 16)
-	acc := make([]float64, AccumulatorLen(tab))
-	mustPanic := func(name string, f func()) {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s: expected panic", name)
+	mustPanic(t, "negative order", func() { NewMonomialTable(-1) })
+	mustPanic(t, "zero capacity", func() { NewKernel(NewMonomialTable(4), 0) })
+	mustPanic(t, "Reduce lengths", func() { Reduce(make([]float64, 3*Lanes), make([]float64, 2)) })
+	mustPanic(t, "ReduceClear lengths", func() { ReduceClear(make([]float64, 3*Lanes), make([]float64, 4)) })
+}
+
+func TestReduceClearMatchesReduceThenZero(t *testing.T) {
+	// The fused reduce-and-clear must produce Reduce's sums bitwise and leave
+	// the accumulator all +0, under both lane bodies.
+	eachDispatch(t, func(tag string) {
+		rng := rand.New(rand.NewSource(98))
+		for _, n := range []int{1, 2, 3, 7, 8, 25, 121} {
+			acc := make([]float64, n*Lanes)
+			for i := range acc {
+				acc[i] = rng.NormFloat64() * math.Exp(20*rng.NormFloat64())
 			}
-		}()
-		f()
-	}
-	mustPanic("length mismatch", func() {
-		k.Accumulate(make([]float64, 3), make([]float64, 2), make([]float64, 3), make([]float64, 3), acc)
-	})
-	mustPanic("over capacity", func() {
-		n := 17
-		k.Accumulate(make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n), acc)
-	})
-	mustPanic("bad accumulator", func() {
-		k.Accumulate(make([]float64, 3), make([]float64, 3), make([]float64, 3), make([]float64, 3), acc[:5])
+			want := make([]float64, n)
+			Reduce(acc, want)
+			got := make([]float64, n)
+			ReduceClear(acc, got)
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s n=%d out[%d]: %v vs %v (not bitwise)", tag, n, i, got[i], want[i])
+				}
+			}
+			for i, v := range acc {
+				if math.Float64bits(v) != 0 {
+					t.Fatalf("%s n=%d acc[%d] = %v after ReduceClear", tag, n, i, v)
+				}
+			}
+		}
 	})
 }
 
-func TestZero(t *testing.T) {
-	acc := []float64{1, 2, 3}
-	Zero(acc)
-	for _, v := range acc {
-		if v != 0 {
-			t.Fatal("Zero did not clear accumulator")
+func TestFlopsPerPair(t *testing.T) {
+	// Lane folds 2l^2+2l+1, rotations 2+6(l-1), z powers l-1.
+	for _, c := range []struct{ l, want int }{{0, 1}, {1, 7}, {2, 22}, {4, 64}, {10, 286}} {
+		if got := FlopsPerPair(c.l); got != c.want {
+			t.Errorf("FlopsPerPair(%d) = %d, want %d", c.l, got, c.want)
 		}
 	}
 }
 
-func TestFlopsPerPair(t *testing.T) {
-	if got := FlopsPerPair(10); got != 572 {
-		t.Errorf("FlopsPerPair(10) = %d, want 572", got)
-	}
-}
-
 func TestAlmFromKernelMatchesPointwise(t *testing.T) {
-	// End-to-end: kernel monomial sums -> Alm must equal the sum of
-	// pointwise Y_lm over the bucket. This is the identity the whole
-	// algorithm rests on: a_lm = sum_i w_i Y_lm(rhat_i).
+	// End-to-end: kernel sums -> Alm must equal the sum of pointwise Y_lm
+	// over the tile. This is the identity the whole algorithm rests on:
+	// a_lm = sum_i w_i Y_lm(rhat_i).
 	const L = 10
 	mono := NewMonomialTable(L)
 	ytab := NewYlmTable(L, mono)
@@ -355,7 +437,7 @@ func TestAlmFromKernelMatchesPointwise(t *testing.T) {
 	xs, ys, zs, ws := randBucket(rng, 100)
 
 	acc := make([]float64, AccumulatorLen(mono))
-	k.Accumulate(xs, ys, zs, ws, acc)
+	k.AccumulateTile(xs, ys, zs, ws, acc)
 	sums := make([]float64, mono.Len())
 	Reduce(acc, sums)
 	got := make([]complex128, PairCount(L))
@@ -379,7 +461,7 @@ func TestAlmFromKernelMatchesPointwise(t *testing.T) {
 }
 
 func TestRowLanesMatchesGeneric(t *testing.T) {
-	// The fused ladder-row primitive must agree with the per-monomial
+	// The fused ladder-row primitive must agree with the per-sum
 	// generic sequence (plain lane add of the z^0 row plus one fused
 	// multiply-accumulate per hoisted z-power column) for every row length
 	// and tail shape.
@@ -414,18 +496,13 @@ func TestRowLanesMatchesGeneric(t *testing.T) {
 
 func TestLadderMatchesRowsBitwise(t *testing.T) {
 	// The one-dispatch-per-chunk ladder must be bit-identical to the
-	// row-by-row path it replaces (one mulInto per running-product update,
-	// one rowLanes per row) under each dispatch tag — the fused vector body
+	// row-by-row path (one rotate per running-power update, one rowLanes per
+	// row) under each dispatch tag — the fused vector body
 	// performs the same operations in the same order — for every chunk shape:
 	// register-resident (n < 32, every vector count and tail), with quads,
 	// and across AccumulateTile's chunking, folding twice into an accumulator
 	// that is not zero.
-	was := LaneDispatch() == "avx512"
-	defer SetLaneDispatch(was)
-	for _, vector := range []bool{false, true} {
-		if SetLaneDispatch(vector) != vector {
-			continue // no vector bodies on this host
-		}
+	eachDispatch(t, func(tag string) {
 		rng := rand.New(rand.NewSource(99))
 		for _, l := range []int{0, 1, 4, 10} {
 			tab := NewMonomialTable(l)
@@ -448,12 +525,12 @@ func TestLadderMatchesRowsBitwise(t *testing.T) {
 				for i := range want {
 					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 						t.Fatalf("%s l=%d n=%d acc[%d]: ladder %v vs rows %v (not bitwise)",
-							LaneDispatch(), l, n, i, got[i], want[i])
+							tag, l, n, i, got[i], want[i])
 					}
 				}
 			}
 		}
-	}
+	})
 }
 
 func TestZetaBatchMatchesPerPrimaryBlock(t *testing.T) {
@@ -494,15 +571,15 @@ func TestReduceDispatchBitwiseGeneric(t *testing.T) {
 	// The vector Reduce performs the identical pairwise tree, so unlike the
 	// other primitives it must match the generic body bitwise.
 	rng := rand.New(rand.NewSource(97))
-	for _, n := range []int{1, 2, 3, 7, 8, 286} {
+	for _, n := range []int{1, 2, 3, 7, 8, 121} {
 		acc := make([]float64, n*Lanes)
 		for i := range acc {
 			acc[i] = rng.NormFloat64() * math.Exp(20*rng.NormFloat64())
 		}
 		got := make([]float64, n)
 		want := make([]float64, n)
-		reduce(acc, got)
-		reduceGeneric(acc, want)
+		reduce(acc, got, false)
+		reduceGeneric(acc, want, false)
 		for i := range want {
 			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 				t.Fatalf("n=%d out[%d]: %v vs %v (not bitwise)", n, i, got[i], want[i])
@@ -585,21 +662,13 @@ func TestZetaBatchIsoDispatchAgreesWithGeneric(t *testing.T) {
 }
 
 func TestZetaBatchIsoPanicsOnMismatch(t *testing.T) {
-	mustPanic := func(name string, f func()) {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s: expected panic", name)
-			}
-		}()
-		f()
-	}
-	mustPanic("short dst", func() {
+	mustPanic(t, "short dst", func() {
 		ZetaBatchIso(make([]float64, 3), make([]float64, 8), make([]float64, 2), 2, 2)
 	})
-	mustPanic("short a2", func() {
+	mustPanic(t, "short a2", func() {
 		ZetaBatchIso(make([]float64, 4), make([]float64, 7), make([]float64, 2), 2, 2)
 	})
-	mustPanic("short w", func() {
+	mustPanic(t, "short w", func() {
 		ZetaBatchIso(make([]float64, 4), make([]float64, 8), make([]float64, 1), 2, 2)
 	})
 }

@@ -103,15 +103,3 @@ func ylmNorm(l, m int) float64 {
 	}
 	return math.Sqrt(float64(2*l+1) / (4 * math.Pi) * ratio)
 }
-
-// binomial returns C(n, k) as a float64.
-func binomial(n, k int) float64 {
-	if k < 0 || k > n {
-		return 0
-	}
-	c := 1.0
-	for i := 0; i < k; i++ {
-		c = c * float64(n-i) / float64(i+1)
-	}
-	return c
-}

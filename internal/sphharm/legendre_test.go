@@ -139,6 +139,20 @@ func TestYlmNormKnownValues(t *testing.T) {
 	}
 }
 
+// binomial returns C(n, k) as a float64: the tests' binomial expansion of
+// (x+iy)^m (directSums) is the oracle the kernel's running power is checked
+// against.
+func binomial(n, k int) float64 {
+	if k < 0 || k > n {
+		return 0
+	}
+	c := 1.0
+	for i := 0; i < k; i++ {
+		c = c * float64(n-i) / float64(i+1)
+	}
+	return c
+}
+
 func TestBinomial(t *testing.T) {
 	cases := []struct {
 		n, k int

@@ -1,93 +1,72 @@
 // Package sphharm implements the spherical-harmonic machinery at the heart
-// of the Galactos O(N^2) algorithm (Sec. 3.1 and 3.3 of the paper): monomial
-// power-combination tables, associated Legendre polynomials, the expansion of
-// complex Y_lm as polynomials in the scaled separations (dx/r, dy/r, dz/r),
-// the bucketed multipole-accumulation kernel, and conversion from monomial
-// sums to spherical-harmonic coefficients a_lm.
+// of the Galactos O(N^2) algorithm (Sec. 3.1 and 3.3 of the paper): the
+// power-sum basis the pair kernel accumulates, associated Legendre
+// polynomials, the multipole-accumulation kernel, and the conversion from
+// accumulated sums to spherical-harmonic coefficients a_lm.
 package sphharm
 
 import "fmt"
 
-// MonomialCount returns the number of monomials x^k y^p z^q with
-// k+p+q <= l, which is binomial(l+3, 3) = (l+1)(l+2)(l+3)/6.
-// For l = 10 this is the paper's 286 unique contributions per galaxy pair.
-func MonomialCount(l int) int {
-	return (l + 1) * (l + 2) * (l + 3) / 6
-}
-
-// MonomialTable enumerates the monomials x^k y^p z^q with k+p+q <= L in a
-// fixed canonical order (k outer, p middle, q inner). The accumulation
-// kernel and the Y_lm coefficient tables share this ordering.
+// MonomialTable lays out the basis the kernel accumulates per radial bin:
+// the real and imaginary parts of
+//
+//	S_{m,j} = sum over pairs of w (x + iy)^m z^j,  m + j <= L.
+//
+// The paper accumulates every x^k y^p z^q with k+p+q <= L (286 sums at
+// L = 10), but every pair is a unit vector, and on the unit sphere those
+// polynomials span only the (L+1)^2 harmonics up to degree L. Since
+// Y_lm = N_lm tildeP_l^m(z) (x+iy)^m, the S_{m,j} are exactly the sums the
+// a_lm need, and there are (L+1)^2 of them (121 at L = 10).
+//
+// Order: the L+1 sums of m = 0 (j ascending; they are real), then for each
+// m = 1..L a Re row of L-m+1 sums followed by an Im row of the same length.
+// The kernel, Reduce and YlmTable share this order.
 type MonomialTable struct {
-	L     int
-	K     []int8 // exponent of x per monomial
-	P     []int8 // exponent of y per monomial
-	Q     []int8 // exponent of z per monomial
-	index map[[3]int8]int
+	L int
 }
 
-// NewMonomialTable builds the table for maximum total order l (l >= 0).
+// NewMonomialTable returns the layout for maximum order l (l >= 0).
 func NewMonomialTable(l int) *MonomialTable {
 	if l < 0 {
 		panic(fmt.Sprintf("sphharm: negative multipole order %d", l))
 	}
-	n := MonomialCount(l)
-	t := &MonomialTable{
-		L:     l,
-		K:     make([]int8, 0, n),
-		P:     make([]int8, 0, n),
-		Q:     make([]int8, 0, n),
-		index: make(map[[3]int8]int, n),
-	}
-	for k := 0; k <= l; k++ {
-		for p := 0; p <= l-k; p++ {
-			for q := 0; q <= l-k-p; q++ {
-				t.index[[3]int8{int8(k), int8(p), int8(q)}] = len(t.K)
-				t.K = append(t.K, int8(k))
-				t.P = append(t.P, int8(p))
-				t.Q = append(t.Q, int8(q))
-			}
-		}
-	}
-	return t
+	return &MonomialTable{L: l}
 }
 
-// Len returns the number of monomials.
-func (t *MonomialTable) Len() int { return len(t.K) }
+// Len returns the number of sums: (L+1)^2.
+func (t *MonomialTable) Len() int { return (t.L + 1) * (t.L + 1) }
 
-// Index returns the position of monomial x^k y^p z^q in the canonical order.
-// It panics if k+p+q exceeds the table's maximum order.
-func (t *MonomialTable) Index(k, p, q int) int {
-	i, ok := t.index[[3]int8{int8(k), int8(p), int8(q)}]
-	if !ok {
-		panic(fmt.Sprintf("sphharm: monomial (%d,%d,%d) exceeds order %d", k, p, q, t.L))
+// rows returns the positions of the j = 0 sums of order m's Re and Im rows.
+// The m = 0 row is real: im is -1 there.
+func (t *MonomialTable) rows(m int) (re, im int) {
+	if m == 0 {
+		return 0, -1
 	}
-	return i
+	// L+1 sums of m = 0, then 2(L-m'+1) for each m' < m.
+	re = (t.L + 1) + (m-1)*(2*t.L+2-m)
+	return re, re + t.L - m + 1
 }
 
-// Evaluate computes the value of every monomial at the point (x, y, z),
-// writing into out (which must have length t.Len()). It uses the same
-// running-product recurrence as the accumulation kernel: one multiply per
-// monomial beyond the first in each run.
-func (t *MonomialTable) Evaluate(x, y, z float64, out []float64) {
+// evaluate writes the value of every basis function at the point (x, y, z)
+// into out (length t.Len()), by the kernel's own recurrence: one complex
+// running power of x+iy, each row multiplied through the powers of z.
+func (t *MonomialTable) evaluate(x, y, z float64, out []float64) {
 	if len(out) != t.Len() {
-		panic("sphharm: Evaluate output length mismatch")
+		panic("sphharm: evaluate output length mismatch")
 	}
-	i := 0
-	xk := 1.0
-	for k := 0; k <= t.L; k++ {
-		xy := xk
-		for p := 0; p <= t.L-k; p++ {
-			cur := xy
-			out[i] = cur
-			i++
-			for q := 1; q <= t.L-k-p; q++ {
-				cur *= z
-				out[i] = cur
-				i++
-			}
-			xy *= y
+	c, s := 1.0, 0.0
+	for m := 0; m <= t.L; m++ {
+		if m > 0 {
+			c, s = c*x-s*y, c*y+s*x
 		}
-		xk *= x
+		re, im := t.rows(m)
+		zj := 1.0
+		for j := 0; j <= t.L-m; j++ {
+			out[re+j] = c * zj
+			if m > 0 {
+				out[im+j] = s * zj
+			}
+			zj *= z
+		}
 	}
 }

@@ -14,48 +14,56 @@ func PairCount(l int) int { return (l + 1) * (l + 2) / 2 }
 // PairIndex maps (l, m>=0) to a dense index in [0, PairCount(L)).
 func PairIndex(l, m int) int { return l*(l+1)/2 + m }
 
-// ylmTerm is one sparse entry of the polynomial expansion of Y_lm.
-type ylmTerm struct {
-	mono int        // monomial index in the shared MonomialTable ordering
-	c    complex128 // coefficient
+// ylmRow locates one (l, m >= 0) coefficient's contraction: its real part
+// reads the Re row of order m and its imaginary part the Im row, both
+// through the same real coefficients N_lm * tildeP_l^m over z^j. tildeP_l^m
+// has the parity of l-m, so only every other power appears: coefficient k
+// multiplies the sum at re + 2k (im + 2k).
+type ylmRow struct {
+	re, im int32 // first sum each part reads; im < 0 for m = 0 (a_l0 is real)
+	lo, hi int32 // the row's coefficients: YlmTable.coef[lo:hi]
 }
 
-// ylmTermRI is one sparse entry of the real- or imaginary-part expansion of
-// Y_lm: a real coefficient over one monomial. Every complex term of
-// buildYlmTerms has a purely real or purely imaginary coefficient (the i^a
-// factors of the (x+iy)^m binomial expansion), so the complex expansion
-// splits losslessly into two real ones of half the combined arithmetic.
-type ylmTermRI struct {
-	mono int32
-	c    float64
+// almBlock is the vector body's view of the same table: Lanes consecutive
+// degrees l = m + d of one order m, whose Re (Im) parts are the matrix-vector
+// product of a Lanes-row coefficient block with the order's Re (Im) row. The
+// block's ncol columns sit column-major in YlmTable.cols (Lanes values per
+// column, zeros where the parity or the triangle has no term), in block
+// order. The layout is the one almRIAsm addresses.
+type almBlock struct {
+	re, im int64        // the order's Re and Im rows; im < 0 for m = 0
+	ncol   int64        // sums j = 0..ncol-1 reach this block's degrees
+	mask   int64        // lanes that hold a degree <= L
+	out    [Lanes]int64 // PairIndex(l, m) per lane
 }
 
-// YlmTable holds, for every (l, m >= 0) up to L, the expansion of the
-// complex spherical harmonic Y_lm evaluated on the unit sphere as a sparse
-// polynomial in (x, y, z):
+// YlmTable converts the kernel's accumulated sums S_{m,j} (see
+// MonomialTable) into spherical-harmonic coefficients. On the unit sphere
 //
-//	Y_lm(xhat) = N_lm * tildeP_l^m(z) * (x + i y)^m
-//	           = sum over monomials c^{lm}_{kpq} x^k y^p z^q,  k+p+q <= l.
+//	Y_lm(xhat) = N_lm * tildeP_l^m(z) * (x + i y)^m,
 //
-// This is the bridge between the accumulated monomial sums M_kpq (Eq. 1 of
-// the paper) and the spherical-harmonic coefficients a_lm of each radial
-// shell: a_lm = sum_kpq c^{lm}_{kpq} M_kpq.
+// with tildeP_l^m a real polynomial in z of degree l-m, so
 //
-// Only m >= 0 is tabulated. The monomial sums the engine feeds through
-// Alm/AlmRI come from real weights, so a_{l,-m} = (-1)^m conj(a_{l,m})
-// (NegM) reconstructs every negative-m coefficient; tabulating them would
-// double the conversion work for no information. The expansions are stored
-// split into real- and imaginary-part term lists with real coefficients, so
-// the conversion is two real sparse dot products instead of one complex one.
+//	a_lm = sum_j N_lm c^{lm}_j S_{m,j}:
+//
+// one real coefficient list per (l, m) contracts the Re row of order m into
+// Re a_lm and the Im row into Im a_lm.
+//
+// Only m >= 0 is tabulated. The sums come from real weights, so
+// a_{l,-m} = (-1)^m conj(a_{l,m}) (NegM) reconstructs every negative-m
+// coefficient; tabulating them would double the conversion work for no
+// information.
 type YlmTable struct {
-	L       int
-	Mono    *MonomialTable
-	reTerms [][]ylmTermRI // per (l, m>=0): expansion of Re Y_lm
-	imTerms [][]ylmTermRI // per (l, m>=0): expansion of Im Y_lm
+	L      int
+	Mono   *MonomialTable
+	rows   []ylmRow // per (l, m >= 0), indexed by PairIndex
+	coef   []float64
+	blocks []almBlock
+	cols   []float64
 }
 
-// NewYlmTable builds the expansion tables for all l <= L. The table shares
-// the monomial ordering of mono, which must have order >= L.
+// NewYlmTable builds the conversion table for all l <= L over the layout of
+// mono, which must have order >= L (nil builds one of order L).
 func NewYlmTable(l int, mono *MonomialTable) *YlmTable {
 	if mono == nil {
 		mono = NewMonomialTable(l)
@@ -63,100 +71,105 @@ func NewYlmTable(l int, mono *MonomialTable) *YlmTable {
 	if mono.L < l {
 		panic(fmt.Sprintf("sphharm: monomial table order %d < L %d", mono.L, l))
 	}
-	t := &YlmTable{
-		L:       l,
-		Mono:    mono,
-		reTerms: make([][]ylmTermRI, PairCount(l)),
-		imTerms: make([][]ylmTermRI, PairCount(l)),
-	}
-	for ll := 0; ll <= l; ll++ {
-		for m := 0; m <= ll; m++ {
-			i := PairIndex(ll, m)
-			for _, tm := range buildYlmTerms(ll, m, mono) {
-				if re := real(tm.c); re != 0 {
-					t.reTerms[i] = append(t.reTerms[i], ylmTermRI{mono: int32(tm.mono), c: re})
+	t := &YlmTable{L: l, Mono: mono, rows: make([]ylmRow, PairCount(l))}
+	for m := 0; m <= l; m++ {
+		re, im := mono.rows(m)
+		for d0 := 0; m+d0 <= l; d0 += Lanes {
+			// Degree m+d reads sums j <= d: the block's last degree bounds ncol.
+			blk := almBlock{re: int64(re), im: int64(im), ncol: int64(min(l-m, d0+Lanes-1) + 1)}
+			cols := make([]float64, blk.ncol*Lanes)
+			for lane := 0; lane < Lanes && m+d0+lane <= l; lane++ {
+				ll := m + d0 + lane
+				norm := ylmNorm(ll, m)
+				zc := strippedALP(ll, m) // coefficients over z^j, j = 0..l-m
+				j0 := (ll - m) % 2
+				row := ylmRow{re: int32(re + j0), im: int32(im), lo: int32(len(t.coef))}
+				if im >= 0 {
+					row.im += int32(j0)
 				}
-				if im := imag(tm.c); im != 0 {
-					t.imTerms[i] = append(t.imTerms[i], ylmTermRI{mono: int32(tm.mono), c: im})
+				for j := j0; j < len(zc); j += 2 {
+					t.coef = append(t.coef, norm*zc[j])
+					cols[j*Lanes+lane] = norm * zc[j]
 				}
+				row.hi = int32(len(t.coef))
+				t.rows[PairIndex(ll, m)] = row
+				blk.mask |= 1 << lane
+				blk.out[lane] = int64(PairIndex(ll, m))
 			}
+			t.blocks = append(t.blocks, blk)
+			t.cols = append(t.cols, cols...)
 		}
 	}
 	return t
 }
 
-// buildYlmTerms expands N_lm tildeP_l^m(z) (x+iy)^m into monomials.
-func buildYlmTerms(l, m int, mono *MonomialTable) []ylmTerm {
-	norm := ylmNorm(l, m)
-	zc := strippedALP(l, m) // coefficients over z^j, j = 0..l-m
-	var out []ylmTerm
-	// (x+iy)^m = sum_a C(m,a) i^a x^(m-a) y^a
-	ipow := [4]complex128{1, 1i, -1, -1i}
-	for j, cz := range zc {
-		if cz == 0 {
-			continue
-		}
-		for a := 0; a <= m; a++ {
-			c := complex(norm*cz*binomial(m, a), 0) * ipow[a%4]
-			out = append(out, ylmTerm{mono: mono.Index(m-a, a, j), c: c})
-		}
-	}
-	return out
-}
-
-// Alm converts monomial sums M (length Mono.Len(), canonical order) into
-// spherical-harmonic coefficients for all (l, m >= 0), writing into out
-// (length PairCount(L)). This is the per-radial-bin, per-primary conversion
-// step: a_lm = sum_i Y_lm(rhat_i) for galaxies i in the bin, computed from
-// the bin's accumulated power combinations.
+// Alm converts accumulated sums (length Mono.Len(), MonomialTable order)
+// into spherical-harmonic coefficients for all (l, m >= 0), writing into out
+// (length PairCount(L)): a_lm = sum_i w_i Y_lm(rhat_i) over the pairs the
+// sums were accumulated from. It runs the portable body under every dispatch
+// tag (it serves EvalPoint, the oracles' entry).
 func (t *YlmTable) Alm(m []float64, out []complex128) {
 	if len(m) != t.Mono.Len() {
-		panic("sphharm: Alm monomial sum length mismatch")
+		panic("sphharm: Alm sum length mismatch")
 	}
 	if len(out) != PairCount(t.L) {
 		panic("sphharm: Alm output length mismatch")
 	}
-	for i := range out {
-		out[i] = complex(dotRI(t.reTerms[i], m), dotRI(t.imTerms[i], m))
+	for i := range t.rows {
+		re, im := t.dot(i, m)
+		out[i] = complex(re, im)
 	}
 }
 
 // AlmRI is Alm with structure-of-arrays output: the real parts of every
 // (l, m >= 0) coefficient go to re and the imaginary parts to im (each of
-// length PairCount(L)). This is the engine's hot conversion path: two real
-// sparse dot products per coefficient, roughly half the arithmetic of the
-// complex-accumulator form, feeding the split zeta accumulation directly.
+// length PairCount(L)). This is the engine's hot conversion path, feeding
+// the split zeta accumulation directly; it is a lane primitive (the vector
+// body runs the almBlock matrix-vector products, to rounding the same sums).
 func (t *YlmTable) AlmRI(m []float64, re, im []float64) {
 	if len(m) != t.Mono.Len() {
-		panic("sphharm: AlmRI monomial sum length mismatch")
+		panic("sphharm: AlmRI sum length mismatch")
 	}
 	if len(re) != PairCount(t.L) || len(im) != PairCount(t.L) {
 		panic("sphharm: AlmRI output length mismatch")
 	}
-	for i := range re {
-		re[i] = dotRI(t.reTerms[i], m)
-	}
-	for i := range im {
-		im[i] = dotRI(t.imTerms[i], m)
+	almRI(t, m, re, im)
+}
+
+// almRIGeneric is the pure-Go body of AlmRI.
+func almRIGeneric(t *YlmTable, m []float64, re, im []float64) {
+	for i := range t.rows {
+		re[i], im[i] = t.dot(i, m)
 	}
 }
 
-// dotRI evaluates one sparse real dot product over monomial sums.
-func dotRI(terms []ylmTermRI, m []float64) float64 {
-	var s float64
-	for _, tm := range terms {
-		s += tm.c * m[tm.mono]
+// dot contracts row i's coefficients with the Re and Im rows it reads,
+// ascending in j.
+func (t *YlmTable) dot(i int, m []float64) (re, im float64) {
+	r := &t.rows[i]
+	c := t.coef[r.lo:r.hi]
+	a := m[r.re:]
+	if r.im < 0 {
+		for k, ck := range c {
+			re += ck * a[2*k]
+		}
+		return re, 0
 	}
-	return s
+	b := m[r.im:]
+	for k, ck := range c {
+		re += ck * a[2*k]
+		im += ck * b[2*k]
+	}
+	return re, im
 }
 
 // EvalPoint evaluates Y_lm(xhat) for every (l, m >= 0) at a single unit
 // vector, writing into out (length PairCount(L)). scratch must have length
 // Mono.Len(); it is overwritten. The engine never calls it (its self-count
 // correction runs on Legendre moments, see SelfProduct): this is the
-// independent oracle internal/bruteforce and the tests evaluate against.
+// oracle internal/bruteforce and the tests evaluate against.
 func (t *YlmTable) EvalPoint(x, y, z float64, scratch []float64, out []complex128) {
-	t.Mono.Evaluate(x, y, z, scratch)
+	t.Mono.evaluate(x, y, z, scratch)
 	t.Alm(scratch, out)
 }
 

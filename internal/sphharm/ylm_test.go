@@ -5,6 +5,7 @@ import (
 	"math/cmplx"
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 func randUnit(rng *rand.Rand) (x, y, z float64) {
@@ -210,5 +211,52 @@ func TestNewYlmTableSharesMonoOrNil(t *testing.T) {
 	tab2 := NewYlmTable(6, nil)
 	if tab2.Mono == nil || tab2.Mono.L != 6 {
 		t.Error("nil mono should construct a fresh table of matching order")
+	}
+}
+
+func TestAlmRIDispatchAgreesWithGeneric(t *testing.T) {
+	// The vector AlmRI (one matrix-vector product per eight degrees of an
+	// order) contracts multiply-adds into FMAs but adds each coefficient's
+	// terms in the portable body's order: agreement is to rounding, for every
+	// block shape — one partial block, full blocks, several per order — and
+	// over a layout of higher order than the table.
+	if !HasAVX512() {
+		t.Skip("no vector path on this host; dispatch is the generic code")
+	}
+	rng := rand.New(rand.NewSource(5))
+	for _, c := range []struct{ l, monoL int }{{0, 0}, {1, 1}, {4, 4}, {7, 7}, {8, 8}, {10, 10}, {6, 8}, {12, 12}, {20, 20}} {
+		mono := NewMonomialTable(c.monoL)
+		tab := NewYlmTable(c.l, mono)
+		m := make([]float64, mono.Len())
+		for i := range m {
+			m[i] = rng.NormFloat64()
+		}
+		pc := PairCount(c.l)
+		re, im := make([]float64, pc), make([]float64, pc)
+		wre, wim := make([]float64, pc), make([]float64, pc)
+		for i := range re {
+			re[i], im[i] = math.NaN(), math.NaN() // every slot must be written
+		}
+		almRI(tab, m, re, im)
+		almRIGeneric(tab, m, wre, wim)
+		for i := range wre {
+			scale := 0.0 // sum of |term|: a_lm cancels heavily at high l
+			for _, ck := range tab.coef[tab.rows[i].lo:tab.rows[i].hi] {
+				scale += math.Abs(ck)
+			}
+			if math.Abs(re[i]-wre[i]) > 1e-13*scale*4 || math.Abs(im[i]-wim[i]) > 1e-13*scale*4 {
+				t.Fatalf("L=%d (layout %d) slot %d: (%v, %v) vs (%v, %v)", c.l, c.monoL, i, re[i], im[i], wre[i], wim[i])
+			}
+		}
+	}
+}
+
+func TestAlmBlockLayout(t *testing.T) {
+	// almRIAsm addresses almBlock by fixed offsets.
+	var b almBlock
+	if unsafe.Sizeof(b) != 96 || unsafe.Offsetof(b.im) != 8 || unsafe.Offsetof(b.ncol) != 16 ||
+		unsafe.Offsetof(b.mask) != 24 || unsafe.Offsetof(b.out) != 32 {
+		t.Fatalf("almBlock layout moved: size %d, offsets im %d ncol %d mask %d out %d",
+			unsafe.Sizeof(b), unsafe.Offsetof(b.im), unsafe.Offsetof(b.ncol), unsafe.Offsetof(b.mask), unsafe.Offsetof(b.out))
 	}
 }
