@@ -133,8 +133,9 @@ func unitCatalog() *catalog.Catalog {
 // TestEngineMatchesBruteForceUnitSpanningCells runs the engine over
 // unitCatalog in every ladder form — anisotropic and IsotropicOnly,
 // SelfCount on and off, plane-parallel, radial and midpoint line of sight
-// (the two pair-folding frames and the one that rotates per primary) —
-// against direct triplet counting.
+// (the frames that rotate nothing, once per primary and once per pair) —
+// against direct triplet counting, and under the per-pair frame once more in
+// a periodic box.
 func TestEngineMatchesBruteForceUnitSpanningCells(t *testing.T) {
 	base := testConfig()
 	base.RMax = 20
@@ -150,6 +151,31 @@ func TestEngineMatchesBruteForceUnitSpanningCells(t *testing.T) {
 			cfg.SelfCount = selfCount
 			requireEngineMatchesAniso(t, unitCatalog(), cfg)
 		}
+	}
+
+	// The same units under periodic boundaries and the per-pair frame: a box
+	// of side 84 keeps every cell where it was, and brings the clump within
+	// RMax of the origin cell through the wrap only — pairs whose separation
+	// takes the minimal image while their midpoint frame does not.
+	wrapped := unitCatalog()
+	wrapped.Box = geom.Periodic{L: 84}
+	requireUnitShapes(t, wrapped, base)
+	cfg := base
+	cfg.LOS = core.LOSMidpoint
+	open, err := core.Compute(unitCatalog(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	periodic, err := core.Compute(wrapped, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if periodic.Pairs <= open.Pairs {
+		t.Fatalf("the periodic box adds no pair (%d vs %d open): the wrap is not exercised", periodic.Pairs, open.Pairs)
+	}
+	for _, selfCount := range []bool{true, false} {
+		cfg.SelfCount = selfCount
+		requireEngineMatchesAniso(t, wrapped, cfg)
 	}
 }
 

@@ -90,19 +90,34 @@ func (c *Catalog) Bounds() geom.Box {
 	return geom.Box{Min: lo, Max: hi}
 }
 
+// CheckFinite rejects a non-finite position or weight among gals, naming
+// the galaxy by its catalog index base+i. Every first pass over a catalog on
+// the run path calls it (ReadAll for the local backend, the sharded scan, the
+// service's Hash), because the engine does not fail on such a galaxy — it
+// silently drops its pairs or carries the NaN into every sum.
+func CheckFinite(gals []Galaxy, base int) error {
+	for i, g := range gals {
+		p := g.Pos
+		// x - x is 0 for a finite x and NaN for NaN and the infinities.
+		if (p.X-p.X)+(p.Y-p.Y)+(p.Z-p.Z) != 0 {
+			return fmt.Errorf("catalog: galaxy %d has non-finite position %v", base+i, p)
+		}
+		if g.Weight-g.Weight != 0 {
+			return fmt.Errorf("catalog: galaxy %d has non-finite weight %v", base+i, g.Weight)
+		}
+	}
+	return nil
+}
+
 // Validate checks structural invariants: finite coordinates and, for
 // periodic catalogs, positions inside [0, L)^3.
 func (c *Catalog) Validate() error {
-	for i, g := range c.Galaxies {
-		p := g.Pos
-		if math.IsNaN(p.X) || math.IsNaN(p.Y) || math.IsNaN(p.Z) ||
-			math.IsInf(p.X, 0) || math.IsInf(p.Y, 0) || math.IsInf(p.Z, 0) {
-			return fmt.Errorf("catalog: galaxy %d has non-finite position %v", i, p)
-		}
-		if math.IsNaN(g.Weight) || math.IsInf(g.Weight, 0) {
-			return fmt.Errorf("catalog: galaxy %d has non-finite weight %v", i, g.Weight)
-		}
-		if c.Box.L > 0 {
+	if err := CheckFinite(c.Galaxies, 0); err != nil {
+		return err
+	}
+	if c.Box.L > 0 {
+		for i, g := range c.Galaxies {
+			p := g.Pos
 			if p.X < 0 || p.X >= c.Box.L || p.Y < 0 || p.Y >= c.Box.L || p.Z < 0 || p.Z >= c.Box.L {
 				return fmt.Errorf("catalog: galaxy %d at %v outside periodic box [0,%v)", i, p, c.Box.L)
 			}

@@ -58,6 +58,9 @@ func hashOnce(src Source) (string, error) {
 	var count uint64
 	for {
 		n, err := cur.Next(buf)
+		if ferr := CheckFinite(buf[:n], int(count)); ferr != nil {
+			return "", ferr
+		}
 		h.Write(putRecords(raw, buf[:n]))
 		count += uint64(n)
 		if err == io.EOF {

@@ -52,7 +52,8 @@ type Cursor interface {
 // and memory-friendly (32 bytes per galaxy -> 2 MB chunks).
 const ChunkSize = 1 << 16
 
-// ReadAll materializes a Source into an in-memory catalog.
+// ReadAll materializes a Source into an in-memory catalog, refusing
+// non-finite positions and weights (CheckFinite).
 func ReadAll(src Source) (*Catalog, error) {
 	return ReadAllContext(context.Background(), src)
 }
@@ -63,7 +64,7 @@ func ReadAll(src Source) (*Catalog, error) {
 // cancels the backoff waits promptly.
 func ReadAllContext(ctx context.Context, src Source) (*Catalog, error) {
 	if m, ok := src.(*MemorySource); ok && m.Cat != nil {
-		return m.Cat, nil
+		return m.Cat, CheckFinite(m.Cat.Galaxies, 0)
 	}
 	var c *Catalog
 	err := retry.Policy{}.Do(ctx, "catalog read", func() error {
@@ -93,8 +94,12 @@ func drain(cur Cursor) (*Catalog, error) {
 			}
 			c.Galaxies = slices.Grow(c.Galaxies, grow)
 		}
-		n, err := cur.Next(c.Galaxies[len(c.Galaxies):cap(c.Galaxies)])
-		c.Galaxies = c.Galaxies[:len(c.Galaxies)+n]
+		at := len(c.Galaxies)
+		n, err := cur.Next(c.Galaxies[at:cap(c.Galaxies)])
+		c.Galaxies = c.Galaxies[:at+n]
+		if ferr := CheckFinite(c.Galaxies[at:], at); ferr != nil {
+			return nil, ferr
+		}
 		if err == io.EOF {
 			break
 		}

@@ -14,6 +14,7 @@ import (
 	"galactos/internal/catalog"
 	"galactos/internal/geom"
 	"galactos/internal/hist"
+	"galactos/internal/sphharm"
 )
 
 // TestSchedulingEquivalenceBitwise pins the block scheduler's determinism
@@ -154,16 +155,7 @@ func testProcessBlockAllocFree(t *testing.T, cfg Config) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := &engine{
-		ctx:  context.Background(),
-		cfg:  cfg,
-		bins: bins,
-		invW: bins.InvWidth(),
-		box:  cat.Box,
-		pts:  cat.Positions(),
-		ws:   cat.Weights(),
-	}
-	e.primaryIdx = primaryIndices(nil, cat.Len())
+	e := newEngine(context.Background(), cat, nil, cfg, bins)
 	if err := e.buildFinder(); err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +215,7 @@ func TestUnitsPartitionCells(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				e := &engine{cfg: cfg, box: cat.Box, pts: cat.Positions()}
+				e := &engine{cfg: cfg, shell: sphharm.PairShell{Box: cat.Box}, pts: cat.Positions()}
 				e.primaryIdx = primaryIndices(nil, cat.Len())
 				e.buildBlocks()
 				if ref == nil {

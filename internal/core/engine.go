@@ -68,14 +68,10 @@ func ComputeSubsetContext(ctx context.Context, cat *catalog.Catalog, primary []b
 	return computeSubset(ctx, cat, primary, cfg, engineModes{})
 }
 
-// engineModes selects the test-only reference paths. The production engine
-// runs with the zero value; each switch must leave the result bitwise
+// engineModes selects the test-only reference path. The production engine
+// runs with the zero value; the switch must leave the result bitwise
 // unchanged, which the property tests assert.
 type engineModes struct {
-	// denseScan makes the per-primary reduction enumerate touched bins by
-	// scanning all NBins counters (the pre-touched-list behavior) instead
-	// of walking the touched list.
-	denseScan bool
 	// refGather replaces the unit's shared block-granular finder query with
 	// one QueryRadiusImages call per primary. Scheduling, unit order, and the
 	// downstream reduction are untouched, so refGather isolates exactly the
@@ -101,17 +97,8 @@ func computeSubset(ctx context.Context, cat *catalog.Catalog, primary []bool, cf
 		return nil, err
 	}
 
-	e := &engine{
-		ctx:   ctx,
-		cfg:   cfg,
-		bins:  bins,
-		invW:  bins.InvWidth(),
-		box:   cat.Box,
-		pts:   cat.Positions(),
-		ws:    cat.Weights(),
-		modes: modes,
-	}
-	e.primaryIdx = primaryIndices(primary, cat.Len())
+	e := newEngine(ctx, cat, primary, cfg, bins)
+	e.modes = modes
 
 	start := time.Now()
 	if err := e.buildFinder(); err != nil {
@@ -128,6 +115,23 @@ func computeSubset(ctx context.Context, cat *catalog.Catalog, primary []bool, cf
 	res.Timings.Total = time.Since(start)
 	res.NGalaxies = cat.Len()
 	return res, nil
+}
+
+// newEngine binds a normalized configuration and its binning to a catalog;
+// buildFinder and buildBlocks complete the engine.
+func newEngine(ctx context.Context, cat *catalog.Catalog, primary []bool, cfg Config, bins hist.Binning) *engine {
+	return &engine{
+		ctx:  ctx,
+		cfg:  cfg,
+		bins: bins,
+		shell: sphharm.PairShell{
+			Box: cat.Box, RMin: bins.RMin, RMax: bins.RMax,
+			InvW: bins.InvWidth(), NBins: int32(bins.N),
+		},
+		pts:        cat.Positions(),
+		ws:         cat.Weights(),
+		primaryIdx: primaryIndices(primary, cat.Len()),
+	}
 }
 
 func primaryIndices(mask []bool, n int) []int32 {
@@ -158,10 +162,11 @@ type engine struct {
 	ctx  context.Context
 	cfg  Config
 	bins hist.Binning
-	invW float64 // hoisted bins.InvWidth(): bin = (r - RMin) * invW
-	box  geom.Periodic
-	pts  []geom.Vec3
-	ws   []float64
+	// shell is the catalog's box and the bins as the assembly's pair sweep
+	// takes them, the inverse bin width hoisted: bin = (r - RMin) * InvW.
+	shell sphharm.PairShell
+	pts   []geom.Vec3
+	ws    []float64
 	// primaryIdx holds the primaries in cell-sorted (Morton) order; blocks
 	// index contiguous runs of it.
 	primaryIdx []int32
@@ -205,21 +210,21 @@ type zetaChannel struct {
 }
 
 func (e *engine) buildFinder() error {
-	periodic := e.box.L > 0
+	periodic := e.shell.Box.L > 0
 	switch e.cfg.Finder {
 	case FinderKD32:
 		e.finder = kdtree.Build[float32](e.pts, e.cfg.LeafSize)
 	case FinderKD64:
 		e.finder = kdtree.Build[float64](e.pts, e.cfg.LeafSize)
 	case FinderGrid:
-		e.finder = grid.Build(e.pts, e.cfg.GridCell, e.box)
+		e.finder = grid.Build(e.pts, e.cfg.GridCell, e.shell.Box)
 	default:
 		return fmt.Errorf("core: unknown finder kind %v", e.cfg.Finder)
 	}
 	if periodic && e.cfg.Finder != FinderGrid {
 		// k-d trees are built in open space; cover the wrap by querying
 		// all 27 periodic images (valid because RMax < L/2).
-		e.images = e.box.Images(e.cfg.RMax)
+		e.images = e.shell.Box.Images(e.cfg.RMax)
 	} else {
 		e.images = []geom.Vec3{{}}
 	}
@@ -273,7 +278,7 @@ func (e *engine) buildBlocks() {
 	}
 	inv := 1 / e.cfg.BlockCell
 	var org geom.Vec3 // periodic boxes anchor at the corner; open data at the min
-	if e.box.L <= 0 {
+	if e.shell.Box.L <= 0 {
 		org = e.pts[e.primaryIdx[0]]
 		for _, pi := range e.primaryIdx[1:] {
 			p := e.pts[pi]
@@ -603,16 +608,16 @@ type workerState struct {
 	centers []geom.Vec3
 	nbr     nbr.Block
 
-	// Pair-tile scratch (per primary). The t* columns hold the bin-sorted
-	// SoA pair tiles as nb fixed-stride segments (bin b's pairs at
-	// [b*tileCap, b*tileCap+cnt[b]), in gather order): pairs scatter into
-	// their bin's segment directly as they are admitted, so one pass
-	// replaces the old gather-then-counting-sort pipeline.
-	tileCap        int
+	// Pair-tile scratch (per primary), sized by the longest neighbor list
+	// seen. cols is the sweep's linear output, the surviving pairs in gather
+	// order; the t* columns hold the same pairs bin-sorted into packed
+	// segments (bin b's pairs at [end[b]-cnt[b], end[b]), in gather order
+	// within the bin).
+	cols           sphharm.PairCols
 	tx, ty, tz, tw []float64
 	cnt            []int32   // per-bin pair counts for the current primary
+	end            []int32   // per-bin segment ends in the t* columns
 	tl             []int32   // touched bin ids, ascending (from the counts)
-	tlDense        []int32   // dense-scan scratch (reference path only)
 	msums          []float64 // reduced power sums scratch
 	reScr, imScr   []float64 // contiguous AlmRI output per (primary, bin)
 
@@ -670,8 +675,8 @@ func (e *engine) newWorkerState() *workerState {
 		acc:     make([][]float64, nb),
 		centers: make([]geom.Vec3, K),
 		cnt:     make([]int32, nb),
+		end:     make([]int32, nb),
 		tl:      make([]int32, 0, nb),
-		tlDense: make([]int32, 0, nb),
 		msums:   make([]float64, e.mono.Len()),
 		reScr:   make([]float64, pc),
 		imScr:   make([]float64, pc),
@@ -713,31 +718,8 @@ func (e *engine) processBlock(s *workerState, b int) {
 
 	// Stage 1: gather all neighbor lists for the unit.
 	t := time.Now()
-	if e.modes.refGather {
-		s.nbr.Reset(K)
-		for _, pi := range prim {
-			s.nbr.IDs = e.finder.QueryRadiusImages(e.pts[pi], e.cfg.RMax, e.images, s.nbr.IDs)
-			s.nbr.Seal()
-		}
-	} else {
-		centers := s.centers[:K]
-		for i, pi := range prim {
-			centers[i] = e.pts[pi]
-		}
-		e.finder.QueryRadiusImagesBlock(centers, e.cfg.RMax, e.images, &s.nbr)
-	}
+	e.gather(s, prim)
 	lap(&t, &s.tGather)
-
-	if s.tileCap == 0 {
-		// First touch: a bin holds at most a whole list, so the first unit's
-		// longest list is the size this run's traffic asks for (a fixed
-		// 4096 cost a sparse run 4*NBins*32 KB of zeroing per engine start).
-		n := 64
-		for n < s.nbr.MaxLen() {
-			n *= 2
-		}
-		e.growTiles(s, n)
-	}
 
 	// Stage 2: per primary, assemble + consume tiles and reduce into the
 	// unit's a_lm slabs.
@@ -746,8 +728,7 @@ func (e *engine) processBlock(s *workerState, b int) {
 		pw := e.ws[pi]
 		n := e.assembleTiles(s, pi, s.nbr.List(a))
 		for _, bb := range s.tl {
-			beg := int(bb) * s.tileCap
-			end := beg + int(s.cnt[bb])
+			beg, end := s.tile(bb)
 			s.kern.AccumulateTile(s.tx[beg:end], s.ty[beg:end], s.tz[beg:end], s.tw[beg:end], s.acc[bb])
 		}
 		if s.selfW != nil {
@@ -757,18 +738,8 @@ func (e *engine) processBlock(s *workerState, b int) {
 		s.blockPairs += uint64(n)
 
 		// Reduce the lane accumulators, convert to a_lm, and transpose into
-		// the unit slabs. The counting sort hands the touched list over in
-		// ascending bin order; the dense-scan reference must enumerate the
-		// same bins in the same order (pinned bitwise by the property test).
+		// the unit slabs, walking the touched list in ascending bin order.
 		tl := s.tl
-		if e.modes.denseScan {
-			tl = s.tlDense[:0]
-			for bb, c := range s.cnt {
-				if c > 0 {
-					tl = append(tl, int32(bb))
-				}
-			}
-		}
 		// Slab layout is [slot][unit-local primary][bin] (slot-major,
 		// per-primary stride 2*nb, packed to this unit's K so the scatter
 		// stays as compact as the unit), so the zeta stage reads each leg as
@@ -822,10 +793,9 @@ func (e *engine) processBlock(s *workerState, b int) {
 		// Reset per-primary state (touched bins only, so sparse primaries
 		// stay cheap and untouched bins are never written); ReduceClear
 		// already zeroed their accumulators.
-		for _, bb := range s.tl {
+		for _, bb := range tl {
 			s.cnt[bb] = 0
 		}
-		s.tl = s.tl[:0]
 		s.blockPw[a] = pw
 		s.blockSumW += pw
 		lap(&t, &s.tAlmZeta)
@@ -857,6 +827,28 @@ func (e *engine) processBlock(s *workerState, b int) {
 	lap(&t, &s.tAlmZeta)
 }
 
+// gather is processBlock's stage 1: every neighbor list of the unit through
+// one finder query, and the pair-tile scratch sized to the longest of them.
+func (e *engine) gather(s *workerState, prim []int32) {
+	K := len(prim)
+	if e.modes.refGather {
+		s.nbr.Reset(K)
+		for _, pi := range prim {
+			s.nbr.IDs = e.finder.QueryRadiusImages(e.pts[pi], e.cfg.RMax, e.images, s.nbr.IDs)
+			s.nbr.Seal()
+		}
+	} else {
+		centers := s.centers[:K]
+		for i, pi := range prim {
+			centers[i] = e.pts[pi]
+		}
+		e.finder.QueryRadiusImagesBlock(centers, e.cfg.RMax, e.images, &s.nbr)
+	}
+	if m := s.nbr.MaxLen(); m > len(s.tx) {
+		s.growTiles(m, e.cfg.LOS == LOSMidpoint)
+	}
+}
+
 // zetaIsoBlock is processBlock's stage 3 for IsotropicOnly: the zeta outer
 // products over the compacted real ladder. Each iso channel (l, l, m) maps
 // one-to-one onto an (l, m) slot, its tile update is real —
@@ -867,8 +859,8 @@ func (e *engine) processBlock(s *workerState, b int) {
 // whole unit folds through one sphharm.ZetaBatchIso call per channel at
 // half the flops and half the tile traffic of the complex path. The loop
 // structure (channel-major, ascending local-primary order) mirrors the
-// anisotropic stage exactly, so the blocked, reference-gather, and
-// dense-scan traversals stay bitwise interchangeable.
+// anisotropic stage exactly, so the blocked and reference-gather traversals
+// stay bitwise interchangeable.
 func (e *engine) zetaIsoBlock(s *workerState, K int) {
 	nb := e.bins.N
 	nb2 := nb * nb
@@ -888,115 +880,78 @@ func (e *engine) zetaIsoBlock(s *workerState, K int) {
 }
 
 // assembleTiles builds one primary's bin-sorted SoA pair tiles from its
-// gathered neighbor list and returns the pair count. One branch-light pass
-// normalizes separations, assigns radial bins (hoisted inverse width —
-// identical binning to hist.Binning.Index), counts pairs per bin and scatters
-// the unit vectors into their bin's segment; the touched-bin list falls out
-// of the counts in ascending order. A bin that overflows its segment doubles
-// the capacity and redoes the primary (rare — capacity only ever grows).
+// gathered neighbor list and returns the pair count, in two passes. Pass 1
+// (sphharm.PairColumns, a lane primitive) sweeps the whole list once:
+// minimal-image separation, norm, radial bin (hoisted inverse width —
+// identical binning to hist.Binning.Index), range mask, and the survivors
+// compacted to linear columns in gather order. The rotation to the line of
+// sight (Fig. 2) runs over those columns — element-wise, so it commutes with
+// the sort, and exact after normalization since it preserves the norm.
+// Pass 2 is a counting sort by bin into packed segments; the touched-bin list
+// falls out of the counts in ascending order, and within a bin the pairs
+// keep gather order.
 func (e *engine) assembleTiles(s *workerState, pi int32, nbrs []int32) int {
-	for {
-		n, ok := e.tryAssembleTiles(s, pi, nbrs)
-		if ok {
-			return n
+	c := &s.cols
+	n := sphharm.PairColumns(&e.shell, e.pts, e.ws, pi, nbrs, c)
+	switch e.cfg.LOS {
+	case LOSRadial:
+		// One frame per primary (plane-parallel needs none: z already is the
+		// line of sight).
+		geom.ToLineOfSight(e.pts[pi].Sub(e.cfg.Observer)).ApplyColumns(c.X[:n], c.Y[:n], c.Z[:n])
+	case LOSMidpoint:
+		// One frame per pair.
+		pn := e.nhat[pi]
+		for i, j := range c.ID[:n] {
+			v := geom.MidpointLOS(pn, e.nhat[j]).Apply(geom.Vec3{X: c.X[i], Y: c.Y[i], Z: c.Z[i]})
+			c.X[i], c.Y[i], c.Z[i] = v.X, v.Y, v.Z
 		}
-		e.growTiles(s, 2*s.tileCap)
 	}
-}
 
-// tryAssembleTiles is one assembly attempt at the current tile capacity; it
-// reports false when a bin's segment would overflow.
-func (e *engine) tryAssembleTiles(s *workerState, pi int32, nbrs []int32) (int, bool) {
-	ppos := e.pts[pi]
-	rmin, rmax := e.bins.RMin, e.bins.RMax
-	invW := e.invW
-	nb := e.bins.N
-	cap32 := int32(s.tileCap)
-	tx, ty, tz, tw := s.tx, s.ty, s.tz, s.tw
-	cnt := s.cnt
-	pts, ws := e.pts, e.ws
-	mid := e.cfg.LOS == LOSMidpoint
-	var pn geom.Vec3
-	if mid {
-		pn = e.nhat[pi]
+	bins := c.Bin[:n]
+	cnt, end := s.cnt, s.end
+	for _, b := range bins {
+		cnt[b]++
 	}
-	n := 0
-	for _, j := range nbrs {
-		if j == pi {
-			continue
-		}
-		sep := e.box.Separation(ppos, pts[j])
-		r2 := sep.Norm2()
-		if r2 == 0 {
-			continue // coincident tracer: no direction, not a triangle side
-		}
-		r := math.Sqrt(r2)
-		if r < rmin || r >= rmax {
-			continue
-		}
-		bin := int32((r - rmin) * invW)
-		if bin >= int32(nb) { // guard against floating-point edge (as hist.Index)
-			bin = int32(nb) - 1
-		}
-		inv := 1 / r
-		ux := sep.X * inv
-		uy := sep.Y * inv
-		uz := sep.Z * inv
-		if mid {
-			// Midpoint frames are per pair, so the rotation fuses into the
-			// pair loop (plane-parallel needs none; radial rotates
-			// column-wise below).
-			v := geom.MidpointLOS(pn, e.nhat[j]).Apply(geom.Vec3{X: ux, Y: uy, Z: uz})
-			ux, uy, uz = v.X, v.Y, v.Z
-		}
-		if cnt[bin] == cap32 {
-			clear(cnt)
-			return 0, false
-		}
-		d := bin*cap32 + cnt[bin]
-		tx[d] = ux
-		ty[d] = uy
-		tz[d] = uz
-		tw[d] = ws[j]
-		cnt[bin]++
-		n++
-	}
-	// Touched bins in ascending order, straight off the counts.
 	s.tl = s.tl[:0]
-	for b, c := range cnt {
-		if c > 0 {
+	o := int32(0)
+	for b, k := range cnt {
+		end[b] = o // the segment's start, until the scatter has walked it
+		if k > 0 {
 			s.tl = append(s.tl, int32(b))
 		}
+		o += k
 	}
-	// Rotation to the line of sight (Fig. 2), column-wise per tile segment.
-	// For plane-parallel mode the z axis is already the line of sight, and
-	// midpoint frames were applied per pair above. Rotating unit vectors
-	// after normalization is exact: the rotation preserves the norm.
-	if e.cfg.LOS == LOSRadial {
-		rot := geom.ToLineOfSight(ppos.Sub(e.cfg.Observer))
-		for _, bb := range s.tl {
-			beg := int(bb) * s.tileCap
-			end := beg + int(cnt[bb])
-			rot.ApplyColumns(tx[beg:end], ty[beg:end], tz[beg:end])
-		}
+	tx, ty, tz, tw := s.tx[:n], s.ty[:n], s.tz[:n], s.tw[:n]
+	ux, uy, uz, w := c.X[:n], c.Y[:n], c.Z[:n], c.W[:n]
+	for i, b := range bins {
+		d := end[b]
+		end[b] = d + 1
+		tx[d] = ux[i]
+		ty[d] = uy[i]
+		tz[d] = uz[i]
+		tw[d] = w[i]
 	}
-	return n, true
+	return n
 }
 
-// growTiles raises the per-bin tile segment capacity to at least n
-// (amortized: the tiles only ever grow, and survive across primaries and
-// blocks; overall size is NBins * the largest single-bin pair count seen,
-// not NBins * total neighbors).
-func (e *engine) growTiles(s *workerState, n int) {
-	if n <= s.tileCap {
-		return
+// tile returns touched bin bb's segment [beg, end) of the t* columns.
+func (s *workerState) tile(bb int32) (beg, end int) {
+	end = int(s.end[bb])
+	return end - int(s.cnt[bb]), end
+}
+
+// growTiles sizes the pair-tile scratch for neighbor lists of up to n ids
+// (with headroom, so a run of slowly lengthening lists does not reallocate
+// per unit; the columns only ever grow and survive across units). The sweep
+// stores whole vector registers, hence the multiple of sphharm.Lanes.
+func (s *workerState) growTiles(n int, ids bool) {
+	n = (n + n/4 + sphharm.Lanes - 1) &^ (sphharm.Lanes - 1)
+	col := func() []float64 { return make([]float64, n) }
+	s.cols = sphharm.PairCols{X: col(), Y: col(), Z: col(), W: col(), Bin: make([]int32, n)}
+	if ids {
+		s.cols.ID = make([]int32, n)
 	}
-	s.tileCap = n
-	nb := e.bins.N
-	s.tx = make([]float64, nb*n)
-	s.ty = make([]float64, nb*n)
-	s.tz = make([]float64, nb*n)
-	s.tw = make([]float64, nb*n)
+	s.tx, s.ty, s.tz, s.tw = col(), col(), col(), col()
 }
 
 // accumulateSelfPairs adds one primary's self-pair moments to the unit's
@@ -1008,8 +963,7 @@ func (s *workerState) accumulateSelfPairs(pw float64) {
 	t0 := time.Now()
 	mom := s.selfMom
 	for _, bb := range s.tl {
-		beg := int(bb) * s.tileCap
-		end := beg + int(s.cnt[bb])
+		beg, end := s.tile(bb)
 		sphharm.LegendreMoments(s.tz[beg:end], s.tw[beg:end], mom)
 		w := s.selfW[int(bb)*len(mom):][:len(mom)]
 		for l, v := range mom {

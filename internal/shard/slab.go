@@ -68,7 +68,8 @@ type sourceScan struct {
 	lo, hi [3]float64
 }
 
-// scanSource runs pass 1: count, bounds, and total weight.
+// scanSource runs pass 1: count, bounds, and total weight — and, being the
+// first look at every galaxy, the finiteness check.
 func scanSource(ctx context.Context, src catalog.Source) (*sourceScan, error) {
 	sc := &sourceScan{
 		lo: [3]float64{math.Inf(1), math.Inf(1), math.Inf(1)},
@@ -76,6 +77,9 @@ func scanSource(ctx context.Context, src catalog.Source) (*sourceScan, error) {
 	}
 	var err error
 	sc.box, err = eachChunk(ctx, src, func(chunk []catalog.Galaxy) error {
+		if err := catalog.CheckFinite(chunk, sc.n); err != nil {
+			return err
+		}
 		for _, g := range chunk {
 			for a := 0; a < 3; a++ {
 				c := g.Pos.Component(a)

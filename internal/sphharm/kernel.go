@@ -161,6 +161,7 @@ var (
 	zetaBatch    = zetaBatchGeneric
 	zetaBatchIso = zetaBatchIsoGeneric
 	reduce       = reduceGeneric
+	pairColumns  = pairColumnsGeneric
 )
 
 // bindGenericLanes rebinds every lane primitive to its portable pure-Go
@@ -174,6 +175,7 @@ func bindGenericLanes() {
 	zetaBatch = zetaBatchGeneric
 	zetaBatchIso = zetaBatchIsoGeneric
 	reduce = reduceGeneric
+	pairColumns = pairColumnsGeneric
 }
 
 // SetLaneDispatch selects the lane-primitive implementation: vector

@@ -2,7 +2,10 @@
 
 package sphharm
 
-import "galactos/internal/lanes"
+import (
+	"galactos/internal/geom"
+	"galactos/internal/lanes"
+)
 
 // AVX-512 dispatch for the lane primitives. The kernel's Lanes = 8 float64
 // sub-accumulator is exactly one 512-bit ZMM register — the vector shape the
@@ -33,6 +36,7 @@ func almRIAsm(blocks []almBlock, cols, m, re, im []float64)
 func zetaBatchAsm(dst []complex128, a2, xy []float64, nb, k int)
 func zetaBatchIsoAsm(dst, a2, w []float64, nb, k int)
 func reduceAsm(acc, out []float64, zero bool)
+func pairColumnsAsm(sh *PairShell, pts []geom.Vec3, ws []float64, pi int32, ids []int32, out *PairCols) int
 
 func init() {
 	if lanes.Vector() {
@@ -52,6 +56,7 @@ func bindVectorLanes() {
 	zetaBatch = zetaBatchAsm
 	zetaBatchIso = zetaBatchIsoAsm
 	reduce = reduceAsm
+	pairColumns = pairColumnsAsm
 }
 
 // almRIVector is the AVX-512 body of AlmRI.

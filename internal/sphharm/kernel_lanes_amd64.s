@@ -892,3 +892,224 @@ rdsingle:
 
 rddone:
 	RET
+
+DATA pairHalf<>+0(SB)/8, $0.5
+GLOBL pairHalf<>(SB), RODATA, $8
+DATA pairOne<>+0(SB)/8, $1.0
+GLOBL pairOne<>(SB), RODATA, $8
+
+// PAIR_NORM leaves r2 = (x*x + y*y) + z*z of the separations in Z3-Z5 in Z7
+// (clobbers Z8).
+#define PAIR_NORM \
+	VMULPD Z3, Z3, Z7 \
+	VMULPD Z4, Z4, Z8 \
+	VADDPD Z8, Z7, Z7 \
+	VMULPD Z5, Z5, Z8 \
+	VADDPD Z8, Z7, Z7
+
+// func pairColumnsAsm(sh *PairShell, pts []geom.Vec3, ws []float64, pi int32, ids []int32, out *PairCols) int
+// The AVX-512 body of PairColumns: eight neighbor ids per step (the last
+// under a tail mask) — gather, minimal image, norm, bin, keep mask, compress.
+// Subtract, multiply, add, square root and divide only — no FMA, the adds in
+// the portable body's (x*x + y*y) + z*z order — so every stored value is the
+// portable body's. The compressed registers are stored whole at survivor
+// index AX (the slack PairCols promises). Unlike the rest of the file this
+// uses Z0-Z15 as well (fourteen broadcast constants leave too few high
+// registers), hence the VZEROUPPER.
+TEXT ·pairColumnsAsm(SB), NOSPLIT, $0-104
+	MOVQ sh+0(FP), DI
+	MOVQ pts_base+8(FP), BX
+	MOVQ ids_base+64(FP), SI
+	MOVQ ids_len+72(FP), R15
+	MOVQ ws_base+32(FP), DX
+	MOVQ out+88(FP), R14
+	MOVQ 0(R14), R8    // out.X
+	MOVQ 24(R14), R9   // out.Y
+	MOVQ 48(R14), R10  // out.Z
+	MOVQ 72(R14), R11  // out.W
+	MOVQ 96(R14), R12  // out.Bin
+	MOVQ 120(R14), R13 // out.ID, nil when the ids are not wanted
+
+	// The primary: pts[pi], 24 bytes a point.
+	MOVLQSX      pi+56(FP), AX
+	VPBROADCASTD AX, Z26
+	LEAQ         (AX)(AX*2), AX
+	VBROADCASTSD (BX)(AX*8), Z16
+	VBROADCASTSD 8(BX)(AX*8), Z17
+	VBROADCASTSD 16(BX)(AX*8), Z18
+
+	VBROADCASTSD 0(DI), Z19 // L
+	VMULPD.BCST  pairHalf<>(SB), Z19, Z20 // h = L/2
+	VPXORQ       Z28, Z28, Z28
+	VSUBPD       Z20, Z28, Z21 // -h
+	VMULPD       Z20, Z20, Z29 // h*h
+	VBROADCASTSD 8(DI), Z22 // RMin
+	VBROADCASTSD 16(DI), Z23 // RMax
+	VBROADCASTSD 24(DI), Z24 // InvW
+	MOVL         32(DI), AX
+	DECL         AX
+	VPBROADCASTD AX, Z25 // NBins-1
+	VBROADCASTSD pairOne<>(SB), Z27
+	MOVL         $0xff, AX
+	KMOVW        AX, K4
+	VCMPPD       $0x1e, Z28, Z19, K4, K5 // K5: all lanes when L > 0, none for open boundaries
+	XORL         AX, AX // survivors so far
+
+pcloop:
+	CMPQ  R15, $0
+	JLE   pcdone
+	KMOVW K4, K1
+	CMPQ  R15, $8
+	JGE   pcstep
+	MOVQ  R15, CX
+	MOVL  $1, DI
+	SHLL  CX, DI
+	DECL  DI
+	KMOVW DI, K1
+
+pcstep:
+	VMOVDQU32.Z (SI), K1, Z0 // ids; the lanes past K1 read as id 0 and are never kept
+	VPMOVSXDQ   Y0, Z1
+	VPSLLQ      $1, Z1, Z2
+	VPADDQ      Z1, Z2, Z2 // 3j: the point's first float64
+	KMOVW       K1, K2
+	VPXORQ      Z3, Z3, Z3
+	VGATHERQPD  (BX)(Z2*8), K2, Z3
+	KMOVW       K1, K2
+	VPXORQ      Z4, Z4, Z4
+	VGATHERQPD  8(BX)(Z2*8), K2, Z4
+	KMOVW       K1, K2
+	VPXORQ      Z5, Z5, Z5
+	VGATHERQPD  16(BX)(Z2*8), K2, Z5
+	KMOVW       K1, K2
+	VPXORQ      Z6, Z6, Z6
+	VGATHERQPD  (DX)(Z1*8), K2, Z6
+	VSUBPD      Z16, Z3, Z3
+	VSUBPD      Z17, Z4, Z4
+	VSUBPD      Z18, Z5, Z5
+
+	// Minimal image. The scalar loops are "-L while d > h, then +L while
+	// d < -h"; one masked step of each is all a point inside the box ever
+	// takes, and run unconditionally it leaves exactly the loops' value
+	// whenever that value lies within [-h, h] (a lane at rest is never
+	// touched). A component still outside — a stray image several box sides
+	// out — shows as r2 >= h*h; pcstray then replays the loops in full from
+	// the saved differences.
+	KORTESTW K5, K5
+	JZ       pcopen
+	VMOVAPD  Z3, Z13
+	VMOVAPD  Z4, Z14
+	VMOVAPD  Z5, Z15
+	VCMPPD   $0x1e, Z20, Z3, K1, K2
+	VSUBPD   Z19, Z3, K2, Z3
+	VCMPPD   $0x1e, Z20, Z4, K1, K3
+	VSUBPD   Z19, Z4, K3, Z4
+	VCMPPD   $0x1e, Z20, Z5, K1, K2
+	VSUBPD   Z19, Z5, K2, Z5
+	VCMPPD   $0x11, Z21, Z3, K1, K3
+	VADDPD   Z19, Z3, K3, Z3
+	VCMPPD   $0x11, Z21, Z4, K1, K2
+	VADDPD   Z19, Z4, K2, Z4
+	VCMPPD   $0x11, Z21, Z5, K1, K3
+	VADDPD   Z19, Z5, K3, Z5
+	PAIR_NORM
+	VCMPPD   $0x1d, Z29, Z7, K1, K2
+	KORTESTW K2, K2
+	JNZ      pcstray
+	JMP      pcroot
+
+pcopen:
+	PAIR_NORM
+
+pcroot:
+	VSQRTPD    Z7, Z8 // r
+	VDIVPD     Z8, Z27, Z9 // 1/r
+	VSUBPD     Z22, Z8, Z10
+	VMULPD     Z24, Z10, Z10
+	VCVTTPD2DQ Z10, Y10 // trunc((r - RMin) * InvW)
+	VPMINSD    Z25, Z10, Z10
+
+	// Keep j != pi, r2 != 0, RMin <= r < RMax (ordered: an r that is not a
+	// number is dropped).
+	VPCMPD $4, Z26, Z0, K1, K3
+	VCMPPD $0x0c, Z28, Z7, K3, K3
+	VCMPPD $0x1d, Z22, Z8, K3, K3
+	VCMPPD $0x11, Z23, Z8, K3, K3
+
+	VMULPD        Z9, Z3, Z3
+	VMULPD        Z9, Z4, Z4
+	VMULPD        Z9, Z5, Z5
+	VCOMPRESSPD.Z Z3, K3, Z11
+	VMOVUPD       Z11, (R8)(AX*8)
+	VCOMPRESSPD.Z Z4, K3, Z11
+	VMOVUPD       Z11, (R9)(AX*8)
+	VCOMPRESSPD.Z Z5, K3, Z11
+	VMOVUPD       Z11, (R10)(AX*8)
+	VCOMPRESSPD.Z Z6, K3, Z11
+	VMOVUPD       Z11, (R11)(AX*8)
+	VPCOMPRESSD.Z Z10, K3, Z12
+	VMOVDQU       Y12, (R12)(AX*4)
+	TESTQ         R13, R13
+	JZ            pccount
+	VPCOMPRESSD.Z Z0, K3, Z12
+	VMOVDQU       Y12, (R13)(AX*4)
+
+pccount:
+	KMOVW   K3, DI
+	POPCNTL DI, DI
+	ADDQ    DI, AX
+	ADDQ    $32, SI
+	SUBQ    $8, R15
+	JMP     pcloop
+
+pcdone:
+	VZEROUPPER
+	MOVQ AX, ret+96(FP)
+	RET
+
+pcstray:
+	VMOVAPD Z13, Z3
+	VMOVAPD Z14, Z4
+	VMOVAPD Z15, Z5
+
+pcxhi:
+	VCMPPD   $0x1e, Z20, Z3, K1, K3
+	KORTESTW K3, K3
+	JZ       pcxlo
+	VSUBPD   Z19, Z3, K3, Z3
+	JMP      pcxhi
+
+pcxlo:
+	VCMPPD   $0x11, Z21, Z3, K1, K3
+	KORTESTW K3, K3
+	JZ       pcyhi
+	VADDPD   Z19, Z3, K3, Z3
+	JMP      pcxlo
+
+pcyhi:
+	VCMPPD   $0x1e, Z20, Z4, K1, K3
+	KORTESTW K3, K3
+	JZ       pcylo
+	VSUBPD   Z19, Z4, K3, Z4
+	JMP      pcyhi
+
+pcylo:
+	VCMPPD   $0x11, Z21, Z4, K1, K3
+	KORTESTW K3, K3
+	JZ       pczhi
+	VADDPD   Z19, Z4, K3, Z4
+	JMP      pcylo
+
+pczhi:
+	VCMPPD   $0x1e, Z20, Z5, K1, K3
+	KORTESTW K3, K3
+	JZ       pczlo
+	VSUBPD   Z19, Z5, K3, Z5
+	JMP      pczhi
+
+pczlo:
+	VCMPPD   $0x11, Z21, Z5, K1, K3
+	KORTESTW K3, K3
+	JZ       pcopen
+	VADDPD   Z19, Z5, K3, Z5
+	JMP      pczlo

@@ -100,7 +100,9 @@ func (r Request) ResolveBackend() (Backend, error) {
 // are deprecated thin wrappers over it.
 //
 // The request's config is normalized exactly once at entry; an invalid
-// config is rejected before any catalog IO. Cancelling ctx (deadline,
+// config is rejected before any catalog IO, and a catalog with a non-finite
+// position or weight is rejected, naming the galaxy, in the first pass the
+// backend makes over it — before any engine work. Cancelling ctx (deadline,
 // SIGINT, client disconnect, ...) stops the run promptly with ctx.Err() and
 // leaks no goroutines; a cancelled checkpointed sharded run leaves a
 // resumable checkpoint directory. The returned RunResult bundles the merged

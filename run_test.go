@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"math"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"galactos"
@@ -144,6 +146,47 @@ func TestRequestJSONRoundTrip(t *testing.T) {
 		if math.Float64bits(real(a)) != math.Float64bits(real(b)) ||
 			math.Float64bits(imag(a)) != math.Float64bits(imag(b)) {
 			t.Fatalf("Aniso[%d] not bitwise identical after JSON round trip: %v vs %v", i, a, b)
+		}
+	}
+}
+
+// TestRunRejectsNonFiniteInput pins the fix for a silent wrong answer: a
+// catalog with a NaN or infinite coordinate used to run to completion with
+// that galaxy's pairs missing, and a non-finite weight reached every sum.
+// Run must refuse, naming the galaxy, before any engine work — for a
+// resident catalog and for a file, on both backends.
+func TestRunRejectsNonFiniteInput(t *testing.T) {
+	cfg := galactos.DefaultConfig()
+	cfg.RMax, cfg.NBins, cfg.LMax, cfg.Workers = 40, 4, 2, 1
+	const bad = 137
+	cases := []struct {
+		name string
+		mut  func(*galactos.Galaxy)
+	}{
+		{"nan-position", func(g *galactos.Galaxy) { g.Pos.X = math.NaN() }},
+		{"plus-inf-position", func(g *galactos.Galaxy) { g.Pos.Y = math.Inf(1) }},
+		{"minus-inf-position", func(g *galactos.Galaxy) { g.Pos.Z = math.Inf(-1) }},
+		{"nan-weight", func(g *galactos.Galaxy) { g.Weight = math.NaN() }},
+		{"inf-weight", func(g *galactos.Galaxy) { g.Weight = math.Inf(1) }},
+	}
+	for _, tc := range cases {
+		cat := galactos.GenerateClustered(500, 200, galactos.DefaultClusterParams(), 9)
+		tc.mut(&cat.Galaxies[bad])
+		path := filepath.Join(t.TempDir(), "bad.glxc")
+		if err := galactos.SaveCatalog(path, cat); err != nil {
+			t.Fatal(err)
+		}
+		for _, spec := range []galactos.BackendSpec{{}, {Name: "sharded", Shards: 2}} {
+			for _, req := range []galactos.Request{
+				{Catalog: cat, Config: cfg, Backend: spec},
+				{Path: path, Config: cfg, Backend: spec},
+			} {
+				_, err := galactos.Run(context.Background(), req)
+				if err == nil || !strings.Contains(err.Error(), "galaxy 137 has non-finite") {
+					t.Errorf("%s, backend %q, path %q: got %v, want a non-finite error naming galaxy 137",
+						tc.name, spec.Name, req.Path, err)
+				}
+			}
 		}
 	}
 }
