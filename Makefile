@@ -3,7 +3,6 @@
 GO ?= go
 
 .PHONY: all build test test-race vet fmt-check bench bench-exp \
-	bench-baseline bench-check bench-scaling-baseline scaling-check \
 	test-generic golden cross-smoke examples-smoke scenario-smoke \
 	service-smoke chaos-smoke crash-smoke bench-vet bench-test fuzz-smoke loc ci clean
 
@@ -47,38 +46,6 @@ bench:
 # index; the documented full run lives in EXPERIMENTS.md).
 bench-exp:
 	$(GO) run ./cmd/galactos-bench -exp all -scale small
-
-# Refresh the committed benchmark-regression floor. Run after an intentional
-# performance change (on the machine class CI uses, ideally) and commit the
-# resulting BENCH_baseline.json.
-bench-baseline:
-	$(GO) run ./cmd/galactos-bench -exp perfstat -perf-json BENCH_baseline.json
-
-# The CI benchmark gate: measure the pinned perfstat scenario fresh and fail
-# on >25% pairs/sec regression against the committed baseline. Set
-# BENCHDIFF_SUMMARY to a file path (CI uses $GITHUB_STEP_SUMMARY) to also
-# append benchdiff's markdown comparison table there.
-bench-check:
-	$(GO) run ./cmd/galactos-bench -exp perfstat -perf-json BENCH_fresh.json
-	$(GO) run ./cmd/benchdiff -baseline BENCH_baseline.json -fresh BENCH_fresh.json \
-		-threshold 0.25 $(if $(BENCHDIFF_SUMMARY),-summary "$(BENCHDIFF_SUMMARY)")
-
-# Refresh the committed scaling baseline: the pinned scenario's 1/2/4/8-worker
-# strong-scaling sweep with GOMAXPROCS pinned per point. Run on a host with
-# >= 4 cores (ideally CI's machine class) and commit the resulting
-# BENCH_scaling_baseline.json.
-bench-scaling-baseline:
-	$(GO) run ./cmd/galactos-bench -exp scaling -scaling-json BENCH_scaling_baseline.json
-
-# The CI scaling gate: remeasure the efficiency curve and fail when the
-# 4-worker parallel efficiency falls below the committed floor. On hosts with
-# fewer than 4 CPUs the floor is reported but not enforced (efficiency is
-# core-starved there by construction, not regressed).
-scaling-check:
-	$(GO) run ./cmd/galactos-bench -exp scaling -scaling-json BENCH_scaling_fresh.json
-	$(GO) run ./cmd/benchdiff -scaling-baseline BENCH_scaling_baseline.json \
-		-scaling-fresh BENCH_scaling_fresh.json -eff-floor 0.40 -eff-floor-workers 4 \
-		$(if $(BENCHDIFF_SUMMARY),-summary "$(BENCHDIFF_SUMMARY)")
 
 # Second pass of the kernel-adjacent test suites with the portable lane
 # bodies forced — the sphharm primitives and the k-d tree's gather tests —
@@ -165,15 +132,17 @@ bench-test:
 	cd bench && $(GO) test -count=1 ./...
 
 # Five seconds of native fuzzing per decoder that reads bytes it did not
-# just write (resultio, the binary catalog cursor, the journal segment
-# reader, the shard checkpoint manifest), seeded from the round-trip and
-# rejection tests: never a panic, and the block codecs keep agreeing with
-# their per-record oracles.
+# just write (resultio, the binary and CSV catalog cursors, the journal
+# segment reader, the shard checkpoint manifest, the client's SSE reader),
+# seeded from the round-trip and rejection tests: never a panic, and the
+# block codecs keep agreeing with their per-record oracles.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzReadResult -fuzztime=5s ./internal/core
 	$(GO) test -run=^$$ -fuzz=FuzzBinaryCursor -fuzztime=5s ./internal/catalog
+	$(GO) test -run=^$$ -fuzz=FuzzCSVCursor -fuzztime=5s ./internal/catalog
 	$(GO) test -run=^$$ -fuzz=FuzzReplaySegment -fuzztime=5s ./internal/journal
 	$(GO) test -run=^$$ -fuzz=FuzzManifest -fuzztime=5s ./internal/shard
+	$(GO) test -run=^$$ -fuzz=FuzzReadSSE -fuzztime=5s ./client
 
 # The line budget as a command (ROADMAP item 6): non-test Go lines per
 # package outside bench/ and their total, then the assembly lines beside them.
@@ -187,4 +156,3 @@ ci: fmt-check build vet test bench bench-vet bench-test fuzz-smoke
 
 clean:
 	$(GO) clean ./...
-	rm -f BENCH_fresh.json BENCH_scaling_fresh.json

@@ -1,14 +1,18 @@
 package client
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"testing/iotest"
 )
 
 func TestReadSSE(t *testing.T) {
@@ -80,6 +84,59 @@ func TestReadSSEStopsOnHandlerError(t *testing.T) {
 }
 
 var errTest = &APIError{StatusCode: 418, Message: "test"}
+
+// FuzzReadSSE: no byte stream panics readSSE; the events it delivers carry
+// no more bytes than the stream held (no field sizes a buffer); the events
+// do not depend on how the stream is split across reads; and a handler
+// error ends the parse at once and comes back unchanged.
+func FuzzReadSSE(f *testing.F) {
+	for _, s := range []string{
+		"event: job\ndata: {\"id\":\"job-000001\"}\n\n" +
+			"event: state\ndata: {\"seq\":0,\"type\":\"state\",\"state\":\"queued\"}\n\n",
+		"event:ping\ndata:line1\ndata: line2\ndata:  spaced\n\ndata:solo\n\n",
+		"event: a\ndata: 1\n\nevent: b\ndata: 2\n\n",
+		jobFrame + logFrame(0) + doneFrame(1),
+		"data: cut mid-ev", ": comment\r\nid: 3\r\ndata\r\n\r\n", "\n\n\n",
+	} {
+		f.Add([]byte(s), uint8(1))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, stopAfter uint8) {
+		type event struct{ name, data string }
+		collect := func(r io.Reader) ([]event, error) {
+			var out []event
+			err := readSSE(r, func(name string, d []byte) error {
+				out = append(out, event{name, string(d)})
+				return nil
+			})
+			return out, err
+		}
+		whole, err := collect(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("in-memory stream failed: %v", err)
+		}
+		size := 0
+		for _, e := range whole {
+			size += len(e.name) + len(e.data)
+		}
+		if size > len(data) {
+			t.Fatalf("%d event bytes out of a %d-byte stream", size, len(data))
+		}
+		split, err := collect(iotest.OneByteReader(bytes.NewReader(data)))
+		if err != nil || !slices.Equal(split, whole) {
+			t.Fatalf("byte-at-a-time reads: %q, %v; whole stream: %q", split, err, whole)
+		}
+		calls := 0
+		err = readSSE(bytes.NewReader(data), func(string, []byte) error {
+			if calls++; calls > int(stopAfter) {
+				return errTest
+			}
+			return nil
+		})
+		if stop := int(stopAfter) + 1; len(whole) >= stop && (err != errTest || calls != stop) {
+			t.Fatalf("handler erred on call %d: parse returned %v after %d calls", stop, err, calls)
+		}
+	})
+}
 
 // sse builds one well-formed job event frame with its id: cursor.
 func sse(typ string, seq int, payload string) string {

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"runtime/debug"
 	"sort"
 	"strings"
@@ -28,9 +27,7 @@ import (
 	"galactos/internal/catalog"
 	"galactos/internal/core"
 	"galactos/internal/perfmodel"
-	"galactos/internal/perfstat"
 	"galactos/internal/sim"
-	"galactos/internal/sphharm"
 )
 
 // facadeRun executes one bench computation through the facade's canonical
@@ -67,20 +64,7 @@ var experiments = []experiment{
 	{"sched", "Ablation: dynamic vs static scheduling", expSched},
 	{"precision", "Sec. 5.4: mixed vs double precision", expPrecision},
 	{"sharded", "Sec. 3.3: sharded out-of-core pipeline vs single shot", expSharded},
-	{"perfstat", "CI regression anchor: pinned-scenario pairs/sec report", expPerfstat},
-	{"scaling", "CI scaling gate: 1/2/4/8-worker efficiency curve", expScaling},
-	{"scenarios", "Sec. 6: survey-science scenario registry sweep", expScenarios},
 }
-
-// perfstat experiment flags: where to write the machine-readable report and
-// how many timed repetitions to take the best of (best-of smooths scheduler
-// noise; regressions shift the best run too).
-var (
-	perfJSON  = flag.String("perf-json", "", "write the perfstat experiment's report to this path")
-	perfIters = flag.Int("perf-iters", 3, "timed repetitions of the perfstat experiment (best kept)")
-
-	scalingJSON = flag.String("scaling-json", "", "write the scaling experiment's report to this path")
-)
 
 func main() {
 	var (
@@ -532,137 +516,6 @@ func expSharded(s float64) error {
 	return nil
 }
 
-// expPerfstat runs the benchmark-regression scenario — the same catalog and
-// configuration as BenchmarkCompute (6000 clustered galaxies at Outer Rim
-// density, Rmax 15, 10 bins, l_max 10, no self-count) — and reports the
-// perfstat summary CI diffs against BENCH_baseline.json. The scenario is
-// deliberately NOT scaled by -scale: a fresh report is only comparable to
-// the committed baseline when it measures the identical computation
-// (perfstat.Compare enforces this via the scenario fields).
-func expPerfstat(s float64) error {
-	cat := densityCatalog(6000, 5)
-	cfg := perfConfig(15)
-	cfg.NBins = 10
-	// The worker budget is part of the pinned scenario: fixing it (instead
-	// of inheriting GOMAXPROCS) keeps the report's scenario fields — which
-	// perfstat.Compare now rejects on — identical across hosts, so a
-	// baseline refreshed on one machine still gates CI runners with a
-	// different core count.
-	cfg.Workers = 4
-	// Pin GOMAXPROCS to the scenario's worker budget: the baseline is then a
-	// statement about 4 scheduler-granted workers everywhere, instead of
-	// silently measuring oversubscription on small hosts and real
-	// parallelism on large ones (perfstat flags the mismatch, but the pinned
-	// budget removes it at the source).
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(cfg.Workers))
-	iters := *perfIters
-	if iters < 1 {
-		iters = 1
-	}
-	var best *perfstat.Report
-	for it := 0; it < iters; it++ {
-		run, err := facadeRun(cat, cfg, "bench-baseline")
-		if err != nil {
-			return err
-		}
-		r := run.Perf
-		fmt.Printf("  run %d/%d: %.3e pairs/s (%.2f model GF/s)\n",
-			it+1, iters, r.PairsPerSec, r.ModelGFlopsPerSec)
-		if best == nil || r.PairsPerSec > best.PairsPerSec {
-			best = r
-		}
-	}
-	fmt.Printf("best: %.3e pairs/s over %d pairs; phases: gather %.2fs consume %.2fs alm+zeta %.2fs\n",
-		best.PairsPerSec, best.Pairs, best.PhaseSec["gather"],
-		best.PhaseSec["consume"], best.PhaseSec["alm_zeta"])
-	if *perfJSON != "" {
-		if err := best.WriteJSON(*perfJSON); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", *perfJSON)
-	}
-	return nil
-}
-
-// expScaling measures the strong-scaling efficiency curve of the pinned
-// benchmark scenario at 1/2/4/8 workers, with GOMAXPROCS pinned to each
-// point's worker count so every point measures scheduler-granted
-// parallelism. Like expPerfstat, the scenario is NOT scaled by -scale: the
-// sweep feeds the CI scaling gate (benchdiff -scaling-*), which is only
-// meaningful against the committed BENCH_scaling_baseline.json when the
-// computation is identical.
-func expScaling(s float64) error {
-	cat := densityCatalog(6000, 5)
-	cfg := perfConfig(15)
-	cfg.NBins = 10
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	iters := *perfIters
-	if iters < 1 {
-		iters = 1
-	}
-	rep := &perfstat.ScalingReport{
-		Label:     "bench-scaling",
-		Host:      fmt.Sprintf("%s/%s %d-cpu", runtime.GOOS, runtime.GOARCH, runtime.NumCPU()),
-		NumCPU:    runtime.NumCPU(),
-		Timestamp: time.Now().UTC().Format(time.RFC3339),
-		NBins:     cfg.NBins,
-		LMax:      cfg.LMax,
-	}
-	// The fingerprint pins the swept configuration with the (varying) worker
-	// budget normalized to 1, so baseline and fresh sweeps compare the same
-	// computation regardless of the worker axis.
-	fpCfg := cfg
-	fpCfg.Workers = 1
-	if fp, err := fpCfg.Fingerprint(); err == nil {
-		rep.ConfigFingerprint = fp
-	}
-	var t1 float64
-	fmt.Println("  workers   time        pairs/sec    speedup   efficiency   busy")
-	for _, w := range []int{1, 2, 4, 8} {
-		c := cfg
-		c.Workers = w
-		runtime.GOMAXPROCS(w)
-		var best *perfstat.Report
-		for it := 0; it < iters; it++ {
-			run, err := facadeRun(cat, c, "bench-scaling")
-			if err != nil {
-				return err
-			}
-			if best == nil || run.Perf.PairsPerSec > best.PairsPerSec {
-				best = run.Perf
-			}
-		}
-		if w == 1 {
-			t1 = best.ElapsedSec
-			rep.NGalaxies = best.NGalaxies
-			rep.Pairs = best.Pairs
-		}
-		p := perfstat.ScalingPoint{
-			Workers:      w,
-			GoMaxProcs:   best.GoMaxProcs,
-			ElapsedSec:   best.ElapsedSec,
-			PairsPerSec:  best.PairsPerSec,
-			Speedup:      t1 / best.ElapsedSec,
-			Efficiency:   t1 / (float64(w) * best.ElapsedSec),
-			BusyFraction: best.ParallelEfficiency,
-		}
-		rep.Points = append(rep.Points, p)
-		fmt.Printf("  %7d   %-9.3fs  %.3e   %6.2fx   %10.3f   %.3f\n",
-			p.Workers, p.ElapsedSec, p.PairsPerSec, p.Speedup, p.Efficiency, p.BusyFraction)
-	}
-	if runtime.NumCPU() < 8 {
-		fmt.Printf("note: host has %d CPUs — points beyond that timeshare cores and their\n", runtime.NumCPU())
-		fmt.Println("efficiency is core-starved by construction (the CI gate skips the floor there).")
-	}
-	if *scalingJSON != "" {
-		if err := rep.WriteJSON(*scalingJSON); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", *scalingJSON)
-	}
-	return nil
-}
-
 func clampInt(v, lo, hi int) int {
 	if v < lo {
 		return lo
@@ -671,25 +524,4 @@ func clampInt(v, lo, hi int) int {
 		return hi
 	}
 	return v
-}
-
-// expScenarios sweeps the survey-science scenario registry (Sec. 6): every
-// end-to-end workload — periodic boxes, the data+randoms edge-corrected
-// estimator, jackknife covariance, the 2PCF and gridded cross-checks — run
-// through the local backend with its invariants checked, one table row
-// each. The hash column is the bitwise outcome fingerprint golden tests pin
-// (comparable across hosts sharing the kernel dispatch tag).
-func expScenarios(s float64) error {
-	n := clampInt(int(1500*s), 400, 20000)
-	pts, err := sim.ScenarioSweep(context.Background(), galactos.LocalBackend(), nil, n, 1)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("kernel dispatch: %s\n", sphharm.LaneDispatch())
-	fmt.Printf("%-22s %7s %12s %4s %10s  %s\n", "scenario", "n", "pairs", "inv", "time", "outcome hash")
-	for _, p := range pts {
-		fmt.Printf("%-22s %7d %12d %4d %10v  %s\n",
-			p.Name, p.N, p.Pairs, p.Invariants, p.Elapsed.Round(time.Millisecond), p.Hash[:16])
-	}
-	return nil
 }

@@ -29,7 +29,6 @@ package galactos
 
 import (
 	"context"
-	"time"
 
 	"galactos/internal/bruteforce"
 	"galactos/internal/catalog"
@@ -159,23 +158,10 @@ func SaveResult(path string, r *Result) error { return core.SaveResult(path, r) 
 func LoadResult(path string) (*Result, error) { return core.LoadResult(path) }
 
 // PerfReport is the machine-readable performance summary of one run:
-// pairs/sec, model FLOP rate, and the per-phase timing breakdown. It
-// serializes to JSON (WriteJSON / perfstat.ReadJSON) and is what the CI
-// benchmark-regression gate compares against BENCH_baseline.json.
+// pairs/sec, model FLOP rate, and the per-phase timing breakdown. Every Run
+// returns one (RunResult.Perf); it serializes to JSON with WriteJSON and is
+// what `galactos -perf-json` writes and galactosd serves as a job's `perf`.
 type PerfReport = perfstat.Report
-
-// CollectPerf builds a PerfReport from any computed Result — single-shot or
-// sharded — plus the run's configuration (which contributes the
-// worker/scheduling scenario fields) and wall clock.
-func CollectPerf(label string, cfg Config, res *Result, elapsed time.Duration) *PerfReport {
-	return perfstat.Collect(label, cfg, res, elapsed)
-}
-
-// ComparePerf gates a fresh report against a baseline, failing on more than
-// tolerance fractional pairs/sec regression (see `make bench-check`).
-func ComparePerf(baseline, fresh *PerfReport, tolerance float64) (string, error) {
-	return perfstat.Compare(baseline, fresh, tolerance)
-}
 
 // BruteForce3PCF computes the anisotropic 3PCF by O(N^3) direct triplet
 // counting — the verification oracle (use only on small catalogs).

@@ -327,6 +327,53 @@ func TestCSVDefaultsWeightAndRejectsBadRows(t *testing.T) {
 	}
 }
 
+// FuzzCSVCursor: no input panics the CSV cursor or ReadCSV; the cursor
+// never delivers more rows than the input has bytes for ("1,2,3" plus a
+// newline per row); ReadCSV accepts exactly what the cursor drains cleanly
+// into finite galaxies, whatever buffer the cursor is drained with, and
+// gets the same catalog; and an accepted catalog survives WriteCSV →
+// ReadCSV.
+func FuzzCSVCursor(f *testing.F) {
+	var buf bytes.Buffer
+	c := Uniform(50, 80, 2)
+	c.Galaxies[3].Weight = -0.5
+	if err := WriteCSV(&buf, c); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes(), uint16(7))
+	for _, s := range []string{
+		"1,2,3\n4,5,6,2.5\n", "1,2\n", "a,b,c\n", "1,2,3,4,5\n",
+		"# L=abc\n1,2,3\n", "1,2,3\n# note L=50 N=1\n\r\n 4 , 5 ,6 \r\n",
+		"NaN,1,2\n", "1,2,3,+Inf\n", "#L=1e400\n",
+	} {
+		f.Add([]byte(s), uint16(1))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, bufLen uint16) {
+		cur := newCSVCursor(bytes.NewReader(data), nil)
+		got, curErr := drainCounting(cur.Next, int(bufLen)%64+1)
+		if len(got) > (len(data)+1)/6 {
+			t.Fatalf("%d rows out of a %d-byte input", len(got), len(data))
+		}
+		cat, err := ReadCSV(bytes.NewReader(data))
+		if want := curErr == nil && CheckFinite(got, 0) == nil; (err == nil) != want {
+			t.Fatalf("ReadCSV error %v; cursor error %v over %d rows", err, curErr, len(got))
+		}
+		if err != nil {
+			return
+		}
+		assertSameCatalog(t, &Catalog{Box: cur.Box(), Galaxies: got}, cat)
+		var out bytes.Buffer
+		if err := WriteCSV(&out, cat); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadCSV(&out)
+		if err != nil {
+			t.Fatalf("re-reading WriteCSV output: %v", err)
+		}
+		assertSameCatalog(t, back, cat)
+	})
+}
+
 func TestSaveLoadFile(t *testing.T) {
 	dir := t.TempDir()
 	c := Uniform(25, 60, 3)
