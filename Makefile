@@ -12,20 +12,23 @@ build:
 	$(GO) build ./...
 
 # Tier-1 at three scheduler widths: worker defaults derive from GOMAXPROCS,
-# so a test that is green on one host's core count by accident fails here.
+# so a test that is green on one host's core count by accident fails here —
+# and the scenario goldens, which leave Workers at that default, are checked
+# at three worker counts.
 test:
 	@set -e; for p in 1 2 8; do \
 		echo "== go test ./... (GOMAXPROCS=$$p) =="; \
 		GOMAXPROCS=$$p $(GO) test -count=1 ./...; done
 
-# Race detector over the concurrency surfaces: the engine worker pool, the
-# sharded checkpointing pipeline, the execution layer's cancellation paths,
-# the scenario registry's multi-stage workloads, the galactosd job server
+# Race detector over the concurrency surfaces: the engine worker pool and
+# its commit clock, the 2PCF counter's ordered chunk folds, the sharded
+# checkpointing pipeline, the execution layer's cancellation paths, the
+# scenario registry's multi-stage workloads, the galactosd job server
 # (worker pool, SSE streaming, disconnect-cancel) with its client, and the
 # fault-injection/retry layers whose counters and plans are hit from every
 # worker goroutine.
 test-race:
-	$(GO) test -race ./internal/core/... ./internal/shard/... ./internal/exec/... \
+	$(GO) test -race ./internal/core/... ./internal/twopcf/... ./internal/shard/... ./internal/exec/... \
 		./internal/scenario/... ./internal/service/... ./client/... \
 		./internal/faultpoint/... ./internal/retry/... ./internal/journal/...
 
@@ -133,9 +136,10 @@ bench-test:
 
 # Five seconds of native fuzzing per decoder that reads bytes it did not
 # just write (resultio, the binary and CSV catalog cursors, the journal
-# segment reader, the shard checkpoint manifest, the client's SSE reader),
-# seeded from the round-trip and rejection tests: never a panic, and the
-# block codecs keep agreeing with their per-record oracles.
+# segment reader, the shard checkpoint manifest, the client's SSE reader,
+# galactosd's submit decode and validation), seeded from the round-trip and
+# rejection tests: never a panic, the block codecs keep agreeing with their
+# per-record oracles, and the worker count never moves a cache key.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzReadResult -fuzztime=5s ./internal/core
 	$(GO) test -run=^$$ -fuzz=FuzzBinaryCursor -fuzztime=5s ./internal/catalog
@@ -143,6 +147,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzReplaySegment -fuzztime=5s ./internal/journal
 	$(GO) test -run=^$$ -fuzz=FuzzManifest -fuzztime=5s ./internal/shard
 	$(GO) test -run=^$$ -fuzz=FuzzReadSSE -fuzztime=5s ./client
+	$(GO) test -run=^$$ -fuzz=FuzzSubmitRequest -fuzztime=5s ./internal/service
 
 # The line budget as a command (ROADMAP item 6): non-test Go lines per
 # package outside bench/ and their total, then the assembly lines beside them.

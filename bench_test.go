@@ -518,25 +518,6 @@ func BenchmarkNeighborFinder(b *testing.B) {
 	}
 }
 
-// BenchmarkScheduling is the dynamic-vs-static scheduling ablation
-// (Sec. 3.3: dynamic wins on real cores; single-core hosts show parity).
-func BenchmarkScheduling(b *testing.B) {
-	cat := benchCatalog(5000, 11)
-	for _, s := range []struct {
-		name string
-		kind core.SchedKind
-	}{{"dynamic", core.SchedDynamic}, {"static", core.SchedStatic}} {
-		b.Run(s.name, func(b *testing.B) {
-			cfg := benchConfig(12)
-			cfg.Scheduling = s.kind
-			cfg.Workers = 4
-			for i := 0; i < b.N; i++ {
-				compute(b, cat, cfg)
-			}
-		})
-	}
-}
-
 // BenchmarkSharded measures the sharded out-of-core pipeline against the
 // single-shot engine on the same catalog (the `sharded` experiment;
 // sharding pays a halo-overlap tax in exchange for a bounded footprint).

@@ -61,7 +61,6 @@ var experiments = []experiment{
 	{"crossover", "Sec. 3: O(N^2) multipole vs O(N^3) brute force", expCrossover},
 	{"buckets", "Ablation: bucket size k (paper fixes 128)", expBuckets},
 	{"finder", "Ablation: k-d tree vs grid neighbor search", expFinder},
-	{"sched", "Ablation: dynamic vs static scheduling", expSched},
 	{"precision", "Sec. 5.4: mixed vs double precision", expPrecision},
 	{"sharded", "Sec. 3.3: sharded out-of-core pipeline vs single shot", expSharded},
 }
@@ -414,27 +413,6 @@ func expFinder(s float64) error {
 		}
 		fmt.Printf("  %-7v  %-10v  %d\n", f, run.Elapsed.Round(time.Millisecond), run.Result.Pairs)
 	}
-	return nil
-}
-
-func expSched(s float64) error {
-	// Clustered data makes per-primary work uneven: dynamic scheduling's
-	// advantage (Sec. 3.3) appears with multiple workers.
-	n := int(12000 * s)
-	cat := densityCatalog(n, 29)
-	fmt.Println("paper Sec. 3.3: dynamic scheduling gives a significant boost over static")
-	fmt.Println("  scheduling   workers   time")
-	for _, sched := range []core.SchedKind{core.SchedDynamic, core.SchedStatic} {
-		cfg := perfConfig(18)
-		cfg.Scheduling = sched
-		cfg.Workers = 4
-		run, err := facadeRun(cat, cfg, "bench-sched")
-		if err != nil {
-			return err
-		}
-		fmt.Printf("  %-10v   %7d   %v\n", sched, cfg.Workers, run.Elapsed.Round(time.Millisecond))
-	}
-	fmt.Println("note: the gap requires real core parallelism; single-core hosts show parity.")
 	return nil
 }
 

@@ -180,7 +180,7 @@ func main() {
 	}
 
 	// SIGINT/SIGTERM cancel the context: in-flight engines stop at their
-	// next scheduling chunk, completed shard checkpoints stay on disk.
+	// next commit unit, completed shard checkpoints stay on disk.
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancel()
 

@@ -39,10 +39,9 @@ func main() {
 	cfg.NBins = 6
 	cfg.LMax = 5
 	cfg.SelfCount = false
-	// One worker makes the accumulation order deterministic, so the
-	// resumed run below reproduces the uninterrupted result bit for bit
-	// (with more workers the results agree to floating-point rounding).
-	cfg.Workers = 1
+	// The engine commits its units in one fixed order at any worker count,
+	// so the resumed run below reproduces the uninterrupted result bit for
+	// bit on all cores.
 
 	// Single shot: the whole catalog through one engine, via the facade's
 	// canonical Run entrypoint.

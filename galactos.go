@@ -100,15 +100,8 @@ const (
 	FinderGrid = core.FinderGrid
 )
 
-// Scheduling policies for the primary loop.
-const (
-	SchedDynamic = core.SchedDynamic
-	SchedStatic  = core.SchedStatic
-)
-
 // DefaultConfig returns the paper's configuration: Rmax = 200 Mpc/h,
-// 20 radial bins, l_max = 10, bucket size 128, mixed precision, dynamic
-// scheduling.
+// 20 radial bins, l_max = 10, bucket size 128, mixed precision.
 func DefaultConfig() Config { return core.DefaultConfig() }
 
 // Backend is one execution strategy of the unified execution layer

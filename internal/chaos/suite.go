@@ -28,12 +28,12 @@ import (
 )
 
 // suiteConfig is the shared engine configuration of the non-scenario cases:
-// small radii, Workers = 1 (bitwise-reproducible outcomes).
+// small radii, Workers at the GOMAXPROCS default (outcomes are bitwise
+// reproducible at any worker count).
 func suiteConfig() core.Config {
 	return core.Config{
 		RMax: 40, NBins: 4, LMax: 3,
 		LOS: core.LOSPlaneParallel, SelfCount: true,
-		Workers: 1,
 	}
 }
 

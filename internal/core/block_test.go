@@ -12,54 +12,91 @@ import (
 	"time"
 
 	"galactos/internal/catalog"
+	"galactos/internal/faultpoint"
 	"galactos/internal/geom"
 	"galactos/internal/hist"
 	"galactos/internal/sphharm"
 )
 
-// TestSchedulingEquivalenceBitwise pins the block scheduler's determinism
-// contract: static and dynamic scheduling commit block contributions in the
-// same (ascending, group-partitioned) order, so at a fixed worker count the
-// results are bitwise identical — not merely close — including across LOS
-// modes and repeated dynamic runs (whose worker interleaving varies).
-func TestSchedulingEquivalenceBitwise(t *testing.T) {
-	cat := catalog.Clustered(500, 180, catalog.DefaultClusterParams(), 81)
-	for _, mode := range []struct {
+// sameBits reports the first difference between two results' Pairs,
+// NPrimaries, SumWeight and Aniso bits, or nil when there is none.
+func sameBits(got, want *Result) error {
+	if got.Pairs != want.Pairs || got.NPrimaries != want.NPrimaries {
+		return fmt.Errorf("pair/primary counts differ: %d/%d vs %d/%d",
+			got.Pairs, got.NPrimaries, want.Pairs, want.NPrimaries)
+	}
+	if math.Float64bits(got.SumWeight) != math.Float64bits(want.SumWeight) {
+		return fmt.Errorf("SumWeight not bitwise identical: %v vs %v", got.SumWeight, want.SumWeight)
+	}
+	for i := range got.Aniso {
+		a, b := got.Aniso[i], want.Aniso[i]
+		if math.Float64bits(real(a)) != math.Float64bits(real(b)) ||
+			math.Float64bits(imag(a)) != math.Float64bits(imag(b)) {
+			return fmt.Errorf("Aniso[%d] not bitwise identical: %v vs %v", i, a, b)
+		}
+	}
+	return nil
+}
+
+// TestResultIndependentOfWorkers pins the one-answer contract: every commit
+// unit adds into the run's single result in ascending unit order, so one
+// configuration has one Aniso/SumWeight/Pairs bit pattern at Workers 1, 2, 3
+// and 8 under GOMAXPROCS 1, 2 and 8 — for every LOS mode × IsotropicOnly ×
+// SelfCount on a periodic and an open catalog, and with injected worker
+// delays reshuffling which worker commits which unit.
+func TestResultIndependentOfWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	periodic := catalog.Clustered(300, 180, catalog.DefaultClusterParams(), 81)
+	open := &catalog.Catalog{Galaxies: periodic.Galaxies}
+	base := propConfig()
+	base.ChunkSize = 8 // dozens of units, so workers interleave
+	base.Observer = geom.Vec3{X: -200, Y: -100, Z: -350}
+	type row struct {
 		name   string
-		mutate func(*Config)
-	}{
-		{"plane-parallel", func(*Config) {}},
-		{"los-radial", func(c *Config) {
-			c.LOS = LOSRadial
-			c.Observer = geom.Vec3{X: -200, Y: -100, Z: -350}
-		}},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
-			cfg := propConfig()
-			cfg.Workers = 4
-			mode.mutate(&cfg)
-			cfg.Scheduling = SchedStatic
-			ref, err := Compute(cat, cfg)
-			if err != nil {
-				t.Fatal(err)
+		cat    *catalog.Catalog
+		cfg    Config
+		delays bool
+	}
+	var rows []row
+	for _, c := range []struct {
+		name string
+		cat  *catalog.Catalog
+	}{{"periodic", periodic}, {"open", open}} {
+		for _, los := range []LOSMode{LOSPlaneParallel, LOSRadial, LOSMidpoint} {
+			for _, iso := range []bool{false, true} {
+				for _, self := range []bool{false, true} {
+					cfg := base
+					cfg.LOS, cfg.IsotropicOnly, cfg.SelfCount = los, iso, self
+					name := fmt.Sprintf("%s-%v-iso=%v-self=%v", c.name, los, iso, self)
+					rows = append(rows, row{name, c.cat, cfg, false})
+				}
 			}
-			cfg.Scheduling = SchedDynamic
-			for rep := 0; rep < 3; rep++ {
-				got, err := Compute(cat, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got.Pairs != ref.Pairs || got.NPrimaries != ref.NPrimaries {
-					t.Fatalf("rep %d: counts differ", rep)
-				}
-				if math.Float64bits(got.SumWeight) != math.Float64bits(ref.SumWeight) {
-					t.Fatalf("rep %d: SumWeight differs bitwise", rep)
-				}
-				for i := range got.Aniso {
-					a, b := got.Aniso[i], ref.Aniso[i]
-					if math.Float64bits(real(a)) != math.Float64bits(real(b)) ||
-						math.Float64bits(imag(a)) != math.Float64bits(imag(b)) {
-						t.Fatalf("rep %d: Aniso[%d] dynamic != static bitwise: %v vs %v", rep, i, a, b)
+		}
+	}
+	rows = append(rows, row{"periodic-worker-delays", periodic, base, true})
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			if r.delays {
+				faultpoint.Enable(faultpoint.NewPlan(7,
+					faultpoint.Point{Name: "core.worker.block", Kind: faultpoint.KindDelay, P: 0.3}))
+				defer faultpoint.Disable()
+			}
+			var ref *Result
+			for _, procs := range []int{1, 2, 8} {
+				runtime.GOMAXPROCS(procs)
+				for _, workers := range []int{1, 2, 3, 8} {
+					cfg := r.cfg
+					cfg.Workers = workers
+					got, err := Compute(r.cat, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if ref == nil {
+						ref = got
+						continue
+					}
+					if err := sameBits(got, ref); err != nil {
+						t.Fatalf("GOMAXPROCS=%d Workers=%d vs GOMAXPROCS=1 Workers=1: %v", procs, workers, err)
 					}
 				}
 			}
@@ -70,48 +107,45 @@ func TestSchedulingEquivalenceBitwise(t *testing.T) {
 // TestBlockCancellationPromptNoLeaks cancels a running computation and
 // checks that it returns promptly with ctx.Err() (the context is checked
 // once per cell block) and that no worker goroutines outlive the call —
-// including the dynamic path's commit-clock waiters, which must drain even
-// when blocks are abandoned mid-group.
+// including the commit-clock waiters, which must drain even when blocks are
+// abandoned mid-run.
 func TestBlockCancellationPromptNoLeaks(t *testing.T) {
 	cat := catalog.Clustered(4000, 220, catalog.DefaultClusterParams(), 83)
-	for _, sched := range []SchedKind{SchedDynamic, SchedStatic} {
-		cfg := propConfig()
-		cfg.RMax = 80
-		cfg.Workers = 4
-		cfg.Scheduling = sched
-		cfg.ChunkSize = 4 // many small blocks: cancellation lands mid-run
+	cfg := propConfig()
+	cfg.RMax = 80
+	cfg.Workers = 4
+	cfg.ChunkSize = 4 // many small blocks: cancellation lands mid-run
 
-		before := runtime.NumGoroutine()
-		ctx, cancel := context.WithCancel(context.Background())
-		go func() {
-			time.Sleep(10 * time.Millisecond)
-			cancel()
-		}()
-		start := time.Now()
-		res, err := ComputeContext(ctx, cat, cfg)
-		elapsed := time.Since(start)
-		if err == nil {
-			// The run may legitimately finish before the cancel fires on a
-			// fast machine; only a late cancel with a hung return is a bug.
-			if res == nil {
-				t.Fatalf("%v: nil result without error", sched)
-			}
-			continue
+	before := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		time.Sleep(10 * time.Millisecond)
+		cancel()
+	}()
+	start := time.Now()
+	res, err := ComputeContext(ctx, cat, cfg)
+	elapsed := time.Since(start)
+	if err == nil {
+		// The run may legitimately finish before the cancel fires on a
+		// fast machine; only a late cancel with a hung return is a bug.
+		if res == nil {
+			t.Fatal("nil result without error")
 		}
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("%v: want context.Canceled, got %v", sched, err)
-		}
-		if elapsed > 5*time.Second {
-			t.Fatalf("%v: cancellation not prompt: took %v", sched, elapsed)
-		}
-		// Workers must be gone; allow the runtime a moment to reap them.
-		deadline := time.Now().Add(2 * time.Second)
-		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-			time.Sleep(5 * time.Millisecond)
-		}
-		if g := runtime.NumGoroutine(); g > before {
-			t.Fatalf("%v: goroutine leak: %d before, %d after", sched, before, g)
-		}
+		return
+	}
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("want context.Canceled, got %v", err)
+	}
+	if elapsed > 5*time.Second {
+		t.Fatalf("cancellation not prompt: took %v", elapsed)
+	}
+	// Workers must be gone; allow the runtime a moment to reap them.
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if g := runtime.NumGoroutine(); g > before {
+		t.Fatalf("goroutine leak: %d before, %d after", before, g)
 	}
 }
 
@@ -188,8 +222,8 @@ func testProcessBlockAllocFree(t *testing.T, cfg Config) {
 // pinned outright (unit count and a hash of the boundaries and the primary
 // order, recorded when units were still built from an explicit cell list):
 // the commit order, and with it every result bit, follows them. They depend
-// on the catalog, ChunkSize and BlockCell only — Workers and Scheduling,
-// which decide who processes a unit, must not move a boundary.
+// on the catalog, ChunkSize and BlockCell only — Workers, which decides who
+// processes a unit, must not move a boundary.
 func TestUnitsPartitionCells(t *testing.T) {
 	cat := catalog.Clustered(3000, 200, catalog.DefaultClusterParams(), 87)
 	for _, shape := range []struct {
@@ -207,36 +241,34 @@ func TestUnitsPartitionCells(t *testing.T) {
 	} {
 		var ref []blockRange
 		for _, workers := range []int{1, 2, 8} {
-			for _, sched := range []SchedKind{SchedStatic, SchedDynamic} {
-				cfg := propConfig()
-				cfg.ChunkSize, cfg.BlockCell = shape.chunk, shape.blockCell
-				cfg.Workers, cfg.Scheduling = workers, sched
-				cfg, err := cfg.Normalize()
-				if err != nil {
-					t.Fatal(err)
+			cfg := propConfig()
+			cfg.ChunkSize, cfg.BlockCell = shape.chunk, shape.blockCell
+			cfg.Workers = workers
+			cfg, err := cfg.Normalize()
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := &engine{cfg: cfg, shell: sphharm.PairShell{Box: cat.Box}, pts: cat.Positions()}
+			e.primaryIdx = primaryIndices(nil, cat.Len())
+			e.buildBlocks()
+			if ref == nil {
+				ref = e.blocks
+				checkPartition(t, e)
+				h := fnv.New64a()
+				for _, u := range e.blocks {
+					fmt.Fprintf(h, "%d,", u.hi)
 				}
-				e := &engine{cfg: cfg, shell: sphharm.PairShell{Box: cat.Box}, pts: cat.Positions()}
-				e.primaryIdx = primaryIndices(nil, cat.Len())
-				e.buildBlocks()
-				if ref == nil {
-					ref = e.blocks
-					checkPartition(t, e)
-					h := fnv.New64a()
-					for _, u := range e.blocks {
-						fmt.Fprintf(h, "%d,", u.hi)
-					}
-					for _, pi := range e.primaryIdx {
-						fmt.Fprintf(h, "%d,", pi)
-					}
-					if len(e.blocks) != shape.units || h.Sum64() != shape.hash {
-						t.Fatalf("chunk %d: unit cuts moved: %d units, hash %#x; pinned %d, %#x",
-							shape.chunk, len(e.blocks), h.Sum64(), shape.units, shape.hash)
-					}
-					continue
+				for _, pi := range e.primaryIdx {
+					fmt.Fprintf(h, "%d,", pi)
 				}
-				if !slices.Equal(e.blocks, ref) {
-					t.Fatalf("chunk %d: partition moved with workers=%d sched=%v", shape.chunk, workers, sched)
+				if len(e.blocks) != shape.units || h.Sum64() != shape.hash {
+					t.Fatalf("chunk %d: unit cuts moved: %d units, hash %#x; pinned %d, %#x",
+						shape.chunk, len(e.blocks), h.Sum64(), shape.units, shape.hash)
 				}
+				continue
+			}
+			if !slices.Equal(e.blocks, ref) {
+				t.Fatalf("chunk %d: partition moved with workers=%d", shape.chunk, workers)
 			}
 		}
 	}

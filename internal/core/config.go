@@ -74,32 +74,6 @@ func (f FinderKind) String() string {
 	}
 }
 
-// SchedKind selects how commit units are distributed over workers. Both
-// policies commit unit contributions in ascending unit order (dynamic via
-// group-ordered commits), so results are bitwise identical across policies
-// at a fixed worker count.
-type SchedKind int
-
-const (
-	// SchedDynamic hands out commit units from a shared counter ("OpenMP
-	// dynamic scheduling ... gives a significant performance boost over
-	// using a static schedule", Sec. 3.3).
-	SchedDynamic SchedKind = iota
-	// SchedStatic assigns each worker one contiguous unit range up front.
-	SchedStatic
-)
-
-func (s SchedKind) String() string {
-	switch s {
-	case SchedDynamic:
-		return "dynamic"
-	case SchedStatic:
-		return "static"
-	default:
-		return fmt.Sprintf("SchedKind(%d)", int(s))
-	}
-}
-
 // Config holds all tunables of a 3PCF computation. The zero value is not
 // valid; start from DefaultConfig.
 type Config struct {
@@ -133,7 +107,10 @@ type Config struct {
 	// cache-resident (the paper's bucket size, 128). Results are invariant
 	// to it up to floating-point regrouping.
 	BucketSize int
-	// Workers is the engine's worker count; <= 0 means GOMAXPROCS.
+	// Workers is the engine's worker count; <= 0 means GOMAXPROCS. Workers
+	// claim commit units from a shared counter (the paper's OpenMP dynamic
+	// schedule, Sec. 3.3) and commit them in unit order, so the count
+	// changes speed, never a result bit.
 	Workers int
 	// Finder selects the neighbor-search substrate.
 	Finder FinderKind
@@ -141,15 +118,13 @@ type Config struct {
 	LeafSize int
 	// GridCell is the cell size for FinderGrid (<= 0 selects RMax/4).
 	GridCell float64
-	// Scheduling selects dynamic or static primary distribution.
-	Scheduling SchedKind
 	// ChunkSize caps the number of primaries in one commit unit — the
-	// gather, zeta and scheduling unit of the blocked traversal. Primaries
-	// are sorted into BlockCell-sized grid cells (Morton order); each grid
+	// gather, zeta and commit unit of the blocked traversal. Primaries are
+	// sorted into BlockCell-sized grid cells (Morton order); each grid
 	// cell's run is split into cells of at most ChunkSize primaries,
 	// consecutive cells coalesce into commit units that close before
-	// passing ChunkSize/2 primaries (a larger cell stands alone), and the
-	// scheduler (dynamic or static) hands out whole units. <= 0 selects 64.
+	// passing ChunkSize/2 primaries (a larger cell stands alone), and
+	// workers claim whole units. <= 0 selects 64.
 	ChunkSize int
 	// BlockCell is the side length of the cells primaries are sorted into
 	// for the blocked traversal (<= 0 selects RMax/2). Smaller cells mean
@@ -160,7 +135,7 @@ type Config struct {
 // DefaultConfig returns the paper's configuration: Rmax = 200 Mpc/h, 20
 // radial bins, l_max = 10, plane-parallel line of sight (for simulation
 // cubes), self-count subtraction on, bucket size 128, k-d tree in single
-// precision, dynamic scheduling.
+// precision.
 func DefaultConfig() Config {
 	return Config{
 		RMax:       200,
@@ -172,7 +147,6 @@ func DefaultConfig() Config {
 		BucketSize: 128,
 		Workers:    0,
 		Finder:     FinderKD32,
-		Scheduling: SchedDynamic,
 	}
 }
 

@@ -73,7 +73,7 @@ func ComputeSubsetContext(ctx context.Context, cat *catalog.Catalog, primary []b
 // unchanged, which the property tests assert.
 type engineModes struct {
 	// refGather replaces the unit's shared block-granular finder query with
-	// one QueryRadiusImages call per primary. Scheduling, unit order, and the
+	// one QueryRadiusImages call per primary. The unit order and the
 	// downstream reduction are untouched, so refGather isolates exactly the
 	// mechanism the blocked traversal introduced.
 	refGather bool
@@ -120,7 +120,7 @@ func computeSubset(ctx context.Context, cat *catalog.Catalog, primary []bool, cf
 // newEngine binds a normalized configuration and its binning to a catalog;
 // buildFinder and buildBlocks complete the engine.
 func newEngine(ctx context.Context, cat *catalog.Catalog, primary []bool, cfg Config, bins hist.Binning) *engine {
-	return &engine{
+	e := &engine{
 		ctx:  ctx,
 		cfg:  cfg,
 		bins: bins,
@@ -132,6 +132,8 @@ func newEngine(ctx context.Context, cat *catalog.Catalog, primary []bool, cfg Co
 		ws:         cat.Weights(),
 		primaryIdx: primaryIndices(primary, cat.Len()),
 	}
+	e.clock.cond.L = &e.clock.mu
+	return e
 }
 
 func primaryIndices(mask []bool, n int) []int32 {
@@ -189,7 +191,8 @@ type engine struct {
 
 	modes engineModes
 
-	next atomic.Int64 // dynamic scheduling: next unit to hand out
+	next  atomic.Int64 // next unit to hand out
+	clock commitClock  // next unit to commit
 
 	// failed flags a worker panic/fault so the other workers stop claiming
 	// units at their next per-unit check instead of finishing a doomed run.
@@ -352,95 +355,63 @@ func morton3(x, y, z uint32) uint64 {
 	return spread21(x) | spread21(y)<<1 | spread21(z)<<2
 }
 
-// commitClock orders dynamic-scheduling commits within each worker group:
-// commit units land in their group's partial result in ascending unit order,
-// the exact order a static schedule produces, so the two policies are
-// bitwise interchangeable (see run).
+// commitClock is the run's one commit order: commit unit b adds into the
+// result only after every unit before it has (see run).
 type commitClock struct {
 	mu   sync.Mutex
 	cond sync.Cond
-	next []int32 // per group: next unit index allowed to commit
+	next int32 // next unit index allowed to commit
 }
 
-func newCommitClock(nw, nB int) *commitClock {
-	c := &commitClock{next: make([]int32, nw)}
-	c.cond.L = &c.mu
-	for g := range c.next {
-		c.next[g] = int32(g * nB / nw)
-	}
-	return c
-}
-
-// acquire blocks until unit b is the next committer of group g. The caller
-// then owns partial[g] until it calls release.
-func (c *commitClock) acquire(g int, b int32) {
+// acquire blocks until unit b is the next committer. The caller then owns
+// the result until it calls release.
+func (c *commitClock) acquire(b int32) {
 	c.mu.Lock()
-	for c.next[g] != b {
+	for c.next != b {
 		c.cond.Wait()
 	}
 	c.mu.Unlock()
 }
 
 // release marks unit b committed (or abandoned, on cancellation) and wakes
-// the group's successor.
-func (c *commitClock) release(g int, b int32) {
+// its successor.
+func (c *commitClock) release(b int32) {
 	c.mu.Lock()
-	c.next[g] = b + 1
+	c.next = b + 1
 	c.mu.Unlock()
 	c.cond.Broadcast()
 }
 
-// run executes the unit loop across workers and merges their results.
+// run executes the unit loop across workers into one result.
 //
-// Determinism contract: the commit units (e.blocks — a function of the
-// catalog, ChunkSize and BlockCell only) are partitioned into nw contiguous
-// groups (the static schedule's ranges). Static workers own one group each
-// and commit their units in ascending order as they go; dynamic workers
-// grab units from the shared counter for load balance but commit each unit
-// into its group's partial result in ascending unit order, gated by the
-// commitClock. Either way every Aniso element receives its per-unit
-// contributions in ascending unit order and the group partials merge in
-// group order — so results are bitwise identical across scheduling policies
-// and across any dynamic interleaving, at a fixed worker count. The worker
-// count is clamped to the unit count, so a catalog that coalesces into
-// fewer units than workers runs on fewer workers.
+// Determinism contract: workers claim commit units (e.blocks — a function of
+// the catalog, ChunkSize and BlockCell only) from a shared counter for load
+// balance, and each unit adds into the run's single Result in ascending unit
+// index, gated by the commitClock. Every Aniso element therefore receives
+// its per-unit contributions in one fixed order, whatever the worker count
+// or interleaving: the result bits are those of a one-worker run. The worker
+// count is clamped to the unit count, so a catalog that coalesces into fewer
+// units than workers runs on fewer workers.
 //
 // Cancelling the engine context makes every worker stop at its next unit;
-// run then discards the partial results and reports ctx.Err().
+// run then discards the result and reports ctx.Err().
 func (e *engine) run() (*Result, error) {
+	total := NewResult(e.cfg.LMax, e.bins)
 	nB := len(e.blocks)
 	if nB == 0 {
 		if err := e.ctx.Err(); err != nil {
 			return nil, err
 		}
-		return NewResult(e.cfg.LMax, e.bins), nil
+		return total, nil
 	}
-	nw := e.cfg.EffectiveWorkers(len(e.primaryIdx))
-	if nw > nB {
-		nw = nB
-	}
-	partials := make([]*Result, nw)
-	for g := range partials {
-		partials[g] = NewResult(e.cfg.LMax, e.bins)
-	}
-	var gFor []int32
-	var clock *commitClock
-	if e.cfg.Scheduling != SchedStatic {
-		gFor = make([]int32, nB)
-		for w := 0; w < nw; w++ {
-			for b := w * nB / nw; b < (w+1)*nB/nw; b++ {
-				gFor[b] = int32(w)
-			}
-		}
-		clock = newCommitClock(nw, nB)
-	}
+	nw := min(e.cfg.EffectiveWorkers(len(e.primaryIdx)), nB)
 	states := make([]*workerState, nw)
 	var wg sync.WaitGroup
 	for w := 0; w < nw; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			states[w] = e.worker(w, nw, partials, gFor, clock)
+			states[w] = e.worker(total)
 		}(w)
 	}
 	wg.Wait()
@@ -451,12 +422,6 @@ func (e *engine) run() (*Result, error) {
 	}
 	if err := e.ctx.Err(); err != nil {
 		return nil, err
-	}
-	total := partials[0]
-	for _, r := range partials[1:] {
-		if err := total.Add(r); err != nil {
-			return nil, err
-		}
 	}
 	total.WorkerPhases = make([]Breakdown, 0, len(states))
 	for _, s := range states {
@@ -476,59 +441,43 @@ func (e *engine) run() (*Result, error) {
 	return total, nil
 }
 
-// worker processes commit units according to the scheduling policy.
-// Cancellation is checked once per unit: prompt (a unit is at most
-// ChunkSize primaries) without putting a context load on the pair loop.
+// worker claims commit units from the shared counter and commits each into
+// dst in unit order. Cancellation is checked once per unit: prompt (a unit
+// is at most ChunkSize primaries) without putting a context load on the
+// pair loop.
 //
 // Panic isolation: each unit runs under safeProcessBlock, so a panic
 // inside the pair/kernel pipeline is recovered block-locally and surfaces
 // as the run's error with the offending stack — never a crashed process.
-// The recovery preserves the scheduling invariants: a claimed dynamic slot
-// still acquires and releases its group clock (a dead worker must not
-// strand its group's later committers), the failed block's partial
-// accumulation is discarded uncommitted, and e.failed makes the remaining
-// workers stop at their next block check.
-func (e *engine) worker(w, nw int, partials []*Result, gFor []int32, clock *commitClock) *workerState {
+// The recovery preserves the commit order: a claimed unit still acquires
+// and releases the clock (a dead worker must not strand the later
+// committers), the failed block's accumulation is discarded uncommitted,
+// and e.failed makes the remaining workers stop at their next block check.
+func (e *engine) worker(dst *Result) *workerState {
 	s := e.newWorkerState()
 	start := time.Now()
-	nB := len(e.blocks)
-	if e.cfg.Scheduling == SchedStatic {
-		for b := w * nB / nw; b < (w+1)*nB/nw; b++ {
-			if e.ctx.Err() != nil || e.failed.Load() {
-				break
-			}
-			if err := e.safeProcessBlock(s, b); err != nil {
-				s.err = err
-				e.failed.Store(true)
-				break
-			}
-			e.commitInto(partials[w], s)
+	for {
+		b := e.next.Add(1) - 1
+		if b >= int64(len(e.blocks)) {
+			break
 		}
-	} else {
-		for {
-			b := e.next.Add(1) - 1
-			if b >= int64(nB) {
-				break
-			}
-			g := int(gFor[b])
-			if e.ctx.Err() != nil || e.failed.Load() {
-				// The grabbed slot must still advance the group clock, or
-				// the group's later committers would wait forever.
-				clock.acquire(g, int32(b))
-				clock.release(g, int32(b))
-				break
-			}
-			err := e.safeProcessBlock(s, int(b))
-			clock.acquire(g, int32(b))
-			if err == nil {
-				e.commitInto(partials[g], s)
-			}
-			clock.release(g, int32(b))
-			if err != nil {
-				s.err = err
-				e.failed.Store(true)
-				break
-			}
+		if e.ctx.Err() != nil || e.failed.Load() {
+			// The claimed unit must still advance the clock, or the later
+			// committers would wait forever.
+			e.clock.acquire(int32(b))
+			e.clock.release(int32(b))
+			break
+		}
+		err := e.safeProcessBlock(s, int(b))
+		e.clock.acquire(int32(b))
+		if err == nil {
+			e.commitInto(dst, s)
+		}
+		e.clock.release(int32(b))
+		if err != nil {
+			s.err = err
+			e.failed.Store(true)
+			break
 		}
 	}
 	s.tWorker = time.Since(start)
@@ -551,7 +500,7 @@ func (e *engine) safeProcessBlock(s *workerState, b int) (err error) {
 	return nil
 }
 
-// commitInto folds the worker's unit accumulators into a partial result.
+// commitInto folds the worker's unit accumulators into the run's result.
 // Only active channels are touched; IsotropicOnly leaves the rest zero and
 // commits its real tiles with zero imaginary parts (the iso fast ladder
 // never accumulates the imaginary components, which no isotropic consumer

@@ -103,51 +103,6 @@ func TestPairCountMatchesDirect(t *testing.T) {
 	}
 }
 
-func TestWorkerCountInvariance(t *testing.T) {
-	// The result must not depend on parallelism (up to floating-point
-	// addition order; channels are compared with a tight relative bound).
-	cat := catalog.Clustered(400, 200, catalog.DefaultClusterParams(), 5)
-	base := smallConfig()
-	base.Workers = 1
-	ref, err := Compute(cat, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scale := ref.MaxAbs()
-	for _, w := range []int{2, 3, 8} {
-		cfg := base
-		cfg.Workers = w
-		got, err := Compute(cat, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.NPrimaries != ref.NPrimaries || got.Pairs != ref.Pairs {
-			t.Fatalf("workers=%d: primaries/pairs changed", w)
-		}
-		if d := got.MaxAbsDiff(ref); d > 1e-9*scale {
-			t.Errorf("workers=%d: max channel diff %v (scale %v)", w, d, scale)
-		}
-	}
-}
-
-func TestSchedulingInvariance(t *testing.T) {
-	cat := catalog.Uniform(300, 200, 6)
-	cfg := smallConfig()
-	cfg.Scheduling = SchedDynamic
-	a, err := Compute(cat, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Scheduling = SchedStatic
-	b, err := Compute(cat, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := a.MaxAbsDiff(b); d > 1e-9*a.MaxAbs() {
-		t.Errorf("scheduling changed the result by %v", d)
-	}
-}
-
 func TestFinderInvariance(t *testing.T) {
 	// All three neighbor substrates must agree, on a periodic box (which
 	// exercises the k-d image queries vs the grid's native wrapping).
@@ -411,13 +366,9 @@ func TestComputeContextCancelled(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v (res %v)", err, res)
 	}
-	for _, sched := range []SchedKind{SchedDynamic, SchedStatic} {
-		cfg.Scheduling = sched
-		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-		_, err := ComputeContext(ctx, cat, cfg)
-		cancel()
-		if err != nil && !errors.Is(err, context.DeadlineExceeded) {
-			t.Fatalf("%v: want nil or DeadlineExceeded, got %v", sched, err)
-		}
+	ctx, cancel = context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if _, err := ComputeContext(ctx, cat, cfg); err != nil && !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("want nil or DeadlineExceeded, got %v", err)
 	}
 }

@@ -9,11 +9,11 @@ import (
 	"galactos/internal/faultpoint"
 )
 
-// faultConfig is a small multi-worker dynamic-scheduling config: the
-// hardest case for panic isolation (the commit clock must keep advancing
-// past a dead worker's claimed slot).
+// faultConfig is a small multi-worker config: the hardest case for panic
+// isolation (the commit clock must keep advancing past a dead worker's
+// claimed unit).
 func faultConfig() Config {
-	return Config{RMin: 1, RMax: 20, NBins: 4, LMax: 2, Workers: 4, Scheduling: SchedDynamic}
+	return Config{RMin: 1, RMax: 20, NBins: 4, LMax: 2, Workers: 4}
 }
 
 func TestWorkerPanicBecomesError(t *testing.T) {
@@ -63,11 +63,20 @@ func TestWorkerDelayLeavesResultBitwise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := slow.MaxAbsDiff(clean); d != 0 {
-		t.Errorf("injected delays changed the result by %v; scheduling determinism broken", d)
+	if err := sameBits(slow, clean); err != nil {
+		t.Errorf("injected delays changed the result: %v", err)
 	}
 	st := faultpoint.Stats()
 	if len(st) != 1 || st[0].Fired == 0 {
 		t.Errorf("delay point never fired: %+v", st)
+	}
+	faultpoint.Disable()
+	cfg.Workers = 1
+	one, err := Compute(cat, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sameBits(slow, one); err != nil {
+		t.Errorf("delayed 4-worker run differs from a 1-worker run: %v", err)
 	}
 }

@@ -9,24 +9,22 @@ import (
 
 // fingerprintVersion is baked into every fingerprint so a change to the
 // hashed field set (or to Normalize's defaulting rules) can never collide
-// with fingerprints minted under the old scheme.
-const fingerprintVersion = "GCFP1"
+// with fingerprints minted under the old scheme. GCFP2 dropped Workers and
+// Scheduling: a GCFP1 key simply misses and recomputes.
+const fingerprintVersion = "GCFP2"
 
 // Fingerprint returns the canonical content hash of the configuration: the
-// config is normalized first, then every field is folded into a SHA-256 in
-// fixed declaration order. Two configs that normalize to the same effective
-// configuration — whether tunables were left zero or spelled out explicitly,
-// and regardless of how the caller assembled them — fingerprint identically;
-// any change to an effective field changes the fingerprint.
+// config is normalized first, then every field that can move a result bit is
+// folded into a SHA-256 in fixed declaration order. Two configs that
+// normalize to the same effective configuration — whether tunables were left
+// zero or spelled out explicitly, and regardless of how the caller assembled
+// them — fingerprint identically; any change to a hashed field changes the
+// fingerprint.
 //
 // The fingerprint is the config half of the service result-cache key and
-// pins the measured scenario in perfstat reports. Every field that can
-// influence the result's bits is included; that covers Workers, because the
-// engine groups per-worker partial sums and merges them in worker order, so
-// the floating-point grouping (not the values' mathematical content) depends
-// on the worker count. Scheduling is included too, conservatively, even
-// though dynamic and static runs are pinned bitwise-identical at a fixed
-// worker count by the core property tests.
+// pins the measured scenario in perfstat reports. Workers is not hashed: the
+// engine commits its units in one fixed order at any worker count, so the
+// same request on hosts of different widths shares one key and one answer.
 //
 // A config that does not normalize has no canonical form; the zero-config
 // error is returned unchanged.
@@ -64,13 +62,12 @@ func (c Config) Fingerprint() (string, error) {
 	putF(n.Observer.Z)
 	putB(n.SelfCount)
 	putB(n.IsotropicOnly)
-	putI(n.BucketSize)
-	putI(n.Workers)
-	putI(int(n.Finder))
-	putI(n.LeafSize)
-	putF(n.GridCell)
-	putI(int(n.Scheduling))
-	putI(n.ChunkSize)
-	putF(n.BlockCell)
+	// The execution fields below stay because each still moves bits.
+	putI(n.BucketSize)  // kernel chunk boundaries regroup the lane sums
+	putI(int(n.Finder)) // kd32 can drop RMax-edge pairs; each finder lists neighbours in its own order
+	putI(n.LeafSize)    // tree shape sets neighbour order, so the order of each bin's sum
+	putF(n.GridCell)    // grid cell size sets neighbour order under FinderGrid
+	putI(n.ChunkSize)   // unit cuts group the per-unit sums the commit adds
+	putF(n.BlockCell)   // Morton cell size sets the primary order and the unit cuts
 	return hex.EncodeToString(h.Sum(nil)), nil
 }

@@ -101,11 +101,9 @@ func TestFingerprintSeparatesConfigs(t *testing.T) {
 		{"selfcount", func(c *Config) { c.SelfCount = false }},
 		{"iso-only", func(c *Config) { c.IsotropicOnly = true }},
 		{"bucket", func(c *Config) { c.BucketSize = 64 }},
-		{"workers", func(c *Config) { c.Workers = 1 + runtime.GOMAXPROCS(0) }},
 		{"finder", func(c *Config) { c.Finder = FinderKD64 }},
 		{"leaf", func(c *Config) { c.LeafSize = 7 }},
 		{"gridcell", func(c *Config) { c.GridCell = 13 }},
-		{"sched", func(c *Config) { c.Scheduling = SchedStatic }},
 		{"chunk", func(c *Config) { c.ChunkSize = 17 }},
 		{"blockcell", func(c *Config) { c.BlockCell = 33 }},
 	}
@@ -121,6 +119,14 @@ func TestFingerprintSeparatesConfigs(t *testing.T) {
 			t.Errorf("%s: fingerprint collides with %s", m.name, prev)
 		}
 		seen[fp] = m.name
+	}
+	// The worker count moves no result bit, so it moves no key.
+	for _, w := range []int{1, 3, 1 + runtime.GOMAXPROCS(0)} {
+		cfg := base
+		cfg.Workers = w
+		if fp, err := cfg.Fingerprint(); err != nil || fp != ref {
+			t.Errorf("Workers=%d: fingerprint %s (err %v), want the default's %s", w, fp, err, ref)
+		}
 	}
 }
 

@@ -170,7 +170,6 @@ func TestTouchedListMatchesDenseScanBitwise(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, cat := range []*catalog.Catalog{periodic, open} {
 				cfg := propConfig()
-				cfg.Scheduling = SchedStatic
 				tc.mutate(&cfg)
 				var runs [2]*Result
 				var tiles [2][]uint64
@@ -300,13 +299,14 @@ func TestBlockedMatchesPerPrimaryBitwise(t *testing.T) {
 			c.NBins = 12
 		}},
 		{"small-blocks", func(c *Config) { c.ChunkSize = 3; c.BlockCell = 9 }},
-		{"dynamic-sched", func(c *Config) { c.Scheduling = SchedDynamic }},
+		// Eight workers claiming units from the shared counter, against the
+		// three of every other row.
+		{"dynamic-sched", func(c *Config) { c.Workers = 8 }},
 	}
 	cat := catalog.Clustered(350, 180, catalog.DefaultClusterParams(), 71)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := propConfig()
-			cfg.Scheduling = SchedStatic
 			tc.mutate(&cfg)
 			blocked, err := computeSubset(context.Background(), cat, nil, cfg, engineModes{})
 			if err != nil {
@@ -316,19 +316,8 @@ func TestBlockedMatchesPerPrimaryBitwise(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if blocked.Pairs != ref.Pairs || blocked.NPrimaries != ref.NPrimaries {
-				t.Fatalf("pair/primary counts differ: %d/%d vs %d/%d",
-					blocked.Pairs, blocked.NPrimaries, ref.Pairs, ref.NPrimaries)
-			}
-			if math.Float64bits(blocked.SumWeight) != math.Float64bits(ref.SumWeight) {
-				t.Fatalf("SumWeight not bitwise identical: %v vs %v", blocked.SumWeight, ref.SumWeight)
-			}
-			for i := range blocked.Aniso {
-				a, b := blocked.Aniso[i], ref.Aniso[i]
-				if math.Float64bits(real(a)) != math.Float64bits(real(b)) ||
-					math.Float64bits(imag(a)) != math.Float64bits(imag(b)) {
-					t.Fatalf("Aniso[%d] not bitwise identical: %v vs %v", i, a, b)
-				}
+			if err := sameBits(blocked, ref); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}

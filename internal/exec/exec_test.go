@@ -18,14 +18,14 @@ import (
 	"galactos/internal/geom"
 )
 
-// testConfig keeps runs deterministic: one worker per engine so every
-// backend accumulates its primaries in a fixed order.
+// testConfig is the backends' shared small job. Workers stays at its
+// default: every engine run accumulates its units in one fixed order at any
+// worker count.
 func testConfig() core.Config {
 	cfg := core.DefaultConfig()
 	cfg.RMax = 45
 	cfg.NBins = 5
 	cfg.LMax = 4
-	cfg.Workers = 1
 	return cfg
 }
 

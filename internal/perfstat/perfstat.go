@@ -47,12 +47,10 @@ type Report struct {
 	LMax       int    `json:"l_max"`
 	Pairs      uint64 `json:"pairs"`
 
-	// Workers is the run's normalized worker budget and Scheduling its
-	// primary-distribution policy ("dynamic"/"static"). Both change
-	// pairs/sec without changing the computation. Zero/empty when the
-	// configuration did not normalize.
-	Workers    int    `json:"workers,omitempty"`
-	Scheduling string `json:"scheduling,omitempty"`
+	// Workers is the run's normalized worker budget. It changes pairs/sec
+	// without changing the computation. Zero when the configuration did not
+	// normalize.
+	Workers int `json:"workers,omitempty"`
 	// ConfigFingerprint is core.Config.Fingerprint of the measured run's
 	// normalized configuration — the same canonical hash the galactosd
 	// result cache keys on. It pins the full scenario, including the knobs
@@ -86,9 +84,9 @@ type Report struct {
 }
 
 // Collect builds a report from the run's configuration, its computed result,
-// and its wall clock. The configuration contributes the scheduling-relevant
-// scenario fields (worker budget, scheduling policy); an unnormalizable
-// config leaves them at their zero values.
+// and its wall clock. The configuration contributes the worker budget and
+// the fingerprint; an unnormalizable config leaves them at their zero
+// values.
 func Collect(label string, cfg core.Config, res *core.Result, elapsed time.Duration) *Report {
 	sec := elapsed.Seconds()
 	r := &Report{
@@ -119,7 +117,6 @@ func Collect(label string, cfg core.Config, res *core.Result, elapsed time.Durat
 	}
 	if ncfg, err := cfg.Normalize(); err == nil {
 		r.Workers = ncfg.Workers
-		r.Scheduling = ncfg.Scheduling.String()
 	}
 	if fp, err := cfg.Fingerprint(); err == nil {
 		r.ConfigFingerprint = fp

@@ -74,7 +74,7 @@ func TestJSONRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []string{"label", "backend", "host", "gomaxprocs", "num_cpu", "timestamp",
-		"n_galaxies", "n_primaries", "n_bins", "l_max", "pairs", "workers", "scheduling",
+		"n_galaxies", "n_primaries", "n_bins", "l_max", "pairs", "workers",
 		"config_fingerprint", "elapsed_sec", "pairs_per_sec", "flops_per_pair",
 		"model_gflops_per_sec", "phase_sec", "parallel_efficiency", "worker_phase_sec"}
 	for _, k := range want {
@@ -88,13 +88,10 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCollectPopulatesWorkersAndScheduling(t *testing.T) {
+func TestCollectPopulatesWorkers(t *testing.T) {
 	r := sampleReport(t)
 	if r.Workers < 1 {
 		t.Errorf("Workers = %d, want the normalized budget", r.Workers)
-	}
-	if r.Scheduling != "dynamic" {
-		t.Errorf("Scheduling = %q, want the default dynamic policy", r.Scheduling)
 	}
 }
 

@@ -1,5 +1,5 @@
-// The registry rows. Every scenario pins Workers = 1 (bitwise-reproducible
-// outcomes, comparable across backends at matched unit counts) and small
+// The registry rows. Every scenario leaves Workers at its GOMAXPROCS
+// default — the engine's result bits do not depend on it — and uses small
 // boxes/radii so the whole registry smoke-runs in seconds. Golden hashes in
 // testdata/golden.json were generated at (GoldenN, GoldenSeed).
 
@@ -219,7 +219,6 @@ func periodicIso() *Scenario {
 	cfg := core.Config{
 		RMax: 40, NBins: 5, LMax: 4,
 		LOS: core.LOSPlaneParallel, SelfCount: true, IsotropicOnly: true,
-		Workers: 1,
 	}
 	return &Scenario{
 		Name:       name,
@@ -250,7 +249,6 @@ func isoMidpoint() *Scenario {
 		RMax: 40, NBins: 5, LMax: 4,
 		LOS: core.LOSMidpoint, Observer: geom.Vec3{X: -400, Y: -500, Z: -600},
 		SelfCount: true, IsotropicOnly: true,
-		Workers: 1,
 	}
 	return &Scenario{
 		Name:       name,
@@ -283,7 +281,7 @@ func anisoLOSRadial() *Scenario {
 	cfg := core.Config{
 		RMax: 40, NBins: 4, LMax: 4,
 		LOS: core.LOSRadial, Observer: geom.Vec3{X: -400, Y: -500, Z: -600},
-		SelfCount: true, Workers: 1,
+		SelfCount: true,
 	}
 	return &Scenario{
 		Name:       name,
@@ -312,7 +310,7 @@ func periodicAnisoRSD() *Scenario {
 	const name = "periodic-aniso-rsd"
 	cfg := core.Config{
 		RMax: 40, NBins: 4, LMax: 4,
-		LOS: core.LOSPlaneParallel, SelfCount: true, Workers: 1,
+		LOS: core.LOSPlaneParallel, SelfCount: true,
 	}
 	return &Scenario{
 		Name:       name,
@@ -343,7 +341,6 @@ func surveyEstimator() *Scenario {
 	cfg := core.Config{
 		RMax: 40, NBins: 4, LMax: 4,
 		LOS: core.LOSPlaneParallel, SelfCount: false, IsotropicOnly: true,
-		Workers: 1,
 	}
 	// slab keeps galaxies with |z - L/2| < L/4 as an open-boundary catalog:
 	// the mask whose window multipoles the correction must undo.
@@ -450,7 +447,6 @@ func jackknifeCovariance() *Scenario {
 	cfg := core.Config{
 		RMax: 30, NBins: 4, LMax: 2,
 		LOS: core.LOSPlaneParallel, SelfCount: false, IsotropicOnly: true,
-		Workers: 1,
 	}
 	return &Scenario{
 		Name:       name,
@@ -558,7 +554,6 @@ func twopcfCrossCheck() *Scenario {
 	cfg := core.Config{
 		RMax: 40, NBins: 4, LMax: 2,
 		LOS: core.LOSPlaneParallel, SelfCount: true, IsotropicOnly: true,
-		Workers: 1,
 	}
 	return &Scenario{
 		Name:       name,
@@ -575,7 +570,7 @@ func twopcfCrossCheck() *Scenario {
 			}
 			pc, err := twopcf.Count(cat, twopcf.Config{
 				RMin: cfg.RMin, RMax: cfg.RMax, NBins: cfg.NBins,
-				LMax: 2, Workers: 1,
+				LMax: 2,
 			})
 			if err != nil {
 				return nil, err
@@ -638,7 +633,6 @@ func griddedVsExact() *Scenario {
 	cfg := core.Config{
 		RMax: 40, NBins: 5, LMax: 3,
 		LOS: core.LOSPlaneParallel, SelfCount: false,
-		Workers: 1,
 	}
 	return &Scenario{
 		Name:       name,

@@ -55,8 +55,8 @@ type Scenario struct {
 	MinN int
 	// Run executes the workload through the backend. All engine runs are
 	// routed through b (auxiliary statistics like the 2PCF pair count or
-	// the gridded mesh comparison run in-process). Configs pin Workers = 1
-	// so outcomes are bitwise reproducible and comparable across backends.
+	// the gridded mesh comparison run in-process). Outcomes are bitwise
+	// reproducible at any worker count, so configs leave Workers unset.
 	Run func(ctx context.Context, b exec.Backend, n int, seed int64) (*Outcome, error)
 	// Invariants are checked by RunChecked in order.
 	Invariants []Invariant

@@ -36,7 +36,6 @@ func surveyConfig() core.Config {
 	return core.Config{
 		RMax: 40, NBins: 4, LMax: 4,
 		LOS: core.LOSPlaneParallel, SelfCount: false, IsotropicOnly: true,
-		Workers: 1,
 	}
 }
 
@@ -44,7 +43,6 @@ func jackknifeConfig() core.Config {
 	return core.Config{
 		RMax: 30, NBins: 4, LMax: 2,
 		LOS: core.LOSPlaneParallel, SelfCount: false, IsotropicOnly: true,
-		Workers: 1,
 	}
 }
 

@@ -157,7 +157,9 @@ func TestRestartRestoresTerminalJobsAndCache(t *testing.T) {
 // it, and keep the id counter past every journaled id. A sibling record
 // naming the retired dist backend must come back failed, not crash the boot;
 // one carrying the deprecated Stream / ShardConcurrency fields must run as
-// the request without them does, with one line saying they were ignored.
+// the request without them does, with one line saying they were ignored; and
+// one whose config still carries the deleted Scheduling field must run to
+// the bits of the same request without it.
 func TestJournalReplayRequeuesInterruptedJob(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
@@ -204,7 +206,19 @@ func TestJournalReplayRequeuesInterruptedJob(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	const id, distID, oldID = "job-000003", "job-000002", "job-000001"
+	// A fourth predates the single commit order: its config names the
+	// static schedule, a field this build no longer has.
+	var sched map[string]any
+	if err := json.Unmarshal(reqJSON, &sched); err != nil {
+		t.Fatal(err)
+	}
+	sched["config"].(map[string]any)["Scheduling"] = 1
+	schedJSON, err := json.Marshal(sched)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const id, distID, oldID, schedID = "job-000003", "job-000002", "job-000001", "job-000004"
 	must := func(err error) {
 		if err != nil {
 			t.Fatal(err)
@@ -213,7 +227,10 @@ func TestJournalReplayRequeuesInterruptedJob(t *testing.T) {
 	for _, sub := range []struct {
 		id, key string
 		request []byte
-	}{{oldID, "old+" + fp, oldJSON}, {distID, catHash + "+" + fp, distJSON}, {id, catHash + "+" + fp, reqJSON}} {
+	}{
+		{oldID, "old+" + fp, oldJSON}, {distID, catHash + "+" + fp, distJSON},
+		{id, catHash + "+" + fp, reqJSON}, {schedID, "sched+" + fp, schedJSON},
+	} {
 		must(jnl.Append(journal.Record{
 			Type: journal.RecordSubmit, ID: sub.id, Time: time.Now().UTC(),
 			Key: sub.key, CatHash: catHash, Fingerprint: fp,
@@ -224,8 +241,8 @@ func TestJournalReplayRequeuesInterruptedJob(t *testing.T) {
 	must(jnl.Close())
 
 	svc, cl, _ := startRestartable(t, service.Options{Workers: 1, StateDir: dir})
-	if got := svc.Stats().RequeuedJobs; got != 2 {
-		t.Fatalf("RequeuedJobs = %d, want 2", got)
+	if got := svc.Stats().RequeuedJobs; got != 3 {
+		t.Fatalf("RequeuedJobs = %d, want 3", got)
 	}
 
 	// The deprecated fields select nothing: the job runs to the bits of the
@@ -276,17 +293,36 @@ func TestJournalReplayRequeuesInterruptedJob(t *testing.T) {
 	if st.State != service.StateDone {
 		t.Fatalf("requeued job ended %s (%s), want done", st.State, st.Error)
 	}
-	if _, err := cl.Result(ctx, id); err != nil {
+	plainRes, err := cl.Result(ctx, id)
+	if err != nil {
 		t.Fatalf("requeued job's result: %v", err)
 	}
 
-	// Ids never rewind: the next submission must come after job-000003.
+	// The unknown Scheduling field is ignored on decode: the job completes
+	// with the bits of the request without it.
+	sst, err := cl.Wait(ctx, schedID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sst.State != service.StateDone {
+		t.Fatalf("job carrying Scheduling ended %s (%s), want done", sst.State, sst.Error)
+	}
+	schedRes, err := cl.Result(ctx, schedID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if schedRes.Pairs != plainRes.Pairs || schedRes.MaxAbsDiff(plainRes) != 0 {
+		t.Errorf("the Scheduling field changed the answer: pairs %d vs %d, max |diff| %v",
+			schedRes.Pairs, plainRes.Pairs, schedRes.MaxAbsDiff(plainRes))
+	}
+
+	// Ids never rewind: the next submission must come after job-000004.
 	next, err := cl.Submit(ctx, testRequest(300, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if next.ID != "job-000004" {
-		t.Errorf("post-recovery id = %s, want job-000004", next.ID)
+	if next.ID != "job-000005" {
+		t.Errorf("post-recovery id = %s, want job-000005", next.ID)
 	}
 }
 

@@ -189,30 +189,63 @@ func TestCacheHitBitwiseIdenticalToColdRun(t *testing.T) {
 	}
 }
 
+// TestCacheKeyIgnoresWorkers submits one request at Workers 1, then 3, then
+// 0 (GOMAXPROCS): the worker count moves no result bit, so it is
+// not in the cache key, and the second and third submissions are hits
+// serving the first run's bytes.
+func TestCacheKeyIgnoresWorkers(t *testing.T) {
+	_, cl := startServer(t, service.Options{Workers: 1})
+	ctx := context.Background()
+	req := testRequest(400, 9)
+	var first []byte
+	for i, workers := range []int{1, 3, 0} {
+		req.Config.Workers = workers
+		st, err := cl.SubmitStream(ctx, req, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State != service.StateDone || st.CacheHit != (i > 0) {
+			t.Fatalf("Workers=%d: state %s, cache_hit %v; want done, cache_hit %v", workers, st.State, st.CacheHit, i > 0)
+		}
+		got, err := cl.ResultBytes(ctx, st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = got
+		} else if !bytes.Equal(got, first) {
+			t.Errorf("Workers=%d: the hit served different bytes than the Workers=1 run", workers)
+		}
+	}
+}
+
+// submitRejects are requests the submit path must refuse with a 400, each a
+// mutation of a valid one.
+var submitRejects = []struct {
+	name string
+	mut  func(*galactos.Request)
+}{
+	{"no catalog", func(r *galactos.Request) { r.Catalog = nil }},
+	{"two catalog inputs", func(r *galactos.Request) { r.Path = "also.glxc" }},
+	{"invalid config", func(r *galactos.Request) { r.Config.RMax = -1 }},
+	{"contradictory backend", func(r *galactos.Request) {
+		r.Backend = galactos.BackendSpec{Name: "local", Shards: 4}
+	}},
+	{"removed dist backend", func(r *galactos.Request) {
+		r.Backend = galactos.BackendSpec{Name: "dist"}
+	}},
+	{"unreadable catalog file", func(r *galactos.Request) {
+		r.Catalog = nil
+		r.Path = "no/such/catalog.glxc"
+	}},
+}
+
 func TestSubmitValidation(t *testing.T) {
 	_, cl := startServer(t, service.Options{Workers: 1})
 	ctx := context.Background()
 	good := testRequest(50, 3)
 
-	cases := []struct {
-		name string
-		mut  func(*galactos.Request)
-	}{
-		{"no catalog", func(r *galactos.Request) { r.Catalog = nil }},
-		{"two catalog inputs", func(r *galactos.Request) { r.Path = "also.glxc" }},
-		{"invalid config", func(r *galactos.Request) { r.Config.RMax = -1 }},
-		{"contradictory backend", func(r *galactos.Request) {
-			r.Backend = galactos.BackendSpec{Name: "local", Shards: 4}
-		}},
-		{"removed dist backend", func(r *galactos.Request) {
-			r.Backend = galactos.BackendSpec{Name: "dist"}
-		}},
-		{"unreadable catalog file", func(r *galactos.Request) {
-			r.Catalog = nil
-			r.Path = "no/such/catalog.glxc"
-		}},
-	}
-	for _, tc := range cases {
+	for _, tc := range submitRejects {
 		req := good
 		tc.mut(&req)
 		_, err := cl.Submit(ctx, req)

@@ -151,7 +151,7 @@ func newManifest(sc *sourceScan, cfg core.Config, nshards int) manifest {
 // (identical pair sets, different accumulation order); stats are returned
 // in slab order. Cancelling ctx stops the pipeline promptly with ctx.Err():
 // no new slab starts and the running engine abandons its work at the next
-// scheduling chunk. Checkpoints of slabs that completed before the
+// commit unit. Checkpoints of slabs that completed before the
 // cancellation stay on disk (along with the manifest), so a cancelled
 // checkpointed run is resumable exactly like a killed one.
 func Compute(ctx context.Context, src catalog.Source, cfg core.Config, opts Options) (*core.Result, []Stats, error) {

@@ -113,7 +113,6 @@ func TestShardedMatchesSingleShotOpenBoundaries(t *testing.T) {
 func TestShardedCheckpointMatchesInMemory(t *testing.T) {
 	cat := catalog.Clustered(600, 160, catalog.DefaultClusterParams(), 13)
 	cfg := testConfig()
-	cfg.Workers = 1 // single worker => deterministic accumulation order
 	mem, _, err := compute(cat, cfg, Options{NShards: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -145,7 +144,6 @@ func TestShardedCheckpointMatchesInMemory(t *testing.T) {
 func TestResumeAfterKill(t *testing.T) {
 	cat := catalog.Clustered(600, 160, catalog.DefaultClusterParams(), 17)
 	cfg := testConfig()
-	cfg.Workers = 1
 	const nshards = 4
 
 	fullDir := t.TempDir()

@@ -11,14 +11,12 @@ import (
 	"galactos/internal/faultpoint"
 )
 
-// streamFaultSetup runs a clean checkpointed streaming run (Workers=1 keeps
-// recomputed slabs bitwise reproducible) and returns the catalog, config,
-// checkpoint dir, and clean result.
+// streamFaultSetup runs a clean checkpointed streaming run and returns the
+// catalog, config, checkpoint dir, and clean result.
 func streamFaultSetup(t *testing.T, seed int64) (*catalog.Catalog, core.Config, string, *core.Result) {
 	t.Helper()
 	cat := catalog.Clustered(700, 160, catalog.DefaultClusterParams(), seed)
 	cfg := streamConfig()
-	cfg.Workers = 1
 	dir := t.TempDir()
 	first, _, err := compute(cat, cfg,
 		Options{NShards: 3, CheckpointDir: dir, Keep: true})
@@ -124,7 +122,6 @@ func TestStreamMismatchedCheckpointRespilled(t *testing.T) {
 func TestStreamAbsorbsTransientFaults(t *testing.T) {
 	cat := catalog.Clustered(600, 160, catalog.DefaultClusterParams(), 47)
 	cfg := streamConfig()
-	cfg.Workers = 1
 	path := filepath.Join(t.TempDir(), "cat.glxc")
 	if err := catalog.SaveBinary(path, cat); err != nil {
 		t.Fatal(err)

@@ -126,9 +126,6 @@ func TestStreamCheckpointResume(t *testing.T) {
 func TestStreamPartialResume(t *testing.T) {
 	cat := catalog.Clustered(700, 160, catalog.DefaultClusterParams(), 31)
 	cfg := streamConfig()
-	// One worker keeps the recomputed slab bitwise reproducible: with more,
-	// dynamic chunk scheduling reorders the accumulation at rounding level.
-	cfg.Workers = 1
 	dir := t.TempDir()
 	src := catalog.NewMemorySource(cat)
 

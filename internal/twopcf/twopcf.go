@@ -27,7 +27,8 @@ type Config struct {
 	// LMax is the maximum Legendre multipole of the anisotropic 2PCF
 	// (0 = monopole only; 2 adds the RSD-sensitive quadrupole).
 	LMax int
-	// Workers <= 0 selects GOMAXPROCS.
+	// Workers <= 0 selects GOMAXPROCS. It changes speed only: the counts
+	// are bitwise the same at any worker count.
 	Workers int
 }
 
@@ -80,8 +81,14 @@ func Count(cat *catalog.Catalog, cfg Config) (*PairCounts, error) {
 
 	g := grid.Build(pts, cfg.RMax/2, cat.Box)
 
+	// Workers claim fixed 32-primary chunks and fold each chunk's sums into
+	// pc.Counts in chunk order, the commit waiting for its turn: the counts
+	// are the same bits at any worker count.
+	const chunk = 32
 	var next atomic.Int64
 	var mu sync.Mutex
+	turn := sync.NewCond(&mu)
+	committed := int64(0) // chunks folded so far
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -93,18 +100,15 @@ func Count(cat *catalog.Catalog, cfg Config) (*PairCounts, error) {
 			}
 			pl := make([]float64, cfg.LMax+1)
 			buf := make([]int32, 0, 1024)
-			pairs := uint64(0)
-			const chunk = 32
 			n := int64(len(pts))
 			for {
-				lo := next.Add(chunk) - chunk
+				c := next.Add(1) - 1
+				lo := c * chunk
 				if lo >= n {
 					break
 				}
-				hi := lo + chunk
-				if hi > n {
-					hi = n
-				}
+				hi := min(lo+chunk, n)
+				pairs := uint64(0)
 				for i := lo; i < hi; i++ {
 					buf = g.QueryRadius(pts[i], cfg.RMax, buf[:0])
 					for _, j := range buf {
@@ -130,15 +134,21 @@ func Count(cat *catalog.Catalog, cfg Config) (*PairCounts, error) {
 						pairs++
 					}
 				}
-			}
-			mu.Lock()
-			for l := range local {
-				for b, v := range local[l] {
-					pc.Counts[l][b] += v
+				mu.Lock()
+				for committed != c {
+					turn.Wait()
 				}
+				for l := range local {
+					for b, v := range local[l] {
+						pc.Counts[l][b] += v
+					}
+					clear(local[l])
+				}
+				pc.NPairs += pairs
+				committed++
+				mu.Unlock()
+				turn.Broadcast()
 			}
-			pc.NPairs += pairs
-			mu.Unlock()
 		}()
 	}
 	wg.Wait()

@@ -51,26 +51,31 @@ func TestCountMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// TestCountWorkerInvariance pins Counts as a function of the catalog and
+// config alone: bitwise the same at any worker count and on every repeat.
 func TestCountWorkerInvariance(t *testing.T) {
 	cat := catalog.Uniform(800, 200, 5)
-	cfg := Config{RMax: 50, NBins: 10, LMax: 2}
-	cfg.Workers = 1
-	a, err := Count(cat, cfg)
+	cfg := Config{RMax: 50, NBins: 10, LMax: 2, Workers: 1}
+	ref, err := Count(cat, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Workers = 8
-	b, err := Count(cat, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.NPairs != b.NPairs {
-		t.Fatal("pair count depends on workers")
-	}
-	for l := range a.Counts {
-		for bin := range a.Counts[l] {
-			if math.Abs(a.Counts[l][bin]-b.Counts[l][bin]) > 1e-9*(1+math.Abs(a.Counts[l][bin])) {
-				t.Fatalf("counts depend on workers at l=%d bin=%d", l, bin)
+	for _, workers := range []int{1, 2, 8} {
+		for rep := 0; rep < 3; rep++ {
+			cfg.Workers = workers
+			got, err := Count(cat, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.NPairs != ref.NPairs {
+				t.Fatalf("workers=%d rep %d: %d pairs, want %d", workers, rep, got.NPairs, ref.NPairs)
+			}
+			for l := range ref.Counts {
+				for bin, want := range ref.Counts[l] {
+					if v := got.Counts[l][bin]; math.Float64bits(v) != math.Float64bits(want) {
+						t.Fatalf("workers=%d rep %d: Counts[%d][%d] = %v, want %v bitwise", workers, rep, l, bin, v, want)
+					}
+				}
 			}
 		}
 	}
