@@ -3,7 +3,7 @@
 GO ?= go
 
 .PHONY: all build test test-race vet fmt-check bench bench-exp \
-	test-generic golden cross-smoke examples-smoke scenario-smoke \
+	golden cross-smoke examples-smoke scenario-smoke \
 	service-smoke chaos-smoke crash-smoke bench-vet bench-test fuzz-smoke loc ci clean
 
 all: build
@@ -50,30 +50,24 @@ bench:
 bench-exp:
 	$(GO) run ./cmd/galactos-bench -exp all -scale small
 
-# Second pass of the kernel-adjacent test suites with the portable lane
-# bodies forced — the sphharm primitives and the k-d tree's gather tests —
-# so they stay correct on AVX-512 CI hosts where the default pass never
-# exercises them.
-test-generic:
-	GALACTOS_LANE_DISPATCH=generic $(GO) test -count=1 ./internal/sphharm/... ./internal/core/... \
-		./internal/kdtree/... ./internal/nbr/...
-
 # Regenerate the scenario goldens after a deliberate change of the answer's
-# bits (a regrouped sum, a new lane body), then verify them. Each pass covers
-# every dispatch tag this host has — TestGoldenHashes rebinds the lane
-# primitives itself — so run it on an AVX-512 host, or the avx512 entries keep
-# their old hashes and fail there. Review the diff: it should touch exactly
-# the tags the change moves.
+# bits (a regrouped sum, a new lane body), then verify them: one hash per
+# scenario, the same under every lane dispatch, so any host will do —
+# TestGoldenHashes runs each scenario under every dispatch the host has and
+# fails if they disagree. Review the diff: it should touch exactly the
+# scenarios the change moves.
 golden:
 	$(GO) test -count=1 ./internal/scenario -run TestGoldenHashes -update-golden
 	$(GO) test -count=1 ./internal/scenario -run TestGoldenHashes
 
 # Cross-compile smoke: the build must stay portable (arm64 has no asm lane
 # bodies — the noasm files of lanes, sphharm and kdtree must fill in) and
-# legal at the highest amd64 feature level. Build-only; no emulation is
-# available to run the result.
+# legal at the highest amd64 feature level. arm64 is also vetted, which
+# compiles its tests: the portable bodies' bitwise pins live in _test.go
+# files a build never sees. No emulation is available to run the result.
 cross-smoke:
 	GOOS=linux GOARCH=arm64 $(GO) build ./...
+	GOOS=linux GOARCH=arm64 $(GO) vet ./...
 	GOOS=linux GOARCH=amd64 GOAMD64=v4 $(GO) build ./...
 
 # Run every documented example entry point at tiny N: facade refactors

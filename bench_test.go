@@ -66,31 +66,37 @@ func BenchmarkCompute(b *testing.B) {
 // aniso_box (EXPERIMENTS.md "Layer: block commit + chunk dispatch"), 128 is
 // one full chunk, and 1024 (eight chunks) is the bench's
 // sphharm.tile_ns_per_pair probe shape. ns/chunk at n <= 128 is the chunk's
-// fixed cost plus n pairs of streaming work.
+// fixed cost plus n pairs of streaming work. The portable/ rows bind the
+// pure-Go bodies: the same bits, at what arm64 and amd64 hosts without
+// AVX-512 pay.
 func BenchmarkKernelTile(b *testing.B) {
 	mono := sphharm.NewMonomialTable(10)
-	for _, n := range []int{8, 22, 73, 128, 1024} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			k := sphharm.NewKernel(mono, 128)
-			xs := make([]float64, n)
-			ys := make([]float64, n)
-			zs := make([]float64, n)
-			ws := make([]float64, n)
-			for i := range xs {
-				xs[i], ys[i], zs[i], ws[i] = 0.5, 0.5, 0.70710678, 1
-			}
-			acc := make([]float64, sphharm.AccumulatorLen(mono))
-			b.SetBytes(int64(n) * 3 * 8)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				k.AccumulateTile(xs, ys, zs, ws, acc)
-			}
-			ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-			chunks := float64((n + 127) / 128)
-			b.ReportMetric(ns/chunks, "ns/chunk")
-			b.ReportMetric(ns/float64(n), "ns/pair")
-			b.ReportMetric(float64(n)*float64(sphharm.FlopsPerPair(10))/ns, "GFLOP/s")
-		})
+	defer sphharm.SetLaneDispatch(sphharm.LaneDispatch() == "avx512")
+	for _, prefix := range []string{"", "portable/"} {
+		for _, n := range []int{8, 22, 73, 128, 1024} {
+			b.Run(fmt.Sprintf("%sn=%d", prefix, n), func(b *testing.B) {
+				sphharm.SetLaneDispatch(prefix == "")
+				k := sphharm.NewKernel(mono, 128)
+				xs := make([]float64, n)
+				ys := make([]float64, n)
+				zs := make([]float64, n)
+				ws := make([]float64, n)
+				for i := range xs {
+					xs[i], ys[i], zs[i], ws[i] = 0.5, 0.5, 0.70710678, 1
+				}
+				acc := make([]float64, sphharm.AccumulatorLen(mono))
+				b.SetBytes(int64(n) * 3 * 8)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					k.AccumulateTile(xs, ys, zs, ws, acc)
+				}
+				ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+				chunks := float64((n + 127) / 128)
+				b.ReportMetric(ns/chunks, "ns/chunk")
+				b.ReportMetric(ns/float64(n), "ns/pair")
+				b.ReportMetric(float64(n)*float64(sphharm.FlopsPerPair(10))/ns, "GFLOP/s")
+			})
+		}
 	}
 }
 

@@ -45,12 +45,7 @@ func runChaos(ctx context.Context, n int, seed int64, summaryPath string) {
 		fatalf("interrupted after %d of %d cases", len(reports), len(cases))
 	}
 
-	failures := 0
-	for i := range reports {
-		if reports[i].Failed() {
-			failures++
-		}
-	}
+	failed := failedCases(reports)
 	uncovered := chaos.Uncovered(reports)
 	cov := chaos.Coverage(reports)
 	fmt.Printf("faultpoint coverage: %d/%d registered points fired\n",
@@ -68,8 +63,8 @@ func runChaos(ctx context.Context, n int, seed int64, summaryPath string) {
 			fatalf("writing chaos summary: %v", err)
 		}
 	}
-	if failures > 0 {
-		fatalf("%d of %d chaos cases failed", failures, len(reports))
+	if len(failed) > 0 {
+		fatalf("%d of %d chaos cases failed:\n  %s", len(failed), len(reports), strings.Join(failed, "\n  "))
 	}
 	if len(uncovered) > 0 {
 		fatalf("faultpoints never fired: %s", strings.Join(uncovered, ", "))
@@ -110,21 +105,40 @@ func runChaosProc(ctx context.Context, n int, seed int64, galactosdBin, summaryP
 		fatalf("interrupted after %d cases", len(reports))
 	}
 
-	failures := 0
-	for i := range reports {
-		if reports[i].Failed() {
-			failures++
-		}
-	}
+	failed := failedCases(reports)
 	if summaryPath != "" {
 		if err := writeChaosProcSummary(summaryPath, n, seed, reports); err != nil {
 			fatalf("writing crash sweep summary: %v", err)
 		}
 	}
-	if failures > 0 {
-		fatalf("%d of %d crash cases failed", failures, len(reports))
+	if len(failed) > 0 {
+		fatalf("%d of %d crash cases failed:\n  %s", len(failed), len(reports), strings.Join(failed, "\n  "))
 	}
 	fmt.Printf("all %d crash case(s) recovered bitwise-identically across SIGKILL+restart\n", len(reports))
+}
+
+// failedCases names every failed case of a sweep with why it failed, one
+// line each.
+func failedCases(reports []chaos.Report) []string {
+	var out []string
+	for _, r := range reports {
+		if why := failure(r); why != "" {
+			out = append(out, r.Case+": "+why)
+		}
+	}
+	return out
+}
+
+// failure says why r failed — its error, or its clean and faulted hashes
+// when they differ — and is empty when it recovered.
+func failure(r chaos.Report) string {
+	switch {
+	case r.Err != nil:
+		return r.Err.Error()
+	case !r.Match:
+		return fmt.Sprintf("hash mismatch: clean %s, faulted %s", r.Clean, r.Faulted)
+	}
+	return ""
 }
 
 // writeChaosProcSummary appends the crash sweep as one markdown table. No
@@ -140,11 +154,8 @@ func writeChaosProcSummary(path string, n int, seed int64, reports []chaos.Repor
 	fmt.Fprintln(f, "|---|---|---|---|")
 	for _, r := range reports {
 		status := "recovered"
-		switch {
-		case r.Err != nil:
-			status = "**FAIL**: " + r.Err.Error()
-		case !r.Match:
-			status = "**FAIL**: hash mismatch"
+		if why := failure(r); why != "" {
+			status = "**FAIL**: " + why
 		}
 		hash := r.Clean
 		if len(hash) > 16 {
@@ -172,11 +183,8 @@ func writeChaosSummary(path string, n int, seed int64, reports []chaos.Report, r
 	recovered := make(map[string]uint64)
 	for _, r := range reports {
 		status := "recovered"
-		switch {
-		case r.Err != nil:
-			status = "**FAIL**: " + r.Err.Error()
-		case !r.Match:
-			status = "**FAIL**: hash mismatch"
+		if why := failure(r); why != "" {
+			status = "**FAIL**: " + why
 		}
 		var fired, hits uint64
 		for _, s := range r.Stats {

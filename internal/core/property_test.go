@@ -2,13 +2,13 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/cmplx"
 	"testing"
 
 	"galactos/internal/catalog"
 	"galactos/internal/geom"
-	"galactos/internal/hist"
 	"galactos/internal/sphharm"
 )
 
@@ -46,6 +46,54 @@ func TestWeightScalingCubes(t *testing.T) {
 		want := base.Aniso[i] * complex(s*s*s, 0)
 		if cmplx.Abs(got.Aniso[i]-want) > 1e-9*(1+cmplx.Abs(want)) {
 			t.Fatalf("channel %d: %v, want %v (s^3 scaling)", i, got.Aniso[i], want)
+		}
+	}
+}
+
+func TestWeightScalingExact(t *testing.T) {
+	// Doubling every weight scales every product in the estimator by a power
+	// of two, which rounding cannot see: every Aniso channel must be exactly
+	// 8x (bit for bit), SumWeight exactly 2x and Pairs unchanged — for every
+	// LOS mode, with and without IsotropicOnly, on a periodic and an open
+	// catalog. An oracle that shares nothing with internal/bruteforce.
+	periodic := catalog.Clustered(250, 180, catalog.DefaultClusterParams(), 52)
+	open := &catalog.Catalog{Galaxies: periodic.Galaxies}
+	for _, cat := range []*catalog.Catalog{periodic, open} {
+		doubled := &catalog.Catalog{Box: cat.Box, Galaxies: make([]catalog.Galaxy, cat.Len())}
+		for i, g := range cat.Galaxies {
+			doubled.Galaxies[i] = catalog.Galaxy{Pos: g.Pos, Weight: 2 * g.Weight}
+		}
+		for _, los := range []LOSMode{LOSPlaneParallel, LOSRadial, LOSMidpoint} {
+			for _, iso := range []bool{false, true} {
+				cfg := propConfig()
+				cfg.LOS, cfg.IsotropicOnly = los, iso
+				cfg.Observer = geom.Vec3{X: -200, Y: -100, Z: -350}
+				base, err := Compute(cat, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := Compute(doubled, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				name := fmt.Sprintf("L=%v %v iso=%v", cat.Box.L, los, iso)
+				if base.Pairs == 0 || base.MaxAbs() == 0 {
+					t.Fatalf("%s: no pairs or an all-zero result; the test lost its shape", name)
+				}
+				if got.Pairs != base.Pairs {
+					t.Fatalf("%s: doubling the weights moved Pairs: %d vs %d", name, got.Pairs, base.Pairs)
+				}
+				if math.Float64bits(got.SumWeight) != math.Float64bits(2*base.SumWeight) {
+					t.Fatalf("%s: SumWeight %v, want exactly 2 x %v", name, got.SumWeight, base.SumWeight)
+				}
+				for i, v := range base.Aniso {
+					w := got.Aniso[i]
+					if math.Float64bits(real(w)) != math.Float64bits(8*real(v)) ||
+						math.Float64bits(imag(w)) != math.Float64bits(8*imag(v)) {
+						t.Fatalf("%s: channel %d is %v, want exactly 8 x %v", name, i, w, v)
+					}
+				}
+			}
 		}
 	}
 }
@@ -122,16 +170,12 @@ func TestGlobalRotationInvarianceIsotropic(t *testing.T) {
 }
 
 func TestTouchedListMatchesDenseScanBitwise(t *testing.T) {
-	// The engine-level pin of the two-pass tile assembly: under the AVX-512
-	// and the portable lane bodies every primary's tiles — touched list,
-	// packed segments, every direction and weight in them — are bitwise
-	// identical, and whole runs agree on Pairs and NPrimaries, on a periodic
-	// and an open catalog. The tiles are compared, not Aniso: the ladder and
-	// zeta bodies downstream regroup their sums per dispatch tag (ROADMAP
-	// item 1(b)), but they are functions of the tiles alone, so equal tiles
-	// are what keeps a tag's result bits where they were. (The table drove
-	// the dense-scan reference mode until that was deleted; the name stays
-	// because the suite's floor lists it.)
+	// The engine-level pin of one answer on any SIMD dispatch: under the
+	// AVX-512 and the portable lane bodies whole runs — Pairs, NPrimaries,
+	// SumWeight and every Aniso bit — are identical, on a periodic and an open
+	// catalog, across the LOS modes, IsotropicOnly, SelfCount and sparse
+	// touch lists. (The table drove the dense-scan reference mode until that
+	// was deleted; the name stays because the suite's floor lists it.)
 	if !sphharm.HasAVX512() {
 		t.Skip("no vector path on this host; dispatch is the generic code")
 	}
@@ -164,80 +208,26 @@ func TestTouchedListMatchesDenseScanBitwise(t *testing.T) {
 	}
 	periodic := catalog.Clustered(350, 180, catalog.DefaultClusterParams(), 71)
 	open := &catalog.Catalog{Galaxies: periodic.Galaxies}
-	was := sphharm.LaneDispatch() == "avx512"
-	defer sphharm.SetLaneDispatch(was)
+	defer sphharm.SetLaneDispatch(true)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, cat := range []*catalog.Catalog{periodic, open} {
 				cfg := propConfig()
 				tc.mutate(&cfg)
 				var runs [2]*Result
-				var tiles [2][]uint64
 				for i, vector := range []bool{true, false} {
 					sphharm.SetLaneDispatch(vector)
 					var err error
 					if runs[i], err = Compute(cat, cfg); err != nil {
 						t.Fatal(err)
 					}
-					tiles[i] = assembledTiles(t, cat, cfg)
 				}
-				if runs[0].Pairs != runs[1].Pairs || runs[0].NPrimaries != runs[1].NPrimaries {
-					t.Fatalf("L=%v: pair/primary counts differ: %d/%d vs %d/%d", cat.Box.L,
-						runs[0].Pairs, runs[0].NPrimaries, runs[1].Pairs, runs[1].NPrimaries)
-				}
-				if len(tiles[0]) != len(tiles[1]) {
-					t.Fatalf("L=%v: tile streams differ in length: %d vs %d", cat.Box.L, len(tiles[0]), len(tiles[1]))
-				}
-				for i := range tiles[0] {
-					if tiles[0][i] != tiles[1][i] {
-						t.Fatalf("L=%v: tile stream word %d not bitwise identical: %#x vs %#x", cat.Box.L, i, tiles[0][i], tiles[1][i])
-					}
+				if err := sameBits(runs[1], runs[0]); err != nil {
+					t.Fatalf("L=%v: generic vs avx512: %v", cat.Box.L, err)
 				}
 			}
 		})
 	}
-}
-
-// assembledTiles runs the engine's gather and tile assembly over every unit
-// under the lane dispatch in effect and returns all it hands the kernel as
-// one word stream: per primary the pair count and touched list, then per
-// touched bin its id and the bits of its four segment columns.
-func assembledTiles(t *testing.T, cat *catalog.Catalog, cfg Config) []uint64 {
-	t.Helper()
-	cfg, err := cfg.Normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	bins, err := hist.NewBinning(cfg.RMin, cfg.RMax, cfg.NBins)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := newEngine(context.Background(), cat, nil, cfg, bins)
-	if err := e.buildFinder(); err != nil {
-		t.Fatal(err)
-	}
-	e.buildBlocks()
-	s := e.newWorkerState()
-	var out []uint64
-	for _, blk := range e.blocks {
-		prim := e.primaryIdx[blk.lo:blk.hi]
-		e.gather(s, prim)
-		for a, pi := range prim {
-			n := e.assembleTiles(s, pi, s.nbr.List(a))
-			out = append(out, uint64(n), uint64(len(s.tl)))
-			for _, bb := range s.tl {
-				beg, end := s.tile(bb)
-				out = append(out, uint64(bb), uint64(end-beg))
-				for _, col := range [][]float64{s.tx, s.ty, s.tz, s.tw} {
-					for _, v := range col[beg:end] {
-						out = append(out, math.Float64bits(v))
-					}
-				}
-				s.cnt[bb] = 0
-			}
-		}
-	}
-	return out
 }
 
 func TestBlockedMatchesPerPrimaryBitwise(t *testing.T) {

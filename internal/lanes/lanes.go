@@ -1,15 +1,12 @@
 // Package lanes holds the process's one lane-dispatch decision: whether the
 // SIMD bodies (AVX-512 on amd64) or the portable pure-Go bodies back the
 // lane primitives of internal/sphharm and the gather tests of
-// internal/kdtree. The CPUID probe runs once at init; the environment
-// variable GALACTOS_LANE_DISPATCH=generic forces the portable bodies at
-// process start even on AVX-512 hosts (CI's second test pass pins the
-// pure-Go fallback with it).
+// internal/kdtree. The CPUID probe runs once at init and picks the SIMD
+// bodies wherever the host has them; the two agree bit for bit, so the
+// choice is one of speed, and tests switch it with Set.
 package lanes
 
-import "os"
-
-var vector = HasAVX512() && os.Getenv("GALACTOS_LANE_DISPATCH") != "generic"
+var vector = HasAVX512()
 
 // Vector reports whether the SIMD bodies are selected.
 func Vector() bool { return vector }

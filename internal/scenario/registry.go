@@ -240,9 +240,9 @@ func periodicIso() *Scenario {
 
 // isoMidpoint runs the isotropic 3PCF under the midpoint line of sight (the
 // pair-swap-symmetric survey convention, rotated per pair) on the
-// IsotropicOnly fast ladder. The row pins the two paths end-to-end (golden
-// hashes under both dispatch tags, cross-backend equivalence via the shared
-// harnesses).
+// IsotropicOnly fast ladder. The row pins the two paths end-to-end (one
+// golden hash under every lane dispatch, cross-backend equivalence via the
+// shared harnesses).
 func isoMidpoint() *Scenario {
 	const name = "iso-midpoint"
 	cfg := core.Config{

@@ -170,10 +170,8 @@ func (o *Outcome) payloads() map[string][]float64 {
 
 // GoldenHash returns the SHA-256 of the outcome's canonical serialization:
 // payload names, lengths, and raw float64 bits in sorted-name order. Equal
-// hashes mean bitwise-equal outcomes. Hashes are only comparable across
-// hosts sharing a kernel dispatch tag (sphharm.LaneDispatch): the vector
-// lane bodies regroup additions, so avx512 and generic runs agree to
-// rounding, not bits.
+// hashes mean bitwise-equal outcomes, on any host: the vector and the
+// portable lane bodies give the same bits.
 func (o *Outcome) GoldenHash() string {
 	h := sha256.New()
 	var buf [8]byte

@@ -1,6 +1,10 @@
 package sphharm
 
-import "galactos/internal/lanes"
+import (
+	"math"
+
+	"galactos/internal/lanes"
+)
 
 // The multipole accumulation kernel (Sec. 3.3 of the paper). The dominant
 // cost of Galactos is accumulating, for each galaxy pair, the weighted power
@@ -128,8 +132,8 @@ func (k *Kernel) accumulateChunk(xs, ys, zs, ws []float64, acc []float64) {
 // fused multiply-accumulate over the hoisted z-power columns at stride
 // zcap). c holds the pair weights on entry; s is scratch. The vector body
 // (ladderAsm) performs the same operations in the same order without
-// returning to Go between rows, so within a dispatch tag the two are
-// bit-identical (TestLadderMatchesRowsBitwise).
+// returning to Go between rows, so the two are bit-identical
+// (TestLadderMatchesRowsBitwise).
 func ladderRows(acc, c, s, xs, ys, zpow []float64, zcap, l int) {
 	rowLanes(acc[:(l+1)*Lanes], c, zpow, zcap)
 	i := l + 1
@@ -197,8 +201,8 @@ func SetLaneDispatch(vector bool) bool {
 func HasAVX512() bool { return lanes.HasAVX512() }
 
 // LaneDispatch names the lane-primitive binding in effect ("avx512" or
-// "generic"). Results computed under different tags agree only to rounding,
-// so bitwise golden hashes must be compared per tag.
+// "generic"). Both bindings perform the same float64 operations in the same
+// order, so the tag never changes a result bit; it names which code ran.
 func LaneDispatch() string {
 	if lanes.Vector() {
 		return "avx512"
@@ -208,27 +212,96 @@ func LaneDispatch() string {
 
 // rowLanesGeneric folds one ladder row — acc holds nq+1 lane groups, where
 // group q gains the lane-striped sums of src .* z^q (group 0 is the plain
-// add) and z^q is the hoisted column zpow[(q-1)*zcap:]. The per-group
-// arithmetic is exactly addLanesGeneric / fmaLanesGeneric, so fusing the
-// row changes nothing numerically; it only removes per-sum dispatch.
+// add) and z^q is the hoisted column zpow[(q-1)*zcap:] — in rowBody<>'s
+// order: per group four chains over the 32-pair quads (chain k takes the
+// 8-pair blocks 4i+k), chain 0 starting from the accumulator and the others
+// from +0, the blocks after the quads and the tail extending chain 0, and
+// the fold (c0 + c1) + (c2 + c3). Without a quad chains 1-3 stay +0 and
+// the fold is c0 + 0, as in ladderAsm's register-resident path.
 func rowLanesGeneric(acc, src, zpow []float64, zcap int) {
-	addLanesGeneric(acc[:Lanes], src)
-	nq := len(acc)/Lanes - 1
-	for q := 1; q <= nq; q++ {
-		fmaLanesGeneric(acc[q*Lanes:q*Lanes+Lanes], src, zpow[(q-1)*zcap:(q-1)*zcap+len(src)])
+	n := len(src)
+	quads := n &^ (4*Lanes - 1)
+	for q := 0; q < len(acc)/Lanes; q++ {
+		var zq []float64 // nil: group 0's plain add
+		if q > 0 {
+			zq = zpow[(q-1)*zcap : (q-1)*zcap+n]
+		}
+		a := (*[Lanes]float64)(acc[q*Lanes : q*Lanes+Lanes])
+		if quads == 0 {
+			laneChain(a, src, zq, 0, Lanes)
+			for i := range a {
+				a[i] += 0
+			}
+			continue
+		}
+		var c1, c2, c3 [Lanes]float64
+		laneChain(a, src[:quads], zq, 0, 4*Lanes)
+		laneChain(&c1, src[:quads], zq, Lanes, 4*Lanes)
+		laneChain(&c2, src[:quads], zq, 2*Lanes, 4*Lanes)
+		laneChain(&c3, src[:quads], zq, 3*Lanes, 4*Lanes)
+		laneChain(a, src, zq, quads, Lanes)
+		for i := range a {
+			a[i] = (a[i] + c1[i]) + (c2[i] + c3[i])
+		}
+	}
+}
+
+// laneChain runs one accumulator chain of rowLanesGeneric with its 8 lanes
+// in registers: the 8-pair blocks src[j:j+8] for j = lo, lo+step, ... land
+// in lanes 0..7 of a, then the pairs past the last whole block (the masked
+// tail; only a step of Lanes reaches it) in lane j&7 — each added (zq nil)
+// or fused as math.FMA(src, zq, a).
+func laneChain(a *[Lanes]float64, src, zq []float64, lo, step int) {
+	a0, a1, a2, a3, a4, a5, a6, a7 := a[0], a[1], a[2], a[3], a[4], a[5], a[6], a[7]
+	j := lo
+	if zq == nil {
+		for ; j+Lanes <= len(src); j += step {
+			s := src[j : j+Lanes : j+Lanes]
+			a0 += s[0]
+			a1 += s[1]
+			a2 += s[2]
+			a3 += s[3]
+			a4 += s[4]
+			a5 += s[5]
+			a6 += s[6]
+			a7 += s[7]
+		}
+	} else {
+		zq = zq[:len(src)]
+		for ; j+Lanes <= len(src); j += step {
+			s := src[j : j+Lanes : j+Lanes]
+			z := zq[j : j+Lanes : j+Lanes]
+			a0 = math.FMA(s[0], z[0], a0)
+			a1 = math.FMA(s[1], z[1], a1)
+			a2 = math.FMA(s[2], z[2], a2)
+			a3 = math.FMA(s[3], z[3], a3)
+			a4 = math.FMA(s[4], z[4], a4)
+			a5 = math.FMA(s[5], z[5], a5)
+			a6 = math.FMA(s[6], z[6], a6)
+			a7 = math.FMA(s[7], z[7], a7)
+		}
+	}
+	a[0], a[1], a[2], a[3], a[4], a[5], a[6], a[7] = a0, a1, a2, a3, a4, a5, a6, a7
+	for ; j < len(src); j++ {
+		if zq == nil {
+			a[j&(Lanes-1)] += src[j]
+		} else {
+			a[j&(Lanes-1)] = math.FMA(src[j], zq[j], a[j&(Lanes-1)])
+		}
 	}
 }
 
 // rotateGeneric advances the running power one order in place:
-// (c, s) <- (c*x - s*y, c*y + s*x), i.e. c + is times x + iy.
+// (c, s) <- (c*x - s*y, c*y + s*x), i.e. c + is times x + iy, rounded as
+// rotateBody<> rounds it: each product s*y, s*x once, then one FMA.
 func rotateGeneric(c, s, xs, ys []float64) {
 	s = s[:len(c)]
 	xs = xs[:len(c)]
 	ys = ys[:len(c)]
 	for j, cj := range c {
 		sj, x, y := s[j], xs[j], ys[j]
-		c[j] = cj*x - sj*y
-		s[j] = cj*y + sj*x
+		c[j] = math.FMA(cj, x, -float64(sj*y))
+		s[j] = math.FMA(cj, y, float64(sj*x))
 	}
 }
 
@@ -240,93 +313,6 @@ func mulColsGeneric(dst, a, b []float64) {
 	for j := range dst {
 		dst[j] = a[j] * b[j]
 	}
-}
-
-// addLanesGeneric folds src into one sum's Lanes-striped accumulator group
-// a, pair j landing in lane j & (Lanes-1). The lane sums are carried in
-// registers across the whole chunk, so the accumulator group is loaded and
-// stored once instead of once per pair.
-func addLanesGeneric(a, src []float64) {
-	a = a[:Lanes:Lanes]
-	a0, a1, a2, a3, a4, a5, a6, a7 := a[0], a[1], a[2], a[3], a[4], a[5], a[6], a[7]
-	j := 0
-	for ; j+Lanes <= len(src); j += Lanes {
-		s := src[j : j+Lanes : j+Lanes]
-		a0 += s[0]
-		a1 += s[1]
-		a2 += s[2]
-		a3 += s[3]
-		a4 += s[4]
-		a5 += s[5]
-		a6 += s[6]
-		a7 += s[7]
-	}
-	for ; j < len(src); j++ {
-		switch j & (Lanes - 1) {
-		case 0:
-			a0 += src[j]
-		case 1:
-			a1 += src[j]
-		case 2:
-			a2 += src[j]
-		case 3:
-			a3 += src[j]
-		case 4:
-			a4 += src[j]
-		case 5:
-			a5 += src[j]
-		case 6:
-			a6 += src[j]
-		default:
-			a7 += src[j]
-		}
-	}
-	a[0], a[1], a[2], a[3], a[4], a[5], a[6], a[7] = a0, a1, a2, a3, a4, a5, a6, a7
-}
-
-// fmaLanesGeneric folds src .* zq into one sum's lane group a without
-// storing the products anywhere: the ladder reads the hoisted z-power column
-// instead of carrying a running z product through memory, so each j >= 1 sum
-// costs two loads and zero stores per pair. The lane map matches
-// addLanesGeneric (pair j lands in lane j & (Lanes-1)).
-func fmaLanesGeneric(a, src, zq []float64) {
-	a = a[:Lanes:Lanes]
-	a0, a1, a2, a3, a4, a5, a6, a7 := a[0], a[1], a[2], a[3], a[4], a[5], a[6], a[7]
-	j := 0
-	for ; j+Lanes <= len(src); j += Lanes {
-		s := src[j : j+Lanes : j+Lanes]
-		z := zq[j : j+Lanes : j+Lanes]
-		a0 += s[0] * z[0]
-		a1 += s[1] * z[1]
-		a2 += s[2] * z[2]
-		a3 += s[3] * z[3]
-		a4 += s[4] * z[4]
-		a5 += s[5] * z[5]
-		a6 += s[6] * z[6]
-		a7 += s[7] * z[7]
-	}
-	for ; j < len(src); j++ {
-		c := src[j] * zq[j]
-		switch j & (Lanes - 1) {
-		case 0:
-			a0 += c
-		case 1:
-			a1 += c
-		case 2:
-			a2 += c
-		case 3:
-			a3 += c
-		case 4:
-			a4 += c
-		case 5:
-			a5 += c
-		case 6:
-			a6 += c
-		default:
-			a7 += c
-		}
-	}
-	a[0], a[1], a[2], a[3], a[4], a[5], a[6], a[7] = a0, a1, a2, a3, a4, a5, a6, a7
 }
 
 // ZetaBatch folds k dense primaries' zeta contributions to one channel in a
@@ -354,7 +340,9 @@ func ZetaBatch(dst []complex128, a2, xy []float64, nb, k int) {
 	zetaBatch(dst, a2, xy, nb, k)
 }
 
-// zetaBatchGeneric is the pure-Go body of ZetaBatch.
+// zetaBatchGeneric is the pure-Go body of ZetaBatch, rounded as
+// zetaBatchAsm rounds it: per element and primary, the x leg's FMA, then the
+// y leg's.
 func zetaBatchGeneric(dst []complex128, a2, xy []float64, nb, k int) {
 	for a := 0; a < k; a++ {
 		ao := a * 2 * nb
@@ -362,10 +350,11 @@ func zetaBatchGeneric(dst []complex128, a2, xy []float64, nb, k int) {
 			x := xy[ao+2*t1]
 			y := xy[ao+2*t1+1]
 			row := dst[t1*nb : t1*nb+nb]
-			for t2 := range row {
+			for t2, v := range row {
 				re2 := a2[ao+2*t2]
 				im2 := a2[ao+2*t2+1]
-				row[t2] += complex(x*re2+y*im2, y*re2-x*im2)
+				row[t2] = complex(math.FMA(y, im2, math.FMA(x, re2, real(v))),
+					math.FMA(y, re2, math.FMA(x, -im2, imag(v))))
 			}
 		}
 	}
@@ -394,7 +383,8 @@ func ZetaBatchIso(dst, a2, w []float64, nb, k int) {
 	zetaBatchIso(dst, a2, w, nb, k)
 }
 
-// zetaBatchIsoGeneric is the pure-Go body of ZetaBatchIso.
+// zetaBatchIsoGeneric is the pure-Go body of ZetaBatchIso, rounded as
+// zetaBatchIsoAsm rounds it: the weighted leg's products once, then two FMAs.
 func zetaBatchIsoGeneric(dst, a2, w []float64, nb, k int) {
 	for a := 0; a < k; a++ {
 		ao := a * 2 * nb
@@ -402,11 +392,11 @@ func zetaBatchIsoGeneric(dst, a2, w []float64, nb, k int) {
 		re2 := a2[ao : ao+nb]
 		im2 := a2[ao+nb : ao+2*nb]
 		for t1 := 0; t1 < nb; t1++ {
-			x := pw * re2[t1]
-			y := pw * im2[t1]
+			x := float64(pw * re2[t1])
+			y := float64(pw * im2[t1])
 			row := dst[t1*nb : t1*nb+nb]
-			for t2 := range row {
-				row[t2] += x*re2[t2] + y*im2[t2]
+			for t2, v := range row {
+				row[t2] = math.FMA(y, im2[t2], math.FMA(x, re2[t2], v))
 			}
 		}
 	}

@@ -13,17 +13,18 @@ import (
 // VADDPD / VFMADD231PD / VMULPD over whole chunks, with AVX-512 write masks
 // covering the tail so the lane assignment (pair j -> lane j&7) matches the
 // generic code exactly. The process's dispatch decision lives in
-// internal/lanes (CPUID probe, GALACTOS_LANE_DISPATCH override); any amd64
-// host without OS-enabled AVX-512F+FMA keeps the pure-Go bodies. The
-// primitives are swapped in by rebinding the package function variables, so
-// the per-call dispatch cost is one indirect call.
+// internal/lanes (a CPUID probe); any amd64 host without OS-enabled
+// AVX-512F+FMA keeps the pure-Go bodies. The primitives are swapped in by
+// rebinding the package function variables, so the per-call dispatch cost
+// is one indirect call.
 //
-// Numerical note: the vector paths regroup each lane's additions into a few
-// independent chains and contract multiply-add pairs into true FMAs, so
-// results can differ from the generic path by normal rounding slack. All
-// bitwise guarantees in the engine (dense-scan vs touched-list, backend
-// equivalence) compare runs that share one dispatch decision, so they are
-// unaffected.
+// Numerical note: the vector paths split each lane's additions into a few
+// independent chains and contract multiply-add pairs into true FMAs, and
+// the portable bodies do the same — the same chains, math.FMA where the asm
+// fuses, the same fold — so every primitive returns the same bits under
+// either binding, and so does every result built from them
+// (TestKernelDispatchAgreesWithGeneric and its siblings pin each primitive;
+// the scenario goldens pin whole runs).
 
 // Implemented in kernel_lanes_amd64.s. Each trusts the driving slice's
 // length (c for the ladder and the rotation, src for a row, dst for mulCols)

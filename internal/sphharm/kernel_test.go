@@ -203,22 +203,24 @@ func TestKernelAccumulateIsAdditive(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	xs, ys, zs, ws := randBucket(rng, 200)
 
-	accSplit := make([]float64, AccumulatorLen(tab))
-	k.AccumulateTile(xs[:77], ys[:77], zs[:77], ws[:77], accSplit)
-	k.AccumulateTile(xs[77:], ys[77:], zs[77:], ws[77:], accSplit)
-	split := make([]float64, tab.Len())
-	Reduce(accSplit, split)
+	eachDispatch(t, func(tag string) {
+		accSplit := make([]float64, AccumulatorLen(tab))
+		k.AccumulateTile(xs[:77], ys[:77], zs[:77], ws[:77], accSplit)
+		k.AccumulateTile(xs[77:], ys[77:], zs[77:], ws[77:], accSplit)
+		split := make([]float64, tab.Len())
+		Reduce(accSplit, split)
 
-	accAll := make([]float64, AccumulatorLen(tab))
-	k.AccumulateTile(xs, ys, zs, ws, accAll)
-	all := make([]float64, tab.Len())
-	Reduce(accAll, all)
+		accAll := make([]float64, AccumulatorLen(tab))
+		k.AccumulateTile(xs, ys, zs, ws, accAll)
+		all := make([]float64, tab.Len())
+		Reduce(accAll, all)
 
-	for i := range all {
-		if math.Abs(all[i]-split[i]) > 1e-9*(1+math.Abs(all[i])) {
-			t.Fatalf("sum %d: split %v vs whole %v", i, split[i], all[i])
+		for i := range all {
+			if math.Abs(all[i]-split[i]) > 1e-9*(1+math.Abs(all[i])) {
+				t.Fatalf("%s sum %d: split %v vs whole %v", tag, i, split[i], all[i])
+			}
 		}
-	}
+	})
 }
 
 func TestKernelTileMatchesDirect(t *testing.T) {
@@ -230,45 +232,42 @@ func TestKernelTileMatchesDirect(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for _, n := range []int{1, 7, 8, 127, 128, 129, 300, 1000} {
 		xs, ys, zs, ws := randBucket(rng, n)
-		acc := make([]float64, AccumulatorLen(tab))
-		k.AccumulateTile(xs, ys, zs, ws, acc)
-		got := make([]float64, tab.Len())
-		Reduce(acc, got)
 		want := directSums(L, xs, ys, zs, ws)
-		for i := range got {
-			if math.Abs(got[i]-want[i]) > 1e-9*(1+math.Abs(want[i])) {
-				t.Fatalf("n=%d sum %d: %v vs %v", n, i, got[i], want[i])
+		eachDispatch(t, func(tag string) {
+			acc := make([]float64, AccumulatorLen(tab))
+			k.AccumulateTile(xs, ys, zs, ws, acc)
+			got := make([]float64, tab.Len())
+			Reduce(acc, got)
+			for i := range got {
+				if math.Abs(got[i]-want[i]) > 1e-9*(1+math.Abs(want[i])) {
+					t.Fatalf("%s n=%d sum %d: %v vs %v", tag, n, i, got[i], want[i])
+				}
 			}
-		}
+		})
 	}
 }
 
 func TestKernelDispatchAgreesWithGeneric(t *testing.T) {
-	// The AVX-512 ladder regroups each lane's additions and contracts
-	// multiply-adds into FMAs: its reduced sums agree with the portable
-	// ladder's to 1e-13 of the tile's total weight, not to the bit.
+	// The AVX-512 ladder and the portable one add each lane's terms in the
+	// same chains and contract the same multiply-adds into FMAs: every
+	// accumulator value is bitwise equal, for register-resident chunks, quads,
+	// blocks after them and every tail.
 	if !HasAVX512() {
 		t.Skip("no vector path on this host; dispatch is the generic code")
 	}
 	rng := rand.New(rand.NewSource(41))
 	for _, L := range []int{1, 4, 10} {
 		tab := NewMonomialTable(L)
-		for _, n := range []int{1, 7, 31, 32, 100, 1000} {
+		for _, n := range []int{1, 7, 31, 32, 33, 63, 100, 129, 1000} {
 			xs, ys, zs, ws := randBucket(rng, n)
-			sumAbsW := 0.0
-			for _, w := range ws {
-				sumAbsW += math.Abs(w)
-			}
-			sums := map[string][]float64{}
+			accs := map[string][]float64{}
 			eachDispatch(t, func(tag string) {
-				acc := make([]float64, AccumulatorLen(tab))
-				NewKernel(tab, 128).AccumulateTile(xs, ys, zs, ws, acc)
-				sums[tag] = make([]float64, tab.Len())
-				Reduce(acc, sums[tag])
+				accs[tag] = make([]float64, AccumulatorLen(tab))
+				NewKernel(tab, 128).AccumulateTile(xs, ys, zs, ws, accs[tag])
 			})
-			for i, g := range sums["generic"] {
-				if math.Abs(sums["avx512"][i]-g) > 1e-13*sumAbsW {
-					t.Fatalf("L=%d n=%d sum %d: avx512 %v vs generic %v", L, n, i, sums["avx512"][i], g)
+			for i, g := range accs["generic"] {
+				if math.Float64bits(accs["avx512"][i]) != math.Float64bits(g) {
+					t.Fatalf("L=%d n=%d acc[%d]: avx512 %v vs generic %v (not bitwise)", L, n, i, accs["avx512"][i], g)
 				}
 			}
 		}
@@ -282,23 +281,23 @@ func TestKernelTileChunkingInvariance(t *testing.T) {
 	tab := NewMonomialTable(L)
 	rng := rand.New(rand.NewSource(29))
 	xs, ys, zs, ws := randBucket(rng, 333)
-	ref := make([]float64, tab.Len())
-	{
+	eachDispatch(t, func(tag string) {
+		ref := make([]float64, tab.Len())
 		acc := make([]float64, AccumulatorLen(tab))
 		NewKernel(tab, 333).AccumulateTile(xs, ys, zs, ws, acc)
 		Reduce(acc, ref)
-	}
-	for _, cap := range []int{1, 8, 13, 128, 1024} {
-		acc := make([]float64, AccumulatorLen(tab))
-		NewKernel(tab, cap).AccumulateTile(xs, ys, zs, ws, acc)
-		got := make([]float64, tab.Len())
-		Reduce(acc, got)
-		for i := range got {
-			if math.Abs(got[i]-ref[i]) > 1e-9*(1+math.Abs(ref[i])) {
-				t.Fatalf("cap=%d sum %d: %v vs %v", cap, i, got[i], ref[i])
+		for _, cap := range []int{1, 8, 13, 128, 1024} {
+			acc := make([]float64, AccumulatorLen(tab))
+			NewKernel(tab, cap).AccumulateTile(xs, ys, zs, ws, acc)
+			got := make([]float64, tab.Len())
+			Reduce(acc, got)
+			for i := range got {
+				if math.Abs(got[i]-ref[i]) > 1e-9*(1+math.Abs(ref[i])) {
+					t.Fatalf("%s cap=%d sum %d: %v vs %v", tag, cap, i, got[i], ref[i])
+				}
 			}
 		}
-	}
+	})
 }
 
 // mustPanic fails the test unless f panics.
@@ -326,9 +325,9 @@ func TestKernelTilePanicsOnMismatch(t *testing.T) {
 
 func TestLanePrimitivesMatchGeneric(t *testing.T) {
 	// The dispatched elementwise primitives (AVX-512 on capable amd64 hosts)
-	// must agree with the pure-Go bodies for every tail length. The lane
-	// folds are covered by TestRowLanesMatchesGeneric (row against the
-	// per-sum generic sequence) and TestLadderMatchesRowsBitwise.
+	// must equal the pure-Go bodies bit for bit at every tail length: the
+	// rotation's two FMAs round where rotateBody<>'s do. The lane folds are
+	// covered by TestRowLanesMatchesGeneric and TestLadderMatchesRowsBitwise.
 	if !HasAVX512() {
 		t.Skip("no vector path on this host; dispatch is the generic code")
 	}
@@ -345,8 +344,8 @@ func TestLanePrimitivesMatchGeneric(t *testing.T) {
 		check := func(name string, got, want []float64) {
 			t.Helper()
 			for i := range want {
-				if math.Abs(got[i]-want[i]) > 1e-13*(1+math.Abs(want[i])) {
-					t.Fatalf("%s n=%d elem %d: %v vs %v", name, n, i, got[i], want[i])
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s n=%d elem %d: %v vs %v (not bitwise)", name, n, i, got[i], want[i])
 				}
 			}
 		}
@@ -372,13 +371,15 @@ func TestLanePrimitivesMatchGeneric(t *testing.T) {
 func TestKernelEmptyBucketNoop(t *testing.T) {
 	tab := NewMonomialTable(4)
 	k := NewKernel(tab, 16)
-	acc := make([]float64, AccumulatorLen(tab))
-	k.AccumulateTile(nil, nil, nil, nil, acc)
-	for i, v := range acc {
-		if v != 0 {
-			t.Fatalf("accumulator touched at %d: %v", i, v)
+	eachDispatch(t, func(tag string) {
+		acc := make([]float64, AccumulatorLen(tab))
+		k.AccumulateTile(nil, nil, nil, nil, acc)
+		for i, v := range acc {
+			if v != 0 {
+				t.Fatalf("%s: accumulator touched at %d: %v", tag, i, v)
+			}
 		}
-	}
+	})
 }
 
 func TestKernelPanicsOnMismatch(t *testing.T) {
@@ -436,13 +437,6 @@ func TestAlmFromKernelMatchesPointwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(30))
 	xs, ys, zs, ws := randBucket(rng, 100)
 
-	acc := make([]float64, AccumulatorLen(mono))
-	k.AccumulateTile(xs, ys, zs, ws, acc)
-	sums := make([]float64, mono.Len())
-	Reduce(acc, sums)
-	got := make([]complex128, PairCount(L))
-	ytab.Alm(sums, got)
-
 	want := make([]complex128, PairCount(L))
 	scratch := make([]float64, mono.Len())
 	point := make([]complex128, PairCount(L))
@@ -452,42 +446,62 @@ func TestAlmFromKernelMatchesPointwise(t *testing.T) {
 			want[i] += complex(ws[j], 0) * point[i]
 		}
 	}
-	for i := range got {
-		d := got[i] - want[i]
-		if math.Hypot(real(d), imag(d)) > 1e-9*(1+math.Hypot(real(want[i]), imag(want[i]))) {
-			t.Fatalf("a_lm[%d]: %v vs %v", i, got[i], want[i])
+	eachDispatch(t, func(tag string) {
+		acc := make([]float64, AccumulatorLen(mono))
+		k.AccumulateTile(xs, ys, zs, ws, acc)
+		sums := make([]float64, mono.Len())
+		Reduce(acc, sums)
+		got := make([]complex128, PairCount(L))
+		ytab.Alm(sums, got)
+		for i := range got {
+			d := got[i] - want[i]
+			if math.Hypot(real(d), imag(d)) > 1e-9*(1+math.Hypot(real(want[i]), imag(want[i]))) {
+				t.Fatalf("%s a_lm[%d]: %v vs %v", tag, i, got[i], want[i])
+			}
 		}
-	}
+	})
 }
 
 func TestRowLanesMatchesGeneric(t *testing.T) {
-	// The fused ladder-row primitive must agree with the per-sum
-	// generic sequence (plain lane add of the z^0 row plus one fused
-	// multiply-accumulate per hoisted z-power column) for every row length
-	// and tail shape.
+	// The dispatched ladder-row primitive must equal the portable body bit
+	// for bit — the same four chains per lane group, the same FMAs, the same
+	// fold — for every row length (quads, blocks after them, tails) and row
+	// height, folding into an accumulator that is not zero. A second pass
+	// folds -0 into -0, where only the fold's +0 decides the sign.
 	rng := rand.New(rand.NewSource(91))
 	const zcap = 128
-	for _, n := range []int{1, 3, 7, 8, 9, 31, 32, 33, 100, 128} {
-		for _, nq := range []int{0, 1, 2, 5, 10} {
-			xy := make([]float64, n)
-			zpow := make([]float64, nq*zcap+n) // columns at stride zcap
-			for j := range xy {
-				xy[j] = rng.NormFloat64()
-			}
-			for j := range zpow {
-				zpow[j] = rng.NormFloat64()
-			}
-			got := make([]float64, (nq+1)*Lanes)
-			want := make([]float64, (nq+1)*Lanes)
-			for i := range got {
-				got[i] = float64(i)
-				want[i] = float64(i)
-			}
-			rowLanes(got, xy, zpow, zcap)
-			rowLanesGeneric(want, xy, zpow, zcap)
-			for i := range want {
-				if math.Abs(got[i]-want[i]) > 1e-12*(1+math.Abs(want[i])) {
-					t.Fatalf("n=%d nq=%d elem %d: %v vs %v", n, nq, i, got[i], want[i])
+	negZero := math.Copysign(0, -1)
+	for _, zeros := range []bool{false, true} {
+		for _, n := range []int{1, 3, 7, 8, 9, 31, 32, 33, 63, 64, 65, 100, 128} {
+			for _, nq := range []int{0, 1, 2, 5, 10} {
+				xy := make([]float64, n)
+				zpow := make([]float64, nq*zcap+n) // columns at stride zcap
+				got := make([]float64, (nq+1)*Lanes)
+				want := make([]float64, (nq+1)*Lanes)
+				for j := range xy {
+					xy[j] = rng.NormFloat64()
+				}
+				for j := range zpow {
+					zpow[j] = rng.NormFloat64()
+				}
+				for i := range got {
+					got[i] = float64(i)
+				}
+				if zeros {
+					for j := range xy {
+						xy[j] = negZero
+					}
+					for i := range got {
+						got[i] = negZero
+					}
+				}
+				copy(want, got)
+				rowLanes(got, xy, zpow, zcap)
+				rowLanesGeneric(want, xy, zpow, zcap)
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("zeros=%v n=%d nq=%d elem %d: %v vs %v (not bitwise)", zeros, n, nq, i, got[i], want[i])
+					}
 				}
 			}
 		}
@@ -497,8 +511,8 @@ func TestRowLanesMatchesGeneric(t *testing.T) {
 func TestLadderMatchesRowsBitwise(t *testing.T) {
 	// The one-dispatch-per-chunk ladder must be bit-identical to the
 	// row-by-row path (one rotate per running-power update, one rowLanes per
-	// row) under each dispatch tag — the fused vector body
-	// performs the same operations in the same order — for every chunk shape:
+	// row) under each dispatch — the fused vector body performs the same
+	// operations in the same order — for every chunk shape:
 	// register-resident (n < 32, every vector count and tail), with quads,
 	// and across AccumulateTile's chunking, folding twice into an accumulator
 	// that is not zero.
@@ -534,9 +548,14 @@ func TestLadderMatchesRowsBitwise(t *testing.T) {
 }
 
 func TestZetaBatchMatchesPerPrimaryBlock(t *testing.T) {
-	// ZetaBatch over K packed primaries must agree with K sequential dense
+	// ZetaBatch over K packed primaries must equal K sequential dense
 	// per-primary updates (the generic body at k = 1, one primary's slab
-	// rows at a time), for every nb strip/row shape and K.
+	// rows at a time) bit for bit — every element sees the primaries in the
+	// same order — for every nb strip/row shape and K, under each dispatch.
+	eachDispatch(t, func(tag string) { testZetaBatchMatchesPerPrimary(t, tag) })
+}
+
+func testZetaBatchMatchesPerPrimary(t *testing.T, tag string) {
 	rng := rand.New(rand.NewSource(93))
 	for _, nb := range []int{1, 2, 3, 4, 7, 8, 10, 16, 20} {
 		for _, k := range []int{1, 2, 5, 31} {
@@ -559,8 +578,9 @@ func TestZetaBatchMatchesPerPrimaryBlock(t *testing.T) {
 				zetaBatchGeneric(want, a2[ao:ao+2*nb], xy[ao:ao+2*nb], nb, 1)
 			}
 			for i := range want {
-				if cmplx.Abs(got[i]-want[i]) > 1e-12*(1+cmplx.Abs(want[i])) {
-					t.Fatalf("nb=%d k=%d elem %d: %v vs %v", nb, k, i, got[i], want[i])
+				if math.Float64bits(real(got[i])) != math.Float64bits(real(want[i])) ||
+					math.Float64bits(imag(got[i])) != math.Float64bits(imag(want[i])) {
+					t.Fatalf("%s nb=%d k=%d elem %d: %v vs %v (not bitwise)", tag, nb, k, i, got[i], want[i])
 				}
 			}
 		}
@@ -568,8 +588,8 @@ func TestZetaBatchMatchesPerPrimaryBlock(t *testing.T) {
 }
 
 func TestReduceDispatchBitwiseGeneric(t *testing.T) {
-	// The vector Reduce performs the identical pairwise tree, so unlike the
-	// other primitives it must match the generic body bitwise.
+	// The vector Reduce performs the identical pairwise tree, so it must
+	// match the generic body bitwise.
 	rng := rand.New(rand.NewSource(97))
 	for _, n := range []int{1, 2, 3, 7, 8, 121} {
 		acc := make([]float64, n*Lanes)
@@ -592,7 +612,11 @@ func TestZetaBatchIsoMatchesReference(t *testing.T) {
 	// ZetaBatchIso over K packed split-half primaries must agree with the
 	// scalar real update it compacts — x*re2 + y*im2 with the weighted leg
 	// derived from the per-primary weight — for every nb strip/row shape
-	// and K, under whichever dispatch is active.
+	// and K, under each dispatch.
+	eachDispatch(t, func(tag string) { testZetaBatchIsoMatchesReference(t, tag) })
+}
+
+func testZetaBatchIsoMatchesReference(t *testing.T, tag string) {
 	rng := rand.New(rand.NewSource(95))
 	for _, nb := range []int{1, 2, 3, 4, 7, 8, 10, 16, 20} {
 		for _, k := range []int{1, 2, 5, 31} {
@@ -624,7 +648,7 @@ func TestZetaBatchIsoMatchesReference(t *testing.T) {
 			}
 			for i := range want {
 				if math.Abs(got[i]-want[i]) > 1e-12*(1+math.Abs(want[i])) {
-					t.Fatalf("nb=%d k=%d elem %d: %v vs %v", nb, k, i, got[i], want[i])
+					t.Fatalf("%s nb=%d k=%d elem %d: %v vs %v", tag, nb, k, i, got[i], want[i])
 				}
 			}
 		}
@@ -632,19 +656,22 @@ func TestZetaBatchIsoMatchesReference(t *testing.T) {
 }
 
 func TestZetaBatchIsoDispatchAgreesWithGeneric(t *testing.T) {
-	// The vector body regroups the two multiply-adds into FMAs, so agreement
-	// with the generic body is to rounding, not bits (same contract as
-	// ZetaBatch).
+	// Both zeta bodies round where their vector twins do — ZetaBatchIso's
+	// weighted leg once, then two FMAs; ZetaBatch's x leg's FMA, then the y
+	// leg's — so the dispatched and the portable bodies agree bit for bit on
+	// full strips, masked strips and odd rows.
 	if !HasAVX512() {
 		t.Skip("no vector path on this host; dispatch is the generic code")
 	}
 	rng := rand.New(rand.NewSource(96))
-	for _, nb := range []int{1, 3, 8, 9, 17} {
+	for _, nb := range []int{1, 3, 4, 8, 9, 17} {
 		k := 6
 		a2 := make([]float64, k*2*nb)
+		xy := make([]float64, k*2*nb)
 		w := make([]float64, k)
 		for j := range a2 {
 			a2[j] = rng.NormFloat64()
+			xy[j] = rng.NormFloat64()
 		}
 		for j := range w {
 			w[j] = rng.ExpFloat64()
@@ -654,8 +681,18 @@ func TestZetaBatchIsoDispatchAgreesWithGeneric(t *testing.T) {
 		zetaBatchIso(got, a2, w, nb, k)
 		zetaBatchIsoGeneric(want, a2, w, nb, k)
 		for i := range want {
-			if math.Abs(got[i]-want[i]) > 1e-12*(1+math.Abs(want[i])) {
-				t.Fatalf("nb=%d elem %d: %v vs %v", nb, i, got[i], want[i])
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("iso nb=%d elem %d: %v vs %v (not bitwise)", nb, i, got[i], want[i])
+			}
+		}
+		cgot := make([]complex128, nb*nb)
+		cwant := make([]complex128, nb*nb)
+		zetaBatch(cgot, a2, xy, nb, k)
+		zetaBatchGeneric(cwant, a2, xy, nb, k)
+		for i := range cwant {
+			if math.Float64bits(real(cgot[i])) != math.Float64bits(real(cwant[i])) ||
+				math.Float64bits(imag(cgot[i])) != math.Float64bits(imag(cwant[i])) {
+				t.Fatalf("complex nb=%d elem %d: %v vs %v (not bitwise)", nb, i, cgot[i], cwant[i])
 			}
 		}
 	}

@@ -14,18 +14,8 @@ func PairCount(l int) int { return (l + 1) * (l + 2) / 2 }
 // PairIndex maps (l, m>=0) to a dense index in [0, PairCount(L)).
 func PairIndex(l, m int) int { return l*(l+1)/2 + m }
 
-// ylmRow locates one (l, m >= 0) coefficient's contraction: its real part
-// reads the Re row of order m and its imaginary part the Im row, both
-// through the same real coefficients N_lm * tildeP_l^m over z^j. tildeP_l^m
-// has the parity of l-m, so only every other power appears: coefficient k
-// multiplies the sum at re + 2k (im + 2k).
-type ylmRow struct {
-	re, im int32 // first sum each part reads; im < 0 for m = 0 (a_l0 is real)
-	lo, hi int32 // the row's coefficients: YlmTable.coef[lo:hi]
-}
-
-// almBlock is the vector body's view of the same table: Lanes consecutive
-// degrees l = m + d of one order m, whose Re (Im) parts are the matrix-vector
+// almBlock is one step of the conversion: Lanes consecutive degrees
+// l = m + d of one order m, whose Re (Im) parts are the matrix-vector
 // product of a Lanes-row coefficient block with the order's Re (Im) row. The
 // block's ncol columns sit column-major in YlmTable.cols (Lanes values per
 // column, zeros where the parity or the triangle has no term), in block
@@ -47,7 +37,8 @@ type almBlock struct {
 //	a_lm = sum_j N_lm c^{lm}_j S_{m,j}:
 //
 // one real coefficient list per (l, m) contracts the Re row of order m into
-// Re a_lm and the Im row into Im a_lm.
+// Re a_lm and the Im row into Im a_lm. tildeP_l^m has the parity of l-m, so
+// only every other power carries a nonzero coefficient.
 //
 // Only m >= 0 is tabulated. The sums come from real weights, so
 // a_{l,-m} = (-1)^m conj(a_{l,m}) (NegM) reconstructs every negative-m
@@ -56,8 +47,6 @@ type almBlock struct {
 type YlmTable struct {
 	L      int
 	Mono   *MonomialTable
-	rows   []ylmRow // per (l, m >= 0), indexed by PairIndex
-	coef   []float64
 	blocks []almBlock
 	cols   []float64
 }
@@ -71,7 +60,7 @@ func NewYlmTable(l int, mono *MonomialTable) *YlmTable {
 	if mono.L < l {
 		panic(fmt.Sprintf("sphharm: monomial table order %d < L %d", mono.L, l))
 	}
-	t := &YlmTable{L: l, Mono: mono, rows: make([]ylmRow, PairCount(l))}
+	t := &YlmTable{L: l, Mono: mono}
 	for m := 0; m <= l; m++ {
 		re, im := mono.rows(m)
 		for d0 := 0; m+d0 <= l; d0 += Lanes {
@@ -82,17 +71,9 @@ func NewYlmTable(l int, mono *MonomialTable) *YlmTable {
 				ll := m + d0 + lane
 				norm := ylmNorm(ll, m)
 				zc := strippedALP(ll, m) // coefficients over z^j, j = 0..l-m
-				j0 := (ll - m) % 2
-				row := ylmRow{re: int32(re + j0), im: int32(im), lo: int32(len(t.coef))}
-				if im >= 0 {
-					row.im += int32(j0)
-				}
-				for j := j0; j < len(zc); j += 2 {
-					t.coef = append(t.coef, norm*zc[j])
+				for j := (ll - m) % 2; j < len(zc); j += 2 {
 					cols[j*Lanes+lane] = norm * zc[j]
 				}
-				row.hi = int32(len(t.coef))
-				t.rows[PairIndex(ll, m)] = row
 				blk.mask |= 1 << lane
 				blk.out[lane] = int64(PairIndex(ll, m))
 			}
@@ -107,7 +88,7 @@ func NewYlmTable(l int, mono *MonomialTable) *YlmTable {
 // into spherical-harmonic coefficients for all (l, m >= 0), writing into out
 // (length PairCount(L)): a_lm = sum_i w_i Y_lm(rhat_i) over the pairs the
 // sums were accumulated from. It runs the portable body under every dispatch
-// tag (it serves EvalPoint, the oracles' entry).
+// tag (it serves EvalPoint, the oracles' entry); its bits are AlmRI's.
 func (t *YlmTable) Alm(m []float64, out []complex128) {
 	if len(m) != t.Mono.Len() {
 		panic("sphharm: Alm sum length mismatch")
@@ -115,17 +96,13 @@ func (t *YlmTable) Alm(m []float64, out []complex128) {
 	if len(out) != PairCount(t.L) {
 		panic("sphharm: Alm output length mismatch")
 	}
-	for i := range t.rows {
-		re, im := t.dot(i, m)
-		out[i] = complex(re, im)
-	}
+	t.almLanes(m, func(i int, re, im float64) { out[i] = complex(re, im) })
 }
 
 // AlmRI is Alm with structure-of-arrays output: the real parts of every
 // (l, m >= 0) coefficient go to re and the imaginary parts to im (each of
 // length PairCount(L)). This is the engine's hot conversion path, feeding
-// the split zeta accumulation directly; it is a lane primitive (the vector
-// body runs the almBlock matrix-vector products, to rounding the same sums).
+// the split zeta accumulation directly; it is a lane primitive.
 func (t *YlmTable) AlmRI(m []float64, re, im []float64) {
 	if len(m) != t.Mono.Len() {
 		panic("sphharm: AlmRI sum length mismatch")
@@ -138,29 +115,44 @@ func (t *YlmTable) AlmRI(m []float64, re, im []float64) {
 
 // almRIGeneric is the pure-Go body of AlmRI.
 func almRIGeneric(t *YlmTable, m []float64, re, im []float64) {
-	for i := range t.rows {
-		re[i], im[i] = t.dot(i, m)
+	t.almLanes(m, func(i int, r, s float64) { re[i], im[i] = r, s })
+}
+
+// almLanes walks the almBlocks with almRIAsm's arithmetic, one degree (lane)
+// at a time, and hands set each (l, m >= 0) slot's Re and Im parts. Each is
+// the lane's coefficient column times the order's row over all the block's
+// columns, in one FMA chain for the even columns and one for the odd, both
+// from +0, then even + odd; an m = 0 slot's Im part is +0.
+func (t *YlmTable) almLanes(m []float64, set func(i int, re, im float64)) {
+	cols := t.cols
+	for _, b := range t.blocks {
+		n := int(b.ncol)
+		reRow := m[b.re : int(b.re)+n]
+		for lane := 0; lane < Lanes && b.mask>>lane&1 != 0; lane++ {
+			var re, im float64
+			re = laneDot(cols[lane:], reRow)
+			if b.im >= 0 {
+				im = laneDot(cols[lane:], m[b.im:int(b.im)+n])
+			}
+			set(int(b.out[lane]), re, im)
+		}
+		cols = cols[n*Lanes:]
 	}
 }
 
-// dot contracts row i's coefficients with the Re and Im rows it reads,
-// ascending in j.
-func (t *YlmTable) dot(i int, m []float64) (re, im float64) {
-	r := &t.rows[i]
-	c := t.coef[r.lo:r.hi]
-	a := m[r.re:]
-	if r.im < 0 {
-		for k, ck := range c {
-			re += ck * a[2*k]
+// laneDot contracts one lane's coefficient column (stride Lanes) with row:
+// column j's term joins the even chain for even j and the odd chain for odd
+// j, each a math.FMA chain from +0, and the chains meet in one add.
+func laneDot(col, row []float64) float64 {
+	var even, odd float64
+	for j, v := range row {
+		if j&1 == 0 {
+			even = math.FMA(col[j*Lanes], v, even)
+		} else {
+			odd = math.FMA(col[j*Lanes], v, odd)
 		}
-		return re, 0
 	}
-	b := m[r.im:]
-	for k, ck := range c {
-		re += ck * a[2*k]
-		im += ck * b[2*k]
-	}
-	return re, im
+	return even + odd
 }
 
 // EvalPoint evaluates Y_lm(xhat) for every (l, m >= 0) at a single unit

@@ -216,13 +216,11 @@ func TestNewYlmTableSharesMonoOrNil(t *testing.T) {
 
 func TestAlmRIDispatchAgreesWithGeneric(t *testing.T) {
 	// The vector AlmRI (one matrix-vector product per eight degrees of an
-	// order) contracts multiply-adds into FMAs but adds each coefficient's
-	// terms in the portable body's order: agreement is to rounding, for every
+	// order, even and odd columns in two FMA chains) and the portable body
+	// perform the same operations in the same order: bitwise equal, for every
 	// block shape — one partial block, full blocks, several per order — and
-	// over a layout of higher order than the table.
-	if !HasAVX512() {
-		t.Skip("no vector path on this host; dispatch is the generic code")
-	}
+	// over a layout of higher order than the table. Alm, the portable body
+	// with complex output, carries the same bits.
 	rng := rand.New(rand.NewSource(5))
 	for _, c := range []struct{ l, monoL int }{{0, 0}, {1, 1}, {4, 4}, {7, 7}, {8, 8}, {10, 10}, {6, 8}, {12, 12}, {20, 20}} {
 		mono := NewMonomialTable(c.monoL)
@@ -232,22 +230,31 @@ func TestAlmRIDispatchAgreesWithGeneric(t *testing.T) {
 			m[i] = rng.NormFloat64()
 		}
 		pc := PairCount(c.l)
-		re, im := make([]float64, pc), make([]float64, pc)
 		wre, wim := make([]float64, pc), make([]float64, pc)
-		for i := range re {
-			re[i], im[i] = math.NaN(), math.NaN() // every slot must be written
-		}
-		almRI(tab, m, re, im)
 		almRIGeneric(tab, m, wre, wim)
-		for i := range wre {
-			scale := 0.0 // sum of |term|: a_lm cancels heavily at high l
-			for _, ck := range tab.coef[tab.rows[i].lo:tab.rows[i].hi] {
-				scale += math.Abs(ck)
-			}
-			if math.Abs(re[i]-wre[i]) > 1e-13*scale*4 || math.Abs(im[i]-wim[i]) > 1e-13*scale*4 {
-				t.Fatalf("L=%d (layout %d) slot %d: (%v, %v) vs (%v, %v)", c.l, c.monoL, i, re[i], im[i], wre[i], wim[i])
+		alm := make([]complex128, pc)
+		tab.Alm(m, alm)
+		check := func(what string, re, im []float64) {
+			t.Helper()
+			for i := range wre {
+				if math.Float64bits(re[i]) != math.Float64bits(wre[i]) || math.Float64bits(im[i]) != math.Float64bits(wim[i]) {
+					t.Fatalf("%s L=%d (layout %d) slot %d: (%v, %v) vs generic (%v, %v)", what, c.l, c.monoL, i, re[i], im[i], wre[i], wim[i])
+				}
 			}
 		}
+		eachDispatch(t, func(tag string) {
+			re, im := make([]float64, pc), make([]float64, pc)
+			for i := range re {
+				re[i], im[i] = math.NaN(), math.NaN() // every slot must be written
+			}
+			tab.AlmRI(m, re, im)
+			check("AlmRI "+tag, re, im)
+		})
+		are, aim := make([]float64, pc), make([]float64, pc)
+		for i, a := range alm {
+			are[i], aim[i] = real(a), imag(a)
+		}
+		check("Alm", are, aim)
 	}
 }
 
