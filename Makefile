@@ -118,7 +118,14 @@ crash-smoke:
 
 # bench/ is its own module (outside `go build ./...`): vet and build it so
 # an API deletion that breaks the repository benchmark fails here, not in
-# the benchmark pipeline.
+# the benchmark pipeline. The APIs bench/ pins, which stay until ROADMAP
+# 3(a) retires the probes that use them: core.Config.Finder / LeafSize /
+# GridCell, core.FinderKD64, kdtree.Build[float32], grid.Build,
+# core.NeighborFinder, exec.Spec.Stream / ShardConcurrency. Its nominal
+# seconds divide by calibrate()'s loop, whose speed on the 2-vCPU host
+# follows main.calibrate's address mod 64: check
+# `go tool nm .bench_build/galactos-bench | grep main.calibrate` and
+# host.solve_wall_s before reading a shift in solve_s as the engine's.
 bench-vet:
 	cd bench && $(GO) vet . && $(GO) build -o /dev/null .
 

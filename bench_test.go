@@ -428,24 +428,6 @@ func BenchmarkSection51SingleNode(b *testing.B) {
 	}
 }
 
-// BenchmarkSection54Precision compares the mixed-precision (f32 tree) and
-// pure-double configurations (Sec. 5.4's 9% effect).
-func BenchmarkSection54Precision(b *testing.B) {
-	cat := benchCatalog(5000, 6)
-	for _, f := range []struct {
-		name string
-		kind core.FinderKind
-	}{{"mixed-kd32", core.FinderKD32}, {"double-kd64", core.FinderKD64}} {
-		b.Run(f.name, func(b *testing.B) {
-			cfg := benchConfig(12)
-			cfg.Finder = f.kind
-			for i := 0; i < b.N; i++ {
-				compute(b, cat, cfg)
-			}
-		})
-	}
-}
-
 // BenchmarkFigure1BAOMap regenerates the zeta_l(r1, r2) coefficient map of
 // Fig. 1 (right) on a BAO-shell mock.
 func BenchmarkFigure1BAOMap(b *testing.B) {
@@ -500,23 +482,6 @@ func BenchmarkBucketSize(b *testing.B) {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
 			cfg := benchConfig(12)
 			cfg.BucketSize = k
-			for i := 0; i < b.N; i++ {
-				compute(b, cat, cfg)
-			}
-		})
-	}
-}
-
-// BenchmarkNeighborFinder is the k-d tree vs grid ablation.
-func BenchmarkNeighborFinder(b *testing.B) {
-	cat := benchCatalog(5000, 10)
-	for _, f := range []struct {
-		name string
-		kind core.FinderKind
-	}{{"kd32", core.FinderKD32}, {"kd64", core.FinderKD64}, {"grid", core.FinderGrid}} {
-		b.Run(f.name, func(b *testing.B) {
-			cfg := benchConfig(12)
-			cfg.Finder = f.kind
 			for i := 0; i < b.N; i++ {
 				compute(b, cat, cfg)
 			}

@@ -60,8 +60,6 @@ var experiments = []experiment{
 	{"se15", "Sec. 2.3: isotropic (SE15) vs anisotropic runtime", expSE15},
 	{"crossover", "Sec. 3: O(N^2) multipole vs O(N^3) brute force", expCrossover},
 	{"buckets", "Ablation: bucket size k (paper fixes 128)", expBuckets},
-	{"finder", "Ablation: k-d tree vs grid neighbor search", expFinder},
-	{"precision", "Sec. 5.4: mixed vs double precision", expPrecision},
 	{"sharded", "Sec. 3.3: sharded out-of-core pipeline vs single shot", expSharded},
 }
 
@@ -396,42 +394,6 @@ func expBuckets(s float64) error {
 	for _, p := range pts {
 		fmt.Printf("  %6d   %-10v  %5.2f\n", p.Size, p.Elapsed.Round(time.Millisecond), p.FlopByte)
 	}
-	return nil
-}
-
-func expFinder(s float64) error {
-	n := int(12000 * s)
-	cat := densityCatalog(n, 27)
-	fmt.Println("neighbor-search substrate (paper: k-d tree; SE15 baseline: grid):")
-	fmt.Println("  finder   time        pairs")
-	for _, f := range []core.FinderKind{core.FinderKD32, core.FinderKD64, core.FinderGrid} {
-		cfg := perfConfig(18)
-		cfg.Finder = f
-		run, err := facadeRun(cat, cfg, "bench-finder")
-		if err != nil {
-			return err
-		}
-		fmt.Printf("  %-7v  %-10v  %d\n", f, run.Elapsed.Round(time.Millisecond), run.Result.Pairs)
-	}
-	return nil
-}
-
-func expPrecision(s float64) error {
-	n := int(15000 * s)
-	cat := densityCatalog(n, 31)
-	mixed, double, rel, err := sim.PrecisionComparison(cat, perfConfig(18))
-	if err != nil {
-		return err
-	}
-	fmt.Println("paper Sec. 5.4: mixed precision (f32 tree + f64 kernel) is 9% faster than")
-	fmt.Println("pure double, with no effect on the physics")
-	fmt.Printf("  mixed (kd32):  %v\n", mixed.Round(time.Millisecond))
-	fmt.Printf("  double (kd64): %v (%+.1f%% vs mixed)\n",
-		double.Round(time.Millisecond), (float64(double)/float64(mixed)-1)*100)
-	fmt.Printf("  channel relative difference: %.2e\n", rel)
-	fmt.Println("note: the paper's 9% requires the tree search to be a sizable runtime")
-	fmt.Println("fraction (sparse 200 Mpc/h queries on Xeon Phi); at this scale the")
-	fmt.Println("search is ~3% of runtime, so the two precisions time alike.")
 	return nil
 }
 

@@ -65,7 +65,6 @@ func main() {
 		lmax    = flag.Int("lmax", 10, "maximum multipole order")
 		los     = flag.String("los", "plane", "line of sight: plane | radial | midpoint")
 		workers = flag.Int("workers", 0, "worker threads (0 = all cores)")
-		finder  = flag.String("finder", "kd32", "neighbor finder: kd32 | kd64 | grid")
 		isoOnly = flag.Bool("iso-only", false, "isotropic-only mode (SE15 baseline)")
 		noSelf  = flag.Bool("no-selfcount", false, "skip self-pair correction (raw kernel mode)")
 		bucket  = flag.Int("bucket", 128, "pair bucket size")
@@ -141,16 +140,6 @@ func main() {
 		cfg.LOS = galactos.LOSMidpoint
 	default:
 		fatalf("unknown -los %q", *los)
-	}
-	switch *finder {
-	case "kd32":
-		cfg.Finder = galactos.FinderKD32
-	case "kd64":
-		cfg.Finder = galactos.FinderKD64
-	case "grid":
-		cfg.Finder = galactos.FinderGrid
-	default:
-		fatalf("unknown -finder %q", *finder)
 	}
 
 	// Backend selection: explicit -backend wins; otherwise the sharded

@@ -90,18 +90,8 @@ const (
 	LOSMidpoint = core.LOSMidpoint
 )
 
-// Neighbor-finder substrates.
-const (
-	// FinderKD32 is the paper's mixed-precision k-d tree (default).
-	FinderKD32 = core.FinderKD32
-	// FinderKD64 is the pure double-precision tree.
-	FinderKD64 = core.FinderKD64
-	// FinderGrid is the Slepian–Eisenstein cell-grid scheme.
-	FinderGrid = core.FinderGrid
-)
-
 // DefaultConfig returns the paper's configuration: Rmax = 200 Mpc/h,
-// 20 radial bins, l_max = 10, bucket size 128, mixed precision.
+// 20 radial bins, l_max = 10, bucket size 128.
 func DefaultConfig() Config { return core.DefaultConfig() }
 
 // Backend is one execution strategy of the unified execution layer

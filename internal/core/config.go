@@ -46,33 +46,18 @@ func (m LOSMode) String() string {
 	}
 }
 
-// FinderKind selects the neighbor-search substrate.
+// FinderKind named a neighbor-search substrate.
+//
+// Deprecated: the engine always searches a float32 k-d tree at a
+// conservative radius (see Config.Finder); the constants remain for callers
+// that still name them.
 type FinderKind int
 
 const (
-	// FinderKD32 is the paper's configuration: a k-d tree storing
-	// single-precision coordinates (mixed-precision mode, Sec. 5.4).
 	FinderKD32 FinderKind = iota
-	// FinderKD64 stores double-precision coordinates (the paper's "pure
-	// double precision" mode).
 	FinderKD64
-	// FinderGrid is the cell-grid scheme of the Slepian–Eisenstein 2015
-	// implementation (Sec. 2.3), and the ablation baseline.
 	FinderGrid
 )
-
-func (f FinderKind) String() string {
-	switch f {
-	case FinderKD32:
-		return "kdtree32"
-	case FinderKD64:
-		return "kdtree64"
-	case FinderGrid:
-		return "grid"
-	default:
-		return fmt.Sprintf("FinderKind(%d)", int(f))
-	}
-}
 
 // Config holds all tunables of a 3PCF computation. The zero value is not
 // valid; start from DefaultConfig.
@@ -112,11 +97,16 @@ type Config struct {
 	// schedule, Sec. 3.3) and commit them in unit order, so the count
 	// changes speed, never a result bit.
 	Workers int
-	// Finder selects the neighbor-search substrate.
-	Finder FinderKind
-	// LeafSize is the k-d tree leaf capacity (<= 0 selects the default).
+	// Finder, LeafSize and GridCell once chose the neighbor search.
+	//
+	// Deprecated: decoded, ignored by the engine and not hashed. The engine
+	// searches one float32 k-d tree of kdtree.DefaultLeafSize at a radius
+	// widened by the float32 rounding bound, so the float64 pair pass alone
+	// decides which pairs count. Normalize still fills LeafSize
+	// (kdtree.DefaultLeafSize) and GridCell (RMax/4) for callers that build a
+	// finder of their own.
+	Finder   FinderKind
 	LeafSize int
-	// GridCell is the cell size for FinderGrid (<= 0 selects RMax/4).
 	GridCell float64
 	// ChunkSize caps the number of primaries in one commit unit — the
 	// gather, zeta and commit unit of the blocked traversal. Primaries are
@@ -134,8 +124,7 @@ type Config struct {
 
 // DefaultConfig returns the paper's configuration: Rmax = 200 Mpc/h, 20
 // radial bins, l_max = 10, plane-parallel line of sight (for simulation
-// cubes), self-count subtraction on, bucket size 128, k-d tree in single
-// precision.
+// cubes), self-count subtraction on, bucket size 128.
 func DefaultConfig() Config {
 	return Config{
 		RMax:       200,
@@ -146,7 +135,6 @@ func DefaultConfig() Config {
 		SelfCount:  true,
 		BucketSize: 128,
 		Workers:    0,
-		Finder:     FinderKD32,
 	}
 }
 

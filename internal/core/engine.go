@@ -13,7 +13,6 @@ import (
 	"galactos/internal/catalog"
 	"galactos/internal/faultpoint"
 	"galactos/internal/geom"
-	"galactos/internal/grid"
 	"galactos/internal/hist"
 	"galactos/internal/kdtree"
 	"galactos/internal/nbr"
@@ -29,13 +28,12 @@ var fpWorkerBlock = faultpoint.New("core.worker.block")
 
 // NeighborFinder is the substrate abstraction: anything that can return all
 // point indices within a radius of any of a set of image centers.
-// kdtree.Tree and grid.Grid satisfy it. The engine gathers through one
-// block-granular QueryRadiusImagesBlock call per commit unit, which must
-// return, for every center, a neighbor list bitwise-identical in content
-// and order to the center's own QueryRadiusImages call — the blocked and
-// per-primary traversals are interchangeable, and the finder and engine
-// property tests pin that. QueryRadiusImages remains the single-center form
-// (the reference path and external tools use it).
+// kdtree.Tree and grid.Grid satisfy it; the engine builds a float32
+// kdtree.Tree. It gathers through one block-granular QueryRadiusImagesBlock
+// call per commit unit, which must return, for every center, a neighbor
+// list bitwise-identical in content and order to the center's own
+// QueryRadiusImages call — the blocked and per-primary traversals are
+// interchangeable, and the finder and engine property tests pin that.
 type NeighborFinder interface {
 	QueryRadiusImages(center geom.Vec3, r float64, images []geom.Vec3, out []int32) []int32
 	QueryRadiusImagesBlock(centers []geom.Vec3, r float64, images []geom.Vec3, blk *nbr.Block)
@@ -59,28 +57,12 @@ func ComputeContext(ctx context.Context, cat *catalog.Catalog, cfg Config) (*Res
 // excludes halo copies ("ignoring secondary galaxies that are in the k-d
 // tree because of halo exchange", Sec. 3.3).
 func ComputeSubset(cat *catalog.Catalog, primary []bool, cfg Config) (*Result, error) {
-	return computeSubset(context.Background(), cat, primary, cfg, engineModes{})
+	return ComputeSubsetContext(context.Background(), cat, primary, cfg)
 }
 
 // ComputeSubsetContext is ComputeSubset under a context (see ComputeContext
 // for the cancellation semantics).
 func ComputeSubsetContext(ctx context.Context, cat *catalog.Catalog, primary []bool, cfg Config) (*Result, error) {
-	return computeSubset(ctx, cat, primary, cfg, engineModes{})
-}
-
-// engineModes selects the test-only reference path. The production engine
-// runs with the zero value; the switch must leave the result bitwise
-// unchanged, which the property tests assert.
-type engineModes struct {
-	// refGather replaces the unit's shared block-granular finder query with
-	// one QueryRadiusImages call per primary. The unit order and the
-	// downstream reduction are untouched, so refGather isolates exactly the
-	// mechanism the blocked traversal introduced.
-	refGather bool
-}
-
-// computeSubset is ComputeSubsetContext with the reference-path switches.
-func computeSubset(ctx context.Context, cat *catalog.Catalog, primary []bool, cfg Config, modes engineModes) (*Result, error) {
 	cfg, err := cfg.Normalize()
 	if err != nil {
 		return nil, err
@@ -88,18 +70,12 @@ func computeSubset(ctx context.Context, cat *catalog.Catalog, primary []bool, cf
 	if primary != nil && len(primary) != cat.Len() {
 		return nil, fmt.Errorf("core: primary mask length %d != catalog length %d", len(primary), cat.Len())
 	}
-	if cat.Box.L > 0 && cfg.RMax >= cat.Box.L/2 {
-		return nil, fmt.Errorf("core: RMax %v must be below half the periodic box %v", cfg.RMax, cat.Box.L)
-	}
-
 	bins, err := hist.NewBinning(cfg.RMin, cfg.RMax, cfg.NBins)
 	if err != nil {
 		return nil, err
 	}
 
 	e := newEngine(ctx, cat, primary, cfg, bins)
-	e.modes = modes
-
 	start := time.Now()
 	if err := e.buildFinder(); err != nil {
 		return nil, err
@@ -175,8 +151,12 @@ type engine struct {
 	blocks     []blockRange
 
 	finder NeighborFinder
-	// images holds periodic image offsets when the finder is not
-	// intrinsically periodic (k-d trees); a single zero offset otherwise.
+	// qr is the radius the finder is queried at: RMax widened by the float32
+	// rounding bound (see buildFinder), so the gather is a superset of the
+	// pairs and PairColumns' float64 RMin <= r < RMax alone decides them.
+	qr float64
+	// images holds the 27 periodic image offsets on a periodic box, a single
+	// zero offset on an open one.
 	images []geom.Vec3
 	// nhat caches the unit observer→galaxy direction of every point
 	// (LOSMidpoint only): precomputing it once per run removes two
@@ -188,8 +168,6 @@ type engine struct {
 	combos   *ComboTable
 	channels []zetaChannel
 	pc       int // sphharm.PairCount(LMax)
-
-	modes engineModes
 
 	next  atomic.Int64 // next unit to hand out
 	clock commitClock  // next unit to commit
@@ -212,25 +190,38 @@ type zetaChannel struct {
 	self   []sphharm.LegendreTerm
 }
 
+// buildFinder builds the run's one neighbour index — a float32 k-d tree, the
+// paper's single-precision search (Sec. 5.1) — its query radius, and the
+// tables every unit shares.
+//
+// The tree only proposes candidates: PairColumns recomputes each pair's
+// separation in float64 and keeps RMin <= r < RMax, so the tree must return
+// every pair that test keeps. It is queried at qr = RMax + s, s = (RMax +
+// 2M)·2⁻²⁰, M = max(|coordinate|, L). With u = 2⁻²⁴ the float32 rounding
+// unit: a stored point (|x| <= M) and a shifted image centre (|x| <= M + L
+// <= 2M) each round once, so a pair's float32 difference is off by at most
+// 3uM per axis, under 6uM in norm. The subtraction, squares and adds round
+// at most five more times, under 3u of the distance, and r² = fl(fl(qr)²)
+// loses at most 1.5u of qr. A pair kept by the float64 test (exact
+// separation below RMax + 2⁻⁵⁰M) therefore tests at most (RMax + 6uM)(1 +
+// 3u), below qr(1 - 1.5u) ~ RMax + 14.5u·RMax + 32uM by a factor of four in
+// each term. The box prunes run the same monotone arithmetic against the
+// same r², so they never drop a point the point test keeps (RMax is assumed
+// inside float32's normal range). On a periodic box a point must also never
+// pass for two images L apart, which RMax + 2s < L/2 rules out.
 func (e *engine) buildFinder() error {
-	periodic := e.shell.Box.L > 0
-	switch e.cfg.Finder {
-	case FinderKD32:
-		e.finder = kdtree.Build[float32](e.pts, e.cfg.LeafSize)
-	case FinderKD64:
-		e.finder = kdtree.Build[float64](e.pts, e.cfg.LeafSize)
-	case FinderGrid:
-		e.finder = grid.Build(e.pts, e.cfg.GridCell, e.shell.Box)
-	default:
-		return fmt.Errorf("core: unknown finder kind %v", e.cfg.Finder)
+	l := e.shell.Box.L
+	m := l
+	for _, p := range e.pts {
+		m = max(m, math.Abs(p.X), math.Abs(p.Y), math.Abs(p.Z))
 	}
-	if periodic && e.cfg.Finder != FinderGrid {
-		// k-d trees are built in open space; cover the wrap by querying
-		// all 27 periodic images (valid because RMax < L/2).
-		e.images = e.shell.Box.Images(e.cfg.RMax)
-	} else {
-		e.images = []geom.Vec3{{}}
+	s := (e.cfg.RMax + 2*m) * 0x1p-20
+	if l > 0 && e.cfg.RMax+2*s >= l/2 {
+		return fmt.Errorf("core: RMax %v must be below half the periodic box %v (less %.2g of float32 search slack)", e.cfg.RMax, l, 2*s)
 	}
+	e.qr = e.cfg.RMax + s
+	e.finder = kdtree.Build[float32](e.pts, kdtree.DefaultLeafSize)
+	e.images = e.shell.Box.Images(e.qr)
 	if e.cfg.LOS == LOSMidpoint {
 		e.nhat = make([]geom.Vec3, len(e.pts))
 		for i, p := range e.pts {
@@ -776,23 +767,15 @@ func (e *engine) processBlock(s *workerState, b int) {
 	lap(&t, &s.tAlmZeta)
 }
 
-// gather is processBlock's stage 1: every neighbor list of the unit through
-// one finder query, and the pair-tile scratch sized to the longest of them.
+// gather is processBlock's stage 1: every candidate list of the unit through
+// one finder query at the conservative radius qr, and the pair-tile scratch
+// sized to the longest of them.
 func (e *engine) gather(s *workerState, prim []int32) {
-	K := len(prim)
-	if e.modes.refGather {
-		s.nbr.Reset(K)
-		for _, pi := range prim {
-			s.nbr.IDs = e.finder.QueryRadiusImages(e.pts[pi], e.cfg.RMax, e.images, s.nbr.IDs)
-			s.nbr.Seal()
-		}
-	} else {
-		centers := s.centers[:K]
-		for i, pi := range prim {
-			centers[i] = e.pts[pi]
-		}
-		e.finder.QueryRadiusImagesBlock(centers, e.cfg.RMax, e.images, &s.nbr)
+	centers := s.centers[:len(prim)]
+	for i, pi := range prim {
+		centers[i] = e.pts[pi]
 	}
+	e.finder.QueryRadiusImagesBlock(centers, e.qr, e.images, &s.nbr)
 	if m := s.nbr.MaxLen(); m > len(s.tx) {
 		s.growTiles(m, e.cfg.LOS == LOSMidpoint)
 	}
@@ -808,7 +791,7 @@ func (e *engine) gather(s *workerState, prim []int32) {
 // whole unit folds through one sphharm.ZetaBatchIso call per channel at
 // half the flops and half the tile traffic of the complex path. The loop
 // structure (channel-major, ascending local-primary order) mirrors the
-// anisotropic stage exactly, so the blocked and reference-gather traversals
+// anisotropic stage exactly, so the blocked and per-primary gathers
 // stay bitwise interchangeable.
 func (e *engine) zetaIsoBlock(s *workerState, K int) {
 	nb := e.bins.N

@@ -104,28 +104,53 @@ func TestPairCountMatchesDirect(t *testing.T) {
 }
 
 func TestFinderInvariance(t *testing.T) {
-	// All three neighbor substrates must agree, on a periodic box (which
-	// exercises the k-d image queries vs the grid's native wrapping).
-	cat := catalog.Clustered(500, 160, catalog.DefaultClusterParams(), 7)
+	// The engine has one neighbour search: the deprecated finder knobs must
+	// move no result bit. On an open catalog offset to ~3000, where a float32
+	// coordinate is ~2e-4 coarse, the float32 search must still hand the
+	// float64 pair pass every pair below RMax: Pairs equals a float64 count.
+	periodic := catalog.Clustered(500, 160, catalog.DefaultClusterParams(), 7)
+	offset := catalog.Uniform(2500, 150, 8)
+	offset.Box = geom.Periodic{}
+	for i := range offset.Galaxies {
+		offset.Galaxies[i].Pos = offset.Galaxies[i].Pos.Add(geom.Vec3{X: 3000, Y: -2900, Z: 3100})
+	}
 	cfg := smallConfig()
-	cfg.RMax = 50
-	var results []*Result
-	for _, f := range []FinderKind{FinderKD32, FinderKD64, FinderGrid} {
-		cfg.Finder = f
-		r, err := Compute(cat, cfg)
+	cfg.RMax = 30
+	for _, cat := range []*catalog.Catalog{periodic, offset} {
+		ref, err := Compute(cat, cfg)
 		if err != nil {
-			t.Fatalf("finder %v: %v", f, err)
+			t.Fatal(err)
 		}
-		results = append(results, r)
-	}
-	// KD64 vs Grid must agree to double precision.
-	if d := results[1].MaxAbsDiff(results[2]); d > 1e-9*results[1].MaxAbs() {
-		t.Errorf("kd64 vs grid differ by %v", d)
-	}
-	// KD32 may re-bin pairs within float32 epsilon of a bin edge; demand
-	// close agreement but not exactness.
-	if d := results[0].MaxAbsDiff(results[1]); d > 1e-3*results[1].MaxAbs() {
-		t.Errorf("kd32 vs kd64 differ by %v (beyond single-precision slack)", d)
+		for _, mutate := range []func(*Config){
+			func(c *Config) { c.Finder = FinderKD64 },
+			func(c *Config) { c.Finder = FinderGrid; c.GridCell = 13 },
+			func(c *Config) { c.LeafSize = 7 },
+		} {
+			c := cfg
+			mutate(&c)
+			got, err := Compute(cat, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sameBits(got, ref); err != nil {
+				t.Errorf("L=%v Finder=%d LeafSize=%d GridCell=%v: %v", cat.Box.L, c.Finder, c.LeafSize, c.GridCell, err)
+			}
+		}
+		if cat != offset {
+			continue
+		}
+		pts := cat.Positions()
+		var want uint64
+		for i, p := range pts {
+			for j, q := range pts {
+				if r := q.Sub(p).Norm(); i != j && r > 0 && r < cfg.RMax {
+					want++
+				}
+			}
+		}
+		if ref.Pairs != want {
+			t.Errorf("offset open catalog: Pairs = %d, float64 count %d", ref.Pairs, want)
+		}
 	}
 }
 

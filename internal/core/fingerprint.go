@@ -10,8 +10,9 @@ import (
 // fingerprintVersion is baked into every fingerprint so a change to the
 // hashed field set (or to Normalize's defaulting rules) can never collide
 // with fingerprints minted under the old scheme. GCFP2 dropped Workers and
-// Scheduling: a GCFP1 key simply misses and recomputes.
-const fingerprintVersion = "GCFP2"
+// Scheduling, GCFP3 the deprecated Finder, LeafSize and GridCell: an older
+// key simply misses and recomputes.
+const fingerprintVersion = "GCFP3"
 
 // Fingerprint returns the canonical content hash of the configuration: the
 // config is normalized first, then every field that can move a result bit is
@@ -25,6 +26,8 @@ const fingerprintVersion = "GCFP2"
 // pins the measured scenario in perfstat reports. Workers is not hashed: the
 // engine commits its units in one fixed order at any worker count, so the
 // same request on hosts of different widths shares one key and one answer.
+// Nor are the deprecated Finder, LeafSize and GridCell, which the engine
+// ignores.
 //
 // A config that does not normalize has no canonical form; the zero-config
 // error is returned unchanged.
@@ -63,11 +66,8 @@ func (c Config) Fingerprint() (string, error) {
 	putB(n.SelfCount)
 	putB(n.IsotropicOnly)
 	// The execution fields below stay because each still moves bits.
-	putI(n.BucketSize)  // kernel chunk boundaries regroup the lane sums
-	putI(int(n.Finder)) // kd32 can drop RMax-edge pairs; each finder lists neighbours in its own order
-	putI(n.LeafSize)    // tree shape sets neighbour order, so the order of each bin's sum
-	putF(n.GridCell)    // grid cell size sets neighbour order under FinderGrid
-	putI(n.ChunkSize)   // unit cuts group the per-unit sums the commit adds
-	putF(n.BlockCell)   // Morton cell size sets the primary order and the unit cuts
+	putI(n.BucketSize) // kernel chunk boundaries regroup the lane sums
+	putI(n.ChunkSize)  // unit cuts group the per-unit sums the commit adds
+	putF(n.BlockCell)  // Morton cell size sets the primary order and the unit cuts
 	return hex.EncodeToString(h.Sum(nil)), nil
 }

@@ -57,9 +57,9 @@ func TestFingerprintOrderInvariance(t *testing.T) {
 	a.NBins = 8
 	a.RMax = 120
 	a.SelfCount = true
-	a.Finder = FinderGrid
+	a.IsotropicOnly = true
 
-	b := Config{RMax: 120, NBins: 8, LMax: 4, SelfCount: true, Finder: FinderGrid}
+	b := Config{RMax: 120, NBins: 8, LMax: 4, SelfCount: true, IsotropicOnly: true}
 
 	fa, err := a.Fingerprint()
 	if err != nil {
@@ -101,9 +101,6 @@ func TestFingerprintSeparatesConfigs(t *testing.T) {
 		{"selfcount", func(c *Config) { c.SelfCount = false }},
 		{"iso-only", func(c *Config) { c.IsotropicOnly = true }},
 		{"bucket", func(c *Config) { c.BucketSize = 64 }},
-		{"finder", func(c *Config) { c.Finder = FinderKD64 }},
-		{"leaf", func(c *Config) { c.LeafSize = 7 }},
-		{"gridcell", func(c *Config) { c.GridCell = 13 }},
 		{"chunk", func(c *Config) { c.ChunkSize = 17 }},
 		{"blockcell", func(c *Config) { c.BlockCell = 33 }},
 	}
@@ -120,12 +117,23 @@ func TestFingerprintSeparatesConfigs(t *testing.T) {
 		}
 		seen[fp] = m.name
 	}
-	// The worker count moves no result bit, so it moves no key.
-	for _, w := range []int{1, 3, 1 + runtime.GOMAXPROCS(0)} {
+	// The worker count and the deprecated finder knobs move no result bit,
+	// so they move no key.
+	for _, m := range []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"workers=1", func(c *Config) { c.Workers = 1 }},
+		{"workers=3", func(c *Config) { c.Workers = 3 }},
+		{"workers>procs", func(c *Config) { c.Workers = 1 + runtime.GOMAXPROCS(0) }},
+		{"finder", func(c *Config) { c.Finder = FinderKD64 }},
+		{"leaf", func(c *Config) { c.LeafSize = 7 }},
+		{"gridcell", func(c *Config) { c.GridCell = 13 }},
+	} {
 		cfg := base
-		cfg.Workers = w
+		m.mutate(&cfg)
 		if fp, err := cfg.Fingerprint(); err != nil || fp != ref {
-			t.Errorf("Workers=%d: fingerprint %s (err %v), want the default's %s", w, fp, err, ref)
+			t.Errorf("%s: fingerprint %s (err %v), want the default's %s", m.name, fp, err, ref)
 		}
 	}
 }

@@ -9,6 +9,8 @@ import (
 
 	"galactos/internal/catalog"
 	"galactos/internal/geom"
+	"galactos/internal/hist"
+	"galactos/internal/nbr"
 	"galactos/internal/sphharm"
 )
 
@@ -236,7 +238,7 @@ func TestBlockedMatchesPerPrimaryBitwise(t *testing.T) {
 	// QueryRadiusImages call per primary, same unit order, same assembly and
 	// reduction downstream) every Aniso channel must be bitwise identical,
 	// not merely close, across all three LOS modes, IsotropicOnly, SelfCount,
-	// all finder substrates, small units and sparse touch lists.
+	// small units and sparse touch lists.
 	cases := []struct {
 		name   string
 		mutate func(*Config)
@@ -266,24 +268,12 @@ func TestBlockedMatchesPerPrimaryBitwise(t *testing.T) {
 			c.Observer = geom.Vec3{X: -300, Y: -250, Z: -400}
 			c.IsotropicOnly = true
 		}},
-		{"los-midpoint-grid", func(c *Config) {
-			c.LOS = LOSMidpoint
-			c.Observer = geom.Vec3{X: -300, Y: -250, Z: -400}
-			c.Finder = FinderGrid
-		}},
-		{"los-midpoint-kd64", func(c *Config) {
-			c.LOS = LOSMidpoint
-			c.Observer = geom.Vec3{X: -300, Y: -250, Z: -400}
-			c.Finder = FinderKD64
-		}},
 		{"los-midpoint-small-blocks", func(c *Config) {
 			c.LOS = LOSMidpoint
 			c.Observer = geom.Vec3{X: -300, Y: -250, Z: -400}
 			c.ChunkSize = 3
 			c.BlockCell = 9
 		}},
-		{"kd64", func(c *Config) { c.Finder = FinderKD64 }},
-		{"grid", func(c *Config) { c.Finder = FinderGrid }},
 		{"sparse-bins", func(c *Config) {
 			c.RMin = 25
 			c.NBins = 12
@@ -298,11 +288,11 @@ func TestBlockedMatchesPerPrimaryBitwise(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := propConfig()
 			tc.mutate(&cfg)
-			blocked, err := computeSubset(context.Background(), cat, nil, cfg, engineModes{})
+			blocked, err := Compute(cat, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, err := computeSubset(context.Background(), cat, nil, cfg, engineModes{refGather: true})
+			ref, err := computePerCentre(cat, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -311,6 +301,37 @@ func TestBlockedMatchesPerPrimaryBitwise(t *testing.T) {
 			}
 		})
 	}
+}
+
+// perCentre is the reference gather: it answers a unit's block query with
+// one QueryRadiusImages call per centre, at the radius it is given.
+type perCentre struct{ NeighborFinder }
+
+func (f perCentre) QueryRadiusImagesBlock(centers []geom.Vec3, r float64, images []geom.Vec3, blk *nbr.Block) {
+	blk.Reset(len(centers))
+	for _, c := range centers {
+		blk.IDs = f.QueryRadiusImages(c, r, images, blk.IDs)
+		blk.Seal()
+	}
+}
+
+// computePerCentre is Compute with the engine's finder wrapped in perCentre.
+func computePerCentre(cat *catalog.Catalog, cfg Config) (*Result, error) {
+	cfg, err := cfg.Normalize()
+	if err != nil {
+		return nil, err
+	}
+	bins, err := hist.NewBinning(cfg.RMin, cfg.RMax, cfg.NBins)
+	if err != nil {
+		return nil, err
+	}
+	e := newEngine(context.Background(), cat, nil, cfg, bins)
+	if err := e.buildFinder(); err != nil {
+		return nil, err
+	}
+	e.finder = perCentre{e.finder}
+	e.buildBlocks()
+	return e.run()
 }
 
 func TestMonopoleChannelIsRealPositive(t *testing.T) {

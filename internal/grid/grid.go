@@ -1,9 +1,9 @@
 // Package grid implements a cell-grid neighbor finder: the "simple gridding
 // scheme to accelerate the finding of all secondaries within Rmax of a given
 // primary" used by the Slepian–Eisenstein 2015 implementation the paper
-// compares against (Sec. 2.3). It is the ablation baseline for the k-d tree
-// and the natural home for periodic boundary conditions, which cosmological
-// simulation boxes such as Outer Rim use.
+// compares against (Sec. 2.3). It wraps periodic boxes natively; the 2PCF
+// counter (internal/twopcf) searches with it. The 3PCF engine does not: it
+// has one neighbour index, the float32 k-d tree.
 package grid
 
 import (
@@ -151,7 +151,7 @@ func (g *Grid) QueryRadius(center geom.Vec3, r float64, out []int32) []int32 {
 
 // QueryRadiusImages is the fused multi-image form of QueryRadius shared
 // with the k-d trees (core.NeighborFinder). The grid's cell lists wrap
-// periodic boundaries natively, so the engine hands it a single zero offset
+// periodic boundaries natively, so a caller hands it a single zero offset
 // and the whole neighborhood comes from one cell-list sweep; explicit
 // offsets (open-boundary tilings) fall back to one sweep per image.
 func (g *Grid) QueryRadiusImages(center geom.Vec3, r float64, images []geom.Vec3, out []int32) []int32 {

@@ -1,10 +1,12 @@
 // Package kdtree implements the node-local spatial k-d tree Galactos uses to
-// gather all secondaries within Rmax of each primary (Algorithm 1). The
-// element type is generic over float32/float64: the paper runs the tree
-// search in single precision "due to its insensitivity to the precision of
-// galaxy locations" (Sec. 5.1) while the multipole kernel stays in double;
-// Tree[float32] vs Tree[float64] reproduces the mixed-vs-double precision
-// experiment of Sec. 5.4.
+// gather the candidate secondaries of each primary (Algorithm 1). The paper
+// runs the tree search in single precision "due to its insensitivity to the
+// precision of galaxy locations" (Sec. 5.1) while the kernel stays in
+// double, and so does the engine: it queries a Tree[float32] at RMax
+// widened by the float32 rounding bound, and its float64 pair pass decides
+// which candidates are pairs. The distance tests run in the storage
+// precision T; Tree[float64] remains for tools and tests that want exact
+// float64 membership (its tests have no AVX-512 body).
 package kdtree
 
 import (

@@ -54,8 +54,7 @@ type Report struct {
 	// ConfigFingerprint is core.Config.Fingerprint of the measured run's
 	// normalized configuration — the same canonical hash the galactosd
 	// result cache keys on. It pins the full scenario, including the knobs
-	// the coarser fields above can't see (bucket size, finder, leaf size,
-	// ...).
+	// the coarser fields above can't see (bucket size, chunk size, ...).
 	ConfigFingerprint string `json:"config_fingerprint,omitempty"`
 
 	ElapsedSec        float64 `json:"elapsed_sec"`

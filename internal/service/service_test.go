@@ -198,14 +198,19 @@ func TestCacheKeyIgnoresWorkers(t *testing.T) {
 	ctx := context.Background()
 	req := testRequest(400, 9)
 	var first []byte
-	for i, workers := range []int{1, 3, 0} {
+	// The last resubmission also sets the deprecated finder knobs, which the
+	// engine ignores and the key does not hash.
+	for i, workers := range []int{1, 3, 0, 2} {
 		req.Config.Workers = workers
+		if i == 3 {
+			req.Config.Finder, req.Config.LeafSize = 2, 7
+		}
 		st, err := cl.SubmitStream(ctx, req, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if st.State != service.StateDone || st.CacheHit != (i > 0) {
-			t.Fatalf("Workers=%d: state %s, cache_hit %v; want done, cache_hit %v", workers, st.State, st.CacheHit, i > 0)
+			t.Fatalf("Workers=%d Finder=%d: state %s, cache_hit %v; want done, cache_hit %v", workers, req.Config.Finder, st.State, st.CacheHit, i > 0)
 		}
 		got, err := cl.ResultBytes(ctx, st.ID)
 		if err != nil {
@@ -214,7 +219,7 @@ func TestCacheKeyIgnoresWorkers(t *testing.T) {
 		if i == 0 {
 			first = got
 		} else if !bytes.Equal(got, first) {
-			t.Errorf("Workers=%d: the hit served different bytes than the Workers=1 run", workers)
+			t.Errorf("Workers=%d Finder=%d: the hit served different bytes than the Workers=1 run", workers, req.Config.Finder)
 		}
 	}
 }

@@ -202,31 +202,6 @@ func BreakdownFractions(b core.Breakdown) map[string]float64 {
 	}
 }
 
-// PrecisionComparison runs the same problem with the float32 k-d tree
-// (mixed precision, the paper's production mode) and the float64 tree
-// (pure double), returning both times and the relative channel difference
-// (Sec. 5.4 reports a 9% runtime improvement from mixed precision).
-func PrecisionComparison(cat *catalog.Catalog, cfg core.Config) (mixed, double time.Duration, relDiff float64, err error) {
-	cfg.Finder = core.FinderKD32
-	start := time.Now()
-	r32, err := core.Compute(cat, cfg)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	mixed = time.Since(start)
-	cfg.Finder = core.FinderKD64
-	start = time.Now()
-	r64, err := core.Compute(cat, cfg)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	double = time.Since(start)
-	if s := r64.MaxAbs(); s > 0 {
-		relDiff = r32.MaxAbsDiff(r64) / s
-	}
-	return mixed, double, relDiff, nil
-}
-
 // SE15Comparison measures the isotropic-only mode (the Slepian–Eisenstein
 // 2015 baseline algorithm, Sec. 2.2/2.3) against the full anisotropic mode
 // on the same catalog.

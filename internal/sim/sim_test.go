@@ -125,21 +125,6 @@ func TestBreakdownFractionsSumToOne(t *testing.T) {
 	}
 }
 
-func TestPrecisionComparison(t *testing.T) {
-	cat := catalog.Uniform(600, 200, 9)
-	mixed, double, rel, err := PrecisionComparison(cat, testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mixed <= 0 || double <= 0 {
-		t.Error("times not positive")
-	}
-	// The two precisions must agree closely on the physics.
-	if rel > 1e-3 {
-		t.Errorf("mixed vs double channel difference %v too large", rel)
-	}
-}
-
 func TestSE15Comparison(t *testing.T) {
 	cat := catalog.Uniform(500, 200, 11)
 	iso, aniso, err := SE15Comparison(cat, testConfig())
