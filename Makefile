@@ -120,7 +120,8 @@ crash-smoke:
 # an API deletion that breaks the repository benchmark fails here, not in
 # the benchmark pipeline. The APIs bench/ pins, which stay until ROADMAP
 # 3(a) retires the probes that use them: core.Config.Finder / LeafSize /
-# GridCell, core.FinderKD64, kdtree.Build[float32], grid.Build,
+# GridCell, core.Config.BucketSize (read after Normalize to size a
+# kernel), core.FinderKD64, kdtree.Build[float32], grid.Build,
 # core.NeighborFinder, exec.Spec.Stream / ShardConcurrency. Its nominal
 # seconds divide by calibrate()'s loop, whose speed on the 2-vCPU host
 # follows main.calibrate's address mod 64: check

@@ -68,35 +68,53 @@ func BenchmarkCompute(b *testing.B) {
 // sphharm.tile_ns_per_pair probe shape. ns/chunk at n <= 128 is the chunk's
 // fixed cost plus n pairs of streaming work. The portable/ rows bind the
 // pure-Go bodies: the same bits, at what arm64 and amd64 hosts without
-// AVX-512 pay.
+// AVX-512 pay. The cap= rows are the Sec. 3.3.2 bucket-size ablation: the
+// 1024-pair tile through kernels of capacity 8 to 512 (the engine's is 128).
 func BenchmarkKernelTile(b *testing.B) {
 	mono := sphharm.NewMonomialTable(10)
 	defer sphharm.SetLaneDispatch(sphharm.LaneDispatch() == "avx512")
-	for _, prefix := range []string{"", "portable/"} {
-		for _, n := range []int{8, 22, 73, 128, 1024} {
-			b.Run(fmt.Sprintf("%sn=%d", prefix, n), func(b *testing.B) {
-				sphharm.SetLaneDispatch(prefix == "")
-				k := sphharm.NewKernel(mono, 128)
-				xs := make([]float64, n)
-				ys := make([]float64, n)
-				zs := make([]float64, n)
-				ws := make([]float64, n)
-				for i := range xs {
-					xs[i], ys[i], zs[i], ws[i] = 0.5, 0.5, 0.70710678, 1
-				}
-				acc := make([]float64, sphharm.AccumulatorLen(mono))
-				b.SetBytes(int64(n) * 3 * 8)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					k.AccumulateTile(xs, ys, zs, ws, acc)
-				}
-				ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-				chunks := float64((n + 127) / 128)
-				b.ReportMetric(ns/chunks, "ns/chunk")
-				b.ReportMetric(ns/float64(n), "ns/pair")
-				b.ReportMetric(float64(n)*float64(sphharm.FlopsPerPair(10))/ns, "GFLOP/s")
-			})
+	type shape struct {
+		name     string
+		n, cap   int
+		portable bool
+	}
+	var shapes []shape
+	for _, portable := range []bool{false, true} {
+		prefix := ""
+		if portable {
+			prefix = "portable/"
 		}
+		for _, n := range []int{8, 22, 73, 128, 1024} {
+			shapes = append(shapes, shape{fmt.Sprintf("%sn=%d", prefix, n), n, 128, portable})
+		}
+	}
+	for _, c := range []int{8, 32, 128, 512} {
+		shapes = append(shapes, shape{fmt.Sprintf("cap=%d", c), 1024, c, false})
+	}
+	for _, sh := range shapes {
+		b.Run(sh.name, func(b *testing.B) {
+			sphharm.SetLaneDispatch(!sh.portable)
+			k := sphharm.NewKernel(mono, sh.cap)
+			n := sh.n
+			xs := make([]float64, n)
+			ys := make([]float64, n)
+			zs := make([]float64, n)
+			ws := make([]float64, n)
+			for i := range xs {
+				xs[i], ys[i], zs[i], ws[i] = 0.5, 0.5, 0.70710678, 1
+			}
+			acc := make([]float64, sphharm.AccumulatorLen(mono))
+			b.SetBytes(int64(n) * 3 * 8)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k.AccumulateTile(xs, ys, zs, ws, acc)
+			}
+			ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+			chunks := float64((n + sh.cap - 1) / sh.cap)
+			b.ReportMetric(ns/chunks, "ns/chunk")
+			b.ReportMetric(ns/float64(n), "ns/pair")
+			b.ReportMetric(float64(n)*float64(sphharm.FlopsPerPair(10))/ns, "GFLOP/s")
+		})
 	}
 }
 
@@ -470,20 +488,6 @@ func BenchmarkBruteForce(b *testing.B) {
 				if _, err := bruteforce.Aniso(cat, cfg); err != nil {
 					b.Fatal(err)
 				}
-			}
-		})
-	}
-}
-
-// BenchmarkBucketSize is the k = 128 ablation (Sec. 3.3.2).
-func BenchmarkBucketSize(b *testing.B) {
-	cat := benchCatalog(4000, 9)
-	for _, k := range []int{8, 32, 128, 512} {
-		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			cfg := benchConfig(12)
-			cfg.BucketSize = k
-			for i := 0; i < b.N; i++ {
-				compute(b, cat, cfg)
 			}
 		})
 	}

@@ -59,7 +59,6 @@ var experiments = []experiment{
 	{"baomap", "Fig. 1 (right): BAO feature in zeta_l(r1, r2)", expBAOMap},
 	{"se15", "Sec. 2.3: isotropic (SE15) vs anisotropic runtime", expSE15},
 	{"crossover", "Sec. 3: O(N^2) multipole vs O(N^3) brute force", expCrossover},
-	{"buckets", "Ablation: bucket size k (paper fixes 128)", expBuckets},
 	{"sharded", "Sec. 3.3: sharded out-of-core pipeline vs single shot", expSharded},
 }
 
@@ -104,8 +103,7 @@ func fatalf(format string, args ...any) {
 }
 
 // perfConfig is the paper-shaped configuration scaled to local Rmax: full
-// l_max = 10, 20 radial bins, no self-count (the
-// paper's kernel cost model), bucket 128.
+// l_max = 10, 20 radial bins, no self-count (the paper's kernel cost model).
 func perfConfig(rmax float64) core.Config {
 	cfg := core.DefaultConfig()
 	cfg.RMax = rmax
@@ -379,21 +377,6 @@ func expCrossover(s float64) error {
 			float64(brute)/float64(fast))
 	}
 	fmt.Println("the ratio grows ~linearly in N: the complexity separation of the paper")
-	return nil
-}
-
-func expBuckets(s float64) error {
-	n := int(10000 * s)
-	cat := densityCatalog(n, 25)
-	pts, err := sim.BucketSweep(cat, perfConfig(18), []int{8, 32, 128, 512})
-	if err != nil {
-		return err
-	}
-	fmt.Println("paper Sec. 3.3.2: k = 128 gives flop/byte 9.6; small k is bandwidth-bound")
-	fmt.Println("  bucket   time        flop/byte")
-	for _, p := range pts {
-		fmt.Printf("  %6d   %-10v  %5.2f\n", p.Size, p.Elapsed.Round(time.Millisecond), p.FlopByte)
-	}
 	return nil
 }
 

@@ -67,7 +67,6 @@ func main() {
 		workers = flag.Int("workers", 0, "worker threads (0 = all cores)")
 		isoOnly = flag.Bool("iso-only", false, "isotropic-only mode (SE15 baseline)")
 		noSelf  = flag.Bool("no-selfcount", false, "skip self-pair correction (raw kernel mode)")
-		bucket  = flag.Int("bucket", 128, "pair bucket size")
 
 		backend = flag.String("backend", "", "execution backend: local | sharded (default: inferred from -shards/-checkpoint-dir)")
 
@@ -130,7 +129,6 @@ func main() {
 	cfg.Workers = *workers
 	cfg.IsotropicOnly = *isoOnly
 	cfg.SelfCount = !*noSelf
-	cfg.BucketSize = *bucket
 	switch *los {
 	case "plane":
 		cfg.LOS = galactos.LOSPlaneParallel

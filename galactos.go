@@ -91,7 +91,7 @@ const (
 )
 
 // DefaultConfig returns the paper's configuration: Rmax = 200 Mpc/h,
-// 20 radial bins, l_max = 10, bucket size 128.
+// 20 radial bins, l_max = 10.
 func DefaultConfig() Config { return core.DefaultConfig() }
 
 // Backend is one execution strategy of the unified execution layer

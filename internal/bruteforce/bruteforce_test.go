@@ -16,7 +16,6 @@ func testConfig() core.Config {
 	cfg.RMax = 60
 	cfg.NBins = 5
 	cfg.LMax = 4
-	cfg.BucketSize = 16
 	cfg.Workers = 4
 	return cfg
 }

@@ -85,37 +85,47 @@ func TestEngineMatchesBruteForcePaddedShapes(t *testing.T) {
 }
 
 // unitCatalog engineers the commit-unit shapes of the blocked traversal in
-// an open 90 box for RMax 20 / 5 bins with BlockCell 30 and ChunkSize 8, so
-// a unit closes before it passes 4 primaries. In Morton order the first
-// cells hold 2, 1, 1 | 3, 1 | 2, 1, 1 primaries:
+// an open box for RMax 20 / 5 bins. The engine sorts primaries into Morton
+// cells of side RMax/2 = 10, caps a cell at 64 primaries and closes a unit
+// before it passes 32. In Morton order the cells hold 2, 1, 1 | 29, 1 | 3,
+// 1, 1 | 64 | 8 primaries:
 //
 //   - unit 0 spans three cells: a close pair (an intra-cell folded pair), a
 //     galaxy farther than RMax from everything (an all-zero slab row in the
 //     middle of the unit), and a one-primary cell whose neighbours all live
-//     in the next unit;
-//   - unit 1 starts at a non-zero slab offset with a three-primary cell and
+//     in later units;
+//   - unit 1 starts at a non-zero slab offset with a 29-primary cell and
 //     ends on a one-primary cell;
 //   - unit 2 spans three cells again;
-//   - a 20-galaxy clump in one grid cell is cut into cells of 8, 8 and 4
-//     that each stand alone.
+//   - a 72-galaxy clump in one grid cell is cut into cells of 64 and 8 that
+//     each stand alone.
 //
 // Every slab row past a unit's first cell is written at the cell's offset
 // into the unit, so dropping that offset makes the cells of a unit overwrite
 // each other and every comparison below fail.
 func unitCatalog() *catalog.Catalog {
+	rng := rand.New(rand.NewSource(7))
+	in := func(lo geom.Vec3) geom.Vec3 { // uniform in [lo, lo+8)^3
+		return lo.Add(geom.Vec3{X: 8 * rng.Float64(), Y: 8 * rng.Float64(), Z: 8 * rng.Float64()})
+	}
 	pos := []geom.Vec3{
 		{X: 0, Y: 0, Z: 0}, {X: 2, Y: 3, Z: 1}, // cell (0,0,0)
-		{X: 50, Y: 5, Z: 5},                                              // cell (1,0,0): no neighbour
-		{X: 28, Y: 40, Z: 5},                                             // cell (0,1,0)
-		{X: 33, Y: 42, Z: 6}, {X: 36, Y: 38, Z: 4}, {X: 40, Y: 45, Z: 8}, // cell (1,1,0)
-		{X: 27, Y: 5, Z: 34},                       // cell (0,0,1)
-		{X: 32, Y: 6, Z: 33}, {X: 35, Y: 9, Z: 36}, // cell (1,0,1)
-		{X: 25, Y: 40, Z: 38}, // cell (0,1,1)
-		{X: 34, Y: 36, Z: 33}, // cell (1,1,1)
+		{X: 35, Y: 35, Z: 35}, // cell (3,3,3): no neighbour
+		{X: 48, Y: 3, Z: 3},   // cell (4,0,0)
 	}
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 20; i++ { // cell (2,2,0)
-		pos = append(pos, geom.Vec3{X: 62 + 12*rng.Float64(), Y: 62 + 12*rng.Float64(), Z: 2 + 12*rng.Float64()})
+	for i := 0; i < 29; i++ { // cell (5,0,0)
+		pos = append(pos, in(geom.Vec3{X: 51, Y: 1, Z: 1}))
+	}
+	pos = append(pos,
+		geom.Vec3{X: 47, Y: 14, Z: 4}, // cell (4,1,0)
+		geom.Vec3{X: 52, Y: 15, Z: 5}, // cell (5,1,0), three galaxies
+		geom.Vec3{X: 55, Y: 12, Z: 7},
+		geom.Vec3{X: 57, Y: 17, Z: 3},
+		geom.Vec3{X: 44, Y: 4, Z: 15}, // cell (4,0,1)
+		geom.Vec3{X: 56, Y: 6, Z: 14}, // cell (5,0,1)
+	)
+	for i := 0; i < 72; i++ { // cell (6,6,0)
+		pos = append(pos, in(geom.Vec3{X: 61, Y: 61, Z: 1}))
 	}
 	cat := &catalog.Catalog{}
 	for i, p := range pos {
@@ -139,8 +149,6 @@ func unitCatalog() *catalog.Catalog {
 func TestEngineMatchesBruteForceUnitSpanningCells(t *testing.T) {
 	base := testConfig()
 	base.RMax = 20
-	base.BlockCell = 30
-	base.ChunkSize = 8
 	base.Observer = geom.Vec3{X: -500, Y: -300, Z: -1000}
 	requireUnitShapes(t, unitCatalog(), base)
 
@@ -154,11 +162,11 @@ func TestEngineMatchesBruteForceUnitSpanningCells(t *testing.T) {
 	}
 
 	// The same units under periodic boundaries and the per-pair frame: a box
-	// of side 84 keeps every cell where it was, and brings the clump within
+	// of side 76 keeps every cell where it was, and brings the clump within
 	// RMax of the origin cell through the wrap only — pairs whose separation
 	// takes the minimal image while their midpoint frame does not.
 	wrapped := unitCatalog()
-	wrapped.Box = geom.Periodic{L: 84}
+	wrapped.Box = geom.Periodic{L: 76}
 	requireUnitShapes(t, wrapped, base)
 	cfg := base
 	cfg.LOS = core.LOSMidpoint
@@ -177,6 +185,55 @@ func TestEngineMatchesBruteForceUnitSpanningCells(t *testing.T) {
 		cfg.SelfCount = selfCount
 		requireEngineMatchesAniso(t, wrapped, cfg)
 	}
+}
+
+// TestEngineMatchesBruteForceMultiChunkTile: the kernel consumes a (primary,
+// bin) tile in chunks of 128 pairs, so a tile longer than that adds into the
+// same lane accumulators across a chunk boundary. A centre galaxy with 136
+// neighbours on a jittered shell of radius 12.5-15.5 — all in bin 3 of RMax
+// 20 / 5 bins — holds such a tile; the engine must match direct triplet
+// counting on it, periodic under the plane-parallel frame and open under the
+// radial one.
+func TestEngineMatchesBruteForceMultiChunkTile(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	c := geom.Vec3{X: 60, Y: 60, Z: 60}
+	cat := &catalog.Catalog{Box: geom.Periodic{L: 120}, Galaxies: []catalog.Galaxy{{Pos: c, Weight: 1}}}
+	const n = 136
+	for i := 0; i < n; i++ { // a Fibonacci sphere
+		z := 1 - (2*float64(i)+1)/n
+		phi := 2.399963 * float64(i)
+		rho := math.Sqrt(1 - z*z)
+		u := geom.Vec3{X: rho * math.Cos(phi), Y: rho * math.Sin(phi), Z: z}
+		w := 1.0
+		if i%4 == 0 {
+			w = -0.6
+		}
+		cat.Galaxies = append(cat.Galaxies, catalog.Galaxy{Pos: c.Add(u.Scale(12.5 + 3*rng.Float64())), Weight: w})
+	}
+	cfg := testConfig()
+	cfg.RMax = 20
+	bins, err := hist.NewBinning(cfg.RMin, cfg.RMax, cfg.NBins)
+	if err != nil {
+		t.Fatal(err)
+	}
+	longest := 0
+	for i, p := range cat.Galaxies {
+		tile := make([]int, bins.N)
+		for j, q := range cat.Galaxies {
+			if b := bins.Index(cat.Box.Distance(p.Pos, q.Pos)); j != i && b >= 0 {
+				tile[b]++
+				longest = max(longest, tile[b])
+			}
+		}
+	}
+	if longest <= 128 {
+		t.Fatalf("the longest (primary, bin) tile holds %d pairs: no tile spans two kernel chunks", longest)
+	}
+	requireEngineMatchesAniso(t, cat, cfg)
+	open := &catalog.Catalog{Galaxies: cat.Galaxies}
+	cfg.LOS = core.LOSRadial
+	cfg.Observer = geom.Vec3{X: -500, Y: -300, Z: -1000}
+	requireEngineMatchesAniso(t, open, cfg)
 }
 
 // requireEngineMatchesAniso compares core.Compute, anisotropic and
@@ -254,19 +311,21 @@ func requirePaddedShapes(t *testing.T, cat *catalog.Catalog, cfg core.Config) {
 
 // requireUnitShapes fails when unitCatalog no longer produces the unit
 // shapes the test exists for. It restates buildBlocks' contract
-// independently: primaries sort by the Morton code of their BlockCell grid
-// cell (anchored at the coordinate minimum in an open box), a cell is a run
-// of one code capped at ChunkSize, and a unit is a run of cells closed
-// before it passes ChunkSize/2 primaries.
+// independently: primaries sort by the Morton code of their grid cell of
+// side RMax/2 (anchored at the coordinate minimum in an open box), a cell is
+// a run of one code capped at the engine's 64 primaries, and a unit is a run
+// of cells closed before it passes 32.
 func requireUnitShapes(t *testing.T, cat *catalog.Catalog, cfg core.Config) {
 	t.Helper()
+	const unitCap = 64
+	cell := cfg.RMax / 2
 	org := cat.Galaxies[0].Pos
 	for _, g := range cat.Galaxies {
 		org = geom.Vec3{X: math.Min(org.X, g.Pos.X), Y: math.Min(org.Y, g.Pos.Y), Z: math.Min(org.Z, g.Pos.Z)}
 	}
 	codes := make([]uint64, cat.Len())
 	for i, g := range cat.Galaxies {
-		d := g.Pos.Sub(org).Scale(1 / cfg.BlockCell)
+		d := g.Pos.Sub(org).Scale(1 / cell)
 		for bit := 0; bit < 21; bit++ {
 			for ax, v := range [3]uint64{uint64(d.X), uint64(d.Y), uint64(d.Z)} {
 				codes[i] |= (v >> bit & 1) << (3*bit + ax)
@@ -279,10 +338,10 @@ func requireUnitShapes(t *testing.T, cat *catalog.Catalog, cfg core.Config) {
 	np := 0
 	for i := 0; i < len(sorted); {
 		k := 1
-		for i+k < len(sorted) && sorted[i+k] == sorted[i] && k < cfg.ChunkSize {
+		for i+k < len(sorted) && sorted[i+k] == sorted[i] && k < unitCap {
 			k++
 		}
-		if len(units) == 0 || np+k > cfg.ChunkSize/2 {
+		if len(units) == 0 || np+k > unitCap/2 {
 			units = append(units, nil)
 			np = 0
 		}
@@ -290,7 +349,7 @@ func requireUnitShapes(t *testing.T, cat *catalog.Catalog, cfg core.Config) {
 		np += k
 		i += k
 	}
-	want := [][]int{{2, 1, 1}, {3, 1}, {2, 1, 1}, {8}, {8}, {4}}
+	want := [][]int{{2, 1, 1}, {29, 1}, {3, 1, 1}, {64}, {8}}
 	if !reflect.DeepEqual(units, want) {
 		t.Fatalf("catalog lost its unit shapes: cells per unit %v, want %v", units, want)
 	}

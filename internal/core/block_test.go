@@ -15,7 +15,6 @@ import (
 	"galactos/internal/faultpoint"
 	"galactos/internal/geom"
 	"galactos/internal/hist"
-	"galactos/internal/sphharm"
 )
 
 // sameBits reports the first difference between two results' Pairs,
@@ -49,7 +48,6 @@ func TestResultIndependentOfWorkers(t *testing.T) {
 	periodic := catalog.Clustered(300, 180, catalog.DefaultClusterParams(), 81)
 	open := &catalog.Catalog{Galaxies: periodic.Galaxies}
 	base := propConfig()
-	base.ChunkSize = 8 // dozens of units, so workers interleave
 	base.Observer = geom.Vec3{X: -200, Y: -100, Z: -350}
 	type row struct {
 		name   string
@@ -87,7 +85,8 @@ func TestResultIndependentOfWorkers(t *testing.T) {
 				for _, workers := range []int{1, 2, 3, 8} {
 					cfg := r.cfg
 					cfg.Workers = workers
-					got, err := Compute(r.cat, cfg)
+					// dozens of units, so workers interleave
+					got, err := computeEngine(context.Background(), r.cat, cfg, smallUnits(8, 0))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -114,7 +113,6 @@ func TestBlockCancellationPromptNoLeaks(t *testing.T) {
 	cfg := propConfig()
 	cfg.RMax = 80
 	cfg.Workers = 4
-	cfg.ChunkSize = 4 // many small blocks: cancellation lands mid-run
 
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -123,7 +121,7 @@ func TestBlockCancellationPromptNoLeaks(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	res, err := ComputeContext(ctx, cat, cfg)
+	res, err := computeEngine(ctx, cat, cfg, smallUnits(4, 0)) // many small blocks: cancellation lands mid-run
 	elapsed := time.Since(start)
 	if err == nil {
 		// The run may legitimately finish before the cancel fires on a
@@ -215,25 +213,25 @@ func testProcessBlockAllocFree(t *testing.T, cfg Config) {
 // scheduler. Units are contiguous, non-empty runs of the Morton-sorted
 // primaries that cover every primary once, and they close only on cell
 // edges — where the Morton key changes, or where one key's run is cut at a
-// multiple of ChunkSize — so a cell is never split. A unit of several cells
-// stays within ChunkSize/2 primaries, and units are maximal: a unit closes
+// multiple of unitCap — so a cell is never split. A unit of several cells
+// stays within unitCap/2 primaries, and units are maximal: a unit closes
 // only because its successor's first cell would have pushed it past that
 // bound (so a cell at or above the bound stands alone). The cuts are also
 // pinned outright (unit count and a hash of the boundaries and the primary
 // order, recorded when units were still built from an explicit cell list):
-// the commit order, and with it every result bit, follows them. They depend
-// on the catalog, ChunkSize and BlockCell only — Workers, which decides who
-// processes a unit, must not move a boundary.
+// the commit order, and with it every result bit, follows them. The first
+// row is the engine's own shape; the others shrink it as in-package tests
+// do. The cuts depend on the catalog and the shape only — Workers, which
+// decides who processes a unit, must not move a boundary.
 func TestUnitsPartitionCells(t *testing.T) {
 	cat := catalog.Clustered(3000, 200, catalog.DefaultClusterParams(), 87)
 	for _, shape := range []struct {
-		chunk     int
-		blockCell float64
-		units     int
-		hash      uint64
+		unitCap int32
+		cell    float64
+		units   int
+		hash    uint64
 	}{
 		{0, 0, 103, 0xeed8fbde794016d},
-		{64, 0, 103, 0xeed8fbde794016d},
 		{16, 12, 405, 0xca92fe8f2b2d7d4a},
 		{4, 0, 1007, 0x4ea778aa688d21ae},
 		{3, 9, 2368, 0x8f2401fd3c46c788},
@@ -242,14 +240,19 @@ func TestUnitsPartitionCells(t *testing.T) {
 		var ref []blockRange
 		for _, workers := range []int{1, 2, 8} {
 			cfg := propConfig()
-			cfg.ChunkSize, cfg.BlockCell = shape.chunk, shape.blockCell
 			cfg.Workers = workers
 			cfg, err := cfg.Normalize()
 			if err != nil {
 				t.Fatal(err)
 			}
-			e := &engine{cfg: cfg, shell: sphharm.PairShell{Box: cat.Box}, pts: cat.Positions()}
-			e.primaryIdx = primaryIndices(nil, cat.Len())
+			bins, err := hist.NewBinning(cfg.RMin, cfg.RMax, cfg.NBins)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := newEngine(context.Background(), cat, nil, cfg, bins)
+			if shape.unitCap > 0 {
+				smallUnits(shape.unitCap, shape.cell)(e)
+			}
 			e.buildBlocks()
 			if ref == nil {
 				ref = e.blocks
@@ -262,13 +265,13 @@ func TestUnitsPartitionCells(t *testing.T) {
 					fmt.Fprintf(h, "%d,", pi)
 				}
 				if len(e.blocks) != shape.units || h.Sum64() != shape.hash {
-					t.Fatalf("chunk %d: unit cuts moved: %d units, hash %#x; pinned %d, %#x",
-						shape.chunk, len(e.blocks), h.Sum64(), shape.units, shape.hash)
+					t.Fatalf("unitCap %d: unit cuts moved: %d units, hash %#x; pinned %d, %#x",
+						e.unitCap, len(e.blocks), h.Sum64(), shape.units, shape.hash)
 				}
 				continue
 			}
 			if !slices.Equal(e.blocks, ref) {
-				t.Fatalf("chunk %d: partition moved with workers=%d", shape.chunk, workers)
+				t.Fatalf("unitCap %d: partition moved with workers=%d", e.unitCap, workers)
 			}
 		}
 	}
@@ -276,13 +279,13 @@ func TestUnitsPartitionCells(t *testing.T) {
 
 func checkPartition(t *testing.T, e *engine) {
 	t.Helper()
-	chunk := int32(e.cfg.ChunkSize)
+	unitCap := e.unitCap
 	// Periodic box: cells anchor at the corner. cellEnd[i] reports whether a
 	// cell ends after sorted primary i-1: the key changes there, or the key's
-	// run has reached a multiple of ChunkSize.
+	// run has reached a multiple of unitCap.
 	n := int32(len(e.primaryIdx))
 	key := func(i int32) uint64 {
-		p := e.pts[e.primaryIdx[i]].Scale(1 / e.cfg.BlockCell)
+		p := e.pts[e.primaryIdx[i]].Scale(1 / e.cell)
 		return morton3(cellCoord(p.X), cellCoord(p.Y), cellCoord(p.Z))
 	}
 	cellEnd := make([]bool, n+1)
@@ -291,7 +294,7 @@ func checkPartition(t *testing.T, e *engine) {
 		run++
 		if i == n || key(i) != key(i-1) {
 			cellEnd[i], run = true, 0
-		} else if run%chunk == 0 {
+		} else if run%unitCap == 0 {
 			cellEnd[i] = true
 		}
 	}
@@ -304,31 +307,31 @@ func checkPartition(t *testing.T, e *engine) {
 	multi := 0
 	for i, u := range e.blocks {
 		if u.lo != next || u.hi <= u.lo {
-			t.Fatalf("chunk %d: unit %d = %v after primary %d", chunk, i, u, next)
+			t.Fatalf("unitCap %d: unit %d = %v after primary %d", unitCap, i, u, next)
 		}
 		next = u.hi
 		if !cellEnd[u.hi] {
-			t.Fatalf("chunk %d: unit %d = %v closes inside a cell", chunk, i, u)
+			t.Fatalf("unitCap %d: unit %d = %v closes inside a cell", unitCap, i, u)
 		}
 		if k := u.hi - u.lo; nextCell(u.lo) < u.hi {
 			multi++
-			if k > chunk/2 {
-				t.Fatalf("chunk %d: unit %d spans several cells with %d primaries, bound %d", chunk, i, k, chunk/2)
+			if k > unitCap/2 {
+				t.Fatalf("unitCap %d: unit %d spans several cells with %d primaries, bound %d", unitCap, i, k, unitCap/2)
 			}
-		} else if k > chunk {
-			t.Fatalf("chunk %d: single-cell unit %d holds %d primaries", chunk, i, k)
+		} else if k > unitCap {
+			t.Fatalf("unitCap %d: single-cell unit %d holds %d primaries", unitCap, i, k)
 		}
 		if u.hi < n {
-			if succ := nextCell(u.hi) - u.hi; u.hi-u.lo+succ <= chunk/2 {
-				t.Fatalf("chunk %d: unit %d closed early: %d primaries + next cell's %d fit the bound %d",
-					chunk, i, u.hi-u.lo, succ, chunk/2)
+			if succ := nextCell(u.hi) - u.hi; u.hi-u.lo+succ <= unitCap/2 {
+				t.Fatalf("unitCap %d: unit %d closed early: %d primaries + next cell's %d fit the bound %d",
+					unitCap, i, u.hi-u.lo, succ, unitCap/2)
 			}
 		}
 	}
 	if next != n {
-		t.Fatalf("chunk %d: units cover %d of %d primaries", chunk, next, n)
+		t.Fatalf("unitCap %d: units cover %d of %d primaries", unitCap, next, n)
 	}
-	if chunk >= 16 && multi == 0 {
-		t.Fatalf("chunk %d: no unit spans more than one cell; the test lost its shape", chunk)
+	if unitCap >= 16 && multi == 0 {
+		t.Fatalf("unitCap %d: no unit spans more than one cell; the test lost its shape", unitCap)
 	}
 }

@@ -59,8 +59,10 @@ const (
 	FinderGrid
 )
 
-// Config holds all tunables of a 3PCF computation. The zero value is not
-// valid; start from DefaultConfig.
+// Config holds a 3PCF computation's science configuration — the fields from
+// RMax through IsotropicOnly, which alone decide the answer and its
+// Fingerprint — plus the worker count and deprecated knobs, which change
+// speed at most. The zero value is not valid; start from DefaultConfig.
 type Config struct {
 	// RMax is the maximum triangle side length (the paper uses 200 Mpc/h:
 	// "on scales larger than 200 Mpc/h there are too few independent
@@ -77,7 +79,8 @@ type Config struct {
 	LMax int
 	// LOS selects the line-of-sight convention.
 	LOS LOSMode
-	// Observer is the observer position for LOSRadial.
+	// Observer is the observer position for LOSRadial and LOSMidpoint;
+	// plane-parallel runs never read it.
 	Observer geom.Vec3
 	// SelfCount subtracts the secondary-paired-with-itself term from
 	// diagonal (r1 == r2) bins so triplet counts are exact; disable to
@@ -87,11 +90,6 @@ type Config struct {
 	// needed for the isotropic 3PCF: the Slepian–Eisenstein 2015 baseline
 	// mode (Sec. 2.2).
 	IsotropicOnly bool
-	// BucketSize is the tile kernel's chunk capacity: bin-sorted pair tiles
-	// are consumed in chunks of this many pairs so the kernel scratch stays
-	// cache-resident (the paper's bucket size, 128). Results are invariant
-	// to it up to floating-point regrouping.
-	BucketSize int
 	// Workers is the engine's worker count; <= 0 means GOMAXPROCS. Workers
 	// claim commit units from a shared counter (the paper's OpenMP dynamic
 	// schedule, Sec. 3.3) and commit them in unit order, so the count
@@ -108,38 +106,32 @@ type Config struct {
 	Finder   FinderKind
 	LeafSize int
 	GridCell float64
-	// ChunkSize caps the number of primaries in one commit unit — the
-	// gather, zeta and commit unit of the blocked traversal. Primaries are
-	// sorted into BlockCell-sized grid cells (Morton order); each grid
-	// cell's run is split into cells of at most ChunkSize primaries,
-	// consecutive cells coalesce into commit units that close before
-	// passing ChunkSize/2 primaries (a larger cell stands alone), and
-	// workers claim whole units. <= 0 selects 64.
-	ChunkSize int
-	// BlockCell is the side length of the cells primaries are sorted into
-	// for the blocked traversal (<= 0 selects RMax/2). Smaller cells mean
-	// tighter unit bounding boxes but more unit cuts.
-	BlockCell float64
+	// BucketSize once set the tile kernel's chunk capacity.
+	//
+	// Deprecated: decoded, ignored by the engine and not hashed. The engine
+	// consumes pair tiles in chunks of the paper's bucket size, 128 (Sec.
+	// 3.3.2). Normalize still fills it with 128 for callers that size a
+	// kernel of their own.
+	BucketSize int
 }
 
 // DefaultConfig returns the paper's configuration: Rmax = 200 Mpc/h, 20
 // radial bins, l_max = 10, plane-parallel line of sight (for simulation
-// cubes), self-count subtraction on, bucket size 128.
+// cubes), self-count subtraction on.
 func DefaultConfig() Config {
 	return Config{
-		RMax:       200,
-		RMin:       0,
-		NBins:      20,
-		LMax:       10,
-		LOS:        LOSPlaneParallel,
-		SelfCount:  true,
-		BucketSize: 128,
-		Workers:    0,
+		RMax:      200,
+		RMin:      0,
+		NBins:     20,
+		LMax:      10,
+		LOS:       LOSPlaneParallel,
+		SelfCount: true,
+		Workers:   0,
 	}
 }
 
 // Normalize fills defaults and validates. It returns the effective config.
-// It is the single place worker counts (and every other <= 0 tunable) are
+// It is the single place worker counts (and the deprecated knobs) are
 // resolved to positive values: the engine and the sharded pipeline both
 // consume an already-normalized Workers instead of re-deriving it from
 // GOMAXPROCS themselves.
@@ -156,14 +148,8 @@ func (c Config) Normalize() (Config, error) {
 	if c.LOS < LOSRadial || c.LOS > LOSMidpoint {
 		return c, fmt.Errorf("core: unknown LOS mode %v", c.LOS)
 	}
-	if c.BucketSize <= 0 {
-		c.BucketSize = 128
-	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.ChunkSize <= 0 {
-		c.ChunkSize = 64
 	}
 	if c.LeafSize <= 0 {
 		c.LeafSize = kdtree.DefaultLeafSize
@@ -171,8 +157,8 @@ func (c Config) Normalize() (Config, error) {
 	if c.GridCell <= 0 {
 		c.GridCell = c.RMax / 4
 	}
-	if c.BlockCell <= 0 {
-		c.BlockCell = c.RMax / 2
+	if c.BucketSize <= 0 {
+		c.BucketSize = kernelChunk
 	}
 	return c, nil
 }

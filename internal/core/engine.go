@@ -26,6 +26,20 @@ import (
 // process), a delay perturbs scheduling without changing the result.
 var fpWorkerBlock = faultpoint.New("core.worker.block")
 
+// The engine's execution shape, with the Morton cell side RMax/2. Each sets
+// how floating-point sums group, so none is a knob: fixed, they leave the
+// answer a function of the catalog and the science config alone (see
+// Config.Fingerprint).
+const (
+	// kernelChunk is the tile kernel's chunk capacity: a bin-sorted pair tile
+	// is consumed in chunks of this many pairs, so the kernel scratch stays
+	// cache-resident — the paper's bucket size, k = 128 (Sec. 3.3.2).
+	kernelChunk = 128
+	// commitUnitCap caps a grid cell's run of primaries; commit units close
+	// before passing half of it (see buildBlocks).
+	commitUnitCap = 64
+)
+
 // NeighborFinder is the substrate abstraction: anything that can return all
 // point indices within a radius of any of a set of image centers.
 // kdtree.Tree and grid.Grid satisfy it; the engine builds a float32
@@ -97,9 +111,11 @@ func ComputeSubsetContext(ctx context.Context, cat *catalog.Catalog, primary []b
 // buildFinder and buildBlocks complete the engine.
 func newEngine(ctx context.Context, cat *catalog.Catalog, primary []bool, cfg Config, bins hist.Binning) *engine {
 	e := &engine{
-		ctx:  ctx,
-		cfg:  cfg,
-		bins: bins,
+		ctx:     ctx,
+		cfg:     cfg,
+		bins:    bins,
+		unitCap: commitUnitCap,
+		cell:    cfg.RMax / 2,
 		shell: sphharm.PairShell{
 			Box: cat.Box, RMin: bins.RMin, RMax: bins.RMax,
 			InvW: bins.InvWidth(), NBins: int32(bins.N),
@@ -149,6 +165,11 @@ type engine struct {
 	// index contiguous runs of it.
 	primaryIdx []int32
 	blocks     []blockRange
+	// unitCap and cell shape the commit units: newEngine sets them to
+	// commitUnitCap and RMax/2, and only in-package tests that want many
+	// small units set other values before buildBlocks.
+	unitCap int32
+	cell    float64
 
 	finder NeighborFinder
 	// qr is the radius the finder is queried at: RMax widened by the float32
@@ -250,27 +271,27 @@ func (e *engine) buildFinder() error {
 	return nil
 }
 
-// buildBlocks sorts the primaries into BlockCell-sized grid cells, orders
-// the cells along a Morton curve (so consecutive cells are spatial
+// buildBlocks sorts the primaries into grid cells of side e.cell (RMax/2),
+// orders the cells along a Morton curve (so consecutive cells are spatial
 // neighbors: a unit's bounding box stays a few cells wide and the finder's
 // nodes stay cache-warm from one unit to the next), and cuts the sorted run
 // into commit units on cell boundaries: a cell is one grid cell's run capped
-// at ChunkSize primaries, a unit closes before it would pass ChunkSize/2
-// primaries, a cell is never split, and a cell at or above that bound stands
+// at e.unitCap (commitUnitCap) primaries, a unit closes before it would pass
+// half that, a cell is never split, and a cell at or above that bound stands
 // alone. The per-unit costs that do not scale with pairs — the tree walk of
 // the gather, the accumulator clear, the channel tile traffic of the zeta
-// update, the commit — are then paid once per ~ChunkSize/2 primaries however
+// update, the commit — are then paid once per ~unitCap/2 primaries however
 // sparse the cells are, while the two unit slabs stay L2-resident beside the
 // accumulator. The sort key carries the original index as tiebreak, and the
-// units depend only on the catalog, ChunkSize and BlockCell, so the order —
-// and therefore the floating-point accumulation order of every downstream
-// sum — is fully deterministic.
+// units depend only on the catalog and RMax, so the order — and therefore the
+// floating-point accumulation order of every downstream sum — is fully
+// deterministic.
 func (e *engine) buildBlocks() {
 	n := len(e.primaryIdx)
 	if n == 0 {
 		return
 	}
-	inv := 1 / e.cfg.BlockCell
+	inv := 1 / e.cell
 	var org geom.Vec3 // periodic boxes anchor at the corner; open data at the min
 	if e.shell.Box.L <= 0 {
 		org = e.pts[e.primaryIdx[0]]
@@ -302,11 +323,10 @@ func (e *engine) buildBlocks() {
 	for i, k := range ks {
 		e.primaryIdx[i] = k.pi
 	}
-	cap32 := int32(e.cfg.ChunkSize)
-	bound := cap32 / 2
+	bound := e.unitCap / 2
 	first, lo := int32(0), int32(0) // first primary of the open unit and of the open cell
 	for i := int32(1); i <= int32(n); i++ {
-		if i < int32(n) && ks[i].key == ks[lo].key && i-lo < cap32 {
+		if i < int32(n) && ks[i].key == ks[lo].key && i-lo < e.unitCap {
 			continue
 		}
 		// [lo, i) is a cell: it joins the open unit unless that passes the bound.
@@ -376,7 +396,7 @@ func (c *commitClock) release(b int32) {
 // run executes the unit loop across workers into one result.
 //
 // Determinism contract: workers claim commit units (e.blocks — a function of
-// the catalog, ChunkSize and BlockCell only) from a shared counter for load
+// the catalog and RMax only) from a shared counter for load
 // balance, and each unit adds into the run's single Result in ascending unit
 // index, gated by the commitClock. Every Aniso element therefore receives
 // its per-unit contributions in one fixed order, whatever the worker count
@@ -434,7 +454,7 @@ func (e *engine) run() (*Result, error) {
 
 // worker claims commit units from the shared counter and commits each into
 // dst in unit order. Cancellation is checked once per unit: prompt (a unit
-// is at most ChunkSize primaries) without putting a context load on the
+// is at most commitUnitCap primaries) without putting a context load on the
 // pair loop.
 //
 // Panic isolation: each unit runs under safeProcessBlock, so a panic
@@ -602,8 +622,8 @@ type workerState struct {
 func (e *engine) newWorkerState() *workerState {
 	nb := e.bins.N
 	pc := e.pc
-	// The unit arenas hold the largest unit of this run, not ChunkSize:
-	// buildBlocks closes a unit before it passes ChunkSize/2 unless a single
+	// The unit arenas hold the largest unit of this run, not unitCap:
+	// buildBlocks closes a unit before it passes unitCap/2 unless a single
 	// cell exceeds that, so sizing by the cap zeroes twice the memory any
 	// unit touches.
 	K := 0
@@ -611,7 +631,7 @@ func (e *engine) newWorkerState() *workerState {
 		K = max(K, int(b.hi-b.lo))
 	}
 	s := &workerState{
-		kern:    sphharm.NewKernel(e.mono, e.cfg.BucketSize),
+		kern:    sphharm.NewKernel(e.mono, kernelChunk),
 		acc:     make([][]float64, nb),
 		centers: make([]geom.Vec3, K),
 		cnt:     make([]int32, nb),

@@ -18,7 +18,6 @@ func smallConfig() Config {
 	cfg.NBins = 6
 	cfg.LMax = 4
 	cfg.Workers = 4
-	cfg.BucketSize = 16 // force multiple flushes per primary
 	return cfg
 }
 
@@ -150,25 +149,6 @@ func TestFinderInvariance(t *testing.T) {
 		}
 		if ref.Pairs != want {
 			t.Errorf("offset open catalog: Pairs = %d, float64 count %d", ref.Pairs, want)
-		}
-	}
-}
-
-func TestBucketSizeInvariance(t *testing.T) {
-	cat := catalog.Uniform(250, 150, 8)
-	ref, err := Compute(cat, smallConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, bs := range []int{1, 7, 64, 1024} {
-		cfg := smallConfig()
-		cfg.BucketSize = bs
-		got, err := Compute(cat, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := got.MaxAbsDiff(ref); d > 1e-9*ref.MaxAbs() {
-			t.Errorf("bucket size %d changed result by %v", bs, d)
 		}
 	}
 }

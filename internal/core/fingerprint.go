@@ -5,29 +5,33 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math"
+
+	"galactos/internal/geom"
 )
 
 // fingerprintVersion is baked into every fingerprint so a change to the
 // hashed field set (or to Normalize's defaulting rules) can never collide
 // with fingerprints minted under the old scheme. GCFP2 dropped Workers and
-// Scheduling, GCFP3 the deprecated Finder, LeafSize and GridCell: an older
-// key simply misses and recomputes.
-const fingerprintVersion = "GCFP3"
+// Scheduling, GCFP3 the deprecated Finder, LeafSize and GridCell, GCFP4 the
+// frozen BucketSize, ChunkSize and BlockCell and a plane-parallel run's
+// Observer: an older key simply misses and recomputes.
+const fingerprintVersion = "GCFP4"
 
-// Fingerprint returns the canonical content hash of the configuration: the
-// config is normalized first, then every field that can move a result bit is
-// folded into a SHA-256 in fixed declaration order. Two configs that
-// normalize to the same effective configuration — whether tunables were left
-// zero or spelled out explicitly, and regardless of how the caller assembled
-// them — fingerprint identically; any change to a hashed field changes the
-// fingerprint.
+// Fingerprint returns the run identity of the configuration: the config is
+// normalized first, then the science fields — the only ones that move a
+// result bit — are folded into a SHA-256 in fixed declaration order. Two
+// configs that normalize to the same effective configuration, however the
+// caller assembled them, fingerprint identically; any change to a field the
+// engine reads changes the fingerprint.
 //
-// The fingerprint is the config half of the service result-cache key and
-// pins the measured scenario in perfstat reports. Workers is not hashed: the
-// engine commits its units in one fixed order at any worker count, so the
-// same request on hosts of different widths shares one key and one answer.
-// Nor are the deprecated Finder, LeafSize and GridCell, which the engine
-// ignores.
+// It is the one answer to "is this the same run?": the config half of the
+// service result-cache key and of its journal records, the config pin of a
+// shard checkpoint manifest, and the measured scenario in perfstat reports.
+// Workers is not hashed: the engine commits its units in one fixed order at
+// any worker count, so the same request on hosts of different widths shares
+// one key and one answer. Nor are the deprecated knobs, which the engine
+// ignores, nor Observer under the plane-parallel line of sight, which never
+// reads it.
 //
 // A config that does not normalize has no canonical form; the zero-config
 // error is returned unchanged.
@@ -60,14 +64,13 @@ func (c Config) Fingerprint() (string, error) {
 	putI(n.NBins)
 	putI(n.LMax)
 	putI(int(n.LOS))
+	if n.LOS == LOSPlaneParallel {
+		n.Observer = geom.Vec3{}
+	}
 	putF(n.Observer.X)
 	putF(n.Observer.Y)
 	putF(n.Observer.Z)
 	putB(n.SelfCount)
 	putB(n.IsotropicOnly)
-	// The execution fields below stay because each still moves bits.
-	putI(n.BucketSize) // kernel chunk boundaries regroup the lane sums
-	putI(n.ChunkSize)  // unit cuts group the per-unit sums the commit adds
-	putF(n.BlockCell)  // Morton cell size sets the primary order and the unit cuts
 	return hex.EncodeToString(h.Sum(nil)), nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -16,10 +17,9 @@ func TestFingerprintZeroValueInvariance(t *testing.T) {
 
 	explicit := raw
 	explicit.Workers = runtime.GOMAXPROCS(0)
-	explicit.ChunkSize = 64
 	explicit.LeafSize = kdtree.DefaultLeafSize
 	explicit.GridCell = raw.RMax / 4
-	explicit.BlockCell = raw.RMax / 2
+	explicit.BucketSize = 128
 
 	a, err := raw.Fingerprint()
 	if err != nil {
@@ -82,30 +82,46 @@ func TestFingerprintOrderInvariance(t *testing.T) {
 }
 
 func TestFingerprintSeparatesConfigs(t *testing.T) {
-	// Every result-affecting field must move the fingerprint.
-	base := DefaultConfig()
+	// Every field the engine reads must move the fingerprint and every other
+	// field must leave it. Each Config field is named in one of the two
+	// tables, so a field added later cannot silently miss the key.
+	base := DefaultConfig() // plane-parallel
 	ref, err := base.Fingerprint()
 	if err != nil {
 		t.Fatal(err)
 	}
-	mutations := []struct {
-		name   string
-		mutate func(*Config)
-	}{
-		{"rmax", func(c *Config) { c.RMax = 150 }},
-		{"rmin", func(c *Config) { c.RMin = 10 }},
-		{"nbins", func(c *Config) { c.NBins = 10 }},
-		{"lmax", func(c *Config) { c.LMax = 4 }},
-		{"los", func(c *Config) { c.LOS = LOSRadial }},
-		{"observer", func(c *Config) { c.Observer = geom.Vec3{X: 1} }},
-		{"selfcount", func(c *Config) { c.SelfCount = false }},
-		{"iso-only", func(c *Config) { c.IsotropicOnly = true }},
-		{"bucket", func(c *Config) { c.BucketSize = 64 }},
-		{"chunk", func(c *Config) { c.ChunkSize = 17 }},
-		{"blockcell", func(c *Config) { c.BlockCell = 33 }},
+	type row struct {
+		field, name string
+		mutate      func(*Config)
 	}
+	moves := []row{
+		{"RMax", "rmax", func(c *Config) { c.RMax = 150 }},
+		{"RMin", "rmin", func(c *Config) { c.RMin = 10 }},
+		{"NBins", "nbins", func(c *Config) { c.NBins = 10 }},
+		{"LMax", "lmax", func(c *Config) { c.LMax = 4 }},
+		{"LOS", "radial", func(c *Config) { c.LOS = LOSRadial }},
+		{"LOS", "midpoint", func(c *Config) { c.LOS = LOSMidpoint }},
+		{"Observer", "radial+observer", func(c *Config) { c.LOS, c.Observer = LOSRadial, geom.Vec3{X: 1} }},
+		{"Observer", "midpoint+observer", func(c *Config) { c.LOS, c.Observer = LOSMidpoint, geom.Vec3{X: 1} }},
+		{"SelfCount", "selfcount", func(c *Config) { c.SelfCount = false }},
+		{"IsotropicOnly", "iso-only", func(c *Config) { c.IsotropicOnly = true }},
+	}
+	// The worker count, the deprecated knobs and an Observer no line of sight
+	// reads move no result bit, so they move no key.
+	stays := []row{
+		{"Workers", "workers=1", func(c *Config) { c.Workers = 1 }},
+		{"Workers", "workers=3", func(c *Config) { c.Workers = 3 }},
+		{"Workers", "workers>procs", func(c *Config) { c.Workers = 1 + runtime.GOMAXPROCS(0) }},
+		{"Finder", "finder", func(c *Config) { c.Finder = FinderKD64 }},
+		{"LeafSize", "leaf", func(c *Config) { c.LeafSize = 7 }},
+		{"GridCell", "gridcell", func(c *Config) { c.GridCell = 13 }},
+		{"BucketSize", "bucket", func(c *Config) { c.BucketSize = 64 }},
+		{"Observer", "plane-parallel+observer", func(c *Config) { c.Observer = geom.Vec3{X: 1} }},
+	}
+	named := map[string]bool{}
 	seen := map[string]string{ref: "base"}
-	for _, m := range mutations {
+	for _, m := range moves {
+		named[m.field] = true
 		cfg := base
 		m.mutate(&cfg)
 		fp, err := cfg.Fingerprint()
@@ -117,23 +133,17 @@ func TestFingerprintSeparatesConfigs(t *testing.T) {
 		}
 		seen[fp] = m.name
 	}
-	// The worker count and the deprecated finder knobs move no result bit,
-	// so they move no key.
-	for _, m := range []struct {
-		name   string
-		mutate func(*Config)
-	}{
-		{"workers=1", func(c *Config) { c.Workers = 1 }},
-		{"workers=3", func(c *Config) { c.Workers = 3 }},
-		{"workers>procs", func(c *Config) { c.Workers = 1 + runtime.GOMAXPROCS(0) }},
-		{"finder", func(c *Config) { c.Finder = FinderKD64 }},
-		{"leaf", func(c *Config) { c.LeafSize = 7 }},
-		{"gridcell", func(c *Config) { c.GridCell = 13 }},
-	} {
+	for _, m := range stays {
+		named[m.field] = true
 		cfg := base
 		m.mutate(&cfg)
 		if fp, err := cfg.Fingerprint(); err != nil || fp != ref {
 			t.Errorf("%s: fingerprint %s (err %v), want the default's %s", m.name, fp, err, ref)
+		}
+	}
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(Config{})) {
+		if !named[f.Name] {
+			t.Errorf("Config.%s is in neither table: say whether it moves the key", f.Name)
 		}
 	}
 }

@@ -242,57 +242,62 @@ func TestBlockedMatchesPerPrimaryBitwise(t *testing.T) {
 	cases := []struct {
 		name   string
 		mutate func(*Config)
+		units  func(*engine)
 	}{
-		{"plane-parallel", func(*Config) {}},
-		{"plane-parallel-no-selfcount", func(c *Config) { c.SelfCount = false }},
-		{"plane-parallel-isotropic", func(c *Config) { c.IsotropicOnly = true }},
+		{"plane-parallel", func(*Config) {}, nil},
+		{"plane-parallel-no-selfcount", func(c *Config) { c.SelfCount = false }, nil},
+		{"plane-parallel-isotropic", func(c *Config) { c.IsotropicOnly = true }, nil},
 		{"los-radial", func(c *Config) {
 			c.LOS = LOSRadial
 			c.Observer = geom.Vec3{X: -300, Y: -250, Z: -400}
-		}},
+		}, nil},
 		{"los-radial-isotropic", func(c *Config) {
 			c.LOS = LOSRadial
 			c.IsotropicOnly = true
-		}},
+		}, nil},
 		{"los-midpoint", func(c *Config) {
 			c.LOS = LOSMidpoint
 			c.Observer = geom.Vec3{X: -300, Y: -250, Z: -400}
-		}},
+		}, nil},
 		{"los-midpoint-no-selfcount", func(c *Config) {
 			c.LOS = LOSMidpoint
 			c.Observer = geom.Vec3{X: -300, Y: -250, Z: -400}
 			c.SelfCount = false
-		}},
+		}, nil},
 		{"los-midpoint-isotropic", func(c *Config) {
 			c.LOS = LOSMidpoint
 			c.Observer = geom.Vec3{X: -300, Y: -250, Z: -400}
 			c.IsotropicOnly = true
-		}},
+		}, nil},
 		{"los-midpoint-small-blocks", func(c *Config) {
 			c.LOS = LOSMidpoint
 			c.Observer = geom.Vec3{X: -300, Y: -250, Z: -400}
-			c.ChunkSize = 3
-			c.BlockCell = 9
-		}},
+		}, smallUnits(3, 9)},
 		{"sparse-bins", func(c *Config) {
 			c.RMin = 25
 			c.NBins = 12
-		}},
-		{"small-blocks", func(c *Config) { c.ChunkSize = 3; c.BlockCell = 9 }},
+		}, nil},
+		{"small-blocks", func(*Config) {}, smallUnits(3, 9)},
 		// Eight workers claiming units from the shared counter, against the
 		// three of every other row.
-		{"dynamic-sched", func(c *Config) { c.Workers = 8 }},
+		{"dynamic-sched", func(c *Config) { c.Workers = 8 }, nil},
 	}
 	cat := catalog.Clustered(350, 180, catalog.DefaultClusterParams(), 71)
+	ctx := context.Background()
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := propConfig()
 			tc.mutate(&cfg)
-			blocked, err := Compute(cat, cfg)
+			blocked, err := computeEngine(ctx, cat, cfg, tc.units)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, err := computePerCentre(cat, cfg)
+			ref, err := computeEngine(ctx, cat, cfg, func(e *engine) {
+				if tc.units != nil {
+					tc.units(e)
+				}
+				e.finder = perCentre{e.finder}
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -315,8 +320,11 @@ func (f perCentre) QueryRadiusImagesBlock(centers []geom.Vec3, r float64, images
 	}
 }
 
-// computePerCentre is Compute with the engine's finder wrapped in perCentre.
-func computePerCentre(cat *catalog.Catalog, cfg Config) (*Result, error) {
+// computeEngine is ComputeContext on an engine that adjust, when non-nil,
+// changes after its finder is built and before its units are cut: the tests'
+// way to run the per-centre reference gather or units smaller than the
+// engine's.
+func computeEngine(ctx context.Context, cat *catalog.Catalog, cfg Config, adjust func(*engine)) (*Result, error) {
 	cfg, err := cfg.Normalize()
 	if err != nil {
 		return nil, err
@@ -325,13 +333,26 @@ func computePerCentre(cat *catalog.Catalog, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := newEngine(context.Background(), cat, nil, cfg, bins)
+	e := newEngine(ctx, cat, nil, cfg, bins)
 	if err := e.buildFinder(); err != nil {
 		return nil, err
 	}
-	e.finder = perCentre{e.finder}
+	if adjust != nil {
+		adjust(e)
+	}
 	e.buildBlocks()
 	return e.run()
+}
+
+// smallUnits cuts Morton cells of side cell (0 keeps RMax/2) at unitCap
+// primaries, so units close before unitCap/2: many units per run.
+func smallUnits(unitCap int32, cell float64) func(*engine) {
+	return func(e *engine) {
+		e.unitCap = unitCap
+		if cell > 0 {
+			e.cell = cell
+		}
+	}
 }
 
 func TestMonopoleChannelIsRealPositive(t *testing.T) {

@@ -52,9 +52,9 @@ type Report struct {
 	// normalize.
 	Workers int `json:"workers,omitempty"`
 	// ConfigFingerprint is core.Config.Fingerprint of the measured run's
-	// normalized configuration — the same canonical hash the galactosd
-	// result cache keys on. It pins the full scenario, including the knobs
-	// the coarser fields above can't see (bucket size, chunk size, ...).
+	// configuration — the run identity the galactosd result cache keys on.
+	// It pins the science fields the coarser ones above can't see (the
+	// radial range, line of sight and observer, SelfCount, IsotropicOnly).
 	ConfigFingerprint string `json:"config_fingerprint,omitempty"`
 
 	ElapsedSec        float64 `json:"elapsed_sec"`

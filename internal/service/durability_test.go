@@ -158,8 +158,9 @@ func TestRestartRestoresTerminalJobsAndCache(t *testing.T) {
 // naming the retired dist backend must come back failed, not crash the boot;
 // one carrying the deprecated Stream / ShardConcurrency fields must run as
 // the request without them does, with one line saying they were ignored; and
-// one whose config still carries the deleted Scheduling field must run to
-// the bits of the same request without it.
+// ones whose config still carries the deleted Scheduling field, or the
+// execution knobs BucketSize, ChunkSize and BlockCell, must run to the bits
+// of the same request without them.
 func TestJournalReplayRequeuesInterruptedJob(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
@@ -217,8 +218,10 @@ func TestJournalReplayRequeuesInterruptedJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A fifth was journaled when the config carried its execution knobs.
+	knobsJSON := withExecutionKnobs(t, reqJSON)
 
-	const id, distID, oldID, schedID = "job-000003", "job-000002", "job-000001", "job-000004"
+	const id, distID, oldID, schedID, knobsID = "job-000003", "job-000002", "job-000001", "job-000004", "job-000005"
 	must := func(err error) {
 		if err != nil {
 			t.Fatal(err)
@@ -230,6 +233,7 @@ func TestJournalReplayRequeuesInterruptedJob(t *testing.T) {
 	}{
 		{oldID, "old+" + fp, oldJSON}, {distID, catHash + "+" + fp, distJSON},
 		{id, catHash + "+" + fp, reqJSON}, {schedID, "sched+" + fp, schedJSON},
+		{knobsID, "knobs+" + fp, knobsJSON},
 	} {
 		must(jnl.Append(journal.Record{
 			Type: journal.RecordSubmit, ID: sub.id, Time: time.Now().UTC(),
@@ -241,8 +245,8 @@ func TestJournalReplayRequeuesInterruptedJob(t *testing.T) {
 	must(jnl.Close())
 
 	svc, cl, _ := startRestartable(t, service.Options{Workers: 1, StateDir: dir})
-	if got := svc.Stats().RequeuedJobs; got != 3 {
-		t.Fatalf("RequeuedJobs = %d, want 3", got)
+	if got := svc.Stats().RequeuedJobs; got != 4 {
+		t.Fatalf("RequeuedJobs = %d, want 4", got)
 	}
 
 	// The deprecated fields select nothing: the job runs to the bits of the
@@ -298,31 +302,36 @@ func TestJournalReplayRequeuesInterruptedJob(t *testing.T) {
 		t.Fatalf("requeued job's result: %v", err)
 	}
 
-	// The unknown Scheduling field is ignored on decode: the job completes
-	// with the bits of the request without it.
-	sst, err := cl.Wait(ctx, schedID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sst.State != service.StateDone {
-		t.Fatalf("job carrying Scheduling ended %s (%s), want done", sst.State, sst.Error)
-	}
-	schedRes, err := cl.Result(ctx, schedID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if schedRes.Pairs != plainRes.Pairs || schedRes.MaxAbsDiff(plainRes) != 0 {
-		t.Errorf("the Scheduling field changed the answer: pairs %d vs %d, max |diff| %v",
-			schedRes.Pairs, plainRes.Pairs, schedRes.MaxAbsDiff(plainRes))
+	// The unknown Scheduling field, ChunkSize and BlockCell are ignored on
+	// decode and the deprecated BucketSize by the engine: each job completes
+	// with the bits of the request without them.
+	for _, old := range []struct{ id, fields string }{
+		{schedID, "Scheduling"}, {knobsID, "BucketSize/ChunkSize/BlockCell"},
+	} {
+		ost, err := cl.Wait(ctx, old.id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ost.State != service.StateDone {
+			t.Fatalf("job carrying %s ended %s (%s), want done", old.fields, ost.State, ost.Error)
+		}
+		res, err := cl.Result(ctx, old.id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Pairs != plainRes.Pairs || res.MaxAbsDiff(plainRes) != 0 {
+			t.Errorf("%s changed the answer: pairs %d vs %d, max |diff| %v",
+				old.fields, res.Pairs, plainRes.Pairs, res.MaxAbsDiff(plainRes))
+		}
 	}
 
-	// Ids never rewind: the next submission must come after job-000004.
+	// Ids never rewind: the next submission must come after job-000005.
 	next, err := cl.Submit(ctx, testRequest(300, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if next.ID != "job-000005" {
-		t.Errorf("post-recovery id = %s, want job-000005", next.ID)
+	if next.ID != "job-000006" {
+		t.Errorf("post-recovery id = %s, want job-000006", next.ID)
 	}
 }
 

@@ -3,6 +3,7 @@ package service_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -191,26 +192,37 @@ func TestCacheHitBitwiseIdenticalToColdRun(t *testing.T) {
 
 // TestCacheKeyIgnoresWorkers submits one request at Workers 1, then 3, then
 // 0 (GOMAXPROCS): the worker count moves no result bit, so it is
-// not in the cache key, and the second and third submissions are hits
-// serving the first run's bytes.
+// not in the cache key, and the later submissions are hits serving the
+// first run's bytes.
 func TestCacheKeyIgnoresWorkers(t *testing.T) {
 	_, cl := startServer(t, service.Options{Workers: 1})
 	ctx := context.Background()
 	req := testRequest(400, 9)
 	var first []byte
-	// The last resubmission also sets the deprecated finder knobs, which the
-	// engine ignores and the key does not hash.
-	for i, workers := range []int{1, 3, 0, 2} {
+	// The fourth resubmission also sets the deprecated finder knobs, the
+	// fifth the execution knobs an older build hashed: the engine ignores
+	// both and the key hashes neither.
+	for i, workers := range []int{1, 3, 0, 2, 1} {
 		req.Config.Workers = workers
-		if i == 3 {
+		switch i {
+		case 3:
 			req.Config.Finder, req.Config.LeafSize = 2, 7
+		case 4:
+			wire, err := json.Marshal(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			req = galactos.Request{}
+			if err := json.Unmarshal(withExecutionKnobs(t, wire), &req); err != nil {
+				t.Fatal(err)
+			}
 		}
 		st, err := cl.SubmitStream(ctx, req, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if st.State != service.StateDone || st.CacheHit != (i > 0) {
-			t.Fatalf("Workers=%d Finder=%d: state %s, cache_hit %v; want done, cache_hit %v", workers, req.Config.Finder, st.State, st.CacheHit, i > 0)
+			t.Fatalf("submission %d (Workers=%d): state %s, cache_hit %v; want done, cache_hit %v", i, workers, st.State, st.CacheHit, i > 0)
 		}
 		got, err := cl.ResultBytes(ctx, st.ID)
 		if err != nil {
@@ -219,9 +231,27 @@ func TestCacheKeyIgnoresWorkers(t *testing.T) {
 		if i == 0 {
 			first = got
 		} else if !bytes.Equal(got, first) {
-			t.Errorf("Workers=%d Finder=%d: the hit served different bytes than the Workers=1 run", workers, req.Config.Finder)
+			t.Errorf("submission %d (Workers=%d): the hit served different bytes than the Workers=1 run", i, workers)
 		}
 	}
+}
+
+// withExecutionKnobs returns the JSON request wire with the execution knobs
+// an older build read and hashed set in its config: BucketSize still decodes
+// (deprecated and ignored), ChunkSize and BlockCell no longer do.
+func withExecutionKnobs(t *testing.T, wire []byte) []byte {
+	t.Helper()
+	var m map[string]any
+	if err := json.Unmarshal(wire, &m); err != nil {
+		t.Fatal(err)
+	}
+	cfg := m["config"].(map[string]any)
+	cfg["BucketSize"], cfg["ChunkSize"], cfg["BlockCell"] = 64, 17, 33
+	out, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // submitRejects are requests the submit path must refuse with a 400, each a

@@ -97,51 +97,38 @@ type Stats struct {
 }
 
 // manifest pins a checkpoint directory to one (catalog, config, slab count)
-// so a resume cannot silently merge partials from a different run.
+// so a resume cannot silently merge partials from a different run. The
+// config is pinned by core.Config.Fingerprint, the run identity the service
+// cache key and journal use too.
 type manifest struct {
-	Version       int     `json:"version"`
-	NShards       int     `json:"nshards"`
-	NGalaxies     int     `json:"ngalaxies"`
-	BoxL          float64 `json:"box_l"`
-	SumWeight     float64 `json:"sum_weight"`
-	RMax          float64 `json:"rmax"`
-	RMin          float64 `json:"rmin"`
-	NBins         int     `json:"nbins"`
-	LMax          int     `json:"lmax"`
-	LOS           int     `json:"los"`
-	ObserverX     float64 `json:"observer_x"`
-	ObserverY     float64 `json:"observer_y"`
-	ObserverZ     float64 `json:"observer_z"`
-	SelfCount     bool    `json:"self_count"`
-	IsotropicOnly bool    `json:"isotropic_only"`
+	Version           int     `json:"version"`
+	NShards           int     `json:"nshards"`
+	NGalaxies         int     `json:"ngalaxies"`
+	BoxL              float64 `json:"box_l"`
+	SumWeight         float64 `json:"sum_weight"`
+	ConfigFingerprint string  `json:"config_fingerprint"`
 }
 
-// manifestVersion 2 is the slab decomposition as the only one. Version 1
-// also described k-d shards (told apart by a "stream" field that no longer
-// decodes), whose partials can share LMax, bins and even owned counts with a
-// slab's: a version-1 directory is refused under Resume, never merged.
-// Migration: rerun without -resume (the directory is overwritten), or
-// delete it — version-1 checkpoints cannot be converted.
-const manifestVersion = 2
+// manifestVersion 3 pins the config by its Fingerprint. Version 2 copied ten
+// science fields by hand and missed the execution knobs then hashed beside
+// them, so a resume could merge slabs computed under a different bucket
+// size; version 1 also described k-d shards (told apart by a "stream" field
+// that no longer decodes), whose partials can share LMax, bins and even
+// owned counts with a slab's. An older directory is refused under Resume,
+// never merged. Migration: rerun without -resume (the directory is
+// overwritten), or delete it — older checkpoints cannot be converted.
+const manifestVersion = 3
 
-func newManifest(sc *sourceScan, cfg core.Config, nshards int) manifest {
+func newManifest(sc *sourceScan, cfg core.Config, nshards int) (manifest, error) {
+	fp, err := cfg.Fingerprint()
 	return manifest{
-		Version:       manifestVersion,
-		NShards:       nshards,
-		NGalaxies:     sc.n,
-		BoxL:          sc.box.L,
-		SumWeight:     sc.sumW,
-		RMax:          cfg.RMax,
-		RMin:          cfg.RMin,
-		NBins:         cfg.NBins,
-		LMax:          cfg.LMax,
-		LOS:           int(cfg.LOS),
-		ObserverX:     cfg.Observer.X,
-		ObserverY:     cfg.Observer.Y,
-		ObserverZ:     cfg.Observer.Z,
-		SelfCount:     cfg.SelfCount,
-		IsotropicOnly: cfg.IsotropicOnly,
-	}
+		Version:           manifestVersion,
+		NShards:           nshards,
+		NGalaxies:         sc.n,
+		BoxL:              sc.box.L,
+		SumWeight:         sc.sumW,
+		ConfigFingerprint: fp,
+	}, err
 }
 
 // Compute runs the sharded pipeline over a catalog source: scan, plan,
@@ -190,7 +177,11 @@ func Compute(ctx context.Context, src catalog.Source, cfg core.Config, opts Opti
 	}
 
 	if opts.CheckpointDir != "" {
-		if err := prepareDir(opts.CheckpointDir, newManifest(sc, cfg, opts.NShards), opts.Resume); err != nil {
+		m, err := newManifest(sc, cfg, opts.NShards)
+		if err == nil {
+			err = prepareDir(opts.CheckpointDir, m, opts.Resume)
+		}
+		if err != nil {
 			return nil, nil, err
 		}
 	}

@@ -10,6 +10,7 @@ import (
 
 	"galactos/internal/catalog"
 	"galactos/internal/core"
+	"galactos/internal/geom"
 )
 
 // compute runs the pipeline over an in-memory catalog: a memory source takes
@@ -24,7 +25,6 @@ func testConfig() core.Config {
 	cfg.NBins = 4
 	cfg.LMax = 3
 	cfg.Workers = 2
-	cfg.BucketSize = 32
 	return cfg
 }
 
@@ -206,18 +206,51 @@ func TestStaleTempCheckpointsRemoved(t *testing.T) {
 	}
 }
 
+// TestResumeRejectsForeignManifest: the manifest pins the config by its
+// Fingerprint, so a resume under a config that moves the answer is refused,
+// and one that moves only a field no line of sight reads — the observer of a
+// plane-parallel run — resumes every slab to the same bits.
 func TestResumeRejectsForeignManifest(t *testing.T) {
 	cat := catalog.Clustered(300, 140, catalog.DefaultClusterParams(), 23)
-	cfg := testConfig()
-	dir := t.TempDir()
-	if _, _, err := compute(cat, cfg, Options{NShards: 2, CheckpointDir: dir, Keep: true}); err != nil {
-		t.Fatal(err)
-	}
-	other := cfg
-	other.LMax = cfg.LMax + 1
-	_, _, err := compute(cat, other, Options{NShards: 2, CheckpointDir: dir, Resume: true})
-	if err == nil || !strings.Contains(err.Error(), "different run") {
-		t.Fatalf("resume with a mismatched manifest accepted (err = %v)", err)
+	moved := geom.Vec3{X: -300, Y: 50, Z: 20}
+	for _, tc := range []struct {
+		name    string
+		los     core.LOSMode
+		mutate  func(*core.Config)
+		resumes bool
+	}{
+		{"lmax", core.LOSPlaneParallel, func(c *core.Config) { c.LMax++ }, false},
+		{"plane-parallel observer", core.LOSPlaneParallel, func(c *core.Config) { c.Observer = moved }, true},
+		{"radial observer", core.LOSRadial, func(c *core.Config) { c.Observer = moved }, false},
+	} {
+		cfg := testConfig()
+		cfg.LOS = tc.los
+		dir := t.TempDir()
+		first, _, err := compute(cat, cfg, Options{NShards: 2, CheckpointDir: dir, Keep: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		other := cfg
+		tc.mutate(&other)
+		got, stats, err := compute(cat, other, Options{NShards: 2, CheckpointDir: dir, Resume: true})
+		if !tc.resumes {
+			if err == nil || !strings.Contains(err.Error(), "different run") {
+				t.Fatalf("%s: resume with a mismatched manifest accepted (err = %v)", tc.name, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for _, s := range stats {
+			if !s.Resumed {
+				t.Errorf("%s: slab %d recomputed despite a matching checkpoint", tc.name, s.Shard)
+			}
+		}
+		if got.Pairs != first.Pairs || got.MaxAbsDiff(first) != 0 {
+			t.Errorf("%s: resumed result differs from the checkpointed run: pairs %d vs %d, max |diff| %v",
+				tc.name, got.Pairs, first.Pairs, got.MaxAbsDiff(first))
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -154,12 +155,14 @@ func TestStreamPartialResume(t *testing.T) {
 	}
 }
 
-// TestStreamRejectsForeignCheckpointDir: a directory written at manifest
-// version 1 — by the deleted k-d pipeline ("stream": false) or by the slab
-// pipeline of that build — is refused under Resume with an error naming the
-// version. With the stream field gone the two decode alike, and a k-d
-// partial can share LMax, bins and owned count with a slab's, so nothing
-// after the manifest would stop the merge.
+// TestStreamRejectsForeignCheckpointDir: a directory written at an older
+// manifest version is refused under Resume with an error naming the version.
+// Version 2 copied the science fields by hand where version 3 pins the
+// config's Fingerprint; version 1 added a "stream" field, written by the
+// deleted k-d pipeline (false) or by the slab pipeline of that build (true).
+// With the stream field gone the two decode alike, and a k-d partial can
+// share LMax, bins and owned count with a slab's, so nothing after the
+// manifest would stop the merge.
 func TestStreamRejectsForeignCheckpointDir(t *testing.T) {
 	cat := catalog.Clustered(500, 160, catalog.DefaultClusterParams(), 29)
 	cfg := streamConfig()
@@ -172,18 +175,40 @@ func TestStreamRejectsForeignCheckpointDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var m manifest
+	if err := json.Unmarshal(current, &m); err != nil {
+		t.Fatal(err)
+	}
+	v2, err := json.MarshalIndent(map[string]any{
+		"version": 2, "nshards": m.NShards, "ngalaxies": m.NGalaxies, "box_l": m.BoxL, "sum_weight": m.SumWeight,
+		"rmax": cfg.RMax, "rmin": cfg.RMin, "nbins": cfg.NBins, "lmax": cfg.LMax, "los": int(cfg.LOS),
+		"observer_x": cfg.Observer.X, "observer_y": cfg.Observer.Y, "observer_z": cfg.Observer.Z,
+		"self_count": cfg.SelfCount, "isotropic_only": cfg.IsotropicOnly,
+	}, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	type foreign struct {
+		version    int
+		name, data string
+	}
+	dirs := []foreign{{2, "v2", string(v2)}}
 	for _, stream := range []string{"false", "true"} {
-		v1 := strings.Replace(string(current), `"version": 2,`, `"version": 1,`, 1)
+		v1 := strings.Replace(string(v2), `"version": 2`, `"version": 1`, 1)
 		v1 = strings.Replace(v1, "\n}", ",\n  \"stream\": "+stream+"\n}", 1)
-		if v1 == string(current) || !strings.Contains(v1, `"stream"`) {
-			t.Fatalf("could not derive a version-1 manifest from:\n%s", current)
+		if !strings.Contains(v1, `"version": 1`) || !strings.Contains(v1, `"stream"`) {
+			t.Fatalf("could not derive a version-1 manifest from:\n%s", v2)
 		}
-		if err := os.WriteFile(path, []byte(v1), 0o644); err != nil {
+		dirs = append(dirs, foreign{1, "v1 stream=" + stream, v1})
+	}
+	for _, d := range dirs {
+		if err := os.WriteFile(path, []byte(d.data), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		_, _, err := compute(cat, cfg, Options{NShards: 3, CheckpointDir: dir, Resume: true})
-		if err == nil || !strings.Contains(err.Error(), "different run") || !strings.Contains(err.Error(), "version 1") {
-			t.Fatalf("stream=%s: expected a different-run error naming version 1, got %v", stream, err)
+		want := fmt.Sprintf("version %d", d.version)
+		if err == nil || !strings.Contains(err.Error(), "different run") || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s: expected a different-run error naming %s, got %v", d.name, want, err)
 		}
 	}
 	// The same directory without Resume is simply overwritten.
@@ -199,16 +224,21 @@ func TestStreamRejectsForeignCheckpointDir(t *testing.T) {
 // version's meaning — and what it accepts must survive a rewrite.
 func FuzzManifest(f *testing.F) {
 	cfg := streamConfig()
-	written, err := json.MarshalIndent(newManifest(&sourceScan{n: 700, sumW: 700, box: geom.Periodic{L: 160}}, cfg, 3), "", "  ")
+	m, err := newManifest(&sourceScan{n: 700, sumW: 700, box: geom.Periodic{L: 160}}, cfg, 3)
+	if err != nil {
+		f.Fatal(err)
+	}
+	written, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(written)
 	f.Add(written[:len(written)/2])
-	f.Add(bytes.Replace(written, []byte(`"version": 2`), []byte(`"version": 1`), 1))
+	f.Add(bytes.Replace(written, []byte(`"version": 3`), []byte(`"version": 2`), 1))
 	f.Add(bytes.Replace(written, []byte(`"nshards": 3`), []byte(`"nshards": 1e999`), 1))
-	f.Add([]byte(`{"version": 2, "stream": true}`))
-	f.Add([]byte(`[2]`))
+	f.Add(bytes.Replace(written, []byte(`"config_fingerprint": "`), []byte(`"config_fingerprint": 7, "x": "`), 1))
+	f.Add([]byte(`{"version": 2, "stream": true, "rmax": 40}`))
+	f.Add([]byte(`[3]`))
 	f.Add([]byte(nil))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := parseManifest(data)

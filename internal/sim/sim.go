@@ -253,17 +253,6 @@ func Calibrate(cat *catalog.Catalog, cfg core.Config) (perfmodel.Calibration, er
 	return cal, nil
 }
 
-// BucketPoint is one measurement of the bucket-size ablation (the paper
-// fixes k = 128 to fill the 512-bit vector registers; Sec. 3.3.2 derives
-// the flop/byte ratio as a function of k).
-type BucketPoint struct {
-	Size     int
-	Elapsed  time.Duration
-	FlopByte float64
-}
-
-// BucketSweep measures time-to-solution across bucket sizes and reports the
-// paper's analytic flop/byte ratio 286*2*k / ((3k + 286*2) * 8) per point.
 // HeapSampler starts a goroutine polling runtime.MemStats.HeapInuse and
 // returns a stop function yielding the observed peak — the measurement
 // behind the out-of-core memory comparisons (the `sharded` experiment).
@@ -297,22 +286,4 @@ func HeapSampler() func() uint64 {
 		<-done
 		return peak
 	}
-}
-
-func BucketSweep(cat *catalog.Catalog, cfg core.Config, sizes []int) ([]BucketPoint, error) {
-	out := make([]BucketPoint, 0, len(sizes))
-	for _, k := range sizes {
-		c := cfg
-		c.BucketSize = k
-		start := time.Now()
-		if _, err := core.Compute(cat, c); err != nil {
-			return nil, err
-		}
-		out = append(out, BucketPoint{
-			Size:     k,
-			Elapsed:  time.Since(start),
-			FlopByte: float64(286*2*k) / (float64(3*k+286*2) * 8),
-		})
-	}
-	return out, nil
 }

@@ -153,29 +153,6 @@ func TestCalibrate(t *testing.T) {
 	}
 }
 
-func TestBucketSweep(t *testing.T) {
-	cat := catalog.Uniform(400, 200, 15)
-	pts, err := BucketSweep(cat, testConfig(), []int{8, 128})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 2 {
-		t.Fatalf("%d points", len(pts))
-	}
-	// The paper's flop/byte at k=128 is ~9.6.
-	if math.Abs(pts[1].FlopByte-9.6) > 0.1 {
-		t.Errorf("flop/byte at 128 = %v, want ~9.6", pts[1].FlopByte)
-	}
-	if pts[0].FlopByte >= pts[1].FlopByte {
-		t.Error("flop/byte should grow with bucket size")
-	}
-	for _, p := range pts {
-		if p.Elapsed <= 0 {
-			t.Error("elapsed not positive")
-		}
-	}
-}
-
 func TestScalingPointMatchesDirectCompute(t *testing.T) {
 	// The cluster simulation must reproduce the single-node result.
 	cat := catalog.Clustered(800, 230, catalog.DefaultClusterParams(), 17)

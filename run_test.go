@@ -23,8 +23,8 @@ func TestRunNormalizesOnce(t *testing.T) {
 	raw.RMax = 50
 	raw.NBins = 5
 	raw.LMax = 3
-	// Leave Workers, ChunkSize, LeafSize, GridCell, BlockCell zero: the
-	// run must resolve them once, identically on every path.
+	// Leave Workers and the deprecated LeafSize, GridCell and BucketSize
+	// zero: the run must resolve them once, identically on every path.
 	norm, err := raw.Normalize()
 	if err != nil {
 		t.Fatal(err)
