@@ -3,7 +3,7 @@
 GO ?= go
 
 .PHONY: all build test test-race vet fmt-check bench bench-exp \
-	golden cross-smoke examples-smoke scenario-smoke \
+	golden cross-smoke scenario-smoke \
 	service-smoke chaos-smoke crash-smoke bench-vet bench-test fuzz-smoke loc ci clean
 
 all: build
@@ -14,7 +14,9 @@ build:
 # Tier-1 at three scheduler widths: worker defaults derive from GOMAXPROCS,
 # so a test that is green on one host's core count by accident fails here —
 # and the scenario goldens, which leave Workers at that default, are checked
-# at three worker counts.
+# at three worker counts. The Example functions' // Output: blocks (the
+# root package's walkthroughs and the client's) are checked at all three
+# widths too.
 test:
 	@set -e; for p in 1 2 8; do \
 		echo "== go test ./... (GOMAXPROCS=$$p) =="; \
@@ -69,13 +71,6 @@ cross-smoke:
 	GOOS=linux GOARCH=arm64 $(GO) build ./...
 	GOOS=linux GOARCH=arm64 $(GO) vet ./...
 	GOOS=linux GOARCH=amd64 GOAMD64=v4 $(GO) build ./...
-
-# Run every documented example entry point at tiny N: facade refactors
-# cannot silently break them. Each example takes a -n flag for exactly this.
-examples-smoke:
-	@set -e; for ex in examples/*/; do \
-		echo "== $$ex =="; $(GO) run ./$$ex -n 1200 > /dev/null; done
-	@echo "all examples ran clean"
 
 # Golden end-to-end gate for the galactosd service: start a server, submit
 # a job over HTTP with streamed progress, verify the result is

@@ -11,9 +11,11 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -21,64 +23,59 @@ import (
 	"galactos/internal/faultpoint"
 )
 
-// runChaos executes the sweep and exits nonzero on any failed case or
-// uncovered faultpoint.
-func runChaos(ctx context.Context, n int, seed int64, summaryPath string) {
+// runChaos executes the sweep and fails on any failed case or uncovered
+// faultpoint.
+func runChaos(ctx context.Context, stdout io.Writer, n int, seed int64, summaryPath string) error {
 	scratch, err := os.MkdirTemp("", "galactos-chaos-*")
 	if err != nil {
-		fatalf("%v", err)
+		return err
 	}
 	defer os.RemoveAll(scratch)
 
 	cases, err := chaos.Suite(n, seed, scratch)
 	if err != nil {
-		fatalf("%v", err)
+		return err
 	}
 	registered := faultpoint.Registered()
-	fmt.Printf("chaos sweep: %d case(s), n=%d, seed=%d, %d registered faultpoints\n",
+	fmt.Fprintf(stdout, "chaos sweep: %d case(s), n=%d, seed=%d, %d registered faultpoints\n",
 		len(cases), n, seed, len(registered))
 
 	reports := chaos.RunCases(ctx, seed, cases, func(format string, args ...any) {
-		fmt.Printf(format+"\n", args...)
+		fmt.Fprintf(stdout, format+"\n", args...)
 	})
 	if ctx.Err() != nil {
-		fatalf("interrupted after %d of %d cases", len(reports), len(cases))
+		return fmt.Errorf("interrupted after %d of %d cases", len(reports), len(cases))
 	}
 
-	failed := failedCases(reports)
 	uncovered := chaos.Uncovered(reports)
 	cov := chaos.Coverage(reports)
-	fmt.Printf("faultpoint coverage: %d/%d registered points fired\n",
+	fmt.Fprintf(stdout, "faultpoint coverage: %d/%d registered points fired\n",
 		len(registered)-len(uncovered), len(registered))
 	for _, name := range registered {
 		mark := "ok  "
 		if cov[name] == 0 {
 			mark = "MISS"
 		}
-		fmt.Printf("  %s %-26s fired %d\n", mark, name, cov[name])
+		fmt.Fprintf(stdout, "  %s %-26s fired %d\n", mark, name, cov[name])
 	}
 
-	if summaryPath != "" {
-		if err := writeChaosSummary(summaryPath, n, seed, reports, registered, cov); err != nil {
-			fatalf("writing chaos summary: %v", err)
-		}
-	}
-	if len(failed) > 0 {
-		fatalf("%d of %d chaos cases failed:\n  %s", len(failed), len(reports), strings.Join(failed, "\n  "))
+	if err := sweepVerdict(summaryPath, fmt.Sprintf("Chaos sweep — n=%d, seed=%d", n, seed), "chaos", reports); err != nil {
+		return err
 	}
 	if len(uncovered) > 0 {
-		fatalf("faultpoints never fired: %s", strings.Join(uncovered, ", "))
+		return fmt.Errorf("faultpoints never fired: %s", strings.Join(uncovered, ", "))
 	}
-	fmt.Printf("all %d chaos case(s) recovered bitwise-identically\n", len(reports))
+	fmt.Fprintf(stdout, "all %d chaos case(s) recovered bitwise-identically\n", len(reports))
+	return nil
 }
 
 // runChaosProc executes the subprocess crash sweep: galactosd SIGKILLed at
 // scheduled moments, restarted on the same state dir, and required to serve
-// bitwise-identical results. Exits nonzero on any failed case.
-func runChaosProc(ctx context.Context, n int, seed int64, galactosdBin, summaryPath string) {
+// bitwise-identical results. Fails on any failed case.
+func runChaosProc(ctx context.Context, stdout io.Writer, n int, seed int64, galactosdBin, summaryPath string) error {
 	scratch, err := os.MkdirTemp("", "galactos-chaos-proc-*")
 	if err != nil {
-		fatalf("%v", err)
+		return err
 	}
 	defer os.RemoveAll(scratch)
 
@@ -89,44 +86,48 @@ func runChaosProc(ctx context.Context, n int, seed int64, galactosdBin, summaryP
 		build := exec.CommandContext(ctx, "go", "build", "-o", galactosdBin, "./cmd/galactosd")
 		build.Stderr = os.Stderr
 		if err := build.Run(); err != nil {
-			fatalf("building galactosd for the crash sweep: %v", err)
+			return fmt.Errorf("building galactosd for the crash sweep: %w", err)
 		}
 	}
 
-	fmt.Printf("subprocess crash sweep: n=%d, seed=%d, galactosd=%s\n", n, seed, galactosdBin)
+	fmt.Fprintf(stdout, "subprocess crash sweep: n=%d, seed=%d, galactosd=%s\n", n, seed, galactosdBin)
 	reports, err := chaos.RunProc(ctx, chaos.ProcOptions{
 		N: n, Seed: seed, Scratch: scratch, Galactosd: galactosdBin,
-		Logf: func(format string, args ...any) { fmt.Printf(format+"\n", args...) },
+		Logf: func(format string, args ...any) { fmt.Fprintf(stdout, format+"\n", args...) },
 	})
 	if err != nil {
-		fatalf("%v", err)
+		return err
 	}
 	if ctx.Err() != nil {
-		fatalf("interrupted after %d cases", len(reports))
+		return fmt.Errorf("interrupted after %d cases", len(reports))
 	}
 
-	failed := failedCases(reports)
+	if err := sweepVerdict(summaryPath, fmt.Sprintf("Crash sweep (SIGKILL + restart) — n=%d, seed=%d", n, seed), "crash", reports); err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "all %d crash case(s) recovered bitwise-identically across SIGKILL+restart\n", len(reports))
+	return nil
+}
+
+// sweepVerdict is the tail both sweeps share: append the markdown summary
+// when summaryPath is set, then fail naming every failed case with why it
+// failed, one line each.
+func sweepVerdict(summaryPath, title, kind string, reports []chaos.Report) error {
 	if summaryPath != "" {
-		if err := writeChaosProcSummary(summaryPath, n, seed, reports); err != nil {
-			fatalf("writing crash sweep summary: %v", err)
+		if err := writeChaosSummary(summaryPath, title, reports); err != nil {
+			return fmt.Errorf("writing %s summary: %w", kind, err)
+		}
+	}
+	var failed []string
+	for _, r := range reports {
+		if why := failure(r); why != "" {
+			failed = append(failed, r.Case+": "+why)
 		}
 	}
 	if len(failed) > 0 {
-		fatalf("%d of %d crash cases failed:\n  %s", len(failed), len(reports), strings.Join(failed, "\n  "))
+		return fmt.Errorf("%d of %d %s cases failed:\n  %s", len(failed), len(reports), kind, strings.Join(failed, "\n  "))
 	}
-	fmt.Printf("all %d crash case(s) recovered bitwise-identically across SIGKILL+restart\n", len(reports))
-}
-
-// failedCases names every failed case of a sweep with why it failed, one
-// line each.
-func failedCases(reports []chaos.Report) []string {
-	var out []string
-	for _, r := range reports {
-		if why := failure(r); why != "" {
-			out = append(out, r.Case+": "+why)
-		}
-	}
-	return out
+	return nil
 }
 
 // failure says why r failed — its error, or its clean and faulted hashes
@@ -141,44 +142,25 @@ func failure(r chaos.Report) string {
 	return ""
 }
 
-// writeChaosProcSummary appends the crash sweep as one markdown table. No
-// faultpoint accounting here: the faults fire inside the killed subprocess,
-// whose counters die with it.
-func writeChaosProcSummary(path string, n int, seed int64, reports []chaos.Report) error {
+// writeChaosSummary appends a sweep as markdown (the format
+// $GITHUB_STEP_SUMMARY renders): per-case recovery verdicts, then — when
+// the cases armed in-process faultpoints — the injected-vs-recovered
+// accounting per faultpoint. The crash sweep has no such table: its faults
+// fire inside the killed subprocess, whose counters die with it.
+func writeChaosSummary(path, title string, reports []chaos.Report) error {
 	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(f, "### Crash sweep (SIGKILL + restart) — n=%d, seed=%d\n\n", n, seed)
-	fmt.Fprintln(f, "| case | status | time | hash |")
-	fmt.Fprintln(f, "|---|---|---|---|")
-	for _, r := range reports {
-		status := "recovered"
-		if why := failure(r); why != "" {
-			status = "**FAIL**: " + why
-		}
-		hash := r.Clean
-		if len(hash) > 16 {
-			hash = hash[:16]
-		}
-		fmt.Fprintf(f, "| %s | %s | %v | `%s` |\n",
-			r.Case, status, r.Elapsed.Round(time.Millisecond), hash)
+	armed := slices.ContainsFunc(reports, func(r chaos.Report) bool { return len(r.Stats) > 0 })
+	fmt.Fprintf(f, "### %s\n\n", title)
+	if armed {
+		fmt.Fprintln(f, "| case | status | faults fired/hits | time | hash |")
+		fmt.Fprintln(f, "|---|---|---|---|---|")
+	} else {
+		fmt.Fprintln(f, "| case | status | time | hash |")
+		fmt.Fprintln(f, "|---|---|---|---|")
 	}
-	fmt.Fprintln(f)
-	return f.Close()
-}
-
-// writeChaosSummary appends the sweep as two markdown tables (the format
-// $GITHUB_STEP_SUMMARY renders): per-case recovery verdicts, then the
-// injected-vs-recovered accounting per faultpoint.
-func writeChaosSummary(path string, n int, seed int64, reports []chaos.Report, registered []string, cov map[string]uint64) error {
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(f, "### Chaos sweep — n=%d, seed=%d\n\n", n, seed)
-	fmt.Fprintln(f, "| case | status | faults fired/hits | time | hash |")
-	fmt.Fprintln(f, "|---|---|---|---|---|")
 	injected := make(map[string]uint64)
 	recovered := make(map[string]uint64)
 	for _, r := range reports {
@@ -199,16 +181,22 @@ func writeChaosSummary(path string, n int, seed int64, reports []chaos.Report, r
 		if len(hash) > 16 {
 			hash = hash[:16]
 		}
-		fmt.Fprintf(f, "| %s | %s | %d/%d | %v | `%s` |\n",
-			r.Case, status, fired, hits, r.Elapsed.Round(time.Millisecond), hash)
-	}
-	fmt.Fprintf(f, "\n| faultpoint | injected | recovered |\n|---|---|---|\n")
-	for _, name := range registered {
-		rec := fmt.Sprintf("%d", recovered[name])
-		if cov[name] == 0 {
-			rec = "**never fired**"
+		faults := ""
+		if armed {
+			faults = fmt.Sprintf(" %d/%d |", fired, hits)
 		}
-		fmt.Fprintf(f, "| `%s` | %d | %s |\n", name, injected[name], rec)
+		fmt.Fprintf(f, "| %s | %s |%s %v | `%s` |\n",
+			r.Case, status, faults, r.Elapsed.Round(time.Millisecond), hash)
+	}
+	if armed {
+		fmt.Fprintf(f, "\n| faultpoint | injected | recovered |\n|---|---|---|\n")
+		for _, name := range faultpoint.Registered() {
+			rec := fmt.Sprintf("%d", recovered[name])
+			if injected[name] == 0 {
+				rec = "**never fired**"
+			}
+			fmt.Fprintf(f, "| `%s` | %d | %s |\n", name, injected[name], rec)
+		}
 	}
 	fmt.Fprintln(f)
 	return f.Close()

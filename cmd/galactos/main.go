@@ -44,6 +44,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"runtime/pprof"
@@ -55,70 +56,92 @@ import (
 	"galactos/internal/perfmodel"
 )
 
+// main is the one exit: run returns every failure, after its deferred
+// pprof.StopCPUProfile has completed the -cpuprofile file. SIGINT/SIGTERM
+// cancel run's context, so an interrupt ends here too.
 func main() {
+	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	err := run(ctx, os.Args[1:], os.Stdout)
+	cancel()
+	switch {
+	case errors.Is(err, errUsage):
+		os.Exit(2)
+	case err != nil:
+		fmt.Fprintf(os.Stderr, "galactos: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// errUsage reports a command line the flag set has already answered with
+// its usage text; main exits 2 for it, as flag.ExitOnError would.
+var errUsage = errors.New("usage")
+
+// run parses args and executes one mode, writing its report to stdout.
+func run(ctx context.Context, args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("galactos", flag.ContinueOnError)
 	var (
-		in      = flag.String("in", "", "input catalog (binary or .csv); required")
-		out     = flag.String("out", "zeta", "output prefix")
-		rmax    = flag.Float64("rmax", 200, "maximum triangle side (Mpc/h)")
-		rmin    = flag.Float64("rmin", 0, "minimum triangle side (Mpc/h)")
-		nbins   = flag.Int("nbins", 20, "radial bins")
-		lmax    = flag.Int("lmax", 10, "maximum multipole order")
-		los     = flag.String("los", "plane", "line of sight: plane | radial | midpoint")
-		workers = flag.Int("workers", 0, "worker threads (0 = all cores)")
-		isoOnly = flag.Bool("iso-only", false, "isotropic-only mode (SE15 baseline)")
-		noSelf  = flag.Bool("no-selfcount", false, "skip self-pair correction (raw kernel mode)")
+		in      = fs.String("in", "", "input catalog (binary or .csv); required")
+		out     = fs.String("out", "zeta", "output prefix")
+		rmax    = fs.Float64("rmax", 200, "maximum triangle side (Mpc/h)")
+		rmin    = fs.Float64("rmin", 0, "minimum triangle side (Mpc/h)")
+		nbins   = fs.Int("nbins", 20, "radial bins")
+		lmax    = fs.Int("lmax", 10, "maximum multipole order")
+		los     = fs.String("los", "plane", "line of sight: plane | radial | midpoint")
+		workers = fs.Int("workers", 0, "worker threads (0 = all cores)")
+		isoOnly = fs.Bool("iso-only", false, "isotropic-only mode (SE15 baseline)")
+		noSelf  = fs.Bool("no-selfcount", false, "skip self-pair correction (raw kernel mode)")
 
-		backend = flag.String("backend", "", "execution backend: local | sharded (default: inferred from -shards/-checkpoint-dir)")
+		backend = fs.String("backend", "", "execution backend: local | sharded (default: inferred from -shards/-checkpoint-dir)")
 
-		perfJSON   = flag.String("perf-json", "", "write a machine-readable perfstat report (pairs/sec, FLOP rate, phase breakdown) to this path")
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this path (read it with go tool pprof)")
+		perfJSON   = fs.String("perf-json", "", "write a machine-readable perfstat report (pairs/sec, FLOP rate, phase breakdown) to this path")
+		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the whole run to this path (read it with go tool pprof)")
 
-		shards    = flag.Int("shards", 1, "spatial shards (sharded backend: the catalog streams from -in one shard at a time, never fully resident)")
-		ckptDir   = flag.String("checkpoint-dir", "", "directory for per-shard Result checkpoints (sharded backend)")
-		resume    = flag.Bool("resume", false, "reuse valid checkpoints found in -checkpoint-dir")
-		keepCkpts = flag.Bool("keep-checkpoints", false, "keep per-shard checkpoints after a successful merge")
+		shards    = fs.Int("shards", 1, "spatial shards (sharded backend: the catalog streams from -in one shard at a time, never fully resident)")
+		ckptDir   = fs.String("checkpoint-dir", "", "directory for per-shard Result checkpoints (sharded backend)")
+		resume    = fs.Bool("resume", false, "reuse valid checkpoints found in -checkpoint-dir")
+		keepCkpts = fs.Bool("keep-checkpoints", false, "keep per-shard checkpoints after a successful merge")
 
-		scen        = flag.String("scenario", "", "run the scenario registry instead of a catalog: list | all | <name>")
-		scenN       = flag.Int("n", 900, "scenario catalog size (scenario/chaos mode)")
-		scenSeed    = flag.Int64("seed", 1, "scenario catalog seed (scenario/chaos mode)")
-		scenSummary = flag.String("scenario-summary", "", "append a markdown pass/fail table to this file (scenario mode)")
+		scen        = fs.String("scenario", "", "run the scenario registry instead of a catalog: list | all | <name>")
+		scenN       = fs.Int("n", 900, "scenario catalog size (scenario/chaos mode)")
+		scenSeed    = fs.Int64("seed", 1, "scenario catalog seed (scenario/chaos mode)")
+		scenSummary = fs.String("scenario-summary", "", "append a markdown pass/fail table to this file (scenario mode)")
 
-		chaosMode    = flag.Bool("chaos", false, "run the chaos sweep: fault-injected runs must reproduce clean runs bitwise")
-		chaosProc    = flag.Bool("chaos-proc", false, "run the subprocess crash sweep: galactosd is SIGKILLed mid-job and must recover bitwise after restart")
-		galactosdBin = flag.String("galactosd", "", "path to the galactosd binary (chaos-proc mode; default: go build it into a temp dir)")
-		chaosSummary = flag.String("chaos-summary", "", "append the chaos sweep's markdown tables to this file (chaos mode)")
+		chaosMode    = fs.Bool("chaos", false, "run the chaos sweep: fault-injected runs must reproduce clean runs bitwise")
+		chaosProc    = fs.Bool("chaos-proc", false, "run the subprocess crash sweep: galactosd is SIGKILLed mid-job and must recover bitwise after restart")
+		galactosdBin = fs.String("galactosd", "", "path to the galactosd binary (chaos-proc mode; default: go build it into a temp dir)")
+		chaosSummary = fs.String("chaos-summary", "", "append the chaos sweep's markdown tables to this file (chaos mode)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return errUsage
+	}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			fatalf("-cpuprofile: %v", err)
+			return fmt.Errorf("-cpuprofile: %w", err)
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fatalf("-cpuprofile: %v", err)
+			return fmt.Errorf("-cpuprofile: %w", err)
 		}
 		defer pprof.StopCPUProfile()
 	}
 	if *scen == "list" {
-		listScenarios()
-		return
+		listScenarios(stdout)
+		return nil
 	}
-	if *chaosMode || *chaosProc {
-		ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-		defer cancel()
-		if *chaosProc {
-			runChaosProc(ctx, *scenN, *scenSeed, *galactosdBin, *chaosSummary)
-		} else {
-			runChaos(ctx, *scenN, *scenSeed, *chaosSummary)
-		}
-		return
+	if *chaosProc {
+		return runChaosProc(ctx, stdout, *scenN, *scenSeed, *galactosdBin, *chaosSummary)
+	}
+	if *chaosMode {
+		return runChaos(ctx, stdout, *scenN, *scenSeed, *chaosSummary)
 	}
 	if *scen == "" && *in == "" {
-		fmt.Fprintln(os.Stderr, "galactos: -in catalog is required (or -scenario)")
-		flag.Usage()
-		pprof.StopCPUProfile()
-		os.Exit(2)
+		fmt.Fprintln(fs.Output(), "galactos: -in catalog is required (or -scenario)")
+		fs.Usage()
+		return errUsage
 	}
 
 	cfg := galactos.DefaultConfig()
@@ -137,7 +160,7 @@ func main() {
 	case "midpoint":
 		cfg.LOS = galactos.LOSMidpoint
 	default:
-		fatalf("unknown -los %q", *los)
+		return fmt.Errorf("unknown -los %q", *los)
 	}
 
 	// Backend selection: explicit -backend wins; otherwise the sharded
@@ -152,7 +175,7 @@ func main() {
 		}
 	}
 	if name != "sharded" && (*shards > 1 || *resume || *keepCkpts || *ckptDir != "") {
-		fatalf("-shards, -resume, -keep-checkpoints and -checkpoint-dir require the sharded backend (got -backend %s)", name)
+		return fmt.Errorf("-shards, -resume, -keep-checkpoints and -checkpoint-dir require the sharded backend (got -backend %s)", name)
 	}
 	spec := galactos.BackendSpec{
 		Name:          name,
@@ -163,93 +186,89 @@ func main() {
 	}
 	b, err := spec.Backend()
 	if err != nil {
-		fatalf("%v", err)
+		return err
 	}
 
-	// SIGINT/SIGTERM cancel the context: in-flight engines stop at their
-	// next commit unit, completed shard checkpoints stay on disk.
-	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer cancel()
-
 	if *scen != "" {
-		runScenarios(ctx, b, *scen, *scenN, *scenSeed, *scenSummary)
-		return
+		return runScenarios(ctx, stdout, b, *scen, *scenN, *scenSeed, *scenSummary)
 	}
 
 	// The sharded backend never materializes the catalog; the local one
 	// loads it up front. Execution goes through the facade's one
 	// canonical entrypoint: the Request below, serialized, is also a valid
-	// galactosd job.
+	// galactosd job. A cancelled context stops in-flight engines at their
+	// next commit unit; completed shard checkpoints stay on disk.
 	req := galactos.Request{
 		Config:  cfg,
 		Backend: spec,
 		Label:   "galactos-run",
 		Log: func(format string, args ...any) {
-			fmt.Printf("  "+format+"\n", args...)
+			fmt.Fprintf(stdout, "  "+format+"\n", args...)
 		},
 	}
 	if name == "sharded" {
-		fmt.Printf("streaming %s (catalog never fully resident)\n", *in)
+		fmt.Fprintf(stdout, "streaming %s (catalog never fully resident)\n", *in)
 		req.Path = *in
 	} else {
 		cat, err := galactos.LoadCatalog(*in)
 		if err != nil {
-			fatalf("loading %s: %v", *in, err)
+			return fmt.Errorf("loading %s: %w", *in, err)
 		}
-		fmt.Printf("loaded %d galaxies (box %.1f Mpc/h)\n", cat.Len(), cat.Box.L)
+		fmt.Fprintf(stdout, "loaded %d galaxies (box %.1f Mpc/h)\n", cat.Len(), cat.Box.L)
 		req.Catalog = cat
 	}
 
-	run, err := galactos.Run(ctx, req)
+	r, err := galactos.Run(ctx, req)
 	if err != nil {
 		if errors.Is(err, context.Canceled) {
 			msg := "interrupted"
 			if *ckptDir != "" {
 				msg += "; completed shard checkpoints kept in " + *ckptDir + " (rerun with -resume)"
 			}
-			fatalf("%s", msg)
+			return errors.New(msg)
 		}
-		fatalf("%v", err)
+		return err
 	}
-	res := run.Result
+	res := r.Result
 
 	if name != "local" {
-		fmt.Printf("%s over %d units:\n", b.Name(), len(run.Units))
-		for _, u := range run.Units {
+		fmt.Fprintf(stdout, "%s over %d units:\n", b.Name(), len(r.Units))
+		for _, u := range r.Units {
 			state := ""
 			if u.Resumed {
 				state = "  (resumed)"
 			}
-			fmt.Printf("  unit %2d: owned %8d  halo %8d  pairs %12d  %v%s\n",
+			fmt.Fprintf(stdout, "  unit %2d: owned %8d  halo %8d  pairs %12d  %v%s\n",
 				u.Unit, u.NOwned, u.NHalo, u.Pairs, u.Elapsed.Round(time.Millisecond), state)
 		}
 	}
 
-	fmt.Printf("primaries:     %d\n", res.NPrimaries)
-	fmt.Printf("pairs:         %d\n", res.Pairs)
-	fmt.Printf("time:          %v\n", run.Elapsed.Round(time.Millisecond))
-	fmt.Printf("model flops:   %.3e (%.2f GF/s sustained)\n",
-		res.FlopsEstimate(), perfmodel.GF(res.FlopsEstimate()/run.Elapsed.Seconds()))
+	fmt.Fprintf(stdout, "primaries:     %d\n", res.NPrimaries)
+	fmt.Fprintf(stdout, "pairs:         %d\n", res.Pairs)
+	fmt.Fprintf(stdout, "time:          %v\n", r.Elapsed.Round(time.Millisecond))
+	fmt.Fprintf(stdout, "model flops:   %.3e (%.2f GF/s sustained)\n",
+		res.FlopsEstimate(), perfmodel.GF(res.FlopsEstimate()/r.Elapsed.Seconds()))
 	bd := res.Timings
-	fmt.Printf("breakdown:     build %v | gather %v | consume %v | self %v | alm+zeta %v\n",
+	fmt.Fprintf(stdout, "breakdown:     build %v | gather %v | consume %v | self %v | alm+zeta %v\n",
 		bd.TreeBuild.Round(time.Millisecond), bd.Gather.Round(time.Millisecond),
 		bd.Consume.Round(time.Millisecond), bd.SelfCount.Round(time.Millisecond),
 		bd.AlmZeta.Round(time.Millisecond))
 
 	if *perfJSON != "" {
-		if err := run.Perf.WriteJSON(*perfJSON); err != nil {
-			fatalf("writing perf report: %v", err)
+		if err := r.Perf.WriteJSON(*perfJSON); err != nil {
+			return fmt.Errorf("writing perf report: %w", err)
 		}
-		fmt.Printf("wrote perf report %s (%.3e pairs/s)\n", *perfJSON, run.Perf.PairsPerSec)
+		fmt.Fprintf(stdout, "wrote perf report %s (%.3e pairs/s)\n", *perfJSON, r.Perf.PairsPerSec)
 	}
 
 	if err := writeAniso(*out+".aniso.csv", res); err != nil {
-		fatalf("%v", err)
+		return err
 	}
 	if err := writeIso(*out+".iso.csv", res); err != nil {
-		fatalf("%v", err)
+		return err
 	}
-	fmt.Printf("wrote %s.aniso.csv and %s.iso.csv\n", *out, *out)
+	fmt.Fprintf(stdout, "wrote %s.aniso.csv and %s.iso.csv\n", *out, *out)
+	return nil
 }
 
 // writeAniso dumps every canonical channel: l1,l2,m,b1,b2,r1,r2,re,im.
@@ -299,13 +318,4 @@ func writeIso(path string, res *core.Result) error {
 		return err
 	}
 	return f.Close()
-}
-
-// fatalf reports the error and exits. os.Exit skips main's deferred calls,
-// so the -cpuprofile file is completed here (a no-op when none was started);
-// SIGINT ends here too, as a cancelled context.
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "galactos: "+format+"\n", args...)
-	pprof.StopCPUProfile()
-	os.Exit(1)
 }

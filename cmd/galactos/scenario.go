@@ -2,14 +2,15 @@
 // scenario registry (internal/scenario) end-to-end through the selected
 // execution backend, checks every registered invariant, and prints a
 // pass/fail table with the bitwise outcome hash. With -scenario-summary the
-// same table is appended to a file as markdown — the CI smoke job points it
-// at $GITHUB_STEP_SUMMARY.
+// same table is appended to a file as markdown — the CI scenario-service
+// job points it at $GITHUB_STEP_SUMMARY.
 package main
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -20,11 +21,11 @@ import (
 
 // listScenarios prints the registry: one line per scenario, indented lines
 // for its invariants.
-func listScenarios() {
+func listScenarios(stdout io.Writer) {
 	for _, s := range scenario.All() {
-		fmt.Printf("%-22s %s\n", s.Name, s.Desc)
+		fmt.Fprintf(stdout, "%-22s %s\n", s.Name, s.Desc)
 		for _, inv := range s.Invariants {
-			fmt.Printf("    %-22s %s\n", inv.Name, inv.Desc)
+			fmt.Fprintf(stdout, "    %-22s %s\n", inv.Name, inv.Desc)
 		}
 	}
 }
@@ -42,19 +43,19 @@ type scenarioRow struct {
 }
 
 // runScenarios executes the selected registry entries through the backend
-// and exits nonzero if any scenario errors or violates an invariant. Every
+// and fails if any scenario errors or violates an invariant. Every
 // scenario is attempted even after a failure, so one broken recipe does not
 // mask the rest of the table.
-func runScenarios(ctx context.Context, b exec.Backend, sel string, n int, seed int64, summaryPath string) {
+func runScenarios(ctx context.Context, stdout io.Writer, b exec.Backend, sel string, n int, seed int64, summaryPath string) error {
 	scens := scenario.All()
 	if sel != "all" {
 		s, err := scenario.Get(sel)
 		if err != nil {
-			fatalf("%v", err)
+			return err
 		}
 		scens = []*scenario.Scenario{s}
 	}
-	fmt.Printf("scenario registry: %d scenario(s), backend %s, n=%d, seed=%d, kernel %s\n",
+	fmt.Fprintf(stdout, "scenario registry: %d scenario(s), backend %s, n=%d, seed=%d, kernel %s\n",
 		len(scens), b.Name(), n, seed, sphharm.LaneDispatch())
 
 	rows := make([]scenarioRow, 0, len(scens))
@@ -63,7 +64,7 @@ func runScenarios(ctx context.Context, b exec.Backend, sel string, n int, seed i
 		row := scenarioRow{name: s.Name, inv: len(s.Invariants)}
 		o, err := s.RunChecked(ctx, b, n, seed)
 		if errors.Is(err, context.Canceled) {
-			fatalf("interrupted during scenario %s", s.Name)
+			return fmt.Errorf("interrupted during scenario %s", s.Name)
 		}
 		if o != nil {
 			row.n = o.N
@@ -76,9 +77,9 @@ func runScenarios(ctx context.Context, b exec.Backend, sel string, n int, seed i
 		row.err = err
 		if err != nil {
 			failures++
-			fmt.Printf("FAIL %-22s %v\n", s.Name, err)
+			fmt.Fprintf(stdout, "FAIL %-22s %v\n", s.Name, err)
 		} else {
-			fmt.Printf("ok   %-22s n=%-6d pairs=%-10d inv=%d  %8v  %s\n",
+			fmt.Fprintf(stdout, "ok   %-22s n=%-6d pairs=%-10d inv=%d  %8v  %s\n",
 				s.Name, row.n, row.pairs, row.inv,
 				row.elapsed.Round(time.Millisecond), row.hash[:16])
 		}
@@ -86,13 +87,14 @@ func runScenarios(ctx context.Context, b exec.Backend, sel string, n int, seed i
 	}
 	if summaryPath != "" {
 		if err := writeScenarioSummary(summaryPath, b.Name(), n, seed, rows); err != nil {
-			fatalf("writing scenario summary: %v", err)
+			return fmt.Errorf("writing scenario summary: %w", err)
 		}
 	}
 	if failures > 0 {
-		fatalf("%d of %d scenarios failed", failures, len(rows))
+		return fmt.Errorf("%d of %d scenarios failed", failures, len(rows))
 	}
-	fmt.Printf("all %d scenario(s) passed\n", len(rows))
+	fmt.Fprintf(stdout, "all %d scenario(s) passed\n", len(rows))
+	return nil
 }
 
 // writeScenarioSummary appends the run as a markdown table (the format

@@ -14,6 +14,10 @@
 //	})
 //	// run.Result.IsoZeta(l, b1, b2), run.Result.ZetaM(l1, l2, m, b1, b2)
 //
+// ExampleRun is this call as runnable code, and the Examples beside it cover
+// the sharded kill-and-resume, redshift-space anisotropy, the survey
+// estimator and jackknife covariance; go test checks what each one prints.
+//
 // The Request's Backend spec scales the same job out-of-core (sharded: the
 // catalog streamed into slabs with halo copies, computed one at a time and
 // reduced in order, with checkpoints); serialized to JSON, the identical
@@ -36,7 +40,6 @@ import (
 	"galactos/internal/estimator"
 	"galactos/internal/exec"
 	"galactos/internal/geom"
-	"galactos/internal/gridded"
 	"galactos/internal/perfstat"
 	"galactos/internal/scenario"
 	"galactos/internal/stats"
@@ -126,12 +129,6 @@ func NewFileSource(path string) CatalogSource { return catalog.NewFileSource(pat
 // LocalBackend runs the single-node in-memory engine.
 func LocalBackend() Backend { return exec.Local{} }
 
-// ComputeSubset computes with an explicit primary mask (halo copies or
-// sub-sample analyses).
-func ComputeSubset(cat *Catalog, primary []bool, cfg Config) (*Result, error) {
-	return core.ComputeSubset(cat, primary, cfg)
-}
-
 // SaveResult writes a Result checkpoint in the versioned binary format
 // (atomic: written to a temporary file and renamed into place).
 func SaveResult(path string, r *Result) error { return core.SaveResult(path, r) }
@@ -216,30 +213,8 @@ func JackknifeCovariance(samples [][]float64) (*CovarianceMatrix, error) {
 	return stats.JackknifeCovariance(samples)
 }
 
-// SampleCovariance estimates a covariance from independent mock catalogs.
-func SampleCovariance(samples [][]float64) (*CovarianceMatrix, error) {
-	return stats.SampleCovariance(samples)
-}
-
 // EdgeCorrected holds survey-geometry-corrected isotropic multipoles.
 type EdgeCorrected = estimator.Corrected
-
-// EdgeCorrectedZeta runs the full survey-geometry correction of Sec. 6.1:
-// it computes the 3PCF of the data-minus-randoms field and of the randoms,
-// then inverts the Wigner-3j window mixing matrix per radial-bin pair to
-// recover the true isotropic multipoles.
-func EdgeCorrectedZeta(data, randoms *Catalog, cfg Config) (*EdgeCorrected, error) {
-	return estimator.CorrectedZeta(data, randoms, cfg)
-}
-
-// Scenario is one row of the survey-science scenario registry: a named,
-// seeded end-to-end workload (catalog recipe + Config + invariants) that
-// runs through any Backend. The registry is the correctness gate every
-// backend must pass; see DESIGN.md, "Scenario registry".
-type Scenario = scenario.Scenario
-
-// ScenarioInvariant is one machine-checked property of a scenario outcome.
-type ScenarioInvariant = scenario.Invariant
 
 // ScenarioOutcome carries everything a scenario run produced, plus the
 // bitwise GoldenHash and tolerance-based MaxRelDiff comparison helpers.
@@ -252,15 +227,6 @@ type SurveyRun = scenario.Survey
 // JackknifeRun is the output of the spatial-resampling workload: per-region
 // leave-one-out statistic vectors and their jackknife covariance.
 type JackknifeRun = scenario.Jackknife
-
-// Scenarios returns the scenario registry rows in registration order.
-func Scenarios() []*Scenario { return scenario.All() }
-
-// ScenarioNames returns the sorted registry names.
-func ScenarioNames() []string { return scenario.Names() }
-
-// ScenarioByName resolves a registry entry.
-func ScenarioByName(name string) (*Scenario, error) { return scenario.Get(name) }
 
 // RunScenario runs a registry entry end-to-end through the backend at
 // catalog size n (clamped up to the scenario's MinN) and checks every
@@ -289,21 +255,4 @@ func RunSurveyEstimator(ctx context.Context, b Backend, data, randoms *Catalog, 
 // jackknife covariance.
 func RunJackknifeResampling(ctx context.Context, b Backend, cat *Catalog, regions int, cfg Config) (*JackknifeRun, error) {
 	return scenario.RunJackknife(ctx, b, cat, regions, cfg)
-}
-
-// MeshAssignment selects the mass-deposition scheme for gridded data.
-type MeshAssignment = gridded.Assignment
-
-// Mesh deposition schemes.
-const (
-	MeshNGP = gridded.NGP
-	MeshCIC = gridded.CIC
-)
-
-// ComputeGridded deposits the catalog onto an n^3 mesh and runs the 3PCF
-// over the occupied cells — the gridded-data acceleration of Sec. 6.3. The
-// mesh cell must not exceed the radial bin width.
-func ComputeGridded(cat *Catalog, meshN int, scheme MeshAssignment, cfg Config) (*Result, error) {
-	res, _, err := gridded.Compute(cat, meshN, scheme, cfg)
-	return res, err
 }

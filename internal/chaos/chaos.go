@@ -37,7 +37,8 @@ type Case struct {
 	// interchangeable — they merge partial results in different orders, so
 	// their outputs agree to rounding, not bits.
 	CleanKey string
-	// Points is the fault plan armed for the faulted pass.
+	// Points is the fault plan armed for the faulted pass; empty when the
+	// faults fire in another process (the subprocess crash sweep).
 	Points []faultpoint.Point
 	// Run executes the workload and returns the bitwise hash of its output.
 	// It is called with the plan armed; when CleanRun is nil it is also the

@@ -45,20 +45,10 @@ type ProcOptions struct {
 	Logf func(format string, args ...any)
 }
 
-// procCase is one subprocess chaos case; run returns the faulted pass's
-// final hash (the clean hash comes from cleanRun once per CleanKey, exactly
-// like the in-process sweep).
-type procCase struct {
-	name     string
-	desc     string
-	cleanKey string
-	cleanRun func(ctx context.Context) (string, error)
-	run      func(ctx context.Context) (string, error)
-}
-
-// RunProc executes the subprocess kill-and-restart sweep sequentially and
-// returns one Report per case (Stats stay empty: the faults fire in the
-// child process, whose counters die with it — by design).
+// RunProc executes the subprocess kill-and-restart sweep through RunCases
+// and returns one Report per case. The cases arm no in-process points (the
+// faults fire in the child, scheduled through its environment), so their
+// Stats stay empty: the child's counters die with it — by design.
 func RunProc(ctx context.Context, o ProcOptions) ([]Report, error) {
 	if o.N < 400 {
 		o.N = 400
@@ -103,79 +93,39 @@ func RunProc(ctx context.Context, o ProcOptions) ([]Report, error) {
 	}
 	h := &procHarness{opts: o, logf: logf}
 
-	cases := []procCase{
+	cases := []Case{
 		{
-			name:     "proc-kill-midjob-resume",
-			desc:     "SIGKILL mid-sharded-job; restart re-enqueues it and resumes from shard checkpoints",
-			cleanKey: "proc-cat-a",
-			cleanRun: clean(catA, "chaos/proc"),
-			run:      func(ctx context.Context) (string, error) { return h.killMidJob(ctx, reqFor(catA)) },
+			Name:     "proc-kill-midjob-resume",
+			Desc:     "SIGKILL mid-sharded-job; restart re-enqueues it and resumes from shard checkpoints",
+			CleanKey: "proc-cat-a",
+			CleanRun: clean(catA, "chaos/proc"),
+			Run:      func(ctx context.Context) (string, error) { return h.killMidJob(ctx, reqFor(catA)) },
 		},
 		{
-			name:     "proc-cache-survives-kill",
-			desc:     "SIGKILL after completion; restart serves the resubmission from the disk cache, hit counter advancing",
-			cleanKey: "proc-cat-a",
-			cleanRun: clean(catA, "chaos/proc"),
-			run:      func(ctx context.Context) (string, error) { return h.cacheSurvives(ctx, reqFor(catA)) },
+			Name:     "proc-cache-survives-kill",
+			Desc:     "SIGKILL after completion; restart serves the resubmission from the disk cache, hit counter advancing",
+			CleanKey: "proc-cat-a",
+			CleanRun: clean(catA, "chaos/proc"),
+			Run:      func(ctx context.Context) (string, error) { return h.cacheSurvives(ctx, reqFor(catA)) },
 		},
 		{
-			name:     "proc-kill-while-queued",
-			desc:     "SIGKILL with one job running and one queued; restart re-enqueues and completes both",
-			cleanKey: "proc-cat-b",
-			cleanRun: clean(catB, "chaos/proc-b"),
-			run: func(ctx context.Context) (string, error) {
+			Name:     "proc-kill-while-queued",
+			Desc:     "SIGKILL with one job running and one queued; restart re-enqueues and completes both",
+			CleanKey: "proc-cat-b",
+			CleanRun: clean(catB, "chaos/proc-b"),
+			Run: func(ctx context.Context) (string, error) {
 				return h.killWhileQueued(ctx, reqFor(catA), reqFor(catB))
 			},
 		},
 		{
-			name:     "proc-poisoned-cache-kill",
-			desc:     "SIGKILL, cache entry corrupted on disk; restart recomputes instead of serving poison",
-			cleanKey: "proc-cat-a",
-			cleanRun: clean(catA, "chaos/proc"),
-			run:      func(ctx context.Context) (string, error) { return h.poisonedCache(ctx, reqFor(catA)) },
+			Name:     "proc-poisoned-cache-kill",
+			Desc:     "SIGKILL, cache entry corrupted on disk; restart recomputes instead of serving poison",
+			CleanKey: "proc-cat-a",
+			CleanRun: clean(catA, "chaos/proc"),
+			Run:      func(ctx context.Context) (string, error) { return h.poisonedCache(ctx, reqFor(catA)) },
 		},
 	}
-
-	cleanHashes := make(map[string]string)
-	reports := make([]Report, 0, len(cases))
-	for _, c := range cases {
-		if ctx.Err() != nil {
-			break
-		}
-		rep := Report{Case: c.name, Desc: c.desc}
-		hash, ok := cleanHashes[c.cleanKey]
-		if !ok {
-			var err error
-			if hash, err = c.cleanRun(ctx); err != nil {
-				rep.Err = fmt.Errorf("clean pass: %w", err)
-				reports = append(reports, rep)
-				logf("FAIL %-28s %v", c.name, rep.Err)
-				continue
-			}
-			cleanHashes[c.cleanKey] = hash
-		}
-		rep.Clean = hash
-
-		start := time.Now()
-		faulted, err := c.run(ctx)
-		rep.Elapsed = time.Since(start)
-		if err != nil {
-			rep.Err = fmt.Errorf("faulted pass: %w", err)
-		} else {
-			rep.Faulted = faulted
-			rep.Match = faulted == hash
-		}
-		reports = append(reports, rep)
-		switch {
-		case rep.Err != nil:
-			logf("FAIL %-28s %v", c.name, rep.Err)
-		case !rep.Match:
-			logf("FAIL %-28s recovered hash %s != clean %s", c.name, short(faulted), short(hash))
-		default:
-			logf("ok   %-28s %8v  %s", c.name, rep.Elapsed.Round(time.Millisecond), short(hash))
-		}
-	}
-	return reports, nil
+	return RunCases(ctx, o.Seed, cases, o.Logf), nil
 }
 
 // procHarness carries the per-sweep constants the case bodies share.

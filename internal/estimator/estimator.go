@@ -108,21 +108,11 @@ func EdgeCorrect(nRes, rRes *core.Result) (*Corrected, error) {
 	return out, nil
 }
 
-// CorrectedZeta is the full pipeline: build the D-R field, compute its
-// 3PCF and the randoms' 3PCF with identical configuration, and solve the
-// edge correction. The paper notes this multiplies the compute cost by the
-// number of random catalogs — exactly the workload Galactos accelerates.
-//
-// For the normalization run the randoms carry weights scaled so their
-// total matches the data's total weight (the standard zeta-hat
-// convention); N_l/R_0 is then dimensionless and comparable across
-// geometries and random-catalog densities. The window ratios f_l = R_l/R_0
-// are unaffected by the overall weight scale.
 // ScaledRandoms returns a copy of randoms with every weight set so the
 // total matches the data's total weight — the normalization-run convention
-// of CorrectedZeta (N_l/R_0 becomes dimensionless and independent of the
-// random catalog's density). The window ratios f_l = R_l/R_0 are unaffected
-// by the overall scale.
+// of the survey estimator (the standard zeta-hat convention: N_l/R_0
+// becomes dimensionless and independent of the random catalog's density).
+// The window ratios f_l = R_l/R_0 are unaffected by the overall scale.
 func ScaledRandoms(data, randoms *catalog.Catalog) *catalog.Catalog {
 	scaled := &catalog.Catalog{Box: randoms.Box, Galaxies: make([]catalog.Galaxy, randoms.Len())}
 	w := data.TotalWeight() / float64(randoms.Len())
@@ -130,20 +120,4 @@ func ScaledRandoms(data, randoms *catalog.Catalog) *catalog.Catalog {
 		scaled.Galaxies[i] = catalog.Galaxy{Pos: g.Pos, Weight: w}
 	}
 	return scaled
-}
-
-func CorrectedZeta(data, randoms *catalog.Catalog, cfg core.Config) (*Corrected, error) {
-	dmr, err := catalog.WithDataMinusRandom(data, randoms)
-	if err != nil {
-		return nil, err
-	}
-	nRes, err := core.Compute(dmr, cfg)
-	if err != nil {
-		return nil, err
-	}
-	rRes, err := core.Compute(ScaledRandoms(data, randoms), cfg)
-	if err != nil {
-		return nil, err
-	}
-	return EdgeCorrect(nRes, rRes)
 }

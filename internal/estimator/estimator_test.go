@@ -114,28 +114,6 @@ func TestEdgeCorrectPeriodicIsNearNoOp(t *testing.T) {
 	}
 }
 
-func TestEdgeCorrectDetectsClustering(t *testing.T) {
-	// The corrected monopole of clustered data must be positive at small
-	// scales and much larger than for random "data".
-	cfg := testConfig()
-	clustered := catalog.Clustered(1500, 150, catalog.DefaultClusterParams(), 5)
-	randomData := catalog.Uniform(1500, 150, 6)
-	randoms := catalog.Uniform(6000, 150, 7)
-
-	cCl, err := CorrectedZeta(clustered, randoms, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cRd, err := CorrectedZeta(randomData, randoms, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cCl.Zeta[0][0] < 5*math.Abs(cRd.Zeta[0][0]) {
-		t.Errorf("clustered corrected monopole %v not dominant over random %v",
-			cCl.Zeta[0][0], cRd.Zeta[0][0])
-	}
-}
-
 func TestEdgeCorrectMaskedWindowHasNontrivialF(t *testing.T) {
 	// A survey-like geometry (galaxies only in one octant, open
 	// boundaries) must produce clearly nonzero window multipoles f_l.

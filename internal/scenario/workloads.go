@@ -27,9 +27,11 @@ type Survey struct {
 	Corrected *estimator.Corrected
 }
 
-// RunSurveyEstimator is the backend-routed form of estimator.CorrectedZeta:
-// build the D-R field, run it and the scaled randoms through b (stages
-// "dmr" and "randoms"), and solve the mixing-matrix edge correction.
+// RunSurveyEstimator is the survey estimator of Sec. 6.1: build the D-R
+// field, run it and the scaled randoms through b (stages "dmr" and
+// "randoms"), and solve the mixing-matrix edge correction. The paper notes
+// the randoms multiply the compute cost — the workload Galactos
+// accelerates.
 func RunSurveyEstimator(ctx context.Context, b exec.Backend, data, randoms *catalog.Catalog, cfg core.Config) (*Survey, error) {
 	dmr, err := catalog.WithDataMinusRandom(data, randoms)
 	if err != nil {

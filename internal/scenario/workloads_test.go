@@ -73,6 +73,29 @@ func settleGoroutines(baseline int) int {
 	return n
 }
 
+// TestEdgeCorrectDetectsClustering: through the survey estimator, the
+// corrected monopole of clustered data must be positive at small scales and
+// much larger than for random "data".
+func TestEdgeCorrectDetectsClustering(t *testing.T) {
+	cfg := core.DefaultConfig()
+	cfg.RMax, cfg.NBins, cfg.LMax, cfg.Workers = 35, 3, 3, 2
+	clustered := catalog.Clustered(1500, 150, catalog.DefaultClusterParams(), 5)
+	randomData := catalog.Uniform(1500, 150, 6)
+	randoms := catalog.Uniform(6000, 150, 7)
+	ctx := context.Background()
+	cl, err := RunSurveyEstimator(ctx, exec.Local{}, clustered, randoms, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rd, err := RunSurveyEstimator(ctx, exec.Local{}, randomData, randoms, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c, r := cl.Corrected.Zeta[0][0], rd.Corrected.Zeta[0][0]; c < 5*math.Abs(r) {
+		t.Errorf("clustered corrected monopole %v not dominant over random %v", c, r)
+	}
+}
+
 // TestSurveyEstimatorKillResume: cancelling the survey workload mid-first-
 // stage leaves resumable checkpoints and no goroutines; resuming reuses at
 // least one checkpoint and reproduces the uninterrupted result bitwise.

@@ -66,25 +66,6 @@ func JackknifeCovariance(samples [][]float64) (*Matrix, error) {
 	return c, nil
 }
 
-// SampleCovariance is the standard unbiased covariance (divide by n-1), for
-// independent mock catalogs rather than jackknife subsamples.
-func SampleCovariance(samples [][]float64) (*Matrix, error) {
-	n := len(samples)
-	if n < 2 {
-		return nil, fmt.Errorf("stats: need at least 2 samples, got %d", n)
-	}
-	c, err := JackknifeCovariance(samples)
-	if err != nil {
-		return nil, err
-	}
-	// Jackknife scale is (n-1)/n * sum; convert to sum/(n-1).
-	f := float64(n) / (float64(n-1) * float64(n-1))
-	for i := range c.Data {
-		c.Data[i] *= f
-	}
-	return c, nil
-}
-
 // Matrix is a dense square matrix, row-major.
 type Matrix struct {
 	N    int

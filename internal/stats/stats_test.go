@@ -53,26 +53,6 @@ func TestJackknifeNeedsTwoSamples(t *testing.T) {
 	}
 }
 
-func TestSampleCovarianceGaussian(t *testing.T) {
-	// Draw from a known 2-D Gaussian and recover its covariance.
-	rng := rand.New(rand.NewSource(9))
-	const n = 20000
-	samples := make([][]float64, n)
-	for i := range samples {
-		a := rng.NormFloat64()
-		b := rng.NormFloat64()
-		// x = a, y = a + 0.5 b: var(x)=1, var(y)=1.25, cov=1.
-		samples[i] = []float64{a, a + 0.5*b}
-	}
-	c, err := SampleCovariance(samples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(c.At(0, 0)-1) > 0.05 || math.Abs(c.At(1, 1)-1.25) > 0.05 || math.Abs(c.At(0, 1)-1) > 0.05 {
-		t.Errorf("covariance = [[%v %v][%v %v]]", c.At(0, 0), c.At(0, 1), c.At(1, 0), c.At(1, 1))
-	}
-}
-
 func TestMatrixInverse(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for _, n := range []int{1, 2, 3, 8, 20} {
@@ -170,7 +150,7 @@ func TestMulDimensionMismatch(t *testing.T) {
 }
 
 func TestFewSamplesSingularCovariance(t *testing.T) {
-	// The paper's warning: with fewer mocks than dimensions the sample
+	// The paper's warning: with fewer samples than dimensions the
 	// covariance is singular and cannot be inverted.
 	rng := rand.New(rand.NewSource(5))
 	const dim = 10
@@ -181,7 +161,7 @@ func TestFewSamplesSingularCovariance(t *testing.T) {
 			samples[i][j] = rng.NormFloat64()
 		}
 	}
-	c, err := SampleCovariance(samples)
+	c, err := JackknifeCovariance(samples)
 	if err != nil {
 		t.Fatal(err)
 	}

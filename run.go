@@ -95,9 +95,8 @@ func (r Request) ResolveBackend() (Backend, error) {
 }
 
 // Run executes a 3PCF request end-to-end and is the one canonical
-// entrypoint of the package: every in-tree command, example, and the
-// galactosd job service route through it, and the legacy Compute* variants
-// are deprecated thin wrappers over it.
+// entrypoint of the package: every in-tree command, the package's Examples
+// and the galactosd job service route through it.
 //
 // The request's config is normalized exactly once at entry; an invalid
 // config is rejected before any catalog IO, and a catalog with a non-finite
