@@ -114,7 +114,7 @@ crash-smoke:
 # bench/ is its own module (outside `go build ./...`): vet and build it so
 # an API deletion that breaks the repository benchmark fails here, not in
 # the benchmark pipeline. The APIs bench/ pins, which stay until ROADMAP
-# 3(a) retires the probes that use them: core.Config.Finder / LeafSize /
+# item 1 retires the probes that use them: core.Config.Finder / LeafSize /
 # GridCell, core.Config.BucketSize (read after Normalize to size a
 # kernel), core.FinderKD64, kdtree.Build[float32], grid.Build,
 # core.NeighborFinder, exec.Spec.Stream / ShardConcurrency. Its nominal

@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"slices"
 	"testing"
+	"time"
 
 	"galactos"
 	"galactos/internal/bruteforce"
@@ -178,26 +179,30 @@ func BenchmarkQueryRadius(b *testing.B) {
 
 // BenchmarkAlmZeta isolates the reduction phase (perfstat's alm_zeta) at
 // commit-unit granularity, the way engine.processBlock runs it: per primary
-// the lane-sum Reduce, monomial -> a_lm conversion, and the slab fill by bin
-// (untouched bins zero-padded), then per channel the tile clear, one fused
-// ZetaBatch call folding the whole unit into the tile, and the commit into
-// the partial result (10 bins, l_max 10). "dense" is the all-bins-touched
-// 32-primary unit; "aniso_box" is the occupancy measured on that workload
-// (seed 2: mean K 21, 37 % of primaries missing one inner bin); "k=2" is
-// what a unit was on stream_sharded while a unit was one cell (mean K 1.6) —
-// the per-unit tile traffic of 286 channels spread over two primaries, the
-// cost coalescing cells into units amortises.
+// the lane-sum ReduceClear, monomial -> a_lm conversion, and the slab fill
+// by bin (untouched bins zero-padded), then per channel the tile clear, one
+// fused ZetaBatch call folding the whole unit into the tile, and the commit
+// into the partial result. "dense" is the all-bins-touched 32-primary unit
+// at 10 bins, l_max 10; "aniso_box" is the occupancy measured on that
+// workload (seed 2: mean K 21, 37 % of primaries missing one inner bin);
+// "k=2" is what a unit was on stream_sharded while a unit was one cell (mean
+// K 1.6) — the per-unit tile traffic of 286 channels spread over two
+// primaries, the cost coalescing cells into units amortises; and
+// "stream_sharded" is that workload's shape now (6 bins, l_max 4, a
+// 32-primary unit). zeta_gflops times stage 3 alone at 8 nb^2 K flops per
+// ZetaBatch call: the zeta kernel's distance from the FMA peak (two 512-bit
+// FMAs a cycle, ~67 GF/s on the 2-vCPU benchmark host).
 func BenchmarkAlmZeta(b *testing.B) {
-	b.Run("dense", func(b *testing.B) { benchAlmZeta(b, 32, 0) })
-	b.Run("aniso_box", func(b *testing.B) { benchAlmZeta(b, 21, 0.37) })
-	b.Run("k=2", func(b *testing.B) { benchAlmZeta(b, 2, 0) })
+	b.Run("dense", func(b *testing.B) { benchAlmZeta(b, 10, 10, 32, 0) })
+	b.Run("aniso_box", func(b *testing.B) { benchAlmZeta(b, 10, 10, 21, 0.37) })
+	b.Run("k=2", func(b *testing.B) { benchAlmZeta(b, 10, 10, 2, 0) })
+	b.Run("stream_sharded", func(b *testing.B) { benchAlmZeta(b, 4, 6, 32, 0) })
 }
 
 // benchAlmZeta runs one K-primary unit's stage 2 reduction, stage 3 zeta and
-// commit per iteration; missFrac of the primaries leave one of the three innermost
-// bins untouched.
-func benchAlmZeta(b *testing.B, K int, missFrac float64) {
-	const lmax, nb = 10, 10
+// commit per iteration at order lmax over nb bins; missFrac of the primaries
+// leave one of the three innermost bins untouched.
+func benchAlmZeta(b *testing.B, lmax, nb, K int, missFrac float64) {
 	mono := sphharm.NewMonomialTable(lmax)
 	ytab := sphharm.NewYlmTable(lmax, mono)
 	combos := core.NewComboTable(lmax)
@@ -227,6 +232,7 @@ func benchAlmZeta(b *testing.B, K int, missFrac float64) {
 	aniso := make([]complex128, combos.Len()*nb*nb)
 	partial := make([]complex128, len(aniso))
 	const pw = 1.25
+	var zeta time.Duration
 
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -241,7 +247,7 @@ func benchAlmZeta(b *testing.B, K int, missFrac float64) {
 				if t == missing[a] {
 					continue
 				}
-				sphharm.Reduce(acc[t], msums)
+				sphharm.ReduceClear(acc[t], msums)
 				ytab.AlmRI(msums, reScr, imScr)
 				o := a*2*nb + 2*t
 				for j := 0; j < pc; j++ {
@@ -254,6 +260,7 @@ func benchAlmZeta(b *testing.B, K int, missFrac float64) {
 				}
 			}
 		}
+		t0 := time.Now()
 		for ci, c := range combos.Combos {
 			i1 := sphharm.PairIndex(c.L1, c.M) * stride2
 			i2 := sphharm.PairIndex(c.L2, c.M) * stride2
@@ -261,11 +268,13 @@ func benchAlmZeta(b *testing.B, K int, missFrac float64) {
 			clear(tile)
 			sphharm.ZetaBatch(tile, aSlab[i2:i2+stride2], wXY[i1:i1+stride2], nb, K)
 		}
+		zeta += time.Since(t0)
 		for j, v := range aniso {
 			partial[j] += v
 		}
 	}
 	b.ReportMetric(float64(b.N)*float64(K)/b.Elapsed().Seconds()/1e3, "kprimaries/s")
+	b.ReportMetric(8*float64(nb*nb*K*combos.Len())*float64(b.N)/float64(zeta.Nanoseconds()), "zeta_gflops")
 }
 
 // BenchmarkPairsPerPrimary sweeps pairs per primary at fixed N: the regime

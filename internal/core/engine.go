@@ -41,13 +41,15 @@ const (
 )
 
 // NeighborFinder is the substrate abstraction: anything that can return all
-// point indices within a radius of any of a set of image centers.
-// kdtree.Tree and grid.Grid satisfy it; the engine builds a float32
-// kdtree.Tree. It gathers through one block-granular QueryRadiusImagesBlock
-// call per commit unit, which must return, for every center, a neighbor
-// list bitwise-identical in content and order to the center's own
-// QueryRadiusImages call — the blocked and per-primary traversals are
-// interchangeable, and the finder and engine property tests pin that.
+// point indices within a radius of any of a set of image centers. The
+// engine builds exactly one, a float32 kdtree.Tree (buildFinder); the
+// float64 tree and grid.Grid satisfy it too, for the bench probes and the
+// finder tests that compare substrates. It gathers through one
+// block-granular QueryRadiusImagesBlock call per commit unit, which must
+// return, for every center, a neighbor list bitwise-identical in content
+// and order to the center's own QueryRadiusImages call — the blocked and
+// per-primary traversals are interchangeable, and the finder and engine
+// property tests pin that.
 type NeighborFinder interface {
 	QueryRadiusImages(center geom.Vec3, r float64, images []geom.Vec3, out []int32) []int32
 	QueryRadiusImagesBlock(centers []geom.Vec3, r float64, images []geom.Vec3, blk *nbr.Block)

@@ -325,11 +325,13 @@ func mulColsGeneric(dst, a, b []float64) {
 // (re2, im2) = a2[a*2nb + 2*t2 {, +1}] the unweighted second leg, both
 // packed (re, im) pairs with per-primary stride 2*nb. This is k
 // back-to-back dense per-primary updates fused so the channel's dst tile is
-// loaded and stored once per column strip instead of once per (primary,
-// row) — the cache shape of the engine's unit-level zeta stage. The
-// conjugate and swapped interleavings of the second leg are derived
-// in-register on the vector path (an odd-lane sign flip and a pair swap), so
-// callers fill one packed slab per leg.
+// loaded and stored once per call instead of once per (primary, row) — the
+// cache shape of the engine's unit-level zeta stage. The vector path holds
+// the tile in registers as blocks of up to 12 rows x 2 eight-float strips
+// (nb 10: a 10 x 2 and a 10 x 1 block) across all k primaries, and derives
+// the conjugate and swapped interleavings of the second leg once per strip
+// and primary (an odd-lane sign flip and a pair swap), so callers fill one
+// packed slab per leg.
 func ZetaBatch(dst []complex128, a2, xy []float64, nb, k int) {
 	if nb <= 0 || k <= 0 {
 		return
@@ -372,7 +374,9 @@ func zetaBatchGeneric(dst []complex128, a2, xy []float64, nb, k int) {
 // [a*2nb, a*2nb+nb), im at [a*2nb+nb, a*2nb+2nb)) so both legs stream
 // contiguously with no deinterleave, and w carries the k primary weights —
 // the weighted leg is derived in-register instead of materialized by the
-// caller. dst must hold nb*nb values, a2 at least k*2*nb, w at least k.
+// caller. The vector path blocks the tile as ZetaBatch's does, up to 12
+// rows x 2 strips (nb 10: one 10 x 2 block). dst must hold nb*nb values, a2
+// at least k*2*nb, w at least k.
 func ZetaBatchIso(dst, a2, w []float64, nb, k int) {
 	if nb <= 0 || k <= 0 {
 		return

@@ -6,9 +6,12 @@
 // Lanes = 8 float64 accumulator group as one ZMM register and walk the pair
 // columns in 512-bit steps; tails shorter than 8 pairs use an opmask so pair
 // j still lands in lane j&7 (masked EVEX memory operands suppress faults on
-// the masked-out lanes, so partial blocks never over-read). Only Z16-Z30 are
-// used: the high registers have no legacy-SSE upper state, so no VZEROUPPER
-// is needed on return.
+// the masked-out lanes, so partial blocks never over-read). The ladder,
+// row, rotate, mulCols, almRI and reduce bodies use only Z16-Z31: the high
+// registers have no legacy-SSE upper state, so they need no VZEROUPPER on
+// return. Three bodies use Z0-Z15 as well and end with VZEROUPPER:
+// zetaBatchAsm and zetaBatchIsoAsm (up to 24 tile accumulators in
+// registers) and pairColumnsAsm (fourteen broadcast constants).
 
 // laneGeometry<> splits a column of CX pairs the way every lane fold walks
 // it: R10 = 32-pair quads (four accumulator chains), R11 = whole 8-pair
@@ -576,7 +579,7 @@ almdone:
 
 // oddSignMask flips the sign of the odd (imaginary) float64 lanes: XORing a
 // packed (re, im) vector with it yields the conjugate interleave
-// [re, -im, ...] that the zeta update's u leg wants.
+// [re, -im, ...] that the zeta update's x leg wants.
 DATA oddSignMask<>+0x00(SB)/8, $0x0000000000000000
 DATA oddSignMask<>+0x08(SB)/8, $0x8000000000000000
 DATA oddSignMask<>+0x10(SB)/8, $0x0000000000000000
@@ -587,130 +590,410 @@ DATA oddSignMask<>+0x30(SB)/8, $0x0000000000000000
 DATA oddSignMask<>+0x38(SB)/8, $0x8000000000000000
 GLOBL oddSignMask<>(SB), RODATA, $64
 
-// func zetaBatchAsm(dst []complex128, a2, xy []float64, nb, k int)
-// K fused dense per-primary zeta updates of one channel's nb x nb block.
-// The packed float64 view of dst is tiled into 8-float column strips x
-// 2-row groups; each tile is held in registers while all K primaries fold
-// in, so dst traffic is once per tile instead of once per (primary, row).
-// Per primary the packed a2 strip is loaded once and both interleavings are
-// derived in-register: u = a2 XOR oddSignMask (conjugate), v = pair-swapped
-// a2 (VPERMILPD), then each row accumulates two broadcast FMAs.
-TEXT ·zetaBatchAsm(SB), NOSPLIT, $0-88
-	MOVQ dst_base+0(FP), DI
-	MOVQ a2_base+24(FP), SI
-	MOVQ xy_base+48(FP), BX
-	MOVQ nb+72(FP), R10
-	MOVQ k+80(FP), R11
-	MOVQ R10, R12
-	SHLQ $4, R12 // per-primary (and per-row) stride: 2*nb floats = 16*nb bytes
-	VMOVUPD oddSignMask<>(SB), Z26
+// The two zeta bodies are register-blocked micro-kernels (Goto & van de
+// Geijn, "Anatomy of High-Performance Matrix Multiplication", ACM TOMS
+// 2008). The dst tile — rows of W = 8*nb bytes (ZetaBatchIso) or 16*nb
+// (ZetaBatch's packed (re, im) view) — is cut into blocks of R rows x S
+// 8-float column strips, and a block lives in R*S accumulators (row r's
+// strips in Z(r*S) .. Z(r*S+S-1)) while all K primaries fold in: dst is
+// loaded and stored once per block, and each primary's legs are loaded once
+// per block and shared by its R rows. Each accumulator takes two dependent
+// FMAs per primary, so R*S >= 8 chains keep both FMA ports busy wherever
+// the tile has that many. The walk is shared:
+//
+//   - strips: S = 2, or 1 when one is left. Only a row's last strip can be
+//     partial; it runs under K1 (masked loads neither fault nor read past
+//     the row) and every other strip is whole.
+//   - rows: R = 12, or all that are left when at most 12 remain, or half
+//     of them (rounded up) when two blocks hold them, so no block is a
+//     sliver (nb 13 runs as 7 + 6, not 12 + 1).
+//
+// Wider blocks would not pay: ZetaBatch derives its interleaves once per
+// strip and primary, so a block-primary costs 2*R*S FMAs plus 2*S for them
+// whatever S is, and more strips only cost the rows they take from R (at
+// nb 10, a 10 x 2 and a 10 x 1 block beat two 5 x 3 blocks by 6 of 72
+// port-0/5 uops per primary).
+//
+// One body per S serves every R: a block's rows load and store in order with
+// a compare against R8 = R after each (zetaLoadS, zetaStoreS, shared by both
+// bodies), and the primary loop runs them from row R-1 down, entered through
+// ZB_ENTER. Per element the operations and their order are those of the
+// portable bodies, whatever the block: blocking only interleaves independent
+// elements.
 
-	XORQ R13, R13 // column strip byte offset within a row
+// zetaStrips<> starts a strip block at byte offset R13 of a row of R12
+// bytes: R9 = S and K1 = the lanes of the block's last strip. Clobbers AX,
+// CX.
+TEXT zetaStrips<>(SB), NOSPLIT, $0
+	MOVQ R12, CX
+	SUBQ R13, CX
+	SHRQ $3, CX // floats left in the row
+	MOVQ $1, R9
+	CMPQ CX, $8
+	JBE  zsmask
+	MOVQ $2, R9
+	SUBQ $8, CX // floats from the block's last strip on
+	CMPQ CX, $8
+	JBE  zsmask
+	MOVQ $8, CX
 
-striploop:
-	// Strip mask: full 8 floats, or the row-width remainder.
-	MOVQ R12, AX
-	SUBQ R13, AX
-	SHRQ $3, AX
-	CMPQ AX, $8
-	JBE  stripmask
-	MOVQ $8, AX
-
-stripmask:
-	MOVQ AX, CX
-	MOVL $1, DX
-	SHLL CX, DX
-	DECL DX
-	KMOVW DX, K1
-
-	XORQ R14, R14 // row index
-
-rowloop:
-	MOVQ R10, AX
-	SUBQ R14, AX
-	CMPQ AX, $2
-	JB   rowsingle
-
-	// Two-row tile: dst rows R14, R14+1 at this strip.
-	MOVQ R14, AX
-	IMULQ R12, AX
-	LEAQ (DI)(AX*1), DX
-	ADDQ R13, DX
-	VMOVUPD.Z (DX), K1, Z16
-	VMOVUPD.Z (DX)(R12*1), K1, Z17
-	LEAQ (SI)(R13*1), AX // a2 strip cursor
-	MOVQ R14, CX
-	SHLQ $4, CX
-	LEAQ (BX)(CX*1), CX // xy cursor: x of row R14 for primary 0
-	MOVQ R11, R15
-
-pairloop2:
-	VMOVUPD.Z (AX), K1, Z20
-	VXORPD    Z26, Z20, Z22     // u = [re, -im, ...]
-	VPERMILPD $0x55, Z20, Z21   // v = [im, re, ...]
-	VBROADCASTSD (CX), Z24
-	VFMADD231PD Z22, Z24, Z16
-	VBROADCASTSD 8(CX), Z25
-	VFMADD231PD Z21, Z25, Z16
-	VBROADCASTSD 16(CX), Z24
-	VFMADD231PD Z22, Z24, Z17
-	VBROADCASTSD 24(CX), Z25
-	VFMADD231PD Z21, Z25, Z17
-	ADDQ R12, AX
-	ADDQ R12, CX
-	DECQ R15
-	JNZ  pairloop2
-
-	VMOVUPD Z16, K1, (DX)
-	VMOVUPD Z17, K1, (DX)(R12*1)
-	ADDQ $2, R14
-	CMPQ R14, R10
-	JB   rowloop
-	JMP  stripnext
-
-rowsingle:
-	// Last odd row.
-	MOVQ R14, AX
-	IMULQ R12, AX
-	LEAQ (DI)(AX*1), DX
-	ADDQ R13, DX
-	VMOVUPD.Z (DX), K1, Z16
-	LEAQ (SI)(R13*1), AX
-	MOVQ R14, CX
-	SHLQ $4, CX
-	LEAQ (BX)(CX*1), CX
-	MOVQ R11, R15
-
-pairloop1:
-	VMOVUPD.Z (AX), K1, Z20
-	VXORPD    Z26, Z20, Z22
-	VPERMILPD $0x55, Z20, Z21
-	VBROADCASTSD (CX), Z24
-	VFMADD231PD Z22, Z24, Z16
-	VBROADCASTSD 8(CX), Z25
-	VFMADD231PD Z21, Z25, Z16
-	ADDQ R12, AX
-	ADDQ R12, CX
-	DECQ R15
-	JNZ  pairloop1
-
-	VMOVUPD Z16, K1, (DX)
-
-stripnext:
-	ADDQ $64, R13
-	CMPQ R13, R12
-	JB   striploop
+zsmask:
+	MOVL  $1, AX
+	SHLL  CX, AX
+	DECL  AX
+	KMOVW AX, K1
 	RET
+
+// zetaRows<> starts a row block at row R14 of nb = R10 rows, in the strip
+// block at byte offset R13: R8 = R and DX = the block's first row in dst
+// (DI, row stride R12).
+TEXT zetaRows<>(SB), NOSPLIT, $0
+	MOVQ R10, R8
+	SUBQ R14, R8 // rows left
+	CMPQ R8, $12
+	JBE  zrfirst
+	CMPQ R8, $24
+	JAE  zrmax
+	INCQ R8
+	SHRQ $1, R8 // two blocks hold them: half, rounded up
+	JMP  zrfirst
+
+zrmax:
+	MOVQ $12, R8
+
+zrfirst:
+	MOVQ  R14, DX
+	IMULQ R12, DX
+	ADDQ  DI, DX
+	ADDQ  R13, DX
+	RET
+
+// ZB_LOADn / ZB_STOREn move one block row between dst at AX (the last
+// strip under K1) and its n accumulators, then stop if it was row R8
+// (jumping to done) or step AX a row on (R12 bytes).
+#define ZB_LOAD1(z0, n, done) \
+	VMOVUPD.Z (AX), K1, z0 \
+	CMPQ      R8, $n \
+	JEQ       done \
+	ADDQ      R12, AX
+
+#define ZB_LOAD2(z0, z1, n, done) \
+	VMOVUPD   (AX), z0 \
+	VMOVUPD.Z 64(AX), K1, z1 \
+	CMPQ      R8, $n \
+	JEQ       done \
+	ADDQ      R12, AX
+
+#define ZB_STORE1(z0, n, done) \
+	VMOVUPD z0, K1, (AX) \
+	CMPQ    R8, $n \
+	JEQ     done \
+	ADDQ    R12, AX
+
+#define ZB_STORE2(z0, z1, n, done) \
+	VMOVUPD z0, (AX) \
+	VMOVUPD z1, K1, 64(AX) \
+	CMPQ    R8, $n \
+	JEQ     done \
+	ADDQ    R12, AX
+
+// zetaLoad1<> and zetaLoad2<> load a block's R8 rows from dst at DX (its
+// first row, as zetaRows<> leaves it) into Z0 .. Z(R8*S-1) in row order,
+// S = 1 or 2; zetaStore1<> and zetaStore2<> store them back. Clobber AX.
+TEXT zetaLoad1<>(SB), NOSPLIT, $0
+	MOVQ DX, AX
+	ZB_LOAD1(Z0, 1, zl1done)
+	ZB_LOAD1(Z1, 2, zl1done)
+	ZB_LOAD1(Z2, 3, zl1done)
+	ZB_LOAD1(Z3, 4, zl1done)
+	ZB_LOAD1(Z4, 5, zl1done)
+	ZB_LOAD1(Z5, 6, zl1done)
+	ZB_LOAD1(Z6, 7, zl1done)
+	ZB_LOAD1(Z7, 8, zl1done)
+	ZB_LOAD1(Z8, 9, zl1done)
+	ZB_LOAD1(Z9, 10, zl1done)
+	ZB_LOAD1(Z10, 11, zl1done)
+	ZB_LOAD1(Z11, 12, zl1done)
+
+zl1done:
+	RET
+
+TEXT zetaLoad2<>(SB), NOSPLIT, $0
+	MOVQ DX, AX
+	ZB_LOAD2(Z0, Z1, 1, zl2done)
+	ZB_LOAD2(Z2, Z3, 2, zl2done)
+	ZB_LOAD2(Z4, Z5, 3, zl2done)
+	ZB_LOAD2(Z6, Z7, 4, zl2done)
+	ZB_LOAD2(Z8, Z9, 5, zl2done)
+	ZB_LOAD2(Z10, Z11, 6, zl2done)
+	ZB_LOAD2(Z12, Z13, 7, zl2done)
+	ZB_LOAD2(Z14, Z15, 8, zl2done)
+	ZB_LOAD2(Z16, Z17, 9, zl2done)
+	ZB_LOAD2(Z18, Z19, 10, zl2done)
+	ZB_LOAD2(Z20, Z21, 11, zl2done)
+	ZB_LOAD2(Z22, Z23, 12, zl2done)
+
+zl2done:
+	RET
+
+TEXT zetaStore1<>(SB), NOSPLIT, $0
+	MOVQ DX, AX
+	ZB_STORE1(Z0, 1, zs1done)
+	ZB_STORE1(Z1, 2, zs1done)
+	ZB_STORE1(Z2, 3, zs1done)
+	ZB_STORE1(Z3, 4, zs1done)
+	ZB_STORE1(Z4, 5, zs1done)
+	ZB_STORE1(Z5, 6, zs1done)
+	ZB_STORE1(Z6, 7, zs1done)
+	ZB_STORE1(Z7, 8, zs1done)
+	ZB_STORE1(Z8, 9, zs1done)
+	ZB_STORE1(Z9, 10, zs1done)
+	ZB_STORE1(Z10, 11, zs1done)
+	ZB_STORE1(Z11, 12, zs1done)
+
+zs1done:
+	RET
+
+TEXT zetaStore2<>(SB), NOSPLIT, $0
+	MOVQ DX, AX
+	ZB_STORE2(Z0, Z1, 1, zs2done)
+	ZB_STORE2(Z2, Z3, 2, zs2done)
+	ZB_STORE2(Z4, Z5, 3, zs2done)
+	ZB_STORE2(Z6, Z7, 4, zs2done)
+	ZB_STORE2(Z8, Z9, 5, zs2done)
+	ZB_STORE2(Z10, Z11, 6, zs2done)
+	ZB_STORE2(Z12, Z13, 7, zs2done)
+	ZB_STORE2(Z14, Z15, 8, zs2done)
+	ZB_STORE2(Z16, Z17, 9, zs2done)
+	ZB_STORE2(Z18, Z19, 10, zs2done)
+	ZB_STORE2(Z20, Z21, 11, zs2done)
+	ZB_STORE2(Z22, Z23, 12, zs2done)
+
+zs2done:
+	RET
+
+// ZB_ENTER jumps into a primary's row sequence, which runs from the block's
+// last row down to row 0 (labels r0 .. r11), at row R8 - 1: a three-level
+// ladder of compares per primary instead of one after every row, which
+// would take issue slots from the FMA ports. mid and hi are its own labels.
+#define ZB_ENTER(r0, r1, r2, r3, r4, r5, r6, r7, r8, r9, r10, r11, mid, hi) \
+	CMPQ R8, $8 \
+	JA   hi \
+	CMPQ R8, $4 \
+	JA   mid \
+	CMPQ R8, $2 \
+	JB   r0 \
+	JEQ  r1 \
+	CMPQ R8, $3 \
+	JEQ  r2 \
+	JMP  r3 \
+mid: \
+	CMPQ R8, $6 \
+	JB   r4 \
+	JEQ  r5 \
+	CMPQ R8, $7 \
+	JEQ  r6 \
+	JMP  r7 \
+hi: \
+	CMPQ R8, $10 \
+	JB   r8 \
+	JEQ  r9 \
+	CMPQ R8, $11 \
+	JEQ  r10 \
+	JMP  r11
+
+// ZC_PREPn loads primary a's a2 strips at AX and derives, once per strip,
+// the conjugate interleave u (Z24, Z25) and the pair-swapped v (Z26, Z27).
+#define ZC_PREP1 \
+	VMOVUPD.Z (AX), K1, Z26 \
+	VPXORQ    Z31, Z26, Z24 \
+	VPERMILPD $0x55, Z26, Z26
+
+#define ZC_PREP2 \
+	VMOVUPD   (AX), Z26 \
+	VMOVUPD.Z 64(AX), K1, Z27 \
+	VPXORQ    Z31, Z26, Z24 \
+	VPXORQ    Z31, Z27, Z25 \
+	VPERMILPD $0x55, Z26, Z26 \
+	VPERMILPD $0x55, Z27, Z27
+
+// ZC_ROWn folds one block row: its (x, y) at off(AX)(CX*1) — CX is the xy
+// rows' distance from the a2 strip, so AX alone walks the primaries — then
+// per strip the x leg's FMA and the y leg's.
+#define ZC_ROW1(off, z0) \
+	VBROADCASTSD off(AX)(CX*1), Z28 \
+	VBROADCASTSD off+8(AX)(CX*1), Z29 \
+	VFMADD231PD  Z24, Z28, z0 \
+	VFMADD231PD  Z26, Z29, z0
+
+#define ZC_ROW2(off, z0, z1) \
+	VBROADCASTSD off(AX)(CX*1), Z28 \
+	VBROADCASTSD off+8(AX)(CX*1), Z29 \
+	VFMADD231PD  Z24, Z28, z0 \
+	VFMADD231PD  Z25, Z28, z1 \
+	VFMADD231PD  Z26, Z29, z0 \
+	VFMADD231PD  Z27, Z29, z1
+
+// func zetaBatchAsm(dst []complex128, a2, xy []float64, nb, k int)
+// K fused dense per-primary zeta updates of one channel's nb x nb block over
+// the packed float64 view of dst (rows of 2*nb floats), blocked as above
+// (nb 10: a 10 x 2 and a 10 x 1 block; nb 6: one 6 x 2). Per primary and
+// strip the a2 strip yields u = a2 XOR oddSignMask (conjugate) and
+// v = pair-swapped a2 once, shared by the block's rows; each row broadcasts
+// its weighted (x, y) and folds x*u, then y*v, into every strip.
+TEXT ·zetaBatchAsm(SB), NOSPLIT, $0-88
+	MOVQ    dst_base+0(FP), DI
+	MOVQ    a2_base+24(FP), SI
+	MOVQ    xy_base+48(FP), BX
+	MOVQ    nb+72(FP), R10
+	MOVQ    k+80(FP), R11
+	MOVQ    R10, R12
+	SHLQ    $4, R12 // row and per-primary stride: 2*nb floats = 16*nb bytes
+	VMOVUPD oddSignMask<>(SB), Z31
+	XORQ    R13, R13
+
+zcstrips:
+	CALL zetaStrips<>(SB)
+	XORQ R14, R14
+
+zcrows:
+	CALL zetaRows<>(SB)
+	MOVQ R14, CX
+	SHLQ $4, CX
+	ADDQ BX, CX
+	SUBQ SI, CX
+	SUBQ R13, CX // (x, y) of the block's first row, less its a2 strip
+	MOVQ R11, R15
+	IMULQ R12, R15
+	ADDQ SI, R15
+	ADDQ R13, R15 // a2 strip cursor bound: K primaries on
+	CMPQ R9, $2
+	JB   zc1
+
+	CALL zetaLoad2<>(SB)
+	LEAQ (SI)(R13*1), AX
+
+zc2loop:
+	ZC_PREP2
+	ZB_ENTER(zc2r0, zc2r1, zc2r2, zc2r3, zc2r4, zc2r5, zc2r6, zc2r7, zc2r8, zc2r9, zc2r10, zc2r11, zc2mid, zc2hi)
+zc2r11:
+	ZC_ROW2(176, Z22, Z23)
+zc2r10:
+	ZC_ROW2(160, Z20, Z21)
+zc2r9:
+	ZC_ROW2(144, Z18, Z19)
+zc2r8:
+	ZC_ROW2(128, Z16, Z17)
+zc2r7:
+	ZC_ROW2(112, Z14, Z15)
+zc2r6:
+	ZC_ROW2(96, Z12, Z13)
+zc2r5:
+	ZC_ROW2(80, Z10, Z11)
+zc2r4:
+	ZC_ROW2(64, Z8, Z9)
+zc2r3:
+	ZC_ROW2(48, Z6, Z7)
+zc2r2:
+	ZC_ROW2(32, Z4, Z5)
+zc2r1:
+	ZC_ROW2(16, Z2, Z3)
+zc2r0:
+	ZC_ROW2(0, Z0, Z1)
+zc2next:
+	ADDQ R12, AX
+	CMPQ AX, R15
+	JB   zc2loop
+	CALL zetaStore2<>(SB)
+	JMP  zcnext
+
+zc1:
+	CALL zetaLoad1<>(SB)
+	LEAQ (SI)(R13*1), AX
+
+zc1loop:
+	ZC_PREP1
+	ZB_ENTER(zc1r0, zc1r1, zc1r2, zc1r3, zc1r4, zc1r5, zc1r6, zc1r7, zc1r8, zc1r9, zc1r10, zc1r11, zc1mid, zc1hi)
+zc1r11:
+	ZC_ROW1(176, Z11)
+zc1r10:
+	ZC_ROW1(160, Z10)
+zc1r9:
+	ZC_ROW1(144, Z9)
+zc1r8:
+	ZC_ROW1(128, Z8)
+zc1r7:
+	ZC_ROW1(112, Z7)
+zc1r6:
+	ZC_ROW1(96, Z6)
+zc1r5:
+	ZC_ROW1(80, Z5)
+zc1r4:
+	ZC_ROW1(64, Z4)
+zc1r3:
+	ZC_ROW1(48, Z3)
+zc1r2:
+	ZC_ROW1(32, Z2)
+zc1r1:
+	ZC_ROW1(16, Z1)
+zc1r0:
+	ZC_ROW1(0, Z0)
+zc1next:
+	ADDQ R12, AX
+	CMPQ AX, R15
+	JB   zc1loop
+	CALL zetaStore1<>(SB)
+
+zcnext:
+	ADDQ R8, R14
+	CMPQ R14, R10
+	JB   zcrows
+	SHLQ $6, R9
+	ADDQ R9, R13
+	CMPQ R13, R12
+	JB   zcstrips
+	VZEROUPPER
+	RET
+
+// ZI_PREPn loads primary a's re strips (Z24, Z25) at AX and its im strips
+// (Z26, Z27) R12 bytes on, and broadcasts its weight w[a] (BX, R15) to Z30.
+#define ZI_PREP1 \
+	VMOVUPD.Z    (AX), K1, Z24 \
+	VMOVUPD.Z    (AX)(R12*1), K1, Z26 \
+	VBROADCASTSD (BX)(R15*8), Z30
+
+#define ZI_PREP2 \
+	VMOVUPD      (AX), Z24 \
+	VMOVUPD.Z    64(AX), K1, Z25 \
+	VMOVUPD      (AX)(R12*1), Z26 \
+	VMOVUPD.Z    64(AX)(R12*1), K1, Z27 \
+	VBROADCASTSD (BX)(R15*8), Z30
+
+// ZI_ROWn folds one block row: x = w*re[row] and y = w*im[row], each
+// rounded once (the broadcast folded into the multiply), then per strip
+// the FMA of x*re and the FMA of y*im.
+#define ZI_ROW1(off, z0) \
+	VMULPD.BCST off(CX), Z30, Z28 \
+	VMULPD.BCST off(CX)(R12*1), Z30, Z29 \
+	VFMADD231PD Z24, Z28, z0 \
+	VFMADD231PD Z26, Z29, z0
+
+#define ZI_ROW2(off, z0, z1) \
+	VMULPD.BCST off(CX), Z30, Z28 \
+	VMULPD.BCST off(CX)(R12*1), Z30, Z29 \
+	VFMADD231PD Z24, Z28, z0 \
+	VFMADD231PD Z25, Z28, z1 \
+	VFMADD231PD Z26, Z29, z0 \
+	VFMADD231PD Z27, Z29, z1
 
 // func zetaBatchIsoAsm(dst, a2, w []float64, nb, k int)
 // The real-valued IsotropicOnly variant of zetaBatchAsm: dst is a real
 // nb x nb tile and a2 carries split re/im halves per primary (re row then
 // im row, per-primary stride 2*nb floats), so both legs load as plain
-// contiguous strips — no conjugate sign flip, no pair swap. The tile is
-// walked in 8-float column strips x 2-row groups held in registers across
-// all K primaries; per (primary, row) the weighted scalars x = w[a]*re[t1]
-// and y = w[a]*im[t1] are formed by broadcast + multiply and folded in with
-// two FMAs per row.
+// contiguous strips — no conjugate sign flip, no pair swap. Per (primary,
+// row) the weighted scalars x = w[a]*re[row] and y = w[a]*im[row] are
+// formed once per strip block and folded into each of its strips with two
+// FMAs. Blocked as above (nb 10: one 10 x 2 block).
 TEXT ·zetaBatchIsoAsm(SB), NOSPLIT, $0-88
 	MOVQ dst_base+0(FP), DI
 	MOVQ a2_base+24(FP), SI
@@ -718,177 +1001,223 @@ TEXT ·zetaBatchIsoAsm(SB), NOSPLIT, $0-88
 	MOVQ nb+72(FP), R10
 	MOVQ k+80(FP), R11
 	MOVQ R10, R12
-	SHLQ $4, R12 // a2 per-primary stride: 2*nb floats = 16*nb bytes
-	MOVQ R10, R9
-	SHLQ $3, R9  // dst row stride and re->im half offset: nb floats = 8*nb bytes
+	SHLQ $3, R12 // dst row stride and re->im half offset: nb floats = 8*nb bytes
+	XORQ R13, R13
 
-	XORQ R13, R13 // column strip byte offset within a row
+zistrips:
+	CALL zetaStrips<>(SB)
+	XORQ R14, R14
 
-isostriploop:
-	// Strip mask: full 8 floats, or the row-width remainder.
-	MOVQ R9, AX
-	SUBQ R13, AX
-	SHRQ $3, AX
-	CMPQ AX, $8
-	JBE  isostripmask
-	MOVQ $8, AX
+zirows:
+	CALL zetaRows<>(SB)
+	LEAQ (SI)(R14*8), CX // re[row R14] of primary 0
+	XORQ R15, R15
+	CMPQ R9, $2
+	JB   zi1
 
-isostripmask:
-	MOVQ AX, CX
-	MOVL $1, DX
-	SHLL CX, DX
-	DECL DX
-	KMOVW DX, K1
-
-	XORQ R14, R14 // row index
-
-isorowloop:
-	MOVQ R10, AX
-	SUBQ R14, AX
-	CMPQ AX, $2
-	JB   isorowsingle
-
-	// Two-row tile: dst rows R14, R14+1 at this strip.
-	MOVQ R14, AX
-	IMULQ R9, AX
-	LEAQ (DI)(AX*1), DX
-	ADDQ R13, DX
-	VMOVUPD.Z (DX), K1, Z16
-	VMOVUPD.Z (DX)(R9*1), K1, Z17
-	LEAQ (SI)(R13*1), AX // a2 re-strip cursor, primary 0
-	MOVQ R14, CX
-	SHLQ $3, CX
-	LEAQ (SI)(CX*1), CX  // a2 scalar cursor: re[row] of primary 0
-	MOVQ BX, R8          // w cursor
-	MOVQ R11, R15
-
-isopairloop2:
-	VMOVUPD.Z (AX), K1, Z20       // re strip
-	VMOVUPD.Z (AX)(R9*1), K1, Z21 // im strip
-	VBROADCASTSD (R8), Z23        // w[a]
-	VBROADCASTSD (CX), Z24
-	VMULPD Z23, Z24, Z24          // x = w[a]*re[row]
-	VFMADD231PD Z20, Z24, Z16
-	VBROADCASTSD (CX)(R9*1), Z25
-	VMULPD Z23, Z25, Z25          // y = w[a]*im[row]
-	VFMADD231PD Z21, Z25, Z16
-	VBROADCASTSD 8(CX), Z24
-	VMULPD Z23, Z24, Z24
-	VFMADD231PD Z20, Z24, Z17
-	VBROADCASTSD 8(CX)(R9*1), Z25
-	VMULPD Z23, Z25, Z25
-	VFMADD231PD Z21, Z25, Z17
-	ADDQ R12, AX
-	ADDQ R12, CX
-	ADDQ $8, R8
-	DECQ R15
-	JNZ  isopairloop2
-
-	VMOVUPD Z16, K1, (DX)
-	VMOVUPD Z17, K1, (DX)(R9*1)
-	ADDQ $2, R14
-	CMPQ R14, R10
-	JB   isorowloop
-	JMP  isostripnext
-
-isorowsingle:
-	// Last odd row.
-	MOVQ R14, AX
-	IMULQ R9, AX
-	LEAQ (DI)(AX*1), DX
-	ADDQ R13, DX
-	VMOVUPD.Z (DX), K1, Z16
+	CALL zetaLoad2<>(SB)
 	LEAQ (SI)(R13*1), AX
-	MOVQ R14, CX
-	SHLQ $3, CX
-	LEAQ (SI)(CX*1), CX
-	MOVQ BX, R8
-	MOVQ R11, R15
 
-isopairloop1:
-	VMOVUPD.Z (AX), K1, Z20
-	VMOVUPD.Z (AX)(R9*1), K1, Z21
-	VBROADCASTSD (R8), Z23
-	VBROADCASTSD (CX), Z24
-	VMULPD Z23, Z24, Z24
-	VFMADD231PD Z20, Z24, Z16
-	VBROADCASTSD (CX)(R9*1), Z25
-	VMULPD Z23, Z25, Z25
-	VFMADD231PD Z21, Z25, Z16
-	ADDQ R12, AX
-	ADDQ R12, CX
-	ADDQ $8, R8
-	DECQ R15
-	JNZ  isopairloop1
+zi2loop:
+	ZI_PREP2
+	ZB_ENTER(zi2r0, zi2r1, zi2r2, zi2r3, zi2r4, zi2r5, zi2r6, zi2r7, zi2r8, zi2r9, zi2r10, zi2r11, zi2mid, zi2hi)
+zi2r11:
+	ZI_ROW2(88, Z22, Z23)
+zi2r10:
+	ZI_ROW2(80, Z20, Z21)
+zi2r9:
+	ZI_ROW2(72, Z18, Z19)
+zi2r8:
+	ZI_ROW2(64, Z16, Z17)
+zi2r7:
+	ZI_ROW2(56, Z14, Z15)
+zi2r6:
+	ZI_ROW2(48, Z12, Z13)
+zi2r5:
+	ZI_ROW2(40, Z10, Z11)
+zi2r4:
+	ZI_ROW2(32, Z8, Z9)
+zi2r3:
+	ZI_ROW2(24, Z6, Z7)
+zi2r2:
+	ZI_ROW2(16, Z4, Z5)
+zi2r1:
+	ZI_ROW2(8, Z2, Z3)
+zi2r0:
+	ZI_ROW2(0, Z0, Z1)
+zi2next:
+	LEAQ (AX)(R12*2), AX
+	LEAQ (CX)(R12*2), CX
+	INCQ R15
+	CMPQ R15, R11
+	JB   zi2loop
+	CALL zetaStore2<>(SB)
+	JMP  zinext
 
-	VMOVUPD Z16, K1, (DX)
+zi1:
+	CALL zetaLoad1<>(SB)
+	LEAQ (SI)(R13*1), AX
 
-isostripnext:
-	ADDQ $64, R13
-	CMPQ R13, R9
-	JB   isostriploop
+zi1loop:
+	ZI_PREP1
+	ZB_ENTER(zi1r0, zi1r1, zi1r2, zi1r3, zi1r4, zi1r5, zi1r6, zi1r7, zi1r8, zi1r9, zi1r10, zi1r11, zi1mid, zi1hi)
+zi1r11:
+	ZI_ROW1(88, Z11)
+zi1r10:
+	ZI_ROW1(80, Z10)
+zi1r9:
+	ZI_ROW1(72, Z9)
+zi1r8:
+	ZI_ROW1(64, Z8)
+zi1r7:
+	ZI_ROW1(56, Z7)
+zi1r6:
+	ZI_ROW1(48, Z6)
+zi1r5:
+	ZI_ROW1(40, Z5)
+zi1r4:
+	ZI_ROW1(32, Z4)
+zi1r3:
+	ZI_ROW1(24, Z3)
+zi1r2:
+	ZI_ROW1(16, Z2)
+zi1r1:
+	ZI_ROW1(8, Z1)
+zi1r0:
+	ZI_ROW1(0, Z0)
+zi1next:
+	LEAQ (AX)(R12*2), AX
+	LEAQ (CX)(R12*2), CX
+	INCQ R15
+	CMPQ R15, R11
+	JB   zi1loop
+	CALL zetaStore1<>(SB)
+
+zinext:
+	ADDQ R8, R14
+	CMPQ R14, R10
+	JB   zirows
+	SHLQ $6, R9
+	ADDQ R9, R13
+	CMPQ R13, R12
+	JB   zistrips
+	VZEROUPPER
 	RET
 
+// RD_PAIR(a, b, t) leaves in a the in-pair sums of lane groups a and b,
+// interleaved: [a0+a1, b0+b1, a2+a3, b2+b3, ...] (each 128-bit lane k holds
+// the pair (2k, 2k+1) of a, then of b). Clobbers t.
+#define RD_PAIR(a, b, t) \
+	VUNPCKHPD b, a, t \
+	VUNPCKLPD b, a, a \
+	VADDPD    t, a, a
+
+// RD_HALVES(p, q, t) adds p's 128-bit lanes 0 and 2 to its lanes 1 and 3,
+// and q's likewise: p = [p.l0+p.l1, p.l2+p.l3, q.l0+q.l1, q.l2+q.l3].
+// Clobbers t.
+#define RD_HALVES(p, q, t) \
+	VSHUFF64X2 $0xdd, q, p, t \
+	VSHUFF64X2 $0x88, q, p, p \
+	VADDPD     t, p, p
+
 // func reduceAsm(acc, out []float64, zero bool)
-// Lane-striped accumulator fold, two sums per iteration. Each group's
-// pairwise tree — (a0+a1)+(a2+a3) then +((a4+a5)+(a6+a7)) — is performed
-// in-register with the exact same addition pairing as the generic body, so
-// the results are bitwise identical: an in-pair swap + add forms the s01..
-// s67 sums, a per-128-lane compact + swap + add forms s0123/s4567, and the
-// 256-bit halves meet in the final scalar add. With zero set, each group is
-// cleared behind its load (a store of Z28 under K1, which is empty
-// otherwise).
+// Lane-striped accumulator fold with the generic body's addition pairing,
+// so bitwise identical: per group (a0+a1)+(a2+a3), then
+// +((a4+a5)+(a6+a7)). Eight groups at a time as an 8 x 8 transpose-add:
+// unpack + add forms s01 .. s67 of two groups per register, a 128-bit
+// shuffle + add s0123 / s4567 of four, and a last shuffle + add the eight
+// sums in group order, one store. The 1-7 groups left over run two, then
+// one, at a time: an in-pair swap + add forms s01 .. s67, a per-128-lane
+// compact + swap + add s0123 / s4567, and the 256-bit halves meet in the
+// final scalar add. With zero set, each group is cleared behind its load (a
+// store of Z31 under K1, which is empty otherwise).
 TEXT ·reduceAsm(SB), NOSPLIT, $0-49
-	MOVQ acc_base+0(FP), SI
-	MOVQ out_base+24(FP), DI
-	MOVQ out_len+32(FP), CX
+	MOVQ    acc_base+0(FP), SI
+	MOVQ    out_base+24(FP), DI
+	MOVQ    out_len+32(FP), CX
 	MOVBLZX zero+48(FP), AX
-	NEGL AX
-	KMOVW AX, K1
-	VPXORQ Z28, Z28, Z28
+	NEGL    AX
+	KMOVW   AX, K1
+	VPXORQ  Z31, Z31, Z31
+	MOVQ    CX, DX
+	SHRQ    $3, DX
+	JZ      rdpairs
+
+rdeight:
+	VMOVUPD (SI), Z16
+	VMOVUPD 64(SI), Z17
+	VMOVUPD 128(SI), Z18
+	VMOVUPD 192(SI), Z19
+	VMOVUPD 256(SI), Z20
+	VMOVUPD 320(SI), Z21
+	VMOVUPD 384(SI), Z22
+	VMOVUPD 448(SI), Z23
+	VMOVUPD Z31, K1, (SI)
+	VMOVUPD Z31, K1, 64(SI)
+	VMOVUPD Z31, K1, 128(SI)
+	VMOVUPD Z31, K1, 192(SI)
+	VMOVUPD Z31, K1, 256(SI)
+	VMOVUPD Z31, K1, 320(SI)
+	VMOVUPD Z31, K1, 384(SI)
+	VMOVUPD Z31, K1, 448(SI)
+	RD_PAIR(Z16, Z17, Z24)
+	RD_PAIR(Z18, Z19, Z25)
+	RD_PAIR(Z20, Z21, Z26)
+	RD_PAIR(Z22, Z23, Z27)
+	RD_HALVES(Z16, Z18, Z24) // groups 0-3: [s0123, s4567] of 0,1 | of 2,3
+	RD_HALVES(Z20, Z22, Z25) // groups 4-7
+	RD_HALVES(Z16, Z20, Z24) // s0123 + s4567 of groups 0..7, in order
+	VMOVUPD Z16, (DI)
+	ADDQ    $512, SI
+	ADDQ    $64, DI
+	DECQ    DX
+	JNZ     rdeight
+
+rdpairs:
+	ANDQ $7, CX
 	MOVQ CX, DX
 	SHRQ $1, DX
 	JZ   rdsingle
 
 rdpair:
-	VMOVUPD (SI), Z16
-	VMOVUPD 64(SI), Z20
-	VMOVUPD Z28, K1, (SI)
-	VMOVUPD Z28, K1, 64(SI)
-	VPERMILPD $0x55, Z16, Z17
-	VPERMILPD $0x55, Z20, Z21
-	VADDPD Z17, Z16, Z16 // [s01 s01 s23 s23 | s45 s45 s67 s67]
-	VADDPD Z21, Z20, Z20
-	VPERMPD $0x08, Z16, Z16 // per 256 half: [s01 s23 . .]
-	VPERMPD $0x08, Z20, Z20
-	VPERMILPD $0x55, Z16, Z17
-	VPERMILPD $0x55, Z20, Z21
-	VADDPD Z17, Z16, Z16 // lane0 of each half: s0123 / s4567
-	VADDPD Z21, Z20, Z20
+	VMOVUPD       (SI), Z16
+	VMOVUPD       64(SI), Z20
+	VMOVUPD       Z31, K1, (SI)
+	VMOVUPD       Z31, K1, 64(SI)
+	VPERMILPD     $0x55, Z16, Z17
+	VPERMILPD     $0x55, Z20, Z21
+	VADDPD        Z17, Z16, Z16 // [s01 s01 s23 s23 | s45 s45 s67 s67]
+	VADDPD        Z21, Z20, Z20
+	VPERMPD       $0x08, Z16, Z16 // per 256 half: [s01 s23 . .]
+	VPERMPD       $0x08, Z20, Z20
+	VPERMILPD     $0x55, Z16, Z17
+	VPERMILPD     $0x55, Z20, Z21
+	VADDPD        Z17, Z16, Z16 // lane0 of each half: s0123 / s4567
+	VADDPD        Z21, Z20, Z20
 	VEXTRACTF64X4 $1, Z16, Y17
 	VEXTRACTF64X4 $1, Z20, Y21
-	VADDSD X17, X16, X16
-	VADDSD X21, X20, X20
-	VMOVSD X16, (DI)
-	VMOVSD X20, 8(DI)
-	ADDQ $128, SI
-	ADDQ $16, DI
-	DECQ DX
-	JNZ  rdpair
+	VADDSD        X17, X16, X16
+	VADDSD        X21, X20, X20
+	VMOVSD        X16, (DI)
+	VMOVSD        X20, 8(DI)
+	ADDQ          $128, SI
+	ADDQ          $16, DI
+	DECQ          DX
+	JNZ           rdpair
 
 rdsingle:
-	ANDQ $1, CX
-	JZ   rddone
-	VMOVUPD (SI), Z16
-	VMOVUPD Z28, K1, (SI)
-	VPERMILPD $0x55, Z16, Z17
-	VADDPD Z17, Z16, Z16
-	VPERMPD $0x08, Z16, Z16
-	VPERMILPD $0x55, Z16, Z17
-	VADDPD Z17, Z16, Z16
+	ANDQ          $1, CX
+	JZ            rddone
+	VMOVUPD       (SI), Z16
+	VMOVUPD       Z31, K1, (SI)
+	VPERMILPD     $0x55, Z16, Z17
+	VADDPD        Z17, Z16, Z16
+	VPERMPD       $0x08, Z16, Z16
+	VPERMILPD     $0x55, Z16, Z17
+	VADDPD        Z17, Z16, Z16
 	VEXTRACTF64X4 $1, Z16, Y17
-	VADDSD X17, X16, X16
-	VMOVSD X16, (DI)
+	VADDSD        X17, X16, X16
+	VMOVSD        X16, (DI)
 
 rddone:
 	RET
@@ -913,8 +1242,8 @@ GLOBL pairOne<>(SB), RODATA, $8
 // Subtract, multiply, add, square root and divide only — no FMA, the adds in
 // the portable body's (x*x + y*y) + z*z order — so every stored value is the
 // portable body's. The compressed registers are stored whole at survivor
-// index AX (the slack PairCols promises). Unlike the rest of the file this
-// uses Z0-Z15 as well (fourteen broadcast constants leave too few high
+// index AX (the slack PairCols promises). Like the zeta bodies it uses
+// Z0-Z15 as well (fourteen broadcast constants leave too few high
 // registers), hence the VZEROUPPER.
 TEXT ·pairColumnsAsm(SB), NOSPLIT, $0-104
 	MOVQ sh+0(FP), DI

@@ -547,6 +547,16 @@ func TestLadderMatchesRowsBitwise(t *testing.T) {
 	})
 }
 
+// zetaNBs and zetaKs are the zeta tile shapes the bitwise pins sweep: every
+// nb to 12 (each strip count and mask the vector bodies block into one or
+// two row blocks, every block height), and 16-25, where rows split into
+// balanced blocks and strips into several strip blocks, at K from one
+// primary to a full commit unit.
+var (
+	zetaNBs = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 16, 17, 20, 24, 25}
+	zetaKs  = []int{1, 2, 5, 21, 32, 64}
+)
+
 func TestZetaBatchMatchesPerPrimaryBlock(t *testing.T) {
 	// ZetaBatch over K packed primaries must equal K sequential dense
 	// per-primary updates (the generic body at k = 1, one primary's slab
@@ -555,10 +565,68 @@ func TestZetaBatchMatchesPerPrimaryBlock(t *testing.T) {
 	eachDispatch(t, func(tag string) { testZetaBatchMatchesPerPrimary(t, tag) })
 }
 
+func TestZetaBatchStaysInBounds(t *testing.T) {
+	// Every tile path — whole and masked strips, every block height — must
+	// write only dst[0:nb*nb] and fold only the first k*2*nb slab words and
+	// k weights into it: dst is cut from a sentinel-filled buffer, and the
+	// slab and weight words past their extent are NaN, which a read feeding
+	// a stored lane would carry into dst. (A read into a discarded lane is
+	// TestZetaBatchTouchesNothingPastItsOperands' job.)
+	const pad = 40
+	sentinel := math.Float64frombits(0x7ff4_dead_0000_beef) // a NaN payload no arithmetic makes
+	eachDispatch(t, func(tag string) {
+		rng := rand.New(rand.NewSource(94))
+		for _, nb := range zetaNBs {
+			for _, k := range zetaKs {
+				n := k * 2 * nb
+				a2 := make([]float64, n+pad)
+				xy := make([]float64, n+pad)
+				w := make([]float64, k+pad)
+				for i := range a2 {
+					a2[i], xy[i] = math.NaN(), math.NaN()
+					if i < n {
+						a2[i], xy[i] = rng.NormFloat64(), rng.NormFloat64()
+					}
+				}
+				for i := range w {
+					w[i] = math.NaN()
+					if i < k {
+						w[i] = rng.ExpFloat64()
+					}
+				}
+				cbuf := make([]complex128, nb*nb+2*pad)
+				rbuf := make([]float64, nb*nb+2*pad)
+				for i := range cbuf {
+					cbuf[i] = complex(sentinel, sentinel)
+					rbuf[i] = sentinel
+				}
+				cdst := cbuf[pad : pad+nb*nb]
+				rdst := rbuf[pad : pad+nb*nb]
+				clear(cdst)
+				clear(rdst)
+				ZetaBatch(cdst, a2, xy, nb, k)
+				ZetaBatchIso(rdst, a2, w, nb, k)
+				for i := range rbuf {
+					inside := i >= pad && i < pad+nb*nb
+					c, r := cbuf[i], rbuf[i]
+					switch {
+					case inside && (math.IsNaN(real(c)) || math.IsNaN(imag(c)) || math.IsNaN(r)):
+						t.Fatalf("%s nb=%d k=%d: dst[%d] = %v / %v read past the slab", tag, nb, k, i-pad, c, r)
+					case !inside && (math.Float64bits(real(c)) != math.Float64bits(sentinel) ||
+						math.Float64bits(imag(c)) != math.Float64bits(sentinel) ||
+						math.Float64bits(r) != math.Float64bits(sentinel)):
+						t.Fatalf("%s nb=%d k=%d: wrote %v / %v at dst offset %d", tag, nb, k, c, r, i-pad)
+					}
+				}
+			}
+		}
+	})
+}
+
 func testZetaBatchMatchesPerPrimary(t *testing.T, tag string) {
 	rng := rand.New(rand.NewSource(93))
-	for _, nb := range []int{1, 2, 3, 4, 7, 8, 10, 16, 20} {
-		for _, k := range []int{1, 2, 5, 31} {
+	for _, nb := range zetaNBs {
+		for _, k := range zetaKs {
 			a2 := make([]float64, k*2*nb)
 			xy := make([]float64, k*2*nb)
 			for j := range a2 {
@@ -588,21 +656,36 @@ func testZetaBatchMatchesPerPrimary(t *testing.T, tag string) {
 }
 
 func TestReduceDispatchBitwiseGeneric(t *testing.T) {
-	// The vector Reduce performs the identical pairwise tree, so it must
-	// match the generic body bitwise.
+	// The vector Reduce performs the identical pairwise tree — eight groups
+	// at a time as a transpose-add, the one to seven left over two and one
+	// at a time — so under both Reduce and ReduceClear it must match the
+	// generic body bitwise at every group count around those paths; Reduce
+	// must leave acc as it was and ReduceClear all +0.
 	rng := rand.New(rand.NewSource(97))
-	for _, n := range []int{1, 2, 3, 7, 8, 121} {
-		acc := make([]float64, n*Lanes)
-		for i := range acc {
-			acc[i] = rng.NormFloat64() * math.Exp(20*rng.NormFloat64())
-		}
-		got := make([]float64, n)
-		want := make([]float64, n)
-		reduce(acc, got, false)
-		reduceGeneric(acc, want, false)
-		for i := range want {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("n=%d out[%d]: %v vs %v (not bitwise)", n, i, got[i], want[i])
+	ns := []int{121}
+	for n := 1; n <= 17; n++ {
+		ns = append(ns, n)
+	}
+	for _, zero := range []bool{false, true} {
+		for _, n := range ns {
+			acc := make([]float64, n*Lanes)
+			for i := range acc {
+				acc[i] = rng.NormFloat64() * math.Exp(20*rng.NormFloat64())
+			}
+			orig := append([]float64(nil), acc...)
+			got := make([]float64, n)
+			want := make([]float64, n)
+			reduce(acc, got, zero)
+			reduceGeneric(orig, want, false)
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("zero=%v n=%d out[%d]: %v vs %v (not bitwise)", zero, n, i, got[i], want[i])
+				}
+			}
+			for i, v := range acc {
+				if zero && math.Float64bits(v) != 0 || !zero && math.Float64bits(v) != math.Float64bits(orig[i]) {
+					t.Fatalf("zero=%v n=%d acc[%d] = %v afterwards", zero, n, i, v)
+				}
 			}
 		}
 	}
@@ -659,41 +742,47 @@ func TestZetaBatchIsoDispatchAgreesWithGeneric(t *testing.T) {
 	// Both zeta bodies round where their vector twins do — ZetaBatchIso's
 	// weighted leg once, then two FMAs; ZetaBatch's x leg's FMA, then the y
 	// leg's — so the dispatched and the portable bodies agree bit for bit on
-	// full strips, masked strips and odd rows.
+	// every tile shape: whole and masked strips, each block height.
 	if !HasAVX512() {
 		t.Skip("no vector path on this host; dispatch is the generic code")
 	}
 	rng := rand.New(rand.NewSource(96))
-	for _, nb := range []int{1, 3, 4, 8, 9, 17} {
-		k := 6
-		a2 := make([]float64, k*2*nb)
-		xy := make([]float64, k*2*nb)
-		w := make([]float64, k)
-		for j := range a2 {
-			a2[j] = rng.NormFloat64()
-			xy[j] = rng.NormFloat64()
+	for _, nb := range zetaNBs {
+		for _, k := range zetaKs {
+			testZetaDispatchShape(t, rng, nb, k)
 		}
-		for j := range w {
-			w[j] = rng.ExpFloat64()
+	}
+}
+
+func testZetaDispatchShape(t *testing.T, rng *rand.Rand, nb, k int) {
+	t.Helper()
+	a2 := make([]float64, k*2*nb)
+	xy := make([]float64, k*2*nb)
+	w := make([]float64, k)
+	for j := range a2 {
+		a2[j] = rng.NormFloat64()
+		xy[j] = rng.NormFloat64()
+	}
+	for j := range w {
+		w[j] = rng.ExpFloat64()
+	}
+	got := make([]float64, nb*nb)
+	want := make([]float64, nb*nb)
+	zetaBatchIso(got, a2, w, nb, k)
+	zetaBatchIsoGeneric(want, a2, w, nb, k)
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("iso nb=%d k=%d elem %d: %v vs %v (not bitwise)", nb, k, i, got[i], want[i])
 		}
-		got := make([]float64, nb*nb)
-		want := make([]float64, nb*nb)
-		zetaBatchIso(got, a2, w, nb, k)
-		zetaBatchIsoGeneric(want, a2, w, nb, k)
-		for i := range want {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("iso nb=%d elem %d: %v vs %v (not bitwise)", nb, i, got[i], want[i])
-			}
-		}
-		cgot := make([]complex128, nb*nb)
-		cwant := make([]complex128, nb*nb)
-		zetaBatch(cgot, a2, xy, nb, k)
-		zetaBatchGeneric(cwant, a2, xy, nb, k)
-		for i := range cwant {
-			if math.Float64bits(real(cgot[i])) != math.Float64bits(real(cwant[i])) ||
-				math.Float64bits(imag(cgot[i])) != math.Float64bits(imag(cwant[i])) {
-				t.Fatalf("complex nb=%d elem %d: %v vs %v (not bitwise)", nb, i, cgot[i], cwant[i])
-			}
+	}
+	cgot := make([]complex128, nb*nb)
+	cwant := make([]complex128, nb*nb)
+	zetaBatch(cgot, a2, xy, nb, k)
+	zetaBatchGeneric(cwant, a2, xy, nb, k)
+	for i := range cwant {
+		if math.Float64bits(real(cgot[i])) != math.Float64bits(real(cwant[i])) ||
+			math.Float64bits(imag(cgot[i])) != math.Float64bits(imag(cwant[i])) {
+			t.Fatalf("complex nb=%d k=%d elem %d: %v vs %v (not bitwise)", nb, k, i, cgot[i], cwant[i])
 		}
 	}
 }
