@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race vet fmt-check bench bench-exp \
+.PHONY: all build test test-race vet fmt-check bench \
 	golden cross-smoke scenario-smoke \
 	service-smoke chaos-smoke crash-smoke bench-vet bench-test fuzz-smoke loc ci clean
 
@@ -46,11 +46,6 @@ fmt-check:
 # catches regressions in the bench harness without laptop-hours of timing.
 bench:
 	$(GO) test -run=^$$ -bench=. -benchtime=1x ./...
-
-# A fast pass over the paper-experiment suite (see DESIGN.md's experiment
-# index; the documented full run lives in EXPERIMENTS.md).
-bench-exp:
-	$(GO) run ./cmd/galactos-bench -exp all -scale small
 
 # Regenerate the scenario goldens after a deliberate change of the answer's
 # bits (a regrouped sum, a new lane body), then verify them: one hash per

@@ -1,8 +1,10 @@
-// Benchmark harness: one testing.B benchmark per table/figure of the
-// paper's evaluation (see DESIGN.md's experiment index), sized so
-// `go test -bench=. -benchmem` completes on a laptop. The richer
-// paper-style reports (with the published numbers printed side by side)
-// come from `go run ./cmd/galactos-bench -exp all`.
+// Layer benchmarks: each one times a single layer of the engine or its
+// storage at the shapes the repository benchmark's workloads hand it, and
+// each names what it adds, either a row of DESIGN.md's experiment index or
+// a reading that no bench/ probe takes. The paper's tables and figures are
+// regenerated once, by `go run ./cmd/galactos-bench`, which tier-1 runs at
+// -scale small; end-to-end performance is gated by bench/run.sh. Run them
+// with `go test -run '^$' -bench . .`.
 package galactos_test
 
 import (
@@ -16,15 +18,12 @@ import (
 	"time"
 
 	"galactos"
-	"galactos/internal/bruteforce"
 	"galactos/internal/catalog"
 	"galactos/internal/core"
 	"galactos/internal/geom"
-	"galactos/internal/grid"
 	"galactos/internal/hist"
 	"galactos/internal/kdtree"
 	"galactos/internal/nbr"
-	"galactos/internal/sim"
 	"galactos/internal/sphharm"
 )
 
@@ -43,22 +42,6 @@ func benchConfig(rmax float64) galactos.Config {
 	return cfg
 }
 
-// BenchmarkCompute times the full single-node pipeline at the default
-// multipole order (l_max = 10) and reports its pairs/sec. The repository
-// benchmark (bench/run.sh) is what gates performance; this is the quick
-// in-tree reading.
-func BenchmarkCompute(b *testing.B) {
-	cat := benchCatalog(6000, 5)
-	cfg := benchConfig(15)
-	b.ResetTimer()
-	var pairs uint64
-	for i := 0; i < b.N; i++ {
-		res := compute(b, cat, cfg)
-		pairs += res.Pairs
-	}
-	b.ReportMetric(float64(pairs)/b.Elapsed().Seconds()/1e6, "Mpairs/s")
-}
-
 // BenchmarkKernelTile measures the multipole kernel alone (Sec. 3.3.2; the
 // paper reaches 1017 GF/s = 39% of Xeon Phi peak on its 286-monomial form) —
 // the (l+1)^2-sum ladder over hoisted z powers, one dispatch per chunk,
@@ -71,6 +54,8 @@ func BenchmarkCompute(b *testing.B) {
 // pure-Go bodies: the same bits, at what arm64 and amd64 hosts without
 // AVX-512 pay. The cap= rows are the Sec. 3.3.2 bucket-size ablation: the
 // 1024-pair tile through kernels of capacity 8 to 512 (the engine's is 128).
+// Experiment index: Sec. 5.1 and the Sec. 3.3.2 bucket ablation; bench/'s
+// tile probe reads only the 1024-pair shape on the dispatch in effect.
 func BenchmarkKernelTile(b *testing.B) {
 	mono := sphharm.NewMonomialTable(10)
 	defer sphharm.SetLaneDispatch(sphharm.LaneDispatch() == "avx512")
@@ -123,6 +108,7 @@ func BenchmarkKernelTile(b *testing.B) {
 // moments sum_j w_j^2 P_L(mu_j), L <= 2 lmax, of one tile — all the
 // SelfCount correction costs per pair. The tile length is iso_survey's
 // typical (primary, bin) tile, so the four-pair body and the tail both run.
+// bench/ gap: iso_survey reports only the self-count share of its run.
 func BenchmarkSelfMoments(b *testing.B) {
 	const n = 19
 	rng := rand.New(rand.NewSource(17))
@@ -142,42 +128,7 @@ func BenchmarkSelfMoments(b *testing.B) {
 	}
 }
 
-// BenchmarkQueryRadius isolates the neighbor-gathering phase (perfstat's
-// tree_search): the fused multi-image radius query per finder substrate, at
-// the BenchmarkCompute scenario's geometry. The k-d trees sweep all 27
-// periodic images through one QueryRadiusImages call (root-pruned); the
-// grid wraps natively and takes the single zero offset, exactly as the
-// engine drives it.
-func BenchmarkQueryRadius(b *testing.B) {
-	cat := benchCatalog(6000, 5)
-	pts := cat.Positions()
-	const rmax = 15.0
-	images := cat.Box.Images(rmax)
-	zero := []geom.Vec3{{}}
-	finders := []struct {
-		name   string
-		f      core.NeighborFinder
-		images []geom.Vec3
-	}{
-		{"kd32", kdtree.Build[float32](pts, 0), images},
-		{"kd64", kdtree.Build[float64](pts, 0), images},
-		{"grid", grid.Build(pts, rmax/4, cat.Box), zero},
-	}
-	for _, fc := range finders {
-		b.Run(fc.name, func(b *testing.B) {
-			buf := make([]int32, 0, 4096)
-			var neighbors uint64
-			for i := 0; i < b.N; i++ {
-				buf = fc.f.QueryRadiusImages(pts[i%len(pts)], rmax, fc.images, buf[:0])
-				neighbors += uint64(len(buf))
-			}
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds()/1e3, "kqueries/s")
-			b.ReportMetric(float64(neighbors)/b.Elapsed().Seconds()/1e6, "Mnbrs/s")
-		})
-	}
-}
-
-// BenchmarkAlmZeta isolates the reduction phase (perfstat's alm_zeta) at
+// BenchmarkAlmZeta isolates the engine's alm+zeta phase at
 // commit-unit granularity, the way engine.processBlock runs it: per primary
 // the lane-sum ReduceClear, monomial -> a_lm conversion, and the slab fill
 // by bin (untouched bins zero-padded), then per channel the tile clear, one
@@ -191,7 +142,9 @@ func BenchmarkQueryRadius(b *testing.B) {
 // "stream_sharded" is that workload's shape now (6 bins, l_max 4, a
 // 32-primary unit). zeta_gflops times stage 3 alone at 8 nb^2 K flops per
 // ZetaBatch call: the zeta kernel's distance from the FMA peak (two 512-bit
-// FMAs a cycle, ~67 GF/s on the 2-vCPU benchmark host).
+// FMAs a cycle, ~67 GF/s on the 2-vCPU benchmark host). bench/ gap: its
+// zeta probe reports ns per update at the workloads' shapes, not a flop
+// rate, and never the dense or k=2 units.
 func BenchmarkAlmZeta(b *testing.B) {
 	b.Run("dense", func(b *testing.B) { benchAlmZeta(b, 10, 10, 32, 0) })
 	b.Run("aniso_box", func(b *testing.B) { benchAlmZeta(b, 10, 10, 21, 0.37) })
@@ -286,6 +239,8 @@ func benchAlmZeta(b *testing.B, lmax, nb, K int, missFrac float64) {
 // and every few-pair kernel chunk ~140 dispatches; with cells coalesced into
 // units and one ladder dispatch per chunk the time grows with the pair
 // count again (EXPERIMENTS.md "Layer: block commit + chunk dispatch").
+// bench/ gap: each workload sits at one density, so none sweeps the pairs
+// per primary between them.
 func BenchmarkPairsPerPrimary(b *testing.B) {
 	cat := catalog.Uniform(4000, 100, 9)
 	for _, rmax := range []float64{6, 10, 16, 25} {
@@ -309,6 +264,8 @@ func BenchmarkPairsPerPrimary(b *testing.B) {
 // images. "lanes" and "portable" are the two bodies of the unit-level
 // QueryRadiusImagesBlock, "per-primary" the single-center QueryRadiusImages
 // calls whose lists it must reproduce; each reports ns per neighbour found.
+// bench/ gap: its query probe times single-centre queries on the dispatch in
+// effect, never the unit-level block query the engine issues.
 func BenchmarkUnitGather(b *testing.B) {
 	cat := benchCatalog(24000, 5)
 	pts := cat.Positions()
@@ -364,166 +321,9 @@ func BenchmarkUnitGather(b *testing.B) {
 	})
 }
 
-// BenchmarkTable1 measures construction of a density-matched weak-scaling
-// dataset (Table 1's procedure).
-func BenchmarkTable1(b *testing.B) {
-	row := catalog.ScaledTable1Row(4, 2000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cat := catalog.GenerateTable1Dataset(row, int64(i))
-		if cat.Len() == 0 {
-			b.Fatal("empty dataset")
-		}
-	}
-}
-
-// BenchmarkFigure4Breakdown runs the instrumented single-node pipeline that
-// produces the Fig. 4 runtime breakdown.
-func BenchmarkFigure4Breakdown(b *testing.B) {
-	cat := benchCatalog(4000, 1)
-	cfg := benchConfig(12)
-	b.ResetTimer()
-	var pairs uint64
-	for i := 0; i < b.N; i++ {
-		res := compute(b, cat, cfg)
-		pairs = res.Pairs
-	}
-	b.ReportMetric(float64(pairs)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mpairs/s")
-}
-
-// BenchmarkFigure5Threads sweeps worker counts (thread scaling, Fig. 5).
-func BenchmarkFigure5Threads(b *testing.B) {
-	cat := benchCatalog(3000, 2)
-	for _, w := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			cfg := benchConfig(12)
-			cfg.Workers = w
-			for i := 0; i < b.N; i++ {
-				compute(b, cat, cfg)
-			}
-		})
-	}
-}
-
-// BenchmarkFigure6Weak runs the k-d decomposition at fixed work per rank
-// (weak scaling, Fig. 6); the reported metric is the simulated cluster
-// time, i.e. the slowest rank.
-func BenchmarkFigure6Weak(b *testing.B) {
-	for _, ranks := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("ranks=%d", ranks), func(b *testing.B) {
-			cfg := benchConfig(8)
-			cfg.NBins = 8
-			for i := 0; i < b.N; i++ {
-				pts, err := sim.WeakScaling([]int{ranks}, 1500, cfg, 3)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(pts[0].NodeTime.Seconds(), "node-s")
-			}
-		})
-	}
-}
-
-// BenchmarkFigure7Strong runs the k-d decomposition at fixed total work
-// (strong scaling, Fig. 7).
-func BenchmarkFigure7Strong(b *testing.B) {
-	cat := benchCatalog(6000, 4)
-	for _, ranks := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("ranks=%d", ranks), func(b *testing.B) {
-			cfg := benchConfig(10)
-			cfg.NBins = 8
-			for i := 0; i < b.N; i++ {
-				pts, err := sim.StrongScaling([]int{ranks}, cat, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(pts[0].NodeTime.Seconds(), "node-s")
-			}
-		})
-	}
-}
-
-// BenchmarkSection51SingleNode measures the end-to-end single-node rate
-// whose paper analogue is 1017 GF/s / 39% of peak (Sec. 5.1).
-func BenchmarkSection51SingleNode(b *testing.B) {
-	cat := benchCatalog(6000, 5)
-	cfg := benchConfig(15)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := compute(b, cat, cfg)
-		b.ReportMetric(res.FlopsEstimate()/b.Elapsed().Seconds()*float64(i+1)/float64(b.N)/1e9, "modelGF/s")
-	}
-}
-
-// BenchmarkFigure1BAOMap regenerates the zeta_l(r1, r2) coefficient map of
-// Fig. 1 (right) on a BAO-shell mock.
-func BenchmarkFigure1BAOMap(b *testing.B) {
-	cat := catalog.BAOShells(4000, 420, catalog.DefaultBAOParams(), 7)
-	cfg := galactos.DefaultConfig()
-	cfg.RMax = 130
-	cfg.NBins = 13
-	cfg.LMax = 2
-	cfg.IsotropicOnly = true
-	cfg.SelfCount = false
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		compute(b, cat, cfg)
-	}
-}
-
-// BenchmarkSE15Isotropic measures the isotropic-only baseline mode
-// (Sec. 2.2/2.3) against BenchmarkFigure4Breakdown's full mode.
-func BenchmarkSE15Isotropic(b *testing.B) {
-	cat := benchCatalog(4000, 8)
-	cfg := benchConfig(12)
-	cfg.IsotropicOnly = true
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		compute(b, cat, cfg)
-	}
-}
-
-// BenchmarkBruteForce anchors the O(N^3) baseline the multipole algorithm
-// replaces (Sec. 2.1).
-func BenchmarkBruteForce(b *testing.B) {
-	cfg := galactos.DefaultConfig()
-	cfg.RMax = 50
-	cfg.NBins = 5
-	cfg.LMax = 4
-	for _, n := range []int{100, 200} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			cat := catalog.Clustered(n, 160, catalog.DefaultClusterParams(), int64(n))
-			for i := 0; i < b.N; i++ {
-				if _, err := bruteforce.Aniso(cat, cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkSharded measures the sharded out-of-core pipeline against the
-// single-shot engine on the same catalog (the `sharded` experiment;
-// sharding pays a halo-overlap tax in exchange for a bounded footprint).
-func BenchmarkSharded(b *testing.B) {
-	cat := benchCatalog(5000, 14)
-	cfg := benchConfig(12)
-	b.Run("single", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			compute(b, cat, cfg)
-		}
-	})
-	for _, nshards := range []int{4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", nshards), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				run(b, galactos.Request{Catalog: cat, Config: cfg,
-					Backend: galactos.BackendSpec{Name: "sharded", Shards: nshards}})
-			}
-		})
-	}
-}
-
 // BenchmarkSelfCount measures the cost of the exact self-pair correction.
+// bench/ gap: only iso_survey counts self pairs, and no workload runs the
+// same catalog with the correction off.
 func BenchmarkSelfCount(b *testing.B) {
 	cat := benchCatalog(2500, 12)
 	for _, on := range []bool{false, true} {
@@ -538,7 +338,8 @@ func BenchmarkSelfCount(b *testing.B) {
 }
 
 // BenchmarkTwoPCF anchors the 2-point substrate (the Chhugani et al.
-// comparison axis of Sec. 2.3).
+// comparison axis of Sec. 2.3). bench/ gap: its workloads run twopcf.Count
+// only as an untimed pair-count cross-check.
 func BenchmarkTwoPCF(b *testing.B) {
 	cat := benchCatalog(20000, 13)
 	cfg := galactos.TwoPCFConfig{RMax: 15, NBins: 15, LMax: 2}
@@ -558,6 +359,8 @@ var codecSink int
 // sizes the repository benchmark's workloads produce: 458 KB (LMax 10, 10
 // bins: aniso_box, service_mix) and 20 KB (LMax 4, 6 bins: stream_sharded's
 // shard checkpoints). verify is what a cache hit pays instead of decode.
+// bench/ gap: its codec probe reads one size per workload and never times
+// verify.
 func BenchmarkResultCodec(b *testing.B) {
 	for _, shape := range []struct{ lmax, nbins int }{{10, 10}, {4, 6}} {
 		bins, err := hist.NewBinning(0, 15, shape.nbins)
@@ -609,7 +412,8 @@ func BenchmarkResultCodec(b *testing.B) {
 // request, at the catalog sizes of the repository benchmark (service_mix
 // 500, aniso_box 2600, stream_sharded 24000 galaxies), from memory and from
 // a binary file. At 16 KB the number is the fixed cost of a pass, not
-// SHA-256.
+// SHA-256. bench/ gap: its hash probe reads only a file source, at one
+// workload's size.
 func BenchmarkCatalogHash(b *testing.B) {
 	dir := b.TempDir()
 	for _, n := range []int{500, 2600, 24000} {

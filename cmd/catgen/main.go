@@ -12,38 +12,66 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
+	"strings"
 
 	"galactos/internal/catalog"
 )
 
+// main is the one exit: run returns every failure.
 func main() {
-	var (
-		typ     = flag.String("type", "uniform", "catalog type: uniform | clustered | bao | soneira")
-		n       = flag.Int("n", 100000, "number of galaxies")
-		l       = flag.Float64("l", 0, "box side (Mpc/h); 0 derives it from -density")
-		density = flag.String("density", "outer-rim", "number density: 'outer-rim' (0.0723) or a value in (Mpc/h)^-3")
-		seed    = flag.Int64("seed", 1, "random seed")
-		out     = flag.String("o", "", "output path (required; .csv selects CSV)")
-		format  = flag.String("format", "", "output format: bin | csv (default: by extension)")
-		rsd     = flag.Float64("rsd", 0, "apply redshift-space z-displacement of this sigma (Mpc/h)")
-		nodes   = flag.Int("table1-nodes", 0, "generate a scaled Table 1 dataset for this many nodes")
-		perNode = flag.Int("per-node", 50000, "galaxies per node for -table1-nodes")
-	)
-	flag.Parse()
-	if *out == "" {
-		fmt.Fprintln(os.Stderr, "catgen: -o output path is required")
-		flag.Usage()
+	err := run(context.Background(), os.Args[1:], os.Stdout)
+	switch {
+	case errors.Is(err, errUsage):
 		os.Exit(2)
+	case err != nil:
+		fmt.Fprintf(os.Stderr, "catgen: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// errUsage reports a command line the flag set has already answered with
+// its usage text; main exits 2 for it, as flag.ExitOnError would.
+var errUsage = errors.New("usage")
+
+// run parses args, generates one catalog and writes it to -o, reporting
+// what it wrote on stdout.
+func run(_ context.Context, args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("catgen", flag.ContinueOnError)
+	var (
+		typ     = fs.String("type", "uniform", "catalog type: uniform | clustered | bao | soneira")
+		n       = fs.Int("n", 100000, "number of galaxies")
+		l       = fs.Float64("l", 0, "box side (Mpc/h); 0 derives it from -density")
+		density = fs.String("density", "outer-rim", "number density: 'outer-rim' (0.0723) or a value in (Mpc/h)^-3")
+		seed    = fs.Int64("seed", 1, "random seed")
+		out     = fs.String("o", "", "output path (required; .csv selects CSV)")
+		format  = fs.String("format", "", "output format: bin | csv (default: by extension)")
+		rsd     = fs.Float64("rsd", 0, "apply redshift-space z-displacement of this sigma (Mpc/h)")
+		nodes   = fs.Int("table1-nodes", 0, "generate a scaled Table 1 dataset for this many nodes")
+		perNode = fs.Int("per-node", 50000, "galaxies per node for -table1-nodes")
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return errUsage
+	}
+	if *out == "" {
+		fmt.Fprintln(fs.Output(), "catgen: -o output path is required")
+		fs.Usage()
+		return errUsage
 	}
 
 	dens := catalog.OuterRimDensity
 	if *density != "outer-rim" {
 		if _, err := fmt.Sscanf(*density, "%g", &dens); err != nil || dens <= 0 {
-			fatalf("bad -density %q", *density)
+			return fmt.Errorf("bad -density %q", *density)
 		}
 	}
 
@@ -51,7 +79,7 @@ func main() {
 	switch {
 	case *nodes > 0:
 		row := catalog.ScaledTable1Row(*nodes, *perNode)
-		fmt.Printf("table1 dataset: %d nodes, %d galaxies, box %.1f Mpc/h (density %.4g)\n",
+		fmt.Fprintf(stdout, "table1 dataset: %d nodes, %d galaxies, box %.1f Mpc/h (density %.4g)\n",
 			row.Nodes, row.Galaxies, row.BoxL, catalog.OuterRimDensity)
 		cat = catalog.GenerateTable1Dataset(row, *seed)
 	default:
@@ -73,7 +101,7 @@ func main() {
 			p.Centers = (*n + per - 1) / per
 			cat = catalog.SoneiraPeebles(side, p, *seed)
 		default:
-			fatalf("unknown -type %q", *typ)
+			return fmt.Errorf("unknown -type %q", *typ)
 		}
 	}
 
@@ -81,32 +109,26 @@ func main() {
 		cat = catalog.ApplyRSD(cat, *rsd, *seed+1)
 	}
 	if err := cat.Validate(); err != nil {
-		fatalf("generated catalog invalid: %v", err)
+		return fmt.Errorf("generated catalog invalid: %w", err)
 	}
 
-	useCSV := *format == "csv" || (*format == "" && hasSuffix(*out, ".csv"))
+	useCSV := *format == "csv" || (*format == "" && strings.HasSuffix(*out, ".csv"))
 	f, err := os.Create(*out)
 	if err != nil {
-		fatalf("%v", err)
+		return err
 	}
-	defer f.Close()
 	if useCSV {
 		err = catalog.WriteCSV(f, cat)
 	} else {
 		err = catalog.WriteBinary(f, cat)
 	}
-	if err != nil {
-		fatalf("writing %s: %v", *out, err)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	fmt.Printf("wrote %d galaxies (box %.1f Mpc/h, density %.4g) to %s\n",
+	if err != nil {
+		return fmt.Errorf("writing %s: %w", *out, err)
+	}
+	fmt.Fprintf(stdout, "wrote %d galaxies (box %.1f Mpc/h, density %.4g) to %s\n",
 		cat.Len(), cat.Box.L, cat.Density(), *out)
-}
-
-func hasSuffix(s, suf string) bool {
-	return len(s) >= len(suf) && s[len(s)-len(suf):] == suf
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "catgen: "+format+"\n", args...)
-	os.Exit(1)
+	return nil
 }

@@ -1,9 +1,9 @@
-package sim
+package main
 
 import (
+	"context"
 	"math"
 	"testing"
-	"time"
 
 	"galactos/internal/catalog"
 	"galactos/internal/core"
@@ -21,7 +21,7 @@ func testConfig() core.Config {
 
 func TestThreadScaling(t *testing.T) {
 	cat := catalog.Uniform(400, 200, 1)
-	pts, err := ThreadScaling(cat, testConfig(), []int{1, 2, 4})
+	pts, err := threadScaling(context.Background(), cat, testConfig(), []int{1, 2, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,9 @@ func TestWeakScalingRuns(t *testing.T) {
 	// below half the box.
 	cfg := testConfig()
 	cfg.RMax = 8
-	pts, err := WeakScaling([]int{1, 2, 4}, 600, cfg, 3)
+	pts, err := rankScaling(context.Background(), []int{1, 2, 4}, cfg, func(ranks int) *catalog.Catalog {
+		return catalog.GenerateTable1Dataset(catalog.ScaledTable1Row(ranks, 600), 3)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +73,7 @@ func TestWeakScalingRuns(t *testing.T) {
 func TestStrongScalingConservesWork(t *testing.T) {
 	cat := catalog.Clustered(1000, 250, catalog.DefaultClusterParams(), 5)
 	cfg := testConfig()
-	pts, err := StrongScaling([]int{1, 2, 5}, cat, cfg)
+	pts, err := rankScaling(context.Background(), []int{1, 2, 5}, cfg, func(int) *catalog.Catalog { return cat })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +90,7 @@ func TestStrongScalingConservesWork(t *testing.T) {
 	// heaviest rank's share (imbalance x mean), the work analogue of
 	// time-to-solution — strictly drop from 1 rank to 5. No wall-clock
 	// inequality: a rank here runs ~2 ms, which a loaded host reorders.
-	perRank := func(p ScalePoint) [4]float64 {
+	perRank := func(p scalePoint) [4]float64 {
 		meanPairs := float64(p.TotalPairs) / float64(p.Ranks)
 		meanPrim := float64(p.Galaxies) / float64(p.Ranks)
 		return [4]float64{meanPairs, p.PairImbalance * meanPairs, meanPrim, p.PrimaryImbalance * meanPrim}
@@ -109,7 +111,7 @@ func TestBreakdownFractionsSumToOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fr := BreakdownFractions(res.Timings)
+	fr := breakdownFractions(res.Timings)
 	sum := 0.0
 	for _, v := range fr {
 		if v < 0 {
@@ -120,14 +122,14 @@ func TestBreakdownFractionsSumToOne(t *testing.T) {
 	if math.Abs(sum-1) > 1e-9 {
 		t.Errorf("fractions sum to %v", sum)
 	}
-	if BreakdownFractions(core.Breakdown{}) != nil {
+	if breakdownFractions(core.Breakdown{}) != nil {
 		t.Error("zero breakdown should give nil")
 	}
 }
 
 func TestSE15Comparison(t *testing.T) {
 	cat := catalog.Uniform(500, 200, 11)
-	iso, aniso, err := SE15Comparison(cat, testConfig())
+	iso, aniso, err := se15Comparison(context.Background(), cat, testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +140,7 @@ func TestSE15Comparison(t *testing.T) {
 
 func TestCalibrate(t *testing.T) {
 	cat := catalog.Uniform(800, 220, 13)
-	cal, err := Calibrate(cat, testConfig())
+	cal, err := calibrateHost(context.Background(), cat, testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +163,7 @@ func TestScalingPointMatchesDirectCompute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, total, err := scalingPoint(cat, 3, cfg)
+	_, total, err := scalingPoint(context.Background(), cat, 3, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,8 +176,7 @@ func TestScalingPointMatchesDirectCompute(t *testing.T) {
 	// Halo selection assumes one periodic image per axis: an rmax at or
 	// past half the box must be rejected, not silently under-haloed.
 	cfg.RMax = cat.Box.L / 2
-	if _, _, err := scalingPoint(cat, 3, cfg); err == nil {
+	if _, _, err := scalingPoint(context.Background(), cat, 3, cfg); err == nil {
 		t.Error("rmax >= L/2 accepted")
 	}
-	var _ time.Duration // keep the time import honest under refactors
 }

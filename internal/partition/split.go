@@ -24,12 +24,12 @@ import (
 )
 
 // Part is one spatially-local piece of a k-d split: the owned subdomain box
-// and the indices of the galaxies inside it. Parts are the shard unit of the
-// out-of-core pipeline (package shard) and the simulated ranks of the
-// scaling experiments (package sim). A Part holds 4-byte indices into the
-// source catalog and carries no halo — halo copies are materialized per
-// part, on demand, by Halo — so the split itself adds only len(catalog)
-// indices of memory no matter how many parts there are.
+// and the indices of the galaxies inside it. Parts are the simulated ranks
+// of cmd/galactos-bench's scaling experiments and the jackknife regions of
+// package scenario (the shard backend cuts slabs instead). A Part holds
+// 4-byte indices into the source catalog and carries no halo — halo copies
+// are materialized per part, on demand, by Halo — so the split itself adds
+// only len(catalog) indices of memory no matter how many parts there are.
 type Part struct {
 	// Box is the part's owned subdomain (half-open).
 	Box geom.Box
