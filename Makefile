@@ -112,7 +112,12 @@ crash-smoke:
 # item 1 retires the probes that use them: core.Config.Finder / LeafSize /
 # GridCell, core.Config.BucketSize (read after Normalize to size a
 # kernel), core.FinderKD64, kdtree.Build[float32], grid.Build,
-# core.NeighborFinder, exec.Spec.Stream / ShardConcurrency. Its nominal
+# core.NeighborFinder, exec.Spec.Stream / ShardConcurrency; and the facade
+# surface it runs through: galactos.Request (an alias of exec.Request) with
+# its fields Config, Backend, Catalog and Path, galactos.Run, the
+# galactos.RunResult fields Result, Elapsed and Units (with the unit fields
+# Elapsed, NOwned and NHalo), and the exec.Spec fields Name, Shards,
+# CheckpointDir, Resume and Keep. Its nominal
 # seconds divide by calibrate()'s loop, whose speed on the 2-vCPU host
 # follows main.calibrate's address mod 64: check
 # `go tool nm .bench_build/galactos-bench | grep main.calibrate` and

@@ -18,15 +18,19 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"net"
 	"net/http"
 	"os"
+	"os/signal"
 	"runtime"
 	"sort"
 	"sync"
+	"syscall"
 	"time"
 
 	"galactos"
@@ -35,26 +39,55 @@ import (
 	"galactos/internal/service"
 )
 
+// main is the one exit: run returns every failure. SIGINT/SIGTERM cancel
+// run's context.
 func main() {
-	addr := flag.String("addr", "", "existing galactosd base URL (empty: serve in-process)")
-	smoke := flag.Bool("smoke", false, "run the golden smoke gate instead of the load test")
-	clients := flag.Int("clients", 16, "concurrent clients")
-	requests := flag.Int("requests", 4, "requests per client")
-	distinct := flag.Int("distinct", 4, "distinct catalogs in the request pool")
-	n := flag.Int("n", 1500, "galaxies per catalog")
-	workers := flag.Int("workers", runtime.NumCPU(), "in-process server worker-pool size")
-	seed := flag.Int64("seed", 1, "catalog generator seed")
-	flag.Parse()
+	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	err := run(ctx, os.Args[1:], os.Stdout)
+	cancel()
+	switch {
+	case errors.Is(err, errUsage):
+		os.Exit(2)
+	case err != nil:
+		fmt.Fprintf(os.Stderr, "galactos-load: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// errUsage reports a command line the flag set has already answered with
+// its usage text; main exits 2 for it, as flag.ExitOnError would.
+var errUsage = errors.New("usage")
+
+// run parses args and runs the smoke gate or the load test against a
+// server, writing its report to stdout.
+func run(ctx context.Context, args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("galactos-load", flag.ContinueOnError)
+	var (
+		addr     = fs.String("addr", "", "existing galactosd base URL (empty: serve in-process)")
+		smoke    = fs.Bool("smoke", false, "run the golden smoke gate instead of the load test")
+		clients  = fs.Int("clients", 16, "concurrent clients")
+		requests = fs.Int("requests", 4, "requests per client")
+		distinct = fs.Int("distinct", 4, "distinct catalogs in the request pool")
+		n        = fs.Int("n", 1500, "galaxies per catalog")
+		workers  = fs.Int("workers", runtime.NumCPU(), "in-process server worker-pool size")
+		seed     = fs.Int64("seed", 1, "catalog generator seed")
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return errUsage
+	}
 
 	base := *addr
 	if base == "" {
 		svc, err := service.New(service.Options{Workers: *workers})
 		if err != nil {
-			fatal("server: %v", err)
+			return fmt.Errorf("server: %w", err)
 		}
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
-			fatal("listen: %v", err)
+			return fmt.Errorf("listen: %w", err)
 		}
 		go http.Serve(ln, svc.Handler())
 		defer func() {
@@ -66,20 +99,14 @@ func main() {
 		base = "http://" + ln.Addr().String()
 	}
 	cl := client.New(base, nil)
-	if !cl.Healthy(context.Background()) {
-		fatal("server at %s is not healthy", base)
+	if !cl.Healthy(ctx) {
+		return fmt.Errorf("server at %s is not healthy", base)
 	}
 
 	if *smoke {
-		runSmoke(cl, *n, *seed)
-		return
+		return runSmoke(ctx, stdout, cl, *n, *seed)
 	}
-	runLoad(cl, *clients, *requests, *distinct, *n, *seed)
-}
-
-func fatal(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "galactos-load: "+format+"\n", args...)
-	os.Exit(1)
+	return runLoad(ctx, stdout, cl, *clients, *requests, *distinct, *n, *seed)
 }
 
 // smokeConfig is the deterministic job both gates use. Workers is left at
@@ -93,8 +120,7 @@ func smokeConfig() galactos.Config {
 	return cfg
 }
 
-func runSmoke(cl *client.Client, n int, seed int64) {
-	ctx := context.Background()
+func runSmoke(ctx context.Context, stdout io.Writer, cl *client.Client, n int, seed int64) error {
 	cat := galactos.GenerateClustered(n, 200, galactos.DefaultClusterParams(), seed)
 	cfg := smokeConfig()
 	req := galactos.Request{Catalog: cat, Config: cfg, Label: "service-smoke"}
@@ -105,12 +131,12 @@ func runSmoke(cl *client.Client, n int, seed int64) {
 	// carries wall-clock timings, which legitimately differ run to run.
 	direct, err := galactos.Run(ctx, req)
 	if err != nil {
-		fatal("direct run: %v", err)
+		return fmt.Errorf("direct run: %w", err)
 	}
 
 	before, err := cl.Stats(ctx)
 	if err != nil {
-		fatal("stats: %v", err)
+		return fmt.Errorf("stats: %w", err)
 	}
 
 	var states []client.State
@@ -120,63 +146,64 @@ func runSmoke(cl *client.Client, n int, seed int64) {
 		}
 	})
 	if err != nil {
-		fatal("streamed submit: %v", err)
+		return fmt.Errorf("streamed submit: %w", err)
 	}
 	if st.State != service.StateDone {
-		fatal("job %s ended %s (error %q), want done", st.ID, st.State, st.Error)
+		return fmt.Errorf("job %s ended %s (error %q), want done", st.ID, st.State, st.Error)
 	}
 	if st.CacheHit {
-		fatal("cold submission reported a cache hit")
+		return errors.New("cold submission reported a cache hit")
 	}
 	wantStates := []client.State{service.StateQueued, service.StateRunning, service.StateDone}
 	if fmt.Sprint(states) != fmt.Sprint(wantStates) {
-		fatal("streamed lifecycle %v, want %v", states, wantStates)
+		return fmt.Errorf("streamed lifecycle %v, want %v", states, wantStates)
 	}
 	served, err := cl.ResultBytes(ctx, st.ID)
 	if err != nil {
-		fatal("result: %v", err)
+		return fmt.Errorf("result: %w", err)
 	}
 	got, err := core.ReadResult(bytes.NewReader(served))
 	if err != nil {
-		fatal("decoding served result: %v", err)
+		return fmt.Errorf("decoding served result: %w", err)
 	}
 	if err := sameResult(got, direct.Result); err != nil {
-		fatal("served result differs from direct run: %v", err)
+		return fmt.Errorf("served result differs from direct run: %w", err)
 	}
-	fmt.Printf("smoke: cold run ok: job %s done, %d pairs, result bitwise-equal to direct run (%d bytes)\n",
+	fmt.Fprintf(stdout, "smoke: cold run ok: job %s done, %d pairs, result bitwise-equal to direct run (%d bytes)\n",
 		st.ID, st.Perf.Pairs, len(served))
 
 	// Resubmission must answer from the cache with the identical payload.
 	st2, err := cl.Submit(ctx, req)
 	if err != nil {
-		fatal("resubmit: %v", err)
+		return fmt.Errorf("resubmit: %w", err)
 	}
 	st2, err = cl.Wait(ctx, st2.ID)
 	if err != nil {
-		fatal("waiting for resubmission: %v", err)
+		return fmt.Errorf("waiting for resubmission: %w", err)
 	}
 	if st2.State != service.StateDone || !st2.CacheHit {
-		fatal("resubmission: state %s, cache_hit %v; want done from cache", st2.State, st2.CacheHit)
+		return fmt.Errorf("resubmission: state %s, cache_hit %v; want done from cache", st2.State, st2.CacheHit)
 	}
 	if st2.Key != st.Key {
-		fatal("resubmission keyed %s, first run %s", st2.Key, st.Key)
+		return fmt.Errorf("resubmission keyed %s, first run %s", st2.Key, st.Key)
 	}
 	cached, err := cl.ResultBytes(ctx, st2.ID)
 	if err != nil {
-		fatal("cached result: %v", err)
+		return fmt.Errorf("cached result: %w", err)
 	}
 	if !bytes.Equal(cached, served) {
-		fatal("cached result payload differs from the cold run's")
+		return errors.New("cached result payload differs from the cold run's")
 	}
 	after, err := cl.Stats(ctx)
 	if err != nil {
-		fatal("stats: %v", err)
+		return fmt.Errorf("stats: %w", err)
 	}
 	if got := after.CacheHits - before.CacheHits; got != 1 {
-		fatal("cache hit counter rose by %d, want 1", got)
+		return fmt.Errorf("cache hit counter rose by %d, want 1", got)
 	}
-	fmt.Printf("smoke: resubmit ok: served from cache (hit counter %d), payload byte-identical\n", after.CacheHits)
-	fmt.Println("service-smoke PASS")
+	fmt.Fprintf(stdout, "smoke: resubmit ok: served from cache (hit counter %d), payload byte-identical\n", after.CacheHits)
+	fmt.Fprintln(stdout, "service-smoke PASS")
+	return nil
 }
 
 // loadReport is the harness's perfstat-style JSON summary.
@@ -209,12 +236,11 @@ type loadReport struct {
 	Failed       int     `json:"failed"`
 }
 
-func runLoad(cl *client.Client, clients, requests, distinct, n int, seed int64) {
-	ctx := context.Background()
+func runLoad(ctx context.Context, stdout io.Writer, cl *client.Client, clients, requests, distinct, n int, seed int64) error {
 	cfg := smokeConfig()
 	fp, err := cfg.Fingerprint()
 	if err != nil {
-		fatal("fingerprint: %v", err)
+		return fmt.Errorf("fingerprint: %w", err)
 	}
 	// A pool of distinct catalogs: each first submission misses the cache
 	// and computes; repeats across the client fleet hit.
@@ -225,7 +251,7 @@ func runLoad(cl *client.Client, clients, requests, distinct, n int, seed int64) 
 
 	before, err := cl.Stats(ctx)
 	if err != nil {
-		fatal("stats: %v", err)
+		return fmt.Errorf("stats: %w", err)
 	}
 
 	var mu sync.Mutex
@@ -264,7 +290,7 @@ func runLoad(cl *client.Client, clients, requests, distinct, n int, seed int64) 
 
 	after, err := cl.Stats(ctx)
 	if err != nil {
-		fatal("stats: %v", err)
+		return fmt.Errorf("stats: %w", err)
 	}
 	hits := after.CacheHits - before.CacheHits
 	misses := after.CacheMisses - before.CacheMisses
@@ -302,12 +328,13 @@ func runLoad(cl *client.Client, clients, requests, distinct, n int, seed int64) 
 	}
 	out, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
-		fatal("encoding report: %v", err)
+		return fmt.Errorf("encoding report: %w", err)
 	}
-	fmt.Println(string(out))
+	fmt.Fprintln(stdout, string(out))
 	if failed > 0 {
-		os.Exit(1)
+		return fmt.Errorf("%d of %d requests failed", failed, rep.Requests)
 	}
+	return nil
 }
 
 // sameResult compares the physics payload of two results bitwise: the

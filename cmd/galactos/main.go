@@ -174,7 +174,10 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 			name = "sharded"
 		}
 	}
-	if name != "sharded" && (*shards > 1 || *resume || *keepCkpts || *ckptDir != "") {
+	switch {
+	case name != "local" && name != "sharded":
+		return fmt.Errorf("unknown -backend %q (want local or sharded)", name)
+	case name == "local" && (*shards > 1 || *resume || *keepCkpts || *ckptDir != ""):
 		return fmt.Errorf("-shards, -resume, -keep-checkpoints and -checkpoint-dir require the sharded backend (got -backend %s)", name)
 	}
 	spec := galactos.BackendSpec{
@@ -184,13 +187,9 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		Resume:        *resume,
 		Keep:          *keepCkpts,
 	}
-	b, err := spec.Backend()
-	if err != nil {
-		return err
-	}
 
 	if *scen != "" {
-		return runScenarios(ctx, stdout, b, *scen, *scenN, *scenSeed, *scenSummary)
+		return runScenarios(ctx, stdout, spec, *scen, *scenN, *scenSeed, *scenSummary)
 	}
 
 	// The sharded backend never materializes the catalog; the local one
@@ -231,8 +230,8 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 	res := r.Result
 
-	if name != "local" {
-		fmt.Fprintf(stdout, "%s over %d units:\n", b.Name(), len(r.Units))
+	if name == "sharded" {
+		fmt.Fprintf(stdout, "sharded over %d units:\n", len(r.Units))
 		for _, u := range r.Units {
 			state := ""
 			if u.Resumed {

@@ -14,10 +14,10 @@ import (
 // TestRunModes drives the command's mode flags through run, in order: the
 // sharded row resumes from an empty checkpoint dir and must write CSVs
 // byte-identical to the local row's, and a local backend asked for shards
-// is refused. The runs are -iso-only: with the full ladder, the
-// analytically zero imaginary parts of the l1 = l2 channels carry ~1e-17 of
-// summation-order rounding that the aniso CSV prints. The chaos modes are
-// covered by make chaos-smoke and crash-smoke.
+// and an unknown backend are refused. The runs are -iso-only: with the
+// full ladder, the analytically zero imaginary parts of the l1 = l2
+// channels carry ~1e-17 of summation-order rounding that the aniso CSV
+// prints. The chaos modes are covered by make chaos-smoke and crash-smoke.
 func TestRunModes(t *testing.T) {
 	dir := t.TempDir()
 	in := filepath.Join(dir, "cat.glxc")
@@ -47,6 +47,7 @@ func TestRunModes(t *testing.T) {
 			sameAs: local,
 		},
 		{name: "local-refuses-shards", args: compute("-backend", "local", "-shards", "2"), err: "require the sharded backend"},
+		{name: "unknown-backend", args: compute("-backend", "mpi"), err: "unknown -backend"},
 	}
 	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) {

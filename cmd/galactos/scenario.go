@@ -42,11 +42,11 @@ type scenarioRow struct {
 	err     error
 }
 
-// runScenarios executes the selected registry entries through the backend
+// runScenarios executes the selected registry entries on the backend spec
 // and fails if any scenario errors or violates an invariant. Every
 // scenario is attempted even after a failure, so one broken recipe does not
 // mask the rest of the table.
-func runScenarios(ctx context.Context, stdout io.Writer, b exec.Backend, sel string, n int, seed int64, summaryPath string) error {
+func runScenarios(ctx context.Context, stdout io.Writer, spec exec.Spec, sel string, n int, seed int64, summaryPath string) error {
 	scens := scenario.All()
 	if sel != "all" {
 		s, err := scenario.Get(sel)
@@ -56,13 +56,13 @@ func runScenarios(ctx context.Context, stdout io.Writer, b exec.Backend, sel str
 		scens = []*scenario.Scenario{s}
 	}
 	fmt.Fprintf(stdout, "scenario registry: %d scenario(s), backend %s, n=%d, seed=%d, kernel %s\n",
-		len(scens), b.Name(), n, seed, sphharm.LaneDispatch())
+		len(scens), spec.Name, n, seed, sphharm.LaneDispatch())
 
 	rows := make([]scenarioRow, 0, len(scens))
 	failures := 0
 	for _, s := range scens {
 		row := scenarioRow{name: s.Name, inv: len(s.Invariants)}
-		o, err := s.RunChecked(ctx, b, n, seed)
+		o, err := s.RunChecked(ctx, spec, n, seed)
 		if errors.Is(err, context.Canceled) {
 			return fmt.Errorf("interrupted during scenario %s", s.Name)
 		}
@@ -86,7 +86,7 @@ func runScenarios(ctx context.Context, stdout io.Writer, b exec.Backend, sel str
 		rows = append(rows, row)
 	}
 	if summaryPath != "" {
-		if err := writeScenarioSummary(summaryPath, b.Name(), n, seed, rows); err != nil {
+		if err := writeScenarioSummary(summaryPath, spec.Name, n, seed, rows); err != nil {
 			return fmt.Errorf("writing scenario summary: %w", err)
 		}
 	}

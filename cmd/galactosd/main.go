@@ -24,6 +24,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
@@ -35,19 +36,48 @@ import (
 	"galactos/internal/service"
 )
 
+// main is the one exit: run returns every failure. SIGINT/SIGTERM cancel
+// run's context, which starts the graceful drain.
 func main() {
-	addr := flag.String("addr", ":8080", "listen address")
-	workers := flag.Int("workers", 2, "concurrent jobs")
-	queue := flag.Int("queue", 64, "job queue depth")
-	cache := flag.Int("cache", 256, "result cache entries (negative disables)")
-	retain := flag.Int("retain", 256, "terminal jobs retained for status queries (negative retains all)")
-	drain := flag.Duration("drain", 2*time.Minute, "graceful shutdown drain deadline")
-	jobTimeout := flag.Duration("job-timeout", 0, "per-job run deadline (0 = unlimited)")
-	stateDir := flag.String("state-dir", "", "durable state directory (journal, result cache, checkpoints); empty = memory only")
-	quiet := flag.Bool("quiet", false, "suppress per-job log lines")
-	flag.Parse()
+	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	err := run(ctx, os.Args[1:], os.Stderr)
+	cancel()
+	switch {
+	case errors.Is(err, errUsage):
+		os.Exit(2)
+	case err != nil:
+		fmt.Fprintf(os.Stderr, "galactosd: %v\n", err)
+		os.Exit(1)
+	}
+}
 
-	logger := log.New(os.Stderr, "galactosd: ", log.LstdFlags)
+// errUsage reports a command line the flag set has already answered with
+// its usage text; main exits 2 for it, as flag.ExitOnError would.
+var errUsage = errors.New("usage")
+
+// run parses args and serves until ctx is cancelled, then drains. Its log
+// lines, the bound address among them, go to logw (stderr from main).
+func run(ctx context.Context, args []string, logw io.Writer) error {
+	fs := flag.NewFlagSet("galactosd", flag.ContinueOnError)
+	var (
+		addr       = fs.String("addr", ":8080", "listen address")
+		workers    = fs.Int("workers", 2, "concurrent jobs")
+		queue      = fs.Int("queue", 64, "job queue depth")
+		cache      = fs.Int("cache", 256, "result cache entries (negative disables)")
+		retain     = fs.Int("retain", 256, "terminal jobs retained for status queries (negative retains all)")
+		drain      = fs.Duration("drain", 2*time.Minute, "graceful shutdown drain deadline")
+		jobTimeout = fs.Duration("job-timeout", 0, "per-job run deadline (0 = unlimited)")
+		stateDir   = fs.String("state-dir", "", "durable state directory (journal, result cache, checkpoints); empty = memory only")
+		quiet      = fs.Bool("quiet", false, "suppress per-job log lines")
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return errUsage
+	}
+
+	logger := log.New(logw, "galactosd: ", log.LstdFlags)
 	opts := service.Options{Workers: *workers, QueueDepth: *queue, CacheEntries: *cache,
 		RetainJobs: *retain, JobTimeout: *jobTimeout, StateDir: *stateDir}
 	if !*quiet {
@@ -55,7 +85,7 @@ func main() {
 	}
 	svc, err := service.New(opts)
 	if err != nil {
-		logger.Fatalf("startup: %v", err)
+		return fmt.Errorf("startup: %w", err)
 	}
 
 	// Listen explicitly (rather than ListenAndServe) so the bound address —
@@ -63,7 +93,7 @@ func main() {
 	// serving begins; the crash-smoke harness and scripts parse it.
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
-		logger.Fatalf("listen: %v", err)
+		return fmt.Errorf("listen: %w", err)
 	}
 
 	// ReadHeaderTimeout bounds how long a connection may dribble its request
@@ -79,11 +109,12 @@ func main() {
 	go func() { errc <- httpSrv.Serve(ln) }()
 	logger.Printf("listening on %s (%d workers, queue %d, cache %d)", ln.Addr(), *workers, *queue, *cache)
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
+	// A serve failure exits without draining, as a kill would (and as a
+	// listen failure does): the server is crash-only, and the next boot on
+	// the same -state-dir re-enqueues whatever was running.
 	select {
 	case err := <-errc:
-		logger.Fatalf("serve: %v", err)
+		return fmt.Errorf("serve: %w", err)
 	case <-ctx.Done():
 	}
 
@@ -102,8 +133,8 @@ func main() {
 		logger.Printf("http shutdown: %v", err)
 	}
 	if drainErr != nil {
-		fmt.Fprintln(os.Stderr, "galactosd: drain deadline exceeded, jobs cancelled")
-		os.Exit(1)
+		return errors.New("drain deadline exceeded, jobs cancelled")
 	}
 	logger.Printf("drained cleanly")
+	return nil
 }

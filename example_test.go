@@ -220,7 +220,7 @@ func crossFraction(res *galactos.Result) float64 {
 func ExampleRunSurveyEstimator() {
 	const n, seed, boxL = 1200, 11, 240.0
 	ctx := context.Background()
-	masked, err := galactos.RunScenario(ctx, galactos.LocalBackend(), "survey-estimator", n, seed)
+	masked, err := galactos.RunScenario(ctx, galactos.BackendSpec{}, "survey-estimator", n, seed)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func ExampleRunSurveyEstimator() {
 	cfg.IsotropicOnly = true
 	full := galactos.GenerateClustered(n, boxL, galactos.DefaultClusterParams(), seed)
 	randoms := galactos.GenerateUniform(2*n, boxL, 13)
-	whole, err := galactos.RunSurveyEstimator(ctx, galactos.LocalBackend(), full, randoms, cfg)
+	whole, err := galactos.RunSurveyEstimator(ctx, galactos.Request{Config: cfg}, full, randoms)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -297,7 +297,7 @@ func ExampleRunJackknifeResampling() {
 	cfg.SelfCount = false
 	cfg.IsotropicOnly = true
 	cat := galactos.GenerateUniform(1600, 200, 5)
-	jk, err := galactos.RunJackknifeResampling(context.Background(), galactos.LocalBackend(), cat, 8, cfg)
+	jk, err := galactos.RunJackknifeResampling(context.Background(), galactos.Request{Config: cfg}, cat, 8)
 	if err != nil {
 		log.Fatal(err)
 	}

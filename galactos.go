@@ -97,13 +97,10 @@ const (
 // 20 radial bins, l_max = 10.
 func DefaultConfig() Config { return core.DefaultConfig() }
 
-// Backend is one execution strategy of the unified execution layer
-// (internal/exec): Local or Sharded. Both run the same job descriptor and
-// feed the same telemetry; see DESIGN.md, "Execution layer".
-type Backend = exec.Backend
-
-// BackendSpec selects and parameterizes a backend from flag-shaped inputs
-// (the cmd/galactos -backend surface).
+// BackendSpec says where a Request runs: the in-memory engine ("local", the
+// zero value) or the out-of-core slab pipeline ("sharded", with its shard
+// count and checkpoint options). Both feed the same telemetry; see
+// DESIGN.md, "Execution layer".
 type BackendSpec = exec.Spec
 
 // UnitStats is the uniform per-unit (engine run / shard) report of a backend
@@ -125,9 +122,6 @@ func NewMemorySource(cat *Catalog) CatalogSource { return catalog.NewMemorySourc
 // without loading it into memory; the sharded backend consumes it
 // shard-by-shard, so peak memory stays bounded by one shard.
 func NewFileSource(path string) CatalogSource { return catalog.NewFileSource(path) }
-
-// LocalBackend runs the single-node in-memory engine.
-func LocalBackend() Backend { return exec.Local{} }
 
 // SaveResult writes a Result checkpoint in the versioned binary format
 // (atomic: written to a temporary file and renamed into place).
@@ -228,31 +222,33 @@ type SurveyRun = scenario.Survey
 // leave-one-out statistic vectors and their jackknife covariance.
 type JackknifeRun = scenario.Jackknife
 
-// RunScenario runs a registry entry end-to-end through the backend at
+// RunScenario runs a registry entry end-to-end on the backend spec at
 // catalog size n (clamped up to the scenario's MinN) and checks every
 // invariant; the first violation is returned as an error alongside the
 // outcome.
-func RunScenario(ctx context.Context, b Backend, name string, n int, seed int64) (*ScenarioOutcome, error) {
+func RunScenario(ctx context.Context, spec BackendSpec, name string, n int, seed int64) (*ScenarioOutcome, error) {
 	s, err := scenario.Get(name)
 	if err != nil {
 		return nil, err
 	}
-	return s.RunChecked(ctx, b, n, seed)
+	return s.RunChecked(ctx, spec, n, seed)
 }
 
-// RunSurveyEstimator runs the backend-routed survey estimator of Sec. 6.1:
-// the data-minus-randoms field and the scaled randoms each run through b
-// (checkpointed backends keep disjoint per-stage checkpoint sets), then the
-// mixing-matrix edge correction recovers the true isotropic multipoles.
-func RunSurveyEstimator(ctx context.Context, b Backend, data, randoms *Catalog, cfg Config) (*SurveyRun, error) {
-	return scenario.RunSurveyEstimator(ctx, b, data, randoms, cfg)
+// RunSurveyEstimator runs the survey estimator of Sec. 6.1: the
+// data-minus-randoms field and the scaled randoms each run as the template
+// request tmpl (its Config, Backend and Log; a checkpointed backend keeps
+// disjoint per-stage checkpoint sets), then the mixing-matrix edge
+// correction recovers the true isotropic multipoles. tmpl must name no
+// catalog.
+func RunSurveyEstimator(ctx context.Context, tmpl Request, data, randoms *Catalog) (*SurveyRun, error) {
+	return scenario.RunSurveyEstimator(ctx, tmpl, data, randoms)
 }
 
 // RunJackknifeResampling runs the delete-one spatial jackknife of Sec. 6.1
-// through the backend: the catalog is split into regions with the k-d
-// partitioner, the full sample and every leave-one-out catalog run as
-// independently resumable stages, and the statistic vectors feed the
-// jackknife covariance.
-func RunJackknifeResampling(ctx context.Context, b Backend, cat *Catalog, regions int, cfg Config) (*JackknifeRun, error) {
-	return scenario.RunJackknife(ctx, b, cat, regions, cfg)
+// as the template request tmpl (which must name no catalog): the catalog is
+// split into regions with the k-d partitioner, the full sample and every
+// leave-one-out catalog run as independently resumable stages, and the
+// statistic vectors feed the jackknife covariance.
+func RunJackknifeResampling(ctx context.Context, tmpl Request, cat *Catalog, regions int) (*JackknifeRun, error) {
+	return scenario.RunJackknife(ctx, tmpl, cat, regions)
 }

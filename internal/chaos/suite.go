@@ -85,17 +85,13 @@ func Suite(n int, seed int64, scratch string) ([]Case, error) {
 				}},
 		}
 		for _, be := range backends {
-			b, err := be.spec.Backend()
-			if err != nil {
-				return nil, fmt.Errorf("chaos: backend %s: %w", be.tag, err)
-			}
-			s := s
+			s, spec := s, be.spec
 			cases = append(cases, Case{
 				Name:   s.Name + "/" + be.tag,
 				Desc:   "scenario " + s.Name + " on the " + be.tag + " backend, invariants checked under faults",
 				Points: be.points,
 				Run: func(ctx context.Context) (string, error) {
-					o, err := s.RunChecked(ctx, b, n, seed)
+					o, err := s.RunChecked(ctx, spec, n, seed)
 					if err != nil {
 						return "", err
 					}
@@ -122,11 +118,10 @@ func Suite(n int, seed int64, scratch string) ([]Case, error) {
 	streamPass := 0
 	streamRun := func(ctx context.Context) (string, error) {
 		streamPass++
-		b := exec.Sharded{NShards: 3,
-			CheckpointDir: filepath.Join(streamDir, fmt.Sprintf("ckpt-%d", streamPass))}
-		run, err := exec.Run(ctx, b, &exec.Job{
-			Source: catalog.NewFileSource(streamPath),
-			Config: suiteConfig(), Label: "chaos-stream",
+		run, err := exec.Run(ctx, exec.Request{
+			Path: streamPath, Config: suiteConfig(), Label: "chaos-stream",
+			Backend: exec.Spec{Name: "sharded", Shards: 3,
+				CheckpointDir: filepath.Join(streamDir, fmt.Sprintf("ckpt-%d", streamPass))},
 		})
 		if err != nil {
 			return "", err
@@ -156,11 +151,10 @@ func Suite(n int, seed int64, scratch string) ([]Case, error) {
 	resumeCkpt := filepath.Join(scratch, "resume", "ckpt")
 	resumeRun := func(resume bool) func(ctx context.Context) (string, error) {
 		return func(ctx context.Context) (string, error) {
-			b := exec.Sharded{NShards: 3, CheckpointDir: resumeCkpt,
-				Resume: resume, Keep: !resume}
-			run, err := exec.Run(ctx, b, &exec.Job{
-				Source: catalog.NewMemorySource(resumeCat),
-				Config: suiteConfig(), Label: "chaos-resume",
+			run, err := exec.Run(ctx, exec.Request{
+				Catalog: resumeCat, Config: suiteConfig(), Label: "chaos-resume",
+				Backend: exec.Spec{Name: "sharded", Shards: 3, CheckpointDir: resumeCkpt,
+					Resume: resume, Keep: !resume},
 			})
 			if err != nil {
 				return "", err

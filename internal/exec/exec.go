@@ -1,19 +1,19 @@
-// Package exec is the unified execution layer: one backend-agnostic way to
-// run a 3PCF job through either compute path — the in-memory engine (Local)
-// or the bounded-memory out-of-core slab pipeline (Sharded). A job is a
-// catalog source plus a core.Config; a Backend turns it into a core.Result
-// and uniform per-unit statistics. Run wraps any backend with the shared
-// wall-clock timing and perfstat collection, so every path feeds the same
-// phase breakdown and pairs/sec report, and every path honors context
-// cancellation with the same semantics: prompt return with ctx.Err(), no
-// leaked goroutines, and (for checkpointed sharded runs) a resumable
-// checkpoint directory. See DESIGN.md, "Execution layer".
+// Package exec is the execution layer: Run is the one way to compute a 3PCF
+// job. A Request names the catalog, the core.Config and, in its Spec, where
+// the job runs — the in-memory engine ("local") or the bounded-memory
+// out-of-core slab pipeline ("sharded"). Run checks the request once,
+// normalizes its config once, and wraps either path in the same wall-clock
+// timing and perfstat collection, so every run feeds the same phase
+// breakdown and pairs/sec report, and honors context cancellation with the
+// same semantics: prompt return with ctx.Err(), no leaked goroutines, and
+// (for checkpointed sharded runs) a resumable checkpoint directory. See
+// DESIGN.md, "Execution layer".
 package exec
 
 import (
 	"context"
 	"fmt"
-	"path/filepath"
+	"math"
 	"time"
 
 	"galactos/internal/catalog"
@@ -22,47 +22,96 @@ import (
 	"galactos/internal/shard"
 )
 
-// Job is the shared job descriptor: what to compute, over which catalog,
-// with which run options.
-type Job struct {
-	// Source supplies the catalog. The local backend materializes it; the
-	// sharded backend streams it, whatever kind of source it is.
-	Source catalog.Source
-	// Config is the engine configuration (normalized by the backend).
-	Config core.Config
+// Request is the one canonical description of a 3PCF job: what catalog to
+// compute over, with which configuration, on which backend. It is both the
+// programmatic entry point (Run) and, serialized to JSON, the wire schema of
+// the galactosd job service — the two surfaces are one design, so a request
+// that runs locally submits unchanged over HTTP (see the client package).
+//
+// Exactly one catalog input must be set: Source (programmatic streaming,
+// not serializable), Catalog (inline, serialized with the request), or Path
+// (a file local to whoever executes the request — the submitting process
+// for Run, the server for galactosd).
+type Request struct {
+	// Source supplies the catalog programmatically (a memory or file
+	// source, or any streaming implementation). It does not serialize;
+	// requests bound for a remote service use Catalog or Path.
+	Source catalog.Source `json:"-"`
+	// Catalog is an inline catalog carried with the request.
+	Catalog *catalog.Catalog `json:"catalog,omitempty"`
+	// Path names a catalog file (binary, or CSV for .csv paths), resolved
+	// where the request executes.
+	Path string `json:"path,omitempty"`
+	// Config is the engine configuration. It is normalized exactly once,
+	// at execution entry: defaulted (zero) tunables and their spelled-out
+	// normalized values produce bitwise-identical results and identical
+	// Config.Fingerprint cache keys.
+	Config core.Config `json:"config"`
+	// Backend selects and parameterizes the execution strategy from
+	// flag-shaped values; the zero value is the local backend.
+	Backend Spec `json:"backend,omitempty"`
+	// TimeoutSec, when positive, bounds the run's wall clock: the run is
+	// cancelled with context.DeadlineExceeded once it elapses. It rides the
+	// wire, so a remote submission carries its own deadline; the galactosd
+	// server additionally caps every job with its Options.JobTimeout.
+	TimeoutSec float64 `json:"timeout_sec,omitempty"`
 	// Label names the run in the perfstat report; empty selects the
 	// backend name.
-	Label string
-	// Log, when non-nil, receives progress lines from the backend.
-	Log func(format string, args ...any)
+	Label string `json:"label,omitempty"`
+	// Log, when non-nil, receives the run's progress lines (per-shard
+	// completions, checkpoint resumes). The job service streams these to
+	// clients as events; it does not serialize.
+	Log func(format string, args ...any) `json:"-"`
+}
+
+// maxTimeoutSec is the longest TimeoutSec a time.Duration can hold.
+const maxTimeoutSec = float64(math.MaxInt64 / int64(time.Second))
+
+// Resolve is the one check of a request, shared by Run and the job
+// service's submission and crash recovery: exactly one catalog input, a
+// backend spec that selects a backend it parameterizes, and a TimeoutSec a
+// time.Duration can hold. It returns the catalog source the request
+// designates. It reads no catalog and does not check the config, which Run
+// normalizes (and the service fingerprints) next.
+func (r Request) Resolve() (catalog.Source, error) {
+	n := 0
+	if r.Source != nil {
+		n++
+	}
+	if r.Catalog != nil {
+		n++
+	}
+	if r.Path != "" {
+		n++
+	}
+	switch {
+	case n == 0:
+		return nil, fmt.Errorf("galactos: request has no catalog (set Source, Catalog, or Path)")
+	case n > 1:
+		return nil, fmt.Errorf("galactos: request has several catalog inputs (set exactly one of Source, Catalog, Path)")
+	}
+	if err := r.Backend.check(); err != nil {
+		return nil, err
+	}
+	if r.TimeoutSec > maxTimeoutSec {
+		return nil, fmt.Errorf("exec: timeout_sec %g exceeds the longest timeout, %g s", r.TimeoutSec, maxTimeoutSec)
+	}
+	switch {
+	case r.Source != nil:
+		return r.Source, nil
+	case r.Catalog != nil:
+		return catalog.NewMemorySource(r.Catalog), nil
+	default:
+		return catalog.NewFileSource(r.Path), nil
+	}
 }
 
 // UnitStats is the uniform per-execution-unit report: a unit is the single
-// engine run of the local backend or one shard of the sharded backend.
-type UnitStats struct {
-	// Unit is the unit index in deterministic backend order.
-	Unit int
-	// NOwned and NHalo count the unit's primaries and halo copies.
-	NOwned, NHalo int
-	// Pairs is the unit's kernel pair count.
-	Pairs uint64
-	// Elapsed is the unit's compute wall clock (0 when resumed).
-	Elapsed time.Duration
-	// Resumed marks sharded units restored from a checkpoint.
-	Resumed bool
-}
+// engine run of the local backend or one slab of the sharded backend.
+type UnitStats = shard.UnitStats
 
-// Backend is one execution strategy for a Job.
-type Backend interface {
-	// Name identifies the backend ("local" or "sharded").
-	Name() string
-	// Run executes the job. Cancelling ctx returns ctx.Err() promptly and
-	// leaks no goroutines.
-	Run(ctx context.Context, job *Job) (*core.Result, []UnitStats, error)
-}
-
-// RunResult bundles a backend run's outputs: the merged result, the
-// per-unit statistics, and the uniform performance report.
+// RunResult bundles a run's outputs: the merged result, the per-unit
+// statistics, and the uniform performance report.
 type RunResult struct {
 	Result  *core.Result
 	Units   []UnitStats
@@ -70,38 +119,54 @@ type RunResult struct {
 	Elapsed time.Duration
 }
 
-// Run executes a job on a backend under the shared telemetry: one wall
+// Run executes a request end-to-end under the shared telemetry: one wall
 // clock around the whole pipeline and one perfstat collection, identical
 // across backends.
 //
-// Run normalizes the job's config exactly once, here at entry, and hands
-// every backend the normalized form; an invalid config is rejected before
-// any catalog IO — so a job submitted with defaulted tunables and the same
-// job with the normalized config spelled out produce bitwise-identical
-// results on every backend.
-func Run(ctx context.Context, b Backend, job *Job) (*RunResult, error) {
-	if job.Source == nil {
-		return nil, fmt.Errorf("exec: job has no catalog source")
-	}
-	ncfg, err := job.Config.Normalize()
+// Run checks the request (Resolve) and normalizes its config exactly once,
+// here at entry; an invalid request or config is rejected before any
+// catalog IO — so a job submitted with defaulted tunables and the same job
+// with the normalized config spelled out produce bitwise-identical results
+// on every backend. TimeoutSec, when positive, bounds ctx. Cancelling ctx
+// returns ctx.Err() promptly and leaks no goroutines; a cancelled
+// checkpointed sharded run leaves a resumable checkpoint directory.
+func Run(ctx context.Context, req Request) (*RunResult, error) {
+	src, err := req.Resolve()
 	if err != nil {
 		return nil, err
 	}
-	j := *job
-	j.Config = ncfg
-	job = &j
+	cfg, err := req.Config.Normalize()
+	if err != nil {
+		return nil, err
+	}
+	if note := req.Backend.DeprecationNote(); note != "" && req.Log != nil {
+		req.Log("%s", note)
+	}
+	if req.TimeoutSec > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutSec*float64(time.Second)))
+		defer cancel()
+	}
 	start := time.Now()
-	res, units, err := b.Run(ctx, job)
+	name := "local"
+	var res *core.Result
+	var units []UnitStats
+	if req.Backend.Name == "sharded" {
+		name = "sharded"
+		res, units, err = runSharded(ctx, src, cfg, req.Backend, req.Log)
+	} else {
+		res, units, err = runLocal(ctx, src, cfg)
+	}
 	if err != nil {
 		return nil, err
 	}
 	elapsed := time.Since(start)
-	label := job.Label
+	label := req.Label
 	if label == "" {
-		label = b.Name()
+		label = name
 	}
-	perf := perfstat.Collect(label, job.Config, res, elapsed)
-	perf.Backend = b.Name()
+	perf := perfstat.Collect(label, cfg, res, elapsed)
+	perf.Backend = name
 	return &RunResult{
 		Result:  res,
 		Units:   units,
@@ -110,65 +175,17 @@ func Run(ctx context.Context, b Backend, job *Job) (*RunResult, error) {
 	}, nil
 }
 
-// WithLog returns a backend that supplies logf as the job's progress
-// logger when the job carries none (a backend constructor's way to honor a
-// caller-provided logger).
-func WithLog(b Backend, logf func(format string, args ...any)) Backend {
-	return withLog{Backend: b, logf: logf}
-}
-
-type withLog struct {
-	Backend
-	logf func(string, ...any)
-}
-
-func (w withLog) Run(ctx context.Context, job *Job) (*core.Result, []UnitStats, error) {
-	if job.Log == nil && w.logf != nil {
-		j := *job
-		j.Log = w.logf
-		job = &j
-	}
-	return w.Backend.Run(ctx, job)
-}
-
-// Staged returns a backend scoped to one named stage of a multi-run
-// workload. Only checkpoint state needs scoping: a Sharded backend with a
-// CheckpointDir gets a per-stage subdirectory, so the several engine runs
-// of one workload (the D-R and randoms runs of the survey estimator, each
-// leave-one-out region of a jackknife) keep disjoint checkpoint sets and
-// resume independently. Backends without checkpoint state are returned
-// unchanged; logging wrappers are preserved around the staged backend.
-func Staged(b Backend, stage string) Backend {
-	switch t := b.(type) {
-	case withLog:
-		return withLog{Backend: Staged(t.Backend, stage), logf: t.logf}
-	case Sharded:
-		if t.CheckpointDir != "" {
-			t.CheckpointDir = filepath.Join(t.CheckpointDir, stage)
-		}
-		return t
-	default:
-		return b
-	}
-}
-
-// Local runs the single-node in-memory engine.
-type Local struct{}
-
-// Name implements Backend.
-func (Local) Name() string { return "local" }
-
-// Run implements Backend.
-func (Local) Run(ctx context.Context, job *Job) (*core.Result, []UnitStats, error) {
-	// Load the source into memory (the fast path unwraps a MemorySource
+// runLocal runs the single-node in-memory engine.
+func runLocal(ctx context.Context, src catalog.Source, cfg core.Config) (*core.Result, []UnitStats, error) {
+	// Load the source into memory (the fast path unwraps a memory source
 	// without copying). Transient IO failures retry under the catalog read
 	// policy; ctx bounds the backoff waits.
-	cat, err := catalog.ReadAllContext(ctx, job.Source)
+	cat, err := catalog.ReadAllContext(ctx, src)
 	if err != nil {
 		return nil, nil, err
 	}
 	start := time.Now()
-	res, err := core.ComputeContext(ctx, cat, job.Config)
+	res, err := core.ComputeContext(ctx, cat, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -180,54 +197,25 @@ func (Local) Run(ctx context.Context, job *Job) (*core.Result, []UnitStats, erro
 	}}, nil
 }
 
-// Sharded runs the bounded-memory out-of-core pipeline (shard.Compute): the
-// source is streamed into equal-count slabs computed one at a time.
-type Sharded struct {
-	// NShards is the number of slabs (>= 1).
-	NShards int
-	// CheckpointDir/Resume/Keep are the checkpoint options of
-	// shard.Options.
-	CheckpointDir string
-	Resume        bool
-	Keep          bool
-}
-
-// Name implements Backend.
-func (Sharded) Name() string { return "sharded" }
-
-// Run implements Backend.
-func (b Sharded) Run(ctx context.Context, job *Job) (*core.Result, []UnitStats, error) {
-	res, stats, err := shard.Compute(ctx, job.Source, job.Config, shard.Options{
-		NShards:       b.NShards,
-		CheckpointDir: b.CheckpointDir,
-		Resume:        b.Resume,
-		Keep:          b.Keep,
-		Log:           job.Log,
+// runSharded runs the bounded-memory out-of-core pipeline (shard.Compute):
+// the source is streamed into equal-count slabs computed one at a time.
+func runSharded(ctx context.Context, src catalog.Source, cfg core.Config, s Spec, logf func(string, ...any)) (*core.Result, []UnitStats, error) {
+	return shard.Compute(ctx, src, cfg, shard.Options{
+		NShards:       max(s.Shards, 1),
+		CheckpointDir: s.CheckpointDir,
+		Resume:        s.Resume,
+		Keep:          s.Keep,
+		Log:           logf,
 	})
-	if err != nil {
-		return nil, nil, err
-	}
-	units := make([]UnitStats, len(stats))
-	for i, s := range stats {
-		units[i] = UnitStats{
-			Unit:    s.Shard,
-			NOwned:  s.NOwned,
-			NHalo:   s.NHalo,
-			Pairs:   s.Pairs,
-			Elapsed: s.Elapsed,
-			Resumed: s.Resumed,
-		}
-	}
-	return res, units, nil
 }
 
-// Spec selects and parameterizes a backend from flag-shaped inputs (the
-// cmd/galactos -backend surface).
+// Spec selects and parameterizes the backend a Request runs on, from
+// flag-shaped inputs (the cmd/galactos -backend surface).
 type Spec struct {
-	// Name is "local" or "sharded".
+	// Name is "local" (or empty) or "sharded".
 	Name string
 	// Shards / CheckpointDir / Resume / Keep parameterize the sharded
-	// backend.
+	// backend; Shards below 1 means one slab.
 	Shards int
 	// Deprecated: every sharded run computes one slab at a time. See Stream.
 	ShardConcurrency int
@@ -251,29 +239,20 @@ func (s Spec) DeprecationNote() string {
 	return "backend spec: Stream and ShardConcurrency are deprecated and ignored (every sharded run streams its catalog one slab at a time); a later version rejects them"
 }
 
-// Backend resolves the spec. A spec that parameterizes a backend it does
-// not select is an error, never a silent drop: a caller who set Shards or
-// CheckpointDir must not get a fully-resident local run.
-func (s Spec) Backend() (Backend, error) {
+// check refuses an unknown backend name, and a spec that parameterizes a
+// backend it does not select — never a silent drop: a caller who set
+// Shards or CheckpointDir must not get a fully-resident local run.
+func (s Spec) check() error {
 	switch s.Name {
 	case "local", "":
 		if s.Shards > 1 || s.ShardConcurrency > 1 || s.CheckpointDir != "" ||
 			s.Resume || s.Keep || s.Stream {
-			return nil, fmt.Errorf("exec: local backend selected but sharded parameters set (%+v)", s)
+			return fmt.Errorf("exec: local backend selected but sharded parameters set (%+v)", s)
 		}
-		return Local{}, nil
+		return nil
 	case "sharded":
-		nshards := s.Shards
-		if nshards <= 0 {
-			nshards = 1
-		}
-		return Sharded{
-			NShards:       nshards,
-			CheckpointDir: s.CheckpointDir,
-			Resume:        s.Resume,
-			Keep:          s.Keep,
-		}, nil
+		return nil
 	default:
-		return nil, fmt.Errorf("exec: unknown backend %q (want local or sharded)", s.Name)
+		return fmt.Errorf("exec: unknown backend %q (want local or sharded)", s.Name)
 	}
 }

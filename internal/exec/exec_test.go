@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -37,16 +38,20 @@ func openCatalog(t *testing.T, n int) *catalog.Catalog {
 	return cat
 }
 
-func runBackend(t *testing.T, b Backend, cat *catalog.Catalog, cfg core.Config) *core.Result {
+// local and sharded are the two backends' specs.
+func local() Spec        { return Spec{Name: "local"} }
+func sharded(k int) Spec { return Spec{Name: "sharded", Shards: k} }
+
+func runBackend(t *testing.T, spec Spec, cat *catalog.Catalog, cfg core.Config) *core.Result {
 	t.Helper()
-	res, units, err := b.Run(context.Background(), &Job{Source: catalog.NewMemorySource(cat), Config: cfg})
+	run, err := Run(context.Background(), Request{Catalog: cat, Config: cfg, Backend: spec})
 	if err != nil {
-		t.Fatalf("%s: %v", b.Name(), err)
+		t.Fatalf("%+v: %v", spec, err)
 	}
-	if len(units) == 0 {
-		t.Fatalf("%s: no unit stats", b.Name())
+	if len(run.Units) == 0 {
+		t.Fatalf("%+v: no unit stats", spec)
 	}
-	return res
+	return run.Result
 }
 
 func assertBitwise(t *testing.T, name string, a, b *core.Result) {
@@ -67,7 +72,7 @@ func assertBitwise(t *testing.T, name string, a, b *core.Result) {
 }
 
 // TestBackendEquivalenceGolden is the backend-equivalence golden test: on a
-// fixed seeded catalog, the Local and Sharded backends produce the same
+// fixed seeded catalog, the local and sharded backends produce the same
 // Result. Two layers:
 //
 //  1. The degenerate decomposition (1 shard) must match Local bitwise — both
@@ -104,13 +109,13 @@ func TestBackendEquivalenceGolden(t *testing.T) {
 				cat = periodic
 			}
 
-			local := runBackend(t, Local{}, cat, cfg)
-			sharded1 := runBackend(t, Sharded{NShards: 1}, cat, cfg)
-			assertBitwise(t, "local vs sharded(1)", local, sharded1)
+			loc := runBackend(t, local(), cat, cfg)
+			sharded1 := runBackend(t, sharded(1), cat, cfg)
+			assertBitwise(t, "local vs sharded(1)", loc, sharded1)
 
 			for _, k := range []int{2, 3} {
-				sharded := runBackend(t, Sharded{NShards: k}, cat, cfg)
-				if d, m := local.MaxAbsDiff(sharded), local.MaxAbs(); d > 1e-9*m {
+				sh := runBackend(t, sharded(k), cat, cfg)
+				if d, m := loc.MaxAbsDiff(sh), loc.MaxAbs(); d > 1e-9*m {
 					t.Fatalf("local vs sharded(%d): max |diff| %.3e vs scale %.3e", k, d, m)
 				}
 			}
@@ -129,21 +134,21 @@ func TestStreamingShardedMatchesLocal(t *testing.T) {
 	if err := catalog.SaveBinary(path, cat); err != nil {
 		t.Fatal(err)
 	}
-	local := runBackend(t, Local{}, cat, cfg)
-	res, units, err := Sharded{NShards: 3}.Run(context.Background(),
-		&Job{Source: catalog.NewFileSource(path), Config: cfg})
+	want := runBackend(t, local(), cat, cfg)
+	run, err := Run(context.Background(), Request{Path: path, Config: cfg, Backend: sharded(3)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Pairs != local.Pairs || res.NPrimaries != local.NPrimaries || res.NGalaxies != local.NGalaxies {
+	res := run.Result
+	if res.Pairs != want.Pairs || res.NPrimaries != want.NPrimaries || res.NGalaxies != want.NGalaxies {
 		t.Fatalf("streaming counters diverge: pairs %d/%d primaries %d/%d galaxies %d/%d",
-			res.Pairs, local.Pairs, res.NPrimaries, local.NPrimaries, res.NGalaxies, local.NGalaxies)
+			res.Pairs, want.Pairs, res.NPrimaries, want.NPrimaries, res.NGalaxies, want.NGalaxies)
 	}
-	if d, m := res.MaxAbsDiff(local), local.MaxAbs(); d > 1e-9*m {
+	if d, m := res.MaxAbsDiff(want), want.MaxAbs(); d > 1e-9*m {
 		t.Fatalf("streaming multipoles diverge: max |diff| %.3e vs scale %.3e", d, m)
 	}
 	var owned int
-	for _, u := range units {
+	for _, u := range run.Units {
 		owned += u.NOwned
 	}
 	if owned != cat.Len() {
@@ -176,9 +181,8 @@ func cancelConfig() core.Config {
 // context.Canceled promptly and leaks no goroutines, on every backend.
 func TestCancellationPromptAndLeakFree(t *testing.T) {
 	cat := catalog.Clustered(6000, 250, catalog.DefaultClusterParams(), 71)
-	backends := []Backend{Local{}, Sharded{NShards: 4}}
-	for _, b := range backends {
-		t.Run(b.Name(), func(t *testing.T) {
+	for _, spec := range []Spec{local(), sharded(4)} {
+		t.Run(spec.Name, func(t *testing.T) {
 			baseline := runtime.NumGoroutine()
 			ctx, cancel := context.WithCancel(context.Background())
 			go func() {
@@ -186,7 +190,7 @@ func TestCancellationPromptAndLeakFree(t *testing.T) {
 				cancel()
 			}()
 			start := time.Now()
-			_, _, err := b.Run(ctx, &Job{Source: catalog.NewMemorySource(cat), Config: cancelConfig()})
+			_, err := Run(ctx, Request{Catalog: cat, Config: cancelConfig(), Backend: spec})
 			elapsed := time.Since(start)
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("want context.Canceled, got %v", err)
@@ -215,9 +219,10 @@ func TestCancellationLeavesResumableCheckpoints(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var done atomic.Int32
-	_, _, err := Sharded{NShards: 6, CheckpointDir: dir}.Run(ctx, &Job{
-		Source: catalog.NewMemorySource(cat),
-		Config: cfg,
+	_, err := Run(ctx, Request{
+		Catalog: cat,
+		Config:  cfg,
+		Backend: Spec{Name: "sharded", Shards: 6, CheckpointDir: dir},
 		Log: func(format string, args ...any) {
 			if done.Add(1) == 1 {
 				cancel()
@@ -236,14 +241,15 @@ func TestCancellationLeavesResumableCheckpoints(t *testing.T) {
 	}
 
 	resumed := 0
-	res, units, err := Sharded{NShards: 6, CheckpointDir: dir, Resume: true}.Run(context.Background(), &Job{
-		Source: catalog.NewMemorySource(cat),
-		Config: cfg,
+	run, err := Run(context.Background(), Request{
+		Catalog: cat,
+		Config:  cfg,
+		Backend: Spec{Name: "sharded", Shards: 6, CheckpointDir: dir, Resume: true},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, u := range units {
+	for _, u := range run.Units {
 		if u.Resumed {
 			resumed++
 		}
@@ -251,12 +257,23 @@ func TestCancellationLeavesResumableCheckpoints(t *testing.T) {
 	if resumed == 0 {
 		t.Fatal("resume recomputed every shard; expected at least one checkpoint reuse")
 	}
-	clean := runBackend(t, Sharded{NShards: 6}, cat, cfg)
-	assertBitwise(t, "resumed vs uninterrupted", res, clean)
+	clean := runBackend(t, sharded(6), cat, cfg)
+	assertBitwise(t, "resumed vs uninterrupted", run.Result, clean)
 }
 
-// TestSpecBackendSelection pins the -backend flag surface.
+// TestSpecBackendSelection pins the -backend flag surface: the spec names
+// the backend that runs (empty means local), and Resolve refuses what it
+// cannot run.
 func TestSpecBackendSelection(t *testing.T) {
+	cat, cfg := openCatalog(t, 300), testConfig()
+	run := func(spec Spec, logf func(string, ...any)) *RunResult {
+		t.Helper()
+		r, err := Run(context.Background(), Request{Catalog: cat, Config: cfg, Backend: spec, Log: logf})
+		if err != nil {
+			t.Fatalf("%+v: %v", spec, err)
+		}
+		return r
+	}
 	for _, tc := range []struct {
 		spec Spec
 		want string
@@ -265,26 +282,26 @@ func TestSpecBackendSelection(t *testing.T) {
 		{Spec{Name: ""}, "local"},
 		{Spec{Name: "sharded", Shards: 4}, "sharded"},
 	} {
-		b, err := tc.spec.Backend()
-		if err != nil {
-			t.Fatalf("%+v: %v", tc.spec, err)
-		}
-		if b.Name() != tc.want {
-			t.Fatalf("%+v: got backend %q, want %q", tc.spec, b.Name(), tc.want)
+		if r := run(tc.spec, nil); r.Perf.Backend != tc.want {
+			t.Fatalf("%+v: ran backend %q, want %q", tc.spec, r.Perf.Backend, tc.want)
 		}
 	}
-	if _, err := (Spec{Name: "mpi"}).Backend(); err == nil {
+	resolve := func(spec Spec) error {
+		_, err := Request{Catalog: cat, Backend: spec}.Resolve()
+		return err
+	}
+	if resolve(Spec{Name: "mpi"}) == nil {
 		t.Fatal("unknown backend name accepted")
 	}
 	// The retired goroutine-rank backend is an explicit error that names
 	// what remains, never a panic or a silent local run.
-	_, err := (Spec{Name: "dist"}).Backend()
+	err := resolve(Spec{Name: "dist"})
 	if err == nil || !strings.Contains(err.Error(), "local") || !strings.Contains(err.Error(), "sharded") {
 		t.Fatalf("removed backend: want an error naming local and sharded, got %v", err)
 	}
 	// The deprecated Stream / ShardConcurrency fields still decode, select
-	// nothing — the resolved backend is the one the spec without them
-	// resolves to, so it runs to the same bits — and are reported.
+	// nothing — the spec runs to the bits of the spec without them — and
+	// are reported once on the run's log.
 	var old, plain Spec
 	for text, spec := range map[string]*Spec{
 		`{"Name":"sharded","Shards":2,"ShardConcurrency":2,"Stream":true}`: &old,
@@ -294,15 +311,16 @@ func TestSpecBackendSelection(t *testing.T) {
 			t.Fatalf("%s: %v", text, err)
 		}
 	}
-	bo, err := old.Backend()
-	if err != nil {
-		t.Fatalf("spec with deprecated fields rejected: %v", err)
+	notes := 0
+	logged := func(format string, args ...any) {
+		if fmt.Sprintf(format, args...) == old.DeprecationNote() {
+			notes++
+		}
 	}
-	if bp, _ := plain.Backend(); bo != bp {
-		t.Fatalf("deprecated fields changed the backend: %+v vs %+v", bo, bp)
+	assertBitwise(t, "spec with vs without deprecated fields", run(old, logged).Result, run(plain, logged).Result)
+	if notes != 1 {
+		t.Fatalf("deprecation note logged %d times over a deprecated and a plain run, want once", notes)
 	}
-	cat, cfg := openCatalog(t, 300), testConfig()
-	assertBitwise(t, "spec with vs without deprecated fields", runBackend(t, bo, cat, cfg), runBackend(t, Sharded{NShards: 2}, cat, cfg))
 	if old.DeprecationNote() == "" || plain.DeprecationNote() != "" || (Spec{Name: "sharded", ShardConcurrency: 1}).DeprecationNote() != "" {
 		t.Fatal("DeprecationNote must fire for Stream or ShardConcurrency > 1, and only then")
 	}
@@ -313,30 +331,30 @@ func TestSpecBackendSelection(t *testing.T) {
 		{Name: "local", Stream: true},
 		{Name: "local", Resume: true},
 	} {
-		if _, err := spec.Backend(); err == nil {
+		if resolve(spec) == nil {
 			t.Fatalf("contradictory spec silently accepted: %+v", spec)
 		}
 	}
 }
 
-// TestRunCollectsUniformPerf: exec.Run attaches the same perfstat shape to
+// TestRunCollectsUniformPerf: Run attaches the same perfstat shape to
 // every backend, labeled by backend name by default.
 func TestRunCollectsUniformPerf(t *testing.T) {
 	cat := openCatalog(t, 400)
 	cfg := testConfig()
-	for _, b := range []Backend{Local{}, Sharded{NShards: 2}} {
-		run, err := Run(context.Background(), b, &Job{Source: catalog.NewMemorySource(cat), Config: cfg})
+	for _, spec := range []Spec{local(), sharded(2)} {
+		run, err := Run(context.Background(), Request{Catalog: cat, Config: cfg, Backend: spec})
 		if err != nil {
-			t.Fatalf("%s: %v", b.Name(), err)
+			t.Fatalf("%s: %v", spec.Name, err)
 		}
-		if run.Perf == nil || run.Perf.Label != b.Name() {
-			t.Fatalf("%s: missing or mislabeled perf report: %+v", b.Name(), run.Perf)
+		if run.Perf == nil || run.Perf.Label != spec.Name {
+			t.Fatalf("%s: missing or mislabeled perf report: %+v", spec.Name, run.Perf)
 		}
 		if run.Perf.Pairs != run.Result.Pairs || run.Perf.PairsPerSec <= 0 {
-			t.Fatalf("%s: perf report inconsistent: %+v", b.Name(), run.Perf)
+			t.Fatalf("%s: perf report inconsistent: %+v", spec.Name, run.Perf)
 		}
 		if run.Perf.PhaseSec["consume"] <= 0 {
-			t.Fatalf("%s: phase breakdown not populated: %+v", b.Name(), run.Perf.PhaseSec)
+			t.Fatalf("%s: phase breakdown not populated: %+v", spec.Name, run.Perf.PhaseSec)
 		}
 	}
 }

@@ -18,17 +18,17 @@ func TestBackendEquivalence(t *testing.T) {
 	for _, s := range All() {
 		s := s
 		t.Run(s.Name, func(t *testing.T) {
-			run := func(b exec.Backend) *Outcome {
+			run := func(spec exec.Spec) *Outcome {
 				t.Helper()
-				o, err := s.Run(ctx, b, n, seed)
+				o, err := s.Run(ctx, spec, n, seed)
 				if err != nil {
-					t.Fatalf("%s on %s: %v", s.Name, b.Name(), err)
+					t.Fatalf("%s on %+v: %v", s.Name, spec, err)
 				}
 				return o
 			}
-			local := run(exec.Local{})
-			sh1 := run(exec.Sharded{NShards: 1})
-			sh2 := run(exec.Sharded{NShards: 2})
+			local := run(exec.Spec{Name: "local"})
+			sh1 := run(exec.Spec{Name: "sharded", Shards: 1})
+			sh2 := run(exec.Spec{Name: "sharded", Shards: 2})
 
 			for name, o := range map[string]*Outcome{
 				"sharded(1)": sh1, "sharded(2)": sh2,

@@ -59,14 +59,10 @@ func Get(name string) (*Scenario, error) {
 	return nil, fmt.Errorf("scenario: unknown scenario %q (have %v)", name, Names())
 }
 
-// runOne routes a single catalog through the backend and assembles the
+// runOne runs a single catalog on the backend spec and assembles the
 // shared Outcome fields.
-func runOne(ctx context.Context, b exec.Backend, name string, cat *catalog.Catalog, cfg core.Config, n int, seed int64) (*Outcome, *exec.RunResult, error) {
-	run, err := exec.Run(ctx, b, &exec.Job{
-		Source: catalog.NewMemorySource(cat),
-		Config: cfg,
-		Label:  name,
-	})
+func runOne(ctx context.Context, spec exec.Spec, name string, cat *catalog.Catalog, cfg core.Config, n int, seed int64) (*Outcome, *exec.RunResult, error) {
+	run, err := exec.Run(ctx, exec.Request{Catalog: cat, Config: cfg, Backend: spec, Label: name})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -226,10 +222,10 @@ func periodicIso() *Scenario {
 		GoldenN:    1500,
 		GoldenSeed: 101,
 		MinN:       300,
-		Run: func(ctx context.Context, b exec.Backend, n int, seed int64) (*Outcome, error) {
+		Run: func(ctx context.Context, spec exec.Spec, n int, seed int64) (*Outcome, error) {
 			n = clampN(n, 300)
 			cat := catalog.Clustered(n, 240, catalog.DefaultClusterParams(), seed)
-			o, _, err := runOne(ctx, b, name, cat, cfg, n, seed)
+			o, _, err := runOne(ctx, spec, name, cat, cfg, n, seed)
 			return o, err
 		},
 		Invariants: []Invariant{
@@ -256,7 +252,7 @@ func isoMidpoint() *Scenario {
 		GoldenN:    1500,
 		GoldenSeed: 108,
 		MinN:       300,
-		Run: func(ctx context.Context, b exec.Backend, n int, seed int64) (*Outcome, error) {
+		Run: func(ctx context.Context, spec exec.Spec, n int, seed int64) (*Outcome, error) {
 			n = clampN(n, 300)
 			// Open boundaries: a survey-like volume is the midpoint
 			// frame's natural geometry (it is built from both galaxies'
@@ -265,7 +261,7 @@ func isoMidpoint() *Scenario {
 			// backends too — exec's TestBackendEquivalenceGolden pins that.
 			boxed := catalog.Clustered(n, 240, catalog.DefaultClusterParams(), seed)
 			cat := &catalog.Catalog{Galaxies: boxed.Galaxies}
-			o, _, err := runOne(ctx, b, name, cat, cfg, n, seed)
+			o, _, err := runOne(ctx, spec, name, cat, cfg, n, seed)
 			return o, err
 		},
 		Invariants: []Invariant{
@@ -289,10 +285,10 @@ func anisoLOSRadial() *Scenario {
 		GoldenN:    1500,
 		GoldenSeed: 102,
 		MinN:       300,
-		Run: func(ctx context.Context, b exec.Backend, n int, seed int64) (*Outcome, error) {
+		Run: func(ctx context.Context, spec exec.Spec, n int, seed int64) (*Outcome, error) {
 			n = clampN(n, 300)
 			cat := catalog.Clustered(n, 240, catalog.DefaultClusterParams(), seed)
-			o, _, err := runOne(ctx, b, name, cat, cfg, n, seed)
+			o, _, err := runOne(ctx, spec, name, cat, cfg, n, seed)
 			return o, err
 		},
 		Invariants: []Invariant{
@@ -318,12 +314,12 @@ func periodicAnisoRSD() *Scenario {
 		GoldenN:    1500,
 		GoldenSeed: 103,
 		MinN:       300,
-		Run: func(ctx context.Context, b exec.Backend, n int, seed int64) (*Outcome, error) {
+		Run: func(ctx context.Context, spec exec.Spec, n int, seed int64) (*Outcome, error) {
 			n = clampN(n, 300)
 			p := catalog.DefaultClusterParams()
 			p.ZStretch = 0.45
 			cat := catalog.Clustered(n, 240, p, seed)
-			o, _, err := runOne(ctx, b, name, cat, cfg, n, seed)
+			o, _, err := runOne(ctx, spec, name, cat, cfg, n, seed)
 			return o, err
 		},
 		Invariants: []Invariant{
@@ -359,12 +355,12 @@ func surveyEstimator() *Scenario {
 		GoldenN:    1200,
 		GoldenSeed: 104,
 		MinN:       400,
-		Run: func(ctx context.Context, b exec.Backend, n int, seed int64) (*Outcome, error) {
+		Run: func(ctx context.Context, spec exec.Spec, n int, seed int64) (*Outcome, error) {
 			n = clampN(n, 400)
 			const l = 240
 			data := slab(catalog.Clustered(n, l, catalog.DefaultClusterParams(), seed), l)
 			randoms := slab(catalog.Uniform(4*n, l, seed+1), l)
-			sv, err := RunSurveyEstimator(ctx, b, data, randoms, cfg)
+			sv, err := RunSurveyEstimator(ctx, exec.Request{Config: cfg, Backend: spec}, data, randoms)
 			if err != nil {
 				return nil, err
 			}
@@ -454,10 +450,10 @@ func jackknifeCovariance() *Scenario {
 		GoldenN:    1600,
 		GoldenSeed: 105,
 		MinN:       400,
-		Run: func(ctx context.Context, b exec.Backend, n int, seed int64) (*Outcome, error) {
+		Run: func(ctx context.Context, spec exec.Spec, n int, seed int64) (*Outcome, error) {
 			n = clampN(n, 400)
 			cat := catalog.Uniform(n, 200, seed)
-			jk, err := RunJackknife(ctx, b, cat, regions, cfg)
+			jk, err := RunJackknife(ctx, exec.Request{Config: cfg, Backend: spec}, cat, regions)
 			if err != nil {
 				return nil, err
 			}
@@ -561,10 +557,10 @@ func twopcfCrossCheck() *Scenario {
 		GoldenN:    1500,
 		GoldenSeed: 106,
 		MinN:       300,
-		Run: func(ctx context.Context, b exec.Backend, n int, seed int64) (*Outcome, error) {
+		Run: func(ctx context.Context, spec exec.Spec, n int, seed int64) (*Outcome, error) {
 			n = clampN(n, 300)
 			cat := catalog.Clustered(n, 240, catalog.DefaultClusterParams(), seed)
-			o, _, err := runOne(ctx, b, name, cat, cfg, n, seed)
+			o, _, err := runOne(ctx, spec, name, cat, cfg, n, seed)
 			if err != nil {
 				return nil, err
 			}
@@ -640,7 +636,7 @@ func griddedVsExact() *Scenario {
 		GoldenN:    2000,
 		GoldenSeed: 107,
 		MinN:       400,
-		Run: func(ctx context.Context, b exec.Backend, n int, seed int64) (*Outcome, error) {
+		Run: func(ctx context.Context, spec exec.Spec, n int, seed int64) (*Outcome, error) {
 			n = clampN(n, 400)
 			base := catalog.Uniform(n, boxL, seed)
 			// Snap to the same cell centers Mesh.Catalog emits, so the
@@ -657,7 +653,7 @@ func griddedVsExact() *Scenario {
 					Weight: g.Weight,
 				}
 			}
-			o, _, err := runOne(ctx, b, name, snapped, cfg, n, seed)
+			o, _, err := runOne(ctx, spec, name, snapped, cfg, n, seed)
 			if err != nil {
 				return nil, err
 			}

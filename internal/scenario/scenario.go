@@ -4,8 +4,8 @@
 // jackknife covariance from spatial sub-volumes (Sec. 6.1), the 2PCF
 // cross-check (Sec. 1.1/2.3), and the gridded estimator comparison
 // (Sec. 6.3) — as a registry row: a deterministic seeded catalog recipe, a
-// core.Config, and machine-checked invariants. Each scenario runs through an
-// exec.Backend, so every entry inherits cancellation, checkpoint/resume, and
+// core.Config, and machine-checked invariants. Each scenario runs on an
+// exec.Spec, so every entry inherits cancellation, checkpoint/resume, and
 // perfstat, and the registry is the single correctness gate any future
 // backend must pass: structural invariants per run, bitwise golden hashes
 // for pinned seeds, and cross-backend equivalence in the test harness.
@@ -53,11 +53,11 @@ type Scenario struct {
 	// meaningful (enough points per radial bin / jackknife region); Run
 	// clamps n up to it.
 	MinN int
-	// Run executes the workload through the backend. All engine runs are
-	// routed through b (auxiliary statistics like the 2PCF pair count or
+	// Run executes the workload. All engine runs go through exec.Run on
+	// the backend spec (auxiliary statistics like the 2PCF pair count or
 	// the gridded mesh comparison run in-process). Outcomes are bitwise
 	// reproducible at any worker count, so configs leave Workers unset.
-	Run func(ctx context.Context, b exec.Backend, n int, seed int64) (*Outcome, error)
+	Run func(ctx context.Context, spec exec.Spec, n int, seed int64) (*Outcome, error)
 	// Invariants are checked by RunChecked in order.
 	Invariants []Invariant
 }
@@ -65,8 +65,8 @@ type Scenario struct {
 // RunChecked runs the scenario and applies every invariant; the first
 // violation is returned wrapped with the invariant name (the outcome is
 // still returned for inspection).
-func (s *Scenario) RunChecked(ctx context.Context, b exec.Backend, n int, seed int64) (*Outcome, error) {
-	o, err := s.Run(ctx, b, n, seed)
+func (s *Scenario) RunChecked(ctx context.Context, spec exec.Spec, n int, seed int64) (*Outcome, error) {
+	o, err := s.Run(ctx, spec, n, seed)
 	if err != nil {
 		return nil, err
 	}

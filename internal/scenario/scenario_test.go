@@ -76,7 +76,7 @@ func TestInvariantsAtSmokeN(t *testing.T) {
 	for _, s := range All() {
 		s := s
 		t.Run(s.Name, func(t *testing.T) {
-			if _, err := s.RunChecked(ctx, exec.Local{}, 900, 7); err != nil {
+			if _, err := s.RunChecked(ctx, exec.Spec{}, 900, 7); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -100,7 +100,7 @@ func TestGoldenHashes(t *testing.T) {
 				continue // no vector bodies on this host
 			}
 			tag := sphharm.LaneDispatch()
-			o, err := s.RunChecked(ctx, exec.Local{}, s.GoldenN, s.GoldenSeed)
+			o, err := s.RunChecked(ctx, exec.Spec{}, s.GoldenN, s.GoldenSeed)
 			if err != nil {
 				t.Fatalf("%s [%s]: %v", s.Name, tag, err)
 			}
@@ -110,7 +110,7 @@ func TestGoldenHashes(t *testing.T) {
 				t.Errorf("%s: hash %s under %s, %s under generic", s.Name, h, tag, h1)
 			}
 		}
-		o2, err := s.Run(ctx, exec.Local{}, s.GoldenN, s.GoldenSeed)
+		o2, err := s.Run(ctx, exec.Spec{}, s.GoldenN, s.GoldenSeed)
 		if err != nil {
 			t.Fatalf("%s rerun: %v", s.Name, err)
 		}

@@ -1,7 +1,7 @@
-// The two end-to-end survey workloads of Sec. 6.1, routed through
-// exec.Backend so they inherit cancellation, checkpoint/resume, and
-// perfstat from the execution layer. Multi-run workloads scope each engine
-// run with exec.Staged so checkpointed backends keep disjoint, independently
+// The two end-to-end survey workloads of Sec. 6.1, run as exec.Requests so
+// they inherit cancellation, checkpoint/resume, and perfstat from the
+// execution layer. Each engine run of a workload is one stage of a template
+// request (stage), so checkpointed backends keep disjoint, independently
 // resumable checkpoint sets per stage.
 
 package scenario
@@ -9,6 +9,7 @@ package scenario
 import (
 	"context"
 	"fmt"
+	"path/filepath"
 
 	"galactos/internal/catalog"
 	"galactos/internal/core"
@@ -17,6 +18,26 @@ import (
 	"galactos/internal/partition"
 	"galactos/internal/stats"
 )
+
+// stage returns the template request tmpl running cat as the named stage of
+// a multi-run workload: a checkpointed backend gets the per-stage
+// subdirectory CheckpointDir/name, so the stages resume independently.
+func stage(tmpl exec.Request, name, label string, cat *catalog.Catalog) exec.Request {
+	tmpl.Catalog, tmpl.Label = cat, label
+	if tmpl.Backend.CheckpointDir != "" {
+		tmpl.Backend.CheckpointDir = filepath.Join(tmpl.Backend.CheckpointDir, name)
+	}
+	return tmpl
+}
+
+// checkTemplate refuses a template that already names a catalog: the
+// workload supplies every stage's catalog itself.
+func checkTemplate(tmpl exec.Request) error {
+	if tmpl.Source != nil || tmpl.Catalog != nil || tmpl.Path != "" {
+		return fmt.Errorf("scenario: the template request names a catalog; the workload supplies its own")
+	}
+	return nil
+}
 
 // Survey is the output of the data+randoms survey-estimator workload.
 type Survey struct {
@@ -28,28 +49,23 @@ type Survey struct {
 }
 
 // RunSurveyEstimator is the survey estimator of Sec. 6.1: build the D-R
-// field, run it and the scaled randoms through b (stages "dmr" and
-// "randoms"), and solve the mixing-matrix edge correction. The paper notes
-// the randoms multiply the compute cost — the workload Galactos
+// field, run it and the scaled randoms as stages "dmr" and "randoms" of the
+// template request tmpl, and solve the mixing-matrix edge correction. The
+// paper notes the randoms multiply the compute cost — the workload Galactos
 // accelerates.
-func RunSurveyEstimator(ctx context.Context, b exec.Backend, data, randoms *catalog.Catalog, cfg core.Config) (*Survey, error) {
+func RunSurveyEstimator(ctx context.Context, tmpl exec.Request, data, randoms *catalog.Catalog) (*Survey, error) {
+	if err := checkTemplate(tmpl); err != nil {
+		return nil, err
+	}
 	dmr, err := catalog.WithDataMinusRandom(data, randoms)
 	if err != nil {
 		return nil, err
 	}
-	nRun, err := exec.Run(ctx, exec.Staged(b, "dmr"), &exec.Job{
-		Source: catalog.NewMemorySource(dmr),
-		Config: cfg,
-		Label:  "survey-dmr",
-	})
+	nRun, err := exec.Run(ctx, stage(tmpl, "dmr", "survey-dmr", dmr))
 	if err != nil {
 		return nil, fmt.Errorf("scenario: survey D-R stage: %w", err)
 	}
-	rRun, err := exec.Run(ctx, exec.Staged(b, "randoms"), &exec.Job{
-		Source: catalog.NewMemorySource(estimator.ScaledRandoms(data, randoms)),
-		Config: cfg,
-		Label:  "survey-randoms",
-	})
+	rRun, err := exec.Run(ctx, stage(tmpl, "randoms", "survey-randoms", estimator.ScaledRandoms(data, randoms)))
 	if err != nil {
 		return nil, fmt.Errorf("scenario: survey randoms stage: %w", err)
 	}
@@ -92,11 +108,14 @@ func statVector(res *core.Result) []float64 {
 
 // RunJackknife runs the delete-one spatial jackknife of Sec. 6.1: split the
 // catalog into regions with the partition splitter, run the full sample and
-// every leave-one-out catalog through b (stages "full", "loo-000", ...),
-// and feed the statistic vectors to the jackknife covariance. Each sample
-// is a complete catalog run, so any backend — including checkpointed
-// sharded runs — serves every stage.
-func RunJackknife(ctx context.Context, b exec.Backend, cat *catalog.Catalog, regions int, cfg core.Config) (*Jackknife, error) {
+// every leave-one-out catalog as stages "full", "loo-000", ... of the
+// template request tmpl, and feed the statistic vectors to the jackknife
+// covariance. Each sample is a complete catalog run, so any backend —
+// including checkpointed sharded runs — serves every stage.
+func RunJackknife(ctx context.Context, tmpl exec.Request, cat *catalog.Catalog, regions int) (*Jackknife, error) {
+	if err := checkTemplate(tmpl); err != nil {
+		return nil, err
+	}
 	if regions < 2 {
 		return nil, fmt.Errorf("scenario: need >= 2 jackknife regions, got %d", regions)
 	}
@@ -128,11 +147,7 @@ func RunJackknife(ctx context.Context, b exec.Backend, cat *catalog.Catalog, reg
 	}
 
 	out := &Jackknife{Regions: len(parts), RegionCounts: counts}
-	full, err := exec.Run(ctx, exec.Staged(b, "full"), &exec.Job{
-		Source: catalog.NewMemorySource(cat),
-		Config: cfg,
-		Label:  "jackknife-full",
-	})
+	full, err := exec.Run(ctx, stage(tmpl, "full", "jackknife-full", cat))
 	if err != nil {
 		return nil, fmt.Errorf("scenario: jackknife full-sample stage: %w", err)
 	}
@@ -150,11 +165,8 @@ func RunJackknife(ctx context.Context, b exec.Backend, cat *catalog.Catalog, reg
 				loo.Galaxies = append(loo.Galaxies, g)
 			}
 		}
-		run, err := exec.Run(ctx, exec.Staged(b, fmt.Sprintf("loo-%03d", p)), &exec.Job{
-			Source: catalog.NewMemorySource(loo),
-			Config: cfg,
-			Label:  fmt.Sprintf("jackknife-loo-%03d", p),
-		})
+		name := fmt.Sprintf("loo-%03d", p)
+		run, err := exec.Run(ctx, stage(tmpl, name, "jackknife-"+name, loo))
 		if err != nil {
 			return nil, fmt.Errorf("scenario: jackknife region %d stage: %w", p, err)
 		}

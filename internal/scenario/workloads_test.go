@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"path/filepath"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -83,11 +84,11 @@ func TestEdgeCorrectDetectsClustering(t *testing.T) {
 	randomData := catalog.Uniform(1500, 150, 6)
 	randoms := catalog.Uniform(6000, 150, 7)
 	ctx := context.Background()
-	cl, err := RunSurveyEstimator(ctx, exec.Local{}, clustered, randoms, cfg)
+	cl, err := RunSurveyEstimator(ctx, exec.Request{Config: cfg}, clustered, randoms)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rd, err := RunSurveyEstimator(ctx, exec.Local{}, randomData, randoms, cfg)
+	rd, err := RunSurveyEstimator(ctx, exec.Request{Config: cfg}, randomData, randoms)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,21 +109,24 @@ func TestSurveyEstimatorKillResume(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var fired atomic.Int32
-	killed := exec.WithLog(exec.Sharded{NShards: 6, CheckpointDir: dir},
-		func(format string, args ...any) {
+	killed := exec.Request{
+		Config:  cfg,
+		Backend: exec.Spec{Name: "sharded", Shards: 6, CheckpointDir: dir},
+		Log: func(format string, args ...any) {
 			if fired.Add(1) == 1 {
 				cancel()
 			}
-		})
-	if _, err := RunSurveyEstimator(ctx, killed, data, randoms, cfg); !errors.Is(err, context.Canceled) {
+		},
+	}
+	if _, err := RunSurveyEstimator(ctx, killed, data, randoms); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 	if n := settleGoroutines(baseline); n > baseline {
 		t.Fatalf("goroutine leak after cancel: %d before, %d after", baseline, n)
 	}
 
-	resume := exec.Sharded{NShards: 6, CheckpointDir: dir, Resume: true}
-	sv, err := RunSurveyEstimator(context.Background(), resume, data, randoms, cfg)
+	resume := exec.Request{Config: cfg, Backend: exec.Spec{Name: "sharded", Shards: 6, CheckpointDir: dir, Resume: true}}
+	sv, err := RunSurveyEstimator(context.Background(), resume, data, randoms)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +140,7 @@ func TestSurveyEstimatorKillResume(t *testing.T) {
 		t.Fatal("resume recomputed every D-R shard; expected checkpoint reuse")
 	}
 
-	clean, err := RunSurveyEstimator(context.Background(), exec.Sharded{NShards: 6}, data, randoms, cfg)
+	clean, err := RunSurveyEstimator(context.Background(), exec.Request{Config: cfg, Backend: exec.Spec{Name: "sharded", Shards: 6}}, data, randoms)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,21 +167,24 @@ func TestJackknifeKillResume(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var fired atomic.Int32
-	killed := exec.WithLog(exec.Sharded{NShards: 6, CheckpointDir: dir},
-		func(format string, args ...any) {
+	killed := exec.Request{
+		Config:  cfg,
+		Backend: exec.Spec{Name: "sharded", Shards: 6, CheckpointDir: dir},
+		Log: func(format string, args ...any) {
 			if fired.Add(1) == 1 {
 				cancel()
 			}
-		})
-	if _, err := RunJackknife(ctx, killed, cat, 4, cfg); !errors.Is(err, context.Canceled) {
+		},
+	}
+	if _, err := RunJackknife(ctx, killed, cat, 4); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 	if n := settleGoroutines(baseline); n > baseline {
 		t.Fatalf("goroutine leak after cancel: %d before, %d after", baseline, n)
 	}
 
-	resume := exec.Sharded{NShards: 6, CheckpointDir: dir, Resume: true}
-	jk, err := RunJackknife(context.Background(), resume, cat, 4, cfg)
+	resume := exec.Request{Config: cfg, Backend: exec.Spec{Name: "sharded", Shards: 6, CheckpointDir: dir, Resume: true}}
+	jk, err := RunJackknife(context.Background(), resume, cat, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +198,7 @@ func TestJackknifeKillResume(t *testing.T) {
 		t.Fatal("resume recomputed every full-sample shard; expected checkpoint reuse")
 	}
 
-	clean, err := RunJackknife(context.Background(), exec.Sharded{NShards: 6}, cat, 4, cfg)
+	clean, err := RunJackknife(context.Background(), exec.Request{Config: cfg, Backend: exec.Spec{Name: "sharded", Shards: 6}}, cat, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +246,7 @@ func TestJackknifeRegionsPartitionExactly(t *testing.T) {
 func TestJackknifeCovarianceProperties(t *testing.T) {
 	cat := catalog.Uniform(1400, 200, 21)
 	cfg := jackknifeConfig()
-	jk, err := RunJackknife(context.Background(), exec.Local{}, cat, 8, cfg)
+	jk, err := RunJackknife(context.Background(), exec.Request{Config: cfg}, cat, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,41 +278,50 @@ func TestJackknifeCovarianceProperties(t *testing.T) {
 	}
 }
 
-// TestStagedScopesCheckpointDirs: the stage wrapper gives checkpointed
-// sharded backends disjoint per-stage directories and leaves everything
-// else untouched, through logging wrappers.
+// TestStagedScopesCheckpointDirs: a stage of a template request gets its own
+// catalog and label, a checkpointed backend a disjoint per-stage directory,
+// and keeps everything else (shards, resume, logger); an uncheckpointed
+// spec is untouched. A template that already names a catalog is refused.
 func TestStagedScopesCheckpointDirs(t *testing.T) {
-	base := exec.Sharded{NShards: 3, CheckpointDir: "/ckpt"}
-	staged := exec.Staged(base, "loo-001")
-	sh, ok := staged.(exec.Sharded)
-	if !ok {
-		t.Fatalf("staged sharded backend has type %T", staged)
+	cat := catalog.Uniform(10, 200, 1)
+	var logged atomic.Int32
+	tmpl := exec.Request{
+		Backend: exec.Spec{Name: "sharded", Shards: 3, CheckpointDir: "/ckpt", Resume: true},
+		Log:     func(string, ...any) { logged.Add(1) },
 	}
-	if want := "/ckpt/loo-001"; sh.CheckpointDir != want {
-		t.Errorf("CheckpointDir = %q, want %q", sh.CheckpointDir, want)
+	st := stage(tmpl, "loo-001", "jackknife-loo-001", cat)
+	if want := filepath.Join("/ckpt", "loo-001"); st.Backend.CheckpointDir != want {
+		t.Errorf("CheckpointDir = %q, want %q", st.Backend.CheckpointDir, want)
 	}
-	if sh.NShards != 3 {
-		t.Errorf("NShards changed: %d", sh.NShards)
+	if st.Backend.Shards != 3 || !st.Backend.Resume || st.Catalog != cat || st.Label != "jackknife-loo-001" {
+		t.Errorf("stage request = %+v", st)
+	}
+	if st.Log("x"); logged.Load() != 1 {
+		t.Error("stage dropped the template's logger")
+	}
+	if tmpl.Backend.CheckpointDir != "/ckpt" {
+		t.Errorf("stage changed the template: %q", tmpl.Backend.CheckpointDir)
+	}
+	plain := exec.Spec{Name: "sharded", Shards: 2}
+	if st := stage(exec.Request{Backend: plain}, "dmr", "survey-dmr", cat); st.Backend != plain {
+		t.Errorf("uncheckpointed spec changed: %+v", st.Backend)
 	}
 
-	logged := exec.Staged(exec.WithLog(base, func(string, ...any) {}), "dmr")
-	if _, ok := logged.(exec.Sharded); ok {
-		t.Error("Staged dropped the logging wrapper")
-	}
-
-	if b := exec.Staged(exec.Local{}, "dmr"); b != (exec.Local{}) {
-		t.Errorf("local backend changed: %v", b)
-	}
-	plain := exec.Sharded{NShards: 2}
-	if b := exec.Staged(plain, "dmr"); b != exec.Backend(plain) {
-		t.Errorf("uncheckpointed sharded backend changed: %v", b)
+	for _, named := range []exec.Request{{Catalog: cat}, {Path: "cat.glxc"}, {Source: catalog.NewMemorySource(cat)}} {
+		named.Config = jackknifeConfig()
+		if _, err := RunJackknife(context.Background(), named, cat, 4); err == nil {
+			t.Errorf("jackknife accepted a template naming a catalog: %+v", named)
+		}
+		if _, err := RunSurveyEstimator(context.Background(), named, cat, cat); err == nil {
+			t.Errorf("survey estimator accepted a template naming a catalog: %+v", named)
+		}
 	}
 }
 
 // TestRunJackknifeRejectsBadRegions pins the argument contract.
 func TestRunJackknifeRejectsBadRegions(t *testing.T) {
 	cat := catalog.Uniform(100, 200, 1)
-	if _, err := RunJackknife(context.Background(), exec.Local{}, cat, 1, jackknifeConfig()); err == nil {
+	if _, err := RunJackknife(context.Background(), exec.Request{Config: jackknifeConfig()}, cat, 1); err == nil {
 		t.Error("regions = 1 accepted")
 	}
 }
@@ -317,7 +333,7 @@ func TestOutcomeHashDiscriminates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := o.Run(context.Background(), exec.Local{}, 500, 2)
+	a, err := o.Run(context.Background(), exec.Spec{}, 500, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

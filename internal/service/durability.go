@@ -181,20 +181,19 @@ func restoreTerminal(jr journal.JobRecord) *job {
 // requeueInterrupted rebuilds a job the previous process died holding
 // (queued or running, no end record) and puts it back on the queue under
 // its original id. A job whose request cannot be recovered — submitted
-// with an in-process Source or Via, torn beyond decoding, or naming a
-// backend this build no longer has — is restored failed instead: better an
-// honest failure the client can see than a silent disappearance.
+// with an in-process Source, torn beyond decoding, or failing this build's
+// request check (naming a backend it no longer has) — is restored failed
+// instead: better an honest failure the client can see than a silent
+// disappearance.
 func (s *Server) requeueInterrupted(jr journal.JobRecord) *job {
 	var req galactos.Request
 	var src galactos.CatalogSource
 	var err error
 	if len(jr.Submit.Request) == 0 {
-		err = errors.New("request not recoverable from journal (submitted with an in-process source or backend)")
+		err = errors.New("request not recoverable from journal (submitted with an in-process source)")
 	} else if uerr := json.Unmarshal(jr.Submit.Request, &req); uerr != nil {
 		err = fmt.Errorf("decoding journaled request: %w", uerr)
-	} else if src, uerr = req.ResolveSource(); uerr != nil {
-		err = fmt.Errorf("re-resolving journaled request: %w", uerr)
-	} else if _, uerr = req.ResolveBackend(); uerr != nil {
+	} else if src, uerr = req.Resolve(); uerr != nil {
 		err = fmt.Errorf("re-resolving journaled request: %w", uerr)
 	}
 
@@ -254,12 +253,12 @@ func identityRecord(typ string, j *job) journal.Record {
 }
 
 // submitRecord builds the journal record that commits a submission. Only
-// requests carrying no in-process Source or Via serialize completely; for
+// requests carrying no in-process Source serialize completely; for
 // the rest the record keeps identity and key but replay cannot re-run
 // them.
 func submitRecord(j *job, req galactos.Request) journal.Record {
 	r := identityRecord(journal.RecordSubmit, j)
-	if req.Source == nil && req.Via == nil {
+	if req.Source == nil {
 		if data, err := json.Marshal(req); err == nil {
 			r.Request = data
 		}

@@ -165,7 +165,7 @@ func TestJournalReplayRequeuesInterruptedJob(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
 	req := testRequest(300, 7)
-	src, err := req.ResolveSource()
+	src, err := req.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}

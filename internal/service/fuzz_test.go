@@ -9,8 +9,8 @@ import (
 )
 
 // FuzzSubmitRequest drives the submit path's decode and validation over
-// arbitrary wire bytes: json.Decoder into a Request, then ResolveSource,
-// ResolveBackend and Config.Fingerprint. Each step errors or succeeds and
+// arbitrary wire bytes: json.Decoder into a Request, then the one request
+// check (Resolve) and Config.Fingerprint. Each step errors or succeeds and
 // none panics. A request that fingerprints keeps its fingerprint when it is
 // re-sent with only its workers field changed: the worker count is not part
 // of the cache key. Seeded from TestSubmitValidation's valid request and its
@@ -36,8 +36,7 @@ func FuzzSubmitRequest(f *testing.F) {
 		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
 			return
 		}
-		_, _ = req.ResolveSource()
-		_, _ = req.ResolveBackend()
+		_, _ = req.Resolve()
 		fp, err := req.Config.Fingerprint()
 		if err != nil {
 			return

@@ -26,7 +26,6 @@ import (
 	"galactos"
 	"galactos/internal/catalog"
 	"galactos/internal/core"
-	"galactos/internal/exec"
 	"galactos/internal/faultpoint"
 	"galactos/internal/journal"
 )
@@ -190,11 +189,8 @@ func (s *Server) logf(format string, args ...any) {
 // misses queue.
 // Errors wrap ErrBadRequest, ErrQueueFull, or ErrDraining.
 func (s *Server) Submit(req galactos.Request) (*job, error) {
-	src, err := req.ResolveSource()
+	src, err := req.Resolve()
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	if _, err := req.ResolveBackend(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
 	fp, err := req.Config.Fingerprint()
@@ -387,18 +383,14 @@ func (s *Server) runJob(j *job) {
 		j.appendLog(fmt.Sprintf(format, args...))
 	}
 
-	// Durable servers route sharded jobs through a per-job checkpoint
-	// directory with Resume set: a job interrupted by a kill and
-	// re-enqueued at the next boot reuses its completed shards instead of
-	// recomputing them. A caller-specified CheckpointDir is respected.
-	if s.opts.StateDir != "" {
-		if b, err := req.ResolveBackend(); err == nil {
-			if sh, ok := b.(exec.Sharded); ok && sh.NShards > 1 && sh.CheckpointDir == "" {
-				sh.CheckpointDir = s.jobDir(j.id)
-				sh.Resume = true
-				req.Via = sh
-			}
-		}
+	// Durable servers run sharded jobs in a per-job checkpoint directory
+	// with Resume set: a job interrupted by a kill and re-enqueued at the
+	// next boot reuses its completed shards instead of recomputing them. A
+	// caller-specified CheckpointDir is respected. Only the run's copy
+	// changes; the journaled request stays as submitted.
+	if b := &req.Backend; s.opts.StateDir != "" && b.Name == "sharded" && b.Shards > 1 && b.CheckpointDir == "" {
+		b.CheckpointDir = s.jobDir(j.id)
+		b.Resume = true
 	}
 
 	// The server-wide job deadline caps the run on a context derived from

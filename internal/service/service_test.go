@@ -10,6 +10,7 @@ import (
 	"net"
 	"net/http"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -273,6 +274,7 @@ var submitRejects = []struct {
 		r.Catalog = nil
 		r.Path = "no/such/catalog.glxc"
 	}},
+	{"timeout beyond time.Duration", func(r *galactos.Request) { r.TimeoutSec = 1e10 }},
 }
 
 func TestSubmitValidation(t *testing.T) {
@@ -296,6 +298,29 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	if st, err = cl.Wait(ctx, st.ID); err != nil || st.State != service.StateDone {
 		t.Fatalf("valid job after rejections: %v, state %s", err, st.State)
+	}
+}
+
+// TestJobStatusUnitsWireKeys pins the JSON keys of a status's per-unit
+// statistics, which clients read: the field names of the unit stats type.
+func TestJobStatusUnitsWireKeys(t *testing.T) {
+	st := service.JobStatus{Units: []galactos.UnitStats{{Unit: 2, NOwned: 10, NHalo: 3, Pairs: 40, Elapsed: time.Second, Resumed: true}}}
+	data, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wire struct {
+		Units []map[string]any `json:"units"`
+	}
+	if err := json.Unmarshal(data, &wire); err != nil {
+		t.Fatal(err)
+	}
+	if len(wire.Units) != 1 {
+		t.Fatalf("units = %s", data)
+	}
+	want := map[string]any{"Unit": 2.0, "NOwned": 10.0, "NHalo": 3.0, "Pairs": 40.0, "Elapsed": 1e9, "Resumed": true}
+	if !reflect.DeepEqual(wire.Units[0], want) {
+		t.Fatalf("unit keys = %v, want %v", wire.Units[0], want)
 	}
 }
 

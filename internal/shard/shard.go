@@ -80,17 +80,18 @@ type Options struct {
 	Log func(format string, args ...any)
 }
 
-// Stats reports one slab's share of the work, used for the load-balance
+// UnitStats reports one execution unit's share of the work: a slab here,
+// or the single engine run of a local run (exec). It feeds the load-balance
 // analysis of Sec. 5.2/5.3 (the paper observed ~25% imbalance in weak
 // scaling and up to 60% pair-count variation in strong scaling).
-type Stats struct {
-	// Shard is the slab index in cut order.
-	Shard int
-	// NOwned and NHalo count the slab's primaries and halo copies.
+type UnitStats struct {
+	// Unit is the unit index (the slab index in cut order).
+	Unit int
+	// NOwned and NHalo count the unit's primaries and halo copies.
 	NOwned, NHalo int
-	// Pairs is the slab's kernel pair count.
+	// Pairs is the unit's kernel pair count.
 	Pairs uint64
-	// Elapsed is the slab's compute wall-clock (0 when resumed).
+	// Elapsed is the unit's compute wall-clock (0 when resumed).
 	Elapsed time.Duration
 	// Resumed marks slabs restored from a checkpoint instead of computed.
 	Resumed bool
@@ -141,7 +142,7 @@ func newManifest(sc *sourceScan, cfg core.Config, nshards int) (manifest, error)
 // commit unit. Checkpoints of slabs that completed before the
 // cancellation stay on disk (along with the manifest), so a cancelled
 // checkpointed run is resumable exactly like a killed one.
-func Compute(ctx context.Context, src catalog.Source, cfg core.Config, opts Options) (*core.Result, []Stats, error) {
+func Compute(ctx context.Context, src catalog.Source, cfg core.Config, opts Options) (*core.Result, []UnitStats, error) {
 	if src == nil {
 		return nil, nil, fmt.Errorf("shard: nil catalog source")
 	}
@@ -189,7 +190,7 @@ func Compute(ctx context.Context, src catalog.Source, cfg core.Config, opts Opti
 	// copies in NGalaxies and the merged Total timing is the max over slabs,
 	// where the result describes the whole catalog and the true wall clock —
 	// and clears the run state that must not outlive a successful merge.
-	finish := func(total *core.Result, stats []Stats) (*core.Result, []Stats, error) {
+	finish := func(total *core.Result, stats []UnitStats) (*core.Result, []UnitStats, error) {
 		total.NGalaxies = sc.n
 		total.Timings.Total = time.Since(pipelineStart)
 		finishCheckpoints(opts)
@@ -252,12 +253,12 @@ func Compute(ctx context.Context, src catalog.Source, cfg core.Config, opts Opti
 	}
 
 	total := core.NewResult(cfg.LMax, bins)
-	stats := make([]Stats, opts.NShards)
+	stats := make([]UnitStats, opts.NShards)
 	for i := range stats {
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
 		}
-		stats[i] = Stats{Shard: i, NOwned: owned[i], NHalo: halo[i]}
+		stats[i] = UnitStats{Unit: i, NOwned: owned[i], NHalo: halo[i]}
 		var partial *core.Result
 		if skip[i] { // validated by the resume pass in all but its owned count
 			partial, stats[i].Resumed = loadCheckpoint(opts.CheckpointDir, i, opts.NShards, bins, cfg.LMax, owned[i], logf)
@@ -301,9 +302,9 @@ func Compute(ctx context.Context, src catalog.Source, cfg core.Config, opts Opti
 // (the no-re-spill fast path). Otherwise the caller falls back to the
 // plan/spill path, which counts — but does not rewrite — the valid slabs and
 // revalidates each against its owned count.
-func scanCheckpoints(sc *sourceScan, bins hist.Binning, cfg core.Config, opts Options, logf func(string, ...any)) (*core.Result, []Stats, []bool, bool) {
+func scanCheckpoints(sc *sourceScan, bins hist.Binning, cfg core.Config, opts Options, logf func(string, ...any)) (*core.Result, []UnitStats, []bool, bool) {
 	total := core.NewResult(cfg.LMax, bins)
-	stats := make([]Stats, opts.NShards)
+	stats := make([]UnitStats, opts.NShards)
 	valid := make([]bool, opts.NShards)
 	all := true
 	primaries := 0
@@ -315,8 +316,8 @@ func scanCheckpoints(sc *sourceScan, bins hist.Binning, cfg core.Config, opts Op
 		}
 		valid[i] = true
 		primaries += res.NPrimaries
-		stats[i] = Stats{
-			Shard:   i,
+		stats[i] = UnitStats{
+			Unit:    i,
 			NOwned:  res.NPrimaries,
 			NHalo:   res.NGalaxies - res.NPrimaries,
 			Pairs:   res.Pairs,
@@ -332,7 +333,7 @@ func scanCheckpoints(sc *sourceScan, bins hist.Binning, cfg core.Config, opts Op
 // computeSlab produces one slab's partial result from its spill files (st
 // names the slab and its record counts, and receives the pair count and
 // compute wall clock), persisting it when the run checkpoints.
-func computeSlab(ctx context.Context, plan *slabPlan, st *Stats, spillDir string, bins hist.Binning, cfg core.Config, opts Options, logf func(string, ...any)) (*core.Result, error) {
+func computeSlab(ctx context.Context, plan *slabPlan, st *UnitStats, spillDir string, bins hist.Binning, cfg core.Config, opts Options, logf func(string, ...any)) (*core.Result, error) {
 	// A slab with no primaries contributes nothing: skip the engine and
 	// emit an empty partial so checkpoint bookkeeping stays uniform.
 	res := core.NewResult(cfg.LMax, bins)
@@ -343,10 +344,10 @@ func computeSlab(ctx context.Context, plan *slabPlan, st *Stats, spillDir string
 			Galaxies: make([]catalog.Galaxy, 0, st.NOwned+st.NHalo),
 		}
 		var err error
-		if local.Galaxies, err = readSpill(ctx, spillPath(spillDir, st.Shard, "own"), st.NOwned, local.Galaxies); err != nil {
+		if local.Galaxies, err = readSpill(ctx, spillPath(spillDir, st.Unit, "own"), st.NOwned, local.Galaxies); err != nil {
 			return nil, err
 		}
-		if local.Galaxies, err = readSpill(ctx, spillPath(spillDir, st.Shard, "halo"), st.NHalo, local.Galaxies); err != nil {
+		if local.Galaxies, err = readSpill(ctx, spillPath(spillDir, st.Unit, "halo"), st.NHalo, local.Galaxies); err != nil {
 			return nil, err
 		}
 		primary := make([]bool, local.Len())
@@ -359,10 +360,10 @@ func computeSlab(ctx context.Context, plan *slabPlan, st *Stats, spillDir string
 		st.Pairs = res.Pairs
 		st.Elapsed = time.Since(start)
 		logf("shard %d/%d: computed %d primaries + %d halo in %v (%d pairs)",
-			st.Shard, opts.NShards, st.NOwned, st.NHalo, st.Elapsed.Round(time.Millisecond), res.Pairs)
+			st.Unit, opts.NShards, st.NOwned, st.NHalo, st.Elapsed.Round(time.Millisecond), res.Pairs)
 	}
 	if opts.CheckpointDir != "" {
-		if err := saveCheckpoint(ctx, checkpointPath(opts.CheckpointDir, st.Shard, opts.NShards), res); err != nil {
+		if err := saveCheckpoint(ctx, checkpointPath(opts.CheckpointDir, st.Unit, opts.NShards), res); err != nil {
 			return nil, fmt.Errorf("checkpointing: %w", err)
 		}
 	}

@@ -15,7 +15,7 @@ import (
 
 // compute runs the pipeline over an in-memory catalog: a memory source takes
 // the same scan/plan/spill path as a file.
-func compute(cat *catalog.Catalog, cfg core.Config, opts Options) (*core.Result, []Stats, error) {
+func compute(cat *catalog.Catalog, cfg core.Config, opts Options) (*core.Result, []UnitStats, error) {
 	return Compute(context.Background(), catalog.NewMemorySource(cat), cfg, opts)
 }
 
@@ -244,7 +244,7 @@ func TestResumeRejectsForeignManifest(t *testing.T) {
 		}
 		for _, s := range stats {
 			if !s.Resumed {
-				t.Errorf("%s: slab %d recomputed despite a matching checkpoint", tc.name, s.Shard)
+				t.Errorf("%s: slab %d recomputed despite a matching checkpoint", tc.name, s.Unit)
 			}
 		}
 		if got.Pairs != first.Pairs || got.MaxAbsDiff(first) != 0 {

@@ -111,7 +111,7 @@ func TestStreamCheckpointResume(t *testing.T) {
 	}
 	for _, s := range stats {
 		if !s.Resumed {
-			t.Fatalf("shard %d recomputed despite a valid checkpoint", s.Shard)
+			t.Fatalf("shard %d recomputed despite a valid checkpoint", s.Unit)
 		}
 	}
 	if d := res.MaxAbsDiff(first); d != 0 {

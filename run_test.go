@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"galactos"
 )
@@ -79,6 +80,10 @@ func TestRunNormalizesOnce(t *testing.T) {
 	}
 }
 
+// TestRequestResolveSource pins the one request check: exactly one catalog
+// input, a backend spec it can run, and a timeout a time.Duration holds
+// (1e10 s used to overflow to a negative deadline and fail the run at
+// once).
 func TestRequestResolveSource(t *testing.T) {
 	cat := galactos.GenerateUniform(10, 100, 1)
 	cases := []struct {
@@ -92,9 +97,15 @@ func TestRequestResolveSource(t *testing.T) {
 		{"source", galactos.Request{Source: galactos.NewMemorySource(cat)}, true},
 		{"catalog+path", galactos.Request{Catalog: cat, Path: "x.glxc"}, false},
 		{"source+catalog", galactos.Request{Source: galactos.NewMemorySource(cat), Catalog: cat}, false},
+		{"sharded", galactos.Request{Catalog: cat, Backend: galactos.BackendSpec{Name: "sharded", Shards: 4}}, true},
+		{"local with shards", galactos.Request{Catalog: cat, Backend: galactos.BackendSpec{Shards: 4}}, false},
+		{"unknown backend", galactos.Request{Catalog: cat, Backend: galactos.BackendSpec{Name: "mpi"}}, false},
+		{"longest timeout", galactos.Request{Catalog: cat, TimeoutSec: float64(math.MaxInt64 / int64(time.Second))}, true},
+		{"timeout beyond time.Duration", galactos.Request{Catalog: cat, TimeoutSec: 1e10}, false},
+		{"infinite timeout", galactos.Request{Catalog: cat, TimeoutSec: math.Inf(1)}, false},
 	}
 	for _, tc := range cases {
-		_, err := tc.req.ResolveSource()
+		_, err := tc.req.Resolve()
 		if tc.ok && err != nil {
 			t.Errorf("%s: unexpected error %v", tc.name, err)
 		}
