@@ -3,8 +3,7 @@
 GO ?= go
 
 .PHONY: all build test test-race vet fmt-check bench \
-	golden cross-smoke scenario-smoke \
-	service-smoke chaos-smoke crash-smoke bench-vet bench-test fuzz-smoke loc ci clean
+	golden cross-smoke bench-vet bench-test fuzz-smoke loc ci clean
 
 all: build
 
@@ -25,14 +24,17 @@ test:
 # Race detector over the concurrency surfaces: the engine worker pool and
 # its commit clock, the 2PCF counter's ordered chunk folds, the sharded
 # checkpointing pipeline, the execution layer's cancellation paths, the
-# scenario registry's multi-stage workloads, the galactosd job server
-# (worker pool, SSE streaming, disconnect-cancel) with its client, and the
-# fault-injection/retry layers whose counters and plans are hit from every
-# worker goroutine.
+# scenario registry's multi-stage workloads on both backends, the galactosd
+# job server (worker pool, SSE streaming, disconnect-cancel) with its
+# client, the fault-injection/retry layers whose counters and plans are hit
+# from every worker goroutine, the chaos sweep (every case under its fault
+# plan) and galactosd's crash sweep, whose SIGKILLed daemon is the
+# race-built test binary itself.
 test-race:
 	$(GO) test -race ./internal/core/... ./internal/twopcf/... ./internal/shard/... ./internal/exec/... \
 		./internal/scenario/... ./internal/service/... ./client/... \
-		./internal/faultpoint/... ./internal/retry/... ./internal/journal/...
+		./internal/faultpoint/... ./internal/retry/... ./internal/journal/... \
+		./internal/chaos/... ./cmd/galactosd/...
 
 vet:
 	$(GO) vet ./...
@@ -66,45 +68,6 @@ cross-smoke:
 	GOOS=linux GOARCH=arm64 $(GO) build ./...
 	GOOS=linux GOARCH=arm64 $(GO) vet ./...
 	GOOS=linux GOARCH=amd64 GOAMD64=v4 $(GO) build ./...
-
-# Golden end-to-end gate for the galactosd service: start a server, submit
-# a job over HTTP with streamed progress, verify the result is
-# bitwise-equal to a direct in-process Run, resubmit and assert the answer
-# comes from the result cache (hit counter + byte-identical payload).
-service-smoke:
-	$(GO) run ./cmd/galactos-load -smoke -n 800
-
-# Run every scenario-registry entry end-to-end under the race detector:
-# small N, the sharded backend at 2 shards (real cross-goroutine traffic),
-# every invariant checked. Set SCENARIO_SUMMARY to a file path (CI uses
-# $GITHUB_STEP_SUMMARY) to also append the per-scenario markdown table.
-scenario-smoke:
-	$(GO) run -race ./cmd/galactos -scenario all -n 900 -seed 1 \
-		-backend sharded -shards 2 \
-		$(if $(SCENARIO_SUMMARY),-scenario-summary "$(SCENARIO_SUMMARY)")
-
-# Chaos sweep under the race detector: every case pins a clean run's bitwise
-# hash, re-runs under a fixed-seed fault plan (injected errors, delays, and
-# panics at every registered faultpoint), and must reproduce the hash
-# exactly; the sweep also fails if any registered faultpoint never fired.
-# Set CHAOS_SUMMARY to a file path (CI uses $GITHUB_STEP_SUMMARY) to also
-# append the per-case and injected-vs-recovered markdown tables there.
-chaos-smoke:
-	$(GO) run -race ./cmd/galactos -chaos -n 500 -seed 1 \
-		$(if $(CHAOS_SUMMARY),-chaos-summary "$(CHAOS_SUMMARY)")
-
-# Subprocess crash sweep: galactosd (built with -race) launched as a real
-# process on a throwaway -state-dir, SIGKILLed at faultpoint-scheduled
-# moments — mid-sharded-job, with a job queued, after completion, with its
-# cache entry corrupted on disk — then restarted on the same state dir and
-# required to serve bitwise-identical results via journal replay, shard
-# checkpoint resume, and the persistent cache. Set CHAOS_SUMMARY to a file
-# path (CI uses $GITHUB_STEP_SUMMARY) to also append the per-case table.
-crash-smoke:
-	$(GO) build -race -o /tmp/galactosd-crash-smoke ./cmd/galactosd
-	$(GO) run -race ./cmd/galactos -chaos-proc -n 400 -seed 1 \
-		-galactosd /tmp/galactosd-crash-smoke \
-		$(if $(CHAOS_SUMMARY),-chaos-summary "$(CHAOS_SUMMARY)")
 
 # bench/ is its own module (outside `go build ./...`): vet and build it so
 # an API deletion that breaks the repository benchmark fails here, not in

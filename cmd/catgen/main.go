@@ -19,6 +19,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"strconv"
 	"strings"
 
 	"galactos/internal/catalog"
@@ -68,11 +69,21 @@ func run(_ context.Context, args []string, stdout io.Writer) error {
 		return errUsage
 	}
 
+	switch {
+	case *n < 1:
+		return fmt.Errorf("-n %d: want at least 1 galaxy", *n)
+	case *perNode < 1:
+		return fmt.Errorf("-per-node %d: want at least 1 galaxy per node", *perNode)
+	case *format != "" && *format != "bin" && *format != "csv":
+		return fmt.Errorf("unknown -format %q (want bin or csv)", *format)
+	}
 	dens := catalog.OuterRimDensity
 	if *density != "outer-rim" {
-		if _, err := fmt.Sscanf(*density, "%g", &dens); err != nil || dens <= 0 {
-			return fmt.Errorf("bad -density %q", *density)
+		v, err := strconv.ParseFloat(*density, 64)
+		if err != nil || !(v > 0) || math.IsInf(v, 1) { // !(v > 0) refuses NaN too
+			return fmt.Errorf("bad -density %q: want outer-rim or a finite positive number", *density)
 		}
+		dens = v
 	}
 
 	var cat *catalog.Catalog

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io/fs"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -13,7 +15,8 @@ import (
 
 // TestRunCatalogs drives run through both output formats and a Table 1
 // dataset, each read back with the requested size and box, and through the
-// refused unknown -type and missing -o.
+// refused unknown -type, missing -o and out-of-range flags. A refused run
+// writes no file.
 func TestRunCatalogs(t *testing.T) {
 	dir := t.TempDir()
 	row := catalog.ScaledTable1Row(2, 300)
@@ -31,6 +34,10 @@ func TestRunCatalogs(t *testing.T) {
 		{name: "table1", args: []string{"-table1-nodes", "2", "-per-node", "300", "-o", filepath.Join(dir, "t.glxc")}, stdout: "table1 dataset: 2 nodes", n: row.Galaxies, box: row.BoxL},
 		{name: "unknown-type", args: []string{"-type", "spiral", "-o", filepath.Join(dir, "s.glxc")}, errMsg: `unknown -type "spiral"`},
 		{name: "missing-o", args: []string{"-n", "10"}, err: errUsage},
+		{name: "negative-n", args: []string{"-n", "-1", "-o", filepath.Join(dir, "x.glxc")}, errMsg: "-n -1"},
+		{name: "negative-per-node", args: []string{"-table1-nodes", "1", "-per-node", "-5", "-o", filepath.Join(dir, "p.glxc")}, errMsg: "-per-node -5"},
+		{name: "unknown-format", args: []string{"-format", "xyz", "-o", filepath.Join(dir, "z.csv")}, errMsg: `unknown -format "xyz"`},
+		{name: "density-trailing-junk", args: []string{"-density", "1e-3junk", "-o", filepath.Join(dir, "d.glxc")}, errMsg: `bad -density "1e-3junk"`},
 	}
 	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) {
@@ -45,6 +52,9 @@ func TestRunCatalogs(t *testing.T) {
 			case r.errMsg != "":
 				if err == nil || !strings.Contains(err.Error(), r.errMsg) {
 					t.Fatalf("got error %v, want one containing %q", err, r.errMsg)
+				}
+				if _, err := os.Stat(r.args[len(r.args)-1]); !errors.Is(err, fs.ErrNotExist) {
+					t.Fatalf("refused run left %s behind (stat: %v)", r.args[len(r.args)-1], err)
 				}
 				return
 			case err != nil:

@@ -1,11 +1,12 @@
 // Command galactos-load is the galactosd load-test and smoke harness.
 //
-// With -smoke it runs the golden end-to-end gate CI asserts on: start a
-// server (in-process unless -addr points at a live one), submit a job over
-// HTTP with streamed progress, verify the streamed lifecycle and that the
-// served result is bitwise-identical to a direct in-process galactos.Run,
-// then resubmit the identical job and assert it answers from the result
-// cache (CacheHits counter up, payload byte-for-byte the first answer).
+// With -smoke it runs the golden end-to-end gate that TestRunSmoke runs in
+// the test suite: start a server (in-process unless -addr points at a live
+// one), submit a job over HTTP with streamed progress, verify the streamed
+// lifecycle and that the served result is bitwise-identical to a direct
+// in-process galactos.Run, then resubmit the identical job and assert it
+// answers from the result cache (CacheHits counter up, payload
+// byte-for-byte the first answer).
 //
 // Without -smoke it load-tests: -clients concurrent clients each submit
 // -requests jobs drawn from a small pool of distinct catalogs (so the run
@@ -77,6 +78,14 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 			return nil
 		}
 		return errUsage
+	}
+	for _, c := range []struct {
+		flag string
+		v    int
+	}{{"clients", *clients}, {"requests", *requests}, {"distinct", *distinct}, {"n", *n}} {
+		if c.v < 1 {
+			return fmt.Errorf("-%s %d: want at least 1", c.flag, c.v)
+		}
 	}
 
 	base := *addr

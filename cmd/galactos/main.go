@@ -12,26 +12,7 @@
 //	galactos -in catalog.glxc -rmax 200 -nbins 20 -lmax 10 -out zeta
 //	galactos -in survey.csv -los radial -backend sharded -shards 4 -out zeta
 //	galactos -in huge.glxc -backend sharded -shards 16 -checkpoint-dir ckpt -resume -out zeta
-//	galactos -scenario list
-//	galactos -scenario all -n 900 -seed 1 -backend sharded -shards 2
-//	galactos -chaos -n 500 -seed 1
 //	galactos -in catalog.glxc -cpuprofile cpu.prof && go tool pprof -list 'engine..process(Block|Cell)' cpu.prof
-//
-// Scenario mode (-scenario) runs the survey-science scenario registry
-// instead of a catalog file: each registry entry generates its pinned seeded
-// catalog, runs end-to-end through the selected backend, and is checked
-// against its invariants; -scenario-summary appends a markdown pass/fail
-// table (for $GITHUB_STEP_SUMMARY).
-//
-// Chaos mode (-chaos) runs the fault-injection sweep (internal/chaos): every
-// case pins a clean run's bitwise hash, re-runs under a seeded faultpoint
-// plan, and must reproduce the hash exactly; the sweep fails if any
-// registered faultpoint never fired. Subprocess chaos mode (-chaos-proc)
-// extends the same verdict across a process boundary: it launches galactosd
-// as a real subprocess on a throwaway -state-dir, SIGKILLs it mid-job, and
-// requires the restarted server to serve bitwise-identical results from
-// journal replay, shard checkpoints, and the persistent cache. See
-// DESIGN.md, "Failure semantics" and "Durability".
 //
 // Outputs <out>.aniso.csv (channels zeta^m_{l1 l2}(r1, r2)) and
 // <out>.iso.csv (isotropic multipoles zeta_l(r1, r2)), plus a run summary
@@ -76,7 +57,7 @@ func main() {
 // its usage text; main exits 2 for it, as flag.ExitOnError would.
 var errUsage = errors.New("usage")
 
-// run parses args and executes one mode, writing its report to stdout.
+// run parses args and computes one catalog, writing its report to stdout.
 func run(ctx context.Context, args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("galactos", flag.ContinueOnError)
 	var (
@@ -100,16 +81,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		ckptDir   = fs.String("checkpoint-dir", "", "directory for per-shard Result checkpoints (sharded backend)")
 		resume    = fs.Bool("resume", false, "reuse valid checkpoints found in -checkpoint-dir")
 		keepCkpts = fs.Bool("keep-checkpoints", false, "keep per-shard checkpoints after a successful merge")
-
-		scen        = fs.String("scenario", "", "run the scenario registry instead of a catalog: list | all | <name>")
-		scenN       = fs.Int("n", 900, "scenario catalog size (scenario/chaos mode)")
-		scenSeed    = fs.Int64("seed", 1, "scenario catalog seed (scenario/chaos mode)")
-		scenSummary = fs.String("scenario-summary", "", "append a markdown pass/fail table to this file (scenario mode)")
-
-		chaosMode    = fs.Bool("chaos", false, "run the chaos sweep: fault-injected runs must reproduce clean runs bitwise")
-		chaosProc    = fs.Bool("chaos-proc", false, "run the subprocess crash sweep: galactosd is SIGKILLed mid-job and must recover bitwise after restart")
-		galactosdBin = fs.String("galactosd", "", "path to the galactosd binary (chaos-proc mode; default: go build it into a temp dir)")
-		chaosSummary = fs.String("chaos-summary", "", "append the chaos sweep's markdown tables to this file (chaos mode)")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -128,18 +99,8 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	if *scen == "list" {
-		listScenarios(stdout)
-		return nil
-	}
-	if *chaosProc {
-		return runChaosProc(ctx, stdout, *scenN, *scenSeed, *galactosdBin, *chaosSummary)
-	}
-	if *chaosMode {
-		return runChaos(ctx, stdout, *scenN, *scenSeed, *chaosSummary)
-	}
-	if *scen == "" && *in == "" {
-		fmt.Fprintln(fs.Output(), "galactos: -in catalog is required (or -scenario)")
+	if *in == "" {
+		fmt.Fprintln(fs.Output(), "galactos: -in catalog is required")
 		fs.Usage()
 		return errUsage
 	}
@@ -186,10 +147,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		CheckpointDir: *ckptDir,
 		Resume:        *resume,
 		Keep:          *keepCkpts,
-	}
-
-	if *scen != "" {
-		return runScenarios(ctx, stdout, spec, *scen, *scenN, *scenSeed, *scenSummary)
 	}
 
 	// The sharded backend never materializes the catalog; the local one

@@ -11,13 +11,13 @@ import (
 	"galactos"
 )
 
-// TestRunModes drives the command's mode flags through run, in order: the
-// sharded row resumes from an empty checkpoint dir and must write CSVs
-// byte-identical to the local row's, and a local backend asked for shards
-// and an unknown backend are refused. The runs are -iso-only: with the
-// full ladder, the analytically zero imaginary parts of the l1 = l2
-// channels carry ~1e-17 of summation-order rounding that the aniso CSV
-// prints. The chaos modes are covered by make chaos-smoke and crash-smoke.
+// TestRunModes drives the command's backend flags through run, in order:
+// the sharded row resumes from an empty checkpoint dir and must write CSVs
+// byte-identical to the local row's, and a run without -in, a local
+// backend asked for shards and an unknown backend are refused. The runs
+// are -iso-only: with the full ladder, the analytically zero imaginary
+// parts of the l1 = l2 channels carry ~1e-17 of summation-order rounding
+// that the aniso CSV prints.
 func TestRunModes(t *testing.T) {
 	dir := t.TempDir()
 	in := filepath.Join(dir, "cat.glxc")
@@ -37,7 +37,6 @@ func TestRunModes(t *testing.T) {
 		out    string // the -out prefix whose CSVs must exist
 		sameAs string // another row's -out prefix with byte-identical CSVs
 	}{
-		{name: "scenario-list", args: []string{"-scenario", "list"}, stdout: "survey-estimator"},
 		{name: "local", args: compute("-out", local), stdout: "wrote " + local + ".aniso.csv", out: local},
 		{
 			name:   "sharded-resume",
@@ -46,6 +45,7 @@ func TestRunModes(t *testing.T) {
 			out:    sharded,
 			sameAs: local,
 		},
+		{name: "missing-in", args: []string{"-rmax", "30"}, err: errUsage.Error()},
 		{name: "local-refuses-shards", args: compute("-backend", "local", "-shards", "2"), err: "require the sharded backend"},
 		{name: "unknown-backend", args: compute("-backend", "mpi"), err: "unknown -backend"},
 	}

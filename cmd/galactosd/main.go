@@ -90,7 +90,8 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 
 	// Listen explicitly (rather than ListenAndServe) so the bound address —
 	// which differs from -addr when it asks for port 0 — is logged before
-	// serving begins; the crash-smoke harness and scripts parse it.
+	// serving begins; the crash sweep (TestCrashRecovery) and scripts parse
+	// it.
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return fmt.Errorf("listen: %w", err)

@@ -1,4 +1,4 @@
-// The case catalog: Suite assembles the full-stack chaos sweep. Fault kinds
+// The case catalog: suite assembles the full-stack chaos sweep. Fault kinds
 // are chosen for what each seam can absorb bitwise — errors where a retry or
 // degradation layer recovers (catalog IO, spill IO, checkpoint save/load),
 // delays where an error is fatal by design (core.worker.block fails the run
@@ -6,6 +6,7 @@
 // the result), and a panic at the service worker, whose recovery contract is
 // "the job fails, the pool survives" rather than an identical result — so
 // that case proves the NEXT job's result is bitwise-identical.
+
 package chaos
 
 import (
@@ -43,20 +44,16 @@ func hashResult(label string, n int, seed int64, res *core.Result) string {
 	return (&scenario.Outcome{Scenario: label, N: n, Seed: seed, Result: res}).GoldenHash()
 }
 
-// Suite assembles the full chaos sweep: every scenario-registry entry across
-// every execution backend, the streaming shard pipeline under transient IO
+// suite assembles the full chaos sweep: every scenario-registry entry on
+// both execution backends, the streaming shard pipeline under transient IO
 // faults, checkpoint-resume with a poisoned checkpoint load, and the
 // galactosd service under a worker panic and severed SSE streams. scratch
 // hosts the sweep's catalog files and checkpoint directories (the caller
-// owns its lifetime). n sizes the workload catalogs (clamped up to 400 so
-// every scenario recipe stays meaningful); seed seeds them.
-func Suite(n int, seed int64, scratch string) ([]Case, error) {
-	if n < 400 {
-		n = 400
-	}
-	var cases []Case
+// owns its lifetime). n sizes the workload catalogs; seed seeds them.
+func suite(n int, seed int64, scratch string) ([]chaosCase, error) {
+	var cases []chaosCase
 
-	// --- scenario registry × every backend --------------------------------
+	// --- scenario registry × both backends, invariants checked -------------
 	//
 	// Each (scenario, backend) pair pins its own clean hash — backends merge
 	// partial results in different orders, so equivalence across backends is
@@ -85,12 +82,11 @@ func Suite(n int, seed int64, scratch string) ([]Case, error) {
 				}},
 		}
 		for _, be := range backends {
-			s, spec := s, be.spec
-			cases = append(cases, Case{
-				Name:   s.Name + "/" + be.tag,
-				Desc:   "scenario " + s.Name + " on the " + be.tag + " backend, invariants checked under faults",
-				Points: be.points,
-				Run: func(ctx context.Context) (string, error) {
+			spec := be.spec
+			cases = append(cases, chaosCase{
+				name:   s.Name + "/" + be.tag,
+				points: be.points,
+				run: func(ctx context.Context) (string, error) {
 					o, err := s.RunChecked(ctx, spec, n, seed)
 					if err != nil {
 						return "", err
@@ -128,17 +124,16 @@ func Suite(n int, seed int64, scratch string) ([]Case, error) {
 		}
 		return hashResult("chaos/stream", n, seed, run.Result), nil
 	}
-	cases = append(cases, Case{
-		Name: "stream-transients",
-		Desc: "streaming sharded run absorbs transient catalog, spill, and checkpoint IO errors",
-		Points: []faultpoint.Point{
+	cases = append(cases, chaosCase{
+		name: "stream-transients",
+		points: []faultpoint.Point{
 			{Name: "catalog.source.open", Kind: faultpoint.KindError, Count: 1},
 			{Name: "catalog.source.read", Kind: faultpoint.KindError, After: 1, Count: 1},
 			{Name: "shard.spill.write", Kind: faultpoint.KindError, After: 50, Count: 1},
 			{Name: "shard.spill.read", Kind: faultpoint.KindError, Count: 1},
 			{Name: "shard.checkpoint.save", Kind: faultpoint.KindError, Count: 1},
 		},
-		Run: streamRun,
+		run: streamRun,
 	})
 
 	// --- checkpoint-resume with a poisoned checkpoint load -----------------
@@ -162,14 +157,13 @@ func Suite(n int, seed int64, scratch string) ([]Case, error) {
 			return hashResult("chaos/resume", n, seed, run.Result), nil
 		}
 	}
-	cases = append(cases, Case{
-		Name: "resume-degrade",
-		Desc: "resume degrades a failing checkpoint load to a recompute of that shard",
-		Points: []faultpoint.Point{
+	cases = append(cases, chaosCase{
+		name: "resume-degrade",
+		points: []faultpoint.Point{
 			{Name: "shard.checkpoint.load", Kind: faultpoint.KindError, Count: 1},
 		},
-		CleanRun: resumeRun(false),
-		Run:      resumeRun(true),
+		cleanRun: resumeRun(false),
+		run:      resumeRun(true),
 	})
 
 	// --- galactosd: worker panic + severed SSE streams ---------------------
@@ -181,21 +175,20 @@ func Suite(n int, seed int64, scratch string) ([]Case, error) {
 	// bitwise-identical to a direct in-process Run.
 	svcCat := catalog.Clustered(n, 240, catalog.DefaultClusterParams(), seed+102)
 	svcReq := galactos.Request{Catalog: svcCat, Config: suiteConfig(), Label: "chaos-service"}
-	cases = append(cases, Case{
-		Name: "service-poison",
-		Desc: "worker panic fails one job without wedging the pool; severed SSE watch recovers the next",
-		Points: []faultpoint.Point{
+	cases = append(cases, chaosCase{
+		name: "service-poison",
+		points: []faultpoint.Point{
 			{Name: "service.job.run", Kind: faultpoint.KindPanic, Count: 1},
 			{Name: "service.sse.write", Kind: faultpoint.KindError, After: 2, Every: 3, Count: 2},
 		},
-		CleanRun: func(ctx context.Context) (string, error) {
+		cleanRun: func(ctx context.Context) (string, error) {
 			run, err := galactos.Run(ctx, svcReq)
 			if err != nil {
 				return "", err
 			}
 			return hashResult("chaos/service", n, seed, run.Result), nil
 		},
-		Run: func(ctx context.Context) (string, error) {
+		run: func(ctx context.Context) (string, error) {
 			svc, err := service.New(service.Options{Workers: 1})
 			if err != nil {
 				return "", err

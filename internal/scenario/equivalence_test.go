@@ -9,9 +9,10 @@ import (
 
 // TestBackendEquivalence extends the exec-layer equivalence gate to every
 // registry entry, including the multi-stage estimator and jackknife
-// workloads: the local path agrees with the shard decompositions to rounding
-// (periodic shards materialize halo copies through minimum-image wrapping,
-// which regroups the same arithmetic).
+// workloads: every invariant holds on each backend, and the local path
+// agrees with the shard decompositions to rounding (periodic shards
+// materialize halo copies through minimum-image wrapping, which regroups
+// the same arithmetic).
 func TestBackendEquivalence(t *testing.T) {
 	ctx := context.Background()
 	const n, seed = 700, 11
@@ -20,7 +21,7 @@ func TestBackendEquivalence(t *testing.T) {
 		t.Run(s.Name, func(t *testing.T) {
 			run := func(spec exec.Spec) *Outcome {
 				t.Helper()
-				o, err := s.Run(ctx, spec, n, seed)
+				o, err := s.RunChecked(ctx, spec, n, seed)
 				if err != nil {
 					t.Fatalf("%s on %+v: %v", s.Name, spec, err)
 				}

@@ -41,9 +41,9 @@ type Invariant struct {
 
 // Scenario is one registry row: a named, seeded, end-to-end workload.
 type Scenario struct {
-	// Name is the registry key (galactos -scenario <name>).
+	// Name is the registry key (Get's argument, and a subtest name).
 	Name string
-	// Desc is a one-line description for -scenario list.
+	// Desc is a one-line description of the workload.
 	Desc string
 	// GoldenN and GoldenSeed pin the catalog recipe of the golden-hash run:
 	// the (n, seed) at which testdata/golden.json entries were generated.

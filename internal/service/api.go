@@ -76,8 +76,8 @@ type Event struct {
 }
 
 // Stats is the server-wide counter snapshot of GET /v1/stats. The cache
-// counters are what the service-smoke gate asserts on: a resubmitted job
-// must raise CacheHits, not Submitted alone.
+// counters are what galactos-load's smoke gate asserts on: a resubmitted
+// job must raise CacheHits, not Submitted alone.
 type Stats struct {
 	Workers    int `json:"workers"`
 	QueueDepth int `json:"queue_depth"`
@@ -100,7 +100,8 @@ type Stats struct {
 	// RestoredJobs counts terminal jobs restored from the journal at this
 	// process's boot; RequeuedJobs counts jobs found queued or running at
 	// the previous process's death and re-enqueued. Both are zero on a
-	// clean boot — the crash-smoke gate asserts on them.
+	// clean boot — galactosd's crash sweep (TestCrashRecovery) asserts on
+	// them.
 	RestoredJobs uint64 `json:"restored_jobs,omitempty"`
 	RequeuedJobs uint64 `json:"requeued_jobs,omitempty"`
 }

@@ -24,6 +24,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"time"
@@ -428,18 +429,20 @@ func parseManifest(data []byte) (manifest, error) {
 }
 
 // prepareDir creates the checkpoint directory, clears the temp files of
-// SaveResult calls killed mid-write (the atomic rename never happened, so
-// only debris with the .tmp suffix pattern can remain) and reconciles the
-// manifest: a resume must find a manifest describing this exact run (or
-// none, for a run killed before the manifest was written); a fresh run
-// overwrites.
+// checkpoint and manifest writes killed mid-write (the atomic rename never
+// happened, so only debris with the .tmp suffix pattern can remain) and
+// reconciles the manifest: a resume must find a manifest describing this
+// exact run (or none, for a run killed before the manifest was written); a
+// fresh run overwrites.
 func prepareDir(dir string, want manifest, resume bool) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	stale, _ := filepath.Glob(filepath.Join(dir, "shard-*.gres.tmp*"))
-	for _, p := range stale {
-		os.Remove(p)
+	for _, pattern := range []string{"shard-*.gres.tmp*", manifestName + ".tmp*"} {
+		stale, _ := filepath.Glob(filepath.Join(dir, pattern))
+		for _, p := range stale {
+			os.Remove(p)
+		}
 	}
 	path := filepath.Join(dir, manifestName)
 	if resume {
@@ -461,7 +464,12 @@ func prepareDir(dir string, want manifest, resume bool) error {
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, data, 0o644)
+	// Atomically: a kill mid-write must not leave a torn manifest, which
+	// every later resume of the directory would refuse.
+	return core.WriteFileAtomic(path, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
 }
 
 // checkpointPath names slab i's partial-Result file.

@@ -193,16 +193,24 @@ func TestStaleTempCheckpointsRemoved(t *testing.T) {
 	cat := catalog.Clustered(300, 140, catalog.DefaultClusterParams(), 37)
 	cfg := testConfig()
 	dir := t.TempDir()
-	// Debris from a run killed inside SaveResult (rename never happened).
-	stale := filepath.Join(dir, "shard-0001-of-0002.gres.tmp12345")
-	if err := os.WriteFile(stale, []byte("partial write"), 0o644); err != nil {
-		t.Fatal(err)
+	// Debris from a run killed inside SaveResult or the manifest write
+	// (the rename never happened).
+	stale := []string{
+		filepath.Join(dir, "shard-0001-of-0002.gres.tmp12345"),
+		filepath.Join(dir, manifestName+".tmp67890"),
+	}
+	for _, p := range stale {
+		if err := os.WriteFile(p, []byte("partial write"), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if _, _, err := compute(cat, cfg, Options{NShards: 2, CheckpointDir: dir}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(stale); !os.IsNotExist(err) {
-		t.Errorf("stale temp checkpoint survived the run (stat err = %v)", err)
+	for _, p := range stale {
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Errorf("stale temp file %s survived the run (stat err = %v)", filepath.Base(p), err)
+		}
 	}
 }
 
