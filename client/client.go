@@ -408,11 +408,6 @@ func (c *Client) Stats(ctx context.Context) (Stats, error) {
 	return st, err
 }
 
-// Healthy reports whether the server answers its liveness probe.
-func (c *Client) Healthy(ctx context.Context) bool {
-	return c.do(ctx, http.MethodGet, "/healthz", nil, nil) == nil
-}
-
 // Ready reports whether the server answers its readiness probe — alive
 // AND currently accepting submissions (not draining, queue not full).
 func (c *Client) Ready(ctx context.Context) bool {

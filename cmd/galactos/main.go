@@ -104,6 +104,14 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		fs.Usage()
 		return errUsage
 	}
+	// The library reads these as "use the default" (one slab, all cores);
+	// from the command line they are mistakes, refused before any work.
+	if *shards < 1 {
+		return fmt.Errorf("-shards %d: want at least 1", *shards)
+	}
+	if *workers < 0 {
+		return fmt.Errorf("-workers %d: want 0 (all cores) or more", *workers)
+	}
 
 	cfg := galactos.DefaultConfig()
 	cfg.RMax = *rmax

@@ -76,6 +76,18 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 		}
 		return errUsage
 	}
+	// service.Options reads these as "use the default"; from the command
+	// line they are mistakes, refused before the server listens.
+	switch {
+	case *workers < 1:
+		return fmt.Errorf("-workers %d: want at least 1", *workers)
+	case *queue < 1:
+		return fmt.Errorf("-queue %d: want at least 1", *queue)
+	case *drain <= 0:
+		return fmt.Errorf("-drain %s: want a positive deadline", *drain)
+	case *jobTimeout < 0:
+		return fmt.Errorf("-job-timeout %s: want 0 (unlimited) or more", *jobTimeout)
+	}
 
 	logger := log.New(logw, "galactosd: ", log.LstdFlags)
 	opts := service.Options{Workers: *workers, QueueDepth: *queue, CacheEntries: *cache,

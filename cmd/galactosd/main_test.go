@@ -12,10 +12,12 @@ import (
 	"time"
 )
 
-// TestRun drives the daemon's startup and shutdown through run: a bad flag
-// and an unusable -state-dir are refused before serving, and a server on
-// an ephemeral port answers /healthz and drains cleanly when its context
-// is cancelled.
+// TestRun drives the daemon's startup and shutdown through run: a bad flag,
+// an unusable -state-dir and counts or durations the service would
+// silently replace are refused before serving, and a server on an
+// ephemeral port answers /healthz and drains cleanly when its context is
+// cancelled. A refusal row runs with its context already cancelled, so a
+// command that wrongly accepts it boots, drains at once and returns nil.
 func TestRun(t *testing.T) {
 	notDir := filepath.Join(t.TempDir(), "file")
 	if err := os.WriteFile(notDir, []byte("x"), 0o644); err != nil {
@@ -28,12 +30,19 @@ func TestRun(t *testing.T) {
 	}{
 		{"unknown-flag", []string{"-no-such-flag"}, errUsage.Error()},
 		{"state-dir-is-a-file", []string{"-addr", "127.0.0.1:0", "-state-dir", notDir}, "startup"},
+		{"negative-workers", []string{"-addr", "127.0.0.1:0", "-workers", "-2"}, "-workers -2"},
+		{"zero-queue", []string{"-addr", "127.0.0.1:0", "-queue", "0"}, "-queue 0"},
+		{"zero-drain", []string{"-addr", "127.0.0.1:0", "-drain", "0s"}, "-drain 0s"},
+		{"negative-job-timeout", []string{"-addr", "127.0.0.1:0", "-job-timeout", "-1s"}, "-job-timeout -1s"},
 		{"serve-and-drain", []string{"-addr", "127.0.0.1:0", "-quiet"}, ""},
 	}
 	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
+			if r.err != "" {
+				cancel()
+			}
 			logr, logw := io.Pipe()
 			done := make(chan error, 1)
 			go func() {

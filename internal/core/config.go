@@ -10,6 +10,7 @@ import (
 	"runtime"
 
 	"galactos/internal/geom"
+	"galactos/internal/hist"
 	"galactos/internal/kdtree"
 )
 
@@ -136,11 +137,8 @@ func DefaultConfig() Config {
 // consume an already-normalized Workers instead of re-deriving it from
 // GOMAXPROCS themselves.
 func (c Config) Normalize() (Config, error) {
-	if c.RMax <= 0 || c.RMin < 0 || c.RMax <= c.RMin {
-		return c, fmt.Errorf("core: invalid radial range [%v, %v)", c.RMin, c.RMax)
-	}
-	if c.NBins <= 0 {
-		return c, fmt.Errorf("core: NBins %d must be positive", c.NBins)
+	if _, err := hist.NewBinning(c.RMin, c.RMax, c.NBins); err != nil {
+		return c, fmt.Errorf("core: %w", err)
 	}
 	if c.LMax < 0 || c.LMax > 20 {
 		return c, fmt.Errorf("core: LMax %d out of supported range [0, 20]", c.LMax)

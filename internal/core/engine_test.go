@@ -362,6 +362,20 @@ func TestNormalizeFillsWorkerDefault(t *testing.T) {
 	}
 }
 
+// TestNormalizeRefusesNonFiniteRange: a NaN radius fails every ordered
+// comparison, so a range check written as rmin < 0 || rmax <= rmin passes
+// it, and an infinite RMax bins every pair at r = +Inf.
+func TestNormalizeRefusesNonFiniteRange(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, r := range [][2]float64{{0, nan}, {nan, 30}, {0, inf}, {nan, nan}} {
+		cfg := smallConfig()
+		cfg.RMin, cfg.RMax = r[0], r[1]
+		if _, err := cfg.Normalize(); err == nil {
+			t.Errorf("Normalize accepted RMin %v, RMax %v", r[0], r[1])
+		}
+	}
+}
+
 func TestComputeContextCancelled(t *testing.T) {
 	cat := catalog.Clustered(3000, 200, catalog.DefaultClusterParams(), 7)
 	cfg := smallConfig()

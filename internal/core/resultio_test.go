@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -149,6 +150,27 @@ func TestResultRejectsTruncation(t *testing.T) {
 	for _, keep := range []int{0, 3, 135, 136, n / 2, n - 1} {
 		if _, err := ReadResult(bytes.NewReader(pristine.Bytes()[:keep])); err == nil {
 			t.Errorf("truncation to %d of %d bytes went undetected", keep, n)
+		}
+	}
+}
+
+// TestResultRejectsNonFiniteBinning: a header whose radii are NaN or
+// infinite is refused under a valid checksum, by ReadResult and
+// VerifyResult alike.
+func TestResultRejectsNonFiniteBinning(t *testing.T) {
+	res := ioTestResult(t)
+	for _, r := range [][2]float64{{0, math.NaN()}, {math.NaN(), 40}, {0, math.Inf(1)}} {
+		bad := *res
+		bad.Bins.RMin, bad.Bins.RMax = r[0], r[1]
+		var buf bytes.Buffer
+		if err := WriteResult(&buf, &bad); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadResult(bytes.NewReader(buf.Bytes())); err == nil || !strings.Contains(err.Error(), "binning") {
+			t.Errorf("ReadResult accepted radii [%v, %v) (err = %v)", r[0], r[1], err)
+		}
+		if err := VerifyResult(buf.Bytes()); err == nil {
+			t.Errorf("VerifyResult accepted radii [%v, %v)", r[0], r[1])
 		}
 	}
 }

@@ -17,12 +17,13 @@ type Binning struct {
 	N          int
 }
 
-// NewBinning validates and returns a binning.
+// NewBinning validates and returns a binning. It owns the rule for a radial
+// range: 0 <= rmin < rmax < +Inf, written so that a NaN fails it.
 func NewBinning(rmin, rmax float64, n int) (Binning, error) {
 	if n <= 0 {
 		return Binning{}, fmt.Errorf("hist: bin count %d must be positive", n)
 	}
-	if rmin < 0 || rmax <= rmin {
+	if !(rmin >= 0) || !(rmax > rmin) || math.IsInf(rmax, 1) {
 		return Binning{}, fmt.Errorf("hist: invalid radial range [%v, %v)", rmin, rmax)
 	}
 	return Binning{RMin: rmin, RMax: rmax, N: n}, nil

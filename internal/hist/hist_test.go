@@ -20,6 +20,9 @@ func TestNewBinningValidation(t *testing.T) {
 		{-1, 200, 10},
 		{200, 200, 10},
 		{300, 200, 10},
+		{math.NaN(), 200, 10},
+		{0, math.NaN(), 10},
+		{0, math.Inf(1), 10},
 	}
 	for _, c := range bad {
 		if _, err := NewBinning(c.rmin, c.rmax, c.n); err == nil {

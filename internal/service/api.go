@@ -76,8 +76,8 @@ type Event struct {
 }
 
 // Stats is the server-wide counter snapshot of GET /v1/stats. The cache
-// counters are what galactos-load's smoke gate asserts on: a resubmitted
-// job must raise CacheHits, not Submitted alone.
+// counters are what TestCacheHitBitwiseIdenticalToColdRun asserts on: a
+// resubmitted job must raise CacheHits, not Submitted alone.
 type Stats struct {
 	Workers    int `json:"workers"`
 	QueueDepth int `json:"queue_depth"`

@@ -124,6 +124,9 @@ func TestJobLifecycle(t *testing.T) {
 	}
 }
 
+// TestCacheHitBitwiseIdenticalToColdRun: the cold run serves the bits of a
+// direct Run of the same inline request, and its resubmission is a cache hit
+// under the same key serving the same bytes, counted as 1 hit / 1 miss.
 func TestCacheHitBitwiseIdenticalToColdRun(t *testing.T) {
 	_, cl := startServer(t, service.Options{Workers: 1})
 	ctx := context.Background()
@@ -164,21 +167,18 @@ func TestCacheHitBitwiseIdenticalToColdRun(t *testing.T) {
 	if !bytes.Equal(coldBytes, warmBytes) {
 		t.Error("cache hit served different bytes than the cold run")
 	}
-	// The payload is a valid resultio stream whose channels survive the
-	// round trip bit for bit.
+	// The payload is a valid resultio stream carrying the answer of a
+	// direct Run of the same request, counters and channels bit for bit.
 	a, err := core.ReadResult(bytes.NewReader(coldBytes))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := core.ReadResult(bytes.NewReader(warmBytes))
+	direct, err := galactos.Run(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range a.Aniso {
-		if math.Float64bits(real(a.Aniso[i])) != math.Float64bits(real(b.Aniso[i])) ||
-			math.Float64bits(imag(a.Aniso[i])) != math.Float64bits(imag(b.Aniso[i])) {
-			t.Fatalf("Aniso[%d] differs between cold and cached run", i)
-		}
+	if err := samePayload(a, direct.Result); err != nil {
+		t.Errorf("served result differs from a direct Run: %v", err)
 	}
 
 	stats, err := cl.Stats(ctx)
@@ -189,6 +189,29 @@ func TestCacheHitBitwiseIdenticalToColdRun(t *testing.T) {
 		t.Errorf("stats: %d hits / %d misses / %d entries, want 1/1/1",
 			stats.CacheHits, stats.CacheMisses, stats.CacheEntries)
 	}
+}
+
+// samePayload compares the physics payload of two results bitwise: the
+// counters, the weight sum and every anisotropic channel. The timings,
+// which differ run to run, are not compared.
+func samePayload(a, b *core.Result) error {
+	if a.Pairs != b.Pairs || a.NPrimaries != b.NPrimaries || a.NGalaxies != b.NGalaxies {
+		return fmt.Errorf("counters differ: %d/%d pairs, %d/%d primaries, %d/%d galaxies",
+			a.Pairs, b.Pairs, a.NPrimaries, b.NPrimaries, a.NGalaxies, b.NGalaxies)
+	}
+	if math.Float64bits(a.SumWeight) != math.Float64bits(b.SumWeight) {
+		return fmt.Errorf("weight sums differ: %v vs %v", a.SumWeight, b.SumWeight)
+	}
+	if len(a.Aniso) != len(b.Aniso) {
+		return fmt.Errorf("channel counts differ: %d vs %d", len(a.Aniso), len(b.Aniso))
+	}
+	for i := range a.Aniso {
+		if math.Float64bits(real(a.Aniso[i])) != math.Float64bits(real(b.Aniso[i])) ||
+			math.Float64bits(imag(a.Aniso[i])) != math.Float64bits(imag(b.Aniso[i])) {
+			return fmt.Errorf("Aniso[%d] differs: %v vs %v", i, a.Aniso[i], b.Aniso[i])
+		}
+	}
+	return nil
 }
 
 // TestCacheKeyIgnoresWorkers submits one request at Workers 1, then 3, then
