@@ -63,10 +63,15 @@ golden:
 # bodies — the noasm files of lanes, sphharm and kdtree must fill in) and
 # legal at the highest amd64 feature level. arm64 is also vetted, which
 # compiles its tests: the portable bodies' bitwise pins live in _test.go
-# files a build never sees. No emulation is available to run the result.
+# files a build never sees. No emulation is available to run the result, so
+# scripts/fma-guard.sh reads its disassembly instead: arm64 fuses x*y + z
+# where the source does not round the product explicitly, amd64 never does,
+# and any such fusion in galactos code outside the explicit-math.FMA files
+# would give arm64 different result bits.
 cross-smoke:
 	GOOS=linux GOARCH=arm64 $(GO) build ./...
 	GOOS=linux GOARCH=arm64 $(GO) vet ./...
+	GO=$(GO) sh scripts/fma-guard.sh
 	GOOS=linux GOARCH=amd64 GOAMD64=v4 $(GO) build ./...
 
 # bench/ is its own module (outside `go build ./...`): vet and build it so

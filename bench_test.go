@@ -130,8 +130,8 @@ func BenchmarkSelfMoments(b *testing.B) {
 
 // BenchmarkAlmZeta isolates the engine's alm+zeta phase at
 // commit-unit granularity, the way engine.processBlock runs it: per primary
-// the lane-sum ReduceClear, monomial -> a_lm conversion, and the slab fill
-// by bin (untouched bins zero-padded), then per channel the tile clear, one
+// one ReduceBins over all bins and one AlmBinsPacked conversion straight
+// into the slabs (untouched bins zero-padded), then per channel the tile clear, one
 // fused ZetaBatch call folding the whole unit into the tile, and the commit
 // into the partial result. "dense" is the all-bins-touched 32-primary unit
 // at 10 bins, l_max 10; "aniso_box" is the occupancy measured on that
@@ -162,12 +162,9 @@ func benchAlmZeta(b *testing.B, lmax, nb, K int, missFrac float64) {
 	pc := sphharm.PairCount(lmax)
 
 	rng := rand.New(rand.NewSource(42))
-	acc := make([][]float64, nb)
-	for bin := range acc {
-		acc[bin] = make([]float64, sphharm.AccumulatorLen(mono))
-		for i := range acc[bin] {
-			acc[bin][i] = rng.NormFloat64()
-		}
+	acc := make([]float64, nb*sphharm.AccumulatorLen(mono))
+	for i := range acc {
+		acc[i] = rng.NormFloat64()
 	}
 	missing := make([]int, K) // the bin primary a did not touch, -1 for none
 	for a := range missing {
@@ -176,9 +173,9 @@ func benchAlmZeta(b *testing.B, lmax, nb, K int, missFrac float64) {
 			missing[a] = rng.Intn(3)
 		}
 	}
-	msums := make([]float64, mono.Len())
-	reScr := make([]float64, pc)
-	imScr := make([]float64, pc)
+	sums := make([]float64, mono.Len()*sphharm.BinStride(nb))
+	cnt := make([]int32, nb)
+	binW := make([]float64, nb)
 	stride2 := K * 2 * nb
 	aSlab := make([]float64, pc*stride2)
 	wXY := make([]float64, pc*stride2)
@@ -190,28 +187,14 @@ func benchAlmZeta(b *testing.B, lmax, nb, K int, missFrac float64) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for a := 0; a < K; a++ {
-			if missing[a] >= 0 {
-				for o := a * 2 * nb; o < pc*stride2; o += stride2 {
-					clear(aSlab[o : o+2*nb])
-					clear(wXY[o : o+2*nb])
-				}
+			for t := range cnt {
+				cnt[t], binW[t] = 1, pw
 			}
-			for t := 0; t < nb; t++ {
-				if t == missing[a] {
-					continue
-				}
-				sphharm.ReduceClear(acc[t], msums)
-				ytab.AlmRI(msums, reScr, imScr)
-				o := a*2*nb + 2*t
-				for j := 0; j < pc; j++ {
-					re, im := reScr[j], imScr[j]
-					wXY[o] = pw * re
-					wXY[o+1] = pw * im
-					aSlab[o] = re
-					aSlab[o+1] = im
-					o += stride2
-				}
+			if t := missing[a]; t >= 0 {
+				cnt[t], binW[t] = 0, 0
 			}
+			sphharm.ReduceBins(acc, cnt, sums)
+			ytab.AlmBinsPacked(sums, nb, binW, aSlab[a*2*nb:], wXY[a*2*nb:], stride2)
 		}
 		t0 := time.Now()
 		for ci, c := range combos.Combos {

@@ -85,13 +85,13 @@ func Clustered(n int, l float64, p ClusterParams, seed int64) *Catalog {
 	}
 	target := n - nField
 	for len(c.Galaxies)-nField < target {
-		center := geom.Vec3{X: rng.Float64() * l, Y: rng.Float64() * l, Z: rng.Float64() * l}
+		center := geom.Vec3{X: float64(rng.Float64() * l), Y: float64(rng.Float64() * l), Z: float64(rng.Float64() * l)}
 		k := poisson(rng, p.MeanPerCluster)
 		for j := 0; j < k && len(c.Galaxies)-nField < target; j++ {
 			off := geom.Vec3{
-				X: rng.NormFloat64() * p.ClusterRadius,
-				Y: rng.NormFloat64() * p.ClusterRadius,
-				Z: rng.NormFloat64() * p.ClusterRadius * stretch,
+				X: float64(rng.NormFloat64() * p.ClusterRadius),
+				Y: float64(rng.NormFloat64() * p.ClusterRadius),
+				Z: float64(rng.NormFloat64() * p.ClusterRadius * stretch),
 			}
 			c.Galaxies = append(c.Galaxies, Galaxy{Pos: c.Box.Wrap(center.Add(off)), Weight: 1})
 		}

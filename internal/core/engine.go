@@ -238,8 +238,8 @@ func (e *engine) buildFinder() error {
 	for _, p := range e.pts {
 		m = max(m, math.Abs(p.X), math.Abs(p.Y), math.Abs(p.Z))
 	}
-	s := (e.cfg.RMax + 2*m) * 0x1p-20
-	if l > 0 && e.cfg.RMax+2*s >= l/2 {
+	s := float64((e.cfg.RMax + 2*m) * 0x1p-20)
+	if l > 0 && e.cfg.RMax+float64(2*s) >= l/2 {
 		return fmt.Errorf("core: RMax %v must be below half the periodic box %v (less %.2g of float32 search slack)", e.cfg.RMax, l, 2*s)
 	}
 	e.qr = e.cfg.RMax + s
@@ -560,7 +560,12 @@ func lap(t *time.Time, d *time.Duration) {
 // TestProcessBlockAllocFree).
 type workerState struct {
 	kern *sphharm.Kernel
-	acc  [][]float64 // per-bin lane-striped power-sum accumulators
+	// Per-bin lane-striped power-sum accumulators: acc[b] is bin b's
+	// slice of accs, which holds them end to end for sphharm.ReduceBins.
+	// A primary's tile overwrites its bin's accumulator (Kernel.SumTile)
+	// and the reduce reads only bins with pairs, so they are never cleared.
+	acc  [][]float64
+	accs []float64
 
 	// err records the worker's terminal failure (a recovered unit panic or
 	// injected fault); run surfaces the first one after the pool drains.
@@ -580,8 +585,8 @@ type workerState struct {
 	cnt            []int32   // per-bin pair counts for the current primary
 	end            []int32   // per-bin segment ends in the t* columns
 	tl             []int32   // touched bin ids, ascending (from the counts)
-	msums          []float64 // reduced power sums scratch
-	reScr, imScr   []float64 // contiguous AlmRI output per (primary, bin)
+	sums           []float64 // one primary's reduced power sums, a row over bins per sum
+	binW           []float64 // per-bin weighted-leg scale: pw on touched bins, else +0
 
 	// Unit-level a_lm slabs, packed (re, im) pairs laid out [(l,m) slot i]
 	// [unit-local primary a][bin] (slot-major, per-primary stride 2*nb): wXY
@@ -610,9 +615,11 @@ type workerState struct {
 	// Self-pair correction (SelfCount only): selfW is the unit's [bin][L]
 	// array of primary-weighted Legendre moments sum_a pw_a sum_j w_j^2
 	// P_L(mu_j), L <= 2 LMax, from which stage 3 derives every channel's
-	// diagonal self term (see sphharm.SelfProduct); selfMom is the per-tile
-	// moment scratch.
+	// diagonal self term (see sphharm.SelfProduct); selfMom is one
+	// primary's [touched tile][L] moment scratch, and selfEnds its touched
+	// tiles' segment ends.
 	selfW, selfMom []float64
+	selfEnds       []int32
 
 	blockPairs uint64
 	blockNP    int
@@ -639,9 +646,7 @@ func (e *engine) newWorkerState() *workerState {
 		cnt:     make([]int32, nb),
 		end:     make([]int32, nb),
 		tl:      make([]int32, 0, nb),
-		msums:   make([]float64, e.mono.Len()),
-		reScr:   make([]float64, pc),
-		imScr:   make([]float64, pc),
+		sums:    make([]float64, e.mono.Len()*sphharm.BinStride(nb)),
 		aSlab:   make([]float64, K*pc*2*nb),
 		blockPw: make([]float64, K),
 	}
@@ -649,15 +654,19 @@ func (e *engine) newWorkerState() *workerState {
 		s.blockIso = make([]float64, pc*nb*nb)
 	} else {
 		s.wXY = make([]float64, K*pc*2*nb)
+		s.binW = make([]float64, nb)
 		s.blockAniso = make([]complex128, e.combos.Len()*nb*nb)
 	}
+	al := sphharm.AccumulatorLen(e.mono)
+	s.accs = make([]float64, nb*al)
 	for b := 0; b < nb; b++ {
-		s.acc[b] = make([]float64, sphharm.AccumulatorLen(e.mono))
+		s.acc[b] = s.accs[b*al : (b+1)*al : (b+1)*al]
 	}
 	if e.cfg.SelfCount {
 		nL := 2*e.cfg.LMax + 1
 		s.selfW = make([]float64, nb*nL)
-		s.selfMom = make([]float64, nL)
+		s.selfMom = make([]float64, nb*nL)
+		s.selfEnds = make([]int32, 0, nb)
 	}
 	return s
 }
@@ -675,7 +684,6 @@ func (e *engine) processBlock(s *workerState, b int) {
 	prim := e.primaryIdx[e.blocks[b].lo:e.blocks[b].hi]
 	K := len(prim)
 	nb := e.bins.N
-	pc := e.pc
 	s.blockPairs, s.blockNP, s.blockSumW = 0, K, 0
 
 	// Stage 1: gather all neighbor lists for the unit.
@@ -691,71 +699,47 @@ func (e *engine) processBlock(s *workerState, b int) {
 		n := e.assembleTiles(s, pi, s.nbr.List(a))
 		for _, bb := range s.tl {
 			beg, end := s.tile(bb)
-			s.kern.AccumulateTile(s.tx[beg:end], s.ty[beg:end], s.tz[beg:end], s.tw[beg:end], s.acc[bb])
+			s.kern.SumTile(s.tx[beg:end], s.ty[beg:end], s.tz[beg:end], s.tw[beg:end], s.acc[bb])
 		}
 		if s.selfW != nil {
-			s.accumulateSelfPairs(pw)
+			s.accumulateSelfPairs(pw, n)
 		}
 		lap(&t, &s.tConsume)
 		s.blockPairs += uint64(n)
 
-		// Reduce the lane accumulators, convert to a_lm, and transpose into
-		// the unit slabs, walking the touched list in ascending bin order.
-		tl := s.tl
+		// Reduce the lane accumulators of every bin at once, convert them to
+		// a_lm rows over bins, and store those straight into the unit slabs.
 		// Slab layout is [slot][unit-local primary][bin] (slot-major,
-		// per-primary stride 2*nb, packed to this unit's K so the scatter
-		// stays as compact as the unit), so the zeta stage reads each leg as
-		// one contiguous stream per channel. A primary that missed a bin gets
-		// exact zeros there: its rows are cleared first and the touched bins
-		// written over them. Zero-padding is value-exact — a zeta element
-		// that starts at +0 and only gains finite products is unchanged by
-		// the extra `+ x*0` terms.
+		// per-primary stride 2*nb, packed to this unit's K so the rows stay
+		// as compact as the unit), so the zeta stage reads each leg as one
+		// contiguous stream per channel. A primary that missed a bin gets
+		// exact zeros there: the reduce reads the bin as +0 (its count is
+		// zero; the accumulator holds an earlier primary's sums), so are the
+		// a_lm the conversion makes of it, and the weighted leg scales it by
+		// +0, not pw. Zero-padding is value-exact — a zeta element that
+		// starts at +0 and only gains finite products is unchanged by the
+		// extra `+ x*0` terms.
+		sphharm.ReduceBins(s.accs, s.cnt, s.sums)
 		row := a * 2 * nb
-		wXY, aS := s.wXY, s.aSlab
-		reScr, imScr := s.reScr, s.imScr
-		if len(tl) < nb {
-			for o := row; o < pc*stride2; o += stride2 {
-				clear(aS[o : o+2*nb])
-				if !e.cfg.IsotropicOnly {
-					clear(wXY[o : o+2*nb])
-				}
-			}
-		}
 		if e.cfg.IsotropicOnly {
 			// Iso slab layout: split re/im halves per (slot, primary) — re
 			// at [o, o+nb), im at [o+nb, o+2nb), same per-primary stride —
 			// so the iso zeta primitive streams each half contiguously with
 			// no deinterleave, and the weighted leg (wXY) is never built:
 			// the primary weight folds into the primitive instead.
-			for _, bb := range tl {
-				sphharm.ReduceClear(s.acc[bb], s.msums)
-				e.ytab.AlmRI(s.msums, reScr, imScr)
-				o := row + int(bb)
-				for i := 0; i < pc; i++ {
-					aS[o] = reScr[i]
-					aS[o+nb] = imScr[i]
-					o += stride2
-				}
-			}
+			e.ytab.AlmBins(s.sums, nb, s.aSlab[row:], stride2)
 		} else {
-			for _, bb := range tl {
-				sphharm.ReduceClear(s.acc[bb], s.msums)
-				e.ytab.AlmRI(s.msums, reScr, imScr)
-				o := row + 2*int(bb)
-				for i := 0; i < pc; i++ {
-					re, im := reScr[i], imScr[i]
-					wXY[o] = pw * re
-					wXY[o+1] = pw * im
-					aS[o] = re
-					aS[o+1] = im
-					o += stride2
-				}
+			for _, bb := range s.tl {
+				s.binW[bb] = pw
+			}
+			e.ytab.AlmBinsPacked(s.sums, nb, s.binW, s.aSlab[row:], s.wXY[row:], stride2)
+			for _, bb := range s.tl {
+				s.binW[bb] = 0
 			}
 		}
 		// Reset per-primary state (touched bins only, so sparse primaries
-		// stay cheap and untouched bins are never written); ReduceClear
-		// already zeroed their accumulators.
-		for _, bb := range tl {
+		// stay cheap and untouched bins are never written).
+		for _, bb := range s.tl {
 			s.cnt[bb] = 0
 		}
 		s.blockPw[a] = pw
@@ -909,19 +893,28 @@ func (s *workerState) growTiles(n int, ids bool) {
 }
 
 // accumulateSelfPairs adds one primary's self-pair moments to the unit's
-// [bin][L] array (SelfCount only): per touched bin, the Legendre moments of
-// the already-rotated tile's z column under the squared secondary weights,
-// scaled by the primary weight. Timed once per primary — a tile is a few
-// hundred nanoseconds of work, too short to bracket with its own clock reads.
-func (s *workerState) accumulateSelfPairs(pw float64) {
+// [bin][L] array (SelfCount only): the Legendre moments of every touched
+// tile's already-rotated z column under the squared secondary weights, in
+// one call over the primary's tiles (they are packed in ascending bin
+// order), each scaled by the primary weight. Timed once per primary — a
+// tile is a few hundred nanoseconds of work, too short to bracket with its
+// own clock reads.
+func (s *workerState) accumulateSelfPairs(pw float64, n int) {
 	t0 := time.Now()
-	mom := s.selfMom
+	nL := len(s.selfW) / len(s.cnt)
+	ends := s.selfEnds[:0]
 	for _, bb := range s.tl {
-		beg, end := s.tile(bb)
-		sphharm.LegendreMoments(s.tz[beg:end], s.tw[beg:end], mom)
-		w := s.selfW[int(bb)*len(mom):][:len(mom)]
-		for l, v := range mom {
-			w[l] += pw * v
+		ends = append(ends, s.end[bb])
+	}
+	s.selfEnds = ends
+	if len(ends) > 0 {
+		mom := s.selfMom[:len(ends)*nL]
+		sphharm.LegendreMomentsTiles(s.tz[:n], s.tw[:n], ends, mom)
+		for t, bb := range s.tl {
+			w := s.selfW[int(bb)*nL:][:nL]
+			for l, v := range mom[t*nL : (t+1)*nL] {
+				w[l] += float64(pw * v)
+			}
 		}
 	}
 	s.tSelf += time.Since(t0)
@@ -932,10 +925,10 @@ func (s *workerState) accumulateSelfPairs(pw float64) {
 // which stage 3 subtracts from the channel's (bb, bb) element. It is real
 // for every channel because the two harmonics share m.
 func (s *workerState) selfTerm(series []sphharm.LegendreTerm, bb int) float64 {
-	w := s.selfW[bb*len(s.selfMom):]
+	w := s.selfW[bb*(len(s.selfW)/len(s.cnt)):]
 	var sum float64
 	for _, tm := range series {
-		sum += tm.C * w[tm.L]
+		sum += float64(tm.C * w[tm.L])
 	}
 	return sum
 }

@@ -49,7 +49,7 @@ func MixingMatrix(f []float64) *stats.Matrix {
 			for lpp := 0; lpp <= lmax; lpp++ {
 				w := sphharm.Wigner3j000(l, lp, lpp)
 				if w != 0 {
-					s += f[lpp] * w * w
+					s += float64(f[lpp] * w * w)
 				}
 			}
 			m.Set(l, lp, float64(2*lp+1)*s)
@@ -99,7 +99,7 @@ func EdgeCorrect(nRes, rRes *core.Result) (*Corrected, error) {
 			for l := 0; l <= lmax; l++ {
 				s := 0.0
 				for lp := 0; lp <= lmax; lp++ {
-					s += inv.At(l, lp) * n[lp]
+					s += float64(inv.At(l, lp) * n[lp])
 				}
 				out.Zeta[l][b1*nb+b2] = s
 			}

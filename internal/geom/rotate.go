@@ -14,9 +14,9 @@ func Identity() Rotation {
 // Apply returns R*v.
 func (r Rotation) Apply(v Vec3) Vec3 {
 	return Vec3{
-		r[0][0]*v.X + r[0][1]*v.Y + r[0][2]*v.Z,
-		r[1][0]*v.X + r[1][1]*v.Y + r[1][2]*v.Z,
-		r[2][0]*v.X + r[2][1]*v.Y + r[2][2]*v.Z,
+		float64(r[0][0]*v.X) + float64(r[0][1]*v.Y) + float64(r[0][2]*v.Z),
+		float64(r[1][0]*v.X) + float64(r[1][1]*v.Y) + float64(r[1][2]*v.Z),
+		float64(r[2][0]*v.X) + float64(r[2][1]*v.Y) + float64(r[2][2]*v.Z),
 	}
 }
 
@@ -33,9 +33,9 @@ func (r Rotation) ApplyColumns(xs, ys, zs []float64) {
 	r20, r21, r22 := r[2][0], r[2][1], r[2][2]
 	for i := range xs {
 		x, y, z := xs[i], ys[i], zs[i]
-		xs[i] = r00*x + r01*y + r02*z
-		ys[i] = r10*x + r11*y + r12*z
-		zs[i] = r20*x + r21*y + r22*z
+		xs[i] = float64(r00*x) + float64(r01*y) + float64(r02*z)
+		ys[i] = float64(r10*x) + float64(r11*y) + float64(r12*z)
+		zs[i] = float64(r20*x) + float64(r21*y) + float64(r22*z)
 	}
 }
 

@@ -114,7 +114,7 @@ func (m *Mesh) depositCIC(p geom.Vec3, w float64) {
 				if dk == 1 {
 					wk = dz
 				}
-				m.W[m.idx(i0+di, j0+dj, k0+dk)] += w * wi * wj * wk
+				m.W[m.idx(i0+di, j0+dj, k0+dk)] += float64(w * wi * wj * wk)
 			}
 		}
 	}

@@ -52,7 +52,7 @@ func (b Binning) Index(r float64) int {
 
 // Center returns the midpoint radius of shell i.
 func (b Binning) Center(i int) float64 {
-	return b.RMin + (float64(i)+0.5)*b.Width()
+	return b.RMin + float64((float64(i)+0.5)*b.Width())
 }
 
 // Edges returns the N+1 shell boundaries.

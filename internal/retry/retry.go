@@ -218,7 +218,7 @@ func (p Policy) backoff(op string, attempt int) time.Duration {
 	}
 	if p.Jitter > 0 {
 		u := jitterDraw(p.Seed, op, attempt) // uniform [0, 1)
-		d *= 1 + p.Jitter*(2*u-1)
+		d *= 1 + float64(p.Jitter*(float64(2*u)-1))
 	}
 	if d < 0 {
 		d = 0

@@ -343,7 +343,7 @@ func surveyEstimator() *Scenario {
 	slab := func(c *catalog.Catalog, l float64) *catalog.Catalog {
 		out := &catalog.Catalog{}
 		for _, g := range c.Galaxies {
-			if math.Abs(g.Pos.Z-l/2) < l/4 {
+			if math.Abs(g.Pos.Z-float64(l/2)) < l/4 {
 				out.Galaxies = append(out.Galaxies, g)
 			}
 		}
@@ -531,7 +531,7 @@ func jackknifeCovariance() *Scenario {
 					// match is to ~20%, not to jackknife-sigma precision.
 					jk := o.Jackknife
 					for i := range jk.Full {
-						if diff := math.Abs(jk.Mean[i] - jk.Full[i]); diff > 0.2*math.Abs(jk.Full[i])+1e-12 {
+						if diff := math.Abs(jk.Mean[i] - jk.Full[i]); diff > float64(0.2*math.Abs(jk.Full[i]))+1e-12 {
 							return fmt.Errorf("bin %d: LOO mean %g vs full %g", i, jk.Mean[i], jk.Full[i])
 						}
 					}

@@ -183,7 +183,7 @@ func planSlabs(ctx context.Context, src catalog.Source, sc *sourceScan, nshards 
 		for b := 0; b < histBuckets && next < nshards; b++ {
 			cum += counts[b]
 			for next < nshards && cum >= next*sc.n/nshards {
-				p.cuts = append(p.cuts, p.lo+float64(b+1)*width)
+				p.cuts = append(p.cuts, p.lo+float64(float64(b+1)*width))
 				next++
 			}
 		}

@@ -81,11 +81,26 @@ func AccumulatorLen(t *MonomialTable) int { return t.Len() * Lanes }
 // AccumulateTile adds the weighted power sums of one whole same-bin pair
 // tile into the lane-striped accumulator acc (length AccumulatorLen(Table)).
 // xs, ys, zs hold the scaled separations (dx/r etc., so x^2+y^2+z^2 = 1 per
-// pair) and ws the pair weights. This is the engine's hot path: the
-// bin-sorted gather hands it every pair of one radial bin at once (any
-// length), and the tile is consumed in chunks of the kernel capacity so the
-// scratch columns stay cache-resident.
+// pair) and ws the pair weights. This is the engine's hot path, in its
+// SumTile form: the bin-sorted gather hands it every pair of one radial bin
+// at once (any length), and the tile is consumed in chunks of the kernel
+// capacity so the scratch columns stay cache-resident.
 func (k *Kernel) AccumulateTile(xs, ys, zs, ws []float64, acc []float64) {
+	k.tile(xs, ys, zs, ws, acc, false)
+}
+
+// SumTile is AccumulateTile into an accumulator that starts at +0, whatever
+// acc holds: it overwrites acc with the tile's lane-striped sums, bit for
+// bit those AccumulateTile adds to a cleared accumulator, without reading
+// acc — the first chunk's rows start from +0 in-register — so the engine
+// never clears its accumulators. An empty tile leaves acc all +0.
+func (k *Kernel) SumTile(xs, ys, zs, ws []float64, acc []float64) {
+	k.tile(xs, ys, zs, ws, acc, true)
+}
+
+// tile is AccumulateTile (fresh false) and SumTile (fresh true): the tile in
+// chunks of the kernel capacity, only the first of them fresh.
+func (k *Kernel) tile(xs, ys, zs, ws []float64, acc []float64, fresh bool) {
 	n := len(xs)
 	if len(ys) != n || len(zs) != n || len(ws) != n {
 		panic("sphharm: tile slice length mismatch")
@@ -93,18 +108,21 @@ func (k *Kernel) AccumulateTile(xs, ys, zs, ws []float64, acc []float64) {
 	if len(acc) != AccumulatorLen(k.Table) {
 		panic("sphharm: accumulator length mismatch")
 	}
+	if n == 0 && fresh {
+		clear(acc)
+	}
 	for lo := 0; lo < n; lo += k.cap {
 		hi := lo + k.cap
 		if hi > n {
 			hi = n
 		}
-		k.accumulateChunk(xs[lo:hi], ys[lo:hi], zs[lo:hi], ws[lo:hi], acc)
+		k.accumulateChunk(xs[lo:hi], ys[lo:hi], zs[lo:hi], ws[lo:hi], acc, fresh && lo == 0)
 	}
 }
 
-// accumulateChunk is AccumulateTile's per-chunk ladder (chunk length <= the
-// kernel capacity).
-func (k *Kernel) accumulateChunk(xs, ys, zs, ws []float64, acc []float64) {
+// accumulateChunk is the tile's per-chunk ladder (chunk length <= the
+// kernel capacity); fresh starts every lane group from +0 instead of acc.
+func (k *Kernel) accumulateChunk(xs, ys, zs, ws []float64, acc []float64, fresh bool) {
 	n := len(xs)
 	if n == 0 {
 		return
@@ -122,7 +140,7 @@ func (k *Kernel) accumulateChunk(xs, ys, zs, ws []float64, acc []float64) {
 			mulCols(zq, k.zpow[(q-2)*k.cap:(q-2)*k.cap+n], zs)
 		}
 	}
-	ladder(acc, c, k.s[:n], xs, ys, k.zpow, k.cap, l)
+	ladder(acc, c, k.s[:n], xs, ys, k.zpow, k.cap, l, fresh)
 }
 
 // ladderRows is the pure-Go body of the ladder primitive: the rows in
@@ -133,8 +151,12 @@ func (k *Kernel) accumulateChunk(xs, ys, zs, ws []float64, acc []float64) {
 // zcap). c holds the pair weights on entry; s is scratch. The vector body
 // (ladderAsm) performs the same operations in the same order without
 // returning to Go between rows, so the two are bit-identical
-// (TestLadderMatchesRowsBitwise).
-func ladderRows(acc, c, s, xs, ys, zpow []float64, zcap, l int) {
+// (TestLadderMatchesRowsBitwise). fresh clears acc first; the vector body
+// loads +0 in its place instead.
+func ladderRows(acc, c, s, xs, ys, zpow []float64, zcap, l int, fresh bool) {
+	if fresh {
+		clear(acc)
+	}
 	rowLanes(acc[:(l+1)*Lanes], c, zpow, zcap)
 	i := l + 1
 	for m := 1; m <= l; m++ {
@@ -165,6 +187,9 @@ var (
 	zetaBatch    = zetaBatchGeneric
 	zetaBatchIso = zetaBatchIsoGeneric
 	reduce       = reduceGeneric
+	reduceBins   = reduceBinsGeneric
+	almBins      = almBinsGeneric
+	moments      = legendreMomentsTilesGeneric
 	pairColumns  = pairColumnsGeneric
 )
 
@@ -179,6 +204,9 @@ func bindGenericLanes() {
 	zetaBatch = zetaBatchGeneric
 	zetaBatchIso = zetaBatchIsoGeneric
 	reduce = reduceGeneric
+	reduceBins = reduceBinsGeneric
+	almBins = almBinsGeneric
+	moments = legendreMomentsTilesGeneric
 	pairColumns = pairColumnsGeneric
 }
 
@@ -418,9 +446,9 @@ func Reduce(acc []float64, out []float64) {
 	reduce(acc, out, false)
 }
 
-// ReduceClear is Reduce that also zeroes acc behind its loads — the engine's
-// per-touched-bin reduce and reset in one pass over the accumulator. The
-// sums are bitwise those of Reduce.
+// ReduceClear is Reduce that also zeroes acc behind its loads, in one pass
+// over the accumulator. The sums are bitwise those of Reduce. It is the
+// per-bin reference ReduceBins is pinned against.
 func ReduceClear(acc []float64, out []float64) {
 	if len(acc) != len(out)*Lanes {
 		panic("sphharm: ReduceClear length mismatch")
@@ -432,14 +460,58 @@ func ReduceClear(acc []float64, out []float64) {
 func reduceGeneric(acc []float64, out []float64, zero bool) {
 	for i := range out {
 		a := (*[Lanes]float64)(acc[i*Lanes : i*Lanes+Lanes])
-		// Pairwise tree reduction, matching a vector fold.
-		s01 := a[0] + a[1]
-		s23 := a[2] + a[3]
-		s45 := a[4] + a[5]
-		s67 := a[6] + a[7]
-		out[i] = (s01 + s23) + (s45 + s67)
+		out[i] = laneSum(a)
 		if zero {
 			*a = [Lanes]float64{}
+		}
+	}
+}
+
+// laneSum is the pairwise tree every lane fold ends in, matching a vector
+// fold: (a0+a1)+(a2+a3), then +((a4+a5)+(a6+a7)).
+func laneSum(a *[Lanes]float64) float64 {
+	s01 := a[0] + a[1]
+	s23 := a[2] + a[3]
+	s45 := a[4] + a[5]
+	s67 := a[6] + a[7]
+	return (s01 + s23) + (s45 + s67)
+}
+
+// BinStride returns the row length of ReduceBins' output for nb bins: nb
+// rounded up to whole lane groups, so every row is a run of whole vectors
+// over bins.
+func BinStride(nb int) int { return (nb + Lanes - 1) &^ (Lanes - 1) }
+
+// ReduceBins is Reduce over all bin accumulators of a primary at once,
+// transposed: acc holds the nb = len(cnt) lane-striped accumulators end to
+// end (bin b's ns = len(acc)/(nb*Lanes) groups at
+// [b*ns*Lanes, (b+1)*ns*Lanes)), and sum i of bin b lands at
+// out[i*BinStride(nb)+b], so every sum is a row over bins — the layout
+// YlmTable.AlmBins converts. cnt holds the primary's pair count per bin: a
+// bin without pairs reads as all +0 whatever its accumulator holds (the
+// engine fills accumulators with Kernel.SumTile and never clears them), and
+// so do the padding columns b >= nb. acc is left as it was. Each sum is
+// bitwise Reduce's: the vector body runs reduceAsm's tree with the eight
+// groups taken from eight bins instead of eight consecutive sums.
+func ReduceBins(acc []float64, cnt []int32, out []float64) {
+	nb := len(cnt)
+	if nb == 0 || len(acc)%(nb*Lanes) != 0 || len(out) != len(acc)/(nb*Lanes)*BinStride(nb) {
+		panic("sphharm: ReduceBins shape mismatch")
+	}
+	reduceBins(acc, out, cnt, len(acc)/(nb*Lanes))
+}
+
+// reduceBinsGeneric is the pure-Go body of ReduceBins.
+func reduceBinsGeneric(acc, out []float64, cnt []int32, ns int) {
+	ld := BinStride(len(cnt))
+	clear(out)
+	for b, n := range cnt {
+		if n == 0 {
+			continue
+		}
+		a := acc[b*ns*Lanes : (b+1)*ns*Lanes]
+		for i := 0; i < ns; i++ {
+			out[i*ld+b] = laneSum((*[Lanes]float64)(a[i*Lanes : i*Lanes+Lanes]))
 		}
 	}
 }

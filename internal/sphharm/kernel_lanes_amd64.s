@@ -7,11 +7,12 @@
 // columns in 512-bit steps; tails shorter than 8 pairs use an opmask so pair
 // j still lands in lane j&7 (masked EVEX memory operands suppress faults on
 // the masked-out lanes, so partial blocks never over-read). The ladder,
-// row, rotate, mulCols, almRI and reduce bodies use only Z16-Z31: the high
-// registers have no legacy-SSE upper state, so they need no VZEROUPPER on
-// return. Three bodies use Z0-Z15 as well and end with VZEROUPPER:
-// zetaBatchAsm and zetaBatchIsoAsm (up to 24 tile accumulators in
-// registers) and pairColumnsAsm (fourteen broadcast constants).
+// row, rotate, mulCols, almRI, almBins, reduce and reduceBins bodies use
+// only Z16-Z31: the high registers have no legacy-SSE upper state, so they
+// need no VZEROUPPER on return. Four bodies use Z0-Z15 as well and end with
+// VZEROUPPER: zetaBatchAsm and zetaBatchIsoAsm (up to 24 tile accumulators
+// in registers), pairColumnsAsm (fourteen broadcast constants) and
+// legendreMomentsAsm (two register sets of eight orders).
 
 // laneGeometry<> splits a column of CX pairs the way every lane fold walks
 // it: R10 = 32-pair quads (four accumulator chains), R11 = whole 8-pair
@@ -120,6 +121,7 @@ TEXT ·rotateAsm(SB), NOSPLIT, $0-96
 // columns at stride zcap. This is the row-by-row form the fused ladder is
 // pinned against; ladderAsm runs the same rowBody<> for chunks with a quad.
 TEXT ·rowLanesAsm(SB), NOSPLIT, $0-80
+	KXNORW K7, K7, K7 // rowBody<> reads every lane of acc
 	MOVQ acc_base+0(FP), DI
 	MOVQ acc_len+8(FP), R8
 	MOVQ src_base+24(FP), SI
@@ -134,13 +136,14 @@ TEXT ·rowLanesAsm(SB), NOSPLIT, $0-80
 
 // rowBody<> folds one ladder row: DI = the row's first lane group (advanced
 // past the row on return), R8 = its group count, SI = src, BX = the z-power
-// columns at byte stride R9, and the lane geometry in R10, R11, CX, K1. Per
+// columns at byte stride R9, the lane geometry in R10, R11, CX, K1, and K7
+// the lanes it reads from acc (none: every group starts from +0). Per
 // group the lane sums run as four independent chains over the quads (blocks
 // and the tail extend chain 0) and fold (c0 + c1) + (c2 + c3). Clobbers AX,
 // BX, DX, R8, R14, R15 and Z16-Z27.
 TEXT rowBody<>(SB), NOSPLIT, $0
 	// Row 0: acc[0:8] += lane sums of src.
-	VMOVUPD (DI), Z16
+	VMOVUPD.Z (DI), K7, Z16
 	VPXORQ  Z17, Z17, Z17
 	VPXORQ  Z18, Z18, Z18
 	VPXORQ  Z19, Z19, Z19
@@ -192,11 +195,11 @@ rlpair:
 	CMPQ R8, $2
 	JB   rlsingle
 
-	VMOVUPD (DI), Z16
+	VMOVUPD.Z (DI), K7, Z16
 	VPXORQ  Z17, Z17, Z17
 	VPXORQ  Z18, Z18, Z18
 	VPXORQ  Z19, Z19, Z19
-	VMOVUPD 64(DI), Z24
+	VMOVUPD.Z 64(DI), K7, Z24
 	VPXORQ  Z25, Z25, Z25
 	VPXORQ  Z26, Z26, Z26
 	VPXORQ  Z27, Z27, Z27
@@ -265,7 +268,7 @@ rpfold:
 rlsingle:
 	TESTQ R8, R8
 	JZ    rldone
-	VMOVUPD (DI), Z16
+	VMOVUPD.Z (DI), K7, Z16
 	VPXORQ  Z17, Z17, Z17
 	VPXORQ  Z18, Z18, Z18
 	VPXORQ  Z19, Z19, Z19
@@ -318,7 +321,7 @@ rlfold:
 rldone:
 	RET
 
-// func ladderAsm(acc, c, s, xs, ys, zpow []float64, zcap, l int)
+// func ladderAsm(acc, c, s, xs, ys, zpow []float64, zcap, l int, fresh bool)
 // The whole ladder of one chunk (n = len(c) pairs, c holding the weights) in
 // a single call: the operations of ladderRows in the same order — the m = 0
 // row, then per order the running-power update and the Re and Im rows —
@@ -334,7 +337,10 @@ rldone:
 // as two independent chains over the same z-power column. The three idle
 // chains of the row-by-row fold hold +0 there: (x + 0) + (0 + 0) is x + 0,
 // one add of the zero register Z28.
-TEXT ·ladderAsm(SB), NOSPLIT, $0-160
+TEXT ·ladderAsm(SB), NOSPLIT, $0-161
+	MOVBLZX fresh+160(FP), AX
+	DECL    AX
+	KMOVW   AX, K7 // the lanes read from acc: none when fresh
 	MOVQ acc_base+0(FP), DI
 	MOVQ c_len+32(FP), CX
 	MOVQ zcap+144(FP), R9
@@ -401,7 +407,7 @@ ldshort:
 	// m = 0 row: l + 1 groups of c.
 	MOVQ R11, BX
 	LEAQ 1(R12), R8
-	VMOVUPD (DI), Z16
+	VMOVUPD.Z (DI), K7, Z16
 	VADDPD  Z24, Z16, K2, Z16
 	VADDPD  Z25, Z16, K3, Z16
 	VADDPD  Z26, Z16, K4, Z16
@@ -409,7 +415,7 @@ ldshort:
 	JMP     ls0fold
 
 ls0group:
-	VMOVUPD (DI), Z16
+	VMOVUPD.Z (DI), K7, Z16
 	VFMADD231PD (BX), Z24, K2, Z16
 	VFMADD231PD 64(BX), Z25, K3, Z16
 	VFMADD231PD 128(BX), Z26, K4, Z16
@@ -440,8 +446,8 @@ lsm:
 	ADDQ DI, DX
 	MOVQ R11, BX
 	MOVQ R12, R8
-	VMOVUPD (DI), Z16
-	VMOVUPD (DX), Z17
+	VMOVUPD.Z (DI), K7, Z16
+	VMOVUPD.Z (DX), K7, Z17
 	VADDPD  Z24, Z16, K2, Z16
 	VADDPD  Z20, Z17, K2, Z17
 	VADDPD  Z25, Z16, K3, Z16
@@ -453,8 +459,8 @@ lsm:
 	JMP     lsmfold
 
 lsmgroup:
-	VMOVUPD (DI), Z16
-	VMOVUPD (DX), Z17
+	VMOVUPD.Z (DI), K7, Z16
+	VMOVUPD.Z (DX), K7, Z17
 	VFMADD231PD (BX), Z24, K2, Z16
 	VFMADD231PD (BX), Z20, K2, Z17
 	VFMADD231PD 64(BX), Z25, K3, Z16
@@ -1442,3 +1448,438 @@ pczlo:
 	JZ       pcopen
 	VADDPD   Z19, Z5, K3, Z5
 	JMP      pczlo
+
+// func reduceBinsAsm(acc, out []float64, cnt []int32, ns int)
+// ReduceBins: reduceAsm's 8 x 8 transpose-add with the eight groups taken
+// from eight bins (bin stride R8 = 64*ns bytes) at the same sum, so each
+// fold lands as a vector over bins: out row i, columns 8g .. 8g+7. A group
+// of r < 8 bins (the last) loads only its r bins, the other registers
+// holding +0; its bins without pairs (K2 clear, from their counts) and the
+// lanes past r come out +0 whatever the accumulators hold.
+TEXT ·reduceBinsAsm(SB), NOSPLIT, $0-80
+	MOVQ  acc_base+0(FP), SI
+	MOVQ  out_base+24(FP), DI
+	MOVQ  cnt_base+48(FP), R11
+	MOVQ  cnt_len+56(FP), BX
+	MOVQ  ns+72(FP), R12
+	TESTQ R12, R12
+	JZ    rbdone
+	MOVQ  R12, R8
+	SHLQ  $6, R8              // bin stride in bytes
+	LEAQ  (R8)(R8*2), R9      // 3 bin strides
+	LEAQ  7(BX), R10
+	SHRQ  $3, R10
+	SHLQ  $6, R10             // out row length in bytes: BinStride(nb)*8
+
+rbgroup:
+	MOVQ        BX, DX
+	MOVL        $8, AX
+	CMPQ        DX, AX
+	CMOVQGT     AX, DX         // DX = the group's bins
+	MOVQ        DX, CX
+	MOVL        $1, AX
+	SHLL        CX, AX
+	DECL        AX
+	KMOVW       AX, K3
+	VMOVDQU32.Z (R11), K3, Z24
+	VPTESTMD    Z24, Z24, K2   // the group's bins with pairs
+	MOVQ        SI, R13        // bins 0-3 of the group
+	LEAQ        (SI)(R8*4), R14 // bins 4-7
+	MOVQ        DI, R15
+	MOVQ        R12, CX
+
+rbsum:
+	VMOVUPD (R13), Z16
+	VPXORQ  Z17, Z17, Z17
+	VPXORQ  Z18, Z18, Z18
+	VPXORQ  Z19, Z19, Z19
+	VPXORQ  Z20, Z20, Z20
+	VPXORQ  Z21, Z21, Z21
+	VPXORQ  Z22, Z22, Z22
+	VPXORQ  Z23, Z23, Z23
+	CMPQ    DX, $2
+	JB      rbtree
+	VMOVUPD (R13)(R8*1), Z17
+	CMPQ    DX, $3
+	JB      rbtree
+	VMOVUPD (R13)(R8*2), Z18
+	CMPQ    DX, $4
+	JB      rbtree
+	VMOVUPD (R13)(R9*1), Z19
+	CMPQ    DX, $5
+	JB      rbtree
+	VMOVUPD (R14), Z20
+	CMPQ    DX, $6
+	JB      rbtree
+	VMOVUPD (R14)(R8*1), Z21
+	CMPQ    DX, $7
+	JB      rbtree
+	VMOVUPD (R14)(R8*2), Z22
+	CMPQ    DX, $8
+	JB      rbtree
+	VMOVUPD (R14)(R9*1), Z23
+
+rbtree:
+	RD_PAIR(Z16, Z17, Z24)
+	RD_PAIR(Z18, Z19, Z25)
+	RD_PAIR(Z20, Z21, Z26)
+	RD_PAIR(Z22, Z23, Z27)
+	RD_HALVES(Z16, Z18, Z24)
+	RD_HALVES(Z20, Z22, Z25)
+	RD_HALVES(Z16, Z20, Z24)
+	VMOVUPD.Z Z16, K2, Z16
+	VMOVUPD   Z16, (R15)
+	ADDQ      $64, R13
+	ADDQ      $64, R14
+	ADDQ      R10, R15
+	DECQ      CX
+	JNZ       rbsum
+	LEAQ      (SI)(R8*8), SI
+	ADDQ      $64, DI
+	ADDQ      $32, R11
+	SUBQ      DX, BX
+	JNZ       rbgroup
+
+rbdone:
+	RET
+
+// binLo and binHi interleave a Re and an Im vector over eight bins into
+// (re, im) pairs: bins 0-3, then bins 4-7.
+DATA binLo<>+0x00(SB)/8, $0
+DATA binLo<>+0x08(SB)/8, $8
+DATA binLo<>+0x10(SB)/8, $1
+DATA binLo<>+0x18(SB)/8, $9
+DATA binLo<>+0x20(SB)/8, $2
+DATA binLo<>+0x28(SB)/8, $10
+DATA binLo<>+0x30(SB)/8, $3
+DATA binLo<>+0x38(SB)/8, $11
+GLOBL binLo<>(SB), RODATA, $64
+DATA binHi<>+0x00(SB)/8, $4
+DATA binHi<>+0x08(SB)/8, $12
+DATA binHi<>+0x10(SB)/8, $5
+DATA binHi<>+0x18(SB)/8, $13
+DATA binHi<>+0x20(SB)/8, $6
+DATA binHi<>+0x28(SB)/8, $14
+DATA binHi<>+0x30(SB)/8, $7
+DATA binHi<>+0x38(SB)/8, $15
+GLOBL binHi<>(SB), RODATA, $64
+
+// AB_PACK(re, im, base, off, klo, khi) interleaves a group's Re and Im
+// vectors over its eight bins into (re, im) pairs and stores bins 0-3 at
+// off(base)(BX*1) under klo and bins 4-7 at off+64 under khi. Clobbers
+// Z21, Z22.
+#define AB_PACK(re, im, base, off, klo, khi) \
+	VMOVAPD   re, Z21 \
+	VMOVAPD   re, Z22 \
+	VPERMT2PD im, Z29, Z21 \
+	VPERMT2PD im, Z30, Z22 \
+	VMOVUPD   Z21, klo, off(base)(BX*1) \
+	VMOVUPD   Z22, khi, off+64(base)(BX*1)
+
+// func almBinsAsm(slots []binSlot, coef, sums, scale, dst, w []float64, nb, stride int)
+// AlmBins / AlmBinsPacked (w empty selects the split layout), sixteen bins
+// at a time: per block (R9 at its columns of the sums; K1 and K4 the bins of
+// its two groups of eight, K4 empty when only one is left), every binSlot's
+// four FMA chains — group and Re/Im, the broadcast coefficient times the sum
+// row, every other row, masked loads so a missing group reads nothing —
+// from +0, then + 0, stored under the masks into the slot's slab row at
+// R13 = stride bytes: split, Re at DI and Im at R10 = DI + 8 nb; packed,
+// interleaved into (re, im) pairs under K2 / K3 (group 0's bins 0-3 / 4-7)
+// and K5 / K6 (group 1's), then the same with both scaled by the block's
+// scale vectors (Z28, Z27) into w at R11. An m = 0 slot's Im chains stay +0.
+TEXT ·almBinsAsm(SB), NOSPLIT, $0-160
+	MOVQ      sums_base+48(FP), R9
+	MOVQ      nb+144(FP), R12
+	LEAQ      7(R12), R12
+	SHRQ      $3, R12
+	SHLQ      $6, R12             // sums row length in bytes
+	MOVQ      stride+152(FP), R13
+	SHLQ      $3, R13             // slab row length in bytes
+	VPXORQ    Z31, Z31, Z31
+	VMOVDQU64 binLo<>(SB), Z29
+	VMOVDQU64 binHi<>(SB), Z30
+
+abblock:
+	// BX = 64 g for the block's first group g; its bins r = nb - 8g, of
+	// which min(r, 8) in group 0 and min(max(r-8, 0), 8) in group 1.
+	MOVQ    R9, BX
+	SUBQ    sums_base+48(FP), BX
+	MOVQ    BX, DX
+	SHRQ    $3, DX
+	NEGQ    DX
+	ADDQ    nb+144(FP), DX
+	MOVL    $16, AX
+	CMPQ    DX, AX
+	CMOVQGT AX, DX              // DX = min(r, 16)
+	MOVL    $1, AX
+	MOVQ    DX, CX
+	SHLL    CX, AX
+	DECL    AX                  // bit b: bin 8g+b of the block
+	KMOVW   AX, K1
+	SHRL    $8, AX
+	KMOVW   AX, K4
+	MOVL    $8, AX
+	MOVQ    DX, CX
+	CMPQ    CX, AX
+	CMOVQGT AX, CX
+	ADDL    CX, CX
+	MOVL    $1, AX
+	SHLL    CX, AX
+	DECL    AX                  // group 0's (re, im) lanes
+	KMOVW   AX, K2
+	SHRL    $8, AX
+	KMOVW   AX, K3
+	XORL    CX, CX
+	SUBQ    $8, DX
+	CMOVQGT DX, CX
+	ADDL    CX, CX
+	MOVL    $1, AX
+	SHLL    CX, AX
+	DECL    AX                  // group 1's
+	KMOVW   AX, K5
+	SHRL    $8, AX
+	KMOVW   AX, K6
+	MOVQ    dst_base+96(FP), DI
+	MOVQ    w_base+120(FP), R11
+	CMPQ    w_len+128(FP), $0
+	JNE     abpacked
+	ADDQ    BX, DI
+	MOVQ    nb+144(FP), R10
+	LEAQ    (DI)(R10*8), R10
+	JMP     abslots
+
+abpacked:
+	LEAQ      (DI)(BX*2), DI
+	LEAQ      (R11)(BX*2), R11
+	MOVQ      scale_base+72(FP), AX
+	VMOVUPD.Z (AX)(BX*1), K1, Z28
+	VMOVUPD.Z 64(AX)(BX*1), K4, Z27
+
+abslots:
+	MOVQ slots_base+0(FP), SI
+	MOVQ slots_len+8(FP), R8
+	MOVQ coef_base+24(FP), DX
+
+abslot:
+	MOVQ   (SI), R14
+	IMULQ  R12, R14
+	ADDQ   R9, R14             // Re row of the first term
+	MOVQ   8(SI), R15
+	MOVQ   16(SI), AX          // terms
+	VPXORQ Z16, Z16, Z16
+	VPXORQ Z17, Z17, Z17
+	VPXORQ Z18, Z18, Z18
+	VPXORQ Z19, Z19, Z19
+	TESTQ  R15, R15
+	JS     abreal
+	IMULQ  R12, R15
+	ADDQ   R9, R15             // Im row of the first term
+
+abcterm:
+	VBROADCASTSD (DX), Z20
+	VFMADD231PD  (R14), Z20, Z16
+	VFMADD231PD  64(R14), Z20, K4, Z18
+	VFMADD231PD  (R15), Z20, Z17
+	VFMADD231PD  64(R15), Z20, K4, Z19
+	ADDQ         $8, DX
+	LEAQ         (R14)(R12*2), R14
+	LEAQ         (R15)(R12*2), R15
+	DECQ         AX
+	JNZ          abcterm
+	JMP          abstore
+
+abreal:
+	VBROADCASTSD (DX), Z20
+	VFMADD231PD  (R14), Z20, Z16
+	VFMADD231PD  64(R14), Z20, K4, Z18
+	ADDQ         $8, DX
+	LEAQ         (R14)(R12*2), R14
+	DECQ         AX
+	JNZ          abreal
+
+abstore:
+	VADDPD Z31, Z16, Z16
+	VADDPD Z31, Z17, Z17
+	VADDPD Z31, Z18, Z18
+	VADDPD Z31, Z19, Z19
+	MOVQ   24(SI), BX
+	IMULQ  R13, BX             // the slot's slab row
+	CMPQ   w_len+128(FP), $0
+	JNE    abpstore
+	VMOVUPD Z16, K1, (DI)(BX*1)
+	VMOVUPD Z17, K1, (R10)(BX*1)
+	VMOVUPD Z18, K4, 64(DI)(BX*1)
+	VMOVUPD Z19, K4, 64(R10)(BX*1)
+	JMP     abnext
+
+abpstore:
+	AB_PACK(Z16, Z17, DI, 0, K2, K3)
+	AB_PACK(Z18, Z19, DI, 128, K5, K6)
+	VMULPD Z28, Z16, Z16
+	VMULPD Z28, Z17, Z17
+	VMULPD Z27, Z18, Z18
+	VMULPD Z27, Z19, Z19
+	AB_PACK(Z16, Z17, R11, 0, K2, K3)
+	AB_PACK(Z18, Z19, R11, 128, K5, K6)
+
+abnext:
+	ADDQ $32, SI
+	DECQ R8
+	JNZ  abslot
+	ADDQ $128, R9
+	MOVQ R9, BX
+	SUBQ sums_base+48(FP), BX
+	SHRQ $3, BX
+	CMPQ BX, nb+144(FP)
+	JB   abblock
+	RET
+
+// lmIdxA and lmIdxB pick the group-A and group-B sums of eight orders out of
+// the two RD_HALVES results [A0 A1 B0 B1 A2 A3 B2 B3] and [A4 ... B7].
+DATA lmIdxA<>+0x00(SB)/8, $0
+DATA lmIdxA<>+0x08(SB)/8, $1
+DATA lmIdxA<>+0x10(SB)/8, $4
+DATA lmIdxA<>+0x18(SB)/8, $5
+DATA lmIdxA<>+0x20(SB)/8, $8
+DATA lmIdxA<>+0x28(SB)/8, $9
+DATA lmIdxA<>+0x30(SB)/8, $12
+DATA lmIdxA<>+0x38(SB)/8, $13
+GLOBL lmIdxA<>(SB), RODATA, $64
+DATA lmIdxB<>+0x00(SB)/8, $2
+DATA lmIdxB<>+0x08(SB)/8, $3
+DATA lmIdxB<>+0x10(SB)/8, $6
+DATA lmIdxB<>+0x18(SB)/8, $7
+DATA lmIdxB<>+0x20(SB)/8, $10
+DATA lmIdxB<>+0x28(SB)/8, $11
+DATA lmIdxB<>+0x30(SB)/8, $14
+DATA lmIdxB<>+0x38(SB)/8, $15
+GLOBL lmIdxB<>(SB), RODATA, $64
+
+// LM_STEP2(off, rx, qx, px, ry, qy, py) is one order of the recurrence for
+// both register sets, X over the eight pairs of Z24 (z) and Y over those of
+// Z8: r = (a_n z) q - b_n p, each product rounded, with a_n and b_n
+// broadcast from off(R12) and off(R13). Clobbers Z14, Z15, Z25, Z26.
+#define LM_STEP2(off, rx, qx, px, ry, qy, py) \
+	VMULPD.BCST off(R12), Z24, Z25 \
+	VMULPD.BCST off(R12), Z8, Z14 \
+	VMULPD      qx, Z25, Z25 \
+	VMULPD      qy, Z14, Z14 \
+	VMULPD.BCST off(R13), px, Z26 \
+	VMULPD.BCST off(R13), py, Z15 \
+	VSUBPD      Z26, Z25, rx \
+	VSUBPD      Z15, Z14, ry
+
+// RD_PAIR3(a, b, d, t) is RD_PAIR into d, leaving a and b intact.
+#define RD_PAIR3(a, b, d, t) \
+	VUNPCKHPD b, a, t \
+	VUNPCKLPD b, a, d \
+	VADDPD    t, d, d
+
+// func legendreMomentsAsm(zs, ws, out []float64, ents []momEntry, nL int)
+// The vector body of LegendreMoments(Tiles) after out is cleared: the
+// entries run two at a time (their count is even) through lmPair<>, X
+// loaded from the first (Z24 = z, Z28 = w, R14 = its moments row) and Y from
+// the second (Z8, Z29, R15).
+TEXT ·legendreMomentsAsm(SB), NOSPLIT, $0-104
+	MOVQ      zs_base+0(FP), SI
+	MOVQ      ws_base+24(FP), DI
+	MOVQ      out_base+48(FP), R9
+	MOVQ      ents_base+72(FP), BX
+	MOVQ      ents_len+80(FP), R8
+	MOVQ      nL+96(FP), R10
+	SHRQ      $1, R8
+	JZ        lmdone
+	VMOVDQU64 lmIdxA<>(SB), Z30
+	VMOVDQU64 lmIdxB<>(SB), Z31
+
+lmnext:
+	MOVQ        (BX), AX
+	KMOVW       8(BX), K1
+	VEXPANDPD.Z (SI)(AX*1), K1, Z24
+	VEXPANDPD.Z (DI)(AX*1), K1, Z28
+	MOVQ        16(BX), R14
+	ADDQ        R9, R14
+	MOVQ        24(BX), AX
+	KMOVW       32(BX), K1
+	VEXPANDPD.Z (SI)(AX*1), K1, Z8
+	VEXPANDPD.Z (DI)(AX*1), K1, Z29
+	MOVQ        40(BX), R15
+	ADDQ        R9, R15
+	CALL        lmPair<>(SB)
+	ADDQ        $48, BX
+	DECQ        R8
+	JNZ         lmnext
+	VZEROUPPER
+
+lmdone:
+	RET
+
+// LM_TREE(r0, ..., r7, row) folds one register set's chunk — R0-R7 the
+// recurrence values of eight orders over eight pairs — into its two groups
+// of four per order, (r0+r1)+(r2+r3) and (r4+r5)+(r6+r7), permutes them into
+// an order vector each (Z9 = group A, Z10 = group B), and adds group A's,
+// then group B's, to the moments row's chunk at row under K3. Clobbers
+// Z9-Z13, Z27.
+#define LM_TREE(r0, r1, r2, r3, r4, r5, r6, r7, row) \
+	RD_PAIR3(r0, r1, Z9, Z13) \
+	RD_PAIR3(r2, r3, Z10, Z13) \
+	RD_PAIR3(r4, r5, Z11, Z13) \
+	RD_PAIR3(r6, r7, Z12, Z13) \
+	RD_HALVES(Z9, Z10, Z13) \
+	RD_HALVES(Z11, Z12, Z13) \
+	VMOVAPD   Z9, Z10 \
+	VPERMT2PD Z11, Z30, Z9 \
+	VPERMT2PD Z11, Z31, Z10 \
+	VMOVUPD.Z row, K3, Z27 \
+	VADDPD    Z9, Z27, Z27 \
+	VADDPD    Z10, Z27, Z27 \
+	VMOVUPD   Z27, K3, row
+
+// lmPair<> carries two registers of eight pairs each, X (Z24 = z, Z28 = w)
+// and Y (Z8, Z29), through the recurrence side by side, so each hides the
+// other's latency, eight orders at a time. Per set, R0-R7 (X: Z16-Z23, Y:
+// Z0-Z7) hold the chunk's q_n — q_0 = w^2 and, before it, P_{-1} = +0,
+// which b_1 = 0 multiplies away — so the state across chunks is R6, R7.
+// Per chunk X's group sums join its row (R14), then Y's join its own (R15),
+// in that order when the two rows are one. DX counts the orders left, and
+// the orders past the last chunk's K3 lanes compute from the padded
+// recurrence tables and are dropped. Clobbers R12-R15, AX, CX, DX, Z0-Z29,
+// K3.
+TEXT lmPair<>(SB), NOSPLIT, $0
+	VMULPD Z28, Z28, Z16
+	VMULPD Z29, Z29, Z0
+	VPXORQ Z23, Z23, Z23
+	VPXORQ Z7, Z7, Z7
+	LEAQ   ·momentA(SB), R12
+	LEAQ   ·momentB(SB), R13
+	MOVQ   R10, DX
+	JMP    lmstep1
+
+lmchunk:
+	LM_STEP2(0, Z16, Z23, Z22, Z0, Z7, Z6)
+
+lmstep1:
+	LM_STEP2(8, Z17, Z16, Z23, Z1, Z0, Z7)
+	LM_STEP2(16, Z18, Z17, Z16, Z2, Z1, Z0)
+	LM_STEP2(24, Z19, Z18, Z17, Z3, Z2, Z1)
+	LM_STEP2(32, Z20, Z19, Z18, Z4, Z3, Z2)
+	LM_STEP2(40, Z21, Z20, Z19, Z5, Z4, Z3)
+	LM_STEP2(48, Z22, Z21, Z20, Z6, Z5, Z4)
+	LM_STEP2(56, Z23, Z22, Z21, Z7, Z6, Z5)
+	MOVQ    DX, CX
+	MOVL    $8, AX
+	CMPQ    CX, AX
+	CMOVQGT AX, CX
+	MOVL    $1, AX
+	SHLL    CX, AX
+	DECL    AX
+	KMOVW   AX, K3
+	LM_TREE(Z16, Z17, Z18, Z19, Z20, Z21, Z22, Z23, (R14))
+	LM_TREE(Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7, (R15))
+	ADDQ    $64, R12
+	ADDQ    $64, R13
+	ADDQ    $64, R14
+	ADDQ    $64, R15
+	SUBQ    $8, DX
+	JGT     lmchunk
+	RET

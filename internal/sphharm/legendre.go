@@ -28,7 +28,7 @@ func LegendreAll(l int, x float64, out []float64) {
 	}
 	out[1] = x
 	for n := 2; n <= l; n++ {
-		out[n] = (float64(2*n-1)*x*out[n-1] - float64(n-1)*out[n-2]) / float64(n)
+		out[n] = (float64(float64(2*n-1)*x*out[n-1]) - float64(float64(n-1)*out[n-2])) / float64(n)
 	}
 }
 
@@ -67,11 +67,11 @@ func strippedALP(l, m int) []float64 {
 		cur := make([]float64, n-m+1)
 		// (2n-1) z prev1
 		for j, c := range prev1 {
-			cur[j+1] += float64(2*n-1) * c
+			cur[j+1] += float64(float64(2*n-1) * c)
 		}
 		// - (n-1+m) prev2
 		for j, c := range prev2 {
-			cur[j] -= float64(n-1+m) * c
+			cur[j] -= float64(float64(n-1+m) * c)
 		}
 		inv := 1 / float64(n-m)
 		for j := range cur {

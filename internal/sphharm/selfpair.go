@@ -61,15 +61,64 @@ var momentA, momentB = func() (a, b [maxMomentOrder + 1]float64) {
 //	out[n] = sum_j ws[j]^2 P_n(zs[j]),  n = 0 .. len(out)-1,
 //
 // by the three-term recurrence on q_n = w^2 P_n (the weight rides the
-// recurrence, so a step costs three multiplies and a subtract). Four pairs
-// run interleaved to hide the recurrence latency, and their terms are summed
-// as (q0+q1)+(q2+q3) before joining out[n]; the tail runs one pair at a
-// time. There is one portable body and no lane dispatch, so the grouping —
-// and with it every bit of the result — is the same on every host.
+// recurrence, so a step costs three multiplies and a subtract). The pairs
+// run in groups of four, whose terms are summed as (q0+q1)+(q2+q3) before
+// joining out[n], and the tail runs one pair at a time. It is a lane
+// primitive: the vector body carries two groups per register through the
+// recurrence and folds each group in-register, and both bodies add group
+// sums and tail terms to out[n] in the same order, so every bit of the
+// result is the same under either dispatch tag and on every host.
 func LegendreMoments(zs, ws, out []float64) {
 	if len(out) > maxMomentOrder+1 {
 		panic("sphharm: LegendreMoments order above maxMomentOrder")
 	}
+	if len(ws) < len(zs) {
+		panic("sphharm: LegendreMoments weight column too short")
+	}
+	moments(zs, ws, nil, out)
+}
+
+// LegendreMomentsTiles is LegendreMoments over consecutive tiles in one
+// call: tile t is zs[ends[t-1]:ends[t]] (from 0 for t = 0) with the same
+// range of ws, and its nL = len(out)/len(ends) moments go to
+// out[t*nL:(t+1)*nL], bitwise LegendreMoments' for that tile. The engine
+// calls it once per primary over its touched tiles, so the vector body can
+// carry pairs of neighbouring tiles through the recurrence side by side.
+func LegendreMomentsTiles(zs, ws []float64, ends []int32, out []float64) {
+	if len(ends) == 0 || len(out)%len(ends) != 0 || len(out)/len(ends) > maxMomentOrder+1 {
+		panic("sphharm: LegendreMomentsTiles needs ends and at most maxMomentOrder+1 moments per tile")
+	}
+	beg := int32(0)
+	for _, e := range ends {
+		if e < beg || int(e) > len(zs) {
+			panic("sphharm: LegendreMomentsTiles tile ends out of order or past zs")
+		}
+		beg = e
+	}
+	if len(ws) < len(zs) {
+		panic("sphharm: LegendreMomentsTiles weight column too short")
+	}
+	moments(zs, ws, ends, out)
+}
+
+// legendreMomentsTilesGeneric is the pure-Go body of LegendreMoments (ends
+// nil: one tile, all of zs) and LegendreMomentsTiles.
+func legendreMomentsTilesGeneric(zs, ws []float64, ends []int32, out []float64) {
+	if ends == nil {
+		legendreMomentsGeneric(zs, ws, out)
+		return
+	}
+	nL, beg := len(out)/len(ends), int32(0)
+	for t, e := range ends {
+		legendreMomentsGeneric(zs[beg:e], ws[beg:e], out[t*nL:(t+1)*nL])
+		beg = e
+	}
+}
+
+// legendreMomentsGeneric is the pure-Go body of one tile. Every
+// product is rounded on its own (the float64 conversions), so no host fuses
+// a multiply into the subtract.
+func legendreMomentsGeneric(zs, ws, out []float64) {
 	clear(out)
 	if len(out) == 0 {
 		return
@@ -79,15 +128,16 @@ func LegendreMoments(zs, ws, out []float64) {
 	j := 0
 	for ; j+4 <= len(zs); j += 4 {
 		z0, z1, z2, z3 := zs[j], zs[j+1], zs[j+2], zs[j+3]
-		q0, q1, q2, q3 := ws[j]*ws[j], ws[j+1]*ws[j+1], ws[j+2]*ws[j+2], ws[j+3]*ws[j+3]
+		q0, q1 := float64(ws[j]*ws[j]), float64(ws[j+1]*ws[j+1])
+		q2, q3 := float64(ws[j+2]*ws[j+2]), float64(ws[j+3]*ws[j+3])
 		out[0] += (q0 + q1) + (q2 + q3)
 		var p0, p1, p2, p3 float64
 		for n := 1; n < len(out); n++ {
 			an, bn := a[n], b[n]
-			r0 := an*z0*q0 - bn*p0
-			r1 := an*z1*q1 - bn*p1
-			r2 := an*z2*q2 - bn*p2
-			r3 := an*z3*q3 - bn*p3
+			r0 := float64(an*z0*q0) - float64(bn*p0)
+			r1 := float64(an*z1*q1) - float64(bn*p1)
+			r2 := float64(an*z2*q2) - float64(bn*p2)
+			r3 := float64(an*z3*q3) - float64(bn*p3)
 			out[n] += (r0 + r1) + (r2 + r3)
 			p0, p1, p2, p3 = q0, q1, q2, q3
 			q0, q1, q2, q3 = r0, r1, r2, r3
@@ -95,10 +145,10 @@ func LegendreMoments(zs, ws, out []float64) {
 	}
 	for ; j < len(zs); j++ {
 		z := zs[j]
-		p, q := 0.0, ws[j]*ws[j]
+		p, q := 0.0, float64(ws[j]*ws[j])
 		out[0] += q
 		for n := 1; n < len(out); n++ {
-			r := a[n]*z*q - b[n]*p
+			r := float64(a[n]*z*q) - float64(b[n]*p)
 			p, q = q, r
 			out[n] += r
 		}

@@ -42,10 +42,10 @@ func Wigner3j(j1, j2, j3, m1, m2, m3 int) float64 {
 	}
 	// Triangle coefficient (log).
 	logDelta := logFact(j1+j2-j3) + logFact(j1-j2+j3) + logFact(-j1+j2+j3) - logFact(j1+j2+j3+1)
-	logPre := 0.5 * (logDelta +
+	logPre := float64(0.5 * (logDelta +
 		logFact(j1+m1) + logFact(j1-m1) +
 		logFact(j2+m2) + logFact(j2-m2) +
-		logFact(j3+m3) + logFact(j3-m3))
+		logFact(j3+m3) + logFact(j3-m3)))
 
 	kmin := max(0, max(j2-j3-m1, j1-j3+m2))
 	kmax := min(j1+j2-j3, min(j1-m1, j2+m2))

@@ -49,6 +49,20 @@ type YlmTable struct {
 	Mono   *MonomialTable
 	blocks []almBlock
 	cols   []float64
+
+	// The conversion vectorised over bins (AlmBins): one binSlot per
+	// (l, m >= 0) slot, in block order, and their coefficients end to end.
+	binSlots []binSlot
+	binCoef  []float64
+}
+
+// binSlot is one (l, m >= 0) slot of the conversion vectorised over bins:
+// its a_lm row is the FMA chain of its n nonzero tildeP terms — the lane's
+// coefficients at j = p, p+2, ... (p the parity of l-m), binCoef's next n
+// values — over the sum rows re + j (im + j; im < 0 for m = 0), written to
+// slab row out. The layout is the one almBinsAsm addresses.
+type binSlot struct {
+	re, im, n, out int64
 }
 
 // NewYlmTable builds the conversion table for all l <= L over the layout of
@@ -71,9 +85,16 @@ func NewYlmTable(l int, mono *MonomialTable) *YlmTable {
 				ll := m + d0 + lane
 				norm := ylmNorm(ll, m)
 				zc := strippedALP(ll, m) // coefficients over z^j, j = 0..l-m
-				for j := (ll - m) % 2; j < len(zc); j += 2 {
+				p := (ll - m) % 2
+				for j := p; j < len(zc); j += 2 {
 					cols[j*Lanes+lane] = norm * zc[j]
+					t.binCoef = append(t.binCoef, cols[j*Lanes+lane])
 				}
+				slot := binSlot{re: int64(re + p), im: -1, n: int64((ll-m-p)/2 + 1), out: int64(PairIndex(ll, m))}
+				if im >= 0 {
+					slot.im = int64(im + p)
+				}
+				t.binSlots = append(t.binSlots, slot)
 				blk.mask |= 1 << lane
 				blk.out[lane] = int64(PairIndex(ll, m))
 			}
@@ -101,8 +122,8 @@ func (t *YlmTable) Alm(m []float64, out []complex128) {
 
 // AlmRI is Alm with structure-of-arrays output: the real parts of every
 // (l, m >= 0) coefficient go to re and the imaginary parts to im (each of
-// length PairCount(L)). This is the engine's hot conversion path, feeding
-// the split zeta accumulation directly; it is a lane primitive.
+// length PairCount(L)). It is a lane primitive, the per-bin form of AlmBins
+// and the reference AlmBins is pinned against.
 func (t *YlmTable) AlmRI(m []float64, re, im []float64) {
 	if len(m) != t.Mono.Len() {
 		panic("sphharm: AlmRI sum length mismatch")
@@ -153,6 +174,78 @@ func laneDot(col, row []float64) float64 {
 		}
 	}
 	return even + odd
+}
+
+// AlmBins is AlmRI for every bin of a primary at once, vectorised over bins
+// and stored straight into a unit slab in the split layout: sums holds
+// ReduceBins' transposed sums (Mono.Len() rows of BinStride(nb)), and slot
+// i's row over the nb bins goes to dst[i*stride:], its real parts at
+// [0, nb) and its imaginary parts at [nb, 2nb). Each value is bitwise
+// AlmRI's for that bin's sums, whenever those are finite: the chain of a
+// slot's nonzero terms in AlmRI's order, then the + 0 that AlmRI's all-zero
+// chain contributes (which turns a -0 into +0).
+func (t *YlmTable) AlmBins(sums []float64, nb int, dst []float64, stride int) {
+	t.checkBins(sums, nb, dst, stride)
+	almBins(t, sums, nil, dst, nil, nb, stride)
+}
+
+// AlmBinsPacked is AlmBins in the packed layout of the anisotropic slabs:
+// slot i's row holds (re, im) pairs per bin at dst[i*stride:][:2nb], and the
+// same offsets of w receive them scaled by their bin's entry of scale —
+// scale[b]*re, scale[b]*im, the weighted leg. A bin scaled by +0 gets +0 in
+// w whatever the primary weight's sign.
+func (t *YlmTable) AlmBinsPacked(sums []float64, nb int, scale, dst, w []float64, stride int) {
+	t.checkBins(sums, nb, dst, stride)
+	if len(scale) < nb || len(w) < len(dst) {
+		panic("sphharm: AlmBinsPacked weighted leg shape mismatch")
+	}
+	almBins(t, sums, scale, dst, w, nb, stride)
+}
+
+// checkBins validates AlmBins' shared shapes: the transposed sums, and a slab
+// of PairCount(L) rows of stride values each holding 2nb.
+func (t *YlmTable) checkBins(sums []float64, nb int, dst []float64, stride int) {
+	if nb <= 0 || len(sums) != t.Mono.Len()*BinStride(nb) {
+		panic("sphharm: AlmBins sum shape mismatch")
+	}
+	if stride < 2*nb || len(dst) < (PairCount(t.L)-1)*stride+2*nb {
+		panic("sphharm: AlmBins slab shape mismatch")
+	}
+}
+
+// almBinsGeneric is the pure-Go body of AlmBins (w nil) and AlmBinsPacked.
+func almBinsGeneric(t *YlmTable, sums, scale, dst, w []float64, nb, stride int) {
+	ld := BinStride(nb)
+	coef := t.binCoef
+	for _, s := range t.binSlots {
+		c := coef[:s.n]
+		coef = coef[s.n:]
+		o := int(s.out) * stride
+		for b := 0; b < nb; b++ {
+			re := binDot(c, sums[int(s.re)*ld+b:], 2*ld)
+			var im float64
+			if s.im >= 0 {
+				im = binDot(c, sums[int(s.im)*ld+b:], 2*ld)
+			}
+			if w == nil {
+				dst[o+b], dst[o+nb+b] = re, im
+				continue
+			}
+			dst[o+2*b], dst[o+2*b+1] = re, im
+			w[o+2*b], w[o+2*b+1] = scale[b]*re, scale[b]*im
+		}
+	}
+}
+
+// binDot is laneDot's nonzero chain for one bin: coefficient k times the sum
+// k*step values along, a math.FMA chain from +0, and then + 0 for the chain
+// of zero coefficients laneDot adds.
+func binDot(c, col []float64, step int) float64 {
+	var acc float64
+	for k, v := range c {
+		acc = math.FMA(v, col[k*step], acc)
+	}
+	return acc + 0
 }
 
 // EvalPoint evaluates Y_lm(xhat) for every (l, m >= 0) at a single unit

@@ -55,7 +55,7 @@ func JackknifeCovariance(samples [][]float64) (*Matrix, error) {
 		for i := 0; i < d; i++ {
 			di := s[i] - mean[i]
 			for j := 0; j < d; j++ {
-				c.Data[i*d+j] += di * (s[j] - mean[j])
+				c.Data[i*d+j] += float64(di * (s[j] - mean[j]))
 			}
 		}
 	}
@@ -156,8 +156,8 @@ func (m *Matrix) Inverse() (*Matrix, error) {
 				continue
 			}
 			for j := 0; j < n; j++ {
-				a[r*n+j] -= f * a[col*n+j]
-				inv.Data[r*n+j] -= f * inv.Data[col*n+j]
+				a[r*n+j] -= float64(f * a[col*n+j])
+				inv.Data[r*n+j] -= float64(f * inv.Data[col*n+j])
 			}
 		}
 	}
@@ -199,7 +199,7 @@ func (m *Matrix) ConditionEstimate() float64 {
 				continue
 			}
 			for j := col; j < n; j++ {
-				a[r*n+j] -= f * a[col*n+j]
+				a[r*n+j] -= float64(f * a[col*n+j])
 			}
 		}
 	}
@@ -255,7 +255,7 @@ func (m *Matrix) IsPSD(tol float64) bool {
 	if scale == 0 {
 		scale = 1
 	}
-	shift := tol * scale
+	shift := float64(tol * scale)
 	a := make([]float64, n*n)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
@@ -266,7 +266,7 @@ func (m *Matrix) IsPSD(tol float64) bool {
 	for j := 0; j < n; j++ {
 		d := a[j*n+j]
 		for k := 0; k < j; k++ {
-			d -= a[j*n+k] * a[j*n+k]
+			d -= float64(a[j*n+k] * a[j*n+k])
 		}
 		if d < 0 || math.IsNaN(d) {
 			return false
@@ -276,12 +276,12 @@ func (m *Matrix) IsPSD(tol float64) bool {
 		for i := j + 1; i < n; i++ {
 			s := a[i*n+j]
 			for k := 0; k < j; k++ {
-				s -= a[i*n+k] * a[j*n+k]
+				s -= float64(a[i*n+k] * a[j*n+k])
 			}
 			if ld == 0 {
 				// Rank-deficient pivot: PSD only if the rest of the
 				// column is negligible too.
-				if math.Abs(s) > shift*float64(n)+1e-300 {
+				if math.Abs(s) > float64(shift*float64(n))+1e-300 {
 					return false
 				}
 				a[i*n+j] = 0

@@ -73,7 +73,7 @@ func Count(cat *catalog.Catalog, cfg Config) (*PairCounts, error) {
 	ws := cat.Weights()
 	for _, w := range ws {
 		pc.SumW += w
-		pc.SumW2 += w * w
+		pc.SumW2 += float64(w * w)
 	}
 	if len(pts) == 0 {
 		return pc, nil
@@ -129,7 +129,7 @@ func Count(cat *catalog.Catalog, cfg Config) (*PairCounts, error) {
 						sphharm.LegendreAll(cfg.LMax, mu_, pl)
 						w := ws[i] * ws[int(j)]
 						for l := 0; l <= cfg.LMax; l++ {
-							local[l][bin] += w * pl[l]
+							local[l][bin] += float64(w * pl[l])
 						}
 						pairs++
 					}
