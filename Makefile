@@ -3,7 +3,7 @@
 GO ?= go
 
 .PHONY: all build test test-race vet fmt-check bench \
-	golden cross-smoke bench-vet bench-test fuzz-smoke loc ci clean
+	golden cross-smoke bench-vet bench-test bench-align fuzz-smoke loc ci clean
 
 all: build
 
@@ -87,11 +87,21 @@ cross-smoke:
 # Elapsed, NOwned and NHalo), and the exec.Spec fields Name, Shards,
 # CheckpointDir, Resume and Keep. Its nominal
 # seconds divide by calibrate()'s loop, whose speed on the 2-vCPU host
-# follows main.calibrate's address mod 64: check
-# `go tool nm .bench_build/galactos-bench | grep main.calibrate` and
+# follows main.calibrate's address mod 64: check `make bench-align` and
 # host.solve_wall_s before reading a shift in solve_s as the engine's.
 bench-vet:
 	cd bench && $(GO) vet . && $(GO) build -o /dev/null .
+
+# main.calibrate's address and its residue mod 64 in the binary bench/run.sh
+# last built: the nominal metrics divide by that loop's speed, which follows
+# the residue on the 2-vCPU host, so compare it (and raw host.solve_wall_s)
+# between two builds before reading a nominal shift as the engine's.
+bench-align:
+	@bin=.bench_build/galactos-bench; \
+	if [ ! -x $$bin ]; then echo "$$bin is missing: build it with bash bench/run.sh -h"; exit 1; fi; \
+	addr=$$($(GO) tool nm $$bin | awk '$$3 == "main.calibrate" { print $$1 }'); \
+	if [ -z "$$addr" ]; then echo "main.calibrate not found in $$bin"; exit 1; fi; \
+	echo "main.calibrate 0x$$addr, mod 64 = $$((0x$$addr % 64))"
 
 # The benchmark's own tests (~15 s): its bruteforce oracle, golden digests
 # and metric plumbing run against the engine as it is in this checkout, so

@@ -44,8 +44,9 @@ func benchConfig(rmax float64) galactos.Config {
 
 // BenchmarkKernelTile measures the multipole kernel alone (Sec. 3.3.2; the
 // paper reaches 1017 GF/s = 39% of Xeon Phi peak on its 286-monomial form) —
-// the (l+1)^2-sum ladder over hoisted z powers, one dispatch per chunk,
-// AVX-512 lane bodies where available — at the chunk lengths the engine hands it: 8, 22, 73 are
+// the (l+1)^2-sum ladder over hoisted z powers, one lane call per chunk
+// (the z-power hoist inside it), AVX-512 lane bodies where available — at
+// the chunk lengths the engine hands it: 8, 22, 73 are
 // the mean pairs per kernel chunk on stream_sharded, iso_survey and
 // aniso_box (EXPERIMENTS.md "Layer: block commit + chunk dispatch"), 128 is
 // one full chunk, and 1024 (eight chunks) is the bench's

@@ -1,11 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
 	"runtime/debug"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -316,11 +317,8 @@ func (e *engine) buildBlocks() {
 			pi:  pi,
 		}
 	}
-	sort.Slice(ks, func(i, j int) bool {
-		if ks[i].key != ks[j].key {
-			return ks[i].key < ks[j].key
-		}
-		return ks[i].pi < ks[j].pi
+	slices.SortFunc(ks, func(a, b keyed) int {
+		return cmp.Or(cmp.Compare(a.key, b.key), cmp.Compare(a.pi, b.pi))
 	})
 	for i, k := range ks {
 		e.primaryIdx[i] = k.pi
@@ -581,6 +579,7 @@ type workerState struct {
 	// segments (bin b's pairs at [end[b]-cnt[b], end[b]), in gather order
 	// within the bin).
 	cols           sphharm.PairCols
+	frame          geom.Rotation // the primary's line-of-sight frame (LOSRadial)
 	tx, ty, tz, tw []float64
 	cnt            []int32   // per-bin pair counts for the current primary
 	end            []int32   // per-bin segment ends in the t* columns
@@ -821,22 +820,22 @@ func (e *engine) zetaIsoBlock(s *workerState, K int) {
 // gathered neighbor list and returns the pair count, in two passes. Pass 1
 // (sphharm.PairColumns, a lane primitive) sweeps the whole list once:
 // minimal-image separation, norm, radial bin (hoisted inverse width —
-// identical binning to hist.Binning.Index), range mask, and the survivors
-// compacted to linear columns in gather order. The rotation to the line of
-// sight (Fig. 2) runs over those columns — element-wise, so it commutes with
-// the sort, and exact after normalization since it preserves the norm.
-// Pass 2 is a counting sort by bin into packed segments; the touched-bin list
-// falls out of the counts in ascending order, and within a bin the pairs
-// keep gather order.
+// identical binning to hist.Binning.Index), range mask, the rotation to the
+// line of sight (Fig. 2) under a radial LOS, and the survivors compacted to
+// linear columns in gather order. The rotation is element-wise, so it
+// commutes with the sort, and exact after normalization since it preserves
+// the norm. Pass 2 is a counting sort by bin into packed segments; the
+// touched-bin list falls out of the counts in ascending order, and within a
+// bin the pairs keep gather order.
 func (e *engine) assembleTiles(s *workerState, pi int32, nbrs []int32) int {
 	c := &s.cols
-	n := sphharm.PairColumns(&e.shell, e.pts, e.ws, pi, nbrs, c)
-	switch e.cfg.LOS {
-	case LOSRadial:
-		// One frame per primary (plane-parallel needs none: z already is the
-		// line of sight).
-		geom.ToLineOfSight(e.pts[pi].Sub(e.cfg.Observer)).ApplyColumns(c.X[:n], c.Y[:n], c.Z[:n])
-	case LOSMidpoint:
+	var frame *geom.Rotation // plane-parallel needs none: z already is the line of sight
+	if e.cfg.LOS == LOSRadial {
+		s.frame = geom.ToLineOfSight(e.pts[pi].Sub(e.cfg.Observer))
+		frame = &s.frame
+	}
+	n := sphharm.PairColumns(&e.shell, frame, e.pts, e.ws, pi, nbrs, c)
+	if e.cfg.LOS == LOSMidpoint {
 		// One frame per pair.
 		pn := e.nhat[pi]
 		for i, j := range c.ID[:n] {

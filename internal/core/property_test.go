@@ -171,6 +171,63 @@ func TestGlobalRotationInvarianceIsotropic(t *testing.T) {
 	}
 }
 
+func TestLOSQuarterTurnInvariance(t *testing.T) {
+	// A quarter turn about the line of sight multiplies each a_lm by a phase
+	// e^{-im pi/2} that cancels in every channel's a_{l1 m} a*_{l2 m}, so the
+	// full anisotropic ladder (SelfCount on) must not move: on a periodic
+	// clustered box under plane-parallel LOS, (x, y) -> (L - y, x); on an
+	// open box under radial LOS, (x, y) -> (-y, x) of the galaxies and the
+	// observer, so each primary's frame turns about its own line of sight.
+	// Neighbour order moves with the coordinates, so the check is within
+	// 1e-12 of the largest channel rather than bitwise.
+	periodic := catalog.Clustered(300, 160, catalog.DefaultClusterParams(), 65)
+	open := &catalog.Catalog{Galaxies: periodic.Galaxies}
+	for _, tc := range []struct {
+		name string
+		cat  *catalog.Catalog
+		los  LOSMode
+		turn func(geom.Vec3) geom.Vec3
+	}{
+		{"periodic plane-parallel", periodic, LOSPlaneParallel, func(p geom.Vec3) geom.Vec3 {
+			return periodic.Box.Wrap(geom.Vec3{X: periodic.Box.L - p.Y, Y: p.X, Z: p.Z})
+		}},
+		{"open radial", open, LOSRadial, func(p geom.Vec3) geom.Vec3 {
+			return geom.Vec3{X: -p.Y, Y: p.X, Z: p.Z}
+		}},
+	} {
+		cfg := propConfig()
+		cfg.LOS, cfg.SelfCount, cfg.IsotropicOnly = tc.los, true, false
+		if tc.los == LOSRadial {
+			cfg.Observer = geom.Vec3{X: -200, Y: -100, Z: -350}
+		}
+		base, err := Compute(tc.cat, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		turned := &catalog.Catalog{Box: tc.cat.Box, Galaxies: make([]catalog.Galaxy, tc.cat.Len())}
+		for i, g := range tc.cat.Galaxies {
+			turned.Galaxies[i] = catalog.Galaxy{Pos: tc.turn(g.Pos), Weight: g.Weight}
+		}
+		if tc.los == LOSRadial {
+			cfg.Observer = tc.turn(cfg.Observer)
+		}
+		got, err := Compute(turned, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if base.Pairs == 0 || got.Pairs != base.Pairs {
+			t.Fatalf("%s: %d pairs after the turn, %d before", tc.name, got.Pairs, base.Pairs)
+		}
+		scale := base.MaxAbs()
+		for i, v := range base.Aniso {
+			if d := cmplx.Abs(got.Aniso[i] - v); d > 1e-12*scale {
+				t.Fatalf("%s: channel %d moved by %v under the quarter turn (%v vs %v, largest %v)",
+					tc.name, i, d, got.Aniso[i], v, scale)
+			}
+		}
+	}
+}
+
 func TestTouchedListMatchesDenseScanBitwise(t *testing.T) {
 	// The engine-level pin of one answer on any SIMD dispatch: under the
 	// AVX-512 and the portable lane bodies whole runs — Pairs, NPrimaries,

@@ -20,25 +20,6 @@ func (r Rotation) Apply(v Vec3) Vec3 {
 	}
 }
 
-// ApplyColumns applies the rotation in place to a structure-of-arrays batch
-// of vectors (xs[i], ys[i], zs[i]). The engine's pair-tile pipeline rotates
-// a primary's whole gathered neighborhood in one column sweep this way,
-// instead of rotating pair by pair inside the binning loop.
-func (r Rotation) ApplyColumns(xs, ys, zs []float64) {
-	if len(ys) != len(xs) || len(zs) != len(xs) {
-		panic("geom: ApplyColumns column length mismatch")
-	}
-	r00, r01, r02 := r[0][0], r[0][1], r[0][2]
-	r10, r11, r12 := r[1][0], r[1][1], r[1][2]
-	r20, r21, r22 := r[2][0], r[2][1], r[2][2]
-	for i := range xs {
-		x, y, z := xs[i], ys[i], zs[i]
-		xs[i] = float64(r00*x) + float64(r01*y) + float64(r02*z)
-		ys[i] = float64(r10*x) + float64(r11*y) + float64(r12*z)
-		zs[i] = float64(r20*x) + float64(r21*y) + float64(r22*z)
-	}
-}
-
 // Transpose returns the inverse rotation (rotations are orthogonal).
 func (r Rotation) Transpose() Rotation {
 	var t Rotation

@@ -67,3 +67,48 @@ func TestZetaBatchTouchesNothingPastItsOperands(t *testing.T) {
 		}
 	})
 }
+
+func TestLadderTouchesNothingPastItsOperands(t *testing.T) {
+	// The ladder reads the chunk's weights and z column itself (the hoist
+	// moved into it), besides xs and ys: with each of ws, zs, xs and ys
+	// ending at an inaccessible page, a load past the chunk — even in a
+	// masked-out lane — faults, for every register-resident length, the
+	// quad path's tails, and a full chunk, fresh or folding into acc.
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	const zcap = 128
+	var ns []int
+	for n := 1; n <= 40; n++ {
+		ns = append(ns, n)
+	}
+	ns = append(ns, 63, 64, 65, 127, 128)
+	eachDispatch(t, func(tag string) {
+		rng := rand.New(rand.NewSource(93))
+		for _, n := range ns {
+			ws, free1 := guarded(t, n)
+			zs, free2 := guarded(t, n)
+			xs, free3 := guarded(t, n)
+			ys, free4 := guarded(t, n)
+			for i := range ws {
+				ws[i], zs[i], xs[i], ys[i] = rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()
+			}
+			c, s := make([]float64, n), make([]float64, n)
+			for _, l := range []int{0, 1, 4, 10, 20} {
+				acc := make([]float64, AccumulatorLen(NewMonomialTable(l)))
+				zpow := make([]float64, l*zcap)
+				for _, fresh := range []bool{true, false} {
+					func() {
+						defer func() {
+							if r := recover(); r != nil {
+								t.Fatalf("%s n=%d l=%d fresh=%v: %v", tag, n, l, fresh, r)
+							}
+						}()
+						ladder(acc, c, s, ws, xs, ys, zs, zpow, zcap, l, fresh)
+					}()
+				}
+			}
+			for _, free := range []func(){free1, free2, free3, free4} {
+				free()
+			}
+		}
+	})
+}

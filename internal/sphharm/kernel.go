@@ -19,9 +19,10 @@ import (
 //
 //   - separations are stored structure-of-arrays (contiguous dx, dy, dz
 //     slices — the data-locality layout of Sec. 3.3.3);
-//   - per chunk one complex running power (c, s) = w (x+iy)^m is carried
-//     from (w, 0) by a rotation per order m, the z-power columns are hoisted,
-//     and each row folds c (then s) times z^j into its lane groups;
+//   - per chunk one lane call (the ladder) hoists the z-power columns, carries
+//     one complex running power (c, s) = w (x+iy)^m from (w, 0) by a rotation
+//     per order m, and folds each row's c (then s) times z^j into its lane
+//     groups;
 //   - each sum accumulates into Lanes (=8) interleaved partial sums, folded
 //     once per primary by Reduce.
 
@@ -99,7 +100,8 @@ func (k *Kernel) SumTile(xs, ys, zs, ws []float64, acc []float64) {
 }
 
 // tile is AccumulateTile (fresh false) and SumTile (fresh true): the tile in
-// chunks of the kernel capacity, only the first of them fresh.
+// chunks of the kernel capacity, one ladder call each, only the first of
+// them fresh.
 func (k *Kernel) tile(xs, ys, zs, ws []float64, acc []float64, fresh bool) {
 	n := len(xs)
 	if len(ys) != n || len(zs) != n || len(ws) != n {
@@ -112,57 +114,43 @@ func (k *Kernel) tile(xs, ys, zs, ws []float64, acc []float64, fresh bool) {
 		clear(acc)
 	}
 	for lo := 0; lo < n; lo += k.cap {
-		hi := lo + k.cap
-		if hi > n {
-			hi = n
-		}
-		k.accumulateChunk(xs[lo:hi], ys[lo:hi], zs[lo:hi], ws[lo:hi], acc, fresh && lo == 0)
+		hi := min(lo+k.cap, n)
+		ladder(acc, k.c[:hi-lo], k.s[:hi-lo], ws[lo:hi], xs[lo:hi], ys[lo:hi], zs[lo:hi],
+			k.zpow, k.cap, k.Table.L, fresh && lo == 0)
 	}
 }
 
-// accumulateChunk is the tile's per-chunk ladder (chunk length <= the
-// kernel capacity); fresh starts every lane group from +0 instead of acc.
-func (k *Kernel) accumulateChunk(xs, ys, zs, ws []float64, acc []float64, fresh bool) {
-	n := len(xs)
-	if n == 0 {
-		return
-	}
-	l := k.Table.L
-	c := k.c[:n]
-	copy(c, ws) // weight prescale fused into the m = 0 row
-	// Hoist the z-power columns: zpow[q-1] holds z^q for the whole chunk,
-	// computed once and reused by every row of the ladder.
+// ladderRows is the pure-Go body of the ladder primitive, one chunk of
+// n = len(ws) <= zcap pairs: first the z-power hoist — zpow[(q-1)*zcap:]
+// receives z^q for q = 1..l, z^1 a copy of zs and z^q the product
+// z^(q-1) .* z — then the rows in MonomialTable order, each advance of the
+// running power (c, s) a rotate call (two mulCols from the weights for the
+// first, where s is still 0) and each row one rowLanes call folding its
+// whole j ladder (the z^0 lane add plus every z^j fused multiply-accumulate
+// over the hoisted columns). The m = 0 row folds ws itself; c and s are
+// scratch. The vector body (ladderAsm) performs the same operations in the
+// same order without returning to Go, so the two are bit-identical
+// (TestLadderMatchesRowsBitwise). fresh clears acc first; the vector body
+// loads +0 in its place instead.
+func ladderRows(acc, c, s, ws, xs, ys, zs, zpow []float64, zcap, l int, fresh bool) {
+	n := len(ws)
 	for q := 1; q <= l; q++ {
-		zq := k.zpow[(q-1)*k.cap : (q-1)*k.cap+n]
+		zq := zpow[(q-1)*zcap : (q-1)*zcap+n]
 		if q == 1 {
 			copy(zq, zs)
 		} else {
-			mulCols(zq, k.zpow[(q-2)*k.cap:(q-2)*k.cap+n], zs)
+			mulCols(zq, zpow[(q-2)*zcap:(q-2)*zcap+n], zs)
 		}
 	}
-	ladder(acc, c, k.s[:n], xs, ys, k.zpow, k.cap, l, fresh)
-}
-
-// ladderRows is the pure-Go body of the ladder primitive: the rows in
-// MonomialTable order, each advance of the running power (c, s) a rotate
-// call (two mulCols for the first, where s is still 0) and each row one
-// rowLanes call folding its whole j ladder (the z^0 lane add plus every z^j
-// fused multiply-accumulate over the hoisted z-power columns at stride
-// zcap). c holds the pair weights on entry; s is scratch. The vector body
-// (ladderAsm) performs the same operations in the same order without
-// returning to Go between rows, so the two are bit-identical
-// (TestLadderMatchesRowsBitwise). fresh clears acc first; the vector body
-// loads +0 in its place instead.
-func ladderRows(acc, c, s, xs, ys, zpow []float64, zcap, l int, fresh bool) {
 	if fresh {
 		clear(acc)
 	}
-	rowLanes(acc[:(l+1)*Lanes], c, zpow, zcap)
+	rowLanes(acc[:(l+1)*Lanes], ws, zpow, zcap)
 	i := l + 1
 	for m := 1; m <= l; m++ {
 		if m == 1 {
-			mulCols(s, c, ys)
-			mulCols(c, c, xs)
+			mulCols(s, ws, ys)
+			mulCols(c, ws, xs)
 		} else {
 			rotate(c, s, xs, ys)
 		}

@@ -29,14 +29,16 @@ import (
 // the scenario goldens pin whole runs).
 
 // Implemented in kernel_lanes_amd64.s. Each trusts the driving slice's
-// length (c for the ladder and the rotation, src for a row, dst for mulCols)
+// length (ws for the ladder, c for the rotation, src for a row, dst for
+// mulCols)
 // exactly like its generic counterpart; the exported wrappers check shapes.
 // The primitives, by engine stage:
 //
-//   - consume: pairColumnsAsm (tile assembly's sweep), ladderAsm (one
-//     chunk's whole ladder; fresh starts the accumulator at +0 without
-//     reading it), and rowLanesAsm, rotateAsm, mulColsAsm (its steps, the
-//     row-by-row form it is pinned against);
+//   - consume: pairColumnsAsm (tile assembly's sweep, the radial frame
+//     applied in-register), ladderAsm (one chunk in one call: the z-power
+//     hoist, then the whole ladder; fresh starts the accumulator at +0
+//     without reading it), and rowLanesAsm, rotateAsm, mulColsAsm (its
+//     steps, the row-by-row form it is pinned against);
 //   - self-count: legendreMomentsAsm (the moments recurrence, two
 //     registers of pairs side by side);
 //   - per-primary tail: reduceBinsAsm (all bins' lane folds, transposed to
@@ -45,7 +47,7 @@ import (
 //   - zeta: zetaBatchAsm, zetaBatchIsoAsm;
 //   - references and probes, off the engine's path: reduceAsm (Reduce,
 //     ReduceClear) and almRIAsm (AlmRI).
-func ladderAsm(acc, c, s, xs, ys, zpow []float64, zcap, l int, fresh bool)
+func ladderAsm(acc, c, s, ws, xs, ys, zs, zpow []float64, zcap, l int, fresh bool)
 func rowLanesAsm(acc, src, zpow []float64, zcap int)
 func rotateAsm(c, s, xs, ys []float64)
 func mulColsAsm(dst, a, b []float64)
@@ -61,7 +63,7 @@ func almBinsAsm(slots []binSlot, coef, sums, scale, dst, w []float64, nb, stride
 //
 //go:noescape
 func legendreMomentsAsm(zs, ws, out []float64, ents []momEntry, nL int)
-func pairColumnsAsm(sh *PairShell, pts []geom.Vec3, ws []float64, pi int32, ids []int32, out *PairCols) int
+func pairColumnsAsm(sh *PairShell, frame *geom.Rotation, pts []geom.Vec3, ws []float64, pi int32, ids []int32, out *PairCols) int
 
 func init() {
 	if lanes.Vector() {

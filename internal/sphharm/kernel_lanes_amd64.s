@@ -321,69 +321,129 @@ rlfold:
 rldone:
 	RET
 
-// func ladderAsm(acc, c, s, xs, ys, zpow []float64, zcap, l int, fresh bool)
-// The whole ladder of one chunk (n = len(c) pairs, c holding the weights) in
-// a single call: the operations of ladderRows in the same order — the m = 0
-// row, then per order the running-power update and the Re and Im rows —
-// without returning to Go between rows, so the result is bit-identical to
-// the row-by-row path.
+// hoistBody<> writes the z-power columns of the z column at R14 into the
+// columns from BX at byte stride R9 — z^1 = z, then z^q = z^(q-1) .* z up
+// to q = R12 >= 1, the products mulColsBody<> forms column by column — one
+// 8-pair block at a time over the lane geometry, its powers in registers.
+// Advances R14 and BX; clobbers AX, DX, R8 and Z16-Z17.
+TEXT hoistBody<>(SB), NOSPLIT, $0
+	LEAQ  (R11)(R10*4), R8
+	TESTQ R8, R8
+	JZ    hstail
+
+hsblock:
+	VMOVUPD (R14), Z16
+	VMOVUPD Z16, (BX)
+	VMOVAPD Z16, Z17
+	LEAQ    (BX)(R9*1), DX
+	MOVQ    R12, AX
+	DECQ    AX
+	JZ      hsnext
+
+hspow:
+	VMULPD  Z16, Z17, Z17
+	VMOVUPD Z17, (DX)
+	ADDQ    R9, DX
+	DECQ    AX
+	JNZ     hspow
+
+hsnext:
+	ADDQ $64, R14
+	ADDQ $64, BX
+	DECQ R8
+	JNZ  hsblock
+
+hstail:
+	TESTQ     CX, CX
+	JZ        hsdone
+	VMOVUPD.Z (R14), K1, Z16
+	VMOVUPD   Z16, K1, (BX)
+	VMOVAPD   Z16, Z17
+	LEAQ      (BX)(R9*1), DX
+	MOVQ      R12, AX
+	DECQ      AX
+	JZ        hsdone
+
+hstpow:
+	VMULPD  Z16, Z17, Z17
+	VMOVUPD Z17, K1, (DX)
+	ADDQ    R9, DX
+	DECQ    AX
+	JNZ     hstpow
+
+hsdone:
+	RET
+
+// func ladderAsm(acc, c, s, ws, xs, ys, zs, zpow []float64, zcap, l int, fresh bool)
+// One chunk (n = len(ws) pairs) in a single call: the operations of
+// ladderRows in the same order — the z-power hoist into zpow (hoistBody<>),
+// the m = 0 row of the weights, then per order the running-power update and
+// the Re and Im rows — without returning to Go, so the result is
+// bit-identical to the row-by-row path.
 //
 // A chunk with a 32-pair quad walks the c / s scratch columns through
 // mulColsBody<>, rotateBody<> and rowBody<>. A shorter chunk is at most four
 // 8-pair vectors per column, so both halves of the running power stay in
-// registers (c in Z24-Z27, s in Z20-Z23, vector v under mask K(2+v)) and a
-// lane group is one load, four masked ops extending chain 0 in pair order,
-// and one store; an order's Re and Im rows advance together, group by group,
-// as two independent chains over the same z-power column. The three idle
-// chains of the row-by-row fold hold +0 there: (x + 0) + (0 + 0) is x + 0,
-// one add of the zero register Z28.
-TEXT ·ladderAsm(SB), NOSPLIT, $0-161
-	MOVBLZX fresh+160(FP), AX
+// registers (c in Z24-Z27, loaded from ws, s in Z20-Z23, vector v under
+// mask K(2+v)) and a lane group is one load, four masked ops extending chain
+// 0 in pair order, and one store; an order's Re and Im rows advance
+// together, group by group, as two independent chains over the same z-power
+// column. The three idle chains of the row-by-row fold hold +0 there:
+// (x + 0) + (0 + 0) is x + 0, one add of the zero register Z28.
+TEXT ·ladderAsm(SB), NOSPLIT, $0-209
+	MOVBLZX fresh+208(FP), AX
 	DECL    AX
 	KMOVW   AX, K7 // the lanes read from acc: none when fresh
 	MOVQ acc_base+0(FP), DI
-	MOVQ c_len+32(FP), CX
-	MOVQ zcap+144(FP), R9
+	MOVQ ws_len+80(FP), CX
+	MOVQ zcap+192(FP), R9
 	SHLQ $3, R9 // z-power column stride, bytes
-	MOVQ l+152(FP), R12 // l - m + 1: the lane groups of order m's rows
-	CMPQ CX, $32
-	JB   ldshort
+	MOVQ l+200(FP), R12 // l - m + 1: the lane groups of order m's rows
+	CALL  laneGeometry<>(SB)
+	TESTQ R12, R12
+	JZ    ldpath
+	MOVQ  zs_base+144(FP), R14
+	MOVQ  zpow_base+168(FP), BX
+	CALL  hoistBody<>(SB)
 
-	CALL laneGeometry<>(SB)
-	MOVQ c_base+24(FP), SI // m = 0 row
-	MOVQ zpow_base+120(FP), BX
+ldpath:
+	TESTQ R10, R10 // no quad: n < 32
+	JZ    ldshort
+	MOVQ ws_base+72(FP), SI // m = 0 row
+	MOVQ zpow_base+168(FP), BX
 	LEAQ 1(R12), R8
 	CALL rowBody<>(SB)
 	TESTQ R12, R12
 	JZ   lddone
-	MOVQ SI, R14 // m = 1: s = c .* ys, c = c .* xs
-	MOVQ ys_base+96(FP), R15
+	MOVQ SI, R14 // m = 1: s = ws .* ys, c = ws .* xs
+	MOVQ ys_base+120(FP), R15
 	MOVQ s_base+48(FP), DX
 	CALL mulColsBody<>(SB)
 	MOVQ SI, R14
-	MOVQ xs_base+72(FP), R15
-	MOVQ SI, DX
+	MOVQ xs_base+96(FP), R15
+	MOVQ c_base+24(FP), DX
 	CALL mulColsBody<>(SB)
 
 ldm:
 	MOVQ c_base+24(FP), SI
-	MOVQ zpow_base+120(FP), BX
+	MOVQ zpow_base+168(FP), BX
 	MOVQ R12, R8
 	CALL rowBody<>(SB)
 	MOVQ s_base+48(FP), SI
-	MOVQ zpow_base+120(FP), BX
+	MOVQ zpow_base+168(FP), BX
 	MOVQ R12, R8
 	CALL rowBody<>(SB)
 	DECQ R12
 	JZ   lddone
 	MOVQ c_base+24(FP), R14
 	MOVQ SI, R15
-	MOVQ xs_base+72(FP), AX
-	MOVQ ys_base+96(FP), DX
+	MOVQ xs_base+96(FP), AX
+	MOVQ ys_base+120(FP), DX
 	CALL rotateBody<>(SB)
 	JMP  ldm
 
 ldshort:
+	MOVQ  ws_len+80(FP), CX
 	MOVL  $1, AX
 	SHLQ  CX, AX
 	DECQ  AX
@@ -395,14 +455,14 @@ ldshort:
 	SHRQ  $8, AX
 	KMOVW AX, K5
 	VPXORQ Z28, Z28, Z28
-	MOVQ c_base+24(FP), SI
+	MOVQ zpow_base+168(FP), R11
+	MOVQ ws_base+72(FP), SI
 	VMOVUPD.Z (SI), K2, Z24
 	VMOVUPD.Z 64(SI), K3, Z25
 	VMOVUPD.Z 128(SI), K4, Z26
 	VMOVUPD.Z 192(SI), K5, Z27
-	MOVQ xs_base+72(FP), SI
-	MOVQ ys_base+96(FP), R10
-	MOVQ zpow_base+120(FP), R11
+	MOVQ xs_base+96(FP), SI
+	MOVQ ys_base+120(FP), R10
 
 	// m = 0 row: l + 1 groups of c.
 	MOVQ R11, BX
@@ -1242,31 +1302,34 @@ GLOBL pairOne<>(SB), RODATA, $8
 	VMULPD Z5, Z5, Z8 \
 	VADDPD Z8, Z7, Z7
 
-// func pairColumnsAsm(sh *PairShell, pts []geom.Vec3, ws []float64, pi int32, ids []int32, out *PairCols) int
+// func pairColumnsAsm(sh *PairShell, frame *geom.Rotation, pts []geom.Vec3, ws []float64, pi int32, ids []int32, out *PairCols) int
 // The AVX-512 body of PairColumns: eight neighbor ids per step (the last
-// under a tail mask) — gather, minimal image, norm, bin, keep mask, compress.
-// Subtract, multiply, add, square root and divide only — no FMA, the adds in
-// the portable body's (x*x + y*y) + z*z order — so every stored value is the
-// portable body's. The compressed registers are stored whole at survivor
-// index AX (the slack PairCols promises). Like the zeta bodies it uses
-// Z0-Z15 as well (fourteen broadcast constants leave too few high
-// registers), hence the VZEROUPPER.
-TEXT ·pairColumnsAsm(SB), NOSPLIT, $0-104
+// under a tail mask) — gather, minimal image, norm, bin, keep mask, unit
+// separation, frame, compress. Subtract, multiply, add, square root and
+// divide only — no FMA, the adds in the portable body's (x*x + y*y) + z*z
+// and (f0*x + f1*y) + f2*z order, the frame's entries broadcast from memory
+// (R14, nil without a frame) — so every stored value is the portable
+// body's. The compressed registers are stored whole at survivor index AX
+// (the slack PairCols promises). Like the zeta bodies it uses Z0-Z15 as
+// well (fourteen broadcast constants leave too few high registers), hence
+// the VZEROUPPER.
+TEXT ·pairColumnsAsm(SB), NOSPLIT, $0-112
 	MOVQ sh+0(FP), DI
-	MOVQ pts_base+8(FP), BX
-	MOVQ ids_base+64(FP), SI
-	MOVQ ids_len+72(FP), R15
-	MOVQ ws_base+32(FP), DX
-	MOVQ out+88(FP), R14
+	MOVQ pts_base+16(FP), BX
+	MOVQ ids_base+72(FP), SI
+	MOVQ ids_len+80(FP), R15
+	MOVQ ws_base+40(FP), DX
+	MOVQ out+96(FP), R14
 	MOVQ 0(R14), R8    // out.X
 	MOVQ 24(R14), R9   // out.Y
 	MOVQ 48(R14), R10  // out.Z
 	MOVQ 72(R14), R11  // out.W
 	MOVQ 96(R14), R12  // out.Bin
 	MOVQ 120(R14), R13 // out.ID, nil when the ids are not wanted
+	MOVQ frame+8(FP), R14
 
 	// The primary: pts[pi], 24 bytes a point.
-	MOVLQSX      pi+56(FP), AX
+	MOVLQSX      pi+64(FP), AX
 	VPBROADCASTD AX, Z26
 	LEAQ         (AX)(AX*2), AX
 	VBROADCASTSD (BX)(AX*8), Z16
@@ -1374,6 +1437,29 @@ pcroot:
 	VMULPD        Z9, Z3, Z3
 	VMULPD        Z9, Z4, Z4
 	VMULPD        Z9, Z5, Z5
+	TESTQ         R14, R14
+	JZ            pcstore
+
+	// The frame: row i of R14 (24 bytes a row) against (x, y, z) in Z3-Z5.
+	VMULPD.BCST (R14), Z3, Z7
+	VMULPD.BCST 8(R14), Z4, Z8
+	VADDPD      Z8, Z7, Z7
+	VMULPD.BCST 16(R14), Z5, Z8
+	VADDPD      Z8, Z7, Z7
+	VMULPD.BCST 24(R14), Z3, Z11
+	VMULPD.BCST 32(R14), Z4, Z8
+	VADDPD      Z8, Z11, Z11
+	VMULPD.BCST 40(R14), Z5, Z8
+	VADDPD      Z8, Z11, Z11
+	VMULPD.BCST 48(R14), Z3, Z12
+	VMULPD.BCST 56(R14), Z4, Z8
+	VADDPD      Z8, Z12, Z12
+	VMULPD.BCST 64(R14), Z5, Z8
+	VADDPD      Z8, Z12, Z5
+	VMOVAPD     Z7, Z3
+	VMOVAPD     Z11, Z4
+
+pcstore:
 	VCOMPRESSPD.Z Z3, K3, Z11
 	VMOVUPD       Z11, (R8)(AX*8)
 	VCOMPRESSPD.Z Z4, K3, Z11
@@ -1399,7 +1485,7 @@ pccount:
 
 pcdone:
 	VZEROUPPER
-	MOVQ AX, ret+96(FP)
+	MOVQ AX, ret+104(FP)
 	RET
 
 pcstray:

@@ -509,16 +509,16 @@ func TestRowLanesMatchesGeneric(t *testing.T) {
 }
 
 func TestLadderMatchesRowsBitwise(t *testing.T) {
-	// The one-dispatch-per-chunk ladder must be bit-identical to the
-	// row-by-row path (one rotate per running-power update, one rowLanes per
-	// row) under each dispatch — the fused vector body performs the same
-	// operations in the same order — for every chunk shape:
-	// register-resident (n < 32, every vector count and tail), with quads,
-	// and across AccumulateTile's chunking, folding twice into an accumulator
-	// that is not zero.
+	// The one-call-per-chunk ladder, z-power hoist included, must be
+	// bit-identical to the row-by-row path (one mulCols per hoisted column,
+	// one rotate per running-power update, one rowLanes per row) under each
+	// dispatch — the fused vector body performs the same operations in the
+	// same order — for every chunk shape: register-resident (n < 32, every
+	// vector count and tail), with quads, and across AccumulateTile's
+	// chunking, folding twice into an accumulator that is not zero.
 	eachDispatch(t, func(tag string) {
 		rng := rand.New(rand.NewSource(99))
-		for _, l := range []int{0, 1, 4, 10} {
+		for _, l := range []int{0, 1, 2, 3, 4, 10, 20} {
 			tab := NewMonomialTable(l)
 			k := NewKernel(tab, 128)
 			rows := NewKernel(tab, 128)

@@ -37,11 +37,13 @@ type PairCols struct {
 // neighbor j forms the minimal-image separation pts[j] - pts[pi], its length
 // r and its bin; the pairs with j != pi, r != 0 and RMin <= r < RMax are
 // written compacted to out — separation / r, ws[j], bin (and j) — and their
-// count is returned. Every id must index pts and ws. Both bodies perform the
-// same float64 operations in the same order per pair (no fused
-// multiply-adds), so the columns are bit-identical under either dispatch
-// tag.
-func PairColumns(g *PairShell, pts []geom.Vec3, ws []float64, pi int32, ids []int32, out *PairCols) int {
+// count is returned. A non-nil frame (the primary's line-of-sight rotation)
+// is applied to each kept unit separation before it is stored, each
+// component (f0*x + f1*y) + f2*z with every product rounded (geom.Rotation's
+// Apply). Every id must index pts and ws. Both bodies perform the same
+// float64 operations in the same order per pair (no fused multiply-adds), so
+// the columns are bit-identical under either dispatch tag.
+func PairColumns(g *PairShell, frame *geom.Rotation, pts []geom.Vec3, ws []float64, pi int32, ids []int32, out *PairCols) int {
 	need := (len(ids) + Lanes - 1) &^ (Lanes - 1)
 	if len(out.X) < need || len(out.Y) < need || len(out.Z) < need || len(out.W) < need ||
 		len(out.Bin) < need || (out.ID != nil && len(out.ID) < need) {
@@ -50,13 +52,14 @@ func PairColumns(g *PairShell, pts []geom.Vec3, ws []float64, pi int32, ids []in
 	if len(ids) == 0 {
 		return 0
 	}
-	return pairColumns(g, pts, ws, pi, ids, out)
+	return pairColumns(g, frame, pts, ws, pi, ids, out)
 }
 
 // pairColumnsGeneric is the pure-Go body of PairColumns. The explicit
-// float64 conversions round each product before it is added, which is what
-// keeps the compiler from fusing them at GOAMD64=v3 and on arm64.
-func pairColumnsGeneric(g *PairShell, pts []geom.Vec3, ws []float64, pi int32, ids []int32, out *PairCols) int {
+// float64 conversions round each product before it is added (here and in
+// the frame's Apply), which is what keeps the compiler from fusing them at
+// GOAMD64=v3 and on arm64.
+func pairColumnsGeneric(g *PairShell, frame *geom.Rotation, pts []geom.Vec3, ws []float64, pi int32, ids []int32, out *PairCols) int {
 	p := pts[pi]
 	n := 0
 	for _, j := range ids {
@@ -77,9 +80,13 @@ func pairColumnsGeneric(g *PairShell, pts []geom.Vec3, ws []float64, pi int32, i
 			bin = g.NBins - 1
 		}
 		inv := 1 / r
-		out.X[n] = sep.X * inv
-		out.Y[n] = sep.Y * inv
-		out.Z[n] = sep.Z * inv
+		u := geom.Vec3{X: sep.X * inv, Y: sep.Y * inv, Z: sep.Z * inv}
+		if frame != nil {
+			u = frame.Apply(u)
+		}
+		out.X[n] = u.X
+		out.Y[n] = u.Y
+		out.Z[n] = u.Z
 		out.W[n] = ws[j]
 		out.Bin[n] = bin
 		if out.ID != nil {

@@ -49,41 +49,90 @@ func scalarPairs(g *PairShell, pts []geom.Vec3, ws []float64, pi int32, ids []in
 	return o
 }
 
-// checkPairColumns holds PairColumns under every dispatch tag of this host,
-// with and without the id column, to the oracle: count, directions, weight,
-// bin and id of every survivor, bitwise. It returns the oracle's output.
+// rotated is the oracle under a line-of-sight frame: the frame applied to
+// each unit separation as the engine's column rotation applied it before
+// PairColumns took the frame, (f0*x + f1*y) + f2*z with every product
+// rounded. A nil frame leaves the columns as they are.
+func (o pairOracle) rotated(f *geom.Rotation) pairOracle {
+	if f == nil {
+		return o
+	}
+	r := o
+	r.x, r.y, r.z = make([]float64, len(o.x)), make([]float64, len(o.x)), make([]float64, len(o.x))
+	for i := range o.x {
+		x, y, z := o.x[i], o.y[i], o.z[i]
+		r.x[i] = float64(f[0][0]*x) + float64(f[0][1]*y) + float64(f[0][2]*z)
+		r.y[i] = float64(f[1][0]*x) + float64(f[1][1]*y) + float64(f[1][2]*z)
+		r.z[i] = float64(f[2][0]*x) + float64(f[2][1]*y) + float64(f[2][2]*z)
+	}
+	return r
+}
+
+// pairFrames are the frames every PairColumns check runs under: none, the
+// identity, the line-of-sight frames of each axis direction and of a
+// direction one ulp off it (ToLineOfSight's seed choice flips there), and
+// random line-of-sight frames.
+var pairFrames = func() []*geom.Rotation {
+	id := geom.Identity()
+	fs := []*geom.Rotation{nil, &id}
+	add := func(p geom.Vec3) {
+		f := geom.ToLineOfSight(p)
+		fs = append(fs, &f)
+	}
+	for _, sgn := range []float64{1, -1} {
+		add(geom.Vec3{X: sgn})
+		add(geom.Vec3{Y: sgn})
+		add(geom.Vec3{Z: sgn})
+		add(geom.Vec3{X: sgn, Y: 0x1p-52})
+		add(geom.Vec3{Y: sgn, Z: 0x1p-52})
+		add(geom.Vec3{Z: sgn, X: 0x1p-52})
+	}
+	rng := rand.New(rand.NewSource(43))
+	for range 4 {
+		add(geom.Vec3{X: rng.NormFloat64(), Y: rng.NormFloat64(), Z: rng.NormFloat64()})
+	}
+	return fs
+}()
+
+// checkPairColumns holds PairColumns under every frame of pairFrames and
+// every dispatch tag of this host, with and without the id column, to the
+// oracle: count, directions, weight, bin and id of every survivor, bitwise.
+// It returns the oracle's unrotated output.
 func checkPairColumns(t *testing.T, g *PairShell, pts []geom.Vec3, ws []float64, pi int32, ids []int32) pairOracle {
 	t.Helper()
-	want := scalarPairs(g, pts, ws, pi, ids)
+	plain := scalarPairs(g, pts, ws, pi, ids)
 	need := (len(ids) + Lanes - 1) &^ (Lanes - 1)
-	eachDispatch(t, func(tag string) {
-		t.Helper()
-		for _, withID := range []bool{false, true} {
-			out := PairCols{
-				X: make([]float64, need), Y: make([]float64, need), Z: make([]float64, need),
-				W: make([]float64, need), Bin: make([]int32, need),
-			}
-			if withID {
-				out.ID = make([]int32, need)
-			}
-			n := PairColumns(g, pts, ws, pi, ids, &out)
-			if n != len(want.x) {
-				t.Fatalf("%s len %d: %d survivors, want %d", tag, len(ids), n, len(want.x))
-			}
-			for i := 0; i < n; i++ {
-				if math.Float64bits(out.X[i]) != math.Float64bits(want.x[i]) ||
-					math.Float64bits(out.Y[i]) != math.Float64bits(want.y[i]) ||
-					math.Float64bits(out.Z[i]) != math.Float64bits(want.z[i]) ||
-					math.Float64bits(out.W[i]) != math.Float64bits(want.w[i]) ||
-					out.Bin[i] != want.bin[i] || (withID && out.ID[i] != want.id[i]) {
-					t.Fatalf("%s len %d survivor %d (id %d): (%v %v %v) w %v bin %d, want (%v %v %v) w %v bin %d",
-						tag, len(ids), i, want.id[i], out.X[i], out.Y[i], out.Z[i], out.W[i], out.Bin[i],
-						want.x[i], want.y[i], want.z[i], want.w[i], want.bin[i])
+	for fi, frame := range pairFrames {
+		want := plain.rotated(frame)
+		eachDispatch(t, func(tag string) {
+			t.Helper()
+			for _, withID := range []bool{false, true} {
+				out := PairCols{
+					X: make([]float64, need), Y: make([]float64, need), Z: make([]float64, need),
+					W: make([]float64, need), Bin: make([]int32, need),
+				}
+				if withID {
+					out.ID = make([]int32, need)
+				}
+				n := PairColumns(g, frame, pts, ws, pi, ids, &out)
+				if n != len(want.x) {
+					t.Fatalf("%s frame %d len %d: %d survivors, want %d", tag, fi, len(ids), n, len(want.x))
+				}
+				for i := 0; i < n; i++ {
+					if math.Float64bits(out.X[i]) != math.Float64bits(want.x[i]) ||
+						math.Float64bits(out.Y[i]) != math.Float64bits(want.y[i]) ||
+						math.Float64bits(out.Z[i]) != math.Float64bits(want.z[i]) ||
+						math.Float64bits(out.W[i]) != math.Float64bits(want.w[i]) ||
+						out.Bin[i] != want.bin[i] || (withID && out.ID[i] != want.id[i]) {
+						t.Fatalf("%s frame %d len %d survivor %d (id %d): (%v %v %v) w %v bin %d, want (%v %v %v) w %v bin %d",
+							tag, fi, len(ids), i, want.id[i], out.X[i], out.Y[i], out.Z[i], out.W[i], out.Bin[i],
+							want.x[i], want.y[i], want.z[i], want.w[i], want.bin[i])
+					}
 				}
 			}
-		}
-	})
-	return want
+		})
+	}
+	return plain
 }
 
 func shell(l, rmin, rmax float64, nbins int) *PairShell {
@@ -152,7 +201,7 @@ func TestPairColumnsEdges(t *testing.T) {
 	// exactly and one ulp either side (the float32 k-d tree hands over a
 	// superset), r on every bin edge and one ulp below it, the bin >= NBins
 	// clamp, and under a periodic box separations of exactly +-L/2, one ulp
-	// beyond, and images several box sides out.
+	// beyond, and images several box sides out — each under every frame.
 	const side = 100.0
 	clamps := 0
 	for _, g := range []*PairShell{
@@ -209,5 +258,5 @@ func TestPairColumnsPanicsOnShortColumns(t *testing.T) {
 		X: make([]float64, 16), Y: make([]float64, 16), Z: make([]float64, 16), W: make([]float64, 16),
 		Bin: make([]int32, 9),
 	}
-	PairColumns(shell(0, 0, 1, 1), pts, make([]float64, 9), 0, []int32{0, 1, 2, 3, 4, 5, 6, 7, 8}, &out)
+	PairColumns(shell(0, 0, 1, 1), nil, pts, make([]float64, 9), 0, []int32{0, 1, 2, 3, 4, 5, 6, 7, 8}, &out)
 }
