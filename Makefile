@@ -125,11 +125,13 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzSubmitRequest -fuzztime=5s ./internal/service
 
 # The line budget as a command (ROADMAP item 6): non-test Go lines per
-# package outside bench/ and their total, then the assembly lines beside them.
+# package outside bench/ and their total with the internal package count,
+# then the assembly lines beside them.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' -print0 | xargs -0 wc -l | \
 		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
-			END { for (d in n) printf "%7d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d  total\n", t }'
+			END { for (d in n) { printf "%7d  %s\n", n[d], d | "sort -k2"; if (d ~ /^\.\/internal\//) k++ } \
+				close("sort -k2"); printf "%7d  total (%d internal packages)\n", t, k }'
 	@find . -name '*.s' ! -path './bench/*' -print0 | xargs -0 cat | wc -l | awk '{ printf "%7d  asm (.s)\n", $$1 }'
 
 ci: fmt-check build vet test bench bench-vet bench-test fuzz-smoke

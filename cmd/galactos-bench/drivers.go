@@ -35,7 +35,7 @@ func threadScaling(ctx context.Context, cat *catalog.Catalog, cfg core.Config, w
 	for _, w := range workerCounts {
 		c := cfg
 		c.Workers = w
-		run, err := facadeRun(ctx, cat, c, "bench-threads")
+		run, err := facadeRun(ctx, cat, c)
 		if err != nil {
 			return nil, err
 		}
@@ -127,17 +127,16 @@ func scalingPoint(ctx context.Context, cat *catalog.Catalog, nranks int, cfg cor
 }
 
 // breakdownFractions converts a timing breakdown into the Fig. 4 pie
-// fractions of summed phase time (worker phases plus build and IO). It is
+// fractions of summed phase time (worker phases plus the tree build). It is
 // the suite's one definition of a phase's share: WorkerTotal also carries
 // scheduler and commit waits, pure wall clock on an oversubscribed host,
 // which would dilute every fraction.
 func breakdownFractions(b core.Breakdown) map[string]float64 {
-	total := float64(b.TreeBuild + b.Gather + b.Consume + b.SelfCount + b.AlmZeta + b.IO)
+	total := float64(b.TreeBuild + b.Gather + b.Consume + b.SelfCount + b.AlmZeta)
 	if total == 0 {
 		return nil
 	}
 	return map[string]float64{
-		"io":         float64(b.IO) / total,
 		"tree build": float64(b.TreeBuild) / total,
 		"gather":     float64(b.Gather) / total,
 		"consume":    float64(b.Consume) / total,
@@ -152,11 +151,11 @@ func breakdownFractions(b core.Breakdown) map[string]float64 {
 func se15Comparison(ctx context.Context, cat *catalog.Catalog, cfg core.Config) (iso, aniso time.Duration, err error) {
 	c := cfg
 	c.IsotropicOnly = true
-	isoRun, err := facadeRun(ctx, cat, c, "bench-se15-iso")
+	isoRun, err := facadeRun(ctx, cat, c)
 	if err != nil {
 		return 0, 0, err
 	}
-	anisoRun, err := facadeRun(ctx, cat, cfg, "bench-se15-aniso")
+	anisoRun, err := facadeRun(ctx, cat, cfg)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -169,7 +168,7 @@ func se15Comparison(ctx context.Context, cat *catalog.Catalog, cfg core.Config) 
 // them), the tree build cost, and the paper's weak-scaling pair imbalance.
 func calibrateHost(ctx context.Context, cat *catalog.Catalog, cfg core.Config) (perfmodel.Calibration, error) {
 	cfg.SelfCount = false // match the paper's raw kernel cost model
-	run, err := facadeRun(ctx, cat, cfg, "bench-calibrate")
+	run, err := facadeRun(ctx, cat, cfg)
 	if err != nil {
 		return perfmodel.Calibration{}, err
 	}

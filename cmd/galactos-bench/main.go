@@ -40,8 +40,8 @@ import (
 // facadeRun executes one bench computation through the facade's canonical
 // Run entrypoint — the same path cmd/galactos and the galactosd service
 // take — so the benchmarks measure what production runs.
-func facadeRun(ctx context.Context, cat *catalog.Catalog, cfg core.Config, label string) (*galactos.RunResult, error) {
-	return galactos.Run(ctx, galactos.Request{Catalog: cat, Config: cfg, Label: label})
+func facadeRun(ctx context.Context, cat *catalog.Catalog, cfg core.Config) (*galactos.RunResult, error) {
+	return galactos.Run(ctx, galactos.Request{Catalog: cat, Config: cfg})
 }
 
 // scale multiplies experiment sizes: small for the tier-1 table test,
@@ -173,7 +173,7 @@ func expBreakdown(ctx context.Context, w io.Writer, s float64) error {
 	n := int(12000 * s)
 	cat := densityCatalog(n, 7)
 	cfg := perfConfig(18)
-	run, err := facadeRun(ctx, cat, cfg, "bench-breakdown")
+	run, err := facadeRun(ctx, cat, cfg)
 	if err != nil {
 		return err
 	}
@@ -257,7 +257,7 @@ func expSingleNode(ctx context.Context, w io.Writer, s float64) error {
 	n := int(20000 * s)
 	cat := densityCatalog(n, 15)
 	cfg := perfConfig(20)
-	run, err := facadeRun(ctx, cat, cfg, "bench-singlenode")
+	run, err := facadeRun(ctx, cat, cfg)
 	if err != nil {
 		return err
 	}
@@ -325,7 +325,7 @@ func expBAOMap(ctx context.Context, w io.Writer, s float64) error {
 	cfg.LMax = 4
 	cfg.IsotropicOnly = true
 	cfg.SelfCount = false
-	run, err := facadeRun(ctx, cat, cfg, "bench-baomap")
+	run, err := facadeRun(ctx, cat, cfg)
 	if err != nil {
 		return err
 	}
@@ -333,7 +333,7 @@ func expBAOMap(ctx context.Context, w io.Writer, s float64) error {
 	// Normalize each diagonal by the shell volumes (raw sums scale as
 	// r1^2 r2^2) to expose the feature, and compare with a random catalog.
 	rnd := catalog.Uniform(cat.Len(), l, 23)
-	runR, err := facadeRun(ctx, rnd, cfg, "bench-baomap-random")
+	runR, err := facadeRun(ctx, rnd, cfg)
 	if err != nil {
 		return err
 	}
@@ -397,7 +397,7 @@ func expCrossover(ctx context.Context, w io.Writer, s float64) error {
 	for _, n := range []int{50, 100, 200, 400} {
 		nn := max(int(float64(n)*s), 20)
 		cat := catalog.Clustered(nn, 160, catalog.DefaultClusterParams(), int64(nn))
-		run, err := facadeRun(ctx, cat, cfg, "bench-crossover")
+		run, err := facadeRun(ctx, cat, cfg)
 		if err != nil {
 			return err
 		}
@@ -434,7 +434,7 @@ func expSharded(ctx context.Context, w io.Writer, s float64) error {
 	defer debug.SetGCPercent(debug.SetGCPercent(20)) // peaks ~ live set, not garbage
 
 	stop := heapSampler()
-	run, err := facadeRun(ctx, cat, cfg, "bench-sharded-single")
+	run, err := facadeRun(ctx, cat, cfg)
 	if err != nil {
 		return err
 	}
@@ -455,7 +455,7 @@ func expSharded(ctx context.Context, w io.Writer, s float64) error {
 	for _, nshards := range []int{4, 8} {
 		stop := heapSampler()
 		srun, err := galactos.Run(ctx, galactos.Request{
-			Catalog: cat, Config: cfg, Label: "bench-sharded",
+			Catalog: cat, Config: cfg,
 			Backend: galactos.BackendSpec{Name: "sharded", Shards: nshards,
 				CheckpointDir: filepath.Join(dir, "ck")},
 		})

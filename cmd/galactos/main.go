@@ -22,6 +22,7 @@ package main
 import (
 	"bufio"
 	"context"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -74,7 +75,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 
 		backend = fs.String("backend", "", "execution backend: local | sharded (default: inferred from -shards/-checkpoint-dir)")
 
-		perfJSON   = fs.String("perf-json", "", "write a machine-readable perfstat report (pairs/sec, FLOP rate, phase breakdown) to this path")
+		perfJSON   = fs.String("perf-json", "", "write the run record (backend, pair count, phase timings, elapsed; durations in ns) as JSON to this path")
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the whole run to this path (read it with go tool pprof)")
 
 		shards    = fs.Int("shards", 1, "spatial shards (sharded backend: the catalog streams from -in one shard at a time, never fully resident)")
@@ -165,7 +166,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	req := galactos.Request{
 		Config:  cfg,
 		Backend: spec,
-		Label:   "galactos-run",
 		Log: func(format string, args ...any) {
 			fmt.Fprintf(stdout, "  "+format+"\n", args...)
 		},
@@ -219,10 +219,14 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		bd.AlmZeta.Round(time.Millisecond))
 
 	if *perfJSON != "" {
-		if err := r.Perf.WriteJSON(*perfJSON); err != nil {
+		data, err := json.MarshalIndent(r, "", "  ")
+		if err == nil {
+			err = os.WriteFile(*perfJSON, append(data, '\n'), 0o644)
+		}
+		if err != nil {
 			return fmt.Errorf("writing perf report: %w", err)
 		}
-		fmt.Fprintf(stdout, "wrote perf report %s (%.3e pairs/s)\n", *perfJSON, r.Perf.PairsPerSec)
+		fmt.Fprintf(stdout, "wrote perf report %s\n", *perfJSON)
 	}
 
 	if err := writeAniso(*out+".aniso.csv", res); err != nil {

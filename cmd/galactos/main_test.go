@@ -13,16 +13,16 @@ import (
 	"galactos"
 )
 
-// TestRunModes drives the command's flags through run, in order: the
-// sharded row resumes from an empty checkpoint dir and must write CSVs
-// byte-identical to the local row's, both write a -perf-json report whose
-// pair count is the one the summary prints, the radial and midpoint lines
-// of sight complete with the full ladder, -cpuprofile leaves a profile, and
-// a run without -in, a local backend asked for shards, an unknown backend
-// or line of sight, a NaN -rmax, -shards below 1 and negative -workers are
-// refused. The backend rows are -iso-only: with the full ladder, the
-// analytically zero imaginary parts of the l1 = l2 channels carry ~1e-17 of
-// summation-order rounding that the aniso CSV prints.
+// TestRunModes drives the command's flags through run, in order: the sharded
+// row resumes from an empty checkpoint dir and must write CSVs
+// byte-identical to the local row's, both write a -perf-json run record
+// whose pair count is the one the summary prints, the radial and midpoint
+// lines of sight complete with the full ladder, -cpuprofile leaves a
+// profile, and a run without -in, a local backend asked for shards, an
+// unknown backend or line of sight, a NaN -rmax, -shards below 1 and
+// negative -workers are refused. The backend rows are -iso-only: with the
+// full ladder, the analytically zero imaginary parts of the l1 = l2 channels
+// carry ~1e-17 of summation-order rounding that the aniso CSV prints.
 func TestRunModes(t *testing.T) {
 	dir := t.TempDir()
 	in := filepath.Join(dir, "cat.glxc")
@@ -126,18 +126,16 @@ func TestRunModes(t *testing.T) {
 	}
 }
 
-// checkPerfReport decodes the -perf-json report at path: it must name
-// backend and count the pairs of the summary's "pairs:" line.
+// checkPerfReport decodes the -perf-json run record at path: it must name
+// backend, count the pairs of the summary's "pairs:" line and carry the
+// phase timings.
 func checkPerfReport(t *testing.T, path, backend, stdout string) {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rep struct {
-		Backend string `json:"backend"`
-		Pairs   uint64 `json:"pairs"`
-	}
+	var rep galactos.RunResult
 	if err := json.Unmarshal(data, &rep); err != nil {
 		t.Fatalf("%s: %v", path, err)
 	}
@@ -149,7 +147,13 @@ func checkPerfReport(t *testing.T, path, backend, stdout string) {
 			}
 		}
 	}
-	if pairs == 0 || rep.Pairs != pairs || rep.Backend != backend {
-		t.Errorf("%s: backend %q with %d pairs, want %q with the summary's %d", path, rep.Backend, rep.Pairs, backend, pairs)
+	if rep.Result == nil {
+		t.Fatalf("%s: no result in %s", path, data)
+	}
+	if pairs == 0 || rep.Result.Pairs != pairs || rep.Backend != backend {
+		t.Errorf("%s: backend %q with %d pairs, want %q with the summary's %d", path, rep.Backend, rep.Result.Pairs, backend, pairs)
+	}
+	if rep.Result.Timings.Consume <= 0 {
+		t.Errorf("%s: phase timings not populated: %+v", path, rep.Result.Timings)
 	}
 }

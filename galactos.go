@@ -40,7 +40,6 @@ import (
 	"galactos/internal/estimator"
 	"galactos/internal/exec"
 	"galactos/internal/geom"
-	"galactos/internal/perfstat"
 	"galactos/internal/scenario"
 	"galactos/internal/stats"
 	"galactos/internal/twopcf"
@@ -60,8 +59,8 @@ type Catalog = catalog.Catalog
 
 // Config holds the 3PCF computation parameters; start from DefaultConfig.
 // Config.Fingerprint is the canonical hash of the normalized configuration
-// — the config half of the service result-cache key, and the scenario pin
-// in perfstat reports.
+// — the config half of the service result-cache key and of the shard
+// checkpoint manifest.
 type Config = core.Config
 
 // Result holds the accumulated 3PCF multipoles zeta^m_{l1 l2}(r1, r2) and
@@ -107,8 +106,9 @@ type BackendSpec = exec.Spec
 // run.
 type UnitStats = exec.UnitStats
 
-// RunResult bundles a backend run's outputs: the merged Result, per-unit
-// statistics, and the uniform perfstat report.
+// RunResult is the one record of a backend run: the merged Result with its
+// phase timings, per-unit statistics, the backend that ran and the elapsed
+// wall clock. Its JSON encoding is what `galactos -perf-json` writes.
 type RunResult = exec.RunResult
 
 // CatalogSource streams a catalog in chunks; see NewFileSource for the
@@ -130,12 +130,6 @@ func SaveResult(path string, r *Result) error { return core.SaveResult(path, r) 
 // LoadResult reads a Result checkpoint, rejecting unknown versions and
 // corrupted or truncated files.
 func LoadResult(path string) (*Result, error) { return core.LoadResult(path) }
-
-// PerfReport is the machine-readable performance summary of one run:
-// pairs/sec, model FLOP rate, and the per-phase timing breakdown. Every Run
-// returns one (RunResult.Perf); it serializes to JSON with WriteJSON and is
-// what `galactos -perf-json` writes and galactosd serves as a job's `perf`.
-type PerfReport = perfstat.Report
 
 // BruteForce3PCF computes the anisotropic 3PCF by O(N^3) direct triplet
 // counting — the verification oracle (use only on small catalogs).

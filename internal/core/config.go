@@ -160,20 +160,3 @@ func (c Config) Normalize() (Config, error) {
 	}
 	return c, nil
 }
-
-// EffectiveWorkers returns the worker count for a run over n primaries: the
-// normalized Workers clamped to n (never below 1), so tiny runs do not spin
-// up idle goroutines.
-func (c Config) EffectiveWorkers(n int) int {
-	w := c.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if n > 0 && w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}

@@ -105,7 +105,6 @@ func ComputeSubsetContext(ctx context.Context, cat *catalog.Catalog, primary []b
 		return nil, err
 	}
 	res.Timings.TreeBuild = treeBuild
-	res.Timings.Total = time.Since(start)
 	res.NGalaxies = cat.Len()
 	return res, nil
 }
@@ -415,7 +414,7 @@ func (e *engine) run() (*Result, error) {
 		}
 		return total, nil
 	}
-	nw := min(e.cfg.EffectiveWorkers(len(e.primaryIdx)), nB)
+	nw := min(e.cfg.Workers, nB)
 	states := make([]*workerState, nw)
 	var wg sync.WaitGroup
 	for w := 0; w < nw; w++ {
@@ -434,20 +433,12 @@ func (e *engine) run() (*Result, error) {
 	if err := e.ctx.Err(); err != nil {
 		return nil, err
 	}
-	total.WorkerPhases = make([]Breakdown, 0, len(states))
 	for _, s := range states {
 		total.Timings.Gather += s.tGather
 		total.Timings.Consume += s.tConsume - s.tSelf // self-count timed inside the consume
 		total.Timings.SelfCount += s.tSelf
 		total.Timings.AlmZeta += s.tAlmZeta
 		total.Timings.WorkerTotal += s.tWorker
-		total.WorkerPhases = append(total.WorkerPhases, Breakdown{
-			Gather:      s.tGather,
-			Consume:     s.tConsume - s.tSelf,
-			SelfCount:   s.tSelf,
-			AlmZeta:     s.tAlmZeta,
-			WorkerTotal: s.tWorker,
-		})
 	}
 	return total, nil
 }

@@ -25,8 +25,8 @@ const fingerprintVersion = "GCFP4"
 // engine reads changes the fingerprint.
 //
 // It is the one answer to "is this the same run?": the config half of the
-// service result-cache key and of its journal records, the config pin of a
-// shard checkpoint manifest, and the measured scenario in perfstat reports.
+// service result-cache key and of its journal records, and the config pin
+// of a shard checkpoint manifest.
 // Workers is not hashed: the engine commits its units in one fixed order at
 // any worker count, so the same request on hosts of different widths shares
 // one key and one answer. Nor are the deprecated knobs, which the engine

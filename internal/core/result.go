@@ -57,13 +57,11 @@ func (t *ComboTable) Index(l1, l2, m int) (int, bool) {
 // Gather is the block-granular neighbor query and Consume the tile assembly
 // plus multipole kernel, so a win in either is attributable on its own.
 type Breakdown struct {
-	IO        time.Duration // catalog generation / loading (filled by callers)
 	TreeBuild time.Duration // neighbor index construction
 	Gather    time.Duration // block-granular neighbor queries (was TreeSearch)
 	Consume   time.Duration // tile assembly + kernel accumulation (was Multipole)
 	SelfCount time.Duration // self-pair correction evaluation
 	AlmZeta   time.Duration // a_lm conversion + zeta outer products
-	Total     time.Duration // end-to-end wall clock
 	// WorkerTotal is the summed per-worker wall clock, including scheduler
 	// and commit-clock waits that belong to no compute phase — so the
 	// phase fields can sum to well below it on oversubscribed hosts.
@@ -72,15 +70,11 @@ type Breakdown struct {
 
 // Add accumulates another breakdown (used by the sharded reduction).
 func (b *Breakdown) Add(o Breakdown) {
-	b.IO += o.IO
 	b.TreeBuild += o.TreeBuild
 	b.Gather += o.Gather
 	b.Consume += o.Consume
 	b.SelfCount += o.SelfCount
 	b.AlmZeta += o.AlmZeta
-	if o.Total > b.Total {
-		b.Total = o.Total // wall clock: ranks run concurrently
-	}
 	b.WorkerTotal += o.WorkerTotal
 }
 
@@ -92,12 +86,13 @@ func (b *Breakdown) Add(o Breakdown) {
 //	w_p * [ a_{l1 m}(b1; p) * conj(a_{l2 m}(b2; p)) - selfterm ]
 //
 // flattened as Aniso[(c*NBins + b1)*NBins + b2]. The isotropic multipoles
-// (Sec. 2.2) are derived views via IsoZeta.
+// (Sec. 2.2) are derived views via IsoZeta. The JSON encoding (inside a
+// run record) carries the counters and Timings, not the multipoles.
 type Result struct {
 	LMax       int
 	Bins       hist.Binning
-	Combos     *ComboTable
-	Aniso      []complex128
+	Combos     *ComboTable  `json:"-"`
+	Aniso      []complex128 `json:"-"`
 	NPrimaries int
 	// NGalaxies is the number of galaxies in the local volume (primaries
 	// plus halo copies for sharded runs).
@@ -108,13 +103,6 @@ type Result struct {
 	// SumWeight is the summed primary weight (normalization).
 	SumWeight float64
 	Timings   Breakdown
-	// WorkerPhases holds each engine worker's own phase breakdown (the
-	// rows Timings sums). It is a scheduling diagnostic for perfstat's
-	// parallel-efficiency reporting: per-worker skew is invisible in the
-	// summed Timings. Node-local only — the binary result encoding
-	// (resultio) does not carry it, so results read back from disk or the
-	// wire have it empty.
-	WorkerPhases []Breakdown
 }
 
 // NewResult allocates an empty result for the given configuration.
@@ -191,7 +179,6 @@ func (r *Result) Add(o *Result) error {
 	r.Pairs += o.Pairs
 	r.SumWeight += o.SumWeight
 	r.Timings.Add(o.Timings)
-	r.WorkerPhases = append(r.WorkerPhases, o.WorkerPhases...)
 	return nil
 }
 

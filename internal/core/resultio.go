@@ -31,7 +31,7 @@ import (
 //	40      8      NGalaxies (uint64)
 //	48      8      Pairs (uint64)
 //	56      8      SumWeight (float64)
-//	64      64     Timings: 8 int64 nanosecond durations
+//	64      64     Timings: 8 int64 nanosecond durations (timingSlots)
 //	128     8      channel count (uint64) = len(Aniso)
 //	136     16*C   Aniso as (re, im) float64 pairs
 //	        8      CRC-64/ECMA over bytes [0, 136+16*C)
@@ -79,11 +79,10 @@ func WriteResult(w io.Writer, r *Result) error {
 	le.PutUint64(buf[40:48], uint64(r.NGalaxies))
 	le.PutUint64(buf[48:56], r.Pairs)
 	le.PutUint64(buf[56:64], math.Float64bits(r.SumWeight))
-	t := r.Timings
-	for i, d := range [8]time.Duration{
-		t.IO, t.TreeBuild, t.Gather, t.Consume, t.SelfCount, t.AlmZeta, t.Total, t.WorkerTotal,
-	} {
-		le.PutUint64(buf[64+8*i:72+8*i], uint64(d))
+	for i, d := range timingSlots(&r.Timings) {
+		if d != nil {
+			le.PutUint64(buf[64+8*i:72+8*i], uint64(*d))
+		}
 	}
 	le.PutUint64(buf[128:136], uint64(len(r.Aniso)))
 
@@ -195,11 +194,11 @@ func ReadResult(r io.Reader) (*Result, error) {
 		Pairs:      le.Uint64(hdr[48:56]),
 		SumWeight:  math.Float64frombits(le.Uint64(hdr[56:64])),
 	}
-	var durs [8]int64
-	for i := range durs {
-		durs[i] = int64(le.Uint64(hdr[64+8*i : 72+8*i]))
+	for i, d := range timingSlots(&res.Timings) {
+		if d != nil {
+			*d = time.Duration(le.Uint64(hdr[64+8*i : 72+8*i]))
+		}
 	}
-	res.Timings = breakdownFromNanos(durs)
 
 	crc := crc64.Update(0, resultCRCTable, hdr[:])
 	buf := make([]byte, min(resultBlock, 16*channels+8))
@@ -234,17 +233,11 @@ func ReadResult(r io.Reader) (*Result, error) {
 	return res, nil
 }
 
-func breakdownFromNanos(d [8]int64) Breakdown {
-	return Breakdown{
-		IO:          time.Duration(d[0]),
-		TreeBuild:   time.Duration(d[1]),
-		Gather:      time.Duration(d[2]),
-		Consume:     time.Duration(d[3]),
-		SelfCount:   time.Duration(d[4]),
-		AlmZeta:     time.Duration(d[5]),
-		Total:       time.Duration(d[6]),
-		WorkerTotal: time.Duration(d[7]),
-	}
+// timingSlots maps the header's eight timing slots to t's fields. Slots 0
+// and 6 held the retired IO and Total timings: they are written as 0 and
+// ignored on read, so results written before still load.
+func timingSlots(t *Breakdown) [8]*time.Duration {
+	return [8]*time.Duration{nil, &t.TreeBuild, &t.Gather, &t.Consume, &t.SelfCount, &t.AlmZeta, nil, &t.WorkerTotal}
 }
 
 // SaveResult writes r to path atomically (WriteFileAtomic), so a crash

@@ -41,8 +41,8 @@ func writeResultPerRecord(w io.Writer, r *Result) error {
 	le.PutUint64(buf[56:64], math.Float64bits(r.SumWeight))
 	t := r.Timings
 	for i, d := range []int64{
-		int64(t.IO), int64(t.TreeBuild), int64(t.Gather), int64(t.Consume),
-		int64(t.SelfCount), int64(t.AlmZeta), int64(t.Total), int64(t.WorkerTotal),
+		0, int64(t.TreeBuild), int64(t.Gather), int64(t.Consume),
+		int64(t.SelfCount), int64(t.AlmZeta), 0, int64(t.WorkerTotal),
 	} {
 		le.PutUint64(buf[64+8*i:72+8*i], uint64(d))
 	}
@@ -105,11 +105,9 @@ func readResultPerRecord(r io.Reader) (*Result, error) {
 	res.NGalaxies = int(le.Uint64(buf[40:48]))
 	res.Pairs = le.Uint64(buf[48:56])
 	res.SumWeight = math.Float64frombits(le.Uint64(buf[56:64]))
-	durs := [8]int64{}
-	for i := range durs {
-		durs[i] = int64(le.Uint64(buf[64+8*i : 72+8*i]))
-	}
-	res.Timings = breakdownFromNanos(durs)
+	slot := func(i int) time.Duration { return time.Duration(le.Uint64(buf[64+8*i : 72+8*i])) }
+	res.Timings = Breakdown{TreeBuild: slot(1), Gather: slot(2), Consume: slot(3),
+		SelfCount: slot(4), AlmZeta: slot(5), WorkerTotal: slot(7)}
 	if n := le.Uint64(buf[128:136]); n != uint64(len(res.Aniso)) {
 		return nil, fmt.Errorf("core: result header claims %d channels, want %d", n, len(res.Aniso))
 	}
@@ -141,8 +139,8 @@ func syntheticResult(lmax, nbins int, seed int64) *Result {
 	rng := rand.New(rand.NewSource(seed))
 	res := NewResult(lmax, bins)
 	res.NPrimaries, res.NGalaxies, res.Pairs, res.SumWeight = 17, 23, 1<<40+5, -3.25
-	res.Timings = Breakdown{IO: 1, TreeBuild: 2, Gather: 3, Consume: 4, SelfCount: 5,
-		AlmZeta: 6, Total: 7 * time.Second, WorkerTotal: -8}
+	res.Timings = Breakdown{TreeBuild: 2, Gather: 3, Consume: 4, SelfCount: 5,
+		AlmZeta: 6, WorkerTotal: -8}
 	for i := range res.Aniso {
 		res.Aniso[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 	}

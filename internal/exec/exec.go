@@ -2,12 +2,12 @@
 // job. A Request names the catalog, the core.Config and, in its Spec, where
 // the job runs — the in-memory engine ("local") or the bounded-memory
 // out-of-core slab pipeline ("sharded"). Run checks the request once,
-// normalizes its config once, and wraps either path in the same wall-clock
-// timing and perfstat collection, so every run feeds the same phase
-// breakdown and pairs/sec report, and honors context cancellation with the
-// same semantics: prompt return with ctx.Err(), no leaked goroutines, and
-// (for checkpointed sharded runs) a resumable checkpoint directory. See
-// DESIGN.md, "Execution layer".
+// normalizes its config once, and wraps either path in the same wall clock,
+// so every run returns the same record (RunResult: the merged result with
+// its phase timings, the per-unit statistics, the backend and the elapsed
+// time), and honors context cancellation with the same semantics: prompt
+// return with ctx.Err(), no leaked goroutines, and (for checkpointed sharded
+// runs) a resumable checkpoint directory. See DESIGN.md, "Execution layer".
 package exec
 
 import (
@@ -18,7 +18,6 @@ import (
 
 	"galactos/internal/catalog"
 	"galactos/internal/core"
-	"galactos/internal/perfstat"
 	"galactos/internal/shard"
 )
 
@@ -55,8 +54,8 @@ type Request struct {
 	// wire, so a remote submission carries its own deadline; the galactosd
 	// server additionally caps every job with its Options.JobTimeout.
 	TimeoutSec float64 `json:"timeout_sec,omitempty"`
-	// Label names the run in the perfstat report; empty selects the
-	// backend name.
+	// Label is galactosd's job label: the job's status and journal record
+	// carry it. Run does not read it.
 	Label string `json:"label,omitempty"`
 	// Log, when non-nil, receives the run's progress lines (per-shard
 	// completions, checkpoint resumes). The job service streams these to
@@ -110,18 +109,20 @@ func (r Request) Resolve() (catalog.Source, error) {
 // engine run of the local backend or one slab of the sharded backend.
 type UnitStats = shard.UnitStats
 
-// RunResult bundles a run's outputs: the merged result, the per-unit
-// statistics, and the uniform performance report.
+// RunResult is the one record of a run, identical across backends: the
+// merged result with its phase timings (Result.Timings), the per-unit
+// statistics, the backend that ran ("local" or "sharded") and the wall
+// clock of the whole pipeline. It marshals to JSON as-is (durations in ns);
+// that encoding is what `galactos -perf-json` writes.
 type RunResult struct {
 	Result  *core.Result
 	Units   []UnitStats
-	Perf    *perfstat.Report
+	Backend string
 	Elapsed time.Duration
 }
 
-// Run executes a request end-to-end under the shared telemetry: one wall
-// clock around the whole pipeline and one perfstat collection, identical
-// across backends.
+// Run executes a request end-to-end under one wall clock around the whole
+// pipeline, identical across backends.
 //
 // Run checks the request (Resolve) and normalizes its config exactly once,
 // here at entry; an invalid request or config is rejected before any
@@ -160,18 +161,11 @@ func Run(ctx context.Context, req Request) (*RunResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	elapsed := time.Since(start)
-	label := req.Label
-	if label == "" {
-		label = name
-	}
-	perf := perfstat.Collect(label, cfg, res, elapsed)
-	perf.Backend = name
 	return &RunResult{
 		Result:  res,
 		Units:   units,
-		Perf:    perf,
-		Elapsed: elapsed,
+		Backend: name,
+		Elapsed: time.Since(start),
 	}, nil
 }
 

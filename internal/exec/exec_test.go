@@ -282,8 +282,8 @@ func TestSpecBackendSelection(t *testing.T) {
 		{Spec{Name: ""}, "local"},
 		{Spec{Name: "sharded", Shards: 4}, "sharded"},
 	} {
-		if r := run(tc.spec, nil); r.Perf.Backend != tc.want {
-			t.Fatalf("%+v: ran backend %q, want %q", tc.spec, r.Perf.Backend, tc.want)
+		if r := run(tc.spec, nil); r.Backend != tc.want {
+			t.Fatalf("%+v: ran backend %q, want %q", tc.spec, r.Backend, tc.want)
 		}
 	}
 	resolve := func(spec Spec) error {
@@ -337,8 +337,8 @@ func TestSpecBackendSelection(t *testing.T) {
 	}
 }
 
-// TestRunCollectsUniformPerf: Run attaches the same perfstat shape to
-// every backend, labeled by backend name by default.
+// TestRunCollectsUniformPerf: Run returns the same record from every
+// backend, naming the backend that ran, with the phase timings populated.
 func TestRunCollectsUniformPerf(t *testing.T) {
 	cat := openCatalog(t, 400)
 	cfg := testConfig()
@@ -347,14 +347,11 @@ func TestRunCollectsUniformPerf(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", spec.Name, err)
 		}
-		if run.Perf == nil || run.Perf.Label != spec.Name {
-			t.Fatalf("%s: missing or mislabeled perf report: %+v", spec.Name, run.Perf)
+		if run.Backend != spec.Name {
+			t.Fatalf("%s: run record names backend %q", spec.Name, run.Backend)
 		}
-		if run.Perf.Pairs != run.Result.Pairs || run.Perf.PairsPerSec <= 0 {
-			t.Fatalf("%s: perf report inconsistent: %+v", spec.Name, run.Perf)
-		}
-		if run.Perf.PhaseSec["consume"] <= 0 {
-			t.Fatalf("%s: phase breakdown not populated: %+v", spec.Name, run.Perf.PhaseSec)
+		if run.Result.Timings.Consume <= 0 || run.Elapsed <= 0 {
+			t.Fatalf("%s: phase timings not populated: %+v over %v", spec.Name, run.Result.Timings, run.Elapsed)
 		}
 	}
 }

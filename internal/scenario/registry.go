@@ -17,7 +17,6 @@ import (
 	"galactos/internal/exec"
 	"galactos/internal/geom"
 	"galactos/internal/gridded"
-	"galactos/internal/perfstat"
 	"galactos/internal/twopcf"
 )
 
@@ -62,7 +61,7 @@ func Get(name string) (*Scenario, error) {
 // runOne runs a single catalog on the backend spec and assembles the
 // shared Outcome fields.
 func runOne(ctx context.Context, spec exec.Spec, name string, cat *catalog.Catalog, cfg core.Config, n int, seed int64) (*Outcome, *exec.RunResult, error) {
-	run, err := exec.Run(ctx, exec.Request{Catalog: cat, Config: cfg, Backend: spec, Label: name})
+	run, err := exec.Run(ctx, exec.Request{Catalog: cat, Config: cfg, Backend: spec})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -72,7 +71,6 @@ func runOne(ctx context.Context, spec exec.Spec, name string, cat *catalog.Catal
 		Seed:     seed,
 		Elapsed:  run.Elapsed,
 		Result:   run.Result,
-		Perf:     []*perfstat.Report{run.Perf},
 	}, run, nil
 }
 
@@ -373,7 +371,6 @@ func surveyEstimator() *Scenario {
 				Cross:     sv.Randoms.Result,
 				Corrected: sv.Corrected,
 				Survey:    sv,
-				Perf:      []*perfstat.Report{sv.DMR.Perf, sv.Randoms.Perf},
 			}, nil
 		},
 		Invariants: []Invariant{
@@ -457,11 +454,8 @@ func jackknifeCovariance() *Scenario {
 			if err != nil {
 				return nil, err
 			}
-			perf := make([]*perfstat.Report, 0, 1+len(jk.LOORuns))
 			elapsed := jk.FullRun.Elapsed
-			perf = append(perf, jk.FullRun.Perf)
 			for _, r := range jk.LOORuns {
-				perf = append(perf, r.Perf)
 				elapsed += r.Elapsed
 			}
 			return &Outcome{
@@ -471,7 +465,6 @@ func jackknifeCovariance() *Scenario {
 				Elapsed:   elapsed,
 				Result:    jk.FullRun.Result,
 				Jackknife: jk,
-				Perf:      perf,
 			}, nil
 		},
 		Invariants: []Invariant{

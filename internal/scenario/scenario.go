@@ -6,9 +6,10 @@
 // (Sec. 6.3) — as a registry row: a deterministic seeded catalog recipe, a
 // core.Config, and machine-checked invariants. Each scenario runs on an
 // exec.Spec, so every entry inherits cancellation, checkpoint/resume, and
-// perfstat, and the registry is the single correctness gate any future
-// backend must pass: structural invariants per run, bitwise golden hashes
-// for pinned seeds, and cross-backend equivalence in the test harness.
+// the run record, and the registry is the single correctness gate any
+// future backend must pass: structural invariants per run, bitwise golden
+// hashes for pinned seeds, and cross-backend equivalence in the test
+// harness.
 package scenario
 
 import (
@@ -25,7 +26,6 @@ import (
 	"galactos/internal/core"
 	"galactos/internal/estimator"
 	"galactos/internal/exec"
-	"galactos/internal/perfstat"
 	"galactos/internal/twopcf"
 )
 
@@ -104,8 +104,6 @@ type Outcome struct {
 	// Survey bundles the survey-estimator stage runs (per-unit stats for
 	// resume assertions).
 	Survey *Survey
-	// Perf holds the per-stage perfstat reports in stage order.
-	Perf []*perfstat.Report
 }
 
 // payloads returns the outcome's numeric content as named float64 vectors —

@@ -1,5 +1,5 @@
 // The two end-to-end survey workloads of Sec. 6.1, run as exec.Requests so
-// they inherit cancellation, checkpoint/resume, and perfstat from the
+// they inherit cancellation, checkpoint/resume, and the run record from the
 // execution layer. Each engine run of a workload is one stage of a template
 // request (stage), so checkpointed backends keep disjoint, independently
 // resumable checkpoint sets per stage.
@@ -22,8 +22,8 @@ import (
 // stage returns the template request tmpl running cat as the named stage of
 // a multi-run workload: a checkpointed backend gets the per-stage
 // subdirectory CheckpointDir/name, so the stages resume independently.
-func stage(tmpl exec.Request, name, label string, cat *catalog.Catalog) exec.Request {
-	tmpl.Catalog, tmpl.Label = cat, label
+func stage(tmpl exec.Request, name string, cat *catalog.Catalog) exec.Request {
+	tmpl.Catalog = cat
 	if tmpl.Backend.CheckpointDir != "" {
 		tmpl.Backend.CheckpointDir = filepath.Join(tmpl.Backend.CheckpointDir, name)
 	}
@@ -61,11 +61,11 @@ func RunSurveyEstimator(ctx context.Context, tmpl exec.Request, data, randoms *c
 	if err != nil {
 		return nil, err
 	}
-	nRun, err := exec.Run(ctx, stage(tmpl, "dmr", "survey-dmr", dmr))
+	nRun, err := exec.Run(ctx, stage(tmpl, "dmr", dmr))
 	if err != nil {
 		return nil, fmt.Errorf("scenario: survey D-R stage: %w", err)
 	}
-	rRun, err := exec.Run(ctx, stage(tmpl, "randoms", "survey-randoms", estimator.ScaledRandoms(data, randoms)))
+	rRun, err := exec.Run(ctx, stage(tmpl, "randoms", estimator.ScaledRandoms(data, randoms)))
 	if err != nil {
 		return nil, fmt.Errorf("scenario: survey randoms stage: %w", err)
 	}
@@ -147,7 +147,7 @@ func RunJackknife(ctx context.Context, tmpl exec.Request, cat *catalog.Catalog, 
 	}
 
 	out := &Jackknife{Regions: len(parts), RegionCounts: counts}
-	full, err := exec.Run(ctx, stage(tmpl, "full", "jackknife-full", cat))
+	full, err := exec.Run(ctx, stage(tmpl, "full", cat))
 	if err != nil {
 		return nil, fmt.Errorf("scenario: jackknife full-sample stage: %w", err)
 	}
@@ -166,7 +166,7 @@ func RunJackknife(ctx context.Context, tmpl exec.Request, cat *catalog.Catalog, 
 			}
 		}
 		name := fmt.Sprintf("loo-%03d", p)
-		run, err := exec.Run(ctx, stage(tmpl, name, "jackknife-"+name, loo))
+		run, err := exec.Run(ctx, stage(tmpl, name, loo))
 		if err != nil {
 			return nil, fmt.Errorf("scenario: jackknife region %d stage: %w", p, err)
 		}

@@ -279,21 +279,22 @@ func TestJackknifeCovarianceProperties(t *testing.T) {
 }
 
 // TestStagedScopesCheckpointDirs: a stage of a template request gets its own
-// catalog and label, a checkpointed backend a disjoint per-stage directory,
-// and keeps everything else (shards, resume, logger); an uncheckpointed
+// catalog, a checkpointed backend a disjoint per-stage directory, and keeps
+// everything else (shards, resume, label, logger); an uncheckpointed
 // spec is untouched. A template that already names a catalog is refused.
 func TestStagedScopesCheckpointDirs(t *testing.T) {
 	cat := catalog.Uniform(10, 200, 1)
 	var logged atomic.Int32
 	tmpl := exec.Request{
 		Backend: exec.Spec{Name: "sharded", Shards: 3, CheckpointDir: "/ckpt", Resume: true},
+		Label:   "jackknife",
 		Log:     func(string, ...any) { logged.Add(1) },
 	}
-	st := stage(tmpl, "loo-001", "jackknife-loo-001", cat)
+	st := stage(tmpl, "loo-001", cat)
 	if want := filepath.Join("/ckpt", "loo-001"); st.Backend.CheckpointDir != want {
 		t.Errorf("CheckpointDir = %q, want %q", st.Backend.CheckpointDir, want)
 	}
-	if st.Backend.Shards != 3 || !st.Backend.Resume || st.Catalog != cat || st.Label != "jackknife-loo-001" {
+	if st.Backend.Shards != 3 || !st.Backend.Resume || st.Catalog != cat || st.Label != "jackknife" {
 		t.Errorf("stage request = %+v", st)
 	}
 	if st.Log("x"); logged.Load() != 1 {
@@ -303,7 +304,7 @@ func TestStagedScopesCheckpointDirs(t *testing.T) {
 		t.Errorf("stage changed the template: %q", tmpl.Backend.CheckpointDir)
 	}
 	plain := exec.Spec{Name: "sharded", Shards: 2}
-	if st := stage(exec.Request{Backend: plain}, "dmr", "survey-dmr", cat); st.Backend != plain {
+	if st := stage(exec.Request{Backend: plain}, "dmr", cat); st.Backend != plain {
 		t.Errorf("uncheckpointed spec changed: %+v", st.Backend)
 	}
 

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"galactos/internal/exec"
-	"galactos/internal/perfstat"
 )
 
 // The wire types of the galactosd job API. The job *submission* schema is
@@ -53,11 +52,10 @@ type JobStatus struct {
 	// hits: no engine ran).
 	ElapsedSec float64 `json:"elapsed_sec,omitempty"`
 
-	// Units and Perf carry the uniform per-unit statistics and perfstat
-	// report of a completed fresh run — the same telemetry every backend
-	// feeds; cache hits have neither.
+	// Units carries the per-unit statistics of a completed fresh run (cache
+	// hits have none). The run's phase timings travel in the header of its
+	// result bytes (Result.Timings).
 	Units []exec.UnitStats `json:"units,omitempty"`
-	Perf  *perfstat.Report `json:"perf,omitempty"`
 }
 
 // Event is one entry of a job's progress stream: a state transition or a

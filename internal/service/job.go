@@ -194,7 +194,6 @@ func (j *job) status() JobStatus {
 	if j.run != nil {
 		st.ElapsedSec = j.run.Elapsed.Seconds()
 		st.Units = j.run.Units
-		st.Perf = j.run.Perf
 	}
 	return st
 }

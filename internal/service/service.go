@@ -6,8 +6,8 @@
 // submission — the cache key joins the catalog's content hash with the
 // normalized config's Fingerprint — and either complete immediately from
 // the LRU result cache or queue for a worker. Workers execute through
-// galactos.Run, inheriting the exec layer's cancellation and perfstat
-// plumbing unchanged; completed results are stored and served in the
+// galactos.Run, inheriting the exec layer's cancellation and run record
+// unchanged; completed results are stored and served in the
 // versioned resultio encoding, so a cache hit is byte-for-byte the cold
 // run's payload.
 package service

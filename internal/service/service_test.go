@@ -87,8 +87,8 @@ func TestJobLifecycle(t *testing.T) {
 	if st.StartedAt.IsZero() || st.FinishedAt.IsZero() {
 		t.Error("terminal job missing start/finish timestamps")
 	}
-	if len(st.Units) == 0 || st.Perf == nil {
-		t.Error("fresh done job missing unit stats or perf report")
+	if len(st.Units) == 0 {
+		t.Error("fresh done job missing unit stats")
 	}
 
 	// The event stream must be the full, ordered lifecycle.
@@ -121,6 +121,10 @@ func TestJobLifecycle(t *testing.T) {
 	}
 	if res.Pairs == 0 || res.NPrimaries != 400 {
 		t.Errorf("decoded result has %d pairs over %d primaries", res.Pairs, res.NPrimaries)
+	}
+	// A done job's phase timings travel in its result bytes' header.
+	if res.Timings.Consume <= 0 {
+		t.Errorf("fetched result carries no phase timings: %+v", res.Timings)
 	}
 }
 
@@ -321,6 +325,36 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	if st, err = cl.Wait(ctx, st.ID); err != nil || st.State != service.StateDone {
 		t.Fatalf("valid job after rejections: %v, state %s", err, st.State)
+	}
+}
+
+// TestJobStatusDecodesRetiredPerfKey: a done job's status as earlier
+// servers sent it, with a full "perf" report, still decodes; the retired
+// key is ignored and every other field arrives intact.
+func TestJobStatusDecodesRetiredPerfKey(t *testing.T) {
+	wire := `{"id":"job-000007","state":"done","label":"survey","key":"cat+fp",` +
+		`"queued_at":"2026-10-01T12:00:00Z","started_at":"2026-10-01T12:00:01Z","finished_at":"2026-10-01T12:00:03Z",` +
+		`"elapsed_sec":1.5,` +
+		`"units":[{"Unit":0,"NOwned":400,"NHalo":0,"Pairs":9000,"Elapsed":1400000000,"Resumed":false}],` +
+		`"perf":{"label":"local","backend":"local","host":"linux/amd64 2-cpu","gomaxprocs":2,"num_cpu":2,` +
+		`"timestamp":"2026-10-01T12:00:03Z","n_galaxies":400,"n_primaries":400,"n_bins":4,"l_max":2,` +
+		`"pairs":9000,"workers":1,"config_fingerprint":"fp","elapsed_sec":1.5,"pairs_per_sec":6000,` +
+		`"flops_per_pair":120,"model_gflops_per_sec":0.0007,` +
+		`"phase_sec":{"tree_build":0.01,"gather":0.2,"consume":1.1,"self_count":0,"alm_zeta":0.1,"worker_total":1.4},` +
+		`"parallel_efficiency":0.93,` +
+		`"worker_phase_sec":[{"gather":0.2,"consume":1.1,"self_count":0,"alm_zeta":0.1,"worker_total":1.4}]}}`
+	var got client.JobStatus
+	if err := json.Unmarshal([]byte(wire), &got); err != nil {
+		t.Fatal(err)
+	}
+	queued := time.Date(2026, 10, 1, 12, 0, 0, 0, time.UTC)
+	want := client.JobStatus{
+		ID: "job-000007", State: service.StateDone, Label: "survey", Key: "cat+fp",
+		QueuedAt: queued, StartedAt: queued.Add(time.Second), FinishedAt: queued.Add(3 * time.Second), ElapsedSec: 1.5,
+		Units: []galactos.UnitStats{{NOwned: 400, Pairs: 9000, Elapsed: 1400 * time.Millisecond}},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("decoded %+v, want %+v", got, want)
 	}
 }
 

@@ -162,7 +162,6 @@ func Compute(ctx context.Context, src catalog.Source, cfg core.Config, opts Opti
 		logf = func(string, ...any) {}
 	}
 
-	pipelineStart := time.Now()
 	// Every pass is a self-contained scan that reopens the source, so a
 	// transient mid-pass failure (source IO or spill IO) restarts just that
 	// pass under the default retry policy.
@@ -188,12 +187,10 @@ func Compute(ctx context.Context, src catalog.Source, cfg core.Config, opts Opti
 		}
 	}
 	// finish stamps the merged result — each partial counts its own halo
-	// copies in NGalaxies and the merged Total timing is the max over slabs,
-	// where the result describes the whole catalog and the true wall clock —
+	// copies in NGalaxies, where the result describes the whole catalog —
 	// and clears the run state that must not outlive a successful merge.
 	finish := func(total *core.Result, stats []UnitStats) (*core.Result, []UnitStats, error) {
 		total.NGalaxies = sc.n
-		total.Timings.Total = time.Since(pipelineStart)
 		finishCheckpoints(opts)
 		return total, stats, nil
 	}

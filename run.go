@@ -26,8 +26,9 @@ type Request = exec.Request
 // work. Cancelling ctx (deadline, SIGINT, client disconnect, ...) stops the
 // run promptly with ctx.Err() and leaks no goroutines; a cancelled
 // checkpointed sharded run leaves a resumable checkpoint directory. The
-// returned RunResult bundles the merged Result, uniform per-unit
-// statistics, and the perfstat report every backend feeds identically.
+// returned RunResult is the run's one record, the same on every backend:
+// the merged Result with its phase timings, per-unit statistics, the
+// backend and the elapsed wall clock.
 func Run(ctx context.Context, req Request) (*RunResult, error) {
 	return exec.Run(ctx, req)
 }
