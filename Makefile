@@ -49,15 +49,20 @@ fmt-check:
 bench:
 	$(GO) test -run=^$$ -bench=. -benchtime=1x ./...
 
-# Regenerate the scenario goldens after a deliberate change of the answer's
-# bits (a regrouped sum, a new lane body), then verify them: one hash per
-# scenario, the same under every lane dispatch, so any host will do —
-# TestGoldenHashes runs each scenario under every dispatch the host has and
-# fails if they disagree. Review the diff: it should touch exactly the
-# scenarios the change moves.
+# Regenerate the goldens after a deliberate change of the answer's bits (a
+# regrouped sum, a new lane body), then verify them: the scenario goldens
+# (internal/scenario/testdata/golden.json, one hash per scenario on the
+# local backend) and the sharded backend's (internal/shard/testdata/
+# golden.json, one file-streamed run through 8 checkpointed slabs). Each
+# hash is the same under every lane dispatch, so any host will do —
+# TestGoldenHashes and TestShardedGoldenHash run under every dispatch the
+# host has and fail if they disagree. Review the diff: it should touch
+# exactly the runs the change moves.
+GOLDEN_PKGS = ./internal/scenario ./internal/shard
+GOLDEN_RUN = '^(TestGoldenHashes|TestShardedGoldenHash)$$'
 golden:
-	$(GO) test -count=1 ./internal/scenario -run TestGoldenHashes -update-golden
-	$(GO) test -count=1 ./internal/scenario -run TestGoldenHashes
+	$(GO) test -count=1 $(GOLDEN_PKGS) -run $(GOLDEN_RUN) -update-golden
+	$(GO) test -count=1 $(GOLDEN_PKGS) -run $(GOLDEN_RUN)
 
 # Cross-compile smoke: the build must stay portable (arm64 has no asm lane
 # bodies — the noasm files of lanes, sphharm and kdtree must fill in) and

@@ -166,7 +166,7 @@ func TestBlockCodecMatchesPerRecordOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, bufLen := range []int{1, 7, BlockRecords - 1, BlockRecords, BlockRecords + 1, ChunkSize} {
+		for _, bufLen := range []int{1, 7, BlockRecords - 1, BlockRecords, BlockRecords + 1, 1 << 16} {
 			if n > 3*BlockRecords && bufLen == 1 {
 				continue
 			}
@@ -211,7 +211,7 @@ func TestTruncatedCatalogFailsLikePerRecord(t *testing.T) {
 	for _, cut := range []int{24, 24 + 1, 24 + 31, 24 + 32, 24 + 33,
 		24 + RecordSize*BlockRecords - 1, 24 + RecordSize*BlockRecords, 24 + RecordSize*BlockRecords + 17,
 		24 + RecordSize*(2*BlockRecords+5), len(whole) - 17, len(whole) - 1} {
-		for _, bufLen := range []int{7, BlockRecords, ChunkSize} {
+		for _, bufLen := range []int{7, BlockRecords, 1 << 16} {
 			old, _, err := openPerRecord(bytes.NewReader(whole[:cut]))
 			if err != nil {
 				t.Fatal(err)
@@ -239,6 +239,42 @@ func TestTruncatedCatalogFailsLikePerRecord(t *testing.T) {
 		if _, err := ReadBinary(bytes.NewReader(whole[:cut])); err == nil {
 			t.Errorf("cut %d: ReadBinary accepted a truncated catalog", cut)
 		}
+	}
+}
+
+// TestDrainPreallocation: a cursor that knows its length is drained in one
+// allocation of the array, sized to the count (up to a size class), for any
+// count up to maxPrealloc; and a count past the bound is not trusted in
+// advance: a header claiming 2^33 galaxies (the most the header check
+// passes) ahead of three records fails on the missing ones instead of on a
+// 256 GB allocation.
+func TestDrainPreallocation(t *testing.T) {
+	for _, n := range []int{1, BlockRecords + 1, maxPrealloc} {
+		cur := &memoryCursor{cat: Uniform(n, 120, 1)}
+		var got *Catalog
+		allocs := testing.AllocsPerRun(3, func() {
+			var err error
+			cur.pos = 0
+			if got, err = drain(cur); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if c := cap(got.Galaxies); allocs != 2 || c < n || c > n+n/8+16 {
+			t.Errorf("n=%d: %v allocations (want the catalog and its array), array cap %d", n, allocs, c)
+		}
+	}
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, blockFixture(3)); err != nil {
+		t.Fatal(err)
+	}
+	lying := buf.Bytes()
+	binary.LittleEndian.PutUint64(lying[16:24], 1<<33)
+	cur, err := OpenBinary(bytes.NewReader(lying), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := drain(cur); !errors.Is(err, io.ErrUnexpectedEOF) && !errors.Is(err, io.EOF) {
+		t.Errorf("a header claiming 2^33 galaxies drained with %v", err)
 	}
 }
 

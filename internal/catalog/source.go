@@ -47,11 +47,6 @@ type Cursor interface {
 	Close() error
 }
 
-// ChunkSize is the suggested Next buffer length for streaming consumers:
-// large enough to amortize per-call overhead, small enough to stay cache-
-// and memory-friendly (32 bytes per galaxy -> 2 MB chunks).
-const ChunkSize = 1 << 16
-
 // ReadAll materializes a Source into an in-memory catalog, refusing
 // non-finite positions and weights (CheckFinite).
 func ReadAll(src Source) (*Catalog, error) {
@@ -78,11 +73,18 @@ func ReadAllContext(ctx context.Context, src Source) (*Catalog, error) {
 	return c, err
 }
 
+// maxPrealloc bounds, in records (2 MB), how far drain trusts a cursor's
+// own count before any record has arrived. A binary file's count is a
+// header field nothing has checked yet: a torn or hostile header claiming
+// 2^60 galaxies must fail on its missing records, not on one huge
+// allocation.
+const maxPrealloc = 1 << 16
+
 // drain materializes the rest of cur's pass and closes it, decoding straight
 // into the catalog's own array. A cursor that knows its length is taken at
-// its word up to ChunkSize records, so the usual catalog is one exact
-// allocation; past that, and for cursors that do not know (CSV), the array
-// doubles as records actually arrive.
+// its word up to maxPrealloc records, so a catalog that size or smaller is
+// one exact allocation; past that, and for cursors that do not know (CSV),
+// the array doubles as records actually arrive.
 func drain(cur Cursor) (*Catalog, error) {
 	defer cur.Close()
 	c := &Catalog{}
@@ -90,7 +92,7 @@ func drain(cur Cursor) (*Catalog, error) {
 		if len(c.Galaxies) == cap(c.Galaxies) {
 			grow := max(len(c.Galaxies), BlockRecords)
 			if left, ok := remaining(cur); ok {
-				grow = int(min(left, uint64(max(grow, ChunkSize))))
+				grow = int(min(left, uint64(max(grow, maxPrealloc))))
 			}
 			c.Galaxies = slices.Grow(c.Galaxies, grow)
 		}

@@ -139,7 +139,7 @@ func TestBinaryCursorRejectsTruncation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := make([]Galaxy, ChunkSize)
+	g := make([]Galaxy, 1<<16)
 	for {
 		_, err = cur.Next(g)
 		if err != nil {

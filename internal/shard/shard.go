@@ -7,17 +7,19 @@
 // an equal-count histogram along the widest axis that fixes the slab cuts,
 // a spill pass that scatters every galaxy into per-slab record files: owned,
 // plus halo membership for every slab within RMax along the cut axis,
-// periodic wrap included) and then computes one slab at a time, so peak
-// memory is one slab's galaxies plus halo plus one engine, whatever the
-// catalog's size and wherever it lives — a memory source takes the same
-// path. Slab catalogs keep the source's periodic box and unshifted
-// coordinates, so the engine's own image handling covers the wrap and every
-// primary sees exactly the neighbour set (and line of sight) of a
-// single-shot run. Each slab's partial core.Result can be checkpointed in
-// the binary format of core.WriteResult and a killed run resumed: slabs with
-// a valid checkpoint are loaded instead of recomputed, and the deterministic
-// plan plus fixed merge order make the resumed result identical to an
-// uninterrupted one. See DESIGN.md, "shard".
+// periodic wrap included) and then computes one slab at a time. Peak memory
+// is one slab's galaxies plus halo, one engine, one decode block shared by
+// every pass and one fixed spill-buffer budget shared by every spill file,
+// whatever the catalog's size, the shard count and wherever the catalog
+// lives — a memory source takes the same path. Slab catalogs keep the
+// source's periodic box and unshifted coordinates, so the engine's own
+// image handling covers the wrap and every primary sees exactly the
+// neighbour set (and line of sight) of a single-shot run. Each slab's
+// partial core.Result can be checkpointed in the binary format of
+// core.WriteResult and a killed run resumed: slabs with a valid checkpoint
+// are loaded instead of recomputed, and the deterministic plan plus fixed
+// merge order make the resumed result identical to an uninterrupted one.
+// See DESIGN.md, "shard".
 package shard
 
 import (
@@ -165,9 +167,10 @@ func Compute(ctx context.Context, src catalog.Source, cfg core.Config, opts Opti
 	// Every pass is a self-contained scan that reopens the source, so a
 	// transient mid-pass failure (source IO or spill IO) restarts just that
 	// pass under the default retry policy.
+	s := newStream(src, opts.NShards)
 	var sc *sourceScan
 	err = retry.Policy{}.Do(ctx, "catalog scan", func() (err error) {
-		sc, err = scanSource(ctx, src)
+		sc, err = s.scan(ctx)
 		return err
 	})
 	if err != nil {
@@ -213,7 +216,7 @@ func Compute(ctx context.Context, src catalog.Source, cfg core.Config, opts Opti
 
 	var plan *slabPlan
 	err = retry.Policy{}.Do(ctx, "slab plan", func() (err error) {
-		plan, err = planSlabs(ctx, src, sc, opts.NShards)
+		plan, err = s.plan(ctx, sc, opts.NShards)
 		return err
 	})
 	if err != nil {
@@ -240,7 +243,7 @@ func Compute(ctx context.Context, src catalog.Source, cfg core.Config, opts Opti
 	// files truncate, so a torn pass leaves no residue).
 	spill := func(op string, skip []bool) (owned, halo []int, err error) {
 		err = retry.Policy{}.Do(ctx, op, func() (err error) {
-			owned, halo, err = spillSlabs(ctx, src, plan, cfg.RMax, spillDir, skip)
+			owned, halo, err = s.spillSlabs(ctx, plan, cfg.RMax, spillDir, skip)
 			return err
 		})
 		return owned, halo, err
@@ -282,7 +285,7 @@ func Compute(ctx context.Context, src catalog.Source, cfg core.Config, opts Opti
 					return nil, nil, fmt.Errorf("shard %d/%d: %w", i, opts.NShards, err)
 				}
 			}
-			if partial, err = computeSlab(ctx, plan, &stats[i], spillDir, bins, cfg, opts, logf); err != nil {
+			if partial, err = s.computeSlab(ctx, plan, &stats[i], spillDir, bins, cfg, opts, logf); err != nil {
 				return nil, nil, fmt.Errorf("shard %d/%d: %w", i, opts.NShards, err)
 			}
 		}
@@ -331,26 +334,15 @@ func scanCheckpoints(sc *sourceScan, bins hist.Binning, cfg core.Config, opts Op
 // computeSlab produces one slab's partial result from its spill files (st
 // names the slab and its record counts, and receives the pair count and
 // compute wall clock), persisting it when the run checkpoints.
-func computeSlab(ctx context.Context, plan *slabPlan, st *UnitStats, spillDir string, bins hist.Binning, cfg core.Config, opts Options, logf func(string, ...any)) (*core.Result, error) {
+func (s *stream) computeSlab(ctx context.Context, plan *slabPlan, st *UnitStats, spillDir string, bins hist.Binning, cfg core.Config, opts Options, logf func(string, ...any)) (*core.Result, error) {
 	// A slab with no primaries contributes nothing: skip the engine and
 	// emit an empty partial so checkpoint bookkeeping stays uniform.
 	res := core.NewResult(cfg.LMax, bins)
 	if st.NOwned > 0 {
 		start := time.Now()
-		local := &catalog.Catalog{
-			Box:      plan.box, // slab coordinates are unshifted: keep the wrap
-			Galaxies: make([]catalog.Galaxy, 0, st.NOwned+st.NHalo),
-		}
-		var err error
-		if local.Galaxies, err = readSpill(ctx, spillPath(spillDir, st.Unit, "own"), st.NOwned, local.Galaxies); err != nil {
+		local, primary, err := s.readSlab(ctx, plan.box, spillDir, st)
+		if err != nil {
 			return nil, err
-		}
-		if local.Galaxies, err = readSpill(ctx, spillPath(spillDir, st.Unit, "halo"), st.NHalo, local.Galaxies); err != nil {
-			return nil, err
-		}
-		primary := make([]bool, local.Len())
-		for j := 0; j < st.NOwned; j++ {
-			primary[j] = true
 		}
 		if res, err = core.ComputeSubsetContext(ctx, local, primary, cfg); err != nil {
 			return nil, err

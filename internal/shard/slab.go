@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"bufio"
 	"context"
 	"fmt"
 	"io"
@@ -32,22 +31,66 @@ const spillDirName = "spill"
 // edges, so per-slab counts are equal up to the galaxies sharing a bucket.
 const histBuckets = 4096
 
-// eachChunk makes one sequential pass over src, handing fn every chunk in
-// order, and returns the source's box — read after the drain, because a CSV
-// cursor only knows its L= token once the pass is complete.
-func eachChunk(ctx context.Context, src catalog.Source, fn func([]catalog.Galaxy) error) (geom.Periodic, error) {
-	cur, err := src.Open()
+// decodeBlock is the galaxies one pass over the source decodes at a time:
+// catalog.BlockRecords, the block the binary cursor reads and catalog.Hash
+// streams in (64 KB). One block serves every pass of a Compute, because a
+// pass only looks at each galaxy once and keeps nothing of it.
+const decodeBlock = catalog.BlockRecords
+
+// spillBudget is the byte budget of the spill files' write buffers, divided
+// across the 2·NShards files a spill pass keeps open (64 KB each at 8
+// shards), so the spill pass holds the same memory at any shard count.
+// Between spill passes one block of it is the slab reader's buffer. The
+// budget is far below a slab's galaxies at any catalog size worth
+// streaming, and a write of a few tens of KB already amortises the syscall.
+const spillBudget = 1 << 20
+
+// spillFloor is the smallest write buffer a spill file gets (one page): past
+// spillBudget/(2·spillFloor) = 128 shards the budget grows with NShards
+// rather than degrade every write to a handful of records.
+const spillFloor = 4 << 10
+
+// stream is one Compute's view of its source: the source plus the fixed
+// buffers every pass over it reuses — one decode block, one spill budget and
+// one pair of slab arrays — so the pipeline's memory is one slab plus halo
+// and these, whatever the catalog's size and the shard count.
+type stream struct {
+	src   catalog.Source
+	block []catalog.Galaxy // filled by every pass over src in turn
+	spill []byte           // the spill writers' buffers, then the slab reader's block
+
+	// The slab's galaxy array and primary mask, sized on first use for the
+	// largest slab the spill pass counted (largest) and reused by every slab
+	// after it: the engine copies what it keeps, so nothing holds them after
+	// core.ComputeSubsetContext returns.
+	gals    []catalog.Galaxy
+	primary []bool
+	largest int
+}
+
+func newStream(src catalog.Source, nshards int) *stream {
+	return &stream{
+		src:   src,
+		block: make([]catalog.Galaxy, decodeBlock),
+		spill: make([]byte, max(spillBudget, 2*nshards*spillFloor)),
+	}
+}
+
+// each makes one sequential pass over the source, handing fn every decoded
+// block in order, and returns the source's box — read after the drain,
+// because a CSV cursor only knows its L= token once the pass is complete.
+func (s *stream) each(ctx context.Context, fn func([]catalog.Galaxy) error) (geom.Periodic, error) {
+	cur, err := s.src.Open()
 	if err != nil {
 		return geom.Periodic{}, err
 	}
 	defer cur.Close() // read-only: a failed close loses nothing
-	buf := make([]catalog.Galaxy, catalog.ChunkSize)
 	for {
 		if err := ctx.Err(); err != nil {
 			return geom.Periodic{}, err
 		}
-		n, nextErr := cur.Next(buf)
-		if err := fn(buf[:n]); err != nil {
+		n, nextErr := cur.Next(s.block)
+		if err := fn(s.block[:n]); err != nil {
 			return geom.Periodic{}, err
 		}
 		if nextErr == io.EOF {
@@ -68,15 +111,15 @@ type sourceScan struct {
 	lo, hi [3]float64
 }
 
-// scanSource runs pass 1: count, bounds, and total weight — and, being the
-// first look at every galaxy, the finiteness check.
-func scanSource(ctx context.Context, src catalog.Source) (*sourceScan, error) {
+// scan runs pass 1: count, bounds, and total weight — and, being the first
+// look at every galaxy, the finiteness check.
+func (s *stream) scan(ctx context.Context) (*sourceScan, error) {
 	sc := &sourceScan{
 		lo: [3]float64{math.Inf(1), math.Inf(1), math.Inf(1)},
 		hi: [3]float64{math.Inf(-1), math.Inf(-1), math.Inf(-1)},
 	}
 	var err error
-	sc.box, err = eachChunk(ctx, src, func(chunk []catalog.Galaxy) error {
+	sc.box, err = s.each(ctx, func(chunk []catalog.Galaxy) error {
 		if err := catalog.CheckFinite(chunk, sc.n); err != nil {
 			return err
 		}
@@ -149,8 +192,8 @@ func intervalDist(c, a, b float64) float64 {
 	}
 }
 
-// planSlabs runs pass 2: the equal-count slab cuts along the widest axis.
-func planSlabs(ctx context.Context, src catalog.Source, sc *sourceScan, nshards int) (*slabPlan, error) {
+// plan runs pass 2: the equal-count slab cuts along the widest axis.
+func (s *stream) plan(ctx context.Context, sc *sourceScan, nshards int) (*slabPlan, error) {
 	p := &slabPlan{box: sc.box}
 
 	// Cut along the widest axis; a periodic box spans [0, L] on every axis.
@@ -169,7 +212,7 @@ func planSlabs(ctx context.Context, src catalog.Source, sc *sourceScan, nshards 
 		// Equal-count quantile cuts from a fixed-resolution histogram.
 		counts := make([]int, histBuckets)
 		width := (p.hi - p.lo) / histBuckets
-		_, err := eachChunk(ctx, src, func(chunk []catalog.Galaxy) error {
+		_, err := s.each(ctx, func(chunk []catalog.Galaxy) error {
 			for _, g := range chunk {
 				b := int((g.Pos.Component(p.axis) - p.lo) / width)
 				counts[min(max(b, 0), histBuckets-1)]++
@@ -197,36 +240,80 @@ func planSlabs(ctx context.Context, src catalog.Source, sc *sourceScan, nshards 
 	return p, nil
 }
 
-// spillWriter buffers one slab file's records.
-type spillWriter struct {
-	f   *os.File
-	bw  *bufio.Writer
-	rec [catalog.RecordSize]byte
+// eachHalo calls fn with every slab other than k, the owner of axis
+// coordinate c, that lies within rmax of c along the cut axis, wrap
+// included. It walks outward from k, rightward and then leftward (around the
+// wrap in a periodic box), and stops each walk at the first slab beyond
+// rmax: a slab's distance is the smaller of its distances along the two
+// directions, and each only grows as its walk goes on, so the walks find
+// exactly the slabs within rmax in work bounded by the halo's width, not by
+// NShards. A slab the rightward walk took is not visited again.
+func (p *slabPlan) eachHalo(c float64, k int, rmax float64, fn func(i int) error) error {
+	n, l := len(p.cuts)+1, p.box.L
+	left := n - 1
+	for _, dir := range [2]int{1, -1} {
+		for i := k + dir; left > 0; i += dir {
+			if i < 0 || i >= n {
+				if l == 0 {
+					break
+				}
+				i = (i + n) % n
+			}
+			a, b := p.interval(i)
+			if axisDist(c, a, b, l) > rmax {
+				break
+			}
+			left--
+			if err := fn(i); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
-func newSpillWriter(path string) (*spillWriter, error) {
+// spillWriter buffers one slab file's records in its share of the spill
+// budget.
+type spillWriter struct {
+	f   *os.File
+	buf []byte // a whole number of records
+	n   int    // bytes buffered
+}
+
+func newSpillWriter(path string, buf []byte) (*spillWriter, error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, err
 	}
-	return &spillWriter{f: f, bw: bufio.NewWriterSize(f, 1<<18)}, nil
+	return &spillWriter{f: f, buf: buf}, nil
 }
 
 func (w *spillWriter) add(g catalog.Galaxy) error {
 	if err := fpSpillWrite.Inject(); err != nil {
 		return err
 	}
-	catalog.PutRecord(w.rec[:], g)
-	_, err := w.bw.Write(w.rec[:])
+	if w.n == len(w.buf) {
+		if err := w.flush(); err != nil {
+			return err
+		}
+	}
+	catalog.PutRecord(w.buf[w.n:], g)
+	w.n += catalog.RecordSize
+	return nil
+}
+
+func (w *spillWriter) flush() error {
+	_, err := w.f.Write(w.buf[:w.n])
+	w.n = 0
 	return err
 }
 
 func (w *spillWriter) close() error {
-	if err := w.bw.Flush(); err != nil {
-		w.f.Close()
-		return err
+	err := w.flush()
+	if cerr := w.f.Close(); err == nil {
+		err = cerr
 	}
-	return w.f.Close()
+	return err
 }
 
 func spillPath(dir string, i int, kind string) string {
@@ -238,7 +325,7 @@ func spillPath(dir string, i int, kind string) string {
 // axis. Returns per-slab owned and halo counts. Slabs with skip[i] set are
 // counted but not written — they already hold a validated checkpoint, so
 // rewriting their records would be wasted IO.
-func spillSlabs(ctx context.Context, src catalog.Source, p *slabPlan, rmax float64, dir string, skip []bool) (owned, halo []int, err error) {
+func (s *stream) spillSlabs(ctx context.Context, p *slabPlan, rmax float64, dir string, skip []bool) (owned, halo []int, err error) {
 	nshards := len(skip)
 	owned = make([]int, nshards)
 	halo = make([]int, nshards)
@@ -258,19 +345,20 @@ func spillSlabs(ctx context.Context, src catalog.Source, p *slabPlan, rmax float
 			}
 		}
 	}()
+	// Each open file's share of the budget, a whole number of records.
+	share := len(s.spill) / len(writers) / catalog.RecordSize * catalog.RecordSize
 	for i := range skip {
 		if skip[i] {
 			continue
 		}
-		if own[i], err = newSpillWriter(spillPath(dir, i, "own")); err != nil {
+		if own[i], err = newSpillWriter(spillPath(dir, i, "own"), s.spill[2*i*share:][:share]); err != nil {
 			return nil, nil, err
 		}
-		if hal[i], err = newSpillWriter(spillPath(dir, i, "halo")); err != nil {
+		if hal[i], err = newSpillWriter(spillPath(dir, i, "halo"), s.spill[(2*i+1)*share:][:share]); err != nil {
 			return nil, nil, err
 		}
 	}
-	l := p.box.L
-	_, err = eachChunk(ctx, src, func(chunk []catalog.Galaxy) error {
+	_, err = s.each(ctx, func(chunk []catalog.Galaxy) error {
 		for _, g := range chunk {
 			c := g.Pos.Component(p.axis)
 			k := p.slabOf(c)
@@ -280,36 +368,56 @@ func spillSlabs(ctx context.Context, src catalog.Source, p *slabPlan, rmax float
 					return err
 				}
 			}
-			// Slab count is small against the catalog, so a linear halo
-			// scan per galaxy stays cheap; slabs are ordered, so it could
-			// be narrowed to a window if shard counts ever grow.
-			for i := range skip {
-				if i == k {
-					continue
-				}
-				a, b := p.interval(i)
-				if axisDist(c, a, b, l) > rmax {
-					continue
-				}
+			err := p.eachHalo(c, k, rmax, func(i int) error {
 				halo[i]++
-				if hal[i] != nil {
-					if err := hal[i].add(g); err != nil {
-						return err
-					}
+				if hal[i] == nil {
+					return nil
 				}
+				return hal[i].add(g)
+			})
+			if err != nil {
+				return err
 			}
 		}
 		return nil
 	})
+	for i := range owned {
+		s.largest = max(s.largest, owned[i]+halo[i])
+	}
 	return owned, halo, err
 }
 
-// readSpill appends the n records of one spill file to gals, retrying the
-// whole file on transient failure (each attempt reopens, re-reads from the
-// first record and appends at the caller's length again).
-func readSpill(ctx context.Context, path string, n int, gals []catalog.Galaxy) ([]catalog.Galaxy, error) {
-	var out []catalog.Galaxy
-	err := retry.Policy{}.Do(ctx, "spill read", func() error {
+// readSlab decodes slab st.Unit's spill files — its st.NOwned primaries,
+// then its st.NHalo halo copies — into the reused slab arrays and returns
+// the slab catalog (keeping the source's box: slab coordinates are
+// unshifted, so the engine's image handling covers the wrap) with its
+// primary mask.
+func (s *stream) readSlab(ctx context.Context, box geom.Periodic, dir string, st *UnitStats) (*catalog.Catalog, []bool, error) {
+	n := st.NOwned + st.NHalo
+	if len(s.gals) < n {
+		s.gals = make([]catalog.Galaxy, max(n, s.largest))
+		s.primary = make([]bool, len(s.gals))
+	}
+	gals, primary := s.gals[:n], s.primary[:n]
+	if err := s.readSpill(ctx, spillPath(dir, st.Unit, "own"), gals[:st.NOwned]); err != nil {
+		return nil, nil, err
+	}
+	if err := s.readSpill(ctx, spillPath(dir, st.Unit, "halo"), gals[st.NOwned:]); err != nil {
+		return nil, nil, err
+	}
+	for j := range primary {
+		primary[j] = j < st.NOwned
+	}
+	return &catalog.Catalog{Box: box, Galaxies: gals}, primary, nil
+}
+
+// readSpill decodes the len(gals) records of one spill file into gals, one
+// block at a time through the head of the spill budget, retrying the whole
+// file on transient failure (each attempt reopens and re-reads from the
+// first record).
+func (s *stream) readSpill(ctx context.Context, path string, gals []catalog.Galaxy) error {
+	raw := s.spill[:decodeBlock*catalog.RecordSize]
+	return retry.Policy{}.Do(ctx, "spill read", func() error {
 		if err := fpSpillRead.Inject(); err != nil {
 			return err
 		}
@@ -318,16 +426,16 @@ func readSpill(ctx context.Context, path string, n int, gals []catalog.Galaxy) (
 			return err
 		}
 		defer f.Close()
-		br := bufio.NewReaderSize(f, 1<<18)
-		var rec [catalog.RecordSize]byte
-		out = gals
-		for i := 0; i < n; i++ {
-			if _, err := io.ReadFull(br, rec[:]); err != nil {
-				return fmt.Errorf("shard: reading spill %s record %d: %w", filepath.Base(path), i, err)
+		for i := 0; i < len(gals); {
+			k := min(len(gals)-i, decodeBlock)
+			if got, err := io.ReadFull(f, raw[:k*catalog.RecordSize]); err != nil {
+				return fmt.Errorf("shard: reading spill %s record %d: %w", filepath.Base(path), i+got/catalog.RecordSize, err)
 			}
-			out = append(out, catalog.GetRecord(rec[:]))
+			for j := range k {
+				gals[i+j] = catalog.GetRecord(raw[j*catalog.RecordSize:])
+			}
+			i += k
 		}
 		return nil
 	})
-	return out, err
 }
