@@ -1,25 +1,25 @@
 // Package shard implements the out-of-core sharded 3PCF pipeline: the
 // single-machine analogue of the paper's Sec. 3.2/3.3 scale-out strategy
 // (partition spatially, pad with halo copies within RMax, compute each piece
-// alone, reduce the partial multipoles). Where the paper gives every piece
-// its own MPI rank — all rank-local state resident at once — Compute streams
-// a catalog.Source through three sequential passes (count / bounds / weight,
-// an equal-count histogram along the widest axis that fixes the slab cuts,
-// a spill pass that scatters every galaxy into per-slab record files: owned,
-// plus halo membership for every slab within RMax along the cut axis,
-// periodic wrap included) and then computes one slab at a time. Peak memory
-// is one slab's galaxies plus halo, one engine, one decode block shared by
-// every pass and one fixed spill-buffer budget shared by every spill file,
-// whatever the catalog's size, the shard count and wherever the catalog
-// lives — a memory source takes the same path. Slab catalogs keep the
-// source's periodic box and unshifted coordinates, so the engine's own
-// image handling covers the wrap and every primary sees exactly the
-// neighbour set (and line of sight) of a single-shot run. Each slab's
-// partial core.Result can be checkpointed in the binary format of
-// core.WriteResult and a killed run resumed: slabs with a valid checkpoint
-// are loaded instead of recomputed, and the deterministic plan plus fixed
-// merge order make the resumed result identical to an uninterrupted one.
-// See DESIGN.md, "shard".
+// alone, reduce the partial multipoles). Where the paper gives every piece its
+// own MPI rank — all rank-local state resident at once — Compute streams a
+// catalog.Source through three sequential passes (count / bounds / weight, an
+// equal-count histogram along the widest axis that fixes the slab cuts, a spill
+// pass that scatters every galaxy into per-slab record files: owned, plus halo
+// membership for every slab within RMax along the cut axis, periodic wrap
+// included) and then computes one slab at a time. Peak memory is one slab's
+// galaxies plus halo, one engine, one decode block shared by every pass, one
+// block that reads back every spill file and one fixed spill-buffer budget
+// shared by every spill file being written, whatever the catalog's size, the
+// shard count and wherever the catalog lives — a memory source takes the same
+// path. Slab catalogs keep the source's periodic box and unshifted coordinates,
+// so the engine's own image handling covers the wrap and every primary sees
+// exactly the neighbour set (and line of sight) of a single-shot run. Each
+// slab's partial core.Result can be checkpointed in the binary format of
+// core.WriteResult and a killed run resumed: slabs with a valid checkpoint are
+// loaded instead of recomputed, and the deterministic plan plus fixed merge
+// order make the resumed result identical to an uninterrupted one. See
+// DESIGN.md, "shard".
 package shard
 
 import (

@@ -39,8 +39,7 @@ const decodeBlock = catalog.BlockRecords
 
 // spillBudget is the byte budget of the spill files' write buffers, divided
 // across the 2·NShards files a spill pass keeps open (64 KB each at 8
-// shards), so the spill pass holds the same memory at any shard count.
-// Between spill passes one block of it is the slab reader's buffer. The
+// shards), so the spill pass holds the same memory at any shard count. The
 // budget is far below a slab's galaxies at any catalog size worth
 // streaming, and a write of a few tens of KB already amortises the syscall.
 const spillBudget = 1 << 20
@@ -52,20 +51,13 @@ const spillFloor = 4 << 10
 
 // stream is one Compute's view of its source: the source plus the fixed
 // buffers every pass over it reuses — one decode block, one spill budget and
-// one pair of slab arrays — so the pipeline's memory is one slab plus halo
-// and these, whatever the catalog's size and the shard count.
+// one spill-read block — so the pipeline's memory is one slab plus halo and
+// these, whatever the catalog's size and the shard count.
 type stream struct {
 	src   catalog.Source
 	block []catalog.Galaxy // filled by every pass over src in turn
-	spill []byte           // the spill writers' buffers, then the slab reader's block
-
-	// The slab's galaxy array and primary mask, sized on first use for the
-	// largest slab the spill pass counted (largest) and reused by every slab
-	// after it: the engine copies what it keeps, so nothing holds them after
-	// core.ComputeSubsetContext returns.
-	gals    []catalog.Galaxy
-	primary []bool
-	largest int
+	spill []byte           // the spill writers' buffers
+	raw   []byte           // decodeBlock packed records: every spill file's reads
 }
 
 func newStream(src catalog.Source, nshards int) *stream {
@@ -73,6 +65,7 @@ func newStream(src catalog.Source, nshards int) *stream {
 		src:   src,
 		block: make([]catalog.Galaxy, decodeBlock),
 		spill: make([]byte, max(spillBudget, 2*nshards*spillFloor)),
+		raw:   make([]byte, decodeBlock*catalog.RecordSize),
 	}
 }
 
@@ -240,38 +233,6 @@ func (s *stream) plan(ctx context.Context, sc *sourceScan, nshards int) (*slabPl
 	return p, nil
 }
 
-// eachHalo calls fn with every slab other than k, the owner of axis
-// coordinate c, that lies within rmax of c along the cut axis, wrap
-// included. It walks outward from k, rightward and then leftward (around the
-// wrap in a periodic box), and stops each walk at the first slab beyond
-// rmax: a slab's distance is the smaller of its distances along the two
-// directions, and each only grows as its walk goes on, so the walks find
-// exactly the slabs within rmax in work bounded by the halo's width, not by
-// NShards. A slab the rightward walk took is not visited again.
-func (p *slabPlan) eachHalo(c float64, k int, rmax float64, fn func(i int) error) error {
-	n, l := len(p.cuts)+1, p.box.L
-	left := n - 1
-	for _, dir := range [2]int{1, -1} {
-		for i := k + dir; left > 0; i += dir {
-			if i < 0 || i >= n {
-				if l == 0 {
-					break
-				}
-				i = (i + n) % n
-			}
-			a, b := p.interval(i)
-			if axisDist(c, a, b, l) > rmax {
-				break
-			}
-			left--
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // spillWriter buffers one slab file's records in its share of the spill
 // budget.
 type spillWriter struct {
@@ -358,6 +319,7 @@ func (s *stream) spillSlabs(ctx context.Context, p *slabPlan, rmax float64, dir 
 			return nil, nil, err
 		}
 	}
+	l := p.box.L
 	_, err = s.each(ctx, func(chunk []catalog.Galaxy) error {
 		for _, g := range chunk {
 			c := g.Pos.Component(p.axis)
@@ -368,55 +330,54 @@ func (s *stream) spillSlabs(ctx context.Context, p *slabPlan, rmax float64, dir 
 					return err
 				}
 			}
-			err := p.eachHalo(c, k, rmax, func(i int) error {
-				halo[i]++
-				if hal[i] == nil {
-					return nil
+			// Slab count is small against the catalog, so a linear halo
+			// scan per galaxy stays cheap; slabs are ordered, so it could
+			// be narrowed to a window if shard counts ever grow.
+			for i := range skip {
+				if i == k {
+					continue
 				}
-				return hal[i].add(g)
-			})
-			if err != nil {
-				return err
+				a, b := p.interval(i)
+				if axisDist(c, a, b, l) > rmax {
+					continue
+				}
+				halo[i]++
+				if hal[i] != nil {
+					if err := hal[i].add(g); err != nil {
+						return err
+					}
+				}
 			}
 		}
 		return nil
 	})
-	for i := range owned {
-		s.largest = max(s.largest, owned[i]+halo[i])
-	}
 	return owned, halo, err
 }
 
 // readSlab decodes slab st.Unit's spill files — its st.NOwned primaries,
-// then its st.NHalo halo copies — into the reused slab arrays and returns
-// the slab catalog (keeping the source's box: slab coordinates are
-// unshifted, so the engine's image handling covers the wrap) with its
-// primary mask.
+// then its st.NHalo halo copies — into a slab catalog (keeping the source's
+// box: slab coordinates are unshifted, so the engine's image handling covers
+// the wrap) and returns it with its primary mask.
 func (s *stream) readSlab(ctx context.Context, box geom.Periodic, dir string, st *UnitStats) (*catalog.Catalog, []bool, error) {
-	n := st.NOwned + st.NHalo
-	if len(s.gals) < n {
-		s.gals = make([]catalog.Galaxy, max(n, s.largest))
-		s.primary = make([]bool, len(s.gals))
-	}
-	gals, primary := s.gals[:n], s.primary[:n]
+	gals := make([]catalog.Galaxy, st.NOwned+st.NHalo)
 	if err := s.readSpill(ctx, spillPath(dir, st.Unit, "own"), gals[:st.NOwned]); err != nil {
 		return nil, nil, err
 	}
 	if err := s.readSpill(ctx, spillPath(dir, st.Unit, "halo"), gals[st.NOwned:]); err != nil {
 		return nil, nil, err
 	}
-	for j := range primary {
-		primary[j] = j < st.NOwned
+	primary := make([]bool, len(gals))
+	for j := 0; j < st.NOwned; j++ {
+		primary[j] = true
 	}
 	return &catalog.Catalog{Box: box, Galaxies: gals}, primary, nil
 }
 
 // readSpill decodes the len(gals) records of one spill file into gals, one
-// block at a time through the head of the spill budget, retrying the whole
-// file on transient failure (each attempt reopens and re-reads from the
-// first record).
+// block at a time through the stream's read block, retrying the whole file
+// on transient failure (each attempt reopens and re-reads from the first
+// record).
 func (s *stream) readSpill(ctx context.Context, path string, gals []catalog.Galaxy) error {
-	raw := s.spill[:decodeBlock*catalog.RecordSize]
 	return retry.Policy{}.Do(ctx, "spill read", func() error {
 		if err := fpSpillRead.Inject(); err != nil {
 			return err
@@ -428,11 +389,11 @@ func (s *stream) readSpill(ctx context.Context, path string, gals []catalog.Gala
 		defer f.Close()
 		for i := 0; i < len(gals); {
 			k := min(len(gals)-i, decodeBlock)
-			if got, err := io.ReadFull(f, raw[:k*catalog.RecordSize]); err != nil {
+			if got, err := io.ReadFull(f, s.raw[:k*catalog.RecordSize]); err != nil {
 				return fmt.Errorf("shard: reading spill %s record %d: %w", filepath.Base(path), i+got/catalog.RecordSize, err)
 			}
 			for j := range k {
-				gals[i+j] = catalog.GetRecord(raw[j*catalog.RecordSize:])
+				gals[i+j] = catalog.GetRecord(s.raw[j*catalog.RecordSize:])
 			}
 			i += k
 		}
