@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc64"
@@ -65,10 +66,24 @@ func comboCount(lmax int) uint64 {
 	return (l + 1) * (l + 2) * (l + 3) / 6
 }
 
+// encodedLen is the exact number of bytes WriteResult writes for r.
+func encodedLen(r *Result) int {
+	return resultHeaderLen + 16*len(r.Aniso) + 8
+}
+
+// EncodeResult returns r in the versioned binary format as one slice of
+// exactly its encoded length (len == cap): a holder of the bytes pins
+// nothing beyond them.
+func EncodeResult(r *Result) []byte {
+	buf := bytes.NewBuffer(make([]byte, 0, encodedLen(r)))
+	_ = WriteResult(buf, r) // writes to a bytes.Buffer do not fail
+	return buf.Bytes()
+}
+
 // WriteResult writes r in the versioned binary format.
 func WriteResult(w io.Writer, r *Result) error {
 	le := binary.LittleEndian
-	buf := make([]byte, min(resultBlock, resultHeaderLen+16*len(r.Aniso)+8))
+	buf := make([]byte, min(resultBlock, encodedLen(r)))
 	copy(buf[0:4], resultMagic)
 	le.PutUint32(buf[4:8], resultVersion)
 	le.PutUint32(buf[8:12], uint32(r.LMax))

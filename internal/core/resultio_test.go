@@ -230,3 +230,33 @@ func TestMergeRejectsMismatchedConfig(t *testing.T) {
 		t.Fatal("merge across different LMax accepted")
 	}
 }
+
+// TestEncodeResultExactLength pins the size the service's retained bytes
+// are budgeted at: across the LMax and bin counts a server sees,
+// EncodeResult's slice is WriteResult's bytes, VerifyResult accepts it, and
+// its capacity is its length, so a holder pins no growth slack.
+func TestEncodeResultExactLength(t *testing.T) {
+	for _, lmax := range []int{0, 1, 4, 10, 20} {
+		for _, nbins := range []int{1, 6, 10} {
+			res := syntheticResult(lmax, nbins, int64(lmax*100+nbins))
+			var buf bytes.Buffer
+			if err := WriteResult(&buf, res); err != nil {
+				t.Fatal(err)
+			}
+			data := EncodeResult(res)
+			if n := encodedLen(res); n != buf.Len() || n != len(data) {
+				t.Errorf("LMax %d, %d bins: encodedLen %d, WriteResult %d bytes, EncodeResult %d",
+					lmax, nbins, n, buf.Len(), len(data))
+			}
+			if !bytes.Equal(data, buf.Bytes()) {
+				t.Errorf("LMax %d, %d bins: EncodeResult differs from WriteResult", lmax, nbins)
+			}
+			if err := VerifyResult(data); err != nil {
+				t.Errorf("LMax %d, %d bins: %v", lmax, nbins, err)
+			}
+			if cap(data) != len(data) {
+				t.Errorf("LMax %d, %d bins: cap %d, len %d", lmax, nbins, cap(data), len(data))
+			}
+		}
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"galactos"
+	"galactos/internal/exec"
 )
 
 // job is one submitted computation. All mutable state is guarded by mu; the
@@ -17,8 +18,11 @@ type job struct {
 	label   string
 	key     string
 	catHash string // catalog half of key, re-verified at run for Path catalogs
-	req     galactos.Request
-	src     galactos.CatalogSource
+
+	// req and src are what a worker runs; they are released once the job is
+	// terminal, so a retained job holds no catalog.
+	req galactos.Request
+	src galactos.CatalogSource
 
 	// ctx governs the job's run; cancel works at any point in the
 	// lifecycle — a queued job cancels before a worker ever picks it up.
@@ -28,12 +32,15 @@ type job struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 
-	state      State
-	events     []Event
-	err        error
-	cacheHit   bool
-	run        *galactos.RunResult // fresh runs only
-	encoded    []byte              // resultio bytes, shared with the result store: never written
+	state    State
+	events   []Event
+	err      error
+	cacheHit bool
+	// A fresh run leaves its status fields and its encoding, never its
+	// decoded result.
+	elapsed    time.Duration
+	units      []exec.UnitStats
+	encoded    []byte // resultio bytes, shared with the result store: never written
 	queuedAt   time.Time
 	startedAt  time.Time
 	finishedAt time.Time
@@ -93,21 +100,22 @@ func (j *job) appendLog(msg string) {
 	j.cond.Broadcast()
 }
 
-// start moves the job to running; it reports false when the job is already
+// start moves the job to running and hands the worker its request and
+// catalog source; it reports false when the job is cancelled or already
 // terminal (a queued job cancelled before pickup).
-func (j *job) start() bool {
+func (j *job) start() (galactos.Request, galactos.CatalogSource, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state.Terminal() {
-		return false
+	if j.ctx.Err() != nil || j.state.Terminal() {
+		return galactos.Request{}, nil, false
 	}
 	j.startedAt = time.Now()
 	j.appendStateLocked(StateRunning, "")
-	return true
+	return j.req, j.src, true
 }
 
 // finish moves the job to a terminal state, recording outcome and (for
-// done) the run artifacts.
+// done) the run's status fields and encoded bytes.
 func (j *job) finish(s State, err error, run *galactos.RunResult, encoded []byte, cacheHit bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -116,7 +124,9 @@ func (j *job) finish(s State, err error, run *galactos.RunResult, encoded []byte
 	}
 	j.finishedAt = time.Now()
 	j.err = err
-	j.run = run
+	if run != nil {
+		j.elapsed, j.units = run.Elapsed, run.Units
+	}
 	j.encoded = encoded
 	j.cacheHit = cacheHit
 	msg := ""
@@ -125,6 +135,13 @@ func (j *job) finish(s State, err error, run *galactos.RunResult, encoded []byte
 	} else if cacheHit {
 		msg = "served from result cache"
 	}
+	j.terminateLocked(s, msg)
+}
+
+// terminateLocked records the terminal transition to s and releases the
+// request and catalog source, which nothing reads after it. Callers hold mu.
+func (j *job) terminateLocked(s State, msg string) {
+	j.req, j.src = galactos.Request{}, nil
 	j.appendStateLocked(s, msg)
 }
 
@@ -191,9 +208,7 @@ func (j *job) status() JobStatus {
 	if j.err != nil {
 		st.Error = j.err.Error()
 	}
-	if j.run != nil {
-		st.ElapsedSec = j.run.Elapsed.Seconds()
-		st.Units = j.run.Units
-	}
+	st.ElapsedSec = j.elapsed.Seconds()
+	st.Units = j.units
 	return st
 }

@@ -13,7 +13,6 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -81,6 +80,8 @@ type Options struct {
 	// lifetime job count. Negative retains every job forever. Queued and
 	// running jobs are never evicted. With a StateDir, the same bound
 	// caps how many terminal jobs a restart replays from the journal.
+	// A retained job costs its status and at most one encoded result,
+	// shared with the result cache (458 KB at LMax 10 and 10 bins).
 	RetainJobs int
 	// StateDir, when non-empty, makes the server crash-only durable: job
 	// lifecycle records go to an append-only fsync-on-commit journal
@@ -347,7 +348,8 @@ func (s *Server) runJob(j *job) {
 		s.retire(j)
 		s.removeJobDir(j.id)
 	}()
-	if j.ctx.Err() != nil || !j.start() {
+	req, src, ok := j.start()
+	if !ok {
 		j.finish(StateCancelled, context.Cause(j.ctx), nil, nil, false)
 		s.cancelled.Add(1)
 		return
@@ -362,10 +364,10 @@ func (s *Server) runJob(j *job) {
 	// now; re-verify (one cheap streaming pass) so a file edited while
 	// the job sat queued can never cache its result under the stale
 	// content's key and poison later hits.
-	if j.req.Path != "" {
-		h, err := catalog.Hash(j.src)
+	if req.Path != "" {
+		h, err := catalog.Hash(src)
 		if err == nil && h != j.catHash {
-			err = fmt.Errorf("catalog %s changed between submission and run (content hash mismatch)", j.req.Path)
+			err = fmt.Errorf("catalog %s changed between submission and run (content hash mismatch)", req.Path)
 		}
 		if err != nil {
 			j.finish(StateFailed, err, nil, nil, false)
@@ -375,8 +377,7 @@ func (s *Server) runJob(j *job) {
 		}
 	}
 
-	req := j.req
-	req.Source = j.src
+	req.Source = src
 	req.Catalog = nil
 	req.Path = ""
 	req.Log = func(format string, args ...any) {
@@ -419,14 +420,9 @@ func (s *Server) runJob(j *job) {
 		s.failed.Add(1)
 		s.logf("%s: failed: %v", j.id, err)
 	default:
-		var buf bytes.Buffer
-		if err := core.WriteResult(&buf, run.Result); err != nil {
-			j.finish(StateFailed, fmt.Errorf("encoding result: %w", err), nil, nil, false)
-			s.failed.Add(1)
-			return
-		}
-		s.store.put(j.key, buf.Bytes())
-		j.finish(StateDone, nil, run, buf.Bytes(), false)
+		data := core.EncodeResult(run.Result)
+		s.store.put(j.key, data)
+		j.finish(StateDone, nil, run, data, false)
 		s.done.Add(1)
 		s.logf("%s: done in %s (%d pairs)", j.id, run.Elapsed, run.Result.Pairs)
 	}
@@ -483,7 +479,7 @@ func (s *Server) Cancel(id string) (*job, bool) {
 	terminalized := false
 	if j.state == StateQueued {
 		j.err = context.Canceled
-		j.appendStateLocked(StateCancelled, "cancelled while queued")
+		j.terminateLocked(StateCancelled, "cancelled while queued")
 		terminalized = true
 	}
 	j.mu.Unlock()

@@ -90,6 +90,9 @@ func TestJobLifecycle(t *testing.T) {
 	if len(st.Units) == 0 {
 		t.Error("fresh done job missing unit stats")
 	}
+	if st.ElapsedSec <= 0 {
+		t.Errorf("fresh done job reports elapsed %v s", st.ElapsedSec)
+	}
 
 	// The event stream must be the full, ordered lifecycle.
 	var states []service.State
@@ -163,6 +166,10 @@ func TestCacheHitBitwiseIdenticalToColdRun(t *testing.T) {
 	}
 	if warm.Key != cold.Key {
 		t.Errorf("same request keyed differently: %s vs %s", warm.Key, cold.Key)
+	}
+	// No engine ran for the hit: no wall clock, no unit stats.
+	if warm.ElapsedSec != 0 || warm.Units != nil {
+		t.Errorf("cache hit reports elapsed %v s and %d units, want neither", warm.ElapsedSec, len(warm.Units))
 	}
 	warmBytes, err := cl.ResultBytes(ctx, warm.ID)
 	if err != nil {
@@ -508,6 +515,9 @@ func TestExplicitCancel(t *testing.T) {
 	if final.State != service.StateCancelled {
 		t.Fatalf("cancelled job ended %s", final.State)
 	}
+	if final.Error == "" {
+		t.Error("cancelled job reports no error")
+	}
 	// A cancelled job has no result to serve.
 	if _, err := cl.ResultBytes(ctx, st.ID); err == nil {
 		t.Error("cancelled job served a result")
@@ -534,6 +544,9 @@ func TestCancelWhileQueued(t *testing.T) {
 	}
 	if victim.State != service.StateCancelled {
 		t.Fatalf("queued job not cancelled immediately: %s", victim.State)
+	}
+	if victim.Error == "" {
+		t.Error("job cancelled while queued reports no error")
 	}
 	if _, err := cl.Cancel(ctx, bst.ID); err != nil {
 		t.Fatal(err)
