@@ -119,9 +119,11 @@ bench-test:
 # segment reader, the shard checkpoint manifest, the client's SSE reader,
 # galactosd's submit decode and validation), seeded from the round-trip and
 # rejection tests: never a panic, the block codecs keep agreeing with their
-# per-record oracles, and the worker count never moves a cache key.
+# per-record oracles, and the worker count never moves a cache key. The
+# CRC-64 kernel those decoders check with is fuzzed against hash/crc64 too.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzReadResult -fuzztime=5s ./internal/core
+	$(GO) test -run=^$$ -fuzz=FuzzCRC64 -fuzztime=5s ./internal/lanes
 	$(GO) test -run=^$$ -fuzz=FuzzBinaryCursor -fuzztime=5s ./internal/catalog
 	$(GO) test -run=^$$ -fuzz=FuzzCSVCursor -fuzztime=5s ./internal/catalog
 	$(GO) test -run=^$$ -fuzz=FuzzReplaySegment -fuzztime=5s ./internal/journal

@@ -361,7 +361,8 @@ func (c *Client) Jobs(ctx context.Context) ([]JobStatus, error) {
 }
 
 // ResultBytes fetches a done job's result in the raw resultio encoding —
-// the exact bytes the server computed or cached.
+// the bytes the server computed or cached, unverified (a file torn while
+// sent arrives short or fails its CRC-64; Result checks it).
 func (c *Client) ResultBytes(ctx context.Context, id string) ([]byte, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/jobs/"+id+"/result", nil)
 	if err != nil {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash/crc64"
 	"io"
 	"math"
 	"os"
@@ -13,6 +12,7 @@ import (
 	"time"
 
 	"galactos/internal/hist"
+	"galactos/internal/lanes"
 )
 
 // Binary Result format: the checkpoint unit of the sharded pipeline. A
@@ -46,13 +46,10 @@ const (
 	resultMaxBins = 1 << 20
 )
 
-var resultCRCTable = crc64.MakeTable(crc64.ECMA)
-
 const (
 	resultHeaderLen = 136
 	// resultBlock is the unit of conversion, checksumming and IO: 4096
-	// channels, so hash/crc64 runs its slicing-8 path, and still in L2. A
-	// smaller result uses a buffer of its own size.
+	// channels, still in L2. A smaller result uses a buffer of its own size.
 	resultBlock = 1 << 16
 	// resultTrust is how many channels ReadResult allocates on the header's
 	// word alone (1 MB); beyond it the array doubles as the bytes arrive.
@@ -105,7 +102,7 @@ func WriteResult(w io.Writer, r *Result) error {
 	// header shares the first block and the trailer the last.
 	n, crc := resultHeaderLen, uint64(0)
 	flush := func() error {
-		crc = crc64.Update(crc, resultCRCTable, buf[:n])
+		crc = lanes.CRC64(crc, buf[:n])
 		_, err := w.Write(buf[:n])
 		n = 0
 		return err
@@ -125,7 +122,7 @@ func WriteResult(w io.Writer, r *Result) error {
 			return err
 		}
 	}
-	crc = crc64.Update(crc, resultCRCTable, buf[:n])
+	crc = lanes.CRC64(crc, buf[:n])
 	le.PutUint64(buf[n:n+8], crc)
 	_, err := w.Write(buf[:n+8])
 	return err
@@ -164,24 +161,42 @@ func parseResultHeader(buf []byte) (lmax int, bins hist.Binning, channels uint64
 	return lmax, bins, channels, nil
 }
 
-// VerifyResult reports whether data is exactly one encoded result that
-// ReadResult would accept — same header rule, exact length, CRC-64 — without
-// materialising it: what a cache must know of bytes it did not just write.
+// VerifyResult is VerifyResultFrom over data.
 func VerifyResult(data []byte) error {
-	if len(data) < resultHeaderLen {
-		return fmt.Errorf("core: reading result header: %w", io.ErrUnexpectedEOF)
+	return VerifyResultFrom(bytes.NewReader(data), int64(len(data)), make([]byte, min(resultBlock, max(resultHeaderLen, len(data)))))
+}
+
+// VerifyResultFrom reports whether the size bytes r holds are exactly one
+// encoded result that ReadResult would accept — same header rule, exact
+// length, CRC-64 — reading through block (at least resultHeaderLen bytes)
+// and allocating no buffer: what a cache must know of a file it did not just
+// write.
+func VerifyResultFrom(r io.Reader, size int64, block []byte) error {
+	hdr := block[:resultHeaderLen]
+	if _, err := io.ReadFull(r, hdr); err != nil {
+		return fmt.Errorf("core: reading result header: %w", err)
 	}
-	_, _, channels, err := parseResultHeader(data)
+	_, _, channels, err := parseResultHeader(hdr)
 	if err != nil {
 		return err
 	}
-	if want := resultHeaderLen + 16*channels + 8; uint64(len(data)) != want {
-		return fmt.Errorf("core: result is %d bytes, its header implies %d: truncated or trailing data", len(data), want)
+	if want := resultHeaderLen + 16*channels + 8; uint64(size) != want {
+		return fmt.Errorf("core: result is %d bytes, its header implies %d: truncated or trailing data", size, want)
 	}
-	body := len(data) - 8
-	want := crc64.Checksum(data[:body], resultCRCTable)
-	if got := binary.LittleEndian.Uint64(data[body:]); got != want {
-		return fmt.Errorf("core: result checksum mismatch (file %016x, computed %016x): corrupt or truncated", got, want)
+	crc := lanes.CRC64(0, hdr)
+	for left := size - resultHeaderLen - 8; left > 0; {
+		n := min(left, int64(len(block)))
+		if _, err := io.ReadFull(r, block[:n]); err != nil {
+			return fmt.Errorf("core: reading result channels: %w", err)
+		}
+		crc = lanes.CRC64(crc, block[:n])
+		left -= n
+	}
+	if _, err := io.ReadFull(r, block[:8]); err != nil {
+		return fmt.Errorf("core: reading result checksum: %w", err)
+	}
+	if got := binary.LittleEndian.Uint64(block[:8]); got != crc {
+		return fmt.Errorf("core: result checksum mismatch (file %016x, computed %016x): corrupt or truncated", got, crc)
 	}
 	return nil
 }
@@ -215,7 +230,7 @@ func ReadResult(r io.Reader) (*Result, error) {
 		}
 	}
 
-	crc := crc64.Update(0, resultCRCTable, hdr[:])
+	crc := lanes.CRC64(0, hdr[:])
 	buf := make([]byte, min(resultBlock, 16*channels+8))
 	res.Aniso = make([]complex128, 0, min(resultTrust, channels))
 	for left := channels; left > 0; {
@@ -223,7 +238,7 @@ func ReadResult(r io.Reader) (*Result, error) {
 		if _, err := io.ReadFull(r, buf[:16*k]); err != nil {
 			return nil, fmt.Errorf("core: reading result channel %d: %w", len(res.Aniso), err)
 		}
-		crc = crc64.Update(crc, resultCRCTable, buf[:16*k])
+		crc = lanes.CRC64(crc, buf[:16*k])
 		if len(res.Aniso)+k > cap(res.Aniso) {
 			res.Aniso = slices.Grow(res.Aniso, int(min(uint64(cap(res.Aniso)), left)))
 		}

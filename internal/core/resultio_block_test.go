@@ -12,6 +12,7 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"galactos/internal/hist"
@@ -20,11 +21,14 @@ import (
 // The per-record codec is the one every GRES v1 file, cache entry and shard
 // checkpoint in existence was written by: one 16-byte Write (and one 16-byte
 // checksum update) per channel. It survives here as the oracle that the block
-// codec must match byte for byte.
+// codec must match byte for byte. It checksums with hash/crc64 itself, so it
+// also pins the codec's CRC64 kernel to the standard library's.
+
+var ecmaTable = crc64.MakeTable(crc64.ECMA)
 
 func writeResultPerRecord(w io.Writer, r *Result) error {
 	bw := bufio.NewWriterSize(w, 1<<16)
-	h := crc64.New(resultCRCTable)
+	h := crc64.New(ecmaTable)
 	mw := io.MultiWriter(bw, h)
 
 	buf := make([]byte, 136)
@@ -67,7 +71,7 @@ func writeResultPerRecord(w io.Writer, r *Result) error {
 
 func readResultPerRecord(r io.Reader) (*Result, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
-	h := crc64.New(resultCRCTable)
+	h := crc64.New(ecmaTable)
 	readFullCRC := func(h hash.Hash64, buf []byte) error {
 		if _, err := io.ReadFull(br, buf); err != nil {
 			return err
@@ -293,22 +297,53 @@ func damagedEncodings(t testing.TB) (cases []struct {
 	return cases
 }
 
-// TestVerifyResultAgreesWithReadResult: the cache's check and the decoder
-// apply one acceptance rule.
+// readerShapes are the ways a reader hands over bytes: all at once, half
+// of each request, one byte at a time.
+var readerShapes = []struct {
+	name string
+	wrap func(io.Reader) io.Reader
+}{
+	{"whole", func(r io.Reader) io.Reader { return r }},
+	{"half", iotest.HalfReader},
+	{"onebyte", iotest.OneByteReader},
+}
+
+// verifyDisagrees returns "" when VerifyResult and VerifyResultFrom — through
+// every reader shape, with a header-sized block and a full one — all
+// accept data or all reject it, as accept says; else the first dissenter.
+func verifyDisagrees(data []byte, accept bool) string {
+	if (VerifyResult(data) == nil) != accept {
+		return "VerifyResult"
+	}
+	for _, shape := range readerShapes {
+		for _, blk := range []int{resultHeaderLen, resultBlock} {
+			err := VerifyResultFrom(shape.wrap(bytes.NewReader(data)), int64(len(data)), make([]byte, blk))
+			if (err == nil) != accept {
+				return fmt.Sprintf("VerifyResultFrom(%s reader, %d-byte block): %v", shape.name, blk, err)
+			}
+		}
+	}
+	return ""
+}
+
+// TestVerifyResultAgreesWithReadResult: the cache's check, streamed or
+// whole, and the decoder apply one acceptance rule.
 func TestVerifyResultAgreesWithReadResult(t *testing.T) {
 	for _, c := range damagedEncodings(t) {
 		_, rerr := ReadResult(bytes.NewReader(c.data))
-		verr := VerifyResult(c.data)
-		if (rerr == nil) != c.ok || (verr == nil) != c.ok {
-			t.Errorf("%s: want accepted=%v, ReadResult says %v, VerifyResult says %v", c.name, c.ok, rerr, verr)
+		if (rerr == nil) != c.ok {
+			t.Errorf("%s: want accepted=%v, ReadResult says %v", c.name, c.ok, rerr)
+		}
+		if who := verifyDisagrees(c.data, c.ok); who != "" {
+			t.Errorf("%s: want accepted=%v, %s disagrees", c.name, c.ok, who)
 		}
 	}
 }
 
-// FuzzReadResult: no input panics either decoder, they always agree, an
-// accepted input re-encodes to itself, and ReadResult's memory follows the
-// input's length rather than its header's claim (a 144-byte input can claim
-// 5e16 channels).
+// FuzzReadResult: no input panics either decoder, they always agree through
+// every reader shape, an accepted input re-encodes to itself, and
+// ReadResult's memory follows the input's length rather than its header's
+// claim (a 144-byte input can claim 5e16 channels).
 func FuzzReadResult(f *testing.F) {
 	for _, c := range damagedEncodings(f) {
 		f.Add(c.data)
@@ -323,8 +358,13 @@ func FuzzReadResult(f *testing.F) {
 		if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(16<<20+4*len(data)); grew > limit {
 			t.Fatalf("ReadResult allocated %d bytes for a %d-byte input (limit %d)", grew, len(data), limit)
 		}
-		if verr := VerifyResult(data); (verr == nil) != (rerr == nil) {
-			t.Fatalf("decoders disagree: ReadResult %v, VerifyResult %v", rerr, verr)
+		for _, shape := range readerShapes[1:] {
+			if _, err := ReadResult(shape.wrap(bytes.NewReader(data))); (err == nil) != (rerr == nil) {
+				t.Fatalf("ReadResult through a %s reader says %v, whole %v", shape.name, err, rerr)
+			}
+		}
+		if who := verifyDisagrees(data, rerr == nil); who != "" {
+			t.Fatalf("ReadResult says %v, %s disagrees", rerr, who)
 		}
 		if rerr != nil {
 			return
@@ -335,6 +375,28 @@ func FuzzReadResult(f *testing.F) {
 		}
 		if !bytes.Equal(again.Bytes(), data) {
 			t.Fatal("an accepted encoding does not re-encode to itself")
+		}
+	})
+}
+
+// BenchmarkResultVerify: the cache's check of a 458 KB encoding (LMax 10,
+// 10 bins) streamed through one 64 KB block, beside hash/crc64's checksum
+// of the same bytes — the verify's cost before the CRC64 kernel.
+func BenchmarkResultVerify(b *testing.B) {
+	data := EncodeResult(syntheticResult(10, 10, 1))
+	block := make([]byte, resultBlock)
+	b.Run("verify", func(b *testing.B) {
+		b.SetBytes(int64(len(data)))
+		for b.Loop() {
+			if err := VerifyResultFrom(bytes.NewReader(data), int64(len(data)), block); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("hash-crc64", func(b *testing.B) {
+		b.SetBytes(int64(len(data)))
+		for b.Loop() {
+			crc64.Checksum(data, ecmaTable)
 		}
 	})
 }

@@ -70,7 +70,7 @@ func TestResultReadsRetiredTimingSlots(t *testing.T) {
 	le.PutUint64(data[64:72], uint64(123*time.Millisecond))
 	le.PutUint64(data[112:120], uint64(7*time.Second))
 	body := len(data) - 8
-	le.PutUint64(data[body:], crc64.Checksum(data[:body], resultCRCTable))
+	le.PutUint64(data[body:], crc64.Checksum(data[:body], ecmaTable))
 	back, err := ReadResult(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)

@@ -99,7 +99,7 @@ func encodeFramePerRecord(r Record) []byte {
 	payload, _ := json.Marshal(r)
 	frame := make([]byte, 12+len(payload))
 	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint64(frame[4:12], crc64.Checksum(payload, crcTable))
+	binary.LittleEndian.PutUint64(frame[4:12], crc64.Checksum(payload, crc64.MakeTable(crc64.ECMA)))
 	copy(frame[12:], payload)
 	return frame
 }

@@ -21,12 +21,13 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc64"
 	"os"
 	"path/filepath"
 	"sort"
 	"sync"
 	"time"
+
+	"galactos/internal/lanes"
 )
 
 // Record types. A job's life is submit -> start -> end; evict marks a
@@ -78,8 +79,6 @@ const (
 	// fresh segment file.
 	DefaultRotateBytes = 4 << 20
 )
-
-var crcTable = crc64.MakeTable(crc64.ECMA)
 
 // Options configures Open. Only Dir is required.
 type Options struct {
@@ -358,7 +357,7 @@ func appendFrame(dst []byte, r Record) ([]byte, error) {
 			r.Type, r.ID, len(payload), MaxFrameBytes)
 	}
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = binary.LittleEndian.AppendUint64(dst, crc64.Checksum(payload, crcTable))
+	dst = binary.LittleEndian.AppendUint64(dst, lanes.CRC64(0, payload))
 	return append(dst, payload...), nil
 }
 
@@ -393,7 +392,7 @@ func decodeSegment(data []byte) ([]Record, int) {
 			return records, 1 // implausible length (corruption) or torn mid-payload
 		}
 		payload := rest[12 : 12+n]
-		if crc64.Checksum(payload, crcTable) != binary.LittleEndian.Uint64(rest[4:12]) {
+		if lanes.CRC64(0, payload) != binary.LittleEndian.Uint64(rest[4:12]) {
 			return records, 1 // corrupt payload
 		}
 		var r Record

@@ -4,6 +4,9 @@
 // internal/kdtree. The CPUID probe runs once at init and picks the SIMD
 // bodies wherever the host has them; the two agree bit for bit, so the
 // choice is one of speed, and tests switch it with Set.
+//
+// The same probe picks CRC64's body, a PCLMULQDQ fold or hash/crc64's
+// table, equal bit for bit: the repository's one CRC-64.
 package lanes
 
 var vector = HasAVX512()

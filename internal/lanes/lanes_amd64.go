@@ -2,12 +2,19 @@
 
 package lanes
 
-// Implemented in lanes_amd64.s. The repo carries no dependencies, so
-// x/sys/cpu is not available and feature detection is raw CPUID/XGETBV.
+// Implemented in lanes_amd64.s and crc64_amd64.s. The repo carries no
+// dependencies, so x/sys/cpu is not available and feature detection is raw
+// CPUID/XGETBV.
 func cpuidAsm(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 func xgetbvAsm() (eax, edx uint32)
 
+//go:noescape
+func foldCLMUL(s uint64, p []byte, lane *[16]byte)
+
 var hasAVX512 = detectAVX512()
+
+// hasCLMUL: PCLMULQDQ (CPUID.1:ECX bit 1) is all the fold needs beyond SSE2.
+var hasCLMUL = func() bool { _, _, c1, _ := cpuidAsm(1, 0); return c1&(1<<1) != 0 }()
 
 // HasAVX512 reports whether the CPU implements AVX-512F plus FMA and the OS
 // context-switches the full ZMM + opmask register state.

@@ -1,10 +1,12 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -138,10 +140,8 @@ func (s *Server) recoverJobs(records []journal.Record) {
 	}
 }
 
-// restoreTerminal rebuilds a terminal job from its journal records. The
-// encoded result is not loaded here: the result endpoint fetches it from
-// the result store on demand (resultFor), and answers 410 Gone if the store
-// evicted it meanwhile.
+// restoreTerminal rebuilds a terminal job from its journal records. Like a
+// live job on a disk-backed server it holds no result bytes (resultFor).
 func restoreTerminal(jr journal.JobRecord) *job {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // terminal on arrival: nothing will ever run under this ctx
@@ -219,20 +219,26 @@ func (s *Server) requeueInterrupted(jr journal.JobRecord) *job {
 	return j
 }
 
-// resultFor returns a done job's encoded result: the store's bytes the job
-// has shared since it finished, or for a job restored from the journal a
-// fetch from the store by key. ok reports whether the bytes are available;
-// a restored job whose cache entry was evicted or poisoned yields false.
-func (s *Server) resultFor(j *job) ([]byte, State, bool) {
+// resultFor hands read a done job's encoded result and its size: the bytes
+// a job holds on an in-memory server, else the store's file, verified and
+// read on the same open fd. It returns the job's state, and false without
+// calling read when the store has evicted or poisoned the entry since.
+func (s *Server) resultFor(j *job, read func(r io.Reader, size int64)) (State, bool) {
 	data, st := j.resultBytes()
 	if st != StateDone {
-		return nil, st, false
+		return st, false
 	}
-	if len(data) > 0 {
-		return data, st, true
+	if data != nil {
+		read(bytes.NewReader(data), int64(len(data)))
+		return st, true
 	}
-	data, ok := s.store.get(j.key)
-	return data, st, ok
+	f, size, ok := s.store.open(j.key)
+	if !ok {
+		return st, false
+	}
+	defer f.Close()
+	read(io.NewSectionReader(f, 0, size), size)
+	return st, true
 }
 
 // identityRecord starts a job's first journal record: who it is and what

@@ -114,9 +114,8 @@ func TestRestartRestoresTerminalJobsAndCache(t *testing.T) {
 		t.Error("cache-hit bytes differ from the cold run's bytes")
 	}
 
-	// One store holds the bytes, and every job shares them. Destroy the
-	// cache files: both jobs still answer, from the store's resident set,
-	// without a disk read.
+	// One store holds the result, as a file, and both jobs read it there.
+	// Destroy the cache files: both jobs answer Gone.
 	ents, err := os.ReadDir(filepath.Join(dir, "cache"))
 	if err != nil {
 		t.Fatal(err)
@@ -125,16 +124,16 @@ func TestRestartRestoresTerminalJobsAndCache(t *testing.T) {
 		os.Remove(filepath.Join(dir, "cache", e.Name()))
 	}
 	for _, id := range []string{st.ID, hit.ID} {
-		got, err := cl2.ResultBytes(ctx, id)
-		if err != nil || string(got) != string(coldBytes) {
-			t.Errorf("%s: resident result should survive deletion of its file (err %v)", id, err)
+		_, err := cl2.ResultBytes(ctx, id)
+		var apiErr *client.APIError
+		if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusGone {
+			t.Errorf("%s: result with its file deleted = %v, want HTTP 410", id, err)
 		}
 	}
 	stop2()
 
-	// After another restart the bytes are in neither the directory nor a
-	// resident set: both jobs are restored — the hit from its single
-	// journal record — and both results are Gone.
+	// After another restart both jobs are restored — the hit from its
+	// single journal record — and both results are still Gone.
 	svc3, cl3, _ := startRestartable(t, service.Options{Workers: 1, StateDir: dir})
 	if got := svc3.Stats().RestoredJobs; got != 2 {
 		t.Errorf("RestoredJobs = %d, want 2", got)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -37,6 +38,13 @@ func newDurable(t testing.TB, dir string, retain int) *Server {
 	}
 	t.Cleanup(func() { s.Shutdown(context.Background()) })
 	return s
+}
+
+// fetch reads a done job's result the way the result endpoint serves it.
+func fetch(s *Server, j *job) ([]byte, bool) {
+	var data []byte
+	_, ok := s.resultFor(j, func(r io.Reader, _ int64) { data, _ = io.ReadAll(r) })
+	return data, ok
 }
 
 // runCold submits req, waits for it to finish, and requires a fresh run.
@@ -81,6 +89,11 @@ func TestJournalCommitsPerJob(t *testing.T) {
 	if jobs := s.Jobs(); len(jobs) != 1 || jobs[0].ID != cold.id {
 		t.Fatalf("retention of 1 holds %+v, want only %s", jobs, cold.id)
 	}
+	restored, _ := s.Job(cold.id)
+	coldBytes, ok := fetch(s, restored)
+	if !ok || core.VerifyResult(coldBytes) != nil {
+		t.Fatalf("the restored cold job's result: ok %v, %d bytes", ok, len(coldBytes))
+	}
 	for i := 0; i < 3; i++ {
 		base = s.jnl.Syncs()
 		hit, err := s.Submit(hitRequest(2))
@@ -96,11 +109,13 @@ func TestJournalCommitsPerJob(t *testing.T) {
 		if jobs := s.Jobs(); len(jobs) != 1 || jobs[0].ID != hit.id {
 			t.Fatalf("after hit %d the registry holds %+v, want only the hit", i, jobs)
 		}
-		// The hit keeps no request and no bytes of its own.
-		data, _, ok := s.resultFor(hit)
-		stored, _ := s.store.get(cold.key)
-		if !ok || len(data) == 0 || &data[0] != &stored[0] {
-			t.Errorf("hit %d does not share the store's bytes", i)
+		// A disk-backed hit keeps no request and no bytes: its result
+		// streams from the store's file, equal to the cold run's.
+		if data, _ := hit.resultBytes(); data != nil {
+			t.Errorf("hit %d holds %d bytes of its own", i, len(data))
+		}
+		if got, ok := fetch(s, hit); !ok || !bytes.Equal(got, coldBytes) {
+			t.Errorf("hit %d does not stream the cold run's bytes", i)
 		}
 		if hit.req.Catalog != nil || hit.src != nil {
 			t.Errorf("hit %d retains its request's catalog", i)
@@ -116,7 +131,7 @@ func TestJournalCommitsPerJob(t *testing.T) {
 func TestConcurrentHitsReplayToSameRegistry(t *testing.T) {
 	dir := t.TempDir()
 	s := newDurable(t, dir, 5)
-	want, _, _ := s.resultFor(runCold(t, s, hitRequest(1)))
+	want, _ := fetch(s, runCold(t, s, hitRequest(1)))
 	errs := make(chan error, 9)
 	go func() {
 		_, err := s.Submit(hitRequest(2)) // a miss, queued beside the hits
@@ -130,8 +145,8 @@ func TestConcurrentHitsReplayToSameRegistry(t *testing.T) {
 					errs <- err
 					return
 				}
-				if got, st, ok := s.resultFor(j); !ok || st != StateDone || !bytes.Equal(got, want) {
-					errs <- fmt.Errorf("%s: state %s, ok %v, or wrong bytes", j.id, st, ok)
+				if got, ok := fetch(s, j); !ok || !bytes.Equal(got, want) {
+					errs <- fmt.Errorf("%s: state %s, ok %v, or wrong bytes", j.id, j.status().State, ok)
 					return
 				}
 			}
@@ -269,50 +284,48 @@ func TestTornHitCommitSweep(t *testing.T) {
 	}
 }
 
-// TestStorePoisonBudgetAndSharing drives the one store directly: a flipped
-// byte in an entry's file is a deleted miss once the bytes must come from
-// disk; bytes over the resident budget are released and read back (verified)
-// on demand; a resident entry is served without the file.
-func TestStorePoisonBudgetAndSharing(t *testing.T) {
-	dir := t.TempDir()
-	encode := func(seed int64) []byte {
-		run, err := galactos.Run(context.Background(), hitRequest(seed))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := core.WriteResult(&buf, run.Result); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
+// encodeRun is the encoded result of hitRequest(seed), run directly.
+func encodeRun(t *testing.T, seed int64) []byte {
+	t.Helper()
+	run, err := galactos.Run(context.Background(), hitRequest(seed))
+	if err != nil {
+		t.Fatal(err)
 	}
-	a, b := encode(1), encode(2)
+	return core.EncodeResult(run.Result)
+}
+
+// TestStorePoisonAndReopen drives the one store directly. A disk-backed
+// entry is its file and nothing else: a lookup hands out no bytes, and the
+// file opened for reading holds the stored bytes. An entry dropped in by
+// hand is indexed at open and served after verification, and a restart's
+// store finds a flipped byte at the first read: deleted, a miss.
+func TestStorePoisonAndReopen(t *testing.T) {
+	dir := t.TempDir()
+	a, b := encodeRun(t, 1), encodeRun(t, 2)
+	// stored reads what c serves under key.
+	stored := func(c *resultStore, key string) ([]byte, bool) {
+		if data, ok := c.get(key); !ok || data != nil {
+			return nil, false
+		}
+		f, size, ok := c.open(key)
+		if !ok {
+			return nil, false
+		}
+		defer f.Close()
+		data, err := io.ReadAll(io.NewSectionReader(f, 0, size))
+		return data, err == nil
+	}
 	c, err := newResultStore(dir, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.put("a", a)
-	c.put("b", b)
-	if c.resident != int64(len(a)+len(b)) {
-		t.Fatalf("resident = %d, want both entries (%d)", c.resident, len(a)+len(b))
+	if !c.put("a", a) || !c.put("b", b) {
+		t.Fatal("a disk-backed store does not serve its entries from files")
 	}
-
-	// Resident: served without the file.
-	os.Rename(c.path("a"), c.path("a")+".away")
-	if got, ok := c.get("a"); !ok || &got[0] != &a[0] {
-		t.Error("a resident entry was not served from memory")
-	}
-	os.Rename(c.path("a")+".away", c.path("a"))
-
-	// Over budget: the least recently used entry's bytes go, its file stays.
-	c.budget = int64(len(b))
-	c.put("b", b)
-	if c.resident != int64(len(b)) || c.len() != 2 {
-		t.Fatalf("over budget: resident %d, %d entries; want %d, 2", c.resident, c.len(), len(b))
-	}
-	got, ok := c.get("a")
-	if !ok || !bytes.Equal(got, a) || &got[0] == &a[0] {
-		t.Error("a released entry was not read back from its file")
+	for key, want := range map[string][]byte{"a": a, "b": b} {
+		if got, ok := stored(c, key); !ok || !bytes.Equal(got, want) {
+			t.Errorf("entry %s does not read back as stored", key)
+		}
 	}
 
 	// A cache directory from before this store is just such files: an entry
@@ -322,13 +335,13 @@ func TestStorePoisonBudgetAndSharing(t *testing.T) {
 	}
 	if old, err := newResultStore(dir, 8); err != nil || old.len() != 3 {
 		t.Fatalf("reopened store indexes %d entries (err %v), want 3", old.len(), err)
-	} else if got, ok := old.get("cat+fp"); !ok || !bytes.Equal(got, a) {
+	} else if got, ok := stored(old, "cat+fp"); !ok || !bytes.Equal(got, a) {
 		t.Error("a hand-written <key>.gres entry was not served")
 	}
 	os.Remove(filepath.Join(dir, "cat+fp"+cacheExt))
 
-	// A fresh store on the directory (a restart) holds nothing resident, so
-	// a flipped byte is found at the first read: deleted, a miss.
+	// A fresh store on the directory (a restart) finds a flipped byte at the
+	// first read: deleted, a miss.
 	raw, err := os.ReadFile(c.path("b"))
 	if err != nil {
 		t.Fatal(err)
@@ -339,8 +352,8 @@ func TestStorePoisonBudgetAndSharing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c2.len() != 2 || c2.resident != 0 {
-		t.Fatalf("reopened store: %d entries, %d resident bytes; want 2, 0", c2.len(), c2.resident)
+	if c2.len() != 2 {
+		t.Fatalf("reopened store: %d entries, want 2", c2.len())
 	}
 	if _, ok := c2.get("b"); ok {
 		t.Error("a flipped byte was served")
@@ -348,8 +361,86 @@ func TestStorePoisonBudgetAndSharing(t *testing.T) {
 	if _, err := os.Stat(c2.path("b")); !os.IsNotExist(err) || c2.len() != 1 {
 		t.Errorf("the poisoned entry was not deleted (stat err %v, %d entries)", err, c2.len())
 	}
-	if got, ok := c2.get("a"); !ok || !bytes.Equal(got, a) {
+	if got, ok := stored(c2, "a"); !ok || !bytes.Equal(got, a) {
 		t.Error("the intact entry did not survive its neighbour's poison")
+	}
+}
+
+// TestStoreSweepsOrphanedTempFiles: a kill between WriteFileAtomic's
+// CreateTemp and its Rename leaves <key>.gres.tmpNNN in the cache directory.
+// The next store deletes it at open and does not index it; the entries
+// beside it stay, also when the next store is a disabled one.
+func TestStoreSweepsOrphanedTempFiles(t *testing.T) {
+	dir := t.TempDir()
+	data := encodeRun(t, 1)
+	c, err := newResultStore(dir, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.put("a", data)
+	orphan := c.path("b") + ".tmp123456"
+	if err := os.WriteFile(orphan, data[:len(data)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c2, err := newResultStore(dir, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
+		t.Errorf("the orphaned temp file survived the open (stat err %v)", err)
+	}
+	if _, ok := c2.get("a"); !ok || c2.len() != 1 {
+		t.Errorf("after the sweep the store indexes %d entries, want only a", c2.len())
+	}
+	// A disabled store indexes nothing and deletes no entry.
+	if off, err := newResultStore(dir, -1); err != nil || off.len() != 0 {
+		t.Fatalf("a disabled store: err %v, %d entries", err, off.len())
+	}
+	if _, err := os.Stat(c.path("a")); err != nil {
+		t.Errorf("a disabled store deleted an entry: %v", err)
+	}
+}
+
+// TestDiskBackedResultGone: a disk-backed job reads its result from the
+// store's file, so it answers 410 Gone once the file is gone — evicted by a
+// newer result under CacheEntries 1, or found corrupt, and deleted, at the
+// fetch after a byte of it flipped between Submit and fetch.
+func TestDiskBackedResultGone(t *testing.T) {
+	s, err := New(Options{Workers: 1, CacheEntries: 1, StateDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Shutdown(context.Background())
+	get := func(j *job) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/jobs/"+j.id+"/result", nil))
+		return rec
+	}
+	first := runCold(t, s, hitRequest(1))
+	if rec := get(first); rec.Code != http.StatusOK || core.VerifyResult(rec.Body.Bytes()) != nil {
+		t.Fatalf("first job's result: HTTP %d, %d bytes", rec.Code, rec.Body.Len())
+	}
+	second := runCold(t, s, hitRequest(2))
+	if rec := get(first); rec.Code != http.StatusGone {
+		t.Errorf("a live job whose entry was evicted: HTTP %d %q, want 410", rec.Code, rec.Body.String())
+	}
+
+	hit, err := s.Submit(hitRequest(2))
+	if err != nil || !hit.status().CacheHit {
+		t.Fatalf("resubmission: %v, want a cache hit", err)
+	}
+	path := s.store.path(second.key)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)/2] ^= 1
+	os.WriteFile(path, raw, 0o644)
+	if rec := get(hit); rec.Code != http.StatusGone {
+		t.Errorf("a hit whose file was corrupted after its submit: HTTP %d, want 410", rec.Code)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) || s.store.len() != 0 {
+		t.Errorf("the corrupt entry was not deleted (stat err %v, %d entries)", err, s.store.len())
 	}
 }
 
@@ -407,7 +498,7 @@ func BenchmarkServiceHit(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, _, ok := s.resultFor(j); !ok {
+		if _, ok := s.resultFor(j, func(r io.Reader, _ int64) { io.Copy(io.Discard, r) }); !ok {
 			b.Fatal("hit has no result")
 		}
 	}

@@ -36,11 +36,10 @@ type job struct {
 	events   []Event
 	err      error
 	cacheHit bool
-	// A fresh run leaves its status fields and its encoding, never its
-	// decoded result.
+	// A fresh run leaves its status fields, never its decoded result.
 	elapsed    time.Duration
 	units      []exec.UnitStats
-	encoded    []byte // resultio bytes, shared with the result store: never written
+	encoded    []byte // shared with an in-memory store, never written; nil where a file serves it
 	queuedAt   time.Time
 	startedAt  time.Time
 	finishedAt time.Time
@@ -184,7 +183,7 @@ func (j *job) waitEvents(ctx context.Context, from int) ([]Event, State) {
 	return evs, j.state
 }
 
-// resultBytes returns the encoded result for done jobs.
+// resultBytes returns the bytes a job holds (nil where a file serves them).
 func (j *job) resultBytes() ([]byte, State) {
 	j.mu.Lock()
 	defer j.mu.Unlock()

@@ -33,12 +33,13 @@ func heapAfterGC() uint64 {
 	return ms.HeapAlloc
 }
 
-// TestRetainedJobMemory: a retained done job costs its one encoding, shared
-// with the result store, and nothing else of size — not its decoded run
-// (≈ 2x), not an encode buffer's growth slack (1.15x), not its request's
-// catalog. It reads ≈ 1.006x. The heap is read with the workers stopped
-// (Shutdown), so no run is live on a stack; a first server warms the
-// engine's one-time tables beforehand.
+// TestRetainedJobMemory: a retained done job on an in-memory server costs
+// its one encoding, shared with the result store, and nothing else of size —
+// not its decoded run (≈ 2x), not an encode buffer's growth slack (1.15x),
+// not its request's catalog; it reads ≈ 1.006x. On a disk-backed server it
+// holds its key, not bytes: its result is read from the store's file. The
+// heap is read with the workers stopped (Shutdown), so no run is live on a
+// stack; a first server warms the engine's one-time tables beforehand.
 func TestRetainedJobMemory(t *testing.T) {
 	warm, err := New(Options{Workers: 1})
 	if err != nil {
@@ -47,34 +48,49 @@ func TestRetainedJobMemory(t *testing.T) {
 	runCold(t, warm, memoryRequest(0))
 	warm.Shutdown(context.Background())
 
-	s, err := New(Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := heapAfterGC()
-	const jobs = 16
-	encoded := 0
-	for i := 1; i <= jobs; i++ {
-		data, _ := runCold(t, s, memoryRequest(int64(i))).resultBytes()
-		encoded += len(data)
-	}
-	if err := s.Shutdown(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	after := heapAfterGC()
+	for _, row := range []struct {
+		name  string
+		disk  bool
+		bound float64 // heap per retained job over its encoding
+	}{
+		{"in-memory", false, 1.05},
+		{"disk-backed", true, 0.02},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			opts := Options{Workers: 1}
+			if row.disk {
+				opts.StateDir = t.TempDir()
+			}
+			s, err := New(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := heapAfterGC()
+			const jobs = 16
+			encoded := 0
+			for i := 1; i <= jobs; i++ {
+				data, _ := fetch(s, runCold(t, s, memoryRequest(int64(i))))
+				encoded += len(data)
+			}
+			if err := s.Shutdown(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			after := heapAfterGC()
 
-	if got := len(s.Jobs()); got != jobs {
-		t.Fatalf("%d jobs retained, want %d", got, jobs)
-	}
-	for _, j := range s.order {
-		requireReleased(t, j)
-	}
-	perJob := (float64(after) - float64(before)) / jobs
-	perEncoding := float64(encoded) / jobs
-	t.Logf("heap per retained job %.0f B, encoding %.0f B (%.3fx)", perJob, perEncoding, perJob/perEncoding)
-	if perJob > 1.05*perEncoding {
-		t.Errorf("a retained job pins %.0f B of heap, %.3fx its %.0f B encoding (bound 1.05x)",
-			perJob, perJob/perEncoding, perEncoding)
+			if got := len(s.Jobs()); got != jobs {
+				t.Fatalf("%d jobs retained, want %d", got, jobs)
+			}
+			for _, j := range s.order {
+				requireReleased(t, j)
+			}
+			perJob := (float64(after) - float64(before)) / jobs
+			perEncoding := float64(encoded) / jobs
+			t.Logf("heap per retained job %.0f B, encoding %.0f B (%.3fx)", perJob, perEncoding, perJob/perEncoding)
+			if perJob > row.bound*perEncoding {
+				t.Errorf("a retained job pins %.0f B of heap, %.3fx its %.0f B encoding (bound %.2fx)",
+					perJob, perJob/perEncoding, perEncoding, row.bound)
+			}
+		})
 	}
 }
 

@@ -80,8 +80,8 @@ type Options struct {
 	// lifetime job count. Negative retains every job forever. Queued and
 	// running jobs are never evicted. With a StateDir, the same bound
 	// caps how many terminal jobs a restart replays from the journal.
-	// A retained job costs its status and at most one encoded result,
-	// shared with the result cache (458 KB at LMax 10 and 10 bins).
+	// A retained job costs its status and cache key (410 Gone once the cache
+	// evicts it); without a StateDir, also the encoding it shares with it.
 	RetainJobs int
 	// StateDir, when non-empty, makes the server crash-only durable: job
 	// lifecycle records go to an append-only fsync-on-commit journal
@@ -254,7 +254,7 @@ func (s *Server) Submit(req galactos.Request) (*job, error) {
 // it, so its whole registry transition — the job in, already done, and what
 // the retention bound pushes out — is one journal commit, made under s.mu
 // before the job can be seen: a kill at any byte of it replays to "no such
-// job" or to this job done. It keeps no request and shares the store's bytes.
+// job" or to this job done. It keeps no request, and no bytes of its own.
 func (s *Server) submitHit(label, key, catHash string, data []byte) (*job, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // terminal on arrival: nothing will ever run under this ctx
@@ -421,7 +421,9 @@ func (s *Server) runJob(j *job) {
 		s.logf("%s: failed: %v", j.id, err)
 	default:
 		data := core.EncodeResult(run.Result)
-		s.store.put(j.key, data)
+		if s.store.put(j.key, data) {
+			data = nil // the store's file serves it
+		}
 		j.finish(StateDone, nil, run, data, false)
 		s.done.Add(1)
 		s.logf("%s: done in %s (%d pairs)", j.id, run.Elapsed, run.Result.Pairs)

@@ -19,58 +19,46 @@ import (
 // the cold run was — which is what makes the "cache hit is bitwise-identical"
 // guarantee trivially true rather than re-proved per release.
 //
-// Without a directory every entry's bytes are resident. With one (a
-// -state-dir server) each entry is also a content-addressed file, so the
-// cache survives a process kill: the index is rebuilt by scanning the
-// directory at startup, recency-ordered by file modification time, and
-// eviction beyond max deletes files. The most recently used entries' bytes
-// stay resident within residentBudget and are served without a disk read.
+// Without a directory an entry is its bytes, shared with the jobs that serve
+// them. With one (a -state-dir server) an entry is a content-addressed file
+// and the store holds keys, not bytes: the cache survives a process kill
+// (the index is rebuilt by scanning the directory at startup, in file
+// modification order), and eviction beyond max deletes files.
 //
-// Bytes read back from disk are re-validated by core.VerifyResult, whose
-// header and CRC checks reject anything a kill tore or a disk corrupted.
-// Per the failure taxonomy (DESIGN.md, "Failure semantics") such an entry is
-// poison, and the store degrades structurally: it is deleted and reported as
-// a miss, so a poisoned file costs one recompute and is never served.
-// Slices handed out are shared with the store and every other reader.
+// Every use of a file re-validates it with core.VerifyResultFrom through one
+// store-owned block: its header, length and CRC checks reject anything a
+// kill tore or a disk corrupted. Per the failure taxonomy (DESIGN.md,
+// "Failure semantics") such an entry is poison, and the store degrades
+// structurally: it is deleted and reported as a miss, so a poisoned file
+// costs one recompute and is never served.
 type resultStore struct {
-	dir    string // "" keeps every entry resident and nothing on disk
-	max    int
-	budget int64 // residentBudget
+	dir string // "" keeps every entry's bytes and nothing on disk
+	max int
 
-	mu       sync.Mutex
-	order    *list.List // front = most recently used; values are *storeEntry
-	entries  map[string]*list.Element
-	resident int64 // bytes of entry data held
+	mu      sync.Mutex
+	order   *list.List // front = most recently used; values are keys
+	entries map[string]*list.Element
+	data    map[string][]byte // in-memory store only
+	block   []byte            // disk-backed store only: the verify block
 }
 
-type storeEntry struct {
-	key  string
-	data []byte // nil when only the file holds the entry
-}
-
-const (
-	cacheExt = ".gres"
-	// residentBudget bounds the result bytes a disk-backed store keeps in
-	// memory beside its files, whatever CacheEntries is.
-	residentBudget = 64 << 20
-)
+// cacheExt names an entry's file, landed through a <key>.gres.tmpNNN file.
+const cacheExt = ".gres"
 
 // newResultStore builds a store bounded to max entries, in memory when dir
-// is empty, else over dir (created if needed), whose entries it indexes.
-// Files that are not cache entries are ignored; validation is deferred to
-// get. max <= 0 disables caching (every lookup misses, every store is
-// dropped) and deletes nothing already present — a disabled cache must not
-// destroy state an operator re-enables later.
+// is empty, else over dir (created if needed), whose entries it indexes and
+// whose orphaned temp files it deletes. Other files are ignored; validation
+// is deferred to use. max <= 0 disables caching (every lookup misses, every
+// store is dropped) and deletes no entry already present — a disabled cache
+// must not destroy state an operator re-enables later.
 func newResultStore(dir string, max int) (*resultStore, error) {
-	c := &resultStore{dir: dir, max: max, budget: residentBudget, order: list.New(), entries: make(map[string]*list.Element)}
+	c := &resultStore{dir: dir, max: max, order: list.New(), entries: make(map[string]*list.Element), data: make(map[string][]byte)}
 	if dir == "" {
 		return c, nil
 	}
+	c.block = make([]byte, 64<<10)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
-	}
-	if max <= 0 {
-		return c, nil
 	}
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -78,7 +66,9 @@ func newResultStore(dir string, max int) (*resultStore, error) {
 	}
 	var found []os.FileInfo
 	for _, e := range ents {
-		if info, err := e.Info(); err == nil && !e.IsDir() && filepath.Ext(e.Name()) == cacheExt {
+		if strings.Contains(e.Name(), cacheExt+".tmp") {
+			os.Remove(filepath.Join(dir, e.Name()))
+		} else if info, err := e.Info(); err == nil && !e.IsDir() && filepath.Ext(e.Name()) == cacheExt && max > 0 {
 			found = append(found, info)
 		}
 	}
@@ -92,7 +82,7 @@ func newResultStore(dir string, max int) (*resultStore, error) {
 	})
 	for _, info := range found {
 		key := strings.TrimSuffix(info.Name(), cacheExt)
-		c.entries[key] = c.order.PushFront(&storeEntry{key: key})
+		c.entries[key] = c.order.PushFront(key)
 	}
 	c.trimLocked()
 	return c, nil
@@ -103,41 +93,61 @@ func (c *resultStore) path(key string) string {
 	return filepath.Join(c.dir, key+cacheExt)
 }
 
-// get returns an entry's bytes, reading and re-validating them when they
-// are not resident. Any read or verification failure is poison: the file is
-// deleted, the index entry dropped, and the lookup is a miss — a torn or
-// corrupt entry is recomputed, never served.
+// get reports whether key is cached, with an in-memory store's bytes. A
+// disk-backed store hands out none: it verifies the entry's file (open).
 func (c *resultStore) get(key string) ([]byte, bool) {
+	if c.dir != "" {
+		f, _, ok := c.open(key)
+		if ok {
+			f.Close()
+		}
+		return nil, ok
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.entries[key]
+	if ok {
+		c.order.MoveToFront(el)
+	}
+	return c.data[key], ok
+}
+
+// open returns a disk-backed entry's file, verified in full, and its size:
+// read it from offset 0, and it holds what was verified even if the entry is
+// replaced or evicted meanwhile. Any open, read or verification failure is
+// poison: the file is deleted, the entry dropped, and the lookup a miss.
+func (c *resultStore) open(key string) (*os.File, int64, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
 	if !ok {
-		return nil, false
+		return nil, 0, false
 	}
-	ent := el.Value.(*storeEntry)
-	if ent.data == nil {
-		data, err := os.ReadFile(c.path(key))
-		if err == nil {
-			err = core.VerifyResult(data)
+	f, err := os.Open(c.path(key))
+	var info os.FileInfo
+	if err == nil {
+		if info, err = f.Stat(); err == nil {
+			err = core.VerifyResultFrom(f, info.Size(), c.block)
 		}
 		if err != nil {
-			c.dropLocked(el)
-			return nil, false
+			f.Close()
 		}
-		c.holdLocked(ent, data)
 	}
-	data := ent.data // trimLocked may release it: an entry over the whole budget
+	if err != nil {
+		c.dropLocked(el)
+		return nil, 0, false
+	}
 	c.order.MoveToFront(el)
-	c.trimLocked()
-	return data, true
+	return f, info.Size(), true
 }
 
-// put stores data under key. With a directory it first lands the file
+// put stores data under key and reports whether a file now serves it, so
+// the caller need not keep the bytes. With a directory it lands the file
 // atomically (temp file, fsync, rename), so a kill mid-put leaves either the
 // old entry or the new one, never a torn file under the final name.
-func (c *resultStore) put(key string, data []byte) {
+func (c *resultStore) put(key string, data []byte) bool {
 	if c.max <= 0 {
-		return
+		return false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -154,16 +164,18 @@ func (c *resultStore) put(key string, data []byte) {
 			if ok {
 				c.dropLocked(el)
 			}
-			return
+			return false
 		}
+	} else {
+		c.data[key] = data
 	}
 	if !ok {
-		el = c.order.PushFront(&storeEntry{key: key})
+		el = c.order.PushFront(key)
 		c.entries[key] = el
 	}
-	c.holdLocked(el.Value.(*storeEntry), data)
 	c.order.MoveToFront(el)
 	c.trimLocked()
+	return c.dir != ""
 }
 
 func (c *resultStore) len() int {
@@ -172,34 +184,20 @@ func (c *resultStore) len() int {
 	return c.order.Len()
 }
 
-// holdLocked makes data the entry's resident bytes. Callers hold mu.
-func (c *resultStore) holdLocked(ent *storeEntry, data []byte) {
-	c.resident += int64(len(data)) - int64(len(ent.data))
-	ent.data = data
-}
-
-// dropLocked removes one entry and its file. Callers hold mu.
+// dropLocked removes one entry and its file or bytes. Callers hold mu.
 func (c *resultStore) dropLocked(el *list.Element) {
-	ent := el.Value.(*storeEntry)
-	c.holdLocked(ent, nil)
-	c.order.Remove(el)
-	delete(c.entries, ent.key)
+	key := c.order.Remove(el).(string)
+	delete(c.entries, key)
+	delete(c.data, key)
 	if c.dir != "" {
-		os.Remove(c.path(ent.key))
+		os.Remove(c.path(key))
 	}
 }
 
-// trimLocked enforces both bounds from the least recently used end: entries
-// beyond max are dropped, and a disk-backed store releases resident bytes
-// beyond residentBudget (the files keep the entries). Callers hold mu.
+// trimLocked drops entries beyond max from the least recently used end.
+// Callers hold mu.
 func (c *resultStore) trimLocked() {
-	for c.order.Len() > c.max {
+	for c.order.Len() > max(c.max, 0) {
 		c.dropLocked(c.order.Back())
-	}
-	if c.dir == "" {
-		return
-	}
-	for el := c.order.Back(); el != nil && c.resident > c.budget; el = el.Prev() {
-		c.holdLocked(el.Value.(*storeEntry), nil)
 	}
 }
