@@ -98,15 +98,17 @@ bench-vet:
 	cd bench && $(GO) vet . && $(GO) build -o /dev/null .
 
 # main.calibrate's address and its residue mod 64 in the binary bench/run.sh
-# last built: the nominal metrics divide by that loop's speed, which follows
-# the residue on the 2-vCPU host, so compare it (and raw host.solve_wall_s)
-# between two builds before reading a nominal shift as the engine's.
+# last built, or in each binary BIN names (`make bench-align
+# BIN="../parent/.bench_build/galactos-bench .bench_build/galactos-bench"`):
+# the nominal metrics divide by that loop's speed, which follows the residue
+# on the 2-vCPU host, so compare it (and raw host.solve_wall_s) between two
+# builds before reading a nominal shift as the engine's.
 bench-align:
-	@bin=.bench_build/galactos-bench; \
+	@for bin in $(or $(BIN),.bench_build/galactos-bench); do \
 	if [ ! -x $$bin ]; then echo "$$bin is missing: build it with bash bench/run.sh -h"; exit 1; fi; \
 	addr=$$($(GO) tool nm $$bin | awk '$$3 == "main.calibrate" { print $$1 }'); \
 	if [ -z "$$addr" ]; then echo "main.calibrate not found in $$bin"; exit 1; fi; \
-	echo "main.calibrate 0x$$addr, mod 64 = $$((0x$$addr % 64))"
+	echo "$$bin: main.calibrate 0x$$addr, mod 64 = $$((0x$$addr % 64))"; done
 
 # The benchmark's own tests (~15 s): its bruteforce oracle, golden digests
 # and metric plumbing run against the engine as it is in this checkout, so

@@ -109,6 +109,15 @@ func CheckFinite(gals []Galaxy, base int) error {
 	return nil
 }
 
+// CheckBox rejects a non-finite box side: a NaN side fails every comparison
+// the geometry makes against it, so a run would silently bin no pair.
+func CheckBox(b geom.Periodic) error {
+	if b.L-b.L != 0 {
+		return fmt.Errorf("catalog: non-finite box side %v", b.L)
+	}
+	return nil
+}
+
 // Validate checks structural invariants: finite coordinates and, for
 // periodic catalogs, positions inside [0, L)^3.
 func (c *Catalog) Validate() error {

@@ -72,6 +72,9 @@ func hashOnce(src Source) (string, error) {
 	}
 	// The box is read after the drain: CSV cursors only know their L= token
 	// once the pass is complete.
+	if err := CheckBox(cur.Box()); err != nil {
+		return "", err
+	}
 	var tail [16]byte
 	binary.LittleEndian.PutUint64(tail[0:8], math.Float64bits(cur.Box().L))
 	binary.LittleEndian.PutUint64(tail[8:16], count)

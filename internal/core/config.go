@@ -146,6 +146,9 @@ func (c Config) Normalize() (Config, error) {
 	if c.LOS < LOSRadial || c.LOS > LOSMidpoint {
 		return c, fmt.Errorf("core: unknown LOS mode %v", c.LOS)
 	}
+	if o := c.Observer; (o.X-o.X)+(o.Y-o.Y)+(o.Z-o.Z) != 0 {
+		return c, fmt.Errorf("core: non-finite Observer %v", o)
+	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}

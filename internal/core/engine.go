@@ -233,6 +233,9 @@ type zetaChannel struct {
 // inside float32's normal range). On a periodic box a point must also never
 // pass for two images L apart, which RMax + 2s < L/2 rules out.
 func (e *engine) buildFinder() error {
+	if err := catalog.CheckBox(e.shell.Box); err != nil {
+		return err
+	}
 	l := e.shell.Box.L
 	m := l
 	for _, p := range e.pts {

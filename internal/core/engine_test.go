@@ -343,7 +343,9 @@ func TestNormalizeFillsWorkerDefault(t *testing.T) {
 
 // TestNormalizeRefusesNonFiniteRange: a NaN radius fails every ordered
 // comparison, so a range check written as rmin < 0 || rmax <= rmin passes
-// it, and an infinite RMax bins every pair at r = +Inf.
+// it, and an infinite RMax bins every pair at r = +Inf. A non-finite
+// Observer puts NaN in most channels under the radial line of sight and
+// cannot be journaled as JSON under any, so every LOS refuses it.
 func TestNormalizeRefusesNonFiniteRange(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	for _, r := range [][2]float64{{0, nan}, {nan, 30}, {0, inf}, {nan, nan}} {
@@ -351,6 +353,15 @@ func TestNormalizeRefusesNonFiniteRange(t *testing.T) {
 		cfg.RMin, cfg.RMax = r[0], r[1]
 		if _, err := cfg.Normalize(); err == nil {
 			t.Errorf("Normalize accepted RMin %v, RMax %v", r[0], r[1])
+		}
+	}
+	for _, o := range []geom.Vec3{{X: nan}, {Y: inf}, {Z: -inf}} {
+		for _, los := range []LOSMode{LOSRadial, LOSPlaneParallel, LOSMidpoint} {
+			cfg := smallConfig()
+			cfg.LOS, cfg.Observer = los, o
+			if _, err := cfg.Normalize(); err == nil {
+				t.Errorf("Normalize accepted Observer %v under %v", o, los)
+			}
 		}
 	}
 }

@@ -68,10 +68,10 @@ const maxTimeoutSec = float64(math.MaxInt64 / int64(time.Second))
 
 // Resolve is the one check of a request, shared by Run and the job
 // service's submission and crash recovery: exactly one catalog input, a
-// backend spec that selects a backend it parameterizes, and a TimeoutSec a
-// time.Duration can hold. It returns the catalog source the request
-// designates. It reads no catalog and does not check the config, which Run
-// normalizes (and the service fingerprints) next.
+// backend spec that selects a backend it parameterizes, and a finite
+// TimeoutSec a time.Duration can hold. It returns the catalog source the
+// request designates. It reads no catalog and does not check the config,
+// which Run normalizes (and the service fingerprints) next.
 func (r Request) Resolve() (catalog.Source, error) {
 	n := 0
 	if r.Source != nil {
@@ -92,8 +92,8 @@ func (r Request) Resolve() (catalog.Source, error) {
 	if err := r.Backend.check(); err != nil {
 		return nil, err
 	}
-	if r.TimeoutSec > maxTimeoutSec {
-		return nil, fmt.Errorf("exec: timeout_sec %g exceeds the longest timeout, %g s", r.TimeoutSec, maxTimeoutSec)
+	if t := r.TimeoutSec; t-t != 0 || t > maxTimeoutSec {
+		return nil, fmt.Errorf("exec: timeout_sec %g is not finite or exceeds the longest timeout, %g s", t, maxTimeoutSec)
 	}
 	switch {
 	case r.Source != nil:

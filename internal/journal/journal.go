@@ -44,9 +44,10 @@ const (
 )
 
 // Record is one journal entry. Only the fields of its Type are set: submit
-// records carry the full request identity (the serialized request, the
-// catalog content hash, and the normalized config fingerprint joined as the
-// cache key), end records the terminal state.
+// records carry the request identity (the catalog content hash and the
+// normalized config fingerprint joined as the cache key) and, while the job
+// can still run, the serialized request (boot compaction drops it from a
+// terminal job's), end records the terminal state.
 type Record struct {
 	Type string    `json:"t"`
 	ID   string    `json:"id"`
@@ -330,7 +331,7 @@ func (j *Journal) Segments() (int, error) {
 }
 
 // encodeFrames frames recs back to back, in a buffer sized up front: a
-// boot compaction's batch is megabytes of journaled requests.
+// boot compaction's batch carries every runnable job's journaled request.
 func encodeFrames(recs []Record) (batch []byte, err error) {
 	size := 0
 	for _, r := range recs {

@@ -115,12 +115,15 @@ func (s *Server) recoverJobs(records []journal.Record) {
 	// Compact to exactly the registered jobs' records. Jobs that just
 	// failed during recovery (unrecoverable request, queue overflow) get
 	// their end record here rather than via retire — one write for the
-	// whole boot. A compaction failure is survivable: the un-compacted
-	// journal still replays to the same state (Reduce is idempotent).
+	// whole boot. Only a job with no end record can re-run, so only it keeps
+	// its request: a boot reads live jobs' requests, not retained catalogs.
+	// A compaction failure is survivable: the un-compacted journal still
+	// replays to the same state (Reduce is idempotent).
 	live := make([]journal.Record, 0, 2*len(s.order))
 	for _, j := range s.order {
 		live = append(live, submits[j.id])
 		if j.terminal() {
+			live[len(live)-1].Request = nil
 			live = append(live, endRecord(j))
 		}
 	}
@@ -259,17 +262,16 @@ func identityRecord(typ string, j *job) journal.Record {
 }
 
 // submitRecord builds the journal record that commits a submission. Only
-// requests carrying no in-process Source serialize completely; for
-// the rest the record keeps identity and key but replay cannot re-run
-// them.
-func submitRecord(j *job, req galactos.Request) journal.Record {
+// requests carrying no in-process Source serialize; for the rest the record
+// keeps identity and key but replay cannot re-run them. One that will not
+// encode is an error: replay would fail the job it was meant to re-run.
+func submitRecord(j *job, req galactos.Request) (journal.Record, error) {
 	r := identityRecord(journal.RecordSubmit, j)
+	var err error
 	if req.Source == nil {
-		if data, err := json.Marshal(req); err == nil {
-			r.Request = data
-		}
+		r.Request, err = json.Marshal(req)
 	}
-	return r
+	return r, err
 }
 
 // hitRecord is the one record of a job answered from the store: its

@@ -4,10 +4,12 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net"
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -478,5 +480,234 @@ func TestPoisonedCacheEntryRecomputed(t *testing.T) {
 	}
 	if !again.CacheHit {
 		t.Error("cache not repopulated after poison recompute")
+	}
+}
+
+// submitFor is the submit record a server journals for req under id: its
+// cache key, label and wire-form request.
+func submitFor(t testing.TB, id string, req galactos.Request) journal.Record {
+	t.Helper()
+	src, err := req.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	catHash, err := catalog.Hash(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp, err := req.Config.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return journal.Record{
+		Type: journal.RecordSubmit, ID: id, Time: time.Now().UTC(),
+		Key: catHash + "+" + fp, CatHash: catHash, Fingerprint: fp,
+		Label: req.Label, Request: data,
+	}
+}
+
+// writeJournal commits recs to a fresh journal in dir, as one batch.
+func writeJournal(t testing.TB, dir string, recs ...journal.Record) {
+	t.Helper()
+	jnl, _, err := journal.Open(journal.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := jnl.Append(recs...); err != nil {
+		t.Fatal(err)
+	}
+	if err := jnl.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// journalBytes is the size of every file in the journal directory.
+func journalBytes(t testing.TB, dir string) int64 {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var n int64
+	for _, e := range ents {
+		info, err := e.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		n += info.Size()
+	}
+	return n
+}
+
+// TestCompactionKeepsOnlyRunnableRequests hand-writes the journal a killed
+// server leaves: three retained jobs that ended (done, failed, cancelled) on
+// inline catalogs of 120 or 5,000 galaxies, and one killed mid-run. Boot's
+// compaction keeps a request only for the job that can still run: that job
+// re-runs from it to the bits of a fresh run, no terminal job's submit
+// carries one, and the journal holds under 1 KB per retained job. A kill
+// between Compact's write and its deletes leaves the old segments beside
+// the compacted one, and both together replay to the same registry.
+func TestCompactionKeepsOnlyRunnableRequests(t *testing.T) {
+	for _, n := range []int{120, 5000} {
+		t.Run(fmt.Sprintf("galaxies=%d", n), func(t *testing.T) {
+			dir := t.TempDir()
+			jdir := filepath.Join(dir, "journal")
+			ctx := context.Background()
+			now := time.Now().UTC()
+
+			var recs []journal.Record
+			terminal := map[string]bool{}
+			for i, end := range []journal.Record{
+				{State: string(service.StateDone)},
+				{State: string(service.StateFailed), Error: "engine: out of memory"},
+				{State: string(service.StateCancelled), Error: "context canceled"},
+			} {
+				id := fmt.Sprintf("job-%06d", i+1)
+				end.Type, end.ID, end.Time = journal.RecordEnd, id, now
+				recs = append(recs, submitFor(t, id, testRequest(n, int64(i+1))), end)
+				terminal[id] = true
+			}
+			const liveID = "job-000004"
+			live := testRequest(300, 7)
+			recs = append(recs, submitFor(t, liveID, live), journal.Record{Type: journal.RecordStart, ID: liveID, Time: now})
+			writeJournal(t, jdir, recs...)
+			old, err := os.ReadDir(jdir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			oldSegs := map[string][]byte{}
+			for _, e := range old {
+				if oldSegs[e.Name()], err = os.ReadFile(filepath.Join(jdir, e.Name())); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			// The registry as a client sees it, less the live job's run
+			// statistics, which a restored job does not keep.
+			registry := func(cl *client.Client) []string {
+				t.Helper()
+				jobs, err := cl.Jobs(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var out []string
+				for _, j := range jobs {
+					out = append(out, fmt.Sprintf("%s %s %s %q %v %q", j.ID, j.State, j.Key, j.Label, j.CacheHit, j.Error))
+				}
+				return out
+			}
+			// requests maps each journaled submission to whether it still
+			// carries its request; reading opens (and leaves) one empty
+			// segment, which replays to nothing.
+			requests := func() map[string]bool {
+				t.Helper()
+				jnl, recs, err := journal.Open(journal.Options{Dir: jdir})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer jnl.Close()
+				out := map[string]bool{}
+				for _, r := range recs {
+					if r.Type == journal.RecordSubmit {
+						out[r.ID] = len(r.Request) > 0
+					}
+				}
+				return out
+			}
+
+			svc1, cl1, stop1 := startRestartable(t, service.Options{Workers: 1, StateDir: dir})
+			if st := svc1.Stats(); st.RestoredJobs != 3 || st.RequeuedJobs != 1 {
+				t.Fatalf("restored %d, re-enqueued %d; want 3 and 1", st.RestoredJobs, st.RequeuedJobs)
+			}
+			st, err := cl1.Wait(ctx, liveID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.State != service.StateDone {
+				t.Fatalf("re-enqueued job ended %s (%s), want done", st.State, st.Error)
+			}
+			got, err := cl1.Result(ctx, liveID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := galactos.Run(ctx, live)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := samePayload(got, fresh.Result); err != nil {
+				t.Errorf("re-run from the compacted journal differs from a fresh run: %v", err)
+			}
+			before := registry(cl1)
+			stop1()
+			for id, carries := range requests() {
+				if carries == terminal[id] {
+					t.Errorf("%s: terminal at boot %v, carries its request %v; want only the runnable job to", id, terminal[id], carries)
+				}
+			}
+
+			// A kill between Compact's write and its deletes: the old
+			// segments are back beside the compacted one.
+			for name, data := range oldSegs {
+				if err := os.WriteFile(filepath.Join(jdir, name), data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			svc2, cl2, stop2 := startRestartable(t, service.Options{Workers: 1, StateDir: dir})
+			if got := svc2.Stats().RestoredJobs; got != 4 {
+				t.Errorf("RestoredJobs after the torn compaction = %d, want 4", got)
+			}
+			if after := registry(cl2); !reflect.DeepEqual(after, before) {
+				t.Errorf("old and compacted segments replay to\n%s\nwant\n%s", strings.Join(after, "\n"), strings.Join(before, "\n"))
+			}
+			stop2()
+			if size := journalBytes(t, jdir); size > 4*1024 {
+				t.Errorf("journal of 4 retained terminal jobs holds %d bytes, want at most 1 KB each", size)
+			}
+			for id, carries := range requests() {
+				if carries {
+					t.Errorf("%s is terminal but its submit carries its request", id)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkServiceBoot times a restart of a -state-dir server holding 64
+// finished jobs submitted with inline catalogs, 120 galaxies each as in
+// the repository benchmark's service_mix fixture and 5,000: New (journal
+// replay, compaction, cache index) and Shutdown. The state dir is booted
+// once before timing, so each timed boot reads the journal a previous boot
+// compacted, as every restart after the first does. journal_B is the
+// journal's size after the timed boots.
+func BenchmarkServiceBoot(b *testing.B) {
+	for _, n := range []int{120, 5000} {
+		b.Run(fmt.Sprintf("galaxies=%d", n), func(b *testing.B) {
+			dir := b.TempDir()
+			sub := submitFor(b, "", testRequest(n, 1))
+			recs := make([]journal.Record, 0, 2*64)
+			for i := 1; i <= 64; i++ {
+				sub.ID = fmt.Sprintf("job-%06d", i)
+				recs = append(recs, sub, journal.Record{Type: journal.RecordEnd, ID: sub.ID, Time: sub.Time, State: string(service.StateDone)})
+			}
+			writeJournal(b, filepath.Join(dir, "journal"), recs...)
+			boot := func() {
+				svc, err := service.New(service.Options{Workers: 1, StateDir: dir})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := svc.Shutdown(context.Background()); err != nil {
+					b.Fatal(err)
+				}
+			}
+			boot()
+			for b.Loop() {
+				boot()
+			}
+			b.ReportMetric(float64(journalBytes(b, filepath.Join(dir, "journal"))), "journal_B")
+		})
 	}
 }

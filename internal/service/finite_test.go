@@ -14,10 +14,13 @@ import (
 	"galactos"
 )
 
-// TestSubmitRejectsNonFiniteInput: a catalog with a NaN or infinite position
-// or weight is a bad request — 400 over HTTP, by path (a .glxc holding the
-// bad record) and inline — and is refused in the hash pass, before the job
-// exists: nothing is journaled, registered or counted.
+// TestSubmitRejectsNonFiniteInput: a catalog with a NaN or infinite position,
+// weight or box side is a bad request — 400 over HTTP, by path (a .glxc
+// holding the bad record or header) and inline — and is refused in the hash
+// pass, before the job exists: nothing is journaled, registered or counted.
+// So are a non-finite observer and a NaN timeout, and a request that passes
+// every check but will not encode as JSON fails its submission as a failed
+// journal append does, instead of being journaled without its request.
 func TestSubmitRejectsNonFiniteInput(t *testing.T) {
 	s := newDurable(t, t.TempDir(), 8)
 	srv := httptest.NewServer(s.Handler())
@@ -70,6 +73,49 @@ func TestSubmitRejectsNonFiniteInput(t *testing.T) {
 		if code, msg := post(body); code != http.StatusBadRequest || !strings.Contains(msg, "galaxy 2300 has non-finite") {
 			t.Errorf("%s by path: HTTP %d %q, want 400 naming galaxy 2300", tc.name, code, msg)
 		}
+	}
+
+	// A NaN box side yields no pair and an infinite one no run; neither has
+	// a JSON spelling, so the binary header's L is the wire's way in.
+	for _, l := range []float64{math.NaN(), math.Inf(1)} {
+		req := hitRequest(3)
+		req.Catalog.Box.L = l
+		if _, err := s.Submit(req); !errors.Is(err, ErrBadRequest) || !strings.Contains(err.Error(), "non-finite box side") {
+			t.Errorf("box side %v inline: got %v, want ErrBadRequest naming the box side", l, err)
+		}
+		path := filepath.Join(t.TempDir(), "bad-box.glxc")
+		if err := galactos.SaveCatalog(path, req.Catalog); err != nil {
+			t.Fatal(err)
+		}
+		body, err := json.Marshal(galactos.Request{Path: path, Config: req.Config})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if code, msg := post(body); code != http.StatusBadRequest || !strings.Contains(msg, "non-finite box side") {
+			t.Errorf("box side %v by path: HTTP %d %q, want 400 naming the box side", l, code, msg)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		mut  func(*galactos.Request)
+	}{
+		{"nan-observer", func(r *galactos.Request) { r.Config.LOS, r.Config.Observer.X = galactos.LOSRadial, math.NaN() }},
+		{"inf-observer", func(r *galactos.Request) { r.Config.Observer.Z = math.Inf(1) }},
+		{"nan-timeout", func(r *galactos.Request) { r.TimeoutSec = math.NaN() }},
+	} {
+		req := hitRequest(3)
+		tc.mut(&req)
+		if _, err := s.Submit(req); !errors.Is(err, ErrBadRequest) {
+			t.Errorf("%s: got %v, want ErrBadRequest", tc.name, err)
+		}
+	}
+
+	// The deprecated GridCell is neither checked nor hashed, so a NaN one
+	// passes validation; the submit record cannot carry it.
+	req := hitRequest(4)
+	req.Config.GridCell = math.NaN()
+	if _, err := s.Submit(req); err == nil || errors.Is(err, ErrBadRequest) || !strings.Contains(err.Error(), "journaling submission") {
+		t.Errorf("unencodable request: got %v, want a failed journal commit", err)
 	}
 
 	// Inline over HTTP: the nearest a JSON body gets to a non-finite number.

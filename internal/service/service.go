@@ -234,7 +234,11 @@ func (s *Server) Submit(req galactos.Request) (*job, error) {
 	// durability layer cannot remember would silently void the crash-only
 	// contract.
 	if s.jnl != nil {
-		if err := s.jnl.Append(submitRecord(j, req)); err != nil {
+		rec, err := submitRecord(j, req)
+		if err == nil {
+			err = s.jnl.Append(rec)
+		}
+		if err != nil {
 			s.mu.Unlock()
 			cancel()
 			return nil, fmt.Errorf("journaling submission: %w", err)

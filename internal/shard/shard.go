@@ -176,6 +176,9 @@ func Compute(ctx context.Context, src catalog.Source, cfg core.Config, opts Opti
 	if err != nil {
 		return nil, nil, err
 	}
+	if err := catalog.CheckBox(sc.box); err != nil {
+		return nil, nil, err
+	}
 	if sc.box.L > 0 && cfg.RMax >= sc.box.L/2 {
 		return nil, nil, fmt.Errorf("shard: RMax %v must be below half the periodic box %v", cfg.RMax, sc.box.L)
 	}

@@ -81,9 +81,10 @@ func TestRunNormalizesOnce(t *testing.T) {
 }
 
 // TestRequestResolveSource pins the one request check: exactly one catalog
-// input, a backend spec it can run, and a timeout a time.Duration holds
-// (1e10 s used to overflow to a negative deadline and fail the run at
-// once).
+// input, a backend spec it can run, and a finite timeout a time.Duration
+// holds (1e10 s used to overflow to a negative deadline and fail the run at
+// once; NaN failed the comparison and passed). A negative timeout sets no
+// deadline.
 func TestRequestResolveSource(t *testing.T) {
 	cat := galactos.GenerateUniform(10, 100, 1)
 	cases := []struct {
@@ -103,6 +104,9 @@ func TestRequestResolveSource(t *testing.T) {
 		{"longest timeout", galactos.Request{Catalog: cat, TimeoutSec: float64(math.MaxInt64 / int64(time.Second))}, true},
 		{"timeout beyond time.Duration", galactos.Request{Catalog: cat, TimeoutSec: 1e10}, false},
 		{"infinite timeout", galactos.Request{Catalog: cat, TimeoutSec: math.Inf(1)}, false},
+		{"NaN timeout", galactos.Request{Catalog: cat, TimeoutSec: math.NaN()}, false},
+		{"minus infinite timeout", galactos.Request{Catalog: cat, TimeoutSec: math.Inf(-1)}, false},
+		{"negative timeout", galactos.Request{Catalog: cat, TimeoutSec: -1}, true},
 	}
 	for _, tc := range cases {
 		_, err := tc.req.Resolve()
@@ -165,7 +169,8 @@ func TestRequestJSONRoundTrip(t *testing.T) {
 // catalog with a NaN or infinite coordinate used to run to completion with
 // that galaxy's pairs missing, and a non-finite weight reached every sum.
 // Run must refuse, naming the galaxy, before any engine work — for a
-// resident catalog and for a file, on both backends.
+// resident catalog and for a file, on both backends — and refuse a
+// non-finite box side the same way.
 func TestRunRejectsNonFiniteInput(t *testing.T) {
 	cfg := galactos.DefaultConfig()
 	cfg.RMax, cfg.NBins, cfg.LMax, cfg.Workers = 40, 4, 2, 1
@@ -197,6 +202,25 @@ func TestRunRejectsNonFiniteInput(t *testing.T) {
 					t.Errorf("%s, backend %q, path %q: got %v, want a non-finite error naming galaxy 137",
 						tc.name, spec.Name, req.Path, err)
 				}
+			}
+		}
+	}
+
+	// A NaN box side fails every geometry comparison: it used to run to
+	// zero pairs.
+	cat := galactos.GenerateClustered(500, 200, galactos.DefaultClusterParams(), 9)
+	cat.Box.L = math.NaN()
+	path := filepath.Join(t.TempDir(), "nan-box.glxc")
+	if err := galactos.SaveCatalog(path, cat); err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range []galactos.BackendSpec{{}, {Name: "sharded", Shards: 2}} {
+		for _, req := range []galactos.Request{
+			{Catalog: cat, Config: cfg, Backend: spec},
+			{Path: path, Config: cfg, Backend: spec},
+		} {
+			if _, err := galactos.Run(context.Background(), req); err == nil || !strings.Contains(err.Error(), "non-finite box side") {
+				t.Errorf("NaN box, backend %q, path %q: got %v, want a non-finite box error", spec.Name, req.Path, err)
 			}
 		}
 	}
