@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -272,6 +273,74 @@ func TestUnitsPartitionCells(t *testing.T) {
 			}
 			if !slices.Equal(e.blocks, ref) {
 				t.Fatalf("unitCap %d: partition moved with workers=%d", e.unitCap, workers)
+			}
+		}
+	}
+}
+
+// TestRadixOrderMatchesComparisonSort checks buildBlocks' radix order
+// against the comparison sort on (key, index) it replaced, kept here as the
+// oracle, on three shapes: keys that differ in at least three bytes (a large
+// box cut into small cells), many primaries per key (cells far wider than the
+// clusters), and a sparse primary mask on an open catalog (keys anchored at
+// the primaries' minimum, index gaps between the primaries).
+func TestRadixOrderMatchesComparisonSort(t *testing.T) {
+	clustered := catalog.Clustered(4000, 200, catalog.DefaultClusterParams(), 92)
+	open := *clustered
+	open.Box.L = 0
+	sparse := make([]bool, open.Len())
+	for i := range sparse {
+		sparse[i] = i%7 == 3
+	}
+	for _, tc := range []struct {
+		name string
+		cat  *catalog.Catalog
+		mask []bool
+		cell float64
+	}{
+		{"wide-keys", catalog.Uniform(5000, 1000, 91), nil, 0.5},
+		{"equal-keys", clustered, nil, 150},
+		{"sparse-mask", &open, sparse, 3},
+	} {
+		cfg, err := propConfig().Normalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		bins, err := hist.NewBinning(cfg.RMin, cfg.RMax, cfg.NBins)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := newEngine(context.Background(), tc.cat, tc.mask, cfg, bins)
+		e.cell = tc.cell
+		want := e.cellKeys()
+		slices.SortFunc(want, func(a, b keyed) int {
+			return cmp.Or(cmp.Compare(a.key, b.key), cmp.Compare(a.pi, b.pi))
+		})
+		var diff uint64
+		distinct := 1
+		for i, k := range want {
+			diff |= k.key ^ want[0].key
+			if i > 0 && k.key != want[i-1].key {
+				distinct++
+			}
+		}
+		varying := 0
+		for sh := 0; sh < 64; sh += 8 {
+			if byte(diff>>sh) != 0 {
+				varying++
+			}
+		}
+		n := len(want)
+		switch {
+		case tc.name == "wide-keys" && varying < 3,
+			tc.name == "equal-keys" && distinct > n/100,
+			tc.name == "sparse-mask" && n > tc.cat.Len()/5:
+			t.Fatalf("%s lost its shape: %d primaries, %d distinct keys varying in %d bytes", tc.name, n, distinct, varying)
+		}
+		e.buildBlocks()
+		for i, k := range want {
+			if e.primaryIdx[i] != k.pi {
+				t.Fatalf("%s: sorted primary %d is %d, the comparison sort puts %d there", tc.name, i, e.primaryIdx[i], k.pi)
 			}
 		}
 	}

@@ -103,7 +103,8 @@ type Config struct {
 	// widened by the float32 rounding bound, so the float64 pair pass alone
 	// decides which pairs count. Normalize still fills LeafSize
 	// (kdtree.DefaultLeafSize) and GridCell (RMax/4) for callers that build a
-	// finder of their own.
+	// finder of their own, and refuses a non-finite GridCell, which no JSON
+	// request could carry.
 	Finder   FinderKind
 	LeafSize int
 	GridCell float64
@@ -148,6 +149,9 @@ func (c Config) Normalize() (Config, error) {
 	}
 	if o := c.Observer; (o.X-o.X)+(o.Y-o.Y)+(o.Z-o.Z) != 0 {
 		return c, fmt.Errorf("core: non-finite Observer %v", o)
+	}
+	if g := c.GridCell; g-g != 0 {
+		return c, fmt.Errorf("core: non-finite GridCell %v", g)
 	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)

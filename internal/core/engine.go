@@ -1,12 +1,10 @@
 package core
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"math"
 	"runtime/debug"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -287,41 +285,16 @@ func (e *engine) buildFinder() error {
 // the gather, the accumulator clear, the channel tile traffic of the zeta
 // update, the commit — are then paid once per ~unitCap/2 primaries however
 // sparse the cells are, while the two unit slabs stay L2-resident beside the
-// accumulator. The sort key carries the original index as tiebreak, and the
-// units depend only on the catalog and RMax, so the order — and therefore the
-// floating-point accumulation order of every downstream sum — is fully
-// deterministic.
+// accumulator. The sort is stable and primaryIdx arrives in ascending index,
+// so equal keys keep index order, and the units depend only on the catalog
+// and RMax: the order — and therefore the floating-point accumulation order
+// of every downstream sum — is fully deterministic.
 func (e *engine) buildBlocks() {
 	n := len(e.primaryIdx)
 	if n == 0 {
 		return
 	}
-	inv := 1 / e.cell
-	var org geom.Vec3 // periodic boxes anchor at the corner; open data at the min
-	if e.shell.Box.L <= 0 {
-		org = e.pts[e.primaryIdx[0]]
-		for _, pi := range e.primaryIdx[1:] {
-			p := e.pts[pi]
-			org.X = math.Min(org.X, p.X)
-			org.Y = math.Min(org.Y, p.Y)
-			org.Z = math.Min(org.Z, p.Z)
-		}
-	}
-	type keyed struct {
-		key uint64
-		pi  int32
-	}
-	ks := make([]keyed, n)
-	for i, pi := range e.primaryIdx {
-		p := e.pts[pi]
-		ks[i] = keyed{
-			key: morton3(cellCoord((p.X-org.X)*inv), cellCoord((p.Y-org.Y)*inv), cellCoord((p.Z-org.Z)*inv)),
-			pi:  pi,
-		}
-	}
-	slices.SortFunc(ks, func(a, b keyed) int {
-		return cmp.Or(cmp.Compare(a.key, b.key), cmp.Compare(a.pi, b.pi))
-	})
+	ks := sortKeyed(e.cellKeys())
 	for i, k := range ks {
 		e.primaryIdx[i] = k.pi
 	}
@@ -339,6 +312,71 @@ func (e *engine) buildBlocks() {
 		lo = i
 	}
 	e.blocks = append(e.blocks, blockRange{lo: first, hi: int32(n)})
+}
+
+// keyed is a primary beside its Morton cell key.
+type keyed struct {
+	key uint64
+	pi  int32
+}
+
+// cellKeys returns every primary's Morton cell key, in primaryIdx order.
+func (e *engine) cellKeys() []keyed {
+	inv := 1 / e.cell
+	var org geom.Vec3 // periodic boxes anchor at the corner; open data at the min
+	if e.shell.Box.L <= 0 {
+		org = e.pts[e.primaryIdx[0]]
+		for _, pi := range e.primaryIdx[1:] {
+			p := e.pts[pi]
+			org.X = math.Min(org.X, p.X)
+			org.Y = math.Min(org.Y, p.Y)
+			org.Z = math.Min(org.Z, p.Z)
+		}
+	}
+	ks := make([]keyed, len(e.primaryIdx))
+	for i, pi := range e.primaryIdx {
+		p := e.pts[pi]
+		ks[i] = keyed{
+			key: morton3(cellCoord((p.X-org.X)*inv), cellCoord((p.Y-org.Y)*inv), cellCoord((p.Z-org.Z)*inv)),
+			pi:  pi,
+		}
+	}
+	return ks
+}
+
+// sortKeyed sorts ks by key, stably: an LSD radix sort with one counting
+// pass per byte position, skipping the positions where every key holds the
+// same byte (a run's keys span a few cells per axis, so most of the 8 bytes
+// are constant). It returns the sorted slice, ks or its scratch twin.
+func sortKeyed(ks []keyed) []keyed {
+	var diff uint64
+	for _, k := range ks {
+		diff |= k.key ^ ks[0].key
+	}
+	var buf []keyed
+	for shift := 0; diff>>shift != 0; shift += 8 {
+		if byte(diff>>shift) == 0 {
+			continue
+		}
+		if buf == nil {
+			buf = make([]keyed, len(ks))
+		}
+		var at [256]int32
+		for _, k := range ks {
+			at[byte(k.key>>shift)]++
+		}
+		o := int32(0)
+		for d, c := range at {
+			at[d], o = o, o+c
+		}
+		for _, k := range ks {
+			d := byte(k.key >> shift)
+			buf[at[d]] = k
+			at[d]++
+		}
+		ks, buf = buf, ks
+	}
+	return ks
 }
 
 // cellCoord clamps a scaled coordinate into the 21-bit Morton range.
@@ -438,7 +476,7 @@ func (e *engine) run() (*Result, error) {
 	}
 	for _, s := range states {
 		total.Timings.Gather += s.tGather
-		total.Timings.Consume += s.tConsume - s.tSelf // self-count timed inside the consume
+		total.Timings.Consume += s.tConsume
 		total.Timings.SelfCount += s.tSelf
 		total.Timings.AlmZeta += s.tAlmZeta
 		total.Timings.WorkerTotal += s.tWorker
@@ -535,13 +573,20 @@ func (e *engine) commitInto(dst *Result, s *workerState) {
 	s.tAlmZeta += time.Since(t0)
 }
 
-// lap charges the time since *t to *d and restarts the clock at the same
-// reading: the read that ends one phase starts the next, so the phase clocks
-// partition a unit's time at one clock read per boundary.
-func lap(t *time.Time, d *time.Duration) {
-	now := time.Now()
-	*d += now.Sub(*t)
-	*t = now
+// phaseClock partitions a commit unit's time between the phase clocks at one
+// clock read per boundary: time.Now once per unit, then at each boundary one
+// monotonic time.Since of that base (about half the cost of a time.Now),
+// the read that ends one phase starting the next.
+type phaseClock struct {
+	base time.Time
+	at   time.Duration // the last boundary, since base
+}
+
+// charge adds the time since the last boundary to *d.
+func (c *phaseClock) charge(d *time.Duration) {
+	now := time.Since(c.base)
+	*d += now - c.at
+	c.at = now
 }
 
 // workerState carries one worker's scratch memory: the per-primary tile
@@ -680,9 +725,9 @@ func (e *engine) processBlock(s *workerState, b int) {
 	s.blockPairs, s.blockNP, s.blockSumW = 0, K, 0
 
 	// Stage 1: gather all neighbor lists for the unit.
-	t := time.Now()
+	clk := phaseClock{base: time.Now()}
 	e.gather(s, prim)
-	lap(&t, &s.tGather)
+	clk.charge(&s.tGather)
 
 	// Stage 2: per primary, assemble + consume tiles and reduce into the
 	// unit's a_lm slabs.
@@ -694,10 +739,11 @@ func (e *engine) processBlock(s *workerState, b int) {
 			beg, end := s.tile(bb)
 			s.kern.SumTile(s.tx[beg:end], s.ty[beg:end], s.tz[beg:end], s.tw[beg:end], s.acc[bb])
 		}
+		clk.charge(&s.tConsume)
 		if s.selfW != nil {
 			s.accumulateSelfPairs(pw, n)
+			clk.charge(&s.tSelf)
 		}
-		lap(&t, &s.tConsume)
 		s.blockPairs += uint64(n)
 
 		// Reduce the lane accumulators of every bin at once, convert them to
@@ -737,7 +783,7 @@ func (e *engine) processBlock(s *workerState, b int) {
 		}
 		s.blockPw[a] = pw
 		s.blockSumW += pw
-		lap(&t, &s.tAlmZeta)
+		clk.charge(&s.tAlmZeta)
 	}
 
 	// Stage 3: zeta outer products, one dense rank-K update per channel: the
@@ -747,7 +793,7 @@ func (e *engine) processBlock(s *workerState, b int) {
 	// order — exactly the order a per-primary engine produces.
 	if e.cfg.IsotropicOnly {
 		e.zetaIsoBlock(s, K)
-		lap(&t, &s.tAlmZeta)
+		clk.charge(&s.tAlmZeta)
 		return
 	}
 	for _, ch := range e.channels {
@@ -763,7 +809,7 @@ func (e *engine) processBlock(s *workerState, b int) {
 		}
 	}
 	clear(s.selfW)
-	lap(&t, &s.tAlmZeta)
+	clk.charge(&s.tAlmZeta)
 }
 
 // gather is processBlock's stage 1: every candidate list of the unit through
@@ -889,11 +935,10 @@ func (s *workerState) growTiles(n int, ids bool) {
 // [bin][L] array (SelfCount only): the Legendre moments of every touched
 // tile's already-rotated z column under the squared secondary weights, in
 // one call over the primary's tiles (they are packed in ascending bin
-// order), each scaled by the primary weight. Timed once per primary — a
-// tile is a few hundred nanoseconds of work, too short to bracket with its
-// own clock reads.
+// order), each scaled by the primary weight. processBlock charges it to the
+// self-count clock once per primary — a tile is a few hundred nanoseconds of
+// work, too short to bracket with its own clock reads.
 func (s *workerState) accumulateSelfPairs(pw float64, n int) {
-	t0 := time.Now()
 	nL := len(s.selfW) / len(s.cnt)
 	ends := s.selfEnds[:0]
 	for _, bb := range s.tl {
@@ -910,7 +955,6 @@ func (s *workerState) accumulateSelfPairs(pw float64, n int) {
 			}
 		}
 	}
-	s.tSelf += time.Since(t0)
 }
 
 // selfTerm contracts bin bb's unit moments with one channel's Legendre

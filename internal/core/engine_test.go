@@ -9,6 +9,7 @@ import (
 
 	"galactos/internal/catalog"
 	"galactos/internal/geom"
+	"galactos/internal/hist"
 )
 
 // smallConfig returns a configuration sized for O(N^3)-verifiable tests.
@@ -345,7 +346,8 @@ func TestNormalizeFillsWorkerDefault(t *testing.T) {
 // comparison, so a range check written as rmin < 0 || rmax <= rmin passes
 // it, and an infinite RMax bins every pair at r = +Inf. A non-finite
 // Observer puts NaN in most channels under the radial line of sight and
-// cannot be journaled as JSON under any, so every LOS refuses it.
+// cannot be journaled as JSON under any, so every LOS refuses it; so does a
+// non-finite GridCell, deprecated and unread but still encoded.
 func TestNormalizeRefusesNonFiniteRange(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	for _, r := range [][2]float64{{0, nan}, {nan, 30}, {0, inf}, {nan, nan}} {
@@ -364,6 +366,13 @@ func TestNormalizeRefusesNonFiniteRange(t *testing.T) {
 			}
 		}
 	}
+	for _, g := range []float64{nan, inf, -inf} {
+		cfg := smallConfig()
+		cfg.GridCell = g
+		if _, err := cfg.Normalize(); err == nil {
+			t.Errorf("Normalize accepted GridCell %v", g)
+		}
+	}
 }
 
 func TestComputeContextCancelled(t *testing.T) {
@@ -380,4 +389,51 @@ func TestComputeContextCancelled(t *testing.T) {
 	if _, err := ComputeContext(ctx, cat, cfg); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want nil or DeadlineExceeded, got %v", err)
 	}
+}
+
+// BenchmarkEngineSetup times a slab engine's fixed cost — newEngine,
+// buildFinder (the k-d tree and the tables) and buildBlocks (the commit
+// units) — on a stream_sharded-shaped slab: the first of 8 slabs along x of
+// the 24 k clustered catalog at the Outer Rim density, owned primaries first,
+// then the halo copies within RMax = 5 across the periodic wrap. It reports
+// ns per resident galaxy, primaries and halo alike.
+func BenchmarkEngineSetup(b *testing.B) {
+	full := catalog.Clustered(24000, catalog.BoxForDensity(24000), catalog.DefaultClusterParams(), 5)
+	const shards, rmax = 8, 5.0
+	l := full.Box.L
+	w := l / shards
+	slab := &catalog.Catalog{Box: full.Box}
+	var halo []catalog.Galaxy
+	for _, g := range full.Galaxies {
+		x := g.Pos.X
+		switch {
+		case x < w:
+			slab.Galaxies = append(slab.Galaxies, g)
+		case x-w <= rmax || l-x <= rmax:
+			halo = append(halo, g)
+		}
+	}
+	primary := make([]bool, len(slab.Galaxies)+len(halo))
+	for i := range slab.Galaxies {
+		primary[i] = true
+	}
+	slab.Galaxies = append(slab.Galaxies, halo...)
+	cfg := DefaultConfig()
+	cfg.RMax, cfg.NBins, cfg.LMax, cfg.SelfCount, cfg.Workers = rmax, 6, 4, false, 1
+	cfg, err := cfg.Normalize()
+	if err != nil {
+		b.Fatal(err)
+	}
+	bins, err := hist.NewBinning(cfg.RMin, cfg.RMax, cfg.NBins)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for b.Loop() {
+		e := newEngine(context.Background(), slab, primary, cfg, bins)
+		if err := e.buildFinder(); err != nil {
+			b.Fatal(err)
+		}
+		e.buildBlocks()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*slab.Len()), "ns/galaxy")
 }

@@ -101,11 +101,11 @@ type Journal struct {
 	opts Options
 
 	mu      sync.Mutex
-	f       *os.File
-	seq     int   // sequence number of the open segment
-	size    int64 // bytes written to the open segment
-	dropped int   // poison frames dropped during replay
-	syncs   int   // fsyncs issued
+	f       *os.File // the open segment; nil until the first commit after Open or a rotation
+	seq     int      // sequence number of the open segment, or of the last one before it
+	size    int64    // bytes written to the open segment
+	dropped int      // poison frames dropped during replay
+	syncs   int      // fsyncs issued
 	closed  bool
 }
 
@@ -139,7 +139,8 @@ func segments(dir string) ([]int, error) {
 // truncated frames — the tail a kill leaves — end their segment's replay:
 // the records before them are returned, the bytes after are dropped and
 // counted (Dropped). New appends go to a fresh segment, so a poisoned tail
-// is never appended into.
+// is never appended into; it is created by the first commit (Append or
+// Compact), whose header and batch share one write and one fsync.
 func Open(opts Options) (*Journal, []Record, error) {
 	if opts.Dir == "" {
 		return nil, nil, fmt.Errorf("journal: no directory")
@@ -172,37 +173,10 @@ func Open(opts Options) (*Journal, []Record, error) {
 	// Appends go to a fresh segment past everything replayed: a torn tail
 	// stays frozen as evidence and is swept by the next Compact, and the
 	// open segment is always one this process wrote from byte zero.
-	next := 1
 	if n := len(seqs); n > 0 {
-		next = seqs[n-1] + 1
-	}
-	if err := j.openSegment(next); err != nil {
-		return nil, nil, err
+		j.seq = seqs[n-1]
 	}
 	return j, records, nil
-}
-
-// openSegment creates segment seq and writes its header. Callers hold mu or
-// have exclusive access.
-func (j *Journal) openSegment(seq int) error {
-	f, err := os.OpenFile(filepath.Join(j.opts.Dir, segName(seq)),
-		os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	var hdr [8]byte
-	copy(hdr[0:4], segMagic)
-	binary.LittleEndian.PutUint32(hdr[4:8], segVersion)
-	if _, err := f.Write(hdr[:]); err != nil {
-		f.Close()
-		return err
-	}
-	j.f, j.seq, j.size = f, seq, int64(len(hdr))
-	if err := j.sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return nil
 }
 
 // Append commits records as one batch: every frame in one write, then one
@@ -220,7 +194,7 @@ func (j *Journal) Append(recs ...Record) error {
 	if j.closed {
 		return fmt.Errorf("journal: closed")
 	}
-	if j.size >= j.opts.RotateBytes {
+	if j.f != nil && j.size >= j.opts.RotateBytes {
 		if err := j.rotateLocked(); err != nil {
 			return err
 		}
@@ -228,8 +202,20 @@ func (j *Journal) Append(recs ...Record) error {
 	return j.commitLocked(batch)
 }
 
-// commitLocked writes batch to the open segment and makes it durable.
+// commitLocked writes batch to the open segment and makes it durable. With
+// no segment open it creates the next one, its header and the batch going
+// out in one write under one fsync: replay treats a segment torn anywhere in
+// that write like any torn tail.
 func (j *Journal) commitLocked(batch []byte) error {
+	if j.f == nil {
+		f, err := os.OpenFile(filepath.Join(j.opts.Dir, segName(j.seq+1)),
+			os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+		if err != nil {
+			return err
+		}
+		j.f, j.seq, j.size = f, j.seq+1, 0
+		batch = append(binary.LittleEndian.AppendUint32([]byte(segMagic), segVersion), batch...)
+	}
 	if _, err := j.f.Write(batch); err != nil {
 		return err
 	}
@@ -246,12 +232,12 @@ func (j *Journal) sync() error {
 	return j.f.Sync()
 }
 
+// rotateLocked closes the open segment; the next commit opens its
+// successor.
 func (j *Journal) rotateLocked() error {
-	old := j.f
-	if err := j.openSegment(j.seq + 1); err != nil {
-		return err
-	}
-	return old.Close()
+	f := j.f
+	j.f = nil
+	return f.Close()
 }
 
 // Compact rewrites the journal to exactly live: the records land in a fresh
@@ -270,12 +256,9 @@ func (j *Journal) Compact(live []Record) error {
 	if j.closed {
 		return fmt.Errorf("journal: closed")
 	}
-	prev := j.seq
-	old := j.f
-	if err := j.openSegment(prev + 1); err != nil {
-		return err
+	if j.f != nil {
+		_ = j.rotateLocked() // every commit to it was synced: a failed close loses nothing
 	}
-	old.Close()
 	if err := j.commitLocked(batch); err != nil {
 		return err
 	}
@@ -305,6 +288,9 @@ func (j *Journal) Close() error {
 		return nil
 	}
 	j.closed = true
+	if j.f == nil {
+		return nil
+	}
 	return j.f.Close()
 }
 

@@ -27,8 +27,8 @@ type Float interface {
 }
 
 type point[T Float] struct {
-	x, y, z T
-	id      int32
+	c  [3]T // x, y, z: the split axis indexes it
+	id int32
 }
 
 // chunk holds 16 tree-order points as columns, the shape leafHits16 tests at
@@ -89,26 +89,48 @@ func Build[T Float](pts []geom.Vec3, leafSize int) *Tree[T] {
 		bindLanes(t)
 	}
 	for i, p := range pts {
-		t.pts[i] = point[T]{T(p.X), T(p.Y), T(p.Z), int32(i)}
+		t.pts[i] = point[T]{[3]T{T(p.X), T(p.Y), T(p.Z)}, int32(i)}
 	}
 	if len(pts) == 0 {
 		return t
 	}
-	// Upper bound on node count: one split per leafSize/2 points, doubled.
-	t.nodes = make([]node[T], 0, 4*len(pts)/leafSize+8)
-	var mu sync.Mutex
-	root := t.alloc(&mu)
-	maxDepth := parallelDepth()
+	t.nodes = make([]node[T], nodeCount(len(pts), leafSize))
 	var wg sync.WaitGroup
-	t.build(root, 0, int32(len(t.pts)), 0, maxDepth, &mu, &wg)
+	t.build(0, 0, int32(len(t.pts)), parallelDepth(), &wg)
 	wg.Wait()
 	t.pack()
 	return t
 }
 
+// nodeCount returns the node count of a tree over n > 0 points: a range of
+// m points is a leaf when m <= leafSize, else a node over [0, m/2) and
+// [m/2, m). Build lays the nodes out in pre-order from it, so the subtrees
+// own disjoint, precomputed index ranges.
+func nodeCount(n, leafSize int) int {
+	c, _ := nodeCounts(n, leafSize)
+	return c
+}
+
+// nodeCounts returns the node counts over m and m+1 points (m >= 1). Both
+// halve into ranges of m/2 and m/2+1 points, so one pair per level carries
+// the count down in O(log m).
+func nodeCounts(m, leafSize int) (int, int) {
+	switch {
+	case m < leafSize:
+		return 1, 1
+	case m == leafSize:
+		return 1, 3 // m+1 >= 2 points split into two leaves
+	}
+	a, b := nodeCounts(m/2, leafSize)
+	if m%2 == 0 {
+		return 1 + 2*a, 1 + a + b
+	}
+	return 1 + a + b, 1 + 2*b
+}
+
 // pack moves the built points into the padded chunk columns the queries
-// read, leaf by leaf in tree order, and rewrites each leaf's range to its
-// chunk lanes.
+// read, leaf by leaf in tree order — node order, since the nodes are laid
+// out in pre-order — and rewrites each leaf's range to its chunk lanes.
 func (t *Tree[T]) pack() {
 	nch := 0
 	for i := range t.nodes {
@@ -119,12 +141,9 @@ func (t *Tree[T]) pack() {
 	t.chunks = make([]chunk[T], nch)
 	inf := T(math.Inf(1))
 	next := int32(0) // next free chunk
-	stack := []int32{0}
-	for len(stack) > 0 {
-		nd := &t.nodes[stack[len(stack)-1]]
-		stack = stack[:len(stack)-1]
+	for i := range t.nodes {
+		nd := &t.nodes[i]
 		if nd.left >= 0 {
-			stack = append(stack, nd.right, nd.left)
 			continue
 		}
 		pts := t.pts[nd.start:nd.end]
@@ -133,7 +152,7 @@ func (t *Tree[T]) pack() {
 		for i := 0; i < (len(pts)+15)&^15; i++ {
 			c, k := &t.chunks[int(next)+i>>4], i&15
 			if i < len(pts) {
-				c.x[k], c.y[k], c.z[k], c.id[k] = pts[i].x, pts[i].y, pts[i].z, pts[i].id
+				c.x[k], c.y[k], c.z[k], c.id[k] = pts[i].c[0], pts[i].c[1], pts[i].c[2], pts[i].id
 			} else {
 				c.x[k], c.y[k], c.z[k], c.id[k] = inf, inf, inf, -1
 			}
@@ -152,50 +171,31 @@ func parallelDepth() int {
 	return d
 }
 
-func (t *Tree[T]) alloc(mu *sync.Mutex) int32 {
-	mu.Lock()
-	defer mu.Unlock()
-	t.nodes = append(t.nodes, node[T]{})
-	return int32(len(t.nodes) - 1)
-}
-
-func (t *Tree[T]) build(ni, start, end int32, depth, maxDepth int, mu *sync.Mutex, wg *sync.WaitGroup) {
+// build fills node ni over pts[start:end) and its subtree: the left child is
+// node ni+1 and the right one follows the left subtree's nodeCount, so each
+// goroutine writes only its own nodes and points and needs no lock.
+func (t *Tree[T]) build(ni, start, end int32, spawn int, wg *sync.WaitGroup) {
 	pts := t.pts[start:end]
-	var nd node[T]
-	nd.minX, nd.minY, nd.minZ = pts[0].x, pts[0].y, pts[0].z
-	nd.maxX, nd.maxY, nd.maxZ = pts[0].x, pts[0].y, pts[0].z
-	for _, p := range pts[1:] {
-		if p.x < nd.minX {
-			nd.minX = p.x
-		}
-		if p.x > nd.maxX {
-			nd.maxX = p.x
-		}
-		if p.y < nd.minY {
-			nd.minY = p.y
-		}
-		if p.y > nd.maxY {
-			nd.maxY = p.y
-		}
-		if p.z < nd.minZ {
-			nd.minZ = p.z
-		}
-		if p.z > nd.maxZ {
-			nd.maxZ = p.z
-		}
+	nd := &t.nodes[ni]
+	x0, y0, z0 := pts[0].c[0], pts[0].c[1], pts[0].c[2]
+	x1, y1, z1 := x0, y0, z0
+	for i := 1; i < len(pts); i++ {
+		c := &pts[i].c
+		x0, x1 = extend(x0, x1, c[0])
+		y0, y1 = extend(y0, y1, c[1])
+		z0, z1 = extend(z0, z1, c[2])
 	}
+	nd.minX, nd.minY, nd.minZ = x0, y0, z0
+	nd.maxX, nd.maxY, nd.maxZ = x1, y1, z1
+	nd.start, nd.end = start, end
 	if int(end-start) <= t.leafSize {
 		nd.left, nd.right = -1, -1
-		nd.start, nd.end = start, end
-		mu.Lock()
-		t.nodes[ni] = nd
-		mu.Unlock()
 		return
 	}
 	// Split along the widest axis at the median.
-	ex := float64(nd.maxX - nd.minX)
-	ey := float64(nd.maxY - nd.minY)
-	ez := float64(nd.maxZ - nd.minZ)
+	ex := float64(x1 - x0)
+	ey := float64(y1 - y0)
+	ez := float64(z1 - z0)
 	axis := 0
 	if ey > ex && ey >= ez {
 		axis = 1
@@ -204,66 +204,60 @@ func (t *Tree[T]) build(ni, start, end int32, depth, maxDepth int, mu *sync.Mute
 	}
 	mid := start + (end-start)/2
 	t.selectNth(start, end, mid, axis)
-
-	left := t.alloc(mu)
-	right := t.alloc(mu)
+	left, right := ni+1, ni+1+int32(nodeCount(int(mid-start), t.leafSize))
 	nd.left, nd.right = left, right
-	nd.start, nd.end = start, end
-	mu.Lock()
-	t.nodes[ni] = nd
-	mu.Unlock()
 
-	if depth < maxDepth {
+	if spawn > 0 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			t.build(left, start, mid, depth+1, maxDepth, mu, wg)
+			t.build(left, start, mid, spawn-1, wg)
 		}()
-		t.build(right, mid, end, depth+1, maxDepth, mu, wg)
 	} else {
-		t.build(left, start, mid, depth+1, maxDepth, mu, wg)
-		t.build(right, mid, end, depth+1, maxDepth, mu, wg)
+		t.build(left, start, mid, 0, wg)
 	}
+	t.build(right, mid, end, max(spawn-1, 0), wg)
 }
 
-func (t *Tree[T]) coord(i int32, axis int) T {
-	switch axis {
-	case 0:
-		return t.pts[i].x
-	case 1:
-		return t.pts[i].y
-	default:
-		return t.pts[i].z
+// extend widens [lo, hi] to take in v.
+func extend[T Float](lo, hi, v T) (T, T) {
+	if v < lo {
+		lo = v
 	}
+	if v > hi {
+		hi = v
+	}
+	return lo, hi
 }
 
 // selectNth partitions pts[start:end) so the nth element is in its sorted
 // position along axis (quickselect with median-of-three pivots).
 func (t *Tree[T]) selectNth(start, end, nth int32, axis int) {
+	p := t.pts
 	for end-start > 1 {
 		lo, hi := start, end-1
 		// Median-of-three pivot.
 		mid := lo + (hi-lo)/2
-		if t.coord(mid, axis) < t.coord(lo, axis) {
-			t.pts[mid], t.pts[lo] = t.pts[lo], t.pts[mid]
+		if p[mid].c[axis] < p[lo].c[axis] {
+			p[mid], p[lo] = p[lo], p[mid]
 		}
-		if t.coord(hi, axis) < t.coord(lo, axis) {
-			t.pts[hi], t.pts[lo] = t.pts[lo], t.pts[hi]
+		if p[hi].c[axis] < p[lo].c[axis] {
+			p[hi], p[lo] = p[lo], p[hi]
 		}
-		if t.coord(hi, axis) < t.coord(mid, axis) {
-			t.pts[hi], t.pts[mid] = t.pts[mid], t.pts[hi]
+		if p[hi].c[axis] < p[mid].c[axis] {
+			p[hi], p[mid] = p[mid], p[hi]
 		}
-		pivot := t.coord(mid, axis)
+		pivot := p[mid].c[axis]
 		i, j := lo, hi
 		for i <= j {
-			for t.coord(i, axis) < pivot {
+			for p[i].c[axis] < pivot {
 				i++
 			}
-			for t.coord(j, axis) > pivot {
+			for p[j].c[axis] > pivot {
 				j--
 			}
 			if i <= j {
-				t.pts[i], t.pts[j] = t.pts[j], t.pts[i]
+				p[i], p[j] = p[j], p[i]
 				i++
 				j--
 			}

@@ -273,6 +273,20 @@ func TestLargeLeafSizeDegeneratesToScan(t *testing.T) {
 	}
 }
 
+// BenchmarkBuild builds one stream_sharded slab's tree: 6.5 k points in a
+// 69.3 x 69.3 slab 18.7 deep (one eighth of the box plus a 5-wide halo on
+// each side), the index a sharded run rebuilds per slab.
+func BenchmarkBuild(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	pts := make([]geom.Vec3, 6500)
+	for i := range pts {
+		pts[i] = geom.Vec3{X: rng.Float64() * 18.7, Y: rng.Float64() * 69.3, Z: rng.Float64() * 69.3}
+	}
+	for b.Loop() {
+		Build[float32](pts, 0)
+	}
+}
+
 func BenchmarkBuild100k(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	pts := randPoints(rng, 100000, 700)

@@ -67,6 +67,30 @@ func runCold(t testing.TB, s *Server, req galactos.Request) *job {
 	return j
 }
 
+// TestBootIsOneCommit: a boot on a populated state dir writes its compacted
+// journal as one new segment, header and records under one fsync, and leaves
+// that segment alone in the journal: opening the journal creates no segment
+// of its own for the compaction to delete.
+func TestBootIsOneCommit(t *testing.T) {
+	dir := t.TempDir()
+	s := newDurable(t, dir, 8)
+	cold := runCold(t, s, hitRequest(1))
+	s.Shutdown(context.Background())
+	for boot := 1; boot <= 2; boot++ {
+		s = newDurable(t, dir, 8)
+		if got := s.jnl.Syncs(); got != 1 {
+			t.Errorf("boot %d cost %d journal fsyncs, want 1", boot, got)
+		}
+		if segs, err := s.jnl.Segments(); err != nil || segs != 1 {
+			t.Errorf("boot %d left %d segments (%v), want 1", boot, segs, err)
+		}
+		if jobs := s.Jobs(); len(jobs) != 1 || jobs[0].ID != cold.id || jobs[0].State != StateDone {
+			t.Fatalf("boot %d restored %+v, want only the done %s", boot, jobs, cold.id)
+		}
+		s.Shutdown(context.Background())
+	}
+}
+
 // TestJournalCommitsPerJob counts the durability contract's price with the
 // retention bound full, so every terminal transition also evicts: a cold job
 // is three fsyncs (submit; start; end + evict), a hit is one (hit + evict).
