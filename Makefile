@@ -54,7 +54,7 @@ bench:
 # regrouped sum, a new lane body), then verify them: the scenario goldens
 # (internal/scenario/testdata/golden.json, one hash per scenario on the
 # local backend) and the sharded backend's (internal/shard/testdata/
-# golden.json, one file-streamed run through 8 checkpointed slabs). Each
+# golden.json, one file-streamed run through 8 checkpointed parts). Each
 # hash is the same under every lane dispatch, so any host will do —
 # TestGoldenHashes and TestShardedGoldenHash run under every dispatch the
 # host has and fail if they disagree. Review the diff: it should touch
@@ -86,7 +86,8 @@ cross-smoke:
 # item 1 retires the probes that use them: core.Config.Finder / LeafSize /
 # GridCell, core.Config.BucketSize (read after Normalize to size a
 # kernel), core.FinderKD64, kdtree.Build[float32], grid.Build,
-# core.NeighborFinder, exec.Spec.Stream / ShardConcurrency; and the facade
+# core.NeighborFinder, exec.Spec.Stream / ShardConcurrency, partition.Split,
+# partition.Halo and partition.Part; and the facade
 # surface it runs through: galactos.Request (an alias of exec.Request) with
 # its fields Config, Backend, Catalog and Path, galactos.Run, the
 # galactos.RunResult fields Result, Elapsed and Units (with the unit fields

@@ -1,9 +1,9 @@
 package main
 
-// The experiment drivers. The multi-node experiments run the real k-d split
-// + halo selection of package partition (one part per simulated rank), then
-// measure each rank's node-local computation in isolation: after the halo
-// exchange the computation is embarrassingly parallel (Sec. 3.2), so a
+// The experiment drivers. The multi-node experiments run through the sharded
+// backend, one part of the paper's k-d split per simulated rank, and read
+// each rank's node-local computation from its unit statistics: after the
+// halo exchange the computation is embarrassingly parallel (Sec. 3.2), so a
 // rank's isolated wall-clock equals its dedicated-node time, and the
 // simulated cluster's time-to-solution is the maximum over ranks. This keeps
 // the scaling figures honest on hosts with any core count. Every other run
@@ -15,9 +15,9 @@ import (
 	"runtime"
 	"time"
 
+	"galactos"
 	"galactos/internal/catalog"
 	"galactos/internal/core"
-	"galactos/internal/partition"
 	"galactos/internal/perfmodel"
 )
 
@@ -82,48 +82,36 @@ func rankScaling(ctx context.Context, rankCounts []int, cfg core.Config, catFor 
 	return out, nil
 }
 
-// scalingPoint cuts cat into one part per simulated rank, materializes each
-// rank's local problem (owned galaxies plus halo copies within RMax) and
-// times its node-local computation in isolation. It returns the scaling
-// metrics and the ranks' summed result. The node-local run is
-// core.ComputeSubsetContext, the one run here that needs a primary mask.
+// scalingPoint runs cat on the sharded backend with one part per simulated
+// rank (owned galaxies plus halo copies within RMax, computed one at a time)
+// and reads the ranks' node-local times and work from the run's units. It
+// returns the scaling metrics and the ranks' merged result.
 func scalingPoint(ctx context.Context, cat *catalog.Catalog, nranks int, cfg core.Config) (scalePoint, *core.Result, error) {
-	if cat.Box.L > 0 && cfg.RMax >= cat.Box.L/2 {
-		return scalePoint{}, nil, fmt.Errorf("rmax %v must be below half the periodic box %v", cfg.RMax, cat.Box.L)
-	}
-	parts, err := partition.Split(cat, nranks)
+	run, err := galactos.Run(ctx, galactos.Request{
+		Catalog: cat,
+		Config:  cfg,
+		Backend: galactos.BackendSpec{Name: "sharded", Shards: nranks},
+	})
 	if err != nil {
 		return scalePoint{}, nil, err
 	}
 	pt := scalePoint{Ranks: nranks, BoxL: cat.Box.L}
-	var total *core.Result
 	var maxPairs uint64
 	var maxPrim int
-	for i := range parts {
-		local, primary := partition.Materialize(cat, parts, i, cfg.RMax)
-		start := time.Now()
-		res, err := core.ComputeSubsetContext(ctx, local, primary, cfg)
-		if err != nil {
-			return scalePoint{}, nil, err
-		}
-		pt.NodeTime = max(pt.NodeTime, time.Since(start))
-		maxPairs = max(maxPairs, res.Pairs)
-		maxPrim = max(maxPrim, res.NPrimaries)
-		if total == nil {
-			total = res
-		} else if err := total.Add(res); err != nil {
-			return scalePoint{}, nil, err
-		}
+	for _, u := range run.Units {
+		pt.NodeTime = max(pt.NodeTime, u.Elapsed)
+		maxPairs = max(maxPairs, u.Pairs)
+		maxPrim = max(maxPrim, u.NOwned)
 	}
 	n := float64(nranks)
-	pt.TotalPairs, pt.Galaxies = total.Pairs, total.NPrimaries
+	pt.TotalPairs, pt.Galaxies = run.Result.Pairs, run.Result.NPrimaries
 	if pt.TotalPairs > 0 {
 		pt.PairImbalance = float64(maxPairs) / (float64(pt.TotalPairs) / n)
 	}
 	if pt.Galaxies > 0 {
 		pt.PrimaryImbalance = float64(maxPrim) / (float64(pt.Galaxies) / n)
 	}
-	return pt, total, nil
+	return pt, run.Result, nil
 }
 
 // breakdownFractions converts a timing breakdown into the Fig. 4 pie

@@ -105,7 +105,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		fs.Usage()
 		return errUsage
 	}
-	// The library reads these as "use the default" (one slab, all cores);
+	// The library reads these as "use the default" (one part, all cores);
 	// from the command line they are mistakes, refused before any work.
 	if *shards < 1 {
 		return fmt.Errorf("-shards %d: want at least 1", *shards)

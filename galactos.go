@@ -19,7 +19,7 @@
 // estimator and jackknife covariance; go test checks what each one prints.
 //
 // The Request's Backend spec scales the same job out-of-core (sharded: the
-// catalog streamed into slabs with halo copies, computed one at a time and
+// catalog streamed into k-d parts with halo copies, computed one at a time and
 // reduced in order, with checkpoints); serialized to JSON, the identical
 // Request is the wire schema of the galactosd job service (see
 // cmd/galactosd and the client package).
@@ -97,7 +97,7 @@ const (
 func DefaultConfig() Config { return core.DefaultConfig() }
 
 // BackendSpec says where a Request runs: the in-memory engine ("local", the
-// zero value) or the out-of-core slab pipeline ("sharded", with its shard
+// zero value) or the out-of-core k-d part pipeline ("sharded", with its shard
 // count and checkpoint options). Both feed the same telemetry; see
 // DESIGN.md, "Execution layer".
 type BackendSpec = exec.Spec

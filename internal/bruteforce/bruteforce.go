@@ -179,17 +179,6 @@ func Iso(cat *catalog.Catalog, rmin, rmax float64, nbins, lmax int) ([][]float64
 	return out, nil
 }
 
-// TripletHistogram counts raw weighted triangles per (b1, b2) bin pair —
-// the l = 0 moment up to normalization, useful as the most elementary
-// cross-check of pair binning.
-func TripletHistogram(cat *catalog.Catalog, rmin, rmax float64, nbins int) ([]float64, error) {
-	iso, err := Iso(cat, rmin, rmax, nbins, 0)
-	if err != nil {
-		return nil, err
-	}
-	return iso[0], nil
-}
-
 func fillDefaults(cfg core.Config) core.Config {
 	if cfg.NBins == 0 {
 		cfg.NBins = 10

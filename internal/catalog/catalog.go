@@ -9,7 +9,6 @@ package catalog
 
 import (
 	"fmt"
-	"math"
 
 	"galactos/internal/geom"
 )
@@ -68,26 +67,6 @@ func (c *Catalog) TotalWeight() float64 {
 		s += g.Weight
 	}
 	return s
-}
-
-// Bounds returns the axis-aligned bounding box of the galaxies (Max is
-// exclusive by an epsilon so every galaxy satisfies Box.Contains).
-func (c *Catalog) Bounds() geom.Box {
-	if len(c.Galaxies) == 0 {
-		return geom.Box{}
-	}
-	lo, hi := c.Galaxies[0].Pos, c.Galaxies[0].Pos
-	for _, g := range c.Galaxies[1:] {
-		lo.X = math.Min(lo.X, g.Pos.X)
-		lo.Y = math.Min(lo.Y, g.Pos.Y)
-		lo.Z = math.Min(lo.Z, g.Pos.Z)
-		hi.X = math.Max(hi.X, g.Pos.X)
-		hi.Y = math.Max(hi.Y, g.Pos.Y)
-		hi.Z = math.Max(hi.Z, g.Pos.Z)
-	}
-	const eps = 1e-9
-	hi = hi.Add(geom.Vec3{X: eps, Y: eps, Z: eps})
-	return geom.Box{Min: lo, Max: hi}
 }
 
 // CheckFinite rejects a non-finite position or weight among gals, naming

@@ -47,14 +47,6 @@ func TestUniformDeterministic(t *testing.T) {
 	}
 }
 
-func TestUniformDensity(t *testing.T) {
-	c := UniformDensity(OuterRimDensity, 200, 3)
-	wantN := OuterRimDensity * 200 * 200 * 200
-	if math.Abs(float64(c.Len())-wantN) > 1 {
-		t.Errorf("N = %d, want ~%v", c.Len(), wantN)
-	}
-}
-
 func TestClusteredValidAndClustered(t *testing.T) {
 	c := Clustered(5000, 300, DefaultClusterParams(), 2)
 	if err := c.Validate(); err != nil {
@@ -224,23 +216,6 @@ func TestValidateCatchesBadData(t *testing.T) {
 	c.Galaxies[1] = Galaxy{Pos: geom.Vec3{X: 5, Y: 5, Z: 5}, Weight: math.Inf(1)}
 	if err := c.Validate(); err == nil {
 		t.Error("expected weight error")
-	}
-}
-
-func TestBounds(t *testing.T) {
-	c := &Catalog{Galaxies: []Galaxy{
-		{Pos: geom.Vec3{X: 1, Y: 2, Z: 3}},
-		{Pos: geom.Vec3{X: -1, Y: 5, Z: 0}},
-	}}
-	b := c.Bounds()
-	for _, g := range c.Galaxies {
-		if !b.Contains(g.Pos) {
-			t.Errorf("bounds %v exclude %v", b, g.Pos)
-		}
-	}
-	empty := &Catalog{}
-	if got := empty.Bounds(); got != (geom.Box{}) {
-		t.Errorf("empty bounds = %v", got)
 	}
 }
 

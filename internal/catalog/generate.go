@@ -29,13 +29,6 @@ func Uniform(n int, l float64, seed int64) *Catalog {
 	return c
 }
 
-// UniformDensity generates a uniform cube of side l at number density n
-// (galaxies per unit volume), e.g. OuterRimDensity.
-func UniformDensity(density, l float64, seed int64) *Catalog {
-	n := int(math.Round(density * l * l * l))
-	return Uniform(n, l, seed)
-}
-
 // ClusterParams configures the halo-model generator.
 type ClusterParams struct {
 	// FracField is the fraction of galaxies placed uniformly (unclustered).

@@ -26,8 +26,8 @@ var (
 // Source streams a catalog in chunks without requiring it to be resident in
 // memory: the ingestion abstraction of the execution layer (see DESIGN.md,
 // "Execution layer"). A Source can be opened repeatedly — the streaming
-// sharded pipeline makes several sequential passes (bounds, slab histogram,
-// spill) — and each Open starts a fresh pass from the first galaxy.
+// sharded pipeline makes several sequential passes (bounds, one histogram
+// per k-d level, spill) — and each Open starts a fresh pass from the first galaxy.
 type Source interface {
 	// Open starts a new pass over the galaxies.
 	Open() (Cursor, error)

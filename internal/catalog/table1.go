@@ -25,10 +25,6 @@ func Table1() []Table1Row {
 	}
 }
 
-// GalaxiesPerNode is the paper's per-node share of the full dataset:
-// "each node processes 225,000 primaries" (Sec. 3.2).
-const GalaxiesPerNode = 225000
-
 // ScaledTable1Row returns a locally runnable analogue of a Table 1 row:
 // the same node count and the same density, but with galaxiesPerNode
 // galaxies per node instead of 225,000. The box side follows from density.

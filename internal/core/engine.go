@@ -57,7 +57,7 @@ type NeighborFinder interface {
 // Compute runs the full anisotropic 3PCF computation over a catalog. All
 // galaxies are primaries. This is the single-node entry point (Algorithm 1).
 func Compute(cat *catalog.Catalog, cfg Config) (*Result, error) {
-	return ComputeSubset(cat, nil, cfg)
+	return ComputeSubsetContext(context.Background(), cat, nil, cfg)
 }
 
 // ComputeContext is Compute under a context: cancelling ctx makes the
@@ -66,17 +66,12 @@ func ComputeContext(ctx context.Context, cat *catalog.Catalog, cfg Config) (*Res
 	return ComputeSubsetContext(ctx, cat, nil, cfg)
 }
 
-// ComputeSubset runs the computation treating only the galaxies with
+// ComputeSubsetContext runs the computation treating only the galaxies with
 // primary[i] == true as primaries; all galaxies act as secondaries. A nil
 // mask means every galaxy is a primary. This is how the sharded pipeline
 // excludes halo copies ("ignoring secondary galaxies that are in the k-d
-// tree because of halo exchange", Sec. 3.3).
-func ComputeSubset(cat *catalog.Catalog, primary []bool, cfg Config) (*Result, error) {
-	return ComputeSubsetContext(context.Background(), cat, primary, cfg)
-}
-
-// ComputeSubsetContext is ComputeSubset under a context (see ComputeContext
-// for the cancellation semantics).
+// tree because of halo exchange", Sec. 3.3). Cancelling ctx behaves as for
+// ComputeContext.
 func ComputeSubsetContext(ctx context.Context, cat *catalog.Catalog, primary []bool, cfg Config) (*Result, error) {
 	cfg, err := cfg.Normalize()
 	if err != nil {

@@ -73,7 +73,7 @@ func TestComputeRejectsBadConfig(t *testing.T) {
 
 func TestComputeRejectsBadMask(t *testing.T) {
 	cat := catalog.Uniform(10, 100, 1)
-	if _, err := ComputeSubset(cat, make([]bool, 5), smallConfig()); err == nil {
+	if _, err := ComputeSubsetContext(context.Background(), cat, make([]bool, 5), smallConfig()); err == nil {
 		t.Error("mask length mismatch accepted")
 	}
 }
@@ -160,7 +160,7 @@ func TestSubsetMaskRestrictsPrimaries(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		mask[i] = true
 	}
-	res, err := ComputeSubset(cat, mask, smallConfig())
+	res, err := ComputeSubsetContext(context.Background(), cat, mask, smallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,15 +188,15 @@ func TestSubsetsSumToWhole(t *testing.T) {
 			maskB[i] = true
 		}
 	}
-	ra, err := ComputeSubset(cat, maskA, cfg)
+	ra, err := ComputeSubsetContext(context.Background(), cat, maskA, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := ComputeSubset(cat, maskB, cfg)
+	rb, err := ComputeSubsetContext(context.Background(), cat, maskB, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ra.Add(rb); err != nil {
+	if err := ra.Merge(rb); err != nil {
 		t.Fatal(err)
 	}
 	if ra.NPrimaries != full.NPrimaries || ra.Pairs != full.Pairs {
@@ -305,7 +305,7 @@ func TestResultAddRejectsMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ra.Add(rb); err == nil {
+	if err := ra.Merge(rb); err == nil {
 		t.Error("mismatched results merged")
 	}
 	cfgC := smallConfig()
@@ -314,7 +314,7 @@ func TestResultAddRejectsMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ra.Add(rc); err == nil {
+	if err := ra.Merge(rc); err == nil {
 		t.Error("mismatched binnings merged")
 	}
 }

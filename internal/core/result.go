@@ -164,24 +164,6 @@ func (r *Result) IsoZeta(l, b1, b2 int) float64 {
 	return 4 * math.Pi / float64(2*l+1) * sum
 }
 
-// Add accumulates another result into r (the final reduction of a
-// decomposed computation). Both results must share LMax and binning.
-func (r *Result) Add(o *Result) error {
-	if r.LMax != o.LMax || r.Bins != o.Bins {
-		return fmt.Errorf("core: cannot merge results with different configurations (LMax %d/%d, bins %+v/%+v)",
-			r.LMax, o.LMax, r.Bins, o.Bins)
-	}
-	for i, v := range o.Aniso {
-		r.Aniso[i] += v
-	}
-	r.NPrimaries += o.NPrimaries
-	r.NGalaxies += o.NGalaxies
-	r.Pairs += o.Pairs
-	r.SumWeight += o.SumWeight
-	r.Timings.Add(o.Timings)
-	return nil
-}
-
 // Merge folds the partial results of others into r, in order. It is the
 // reduction step of the sharded pipeline: each shard accumulates the
 // multipole contributions of its own primaries, so summing the partials
@@ -191,9 +173,18 @@ func (r *Result) Add(o *Result) error {
 // must share LMax and binning.
 func (r *Result) Merge(others ...*Result) error {
 	for _, o := range others {
-		if err := r.Add(o); err != nil {
-			return err
+		if r.LMax != o.LMax || r.Bins != o.Bins {
+			return fmt.Errorf("core: cannot merge results with different configurations (LMax %d/%d, bins %+v/%+v)",
+				r.LMax, o.LMax, r.Bins, o.Bins)
 		}
+		for i, v := range o.Aniso {
+			r.Aniso[i] += v
+		}
+		r.NPrimaries += o.NPrimaries
+		r.NGalaxies += o.NGalaxies
+		r.Pairs += o.Pairs
+		r.SumWeight += o.SumWeight
+		r.Timings.Add(o.Timings)
 	}
 	return nil
 }

@@ -206,6 +206,8 @@ func TestResultRejectsNonFiniteBinning(t *testing.T) {
 	}
 }
 
+// TestMergeMatchesAdd: one variadic Merge equals merging the partials one
+// call at a time.
 func TestMergeMatchesAdd(t *testing.T) {
 	a := ioTestResult(t)
 	b := ioTestResult(t)
@@ -214,10 +216,10 @@ func TestMergeMatchesAdd(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref := NewResult(a.LMax, a.Bins)
-	if err := ref.Add(a); err != nil {
+	if err := ref.Merge(a); err != nil {
 		t.Fatal(err)
 	}
-	if err := ref.Add(b); err != nil {
+	if err := ref.Merge(b); err != nil {
 		t.Fatal(err)
 	}
 	requireIdentical(t, sum, ref)

@@ -1,7 +1,7 @@
 // Package exec is the execution layer: Run is the one way to compute a 3PCF
 // job. A Request names the catalog, the core.Config and, in its Spec, where
 // the job runs — the in-memory engine ("local") or the bounded-memory
-// out-of-core slab pipeline ("sharded"). Run checks the request once,
+// out-of-core k-d part pipeline ("sharded"). Run checks the request once,
 // normalizes its config once, and wraps either path in the same wall clock,
 // so every run returns the same record (RunResult: the merged result with
 // its phase timings, the per-unit statistics, the backend and the elapsed
@@ -106,7 +106,7 @@ func (r Request) Resolve() (catalog.Source, error) {
 }
 
 // UnitStats is the uniform per-execution-unit report: a unit is the single
-// engine run of the local backend or one slab of the sharded backend.
+// engine run of the local backend or one part of the sharded backend.
 type UnitStats = shard.UnitStats
 
 // RunResult is the one record of a run, identical across backends: the
@@ -192,7 +192,7 @@ func runLocal(ctx context.Context, src catalog.Source, cfg core.Config) (*core.R
 }
 
 // runSharded runs the bounded-memory out-of-core pipeline (shard.Compute):
-// the source is streamed into equal-count slabs computed one at a time.
+// the source is streamed into k-d parts computed one at a time.
 func runSharded(ctx context.Context, src catalog.Source, cfg core.Config, s Spec, logf func(string, ...any)) (*core.Result, []UnitStats, error) {
 	return shard.Compute(ctx, src, cfg, shard.Options{
 		NShards:       max(s.Shards, 1),
@@ -209,9 +209,9 @@ type Spec struct {
 	// Name is "local" (or empty) or "sharded".
 	Name string
 	// Shards / CheckpointDir / Resume / Keep parameterize the sharded
-	// backend; Shards below 1 means one slab.
+	// backend; Shards below 1 means one part.
 	Shards int
-	// Deprecated: every sharded run computes one slab at a time. See Stream.
+	// Deprecated: every sharded run computes one part at a time. See Stream.
 	ShardConcurrency int
 	CheckpointDir    string
 	Resume           bool
@@ -230,7 +230,7 @@ func (s Spec) DeprecationNote() string {
 	if !s.Stream && s.ShardConcurrency <= 1 {
 		return ""
 	}
-	return "backend spec: Stream and ShardConcurrency are deprecated and ignored (every sharded run streams its catalog one slab at a time); a later version rejects them"
+	return "backend spec: Stream and ShardConcurrency are deprecated and ignored (every sharded run streams its catalog one part at a time); a later version rejects them"
 }
 
 // check refuses an unknown backend name, and a spec that parameterizes a

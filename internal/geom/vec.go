@@ -89,21 +89,6 @@ func (b Box) Volume() float64 {
 	return e.X * e.Y * e.Z
 }
 
-// DistanceToPlane returns the distance from p to the axis-aligned plane
-// axis=cut (axis: 0=x, 1=y, 2=z).
-func DistanceToPlane(p Vec3, axis int, cut float64) float64 {
-	var c float64
-	switch axis {
-	case 0:
-		c = p.X
-	case 1:
-		c = p.Y
-	default:
-		c = p.Z
-	}
-	return math.Abs(c - cut)
-}
-
 // Component returns the axis-th coordinate of v (0=x, 1=y, 2=z).
 func (v Vec3) Component(axis int) float64 {
 	switch axis {

@@ -137,19 +137,6 @@ func TestBoxVolumeExtent(t *testing.T) {
 	}
 }
 
-func TestDistanceToPlane(t *testing.T) {
-	p := Vec3{1, 2, 3}
-	if d := DistanceToPlane(p, 0, 5); d != 4 {
-		t.Errorf("x-plane distance = %v", d)
-	}
-	if d := DistanceToPlane(p, 1, -2); d != 4 {
-		t.Errorf("y-plane distance = %v", d)
-	}
-	if d := DistanceToPlane(p, 2, 3); d != 0 {
-		t.Errorf("z-plane distance = %v", d)
-	}
-}
-
 func TestComponentRoundTrip(t *testing.T) {
 	v := Vec3{1, 2, 3}
 	for axis := 0; axis < 3; axis++ {

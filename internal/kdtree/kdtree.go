@@ -307,9 +307,9 @@ func (t *Tree[T]) QueryRadiusImages(center geom.Vec3, r float64, images []geom.V
 		cx := T(center.X + off.X)
 		cy := T(center.Y + off.Y)
 		cz := T(center.Z + off.Z)
-		d2 := axisDist2(cx, root.minX, root.maxX) +
-			axisDist2(cy, root.minY, root.maxY) +
-			axisDist2(cz, root.minZ, root.maxZ)
+		d2 := axisGap2(cx, root.minX, root.maxX) +
+			axisGap2(cy, root.minY, root.maxY) +
+			axisGap2(cz, root.minZ, root.maxZ)
 		if d2 > r2 {
 			continue
 		}
@@ -329,9 +329,9 @@ func (t *Tree[T]) query(cx, cy, cz, r2 T, out []int32) []int32 {
 		stack = stack[:len(stack)-1]
 		nd := &t.nodes[ni]
 		// Distance from center to the node's bounding box.
-		d2 := axisDist2(cx, nd.minX, nd.maxX) +
-			axisDist2(cy, nd.minY, nd.maxY) +
-			axisDist2(cz, nd.minZ, nd.maxZ)
+		d2 := axisGap2(cx, nd.minX, nd.maxX) +
+			axisGap2(cy, nd.minY, nd.maxY) +
+			axisGap2(cz, nd.minZ, nd.maxZ)
 		if d2 > r2 {
 			continue
 		}
@@ -432,9 +432,9 @@ func (t *Tree[T]) QueryRadiusImagesBlock(centers []geom.Vec3, r float64, images 
 		for len(stack) > 0 {
 			nd := &t.nodes[stack[len(stack)-1]]
 			stack = stack[:len(stack)-1]
-			d2 := intervalDist2(nd.minX, nd.maxX, x0, x1) +
-				intervalDist2(nd.minY, nd.maxY, y0, y1) +
-				intervalDist2(nd.minZ, nd.maxZ, z0, z1)
+			d2 := intervalGap2(nd.minX, nd.maxX, x0, x1) +
+				intervalGap2(nd.minY, nd.maxY, y0, y1) +
+				intervalGap2(nd.minZ, nd.maxZ, z0, z1)
 			if d2 > r2 {
 				continue
 			}
@@ -484,7 +484,7 @@ func (t *Tree[T]) QueryRadiusImagesBlock(centers []geom.Vec3, r float64, images 
 
 // boxMask16 is the portable leaf-box test: bit j is set when box j of b is
 // within r of the center, the distance being the sum over X, Y, Z of
-// max(lo-c, c-hi, 0)^2 — the values of the branchy axisDist2. Like
+// max(lo-c, c-hi, 0)^2 — the values of the branchy axisGap2. Like
 // leafHits16 it is comparison only and writes each product as T(d*d), so no
 // build can fuse a multiply into an add and the AVX-512 bodies (VMULPS and
 // VADDPS in the same order) are bit-identical by construction.
@@ -530,9 +530,9 @@ func leafHits16[T Float](c *chunk[T], cx, cy, cz, r2 T, out *[16]int32) int {
 	return n
 }
 
-// intervalDist2 returns the squared distance between two intervals along
+// intervalGap2 returns the squared distance between two intervals along
 // one axis (zero when they overlap).
-func intervalDist2[T Float](alo, ahi, blo, bhi T) T {
+func intervalGap2[T Float](alo, ahi, blo, bhi T) T {
 	if alo > bhi {
 		d := alo - bhi
 		return T(d * d)
@@ -544,7 +544,7 @@ func intervalDist2[T Float](alo, ahi, blo, bhi T) T {
 	return 0
 }
 
-func axisDist2[T Float](c, lo, hi T) T {
+func axisGap2[T Float](c, lo, hi T) T {
 	if c < lo {
 		d := lo - c
 		return T(d * d)

@@ -5,19 +5,18 @@
 // every galaxy within Rmax of a part's subdomain boundary into that part —
 // eliminating all communication during the 3PCF evaluation itself.
 //
-// One deliberate mechanical substitution (documented in DESIGN.md): halo
-// galaxies are selected per target box directly, instead of replaying the
-// tree branch by branch. The paper itself notes the irregular partitioning
-// "prevents a priori computation of a process's neighbor list"; the
-// box-based selection produces exactly the halo set the tree replay
-// produces, including periodic images (halo copies carry image-shifted
-// coordinates so each part computes in open boundaries).
+// Cut is the one planner: it places the cuts from one histogram pass per
+// tree level over any catalog the caller can stream, and Plan.Place finds a
+// galaxy's owner and halo parts by one walk of the cut tree, under the
+// periodic box distance (halo copies keep their coordinates; the engine's
+// images cover the wrap). Halo is the image-baked form over an in-memory
+// Split: each copy carries its image shift, so the part computes in open
+// boundaries.
 package partition
 
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"galactos/internal/catalog"
 	"galactos/internal/geom"
@@ -25,91 +24,58 @@ import (
 
 // Part is one spatially-local piece of a k-d split: the owned subdomain box
 // and the indices of the galaxies inside it. Parts are the simulated ranks
-// of cmd/galactos-bench's scaling experiments and the jackknife regions of
-// package scenario (the shard backend cuts slabs instead). A Part holds
+// of cmd/galactos-bench's scaling experiments, the jackknife regions of
+// package scenario, cut by the planner the shard backend uses. A Part holds
 // 4-byte indices into the source catalog and carries no halo — halo copies
 // are materialized per part, on demand, by Halo — so the split itself adds
 // only len(catalog) indices of memory no matter how many parts there are.
 type Part struct {
 	// Box is the part's owned subdomain (half-open).
 	Box geom.Box
-	// Index lists the owned galaxies as indices into the source catalog.
-	// The slice aliases an internal array shared by all parts of one Split
-	// call; callers must not mutate it.
+	// Index lists the owned galaxies as indices into the source catalog, in
+	// ascending order. The slice aliases an internal array shared by all
+	// parts of one Split call; callers must not mutate it.
 	Index []int32
 }
 
-// Split cuts cat into nparts spatially-local parts with recursive
-// proportional k-d cuts: at each level the widest axis of the region is cut
-// so the two sides hold galaxy counts proportional to ceil(k/2) and
-// floor(k/2) — the paper's relaxation of the perfect-binary-tree constraint
-// (9636 nodes), so nparts need not be a power of two. The split is
-// deterministic: the same catalog and nparts always produce the same parts
-// in the same (depth-first, low-coordinate-first) order, which is what lets
-// a resumed sharded run match its checkpoints to shards by index alone.
+// Split cuts an in-memory catalog into nparts parts with Cut, the planner
+// the shard backend streams its catalogs through, so both give the same
+// boxes and owned counts for the same catalog.
 func Split(cat *catalog.Catalog, nparts int) ([]Part, error) {
 	if cat == nil {
 		return nil, fmt.Errorf("partition: nil catalog")
 	}
-	if nparts <= 0 {
-		return nil, fmt.Errorf("partition: part count %d must be positive", nparts)
-	}
 	if cat.Len() > math.MaxInt32 {
 		return nil, fmt.Errorf("partition: catalog of %d galaxies exceeds the int32 index space", cat.Len())
 	}
-	root := cat.Bounds()
-	if cat.Box.L > 0 {
-		root = geom.Box{Min: geom.Vec3{}, Max: geom.Vec3{X: cat.Box.L, Y: cat.Box.L, Z: cat.Box.L}}
+	ext := NewExtent()
+	ext.Add(cat.Galaxies)
+	plan, err := Cut(ext.Root(cat.Box.L), cat.Box.L, nparts, func(visit func([]catalog.Galaxy)) error {
+		visit(cat.Galaxies)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	// One index array backs every part: the recursion sorts subranges in
-	// place and parts are subslices.
+	// One index array backs every part: a counting pass sizes each part's
+	// subslice, a second fills it in catalog order.
+	start := make([]int, nparts+1)
+	for _, g := range cat.Galaxies {
+		start[plan.owner(g.Pos)+1]++
+	}
+	for i := range nparts {
+		start[i+1] += start[i]
+	}
 	idx := make([]int32, cat.Len())
-	for i := range idx {
-		idx[i] = int32(i)
+	parts := make([]Part, nparts)
+	for i := range parts {
+		parts[i] = Part{Box: plan.Boxes[i], Index: idx[start[i]:start[i]:start[i+1]]}
 	}
-	parts := make([]Part, 0, nparts)
-	var rec func(idx []int32, region geom.Box, k int)
-	rec = func(idx []int32, region geom.Box, k int) {
-		if k == 1 {
-			parts = append(parts, Part{Box: region, Index: idx})
-			return
-		}
-		szL := (k + 1) / 2
-		axis := region.WidestAxis()
-		nLeft := int(math.Round(float64(len(idx)) * float64(szL) / float64(k)))
-		if nLeft > len(idx) {
-			nLeft = len(idx)
-		}
-		cut := selectCut(cat, idx, axis, nLeft, region)
-		left, right := region, region
-		left.Max = left.Max.WithComponent(axis, cut)
-		right.Min = right.Min.WithComponent(axis, cut)
-		rec(idx[:nLeft], left, szL)
-		rec(idx[nLeft:], right, k-szL)
+	for gi, g := range cat.Galaxies {
+		p := &parts[plan.owner(g.Pos)]
+		p.Index = append(p.Index, int32(gi))
 	}
-	rec(idx, root, nparts)
 	return parts, nil
-}
-
-// selectCut orders idx[0:n) below idx[n:) along axis (in place, by the
-// referenced galaxy coordinates) and returns the cut coordinate. Sorting
-// keeps the implementation simple and deterministic; setup cost is dwarfed
-// by the O(N^2) main computation.
-func selectCut(cat *catalog.Catalog, idx []int32, axis, n int, region geom.Box) float64 {
-	coord := func(i int32) float64 { return cat.Galaxies[i].Pos.Component(axis) }
-	sort.Slice(idx, func(a, b int) bool { return coord(idx[a]) < coord(idx[b]) })
-	switch {
-	case len(idx) == 0:
-		return (region.Min.Component(axis) + region.Max.Component(axis)) / 2
-	case n <= 0:
-		return region.Min.Component(axis)
-	case n >= len(idx):
-		return region.Max.Component(axis)
-	default:
-		// Midpoint between the last kept and first shipped galaxy keeps the
-		// cut strictly separating.
-		return (coord(idx[n-1]) + coord(idx[n])) / 2
-	}
 }
 
 // Halo returns the halo copies for parts[i] under cutoff rmax: every galaxy
@@ -145,39 +111,12 @@ func Halo(cat *catalog.Catalog, parts []Part, i int, rmax float64) []catalog.Gal
 	return halo
 }
 
-// Materialize builds parts[i]'s node-local problem under cutoff rmax: an
-// open-boundary catalog holding the owned galaxies followed by the halo
-// copies, and the primary mask marking the owned ones (halo copies are
-// secondaries only, per Sec. 3.3).
-func Materialize(cat *catalog.Catalog, parts []Part, i int, rmax float64) (*catalog.Catalog, []bool) {
-	owned := parts[i].Index
-	halo := Halo(cat, parts, i, rmax)
-	local := &catalog.Catalog{ // open boundaries: periodic images are baked in
-		Galaxies: make([]catalog.Galaxy, 0, len(owned)+len(halo)),
-	}
-	for _, gi := range owned {
-		local.Galaxies = append(local.Galaxies, cat.Galaxies[gi])
-	}
-	local.Galaxies = append(local.Galaxies, halo...)
-	primary := make([]bool, local.Len())
-	for j := range owned {
-		primary[j] = true
-	}
-	return local, primary
-}
-
 // pointBoxDist returns the Euclidean distance from p to box (0 inside).
 func pointBoxDist(p geom.Vec3, b geom.Box) float64 {
 	d2 := 0.0
-	for axis := 0; axis < 3; axis++ {
-		c := p.Component(axis)
-		lo := b.Min.Component(axis)
-		hi := b.Max.Component(axis)
-		if c < lo {
-			d2 += (lo - c) * (lo - c)
-		} else if c > hi {
-			d2 += (c - hi) * (c - hi)
-		}
+	for axis := range 3 {
+		g := wrapGap(p.Component(axis), b.Min.Component(axis), b.Max.Component(axis), 0)
+		d2 += g * g
 	}
 	return math.Sqrt(d2)
 }

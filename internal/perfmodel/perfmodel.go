@@ -149,11 +149,3 @@ func FullSystemEstimate(nGalaxies int, density, rmax float64, nodes int, cal Cal
 	haloGalaxies := int(haloVol * density)
 	return cal.NodeTime(perNode*imb, galaxiesPerNode+haloGalaxies), nil
 }
-
-// Efficiency returns the fraction of peak a measured rate represents.
-func Efficiency(measuredGF, peakGF float64) float64 {
-	if peakGF <= 0 {
-		return 0
-	}
-	return measuredGF / peakGF
-}

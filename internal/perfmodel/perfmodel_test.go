@@ -47,15 +47,6 @@ func TestKernelFractionSanityCheck(t *testing.T) {
 	}
 }
 
-func TestPeakEfficiency(t *testing.T) {
-	if e := Efficiency(PaperNodeKernelGF, PaperNodePeakGF); math.Abs(e-0.39) > 1e-9 {
-		t.Errorf("efficiency = %v, want 0.39", e)
-	}
-	if Efficiency(1, 0) != 0 {
-		t.Error("zero peak should give zero efficiency")
-	}
-}
-
 func TestEstimatePairsUniform(t *testing.T) {
 	// 1000 galaxies, density such that each sees exactly 10 neighbors.
 	rmax := 10.0

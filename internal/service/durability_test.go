@@ -336,6 +336,97 @@ func TestJournalReplayRequeuesInterruptedJob(t *testing.T) {
 	}
 }
 
+// TestRequeuedJobRestartsForeignCheckpoints: an interrupted sharded job
+// whose checkpoint directory an older build left — its checkpoints beside a
+// version-3 manifest — runs from scratch after the upgrade, to the bits of
+// the same request run afresh: the directory is the server's, so the
+// refusal a resume gives a foreign directory must not fail the job.
+func TestRequeuedJobRestartsForeignCheckpoints(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	req := testRequest(300, 9)
+	req.Backend = galactos.BackendSpec{Name: "sharded", Shards: 2}
+	src, err := req.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	catHash, err := catalog.Hash(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp, err := req.Config.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqJSON, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const id = "job-000001"
+	jnl, _, err := journal.Open(journal.Options{Dir: filepath.Join(dir, "journal")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range []journal.Record{
+		{Type: journal.RecordSubmit, ID: id, Time: time.Now().UTC(), Key: catHash + "+" + fp,
+			CatHash: catHash, Fingerprint: fp, Label: req.Label, Request: reqJSON},
+		{Type: journal.RecordStart, ID: id, Time: time.Now().UTC()},
+	} {
+		if err := jnl.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := jnl.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The job's directory as the older build left it.
+	jobDir := filepath.Join(dir, "jobs", id)
+	old := req
+	old.Backend.CheckpointDir, old.Backend.Keep = jobDir, true
+	if _, err := galactos.Run(ctx, old); err != nil {
+		t.Fatal(err)
+	}
+	manifest := filepath.Join(jobDir, "manifest.json")
+	data, err := os.ReadFile(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]any
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatal(err)
+	}
+	m["version"] = 3
+	if data, err = json.Marshal(m); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(manifest, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	_, cl, _ := startRestartable(t, service.Options{Workers: 1, StateDir: dir})
+	st, err := cl.Wait(ctx, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != service.StateDone {
+		t.Fatalf("requeued job over a version-3 directory ended %s (%s), want done", st.State, st.Error)
+	}
+	got, err := cl.Result(ctx, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	single := req
+	single.Backend = galactos.BackendSpec{}
+	want, err := galactos.Run(ctx, single)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Pairs != want.Result.Pairs {
+		t.Errorf("requeued job counted %d pairs, single shot %d", got.Pairs, want.Result.Pairs)
+	}
+}
+
 // TestEvictedJobsDoNotResurrect runs eviction live (RetainJobs=1 over
 // three jobs), restarts, and requires the journal's evict records and
 // boot-time compaction to keep the evicted ids dead: 404 before the

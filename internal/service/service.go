@@ -27,6 +27,7 @@ import (
 	"galactos/internal/core"
 	"galactos/internal/faultpoint"
 	"galactos/internal/journal"
+	"galactos/internal/shard"
 )
 
 // Faultpoints of the job execution path: service.job.run fires as a worker
@@ -409,6 +410,13 @@ func (s *Server) runJob(j *job) {
 		defer cancel()
 	}
 	run, err := s.executeJob(runCtx, j, req)
+	if errors.Is(err, shard.ErrForeignRun) && req.Backend.CheckpointDir == s.jobDir(j.id) {
+		// The server's own job directory, left by a build that wrote
+		// another manifest version: nothing in it can be merged.
+		j.appendLog(fmt.Sprintf("discarding checkpoints of another build: %v", err))
+		s.removeJobDir(j.id)
+		run, err = s.executeJob(runCtx, j, req)
+	}
 	switch {
 	case err != nil && j.ctx.Err() != nil:
 		j.finish(StateCancelled, err, nil, nil, false)

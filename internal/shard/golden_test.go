@@ -24,8 +24,8 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden.js
 const goldenPath = "testdata/golden.json"
 
 // goldenRun is the one pinned sharded run: a seeded periodic clustered
-// catalog streamed from a binary file through 8 checkpointed slabs.
-const goldenRun = "clustered-periodic-file-8-slabs"
+// catalog streamed from a binary file through 8 checkpointed parts.
+const goldenRun = "clustered-periodic-file-8-parts"
 
 // resultHash is the SHA-256 of a result's counters and multipole bits: Pairs,
 // NPrimaries, the SumWeight bits, the Aniso length, then the real and
@@ -49,7 +49,7 @@ func resultHash(r *core.Result) string {
 }
 
 // TestShardedGoldenHash pins the sharded backend bit for bit: the scan,
-// plan, spill and slab-read passes must hand the engine exactly the slab
+// plan, spill and part-read passes must hand the engine exactly the part
 // catalogs (records and their order) they always have, under every lane
 // dispatch this host has. Run with -update-golden to regenerate
 // testdata/golden.json after a deliberate change of the answer's bits.

@@ -3,20 +3,20 @@
 // (partition spatially, pad with halo copies within RMax, compute each piece
 // alone, reduce the partial multipoles). Where the paper gives every piece its
 // own MPI rank — all rank-local state resident at once — Compute streams a
-// catalog.Source through three sequential passes (count / bounds / weight, an
-// equal-count histogram along the widest axis that fixes the slab cuts, a spill
-// pass that scatters every galaxy into per-slab record files: owned, plus halo
-// membership for every slab within RMax along the cut axis, periodic wrap
-// included) and then computes one slab at a time. Peak memory is one slab's
+// catalog.Source through its passes (count / bounds / weight, one histogram
+// pass per level of the paper's k-d cut tree (partition.Cut), a spill pass
+// that scatters every galaxy into per-part record files: owned, plus halo
+// membership for every part within RMax of it, periodic wrap included) and
+// then computes one part at a time. Peak memory is one part's
 // galaxies plus halo, one engine, one decode block shared by every pass, one
 // block that reads back every spill file and one fixed spill-buffer budget
 // shared by every spill file being written, whatever the catalog's size, the
 // shard count and wherever the catalog lives — a memory source takes the same
-// path. Slab catalogs keep the source's periodic box and unshifted coordinates,
+// path. Part catalogs keep the source's periodic box and unshifted coordinates,
 // so the engine's own image handling covers the wrap and every primary sees
 // exactly the neighbour set (and line of sight) of a single-shot run. Each
-// slab's partial core.Result can be checkpointed in the binary format of
-// core.WriteResult and a killed run resumed: slabs with a valid checkpoint are
+// part's partial core.Result can be checkpointed in the binary format of
+// core.WriteResult and a killed run resumed: parts with a valid checkpoint are
 // loaded instead of recomputed, and the deterministic plan plus fixed merge
 // order make the resumed result identical to an uninterrupted one. See
 // DESIGN.md, "shard".
@@ -25,6 +25,7 @@ package shard
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -34,7 +35,9 @@ import (
 	"galactos/internal/catalog"
 	"galactos/internal/core"
 	"galactos/internal/faultpoint"
+	"galactos/internal/geom"
 	"galactos/internal/hist"
+	"galactos/internal/partition"
 	"galactos/internal/retry"
 )
 
@@ -47,9 +50,9 @@ var (
 	fpCkptLoad = faultpoint.New("shard.checkpoint.load")
 )
 
-// saveCheckpoint persists one slab's partial with bounded retries: the
+// saveCheckpoint persists one part's partial with bounded retries: the
 // atomic temp-file-plus-rename write makes each attempt all-or-nothing.
-// Cancellation is deliberately detached: a slab whose compute finished as
+// Cancellation is deliberately detached: a part whose compute finished as
 // the run was cancelled must still land its checkpoint — that is what makes
 // a cancelled run resumable — and the retry schedule is bounded, so the
 // detachment cannot stall shutdown meaningfully.
@@ -65,30 +68,30 @@ func saveCheckpoint(ctx context.Context, path string, res *core.Result) error {
 
 // Options configures a sharded computation beyond the engine Config.
 type Options struct {
-	// NShards is the number of slabs (>= 1).
+	// NShards is the number of parts (>= 1).
 	NShards int
 	// CheckpointDir, when non-empty, is created if needed and receives one
-	// binary partial-Result file per slab, a manifest.json recording the
+	// binary partial-Result file per part, a manifest.json recording the
 	// run's identity, and the spill scratch (the disk the operator chose for
 	// this run's state; without it the spill goes to a fresh temp dir).
 	CheckpointDir string
-	// Resume reuses valid checkpoints found in CheckpointDir: slabs whose
+	// Resume reuses valid checkpoints found in CheckpointDir: parts whose
 	// file loads cleanly and matches the manifest are not recomputed.
 	// Requires CheckpointDir.
 	Resume bool
-	// Keep retains the per-slab checkpoint files after a successful merge
+	// Keep retains the per-part checkpoint files after a successful merge
 	// (by default they are removed once the merged result exists).
 	Keep bool
-	// Log, when non-nil, receives one progress line per slab event.
+	// Log, when non-nil, receives one progress line per part event.
 	Log func(format string, args ...any)
 }
 
-// UnitStats reports one execution unit's share of the work: a slab here,
+// UnitStats reports one execution unit's share of the work: a part here,
 // or the single engine run of a local run (exec). It feeds the load-balance
 // analysis of Sec. 5.2/5.3 (the paper observed ~25% imbalance in weak
 // scaling and up to 60% pair-count variation in strong scaling).
 type UnitStats struct {
-	// Unit is the unit index (the slab index in cut order).
+	// Unit is the unit index (the part index in cut order).
 	Unit int
 	// NOwned and NHalo count the unit's primaries and halo copies.
 	NOwned, NHalo int
@@ -96,11 +99,11 @@ type UnitStats struct {
 	Pairs uint64
 	// Elapsed is the unit's compute wall-clock (0 when resumed).
 	Elapsed time.Duration
-	// Resumed marks slabs restored from a checkpoint instead of computed.
+	// Resumed marks parts restored from a checkpoint instead of computed.
 	Resumed bool
 }
 
-// manifest pins a checkpoint directory to one (catalog, config, slab count)
+// manifest pins a checkpoint directory to one (catalog, config, part count)
 // so a resume cannot silently merge partials from a different run. The
 // config is pinned by core.Config.Fingerprint, the run identity the service
 // cache key and journal use too.
@@ -113,15 +116,17 @@ type manifest struct {
 	ConfigFingerprint string  `json:"config_fingerprint"`
 }
 
-// manifestVersion 3 pins the config by its Fingerprint. Version 2 copied ten
-// science fields by hand and missed the execution knobs then hashed beside
-// them, so a resume could merge slabs computed under a different bucket
-// size; version 1 also described k-d shards (told apart by a "stream" field
-// that no longer decodes), whose partials can share LMax, bins and even
-// owned counts with a slab's. An older directory is refused under Resume,
-// never merged. Migration: rerun without -resume (the directory is
-// overwritten), or delete it — older checkpoints cannot be converted.
-const manifestVersion = 3
+// manifestVersion 4 marks partials of k-d parts (partition.Cut). A version-3
+// directory holds equal-count slab partials, whose owned counts can coincide
+// with a part's, so nothing after the manifest would stop a merge of the
+// wrong pieces. Version 3 pinned the config by its Fingerprint;
+// version 2 copied ten science fields by hand and missed the execution knobs
+// then hashed beside them; version 1 also described an older k-d pipeline
+// (told apart by a "stream" field that no longer decodes). An older
+// directory is refused under Resume, never merged. Migration: rerun without
+// -resume (the directory is overwritten), or delete it — older checkpoints
+// cannot be converted.
+const manifestVersion = 4
 
 func newManifest(sc *sourceScan, cfg core.Config, nshards int) (manifest, error) {
 	fp, err := cfg.Fingerprint()
@@ -136,13 +141,13 @@ func newManifest(sc *sourceScan, cfg core.Config, nshards int) (manifest, error)
 }
 
 // Compute runs the sharded pipeline over a catalog source: scan, plan,
-// spill, then one slab at a time through the node-local engine, optional
+// spill, then one part at a time through the node-local engine, optional
 // checkpointing, and the deterministic in-order merge. The merged
 // multipoles agree with a single-shot run to floating-point rounding
 // (identical pair sets, different accumulation order); stats are returned
-// in slab order. Cancelling ctx stops the pipeline promptly with ctx.Err():
-// no new slab starts and the running engine abandons its work at the next
-// commit unit. Checkpoints of slabs that completed before the
+// in part order. Cancelling ctx stops the pipeline promptly with ctx.Err():
+// no new part starts and the running engine abandons its work at the next
+// commit unit. Checkpoints of parts that completed before the
 // cancellation stay on disk (along with the manifest), so a cancelled
 // checkpointed run is resumable exactly like a killed one.
 func Compute(ctx context.Context, src catalog.Source, cfg core.Config, opts Options) (*core.Result, []UnitStats, error) {
@@ -201,24 +206,24 @@ func Compute(ctx context.Context, src catalog.Source, cfg core.Config, opts Opti
 		return total, stats, nil
 	}
 
-	// Resume: one validation pass over the slab checkpoints. If every slab
-	// has one (the manifest above pinned the run identity, and the slab
+	// Resume: one validation pass over the part checkpoints. If every part
+	// has one (the manifest above pinned the run identity, and the part
 	// plan is deterministic), merge them directly — no histogram pass, no
 	// spill rewrite of the catalog. Otherwise the validity mask feeds the
-	// spill pass below so intact slabs are counted but not rewritten, and
+	// spill pass below so intact parts are counted but not rewritten, and
 	// only they are loaded again, against their owned count.
 	skip := make([]bool, opts.NShards)
 	if opts.Resume {
 		total, stats, valid, all := scanCheckpoints(sc, bins, cfg, opts, logf)
 		if all {
-			logf("shard: resumed all %d slabs from checkpoints (no re-spill)", opts.NShards)
+			logf("shard: resumed all %d parts from checkpoints (no re-spill)", opts.NShards)
 			return finish(total, stats)
 		}
 		skip = valid
 	}
 
-	var plan *slabPlan
-	err = retry.Policy{}.Do(ctx, "slab plan", func() (err error) {
+	var plan *partition.Plan
+	err = retry.Policy{}.Do(ctx, "part plan", func() (err error) {
 		plan, err = s.plan(ctx, sc, opts.NShards)
 		return err
 	})
@@ -241,17 +246,17 @@ func Compute(ctx context.Context, src catalog.Source, cfg core.Config, opts Opti
 	}
 	defer os.RemoveAll(spillDir)
 
-	// spill scatters the source into the files of every slab skip leaves
+	// spill scatters the source into the files of every part skip leaves
 	// writable, restarting the whole pass on a transient failure (re-created
 	// files truncate, so a torn pass leaves no residue).
 	spill := func(op string, skip []bool) (owned, halo []int, err error) {
 		err = retry.Policy{}.Do(ctx, op, func() (err error) {
-			owned, halo, err = s.spillSlabs(ctx, plan, cfg.RMax, spillDir, skip)
+			owned, halo, err = s.spillParts(ctx, plan, cfg.RMax, spillDir, skip)
 			return err
 		})
 		return owned, halo, err
 	}
-	owned, halo, err := spill("slab spill", skip)
+	owned, halo, err := spill("part spill", skip)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -274,21 +279,21 @@ func Compute(ctx context.Context, src catalog.Source, cfg core.Config, opts Opti
 		} else {
 			if skip[i] {
 				// The pre-validated checkpoint failed the primary-count
-				// revalidation: it was written by a run with a different slab
+				// revalidation: it was written by a run with a different part
 				// decomposition (possible only across code versions — the plan
 				// is otherwise deterministic). Its records were skipped by the
 				// spill pass, so degrade like every other unusable checkpoint:
-				// one more pass that writes this slab alone, then recompute.
-				logf("shard %d/%d: re-spilling slab", i, opts.NShards)
+				// one more pass that writes this part alone, then recompute.
+				logf("shard %d/%d: re-spilling part", i, opts.NShards)
 				only := make([]bool, opts.NShards)
 				for j := range only {
 					only[j] = j != i
 				}
-				if _, _, err := spill("slab re-spill", only); err != nil {
+				if _, _, err := spill("part re-spill", only); err != nil {
 					return nil, nil, fmt.Errorf("shard %d/%d: %w", i, opts.NShards, err)
 				}
 			}
-			if partial, err = s.computeSlab(ctx, plan, &stats[i], spillDir, bins, cfg, opts, logf); err != nil {
+			if partial, err = s.computePart(ctx, sc.box, &stats[i], spillDir, bins, cfg, opts, logf); err != nil {
 				return nil, nil, fmt.Errorf("shard %d/%d: %w", i, opts.NShards, err)
 			}
 		}
@@ -299,12 +304,12 @@ func Compute(ctx context.Context, src catalog.Source, cfg core.Config, opts Opti
 	return finish(total, stats)
 }
 
-// scanCheckpoints makes the single resume pass over the slab checkpoints:
-// valid[i] records which slabs hold a loadable, configuration-matching
-// checkpoint, and when every slab does and the primary counts cover the
+// scanCheckpoints makes the single resume pass over the part checkpoints:
+// valid[i] records which parts hold a loadable, configuration-matching
+// checkpoint, and when every part does and the primary counts cover the
 // catalog exactly, the merged total and stats are returned with all=true
 // (the no-re-spill fast path). Otherwise the caller falls back to the
-// plan/spill path, which counts — but does not rewrite — the valid slabs and
+// plan/spill path, which counts — but does not rewrite — the valid parts and
 // revalidates each against its owned count.
 func scanCheckpoints(sc *sourceScan, bins hist.Binning, cfg core.Config, opts Options, logf func(string, ...any)) (*core.Result, []UnitStats, []bool, bool) {
 	total := core.NewResult(cfg.LMax, bins)
@@ -334,16 +339,16 @@ func scanCheckpoints(sc *sourceScan, bins hist.Binning, cfg core.Config, opts Op
 	return total, stats, valid, all && primaries == sc.n
 }
 
-// computeSlab produces one slab's partial result from its spill files (st
-// names the slab and its record counts, and receives the pair count and
+// computePart produces one part's partial result from its spill files (st
+// names the part and its record counts, and receives the pair count and
 // compute wall clock), persisting it when the run checkpoints.
-func (s *stream) computeSlab(ctx context.Context, plan *slabPlan, st *UnitStats, spillDir string, bins hist.Binning, cfg core.Config, opts Options, logf func(string, ...any)) (*core.Result, error) {
-	// A slab with no primaries contributes nothing: skip the engine and
+func (s *stream) computePart(ctx context.Context, box geom.Periodic, st *UnitStats, spillDir string, bins hist.Binning, cfg core.Config, opts Options, logf func(string, ...any)) (*core.Result, error) {
+	// A part with no primaries contributes nothing: skip the engine and
 	// emit an empty partial so checkpoint bookkeeping stays uniform.
 	res := core.NewResult(cfg.LMax, bins)
 	if st.NOwned > 0 {
 		start := time.Now()
-		local, primary, err := s.readSlab(ctx, plan.box, spillDir, st)
+		local, primary, err := s.readPart(ctx, box, spillDir, st)
 		if err != nil {
 			return nil, err
 		}
@@ -363,10 +368,10 @@ func (s *stream) computeSlab(ctx context.Context, plan *slabPlan, st *UnitStats,
 	return res, nil
 }
 
-// loadCheckpoint returns slab i's checkpointed partial if it exists, loads
+// loadCheckpoint returns part i's checkpointed partial if it exists, loads
 // cleanly (the format rejects truncation and corruption), and matches the
 // run's multipole shape and — once the spill pass has counted it, nOwned >=
-// 0 — the slab's primary count. Any mismatch means recompute, not failure: a
+// 0 — the part's primary count. Any mismatch means recompute, not failure: a
 // killed run may leave arbitrary debris.
 func loadCheckpoint(dir string, i, nshards int, bins hist.Binning, lmax, nOwned int, logf func(string, ...any)) (*core.Result, bool) {
 	res, err := core.LoadResult(checkpointPath(dir, i, nshards))
@@ -388,7 +393,7 @@ func loadCheckpoint(dir string, i, nshards int, bins hist.Binning, lmax, nOwned 
 
 // finishCheckpoints removes run state that must not outlive a successful
 // merge: spill scratch always (a kill can strand it under the checkpoint
-// dir), and the per-slab checkpoints plus manifest unless the caller asked
+// dir), and the per-part checkpoints plus manifest unless the caller asked
 // to keep them.
 func finishCheckpoints(opts Options) {
 	if opts.CheckpointDir == "" {
@@ -405,6 +410,10 @@ func finishCheckpoints(opts Options) {
 }
 
 const manifestName = "manifest.json"
+
+// ErrForeignRun is the error a resume returns when its checkpoint directory
+// holds another run's manifest, or one another build wrote.
+var ErrForeignRun = errors.New("belongs to a different run")
 
 // parseManifest decodes a manifest file, refusing any version but the
 // current one: fields mean what this build says they mean only at its own
@@ -445,7 +454,7 @@ func prepareDir(dir string, want manifest, resume bool) error {
 				err = fmt.Errorf("manifest mismatch")
 			}
 			if err != nil {
-				return fmt.Errorf("shard: checkpoint dir %s belongs to a different run (%v); remove it or drop Resume", dir, err)
+				return fmt.Errorf("shard: checkpoint dir %s %w (%v); remove it or drop Resume", dir, ErrForeignRun, err)
 			}
 			return nil
 		} else if !os.IsNotExist(err) {
@@ -464,7 +473,7 @@ func prepareDir(dir string, want manifest, resume bool) error {
 	})
 }
 
-// checkpointPath names slab i's partial-Result file.
+// checkpointPath names part i's partial-Result file.
 func checkpointPath(dir string, i, nshards int) string {
 	return filepath.Join(dir, fmt.Sprintf("shard-%04d-of-%04d.gres", i, nshards))
 }

@@ -2,6 +2,8 @@ package shard
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -217,7 +219,9 @@ func TestStaleTempCheckpointsRemoved(t *testing.T) {
 // TestResumeRejectsForeignManifest: the manifest pins the config by its
 // Fingerprint, so a resume under a config that moves the answer is refused,
 // and one that moves only a field no line of sight reads — the observer of a
-// plane-parallel run — resumes every slab to the same bits.
+// plane-parallel run — resumes every part to the same bits. A version-3
+// directory, whose slab partials can own as many galaxies as a part, is
+// refused under the same config.
 func TestResumeRejectsForeignManifest(t *testing.T) {
 	cat := catalog.Clustered(300, 140, catalog.DefaultClusterParams(), 23)
 	moved := geom.Vec3{X: -300, Y: 50, Z: 20}
@@ -252,13 +256,32 @@ func TestResumeRejectsForeignManifest(t *testing.T) {
 		}
 		for _, s := range stats {
 			if !s.Resumed {
-				t.Errorf("%s: slab %d recomputed despite a matching checkpoint", tc.name, s.Unit)
+				t.Errorf("%s: part %d recomputed despite a matching checkpoint", tc.name, s.Unit)
 			}
 		}
 		if got.Pairs != first.Pairs || got.MaxAbsDiff(first) != 0 {
 			t.Errorf("%s: resumed result differs from the checkpointed run: pairs %d vs %d, max |diff| %v",
 				tc.name, got.Pairs, first.Pairs, got.MaxAbsDiff(first))
 		}
+	}
+
+	cfg := testConfig()
+	dir := t.TempDir()
+	if _, _, err := compute(cat, cfg, Options{NShards: 2, CheckpointDir: dir, Keep: true}); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, manifestName)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v3 := strings.Replace(string(data), fmt.Sprintf(`"version": %d`, manifestVersion), `"version": 3`, 1)
+	if err := os.WriteFile(path, []byte(v3), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = compute(cat, cfg, Options{NShards: 2, CheckpointDir: dir, Resume: true})
+	if !errors.Is(err, ErrForeignRun) || !strings.Contains(err.Error(), "version 3") {
+		t.Fatalf("resume of a version-3 directory: want a different-run error naming version 3, got %v", err)
 	}
 }
 

@@ -4,18 +4,17 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"galactos/internal/catalog"
 	"galactos/internal/faultpoint"
 	"galactos/internal/geom"
+	"galactos/internal/partition"
 	"galactos/internal/retry"
 )
 
-// Faultpoints of the slab spill scratch files. Spill writes are absorbed by
+// Faultpoints of the part spill scratch files. Spill writes are absorbed by
 // restarting the whole scatter pass (re-created files truncate, so a torn
 // pass leaves no residue); spill reads retry per file.
 var (
@@ -23,13 +22,9 @@ var (
 	fpSpillRead  = faultpoint.New("shard.spill.read")
 )
 
-// spillDirName is the scratch subdirectory for slab spill files inside a
+// spillDirName is the scratch subdirectory for part spill files inside a
 // checkpoint directory.
 const spillDirName = "spill"
-
-// histBuckets is the slab-cut histogram resolution: cuts land on bucket
-// edges, so per-slab counts are equal up to the galaxies sharing a bucket.
-const histBuckets = 4096
 
 // decodeBlock is the galaxies one pass over the source decodes at a time:
 // catalog.BlockRecords, the block the binary cursor reads and catalog.Hash
@@ -40,7 +35,7 @@ const decodeBlock = catalog.BlockRecords
 // spillBudget is the byte budget of the spill files' write buffers, divided
 // across the 2·NShards files a spill pass keeps open (64 KB each at 8
 // shards), so the spill pass holds the same memory at any shard count. The
-// budget is far below a slab's galaxies at any catalog size worth
+// budget is far below a part's galaxies at any catalog size worth
 // streaming, and a write of a few tens of KB already amortises the syscall.
 const spillBudget = 1 << 20
 
@@ -51,7 +46,7 @@ const spillFloor = 4 << 10
 
 // stream is one Compute's view of its source: the source plus the fixed
 // buffers every pass over it reuses — one decode block, one spill budget and
-// one spill-read block — so the pipeline's memory is one slab plus halo and
+// one spill-read block — so the pipeline's memory is one part plus halo and
 // these, whatever the catalog's size and the shard count.
 type stream struct {
 	src   catalog.Source
@@ -98,30 +93,23 @@ func (s *stream) each(ctx context.Context, fn func([]catalog.Galaxy) error) (geo
 // sourceScan is the product of the first pass: the run identity (count,
 // weight, geometry) plus the per-axis extent.
 type sourceScan struct {
-	box    geom.Periodic
-	n      int
-	sumW   float64
-	lo, hi [3]float64
+	box  geom.Periodic
+	n    int
+	sumW float64
+	ext  partition.Extent
 }
 
 // scan runs pass 1: count, bounds, and total weight — and, being the first
 // look at every galaxy, the finiteness check.
 func (s *stream) scan(ctx context.Context) (*sourceScan, error) {
-	sc := &sourceScan{
-		lo: [3]float64{math.Inf(1), math.Inf(1), math.Inf(1)},
-		hi: [3]float64{math.Inf(-1), math.Inf(-1), math.Inf(-1)},
-	}
+	sc := &sourceScan{ext: partition.NewExtent()}
 	var err error
 	sc.box, err = s.each(ctx, func(chunk []catalog.Galaxy) error {
 		if err := catalog.CheckFinite(chunk, sc.n); err != nil {
 			return err
 		}
+		sc.ext.Add(chunk)
 		for _, g := range chunk {
-			for a := 0; a < 3; a++ {
-				c := g.Pos.Component(a)
-				sc.lo[a] = math.Min(sc.lo[a], c)
-				sc.hi[a] = math.Max(sc.hi[a], c)
-			}
 			sc.sumW += g.Weight
 		}
 		sc.n += len(chunk)
@@ -136,104 +124,19 @@ func (s *stream) scan(ctx context.Context) (*sourceScan, error) {
 	return sc, nil
 }
 
-// slabPlan is the deterministic output of the planning passes.
-type slabPlan struct {
-	box  geom.Periodic
-	axis int
-	lo   float64 // axis extent ([0, L] when periodic)
-	hi   float64
-	cuts []float64 // nshards-1 ascending interior cut coordinates
-}
-
-// interval returns slab i's owned axis interval [a, b).
-func (p *slabPlan) interval(i int) (a, b float64) {
-	a, b = p.lo, p.hi
-	if i > 0 {
-		a = p.cuts[i-1]
-	}
-	if i < len(p.cuts) {
-		b = p.cuts[i]
-	}
-	return a, b
-}
-
-// slabOf returns the slab owning axis coordinate c: the smallest i whose
-// upper cut lies strictly above c (coordinates exactly on a cut belong to
-// the right slab, matching the half-open intervals).
-func (p *slabPlan) slabOf(c float64) int {
-	return sort.Search(len(p.cuts), func(i int) bool { return p.cuts[i] > c })
-}
-
-// axisDist returns the distance from coordinate c to the interval [a, b]
-// under the axis wrap (L = 0 means no wrap).
-func axisDist(c, a, b, l float64) float64 {
-	d := intervalDist(c, a, b)
-	if l > 0 {
-		d = math.Min(d, math.Min(intervalDist(c-l, a, b), intervalDist(c+l, a, b)))
-	}
-	return d
-}
-
-func intervalDist(c, a, b float64) float64 {
-	switch {
-	case c < a:
-		return a - c
-	case c > b:
-		return c - b
-	default:
-		return 0
-	}
-}
-
-// plan runs pass 2: the equal-count slab cuts along the widest axis.
-func (s *stream) plan(ctx context.Context, sc *sourceScan, nshards int) (*slabPlan, error) {
-	p := &slabPlan{box: sc.box}
-
-	// Cut along the widest axis; a periodic box spans [0, L] on every axis.
-	if p.box.L > 0 {
-		p.lo, p.hi = 0, p.box.L
-	} else {
-		for a := 1; a < 3; a++ {
-			if sc.hi[a]-sc.lo[a] > sc.hi[p.axis]-sc.lo[p.axis] {
-				p.axis = a
-			}
-		}
-		p.lo, p.hi = sc.lo[p.axis], sc.hi[p.axis]
-	}
-	p.cuts = make([]float64, 0, nshards-1)
-	if p.hi > p.lo {
-		// Equal-count quantile cuts from a fixed-resolution histogram.
-		counts := make([]int, histBuckets)
-		width := (p.hi - p.lo) / histBuckets
+// plan runs the planning passes: partition.Cut over the scanned root, one
+// histogram pass over the source per level of the cut tree.
+func (s *stream) plan(ctx context.Context, sc *sourceScan, nshards int) (*partition.Plan, error) {
+	return partition.Cut(sc.ext.Root(sc.box.L), sc.box.L, nshards, func(visit func([]catalog.Galaxy)) error {
 		_, err := s.each(ctx, func(chunk []catalog.Galaxy) error {
-			for _, g := range chunk {
-				b := int((g.Pos.Component(p.axis) - p.lo) / width)
-				counts[min(max(b, 0), histBuckets-1)]++
-			}
+			visit(chunk)
 			return nil
 		})
-		if err != nil {
-			return nil, err
-		}
-		cum, next := 0, 1
-		for b := 0; b < histBuckets && next < nshards; b++ {
-			cum += counts[b]
-			for next < nshards && cum >= next*sc.n/nshards {
-				p.cuts = append(p.cuts, p.lo+float64(float64(b+1)*width))
-				next++
-			}
-		}
-	}
-	// Cuts the histogram did not place — all of them for a degenerate extent
-	// (every galaxy at one coordinate) — sit on the upper edge: the slabs
-	// between them are empty and the last one owns what is left.
-	for len(p.cuts) < nshards-1 {
-		p.cuts = append(p.cuts, p.hi)
-	}
-	return p, nil
+		return err
+	})
 }
 
-// spillWriter buffers one slab file's records in its share of the spill
+// spillWriter buffers one part file's records in its share of the spill
 // budget.
 type spillWriter struct {
 	f   *os.File
@@ -278,15 +181,15 @@ func (w *spillWriter) close() error {
 }
 
 func spillPath(dir string, i int, kind string) string {
-	return filepath.Join(dir, fmt.Sprintf("slab-%04d.%s.spill", i, kind))
+	return filepath.Join(dir, fmt.Sprintf("part-%04d.%s.spill", i, kind))
 }
 
-// spillSlabs runs the scatter pass: every galaxy lands in its owned slab's
-// file and in the halo file of every other slab within rmax along the cut
-// axis. Returns per-slab owned and halo counts. Slabs with skip[i] set are
+// spillParts runs the scatter pass: every galaxy lands in its owner's file
+// and in the halo file of every other part within rmax of it (Plan.Place).
+// Returns per-part owned and halo counts. Parts with skip[i] set are
 // counted but not written — they already hold a validated checkpoint, so
 // rewriting their records would be wasted IO.
-func (s *stream) spillSlabs(ctx context.Context, p *slabPlan, rmax float64, dir string, skip []bool) (owned, halo []int, err error) {
+func (s *stream) spillParts(ctx context.Context, p *partition.Plan, rmax float64, dir string, skip []bool) (owned, halo []int, err error) {
 	nshards := len(skip)
 	owned = make([]int, nshards)
 	halo = make([]int, nshards)
@@ -319,28 +222,18 @@ func (s *stream) spillSlabs(ctx context.Context, p *slabPlan, rmax float64, dir 
 			return nil, nil, err
 		}
 	}
-	l := p.box.L
+	near := make([]int, 0, nshards)
 	_, err = s.each(ctx, func(chunk []catalog.Galaxy) error {
 		for _, g := range chunk {
-			c := g.Pos.Component(p.axis)
-			k := p.slabOf(c)
+			var k int
+			k, near = p.Place(g.Pos, rmax, near[:0])
 			owned[k]++
 			if own[k] != nil {
 				if err := own[k].add(g); err != nil {
 					return err
 				}
 			}
-			// Slab count is small against the catalog, so a linear halo
-			// scan per galaxy stays cheap; slabs are ordered, so it could
-			// be narrowed to a window if shard counts ever grow.
-			for i := range skip {
-				if i == k {
-					continue
-				}
-				a, b := p.interval(i)
-				if axisDist(c, a, b, l) > rmax {
-					continue
-				}
+			for _, i := range near {
 				halo[i]++
 				if hal[i] != nil {
 					if err := hal[i].add(g); err != nil {
@@ -354,11 +247,11 @@ func (s *stream) spillSlabs(ctx context.Context, p *slabPlan, rmax float64, dir 
 	return owned, halo, err
 }
 
-// readSlab decodes slab st.Unit's spill files — its st.NOwned primaries,
-// then its st.NHalo halo copies — into a slab catalog (keeping the source's
-// box: slab coordinates are unshifted, so the engine's image handling covers
+// readPart decodes part st.Unit's spill files — its st.NOwned primaries,
+// then its st.NHalo halo copies — into a part catalog (keeping the source's
+// box: part coordinates are unshifted, so the engine's image handling covers
 // the wrap) and returns it with its primary mask.
-func (s *stream) readSlab(ctx context.Context, box geom.Periodic, dir string, st *UnitStats) (*catalog.Catalog, []bool, error) {
+func (s *stream) readPart(ctx context.Context, box geom.Periodic, dir string, st *UnitStats) (*catalog.Catalog, []bool, error) {
 	gals := make([]catalog.Galaxy, st.NOwned+st.NHalo)
 	if err := s.readSpill(ctx, spillPath(dir, st.Unit, "own"), gals[:st.NOwned]); err != nil {
 		return nil, nil, err

@@ -6,7 +6,12 @@ import (
 	"testing"
 
 	"galactos/internal/catalog"
+	"galactos/internal/partition"
 )
+
+// histBuckets is the plan's level histogram, which the memory bound allows
+// for.
+const histBuckets = partition.HistBuckets
 
 // passesAlloc returns the bytes a fresh stream and its three passes (scan,
 // plan, spill) allocate over cat at nshards.
@@ -25,7 +30,7 @@ func passesAlloc(t *testing.T, cat *catalog.Catalog, nshards int, rmax float64) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.spillSlabs(ctx, p, rmax, dir, make([]bool, nshards)); err != nil {
+	if _, _, err := s.spillParts(ctx, p, rmax, dir, make([]bool, nshards)); err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)

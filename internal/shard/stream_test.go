@@ -24,7 +24,7 @@ func streamConfig() core.Config {
 	return cfg
 }
 
-// TestStreamMatchesSingleShotOpenBoundaries: slab cuts over an open-
+// TestStreamMatchesSingleShotOpenBoundaries: k-d cuts over an open-
 // boundary (survey-like) catalog reproduce the single-shot result.
 func TestStreamMatchesSingleShotOpenBoundaries(t *testing.T) {
 	cat := catalog.Clustered(900, 180, catalog.DefaultClusterParams(), 19)
@@ -50,38 +50,73 @@ func TestStreamMatchesSingleShotOpenBoundaries(t *testing.T) {
 		owned += s.NOwned
 	}
 	if owned != cat.Len() {
-		t.Fatalf("slabs own %d galaxies, want %d", owned, cat.Len())
+		t.Fatalf("parts own %d galaxies, want %d", owned, cat.Len())
 	}
 }
 
 // TestStreamPeriodicWrapHalo: a primary near the box face must see its
-// wrapped neighbors, which arrive as halo members of the far slab.
+// wrapped neighbors, which arrive as halo members of the far part — across
+// the wrap on each axis. A galaxy exactly RMax from a cut is a halo member
+// of the part across it: the halo test may over-include, never under-include.
 func TestStreamPeriodicWrapHalo(t *testing.T) {
-	// Two tight clusters on opposite faces of a periodic box: nearly every
-	// pair between them crosses the wrap.
-	cat := &catalog.Catalog{Box: geom.Periodic{L: 200}}
-	for i := 0; i < 40; i++ {
-		f := float64(i)
-		cat.Galaxies = append(cat.Galaxies,
-			catalog.Galaxy{Pos: geom.Vec3{X: 2 + f/50, Y: 100, Z: 100}, Weight: 1},
-			catalog.Galaxy{Pos: geom.Vec3{X: 198 - f/50, Y: 100, Z: 100}, Weight: 1},
-		)
-	}
 	cfg := streamConfig()
 	cfg.RMax = 30
-	single, err := core.Compute(cat, cfg)
+	for axis, name := range []string{"x", "y", "z"} {
+		// Two tight clusters on opposite faces of a periodic box: nearly
+		// every pair between them crosses the wrap.
+		cat := &catalog.Catalog{Box: geom.Periodic{L: 200}}
+		at := func(c float64) geom.Vec3 {
+			return geom.Vec3{X: 100, Y: 100, Z: 100}.WithComponent(axis, c)
+		}
+		for i := 0; i < 40; i++ {
+			f := float64(i)
+			cat.Galaxies = append(cat.Galaxies,
+				catalog.Galaxy{Pos: at(2 + f/50), Weight: 1},
+				catalog.Galaxy{Pos: at(198 - f/50), Weight: 1},
+			)
+		}
+		single, err := core.Compute(cat, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, _, err := compute(cat, cfg, Options{NShards: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Pairs != single.Pairs {
+			t.Fatalf("%s: wrap pairs lost: %d vs single-shot %d", name, res.Pairs, single.Pairs)
+		}
+		if d, m := res.MaxAbsDiff(single), single.MaxAbs(); d > 1e-9*m {
+			t.Fatalf("%s: multipoles diverge: max |diff| %.3e vs scale %.3e", name, d, m)
+		}
+	}
+
+	// Two parts of a uniform box cut across x; a probe exactly RMax below
+	// the cut must reach the upper part, one exactly RMax above it the
+	// lower part, and one on the cut belongs to the upper part.
+	cat := catalog.Uniform(400, 200, 53)
+	s := newStream(catalog.NewMemorySource(cat), 2)
+	sc, err := s.scan(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := compute(cat, cfg, Options{NShards: 3})
+	p, err := s.plan(context.Background(), sc, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Pairs != single.Pairs {
-		t.Fatalf("wrap pairs lost: %d vs single-shot %d", res.Pairs, single.Pairs)
+	cut := p.Boxes[0].Max.X
+	if cut != p.Boxes[1].Min.X || cut-cfg.RMax+cfg.RMax != cut {
+		t.Fatalf("cut %v is not an x cut RMax can be exactly subtracted from", cut)
 	}
-	if d, m := res.MaxAbsDiff(single), single.MaxAbs(); d > 1e-9*m {
-		t.Fatalf("multipoles diverge: max |diff| %.3e vs scale %.3e", d, m)
+	for _, probe := range []struct {
+		x          float64
+		owner, far int
+	}{{cut - cfg.RMax, 0, 1}, {cut + cfg.RMax, 1, 0}, {cut, 1, 0}} {
+		owner, near := p.Place(geom.Vec3{X: probe.x, Y: 100, Z: 100}, cfg.RMax, nil)
+		if owner != probe.owner || len(near) != 1 || near[0] != probe.far {
+			t.Errorf("probe at x = %v, cut %v: owner %d, halo of %v, want owner %d, halo of [%d]",
+				probe.x, cut, owner, near, probe.owner, probe.far)
+		}
 	}
 }
 
@@ -102,7 +137,7 @@ func TestStreamCheckpointResume(t *testing.T) {
 	if err := os.MkdirAll(filepath.Join(dir, spillDirName), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, spillDirName, "slab-0000.own.spill"), []byte("junk"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, spillDirName, "part-0000.own.spill"), []byte("junk"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	res, stats, err := Compute(context.Background(), src, cfg, Options{NShards: 3, CheckpointDir: dir, Resume: true})
@@ -157,11 +192,11 @@ func TestStreamPartialResume(t *testing.T) {
 
 // TestStreamRejectsForeignCheckpointDir: a directory written at an older
 // manifest version is refused under Resume with an error naming the version.
-// Version 2 copied the science fields by hand where version 3 pins the
-// config's Fingerprint; version 1 added a "stream" field, written by the
-// deleted k-d pipeline (false) or by the slab pipeline of that build (true).
-// With the stream field gone the two decode alike, and a k-d partial can
-// share LMax, bins and owned count with a slab's, so nothing after the
+// Version 2 copied the science fields by hand where later versions pin the
+// config's Fingerprint; version 1 added a "stream" field, written by an
+// older k-d pipeline (false) or by the slab pipeline of that build (true).
+// With the stream field gone the two decode alike, and either partial can
+// share LMax, bins and owned count with a part's, so nothing after the
 // manifest would stop the merge.
 func TestStreamRejectsForeignCheckpointDir(t *testing.T) {
 	cat := catalog.Clustered(500, 160, catalog.DefaultClusterParams(), 29)
@@ -234,7 +269,7 @@ func FuzzManifest(f *testing.F) {
 	}
 	f.Add(written)
 	f.Add(written[:len(written)/2])
-	f.Add(bytes.Replace(written, []byte(`"version": 3`), []byte(`"version": 2`), 1))
+	f.Add(bytes.Replace(written, []byte(`"version": 4`), []byte(`"version": 3`), 1))
 	f.Add(bytes.Replace(written, []byte(`"nshards": 3`), []byte(`"nshards": 1e999`), 1))
 	f.Add(bytes.Replace(written, []byte(`"config_fingerprint": "`), []byte(`"config_fingerprint": 7, "x": "`), 1))
 	f.Add([]byte(`{"version": 2, "stream": true, "rmax": 40}`))
