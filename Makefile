@@ -87,7 +87,10 @@ cross-smoke:
 # GridCell, core.Config.BucketSize (read after Normalize to size a
 # kernel), core.FinderKD64, kdtree.Build[float32], grid.Build,
 # core.NeighborFinder, exec.Spec.Stream / ShardConcurrency, partition.Split,
-# partition.Halo and partition.Part; and the facade
+# partition.Halo and partition.Part; sphharm.Kernel.AccumulateTile (the
+# engine runs SumTile) and sphharm.Reduce and YlmTable.AlmRI, portable
+# references kept as API because its probes time them (the engine runs
+# ReduceBins and AlmBins); and the facade
 # surface it runs through: galactos.Request (an alias of exec.Request) with
 # its fields Config, Backend, Catalog and Path, galactos.Run, the
 # galactos.RunResult fields Result, Elapsed and Units (with the unit fields

@@ -59,8 +59,8 @@ func ExampleRun() {
 	// zeta^0_02(r2, r2) = -3.553e+03
 }
 
-// The sharded backend streams a catalog file through halo-padded slabs, one
-// resident at a time, and checkpoints each slab's partial result: the
+// The sharded backend streams a catalog file through halo-padded k-d parts,
+// one resident at a time, and checkpoints each part's partial result: the
 // architectural move that let the paper reach 2 billion galaxies (Sec. 3.2).
 // A run that lost some checkpoints resumes from the rest and reproduces the
 // uninterrupted answer bit for bit.

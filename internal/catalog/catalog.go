@@ -114,20 +114,6 @@ func (c *Catalog) Validate() error {
 	return nil
 }
 
-// Concat returns a new catalog containing the galaxies of c followed by
-// those of others. All catalogs must share the same box geometry.
-func (c *Catalog) Concat(others ...*Catalog) (*Catalog, error) {
-	out := &Catalog{Box: c.Box}
-	out.Galaxies = append(out.Galaxies, c.Galaxies...)
-	for _, o := range others {
-		if o.Box.L != c.Box.L {
-			return nil, fmt.Errorf("catalog: cannot concat boxes L=%v and L=%v", c.Box.L, o.Box.L)
-		}
-		out.Galaxies = append(out.Galaxies, o.Galaxies...)
-	}
-	return out, nil
-}
-
 // WithDataMinusRandom builds the weighted D-R field used for
 // survey-geometry correction (Sec. 6.1): data galaxies keep their weights;
 // random galaxies are appended with weight -sum(w_data)/N_random so the

@@ -166,22 +166,6 @@ func TestWithDataMinusRandom(t *testing.T) {
 	}
 }
 
-func TestConcat(t *testing.T) {
-	a := Uniform(10, 100, 1)
-	b := Uniform(20, 100, 2)
-	c, err := a.Concat(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Len() != 30 {
-		t.Errorf("Len = %d", c.Len())
-	}
-	d := Uniform(5, 200, 3)
-	if _, err := a.Concat(d); err == nil {
-		t.Error("expected box mismatch error")
-	}
-}
-
 func TestSubBox(t *testing.T) {
 	c := Uniform(5000, 100, 4)
 	box := geom.Box{Min: geom.Vec3{X: 20, Y: 20, Z: 20}, Max: geom.Vec3{X: 60, Y: 60, Z: 60}}

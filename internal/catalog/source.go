@@ -321,37 +321,3 @@ func (c *csvCursor) Close() error {
 	}
 	return nil
 }
-
-// SpoolSource is a multi-pass Source built from a one-shot io.Reader: the
-// stream is spooled to a temporary file once, and every pass reopens it.
-// Close removes the spool file.
-type SpoolSource struct {
-	file *FileSource
-}
-
-// NewReaderSource spools a one-shot binary-format stream into dir (""
-// selects the default temp directory) and returns a re-openable Source over
-// it. The caller owns the returned source and must Close it to delete the
-// spool file.
-func NewReaderSource(r io.Reader, dir string) (*SpoolSource, error) {
-	f, err := os.CreateTemp(dir, "galactos-spool-*.glxc")
-	if err != nil {
-		return nil, err
-	}
-	if _, err := io.Copy(f, r); err != nil {
-		f.Close()
-		os.Remove(f.Name())
-		return nil, fmt.Errorf("catalog: spooling stream: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(f.Name())
-		return nil, err
-	}
-	return &SpoolSource{file: &FileSource{Path: f.Name()}}, nil
-}
-
-// Open starts a new pass over the spooled stream.
-func (s *SpoolSource) Open() (Cursor, error) { return s.file.Open() }
-
-// Close deletes the spool file.
-func (s *SpoolSource) Close() error { return os.Remove(s.file.Path) }

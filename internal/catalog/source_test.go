@@ -89,28 +89,6 @@ func TestFileSourceCSVRoundTrip(t *testing.T) {
 	assertSameCatalog(t, got, cat)
 }
 
-func TestReaderSourceSpoolsAndDeletes(t *testing.T) {
-	cat := sourceFixture()
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, cat); err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	src, err := NewReaderSource(bytes.NewReader(buf.Bytes()), dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameCatalog(t, drainWith(t, src, 11), cat)
-	assertSameCatalog(t, drainWith(t, src, 512), cat) // re-openable
-	if err := src.Close(); err != nil {
-		t.Fatal(err)
-	}
-	left, _ := filepath.Glob(filepath.Join(dir, "*"))
-	if len(left) != 0 {
-		t.Fatalf("spool file not deleted: %v", left)
-	}
-}
-
 func TestReadAllMatchesLoad(t *testing.T) {
 	cat := sourceFixture()
 	path := filepath.Join(t.TempDir(), "cat.glxc")

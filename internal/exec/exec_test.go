@@ -84,7 +84,7 @@ func assertBitwise(t *testing.T, name string, a, b *core.Result) {
 // The periodic rows are the ones a decomposition can get wrong: a halo copy
 // moved to its periodic image keeps every separation but not the lines of
 // sight built from absolute positions (midpoint: 1.7 % off when halo copies
-// were image-shifted). Slabs keep the source's box and coordinates.
+// were image-shifted). K-d parts keep the source's box and coordinates.
 func TestBackendEquivalenceGolden(t *testing.T) {
 	offBox := geom.Vec3{X: -250, Y: -300, Z: -350}
 	cases := []struct {
@@ -152,7 +152,7 @@ func TestStreamingShardedMatchesLocal(t *testing.T) {
 		owned += u.NOwned
 	}
 	if owned != cat.Len() {
-		t.Fatalf("slab owned counts sum to %d, want %d", owned, cat.Len())
+		t.Fatalf("part owned counts sum to %d, want %d", owned, cat.Len())
 	}
 }
 

@@ -17,28 +17,6 @@ import (
 	"galactos/internal/geom"
 )
 
-// Assignment selects the mass-deposition scheme.
-type Assignment int
-
-const (
-	// NGP (nearest grid point) deposits each galaxy onto one cell.
-	NGP Assignment = iota
-	// CIC (cloud in cell) spreads each galaxy linearly over the 8
-	// surrounding cells, halving the effective position error.
-	CIC
-)
-
-func (a Assignment) String() string {
-	switch a {
-	case NGP:
-		return "ngp"
-	case CIC:
-		return "cic"
-	default:
-		return fmt.Sprintf("Assignment(%d)", int(a))
-	}
-}
-
 // Mesh is a cubic density mesh over a periodic box.
 type Mesh struct {
 	N    int     // cells per side
@@ -47,8 +25,9 @@ type Mesh struct {
 	Cell float64
 }
 
-// NewMesh deposits a periodic catalog onto an n^3 mesh.
-func NewMesh(cat *catalog.Catalog, n int, scheme Assignment) (*Mesh, error) {
+// NewMesh deposits a periodic catalog onto an n^3 mesh, each galaxy's
+// weight onto the one cell that holds it (nearest grid point).
+func NewMesh(cat *catalog.Catalog, n int) (*Mesh, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("gridded: mesh size %d must be positive", n)
 	}
@@ -57,14 +36,7 @@ func NewMesh(cat *catalog.Catalog, n int, scheme Assignment) (*Mesh, error) {
 	}
 	m := &Mesh{N: n, L: cat.Box.L, W: make([]float64, n*n*n), Cell: cat.Box.L / float64(n)}
 	for _, g := range cat.Galaxies {
-		switch scheme {
-		case NGP:
-			m.depositNGP(g.Pos, g.Weight)
-		case CIC:
-			m.depositCIC(g.Pos, g.Weight)
-		default:
-			return nil, fmt.Errorf("gridded: unknown assignment %v", scheme)
-		}
+		m.depositNGP(g.Pos, g.Weight)
 	}
 	return m, nil
 }
@@ -88,39 +60,7 @@ func (m *Mesh) depositNGP(p geom.Vec3, w float64) {
 	m.W[m.idx(i, j, k)] += w
 }
 
-func (m *Mesh) depositCIC(p geom.Vec3, w float64) {
-	// Offset by half a cell so weights interpolate between cell centers.
-	fx := p.X/m.Cell - 0.5
-	fy := p.Y/m.Cell - 0.5
-	fz := p.Z/m.Cell - 0.5
-	i0 := int(math.Floor(fx))
-	j0 := int(math.Floor(fy))
-	k0 := int(math.Floor(fz))
-	dx := fx - float64(i0)
-	dy := fy - float64(j0)
-	dz := fz - float64(k0)
-	for di := 0; di <= 1; di++ {
-		wi := 1 - dx
-		if di == 1 {
-			wi = dx
-		}
-		for dj := 0; dj <= 1; dj++ {
-			wj := 1 - dy
-			if dj == 1 {
-				wj = dy
-			}
-			for dk := 0; dk <= 1; dk++ {
-				wk := 1 - dz
-				if dk == 1 {
-					wk = dz
-				}
-				m.W[m.idx(i0+di, j0+dj, k0+dk)] += float64(w * wi * wj * wk)
-			}
-		}
-	}
-}
-
-// TotalWeight returns the deposited mass (conserved by both schemes).
+// TotalWeight returns the deposited mass (the catalog's total weight).
 func (m *Mesh) TotalWeight() float64 {
 	s := 0.0
 	for _, w := range m.W {
@@ -170,8 +110,8 @@ func (m *Mesh) Catalog() *catalog.Catalog {
 // catalog. The returned result's tracer count is the number of occupied
 // cells; pair counts (and hence cost) drop by roughly the mean cell
 // occupancy squared.
-func Compute(cat *catalog.Catalog, meshN int, scheme Assignment, cfg core.Config) (*core.Result, *Mesh, error) {
-	m, err := NewMesh(cat, meshN, scheme)
+func Compute(cat *catalog.Catalog, meshN int, cfg core.Config) (*core.Result, *Mesh, error) {
+	m, err := NewMesh(cat, meshN)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -26,14 +26,12 @@ func TestMassConservation(t *testing.T) {
 		}
 	}
 	want := cat.TotalWeight()
-	for _, scheme := range []Assignment{NGP, CIC} {
-		m, err := NewMesh(cat, 25, scheme)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := m.TotalWeight(); math.Abs(got-want) > 1e-9*math.Abs(want) {
-			t.Errorf("%v: total weight %v, want %v", scheme, got, want)
-		}
+	m, err := NewMesh(cat, 25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := m.TotalWeight(); math.Abs(got-want) > 1e-9*math.Abs(want) {
+		t.Errorf("total weight %v, want %v", got, want)
 	}
 }
 
@@ -63,7 +61,7 @@ func TestNGPExactAtCellCenters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gridRes, m, err := Compute(cat, n, NGP, cfg)
+	gridRes, m, err := Compute(cat, n, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +84,7 @@ func TestGriddedApproximatesParticles(t *testing.T) {
 		t.Fatal(err)
 	}
 	relErr := func(meshN int) float64 {
-		res, _, err := Compute(cat, meshN, NGP, cfg)
+		res, _, err := Compute(cat, meshN, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,7 +117,7 @@ func TestGriddedAccelerates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, m, err := Compute(cat, 20, NGP, cfg)
+	res, m, err := Compute(cat, 20, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,39 +129,17 @@ func TestGriddedAccelerates(t *testing.T) {
 	}
 }
 
-func TestCICSpreadsMass(t *testing.T) {
-	cat := &catalog.Catalog{Box: geom.Periodic{L: 10}, Galaxies: []catalog.Galaxy{
-		{Pos: geom.Vec3{X: 1.2, Y: 3.7, Z: 9.9}, Weight: 2},
-	}}
-	m, err := NewMesh(cat, 10, CIC)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := m.OccupiedCells(); got < 2 || got > 8 {
-		t.Errorf("CIC touched %d cells, want 2..8", got)
-	}
-	if math.Abs(m.TotalWeight()-2) > 1e-12 {
-		t.Errorf("CIC mass %v, want 2", m.TotalWeight())
-	}
-	// A galaxy exactly at a cell center touches exactly one cell.
-	cat.Galaxies[0].Pos = geom.Vec3{X: 2.5, Y: 2.5, Z: 2.5}
-	m, _ = NewMesh(cat, 10, CIC)
-	if got := m.OccupiedCells(); got != 1 {
-		t.Errorf("CIC at center touched %d cells, want 1", got)
-	}
-}
-
 func TestMeshValidation(t *testing.T) {
 	cat := catalog.Uniform(10, 50, 1)
-	if _, err := NewMesh(cat, 0, NGP); err == nil {
+	if _, err := NewMesh(cat, 0); err == nil {
 		t.Error("zero mesh accepted")
 	}
 	open := &catalog.Catalog{}
-	if _, err := NewMesh(open, 10, NGP); err == nil {
+	if _, err := NewMesh(open, 10); err == nil {
 		t.Error("open-boundary catalog accepted")
 	}
 	cfg := testConfig()
-	if _, _, err := Compute(cat, 4, NGP, cfg); err == nil {
+	if _, _, err := Compute(cat, 4, cfg); err == nil {
 		t.Error("cell coarser than bin width accepted")
 	}
 }
@@ -173,13 +149,11 @@ func TestPeriodicDeposition(t *testing.T) {
 	cat := &catalog.Catalog{Box: geom.Periodic{L: 10}, Galaxies: []catalog.Galaxy{
 		{Pos: geom.Vec3{X: 9.99, Y: 0.01, Z: 5}, Weight: 1},
 	}}
-	for _, scheme := range []Assignment{NGP, CIC} {
-		m, err := NewMesh(cat, 5, scheme)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(m.TotalWeight()-1) > 1e-12 {
-			t.Errorf("%v: edge galaxy lost mass: %v", scheme, m.TotalWeight())
-		}
+	m, err := NewMesh(cat, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(m.TotalWeight()-1) > 1e-12 {
+		t.Errorf("edge galaxy lost mass: %v", m.TotalWeight())
 	}
 }

@@ -650,7 +650,7 @@ func griddedVsExact() *Scenario {
 			if err != nil {
 				return nil, err
 			}
-			gres, _, err := gridded.Compute(snapped, meshN, gridded.NGP, cfg)
+			gres, _, err := gridded.Compute(snapped, meshN, cfg)
 			if err != nil {
 				return nil, err
 			}

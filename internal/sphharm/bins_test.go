@@ -112,8 +112,8 @@ func binsTail(tab *YlmTable, c binsCase, iso bool, aS, wXY []float64, row, strid
 // for bin counts around the eight-bin groups, for orders with one partial
 // conversion block through several full ones, in both slab layouts, with
 // untouched bins (+0 rows whatever their accumulators hold, even under a
-// negative weight), -0 sums and chains that underflow to -0 (which AlmRI's
-// zero chain turns into +0) — and touches nothing outside the primary's rows
+// negative weight), -0 sums and chains that underflow to -0 (which binDot's
+// closing + 0 turns into +0) — and touches nothing outside the primary's rows
 // or in the accumulators.
 func TestBinsTailMatchesPerBinTail(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))

@@ -161,20 +161,16 @@ func ladderRows(acc, c, s, ws, xs, ys, zs, zpow []float64, zcap, l int, fresh bo
 	}
 }
 
-// The lane primitives are package function variables so the amd64 init can
-// swap in the AVX-512 bodies (kernel_lanes_amd64.go) with zero per-call
-// dispatch overhead; everywhere else they stay bound to the generic bodies.
-// All callers pass matched column lengths — the vector bodies trust the
-// driving slice's length the same way the generic bodies do.
+// The lane primitives on the engine's path are package function variables
+// so the amd64 init can swap in the AVX-512 bodies (kernel_lanes_amd64.go)
+// with zero per-call dispatch overhead; everywhere else they stay bound to
+// the generic bodies. All callers pass matched column lengths — the vector
+// bodies trust the driving slice's length the same way the generic bodies
+// do.
 var (
 	ladder       = ladderRows
-	rowLanes     = rowLanesGeneric
-	rotate       = rotateGeneric
-	mulCols      = mulColsGeneric
-	almRI        = almRIGeneric
 	zetaBatch    = zetaBatchGeneric
 	zetaBatchIso = zetaBatchIsoGeneric
-	reduce       = reduceGeneric
 	reduceBins   = reduceBinsGeneric
 	almBins      = almBinsGeneric
 	moments      = legendreMomentsTilesGeneric
@@ -185,13 +181,8 @@ var (
 // body.
 func bindGenericLanes() {
 	ladder = ladderRows
-	rowLanes = rowLanesGeneric
-	rotate = rotateGeneric
-	mulCols = mulColsGeneric
-	almRI = almRIGeneric
 	zetaBatch = zetaBatchGeneric
 	zetaBatchIso = zetaBatchIsoGeneric
-	reduce = reduceGeneric
 	reduceBins = reduceBinsGeneric
 	almBins = almBinsGeneric
 	moments = legendreMomentsTilesGeneric
@@ -226,7 +217,7 @@ func LaneDispatch() string {
 	return "generic"
 }
 
-// rowLanesGeneric folds one ladder row — acc holds nq+1 lane groups, where
+// rowLanes folds one ladder row — acc holds nq+1 lane groups, where
 // group q gains the lane-striped sums of src .* z^q (group 0 is the plain
 // add) and z^q is the hoisted column zpow[(q-1)*zcap:] — in rowBody<>'s
 // order: per group four chains over the 32-pair quads (chain k takes the
@@ -234,7 +225,7 @@ func LaneDispatch() string {
 // from +0, the blocks after the quads and the tail extending chain 0, and
 // the fold (c0 + c1) + (c2 + c3). Without a quad chains 1-3 stay +0 and
 // the fold is c0 + 0, as in ladderAsm's register-resident path.
-func rowLanesGeneric(acc, src, zpow []float64, zcap int) {
+func rowLanes(acc, src, zpow []float64, zcap int) {
 	n := len(src)
 	quads := n &^ (4*Lanes - 1)
 	for q := 0; q < len(acc)/Lanes; q++ {
@@ -262,7 +253,7 @@ func rowLanesGeneric(acc, src, zpow []float64, zcap int) {
 	}
 }
 
-// laneChain runs one accumulator chain of rowLanesGeneric with its 8 lanes
+// laneChain runs one accumulator chain of rowLanes with its 8 lanes
 // in registers: the 8-pair blocks src[j:j+8] for j = lo, lo+step, ... land
 // in lanes 0..7 of a, then the pairs past the last whole block (the masked
 // tail; only a step of Lanes reaches it) in lane j&7 — each added (zq nil)
@@ -307,10 +298,10 @@ func laneChain(a *[Lanes]float64, src, zq []float64, lo, step int) {
 	}
 }
 
-// rotateGeneric advances the running power one order in place:
+// rotate advances the running power one order in place:
 // (c, s) <- (c*x - s*y, c*y + s*x), i.e. c + is times x + iy, rounded as
 // rotateBody<> rounds it: each product s*y, s*x once, then one FMA.
-func rotateGeneric(c, s, xs, ys []float64) {
+func rotate(c, s, xs, ys []float64) {
 	s = s[:len(c)]
 	xs = xs[:len(c)]
 	ys = ys[:len(c)]
@@ -321,9 +312,9 @@ func rotateGeneric(c, s, xs, ys []float64) {
 	}
 }
 
-// mulColsGeneric writes a .* b into dst, which may alias a (the hoisted
+// mulCols writes a .* b into dst, which may alias a (the hoisted
 // z-power column recurrence z^q = z^(q-1) * z, and the first rotation).
-func mulColsGeneric(dst, a, b []float64) {
+func mulCols(dst, a, b []float64) {
 	a = a[:len(dst)]
 	b = b[:len(dst)]
 	for j := range dst {
@@ -424,9 +415,10 @@ func zetaBatchIsoGeneric(dst, a2, w []float64, nb, k int) {
 
 // Reduce folds a lane-striped accumulator into plain sums: the single
 // reduction per primary that replaces N/8 in-loop reductions (Sec. 3.3.2).
-// out must have length len(acc)/Lanes; it is overwritten. The vector
-// dispatch performs the identical pairwise tree in-register, so its results
-// are bitwise equal to the generic body.
+// out must have length len(acc)/Lanes; it is overwritten. The engine folds
+// all bins at once (ReduceBins, whose vector body runs the identical
+// pairwise tree); Reduce is the per-bin reference it is pinned against, and
+// runs the portable body under every dispatch tag.
 func Reduce(acc []float64, out []float64) {
 	if len(acc) != len(out)*Lanes {
 		panic("sphharm: Reduce length mismatch")
@@ -444,8 +436,8 @@ func ReduceClear(acc []float64, out []float64) {
 	reduce(acc, out, true)
 }
 
-// reduceGeneric is the pure-Go body of Reduce and ReduceClear.
-func reduceGeneric(acc []float64, out []float64, zero bool) {
+// reduce is the body of Reduce and ReduceClear.
+func reduce(acc []float64, out []float64, zero bool) {
 	for i := range out {
 		a := (*[Lanes]float64)(acc[i*Lanes : i*Lanes+Lanes])
 		out[i] = laneSum(a)
@@ -479,8 +471,8 @@ func BinStride(nb int) int { return (nb + Lanes - 1) &^ (Lanes - 1) }
 // bin without pairs reads as all +0 whatever its accumulator holds (the
 // engine fills accumulators with Kernel.SumTile and never clears them), and
 // so do the padding columns b >= nb. acc is left as it was. Each sum is
-// bitwise Reduce's: the vector body runs reduceAsm's tree with the eight
-// groups taken from eight bins instead of eight consecutive sums.
+// bitwise Reduce's: the vector body runs laneSum's tree as a transpose-add
+// over eight bins at a time.
 func ReduceBins(acc []float64, cnt []int32, out []float64) {
 	nb := len(cnt)
 	if nb == 0 || len(acc)%(nb*Lanes) != 0 || len(out) != len(acc)/(nb*Lanes)*BinStride(nb) {

@@ -29,32 +29,26 @@ import (
 // the scenario goldens pin whole runs).
 
 // Implemented in kernel_lanes_amd64.s. Each trusts the driving slice's
-// length (ws for the ladder, c for the rotation, src for a row, dst for
-// mulCols)
-// exactly like its generic counterpart; the exported wrappers check shapes.
-// The primitives, by engine stage:
+// length (ws for the ladder) exactly like its generic counterpart; the
+// exported wrappers check shapes. The primitives, by engine stage:
 //
 //   - consume: pairColumnsAsm (tile assembly's sweep, the radial frame
-//     applied in-register), ladderAsm (one chunk in one call: the z-power
+//     applied in-register) and ladderAsm (one chunk in one call: the z-power
 //     hoist, then the whole ladder; fresh starts the accumulator at +0
-//     without reading it), and rowLanesAsm, rotateAsm, mulColsAsm (its
-//     steps, the row-by-row form it is pinned against);
+//     without reading it);
 //   - self-count: legendreMomentsAsm (the moments recurrence, two
 //     registers of pairs side by side);
 //   - per-primary tail: reduceBinsAsm (all bins' lane folds, transposed to
 //     rows over bins) and almBinsAsm (a_lm rows over bins, stored into the
 //     unit slabs);
-//   - zeta: zetaBatchAsm, zetaBatchIsoAsm;
-//   - references and probes, off the engine's path: reduceAsm (Reduce,
-//     ReduceClear) and almRIAsm (AlmRI).
+//   - zeta: zetaBatchAsm, zetaBatchIsoAsm.
+//
+// The references off the engine's path (Reduce, ReduceClear, AlmRI, Alm
+// and EvalPoint) and the steps of ladderRows, the row-by-row form ladderAsm
+// is pinned against (rowLanes, rotate, mulCols), have portable bodies only.
 func ladderAsm(acc, c, s, ws, xs, ys, zs, zpow []float64, zcap, l int, fresh bool)
-func rowLanesAsm(acc, src, zpow []float64, zcap int)
-func rotateAsm(c, s, xs, ys []float64)
-func mulColsAsm(dst, a, b []float64)
-func almRIAsm(blocks []almBlock, cols, m, re, im []float64)
 func zetaBatchAsm(dst []complex128, a2, xy []float64, nb, k int)
 func zetaBatchIsoAsm(dst, a2, w []float64, nb, k int)
-func reduceAsm(acc, out []float64, zero bool)
 func reduceBinsAsm(acc, out []float64, cnt []int32, ns int)
 func almBinsAsm(slots []binSlot, coef, sums, scale, dst, w []float64, nb, stride int)
 
@@ -76,22 +70,12 @@ func init() {
 // holds.
 func bindVectorLanes() {
 	ladder = ladderAsm
-	rowLanes = rowLanesAsm
-	rotate = rotateAsm
-	mulCols = mulColsAsm
-	almRI = almRIVector
 	zetaBatch = zetaBatchAsm
 	zetaBatchIso = zetaBatchIsoAsm
-	reduce = reduceAsm
 	reduceBins = reduceBinsAsm
 	almBins = almBinsVector
 	moments = legendreMomentsVector
 	pairColumns = pairColumnsAsm
-}
-
-// almRIVector is the AVX-512 body of AlmRI.
-func almRIVector(t *YlmTable, m, re, im []float64) {
-	almRIAsm(t.blocks, t.cols, m, re, im)
 }
 
 // almBinsVector is the AVX-512 body of AlmBins and AlmBinsPacked.

@@ -6,13 +6,13 @@
 // Lanes = 8 float64 accumulator group as one ZMM register and walk the pair
 // columns in 512-bit steps; tails shorter than 8 pairs use an opmask so pair
 // j still lands in lane j&7 (masked EVEX memory operands suppress faults on
-// the masked-out lanes, so partial blocks never over-read). The ladder,
-// row, rotate, mulCols, almRI, almBins, reduce and reduceBins bodies use
-// only Z16-Z31: the high registers have no legacy-SSE upper state, so they
-// need no VZEROUPPER on return. Four bodies use Z0-Z15 as well and end with
-// VZEROUPPER: zetaBatchAsm and zetaBatchIsoAsm (up to 24 tile accumulators
-// in registers), pairColumnsAsm (fourteen broadcast constants) and
-// legendreMomentsAsm (two register sets of eight orders).
+// the masked-out lanes, so partial blocks never over-read). ladderAsm (with
+// the row, rotate and mulCols bodies it calls), almBinsAsm and reduceBinsAsm
+// use only Z16-Z31: the high registers have no legacy-SSE upper state, so
+// they need no VZEROUPPER on return. Four bodies use Z0-Z15 as well and end
+// with VZEROUPPER: zetaBatchAsm and zetaBatchIsoAsm (up to 24 tile
+// accumulators in registers), pairColumnsAsm (fourteen broadcast constants)
+// and legendreMomentsAsm (two register sets of eight orders).
 
 // laneGeometry<> splits a column of CX pairs the way every lane fold walks
 // it: R10 = 32-pair quads (four accumulator chains), R11 = whole 8-pair
@@ -55,17 +55,6 @@ mctail:
 	VMOVUPD   Z16, K1, (DX)
 	RET
 
-// func mulColsAsm(dst, a, b []float64)
-// dst = a .* b elementwise (the hoisted z-power column recurrence).
-TEXT ·mulColsAsm(SB), NOSPLIT, $0-72
-	MOVQ dst_base+0(FP), DX
-	MOVQ dst_len+8(FP), CX
-	MOVQ a_base+24(FP), R14
-	MOVQ b_base+48(FP), R15
-	CALL laneGeometry<>(SB)
-	CALL mulColsBody<>(SB)
-	RET
-
 // rotateBody<> advances the running power one order over the lane geometry:
 // with c at R14, s at R15, x at AX and y at DX,
 // (c, s) <- (fma(c, x, -(s*y)), fma(c, y, s*x)). Advances all four;
@@ -100,38 +89,6 @@ rttail:
 	VFMSUB132PD (AX), Z18, K1, Z16
 	VMOVUPD     Z16, K1, (R14)
 	VMOVUPD     Z17, K1, (R15)
-	RET
-
-// func rotateAsm(c, s, xs, ys []float64)
-// (c, s) <- (c*x - s*y, c*y + s*x) elementwise.
-TEXT ·rotateAsm(SB), NOSPLIT, $0-96
-	MOVQ c_base+0(FP), R14
-	MOVQ c_len+8(FP), CX
-	MOVQ s_base+24(FP), R15
-	CALL laneGeometry<>(SB)
-	MOVQ xs_base+48(FP), AX
-	MOVQ ys_base+72(FP), DX
-	CALL rotateBody<>(SB)
-	RET
-
-// func rowLanesAsm(acc, src, zpow []float64, zcap int)
-// One whole ladder row in a single call: acc holds nq+1 lane groups, group 0
-// gains the lane-striped sums of src and group q >= 1 the fused
-// multiply-accumulated sums of src .* z^q, reading the hoisted z-power
-// columns at stride zcap. This is the row-by-row form the fused ladder is
-// pinned against; ladderAsm runs the same rowBody<> for chunks with a quad.
-TEXT ·rowLanesAsm(SB), NOSPLIT, $0-80
-	KXNORW K7, K7, K7 // rowBody<> reads every lane of acc
-	MOVQ acc_base+0(FP), DI
-	MOVQ acc_len+8(FP), R8
-	MOVQ src_base+24(FP), SI
-	MOVQ src_len+32(FP), CX
-	MOVQ zpow_base+48(FP), BX
-	MOVQ zcap+72(FP), R9
-	SHLQ $3, R9 // z-power column stride, bytes
-	SHRQ $3, R8 // lane groups = nq+1
-	CALL laneGeometry<>(SB)
-	CALL rowBody<>(SB)
 	RET
 
 // rowBody<> folds one ladder row: DI = the row's first lane group (advanced
@@ -563,84 +520,6 @@ lsmfold:
 	JMP         lsm
 
 lddone:
-	RET
-
-// func almRIAsm(blocks []almBlock, cols, m, re, im []float64)
-// The a_lm conversion as one matrix-vector product per almBlock: eight
-// degrees of one order accumulate column by column, the block's column of
-// coefficients times the broadcast Re-row (Im-row) sum, in two chains each
-// (even and odd columns: the parity of l - m puts a degree's terms all in
-// one, so every lane still adds its terms in ascending j), then scatter to
-// their PairIndex slots. An m = 0 block reads its Re row for both and
-// scatters zeros as the imaginary parts.
-TEXT ·almRIAsm(SB), NOSPLIT, $0-120
-	MOVQ blocks_base+0(FP), SI
-	MOVQ blocks_len+8(FP), R8
-	MOVQ cols_base+24(FP), DX
-	MOVQ m_base+48(FP), R9
-	MOVQ re_base+72(FP), DI
-	MOVQ im_base+96(FP), R10
-	TESTQ R8, R8
-	JZ   almdone
-
-almblock:
-	MOVQ (SI), AX
-	LEAQ (R9)(AX*8), R14 // Re row
-	MOVQ R14, R15
-	MOVQ 8(SI), BX
-	TESTQ BX, BX
-	JS   almcols
-	LEAQ (R9)(BX*8), R15 // Im row
-
-almcols:
-	MOVQ 16(SI), CX
-	VPXORQ Z16, Z16, Z16
-	VPXORQ Z17, Z17, Z17
-	VPXORQ Z18, Z18, Z18
-	VPXORQ Z19, Z19, Z19
-	MOVQ CX, R11
-	SHRQ $1, R11
-	JZ   almodd
-
-almpair:
-	VMOVUPD (DX), Z20
-	VMOVUPD 64(DX), Z21
-	VFMADD231PD.BCST (R14), Z20, Z16
-	VFMADD231PD.BCST (R15), Z20, Z17
-	VFMADD231PD.BCST 8(R14), Z21, Z18
-	VFMADD231PD.BCST 8(R15), Z21, Z19
-	ADDQ $128, DX
-	ADDQ $16, R14
-	ADDQ $16, R15
-	DECQ R11
-	JNZ  almpair
-
-almodd:
-	TESTQ $1, CX
-	JZ   almfold
-	VMOVUPD (DX), Z20
-	VFMADD231PD.BCST (R14), Z20, Z16
-	VFMADD231PD.BCST (R15), Z20, Z17
-	ADDQ $64, DX
-
-almfold:
-	VADDPD Z18, Z16, Z16
-	VADDPD Z19, Z17, Z17
-	TESTQ BX, BX
-	JNS  almstore
-	VPXORQ Z17, Z17, Z17
-
-almstore:
-	VMOVDQU64 32(SI), Z30
-	KMOVW 24(SI), K1
-	KMOVW K1, K2
-	VSCATTERQPD Z16, K1, (DI)(Z30*8)
-	VSCATTERQPD Z17, K2, (R10)(Z30*8)
-	ADDQ $96, SI
-	DECQ R8
-	JNZ  almblock
-
-almdone:
 	RET
 
 // oddSignMask flips the sign of the odd (imaginary) float64 lanes: XORing a
@@ -1186,108 +1065,6 @@ zinext:
 	VSHUFF64X2 $0x88, q, p, p \
 	VADDPD     t, p, p
 
-// func reduceAsm(acc, out []float64, zero bool)
-// Lane-striped accumulator fold with the generic body's addition pairing,
-// so bitwise identical: per group (a0+a1)+(a2+a3), then
-// +((a4+a5)+(a6+a7)). Eight groups at a time as an 8 x 8 transpose-add:
-// unpack + add forms s01 .. s67 of two groups per register, a 128-bit
-// shuffle + add s0123 / s4567 of four, and a last shuffle + add the eight
-// sums in group order, one store. The 1-7 groups left over run two, then
-// one, at a time: an in-pair swap + add forms s01 .. s67, a per-128-lane
-// compact + swap + add s0123 / s4567, and the 256-bit halves meet in the
-// final scalar add. With zero set, each group is cleared behind its load (a
-// store of Z31 under K1, which is empty otherwise).
-TEXT ·reduceAsm(SB), NOSPLIT, $0-49
-	MOVQ    acc_base+0(FP), SI
-	MOVQ    out_base+24(FP), DI
-	MOVQ    out_len+32(FP), CX
-	MOVBLZX zero+48(FP), AX
-	NEGL    AX
-	KMOVW   AX, K1
-	VPXORQ  Z31, Z31, Z31
-	MOVQ    CX, DX
-	SHRQ    $3, DX
-	JZ      rdpairs
-
-rdeight:
-	VMOVUPD (SI), Z16
-	VMOVUPD 64(SI), Z17
-	VMOVUPD 128(SI), Z18
-	VMOVUPD 192(SI), Z19
-	VMOVUPD 256(SI), Z20
-	VMOVUPD 320(SI), Z21
-	VMOVUPD 384(SI), Z22
-	VMOVUPD 448(SI), Z23
-	VMOVUPD Z31, K1, (SI)
-	VMOVUPD Z31, K1, 64(SI)
-	VMOVUPD Z31, K1, 128(SI)
-	VMOVUPD Z31, K1, 192(SI)
-	VMOVUPD Z31, K1, 256(SI)
-	VMOVUPD Z31, K1, 320(SI)
-	VMOVUPD Z31, K1, 384(SI)
-	VMOVUPD Z31, K1, 448(SI)
-	RD_PAIR(Z16, Z17, Z24)
-	RD_PAIR(Z18, Z19, Z25)
-	RD_PAIR(Z20, Z21, Z26)
-	RD_PAIR(Z22, Z23, Z27)
-	RD_HALVES(Z16, Z18, Z24) // groups 0-3: [s0123, s4567] of 0,1 | of 2,3
-	RD_HALVES(Z20, Z22, Z25) // groups 4-7
-	RD_HALVES(Z16, Z20, Z24) // s0123 + s4567 of groups 0..7, in order
-	VMOVUPD Z16, (DI)
-	ADDQ    $512, SI
-	ADDQ    $64, DI
-	DECQ    DX
-	JNZ     rdeight
-
-rdpairs:
-	ANDQ $7, CX
-	MOVQ CX, DX
-	SHRQ $1, DX
-	JZ   rdsingle
-
-rdpair:
-	VMOVUPD       (SI), Z16
-	VMOVUPD       64(SI), Z20
-	VMOVUPD       Z31, K1, (SI)
-	VMOVUPD       Z31, K1, 64(SI)
-	VPERMILPD     $0x55, Z16, Z17
-	VPERMILPD     $0x55, Z20, Z21
-	VADDPD        Z17, Z16, Z16 // [s01 s01 s23 s23 | s45 s45 s67 s67]
-	VADDPD        Z21, Z20, Z20
-	VPERMPD       $0x08, Z16, Z16 // per 256 half: [s01 s23 . .]
-	VPERMPD       $0x08, Z20, Z20
-	VPERMILPD     $0x55, Z16, Z17
-	VPERMILPD     $0x55, Z20, Z21
-	VADDPD        Z17, Z16, Z16 // lane0 of each half: s0123 / s4567
-	VADDPD        Z21, Z20, Z20
-	VEXTRACTF64X4 $1, Z16, Y17
-	VEXTRACTF64X4 $1, Z20, Y21
-	VADDSD        X17, X16, X16
-	VADDSD        X21, X20, X20
-	VMOVSD        X16, (DI)
-	VMOVSD        X20, 8(DI)
-	ADDQ          $128, SI
-	ADDQ          $16, DI
-	DECQ          DX
-	JNZ           rdpair
-
-rdsingle:
-	ANDQ          $1, CX
-	JZ            rddone
-	VMOVUPD       (SI), Z16
-	VMOVUPD       Z31, K1, (SI)
-	VPERMILPD     $0x55, Z16, Z17
-	VADDPD        Z17, Z16, Z16
-	VPERMPD       $0x08, Z16, Z16
-	VPERMILPD     $0x55, Z16, Z17
-	VADDPD        Z17, Z16, Z16
-	VEXTRACTF64X4 $1, Z16, Y17
-	VADDSD        X17, X16, X16
-	VMOVSD        X16, (DI)
-
-rddone:
-	RET
-
 DATA pairHalf<>+0(SB)/8, $0.5
 GLOBL pairHalf<>(SB), RODATA, $8
 DATA pairOne<>+0(SB)/8, $1.0
@@ -1536,9 +1313,13 @@ pczlo:
 	JMP      pczlo
 
 // func reduceBinsAsm(acc, out []float64, cnt []int32, ns int)
-// ReduceBins: reduceAsm's 8 x 8 transpose-add with the eight groups taken
-// from eight bins (bin stride R8 = 64*ns bytes) at the same sum, so each
-// fold lands as a vector over bins: out row i, columns 8g .. 8g+7. A group
+// ReduceBins as an 8 x 8 transpose-add with the portable body's addition
+// pairing, so bitwise identical: per group (a0+a1)+(a2+a3), then
+// +((a4+a5)+(a6+a7)). The eight groups come from eight bins (bin stride
+// R8 = 64*ns bytes) at the same sum: RD_PAIR forms s01 .. s67 of two groups
+// per register, RD_HALVES s0123 / s4567 of four, and a last RD_HALVES the
+// eight sums, so each fold lands as a vector over bins: out row i, columns
+// 8g .. 8g+7. A group
 // of r < 8 bins (the last) loads only its r bins, the other registers
 // holding +0; its bins without pairs (K2 clear, from their counts) and the
 // lanes past r come out +0 whatever the accumulators hold.

@@ -323,51 +323,6 @@ func TestKernelTilePanicsOnMismatch(t *testing.T) {
 	})
 }
 
-func TestLanePrimitivesMatchGeneric(t *testing.T) {
-	// The dispatched elementwise primitives (AVX-512 on capable amd64 hosts)
-	// must equal the pure-Go bodies bit for bit at every tail length: the
-	// rotation's two FMAs round where rotateBody<>'s do. The lane folds are
-	// covered by TestRowLanesMatchesGeneric and TestLadderMatchesRowsBitwise.
-	if !HasAVX512() {
-		t.Skip("no vector path on this host; dispatch is the generic code")
-	}
-	rng := rand.New(rand.NewSource(37))
-	for _, n := range []int{1, 2, 7, 8, 9, 15, 16, 31, 32, 33, 63, 64, 100, 128, 257} {
-		col := func() []float64 {
-			c := make([]float64, n)
-			for j := range c {
-				c[j] = rng.NormFloat64()
-			}
-			return c
-		}
-		src, zq, xs, ys := col(), col(), col(), col()
-		check := func(name string, got, want []float64) {
-			t.Helper()
-			for i := range want {
-				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("%s n=%d elem %d: %v vs %v (not bitwise)", name, n, i, got[i], want[i])
-				}
-			}
-		}
-
-		c1 := make([]float64, n)
-		c2 := make([]float64, n)
-		mulCols(c1, src, zq)
-		mulColsGeneric(c2, src, zq)
-		check("mulCols", c1, c2)
-		mulCols(c1, c1, zq) // dst aliasing a, as the first rotation calls it
-		mulColsGeneric(c2, c2, zq)
-		check("mulCols in place", c1, c2)
-
-		s1 := append([]float64(nil), zq...)
-		s2 := append([]float64(nil), zq...)
-		rotate(c1, s1, xs, ys)
-		rotateGeneric(c2, s2, xs, ys)
-		check("rotate c", c1, c2)
-		check("rotate s", s1, s2)
-	}
-}
-
 func TestKernelEmptyBucketNoop(t *testing.T) {
 	tab := NewMonomialTable(4)
 	k := NewKernel(tab, 16)
@@ -462,84 +417,53 @@ func TestAlmFromKernelMatchesPointwise(t *testing.T) {
 	})
 }
 
-func TestRowLanesMatchesGeneric(t *testing.T) {
-	// The dispatched ladder-row primitive must equal the portable body bit
-	// for bit — the same four chains per lane group, the same FMAs, the same
-	// fold — for every row length (quads, blocks after them, tails) and row
-	// height, folding into an accumulator that is not zero. A second pass
-	// folds -0 into -0, where only the fold's +0 decides the sign.
-	rng := rand.New(rand.NewSource(91))
-	const zcap = 128
-	negZero := math.Copysign(0, -1)
-	for _, zeros := range []bool{false, true} {
-		for _, n := range []int{1, 3, 7, 8, 9, 31, 32, 33, 63, 64, 65, 100, 128} {
-			for _, nq := range []int{0, 1, 2, 5, 10} {
-				xy := make([]float64, n)
-				zpow := make([]float64, nq*zcap+n) // columns at stride zcap
-				got := make([]float64, (nq+1)*Lanes)
-				want := make([]float64, (nq+1)*Lanes)
-				for j := range xy {
-					xy[j] = rng.NormFloat64()
-				}
-				for j := range zpow {
-					zpow[j] = rng.NormFloat64()
-				}
-				for i := range got {
-					got[i] = float64(i)
-				}
-				if zeros {
-					for j := range xy {
-						xy[j] = negZero
-					}
-					for i := range got {
-						got[i] = negZero
-					}
-				}
-				copy(want, got)
-				rowLanes(got, xy, zpow, zcap)
-				rowLanesGeneric(want, xy, zpow, zcap)
-				for i := range want {
-					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-						t.Fatalf("zeros=%v n=%d nq=%d elem %d: %v vs %v (not bitwise)", zeros, n, nq, i, got[i], want[i])
-					}
-				}
-			}
-		}
-	}
-}
-
 func TestLadderMatchesRowsBitwise(t *testing.T) {
 	// The one-call-per-chunk ladder, z-power hoist included, must be
 	// bit-identical to the row-by-row path (one mulCols per hoisted column,
 	// one rotate per running-power update, one rowLanes per row) under each
 	// dispatch — the fused vector body performs the same operations in the
-	// same order — for every chunk shape: register-resident (n < 32, every
-	// vector count and tail), with quads, and across AccumulateTile's
-	// chunking, folding twice into an accumulator that is not zero.
+	// same order, the same four chains per lane group, the same FMAs, the
+	// same fold — for every chunk shape: register-resident (n < 32, every
+	// vector count and tail), with quads, blocks after them and tails, and
+	// across AccumulateTile's chunking, at every row height (order l's rows
+	// hold l+1 lane groups down to 1), folding twice into an accumulator
+	// that is not zero. A second pass folds -0 weights into an accumulator
+	// holding -0, where only the fold's +0 decides the sign.
+	negZero := math.Copysign(0, -1)
 	eachDispatch(t, func(tag string) {
 		rng := rand.New(rand.NewSource(99))
-		for _, l := range []int{0, 1, 2, 3, 4, 10, 20} {
-			tab := NewMonomialTable(l)
-			k := NewKernel(tab, 128)
-			rows := NewKernel(tab, 128)
-			for _, n := range []int{1, 3, 7, 8, 9, 31, 32, 33, 100, 128, 129, 300, 1023} {
-				xs, ys, zs, ws := randBucket(rng, n)
-				got := make([]float64, AccumulatorLen(tab))
-				for i := range got {
-					got[i] = rng.NormFloat64()
-				}
-				want := append([]float64(nil), got...)
-				for rep := 0; rep < 2; rep++ {
-					k.AccumulateTile(xs, ys, zs, ws, got)
-					bound := ladder
-					ladder = ladderRows
-					rows.AccumulateTile(xs, ys, zs, ws, want)
-					ladder = bound
-				}
-				for i := range want {
-					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-						t.Fatalf("%s l=%d n=%d acc[%d]: ladder %v vs rows %v (not bitwise)",
-							tag, l, n, i, got[i], want[i])
+		for _, zeros := range []bool{false, true} {
+			for _, l := range []int{0, 1, 2, 3, 4, 10, 20} {
+				tab := NewMonomialTable(l)
+				k := NewKernel(tab, 128)
+				rows := NewKernel(tab, 128)
+				for _, n := range []int{1, 3, 7, 8, 9, 31, 32, 33, 63, 64, 65, 100, 128, 129, 300, 1023} {
+					xs, ys, zs, ws := randBucket(rng, n)
+					got := make([]float64, AccumulatorLen(tab))
+					for i := range got {
+						got[i] = rng.NormFloat64()
+					}
+					if zeros {
+						for j := range ws {
+							ws[j] = negZero
+						}
+						for i := range got {
+							got[i] = negZero
+						}
+					}
+					want := append([]float64(nil), got...)
+					for rep := 0; rep < 2; rep++ {
+						k.AccumulateTile(xs, ys, zs, ws, got)
+						bound := ladder
+						ladder = ladderRows
+						rows.AccumulateTile(xs, ys, zs, ws, want)
+						ladder = bound
+					}
+					for i := range want {
+						if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+							t.Fatalf("%s zeros=%v l=%d n=%d acc[%d]: ladder %v vs rows %v (not bitwise)",
+								tag, zeros, l, n, i, got[i], want[i])
+						}
 					}
 				}
 			}
@@ -649,42 +573,6 @@ func testZetaBatchMatchesPerPrimary(t *testing.T, tag string) {
 				if math.Float64bits(real(got[i])) != math.Float64bits(real(want[i])) ||
 					math.Float64bits(imag(got[i])) != math.Float64bits(imag(want[i])) {
 					t.Fatalf("%s nb=%d k=%d elem %d: %v vs %v (not bitwise)", tag, nb, k, i, got[i], want[i])
-				}
-			}
-		}
-	}
-}
-
-func TestReduceDispatchBitwiseGeneric(t *testing.T) {
-	// The vector Reduce performs the identical pairwise tree — eight groups
-	// at a time as a transpose-add, the one to seven left over two and one
-	// at a time — so under both Reduce and ReduceClear it must match the
-	// generic body bitwise at every group count around those paths; Reduce
-	// must leave acc as it was and ReduceClear all +0.
-	rng := rand.New(rand.NewSource(97))
-	ns := []int{121}
-	for n := 1; n <= 17; n++ {
-		ns = append(ns, n)
-	}
-	for _, zero := range []bool{false, true} {
-		for _, n := range ns {
-			acc := make([]float64, n*Lanes)
-			for i := range acc {
-				acc[i] = rng.NormFloat64() * math.Exp(20*rng.NormFloat64())
-			}
-			orig := append([]float64(nil), acc...)
-			got := make([]float64, n)
-			want := make([]float64, n)
-			reduce(acc, got, zero)
-			reduceGeneric(orig, want, false)
-			for i := range want {
-				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("zero=%v n=%d out[%d]: %v vs %v (not bitwise)", zero, n, i, got[i], want[i])
-				}
-			}
-			for i, v := range acc {
-				if zero && math.Float64bits(v) != 0 || !zero && math.Float64bits(v) != math.Float64bits(orig[i]) {
-					t.Fatalf("zero=%v n=%d acc[%d] = %v afterwards", zero, n, i, v)
 				}
 			}
 		}

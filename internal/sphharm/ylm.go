@@ -14,19 +14,6 @@ func PairCount(l int) int { return (l + 1) * (l + 2) / 2 }
 // PairIndex maps (l, m>=0) to a dense index in [0, PairCount(L)).
 func PairIndex(l, m int) int { return l*(l+1)/2 + m }
 
-// almBlock is one step of the conversion: Lanes consecutive degrees
-// l = m + d of one order m, whose Re (Im) parts are the matrix-vector
-// product of a Lanes-row coefficient block with the order's Re (Im) row. The
-// block's ncol columns sit column-major in YlmTable.cols (Lanes values per
-// column, zeros where the parity or the triangle has no term), in block
-// order. The layout is the one almRIAsm addresses.
-type almBlock struct {
-	re, im int64        // the order's Re and Im rows; im < 0 for m = 0
-	ncol   int64        // sums j = 0..ncol-1 reach this block's degrees
-	mask   int64        // lanes that hold a degree <= L
-	out    [Lanes]int64 // PairIndex(l, m) per lane
-}
-
 // YlmTable converts the kernel's accumulated sums S_{m,j} (see
 // MonomialTable) into spherical-harmonic coefficients. On the unit sphere
 //
@@ -45,22 +32,21 @@ type almBlock struct {
 // coefficient; tabulating them would double the conversion work for no
 // information.
 type YlmTable struct {
-	L      int
-	Mono   *MonomialTable
-	blocks []almBlock
-	cols   []float64
+	L    int
+	Mono *MonomialTable
 
-	// The conversion vectorised over bins (AlmBins): one binSlot per
-	// (l, m >= 0) slot, in block order, and their coefficients end to end.
+	// The conversion: one binSlot per (l, m >= 0) slot, order by order and
+	// degree by degree within one, and their coefficients end to end.
 	binSlots []binSlot
 	binCoef  []float64
 }
 
-// binSlot is one (l, m >= 0) slot of the conversion vectorised over bins:
-// its a_lm row is the FMA chain of its n nonzero tildeP terms — the lane's
-// coefficients at j = p, p+2, ... (p the parity of l-m), binCoef's next n
-// values — over the sum rows re + j (im + j; im < 0 for m = 0), written to
-// slab row out. The layout is the one almBinsAsm addresses.
+// binSlot is one (l, m >= 0) slot of the conversion: its a_lm is the FMA
+// chain of its n nonzero tildeP terms — N_lm c^{lm}_j at j = p, p+2, ...
+// (p the parity of l-m), binCoef's next n values — over the sums re, re+2,
+// ... (im, im+2, ...; im < 0 for m = 0), which hold S_{m,j} at those j,
+// written to PairIndex slot out (AlmBins: slab row out). The layout is the
+// one almBinsAsm addresses.
 type binSlot struct {
 	re, im, n, out int64
 }
@@ -77,29 +63,18 @@ func NewYlmTable(l int, mono *MonomialTable) *YlmTable {
 	t := &YlmTable{L: l, Mono: mono}
 	for m := 0; m <= l; m++ {
 		re, im := mono.rows(m)
-		for d0 := 0; m+d0 <= l; d0 += Lanes {
-			// Degree m+d reads sums j <= d: the block's last degree bounds ncol.
-			blk := almBlock{re: int64(re), im: int64(im), ncol: int64(min(l-m, d0+Lanes-1) + 1)}
-			cols := make([]float64, blk.ncol*Lanes)
-			for lane := 0; lane < Lanes && m+d0+lane <= l; lane++ {
-				ll := m + d0 + lane
-				norm := ylmNorm(ll, m)
-				zc := strippedALP(ll, m) // coefficients over z^j, j = 0..l-m
-				p := (ll - m) % 2
-				for j := p; j < len(zc); j += 2 {
-					cols[j*Lanes+lane] = norm * zc[j]
-					t.binCoef = append(t.binCoef, cols[j*Lanes+lane])
-				}
-				slot := binSlot{re: int64(re + p), im: -1, n: int64((ll-m-p)/2 + 1), out: int64(PairIndex(ll, m))}
-				if im >= 0 {
-					slot.im = int64(im + p)
-				}
-				t.binSlots = append(t.binSlots, slot)
-				blk.mask |= 1 << lane
-				blk.out[lane] = int64(PairIndex(ll, m))
+		for ll := m; ll <= l; ll++ {
+			norm := ylmNorm(ll, m)
+			zc := strippedALP(ll, m) // coefficients over z^j, j = 0..l-m
+			p := (ll - m) % 2
+			for j := p; j < len(zc); j += 2 {
+				t.binCoef = append(t.binCoef, norm*zc[j])
 			}
-			t.blocks = append(t.blocks, blk)
-			t.cols = append(t.cols, cols...)
+			slot := binSlot{re: int64(re + p), im: -1, n: int64((ll-m-p)/2 + 1), out: int64(PairIndex(ll, m))}
+			if im >= 0 {
+				slot.im = int64(im + p)
+			}
+			t.binSlots = append(t.binSlots, slot)
 		}
 	}
 	return t
@@ -108,8 +83,7 @@ func NewYlmTable(l int, mono *MonomialTable) *YlmTable {
 // Alm converts accumulated sums (length Mono.Len(), MonomialTable order)
 // into spherical-harmonic coefficients for all (l, m >= 0), writing into out
 // (length PairCount(L)): a_lm = sum_i w_i Y_lm(rhat_i) over the pairs the
-// sums were accumulated from. It runs the portable body under every dispatch
-// tag (it serves EvalPoint, the oracles' entry); its bits are AlmRI's.
+// sums were accumulated from. Its bits are AlmRI's.
 func (t *YlmTable) Alm(m []float64, out []complex128) {
 	if len(m) != t.Mono.Len() {
 		panic("sphharm: Alm sum length mismatch")
@@ -117,13 +91,13 @@ func (t *YlmTable) Alm(m []float64, out []complex128) {
 	if len(out) != PairCount(t.L) {
 		panic("sphharm: Alm output length mismatch")
 	}
-	t.almLanes(m, func(i int, re, im float64) { out[i] = complex(re, im) })
+	t.almSlots(m, func(i int, re, im float64) { out[i] = complex(re, im) })
 }
 
 // AlmRI is Alm with structure-of-arrays output: the real parts of every
 // (l, m >= 0) coefficient go to re and the imaginary parts to im (each of
-// length PairCount(L)). It is a lane primitive, the per-bin form of AlmBins
-// and the reference AlmBins is pinned against.
+// length PairCount(L)). It is the per-bin form of AlmBins and the reference
+// AlmBins is pinned against.
 func (t *YlmTable) AlmRI(m []float64, re, im []float64) {
 	if len(m) != t.Mono.Len() {
 		panic("sphharm: AlmRI sum length mismatch")
@@ -131,49 +105,24 @@ func (t *YlmTable) AlmRI(m []float64, re, im []float64) {
 	if len(re) != PairCount(t.L) || len(im) != PairCount(t.L) {
 		panic("sphharm: AlmRI output length mismatch")
 	}
-	almRI(t, m, re, im)
+	t.almSlots(m, func(i int, r, s float64) { re[i], im[i] = r, s })
 }
 
-// almRIGeneric is the pure-Go body of AlmRI.
-func almRIGeneric(t *YlmTable, m []float64, re, im []float64) {
-	t.almLanes(m, func(i int, r, s float64) { re[i], im[i] = r, s })
-}
-
-// almLanes walks the almBlocks with almRIAsm's arithmetic, one degree (lane)
-// at a time, and hands set each (l, m >= 0) slot's Re and Im parts. Each is
-// the lane's coefficient column times the order's row over all the block's
-// columns, in one FMA chain for the even columns and one for the odd, both
-// from +0, then even + odd; an m = 0 slot's Im part is +0.
-func (t *YlmTable) almLanes(m []float64, set func(i int, re, im float64)) {
-	cols := t.cols
-	for _, b := range t.blocks {
-		n := int(b.ncol)
-		reRow := m[b.re : int(b.re)+n]
-		for lane := 0; lane < Lanes && b.mask>>lane&1 != 0; lane++ {
-			var re, im float64
-			re = laneDot(cols[lane:], reRow)
-			if b.im >= 0 {
-				im = laneDot(cols[lane:], m[b.im:int(b.im)+n])
-			}
-			set(int(b.out[lane]), re, im)
+// almSlots walks the binSlots with almBins' arithmetic for one bin and hands
+// set each (l, m >= 0) slot's Re and Im parts: binDot of the slot's
+// coefficients over every other sum of the order's Re (Im) row. An m = 0
+// slot's Im part is +0.
+func (t *YlmTable) almSlots(m []float64, set func(i int, re, im float64)) {
+	coef := t.binCoef
+	for _, s := range t.binSlots {
+		c := coef[:s.n]
+		coef = coef[s.n:]
+		var im float64
+		if s.im >= 0 {
+			im = binDot(c, m[s.im:], 2)
 		}
-		cols = cols[n*Lanes:]
+		set(int(s.out), binDot(c, m[s.re:], 2), im)
 	}
-}
-
-// laneDot contracts one lane's coefficient column (stride Lanes) with row:
-// column j's term joins the even chain for even j and the odd chain for odd
-// j, each a math.FMA chain from +0, and the chains meet in one add.
-func laneDot(col, row []float64) float64 {
-	var even, odd float64
-	for j, v := range row {
-		if j&1 == 0 {
-			even = math.FMA(col[j*Lanes], v, even)
-		} else {
-			odd = math.FMA(col[j*Lanes], v, odd)
-		}
-	}
-	return even + odd
 }
 
 // AlmBins is AlmRI for every bin of a primary at once, vectorised over bins
@@ -181,9 +130,8 @@ func laneDot(col, row []float64) float64 {
 // ReduceBins' transposed sums (Mono.Len() rows of BinStride(nb)), and slot
 // i's row over the nb bins goes to dst[i*stride:], its real parts at
 // [0, nb) and its imaginary parts at [nb, 2nb). Each value is bitwise
-// AlmRI's for that bin's sums, whenever those are finite: the chain of a
-// slot's nonzero terms in AlmRI's order, then the + 0 that AlmRI's all-zero
-// chain contributes (which turns a -0 into +0).
+// AlmRI's for that bin's sums: both are binDot over the slot's
+// coefficients.
 func (t *YlmTable) AlmBins(sums []float64, nb int, dst []float64, stride int) {
 	t.checkBins(sums, nb, dst, stride)
 	almBins(t, sums, nil, dst, nil, nb, stride)
@@ -237,9 +185,9 @@ func almBinsGeneric(t *YlmTable, sums, scale, dst, w []float64, nb, stride int) 
 	}
 }
 
-// binDot is laneDot's nonzero chain for one bin: coefficient k times the sum
-// k*step values along, a math.FMA chain from +0, and then + 0 for the chain
-// of zero coefficients laneDot adds.
+// binDot is one slot's a_lm part for one bin: coefficient k times the sum
+// k*step values along, a math.FMA chain from +0, and then + 0 (so a chain
+// that ends in -0 reads +0, as almBinsAsm's does).
 func binDot(c, col []float64, step int) float64 {
 	var acc float64
 	for k, v := range c {

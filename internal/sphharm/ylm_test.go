@@ -5,7 +5,6 @@ import (
 	"math/cmplx"
 	"math/rand"
 	"testing"
-	"unsafe"
 )
 
 func randUnit(rng *rand.Rand) (x, y, z float64) {
@@ -68,24 +67,30 @@ func TestYlmDirectKnownForms(t *testing.T) {
 }
 
 func TestYlmTableMatchesDirect(t *testing.T) {
-	const L = 10
-	mono := NewMonomialTable(L)
-	tab := NewYlmTable(L, mono)
-	scratch := make([]float64, mono.Len())
-	out := make([]complex128, PairCount(L))
+	// EvalPoint (the monomials, then Alm) against the closed form, on a
+	// table over its own monomial layout and over one of higher order.
 	rng := rand.New(rand.NewSource(8))
-	for i := 0; i < 200; i++ {
-		x, y, z := randUnit(rng)
-		theta := math.Acos(z)
-		phi := math.Atan2(y, x)
-		tab.EvalPoint(x, y, z, scratch, out)
-		for l := 0; l <= L; l++ {
-			for m := 0; m <= l; m++ {
-				got := out[PairIndex(l, m)]
-				want := YlmDirect(l, m, theta, phi)
-				if cmplx.Abs(got-want) > 1e-10 {
-					t.Fatalf("table Y_%d^%d at (%v,%v,%v) = %v, want %v",
-						l, m, x, y, z, got, want)
+	for _, c := range []struct{ l, monoL int }{{10, 10}, {6, 8}} {
+		mono := NewMonomialTable(c.monoL)
+		tab := NewYlmTable(c.l, mono)
+		scratch := make([]float64, mono.Len())
+		out := make([]complex128, PairCount(c.l))
+		for i := 0; i < 200; i++ {
+			x, y, z := randUnit(rng)
+			theta := math.Acos(z)
+			phi := math.Atan2(y, x)
+			for j := range out {
+				out[j] = complex(math.NaN(), math.NaN()) // every slot must be written
+			}
+			tab.EvalPoint(x, y, z, scratch, out)
+			for l := 0; l <= c.l; l++ {
+				for m := 0; m <= l; m++ {
+					got := out[PairIndex(l, m)]
+					want := YlmDirect(l, m, theta, phi)
+					if cmplx.Abs(got-want) > 1e-10 {
+						t.Fatalf("L=%d (layout %d) table Y_%d^%d at (%v,%v,%v) = %v, want %v",
+							c.l, c.monoL, l, m, x, y, z, got, want)
+					}
 				}
 			}
 		}
@@ -211,59 +216,5 @@ func TestNewYlmTableSharesMonoOrNil(t *testing.T) {
 	tab2 := NewYlmTable(6, nil)
 	if tab2.Mono == nil || tab2.Mono.L != 6 {
 		t.Error("nil mono should construct a fresh table of matching order")
-	}
-}
-
-func TestAlmRIDispatchAgreesWithGeneric(t *testing.T) {
-	// The vector AlmRI (one matrix-vector product per eight degrees of an
-	// order, even and odd columns in two FMA chains) and the portable body
-	// perform the same operations in the same order: bitwise equal, for every
-	// block shape — one partial block, full blocks, several per order — and
-	// over a layout of higher order than the table. Alm, the portable body
-	// with complex output, carries the same bits.
-	rng := rand.New(rand.NewSource(5))
-	for _, c := range []struct{ l, monoL int }{{0, 0}, {1, 1}, {4, 4}, {7, 7}, {8, 8}, {10, 10}, {6, 8}, {12, 12}, {20, 20}} {
-		mono := NewMonomialTable(c.monoL)
-		tab := NewYlmTable(c.l, mono)
-		m := make([]float64, mono.Len())
-		for i := range m {
-			m[i] = rng.NormFloat64()
-		}
-		pc := PairCount(c.l)
-		wre, wim := make([]float64, pc), make([]float64, pc)
-		almRIGeneric(tab, m, wre, wim)
-		alm := make([]complex128, pc)
-		tab.Alm(m, alm)
-		check := func(what string, re, im []float64) {
-			t.Helper()
-			for i := range wre {
-				if math.Float64bits(re[i]) != math.Float64bits(wre[i]) || math.Float64bits(im[i]) != math.Float64bits(wim[i]) {
-					t.Fatalf("%s L=%d (layout %d) slot %d: (%v, %v) vs generic (%v, %v)", what, c.l, c.monoL, i, re[i], im[i], wre[i], wim[i])
-				}
-			}
-		}
-		eachDispatch(t, func(tag string) {
-			re, im := make([]float64, pc), make([]float64, pc)
-			for i := range re {
-				re[i], im[i] = math.NaN(), math.NaN() // every slot must be written
-			}
-			tab.AlmRI(m, re, im)
-			check("AlmRI "+tag, re, im)
-		})
-		are, aim := make([]float64, pc), make([]float64, pc)
-		for i, a := range alm {
-			are[i], aim[i] = real(a), imag(a)
-		}
-		check("Alm", are, aim)
-	}
-}
-
-func TestAlmBlockLayout(t *testing.T) {
-	// almRIAsm addresses almBlock by fixed offsets.
-	var b almBlock
-	if unsafe.Sizeof(b) != 96 || unsafe.Offsetof(b.im) != 8 || unsafe.Offsetof(b.ncol) != 16 ||
-		unsafe.Offsetof(b.mask) != 24 || unsafe.Offsetof(b.out) != 32 {
-		t.Fatalf("almBlock layout moved: size %d, offsets im %d ncol %d mask %d out %d",
-			unsafe.Sizeof(b), unsafe.Offsetof(b.im), unsafe.Offsetof(b.ncol), unsafe.Offsetof(b.mask), unsafe.Offsetof(b.out))
 	}
 }
