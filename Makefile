@@ -140,11 +140,16 @@ fuzz-smoke:
 
 # The line budget as a command (ROADMAP item 6): non-test Go lines per
 # package outside bench/ and their total with the internal package count,
-# then the assembly lines beside them.
+# then the assembly lines beside them. Each internal package also shows how
+# many non-test packages import it (go list's Imports), so a package with
+# one importer, a candidate to fold into it, reads off the table.
 loc:
-	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' -print0 | xargs -0 wc -l | \
-		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
-			END { for (d in n) { printf "%7d  %s\n", n[d], d | "sort -k2"; if (d ~ /^\.\/internal\//) k++ } \
+	@{ $(GO) list -f '{{range .Imports}}imports {{.}}{{"\n"}}{{end}}' ./...; \
+		find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' -print0 | xargs -0 wc -l; } | \
+		awk '$$1 == "imports" { if (sub(/^galactos\/internal\//, "./internal/", $$2)) imp[$$2]++; next } \
+			$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+			END { for (d in n) { if (d ~ /^\.\/internal\//) { k++; s = sprintf("  (imported by %d)", imp[d]) } else s = ""; \
+					printf "%7d  %s%s\n", n[d], d, s | "sort -k2" } \
 				close("sort -k2"); printf "%7d  total (%d internal packages)\n", t, k }'
 	@find . -name '*.s' ! -path './bench/*' -print0 | xargs -0 cat | wc -l | awk '{ printf "%7d  asm (.s)\n", $$1 }'
 

@@ -23,7 +23,6 @@ import (
 	"galactos/internal/geom"
 	"galactos/internal/hist"
 	"galactos/internal/kdtree"
-	"galactos/internal/nbr"
 	"galactos/internal/sphharm"
 )
 
@@ -277,7 +276,7 @@ func BenchmarkUnitGather(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(neighbors), "ns/nbr")
 		b.ReportMetric(float64(neighbors)/float64(b.N*K), "nbrs/query")
 	}
-	var blk nbr.Block
+	var blk kdtree.Block
 	block := func(tree *kdtree.Tree[float32]) int {
 		tree.QueryRadiusImagesBlock(centers, rmax, images, &blk)
 		return len(blk.IDs)

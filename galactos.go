@@ -41,7 +41,6 @@ import (
 	"galactos/internal/exec"
 	"galactos/internal/geom"
 	"galactos/internal/scenario"
-	"galactos/internal/stats"
 	"galactos/internal/twopcf"
 )
 
@@ -193,12 +192,12 @@ func LandySzalay(data, random *Catalog, cfg TwoPCFConfig) ([]float64, error) {
 }
 
 // CovarianceMatrix is a dense square matrix with inversion and diagnostics.
-type CovarianceMatrix = stats.Matrix
+type CovarianceMatrix = estimator.Matrix
 
 // JackknifeCovariance estimates a covariance matrix from per-subvolume
 // samples of a statistic (paper Sec. 6.1).
 func JackknifeCovariance(samples [][]float64) (*CovarianceMatrix, error) {
-	return stats.JackknifeCovariance(samples)
+	return estimator.JackknifeCovariance(samples)
 }
 
 // EdgeCorrected holds survey-geometry-corrected isotropic multipoles.

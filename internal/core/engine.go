@@ -14,7 +14,6 @@ import (
 	"galactos/internal/geom"
 	"galactos/internal/hist"
 	"galactos/internal/kdtree"
-	"galactos/internal/nbr"
 	"galactos/internal/sphharm"
 )
 
@@ -51,7 +50,7 @@ const (
 // property tests pin that.
 type NeighborFinder interface {
 	QueryRadiusImages(center geom.Vec3, r float64, images []geom.Vec3, out []int32) []int32
-	QueryRadiusImagesBlock(centers []geom.Vec3, r float64, images []geom.Vec3, blk *nbr.Block)
+	QueryRadiusImagesBlock(centers []geom.Vec3, r float64, images []geom.Vec3, blk *kdtree.Block)
 }
 
 // Compute runs the full anisotropic 3PCF computation over a catalog. All
@@ -605,7 +604,7 @@ type workerState struct {
 
 	// Unit gather: query centers and the block query's result.
 	centers []geom.Vec3
-	nbr     nbr.Block
+	nbr     kdtree.Block
 
 	// Pair-tile scratch (per primary), sized by the longest neighbor list
 	// seen. cols is the sweep's linear output, the surviving pairs in gather

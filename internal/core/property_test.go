@@ -10,7 +10,7 @@ import (
 	"galactos/internal/catalog"
 	"galactos/internal/geom"
 	"galactos/internal/hist"
-	"galactos/internal/nbr"
+	"galactos/internal/kdtree"
 	"galactos/internal/sphharm"
 )
 
@@ -369,7 +369,7 @@ func TestBlockedMatchesPerPrimaryBitwise(t *testing.T) {
 // one QueryRadiusImages call per centre, at the radius it is given.
 type perCentre struct{ NeighborFinder }
 
-func (f perCentre) QueryRadiusImagesBlock(centers []geom.Vec3, r float64, images []geom.Vec3, blk *nbr.Block) {
+func (f perCentre) QueryRadiusImagesBlock(centers []geom.Vec3, r float64, images []geom.Vec3, blk *kdtree.Block) {
 	blk.Reset(len(centers))
 	for _, c := range centers {
 		blk.IDs = f.QueryRadiusImages(c, r, images, blk.IDs)

@@ -1,11 +1,7 @@
-// Package stats implements the covariance machinery of Sec. 6.1: jackknife
-// estimation of the 3PCF covariance from spatial sub-volumes ("partitioning
-// the survey spatially to parallelize over many nodes amounts to
-// jack-knifing: retaining the local 3PCF results on a per node basis would
-// therefore constitute many samples of the 3PCF over small volumes"), plus
-// the dense linear algebra (inversion, condition diagnostics) needed to
-// weight data when fitting models.
-package stats
+// Jackknife covariance and the dense linear algebra (inversion, condition
+// diagnostics) needed to weight data when fitting models.
+
+package estimator
 
 import (
 	"fmt"
@@ -15,13 +11,13 @@ import (
 // Mean returns the element-wise mean of the sample vectors.
 func Mean(samples [][]float64) ([]float64, error) {
 	if len(samples) == 0 {
-		return nil, fmt.Errorf("stats: no samples")
+		return nil, fmt.Errorf("estimator: no samples")
 	}
 	d := len(samples[0])
 	mean := make([]float64, d)
 	for _, s := range samples {
 		if len(s) != d {
-			return nil, fmt.Errorf("stats: ragged samples (%d vs %d)", len(s), d)
+			return nil, fmt.Errorf("estimator: ragged samples (%d vs %d)", len(s), d)
 		}
 		for i, v := range s {
 			mean[i] += v
@@ -43,7 +39,7 @@ func Mean(samples [][]float64) ([]float64, error) {
 func JackknifeCovariance(samples [][]float64) (*Matrix, error) {
 	n := len(samples)
 	if n < 2 {
-		return nil, fmt.Errorf("stats: need at least 2 samples, got %d", n)
+		return nil, fmt.Errorf("estimator: need at least 2 samples, got %d", n)
 	}
 	mean, err := Mean(samples)
 	if err != nil {
@@ -86,7 +82,7 @@ func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.N+j] = v }
 // Mul returns m * o.
 func (m *Matrix) Mul(o *Matrix) (*Matrix, error) {
 	if m.N != o.N {
-		return nil, fmt.Errorf("stats: dimension mismatch %d vs %d", m.N, o.N)
+		return nil, fmt.Errorf("estimator: dimension mismatch %d vs %d", m.N, o.N)
 	}
 	n := m.N
 	out := NewMatrix(n)
@@ -135,7 +131,7 @@ func (m *Matrix) Inverse() (*Matrix, error) {
 			}
 		}
 		if best <= tol || math.IsNaN(best) {
-			return nil, fmt.Errorf("stats: singular matrix at column %d (pivot %g, scale %g)", col, best, scale)
+			return nil, fmt.Errorf("estimator: singular matrix at column %d (pivot %g, scale %g)", col, best, scale)
 		}
 		if pivot != col {
 			swapRows(a, n, pivot, col)
@@ -213,7 +209,7 @@ func (m *Matrix) CorrelationMatrix() (*Matrix, error) {
 	out := NewMatrix(n)
 	for i := 0; i < n; i++ {
 		if m.At(i, i) <= 0 {
-			return nil, fmt.Errorf("stats: non-positive variance at %d", i)
+			return nil, fmt.Errorf("estimator: non-positive variance at %d", i)
 		}
 	}
 	for i := 0; i < n; i++ {

@@ -1,19 +1,28 @@
-// Package estimator implements the survey-geometry correction of Sec. 6.1:
-// "one must also compute the 3PCF of hundreds of full-survey-size random
-// catalogs ... These random catalog results enable the removal of spurious
-// signal generated by the survey geometry. This correction step is key for
-// extracting constraints on cosmological parameters from the data."
+// Package estimator implements the two halves of the survey analysis of
+// Sec. 6.1: the geometry correction and the jackknife covariance.
 //
-// The machinery follows the paper's ref. [31] (Slepian & Eisenstein 2015):
-// the multipoles N_l of the data-minus-randoms field (D-R) measured in a
-// masked geometry mix different true multipoles zeta_l' through the window
-// multipoles f_l = R_l/R_0 of the random field. The mixing matrix
+// The geometry correction: "one must also compute the 3PCF of hundreds of
+// full-survey-size random catalogs ... These random catalog results enable
+// the removal of spurious signal generated by the survey geometry. This
+// correction step is key for extracting constraints on cosmological
+// parameters from the data." The machinery follows the paper's ref. [31]
+// (Slepian & Eisenstein 2015): the multipoles N_l of the data-minus-randoms
+// field (D-R) measured in a masked geometry mix different true multipoles
+// zeta_l' through the window multipoles f_l = R_l/R_0 of the random field.
+// The mixing matrix
 //
 //	M_{l l'} = (2l'+1) sum_{l''} f_{l''} [ 3j(l, l', l''; 0, 0, 0) ]^2
 //
 // couples them; inverting per radial-bin pair recovers the edge-corrected
 // zeta_l. For a maskless periodic volume f_{l”} = delta_{l”0} and M is the
 // identity — the correction degrades gracefully to a no-op.
+//
+// The covariance: "partitioning the survey spatially to parallelize over
+// many nodes amounts to jack-knifing: retaining the local 3PCF results on a
+// per node basis would therefore constitute many samples of the 3PCF over
+// small volumes." JackknifeCovariance estimates it from those per-region
+// samples, and Matrix carries the inversion and diagnostics a model fit
+// needs.
 package estimator
 
 import (
@@ -22,7 +31,6 @@ import (
 	"galactos/internal/catalog"
 	"galactos/internal/core"
 	"galactos/internal/sphharm"
-	"galactos/internal/stats"
 )
 
 // Corrected holds edge-corrected isotropic multipoles.
@@ -40,9 +48,9 @@ type Corrected struct {
 
 // MixingMatrix builds M_{l l'} for one radial-bin pair from the window
 // multipole ratios f (f[0] must be 1 by construction).
-func MixingMatrix(f []float64) *stats.Matrix {
+func MixingMatrix(f []float64) *Matrix {
 	lmax := len(f) - 1
-	m := stats.NewMatrix(lmax + 1)
+	m := NewMatrix(lmax + 1)
 	for l := 0; l <= lmax; l++ {
 		for lp := 0; lp <= lmax; lp++ {
 			s := 0.0

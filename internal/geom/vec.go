@@ -83,12 +83,6 @@ func (b Box) WidestAxis() int {
 	}
 }
 
-// Volume returns the volume of the box.
-func (b Box) Volume() float64 {
-	e := b.Extent()
-	return e.X * e.Y * e.Z
-}
-
 // Component returns the axis-th coordinate of v (0=x, 1=y, 2=z).
 func (v Vec3) Component(axis int) float64 {
 	switch axis {

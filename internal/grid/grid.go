@@ -10,7 +10,7 @@ import (
 	"math"
 
 	"galactos/internal/geom"
-	"galactos/internal/nbr"
+	"galactos/internal/kdtree"
 )
 
 // Grid is an immutable cell-list index over a fixed point set. Queries are
@@ -169,7 +169,7 @@ func (g *Grid) QueryRadiusImages(center geom.Vec3, r float64, images []geom.Vec3
 // data stay cache-resident across the per-center sweeps; the sweep itself
 // stays per center because each center's wrap-ordered cell window defines
 // its query order.
-func (g *Grid) QueryRadiusImagesBlock(centers []geom.Vec3, r float64, images []geom.Vec3, blk *nbr.Block) {
+func (g *Grid) QueryRadiusImagesBlock(centers []geom.Vec3, r float64, images []geom.Vec3, blk *kdtree.Block) {
 	blk.Reset(len(centers))
 	for _, c := range centers {
 		for _, off := range images {

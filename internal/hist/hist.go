@@ -63,10 +63,3 @@ func (b Binning) Edges() []float64 {
 	}
 	return e
 }
-
-// ShellVolume returns the volume of shell i.
-func (b Binning) ShellVolume(i int) float64 {
-	lo := b.RMin + float64(i)*b.Width()
-	hi := lo + b.Width()
-	return 4.0 / 3.0 * math.Pi * (hi*hi*hi - lo*lo*lo)
-}

@@ -92,18 +92,6 @@ func TestBinningCenter(t *testing.T) {
 	}
 }
 
-func TestShellVolumesSumToSphere(t *testing.T) {
-	b, _ := NewBinning(0, 100, 17)
-	sum := 0.0
-	for i := 0; i < b.N; i++ {
-		sum += b.ShellVolume(i)
-	}
-	want := 4.0 / 3.0 * math.Pi * 1e6
-	if math.Abs(sum-want) > 1e-6*want {
-		t.Errorf("shell volumes sum %v, want %v", sum, want)
-	}
-}
-
 func TestInvWidthMatchesIndex(t *testing.T) {
 	// Property: a hot loop that hoists InvWidth and computes
 	// int((r-RMin)*invW) must land every in-range radius in exactly the bin

@@ -196,7 +196,7 @@ func TestTornBatchReplaysToWholeFrames(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(torn, filepath.Base(seg)), whole[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		j2, got, err := Open(Options{Dir: torn, NoSync: true})
+		j2, got, err := Open(Options{Dir: torn})
 		if err != nil {
 			t.Fatal(err)
 		}

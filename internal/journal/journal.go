@@ -88,9 +88,6 @@ type Options struct {
 	// RotateBytes is the segment size threshold for rotation
 	// (default DefaultRotateBytes).
 	RotateBytes int64
-	// NoSync skips the per-record fsync — test-only; production commits
-	// must survive a kill.
-	NoSync bool
 	// Log, when non-nil, receives replay diagnostics (dropped frames,
 	// compaction summary).
 	Log func(format string, args ...any)
@@ -180,7 +177,7 @@ func Open(opts Options) (*Journal, []Record, error) {
 }
 
 // Append commits records as one batch: every frame in one write, then one
-// fsync. It returns only after the batch is durable (unless NoSync); a crash
+// fsync. It returns only after the batch is durable; a crash
 // during it leaves a prefix of whole frames and at most one torn one, which
 // replay drops. A record that does not fit a frame fails the batch before
 // anything is written. Segments past RotateBytes rotate first.
@@ -220,14 +217,7 @@ func (j *Journal) commitLocked(batch []byte) error {
 		return err
 	}
 	j.size += int64(len(batch))
-	return j.sync()
-}
-
-// sync is the commit point of everything written to the open segment.
-func (j *Journal) sync() error {
-	if j.opts.NoSync {
-		return nil
-	}
+	// The commit point of everything written to the open segment.
 	j.syncs++
 	return j.f.Sync()
 }

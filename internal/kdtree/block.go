@@ -1,19 +1,18 @@
-// Package nbr defines the result type shared by the block-granular neighbor
-// queries (QueryRadiusImagesBlock on the k-d tree and grid finders). A Block
-// carries, for a batch of query centers, the concatenated per-center
-// neighbor id lists. The contract the finders uphold — and the finder and
-// engine bitwise tests pin — is that each center's list has exactly the
-// content and order its own QueryRadiusImages call would produce; the block
-// entry point only amortizes the traversal, never changes the answer.
+package kdtree
+
+// Block is the output of one block-granular neighbor query
+// (QueryRadiusImagesBlock on the k-d tree and on the grid finder): for a
+// batch of query centers, the concatenated per-center neighbor id lists.
+// Each center's list has exactly the content and order its own
+// QueryRadiusImages call would produce (TestBlockQueryMatchesPerCenter and
+// the engine's bitwise tests pin it); the block entry point only amortizes
+// the traversal. Finders fill it center by center: append the center's ids
+// to IDs, then Seal.
 //
 // The struct doubles as reusable scratch: all slices grow amortized and are
 // reused across queries, so a steady-state block query performs no
 // allocations. A Block is owned by a single worker and is not safe for
 // concurrent use.
-package nbr
-
-// Block is the output of one block-granular neighbor query. Finders fill it
-// center by center: append the center's ids to IDs, then Seal.
 type Block struct {
 	// IDs holds the neighbor ids of all centers, grouped by center: center
 	// c's neighbors are IDs[Offs[c]:Offs[c+1]], in the center's individual

@@ -1,4 +1,4 @@
-package nbr_test
+package kdtree_test
 
 import (
 	"fmt"
@@ -11,13 +11,12 @@ import (
 	"galactos/internal/grid"
 	"galactos/internal/kdtree"
 	"galactos/internal/lanes"
-	"galactos/internal/nbr"
 )
 
 // finder is the engine's NeighborFinder contract.
 type finder interface {
 	QueryRadiusImages(center geom.Vec3, r float64, images []geom.Vec3, out []int32) []int32
-	QueryRadiusImagesBlock(centers []geom.Vec3, r float64, images []geom.Vec3, blk *nbr.Block)
+	QueryRadiusImagesBlock(centers []geom.Vec3, r float64, images []geom.Vec3, blk *kdtree.Block)
 }
 
 const (
@@ -31,7 +30,7 @@ const (
 // both tree precisions at leaf sizes below, at and above the 16-lane chunk
 // (40 exercises the multi-chunk leaf loop), the grid, both lane bodies where
 // the host has them, open and 27-image periodic queries, and blocks of 64,
-// 31, 2 and 1 centers answered out of one reused nbr.Block in that
+// 31, 2 and 1 centers answered out of one reused Block in that
 // (shrinking) order. The centers span the whole tree and lie outside it; the
 // point sets include an empty one, triplicated points, and points at exactly
 // d^2 == r^2 (inclusive) with their next-float neighbours just outside.
@@ -91,7 +90,7 @@ func TestBlockQueryMatchesPerCenter(t *testing.T) {
 						continue // the grid wraps natively; the engine never hands it images
 					}
 					name := fmt.Sprintf("vector=%v/%s/%s/%s", vector, ps.name, fname, is.name)
-					var blk nbr.Block
+					var blk kdtree.Block
 					hits := 0
 					for _, nc := range []int{64, 31, 2, 1} {
 						f.QueryRadiusImagesBlock(centers[:nc], radius, is.images, &blk)
@@ -142,7 +141,7 @@ func edgePoints() []geom.Vec3 {
 // none of their partners is.
 func TestBoundaryPointsAreInclusive(t *testing.T) {
 	tree := kdtree.Build[float32](edgePoints(), 0)
-	var blk nbr.Block
+	var blk kdtree.Block
 	tree.QueryRadiusImagesBlock([]geom.Vec3{edgeC0, edgeC1}, radius, geom.Periodic{L: boxL}.Images(radius), &blk)
 	got := slices.Clone(blk.List(0))
 	slices.Sort(got)

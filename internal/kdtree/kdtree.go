@@ -18,7 +18,6 @@ import (
 
 	"galactos/internal/geom"
 	"galactos/internal/lanes"
-	"galactos/internal/nbr"
 )
 
 // Float constrains the coordinate storage precision.
@@ -361,7 +360,7 @@ type boxes16[T Float] struct {
 	c0, c1                             [16]int32
 }
 
-// leafList is the block query's scratch (kept on the nbr.Block between
+// leafList is the block query's scratch (kept on the Block between
 // calls): the leaves pass 1 reached, image by image in tree order. Each
 // image's run starts a fresh boxes16 group and the unused lanes of its last
 // group hold the never-hit box [+Inf, -Inf], so pass 2 tests whole groups.
@@ -400,7 +399,7 @@ func newLeafList[T Float]() *leafList[T] {
 // in each center's run: boxMask over 16 leaf boxes at a time, then leafHits
 // over the 16-point chunks of each leaf that passed. Node descent is paid
 // once per block, and both tests run in lanes.
-func (t *Tree[T]) QueryRadiusImagesBlock(centers []geom.Vec3, r float64, images []geom.Vec3, blk *nbr.Block) {
+func (t *Tree[T]) QueryRadiusImagesBlock(centers []geom.Vec3, r float64, images []geom.Vec3, blk *Block) {
 	nc := len(centers)
 	blk.Reset(nc)
 	if len(t.nodes) == 0 || nc == 0 {

@@ -1,4 +1,4 @@
-package gridded
+package scenario
 
 import (
 	"math"
@@ -9,7 +9,27 @@ import (
 	"galactos/internal/geom"
 )
 
-func testConfig() core.Config {
+// totalWeight returns the deposited mass (the catalog's total weight).
+func (m *mesh) totalWeight() float64 {
+	s := 0.0
+	for _, w := range m.w {
+		s += w
+	}
+	return s
+}
+
+// occupiedCells counts cells with nonzero weight.
+func (m *mesh) occupiedCells() int {
+	n := 0
+	for _, w := range m.w {
+		if w != 0 {
+			n++
+		}
+	}
+	return n
+}
+
+func griddedConfig() core.Config {
 	cfg := core.DefaultConfig()
 	cfg.RMax = 30
 	cfg.NBins = 6 // bin width 5
@@ -26,11 +46,11 @@ func TestMassConservation(t *testing.T) {
 		}
 	}
 	want := cat.TotalWeight()
-	m, err := NewMesh(cat, 25)
+	m, err := newMesh(cat, 25)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := m.TotalWeight(); math.Abs(got-want) > 1e-9*math.Abs(want) {
+	if got := m.totalWeight(); math.Abs(got-want) > 1e-9*math.Abs(want) {
 		t.Errorf("total weight %v, want %v", got, want)
 	}
 }
@@ -56,17 +76,17 @@ func TestNGPExactAtCellCenters(t *testing.T) {
 			}
 		}
 	}
-	cfg := testConfig()
+	cfg := griddedConfig()
 	direct, err := core.Compute(cat, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gridRes, m, err := Compute(cat, n, cfg)
+	gridRes, m, err := griddedCompute(cat, n, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.OccupiedCells() != cat.Len() {
-		t.Fatalf("occupied %d cells, want %d", m.OccupiedCells(), cat.Len())
+	if m.occupiedCells() != cat.Len() {
+		t.Fatalf("occupied %d cells, want %d", m.occupiedCells(), cat.Len())
 	}
 	if d := gridRes.MaxAbsDiff(direct); d > 1e-9*direct.MaxAbs() {
 		t.Errorf("gridded differs from direct by %v at exact cell centers", d)
@@ -77,14 +97,14 @@ func TestGriddedApproximatesParticles(t *testing.T) {
 	// At fine resolution the gridded monopole must approach the particle
 	// computation, and the error must shrink as the mesh refines.
 	cat := catalog.Clustered(3000, 120, catalog.DefaultClusterParams(), 3)
-	cfg := testConfig()
+	cfg := griddedConfig()
 	cfg.SelfCount = false // cell merging changes self-pairs; compare raw moments
 	direct, err := core.Compute(cat, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	relErr := func(meshN int) float64 {
-		res, _, err := Compute(cat, meshN, cfg)
+		res, _, err := griddedCompute(cat, meshN, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,17 +131,17 @@ func TestGriddedApproximatesParticles(t *testing.T) {
 func TestGriddedAccelerates(t *testing.T) {
 	// The whole point of Sec. 6.3's extension: far fewer pairs.
 	cat := catalog.Uniform(20000, 100, 5)
-	cfg := testConfig()
+	cfg := griddedConfig()
 	cfg.SelfCount = false
 	direct, err := core.Compute(cat, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, m, err := Compute(cat, 20, cfg)
+	res, m, err := griddedCompute(cat, 20, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.OccupiedCells() >= cat.Len() {
+	if m.occupiedCells() >= cat.Len() {
 		t.Skip("catalog too sparse for cell merging at this size")
 	}
 	if res.Pairs >= direct.Pairs {
@@ -131,15 +151,15 @@ func TestGriddedAccelerates(t *testing.T) {
 
 func TestMeshValidation(t *testing.T) {
 	cat := catalog.Uniform(10, 50, 1)
-	if _, err := NewMesh(cat, 0); err == nil {
+	if _, err := newMesh(cat, 0); err == nil {
 		t.Error("zero mesh accepted")
 	}
 	open := &catalog.Catalog{}
-	if _, err := NewMesh(open, 10); err == nil {
+	if _, err := newMesh(open, 10); err == nil {
 		t.Error("open-boundary catalog accepted")
 	}
-	cfg := testConfig()
-	if _, _, err := Compute(cat, 4, cfg); err == nil {
+	cfg := griddedConfig()
+	if _, _, err := griddedCompute(cat, 4, cfg); err == nil {
 		t.Error("cell coarser than bin width accepted")
 	}
 }
@@ -149,11 +169,11 @@ func TestPeriodicDeposition(t *testing.T) {
 	cat := &catalog.Catalog{Box: geom.Periodic{L: 10}, Galaxies: []catalog.Galaxy{
 		{Pos: geom.Vec3{X: 9.99, Y: 0.01, Z: 5}, Weight: 1},
 	}}
-	m, err := NewMesh(cat, 5)
+	m, err := newMesh(cat, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(m.TotalWeight()-1) > 1e-12 {
-		t.Errorf("edge galaxy lost mass: %v", m.TotalWeight())
+	if math.Abs(m.totalWeight()-1) > 1e-12 {
+		t.Errorf("edge galaxy lost mass: %v", m.totalWeight())
 	}
 }

@@ -16,7 +16,6 @@ import (
 	"galactos/internal/core"
 	"galactos/internal/exec"
 	"galactos/internal/geom"
-	"galactos/internal/gridded"
 	"galactos/internal/twopcf"
 )
 
@@ -632,7 +631,7 @@ func griddedVsExact() *Scenario {
 		Run: func(ctx context.Context, spec exec.Spec, n int, seed int64) (*Outcome, error) {
 			n = clampN(n, 400)
 			base := catalog.Uniform(n, boxL, seed)
-			// Snap to the same cell centers Mesh.Catalog emits, so the
+			// Snap to the same cell centers mesh.tracers emits, so the
 			// mesh is an exact re-encoding of the catalog.
 			const cell = boxL / meshN
 			snapped := &catalog.Catalog{Box: base.Box, Galaxies: make([]catalog.Galaxy, len(base.Galaxies))}
@@ -650,7 +649,7 @@ func griddedVsExact() *Scenario {
 			if err != nil {
 				return nil, err
 			}
-			gres, _, err := gridded.Compute(snapped, meshN, cfg)
+			gres, _, err := griddedCompute(snapped, meshN, cfg)
 			if err != nil {
 				return nil, err
 			}

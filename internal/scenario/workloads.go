@@ -16,7 +16,6 @@ import (
 	"galactos/internal/estimator"
 	"galactos/internal/exec"
 	"galactos/internal/partition"
-	"galactos/internal/stats"
 )
 
 // stage returns the template request tmpl running cat as the named stage of
@@ -88,7 +87,7 @@ type Jackknife struct {
 	Samples [][]float64
 	Mean    []float64
 	// Cov is the jackknife covariance of the statistic.
-	Cov *stats.Matrix
+	Cov *estimator.Matrix
 	// FullRun holds the full-sample stage; LOORuns the leave-one-out
 	// stages in region order (per-unit stats for resume assertions).
 	FullRun *exec.RunResult
@@ -174,11 +173,11 @@ func RunJackknife(ctx context.Context, tmpl exec.Request, cat *catalog.Catalog, 
 		out.Samples[p] = statVector(run.Result)
 	}
 
-	out.Mean, err = stats.Mean(out.Samples)
+	out.Mean, err = estimator.Mean(out.Samples)
 	if err != nil {
 		return nil, err
 	}
-	out.Cov, err = stats.JackknifeCovariance(out.Samples)
+	out.Cov, err = estimator.JackknifeCovariance(out.Samples)
 	if err != nil {
 		return nil, err
 	}

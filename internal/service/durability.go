@@ -36,9 +36,8 @@ func (s *Server) openState() error {
 		return fmt.Errorf("service: creating state dir: %w", err)
 	}
 	jnl, records, err := journal.Open(journal.Options{
-		Dir:         filepath.Join(sd, "journal"),
-		RotateBytes: s.opts.JournalRotateBytes,
-		Log:         s.opts.Log,
+		Dir: filepath.Join(sd, "journal"),
+		Log: s.opts.Log,
 	})
 	if err != nil {
 		return fmt.Errorf("service: opening journal: %w", err)

@@ -95,9 +95,6 @@ type Options struct {
 	// re-enqueued under their original ids, resuming from their shard
 	// checkpoints instead of recomputing. See DESIGN.md, "Durability".
 	StateDir string
-	// JournalRotateBytes overrides the journal's segment-rotation
-	// threshold (tests; 0 selects the journal package default).
-	JournalRotateBytes int64
 	// Log, when non-nil, receives server-level progress lines.
 	Log func(format string, args ...any)
 }

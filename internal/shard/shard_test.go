@@ -297,7 +297,7 @@ func TestMergeAssociativity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parts := slabPartials(t, cat, 4, cfg)
+	parts := partResults(t, cat, 4, cfg)
 	groupings := [][][]int{
 		{{0}, {1}, {2}, {3}},
 		{{0, 1}, {2, 3}},
@@ -322,10 +322,10 @@ func TestMergeAssociativity(t *testing.T) {
 	}
 }
 
-// slabPartials returns the per-slab partial results of a real run: the
+// partResults returns the per-part partial results of a real run: the
 // checkpoints Compute wrote, so the groupings above exercise real shard
 // outputs.
-func slabPartials(t *testing.T, cat *catalog.Catalog, nshards int, cfg core.Config) []*core.Result {
+func partResults(t *testing.T, cat *catalog.Catalog, nshards int, cfg core.Config) []*core.Result {
 	t.Helper()
 	dir := t.TempDir()
 	if _, _, err := compute(cat, cfg, Options{NShards: nshards, CheckpointDir: dir, Keep: true}); err != nil {

@@ -26,10 +26,10 @@ func streamFaultSetup(t *testing.T, seed int64) (*catalog.Catalog, core.Config, 
 	return cat, cfg, dir, first
 }
 
-// TestStreamCorruptSlabCheckpointRecomputed: a slab checkpoint with a flipped
+// TestStreamCorruptPartCheckpointRecomputed: a part checkpoint with a flipped
 // payload byte is detected, recomputed, and the merged result is bitwise
 // identical — recompute-and-continue, never a hard failure.
-func TestStreamCorruptSlabCheckpointRecomputed(t *testing.T) {
+func TestStreamCorruptPartCheckpointRecomputed(t *testing.T) {
 	cat, cfg, dir, first := streamFaultSetup(t, 37)
 	victim := checkpointPath(dir, 1, 3)
 	data, err := os.ReadFile(victim)
@@ -47,17 +47,17 @@ func TestStreamCorruptSlabCheckpointRecomputed(t *testing.T) {
 		t.Fatal(err)
 	}
 	if stats[1].Resumed {
-		t.Error("corrupt slab checkpoint was trusted instead of recomputed")
+		t.Error("corrupt part checkpoint was trusted instead of recomputed")
 	}
 	if d := res.MaxAbsDiff(first); d != 0 {
-		t.Errorf("result after recomputing corrupt slab differs by %v", d)
+		t.Errorf("result after recomputing corrupt part differs by %v", d)
 	}
 }
 
-// TestStreamTruncatedSlabCheckpointRecomputed: a checkpoint cut short (a
+// TestStreamTruncatedPartCheckpointRecomputed: a checkpoint cut short (a
 // kill mid-write on a filesystem without atomic rename) degrades the same
 // way.
-func TestStreamTruncatedSlabCheckpointRecomputed(t *testing.T) {
+func TestStreamTruncatedPartCheckpointRecomputed(t *testing.T) {
 	cat, cfg, dir, first := streamFaultSetup(t, 41)
 	victim := checkpointPath(dir, 0, 3)
 	data, err := os.ReadFile(victim)
@@ -74,22 +74,22 @@ func TestStreamTruncatedSlabCheckpointRecomputed(t *testing.T) {
 		t.Fatal(err)
 	}
 	if stats[0].Resumed {
-		t.Error("truncated slab checkpoint was trusted instead of recomputed")
+		t.Error("truncated part checkpoint was trusted instead of recomputed")
 	}
 	if d := res.MaxAbsDiff(first); d != 0 {
-		t.Errorf("result after recomputing truncated slab differs by %v", d)
+		t.Errorf("result after recomputing truncated part differs by %v", d)
 	}
 }
 
 // TestStreamMismatchedCheckpointRespilled exercises the revalidation
 // degradation: a checkpoint that loads cleanly and matches the run config
-// but carries the wrong primary count (a different slab decomposition)
+// but carries the wrong primary count (a different part decomposition)
 // passes the resume pre-scan — so the scatter pass skips its records — and
-// only fails the per-slab revalidation. The slab must then be re-spilled
+// only fails the per-part revalidation. The part must then be re-spilled
 // with a targeted pass and recomputed, not hard-fail the run.
 func TestStreamMismatchedCheckpointRespilled(t *testing.T) {
 	cat, cfg, dir, first := streamFaultSetup(t, 43)
-	// A valid same-config partial with a primary count no slab owns.
+	// A valid same-config partial with a primary count no part owns.
 	decoy := catalog.Clustered(50, 160, catalog.DefaultClusterParams(), 99)
 	res, err := core.Compute(decoy, cfg)
 	if err != nil {
@@ -108,10 +108,10 @@ func TestStreamMismatchedCheckpointRespilled(t *testing.T) {
 		t.Error("mismatched checkpoint was trusted instead of recomputed")
 	}
 	if stats[0].Resumed != true || stats[2].Resumed != true {
-		t.Error("intact slab checkpoints were not reused")
+		t.Error("intact part checkpoints were not reused")
 	}
 	if d := got.MaxAbsDiff(first); d != 0 {
-		t.Errorf("result after re-spilling mismatched slab differs by %v", d)
+		t.Errorf("result after re-spilling mismatched part differs by %v", d)
 	}
 }
 

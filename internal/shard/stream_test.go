@@ -157,7 +157,7 @@ func TestStreamCheckpointResume(t *testing.T) {
 	}
 }
 
-// TestStreamPartialResume: with one checkpoint missing, the all-slabs fast
+// TestStreamPartialResume: with one checkpoint missing, the all-parts fast
 // path steps aside and the spill path recomputes exactly the gap.
 func TestStreamPartialResume(t *testing.T) {
 	cat := catalog.Clustered(700, 160, catalog.DefaultClusterParams(), 31)
@@ -183,7 +183,7 @@ func TestStreamPartialResume(t *testing.T) {
 		}
 	}
 	if recomputed != 1 {
-		t.Fatalf("recomputed %d slabs, want exactly the deleted one", recomputed)
+		t.Fatalf("recomputed %d parts, want exactly the deleted one", recomputed)
 	}
 	if d := res.MaxAbsDiff(first); d != 0 {
 		t.Fatalf("partially resumed result differs: max |diff| %.3e", d)
