@@ -47,7 +47,10 @@ func benchConfig(rmax float64) galactos.Config {
 // (the z-power hoist inside it), AVX-512 lane bodies where available — at
 // the chunk lengths the engine hands it: 8, 22, 73 are
 // the mean pairs per kernel chunk on stream_sharded, iso_survey and
-// aniso_box (EXPERIMENTS.md "Layer: block commit + chunk dispatch"), 128 is
+// aniso_box (EXPERIMENTS.md "Layer: block commit + chunk dispatch"); 4, 12
+// and 20 are the mean sizes of iso_survey's tiles of one, two and three
+// 8-pair vectors, the register-resident chunks (n < 32) whose cost follows
+// their vector count; 128 is
 // one full chunk, and 1024 (eight chunks) is the bench's
 // sphharm.tile_ns_per_pair probe shape. ns/chunk at n <= 128 is the chunk's
 // fixed cost plus n pairs of streaming work. The portable/ rows bind the
@@ -70,7 +73,7 @@ func BenchmarkKernelTile(b *testing.B) {
 		if portable {
 			prefix = "portable/"
 		}
-		for _, n := range []int{8, 22, 73, 128, 1024} {
+		for _, n := range []int{4, 8, 12, 20, 22, 73, 128, 1024} {
 			shapes = append(shapes, shape{fmt.Sprintf("%sn=%d", prefix, n), n, 128, portable})
 		}
 	}

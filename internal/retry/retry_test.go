@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -94,21 +95,9 @@ func TestDoExhaustionWrapsLastError(t *testing.T) {
 	if err == nil || !errors.Is(err, syscall.EIO) {
 		t.Fatalf("Do = %v, want wrapped EIO", err)
 	}
-	if want := "flaky-op: giving up after 3 attempts"; err != nil && !contains(err.Error(), want) {
+	if want := "flaky-op: giving up after 3 attempts"; err != nil && !strings.Contains(err.Error(), want) {
 		t.Errorf("error %q does not mention %q", err, want)
 	}
-}
-
-func contains(s, sub string) bool {
-	return len(s) >= len(sub) && (s == sub || len(sub) == 0 ||
-		func() bool {
-			for i := 0; i+len(sub) <= len(s); i++ {
-				if s[i:i+len(sub)] == sub {
-					return true
-				}
-			}
-			return false
-		}())
 }
 
 func TestDoHonorsContextDuringBackoff(t *testing.T) {

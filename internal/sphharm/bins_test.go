@@ -109,8 +109,10 @@ func binsTail(tab *YlmTable, c binsCase, iso bool, aS, wXY []float64, row, strid
 // TestBinsTailMatchesPerBinTail pins the tentpole's bit-for-bit claim: one
 // ReduceBins + AlmBins over all bins of a primary writes exactly the slab
 // rows that per-bin ReduceClear + AlmRI + copy wrote — under every dispatch,
-// for bin counts around the eight-bin groups, for orders with one partial
-// conversion block through several full ones, in both slab layouts, with
+// for every bin count to 24 (each last reduce group of one to eight bins,
+// so both reduce paths, and each conversion block of one or two groups
+// under every chunk mask), for orders with one partial conversion block
+// through several full ones, in both slab layouts, with
 // untouched bins (+0 rows whatever their accumulators hold, even under a
 // negative weight), -0 sums and chains that underflow to -0 (which binDot's
 // closing + 0 turns into +0) — and touches nothing outside the primary's rows
@@ -123,7 +125,7 @@ func TestBinsTailMatchesPerBinTail(t *testing.T) {
 			mono := NewMonomialTable(l)
 			tab := NewYlmTable(l, mono)
 			pc := PairCount(l)
-			for _, nb := range []int{1, 3, 6, 8, 9, 10, 16, 20} {
+			for nb := 1; nb <= 24; nb++ {
 				stride := k * 2 * nb
 				shapes := []struct {
 					name  string
@@ -157,15 +159,16 @@ func TestBinsTailMatchesPerBinTail(t *testing.T) {
 
 // TestSumTileMatchesClearedAccumulate pins SumTile, which never reads its
 // accumulator, to AccumulateTile into a cleared one bit for bit under every
-// dispatch: register-resident chunks (n < 32), chunks with quads, tiles of
-// several chunks (only the first starts from +0), and the empty tile.
+// dispatch at every ladderNs length: register-resident chunks of each
+// vector count (n < 32), chunks with quads, tiles of several chunks (only
+// the first starts from +0), and the empty tile.
 func TestSumTileMatchesClearedAccumulate(t *testing.T) {
 	rng := rand.New(rand.NewSource(68))
 	eachDispatch(t, func(tag string) {
 		for _, l := range []int{0, 1, 4, 10} {
 			tab := NewMonomialTable(l)
 			k := NewKernel(tab, 128)
-			for _, n := range []int{0, 1, 7, 8, 9, 31, 32, 33, 128, 129, 300} {
+			for _, n := range ladderNs {
 				xs, ys, zs, ws := randBucket(rng, n)
 				want := make([]float64, AccumulatorLen(tab))
 				k.AccumulateTile(xs, ys, zs, ws, want)
@@ -180,11 +183,14 @@ func TestSumTileMatchesClearedAccumulate(t *testing.T) {
 // TestReduceBinsMatchesReduce checks the transposed layout directly: column
 // b of row i is Reduce's sum i of bin b for every bin with pairs, and +0 for
 // the others (whose accumulators hold NaN here) and the padding columns,
-// under every dispatch, with acc left as it was.
+// under every dispatch, with acc left as it was — for every bin count to 24
+// (a last group of one to eight bins: reduced over bins, or bin by bin over
+// runs of eight sums) at every sum count to nine — each length of a short
+// last run — and at whole runs and longer shapes.
 func TestReduceBinsMatchesReduce(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
-	for _, ns := range []int{1, 4, 25, 121} {
-		for nb := 1; nb <= 17; nb++ {
+	for _, ns := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 23, 121} {
+		for nb := 1; nb <= 24; nb++ {
 			acc := make([]float64, nb*ns*Lanes)
 			cnt := make([]int32, nb)
 			ld := BinStride(nb)
@@ -400,13 +406,17 @@ func BenchmarkLegendreMomentsTiles(b *testing.B) {
 
 // BenchmarkPrimaryTail times the engine's per-primary tail after the kernel
 // — lane sums to a_lm rows in the unit slab — at L 10 / nb 10 (aniso_box,
-// iso_survey) and L 4 / nb 6 (stream_sharded), every bin touched: "perbin"
+// iso_survey) and L 4 / nb 6 (stream_sharded), and at L 10 / nb 8 and 16,
+// whole groups of eight bins beside nb 10's two-bin last group, every bin
+// touched. The slab's 32-primary stride puts nb 8's and 16's slot rows 4
+// and 8 KB apart, on the same L1 sets, so those rows also read what that
+// costs the a_lm stores; nb 10's rows are 5 KB apart. "perbin"
 // is the per-bin ReduceClear + AlmRI + strided copy the engine ran before
 // the bins were vectorised, "bins" is ReduceBins + AlmBins(Packed), which
 // also reports the reduce alone. perbin's accumulators are cleared by its
 // first iteration; the work does not depend on their values.
 func BenchmarkPrimaryTail(b *testing.B) {
-	for _, c := range []struct{ l, nb int }{{10, 10}, {4, 6}} {
+	for _, c := range []struct{ l, nb int }{{10, 10}, {4, 6}, {10, 8}, {10, 16}} {
 		mono := NewMonomialTable(c.l)
 		tab := NewYlmTable(c.l, mono)
 		pc := PairCount(c.l)

@@ -10,12 +10,13 @@ import (
 	"unsafe"
 )
 
-// guarded returns n float64s that end exactly where an inaccessible page
+// guarded returns n values that end exactly where an inaccessible page
 // begins, so any access past the last one faults, and the unmap.
-func guarded(t *testing.T, n int) ([]float64, func()) {
+func guarded[T any](t *testing.T, n int) ([]T, func()) {
 	t.Helper()
+	w := int(unsafe.Sizeof(*new(T)))
 	page := syscall.Getpagesize()
-	size := (n*8+page-1)/page*page + page
+	size := (n*w+page-1)/page*page + page
 	mem, err := syscall.Mmap(-1, 0, size, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
 	if err != nil {
 		t.Skipf("mmap: %v", err)
@@ -25,7 +26,7 @@ func guarded(t *testing.T, n int) ([]float64, func()) {
 		t.Skipf("mprotect: %v", err)
 	}
 	end := size - page
-	return unsafe.Slice((*float64)(unsafe.Pointer(&mem[end-n*8])), n), func() { syscall.Munmap(mem) }
+	return unsafe.Slice((*T)(unsafe.Pointer(&mem[end-n*w])), n), func() { syscall.Munmap(mem) }
 }
 
 func TestZetaBatchTouchesNothingPastItsOperands(t *testing.T) {
@@ -40,11 +41,11 @@ func TestZetaBatchTouchesNothingPastItsOperands(t *testing.T) {
 		for _, nb := range zetaNBs {
 			for _, k := range zetaKs {
 				n := k * 2 * nb
-				a2, free1 := guarded(t, n)
-				xy, free2 := guarded(t, n)
-				w, free3 := guarded(t, k)
-				cd, free4 := guarded(t, 2*nb*nb)
-				rd, free5 := guarded(t, nb*nb)
+				a2, free1 := guarded[float64](t, n)
+				xy, free2 := guarded[float64](t, n)
+				w, free3 := guarded[float64](t, k)
+				cd, free4 := guarded[float64](t, 2*nb*nb)
+				rd, free5 := guarded[float64](t, nb*nb)
 				for i := range a2 {
 					a2[i], xy[i] = rng.NormFloat64(), rng.NormFloat64()
 				}
@@ -84,10 +85,10 @@ func TestLadderTouchesNothingPastItsOperands(t *testing.T) {
 	eachDispatch(t, func(tag string) {
 		rng := rand.New(rand.NewSource(93))
 		for _, n := range ns {
-			ws, free1 := guarded(t, n)
-			zs, free2 := guarded(t, n)
-			xs, free3 := guarded(t, n)
-			ys, free4 := guarded(t, n)
+			ws, free1 := guarded[float64](t, n)
+			zs, free2 := guarded[float64](t, n)
+			xs, free3 := guarded[float64](t, n)
+			ys, free4 := guarded[float64](t, n)
 			for i := range ws {
 				ws[i], zs[i], xs[i], ys[i] = rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()
 			}
@@ -108,6 +109,92 @@ func TestLadderTouchesNothingPastItsOperands(t *testing.T) {
 			}
 			for _, free := range []func(){free1, free2, free3, free4} {
 				free()
+			}
+		}
+	})
+}
+
+func TestReduceBinsTouchesNothingPastItsOperands(t *testing.T) {
+	// A last group of bins reads only its bins' accumulators and counts and
+	// writes only its rows' columns, in either way it is reduced: with acc,
+	// cnt and out each ending at an inaccessible page, a load or store past
+	// them — a masked-out lane's, a run of sums past the bin's last, a
+	// scattered row past the last — faults, for every bin count to 24 at sum
+	// counts below one run of eight, with a short last run, and at L 10.
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	eachDispatch(t, func(tag string) {
+		rng := rand.New(rand.NewSource(95))
+		for _, ns := range []int{1, 9, 121} {
+			for nb := 1; nb <= 24; nb++ {
+				acc, free1 := guarded[float64](t, nb*ns*Lanes)
+				cnt, free2 := guarded[int32](t, nb)
+				out, free3 := guarded[float64](t, ns*BinStride(nb))
+				for i := range acc {
+					acc[i] = rng.NormFloat64()
+				}
+				for b := range cnt {
+					cnt[b] = int32(rng.Intn(3))
+				}
+				func() {
+					defer func() {
+						if r := recover(); r != nil {
+							t.Fatalf("%s ns=%d nb=%d: %v", tag, ns, nb, r)
+						}
+					}()
+					ReduceBins(acc, cnt, out)
+				}()
+				for _, free := range []func(){free1, free2, free3} {
+					free()
+				}
+			}
+		}
+	})
+}
+
+func TestAlmBinsTouchesNothingPastItsOperands(t *testing.T) {
+	// Each conversion block loads only its groups' sums and scales and
+	// stores only its bins: with sums, scale, the slab and the weighted leg
+	// each ending at an inaccessible page (the slab's last row, its primary
+	// the unit's last, ends right at it), a masked-out lane's access past
+	// them faults, for every bin count to 24 — blocks of one or two groups,
+	// under every chunk mask — in the split and the packed layout.
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	eachDispatch(t, func(tag string) {
+		rng := rand.New(rand.NewSource(96))
+		for _, l := range []int{0, 1, 10} {
+			mono := NewMonomialTable(l)
+			tab := NewYlmTable(l, mono)
+			pc := PairCount(l)
+			for nb := 1; nb <= 24; nb++ {
+				const k = 3
+				stride := k * 2 * nb
+				sums, free1 := guarded[float64](t, mono.Len()*BinStride(nb))
+				scale, free2 := guarded[float64](t, nb)
+				dst, free3 := guarded[float64](t, (pc-1)*stride+2*nb)
+				w, free4 := guarded[float64](t, len(dst))
+				for i := range sums {
+					sums[i] = rng.NormFloat64()
+				}
+				for i := range scale {
+					scale[i] = rng.NormFloat64()
+				}
+				for _, packed := range []bool{false, true} {
+					func() {
+						defer func() {
+							if r := recover(); r != nil {
+								t.Fatalf("%s L=%d nb=%d packed=%v: %v", tag, l, nb, packed, r)
+							}
+						}()
+						if packed {
+							tab.AlmBinsPacked(sums, nb, scale, dst, w, stride)
+						} else {
+							tab.AlmBins(sums, nb, dst, stride)
+						}
+					}()
+				}
+				for _, free := range []func(){free1, free2, free3, free4} {
+					free()
+				}
 			}
 		}
 	})

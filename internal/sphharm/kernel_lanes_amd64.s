@@ -331,6 +331,115 @@ hstpow:
 hsdone:
 	RET
 
+// The register-resident ladder (ladderShort1<> .. ladderShort4<>) holds a
+// chunk of n < 32 pairs as V = ceil(n/8) 8-pair vectors per column, vector v
+// under mask K(2+v), its running power c in Z(24+v) and s in Z(20+v). LS_V
+// applies a per-vector operation OP(k, off, c, s, t) to the V vectors in pair
+// order (off the vector's byte offset in a column, t a scratch register), so
+// a lane group's chain takes exactly the vectors the chunk has.
+#define LS_1(OP) OP(K2, 0, Z24, Z20, Z16)
+#define LS_2(OP) LS_1(OP) \
+	OP(K3, 64, Z25, Z21, Z17)
+#define LS_3(OP) LS_2(OP) \
+	OP(K4, 128, Z26, Z22, Z18)
+#define LS_4(OP) LS_3(OP) \
+	OP(K5, 192, Z27, Z23, Z19)
+
+// The per-vector operations: c from the weights at SI; the m = 0 row's
+// add and z-power FMA into Z16; the first power (s = c .* ys at R10, then
+// c = c .* xs at R13); an order's Re and Im adds and FMAs into Z16 and Z17;
+// and the rotation (c, s) <- (fma(c, x, -(s*y)), fma(c, y, s*x)) of
+// rotateBody<>.
+#define LS_LOADW(k, off, c, s, t) VMOVUPD.Z off(SI), k, c
+#define LS_ADD0(k, off, c, s, t) VADDPD c, Z16, k, Z16
+#define LS_FMA0(k, off, c, s, t) VFMADD231PD off(BX), c, k, Z16
+#define LS_FIRST(k, off, c, s, t) \
+	VMULPD.Z off(R10), c, k, s \
+	VMULPD.Z off(R13), c, k, c
+#define LS_ADD(k, off, c, s, t) \
+	VADDPD c, Z16, k, Z16 \
+	VADDPD s, Z17, k, Z17
+#define LS_FMA(k, off, c, s, t) \
+	VFMADD231PD off(BX), c, k, Z16 \
+	VFMADD231PD off(BX), s, k, Z17
+#define LS_ROT(k, off, c, s, t) \
+	VMULPD.Z    off(R10), s, k, t \
+	VMULPD.Z    off(R13), s, k, s \
+	VFMADD231PD off(R10), c, k, s \
+	VFMSUB132PD off(R13), t, k, c
+
+// LADDER_SHORT(LS_V) is the register-resident ladder over V vectors: DI =
+// acc, SI = ws, R13 = xs, R10 = ys, R11 = zpow at byte stride R9, R12 = l,
+// K2-K5 the vector masks, K7 the lanes read from acc, Z28 = +0. A lane group
+// is one load, V masked ops extending chain 0 in pair order, and one store;
+// an order's Re and Im rows advance together, group by group, as two
+// independent chains over the same z-power column. The three idle chains of
+// the row-by-row fold hold +0 here: (x + 0) + (0 + 0) is x + 0, one add of
+// Z28.
+#define LADDER_SHORT(LS_V) \
+	LS_V(LS_LOADW) \
+	MOVQ      R11, BX \
+	LEAQ      1(R12), R8 \
+	VMOVUPD.Z (DI), K7, Z16 \
+	LS_V(LS_ADD0) \
+	JMP       ls0fold \
+ls0group: \
+	VMOVUPD.Z (DI), K7, Z16 \
+	LS_V(LS_FMA0) \
+	ADDQ      R9, BX \
+ls0fold: \
+	VADDPD    Z28, Z16, Z16 \
+	VMOVUPD   Z16, (DI) \
+	ADDQ      $64, DI \
+	DECQ      R8 \
+	JNZ       ls0group \
+	TESTQ     R12, R12 \
+	JZ        lsdone \
+	LS_V(LS_FIRST) \
+lsm: \
+	MOVQ      R12, DX \
+	SHLQ      $6, DX \
+	ADDQ      DI, DX \
+	MOVQ      R11, BX \
+	MOVQ      R12, R8 \
+	VMOVUPD.Z (DI), K7, Z16 \
+	VMOVUPD.Z (DX), K7, Z17 \
+	LS_V(LS_ADD) \
+	JMP       lsmfold \
+lsmgroup: \
+	VMOVUPD.Z (DI), K7, Z16 \
+	VMOVUPD.Z (DX), K7, Z17 \
+	LS_V(LS_FMA) \
+	ADDQ      R9, BX \
+lsmfold: \
+	VADDPD    Z28, Z16, Z16 \
+	VADDPD    Z28, Z17, Z17 \
+	VMOVUPD   Z16, (DI) \
+	VMOVUPD   Z17, (DX) \
+	ADDQ      $64, DI \
+	ADDQ      $64, DX \
+	DECQ      R8 \
+	JNZ       lsmgroup \
+	MOVQ      DX, DI \
+	DECQ      R12 \
+	JZ        lsdone \
+	LS_V(LS_ROT) \
+	JMP       lsm \
+lsdone: \
+	RET
+
+TEXT ladderShort1<>(SB), NOSPLIT, $0
+	LADDER_SHORT(LS_1)
+
+TEXT ladderShort2<>(SB), NOSPLIT, $0
+	LADDER_SHORT(LS_2)
+
+TEXT ladderShort3<>(SB), NOSPLIT, $0
+	LADDER_SHORT(LS_3)
+
+TEXT ladderShort4<>(SB), NOSPLIT, $0
+	LADDER_SHORT(LS_4)
+
 // func ladderAsm(acc, c, s, ws, xs, ys, zs, zpow []float64, zcap, l int, fresh bool)
 // One chunk (n = len(ws) pairs) in a single call: the operations of
 // ladderRows in the same order — the z-power hoist into zpow (hoistBody<>),
@@ -339,14 +448,10 @@ hsdone:
 // bit-identical to the row-by-row path.
 //
 // A chunk with a 32-pair quad walks the c / s scratch columns through
-// mulColsBody<>, rotateBody<> and rowBody<>. A shorter chunk is at most four
-// 8-pair vectors per column, so both halves of the running power stay in
-// registers (c in Z24-Z27, loaded from ws, s in Z20-Z23, vector v under
-// mask K(2+v)) and a lane group is one load, four masked ops extending chain
-// 0 in pair order, and one store; an order's Re and Im rows advance
-// together, group by group, as two independent chains over the same z-power
-// column. The three idle chains of the row-by-row fold hold +0 there:
-// (x + 0) + (0 + 0) is x + 0, one add of the zero register Z28.
+// mulColsBody<>, rotateBody<> and rowBody<>. A shorter chunk keeps both
+// halves of the running power in registers: it branches once, on its vector
+// count V = ceil(n/8) (one for n = 0), to the ladderShortV<> body, so each
+// lane group costs V masked ops, not four.
 TEXT ·ladderAsm(SB), NOSPLIT, $0-209
 	MOVBLZX fresh+208(FP), AX
 	DECL    AX
@@ -414,110 +519,27 @@ ldshort:
 	VPXORQ Z28, Z28, Z28
 	MOVQ zpow_base+168(FP), R11
 	MOVQ ws_base+72(FP), SI
-	VMOVUPD.Z (SI), K2, Z24
-	VMOVUPD.Z 64(SI), K3, Z25
-	VMOVUPD.Z 128(SI), K4, Z26
-	VMOVUPD.Z 192(SI), K5, Z27
-	MOVQ xs_base+96(FP), SI
+	MOVQ xs_base+96(FP), R13
 	MOVQ ys_base+120(FP), R10
+	CMPQ CX, $16
+	JA   ldshort34
+	CMPQ CX, $8
+	JA   ldshort2
+	CALL ladderShort1<>(SB)
+	RET
 
-	// m = 0 row: l + 1 groups of c.
-	MOVQ R11, BX
-	LEAQ 1(R12), R8
-	VMOVUPD.Z (DI), K7, Z16
-	VADDPD  Z24, Z16, K2, Z16
-	VADDPD  Z25, Z16, K3, Z16
-	VADDPD  Z26, Z16, K4, Z16
-	VADDPD  Z27, Z16, K5, Z16
-	JMP     ls0fold
+ldshort2:
+	CALL ladderShort2<>(SB)
+	RET
 
-ls0group:
-	VMOVUPD.Z (DI), K7, Z16
-	VFMADD231PD (BX), Z24, K2, Z16
-	VFMADD231PD 64(BX), Z25, K3, Z16
-	VFMADD231PD 128(BX), Z26, K4, Z16
-	VFMADD231PD 192(BX), Z27, K5, Z16
-	ADDQ R9, BX
+ldshort34:
+	CMPQ CX, $24
+	JA   ldshort4
+	CALL ladderShort3<>(SB)
+	RET
 
-ls0fold:
-	VADDPD  Z28, Z16, Z16
-	VMOVUPD Z16, (DI)
-	ADDQ    $64, DI
-	DECQ    R8
-	JNZ     ls0group
-	TESTQ   R12, R12
-	JZ      lddone
-	VMULPD.Z (R10), Z24, K2, Z20 // m = 1: s = c .* ys, c = c .* xs
-	VMULPD.Z 64(R10), Z25, K3, Z21
-	VMULPD.Z 128(R10), Z26, K4, Z22
-	VMULPD.Z 192(R10), Z27, K5, Z23
-	VMULPD.Z (SI), Z24, K2, Z24
-	VMULPD.Z 64(SI), Z25, K3, Z25
-	VMULPD.Z 128(SI), Z26, K4, Z26
-	VMULPD.Z 192(SI), Z27, K5, Z27
-
-lsm:
-	// Re row at DI (c), Im row right after it at DX (s), R12 groups each.
-	MOVQ R12, DX
-	SHLQ $6, DX
-	ADDQ DI, DX
-	MOVQ R11, BX
-	MOVQ R12, R8
-	VMOVUPD.Z (DI), K7, Z16
-	VMOVUPD.Z (DX), K7, Z17
-	VADDPD  Z24, Z16, K2, Z16
-	VADDPD  Z20, Z17, K2, Z17
-	VADDPD  Z25, Z16, K3, Z16
-	VADDPD  Z21, Z17, K3, Z17
-	VADDPD  Z26, Z16, K4, Z16
-	VADDPD  Z22, Z17, K4, Z17
-	VADDPD  Z27, Z16, K5, Z16
-	VADDPD  Z23, Z17, K5, Z17
-	JMP     lsmfold
-
-lsmgroup:
-	VMOVUPD.Z (DI), K7, Z16
-	VMOVUPD.Z (DX), K7, Z17
-	VFMADD231PD (BX), Z24, K2, Z16
-	VFMADD231PD (BX), Z20, K2, Z17
-	VFMADD231PD 64(BX), Z25, K3, Z16
-	VFMADD231PD 64(BX), Z21, K3, Z17
-	VFMADD231PD 128(BX), Z26, K4, Z16
-	VFMADD231PD 128(BX), Z22, K4, Z17
-	VFMADD231PD 192(BX), Z27, K5, Z16
-	VFMADD231PD 192(BX), Z23, K5, Z17
-	ADDQ R9, BX
-
-lsmfold:
-	VADDPD  Z28, Z16, Z16
-	VADDPD  Z28, Z17, Z17
-	VMOVUPD Z16, (DI)
-	VMOVUPD Z17, (DX)
-	ADDQ    $64, DI
-	ADDQ    $64, DX
-	DECQ    R8
-	JNZ     lsmgroup
-	MOVQ    DX, DI
-	DECQ    R12
-	JZ      lddone
-	// (c, s) <- (fma(c, x, -(s*y)), fma(c, y, s*x)), as rotateBody<>.
-	VMULPD.Z    (R10), Z20, K2, Z16
-	VMULPD.Z    (SI), Z20, K2, Z20
-	VFMADD231PD (R10), Z24, K2, Z20
-	VFMSUB132PD (SI), Z16, K2, Z24
-	VMULPD.Z    64(R10), Z21, K3, Z17
-	VMULPD.Z    64(SI), Z21, K3, Z21
-	VFMADD231PD 64(R10), Z25, K3, Z21
-	VFMSUB132PD 64(SI), Z17, K3, Z25
-	VMULPD.Z    128(R10), Z22, K4, Z18
-	VMULPD.Z    128(SI), Z22, K4, Z22
-	VFMADD231PD 128(R10), Z26, K4, Z22
-	VFMSUB132PD 128(SI), Z18, K4, Z26
-	VMULPD.Z    192(R10), Z23, K5, Z19
-	VMULPD.Z    192(SI), Z23, K5, Z23
-	VFMADD231PD 192(R10), Z27, K5, Z23
-	VFMSUB132PD 192(SI), Z19, K5, Z27
-	JMP         lsm
+ldshort4:
+	CALL ladderShort4<>(SB)
 
 lddone:
 	RET
@@ -1312,17 +1334,81 @@ pczlo:
 	VADDPD   Z19, Z5, K3, Z5
 	JMP      pczlo
 
+// rbIota holds the lane numbers 0-7: times the out row length, the byte
+// offsets of eight consecutive out rows.
+DATA rbIota<>+0x00(SB)/8, $0
+DATA rbIota<>+0x08(SB)/8, $1
+DATA rbIota<>+0x10(SB)/8, $2
+DATA rbIota<>+0x18(SB)/8, $3
+DATA rbIota<>+0x20(SB)/8, $4
+DATA rbIota<>+0x28(SB)/8, $5
+DATA rbIota<>+0x30(SB)/8, $6
+DATA rbIota<>+0x38(SB)/8, $7
+GLOBL rbIota<>(SB), RODATA, $64
+
+// RD_LOAD(done) loads CX (1-8) lane groups into Z16 up, the rest +0 — at
+// (R13), then R8, 2 R8 and R9 = 3 R8 bytes along, then the same from R14 —
+// and jumps to done once they are in.
+#define RD_LOAD(done) \
+	VMOVUPD (R13), Z16 \
+	VPXORQ  Z17, Z17, Z17 \
+	VPXORQ  Z18, Z18, Z18 \
+	VPXORQ  Z19, Z19, Z19 \
+	VPXORQ  Z20, Z20, Z20 \
+	VPXORQ  Z21, Z21, Z21 \
+	VPXORQ  Z22, Z22, Z22 \
+	VPXORQ  Z23, Z23, Z23 \
+	CMPQ    CX, $2 \
+	JB      done \
+	VMOVUPD (R13)(R8*1), Z17 \
+	CMPQ    CX, $3 \
+	JB      done \
+	VMOVUPD (R13)(R8*2), Z18 \
+	CMPQ    CX, $4 \
+	JB      done \
+	VMOVUPD (R13)(R9*1), Z19 \
+	CMPQ    CX, $5 \
+	JB      done \
+	VMOVUPD (R14), Z20 \
+	CMPQ    CX, $6 \
+	JB      done \
+	VMOVUPD (R14)(R8*1), Z21 \
+	CMPQ    CX, $7 \
+	JB      done \
+	VMOVUPD (R14)(R8*2), Z22 \
+	CMPQ    CX, $8 \
+	JB      done \
+	VMOVUPD (R14)(R9*1), Z23
+
+// RD_TREE folds the eight groups in Z16-Z23 into Z16, lane k the laneSum of
+// group k: RD_PAIR forms s01 .. s67 of two groups per register, RD_HALVES
+// s0123 / s4567 of four, and a last RD_HALVES the eight sums. Clobbers
+// Z17-Z27.
+#define RD_TREE \
+	RD_PAIR(Z16, Z17, Z24) \
+	RD_PAIR(Z18, Z19, Z25) \
+	RD_PAIR(Z20, Z21, Z26) \
+	RD_PAIR(Z22, Z23, Z27) \
+	RD_HALVES(Z16, Z18, Z24) \
+	RD_HALVES(Z20, Z22, Z25) \
+	RD_HALVES(Z16, Z20, Z24)
+
 // func reduceBinsAsm(acc, out []float64, cnt []int32, ns int)
-// ReduceBins as an 8 x 8 transpose-add with the portable body's addition
-// pairing, so bitwise identical: per group (a0+a1)+(a2+a3), then
-// +((a4+a5)+(a6+a7)). The eight groups come from eight bins (bin stride
-// R8 = 64*ns bytes) at the same sum: RD_PAIR forms s01 .. s67 of two groups
-// per register, RD_HALVES s0123 / s4567 of four, and a last RD_HALVES the
-// eight sums, so each fold lands as a vector over bins: out row i, columns
-// 8g .. 8g+7. A group
-// of r < 8 bins (the last) loads only its r bins, the other registers
-// holding +0; its bins without pairs (K2 clear, from their counts) and the
-// lanes past r come out +0 whatever the accumulators hold.
+// ReduceBins with the portable body's addition pairing, so bitwise
+// identical: per lane group (a0+a1)+(a2+a3), then +((a4+a5)+(a6+a7)), as
+// RD_TREE over eight groups at a time. Bins go in groups of eight (bin
+// stride R8 = 64*ns bytes), two ways:
+//
+//   - a group of more than three bins folds its bins at each sum, so the
+//     sums land as a vector over bins: out row i, columns 8g .. 8g+7. Its
+//     bins without pairs (K2 clear, from their counts) and the lanes past a
+//     last group's bins come out +0 whatever the accumulators hold.
+//   - a last group of r <= 3 bins pays for its r bins instead of eight:
+//     its columns are first stored +0 in every row, then each of its bins
+//     with pairs folds eight consecutive sums at a time (the last run may
+//     be shorter) and scatters them down its column, eight rows at once.
+//     From four bins up the folds' shuffles and the accumulators' reads
+//     bound both ways alike, and the transpose stays.
 TEXT ·reduceBinsAsm(SB), NOSPLIT, $0-80
 	MOVQ  acc_base+0(FP), SI
 	MOVQ  out_base+24(FP), DI
@@ -1339,11 +1425,12 @@ TEXT ·reduceBinsAsm(SB), NOSPLIT, $0-80
 	SHLQ  $6, R10             // out row length in bytes: BinStride(nb)*8
 
 rbgroup:
-	MOVQ        BX, DX
+	MOVQ        BX, CX
 	MOVL        $8, AX
-	CMPQ        DX, AX
-	CMOVQGT     AX, DX         // DX = the group's bins
-	MOVQ        DX, CX
+	CMPQ        CX, AX
+	CMOVQGT     AX, CX         // CX = the group's bins
+	CMPQ        CX, $3
+	JBE         rbpart
 	MOVL        $1, AX
 	SHLL        CX, AX
 	DECL        AX
@@ -1353,59 +1440,78 @@ rbgroup:
 	MOVQ        SI, R13        // bins 0-3 of the group
 	LEAQ        (SI)(R8*4), R14 // bins 4-7
 	MOVQ        DI, R15
-	MOVQ        R12, CX
+	MOVQ        R12, DX
 
 rbsum:
-	VMOVUPD (R13), Z16
-	VPXORQ  Z17, Z17, Z17
-	VPXORQ  Z18, Z18, Z18
-	VPXORQ  Z19, Z19, Z19
-	VPXORQ  Z20, Z20, Z20
-	VPXORQ  Z21, Z21, Z21
-	VPXORQ  Z22, Z22, Z22
-	VPXORQ  Z23, Z23, Z23
-	CMPQ    DX, $2
-	JB      rbtree
-	VMOVUPD (R13)(R8*1), Z17
-	CMPQ    DX, $3
-	JB      rbtree
-	VMOVUPD (R13)(R8*2), Z18
-	CMPQ    DX, $4
-	JB      rbtree
-	VMOVUPD (R13)(R9*1), Z19
-	CMPQ    DX, $5
-	JB      rbtree
-	VMOVUPD (R14), Z20
-	CMPQ    DX, $6
-	JB      rbtree
-	VMOVUPD (R14)(R8*1), Z21
-	CMPQ    DX, $7
-	JB      rbtree
-	VMOVUPD (R14)(R8*2), Z22
-	CMPQ    DX, $8
-	JB      rbtree
-	VMOVUPD (R14)(R9*1), Z23
+	RD_LOAD(rbtree)
 
 rbtree:
-	RD_PAIR(Z16, Z17, Z24)
-	RD_PAIR(Z18, Z19, Z25)
-	RD_PAIR(Z20, Z21, Z26)
-	RD_PAIR(Z22, Z23, Z27)
-	RD_HALVES(Z16, Z18, Z24)
-	RD_HALVES(Z20, Z22, Z25)
-	RD_HALVES(Z16, Z20, Z24)
+	RD_TREE
 	VMOVUPD.Z Z16, K2, Z16
 	VMOVUPD   Z16, (R15)
 	ADDQ      $64, R13
 	ADDQ      $64, R14
 	ADDQ      R10, R15
-	DECQ      CX
+	DECQ      DX
 	JNZ       rbsum
 	LEAQ      (SI)(R8*8), SI
 	ADDQ      $64, DI
 	ADDQ      $32, R11
-	SUBQ      DX, BX
+	SUBQ      CX, BX
 	JNZ       rbgroup
+	RET
+
+rbpart:
+	VPXORQ       Z31, Z31, Z31
+	MOVQ         DI, R15
+	MOVQ         R12, DX
+
+rbzero:
+	VMOVUPD      Z31, (R15)
+	ADDQ         R10, R15
+	DECQ         DX
+	JNZ          rbzero
+	VPBROADCASTQ R10, Z30
+	VPMULUDQ     rbIota<>(SB), Z30, Z30 // row k at byte offset k*R10
+	MOVL         $64, R8                // consecutive sums
+	MOVL         $192, R9
+
+rbbin:
+	MOVL  (R11), AX
+	TESTL AX, AX
+	JZ    rbnext
+	MOVQ  SI, R13
+	MOVQ  DI, R15
+	MOVQ  R12, DX
+
+rbrun:
+	MOVQ        DX, CX
+	MOVL        $8, AX
+	CMPQ        CX, AX
+	CMOVQGT     AX, CX         // CX = the run's sums
+	LEAQ        256(R13), R14
+	RD_LOAD(rbfold)
+
+rbfold:
+	RD_TREE
+	MOVL        $1, AX
+	SHLL        CX, AX
+	DECL        AX
+	KMOVW       AX, K1
+	VSCATTERQPD Z16, K1, (R15)(Z30*1)
+	ADDQ        $512, R13
+	LEAQ        (R15)(R10*8), R15
+	SUBQ        CX, DX
+	JNZ         rbrun
+
+rbnext:
+	MOVQ R12, AX
+	SHLQ $6, AX
+	ADDQ AX, SI
+	ADDQ $8, DI
+	ADDQ $4, R11
+	DECQ BX
+	JNZ  rbbin
 
 rbdone:
 	RET
@@ -1431,29 +1537,128 @@ DATA binHi<>+0x30(SB)/8, $7
 DATA binHi<>+0x38(SB)/8, $15
 GLOBL binHi<>(SB), RODATA, $64
 
-// AB_PACK(re, im, base, off, klo, khi) interleaves a group's Re and Im
-// vectors over its eight bins into (re, im) pairs and stores bins 0-3 at
-// off(base)(BX*1) under klo and bins 4-7 at off+64 under khi. Clobbers
-// Z21, Z22.
-#define AB_PACK(re, im, base, off, klo, khi) \
-	VMOVAPD   re, Z21 \
-	VMOVAPD   re, Z22 \
-	VPERMT2PD im, Z29, Z21 \
-	VPERMT2PD im, Z30, Z22 \
-	VMOVUPD   Z21, klo, off(base)(BX*1) \
-	VMOVUPD   Z22, khi, off+64(base)(BX*1)
+// AB_CHUNK(re, im, idx, off, k, t) interleaves one 64-byte chunk of the
+// packed layout — four bins' (re, im) pairs, from a group's Re and Im
+// vectors by idx (binLo: bins 0-3, binHi: bins 4-7) — into t and stores it
+// at off(DI)(BX*1) under k; AB_W(t, off, k, sc) then scales it by sc (its
+// bins' scales, each twice) and stores it at off(R11)(BX*1).
+#define AB_CHUNK(re, im, idx, off, k, t) \
+	VMOVAPD   re, t \
+	VPERMT2PD im, idx, t \
+	VMOVUPD   t, k, off(DI)(BX*1)
+#define AB_W(t, off, k, sc) \
+	VMULPD  sc, t, t \
+	VMOVUPD t, k, off(R11)(BX*1)
+
+// A block's groups of eight bins: AB_G(OP) applies a per-group operation
+// OP(off, re, im, k) — off the group's byte offset in a sums or slab row,
+// re / im its Re and Im accumulators, k its bins — to the block's one or two
+// groups.
+#define AB_1(OP) OP(0, Z16, Z17, K1)
+#define AB_2(OP) AB_1(OP) \
+	OP(64, Z18, Z19, K4)
+
+// The per-group operations: clear the chains; one term's FMAs of the
+// broadcast coefficient Z20 times the Re row at R14 and the Im row at R15
+// (AB_RFMA: Re only, an m = 0 slot); the closing + 0; the split layout's
+// stores, Re at DI and Im at R10.
+#define AB_ZERO(off, re, im, k) \
+	VPXORQ re, re, re \
+	VPXORQ im, im, im
+#define AB_CFMA(off, re, im, k) \
+	VFMADD231PD off(R14), Z20, k, re \
+	VFMADD231PD off(R15), Z20, k, im
+#define AB_RFMA(off, re, im, k) VFMADD231PD off(R14), Z20, k, re
+#define AB_NORM(off, re, im, k) \
+	VADDPD Z31, re, re \
+	VADDPD Z31, im, im
+#define AB_SPLIT(off, re, im, k) \
+	VMOVUPD re, k, off(DI)(BX*1) \
+	VMOVUPD im, k, off(R10)(BX*1)
+
+// The packed layout's stores, the slab's chunks before the weighted leg's:
+// group 0's two chunks (AB_PACK1), or both groups' four (AB_PACK2).
+#define AB_PACK1 \
+	AB_CHUNK(Z16, Z17, Z29, 0, K2, Z20) \
+	AB_CHUNK(Z16, Z17, Z30, 64, K3, Z21) \
+	AB_W(Z20, 0, K2, Z23) \
+	AB_W(Z21, 64, K3, Z24)
+#define AB_PACK2 \
+	AB_CHUNK(Z16, Z17, Z29, 0, K2, Z20) \
+	AB_CHUNK(Z16, Z17, Z30, 64, K3, Z21) \
+	AB_CHUNK(Z18, Z19, Z29, 128, K5, Z22) \
+	AB_CHUNK(Z18, Z19, Z30, 192, K6, Z27) \
+	AB_W(Z20, 0, K2, Z23) \
+	AB_W(Z21, 64, K3, Z24) \
+	AB_W(Z22, 128, K5, Z25) \
+	AB_W(Z27, 192, K6, Z26)
+
+// AB_SLOTS(AB_G, AB_PACK) runs every binSlot (SI, R8 of them, coefficients
+// from DX) over one block's groups: its FMA chains from +0, then + 0,
+// stored into the slot's slab row (BX = its byte offset, R13 the row
+// length), split when R11 is 0, else packed.
+#define AB_SLOTS(AB_G, AB_PACK) \
+abslot: \
+	MOVQ  (SI), R14 \
+	IMULQ R12, R14 \
+	ADDQ  R9, R14 \
+	MOVQ  8(SI), R15 \
+	MOVQ  16(SI), AX \
+	AB_G(AB_ZERO) \
+	TESTQ R15, R15 \
+	JS    abreal \
+	IMULQ R12, R15 \
+	ADDQ  R9, R15 \
+abcterm: \
+	VBROADCASTSD (DX), Z20 \
+	AB_G(AB_CFMA) \
+	ADDQ $8, DX \
+	LEAQ (R14)(R12*2), R14 \
+	LEAQ (R15)(R12*2), R15 \
+	DECQ AX \
+	JNZ  abcterm \
+	JMP  abstore \
+abreal: \
+	VBROADCASTSD (DX), Z20 \
+	AB_G(AB_RFMA) \
+	ADDQ $8, DX \
+	LEAQ (R14)(R12*2), R14 \
+	DECQ AX \
+	JNZ  abreal \
+abstore: \
+	AB_G(AB_NORM) \
+	MOVQ  24(SI), BX \
+	IMULQ R13, BX \
+	TESTQ R11, R11 \
+	JNZ   abpstore \
+	AB_G(AB_SPLIT) \
+	JMP   abnext \
+abpstore: \
+	AB_PACK \
+abnext: \
+	ADDQ $32, SI \
+	DECQ R8 \
+	JNZ  abslot \
+	RET
+
+TEXT almSlots1<>(SB), NOSPLIT, $0
+	AB_SLOTS(AB_1, AB_PACK1)
+
+TEXT almSlots2<>(SB), NOSPLIT, $0
+	AB_SLOTS(AB_2, AB_PACK2)
 
 // func almBinsAsm(slots []binSlot, coef, sums, scale, dst, w []float64, nb, stride int)
 // AlmBins / AlmBinsPacked (w empty selects the split layout), sixteen bins
-// at a time: per block (R9 at its columns of the sums; K1 and K4 the bins of
-// its two groups of eight, K4 empty when only one is left), every binSlot's
-// four FMA chains — group and Re/Im, the broadcast coefficient times the sum
-// row, every other row, masked loads so a missing group reads nothing —
-// from +0, then + 0, stored under the masks into the slot's slab row at
-// R13 = stride bytes: split, Re at DI and Im at R10 = DI + 8 nb; packed,
-// interleaved into (re, im) pairs under K2 / K3 (group 0's bins 0-3 / 4-7)
-// and K5 / K6 (group 1's), then the same with both scaled by the block's
-// scale vectors (Z28, Z27) into w at R11. An m = 0 slot's Im chains stay +0.
+// at a time, each block at the width it has: per block (R9 at its columns
+// of the sums; K1 and K4 the bins of its two groups of eight), every
+// binSlot's four FMA chains — group and Re/Im, the broadcast coefficient
+// times the sum row, every other row, masked loads so a partial group reads
+// only its bins — or two when the block has at most eight bins (almSlots1<>,
+// not almSlots2<>). Split: Re at DI and Im at R10 = DI + 8 nb, under K1 /
+// K4. Packed: 64-byte chunks of four bins' (re, im) pairs under K2 / K3
+// (group 0's bins 0-3 / 4-7) and K5 / K6 (group 1's), then the same scaled
+// by the chunk's scale vector (Z23-Z26, the block's scales each twice) into
+// w at R11. An m = 0 slot's Im chains stay +0.
 TEXT ·almBinsAsm(SB), NOSPLIT, $0-160
 	MOVQ      sums_base+48(FP), R9
 	MOVQ      nb+144(FP), R12
@@ -1485,114 +1690,53 @@ abblock:
 	KMOVW   AX, K1
 	SHRL    $8, AX
 	KMOVW   AX, K4
-	MOVL    $8, AX
-	MOVQ    DX, CX
-	CMPQ    CX, AX
-	CMOVQGT AX, CX
-	ADDL    CX, CX
 	MOVL    $1, AX
-	SHLL    CX, AX
-	DECL    AX                  // group 0's (re, im) lanes
+	LEAQ    (DX)(DX*1), CX
+	SHLQ    CX, AX
+	DECQ    AX                  // bits 2b, 2b+1: bin b's (re, im) lanes
 	KMOVW   AX, K2
-	SHRL    $8, AX
+	SHRQ    $8, AX
 	KMOVW   AX, K3
-	XORL    CX, CX
-	SUBQ    $8, DX
-	CMOVQGT DX, CX
-	ADDL    CX, CX
-	MOVL    $1, AX
-	SHLL    CX, AX
-	DECL    AX                  // group 1's
+	SHRQ    $8, AX
 	KMOVW   AX, K5
-	SHRL    $8, AX
+	SHRQ    $8, AX
 	KMOVW   AX, K6
 	MOVQ    dst_base+96(FP), DI
-	MOVQ    w_base+120(FP), R11
 	CMPQ    w_len+128(FP), $0
 	JNE     abpacked
+	XORL    R11, R11
 	ADDQ    BX, DI
 	MOVQ    nb+144(FP), R10
 	LEAQ    (DI)(R10*8), R10
 	JMP     abslots
 
 abpacked:
+	MOVQ      w_base+120(FP), R11
 	LEAQ      (DI)(BX*2), DI
 	LEAQ      (R11)(BX*2), R11
 	MOVQ      scale_base+72(FP), AX
-	VMOVUPD.Z (AX)(BX*1), K1, Z28
-	VMOVUPD.Z 64(AX)(BX*1), K4, Z27
+	VMOVUPD.Z (AX)(BX*1), K1, Z24
+	VMOVAPD   Z24, Z23
+	VPERMT2PD Z24, Z29, Z23
+	VPERMT2PD Z24, Z30, Z24
+	VMOVUPD.Z 64(AX)(BX*1), K4, Z26
+	VMOVAPD   Z26, Z25
+	VPERMT2PD Z26, Z29, Z25
+	VPERMT2PD Z26, Z30, Z26
 
 abslots:
 	MOVQ slots_base+0(FP), SI
 	MOVQ slots_len+8(FP), R8
+	CMPQ DX, $8
 	MOVQ coef_base+24(FP), DX
+	JA   abtwo
+	CALL almSlots1<>(SB)
+	JMP  abnextblock
 
-abslot:
-	MOVQ   (SI), R14
-	IMULQ  R12, R14
-	ADDQ   R9, R14             // Re row of the first term
-	MOVQ   8(SI), R15
-	MOVQ   16(SI), AX          // terms
-	VPXORQ Z16, Z16, Z16
-	VPXORQ Z17, Z17, Z17
-	VPXORQ Z18, Z18, Z18
-	VPXORQ Z19, Z19, Z19
-	TESTQ  R15, R15
-	JS     abreal
-	IMULQ  R12, R15
-	ADDQ   R9, R15             // Im row of the first term
+abtwo:
+	CALL almSlots2<>(SB)
 
-abcterm:
-	VBROADCASTSD (DX), Z20
-	VFMADD231PD  (R14), Z20, Z16
-	VFMADD231PD  64(R14), Z20, K4, Z18
-	VFMADD231PD  (R15), Z20, Z17
-	VFMADD231PD  64(R15), Z20, K4, Z19
-	ADDQ         $8, DX
-	LEAQ         (R14)(R12*2), R14
-	LEAQ         (R15)(R12*2), R15
-	DECQ         AX
-	JNZ          abcterm
-	JMP          abstore
-
-abreal:
-	VBROADCASTSD (DX), Z20
-	VFMADD231PD  (R14), Z20, Z16
-	VFMADD231PD  64(R14), Z20, K4, Z18
-	ADDQ         $8, DX
-	LEAQ         (R14)(R12*2), R14
-	DECQ         AX
-	JNZ          abreal
-
-abstore:
-	VADDPD Z31, Z16, Z16
-	VADDPD Z31, Z17, Z17
-	VADDPD Z31, Z18, Z18
-	VADDPD Z31, Z19, Z19
-	MOVQ   24(SI), BX
-	IMULQ  R13, BX             // the slot's slab row
-	CMPQ   w_len+128(FP), $0
-	JNE    abpstore
-	VMOVUPD Z16, K1, (DI)(BX*1)
-	VMOVUPD Z17, K1, (R10)(BX*1)
-	VMOVUPD Z18, K4, 64(DI)(BX*1)
-	VMOVUPD Z19, K4, 64(R10)(BX*1)
-	JMP     abnext
-
-abpstore:
-	AB_PACK(Z16, Z17, DI, 0, K2, K3)
-	AB_PACK(Z18, Z19, DI, 128, K5, K6)
-	VMULPD Z28, Z16, Z16
-	VMULPD Z28, Z17, Z17
-	VMULPD Z27, Z18, Z18
-	VMULPD Z27, Z19, Z19
-	AB_PACK(Z16, Z17, R11, 0, K2, K3)
-	AB_PACK(Z18, Z19, R11, 128, K5, K6)
-
-abnext:
-	ADDQ $32, SI
-	DECQ R8
-	JNZ  abslot
+abnextblock:
 	ADDQ $128, R9
 	MOVQ R9, BX
 	SUBQ sums_base+48(FP), BX

@@ -417,14 +417,27 @@ func TestAlmFromKernelMatchesPointwise(t *testing.T) {
 	})
 }
 
+// ladderNs are the chunk lengths the ladder pins sweep: every n to 40 —
+// each register-resident length (n < 32: one to four vectors, so the
+// 8/9, 16/17 and 24/25 boundaries between the vector-count bodies, and
+// every tail), the quad path's 32/33 entry and its tails — then longer
+// chunks with blocks after the quads, and tiles of several chunks.
+var ladderNs = func() []int {
+	var ns []int
+	for n := 0; n <= 40; n++ {
+		ns = append(ns, n)
+	}
+	return append(ns, 63, 64, 65, 100, 128, 129, 300, 1023)
+}()
+
 func TestLadderMatchesRowsBitwise(t *testing.T) {
 	// The one-call-per-chunk ladder, z-power hoist included, must be
 	// bit-identical to the row-by-row path (one mulCols per hoisted column,
 	// one rotate per running-power update, one rowLanes per row) under each
 	// dispatch — the fused vector body performs the same operations in the
 	// same order, the same four chains per lane group, the same FMAs, the
-	// same fold — for every chunk shape: register-resident (n < 32, every
-	// vector count and tail), with quads, blocks after them and tails, and
+	// same fold — for every chunk shape (ladderNs): register-resident
+	// (n < 32, every vector count and tail), with quads, blocks after them and tails, and
 	// across AccumulateTile's chunking, at every row height (order l's rows
 	// hold l+1 lane groups down to 1), folding twice into an accumulator
 	// that is not zero. A second pass folds -0 weights into an accumulator
@@ -437,7 +450,7 @@ func TestLadderMatchesRowsBitwise(t *testing.T) {
 				tab := NewMonomialTable(l)
 				k := NewKernel(tab, 128)
 				rows := NewKernel(tab, 128)
-				for _, n := range []int{1, 3, 7, 8, 9, 31, 32, 33, 63, 64, 65, 100, 128, 129, 300, 1023} {
+				for _, n := range ladderNs {
 					xs, ys, zs, ws := randBucket(rng, n)
 					got := make([]float64, AccumulatorLen(tab))
 					for i := range got {
