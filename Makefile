@@ -142,13 +142,20 @@ fuzz-smoke:
 # package outside bench/ and their total with the internal package count,
 # then the assembly lines beside them. Each internal package also shows how
 # many non-test packages import it (go list's Imports), so a package with
-# one importer, a candidate to fold into it, reads off the table.
+# one importer, a candidate to fold into it, reads off the table; each
+# command shows how many flags it defines (its fs.<Type>( calls), so its
+# knob count reads off the table too.
 loc:
 	@{ $(GO) list -f '{{range .Imports}}imports {{.}}{{"\n"}}{{end}}' ./...; \
+		find ./cmd -name '*.go' ! -name '*_test.go' -print0 | \
+			xargs -0 grep -HE '\<fs\.(Bool|Duration|Float64|Func|Int|Int64|String|TextVar|Uint|Uint64|Var)\(' | \
+			sed 's|/[^/]*:.*||; s|^|flag |'; \
 		find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' -print0 | xargs -0 wc -l; } | \
 		awk '$$1 == "imports" { if (sub(/^galactos\/internal\//, "./internal/", $$2)) imp[$$2]++; next } \
+			$$1 == "flag" { fl[$$2]++; next } \
 			$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
-			END { for (d in n) { if (d ~ /^\.\/internal\//) { k++; s = sprintf("  (imported by %d)", imp[d]) } else s = ""; \
+			END { for (d in n) { if (d ~ /^\.\/internal\//) { k++; s = sprintf("  (imported by %d)", imp[d]) } \
+					else if (d ~ /^\.\/cmd\//) s = sprintf("  (%d flags)", fl[d]); else s = ""; \
 					printf "%7d  %s%s\n", n[d], d, s | "sort -k2" } \
 				close("sort -k2"); printf "%7d  total (%d internal packages)\n", t, k }'
 	@find . -name '*.s' ! -path './bench/*' -print0 | xargs -0 cat | wc -l | awk '{ printf "%7d  asm (.s)\n", $$1 }'

@@ -7,7 +7,7 @@
 // Examples:
 //
 //	catgen -type clustered -n 225000 -density outer-rim -o node.glxc
-//	catgen -type bao -n 100000 -l 800 -format csv -o bao.csv
+//	catgen -type bao -n 100000 -l 800 -o bao.csv
 //	catgen -type uniform -table1-nodes 4 -per-node 50000 -o weak4.glxc
 package main
 
@@ -20,7 +20,6 @@ import (
 	"math"
 	"os"
 	"strconv"
-	"strings"
 
 	"galactos/internal/catalog"
 )
@@ -51,8 +50,7 @@ func run(_ context.Context, args []string, stdout io.Writer) error {
 		l       = fs.Float64("l", 0, "box side (Mpc/h); 0 derives it from -density")
 		density = fs.String("density", "outer-rim", "number density: 'outer-rim' (0.0723) or a value in (Mpc/h)^-3")
 		seed    = fs.Int64("seed", 1, "random seed")
-		out     = fs.String("o", "", "output path (required; .csv selects CSV)")
-		format  = fs.String("format", "", "output format: bin | csv (default: by extension)")
+		out     = fs.String("o", "", "output path (required; a .csv path gets CSV rows, any other the binary format)")
 		rsd     = fs.Float64("rsd", 0, "apply redshift-space z-displacement of this sigma (Mpc/h)")
 		nodes   = fs.Int("table1-nodes", 0, "generate a scaled Table 1 dataset for this many nodes")
 		perNode = fs.Int("per-node", 50000, "galaxies per node for -table1-nodes")
@@ -74,8 +72,6 @@ func run(_ context.Context, args []string, stdout io.Writer) error {
 		return fmt.Errorf("-n %d: want at least 1 galaxy", *n)
 	case *perNode < 1:
 		return fmt.Errorf("-per-node %d: want at least 1 galaxy per node", *perNode)
-	case *format != "" && *format != "bin" && *format != "csv":
-		return fmt.Errorf("unknown -format %q (want bin or csv)", *format)
 	}
 	dens := catalog.OuterRimDensity
 	if *density != "outer-rim" {
@@ -123,20 +119,7 @@ func run(_ context.Context, args []string, stdout io.Writer) error {
 		return fmt.Errorf("generated catalog invalid: %w", err)
 	}
 
-	useCSV := *format == "csv" || (*format == "" && strings.HasSuffix(*out, ".csv"))
-	f, err := os.Create(*out)
-	if err != nil {
-		return err
-	}
-	if useCSV {
-		err = catalog.WriteCSV(f, cat)
-	} else {
-		err = catalog.WriteBinary(f, cat)
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
+	if err := catalog.Save(*out, cat); err != nil {
 		return fmt.Errorf("writing %s: %w", *out, err)
 	}
 	fmt.Fprintf(stdout, "wrote %d galaxies (box %.1f Mpc/h, density %.4g) to %s\n",

@@ -14,9 +14,10 @@ import (
 )
 
 // TestRunCatalogs drives run through both output formats and a Table 1
-// dataset, each read back with the requested size and box, and through the
-// refused unknown -type, missing -o and out-of-range flags. A refused run
-// writes no file.
+// dataset, each read back through the reader every run uses (a FileSource,
+// which picks the format by extension, as the writer does) with the
+// requested size and box, and through the refused unknown -type, missing -o
+// and out-of-range flags. A refused run writes no file.
 func TestRunCatalogs(t *testing.T) {
 	dir := t.TempDir()
 	row := catalog.ScaledTable1Row(2, 300)
@@ -36,7 +37,6 @@ func TestRunCatalogs(t *testing.T) {
 		{name: "missing-o", args: []string{"-n", "10"}, err: errUsage},
 		{name: "negative-n", args: []string{"-n", "-1", "-o", filepath.Join(dir, "x.glxc")}, errMsg: "-n -1"},
 		{name: "negative-per-node", args: []string{"-table1-nodes", "1", "-per-node", "-5", "-o", filepath.Join(dir, "p.glxc")}, errMsg: "-per-node -5"},
-		{name: "unknown-format", args: []string{"-format", "xyz", "-o", filepath.Join(dir, "z.csv")}, errMsg: `unknown -format "xyz"`},
 		{name: "density-trailing-junk", args: []string{"-density", "1e-3junk", "-o", filepath.Join(dir, "d.glxc")}, errMsg: `bad -density "1e-3junk"`},
 	}
 	for _, r := range rows {
@@ -63,7 +63,7 @@ func TestRunCatalogs(t *testing.T) {
 			if !strings.Contains(stdout.String(), r.stdout) {
 				t.Errorf("stdout lacks %q:\n%s", r.stdout, stdout.String())
 			}
-			cat, err := catalog.Load(r.args[len(r.args)-1])
+			cat, err := catalog.ReadAll(catalog.NewFileSource(r.args[len(r.args)-1]))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,17 +1,17 @@
 // Command galactos computes the anisotropic (and isotropic) 3-point
 // correlation function of a galaxy catalog: the production entry point of
 // the library, mirroring the pipeline of the paper's Algorithm 1. Every run
-// goes through the unified execution layer (-backend): the in-memory
-// engine, or the bounded-memory sharded pipeline that streams the catalog
-// from disk one shard at a time.
+// goes through the unified execution layer: the in-memory engine, or — when
+// -shards is above 1 or -checkpoint-dir is set — the bounded-memory sharded
+// pipeline that streams the catalog from disk one shard at a time.
 // SIGINT/SIGTERM cancel the run cleanly: completed shard checkpoints are
 // kept on disk so -resume can pick the run back up.
 //
 // Examples:
 //
 //	galactos -in catalog.glxc -rmax 200 -nbins 20 -lmax 10 -out zeta
-//	galactos -in survey.csv -los radial -backend sharded -shards 4 -out zeta
-//	galactos -in huge.glxc -backend sharded -shards 16 -checkpoint-dir ckpt -resume -out zeta
+//	galactos -in survey.csv -los radial -shards 4 -out zeta
+//	galactos -in huge.glxc -shards 16 -checkpoint-dir ckpt -resume -out zeta
 //	galactos -in catalog.glxc -cpuprofile cpu.prof && go tool pprof -list 'engine..process(Block|Cell)' cpu.prof
 //
 // Outputs <out>.aniso.csv (channels zeta^m_{l1 l2}(r1, r2)) and
@@ -62,7 +62,7 @@ var errUsage = errors.New("usage")
 func run(ctx context.Context, args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("galactos", flag.ContinueOnError)
 	var (
-		in      = fs.String("in", "", "input catalog (binary or .csv); required")
+		in      = fs.String("in", "", "input catalog (a .csv path holds CSV rows, any other the binary format); required")
 		out     = fs.String("out", "zeta", "output prefix")
 		rmax    = fs.Float64("rmax", 200, "maximum triangle side (Mpc/h)")
 		rmin    = fs.Float64("rmin", 0, "minimum triangle side (Mpc/h)")
@@ -73,13 +73,11 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		isoOnly = fs.Bool("iso-only", false, "isotropic-only mode (SE15 baseline)")
 		noSelf  = fs.Bool("no-selfcount", false, "skip self-pair correction (raw kernel mode)")
 
-		backend = fs.String("backend", "", "execution backend: local | sharded (default: inferred from -shards/-checkpoint-dir)")
-
 		perfJSON   = fs.String("perf-json", "", "write the run record (backend, pair count, phase timings, elapsed; durations in ns) as JSON to this path")
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the whole run to this path (read it with go tool pprof)")
 
-		shards    = fs.Int("shards", 1, "spatial shards (sharded backend: the catalog streams from -in one shard at a time, never fully resident)")
-		ckptDir   = fs.String("checkpoint-dir", "", "directory for per-shard Result checkpoints (sharded backend)")
+		shards    = fs.Int("shards", 1, "spatial shards; above 1 selects the sharded backend (the catalog streams from -in one shard at a time, never fully resident)")
+		ckptDir   = fs.String("checkpoint-dir", "", "directory for per-shard Result checkpoints; selects the sharded backend")
 		resume    = fs.Bool("resume", false, "reuse valid checkpoints found in -checkpoint-dir")
 		keepCkpts = fs.Bool("keep-checkpoints", false, "keep per-shard checkpoints after a successful merge")
 	)
@@ -133,53 +131,36 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		return fmt.Errorf("unknown -los %q", *los)
 	}
 
-	// Backend selection: explicit -backend wins; otherwise the sharded
-	// flags imply it (-shards/-checkpoint-dir -> sharded). A
-	// contradiction is an error, never a silent drop: a user who asked for
-	// shards must not get a fully-resident local run.
-	name := *backend
-	if name == "" {
-		name = "local"
-		if *shards > 1 || *ckptDir != "" {
-			name = "sharded"
-		}
+	// The backend follows from the flags: shards or a checkpoint directory
+	// select the sharded one. -resume and -keep-checkpoints act on a
+	// checkpoint directory, so without one they are refused, never dropped.
+	name := "local"
+	if *shards > 1 || *ckptDir != "" {
+		name = "sharded"
 	}
-	switch {
-	case name != "local" && name != "sharded":
-		return fmt.Errorf("unknown -backend %q (want local or sharded)", name)
-	case name == "local" && (*shards > 1 || *resume || *keepCkpts || *ckptDir != ""):
-		return fmt.Errorf("-shards, -resume, -keep-checkpoints and -checkpoint-dir require the sharded backend (got -backend %s)", name)
-	}
-	spec := galactos.BackendSpec{
-		Name:          name,
-		Shards:        *shards,
-		CheckpointDir: *ckptDir,
-		Resume:        *resume,
-		Keep:          *keepCkpts,
+	if (*resume || *keepCkpts) && *ckptDir == "" {
+		return errors.New("-resume and -keep-checkpoints need -checkpoint-dir")
 	}
 
-	// The sharded backend never materializes the catalog; the local one
-	// loads it up front. Execution goes through the facade's one
-	// canonical entrypoint: the Request below, serialized, is also a valid
-	// galactosd job. A cancelled context stops in-flight engines at their
-	// next commit unit; completed shard checkpoints stay on disk.
+	// Execution goes through the facade's one canonical entrypoint, which
+	// reads -in itself on either backend: the Request below, serialized, is
+	// also a valid galactosd job. A cancelled context stops in-flight
+	// engines at their next commit unit; completed shard checkpoints stay on
+	// disk.
+	fmt.Fprintf(stdout, "computing %s on the %s backend\n", *in, name)
 	req := galactos.Request{
-		Config:  cfg,
-		Backend: spec,
+		Path:   *in,
+		Config: cfg,
+		Backend: galactos.BackendSpec{
+			Name:          name,
+			Shards:        *shards,
+			CheckpointDir: *ckptDir,
+			Resume:        *resume,
+			Keep:          *keepCkpts,
+		},
 		Log: func(format string, args ...any) {
 			fmt.Fprintf(stdout, "  "+format+"\n", args...)
 		},
-	}
-	if name == "sharded" {
-		fmt.Fprintf(stdout, "streaming %s (catalog never fully resident)\n", *in)
-		req.Path = *in
-	} else {
-		cat, err := galactos.LoadCatalog(*in)
-		if err != nil {
-			return fmt.Errorf("loading %s: %w", *in, err)
-		}
-		fmt.Fprintf(stdout, "loaded %d galaxies (box %.1f Mpc/h)\n", cat.Len(), cat.Box.L)
-		req.Catalog = cat
 	}
 
 	r, err := galactos.Run(ctx, req)
@@ -207,6 +188,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		}
 	}
 
+	fmt.Fprintf(stdout, "galaxies:      %d\n", res.NGalaxies)
 	fmt.Fprintf(stdout, "primaries:     %d\n", res.NPrimaries)
 	fmt.Fprintf(stdout, "pairs:         %d\n", res.Pairs)
 	fmt.Fprintf(stdout, "time:          %v\n", r.Elapsed.Round(time.Millisecond))

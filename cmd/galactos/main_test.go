@@ -16,18 +16,22 @@ import (
 // TestRunModes drives the command's flags through run, in order: the sharded
 // row resumes from an empty checkpoint dir and must write CSVs
 // byte-identical to the local row's, both write a -perf-json run record
-// whose pair count is the one the summary prints, the radial and midpoint
-// lines of sight complete with the full ladder, -cpuprofile leaves a
-// profile, and a run without -in, a local backend asked for shards, an
-// unknown backend or line of sight, a NaN -rmax, -shards below 1 and
-// negative -workers are refused. The backend rows are -iso-only: with the
+// whose pair count is the one the summary prints, a ".csv" catalog saved
+// the way catgen writes one computes on both backends, the radial and
+// midpoint lines of sight complete with the full ladder, -cpuprofile leaves
+// a profile, and a run without -in, -resume or -keep-checkpoints without a
+// checkpoint dir, an unknown line of sight, a NaN -rmax, -shards below 1
+// and negative -workers are refused. The backend rows are -iso-only: with the
 // full ladder, the analytically zero imaginary parts of the l1 = l2 channels
 // carry ~1e-17 of summation-order rounding that the aniso CSV prints.
 func TestRunModes(t *testing.T) {
 	dir := t.TempDir()
-	in := filepath.Join(dir, "cat.glxc")
-	if err := galactos.SaveCatalog(in, galactos.GenerateClustered(800, 160, galactos.DefaultClusterParams(), 1)); err != nil {
-		t.Fatal(err)
+	in, csv := filepath.Join(dir, "cat.glxc"), filepath.Join(dir, "cat.csv")
+	cat := galactos.GenerateClustered(800, 160, galactos.DefaultClusterParams(), 1)
+	for _, path := range []string{in, csv} {
+		if err := galactos.SaveCatalog(path, cat); err != nil {
+			t.Fatal(err)
+		}
 	}
 	full := func(args ...string) []string {
 		return append([]string{"-in", in, "-rmax", "30", "-nbins", "4", "-lmax", "3"}, args...)
@@ -57,12 +61,14 @@ func TestRunModes(t *testing.T) {
 		},
 		{
 			name:   "sharded-resume",
-			args:   compute("-backend", "sharded", "-shards", "3", "-checkpoint-dir", filepath.Join(dir, "ckpt"), "-resume", "-perf-json", sharded+".json", "-out", sharded),
+			args:   compute("-shards", "3", "-checkpoint-dir", filepath.Join(dir, "ckpt"), "-resume", "-perf-json", sharded+".json", "-out", sharded),
 			stdout: "sharded over 3 units",
 			out:    sharded,
 			sameAs: local,
 			perf:   "sharded",
 		},
+		{name: "csv-in", args: []string{"-in", csv, "-rmax", "30", "-nbins", "4", "-lmax", "3", "-iso-only", "-out", filepath.Join(dir, "csv")}, stdout: "galaxies:      800"},
+		{name: "csv-in-sharded", args: []string{"-in", csv, "-rmax", "30", "-nbins", "4", "-lmax", "3", "-iso-only", "-shards", "2", "-out", filepath.Join(dir, "csv2")}, stdout: "sharded over 2 units"},
 		{name: "los-radial", args: full("-los", "radial", "-out", radial), stdout: "wrote " + radial + ".aniso.csv", out: radial},
 		{name: "los-midpoint", args: full("-los", "midpoint", "-out", midpoint), stdout: "wrote " + midpoint + ".aniso.csv", out: midpoint},
 		{
@@ -72,11 +78,11 @@ func TestRunModes(t *testing.T) {
 			file:   profiled + ".prof",
 		},
 		{name: "missing-in", args: []string{"-rmax", "30"}, err: errUsage.Error()},
-		{name: "local-refuses-shards", args: compute("-backend", "local", "-shards", "2"), err: "require the sharded backend"},
-		{name: "unknown-backend", args: compute("-backend", "mpi"), err: "unknown -backend"},
+		{name: "resume-needs-checkpoint-dir", args: compute("-resume"), err: "need -checkpoint-dir"},
+		{name: "keep-needs-checkpoint-dir", args: compute("-shards", "2", "-keep-checkpoints"), err: "need -checkpoint-dir"},
 		{name: "unknown-los", args: compute("-los", "sideways"), err: "unknown -los"},
 		{name: "nan-rmax", args: compute("-rmax", "NaN"), err: "invalid radial range"},
-		{name: "zero-shards", args: compute("-backend", "sharded", "-shards", "0"), err: "-shards 0"},
+		{name: "zero-shards", args: compute("-shards", "0"), err: "-shards 0"},
 		{name: "negative-workers", args: compute("-workers", "-4"), err: "-workers -4"},
 	}
 	for _, r := range rows {

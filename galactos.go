@@ -169,11 +169,18 @@ func DataMinusRandom(data, random *Catalog) (*Catalog, error) {
 	return catalog.WithDataMinusRandom(data, random)
 }
 
-// LoadCatalog reads a catalog file (binary, or CSV for .csv paths).
-func LoadCatalog(path string) (*Catalog, error) { return catalog.Load(path) }
+// LoadCatalog reads a catalog file in the format its extension names: CSV
+// for a ".csv" path, the binary format for any other. It refuses a catalog
+// that breaks the acceptance rule Run applies (a non-finite position or
+// weight, or in a periodic box a coordinate outside [0, L)).
+func LoadCatalog(path string) (*Catalog, error) {
+	return catalog.ReadAll(catalog.NewFileSource(path))
+}
 
-// SaveCatalog writes a catalog in the binary format.
-func SaveCatalog(path string, cat *Catalog) error { return catalog.SaveBinary(path, cat) }
+// SaveCatalog writes a catalog in the format the path's extension names, the
+// rule LoadCatalog and every run's file reader apply: CSV rows for a ".csv"
+// path, the binary format for any other.
+func SaveCatalog(path string, cat *Catalog) error { return catalog.Save(path, cat) }
 
 // TwoPCFConfig holds 2PCF pair-count parameters.
 type TwoPCFConfig = twopcf.Config

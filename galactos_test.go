@@ -101,19 +101,24 @@ func TestPublicResultIO(t *testing.T) {
 	}
 }
 
+// TestPublicCatalogIO: SaveCatalog writes the format LoadCatalog reads for
+// the path, so a binary and a ".csv" path both round-trip (SaveCatalog used
+// to write binary to a .csv path, which LoadCatalog then failed to parse).
 func TestPublicCatalogIO(t *testing.T) {
 	dir := t.TempDir()
 	cat := galactos.GenerateUniform(50, 90, 4)
-	path := filepath.Join(dir, "cat.glxc")
-	if err := galactos.SaveCatalog(path, cat); err != nil {
-		t.Fatal(err)
-	}
-	got, err := galactos.LoadCatalog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != 50 || got.Box.L != 90 {
-		t.Errorf("round trip: N=%d L=%v", got.Len(), got.Box.L)
+	for _, name := range []string{"cat.glxc", "cat.csv"} {
+		path := filepath.Join(dir, name)
+		if err := galactos.SaveCatalog(path, cat); err != nil {
+			t.Fatal(err)
+		}
+		got, err := galactos.LoadCatalog(path)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got.Len() != 50 || got.Box.L != 90 {
+			t.Errorf("%s round trip: N=%d L=%v", name, got.Len(), got.Box.L)
+		}
 	}
 }
 

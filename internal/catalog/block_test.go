@@ -102,6 +102,18 @@ func drainCounting(next func([]Galaxy) (int, error), bufLen int) ([]Galaxy, erro
 	}
 }
 
+// readBinary and readCSV drain one pass of each format from a reader, the
+// way ReadAll drains a file of that format.
+func readBinary(r io.Reader) (*Catalog, error) {
+	cur, err := openBinary(r, nil)
+	if err != nil {
+		return nil, err
+	}
+	return drain(cur)
+}
+
+func readCSV(r io.Reader) (*Catalog, error) { return drain(newCSVCursor(r, nil)) }
+
 // blockSizes are the record counts on every side of a block boundary.
 var blockSizes = []int{0, 1, BlockRecords - 1, BlockRecords, BlockRecords + 1, 3*BlockRecords + 7}
 
@@ -118,13 +130,13 @@ func blockFixture(n int) *Catalog {
 // block writer's bytes are the per-record writer's; memory, binary-file and
 // CSV sources all hash to the per-record hash; and the file decodes to the
 // same galaxies through the block cursor (at awkward Next lengths), ReadAll
-// and ReadBinary as through the per-record cursor.
+// and readBinary as through the per-record cursor.
 func TestBlockCodecMatchesPerRecordOracle(t *testing.T) {
 	dir := t.TempDir()
 	for _, n := range blockSizes {
 		cat := blockFixture(n)
 		var got, want bytes.Buffer
-		if err := WriteBinary(&got, cat); err != nil {
+		if err := writeBinary(&got, cat); err != nil {
 			t.Fatal(err)
 		}
 		if err := writeBinaryPerRecord(&want, cat); err != nil {
@@ -143,7 +155,7 @@ func TestBlockCodecMatchesPerRecordOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := WriteCSV(f, cat); err != nil {
+		if err := writeCSV(f, cat); err != nil {
 			t.Fatal(err)
 		}
 		f.Close()
@@ -170,7 +182,7 @@ func TestBlockCodecMatchesPerRecordOracle(t *testing.T) {
 			if n > 3*BlockRecords && bufLen == 1 {
 				continue
 			}
-			cur, err := OpenBinary(bytes.NewReader(got.Bytes()), nil)
+			cur, err := openBinary(bytes.NewReader(got.Bytes()), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -188,7 +200,7 @@ func TestBlockCodecMatchesPerRecordOracle(t *testing.T) {
 		if c := cap(all.Galaxies); c > n+n/4+16 { // one allocation, rounded up to a size class
 			t.Errorf("n=%d: ReadAll sized its array to %d for %d galaxies", n, c, n)
 		}
-		rb, err := ReadBinary(bytes.NewReader(got.Bytes()))
+		rb, err := readBinary(bytes.NewReader(got.Bytes()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,7 +216,7 @@ func TestBlockCodecMatchesPerRecordOracle(t *testing.T) {
 func TestTruncatedCatalogFailsLikePerRecord(t *testing.T) {
 	n := 3*BlockRecords + 7
 	var buf bytes.Buffer
-	if err := WriteBinary(&buf, blockFixture(n)); err != nil {
+	if err := writeBinary(&buf, blockFixture(n)); err != nil {
 		t.Fatal(err)
 	}
 	whole := buf.Bytes()
@@ -217,7 +229,7 @@ func TestTruncatedCatalogFailsLikePerRecord(t *testing.T) {
 				t.Fatal(err)
 			}
 			wantGals, wantErr := drainCounting(old.Next, bufLen)
-			cur, err := OpenBinary(bytes.NewReader(whole[:cut]), nil)
+			cur, err := openBinary(bytes.NewReader(whole[:cut]), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -236,8 +248,8 @@ func TestTruncatedCatalogFailsLikePerRecord(t *testing.T) {
 				t.Errorf("cut %d buf %d: the failure did not stick (second Next: %v)", cut, bufLen, again)
 			}
 		}
-		if _, err := ReadBinary(bytes.NewReader(whole[:cut])); err == nil {
-			t.Errorf("cut %d: ReadBinary accepted a truncated catalog", cut)
+		if _, err := readBinary(bytes.NewReader(whole[:cut])); err == nil {
+			t.Errorf("cut %d: readBinary accepted a truncated catalog", cut)
 		}
 	}
 }
@@ -264,12 +276,12 @@ func TestDrainPreallocation(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	if err := WriteBinary(&buf, blockFixture(3)); err != nil {
+	if err := writeBinary(&buf, blockFixture(3)); err != nil {
 		t.Fatal(err)
 	}
 	lying := buf.Bytes()
 	binary.LittleEndian.PutUint64(lying[16:24], 1<<33)
-	cur, err := OpenBinary(bytes.NewReader(lying), nil)
+	cur, err := openBinary(bytes.NewReader(lying), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +297,7 @@ func TestDrainPreallocation(t *testing.T) {
 func FuzzBinaryCursor(f *testing.F) {
 	for _, n := range []int{0, 1, 5, BlockRecords + 1} {
 		var buf bytes.Buffer
-		if err := WriteBinary(&buf, blockFixture(n)); err != nil {
+		if err := writeBinary(&buf, blockFixture(n)); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(buf.Bytes(), uint16(7))
@@ -293,7 +305,7 @@ func FuzzBinaryCursor(f *testing.F) {
 	}
 	f.Add([]byte("GLXC\x01\x00\x00\x00"), uint16(1))
 	f.Fuzz(func(t *testing.T, data []byte, bufLen uint16) {
-		cur, err := OpenBinary(bytes.NewReader(data), nil)
+		cur, err := openBinary(bytes.NewReader(data), nil)
 		old, _, oldErr := openPerRecord(bytes.NewReader(data))
 		if (err == nil) != (oldErr == nil) {
 			t.Fatalf("header: block cursor %v, per-record cursor %v", err, oldErr)

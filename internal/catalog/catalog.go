@@ -9,6 +9,7 @@ package catalog
 
 import (
 	"fmt"
+	"math"
 
 	"galactos/internal/geom"
 )
@@ -69,23 +70,96 @@ func (c *Catalog) TotalWeight() float64 {
 	return s
 }
 
-// CheckFinite rejects a non-finite position or weight among gals, naming
-// the galaxy by its catalog index base+i. Every first pass over a catalog on
-// the run path calls it (ReadAll for the local backend, the sharded scan, the
-// service's Hash), because the engine does not fail on such a galaxy — it
-// silently drops its pairs or carries the NaN into every sum.
-func CheckFinite(gals []Galaxy, base int) error {
+// Extent applies the acceptance rule over one pass of a catalog, the one
+// rule every first pass on the run path applies (ReadAll for the local
+// backend, the sharded scan, the service's Hash): every position and weight
+// is finite and, in a periodic box, every coordinate lies in [0, L). The
+// engine does not fail on a galaxy that breaks it: a non-finite one drops its
+// pairs or carries the NaN into every sum, and one outside the box loses the
+// pairs whose separation crosses the box's faces. Add takes the pass's
+// galaxies in order; Check takes the box once the pass has ended, because a
+// CSV cursor knows its box only then. The per-axis range Add accumulates is
+// also the root an open catalog's shard plan cuts.
+type Extent struct {
+	lo, hi geom.Vec3
+	n      int // galaxies added, the catalog index of the next one
+}
+
+// NewExtent returns the extent of no galaxies.
+func NewExtent() Extent {
+	inf := math.Inf(1)
+	return Extent{lo: geom.Vec3{X: inf, Y: inf, Z: inf}, hi: geom.Vec3{X: -inf, Y: -inf, Z: -inf}}
+}
+
+// Add refuses a non-finite position or weight among the next galaxies of the
+// pass, naming the galaxy by its catalog index, and widens e to cover them.
+func (e *Extent) Add(gals []Galaxy) error {
+	lo, hi := e.lo, e.hi
 	for i, g := range gals {
 		p := g.Pos
 		// x - x is 0 for a finite x and NaN for NaN and the infinities.
 		if (p.X-p.X)+(p.Y-p.Y)+(p.Z-p.Z) != 0 {
-			return fmt.Errorf("catalog: galaxy %d has non-finite position %v", base+i, p)
+			return fmt.Errorf("catalog: galaxy %d has non-finite position %v", e.n+i, p)
 		}
 		if g.Weight-g.Weight != 0 {
-			return fmt.Errorf("catalog: galaxy %d has non-finite weight %v", base+i, g.Weight)
+			return fmt.Errorf("catalog: galaxy %d has non-finite weight %v", e.n+i, g.Weight)
+		}
+		// Compares, not math.Min/Max: a new extreme is rare, so each branch
+		// is predicted and Add costs ~4 ns a galaxy, not ~15. Which of -0
+		// and +0 is kept is immaterial: the bounds are only compared and
+		// subtracted.
+		if p.X < lo.X {
+			lo.X = p.X
+		}
+		if p.X > hi.X {
+			hi.X = p.X
+		}
+		if p.Y < lo.Y {
+			lo.Y = p.Y
+		}
+		if p.Y > hi.Y {
+			hi.Y = p.Y
+		}
+		if p.Z < lo.Z {
+			lo.Z = p.Z
+		}
+		if p.Z > hi.Z {
+			hi.Z = p.Z
+		}
+	}
+	e.lo, e.hi = lo, hi
+	e.n += len(gals)
+	return nil
+}
+
+// Check refuses a non-finite box side (CheckBox) and, for a periodic box, a
+// coordinate outside [0, L), naming the axis and the range the pass found.
+func (e Extent) Check(b geom.Periodic) error {
+	if err := CheckBox(b); err != nil || b.L <= 0 {
+		return err
+	}
+	for axis, r := range [3][2]float64{{e.lo.X, e.hi.X}, {e.lo.Y, e.hi.Y}, {e.lo.Z, e.hi.Z}} {
+		if r[0] < 0 || r[1] >= b.L {
+			return fmt.Errorf("catalog: %c coordinates span [%g, %g], outside the periodic box [0, %g): wrap positions into [0, L)",
+				"xyz"[axis], r[0], r[1], b.L)
 		}
 	}
 	return nil
+}
+
+// Root is the region a shard plan cuts: the periodic box [0, L]³, or for
+// open boundaries the extent with its upper faces raised one ulp, so the
+// largest coordinate on each axis lies inside the half-open box at any
+// magnitude. An extent of no galaxies gives the empty box.
+func (e Extent) Root(l float64) geom.Box {
+	switch {
+	case l > 0:
+		return geom.Box{Max: geom.Vec3{X: l, Y: l, Z: l}}
+	case e.lo.X > e.hi.X:
+		return geom.Box{}
+	}
+	up := func(x float64) float64 { return math.Nextafter(x, math.Inf(1)) }
+	return geom.Box{Min: e.lo, Max: geom.Vec3{X: up(e.hi.X), Y: up(e.hi.Y), Z: up(e.hi.Z)}}
 }
 
 // CheckBox rejects a non-finite box side: a NaN side fails every comparison
@@ -97,21 +171,13 @@ func CheckBox(b geom.Periodic) error {
 	return nil
 }
 
-// Validate checks structural invariants: finite coordinates and, for
-// periodic catalogs, positions inside [0, L)^3.
+// Validate applies the acceptance rule (Extent) to the whole catalog.
 func (c *Catalog) Validate() error {
-	if err := CheckFinite(c.Galaxies, 0); err != nil {
+	e := NewExtent()
+	if err := e.Add(c.Galaxies); err != nil {
 		return err
 	}
-	if c.Box.L > 0 {
-		for i, g := range c.Galaxies {
-			p := g.Pos
-			if p.X < 0 || p.X >= c.Box.L || p.Y < 0 || p.Y >= c.Box.L || p.Z < 0 || p.Z >= c.Box.L {
-				return fmt.Errorf("catalog: galaxy %d at %v outside periodic box [0,%v)", i, p, c.Box.L)
-			}
-		}
-	}
-	return nil
+	return e.Check(c.Box)
 }
 
 // WithDataMinusRandom builds the weighted D-R field used for

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -206,10 +208,10 @@ func TestValidateCatchesBadData(t *testing.T) {
 func TestBinaryRoundTrip(t *testing.T) {
 	c := Clustered(777, 120, DefaultClusterParams(), 6)
 	var buf bytes.Buffer
-	if err := WriteBinary(&buf, c); err != nil {
+	if err := writeBinary(&buf, c); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadBinary(&buf)
+	got, err := readBinary(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,19 +228,19 @@ func TestBinaryRoundTrip(t *testing.T) {
 func TestBinaryRejectsCorruption(t *testing.T) {
 	c := Uniform(10, 50, 1)
 	var buf bytes.Buffer
-	if err := WriteBinary(&buf, c); err != nil {
+	if err := writeBinary(&buf, c); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
 
 	bad := append([]byte("XXXX"), data[4:]...)
-	if _, err := ReadBinary(bytes.NewReader(bad)); err == nil {
+	if _, err := readBinary(bytes.NewReader(bad)); err == nil {
 		t.Error("bad magic accepted")
 	}
-	if _, err := ReadBinary(bytes.NewReader(data[:20])); err == nil {
+	if _, err := readBinary(bytes.NewReader(data[:20])); err == nil {
 		t.Error("truncated header accepted")
 	}
-	if _, err := ReadBinary(bytes.NewReader(data[:40])); err == nil {
+	if _, err := readBinary(bytes.NewReader(data[:40])); err == nil {
 		t.Error("truncated records accepted")
 	}
 }
@@ -247,10 +249,10 @@ func TestCSVRoundTrip(t *testing.T) {
 	c := Uniform(50, 80, 2)
 	c.Galaxies[3].Weight = -0.5
 	var buf bytes.Buffer
-	if err := WriteCSV(&buf, c); err != nil {
+	if err := writeCSV(&buf, c); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadCSV(&buf)
+	got, err := readCSV(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,39 +273,39 @@ func TestCSVRoundTrip(t *testing.T) {
 }
 
 func TestCSVDefaultsWeightAndRejectsBadRows(t *testing.T) {
-	got, err := ReadCSV(strings.NewReader("1,2,3\n4,5,6,2.5\n"))
+	got, err := readCSV(strings.NewReader("1,2,3\n4,5,6,2.5\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Galaxies[0].Weight != 1 || got.Galaxies[1].Weight != 2.5 {
 		t.Errorf("weights = %v, %v", got.Galaxies[0].Weight, got.Galaxies[1].Weight)
 	}
-	if _, err := ReadCSV(strings.NewReader("1,2\n")); err == nil {
+	if _, err := readCSV(strings.NewReader("1,2\n")); err == nil {
 		t.Error("2-field row accepted")
 	}
-	if _, err := ReadCSV(strings.NewReader("a,b,c\n")); err == nil {
+	if _, err := readCSV(strings.NewReader("a,b,c\n")); err == nil {
 		t.Error("non-numeric row accepted")
 	}
 }
 
-// FuzzCSVCursor: no input panics the CSV cursor or ReadCSV; the cursor
+// FuzzCSVCursor: no input panics the CSV cursor or readCSV; the cursor
 // never delivers more rows than the input has bytes for ("1,2,3" plus a
-// newline per row); ReadCSV accepts exactly what the cursor drains cleanly
-// into finite galaxies, whatever buffer the cursor is drained with, and
-// gets the same catalog; and an accepted catalog survives WriteCSV →
-// ReadCSV.
+// newline per row); readCSV accepts exactly what the cursor drains cleanly
+// into a catalog that passes the acceptance rule, whatever buffer the cursor
+// is drained with, and gets the same catalog; and an accepted catalog
+// survives writeCSV → readCSV.
 func FuzzCSVCursor(f *testing.F) {
 	var buf bytes.Buffer
 	c := Uniform(50, 80, 2)
 	c.Galaxies[3].Weight = -0.5
-	if err := WriteCSV(&buf, c); err != nil {
+	if err := writeCSV(&buf, c); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes(), uint16(7))
 	for _, s := range []string{
 		"1,2,3\n4,5,6,2.5\n", "1,2\n", "a,b,c\n", "1,2,3,4,5\n",
 		"# L=abc\n1,2,3\n", "1,2,3\n# note L=50 N=1\n\r\n 4 , 5 ,6 \r\n",
-		"NaN,1,2\n", "1,2,3,+Inf\n", "#L=1e400\n",
+		"NaN,1,2\n", "1,2,3,+Inf\n", "#L=1e400\n", "# L=5\n1,2,5\n", "-1,2,3\n# L=4\n",
 	} {
 		f.Add([]byte(s), uint16(1))
 	}
@@ -313,39 +315,107 @@ func FuzzCSVCursor(f *testing.F) {
 		if len(got) > (len(data)+1)/6 {
 			t.Fatalf("%d rows out of a %d-byte input", len(got), len(data))
 		}
-		cat, err := ReadCSV(bytes.NewReader(data))
-		if want := curErr == nil && CheckFinite(got, 0) == nil; (err == nil) != want {
-			t.Fatalf("ReadCSV error %v; cursor error %v over %d rows", err, curErr, len(got))
+		cat, err := readCSV(bytes.NewReader(data))
+		if want := curErr == nil && (&Catalog{Box: cur.Box(), Galaxies: got}).Validate() == nil; (err == nil) != want {
+			t.Fatalf("readCSV error %v; cursor error %v over %d rows", err, curErr, len(got))
 		}
 		if err != nil {
 			return
 		}
 		assertSameCatalog(t, &Catalog{Box: cur.Box(), Galaxies: got}, cat)
 		var out bytes.Buffer
-		if err := WriteCSV(&out, cat); err != nil {
+		if err := writeCSV(&out, cat); err != nil {
 			t.Fatal(err)
 		}
-		back, err := ReadCSV(&out)
+		back, err := readCSV(&out)
 		if err != nil {
-			t.Fatalf("re-reading WriteCSV output: %v", err)
+			t.Fatalf("re-reading writeCSV output: %v", err)
 		}
 		assertSameCatalog(t, back, cat)
 	})
 }
 
+// TestSaveLoadFile: Save writes the format the path names, so both a
+// binary and a ".csv" path read back through a FileSource to the catalog
+// saved (the CSV to its printed precision), and SaveBinary refuses a ".csv"
+// path rather than write binary where every reader expects CSV.
 func TestSaveLoadFile(t *testing.T) {
 	dir := t.TempDir()
 	c := Uniform(25, 60, 3)
-	binPath := dir + "/cat.glxc"
-	if err := SaveBinary(binPath, c); err != nil {
-		t.Fatal(err)
+	for _, name := range []string{"cat.glxc", "cat.csv"} {
+		path := filepath.Join(dir, name)
+		if err := Save(path, c); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ReadAll(NewFileSource(path))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got.Len() != 25 || got.Box.L != 60 {
+			t.Fatalf("%s: N=%d L=%v", name, got.Len(), got.Box.L)
+		}
+		for i, g := range got.Galaxies {
+			if g.Pos.Sub(c.Galaxies[i].Pos).Norm() > 1e-9 || g.Weight != c.Galaxies[i].Weight {
+				t.Fatalf("%s: galaxy %d is %+v, saved %+v", name, i, g, c.Galaxies[i])
+			}
+		}
 	}
-	got, err := Load(binPath)
-	if err != nil {
-		t.Fatal(err)
+	if err := SaveBinary(filepath.Join(dir, "x.csv"), c); err == nil {
+		t.Error("SaveBinary wrote binary to a .csv path")
 	}
-	if got.Len() != 25 || got.Box.L != 60 {
-		t.Errorf("binary load: N=%d L=%v", got.Len(), got.Box.L)
+}
+
+// TestAcceptanceRuleRefusesOutsideBox: a periodic catalog with a coordinate
+// outside [0, L) is refused, naming the axis, by every first pass — ReadAll
+// of a memory source and of a file (where a CSV's box arrives after the
+// rows), and Hash — while the same catalog with open boundaries, and one
+// with a coordinate at -0, pass.
+func TestAcceptanceRuleRefusesOutsideBox(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		name string
+		move func(*Galaxy)
+		axis string
+	}{
+		{"x-below", func(g *Galaxy) { g.Pos.X -= 60 }, "x coordinates"},
+		{"y-at-L", func(g *Galaxy) { g.Pos.Y = 60 }, "y coordinates"},
+		{"z-beyond", func(g *Galaxy) { g.Pos.Z += 120 }, "z coordinates"},
+	} {
+		c := Uniform(40, 60, 5)
+		tc.move(&c.Galaxies[17])
+		bin, csv := filepath.Join(dir, tc.name+".glxc"), filepath.Join(dir, tc.name+".csv")
+		for _, p := range []string{bin, csv} {
+			if err := Save(p, c); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// The CSV's box token arrives only after its rows.
+		data, err := os.ReadFile(csv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		head, rows, _ := strings.Cut(string(data), "\n")
+		if err := os.WriteFile(csv, []byte(rows+head+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for name, src := range map[string]Source{"memory": NewMemorySource(c), "binary": NewFileSource(bin), "csv": NewFileSource(csv)} {
+			_, err := ReadAll(src)
+			if err == nil || !strings.Contains(err.Error(), tc.axis) || !strings.Contains(err.Error(), "wrap positions into [0, L)") {
+				t.Errorf("%s %s: ReadAll error %v, want one naming the %s", tc.name, name, err, tc.axis)
+			}
+			if _, err := Hash(src); err == nil || !strings.Contains(err.Error(), tc.axis) {
+				t.Errorf("%s %s: Hash error %v, want one naming the %s", tc.name, name, err, tc.axis)
+			}
+		}
+		c.Box.L = 0
+		if _, err := ReadAll(NewMemorySource(c)); err != nil {
+			t.Errorf("%s: open boundaries refused: %v", tc.name, err)
+		}
+	}
+	c := Uniform(10, 60, 6)
+	c.Galaxies[3].Pos.X = math.Copysign(0, -1)
+	if _, err := Hash(NewMemorySource(c)); err != nil {
+		t.Errorf("a coordinate at -0 refused: %v", err)
 	}
 }
 

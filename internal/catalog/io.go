@@ -53,8 +53,8 @@ func putRecords(dst []byte, gs []Galaxy) []byte {
 	return dst[:len(gs)*RecordSize]
 }
 
-// WriteBinary writes the catalog in the binary format.
-func WriteBinary(w io.Writer, c *Catalog) error {
+// writeBinary writes the catalog in the binary format.
+func writeBinary(w io.Writer, c *Catalog) error {
 	var hdr [24]byte
 	copy(hdr[0:4], binaryMagic)
 	binary.LittleEndian.PutUint32(hdr[4:8], binaryVersion)
@@ -108,18 +108,8 @@ func GetRecord(rec []byte) Galaxy {
 	}
 }
 
-// ReadBinary reads a catalog in the binary format by draining the binary
-// cursor.
-func ReadBinary(r io.Reader) (*Catalog, error) {
-	cur, err := OpenBinary(r, nil)
-	if err != nil {
-		return nil, err
-	}
-	return drain(cur)
-}
-
-// WriteCSV writes "x,y,z,w" rows preceded by a "# L=<box>" comment header.
-func WriteCSV(w io.Writer, c *Catalog) error {
+// writeCSV writes "x,y,z,w" rows preceded by a "# L=<box>" comment header.
+func writeCSV(w io.Writer, c *Catalog) error {
 	bw := bufio.NewWriterSize(w, 1<<20)
 	if _, err := fmt.Fprintf(bw, "# galactos catalog L=%g N=%d\n", c.Box.L, len(c.Galaxies)); err != nil {
 		return err
@@ -132,47 +122,34 @@ func WriteCSV(w io.Writer, c *Catalog) error {
 	return bw.Flush()
 }
 
-// ReadCSV reads rows of "x,y,z[,w]" (weight defaults to 1). Lines starting
-// with '#' are comments; a "L=<val>" token in a comment sets the box side.
-// It drains the streaming CSV cursor — the one implementation of the
-// dialect.
-func ReadCSV(r io.Reader) (*Catalog, error) {
-	return drain(newCSVCursor(r, nil))
-}
+// isCSV is the one format rule: a path ending in ".csv" holds CSV rows
+// (writeCSV's dialect), any other path the binary format. FileSource.Open
+// reads by it and Save writes by it, so a file always reads back in the
+// format it was written in.
+func isCSV(path string) bool { return strings.HasSuffix(path, ".csv") }
 
-// SaveBinary writes the catalog to a file.
-func SaveBinary(path string, c *Catalog) error {
+// Save writes the catalog to path in the format the path names (isCSV).
+func Save(path string, c *Catalog) error {
+	write := writeBinary
+	if isCSV(path) {
+		write = writeCSV
+	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := WriteBinary(f, c); err != nil {
+	if err := write(f, c); err != nil {
 		f.Close()
 		return err
 	}
 	return f.Close()
 }
 
-// LoadBinary reads a catalog from a file.
-func LoadBinary(path string) (*Catalog, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
+// SaveBinary is Save for a path the format rule reads as binary. It refuses
+// a ".csv" path, whose file every reader would parse as CSV.
+func SaveBinary(path string, c *Catalog) error {
+	if isCSV(path) {
+		return fmt.Errorf("catalog: SaveBinary to %s: a .csv path holds CSV (use Save)", path)
 	}
-	defer f.Close()
-	return ReadBinary(f)
-}
-
-// Load reads a catalog from a file, dispatching on extension: ".csv" uses
-// the CSV reader, anything else the binary reader.
-func Load(path string) (*Catalog, error) {
-	if strings.HasSuffix(path, ".csv") {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return ReadCSV(f)
-	}
-	return LoadBinary(path)
+	return Save(path, c)
 }

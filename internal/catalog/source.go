@@ -47,8 +47,8 @@ type Cursor interface {
 	Close() error
 }
 
-// ReadAll materializes a Source into an in-memory catalog, refusing
-// non-finite positions and weights (CheckFinite).
+// ReadAll materializes a Source into an in-memory catalog, refusing one
+// that breaks the acceptance rule (Extent).
 func ReadAll(src Source) (*Catalog, error) {
 	return ReadAllContext(context.Background(), src)
 }
@@ -59,7 +59,10 @@ func ReadAll(src Source) (*Catalog, error) {
 // cancels the backoff waits promptly.
 func ReadAllContext(ctx context.Context, src Source) (*Catalog, error) {
 	if m, ok := src.(*MemorySource); ok && m.Cat != nil {
-		return m.Cat, CheckFinite(m.Cat.Galaxies, 0)
+		if err := m.Cat.Validate(); err != nil {
+			return nil, err
+		}
+		return m.Cat, nil
 	}
 	var c *Catalog
 	err := retry.Policy{}.Do(ctx, "catalog read", func() error {
@@ -84,10 +87,12 @@ const maxPrealloc = 1 << 16
 // into the catalog's own array. A cursor that knows its length is taken at
 // its word up to maxPrealloc records, so a catalog that size or smaller is
 // one exact allocation; past that, and for cursors that do not know (CSV),
-// the array doubles as records actually arrive.
+// the array doubles as records actually arrive. The catalog must pass the
+// acceptance rule (Extent).
 func drain(cur Cursor) (*Catalog, error) {
 	defer cur.Close()
 	c := &Catalog{}
+	ext := NewExtent()
 	for {
 		if len(c.Galaxies) == cap(c.Galaxies) {
 			grow := max(len(c.Galaxies), BlockRecords)
@@ -99,7 +104,7 @@ func drain(cur Cursor) (*Catalog, error) {
 		at := len(c.Galaxies)
 		n, err := cur.Next(c.Galaxies[at:cap(c.Galaxies)])
 		c.Galaxies = c.Galaxies[:at+n]
-		if ferr := CheckFinite(c.Galaxies[at:], at); ferr != nil {
+		if ferr := ext.Add(c.Galaxies[at:]); ferr != nil {
 			return nil, ferr
 		}
 		if err == io.EOF {
@@ -110,6 +115,9 @@ func drain(cur Cursor) (*Catalog, error) {
 		}
 	}
 	c.Box = cur.Box()
+	if err := ext.Check(c.Box); err != nil {
+		return nil, err
+	}
 	return c, nil
 }
 
@@ -158,9 +166,9 @@ func (c *memoryCursor) Next(buf []Galaxy) (int, error) {
 
 func (c *memoryCursor) Close() error { return nil }
 
-// FileSource streams a catalog file, dispatching on extension like Load:
-// ".csv" uses the CSV cursor, anything else the binary cursor. Each Open
-// reopens the file, so repeated passes never require the catalog resident.
+// FileSource streams a catalog file in the format its extension names
+// (isCSV, the rule Save writes by). Each Open reopens the file, so repeated
+// passes never require the catalog resident.
 type FileSource struct{ Path string }
 
 // NewFileSource streams the catalog file at path.
@@ -175,10 +183,10 @@ func (s *FileSource) Open() (Cursor, error) {
 	if err != nil {
 		return nil, err
 	}
-	if strings.HasSuffix(s.Path, ".csv") {
+	if isCSV(s.Path) {
 		return newCSVCursor(f, f), nil
 	}
-	cur, err := OpenBinary(f, f)
+	cur, err := openBinary(f, f)
 	if err != nil {
 		f.Close()
 		return nil, err
@@ -186,9 +194,9 @@ func (s *FileSource) Open() (Cursor, error) {
 	return cur, nil
 }
 
-// OpenBinary starts a streaming pass over a binary-format catalog carried
+// openBinary starts a streaming pass over a binary-format catalog carried
 // by any io.Reader. closer, when non-nil, is closed by Cursor.Close.
-func OpenBinary(r io.Reader, closer io.Closer) (Cursor, error) {
+func openBinary(r io.Reader, closer io.Closer) (Cursor, error) {
 	l, n, err := readBinaryHeader(r)
 	if err != nil {
 		return nil, err
@@ -250,8 +258,9 @@ func (c *binaryCursor) Close() error {
 	return nil
 }
 
-// newCSVCursor starts a streaming pass over CSV rows of "x,y,z[,w]" (the
-// ReadCSV dialect: '#' comments, an optional "L=<val>" box token).
+// newCSVCursor starts a streaming pass over CSV rows of "x,y,z[,w]" (weight
+// defaults to 1). Lines starting with '#' are comments; a "L=<val>" token in
+// a comment sets the box side.
 func newCSVCursor(r io.Reader, closer io.Closer) Cursor {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(nil, 1<<20) // lines up to 1 MB; the buffer starts small and grows to them

@@ -79,7 +79,7 @@ func TestFileSourceCSVRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteCSV(f, cat); err != nil {
+	if err := writeCSV(f, cat); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -109,11 +109,11 @@ func TestReadAllMatchesLoad(t *testing.T) {
 func TestBinaryCursorRejectsTruncation(t *testing.T) {
 	cat := sourceFixture()
 	var buf bytes.Buffer
-	if err := WriteBinary(&buf, cat); err != nil {
+	if err := writeBinary(&buf, cat); err != nil {
 		t.Fatal(err)
 	}
 	trunc := buf.Bytes()[:buf.Len()-17]
-	cur, err := OpenBinary(bytes.NewReader(trunc), nil)
+	cur, err := openBinary(bytes.NewReader(trunc), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

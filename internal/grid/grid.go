@@ -211,11 +211,3 @@ func mod(i, n int) int {
 	}
 	return i
 }
-
-// CountRadius returns the number of points within r of center.
-func (g *Grid) CountRadius(center geom.Vec3, r float64) int {
-	return len(g.QueryRadius(center, r, make([]int32, 0, 64)))
-}
-
-// CellCount returns the number of grid cells (instrumentation).
-func (g *Grid) CellCount() int { return g.nx * g.ny * g.nz }

@@ -554,14 +554,3 @@ func axisGap2[T Float](c, lo, hi T) T {
 	}
 	return 0
 }
-
-// CountRadius returns the number of points within distance r of center.
-func (t *Tree[T]) CountRadius(center geom.Vec3, r float64) int {
-	// Reuse QueryRadius through a small stack buffer to avoid a second
-	// traversal implementation drifting out of sync.
-	buf := make([]int32, 0, 64)
-	return len(t.QueryRadius(center, r, buf))
-}
-
-// NodeCount returns the number of tree nodes (for instrumentation).
-func (t *Tree[T]) NodeCount() int { return len(t.nodes) }

@@ -174,9 +174,6 @@ func TestEmptyTree(t *testing.T) {
 	if got := tree.QueryRadius(geom.Vec3{}, 10, nil); len(got) != 0 {
 		t.Error("empty tree returned results")
 	}
-	if tree.CountRadius(geom.Vec3{}, 10) != 0 {
-		t.Error("empty tree counted results")
-	}
 }
 
 func TestSinglePoint(t *testing.T) {
@@ -215,19 +212,6 @@ func TestCollinearPoints(t *testing.T) {
 	}
 }
 
-func TestCountRadiusMatchesQuery(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	pts := randPoints(rng, 1000, 20)
-	tree := Build[float32](pts, 0)
-	for trial := 0; trial < 20; trial++ {
-		c := pts[rng.Intn(len(pts))]
-		r := rng.Float64() * 8
-		if tree.CountRadius(c, r) != len(tree.QueryRadius(c, r, nil)) {
-			t.Fatal("CountRadius disagrees with QueryRadius")
-		}
-	}
-}
-
 func TestQueryAppendsToExistingSlice(t *testing.T) {
 	pts := []geom.Vec3{{X: 0}, {X: 1}, {X: 2}}
 	tree := Build[float64](pts, 0)
@@ -260,8 +244,8 @@ func TestLargeLeafSizeDegeneratesToScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	pts := randPoints(rng, 200, 10)
 	tree := Build[float64](pts, 10000) // single leaf
-	if tree.NodeCount() != 1 {
-		t.Errorf("expected 1 node, got %d", tree.NodeCount())
+	if len(tree.nodes) != 1 {
+		t.Errorf("expected 1 node, got %d", len(tree.nodes))
 	}
 	c := pts[0]
 	got := tree.QueryRadius(c, 3, nil)

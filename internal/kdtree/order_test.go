@@ -161,10 +161,10 @@ func TestBuildOrderPinned(t *testing.T) {
 				var nodes int
 				if prec == "float32" {
 					tr := Build[float32](pts, leaf)
-					got, nodes = orderHash(tr), tr.NodeCount()
+					got, nodes = orderHash(tr), len(tr.nodes)
 				} else {
 					tr := Build[float64](pts, leaf)
-					got, nodes = orderHash(tr), tr.NodeCount()
+					got, nodes = orderHash(tr), len(tr.nodes)
 				}
 				if w := wantNodes(len(pts), leaf); nodes != w {
 					t.Errorf("%s: %d nodes, split rule %d", key, nodes, w)

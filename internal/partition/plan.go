@@ -37,42 +37,6 @@ type node struct {
 	left, part  int32
 }
 
-// Extent accumulates the per-axis range of the galaxies it is shown: the
-// root of an open catalog's plan.
-type Extent struct {
-	lo, hi geom.Vec3
-}
-
-// NewExtent returns the extent of no galaxies.
-func NewExtent() Extent {
-	inf := math.Inf(1)
-	return Extent{lo: geom.Vec3{X: inf, Y: inf, Z: inf}, hi: geom.Vec3{X: -inf, Y: -inf, Z: -inf}}
-}
-
-// Add widens e to cover gals.
-func (e *Extent) Add(gals []catalog.Galaxy) {
-	for _, g := range gals {
-		p := g.Pos
-		e.lo = geom.Vec3{X: math.Min(e.lo.X, p.X), Y: math.Min(e.lo.Y, p.Y), Z: math.Min(e.lo.Z, p.Z)}
-		e.hi = geom.Vec3{X: math.Max(e.hi.X, p.X), Y: math.Max(e.hi.Y, p.Y), Z: math.Max(e.hi.Z, p.Z)}
-	}
-}
-
-// Root is the region a plan cuts: the periodic box [0, L]³, or for open
-// boundaries the extent with its upper faces raised one ulp, so the largest
-// coordinate on each axis lies inside the half-open box at any magnitude.
-// An extent of no galaxies gives the empty box.
-func (e Extent) Root(l float64) geom.Box {
-	switch {
-	case l > 0:
-		return geom.Box{Max: geom.Vec3{X: l, Y: l, Z: l}}
-	case e.lo.X > e.hi.X:
-		return geom.Box{}
-	}
-	up := func(x float64) float64 { return math.Nextafter(x, math.Inf(1)) }
-	return geom.Box{Min: e.lo, Max: geom.Vec3{X: up(e.hi.X), Y: up(e.hi.Y), Z: up(e.hi.Z)}}
-}
-
 // Cut plans nparts parts of root with recursive proportional k-d cuts: a
 // region to be cut into k parts is cut across its widest axis into groups of
 // ceil(k/2) and floor(k/2) parts whose galaxy counts stand in that ratio —

@@ -48,8 +48,10 @@ func Split(cat *catalog.Catalog, nparts int) ([]Part, error) {
 	if cat.Len() > math.MaxInt32 {
 		return nil, fmt.Errorf("partition: catalog of %d galaxies exceeds the int32 index space", cat.Len())
 	}
-	ext := NewExtent()
-	ext.Add(cat.Galaxies)
+	ext := catalog.NewExtent()
+	if err := ext.Add(cat.Galaxies); err != nil {
+		return nil, err
+	}
 	plan, err := Cut(ext.Root(cat.Box.L), cat.Box.L, nparts, func(visit func([]catalog.Galaxy)) error {
 		visit(cat.Galaxies)
 		return nil

@@ -18,8 +18,9 @@ import (
 // weight or box side is a bad request — 400 over HTTP, by path (a .glxc
 // holding the bad record or header) and inline — and is refused in the hash
 // pass, before the job exists: nothing is journaled, registered or counted.
-// So are a non-finite observer, a NaN timeout and a NaN GridCell (deprecated
-// and unhashed, but still encoded in the journaled request).
+// So are a periodic catalog with positions outside [0, L), a non-finite
+// observer, a NaN timeout and a NaN GridCell (deprecated and unhashed, but
+// still encoded in the journaled request).
 func TestSubmitRejectsNonFiniteInput(t *testing.T) {
 	s := newDurable(t, t.TempDir(), 8)
 	srv := httptest.NewServer(s.Handler())
@@ -92,6 +93,27 @@ func TestSubmitRejectsNonFiniteInput(t *testing.T) {
 		}
 		if code, msg := post(body); code != http.StatusBadRequest || !strings.Contains(msg, "non-finite box side") {
 			t.Errorf("box side %v by path: HTTP %d %q, want 400 naming the box side", l, code, msg)
+		}
+	}
+	// A periodic catalog with positions outside [0, L) runs to a wrong
+	// answer (the engine does not wrap), so it is refused at the same pass:
+	// inline over HTTP (finite, so JSON carries it) and by path.
+	out := hitRequest(3)
+	out.Catalog = galactos.GenerateUniform(400, 200, 3)
+	for i := 0; i < 50; i++ {
+		out.Catalog.Galaxies[7*i].Pos.X += 2 * out.Catalog.Box.L
+	}
+	path := filepath.Join(t.TempDir(), "outside.glxc")
+	if err := galactos.SaveCatalog(path, out.Catalog); err != nil {
+		t.Fatal(err)
+	}
+	for _, req := range []galactos.Request{out, {Path: path, Config: out.Config}} {
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if code, msg := post(body); code != http.StatusBadRequest || !strings.Contains(msg, "x coordinates span") {
+			t.Errorf("positions outside the box, path %q: HTTP %d %q, want 400 naming the x axis", req.Path, code, msg)
 		}
 	}
 	for _, tc := range []struct {

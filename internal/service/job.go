@@ -151,24 +151,11 @@ func (j *job) terminal() bool {
 	return j.state.Terminal()
 }
 
-// snapshotEvents returns the events from seq onward, plus the current
-// state, without blocking. A from past the end of the log (a resume cursor
-// from a stale or malicious client) yields no events, never a panic.
-func (j *job) snapshotEvents(from int) ([]Event, State) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if from > len(j.events) {
-		from = len(j.events)
-	}
-	evs := make([]Event, len(j.events)-from)
-	copy(evs, j.events[from:])
-	return evs, j.state
-}
-
 // waitEvents blocks until events past seq exist or ctx is cancelled (the
 // caller must arrange wake on ctx cancellation, e.g. context.AfterFunc(ctx,
-// j.wake)), then returns the new events and the current state. Like
-// snapshotEvents, an out-of-range from yields no events.
+// j.wake)), then returns the new events and the current state. A from past
+// the end of the log (a resume cursor from a stale or malicious client)
+// yields no events, never a panic.
 func (j *job) waitEvents(ctx context.Context, from int) ([]Event, State) {
 	j.mu.Lock()
 	defer j.mu.Unlock()

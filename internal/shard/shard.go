@@ -105,37 +105,33 @@ type UnitStats struct {
 
 // manifest pins a checkpoint directory to one (catalog, config, part count)
 // so a resume cannot silently merge partials from a different run. The
-// config is pinned by core.Config.Fingerprint, the run identity the service
+// catalog is pinned by its content hash (catalog.Hash's digest, taken in the
+// scan pass) and the config by core.Config.Fingerprint: the pair the service
 // cache key and journal use too.
 type manifest struct {
-	Version           int     `json:"version"`
-	NShards           int     `json:"nshards"`
-	NGalaxies         int     `json:"ngalaxies"`
-	BoxL              float64 `json:"box_l"`
-	SumWeight         float64 `json:"sum_weight"`
-	ConfigFingerprint string  `json:"config_fingerprint"`
+	Version           int    `json:"version"`
+	NShards           int    `json:"nshards"`
+	CatalogHash       string `json:"catalog_hash"`
+	ConfigFingerprint string `json:"config_fingerprint"`
 }
 
-// manifestVersion 4 marks partials of k-d parts (partition.Cut). A version-3
-// directory holds equal-count slab partials, whose owned counts can coincide
-// with a part's, so nothing after the manifest would stop a merge of the
-// wrong pieces. Version 3 pinned the config by its Fingerprint;
-// version 2 copied ten science fields by hand and missed the execution knobs
-// then hashed beside them; version 1 also described an older k-d pipeline
-// (told apart by a "stream" field that no longer decodes). An older
-// directory is refused under Resume, never merged. Migration: rerun without
-// -resume (the directory is overwritten), or delete it — older checkpoints
-// cannot be converted.
-const manifestVersion = 4
+// manifestVersion 5 pins the catalog by its content hash. Version 4 pinned
+// it by galaxy count, box side and total weight, which another catalog can
+// share, so a resume merged that catalog's partials without an error.
+// Version 4 also marked partials of k-d parts (partition.Cut); version 3
+// held slab partials, version 2 copied the science fields by hand and
+// version 1 described an older k-d pipeline. An older directory is refused
+// under Resume, never merged. Migration: rerun without -resume (the
+// directory is overwritten), or delete it — older checkpoints cannot be
+// converted.
+const manifestVersion = 5
 
 func newManifest(sc *sourceScan, cfg core.Config, nshards int) (manifest, error) {
 	fp, err := cfg.Fingerprint()
 	return manifest{
 		Version:           manifestVersion,
 		NShards:           nshards,
-		NGalaxies:         sc.n,
-		BoxL:              sc.box.L,
-		SumWeight:         sc.sumW,
+		CatalogHash:       sc.hash,
 		ConfigFingerprint: fp,
 	}, err
 }
@@ -175,13 +171,10 @@ func Compute(ctx context.Context, src catalog.Source, cfg core.Config, opts Opti
 	s := newStream(src, opts.NShards)
 	var sc *sourceScan
 	err = retry.Policy{}.Do(ctx, "catalog scan", func() (err error) {
-		sc, err = s.scan(ctx)
+		sc, err = s.scan(ctx, opts.CheckpointDir != "")
 		return err
 	})
 	if err != nil {
-		return nil, nil, err
-	}
-	if err := catalog.CheckBox(sc.box); err != nil {
 		return nil, nil, err
 	}
 	if sc.box.L > 0 && cfg.RMax >= sc.box.L/2 {
@@ -216,7 +209,7 @@ func Compute(ctx context.Context, src catalog.Source, cfg core.Config, opts Opti
 	if opts.Resume {
 		total, stats, valid, all := scanCheckpoints(sc, bins, cfg, opts, logf)
 		if all {
-			logf("shard: resumed all %d parts from checkpoints (no re-spill)", opts.NShards)
+			logf("shard: resumed all %d parts from checkpoints (no spill)", opts.NShards)
 			return finish(total, stats)
 		}
 		skip = valid
@@ -246,17 +239,14 @@ func Compute(ctx context.Context, src catalog.Source, cfg core.Config, opts Opti
 	}
 	defer os.RemoveAll(spillDir)
 
-	// spill scatters the source into the files of every part skip leaves
+	// The spill scatters the source into the files of every part skip leaves
 	// writable, restarting the whole pass on a transient failure (re-created
 	// files truncate, so a torn pass leaves no residue).
-	spill := func(op string, skip []bool) (owned, halo []int, err error) {
-		err = retry.Policy{}.Do(ctx, op, func() (err error) {
-			owned, halo, err = s.spillParts(ctx, plan, cfg.RMax, spillDir, skip)
-			return err
-		})
-		return owned, halo, err
-	}
-	owned, halo, err := spill("part spill", skip)
+	var owned, halo []int
+	err = retry.Policy{}.Do(ctx, "part spill", func() (err error) {
+		owned, halo, err = s.spillParts(ctx, plan, cfg.RMax, spillDir, skip)
+		return err
+	})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -269,33 +259,16 @@ func Compute(ctx context.Context, src catalog.Source, cfg core.Config, opts Opti
 		}
 		stats[i] = UnitStats{Unit: i, NOwned: owned[i], NHalo: halo[i]}
 		var partial *core.Result
-		if skip[i] { // validated by the resume pass in all but its owned count
-			partial, stats[i].Resumed = loadCheckpoint(opts.CheckpointDir, i, opts.NShards, bins, cfg.LMax, owned[i], logf)
-		}
-		if stats[i].Resumed {
-			stats[i].Pairs = partial.Pairs
-			logf("shard %d/%d: resumed from checkpoint (%d primaries, %d pairs)",
-				i, opts.NShards, partial.NPrimaries, partial.Pairs)
-		} else {
-			if skip[i] {
-				// The pre-validated checkpoint failed the primary-count
-				// revalidation: it was written by a run with a different part
-				// decomposition (possible only across code versions — the plan
-				// is otherwise deterministic). Its records were skipped by the
-				// spill pass, so degrade like every other unusable checkpoint:
-				// one more pass that writes this part alone, then recompute.
-				logf("shard %d/%d: re-spilling part", i, opts.NShards)
-				only := make([]bool, opts.NShards)
-				for j := range only {
-					only[j] = j != i
-				}
-				if _, _, err := spill("part re-spill", only); err != nil {
-					return nil, nil, fmt.Errorf("shard %d/%d: %w", i, opts.NShards, err)
-				}
-			}
-			if partial, err = s.computePart(ctx, sc.box, &stats[i], spillDir, bins, cfg, opts, logf); err != nil {
+		if skip[i] {
+			partial, err = reloadCheckpoint(ctx, opts.CheckpointDir, i, opts.NShards, bins, cfg.LMax, owned[i])
+			if err != nil {
 				return nil, nil, fmt.Errorf("shard %d/%d: %w", i, opts.NShards, err)
 			}
+			stats[i].Resumed, stats[i].Pairs = true, partial.Pairs
+			logf("shard %d/%d: resumed from checkpoint (%d primaries, %d pairs)",
+				i, opts.NShards, partial.NPrimaries, partial.Pairs)
+		} else if partial, err = s.computePart(ctx, sc.box, &stats[i], spillDir, bins, cfg, opts, logf); err != nil {
+			return nil, nil, fmt.Errorf("shard %d/%d: %w", i, opts.NShards, err)
 		}
 		if err := total.Merge(partial); err != nil {
 			return nil, nil, fmt.Errorf("shard: merging shard %d: %w", i, err)
@@ -308,9 +281,9 @@ func Compute(ctx context.Context, src catalog.Source, cfg core.Config, opts Opti
 // valid[i] records which parts hold a loadable, configuration-matching
 // checkpoint, and when every part does and the primary counts cover the
 // catalog exactly, the merged total and stats are returned with all=true
-// (the no-re-spill fast path). Otherwise the caller falls back to the
+// (the no-spill fast path). Otherwise the caller falls back to the
 // plan/spill path, which counts — but does not rewrite — the valid parts and
-// revalidates each against its owned count.
+// reloads each against its owned count (reloadCheckpoint).
 func scanCheckpoints(sc *sourceScan, bins hist.Binning, cfg core.Config, opts Options, logf func(string, ...any)) (*core.Result, []UnitStats, []bool, bool) {
 	total := core.NewResult(cfg.LMax, bins)
 	stats := make([]UnitStats, opts.NShards)
@@ -318,8 +291,11 @@ func scanCheckpoints(sc *sourceScan, bins hist.Binning, cfg core.Config, opts Op
 	all := true
 	primaries := 0
 	for i := range valid {
-		res, ok := loadCheckpoint(opts.CheckpointDir, i, opts.NShards, bins, cfg.LMax, -1, logf)
-		if !ok {
+		res, err := loadCheckpoint(opts.CheckpointDir, i, opts.NShards, bins, cfg.LMax)
+		if err != nil {
+			if !os.IsNotExist(err) {
+				logf("shard %d/%d: discarding checkpoint: %v", i, opts.NShards, err)
+			}
 			all = false
 			continue
 		}
@@ -369,26 +345,37 @@ func (s *stream) computePart(ctx context.Context, box geom.Periodic, st *UnitSta
 }
 
 // loadCheckpoint returns part i's checkpointed partial if it exists, loads
-// cleanly (the format rejects truncation and corruption), and matches the
-// run's multipole shape and — once the spill pass has counted it, nOwned >=
-// 0 — the part's primary count. Any mismatch means recompute, not failure: a
+// cleanly (the format rejects truncation and corruption) and matches the
+// run's multipole shape. The resume pass recomputes a part on any error: a
 // killed run may leave arbitrary debris.
-func loadCheckpoint(dir string, i, nshards int, bins hist.Binning, lmax, nOwned int, logf func(string, ...any)) (*core.Result, bool) {
+func loadCheckpoint(dir string, i, nshards int, bins hist.Binning, lmax int) (*core.Result, error) {
 	res, err := core.LoadResult(checkpointPath(dir, i, nshards))
 	if err == nil {
 		err = fpCkptLoad.Inject()
 	}
-	if err != nil {
-		if !os.IsNotExist(err) {
-			logf("shard %d/%d: discarding unusable checkpoint: %v", i, nshards, err)
-		}
-		return nil, false
+	if err == nil && (res.LMax != lmax || res.Bins != bins) {
+		err = fmt.Errorf("checkpoint does not match this run's multipole shape")
 	}
-	if res.LMax != lmax || res.Bins != bins || (nOwned >= 0 && res.NPrimaries != nOwned) {
-		logf("shard %d/%d: checkpoint does not match this run; recomputing", i, nshards)
-		return nil, false
+	return res, err
+}
+
+// reloadCheckpoint loads again, once the spill pass has counted its owned
+// galaxies, a part checkpoint the resume pass validated, retrying a
+// transient failure. The manifest pins the exact catalog and config, and the
+// part plan is a function of them, so a checkpoint whose primary count is
+// not the part's can only have come from another build: ErrForeignRun, as
+// for a foreign manifest (there is no spill of the part to recompute it
+// from).
+func reloadCheckpoint(ctx context.Context, dir string, i, nshards int, bins hist.Binning, lmax, owned int) (*core.Result, error) {
+	var res *core.Result
+	err := retry.Policy{}.Do(ctx, "checkpoint load", func() (err error) {
+		res, err = loadCheckpoint(dir, i, nshards, bins, lmax)
+		return err
+	})
+	if err == nil && res.NPrimaries != owned {
+		err = fmt.Errorf("checkpoint %w: it holds %d primaries, the part owns %d", ErrForeignRun, res.NPrimaries, owned)
 	}
-	return res, true
+	return res, err
 }
 
 // finishCheckpoints removes run state that must not outlive a successful

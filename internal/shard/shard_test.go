@@ -285,6 +285,45 @@ func TestResumeRejectsForeignManifest(t *testing.T) {
 	}
 }
 
+// TestResumeRejectsAnotherCatalog: the manifest pins the catalog by its
+// content hash, so a resume over another catalog with the same galaxy count,
+// box side and total weight — all a version-4 manifest compared — is
+// refused with ErrForeignRun instead of merging the first catalog's
+// partials, and a resume of the same catalog read from its file (the hash
+// addresses content, not representation) reuses every part.
+func TestResumeRejectsAnotherCatalog(t *testing.T) {
+	cfg := testConfig()
+	first := catalog.Uniform(500, 160, 1)
+	other := catalog.Uniform(500, 160, 2)
+	if first.TotalWeight() != other.TotalWeight() {
+		t.Fatal("fixture catalogs differ in total weight")
+	}
+	dir := t.TempDir()
+	want, _, err := compute(first, cfg, Options{NShards: 3, CheckpointDir: dir, Keep: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := compute(other, cfg, Options{NShards: 3, CheckpointDir: dir, Resume: true}); !errors.Is(err, ErrForeignRun) {
+		t.Fatalf("resume over another catalog of equal N, L and total weight: got %v, want ErrForeignRun", err)
+	}
+	path := filepath.Join(t.TempDir(), "first.glxc")
+	if err := catalog.Save(path, first); err != nil {
+		t.Fatal(err)
+	}
+	got, stats, err := Compute(context.Background(), catalog.NewFileSource(path), cfg, Options{NShards: 3, CheckpointDir: dir, Resume: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range stats {
+		if !s.Resumed {
+			t.Errorf("part %d recomputed despite its checkpoint", s.Unit)
+		}
+	}
+	if d := got.MaxAbsDiff(want); d != 0 {
+		t.Errorf("resumed result differs by %v", d)
+	}
+}
+
 // TestMergeAssociativity merges the same shard partials under different
 // groupings; every grouping must agree with single-shot Compute within the
 // acceptance tolerance (floating-point addition makes bitwise equality

@@ -27,8 +27,8 @@ var (
 const spillDirName = "spill"
 
 // decodeBlock is the galaxies one pass over the source decodes at a time:
-// catalog.BlockRecords, the block the binary cursor reads and catalog.Hash
-// streams in (64 KB). One block serves every pass of a Compute, because a
+// catalog.BlockRecords, the block the binary cursor reads and catalog.Digest
+// packs (64 KB). One block serves every pass of a Compute, because a
 // pass only looks at each galaxy once and keeps nothing of it.
 const decodeBlock = catalog.BlockRecords
 
@@ -90,27 +90,33 @@ func (s *stream) each(ctx context.Context, fn func([]catalog.Galaxy) error) (geo
 	}
 }
 
-// sourceScan is the product of the first pass: the run identity (count,
-// weight, geometry) plus the per-axis extent.
+// sourceScan is the product of the first pass: the galaxy count, the
+// geometry, the per-axis extent and, when the run checkpoints, the catalog's
+// identity — its content hash, catalog.Hash's digest.
 type sourceScan struct {
 	box  geom.Periodic
 	n    int
-	sumW float64
-	ext  partition.Extent
+	ext  catalog.Extent
+	hash string
 }
 
-// scan runs pass 1: count, bounds, and total weight — and, being the first
-// look at every galaxy, the finiteness check.
-func (s *stream) scan(ctx context.Context) (*sourceScan, error) {
-	sc := &sourceScan{ext: partition.NewExtent()}
+// scan runs pass 1: count and extent and, being the first look at every
+// galaxy, the acceptance rule (catalog.Extent). With identify set it also
+// digests the catalog, so a checkpointed run learns its identity without a
+// pass of its own.
+func (s *stream) scan(ctx context.Context, identify bool) (*sourceScan, error) {
+	sc := &sourceScan{ext: catalog.NewExtent()}
+	var d *catalog.Digest
+	if identify {
+		d = catalog.NewDigest()
+	}
 	var err error
 	sc.box, err = s.each(ctx, func(chunk []catalog.Galaxy) error {
-		if err := catalog.CheckFinite(chunk, sc.n); err != nil {
+		if err := sc.ext.Add(chunk); err != nil {
 			return err
 		}
-		sc.ext.Add(chunk)
-		for _, g := range chunk {
-			sc.sumW += g.Weight
+		if d != nil {
+			d.Add(chunk)
 		}
 		sc.n += len(chunk)
 		return nil
@@ -120,6 +126,12 @@ func (s *stream) scan(ctx context.Context) (*sourceScan, error) {
 	}
 	if sc.n == 0 {
 		return nil, fmt.Errorf("shard: empty catalog source")
+	}
+	if err := sc.ext.Check(sc.box); err != nil {
+		return nil, err
+	}
+	if d != nil {
+		sc.hash = d.Sum(sc.box)
 	}
 	return sc, nil
 }

@@ -2,8 +2,10 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"galactos/internal/catalog"
@@ -81,13 +83,14 @@ func TestStreamTruncatedPartCheckpointRecomputed(t *testing.T) {
 	}
 }
 
-// TestStreamMismatchedCheckpointRespilled exercises the revalidation
-// degradation: a checkpoint that loads cleanly and matches the run config
-// but carries the wrong primary count (a different part decomposition)
-// passes the resume pre-scan — so the scatter pass skips its records — and
-// only fails the per-part revalidation. The part must then be re-spilled
-// with a targeted pass and recomputed, not hard-fail the run.
-func TestStreamMismatchedCheckpointRespilled(t *testing.T) {
+// TestStreamMismatchedCheckpointForeign: a checkpoint that loads cleanly
+// and matches the run config but carries the wrong primary count passes the
+// resume pre-scan — so the scatter pass skips its records — and fails the
+// reload against its part's owned count. The manifest pins the exact
+// catalog and the plan is deterministic, so only another build can have
+// written it: the run is refused with ErrForeignRun, as for a foreign
+// manifest, and a run without Resume over the same directory recomputes it.
+func TestStreamMismatchedCheckpointForeign(t *testing.T) {
 	cat, cfg, dir, first := streamFaultSetup(t, 43)
 	// A valid same-config partial with a primary count no part owns.
 	decoy := catalog.Clustered(50, 160, catalog.DefaultClusterParams(), 99)
@@ -99,19 +102,16 @@ func TestStreamMismatchedCheckpointRespilled(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, stats, err := compute(cat, cfg,
-		Options{NShards: 3, CheckpointDir: dir, Resume: true})
+	_, _, err = compute(cat, cfg, Options{NShards: 3, CheckpointDir: dir, Resume: true})
+	if !errors.Is(err, ErrForeignRun) || !strings.Contains(err.Error(), "shard 1/3") {
+		t.Fatalf("resume over a checkpoint with another primary count: got %v, want ErrForeignRun naming shard 1/3", err)
+	}
+	got, _, err := compute(cat, cfg, Options{NShards: 3, CheckpointDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats[1].Resumed {
-		t.Error("mismatched checkpoint was trusted instead of recomputed")
-	}
-	if stats[0].Resumed != true || stats[2].Resumed != true {
-		t.Error("intact part checkpoints were not reused")
-	}
 	if d := got.MaxAbsDiff(first); d != 0 {
-		t.Errorf("result after re-spilling mismatched part differs by %v", d)
+		t.Errorf("rerun without Resume differs by %v", d)
 	}
 }
 

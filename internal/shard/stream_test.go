@@ -96,7 +96,7 @@ func TestStreamPeriodicWrapHalo(t *testing.T) {
 	// lower part, and one on the cut belongs to the upper part.
 	cat := catalog.Uniform(400, 200, 53)
 	s := newStream(catalog.NewMemorySource(cat), 2)
-	sc, err := s.scan(context.Background())
+	sc, err := s.scan(context.Background(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestStreamRejectsForeignCheckpointDir(t *testing.T) {
 		t.Fatal(err)
 	}
 	v2, err := json.MarshalIndent(map[string]any{
-		"version": 2, "nshards": m.NShards, "ngalaxies": m.NGalaxies, "box_l": m.BoxL, "sum_weight": m.SumWeight,
+		"version": 2, "nshards": m.NShards, "ngalaxies": cat.Len(), "box_l": cat.Box.L, "sum_weight": cat.TotalWeight(),
 		"rmax": cfg.RMax, "rmin": cfg.RMin, "nbins": cfg.NBins, "lmax": cfg.LMax, "los": int(cfg.LOS),
 		"observer_x": cfg.Observer.X, "observer_y": cfg.Observer.Y, "observer_z": cfg.Observer.Z,
 		"self_count": cfg.SelfCount, "isotropic_only": cfg.IsotropicOnly,
@@ -256,10 +256,18 @@ func TestStreamRejectsForeignCheckpointDir(t *testing.T) {
 // (a resume reads whatever an earlier run or an operator left), so the
 // loader must answer every input with a manifest of the current version or
 // an error — never a panic, never another version's fields taken at this
-// version's meaning — and what it accepts must survive a rewrite.
+// version's meaning — and what it accepts must survive a rewrite. The seeds
+// hold a version-5 manifest as this build writes it, and version-4 ones
+// (this build's fields, and the count/box/weight fields that version had),
+// which must be refused.
 func FuzzManifest(f *testing.F) {
 	cfg := streamConfig()
-	m, err := newManifest(&sourceScan{n: 700, sumW: 700, box: geom.Periodic{L: 160}}, cfg, 3)
+	cat := catalog.Uniform(700, 160, 1)
+	hash, err := catalog.Hash(catalog.NewMemorySource(cat))
+	if err != nil {
+		f.Fatal(err)
+	}
+	m, err := newManifest(&sourceScan{n: 700, box: cat.Box, hash: hash}, cfg, 3)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -267,14 +275,18 @@ func FuzzManifest(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	if !bytes.Contains(written, []byte(`"version": 5`)) || !bytes.Contains(written, []byte(`"catalog_hash": "`+hash)) {
+		f.Fatalf("this build writes an unexpected manifest:\n%s", written)
+	}
 	f.Add(written)
 	f.Add(written[:len(written)/2])
-	f.Add(bytes.Replace(written, []byte(`"version": 4`), []byte(`"version": 3`), 1))
+	f.Add(bytes.Replace(written, []byte(`"version": 5`), []byte(`"version": 4`), 1))
 	f.Add(bytes.Replace(written, []byte(`"nshards": 3`), []byte(`"nshards": 1e999`), 1))
 	f.Add(bytes.Replace(written, []byte(`"config_fingerprint": "`), []byte(`"config_fingerprint": 7, "x": "`), 1))
 	f.Add([]byte(`{"version": 2, "stream": true, "rmax": 40}`))
 	f.Add([]byte(`[3]`))
 	f.Add([]byte(nil))
+	f.Add([]byte(fmt.Sprintf(`{"version": 4, "nshards": 3, "ngalaxies": 700, "box_l": 160, "sum_weight": 700, "config_fingerprint": %q}`, m.ConfigFingerprint)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := parseManifest(data)
 		if err != nil {

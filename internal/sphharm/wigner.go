@@ -47,8 +47,8 @@ func Wigner3j(j1, j2, j3, m1, m2, m3 int) float64 {
 		logFact(j2+m2) + logFact(j2-m2) +
 		logFact(j3+m3) + logFact(j3-m3)))
 
-	kmin := max(0, max(j2-j3-m1, j1-j3+m2))
-	kmax := min(j1+j2-j3, min(j1-m1, j2+m2))
+	kmin := max(0, j2-j3-m1, j1-j3+m2)
+	kmax := min(j1+j2-j3, j1-m1, j2+m2)
 	sum := 0.0
 	for k := kmin; k <= kmax; k++ {
 		logTerm := logPre - (logFact(k) + logFact(j1+j2-j3-k) + logFact(j1-m1-k) +
@@ -80,18 +80,4 @@ func abs(x int) int {
 		return -x
 	}
 	return x
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

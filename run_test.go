@@ -225,3 +225,35 @@ func TestRunRejectsNonFiniteInput(t *testing.T) {
 		}
 	}
 }
+
+// TestRunRejectsPositionsOutsideBox pins the fix for another silent wrong
+// answer: in a periodic box, galaxies shifted by a whole box side are the
+// same physical catalog, but the engine does not wrap positions, so such a
+// catalog used to run to completion with pairs missing (5212 → 4158 here,
+// max |Δζ| 541 of 1777). Run must refuse it, naming the axis, on both
+// backends — checkpointed or not — for a resident catalog and for a file.
+func TestRunRejectsPositionsOutsideBox(t *testing.T) {
+	cfg := galactos.DefaultConfig()
+	cfg.RMax, cfg.NBins, cfg.LMax, cfg.Workers = 40, 4, 2, 1
+	cat := galactos.GenerateUniform(400, 200, 3)
+	for i := 0; i < 50; i++ {
+		cat.Galaxies[7*i].Pos.Y += 2 * cat.Box.L
+	}
+	path := filepath.Join(t.TempDir(), "shifted.glxc")
+	if err := galactos.SaveCatalog(path, cat); err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range []galactos.BackendSpec{
+		{}, {Name: "sharded", Shards: 2}, {Name: "sharded", Shards: 4, CheckpointDir: t.TempDir()},
+	} {
+		for _, req := range []galactos.Request{
+			{Catalog: cat, Config: cfg, Backend: spec},
+			{Path: path, Config: cfg, Backend: spec},
+		} {
+			_, err := galactos.Run(context.Background(), req)
+			if err == nil || !strings.Contains(err.Error(), "y coordinates span") || !strings.Contains(err.Error(), "[0, L)") {
+				t.Errorf("backend %+v, path %q: got %v, want a refusal naming the y axis", spec, req.Path, err)
+			}
+		}
+	}
+}
