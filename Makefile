@@ -24,15 +24,16 @@ test:
 # Race detector over the concurrency surfaces: the engine worker pool and
 # its commit clock, the k-d tree's lock-free parallel build (goroutines
 # writing disjoint pre-order node ranges), the 2PCF counter's ordered chunk
-# folds, the sharded checkpointing pipeline, the execution layer's
-# cancellation paths, the scenario registry's multi-stage workloads on both
-# backends, the galactosd job server (worker pool, SSE streaming,
-# disconnect-cancel) with its client, the fault-injection/retry layers whose
-# counters and plans are hit from every worker goroutine, the chaos sweep
-# (every case under its fault plan) and galactosd's crash sweep, whose
-# SIGKILLed daemon is the race-built test binary itself.
+# folds, the catalog's pinned sources and streaming passes, the sharded
+# checkpointing pipeline, the execution layer's cancellation paths, the
+# scenario registry's multi-stage workloads on both backends, the galactosd
+# job server (worker pool, SSE streaming, disconnect-cancel) with its
+# client, the fault-injection/retry layers whose counters and plans are hit
+# from every worker goroutine, the chaos sweep (every case under its fault
+# plan) and galactosd's crash sweep, whose SIGKILLed daemon is the
+# race-built test binary itself.
 test-race:
-	$(GO) test -race ./internal/core/... ./internal/kdtree/... ./internal/twopcf/... ./internal/shard/... \
+	$(GO) test -race ./internal/core/... ./internal/kdtree/... ./internal/twopcf/... ./internal/catalog/... ./internal/shard/... \
 		./internal/exec/... ./internal/scenario/... ./internal/service/... ./client/... \
 		./internal/faultpoint/... ./internal/retry/... ./internal/journal/... \
 		./internal/chaos/... ./cmd/galactosd/...

@@ -259,7 +259,8 @@ func TestTruncatedCatalogFailsLikePerRecord(t *testing.T) {
 // count up to maxPrealloc; and a count past the bound is not trusted in
 // advance: a header claiming 2^33 galaxies (the most the header check
 // passes) ahead of three records fails on the missing ones instead of on a
-// 256 GB allocation.
+// 256 GB allocation. The allocation count is read only outside -race
+// builds, whose instrumentation adds one; the capacity is checked in both.
 func TestDrainPreallocation(t *testing.T) {
 	for _, n := range []int{1, BlockRecords + 1, maxPrealloc} {
 		cur := &memoryCursor{cat: Uniform(n, 120, 1)}
@@ -271,7 +272,7 @@ func TestDrainPreallocation(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		if c := cap(got.Galaxies); allocs != 2 || c < n || c > n+n/8+16 {
+		if c := cap(got.Galaxies); (!raceBuild && allocs != 2) || c < n || c > n+n/8+16 {
 			t.Errorf("n=%d: %v allocations (want the catalog and its array), array cap %d", n, allocs, c)
 		}
 	}

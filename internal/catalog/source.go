@@ -122,10 +122,10 @@ func drain(cur Cursor) (*Catalog, error) {
 }
 
 // remaining reports how many records are left in cur's pass, for the
-// cursors that know (they have a left method).
+// cursors that know (they have a left method, which a wrapper forwards).
 func remaining(cur Cursor) (uint64, bool) {
-	if c, ok := cur.(interface{ left() uint64 }); ok {
-		return c.left(), true
+	if c, ok := cur.(interface{ left() (uint64, bool) }); ok {
+		return c.left()
 	}
 	return 0, false
 }
@@ -153,7 +153,7 @@ type memoryCursor struct {
 
 func (c *memoryCursor) Box() geom.Periodic { return c.cat.Box }
 
-func (c *memoryCursor) left() uint64 { return uint64(len(c.cat.Galaxies) - c.pos) }
+func (c *memoryCursor) left() (uint64, bool) { return uint64(len(c.cat.Galaxies) - c.pos), true }
 
 func (c *memoryCursor) Next(buf []Galaxy) (int, error) {
 	if c.pos >= len(c.cat.Galaxies) {
@@ -215,7 +215,7 @@ type binaryCursor struct {
 
 func (c *binaryCursor) Box() geom.Periodic { return c.box }
 
-func (c *binaryCursor) left() uint64 { return c.remaining }
+func (c *binaryCursor) left() (uint64, bool) { return c.remaining, true }
 
 // Next decodes whole blocks out of the read buffer. A stream that ends
 // early yields its whole records and then fails the way a record-at-a-time

@@ -16,7 +16,7 @@ import (
 func hitRec(id string) Record {
 	return Record{
 		Type: RecordHit, ID: id, Time: time.Unix(1700000100, 0).UTC(),
-		Key: "cat+fp", CatHash: "cat", Fingerprint: "fp", Label: "t",
+		Key: "cat+fp", Label: "t",
 		State: "done", CacheHit: true,
 	}
 }
@@ -150,8 +150,8 @@ func TestReduceFoldsHitRecord(t *testing.T) {
 		t.Fatalf("folded to %+v, want job-1, job-2, job-4", jobs)
 	}
 	hit := jobs[1]
-	if hit.Submit.Type != RecordSubmit || hit.Submit.Key != "cat+fp" || hit.Submit.CatHash != "cat" ||
-		hit.Submit.Fingerprint != "fp" || hit.Submit.Label != "t" || hit.Submit.State != "" || len(hit.Submit.Request) != 0 {
+	if hit.Submit.Type != RecordSubmit || hit.Submit.Key != "cat+fp" ||
+		hit.Submit.Label != "t" || hit.Submit.State != "" || len(hit.Submit.Request) != 0 {
 		t.Errorf("hit folded to submit %+v", hit.Submit)
 	}
 	if !hit.Terminal() || hit.End.Type != RecordEnd || hit.End.State != "done" || !hit.End.CacheHit ||

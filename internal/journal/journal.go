@@ -44,22 +44,21 @@ const (
 )
 
 // Record is one journal entry. Only the fields of its Type are set: submit
-// records carry the request identity (the catalog content hash and the
-// normalized config fingerprint joined as the cache key) and, while the job
+// records carry the job's identity, its cache key (the catalog content hash
+// and the normalized config fingerprint, joined by "+"), and, while the job
 // can still run, the serialized request (boot compaction drops it from a
-// terminal job's), end records the terminal state.
+// terminal job's); end records the terminal state. Older segments also
+// carry the key's halves as "cat_hash" and "fp": replay ignores them.
 type Record struct {
 	Type string    `json:"t"`
 	ID   string    `json:"id"`
 	Time time.Time `json:"time,omitzero"`
 
-	// Submit fields: the cache key (CatHash+"+"+Fingerprint), the label,
-	// and the request serialized in its wire-schema JSON form.
-	Key         string          `json:"key,omitempty"`
-	CatHash     string          `json:"cat_hash,omitempty"`
-	Fingerprint string          `json:"fp,omitempty"`
-	Label       string          `json:"label,omitempty"`
-	Request     json.RawMessage `json:"req,omitempty"`
+	// Submit fields: the cache key, the label, and the request serialized
+	// in its wire-schema JSON form.
+	Key     string          `json:"key,omitempty"`
+	Label   string          `json:"label,omitempty"`
+	Request json.RawMessage `json:"req,omitempty"`
 
 	// End fields: the terminal state ("done", "failed", "cancelled"), the
 	// failure reason, and whether the result came from the cache.

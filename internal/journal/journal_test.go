@@ -21,7 +21,7 @@ func openT(t *testing.T, dir string, rotate int64) (*Journal, []Record) {
 func submitRec(id string) Record {
 	return Record{
 		Type: RecordSubmit, ID: id, Time: time.Unix(1700000000, 0).UTC(),
-		Key: "cat+fp", CatHash: "cat", Fingerprint: "fp", Label: "t",
+		Key: "cat+fp", Label: "t",
 		Request: json.RawMessage(`{"config":{}}`),
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"time"
 
@@ -157,7 +156,6 @@ func restoreTerminal(jr journal.JobRecord) *job {
 		id:         jr.Submit.ID,
 		label:      jr.Submit.Label,
 		key:        jr.Submit.Key,
-		catHash:    jr.Submit.CatHash,
 		ctx:        ctx,
 		cancel:     cancel,
 		cacheHit:   jr.End.CacheHit,
@@ -201,7 +199,6 @@ func (s *Server) requeueInterrupted(jr journal.JobRecord) *job {
 
 	ctx, cancel := context.WithCancel(s.rootCtx)
 	j := newJob(jr.Submit.ID, req, src, jr.Submit.Key, ctx, cancel)
-	j.catHash = jr.Submit.CatHash
 	j.queuedAt = jr.Submit.Time
 	if err != nil {
 		j.finish(StateFailed, fmt.Errorf("crash recovery: %w", err), nil, nil, false)
@@ -246,18 +243,7 @@ func (s *Server) resultFor(j *job, read func(r io.Reader, size int64)) (State, b
 // identityRecord starts a job's first journal record: who it is and what
 // it is keyed by.
 func identityRecord(typ string, j *job) journal.Record {
-	r := journal.Record{
-		Type:    typ,
-		ID:      j.id,
-		Time:    time.Now().UTC(),
-		Key:     j.key,
-		CatHash: j.catHash,
-		Label:   j.label,
-	}
-	if fp, ok := strings.CutPrefix(j.key, j.catHash+"+"); ok {
-		r.Fingerprint = fp
-	}
-	return r
+	return journal.Record{Type: typ, ID: j.id, Time: time.Now().UTC(), Key: j.key, Label: j.label}
 }
 
 // submitRecord builds the journal record that commits a submission. Only

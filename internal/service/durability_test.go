@@ -238,8 +238,7 @@ func TestJournalReplayRequeuesInterruptedJob(t *testing.T) {
 	} {
 		must(jnl.Append(journal.Record{
 			Type: journal.RecordSubmit, ID: sub.id, Time: time.Now().UTC(),
-			Key: sub.key, CatHash: catHash, Fingerprint: fp,
-			Label: req.Label, Request: sub.request,
+			Key: sub.key, Label: req.Label, Request: sub.request,
 		}))
 		must(jnl.Append(journal.Record{Type: journal.RecordStart, ID: sub.id, Time: time.Now().UTC()}))
 	}
@@ -369,7 +368,7 @@ func TestRequeuedJobRestartsForeignCheckpoints(t *testing.T) {
 	}
 	for _, rec := range []journal.Record{
 		{Type: journal.RecordSubmit, ID: id, Time: time.Now().UTC(), Key: catHash + "+" + fp,
-			CatHash: catHash, Fingerprint: fp, Label: req.Label, Request: reqJSON},
+			Label: req.Label, Request: reqJSON},
 		{Type: journal.RecordStart, ID: id, Time: time.Now().UTC()},
 	} {
 		if err := jnl.Append(rec); err != nil {
@@ -484,7 +483,7 @@ func TestRetainJobsBoundsReplay(t *testing.T) {
 		id := mkID(i)
 		if err := jnl.Append(journal.Record{
 			Type: journal.RecordSubmit, ID: id, Time: time.Now().UTC(),
-			Key: "cat+fp", CatHash: "cat", Fingerprint: "fp",
+			Key: "cat+fp",
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -596,8 +595,7 @@ func submitFor(t testing.TB, id string, req galactos.Request) journal.Record {
 	}
 	return journal.Record{
 		Type: journal.RecordSubmit, ID: id, Time: time.Now().UTC(),
-		Key: catHash + "+" + fp, CatHash: catHash, Fingerprint: fp,
-		Label: req.Label, Request: data,
+		Key: catHash + "+" + fp, Label: req.Label, Request: data,
 	}
 }
 

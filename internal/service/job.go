@@ -2,22 +2,24 @@ package service
 
 import (
 	"context"
+	"strings"
 	"sync"
 	"time"
 
 	"galactos"
+	"galactos/internal/catalog"
 	"galactos/internal/exec"
 )
 
-// job is one submitted computation. All mutable state is guarded by mu; the
+// job is one submitted computation, identified by its cache key (catalog
+// hash "+" config Fingerprint). All mutable state is guarded by mu; the
 // cond broadcasts whenever the event log grows (which includes every state
 // transition), so any number of stream subscribers can follow one job
 // without per-subscriber bookkeeping.
 type job struct {
-	id      string
-	label   string
-	key     string
-	catHash string // catalog half of key, re-verified at run for Path catalogs
+	id    string
+	label string
+	key   string
 
 	// req and src are what a worker runs; they are released once the job is
 	// terminal, so a retained job holds no catalog.
@@ -45,7 +47,15 @@ type job struct {
 	finishedAt time.Time
 }
 
+// newJob builds a queued job. A catalog the server did not decode itself (a
+// Path file, an in-process Source) can change after it was hashed, so its
+// run reads it pinned to the catalog half of key: a run that read another
+// catalog fails with catalog.ErrChanged instead of caching under this key.
 func newJob(id string, req galactos.Request, src galactos.CatalogSource, key string, ctx context.Context, cancel context.CancelFunc) *job {
+	if src != nil && req.Catalog == nil {
+		catHash, _, _ := strings.Cut(key, "+")
+		src = catalog.Pin(src, catHash)
+	}
 	j := &job{
 		id:       id,
 		label:    req.Label,

@@ -183,9 +183,10 @@ func (s *Server) logf(format string, args ...any) {
 	}
 }
 
-// Submit validates and registers a job. Cache hits complete immediately
-// (state done, CacheHit set, see submitHit) without consuming a worker;
-// misses queue.
+// Submit validates and registers a job under its key (catalog.Hash "+"
+// Fingerprint). Cache hits complete immediately (state done, CacheHit set,
+// see submitHit) without consuming a worker; misses queue, their catalog
+// pinned to the key unless the server decoded it (newJob).
 // Errors wrap ErrBadRequest, ErrQueueFull, or ErrDraining.
 func (s *Server) Submit(req galactos.Request) (*job, error) {
 	src, err := req.Resolve()
@@ -205,7 +206,7 @@ func (s *Server) Submit(req galactos.Request) (*job, error) {
 	// The lookup comes first: an answer the store already holds needs no
 	// queue slot, no request on record and no worker.
 	if data, ok := s.store.get(key); ok {
-		return s.submitHit(req.Label, key, catHash, data)
+		return s.submitHit(req.Label, key, data)
 	}
 
 	// Everything from the admission checks to the queue send happens under
@@ -223,7 +224,6 @@ func (s *Server) Submit(req galactos.Request) (*job, error) {
 	id := fmt.Sprintf("job-%06d", s.nextID.Add(1))
 	ctx, cancel := context.WithCancel(s.rootCtx)
 	j := newJob(id, req, src, key, ctx, cancel)
-	j.catHash = catHash
 
 	// Journal the submission before the job becomes visible: the commit
 	// point of "this job exists" is the fsynced submit record, so every
@@ -257,7 +257,7 @@ func (s *Server) Submit(req galactos.Request) (*job, error) {
 // the retention bound pushes out — is one journal commit, made under s.mu
 // before the job can be seen: a kill at any byte of it replays to "no such
 // job" or to this job done. It keeps no request, and no bytes of its own.
-func (s *Server) submitHit(label, key, catHash string, data []byte) (*job, error) {
+func (s *Server) submitHit(label, key string, data []byte) (*job, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // terminal on arrival: nothing will ever run under this ctx
 	s.mu.Lock()
@@ -267,7 +267,6 @@ func (s *Server) submitHit(label, key, catHash string, data []byte) (*job, error
 	}
 	id := fmt.Sprintf("job-%06d", s.nextID.Add(1))
 	j := newJob(id, galactos.Request{Label: label}, nil, key, ctx, cancel)
-	j.catHash = catHash
 	j.finish(StateDone, nil, nil, data, true)
 	victims := s.overRetentionLocked(1)
 	if s.jnl != nil {
@@ -362,23 +361,8 @@ func (s *Server) runJob(j *job) {
 	s.running.Add(1)
 	defer s.running.Add(-1)
 
-	// A Path catalog was hashed at submission but is re-read from disk
-	// now; re-verify (one cheap streaming pass) so a file edited while
-	// the job sat queued can never cache its result under the stale
-	// content's key and poison later hits.
-	if req.Path != "" {
-		h, err := catalog.Hash(src)
-		if err == nil && h != j.catHash {
-			err = fmt.Errorf("catalog %s changed between submission and run (content hash mismatch)", req.Path)
-		}
-		if err != nil {
-			j.finish(StateFailed, err, nil, nil, false)
-			s.failed.Add(1)
-			s.logf("%s: failed: %v", j.id, err)
-			return
-		}
-	}
-
+	// src is pinned (newJob): a run that reads another catalog than j.key
+	// names fails, so it can never poison the cache under that key.
 	req.Source = src
 	req.Catalog = nil
 	req.Path = ""

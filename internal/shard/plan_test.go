@@ -21,7 +21,7 @@ func TestPartsResidentBelowSlabBound(t *testing.T) {
 	l := math.Cbrt(n / catalog.OuterRimDensity)
 	cat := catalog.Clustered(n, l, catalog.DefaultClusterParams(), 1)
 	s := newStream(catalog.NewMemorySource(cat), 64)
-	sc, err := s.scan(context.Background(), false)
+	sc, err := catalog.Scan(context.Background(), s.src, s.block, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestSplitMatchesPipelineParts(t *testing.T) {
 				t.Fatal(err)
 			}
 			s := newStream(catalog.NewMemorySource(tc.cat), k)
-			sc, err := s.scan(context.Background(), false)
+			sc, err := catalog.Scan(context.Background(), s.src, s.block, false)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -126,12 +126,12 @@ type manifest struct {
 // converted.
 const manifestVersion = 5
 
-func newManifest(sc *sourceScan, cfg core.Config, nshards int) (manifest, error) {
+func newManifest(catHash string, cfg core.Config, nshards int) (manifest, error) {
 	fp, err := cfg.Fingerprint()
 	return manifest{
 		Version:           manifestVersion,
 		NShards:           nshards,
-		CatalogHash:       sc.hash,
+		CatalogHash:       catHash,
 		ConfigFingerprint: fp,
 	}, err
 }
@@ -169,20 +169,25 @@ func Compute(ctx context.Context, src catalog.Source, cfg core.Config, opts Opti
 	// transient mid-pass failure (source IO or spill IO) restarts just that
 	// pass under the default retry policy.
 	s := newStream(src, opts.NShards)
-	var sc *sourceScan
+	// Pass 1 (catalog.Scan) also learns the catalog's identity when the
+	// run checkpoints.
+	var sc *catalog.Summary
 	err = retry.Policy{}.Do(ctx, "catalog scan", func() (err error) {
-		sc, err = s.scan(ctx, opts.CheckpointDir != "")
+		sc, err = catalog.Scan(ctx, src, s.block, opts.CheckpointDir != "")
 		return err
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	if sc.box.L > 0 && cfg.RMax >= sc.box.L/2 {
-		return nil, nil, fmt.Errorf("shard: RMax %v must be below half the periodic box %v", cfg.RMax, sc.box.L)
+	if sc.N == 0 {
+		return nil, nil, fmt.Errorf("shard: empty catalog source")
+	}
+	if sc.Box.L > 0 && cfg.RMax >= sc.Box.L/2 {
+		return nil, nil, fmt.Errorf("shard: RMax %v must be below half the periodic box %v", cfg.RMax, sc.Box.L)
 	}
 
 	if opts.CheckpointDir != "" {
-		m, err := newManifest(sc, cfg, opts.NShards)
+		m, err := newManifest(sc.Hash, cfg, opts.NShards)
 		if err == nil {
 			err = prepareDir(opts.CheckpointDir, m, opts.Resume)
 		}
@@ -194,7 +199,7 @@ func Compute(ctx context.Context, src catalog.Source, cfg core.Config, opts Opti
 	// copies in NGalaxies, where the result describes the whole catalog —
 	// and clears the run state that must not outlive a successful merge.
 	finish := func(total *core.Result, stats []UnitStats) (*core.Result, []UnitStats, error) {
-		total.NGalaxies = sc.n
+		total.NGalaxies = sc.N
 		finishCheckpoints(opts)
 		return total, stats, nil
 	}
@@ -267,7 +272,7 @@ func Compute(ctx context.Context, src catalog.Source, cfg core.Config, opts Opti
 			stats[i].Resumed, stats[i].Pairs = true, partial.Pairs
 			logf("shard %d/%d: resumed from checkpoint (%d primaries, %d pairs)",
 				i, opts.NShards, partial.NPrimaries, partial.Pairs)
-		} else if partial, err = s.computePart(ctx, sc.box, &stats[i], spillDir, bins, cfg, opts, logf); err != nil {
+		} else if partial, err = s.computePart(ctx, sc.Box, &stats[i], spillDir, bins, cfg, opts, logf); err != nil {
 			return nil, nil, fmt.Errorf("shard %d/%d: %w", i, opts.NShards, err)
 		}
 		if err := total.Merge(partial); err != nil {
@@ -284,7 +289,7 @@ func Compute(ctx context.Context, src catalog.Source, cfg core.Config, opts Opti
 // (the no-spill fast path). Otherwise the caller falls back to the
 // plan/spill path, which counts — but does not rewrite — the valid parts and
 // reloads each against its owned count (reloadCheckpoint).
-func scanCheckpoints(sc *sourceScan, bins hist.Binning, cfg core.Config, opts Options, logf func(string, ...any)) (*core.Result, []UnitStats, []bool, bool) {
+func scanCheckpoints(sc *catalog.Summary, bins hist.Binning, cfg core.Config, opts Options, logf func(string, ...any)) (*core.Result, []UnitStats, []bool, bool) {
 	total := core.NewResult(cfg.LMax, bins)
 	stats := make([]UnitStats, opts.NShards)
 	valid := make([]bool, opts.NShards)
@@ -312,7 +317,7 @@ func scanCheckpoints(sc *sourceScan, bins hist.Binning, cfg core.Config, opts Op
 			all = false
 		}
 	}
-	return total, stats, valid, all && primaries == sc.n
+	return total, stats, valid, all && primaries == sc.N
 }
 
 // computePart produces one part's partial result from its spill files (st

@@ -27,8 +27,8 @@ var (
 const spillDirName = "spill"
 
 // decodeBlock is the galaxies one pass over the source decodes at a time:
-// catalog.BlockRecords, the block the binary cursor reads and catalog.Digest
-// packs (64 KB). One block serves every pass of a Compute, because a
+// catalog.BlockRecords, the block the binary cursor reads and a catalog
+// digest packs (64 KB). One block serves every pass of a Compute, because a
 // pass only looks at each galaxy once and keeps nothing of it.
 const decodeBlock = catalog.BlockRecords
 
@@ -64,83 +64,11 @@ func newStream(src catalog.Source, nshards int) *stream {
 	}
 }
 
-// each makes one sequential pass over the source, handing fn every decoded
-// block in order, and returns the source's box — read after the drain,
-// because a CSV cursor only knows its L= token once the pass is complete.
-func (s *stream) each(ctx context.Context, fn func([]catalog.Galaxy) error) (geom.Periodic, error) {
-	cur, err := s.src.Open()
-	if err != nil {
-		return geom.Periodic{}, err
-	}
-	defer cur.Close() // read-only: a failed close loses nothing
-	for {
-		if err := ctx.Err(); err != nil {
-			return geom.Periodic{}, err
-		}
-		n, nextErr := cur.Next(s.block)
-		if err := fn(s.block[:n]); err != nil {
-			return geom.Periodic{}, err
-		}
-		if nextErr == io.EOF {
-			return cur.Box(), nil
-		}
-		if nextErr != nil {
-			return geom.Periodic{}, nextErr
-		}
-	}
-}
-
-// sourceScan is the product of the first pass: the galaxy count, the
-// geometry, the per-axis extent and, when the run checkpoints, the catalog's
-// identity — its content hash, catalog.Hash's digest.
-type sourceScan struct {
-	box  geom.Periodic
-	n    int
-	ext  catalog.Extent
-	hash string
-}
-
-// scan runs pass 1: count and extent and, being the first look at every
-// galaxy, the acceptance rule (catalog.Extent). With identify set it also
-// digests the catalog, so a checkpointed run learns its identity without a
-// pass of its own.
-func (s *stream) scan(ctx context.Context, identify bool) (*sourceScan, error) {
-	sc := &sourceScan{ext: catalog.NewExtent()}
-	var d *catalog.Digest
-	if identify {
-		d = catalog.NewDigest()
-	}
-	var err error
-	sc.box, err = s.each(ctx, func(chunk []catalog.Galaxy) error {
-		if err := sc.ext.Add(chunk); err != nil {
-			return err
-		}
-		if d != nil {
-			d.Add(chunk)
-		}
-		sc.n += len(chunk)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if sc.n == 0 {
-		return nil, fmt.Errorf("shard: empty catalog source")
-	}
-	if err := sc.ext.Check(sc.box); err != nil {
-		return nil, err
-	}
-	if d != nil {
-		sc.hash = d.Sum(sc.box)
-	}
-	return sc, nil
-}
-
 // plan runs the planning passes: partition.Cut over the scanned root, one
 // histogram pass over the source per level of the cut tree.
-func (s *stream) plan(ctx context.Context, sc *sourceScan, nshards int) (*partition.Plan, error) {
-	return partition.Cut(sc.ext.Root(sc.box.L), sc.box.L, nshards, func(visit func([]catalog.Galaxy)) error {
-		_, err := s.each(ctx, func(chunk []catalog.Galaxy) error {
+func (s *stream) plan(ctx context.Context, sc *catalog.Summary, nshards int) (*partition.Plan, error) {
+	return partition.Cut(sc.Ext.Root(sc.Box.L), sc.Box.L, nshards, func(visit func([]catalog.Galaxy)) error {
+		_, err := catalog.Each(ctx, s.src, s.block, func(chunk []catalog.Galaxy) error {
 			visit(chunk)
 			return nil
 		})
@@ -235,7 +163,7 @@ func (s *stream) spillParts(ctx context.Context, p *partition.Plan, rmax float64
 		}
 	}
 	near := make([]int, 0, nshards)
-	_, err = s.each(ctx, func(chunk []catalog.Galaxy) error {
+	_, err = catalog.Each(ctx, s.src, s.block, func(chunk []catalog.Galaxy) error {
 		for _, g := range chunk {
 			var k int
 			k, near = p.Place(g.Pos, rmax, near[:0])

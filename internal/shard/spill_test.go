@@ -22,7 +22,7 @@ func passesAlloc(t *testing.T, cat *catalog.Catalog, nshards int, rmax float64) 
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	s := newStream(catalog.NewMemorySource(cat), nshards)
-	sc, err := s.scan(ctx, false)
+	sc, err := catalog.Scan(ctx, s.src, s.block, false)
 	if err != nil {
 		t.Fatal(err)
 	}

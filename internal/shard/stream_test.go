@@ -96,7 +96,7 @@ func TestStreamPeriodicWrapHalo(t *testing.T) {
 	// lower part, and one on the cut belongs to the upper part.
 	cat := catalog.Uniform(400, 200, 53)
 	s := newStream(catalog.NewMemorySource(cat), 2)
-	sc, err := s.scan(context.Background(), false)
+	sc, err := catalog.Scan(context.Background(), s.src, s.block, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func FuzzManifest(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	m, err := newManifest(&sourceScan{n: 700, box: cat.Box, hash: hash}, cfg, 3)
+	m, err := newManifest(hash, cfg, 3)
 	if err != nil {
 		f.Fatal(err)
 	}
