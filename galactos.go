@@ -119,7 +119,8 @@ func NewMemorySource(cat *Catalog) CatalogSource { return catalog.NewMemorySourc
 
 // NewFileSource streams a catalog file (binary, or CSV for .csv paths)
 // without loading it into memory; the sharded backend consumes it
-// shard-by-shard, so peak memory stays bounded by one shard.
+// shard-by-shard, so peak memory stays bounded by two shards (the one
+// computing and the next, prepared while it runs).
 func NewFileSource(path string) CatalogSource { return catalog.NewFileSource(path) }
 
 // SaveResult writes a Result checkpoint in the versioned binary format

@@ -187,6 +187,20 @@ func TestEngineMatchesBruteForceUnitSpanningCells(t *testing.T) {
 	}
 }
 
+// TestEngineMatchesBruteForceWidenedSlotStride: at nb 8 and 16 a unit of 64
+// primaries spaces its a_lm slab slots a multiple of 4 KB apart, so the
+// engine widens the spacing by a cache line (core's slotStride).
+// unitCatalog's 64-primary cell stands alone as such a unit beside units
+// whose spacing stays packed; both ladder forms must match direct triplet
+// counting at both bin counts.
+func TestEngineMatchesBruteForceWidenedSlotStride(t *testing.T) {
+	for _, nb := range []int{8, 16} {
+		cfg := testConfig()
+		cfg.RMax, cfg.NBins = 20, nb
+		requireEngineMatchesAniso(t, unitCatalog(), cfg)
+	}
+}
+
 // TestEngineMatchesBruteForceMultiChunkTile: the kernel consumes a (primary,
 // bin) tile in chunks of 128 pairs, so a tile longer than that adds into the
 // same lane accumulators across a chunk boundary. A centre galaxy with 136

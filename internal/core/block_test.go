@@ -346,7 +346,7 @@ func TestRadixOrderMatchesComparisonSort(t *testing.T) {
 	}
 }
 
-func checkPartition(t *testing.T, e *engine) {
+func checkPartition(t *testing.T, e *Engine) {
 	t.Helper()
 	unitCap := e.unitCap
 	// Periodic box: cells anchor at the corner. cellEnd[i] reports whether a

@@ -70,8 +70,23 @@ func ComputeContext(ctx context.Context, cat *catalog.Catalog, cfg Config) (*Res
 // mask means every galaxy is a primary. This is how the sharded pipeline
 // excludes halo copies ("ignoring secondary galaxies that are in the k-d
 // tree because of halo exchange", Sec. 3.3). Cancelling ctx behaves as for
-// ComputeContext.
+// ComputeContext. It is Prepare followed by Run.
 func ComputeSubsetContext(ctx context.Context, cat *catalog.Catalog, primary []bool, cfg Config) (*Result, error) {
+	e, err := Prepare(ctx, cat, primary, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return e.Run()
+}
+
+// Prepare does a run's setup: it checks the configuration and the primary
+// mask (as ComputeSubsetContext documents them), copies the catalog's
+// positions and weights, and builds the neighbour index, the tables and the
+// commit units. The returned engine holds no reference to cat, and Run
+// computes on it under ctx. Splitting the two lets a caller build one
+// engine while another runs: the sharded backend prepares its next part
+// while the current one computes.
+func Prepare(ctx context.Context, cat *catalog.Catalog, primary []bool, cfg Config) (*Engine, error) {
 	cfg, err := cfg.Normalize()
 	if err != nil {
 		return nil, err
@@ -90,21 +105,14 @@ func ComputeSubsetContext(ctx context.Context, cat *catalog.Catalog, primary []b
 		return nil, err
 	}
 	e.buildBlocks()
-	treeBuild := time.Since(start)
-
-	res, err := e.run()
-	if err != nil {
-		return nil, err
-	}
-	res.Timings.TreeBuild = treeBuild
-	res.NGalaxies = cat.Len()
-	return res, nil
+	e.treeBuild = time.Since(start)
+	return e, nil
 }
 
 // newEngine binds a normalized configuration and its binning to a catalog;
 // buildFinder and buildBlocks complete the engine.
-func newEngine(ctx context.Context, cat *catalog.Catalog, primary []bool, cfg Config, bins hist.Binning) *engine {
-	e := &engine{
+func newEngine(ctx context.Context, cat *catalog.Catalog, primary []bool, cfg Config, bins hist.Binning) *Engine {
+	e := &Engine{
 		ctx:     ctx,
 		cfg:     cfg,
 		bins:    bins,
@@ -146,7 +154,10 @@ func primaryIndices(mask []bool, n int) []int32 {
 // commits.
 type blockRange struct{ lo, hi int32 }
 
-type engine struct {
+// Engine is one prepared run (see Prepare): a configuration bound to a
+// catalog's positions and weights, with its neighbour index, tables and
+// commit units built. Run computes it once.
+type Engine struct {
 	ctx  context.Context
 	cfg  Config
 	bins hist.Binning
@@ -190,6 +201,10 @@ type engine struct {
 	// failed flags a worker panic/fault so the other workers stop claiming
 	// units at their next per-unit check instead of finishing a doomed run.
 	failed atomic.Bool
+
+	// treeBuild is Prepare's index and unit build time, which Run reports as
+	// Timings.TreeBuild.
+	treeBuild time.Duration
 }
 
 // zetaChannel caches one canonical channel's constants for the unit-level
@@ -224,7 +239,7 @@ type zetaChannel struct {
 // same r², so they never drop a point the point test keeps (RMax is assumed
 // inside float32's normal range). On a periodic box a point must also never
 // pass for two images L apart, which RMax + 2s < L/2 rules out.
-func (e *engine) buildFinder() error {
+func (e *Engine) buildFinder() error {
 	if err := catalog.CheckBox(e.shell.Box); err != nil {
 		return err
 	}
@@ -283,7 +298,7 @@ func (e *engine) buildFinder() error {
 // so equal keys keep index order, and the units depend only on the catalog
 // and RMax: the order — and therefore the floating-point accumulation order
 // of every downstream sum — is fully deterministic.
-func (e *engine) buildBlocks() {
+func (e *Engine) buildBlocks() {
 	n := len(e.primaryIdx)
 	if n == 0 {
 		return
@@ -315,7 +330,7 @@ type keyed struct {
 }
 
 // cellKeys returns every primary's Morton cell key, in primaryIdx order.
-func (e *engine) cellKeys() []keyed {
+func (e *Engine) cellKeys() []keyed {
 	inv := 1 / e.cell
 	var org geom.Vec3 // periodic boxes anchor at the corner; open data at the min
 	if e.shell.Box.L <= 0 {
@@ -401,7 +416,7 @@ func morton3(x, y, z uint32) uint64 {
 }
 
 // commitClock is the run's one commit order: commit unit b adds into the
-// result only after every unit before it has (see run).
+// result only after every unit before it has (see Run).
 type commitClock struct {
 	mu   sync.Mutex
 	cond sync.Cond
@@ -427,7 +442,7 @@ func (c *commitClock) release(b int32) {
 	c.cond.Broadcast()
 }
 
-// run executes the unit loop across workers into one result.
+// Run executes the unit loop across workers into one result.
 //
 // Determinism contract: workers claim commit units (e.blocks — a function of
 // the catalog and RMax only) from a shared counter for load
@@ -439,9 +454,11 @@ func (c *commitClock) release(b int32) {
 // units than workers runs on fewer workers.
 //
 // Cancelling the engine context makes every worker stop at its next unit;
-// run then discards the result and reports ctx.Err().
-func (e *engine) run() (*Result, error) {
+// Run then discards the result and reports ctx.Err().
+func (e *Engine) Run() (*Result, error) {
 	total := NewResult(e.cfg.LMax, e.bins)
+	total.NGalaxies = len(e.pts)
+	total.Timings.TreeBuild = e.treeBuild
 	nB := len(e.blocks)
 	if nB == 0 {
 		if err := e.ctx.Err(); err != nil {
@@ -490,7 +507,7 @@ func (e *engine) run() (*Result, error) {
 // and releases the clock (a dead worker must not strand the later
 // committers), the failed block's accumulation is discarded uncommitted,
 // and e.failed makes the remaining workers stop at their next block check.
-func (e *engine) worker(dst *Result) *workerState {
+func (e *Engine) worker(dst *Result) *workerState {
 	s := e.newWorkerState()
 	start := time.Now()
 	for {
@@ -524,7 +541,7 @@ func (e *engine) worker(dst *Result) *workerState {
 // safeProcessBlock runs one commit unit with panic isolation: a recovered panic
 // (an engine bug, or an injected core.worker.block fault) becomes an error
 // carrying the panic value and stack.
-func (e *engine) safeProcessBlock(s *workerState, b int) (err error) {
+func (e *Engine) safeProcessBlock(s *workerState, b int) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("core: worker panic in block %d: %v\n%s", b, p, debug.Stack())
@@ -543,7 +560,7 @@ func (e *engine) safeProcessBlock(s *workerState, b int) (err error) {
 // never accumulates the imaginary components, which no isotropic consumer
 // reads — IsoZeta and the estimator take real parts only). The commit is
 // the tail of the zeta stage and is charged to its clock.
-func (e *engine) commitInto(dst *Result, s *workerState) {
+func (e *Engine) commitInto(dst *Result, s *workerState) {
 	t0 := time.Now()
 	nb2 := e.bins.N * e.bins.N
 	if e.cfg.IsotropicOnly {
@@ -599,7 +616,7 @@ type workerState struct {
 	accs []float64
 
 	// err records the worker's terminal failure (a recovered unit panic or
-	// injected fault); run surfaces the first one after the pool drains.
+	// injected fault); Run surfaces the first one after the pool drains.
 	err error
 
 	// Unit gather: query centers and the block query's result.
@@ -621,7 +638,8 @@ type workerState struct {
 	binW           []float64 // per-bin weighted-leg scale: pw on touched bins, else +0
 
 	// Unit-level a_lm slabs, packed (re, im) pairs laid out [(l,m) slot i]
-	// [unit-local primary a][bin] (slot-major, per-primary stride 2*nb): wXY
+	// [unit-local primary a][bin] (slot-major, per-primary stride 2*nb,
+	// slots slotStride apart): wXY
 	// holds the primary-weight-scaled coefficients (the b1 leg of the zeta
 	// outer product) and aSlab the unweighted ones (the a2 leg). Bins a
 	// primary did not touch hold exact zeros, so every primary's row is a
@@ -660,16 +678,17 @@ type workerState struct {
 	tGather, tConsume, tSelf, tAlmZeta, tWorker time.Duration
 }
 
-func (e *engine) newWorkerState() *workerState {
+func (e *Engine) newWorkerState() *workerState {
 	nb := e.bins.N
 	pc := e.pc
 	// The unit arenas hold the largest unit of this run, not unitCap:
 	// buildBlocks closes a unit before it passes unitCap/2 unless a single
 	// cell exceeds that, so sizing by the cap zeroes twice the memory any
-	// unit touches.
-	K := 0
+	// unit touches. The slabs take the widest slot stride of any unit.
+	K, stride2 := 0, 0
 	for _, b := range e.blocks {
-		K = max(K, int(b.hi-b.lo))
+		k := int(b.hi - b.lo)
+		K, stride2 = max(K, k), max(stride2, slotStride(k, nb))
 	}
 	s := &workerState{
 		kern:    sphharm.NewKernel(e.mono, kernelChunk),
@@ -679,13 +698,13 @@ func (e *engine) newWorkerState() *workerState {
 		end:     make([]int32, nb),
 		tl:      make([]int32, 0, nb),
 		sums:    make([]float64, e.mono.Len()*sphharm.BinStride(nb)),
-		aSlab:   make([]float64, K*pc*2*nb),
+		aSlab:   make([]float64, pc*stride2),
 		blockPw: make([]float64, K),
 	}
 	if e.cfg.IsotropicOnly {
 		s.blockIso = make([]float64, pc*nb*nb)
 	} else {
-		s.wXY = make([]float64, K*pc*2*nb)
+		s.wXY = make([]float64, pc*stride2)
 		s.binW = make([]float64, nb)
 		s.blockAniso = make([]complex128, e.combos.Len()*nb*nb)
 	}
@@ -703,6 +722,22 @@ func (e *engine) newWorkerState() *workerState {
 	return s
 }
 
+// slotStride is the spacing, in float64s, of the unit slabs' (l, m) slots
+// for a unit of K primaries: K rows of 2*nb, widened by one cache line when
+// that is a multiple of 4 KB. At such a spacing a primary's row of every
+// slot falls on the same L1 sets, so AlmBins' stores down the slots and the
+// zeta stage's paired streams evict each other; the line breaks the
+// alignment and moves no result bit (only where the rows lie changes). It
+// widens when K·nb is a multiple of 256: a full 64-primary unit at nb 4, 8,
+// 12, 16 and 20 (DefaultConfig's bin count), never a unit at nb 6 or 10.
+func slotStride(K, nb int) int {
+	s := K * 2 * nb
+	if s*8%4096 == 0 {
+		s += 8
+	}
+	return s
+}
+
 // processBlock runs Algorithm 1's inner loop for one commit unit. Stage 1
 // gathers every primary's neighbor list through one finder query for the
 // whole unit. Stage 2 runs per primary: its tiles are assembled, consumed by
@@ -712,7 +747,7 @@ func (e *engine) newWorkerState() *workerState {
 // per unit, and with SelfCount subtracts each channel's diagonal self term
 // from the unit's Legendre-moment array. The result lands in s.blockAniso
 // (s.blockIso) for the caller to commit.
-func (e *engine) processBlock(s *workerState, b int) {
+func (e *Engine) processBlock(s *workerState, b int) {
 	prim := e.primaryIdx[e.blocks[b].lo:e.blocks[b].hi]
 	K := len(prim)
 	nb := e.bins.N
@@ -725,7 +760,7 @@ func (e *engine) processBlock(s *workerState, b int) {
 
 	// Stage 2: per primary, assemble + consume tiles and reduce into the
 	// unit's a_lm slabs.
-	stride2 := K * 2 * nb
+	stride2 := slotStride(K, nb)
 	for a, pi := range prim {
 		pw := e.ws[pi]
 		n := e.assembleTiles(s, pi, s.nbr.List(a))
@@ -743,15 +778,15 @@ func (e *engine) processBlock(s *workerState, b int) {
 		// Reduce the lane accumulators of every bin at once, convert them to
 		// a_lm rows over bins, and store those straight into the unit slabs.
 		// Slab layout is [slot][unit-local primary][bin] (slot-major,
-		// per-primary stride 2*nb, packed to this unit's K so the rows stay
-		// as compact as the unit), so the zeta stage reads each leg as one
-		// contiguous stream per channel. A primary that missed a bin gets
-		// exact zeros there: the reduce reads the bin as +0 (its count is
-		// zero; the accumulator holds an earlier primary's sums), so are the
-		// a_lm the conversion makes of it, and the weighted leg scales it by
-		// +0, not pw. Zero-padding is value-exact — a zeta element that
-		// starts at +0 and only gains finite products is unchanged by the
-		// extra `+ x*0` terms.
+		// per-primary stride 2*nb, slots stride2 apart: packed to this unit's
+		// K so the rows stay as compact as the unit, see slotStride), so the
+		// zeta stage reads each leg as one contiguous stream per channel. A
+		// primary that missed a bin gets exact zeros there: the reduce reads
+		// the bin as +0 (its count is zero; the accumulator holds an earlier
+		// primary's sums), so are the a_lm the conversion makes of it, and
+		// the weighted leg scales it by +0, not pw. Zero-padding is
+		// value-exact — a zeta element that starts at +0 and only gains
+		// finite products is unchanged by the extra `+ x*0` terms.
 		sphharm.ReduceBins(s.accs, s.cnt, s.sums)
 		row := a * 2 * nb
 		if e.cfg.IsotropicOnly {
@@ -790,12 +825,13 @@ func (e *engine) processBlock(s *workerState, b int) {
 		clk.charge(&s.tAlmZeta)
 		return
 	}
+	rows := K * 2 * nb
 	for _, ch := range e.channels {
 		dst := s.blockAniso[ch.base : ch.base+nb*nb]
 		clear(dst)
 		base1 := int(ch.i1) * stride2
 		base2 := int(ch.i2) * stride2
-		sphharm.ZetaBatch(dst, s.aSlab[base2:base2+stride2], s.wXY[base1:base1+stride2], nb, K)
+		sphharm.ZetaBatch(dst, s.aSlab[base2:base2+rows], s.wXY[base1:base1+rows], nb, K)
 		if ch.self != nil {
 			for bb := 0; bb < nb; bb++ {
 				dst[bb*nb+bb] -= complex(s.selfTerm(ch.self, bb), 0)
@@ -809,7 +845,7 @@ func (e *engine) processBlock(s *workerState, b int) {
 // gather is processBlock's stage 1: every candidate list of the unit through
 // one finder query at the conservative radius qr, and the pair-tile scratch
 // sized to the longest of them.
-func (e *engine) gather(s *workerState, prim []int32) {
+func (e *Engine) gather(s *workerState, prim []int32) {
 	centers := s.centers[:len(prim)]
 	for i, pi := range prim {
 		centers[i] = e.pts[pi]
@@ -832,15 +868,15 @@ func (e *engine) gather(s *workerState, prim []int32) {
 // structure (channel-major, ascending local-primary order) mirrors the
 // anisotropic stage exactly, so the blocked and per-primary gathers
 // stay bitwise interchangeable.
-func (e *engine) zetaIsoBlock(s *workerState, K int) {
+func (e *Engine) zetaIsoBlock(s *workerState, K int) {
 	nb := e.bins.N
 	nb2 := nb * nb
-	stride2 := K * 2 * nb
+	stride2 := slotStride(K, nb)
 	for _, ch := range e.channels {
 		slot := int(ch.i1)
 		dst := s.blockIso[slot*nb2 : slot*nb2+nb2]
 		clear(dst)
-		sphharm.ZetaBatchIso(dst, s.aSlab[slot*stride2:(slot+1)*stride2], s.blockPw[:K], nb, K)
+		sphharm.ZetaBatchIso(dst, s.aSlab[slot*stride2:][:K*2*nb], s.blockPw[:K], nb, K)
 		if ch.self != nil {
 			for bb := 0; bb < nb; bb++ {
 				dst[bb*nb+bb] -= s.selfTerm(ch.self, bb)
@@ -861,7 +897,7 @@ func (e *engine) zetaIsoBlock(s *workerState, K int) {
 // the norm. Pass 2 is a counting sort by bin into packed segments; the
 // touched-bin list falls out of the counts in ascending order, and within a
 // bin the pairs keep gather order.
-func (e *engine) assembleTiles(s *workerState, pi int32, nbrs []int32) int {
+func (e *Engine) assembleTiles(s *workerState, pi int32, nbrs []int32) int {
 	c := &s.cols
 	var frame *geom.Rotation // plane-parallel needs none: z already is the line of sight
 	if e.cfg.LOS == LOSRadial {

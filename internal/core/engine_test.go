@@ -437,3 +437,23 @@ func BenchmarkEngineSetup(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*slab.Len()), "ns/galaxy")
 }
+
+// TestSlotStride pins where the unit slabs' slot spacing widens: by at most
+// one cache line, always off a multiple of 4 KB, never at the benchmark
+// workloads' nb 6 and 10 for any unit up to the cap, and for a full unit at
+// nb 4, 8, 12, 16 and 20.
+func TestSlotStride(t *testing.T) {
+	for nb := 1; nb <= 24; nb++ {
+		for K := 1; K <= commitUnitCap; K++ {
+			rows, got := K*2*nb, slotStride(K, nb)
+			if pad := got - rows; (pad != 0 && pad != 8) || got*8%4096 == 0 || ((nb == 6 || nb == 10) && pad != 0) {
+				t.Fatalf("slotStride(%d, %d) = %d for %d-float rows", K, nb, got, rows)
+			}
+		}
+	}
+	for _, nb := range []int{4, 8, 12, 16, 20} {
+		if slotStride(commitUnitCap, nb) == commitUnitCap*2*nb {
+			t.Errorf("a full unit at nb %d keeps its 4 KB-multiple slot spacing", nb)
+		}
+	}
+}

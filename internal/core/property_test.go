@@ -299,7 +299,7 @@ func TestBlockedMatchesPerPrimaryBitwise(t *testing.T) {
 	cases := []struct {
 		name   string
 		mutate func(*Config)
-		units  func(*engine)
+		units  func(*Engine)
 	}{
 		{"plane-parallel", func(*Config) {}, nil},
 		{"plane-parallel-no-selfcount", func(c *Config) { c.SelfCount = false }, nil},
@@ -349,7 +349,7 @@ func TestBlockedMatchesPerPrimaryBitwise(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, err := computeEngine(ctx, cat, cfg, func(e *engine) {
+			ref, err := computeEngine(ctx, cat, cfg, func(e *Engine) {
 				if tc.units != nil {
 					tc.units(e)
 				}
@@ -381,7 +381,7 @@ func (f perCentre) QueryRadiusImagesBlock(centers []geom.Vec3, r float64, images
 // changes after its finder is built and before its units are cut: the tests'
 // way to run the per-centre reference gather or units smaller than the
 // engine's.
-func computeEngine(ctx context.Context, cat *catalog.Catalog, cfg Config, adjust func(*engine)) (*Result, error) {
+func computeEngine(ctx context.Context, cat *catalog.Catalog, cfg Config, adjust func(*Engine)) (*Result, error) {
 	cfg, err := cfg.Normalize()
 	if err != nil {
 		return nil, err
@@ -398,13 +398,13 @@ func computeEngine(ctx context.Context, cat *catalog.Catalog, cfg Config, adjust
 		adjust(e)
 	}
 	e.buildBlocks()
-	return e.run()
+	return e.Run()
 }
 
 // smallUnits cuts Morton cells of side cell (0 keeps RMax/2) at unitCap
 // primaries, so units close before unitCap/2: many units per run.
-func smallUnits(unitCap int32, cell float64) func(*engine) {
-	return func(e *engine) {
+func smallUnits(unitCap int32, cell float64) func(*Engine) {
+	return func(e *Engine) {
 		e.unitCap = unitCap
 		if cell > 0 {
 			e.cell = cell

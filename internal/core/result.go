@@ -56,6 +56,10 @@ func (t *ComboTable) Index(l1, l2, m int) (int, bool) {
 // old tree_search phase is split into its blocked-traversal successors:
 // Gather is the block-granular neighbor query and Consume the tile assembly
 // plus multipole kernel, so a win in either is attributable on its own.
+// A sharded run's breakdown sums its parts', and a part's TreeBuild
+// overlaps the previous part's worker phases in wall time (the next part is
+// prepared while one runs), so the phases can sum to more than the run's
+// wall clock.
 type Breakdown struct {
 	TreeBuild time.Duration // neighbor index construction
 	Gather    time.Duration // block-granular neighbor queries (was TreeSearch)

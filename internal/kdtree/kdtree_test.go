@@ -257,9 +257,9 @@ func TestLargeLeafSizeDegeneratesToScan(t *testing.T) {
 	}
 }
 
-// BenchmarkBuild builds one stream_sharded slab's tree: 6.5 k points in a
-// 69.3 x 69.3 slab 18.7 deep (one eighth of the box plus a 5-wide halo on
-// each side), the index a sharded run rebuilds per slab.
+// BenchmarkBuild builds a tree the size of one stream_sharded part's: 6.5 k
+// points, here in a 69.3 x 69.3 slab 18.7 deep (one eighth of the box plus
+// a 5-wide halo on each side), the index a sharded run builds per part.
 func BenchmarkBuild(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	pts := make([]geom.Vec3, 6500)

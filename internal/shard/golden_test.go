@@ -54,13 +54,7 @@ func resultHash(r *core.Result) string {
 // dispatch this host has. Run with -update-golden to regenerate
 // testdata/golden.json after a deliberate change of the answer's bits.
 func TestShardedGoldenHash(t *testing.T) {
-	cat := catalog.Clustered(6000, 200, catalog.DefaultClusterParams(), 2024)
-	path := filepath.Join(t.TempDir(), "golden.glxc")
-	if err := catalog.SaveBinary(path, cat); err != nil {
-		t.Fatal(err)
-	}
-	cfg := core.DefaultConfig()
-	cfg.RMax, cfg.NBins, cfg.LMax = 12, 6, 4
+	path, cfg := goldenFixture(t)
 	defer sphharm.SetLaneDispatch(sphharm.HasAVX512())
 
 	var got string
@@ -80,14 +74,7 @@ func TestShardedGoldenHash(t *testing.T) {
 		}
 	}
 
-	golden := map[string]string{}
-	if data, err := os.ReadFile(goldenPath); err == nil {
-		if err := json.Unmarshal(data, &golden); err != nil {
-			t.Fatalf("parse %s: %v", goldenPath, err)
-		}
-	} else if !os.IsNotExist(err) {
-		t.Fatal(err)
-	}
+	golden := readGolden(t)
 	if *updateGolden {
 		golden[goldenRun] = got
 		data, err := json.MarshalIndent(golden, "", "  ")
@@ -109,4 +96,33 @@ func TestShardedGoldenHash(t *testing.T) {
 	case want != got:
 		t.Errorf("%s: hash %s, golden %s", goldenRun, got, want)
 	}
+}
+
+// goldenFixture writes the pinned run's catalog to a binary file and
+// returns its path and the run's config.
+func goldenFixture(t *testing.T) (string, core.Config) {
+	t.Helper()
+	cat := catalog.Clustered(6000, 200, catalog.DefaultClusterParams(), 2024)
+	path := filepath.Join(t.TempDir(), "golden.glxc")
+	if err := catalog.SaveBinary(path, cat); err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.DefaultConfig()
+	cfg.RMax, cfg.NBins, cfg.LMax = 12, 6, 4
+	return path, cfg
+}
+
+// readGolden returns testdata/golden.json's hashes (none when it is
+// missing).
+func readGolden(t *testing.T) map[string]string {
+	t.Helper()
+	golden := map[string]string{}
+	if data, err := os.ReadFile(goldenPath); err == nil {
+		if err := json.Unmarshal(data, &golden); err != nil {
+			t.Fatalf("parse %s: %v", goldenPath, err)
+		}
+	} else if !os.IsNotExist(err) {
+		t.Fatal(err)
+	}
+	return golden
 }

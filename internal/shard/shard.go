@@ -7,19 +7,21 @@
 // pass per level of the paper's k-d cut tree (partition.Cut), a spill pass
 // that scatters every galaxy into per-part record files: owned, plus halo
 // membership for every part within RMax of it, periodic wrap included) and
-// then computes one part at a time. Peak memory is one part's
-// galaxies plus halo, one engine, one decode block shared by every pass, one
-// block that reads back every spill file and one fixed spill-buffer budget
-// shared by every spill file being written, whatever the catalog's size, the
-// shard count and wherever the catalog lives — a memory source takes the same
-// path. Part catalogs keep the source's periodic box and unshifted coordinates,
-// so the engine's own image handling covers the wrap and every primary sees
-// exactly the neighbour set (and line of sight) of a single-shot run. Each
-// part's partial core.Result can be checkpointed in the binary format of
-// core.WriteResult and a killed run resumed: parts with a valid checkpoint are
-// loaded instead of recomputed, and the deterministic plan plus fixed merge
-// order make the resumed result identical to an uninterrupted one. See
-// DESIGN.md, "shard".
+// then computes one part at a time, preparing the next part (its spill files
+// read, its engine built) and writing the previous part's checkpoint while
+// it runs. Peak memory is two parts resident — the one computing and the
+// next, each its galaxies plus halo in an engine — plus one decode block
+// shared by every pass, one block that reads back every spill file and one
+// fixed spill-buffer budget shared by every spill file being written,
+// whatever the catalog's size, the shard count and wherever the catalog
+// lives — a memory source takes the same path. Part catalogs keep the
+// source's periodic box and unshifted coordinates, so the engine's own image
+// handling covers the wrap and every primary sees exactly the neighbour set
+// (and line of sight) of a single-shot run. Each part's partial core.Result
+// can be checkpointed in the binary format of core.WriteResult and a killed
+// run resumed: parts with a valid checkpoint are loaded instead of
+// recomputed, and the deterministic plan plus fixed merge order make the
+// resumed result identical to an uninterrupted one. See DESIGN.md, "shard".
 package shard
 
 import (
@@ -30,6 +32,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"time"
 
 	"galactos/internal/catalog"
@@ -97,7 +100,11 @@ type UnitStats struct {
 	NOwned, NHalo int
 	// Pairs is the unit's kernel pair count.
 	Pairs uint64
-	// Elapsed is the unit's compute wall-clock (0 when resumed).
+	// Elapsed is the unit's compute wall clock (0 when resumed). For a part
+	// it is the part's preparation (spill read and engine build) plus its
+	// engine run, each timed on the goroutine that does it, so the time the
+	// compute loop waits for a preparation is not in it; the parts'
+	// preparations overlap their predecessors' runs in wall time.
 	Elapsed time.Duration
 	// Resumed marks parts restored from a checkpoint instead of computed.
 	Resumed bool
@@ -138,14 +145,18 @@ func newManifest(catHash string, cfg core.Config, nshards int) (manifest, error)
 
 // Compute runs the sharded pipeline over a catalog source: scan, plan,
 // spill, then one part at a time through the node-local engine, optional
-// checkpointing, and the deterministic in-order merge. The merged
+// checkpointing, and the deterministic in-order merge (the next part is
+// prepared and the last checkpoint written while a part runs; see
+// pipeline). The merged
 // multipoles agree with a single-shot run to floating-point rounding
 // (identical pair sets, different accumulation order); stats are returned
 // in part order. Cancelling ctx stops the pipeline promptly with ctx.Err():
 // no new part starts and the running engine abandons its work at the next
 // commit unit. Checkpoints of parts that completed before the
 // cancellation stay on disk (along with the manifest), so a cancelled
-// checkpointed run is resumable exactly like a killed one.
+// checkpointed run is resumable exactly like a killed one. Compute returns
+// only once the checkpoint write and the preparation in flight, if any,
+// have finished, on every exit.
 func Compute(ctx context.Context, src catalog.Source, cfg core.Config, opts Options) (*core.Result, []UnitStats, error) {
 	if src == nil {
 		return nil, nil, fmt.Errorf("shard: nil catalog source")
@@ -259,27 +270,162 @@ func Compute(ctx context.Context, src catalog.Source, cfg core.Config, opts Opti
 	total := core.NewResult(cfg.LMax, bins)
 	stats := make([]UnitStats, opts.NShards)
 	for i := range stats {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
 		stats[i] = UnitStats{Unit: i, NOwned: owned[i], NHalo: halo[i]}
-		var partial *core.Result
-		if skip[i] {
-			partial, err = reloadCheckpoint(ctx, opts.CheckpointDir, i, opts.NShards, bins, cfg.LMax, owned[i])
-			if err != nil {
-				return nil, nil, fmt.Errorf("shard %d/%d: %w", i, opts.NShards, err)
-			}
-			stats[i].Resumed, stats[i].Pairs = true, partial.Pairs
-			logf("shard %d/%d: resumed from checkpoint (%d primaries, %d pairs)",
-				i, opts.NShards, partial.NPrimaries, partial.Pairs)
-		} else if partial, err = s.computePart(ctx, sc.Box, &stats[i], spillDir, bins, cfg, opts, logf); err != nil {
-			return nil, nil, fmt.Errorf("shard %d/%d: %w", i, opts.NShards, err)
-		}
-		if err := total.Merge(partial); err != nil {
-			return nil, nil, fmt.Errorf("shard: merging shard %d: %w", i, err)
-		}
+	}
+	p := pipeline{s: s, box: sc.Box, spillDir: spillDir, bins: bins, cfg: cfg, opts: opts, skip: skip, logf: logf}
+	if err := p.run(ctx, total, stats); err != nil {
+		return nil, nil, err
 	}
 	return finish(total, stats)
+}
+
+// pipeline computes the spilled parts in part order through two stages
+// that overlap the engine: while part i runs, part i+1 is prepared on a
+// second goroutine (its spill files read and its engine built, or its
+// checkpoint reloaded), and part i-1's checkpoint is written on a third.
+// The look-ahead is one part, so two parts are resident at a time, and the
+// merge runs in part order, so the overlap moves no result bit.
+type pipeline struct {
+	s        *stream
+	box      geom.Periodic
+	spillDir string
+	bins     hist.Binning
+	cfg      core.Config
+	opts     Options
+	skip     []bool // parts restored from their checkpoints
+	logf     func(string, ...any)
+}
+
+// part is one part as the prepare stage hands it to the compute loop: an
+// engine to run, or the partial of a resumed part or of one with no
+// primaries.
+type part struct {
+	eng  *core.Engine
+	res  *core.Result
+	took time.Duration // the preparation's wall clock
+}
+
+// run drives the parts through the stages, filling stats[i] beside each
+// part's merge into total. Cancelling ctx stops it before the next part
+// runs, or inside the running engine at its next commit unit.
+func (p *pipeline) run(ctx context.Context, total *core.Result, stats []UnitStats) (err error) {
+	n := len(stats)
+	var next part                    // the latest preparation's output
+	var prepared, saved <-chan error // the stages in flight, nil when idle
+	// Every exit waits for both stages. A checkpoint write in flight lands
+	// even when the run fails or is cancelled — that is what makes a
+	// cancelled run resumable — and no preparation outlives Compute, whose
+	// exit removes the spill files it reads.
+	defer func() {
+		if prepared != nil {
+			<-prepared
+		}
+		if saved != nil {
+			if serr := <-saved; err == nil {
+				err = serr
+			}
+		}
+	}()
+	prepare := func(i int) {
+		st := stats[i]
+		prepared = spawn(func() (err error) {
+			next, err = p.prepare(ctx, st)
+			return err
+		})
+	}
+	prepare(0)
+	for i := range stats {
+		perr := <-prepared
+		prepared = nil
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if perr != nil {
+			return fmt.Errorf("shard %d/%d: %w", i, n, perr)
+		}
+		// Taken before part i+1's preparation overwrites next; part i's
+		// engine goes with this iteration, before part i+2's is built.
+		pt := next
+		if i+1 < n {
+			prepare(i + 1)
+		}
+		res := pt.res
+		switch {
+		case pt.eng != nil:
+			start := time.Now()
+			var err error
+			if res, err = pt.eng.Run(); err != nil {
+				return fmt.Errorf("shard %d/%d: %w", i, n, err)
+			}
+			stats[i].Pairs = res.Pairs
+			stats[i].Elapsed = pt.took + time.Since(start)
+			p.logf("shard %d/%d: computed %d primaries + %d halo in %v (%d pairs)",
+				i, n, stats[i].NOwned, stats[i].NHalo, stats[i].Elapsed.Round(time.Millisecond), res.Pairs)
+		case p.skip[i]:
+			stats[i].Resumed, stats[i].Pairs = true, res.Pairs
+			p.logf("shard %d/%d: resumed from checkpoint (%d primaries, %d pairs)",
+				i, n, res.NPrimaries, res.Pairs)
+		}
+		if p.opts.CheckpointDir != "" && !p.skip[i] {
+			// One write in flight: part i's starts once part i-1's landed.
+			if saved != nil {
+				serr := <-saved
+				saved = nil
+				if serr != nil {
+					return serr
+				}
+			}
+			saved = spawn(func() error {
+				if err := saveCheckpoint(ctx, checkpointPath(p.opts.CheckpointDir, i, n), res); err != nil {
+					return fmt.Errorf("shard %d/%d: checkpointing: %w", i, n, err)
+				}
+				return nil
+			})
+		}
+		if err := total.Merge(res); err != nil {
+			return fmt.Errorf("shard: merging shard %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
+// prepare readies part st.Unit for the compute loop: a resumed part's
+// checkpoint reloaded, or the part's spill files read and its engine built
+// (core.Prepare, which copies what it keeps of the part catalog). A part
+// with no primaries skips the engine and gets an empty partial, so
+// checkpoint bookkeeping stays uniform.
+func (p *pipeline) prepare(ctx context.Context, st UnitStats) (part, error) {
+	start := time.Now()
+	switch {
+	case p.skip[st.Unit]:
+		res, err := reloadCheckpoint(ctx, p.opts.CheckpointDir, st.Unit, p.opts.NShards, p.bins, p.cfg.LMax, st.NOwned)
+		return part{res: res}, err
+	case st.NOwned == 0:
+		return part{res: core.NewResult(p.cfg.LMax, p.bins)}, nil
+	}
+	local, primary, err := p.s.readPart(ctx, p.box, p.spillDir, &st)
+	if err != nil {
+		return part{}, err
+	}
+	eng, err := core.Prepare(ctx, local, primary, p.cfg)
+	return part{eng: eng, took: time.Since(start)}, err
+}
+
+// spawn runs fn on a goroutine of its own and delivers its error, once, on
+// the returned channel. A panic in fn is delivered as an error carrying its
+// stack, so a stage that panics fails the run as an engine worker's panic
+// does, instead of taking down the process past the caller's recovery.
+func spawn(fn func() error) <-chan error {
+	done := make(chan error, 1)
+	go func() {
+		defer func() {
+			if r := recover(); r != nil {
+				done <- fmt.Errorf("panic: %v\n%s", r, debug.Stack())
+			}
+		}()
+		done <- fn()
+	}()
+	return done
 }
 
 // scanCheckpoints makes the single resume pass over the part checkpoints:
@@ -318,35 +464,6 @@ func scanCheckpoints(sc *catalog.Summary, bins hist.Binning, cfg core.Config, op
 		}
 	}
 	return total, stats, valid, all && primaries == sc.N
-}
-
-// computePart produces one part's partial result from its spill files (st
-// names the part and its record counts, and receives the pair count and
-// compute wall clock), persisting it when the run checkpoints.
-func (s *stream) computePart(ctx context.Context, box geom.Periodic, st *UnitStats, spillDir string, bins hist.Binning, cfg core.Config, opts Options, logf func(string, ...any)) (*core.Result, error) {
-	// A part with no primaries contributes nothing: skip the engine and
-	// emit an empty partial so checkpoint bookkeeping stays uniform.
-	res := core.NewResult(cfg.LMax, bins)
-	if st.NOwned > 0 {
-		start := time.Now()
-		local, primary, err := s.readPart(ctx, box, spillDir, st)
-		if err != nil {
-			return nil, err
-		}
-		if res, err = core.ComputeSubsetContext(ctx, local, primary, cfg); err != nil {
-			return nil, err
-		}
-		st.Pairs = res.Pairs
-		st.Elapsed = time.Since(start)
-		logf("shard %d/%d: computed %d primaries + %d halo in %v (%d pairs)",
-			st.Unit, opts.NShards, st.NOwned, st.NHalo, st.Elapsed.Round(time.Millisecond), res.Pairs)
-	}
-	if opts.CheckpointDir != "" {
-		if err := saveCheckpoint(ctx, checkpointPath(opts.CheckpointDir, st.Unit, opts.NShards), res); err != nil {
-			return nil, fmt.Errorf("checkpointing: %w", err)
-		}
-	}
-	return res, nil
 }
 
 // loadCheckpoint returns part i's checkpointed partial if it exists, loads

@@ -46,8 +46,10 @@ const spillFloor = 4 << 10
 
 // stream is one Compute's view of its source: the source plus the fixed
 // buffers every pass over it reuses — one decode block, one spill budget and
-// one spill-read block — so the pipeline's memory is one part plus halo and
-// these, whatever the catalog's size and the shard count.
+// one spill-read block — so the pipeline's memory is two parts plus halo
+// (see pipeline) and these, whatever the catalog's size and the shard count.
+// One read block serves every part: a part's preparation starts only once
+// the previous one has finished, so no two parts read at once.
 type stream struct {
 	src   catalog.Source
 	block []catalog.Galaxy // filled by every pass over src in turn

@@ -410,26 +410,34 @@ func BenchmarkLegendreMomentsTiles(b *testing.B) {
 // whole groups of eight bins beside nb 10's two-bin last group, every bin
 // touched. The slab's 32-primary stride puts nb 8's and 16's slot rows 4
 // and 8 KB apart, on the same L1 sets, so those rows also read what that
-// costs the a_lm stores; nb 10's rows are 5 KB apart. "perbin"
+// costs the a_lm stores; nb 10's rows are 5 KB apart. The "+line" rows
+// widen nb 8's and 16's stride by the cache line the engine adds at such a
+// spacing (core's slotStride), taking the rows off the shared sets. "perbin"
 // is the per-bin ReduceClear + AlmRI + strided copy the engine ran before
 // the bins were vectorised, "bins" is ReduceBins + AlmBins(Packed), which
 // also reports the reduce alone. perbin's accumulators are cleared by its
 // first iteration; the work does not depend on their values.
 func BenchmarkPrimaryTail(b *testing.B) {
-	for _, c := range []struct{ l, nb int }{{10, 10}, {4, 6}, {10, 8}, {10, 16}} {
+	for _, c := range []struct {
+		l, nb, pad int
+	}{{10, 10, 0}, {4, 6, 0}, {10, 8, 0}, {10, 8, 8}, {10, 16, 0}, {10, 16, 8}} {
 		mono := NewMonomialTable(c.l)
 		tab := NewYlmTable(c.l, mono)
 		pc := PairCount(c.l)
 		cs := newBinsCase(rand.New(rand.NewSource(65)), mono, c.nb, func(int) bool { return true }, false)
 		acc := append([]float64(nil), cs.acc...)
-		stride := 32 * 2 * c.nb
+		stride := 32*2*c.nb + c.pad
+		shape := fmt.Sprintf("L=%d/nb=%d", c.l, c.nb)
+		if c.pad > 0 {
+			shape += "+line"
+		}
 		aS, wXY := make([]float64, pc*stride), make([]float64, pc*stride)
 		for _, iso := range []bool{true, false} {
 			layout := "packed"
 			if iso {
 				layout = "split"
 			}
-			b.Run(fmt.Sprintf("L=%d/nb=%d/%s/perbin", c.l, c.nb, layout), func(b *testing.B) {
+			b.Run(shape+"/"+layout+"/perbin", func(b *testing.B) {
 				msums, re, im := make([]float64, mono.Len()), make([]float64, pc), make([]float64, pc)
 				eachDispatchB(b, func(b *testing.B) {
 					for i := 0; i < b.N; i++ {
@@ -437,7 +445,7 @@ func BenchmarkPrimaryTail(b *testing.B) {
 					}
 				})
 			})
-			b.Run(fmt.Sprintf("L=%d/nb=%d/%s/bins", c.l, c.nb, layout), func(b *testing.B) {
+			b.Run(shape+"/"+layout+"/bins", func(b *testing.B) {
 				sums := make([]float64, mono.Len()*BinStride(c.nb))
 				scale := make([]float64, c.nb)
 				for i := range scale {
