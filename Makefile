@@ -125,10 +125,12 @@ bench-test:
 # Five seconds of native fuzzing per decoder that reads bytes it did not
 # just write (resultio, the binary and CSV catalog cursors, the journal
 # segment reader, the shard checkpoint manifest, the client's SSE reader,
-# galactosd's submit decode and validation), seeded from the round-trip and
-# rejection tests: never a panic, the block codecs keep agreeing with their
-# per-record oracles, and the worker count never moves a cache key. The
-# CRC-64 kernel those decoders check with is fuzzed against hash/crc64 too.
+# galactosd's submit decode and validation, the Request decode's fast
+# path), seeded from the round-trip and rejection tests: never a panic, the
+# block codecs keep agreeing with their per-record oracles, the worker
+# count never moves a cache key, and the fast path reads what encoding/json
+# does. The CRC-64 kernel those decoders check with is fuzzed against
+# hash/crc64 too.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzReadResult -fuzztime=5s ./internal/core
 	$(GO) test -run=^$$ -fuzz=FuzzCRC64 -fuzztime=5s ./internal/lanes
@@ -138,6 +140,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzManifest -fuzztime=5s ./internal/shard
 	$(GO) test -run=^$$ -fuzz=FuzzReadSSE -fuzztime=5s ./client
 	$(GO) test -run=^$$ -fuzz=FuzzSubmitRequest -fuzztime=5s ./internal/service
+	$(GO) test -run=^$$ -fuzz=FuzzRequestWire -fuzztime=5s ./internal/exec
 
 # The line budget as a command (ROADMAP item 6): non-test Go lines per
 # package outside bench/ and their total with the internal package count,

@@ -4,6 +4,13 @@
 // arrives as Server-Sent Events, and results come back in the versioned
 // resultio encoding — decoded here into the same *galactos.Result a direct
 // Run produces, byte lineage intact.
+//
+// A submission's body is json.Marshal's bytes for the request, and the
+// server reads an inline catalog in exactly that shape on a fast path that
+// converts its numbers without encoding/json's reflection. An inline
+// catalog still costs ~90 bytes a galaxy on the wire and its numbers'
+// conversion at both ends; a catalog the server can already read is
+// cheaper sent by Path.
 package client
 
 import (

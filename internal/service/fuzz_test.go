@@ -3,13 +3,18 @@ package service_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"galactos"
+	"galactos/internal/service"
 )
 
 // FuzzSubmitRequest drives the submit path's decode and validation over
-// arbitrary wire bytes: json.Decoder into a Request, then the one request
+// arbitrary wire bytes: the submit handler's decode (the canonical inline
+// catalog path, else json.Decoder), which must agree with json.Decoder
+// alone, error for error and Request for Request, then the one request
 // check (Resolve) and Config.Fingerprint. Each step errors or succeeds and
 // none panics. A request that fingerprints keeps its fingerprint when it is
 // re-sent with only its workers field changed: the worker count is not part
@@ -32,8 +37,13 @@ func FuzzSubmitRequest(f *testing.F) {
 	f.Add([]byte(`{"path":"cat.glxc","config":{"RMax":40,"NBins":4,"LMax":2,"Scheduling":1,"workers":8}}`), 0)
 
 	f.Fuzz(func(t *testing.T, body []byte, workers int) {
-		var req galactos.Request
-		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+		req, err := service.DecodeSubmit(bytes.NewReader(body), int64(len(body)))
+		var want galactos.Request
+		wantErr := json.NewDecoder(bytes.NewReader(body)).Decode(&want)
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) || !reflect.DeepEqual(req, want) {
+			t.Fatalf("the submit decode gave %+v, %v; json.Decoder %+v, %v", req, err, want, wantErr)
+		}
+		if err != nil {
 			return
 		}
 		_, _ = req.Resolve()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -141,4 +142,29 @@ func TestTerminalJobsReleaseRequest(t *testing.T) {
 		}
 	}
 	requireReleased(t, blocker)
+}
+
+// TestReadBodyPrealloc: a submit body is read into a buffer sized from its
+// Content-Length only up to readBodyPrealloc, so a client that declares
+// maxRequestBytes and sends two bytes costs the server kilobytes, not
+// megabytes; a body longer than that still reads whole.
+func TestReadBodyPrealloc(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	data, err := readBody(strings.NewReader("{}"), maxRequestBytes)
+	runtime.ReadMemStats(&after)
+	if err != nil || string(data) != "{}" {
+		t.Fatalf("readBody = %q, %v", data, err)
+	}
+	// A quarter of the declared size leaves room for any other goroutine's
+	// allocations and still fails a buffer sized from the header.
+	if got := after.TotalAlloc - before.TotalAlloc; got > maxRequestBytes/4 {
+		t.Errorf("a 2-byte body declared at %d bytes allocated %d bytes, want at most %d",
+			maxRequestBytes, got, maxRequestBytes/4)
+	}
+
+	long := strings.Repeat("x", 3*readBodyPrealloc+5)
+	if data, err := readBody(strings.NewReader(long), int64(len(long))); err != nil || string(data) != long {
+		t.Errorf("a %d-byte body read back %d bytes, %v", len(long), len(data), err)
+	}
 }
