@@ -30,13 +30,14 @@ test:
 # job server (worker pool, SSE streaming, disconnect-cancel) with its
 # client, the fault-injection/retry layers whose counters and plans are hit
 # from every worker goroutine, the chaos sweep (every case under its fault
-# plan) and galactosd's crash sweep, whose SIGKILLed daemon is the
-# race-built test binary itself.
+# plan), galactosd's crash sweep, whose SIGKILLed daemon is the race-built
+# test binary itself, and the galactos command, whose sharded and resume
+# rows run the checkpointing pipeline's goroutines through the CLI.
 test-race:
 	$(GO) test -race ./internal/core/... ./internal/kdtree/... ./internal/twopcf/... ./internal/catalog/... ./internal/shard/... \
 		./internal/exec/... ./internal/scenario/... ./internal/service/... ./client/... \
 		./internal/faultpoint/... ./internal/retry/... ./internal/journal/... \
-		./internal/chaos/... ./cmd/galactosd/...
+		./internal/chaos/... ./cmd/galactosd/... ./cmd/galactos/...
 
 vet:
 	$(GO) vet ./...
@@ -96,7 +97,9 @@ cross-smoke:
 # its fields Config, Backend, Catalog and Path, galactos.Run, the
 # galactos.RunResult fields Result, Elapsed and Units (with the unit fields
 # Elapsed, NOwned and NHalo), and the exec.Spec fields Name, Shards,
-# CheckpointDir, Resume and Keep. Its nominal
+# CheckpointDir and Keep, and Resume, a deprecated pin it still sets (decoded
+# and ignored: a checkpoint directory resumes whenever its manifest names
+# the same run). Its nominal
 # seconds divide by calibrate()'s loop, whose speed on the 2-vCPU host
 # follows main.calibrate's address mod 64: check `make bench-align` and
 # host.solve_wall_s before reading a shift in solve_s as the engine's.

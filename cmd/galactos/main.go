@@ -5,13 +5,14 @@
 // -shards is above 1 or -checkpoint-dir is set — the bounded-memory sharded
 // pipeline that streams the catalog from disk one shard at a time.
 // SIGINT/SIGTERM cancel the run cleanly: completed shard checkpoints are
-// kept on disk so -resume can pick the run back up.
+// kept on disk, and rerunning the same command into the same
+// -checkpoint-dir picks the run back up.
 //
 // Examples:
 //
 //	galactos -in catalog.glxc -rmax 200 -nbins 20 -lmax 10 -out zeta
 //	galactos -in survey.csv -los radial -shards 4 -out zeta
-//	galactos -in huge.glxc -shards 16 -checkpoint-dir ckpt -resume -out zeta
+//	galactos -in huge.glxc -shards 16 -checkpoint-dir ckpt -out zeta
 //	galactos -in catalog.glxc -cpuprofile cpu.prof && go tool pprof -list 'engine..process(Block|Cell)' cpu.prof
 //
 // Outputs <out>.aniso.csv (channels zeta^m_{l1 l2}(r1, r2)) and
@@ -77,8 +78,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the whole run to this path (read it with go tool pprof)")
 
 		shards    = fs.Int("shards", 1, "spatial shards; above 1 selects the sharded backend (the catalog streams from -in one shard at a time, never fully resident)")
-		ckptDir   = fs.String("checkpoint-dir", "", "directory for per-shard Result checkpoints; selects the sharded backend")
-		resume    = fs.Bool("resume", false, "reuse valid checkpoints found in -checkpoint-dir")
+		ckptDir   = fs.String("checkpoint-dir", "", "directory for per-shard Result checkpoints, resumed when it holds this run's (another run's are deleted); selects the sharded backend")
 		keepCkpts = fs.Bool("keep-checkpoints", false, "keep per-shard checkpoints after a successful merge")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -132,14 +132,14 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 
 	// The backend follows from the flags: shards or a checkpoint directory
-	// select the sharded one. -resume and -keep-checkpoints act on a
-	// checkpoint directory, so without one they are refused, never dropped.
+	// select the sharded one. -keep-checkpoints acts on a checkpoint
+	// directory, so without one it is refused, never dropped.
 	name := "local"
 	if *shards > 1 || *ckptDir != "" {
 		name = "sharded"
 	}
-	if (*resume || *keepCkpts) && *ckptDir == "" {
-		return errors.New("-resume and -keep-checkpoints need -checkpoint-dir")
+	if *keepCkpts && *ckptDir == "" {
+		return errors.New("-keep-checkpoints needs -checkpoint-dir")
 	}
 
 	// Execution goes through the facade's one canonical entrypoint, which
@@ -155,7 +155,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 			Name:          name,
 			Shards:        *shards,
 			CheckpointDir: *ckptDir,
-			Resume:        *resume,
 			Keep:          *keepCkpts,
 		},
 		Log: func(format string, args ...any) {
@@ -168,7 +167,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		if errors.Is(err, context.Canceled) {
 			msg := "interrupted"
 			if *ckptDir != "" {
-				msg += "; completed shard checkpoints kept in " + *ckptDir + " (rerun with -resume)"
+				msg += "; completed shard checkpoints kept in " + *ckptDir + " (rerun into it to resume)"
 			}
 			return errors.New(msg)
 		}

@@ -14,14 +14,15 @@ import (
 )
 
 // TestRunModes drives the command's flags through run, in order: the sharded
-// row resumes from an empty checkpoint dir and must write CSVs
-// byte-identical to the local row's, both write a -perf-json run record
-// whose pair count is the one the summary prints, a ".csv" catalog saved
-// the way catgen writes one computes on both backends, the radial and
-// midpoint lines of sight complete with the full ladder, -cpuprofile leaves
-// a profile, and a run without -in, -resume or -keep-checkpoints without a
-// checkpoint dir, an unknown line of sight, a NaN -rmax, -shards below 1
-// and negative -workers are refused. The backend rows are -iso-only: with the
+// row keeps its checkpoints and the sharded-resume row reruns into them,
+// resuming every part; both must write CSVs byte-identical to the local
+// row's, the local and sharded rows write a -perf-json run record whose
+// pair count is the one the summary prints, a ".csv" catalog saved the way
+// catgen writes one computes on both backends, the radial and midpoint
+// lines of sight complete with the full ladder, -cpuprofile leaves a
+// profile, and a run without -in, -keep-checkpoints without a checkpoint
+// dir, an unknown line of sight, a NaN -rmax, -shards below 1 and negative
+// -workers are refused. The backend rows are -iso-only: with the
 // full ladder, the analytically zero imaginary parts of the l1 = l2 channels
 // carry ~1e-17 of summation-order rounding that the aniso CSV prints.
 func TestRunModes(t *testing.T) {
@@ -39,6 +40,8 @@ func TestRunModes(t *testing.T) {
 	compute := func(args ...string) []string { return full(append([]string{"-iso-only"}, args...)...) }
 	local := filepath.Join(dir, "local")
 	sharded := filepath.Join(dir, "sharded")
+	resumed := filepath.Join(dir, "resumed")
+	ckpt := filepath.Join(dir, "ckpt")
 	radial := filepath.Join(dir, "radial")
 	midpoint := filepath.Join(dir, "midpoint")
 	profiled := filepath.Join(dir, "profiled")
@@ -51,6 +54,8 @@ func TestRunModes(t *testing.T) {
 		sameAs string // another row's -out prefix with byte-identical CSVs
 		perf   string // the backend the -perf-json report at out+".json" must name
 		file   string // a file the run must leave non-empty
+		// resumed counts the units the summary must mark resumed.
+		resumed int
 	}{
 		{
 			name:   "local",
@@ -60,12 +65,20 @@ func TestRunModes(t *testing.T) {
 			perf:   "local",
 		},
 		{
-			name:   "sharded-resume",
-			args:   compute("-shards", "3", "-checkpoint-dir", filepath.Join(dir, "ckpt"), "-resume", "-perf-json", sharded+".json", "-out", sharded),
+			name:   "sharded",
+			args:   compute("-shards", "3", "-checkpoint-dir", ckpt, "-keep-checkpoints", "-perf-json", sharded+".json", "-out", sharded),
 			stdout: "sharded over 3 units",
 			out:    sharded,
 			sameAs: local,
 			perf:   "sharded",
+		},
+		{
+			name:    "sharded-resume",
+			args:    compute("-shards", "3", "-checkpoint-dir", ckpt, "-out", resumed),
+			stdout:  "sharded over 3 units",
+			out:     resumed,
+			sameAs:  local,
+			resumed: 3,
 		},
 		{name: "csv-in", args: []string{"-in", csv, "-rmax", "30", "-nbins", "4", "-lmax", "3", "-iso-only", "-out", filepath.Join(dir, "csv")}, stdout: "galaxies:      800"},
 		{name: "csv-in-sharded", args: []string{"-in", csv, "-rmax", "30", "-nbins", "4", "-lmax", "3", "-iso-only", "-shards", "2", "-out", filepath.Join(dir, "csv2")}, stdout: "sharded over 2 units"},
@@ -78,8 +91,7 @@ func TestRunModes(t *testing.T) {
 			file:   profiled + ".prof",
 		},
 		{name: "missing-in", args: []string{"-rmax", "30"}, err: errUsage.Error()},
-		{name: "resume-needs-checkpoint-dir", args: compute("-resume"), err: "need -checkpoint-dir"},
-		{name: "keep-needs-checkpoint-dir", args: compute("-shards", "2", "-keep-checkpoints"), err: "need -checkpoint-dir"},
+		{name: "keep-needs-checkpoint-dir", args: compute("-shards", "2", "-keep-checkpoints"), err: "needs -checkpoint-dir"},
 		{name: "unknown-los", args: compute("-los", "sideways"), err: "unknown -los"},
 		{name: "nan-rmax", args: compute("-rmax", "NaN"), err: "invalid radial range"},
 		{name: "zero-shards", args: compute("-shards", "0"), err: "-shards 0"},
@@ -100,6 +112,9 @@ func TestRunModes(t *testing.T) {
 			}
 			if !strings.Contains(stdout.String(), r.stdout) {
 				t.Errorf("stdout lacks %q:\n%s", r.stdout, stdout.String())
+			}
+			if n := strings.Count(stdout.String(), "(resumed)"); n != r.resumed {
+				t.Errorf("%d units resumed, want %d:\n%s", n, r.resumed, stdout.String())
 			}
 			if r.file != "" {
 				if fi, err := os.Stat(r.file); err != nil || fi.Size() == 0 {

@@ -62,8 +62,8 @@ func ExampleRun() {
 // The sharded backend streams a catalog file through halo-padded k-d parts,
 // one resident at a time, and checkpoints each part's partial result: the
 // architectural move that let the paper reach 2 billion galaxies (Sec. 3.2).
-// A run that lost some checkpoints resumes from the rest and reproduces the
-// uninterrupted answer bit for bit.
+// Rerunning into a checkpoint directory that lost some checkpoints resumes
+// from the rest and reproduces the uninterrupted answer bit for bit.
 func ExampleRun_sharded() {
 	dir, err := os.MkdirTemp("", "galactos-example-*")
 	if err != nil {
@@ -110,12 +110,12 @@ func ExampleRun_sharded() {
 		len(sharded.Units), owned, sharded.Result.Pairs,
 		sharded.Result.MaxAbsDiff(single.Result) <= 1e-9*single.Result.MaxAbs())
 
-	// Simulate a killed run: drop the last three checkpoints, then resume.
-	// Shards with a surviving checkpoint are loaded, the rest recomputed.
+	// Simulate a killed run: drop the last three checkpoints, then rerun.
+	// The directory's manifest names this run, so shards with a surviving
+	// checkpoint are loaded, the rest recomputed.
 	for _, u := range sharded.Units[shards-3:] {
 		os.Remove(filepath.Join(ckpt, fmt.Sprintf("shard-%04d-of-%04d.gres", u.Unit, shards)))
 	}
-	req.Backend.Resume = true
 	req.Backend.Keep = false
 	resumed, err := galactos.Run(ctx, req)
 	if err != nil {

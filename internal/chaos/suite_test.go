@@ -139,17 +139,16 @@ func suite(n int, seed int64, scratch string) ([]chaosCase, error) {
 	// --- checkpoint-resume with a poisoned checkpoint load -----------------
 	//
 	// The clean pass computes and keeps per-shard checkpoints; the faulted
-	// pass resumes from them with the first checkpoint load injected to
-	// fail, which must degrade to recomputing that shard — same answer,
-	// one checkpoint's worth of work repaid.
+	// pass reruns into them, resuming with the first checkpoint load
+	// injected to fail, which must degrade to recomputing that shard — same
+	// answer, one checkpoint's worth of work repaid.
 	resumeCat := catalog.Clustered(n, 240, catalog.DefaultClusterParams(), seed+101)
 	resumeCkpt := filepath.Join(scratch, "resume", "ckpt")
-	resumeRun := func(resume bool) func(ctx context.Context) (string, error) {
+	resumeRun := func(keep bool) func(ctx context.Context) (string, error) {
 		return func(ctx context.Context) (string, error) {
 			run, err := exec.Run(ctx, exec.Request{
 				Catalog: resumeCat, Config: suiteConfig(), Label: "chaos-resume",
-				Backend: exec.Spec{Name: "sharded", Shards: 3, CheckpointDir: resumeCkpt,
-					Resume: resume, Keep: !resume},
+				Backend: exec.Spec{Name: "sharded", Shards: 3, CheckpointDir: resumeCkpt, Keep: keep},
 			})
 			if err != nil {
 				return "", err
@@ -162,8 +161,8 @@ func suite(n int, seed int64, scratch string) ([]chaosCase, error) {
 		points: []faultpoint.Point{
 			{Name: "shard.checkpoint.load", Kind: faultpoint.KindError, Count: 1},
 		},
-		cleanRun: resumeRun(false),
-		run:      resumeRun(true),
+		cleanRun: resumeRun(true),
+		run:      resumeRun(false),
 	})
 
 	// --- galactosd: worker panic + severed SSE streams ---------------------

@@ -56,23 +56,14 @@ type NeighborFinder interface {
 // Compute runs the full anisotropic 3PCF computation over a catalog. All
 // galaxies are primaries. This is the single-node entry point (Algorithm 1).
 func Compute(cat *catalog.Catalog, cfg Config) (*Result, error) {
-	return ComputeSubsetContext(context.Background(), cat, nil, cfg)
+	return ComputeContext(context.Background(), cat, cfg)
 }
 
 // ComputeContext is Compute under a context: cancelling ctx makes the
-// worker loop stop at the next commit unit and return ctx.Err().
+// worker loop stop at the next commit unit and return ctx.Err(). It is
+// Prepare, with every galaxy a primary, followed by Run.
 func ComputeContext(ctx context.Context, cat *catalog.Catalog, cfg Config) (*Result, error) {
-	return ComputeSubsetContext(ctx, cat, nil, cfg)
-}
-
-// ComputeSubsetContext runs the computation treating only the galaxies with
-// primary[i] == true as primaries; all galaxies act as secondaries. A nil
-// mask means every galaxy is a primary. This is how the sharded pipeline
-// excludes halo copies ("ignoring secondary galaxies that are in the k-d
-// tree because of halo exchange", Sec. 3.3). Cancelling ctx behaves as for
-// ComputeContext. It is Prepare followed by Run.
-func ComputeSubsetContext(ctx context.Context, cat *catalog.Catalog, primary []bool, cfg Config) (*Result, error) {
-	e, err := Prepare(ctx, cat, primary, cfg)
+	e, err := Prepare(ctx, cat, nil, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -80,12 +71,16 @@ func ComputeSubsetContext(ctx context.Context, cat *catalog.Catalog, primary []b
 }
 
 // Prepare does a run's setup: it checks the configuration and the primary
-// mask (as ComputeSubsetContext documents them), copies the catalog's
-// positions and weights, and builds the neighbour index, the tables and the
-// commit units. The returned engine holds no reference to cat, and Run
-// computes on it under ctx. Splitting the two lets a caller build one
-// engine while another runs: the sharded backend prepares its next part
-// while the current one computes.
+// mask, copies the catalog's positions and weights, and builds the
+// neighbour index, the tables and the commit units. The run treats only the
+// galaxies with primary[i] == true as primaries; all galaxies act as
+// secondaries. A nil mask means every galaxy is a primary. This is how the
+// sharded pipeline excludes halo copies ("ignoring secondary galaxies that
+// are in the k-d tree because of halo exchange", Sec. 3.3). The returned
+// engine holds no reference to cat, and Run computes on it under ctx, as
+// ComputeContext does. Splitting the two lets a caller build one engine
+// while another runs: the sharded backend prepares its next part while the
+// current one computes.
 func Prepare(ctx context.Context, cat *catalog.Catalog, primary []bool, cfg Config) (*Engine, error) {
 	cfg, err := cfg.Normalize()
 	if err != nil {

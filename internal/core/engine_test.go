@@ -73,7 +73,7 @@ func TestComputeRejectsBadConfig(t *testing.T) {
 
 func TestComputeRejectsBadMask(t *testing.T) {
 	cat := catalog.Uniform(10, 100, 1)
-	if _, err := ComputeSubsetContext(context.Background(), cat, make([]bool, 5), smallConfig()); err == nil {
+	if _, err := Prepare(context.Background(), cat, make([]bool, 5), smallConfig()); err == nil {
 		t.Error("mask length mismatch accepted")
 	}
 }
@@ -160,7 +160,11 @@ func TestSubsetMaskRestrictsPrimaries(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		mask[i] = true
 	}
-	res, err := ComputeSubsetContext(context.Background(), cat, mask, smallConfig())
+	e, err := Prepare(context.Background(), cat, mask, smallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,14 +192,19 @@ func TestSubsetsSumToWhole(t *testing.T) {
 			maskB[i] = true
 		}
 	}
-	ra, err := ComputeSubsetContext(context.Background(), cat, maskA, cfg)
-	if err != nil {
-		t.Fatal(err)
+	run := func(mask []bool) *Result {
+		t.Helper()
+		e, err := Prepare(context.Background(), cat, mask, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := e.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	rb, err := ComputeSubsetContext(context.Background(), cat, maskB, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ra, rb := run(maskA), run(maskB)
 	if err := ra.Merge(rb); err != nil {
 		t.Fatal(err)
 	}

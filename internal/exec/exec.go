@@ -197,7 +197,6 @@ func runSharded(ctx context.Context, src catalog.Source, cfg core.Config, s Spec
 	return shard.Compute(ctx, src, cfg, shard.Options{
 		NShards:       max(s.Shards, 1),
 		CheckpointDir: s.CheckpointDir,
-		Resume:        s.Resume,
 		Keep:          s.Keep,
 		Log:           logf,
 	})
@@ -208,29 +207,32 @@ func runSharded(ctx context.Context, src catalog.Source, cfg core.Config, s Spec
 type Spec struct {
 	// Name is "local" (or empty) or "sharded".
 	Name string
-	// Shards / CheckpointDir / Resume / Keep parameterize the sharded
-	// backend; Shards below 1 means one part.
+	// Shards / CheckpointDir / Keep parameterize the sharded backend;
+	// Shards below 1 means one part. A CheckpointDir whose manifest names
+	// the same run resumes it (shard.Options).
 	Shards int
 	// Deprecated: every sharded run computes one part at a time. See Stream.
 	ShardConcurrency int
 	CheckpointDir    string
-	Resume           bool
-	Keep             bool
-	// Deprecated: every sharded run streams its source, so Stream and
-	// ShardConcurrency select nothing. They still decode (journaled and wire
-	// requests carry them) and are ignored, with one progress line saying so
-	// (DeprecationNote); the next version makes setting them an error, the
-	// way the dist backend was retired.
+	// Deprecated: a checkpoint directory resumes whenever its manifest
+	// names the same run, so Resume selects nothing. See Stream.
+	Resume bool
+	Keep   bool
+	// Deprecated: every sharded run streams its source, so Stream,
+	// ShardConcurrency and Resume select nothing. They still decode
+	// (journaled and wire requests carry them) and are ignored, with one
+	// progress line saying so (DeprecationNote); the next version makes
+	// setting them an error, the way the dist backend was retired.
 	Stream bool
 }
 
 // DeprecationNote returns the progress line a run logs when the spec sets a
 // deprecated field, or "" when it sets none.
 func (s Spec) DeprecationNote() string {
-	if !s.Stream && s.ShardConcurrency <= 1 {
+	if !s.Stream && s.ShardConcurrency <= 1 && !s.Resume {
 		return ""
 	}
-	return "backend spec: Stream and ShardConcurrency are deprecated and ignored (every sharded run streams its catalog one part at a time); a later version rejects them"
+	return "backend spec: Stream, ShardConcurrency and Resume are deprecated and ignored (every sharded run streams its catalog one part at a time, and resumes a checkpoint directory whose manifest is its own); a later version rejects them"
 }
 
 // check refuses an unknown backend name, and a spec that parameterizes a

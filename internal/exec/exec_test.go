@@ -207,7 +207,8 @@ func TestCancellationPromptAndLeakFree(t *testing.T) {
 
 // TestCancellationLeavesResumableCheckpoints: a cancelled checkpointed
 // sharded run keeps its manifest and completed shard checkpoints, and a
-// resume completes the run with the same result as an uninterrupted one.
+// rerun into the directory resumes them and completes the run with the same
+// result as an uninterrupted one.
 func TestCancellationLeavesResumableCheckpoints(t *testing.T) {
 	cat := catalog.Clustered(2000, 250, catalog.DefaultClusterParams(), 97)
 	cfg := cancelConfig()
@@ -244,7 +245,7 @@ func TestCancellationLeavesResumableCheckpoints(t *testing.T) {
 	run, err := Run(context.Background(), Request{
 		Catalog: cat,
 		Config:  cfg,
-		Backend: Spec{Name: "sharded", Shards: 6, CheckpointDir: dir, Resume: true},
+		Backend: Spec{Name: "sharded", Shards: 6, CheckpointDir: dir},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -299,13 +300,13 @@ func TestSpecBackendSelection(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "local") || !strings.Contains(err.Error(), "sharded") {
 		t.Fatalf("removed backend: want an error naming local and sharded, got %v", err)
 	}
-	// The deprecated Stream / ShardConcurrency fields still decode, select
-	// nothing — the spec runs to the bits of the spec without them — and
-	// are reported once on the run's log.
+	// The deprecated Stream / ShardConcurrency / Resume fields still
+	// decode, select nothing — the spec runs to the bits of the spec
+	// without them — and are reported once on the run's log.
 	var old, plain Spec
 	for text, spec := range map[string]*Spec{
-		`{"Name":"sharded","Shards":2,"ShardConcurrency":2,"Stream":true}`: &old,
-		`{"Name":"sharded","Shards":2}`:                                    &plain,
+		`{"Name":"sharded","Shards":2,"ShardConcurrency":2,"Stream":true,"Resume":true}`: &old,
+		`{"Name":"sharded","Shards":2}`: &plain,
 	} {
 		if err := json.Unmarshal([]byte(text), spec); err != nil {
 			t.Fatalf("%s: %v", text, err)
@@ -321,8 +322,13 @@ func TestSpecBackendSelection(t *testing.T) {
 	if notes != 1 {
 		t.Fatalf("deprecation note logged %d times over a deprecated and a plain run, want once", notes)
 	}
-	if old.DeprecationNote() == "" || plain.DeprecationNote() != "" || (Spec{Name: "sharded", ShardConcurrency: 1}).DeprecationNote() != "" {
-		t.Fatal("DeprecationNote must fire for Stream or ShardConcurrency > 1, and only then")
+	for _, spec := range []Spec{{Stream: true}, {ShardConcurrency: 2}, {Resume: true}} {
+		if spec.DeprecationNote() == "" {
+			t.Fatalf("%+v: no deprecation note", spec)
+		}
+	}
+	if plain.DeprecationNote() != "" || (Spec{Name: "sharded", ShardConcurrency: 1}).DeprecationNote() != "" {
+		t.Fatal("DeprecationNote must fire for Stream, ShardConcurrency > 1 or Resume, and only then")
 	}
 	// Contradictions are errors, never silent drops.
 	for _, spec := range []Spec{

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
-	"sort"
 
 	"galactos/internal/catalog"
 	"galactos/internal/core"
@@ -37,24 +36,16 @@ func All() []*Scenario {
 	return out
 }
 
-// Names returns the sorted scenario names.
-func Names() []string {
-	names := make([]string, len(registry))
-	for i, s := range registry {
-		names[i] = s.Name
-	}
-	sort.Strings(names)
-	return names
-}
-
 // Get resolves a scenario by name.
 func Get(name string) (*Scenario, error) {
-	for _, s := range registry {
+	names := make([]string, len(registry))
+	for i, s := range registry {
 		if s.Name == name {
 			return s, nil
 		}
+		names[i] = s.Name
 	}
-	return nil, fmt.Errorf("scenario: unknown scenario %q (have %v)", name, Names())
+	return nil, fmt.Errorf("scenario: unknown scenario %q (have %v)", name, names)
 }
 
 // runOne runs a single catalog on the backend spec and assembles the

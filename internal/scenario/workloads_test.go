@@ -125,7 +125,7 @@ func TestSurveyEstimatorKillResume(t *testing.T) {
 		t.Fatalf("goroutine leak after cancel: %d before, %d after", baseline, n)
 	}
 
-	resume := exec.Request{Config: cfg, Backend: exec.Spec{Name: "sharded", Shards: 6, CheckpointDir: dir, Resume: true}}
+	resume := exec.Request{Config: cfg, Backend: exec.Spec{Name: "sharded", Shards: 6, CheckpointDir: dir}}
 	sv, err := RunSurveyEstimator(context.Background(), resume, data, randoms)
 	if err != nil {
 		t.Fatal(err)
@@ -183,7 +183,7 @@ func TestJackknifeKillResume(t *testing.T) {
 		t.Fatalf("goroutine leak after cancel: %d before, %d after", baseline, n)
 	}
 
-	resume := exec.Request{Config: cfg, Backend: exec.Spec{Name: "sharded", Shards: 6, CheckpointDir: dir, Resume: true}}
+	resume := exec.Request{Config: cfg, Backend: exec.Spec{Name: "sharded", Shards: 6, CheckpointDir: dir}}
 	jk, err := RunJackknife(context.Background(), resume, cat, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -280,13 +280,13 @@ func TestJackknifeCovarianceProperties(t *testing.T) {
 
 // TestStagedScopesCheckpointDirs: a stage of a template request gets its own
 // catalog, a checkpointed backend a disjoint per-stage directory, and keeps
-// everything else (shards, resume, label, logger); an uncheckpointed
+// everything else (shards, keep, label, logger); an uncheckpointed
 // spec is untouched. A template that already names a catalog is refused.
 func TestStagedScopesCheckpointDirs(t *testing.T) {
 	cat := catalog.Uniform(10, 200, 1)
 	var logged atomic.Int32
 	tmpl := exec.Request{
-		Backend: exec.Spec{Name: "sharded", Shards: 3, CheckpointDir: "/ckpt", Resume: true},
+		Backend: exec.Spec{Name: "sharded", Shards: 3, CheckpointDir: "/ckpt", Keep: true},
 		Label:   "jackknife",
 		Log:     func(string, ...any) { logged.Add(1) },
 	}
@@ -294,7 +294,7 @@ func TestStagedScopesCheckpointDirs(t *testing.T) {
 	if want := filepath.Join("/ckpt", "loo-001"); st.Backend.CheckpointDir != want {
 		t.Errorf("CheckpointDir = %q, want %q", st.Backend.CheckpointDir, want)
 	}
-	if st.Backend.Shards != 3 || !st.Backend.Resume || st.Catalog != cat || st.Label != "jackknife" {
+	if st.Backend.Shards != 3 || !st.Backend.Keep || st.Catalog != cat || st.Label != "jackknife" {
 		t.Errorf("stage request = %+v", st)
 	}
 	if st.Log("x"); logged.Load() != 1 {

@@ -337,9 +337,9 @@ func TestJournalReplayRequeuesInterruptedJob(t *testing.T) {
 
 // TestRequeuedJobRestartsForeignCheckpoints: an interrupted sharded job
 // whose checkpoint directory an older build left — its checkpoints beside a
-// version-3 manifest — runs from scratch after the upgrade, to the bits of
-// the same request run afresh: the directory is the server's, so the
-// refusal a resume gives a foreign directory must not fail the job.
+// version-3 manifest — starts fresh after the upgrade, says so on its event
+// log, and ends with the bits of the same request run afresh: none of the
+// older build's partials is merged.
 func TestRequeuedJobRestartsForeignCheckpoints(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
@@ -404,25 +404,33 @@ func TestRequeuedJobRestartsForeignCheckpoints(t *testing.T) {
 	}
 
 	_, cl, _ := startRestartable(t, service.Options{Workers: 1, StateDir: dir})
-	st, err := cl.Wait(ctx, id)
+	var events []string
+	st, err := cl.Watch(ctx, id, func(ev client.Event) { events = append(events, ev.Message) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.State != service.StateDone {
 		t.Fatalf("requeued job over a version-3 directory ended %s (%s), want done", st.State, st.Error)
 	}
+	if log := strings.Join(events, "\n"); !strings.Contains(log, "starting fresh") || !strings.Contains(log, "version 3") {
+		t.Errorf("the job's event log does not say it started fresh over a version-3 directory:\n%s", log)
+	}
+	for _, u := range st.Units {
+		if u.Resumed {
+			t.Errorf("unit %d resumed from the older build's checkpoint", u.Unit)
+		}
+	}
 	got, err := cl.Result(ctx, id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	single := req
-	single.Backend = galactos.BackendSpec{}
-	want, err := galactos.Run(ctx, single)
+	want, err := galactos.Run(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Pairs != want.Result.Pairs {
-		t.Errorf("requeued job counted %d pairs, single shot %d", got.Pairs, want.Result.Pairs)
+	if got.Pairs != want.Result.Pairs || got.MaxAbsDiff(want.Result) != 0 {
+		t.Errorf("requeued job differs from a fresh run: pairs %d vs %d, max |diff| %v",
+			got.Pairs, want.Result.Pairs, got.MaxAbsDiff(want.Result))
 	}
 }
 

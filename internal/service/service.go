@@ -27,7 +27,6 @@ import (
 	"galactos/internal/core"
 	"galactos/internal/faultpoint"
 	"galactos/internal/journal"
-	"galactos/internal/shard"
 )
 
 // Faultpoints of the job execution path: service.job.run fires as a worker
@@ -370,14 +369,14 @@ func (s *Server) runJob(j *job) {
 		j.appendLog(fmt.Sprintf(format, args...))
 	}
 
-	// Durable servers run sharded jobs in a per-job checkpoint directory
-	// with Resume set: a job interrupted by a kill and re-enqueued at the
-	// next boot reuses its completed shards instead of recomputing them. A
-	// caller-specified CheckpointDir is respected. Only the run's copy
-	// changes; the journaled request stays as submitted.
+	// Durable servers run sharded jobs in a per-job checkpoint directory: a
+	// job interrupted by a kill and re-enqueued at the next boot reuses its
+	// completed shards instead of recomputing them (a directory another
+	// build left is started fresh by the pipeline). A caller-specified
+	// CheckpointDir is respected. Only the run's copy changes; the
+	// journaled request stays as submitted.
 	if b := &req.Backend; s.opts.StateDir != "" && b.Name == "sharded" && b.Shards > 1 && b.CheckpointDir == "" {
 		b.CheckpointDir = s.jobDir(j.id)
-		b.Resume = true
 	}
 
 	// The server-wide job deadline caps the run on a context derived from
@@ -391,13 +390,6 @@ func (s *Server) runJob(j *job) {
 		defer cancel()
 	}
 	run, err := s.executeJob(runCtx, j, req)
-	if errors.Is(err, shard.ErrForeignRun) && req.Backend.CheckpointDir == s.jobDir(j.id) {
-		// The server's own job directory, left by a build that wrote
-		// another manifest version: nothing in it can be merged.
-		j.appendLog(fmt.Sprintf("discarding checkpoints of another build: %v", err))
-		s.removeJobDir(j.id)
-		run, err = s.executeJob(runCtx, j, req)
-	}
 	switch {
 	case err != nil && j.ctx.Err() != nil:
 		j.finish(StateCancelled, err, nil, nil, false)

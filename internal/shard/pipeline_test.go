@@ -125,8 +125,8 @@ func part1Read(kind faultpoint.Kind) faultpoint.Point {
 // TestPipelineCancelWaitsForStages cancels the run from part 0's progress
 // line, while part 1 is being prepared and part 0's checkpoint write is
 // stalled. Compute must return context.Canceled only once that write has
-// landed and the preparation has stopped, and a resume must reuse part 0's
-// checkpoint and reproduce the uninterrupted run's bits.
+// landed and the preparation has stopped, and a rerun into the directory
+// must reuse part 0's checkpoint and reproduce the uninterrupted run's bits.
 func TestPipelineCancelWaitsForStages(t *testing.T) {
 	cat := catalog.Clustered(900, 160, catalog.DefaultClusterParams(), 53)
 	want, _, err := compute(cat, streamConfig(), Options{NShards: 3, CheckpointDir: t.TempDir()})
@@ -150,7 +150,7 @@ func TestPipelineCancelWaitsForStages(t *testing.T) {
 	}
 	requireStagesGone(t)
 
-	got, stats, err := compute(cat, streamConfig(), Options{NShards: 3, CheckpointDir: dir, Resume: true})
+	got, stats, err := compute(cat, streamConfig(), Options{NShards: 3, CheckpointDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,16 +18,16 @@
 // source's periodic box and unshifted coordinates, so the engine's own image
 // handling covers the wrap and every primary sees exactly the neighbour set
 // (and line of sight) of a single-shot run. Each part's partial core.Result
-// can be checkpointed in the binary format of core.WriteResult and a killed
-// run resumed: parts with a valid checkpoint are loaded instead of
-// recomputed, and the deterministic plan plus fixed merge order make the
-// resumed result identical to an uninterrupted one. See DESIGN.md, "shard".
+// can be checkpointed in the binary format of core.WriteResult, and a run
+// into a checkpoint directory whose manifest names the same run resumes it:
+// parts with a valid checkpoint are loaded instead of recomputed, and the
+// deterministic plan plus fixed merge order make the resumed result
+// identical to an uninterrupted one. See DESIGN.md, "shard".
 package shard
 
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -76,12 +76,11 @@ type Options struct {
 	// CheckpointDir, when non-empty, is created if needed and receives one
 	// binary partial-Result file per part, a manifest.json recording the
 	// run's identity, and the spill scratch (the disk the operator chose for
-	// this run's state; without it the spill goes to a fresh temp dir).
+	// this run's state; without it the spill goes to a fresh temp dir). A
+	// directory whose manifest names this run is resumed: its valid part
+	// checkpoints are loaded instead of recomputed. Any other directory is
+	// started fresh, its part checkpoints deleted first.
 	CheckpointDir string
-	// Resume reuses valid checkpoints found in CheckpointDir: parts whose
-	// file loads cleanly and matches the manifest are not recomputed.
-	// Requires CheckpointDir.
-	Resume bool
 	// Keep retains the per-part checkpoint files after a successful merge
 	// (by default they are removed once the merged result exists).
 	Keep bool
@@ -127,10 +126,9 @@ type manifest struct {
 // share, so a resume merged that catalog's partials without an error.
 // Version 4 also marked partials of k-d parts (partition.Cut); version 3
 // held slab partials, version 2 copied the science fields by hand and
-// version 1 described an older k-d pipeline. An older directory is refused
-// under Resume, never merged. Migration: rerun without -resume (the
-// directory is overwritten), or delete it — older checkpoints cannot be
-// converted.
+// version 1 described an older k-d pipeline. A directory of an older
+// version is another run's: it is started fresh, never merged (older
+// checkpoints cannot be converted).
 const manifestVersion = 5
 
 func newManifest(catHash string, cfg core.Config, nshards int) (manifest, error) {
@@ -153,19 +151,16 @@ func newManifest(catHash string, cfg core.Config, nshards int) (manifest, error)
 // in part order. Cancelling ctx stops the pipeline promptly with ctx.Err():
 // no new part starts and the running engine abandons its work at the next
 // commit unit. Checkpoints of parts that completed before the
-// cancellation stay on disk (along with the manifest), so a cancelled
-// checkpointed run is resumable exactly like a killed one. Compute returns
-// only once the checkpoint write and the preparation in flight, if any,
-// have finished, on every exit.
+// cancellation stay on disk (along with the manifest), so rerunning a
+// cancelled checkpointed run resumes it exactly like a killed one. Compute
+// returns only once the checkpoint write and the preparation in flight, if
+// any, have finished, on every exit.
 func Compute(ctx context.Context, src catalog.Source, cfg core.Config, opts Options) (*core.Result, []UnitStats, error) {
 	if src == nil {
 		return nil, nil, fmt.Errorf("shard: nil catalog source")
 	}
 	if opts.NShards <= 0 {
 		return nil, nil, fmt.Errorf("shard: NShards %d must be positive", opts.NShards)
-	}
-	if opts.Resume && opts.CheckpointDir == "" {
-		return nil, nil, fmt.Errorf("shard: Resume requires CheckpointDir")
 	}
 	bins, err := hist.NewBinning(cfg.RMin, cfg.RMax, cfg.NBins)
 	if err != nil {
@@ -197,38 +192,17 @@ func Compute(ctx context.Context, src catalog.Source, cfg core.Config, opts Opti
 		return nil, nil, fmt.Errorf("shard: RMax %v must be below half the periodic box %v", cfg.RMax, sc.Box.L)
 	}
 
+	// The manifest decides whether the directory's part checkpoints are this
+	// run's to resume; a directory of another run loses them here.
+	var resume bool
 	if opts.CheckpointDir != "" {
 		m, err := newManifest(sc.Hash, cfg, opts.NShards)
 		if err == nil {
-			err = prepareDir(opts.CheckpointDir, m, opts.Resume)
+			resume, err = prepareDir(opts.CheckpointDir, m, logf)
 		}
 		if err != nil {
 			return nil, nil, err
 		}
-	}
-	// finish stamps the merged result — each partial counts its own halo
-	// copies in NGalaxies, where the result describes the whole catalog —
-	// and clears the run state that must not outlive a successful merge.
-	finish := func(total *core.Result, stats []UnitStats) (*core.Result, []UnitStats, error) {
-		total.NGalaxies = sc.N
-		finishCheckpoints(opts)
-		return total, stats, nil
-	}
-
-	// Resume: one validation pass over the part checkpoints. If every part
-	// has one (the manifest above pinned the run identity, and the part
-	// plan is deterministic), merge them directly — no histogram pass, no
-	// spill rewrite of the catalog. Otherwise the validity mask feeds the
-	// spill pass below so intact parts are counted but not rewritten, and
-	// only they are loaded again, against their owned count.
-	skip := make([]bool, opts.NShards)
-	if opts.Resume {
-		total, stats, valid, all := scanCheckpoints(sc, bins, cfg, opts, logf)
-		if all {
-			logf("shard: resumed all %d parts from checkpoints (no spill)", opts.NShards)
-			return finish(total, stats)
-		}
-		skip = valid
 	}
 
 	var plan *partition.Plan
@@ -255,12 +229,14 @@ func Compute(ctx context.Context, src catalog.Source, cfg core.Config, opts Opti
 	}
 	defer os.RemoveAll(spillDir)
 
-	// The spill scatters the source into the files of every part skip leaves
-	// writable, restarting the whole pass on a transient failure (re-created
-	// files truncate, so a torn pass leaves no residue).
+	// The spill scatters the source into every part's files, restarting the
+	// whole pass on a transient failure (re-created files truncate, so a
+	// torn pass leaves no residue). A resumed part is spilled too: its
+	// checkpoint is checked against the counts, and its spill is what the
+	// part is computed from if the checkpoint fails.
 	var owned, halo []int
 	err = retry.Policy{}.Do(ctx, "part spill", func() (err error) {
-		owned, halo, err = s.spillParts(ctx, plan, cfg.RMax, spillDir, skip)
+		owned, halo, err = s.spillParts(ctx, plan, cfg.RMax, spillDir, opts.NShards)
 		return err
 	})
 	if err != nil {
@@ -272,17 +248,21 @@ func Compute(ctx context.Context, src catalog.Source, cfg core.Config, opts Opti
 	for i := range stats {
 		stats[i] = UnitStats{Unit: i, NOwned: owned[i], NHalo: halo[i]}
 	}
-	p := pipeline{s: s, box: sc.Box, spillDir: spillDir, bins: bins, cfg: cfg, opts: opts, skip: skip, logf: logf}
+	p := pipeline{s: s, box: sc.Box, spillDir: spillDir, bins: bins, cfg: cfg, opts: opts, resume: resume, logf: logf}
 	if err := p.run(ctx, total, stats); err != nil {
 		return nil, nil, err
 	}
-	return finish(total, stats)
+	// Each partial counts its own halo copies in NGalaxies, where the
+	// merged result describes the whole catalog.
+	total.NGalaxies = sc.N
+	finishCheckpoints(opts)
+	return total, stats, nil
 }
 
 // pipeline computes the spilled parts in part order through two stages
 // that overlap the engine: while part i runs, part i+1 is prepared on a
-// second goroutine (its spill files read and its engine built, or its
-// checkpoint reloaded), and part i-1's checkpoint is written on a third.
+// second goroutine (its checkpoint loaded, or its spill files read and its
+// engine built), and part i-1's checkpoint is written on a third.
 // The look-ahead is one part, so two parts are resident at a time, and the
 // merge runs in part order, so the overlap moves no result bit.
 type pipeline struct {
@@ -292,7 +272,7 @@ type pipeline struct {
 	bins     hist.Binning
 	cfg      core.Config
 	opts     Options
-	skip     []bool // parts restored from their checkpoints
+	resume   bool // the checkpoint directory's manifest is this run's
 	logf     func(string, ...any)
 }
 
@@ -300,9 +280,10 @@ type pipeline struct {
 // engine to run, or the partial of a resumed part or of one with no
 // primaries.
 type part struct {
-	eng  *core.Engine
-	res  *core.Result
-	took time.Duration // the preparation's wall clock
+	eng     *core.Engine
+	res     *core.Result
+	resumed bool          // res was loaded from the part's checkpoint
+	took    time.Duration // the preparation's wall clock
 }
 
 // run drives the parts through the stages, filling stats[i] beside each
@@ -361,12 +342,12 @@ func (p *pipeline) run(ctx context.Context, total *core.Result, stats []UnitStat
 			stats[i].Elapsed = pt.took + time.Since(start)
 			p.logf("shard %d/%d: computed %d primaries + %d halo in %v (%d pairs)",
 				i, n, stats[i].NOwned, stats[i].NHalo, stats[i].Elapsed.Round(time.Millisecond), res.Pairs)
-		case p.skip[i]:
+		case pt.resumed:
 			stats[i].Resumed, stats[i].Pairs = true, res.Pairs
 			p.logf("shard %d/%d: resumed from checkpoint (%d primaries, %d pairs)",
 				i, n, res.NPrimaries, res.Pairs)
 		}
-		if p.opts.CheckpointDir != "" && !p.skip[i] {
+		if p.opts.CheckpointDir != "" && !pt.resumed {
 			// One write in flight: part i's starts once part i-1's landed.
 			if saved != nil {
 				serr := <-saved
@@ -389,19 +370,27 @@ func (p *pipeline) run(ctx context.Context, total *core.Result, stats []UnitStat
 	return nil
 }
 
-// prepare readies part st.Unit for the compute loop: a resumed part's
-// checkpoint reloaded, or the part's spill files read and its engine built
-// (core.Prepare, which copies what it keeps of the part catalog). A part
-// with no primaries skips the engine and gets an empty partial, so
-// checkpoint bookkeeping stays uniform.
+// prepare readies part st.Unit for the compute loop: its checkpoint, when
+// the run resumes and the checkpoint is valid, or else the part's spill
+// files read and its engine built (core.Prepare, which copies what it keeps
+// of the part catalog). A part with no primaries skips the engine and gets
+// an empty partial counting its halo, so checkpoint bookkeeping stays
+// uniform.
 func (p *pipeline) prepare(ctx context.Context, st UnitStats) (part, error) {
 	start := time.Now()
-	switch {
-	case p.skip[st.Unit]:
-		res, err := reloadCheckpoint(ctx, p.opts.CheckpointDir, st.Unit, p.opts.NShards, p.bins, p.cfg.LMax, st.NOwned)
-		return part{res: res}, err
-	case st.NOwned == 0:
-		return part{res: core.NewResult(p.cfg.LMax, p.bins)}, nil
+	if p.resume {
+		res, err := p.loadCheckpoint(st)
+		if err == nil {
+			return part{res: res, resumed: true}, nil
+		}
+		if !os.IsNotExist(err) {
+			p.logf("shard %d/%d: discarding checkpoint: %v", st.Unit, p.opts.NShards, err)
+		}
+	}
+	if st.NOwned == 0 {
+		res := core.NewResult(p.cfg.LMax, p.bins)
+		res.NGalaxies = st.NHalo
+		return part{res: res}, nil
 	}
 	local, primary, err := p.s.readPart(ctx, p.box, p.spillDir, &st)
 	if err != nil {
@@ -428,74 +417,24 @@ func spawn(fn func() error) <-chan error {
 	return done
 }
 
-// scanCheckpoints makes the single resume pass over the part checkpoints:
-// valid[i] records which parts hold a loadable, configuration-matching
-// checkpoint, and when every part does and the primary counts cover the
-// catalog exactly, the merged total and stats are returned with all=true
-// (the no-spill fast path). Otherwise the caller falls back to the
-// plan/spill path, which counts — but does not rewrite — the valid parts and
-// reloads each against its owned count (reloadCheckpoint).
-func scanCheckpoints(sc *catalog.Summary, bins hist.Binning, cfg core.Config, opts Options, logf func(string, ...any)) (*core.Result, []UnitStats, []bool, bool) {
-	total := core.NewResult(cfg.LMax, bins)
-	stats := make([]UnitStats, opts.NShards)
-	valid := make([]bool, opts.NShards)
-	all := true
-	primaries := 0
-	for i := range valid {
-		res, err := loadCheckpoint(opts.CheckpointDir, i, opts.NShards, bins, cfg.LMax)
-		if err != nil {
-			if !os.IsNotExist(err) {
-				logf("shard %d/%d: discarding checkpoint: %v", i, opts.NShards, err)
-			}
-			all = false
-			continue
-		}
-		valid[i] = true
-		primaries += res.NPrimaries
-		stats[i] = UnitStats{
-			Unit:    i,
-			NOwned:  res.NPrimaries,
-			NHalo:   res.NGalaxies - res.NPrimaries,
-			Pairs:   res.Pairs,
-			Resumed: true,
-		}
-		if all && total.Merge(res) != nil {
-			all = false
-		}
-	}
-	return total, stats, valid, all && primaries == sc.N
-}
-
-// loadCheckpoint returns part i's checkpointed partial if it exists, loads
-// cleanly (the format rejects truncation and corruption) and matches the
-// run's multipole shape. The resume pass recomputes a part on any error: a
-// killed run may leave arbitrary debris.
-func loadCheckpoint(dir string, i, nshards int, bins hist.Binning, lmax int) (*core.Result, error) {
-	res, err := core.LoadResult(checkpointPath(dir, i, nshards))
+// loadCheckpoint returns part st.Unit's checkpointed partial if it exists,
+// loads cleanly (the format rejects truncation and corruption), matches the
+// run's multipole shape and counts the primaries and halo copies the spill
+// pass gave the part. Any error means the part is computed from its spill:
+// a killed run may leave arbitrary debris, and the manifest cannot vouch
+// for a file another build or an operator put beside it.
+func (p *pipeline) loadCheckpoint(st UnitStats) (*core.Result, error) {
+	res, err := core.LoadResult(checkpointPath(p.opts.CheckpointDir, st.Unit, p.opts.NShards))
 	if err == nil {
 		err = fpCkptLoad.Inject()
 	}
-	if err == nil && (res.LMax != lmax || res.Bins != bins) {
+	switch {
+	case err != nil:
+	case res.LMax != p.cfg.LMax || res.Bins != p.bins:
 		err = fmt.Errorf("checkpoint does not match this run's multipole shape")
-	}
-	return res, err
-}
-
-// reloadCheckpoint loads again, once the spill pass has counted its owned
-// galaxies, a part checkpoint the resume pass validated, retrying a
-// transient failure. The manifest pins the exact catalog and config, and the
-// part plan is a function of them, so a checkpoint whose primary count is
-// not the part's can only have come from another build: ErrForeignRun, as
-// for a foreign manifest (there is no spill of the part to recompute it
-// from).
-func reloadCheckpoint(ctx context.Context, dir string, i, nshards int, bins hist.Binning, lmax, owned int) (*core.Result, error) {
-	var res *core.Result
-	err := retry.Policy{}.Do(ctx, "checkpoint load", func() (err error) {
-		res, err = loadCheckpoint(dir, i, nshards, bins, lmax)
-		return err
-	})
-	if err == nil && res.NPrimaries != owned {
-		err = fmt.Errorf("checkpoint %w: it holds %d primaries, the part owns %d", ErrForeignRun, res.NPrimaries, owned)
+	case res.NPrimaries != st.NOwned || res.NGalaxies-res.NPrimaries != st.NHalo:
+		err = fmt.Errorf("checkpoint holds %d primaries and %d halo copies, the part %d and %d",
+			res.NPrimaries, res.NGalaxies-res.NPrimaries, st.NOwned, st.NHalo)
 	}
 	return res, err
 }
@@ -520,10 +459,6 @@ func finishCheckpoints(opts Options) {
 
 const manifestName = "manifest.json"
 
-// ErrForeignRun is the error a resume returns when its checkpoint directory
-// holds another run's manifest, or one another build wrote.
-var ErrForeignRun = errors.New("belongs to a different run")
-
 // parseManifest decodes a manifest file, refusing any version but the
 // current one: fields mean what this build says they mean only at its own
 // version.
@@ -541,12 +476,14 @@ func parseManifest(data []byte) (manifest, error) {
 // prepareDir creates the checkpoint directory, clears the temp files of
 // checkpoint and manifest writes killed mid-write (the atomic rename never
 // happened, so only debris with the .tmp suffix pattern can remain) and
-// reconciles the manifest: a resume must find a manifest describing this
-// exact run (or none, for a run killed before the manifest was written); a
-// fresh run overwrites.
-func prepareDir(dir string, want manifest, resume bool) error {
+// reports whether the directory's manifest is want: the run resumes. Any
+// other directory — no manifest, an unreadable one, another version's or
+// another run's — is started fresh: its part checkpoints are deleted before
+// want is written, so none of them can be merged under want later, and a
+// directory that held either is logged as started fresh.
+func prepareDir(dir string, want manifest, logf func(string, ...any)) (bool, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
+		return false, err
 	}
 	for _, pattern := range []string{"shard-*.gres.tmp*", manifestName + ".tmp*"} {
 		stale, _ := filepath.Glob(filepath.Join(dir, pattern))
@@ -555,28 +492,40 @@ func prepareDir(dir string, want manifest, resume bool) error {
 		}
 	}
 	path := filepath.Join(dir, manifestName)
-	if resume {
-		data, err := os.ReadFile(path)
+	data, err := os.ReadFile(path)
+	if err != nil && !os.IsNotExist(err) {
+		return false, err
+	}
+	found := err == nil
+	why := fmt.Errorf("no %s", manifestName)
+	if found {
+		got, err := parseManifest(data)
+		if err == nil && got == want {
+			return true, nil
+		}
 		if err == nil {
-			got, err := parseManifest(data)
-			if err == nil && got != want {
-				err = fmt.Errorf("manifest mismatch")
-			}
-			if err != nil {
-				return fmt.Errorf("shard: checkpoint dir %s %w (%v); remove it or drop Resume", dir, ErrForeignRun, err)
-			}
-			return nil
-		} else if !os.IsNotExist(err) {
-			return err
+			err = fmt.Errorf("%s describes another run", manifestName)
+		}
+		why = err
+	}
+	stale, err := filepath.Glob(filepath.Join(dir, "shard-*.gres"))
+	if err != nil {
+		return false, err
+	}
+	for _, p := range stale {
+		if err := os.Remove(p); err != nil && !os.IsNotExist(err) {
+			return false, err
 		}
 	}
-	data, err := json.MarshalIndent(want, "", "  ")
-	if err != nil {
-		return err
+	if found || len(stale) > 0 {
+		logf("shard: checkpoint dir %s: %v; starting fresh (%d part checkpoints deleted)", dir, why, len(stale))
+	}
+	if data, err = json.MarshalIndent(want, "", "  "); err != nil {
+		return false, err
 	}
 	// Atomically: a kill mid-write must not leave a torn manifest, which
-	// every later resume of the directory would refuse.
-	return core.WriteFileAtomic(path, func(w io.Writer) error {
+	// would start the directory fresh again on the next run.
+	return false, core.WriteFileAtomic(path, func(w io.Writer) error {
 		_, err := w.Write(data)
 		return err
 	})

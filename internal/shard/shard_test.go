@@ -7,7 +7,9 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"galactos/internal/catalog"
@@ -140,9 +142,9 @@ func TestShardedCheckpointMatchesInMemory(t *testing.T) {
 }
 
 // TestResumeAfterKill simulates a run killed partway through: only some
-// shard checkpoints (plus the manifest) survive. The resumed run must load
-// those, compute only the missing shards, and produce a result identical to
-// an uninterrupted run.
+// shard checkpoints (plus the manifest) survive. Rerunning into the
+// directory must load those, compute only the missing shards, and produce a
+// result identical to an uninterrupted run.
 func TestResumeAfterKill(t *testing.T) {
 	cat := catalog.Clustered(600, 160, catalog.DefaultClusterParams(), 17)
 	cfg := testConfig()
@@ -170,7 +172,7 @@ func TestResumeAfterKill(t *testing.T) {
 		}
 	}
 
-	resumed, stats, err := compute(cat, cfg, Options{NShards: nshards, CheckpointDir: killedDir, Resume: true})
+	resumed, stats, err := compute(cat, cfg, Options{NShards: nshards, CheckpointDir: killedDir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,14 +218,53 @@ func TestStaleTempCheckpointsRemoved(t *testing.T) {
 	}
 }
 
-// TestResumeRejectsForeignManifest: the manifest pins the config by its
-// Fingerprint, so a resume under a config that moves the answer is refused,
-// and one that moves only a field no line of sight reads — the observer of a
-// plane-parallel run — resumes every part to the same bits. A version-3
-// directory, whose slab partials can own as many galaxies as a part, is
-// refused under the same config.
-func TestResumeRejectsForeignManifest(t *testing.T) {
+// requireFreshStart runs src into opts.CheckpointDir, which holds another
+// run's checkpoints, and requires the run to start fresh: a progress line
+// saying so that names why, no part resumed, and the bits of the same run
+// into an empty directory.
+func requireFreshStart(t *testing.T, label string, src catalog.Source, cfg core.Config, opts Options, why string) {
+	t.Helper()
+	var lines []string
+	var mu sync.Mutex
+	opts.Log = func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		lines = append(lines, fmt.Sprintf(format, args...))
+	}
+	got, stats, err := Compute(context.Background(), src, cfg, opts)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	fresh := false
+	for _, line := range lines {
+		fresh = fresh || strings.Contains(line, "starting fresh") && strings.Contains(line, why)
+	}
+	if !fresh {
+		t.Errorf("%s: no line says the run started fresh because of %q:\n%s", label, why, strings.Join(lines, "\n"))
+	}
+	for _, s := range stats {
+		if s.Resumed {
+			t.Errorf("%s: part %d resumed from another run's checkpoint", label, s.Unit)
+		}
+	}
+	want, _, err := Compute(context.Background(), src, cfg, Options{NShards: opts.NShards, CheckpointDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, w := resultHash(got), resultHash(want); g != w {
+		t.Errorf("%s: hash %s, a fresh run's %s", label, g, w)
+	}
+}
+
+// TestForeignManifestStartsFresh: the manifest pins the config by its
+// Fingerprint, so a rerun under a config that moves the answer starts
+// fresh, and one that moves only a field no line of sight reads — the
+// observer of a plane-parallel run — resumes every part to the same bits. A
+// version-3 directory, whose slab partials can own as many galaxies as a
+// part, starts fresh under the same config.
+func TestForeignManifestStartsFresh(t *testing.T) {
 	cat := catalog.Clustered(300, 140, catalog.DefaultClusterParams(), 23)
+	src := catalog.NewMemorySource(cat)
 	moved := geom.Vec3{X: -300, Y: 50, Z: 20}
 	for _, tc := range []struct {
 		name    string
@@ -244,13 +285,11 @@ func TestResumeRejectsForeignManifest(t *testing.T) {
 		}
 		other := cfg
 		tc.mutate(&other)
-		got, stats, err := compute(cat, other, Options{NShards: 2, CheckpointDir: dir, Resume: true})
 		if !tc.resumes {
-			if err == nil || !strings.Contains(err.Error(), "different run") {
-				t.Fatalf("%s: resume with a mismatched manifest accepted (err = %v)", tc.name, err)
-			}
+			requireFreshStart(t, tc.name, src, other, Options{NShards: 2, CheckpointDir: dir}, "another run")
 			continue
 		}
+		got, stats, err := compute(cat, other, Options{NShards: 2, CheckpointDir: dir})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -279,19 +318,16 @@ func TestResumeRejectsForeignManifest(t *testing.T) {
 	if err := os.WriteFile(path, []byte(v3), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = compute(cat, cfg, Options{NShards: 2, CheckpointDir: dir, Resume: true})
-	if !errors.Is(err, ErrForeignRun) || !strings.Contains(err.Error(), "version 3") {
-		t.Fatalf("resume of a version-3 directory: want a different-run error naming version 3, got %v", err)
-	}
+	requireFreshStart(t, "version-3 directory", src, cfg, Options{NShards: 2, CheckpointDir: dir}, "version 3")
 }
 
-// TestResumeRejectsAnotherCatalog: the manifest pins the catalog by its
-// content hash, so a resume over another catalog with the same galaxy count,
-// box side and total weight — all a version-4 manifest compared — is
-// refused with ErrForeignRun instead of merging the first catalog's
-// partials, and a resume of the same catalog read from its file (the hash
-// addresses content, not representation) reuses every part.
-func TestResumeRejectsAnotherCatalog(t *testing.T) {
+// TestAnotherCatalogStartsFresh: the manifest pins the catalog by its
+// content hash, so a rerun of the same catalog read from its file (the hash
+// addresses content, not representation) reuses every part, and a run of
+// another catalog with the same galaxy count, box side and total weight —
+// all a version-4 manifest compared — starts fresh instead of merging the
+// first catalog's partials.
+func TestAnotherCatalogStartsFresh(t *testing.T) {
 	cfg := testConfig()
 	first := catalog.Uniform(500, 160, 1)
 	other := catalog.Uniform(500, 160, 2)
@@ -303,14 +339,11 @@ func TestResumeRejectsAnotherCatalog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := compute(other, cfg, Options{NShards: 3, CheckpointDir: dir, Resume: true}); !errors.Is(err, ErrForeignRun) {
-		t.Fatalf("resume over another catalog of equal N, L and total weight: got %v, want ErrForeignRun", err)
-	}
 	path := filepath.Join(t.TempDir(), "first.glxc")
 	if err := catalog.Save(path, first); err != nil {
 		t.Fatal(err)
 	}
-	got, stats, err := Compute(context.Background(), catalog.NewFileSource(path), cfg, Options{NShards: 3, CheckpointDir: dir, Resume: true})
+	got, stats, err := Compute(context.Background(), catalog.NewFileSource(path), cfg, Options{NShards: 3, CheckpointDir: dir, Keep: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,6 +355,88 @@ func TestResumeRejectsAnotherCatalog(t *testing.T) {
 	if d := got.MaxAbsDiff(want); d != 0 {
 		t.Errorf("resumed result differs by %v", d)
 	}
+	requireFreshStart(t, "another catalog of equal N, L and total weight", catalog.NewMemorySource(other), cfg,
+		Options{NShards: 3, CheckpointDir: dir}, "another run")
+}
+
+// TestReusedCheckpointDirNeverMergesAnotherRun: a run into a directory that
+// holds another run's kept checkpoints deletes them before it writes its
+// own manifest, so when it is cancelled after its first part, its rerun
+// resumes that part alone and equals a fresh run bit for bit — it never
+// merges the parts the other run left, whether that run read another
+// catalog of the same size or the same positions under other weights (the
+// same part plan and counts, so only the manifest tells them apart).
+// Rerunning into a kept directory of the same run resumes every part to the
+// same bits.
+func TestReusedCheckpointDirNeverMergesAnotherRun(t *testing.T) {
+	cfg := streamConfig()
+	first := catalog.Clustered(700, 160, catalog.DefaultClusterParams(), 61)
+	reweighted := &catalog.Catalog{Box: first.Box, Galaxies: slices.Clone(first.Galaxies)}
+	for i := range reweighted.Galaxies {
+		reweighted.Galaxies[i].Weight = 1 + 0.5*math.Sin(float64(i))
+	}
+	for _, tc := range []struct {
+		name string
+		next *catalog.Catalog
+	}{
+		{"another-catalog", catalog.Clustered(700, 160, catalog.DefaultClusterParams(), 62)},
+		{"other-weights", reweighted},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if _, _, err := compute(first, cfg, Options{NShards: 3, CheckpointDir: dir, Keep: true}); err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			_, _, err := Compute(ctx, catalog.NewMemorySource(tc.next), cfg, Options{
+				NShards: 3, CheckpointDir: dir,
+				Log: func(format string, args ...any) {
+					if strings.Contains(format, "computed") {
+						cancel()
+					}
+				},
+			})
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("overwriting run returned %v, want context.Canceled", err)
+			}
+			got, stats, err := compute(tc.next, cfg, Options{NShards: 3, CheckpointDir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, s := range stats {
+				if s.Resumed != (s.Unit == 0) {
+					t.Errorf("part %d resumed = %v, want part 0 only", s.Unit, s.Resumed)
+				}
+			}
+			want, _, err := compute(tc.next, cfg, Options{NShards: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g, w := resultHash(got), resultHash(want); g != w {
+				t.Errorf("rerun hash %s, a fresh run's %s (max |diff| %v)", g, w, got.MaxAbsDiff(want))
+			}
+		})
+	}
+	t.Run("same-run", func(t *testing.T) {
+		dir := t.TempDir()
+		want, _, err := compute(first, cfg, Options{NShards: 3, CheckpointDir: dir, Keep: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, stats, err := compute(first, cfg, Options{NShards: 3, CheckpointDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range stats {
+			if !s.Resumed {
+				t.Errorf("part %d recomputed despite its kept checkpoint", s.Unit)
+			}
+		}
+		if g, w := resultHash(got), resultHash(want); g != w {
+			t.Errorf("resumed hash %s, the kept run's %s", g, w)
+		}
+	})
 }
 
 // TestMergeAssociativity merges the same shard partials under different
@@ -386,9 +501,6 @@ func TestOptionsValidation(t *testing.T) {
 	cfg := testConfig()
 	if _, _, err := compute(cat, cfg, Options{NShards: 0}); err == nil {
 		t.Error("NShards = 0 accepted")
-	}
-	if _, _, err := compute(cat, cfg, Options{NShards: 2, Resume: true}); err == nil {
-		t.Error("Resume without CheckpointDir accepted")
 	}
 	if _, _, err := Compute(context.Background(), nil, cfg, Options{NShards: 2}); err == nil {
 		t.Error("nil source accepted")

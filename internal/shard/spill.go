@@ -128,11 +128,8 @@ func spillPath(dir string, i int, kind string) string {
 
 // spillParts runs the scatter pass: every galaxy lands in its owner's file
 // and in the halo file of every other part within rmax of it (Plan.Place).
-// Returns per-part owned and halo counts. Parts with skip[i] set are
-// counted but not written — they already hold a validated checkpoint, so
-// rewriting their records would be wasted IO.
-func (s *stream) spillParts(ctx context.Context, p *partition.Plan, rmax float64, dir string, skip []bool) (owned, halo []int, err error) {
-	nshards := len(skip)
+// Returns per-part owned and halo counts.
+func (s *stream) spillParts(ctx context.Context, p *partition.Plan, rmax float64, dir string, nshards int) (owned, halo []int, err error) {
 	owned = make([]int, nshards)
 	halo = make([]int, nshards)
 	writers := make([]*spillWriter, 2*nshards)
@@ -153,10 +150,7 @@ func (s *stream) spillParts(ctx context.Context, p *partition.Plan, rmax float64
 	}()
 	// Each open file's share of the budget, a whole number of records.
 	share := len(s.spill) / len(writers) / catalog.RecordSize * catalog.RecordSize
-	for i := range skip {
-		if skip[i] {
-			continue
-		}
+	for i := range nshards {
 		if own[i], err = newSpillWriter(spillPath(dir, i, "own"), s.spill[2*i*share:][:share]); err != nil {
 			return nil, nil, err
 		}
@@ -170,17 +164,13 @@ func (s *stream) spillParts(ctx context.Context, p *partition.Plan, rmax float64
 			var k int
 			k, near = p.Place(g.Pos, rmax, near[:0])
 			owned[k]++
-			if own[k] != nil {
-				if err := own[k].add(g); err != nil {
-					return err
-				}
+			if err := own[k].add(g); err != nil {
+				return err
 			}
 			for _, i := range near {
 				halo[i]++
-				if hal[i] != nil {
-					if err := hal[i].add(g); err != nil {
-						return err
-					}
+				if err := hal[i].add(g); err != nil {
+					return err
 				}
 			}
 		}

@@ -30,7 +30,7 @@ func passesAlloc(t *testing.T, cat *catalog.Catalog, nshards int, rmax float64) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.spillParts(ctx, p, rmax, dir, make([]bool, nshards)); err != nil {
+	if _, _, err := s.spillParts(ctx, p, rmax, dir, nshards); err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)

@@ -2,10 +2,11 @@ package shard
 
 import (
 	"context"
-	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"galactos/internal/catalog"
@@ -44,7 +45,7 @@ func TestStreamCorruptPartCheckpointRecomputed(t *testing.T) {
 	}
 
 	res, stats, err := compute(cat, cfg,
-		Options{NShards: 3, CheckpointDir: dir, Resume: true})
+		Options{NShards: 3, CheckpointDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +72,7 @@ func TestStreamTruncatedPartCheckpointRecomputed(t *testing.T) {
 	}
 
 	res, stats, err := compute(cat, cfg,
-		Options{NShards: 3, CheckpointDir: dir, Resume: true})
+		Options{NShards: 3, CheckpointDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,12 +85,12 @@ func TestStreamTruncatedPartCheckpointRecomputed(t *testing.T) {
 }
 
 // TestStreamMismatchedCheckpointForeign: a checkpoint that loads cleanly
-// and matches the run config but carries the wrong primary count passes the
-// resume pre-scan — so the scatter pass skips its records — and fails the
-// reload against its part's owned count. The manifest pins the exact
-// catalog and the plan is deterministic, so only another build can have
-// written it: the run is refused with ErrForeignRun, as for a foreign
-// manifest, and a run without Resume over the same directory recomputes it.
+// and matches the run's manifest and multipole shape but counts another
+// part's primaries — only another build or an operator can have put it
+// there, since the plan is a function of the catalog and config the
+// manifest pins — is discarded against the spill pass's counts with a line
+// naming its part, and that part is recomputed from its spill: the rerun
+// resumes the others and reproduces the clean run's bits.
 func TestStreamMismatchedCheckpointForeign(t *testing.T) {
 	cat, cfg, dir, first := streamFaultSetup(t, 43)
 	// A valid same-config partial with a primary count no part owns.
@@ -102,16 +103,26 @@ func TestStreamMismatchedCheckpointForeign(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, _, err = compute(cat, cfg, Options{NShards: 3, CheckpointDir: dir, Resume: true})
-	if !errors.Is(err, ErrForeignRun) || !strings.Contains(err.Error(), "shard 1/3") {
-		t.Fatalf("resume over a checkpoint with another primary count: got %v, want ErrForeignRun naming shard 1/3", err)
-	}
-	got, _, err := compute(cat, cfg, Options{NShards: 3, CheckpointDir: dir})
+	var mu sync.Mutex
+	var discarded []string
+	got, stats, err := compute(cat, cfg, Options{NShards: 3, CheckpointDir: dir, Log: func(format string, args ...any) {
+		if line := fmt.Sprintf(format, args...); strings.Contains(line, "discarding checkpoint") {
+			mu.Lock()
+			discarded = append(discarded, line)
+			mu.Unlock()
+		}
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := got.MaxAbsDiff(first); d != 0 {
-		t.Errorf("rerun without Resume differs by %v", d)
+	if len(discarded) != 1 || !strings.Contains(discarded[0], "shard 1/3") || !strings.Contains(discarded[0], "50 primaries") {
+		t.Errorf("discard lines %q, want one naming shard 1/3 and its 50 primaries", discarded)
+	}
+	if !stats[0].Resumed || stats[1].Resumed || !stats[2].Resumed {
+		t.Errorf("resumed parts %v, %v, %v; want all but part 1", stats[0].Resumed, stats[1].Resumed, stats[2].Resumed)
+	}
+	if d := got.MaxAbsDiff(first); d != 0 || got.Pairs != first.Pairs {
+		t.Errorf("rerun differs from the clean run: pairs %d vs %d, max |diff| %v", got.Pairs, first.Pairs, d)
 	}
 }
 

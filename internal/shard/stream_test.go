@@ -120,8 +120,8 @@ func TestStreamPeriodicWrapHalo(t *testing.T) {
 	}
 }
 
-// TestStreamCheckpointResume: a full checkpointed streaming run can be
-// resumed entirely from its checkpoints.
+// TestStreamCheckpointResume: rerunning a full checkpointed streaming run
+// into its kept directory resumes every part from its checkpoint.
 func TestStreamCheckpointResume(t *testing.T) {
 	cat := catalog.Clustered(700, 160, catalog.DefaultClusterParams(), 23)
 	cfg := streamConfig()
@@ -133,14 +133,14 @@ func TestStreamCheckpointResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A killed run can strand spill scratch under the checkpoint dir; the
-	// resume must clean it up even on the all-checkpoints fast path.
+	// resume must clean it up.
 	if err := os.MkdirAll(filepath.Join(dir, spillDirName), 0o755); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(dir, spillDirName, "part-0000.own.spill"), []byte("junk"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	res, stats, err := Compute(context.Background(), src, cfg, Options{NShards: 3, CheckpointDir: dir, Resume: true})
+	res, stats, err := Compute(context.Background(), src, cfg, Options{NShards: 3, CheckpointDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,12 +153,12 @@ func TestStreamCheckpointResume(t *testing.T) {
 		t.Fatalf("resumed result differs from original: max |diff| %.3e", d)
 	}
 	if _, err := os.Stat(filepath.Join(dir, spillDirName)); !os.IsNotExist(err) {
-		t.Fatalf("stranded spill scratch not removed on fast-path resume (stat err %v)", err)
+		t.Fatalf("stranded spill scratch not removed on resume (stat err %v)", err)
 	}
 }
 
-// TestStreamPartialResume: with one checkpoint missing, the all-parts fast
-// path steps aside and the spill path recomputes exactly the gap.
+// TestStreamPartialResume: with one checkpoint missing, the rerun resumes
+// the others and recomputes exactly the gap from its spill.
 func TestStreamPartialResume(t *testing.T) {
 	cat := catalog.Clustered(700, 160, catalog.DefaultClusterParams(), 31)
 	cfg := streamConfig()
@@ -172,7 +172,7 @@ func TestStreamPartialResume(t *testing.T) {
 	if err := os.Remove(checkpointPath(dir, 1, 3)); err != nil {
 		t.Fatal(err)
 	}
-	res, stats, err := Compute(context.Background(), src, cfg, Options{NShards: 3, CheckpointDir: dir, Resume: true})
+	res, stats, err := Compute(context.Background(), src, cfg, Options{NShards: 3, CheckpointDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,15 +190,16 @@ func TestStreamPartialResume(t *testing.T) {
 	}
 }
 
-// TestStreamRejectsForeignCheckpointDir: a directory written at an older
-// manifest version is refused under Resume with an error naming the version.
-// Version 2 copied the science fields by hand where later versions pin the
-// config's Fingerprint; version 1 added a "stream" field, written by an
-// older k-d pipeline (false) or by the slab pipeline of that build (true).
+// TestStreamForeignCheckpointDirStartsFresh: a directory written at an
+// older manifest version starts fresh, with a progress line naming the
+// version, and no part of it is merged. Version 2 copied the science fields
+// by hand where later versions pin the config's Fingerprint; version 1
+// added a "stream" field, written by an older k-d pipeline (false) or by
+// the slab pipeline of that build (true).
 // With the stream field gone the two decode alike, and either partial can
 // share LMax, bins and owned count with a part's, so nothing after the
 // manifest would stop the merge.
-func TestStreamRejectsForeignCheckpointDir(t *testing.T) {
+func TestStreamForeignCheckpointDirStartsFresh(t *testing.T) {
 	cat := catalog.Clustered(500, 160, catalog.DefaultClusterParams(), 29)
 	cfg := streamConfig()
 	dir := t.TempDir()
@@ -236,24 +237,19 @@ func TestStreamRejectsForeignCheckpointDir(t *testing.T) {
 		}
 		dirs = append(dirs, foreign{1, "v1 stream=" + stream, v1})
 	}
+	// Each fresh run keeps its checkpoints, so the next foreign manifest
+	// sits beside a full set of them again.
 	for _, d := range dirs {
 		if err := os.WriteFile(path, []byte(d.data), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, _, err := compute(cat, cfg, Options{NShards: 3, CheckpointDir: dir, Resume: true})
-		want := fmt.Sprintf("version %d", d.version)
-		if err == nil || !strings.Contains(err.Error(), "different run") || !strings.Contains(err.Error(), want) {
-			t.Fatalf("%s: expected a different-run error naming %s, got %v", d.name, want, err)
-		}
-	}
-	// The same directory without Resume is simply overwritten.
-	if _, _, err := compute(cat, cfg, Options{NShards: 3, CheckpointDir: dir}); err != nil {
-		t.Fatal(err)
+		requireFreshStart(t, d.name, catalog.NewMemorySource(cat), cfg,
+			Options{NShards: 3, CheckpointDir: dir, Keep: true}, fmt.Sprintf("version %d", d.version))
 	}
 }
 
 // FuzzManifest: the manifest is bytes this build did not necessarily write
-// (a resume reads whatever an earlier run or an operator left), so the
+// (a run reads whatever an earlier run or an operator left), so the
 // loader must answer every input with a manifest of the current version or
 // an error — never a panic, never another version's fields taken at this
 // version's meaning — and what it accepts must survive a rewrite. The seeds
