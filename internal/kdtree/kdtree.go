@@ -31,8 +31,9 @@ type point[T Float] struct {
 }
 
 // chunk holds 16 tree-order points as columns, the shape leafHits16 tests at
-// once. A leaf owns whole chunks; the lanes past its last point carry +Inf
-// coordinates, which are within no radius.
+// once. A leaf owns whole chunks; the lanes past its last point carry NaN
+// coordinates, which are within no radius, not even one whose square
+// overflows to +Inf.
 type chunk[T Float] struct {
 	x, y, z [16]T
 	id      [16]int32
@@ -55,17 +56,25 @@ type node[T Float] struct {
 type Tree[T Float] struct {
 	pts      []point[T] // build-time only; pack moves the points into chunks
 	chunks   []chunk[T]
-	nodes    []node[T]
+	nodes    []node[T] // the binary tree the per-center queries walk
 	leafSize int
 	n        int
 
-	// The two 16-lane tests of the block query, bound at Build to the
-	// process's lane-dispatch decision: the AVX-512 bodies on a float32 tree
-	// when lanes.Vector(), the portable boxMask16 / leafHits16 otherwise.
-	// The bodies return identical values, so which one runs never shows in a
-	// result.
-	boxMask  func(b *boxes16[T], cx, cy, cz, r2 T) uint16
-	leafHits func(c *chunk[T], cx, cy, cz, r2 T, out *[16]int32) int
+	// levels is the leaf-box hierarchy the block query descends: levels[0]
+	// holds every leaf's box and chunk range in tree order, 16 to a group,
+	// and each level above holds the union boxes of the groups below it
+	// (lane j of group g covers group 16g+j one level down), up to a top
+	// level of one group. Unused lanes hold the never-hit box [+Inf, -Inf]
+	// and an empty chunk range. groupChunks[g] is the chunk total of the
+	// leaves of levels[0][g].
+	levels      [][]boxes16[T]
+	groupChunks []int32
+
+	// gather is the block query's per-center body, bound at Build to the
+	// process's lane-dispatch decision: gatherRunAVX512 on a float32 tree
+	// when lanes.Vector(), the portable gatherRun otherwise. The bodies
+	// return identical lists, so which one runs never shows in a result.
+	gather func(groups []boxes16[T], idx []int32, chunks []chunk[T], cx, cy, cz, r2 T, out []int32) int
 }
 
 // DefaultLeafSize balances tree depth against leaf scan cost.
@@ -81,9 +90,8 @@ func Build[T Float](pts []geom.Vec3, leafSize int) *Tree[T] {
 		pts:      make([]point[T], len(pts)),
 		leafSize: leafSize,
 		n:        len(pts),
-		boxMask:  boxMask16[T],
-		leafHits: leafHits16[T],
 	}
+	t.gather = t.gatherRun
 	if lanes.Vector() {
 		bindLanes(t)
 	}
@@ -98,6 +106,7 @@ func Build[T Float](pts []geom.Vec3, leafSize int) *Tree[T] {
 	t.build(0, 0, int32(len(t.pts)), parallelDepth(), &wg)
 	wg.Wait()
 	t.pack()
+	t.buildLevels()
 	return t
 }
 
@@ -138,7 +147,7 @@ func (t *Tree[T]) pack() {
 		}
 	}
 	t.chunks = make([]chunk[T], nch)
-	inf := T(math.Inf(1))
+	nan := T(math.NaN())
 	next := int32(0) // next free chunk
 	for i := range t.nodes {
 		nd := &t.nodes[i]
@@ -153,12 +162,58 @@ func (t *Tree[T]) pack() {
 			if i < len(pts) {
 				c.x[k], c.y[k], c.z[k], c.id[k] = pts[i].c[0], pts[i].c[1], pts[i].c[2], pts[i].id
 			} else {
-				c.x[k], c.y[k], c.z[k], c.id[k] = inf, inf, inf, -1
+				c.x[k], c.y[k], c.z[k], c.id[k] = nan, nan, nan, -1
 			}
 		}
 		next += int32(len(pts)+15) / 16
 	}
 	t.pts = nil
+}
+
+// buildLevels lays the packed leaves' boxes out in tree order as
+// levels[0] and adds union levels above it until one group holds the top.
+func (t *Tree[T]) buildLevels() {
+	var leaves []boxes16[T]
+	n := 0
+	for i := range t.nodes {
+		nd := &t.nodes[i]
+		if nd.left >= 0 {
+			continue
+		}
+		if n&15 == 0 {
+			leaves = append(leaves, neverBoxes[T]())
+		}
+		b, j := &leaves[n>>4], n&15
+		b.minX[j], b.maxX[j] = nd.minX, nd.maxX
+		b.minY[j], b.maxY[j] = nd.minY, nd.maxY
+		b.minZ[j], b.maxZ[j] = nd.minZ, nd.maxZ
+		b.c0[j], b.c1[j] = nd.start>>4, (nd.end+15)>>4
+		n++
+	}
+	t.groupChunks = make([]int32, len(leaves))
+	for g := range leaves {
+		b := &leaves[g]
+		for j := 0; j < 16; j++ {
+			t.groupChunks[g] += b.c1[j] - b.c0[j]
+		}
+	}
+	t.levels = [][]boxes16[T]{leaves}
+	for below := leaves; len(below) > 1; {
+		up := make([]boxes16[T], (len(below)+15)/16)
+		for g := range up {
+			up[g] = neverBoxes[T]()
+		}
+		for i := range below {
+			c, u, j := &below[i], &up[i>>4], i&15
+			for k := 0; k < 16; k++ {
+				u.minX[j], u.maxX[j] = min(u.minX[j], c.minX[k]), max(u.maxX[j], c.maxX[k])
+				u.minY[j], u.maxY[j] = min(u.minY[j], c.minY[k]), max(u.maxY[j], c.maxY[k])
+				u.minZ[j], u.maxZ[j] = min(u.minZ[j], c.minZ[k]), max(u.maxZ[j], c.maxZ[k])
+			}
+		}
+		t.levels = append(t.levels, up)
+		below = up
+	}
 }
 
 // parallelDepth returns how many top tree levels spawn goroutines.
@@ -353,36 +408,42 @@ func (t *Tree[T]) query(cx, cy, cz, r2 T, out []int32) []int32 {
 	return out
 }
 
-// boxes16 holds 16 reached leaves: their bounding boxes as columns, the shape
-// boxMask16 tests at once, and their chunk ranges [c0, c1).
+// boxes16 holds 16 boxes as columns, the shape boxMask16 tests at once: one
+// group of a hierarchy level. On level 0, c0 and c1 are each leaf's chunk
+// range [c0, c1).
 type boxes16[T Float] struct {
 	minX, maxX, minY, maxY, minZ, maxZ [16]T
 	c0, c1                             [16]int32
 }
 
-// leafList is the block query's scratch (kept on the Block between
-// calls): the leaves pass 1 reached, image by image in tree order. Each
-// image's run starts a fresh boxes16 group and the unused lanes of its last
-// group hold the never-hit box [+Inf, -Inf], so pass 2 tests whole groups.
-type leafList[T Float] struct {
-	boxes []boxes16[T]
-	segs  []imageRun
-	stack []int32
-	never boxes16[T]
-}
-
-// imageRun is one periodic image's run of boxes16 groups [lo, hi).
-type imageRun struct{ img, lo, hi int32 }
-
-func newLeafList[T Float]() *leafList[T] {
-	l := &leafList[T]{}
+// neverBoxes returns a group of never-hit boxes [+Inf, -Inf] with empty
+// chunk ranges.
+func neverBoxes[T Float]() boxes16[T] {
+	var b boxes16[T]
 	inf := T(math.Inf(1))
 	for k := 0; k < 16; k++ {
-		l.never.minX[k], l.never.minY[k], l.never.minZ[k] = inf, inf, inf
-		l.never.maxX[k], l.never.maxY[k], l.never.maxZ[k] = -inf, -inf, -inf
+		b.minX[k], b.minY[k], b.minZ[k] = inf, inf, inf
+		b.maxX[k], b.maxY[k], b.maxZ[k] = -inf, -inf, -inf
 	}
-	return l
+	return b
 }
+
+// span is an axis-aligned query box: the shifted bounding box of a block's
+// centers in pass 1, one shifted center (lo == hi) in pass 2.
+type span[T Float] struct{ x0, x1, y0, y1, z0, z1 T }
+
+// leafList is the block query's scratch (kept on the Block between calls):
+// the leaf groups pass 1 reached, image by image in tree order, as indices
+// into the tree's levels[0].
+type leafList struct {
+	groups []int32
+	runs   []imageRun
+}
+
+// imageRun is one periodic image's run of reached leaf groups
+// groups[lo:hi] and their chunk total: no center of the run can hit more
+// than 16 ids a chunk.
+type imageRun struct{ img, lo, hi, chunks int32 }
 
 // QueryRadiusImagesBlock answers the radius query for a whole block of
 // centers, filling blk with per-center neighbor lists whose content and order
@@ -392,13 +453,15 @@ func newLeafList[T Float]() *leafList[T] {
 // leaves whose box is farther than r from the center under the monotone float
 // arithmetic of the point test, so none can drop a point that test admits.
 //
-// Pass 1 walks the tree once per image against the centers' bounding box and
-// records the reached leaves. The box is taken in float64 and shifted and
-// cast per image — shift + cast is monotone, so every shifted center lies
-// inside it. Pass 2 goes center-major over that list, so ids land directly
-// in each center's run: boxMask over 16 leaf boxes at a time, then leafHits
-// over the 16-point chunks of each leaf that passed. Node descent is paid
-// once per block, and both tests run in lanes.
+// Pass 1 descends the leaf-box hierarchy once per image against the
+// centers' bounding box, 16 union boxes to a boxMask16 test, down to the
+// leaf groups, which it collects in tree order. The box is taken in float64
+// and shifted and cast per image — shift + cast is monotone, so every
+// shifted center lies inside it. Pass 2 goes center-major, one gather call
+// per (center, image run) into output headroom reserved once from the run's
+// chunk total, so ids land directly in each center's run: boxMask16 over
+// each reached group's 16 leaf boxes, then leafHits16 over the chunks of
+// each leaf that passed, in ascending lane order.
 func (t *Tree[T]) QueryRadiusImagesBlock(centers []geom.Vec3, r float64, images []geom.Vec3, blk *Block) {
 	nc := len(centers)
 	blk.Reset(nc)
@@ -408,9 +471,9 @@ func (t *Tree[T]) QueryRadiusImagesBlock(centers []geom.Vec3, r float64, images 
 		}
 		return
 	}
-	l, _ := blk.Scratch.(*leafList[T])
+	l, _ := blk.Scratch.(*leafList)
 	if l == nil {
-		l = newLeafList[T]()
+		l = &leafList{}
 		blk.Scratch = l
 	}
 	rr := T(r)
@@ -421,78 +484,109 @@ func (t *Tree[T]) QueryRadiusImagesBlock(centers []geom.Vec3, r float64, images 
 		lo = geom.Vec3{X: min(lo.X, c.X), Y: min(lo.Y, c.Y), Z: min(lo.Z, c.Z)}
 		hi = geom.Vec3{X: max(hi.X, c.X), Y: max(hi.Y, c.Y), Z: max(hi.Z, c.Z)}
 	}
-	l.boxes, l.segs = l.boxes[:0], l.segs[:0]
+	root := &t.nodes[0]
+	l.groups, l.runs = l.groups[:0], l.runs[:0]
 	for k, off := range images {
-		x0, x1 := T(lo.X+off.X), T(hi.X+off.X)
-		y0, y1 := T(lo.Y+off.Y), T(hi.Y+off.Y)
-		z0, z1 := T(lo.Z+off.Z), T(hi.Z+off.Z)
-		g0, n := len(l.boxes), 0
-		stack := append(l.stack[:0], 0)
-		for len(stack) > 0 {
-			nd := &t.nodes[stack[len(stack)-1]]
-			stack = stack[:len(stack)-1]
-			d2 := intervalGap2(nd.minX, nd.maxX, x0, x1) +
-				intervalGap2(nd.minY, nd.maxY, y0, y1) +
-				intervalGap2(nd.minZ, nd.maxZ, z0, z1)
-			if d2 > r2 {
-				continue
-			}
-			if nd.left >= 0 {
-				stack = append(stack, nd.right, nd.left)
-				continue
-			}
-			if n&15 == 0 {
-				l.boxes = append(l.boxes, l.never)
-			}
-			b, j := &l.boxes[g0+n>>4], n&15
-			b.minX[j], b.maxX[j] = nd.minX, nd.maxX
-			b.minY[j], b.maxY[j] = nd.minY, nd.maxY
-			b.minZ[j], b.maxZ[j] = nd.minZ, nd.maxZ
-			b.c0[j], b.c1[j] = nd.start>>4, (nd.end+15)>>4
-			n++
+		q := span[T]{
+			T(lo.X + off.X), T(hi.X + off.X),
+			T(lo.Y + off.Y), T(hi.Y + off.Y),
+			T(lo.Z + off.Z), T(hi.Z + off.Z),
 		}
-		l.stack = stack
-		if n > 0 {
-			l.segs = append(l.segs, imageRun{img: int32(k), lo: int32(g0), hi: int32(len(l.boxes))})
+		// One scalar test against the root box rejects most images.
+		if gap2(root.minX, root.maxX, q.x0, q.x1)+gap2(root.minY, root.maxY, q.y0, q.y1)+
+			gap2(root.minZ, root.maxZ, q.z0, q.z1) > r2 {
+			continue
+		}
+		g0 := int32(len(l.groups))
+		if top := len(t.levels) - 1; top == 0 {
+			l.groups = append(l.groups, 0)
+		} else {
+			t.reach(l, top, 0, &q, r2)
+		}
+		if g1 := int32(len(l.groups)); g1 > g0 {
+			run := imageRun{img: int32(k), lo: g0, hi: g1}
+			for _, g := range l.groups[g0:] {
+				run.chunks += t.groupChunks[g]
+			}
+			l.runs = append(l.runs, run)
 		}
 	}
 
 	ids := blk.IDs
 	for _, c := range centers {
-		for _, sg := range l.segs {
+		for _, run := range l.runs {
 			// Shift + cast exactly as the individual query does (float64 add,
 			// then one rounding into the storage precision).
-			off := images[sg.img]
-			cx, cy, cz := T(c.X+off.X), T(c.Y+off.Y), T(c.Z+off.Z)
-			for g := sg.lo; g < sg.hi; g++ {
-				b := &l.boxes[g]
-				for m := t.boxMask(b, cx, cy, cz, r2); m != 0; m &= m - 1 {
-					j := bits.TrailingZeros16(m)
-					for ch := b.c0[j]; ch < b.c1[j]; ch++ {
-						ids = slices.Grow(ids, 16) // leafHits writes whole 16-lane rows
-						n := len(ids)
-						ids = ids[:n+t.leafHits(&t.chunks[ch], cx, cy, cz, r2, (*[16]int32)(ids[n:n+16]))]
-					}
-				}
-			}
+			off := images[run.img]
+			room := 16 * int(run.chunks)
+			ids = slices.Grow(ids, room)
+			n := len(ids)
+			ids = ids[:n+t.gather(t.levels[0], l.groups[run.lo:run.hi], t.chunks,
+				T(c.X+off.X), T(c.Y+off.Y), T(c.Z+off.Z), r2, ids[n:n+room])]
 		}
 		blk.IDs = ids
 		blk.Seal()
 	}
 }
 
-// boxMask16 is the portable leaf-box test: bit j is set when box j of b is
-// within r of the center, the distance being the sum over X, Y, Z of
-// max(lo-c, c-hi, 0)^2 — the values of the branchy axisGap2. Like
-// leafHits16 it is comparison only and writes each product as T(d*d), so no
-// build can fuse a multiply into an add and the AVX-512 bodies (VMULPS and
-// VADDPS in the same order) are bit-identical by construction.
-func boxMask16[T Float](b *boxes16[T], cx, cy, cz, r2 T) uint16 {
+// reach appends to l.groups, in tree order, the leaf groups under group g of
+// level lv > 0 whose union boxes lie within r of q.
+func (t *Tree[T]) reach(l *leafList, lv, g int, q *span[T], r2 T) {
+	for m := boxMask16(&t.levels[lv][g], q, r2); m != 0; m &= m - 1 {
+		j := 16*g + bits.TrailingZeros16(m)
+		if j >= len(t.levels[lv-1]) {
+			break // a never-hit lane, passed only when r2 is +Inf
+		}
+		if lv == 1 {
+			l.groups = append(l.groups, int32(j))
+		} else {
+			t.reach(l, lv-1, j, q, r2)
+		}
+	}
+}
+
+// gatherRun is the portable gather body: for each leaf group groups[i], i in
+// idx, in order, boxMask16 at the center, then for each passing leaf in
+// ascending lane order leafHits16 over its chunks, the hits written to out
+// in that order. It returns their count. out must hold 16 ids for every
+// chunk of those groups; lanes past the count are scratch. A group whose
+// union box (its lane one level up) lies beyond r is skipped whole: in Go,
+// one scalar test costs a tenth of the 16-lane one.
+func (t *Tree[T]) gatherRun(groups []boxes16[T], idx []int32, chunks []chunk[T], cx, cy, cz, r2 T, out []int32) int {
+	q := span[T]{cx, cx, cy, cy, cz, cz}
+	n := 0
+	for _, g := range idx {
+		if len(t.levels) > 1 {
+			u, j := &t.levels[1][g>>4], g&15
+			if gap2(u.minX[j], u.maxX[j], cx, cx)+gap2(u.minY[j], u.maxY[j], cy, cy)+gap2(u.minZ[j], u.maxZ[j], cz, cz) > r2 {
+				continue
+			}
+		}
+		b := &groups[g]
+		for m := boxMask16(b, &q, r2); m != 0; m &= m - 1 {
+			j := bits.TrailingZeros16(m)
+			for ch := b.c0[j]; ch < b.c1[j]; ch++ {
+				n += leafHits16(&chunks[ch], cx, cy, cz, r2, (*[16]int32)(out[n:n+16]))
+			}
+		}
+	}
+	return n
+}
+
+// boxMask16 is the 16-lane box test: bit j is set when box j of b lies
+// within r of q, the distance being the sum over X, Y, Z of
+// max(lo-q1, q0-hi, 0)^2; at a point query those are the values of the
+// branchy axisGap2, and for a box query they bound those of every point in
+// it from below. Like leafHits16 it is comparison only and writes each
+// product as T(d*d), so no build can fuse a multiply into an add and the
+// AVX-512 body (VMULPS and VADDPS in the same order) is bit-identical by
+// construction.
+func boxMask16[T Float](b *boxes16[T], q *span[T], r2 T) uint16 {
 	var m uint16
 	for j := 0; j < 16; j++ {
-		dx := axisGap(b.minX[j], b.maxX[j], cx)
-		dy := axisGap(b.minY[j], b.maxY[j], cy)
-		dz := axisGap(b.minZ[j], b.maxZ[j], cz)
+		dx := gap(b.minX[j], b.maxX[j], q.x0, q.x1)
+		dy := gap(b.minY[j], b.maxY[j], q.y0, q.y1)
+		dz := gap(b.minZ[j], b.maxZ[j], q.z0, q.z1)
 		if T(dx*dx)+T(dy*dy)+T(dz*dz) <= r2 {
 			m |= 1 << j
 		}
@@ -500,16 +594,22 @@ func boxMask16[T Float](b *boxes16[T], cx, cy, cz, r2 T) uint16 {
 	return m
 }
 
-// axisGap returns max(lo-c, c-hi, 0): how far c lies outside [lo, hi].
-func axisGap[T Float](lo, hi, c T) T {
-	d := lo - c
-	if e := c - hi; e > d {
+// gap returns max(lo-q1, q0-hi, 0): how far [q0, q1] lies outside [lo, hi].
+func gap[T Float](lo, hi, q0, q1 T) T {
+	d := lo - q1
+	if e := q0 - hi; e > d {
 		d = e
 	}
 	if d < 0 {
 		d = 0
 	}
 	return d
+}
+
+// gap2 returns gap's square.
+func gap2[T Float](lo, hi, q0, q1 T) T {
+	d := gap(lo, hi, q0, q1)
+	return T(d * d)
 }
 
 // leafHits16 is the portable point test: it writes the ids of the chunk's
@@ -527,20 +627,6 @@ func leafHits16[T Float](c *chunk[T], cx, cy, cz, r2 T, out *[16]int32) int {
 		}
 	}
 	return n
-}
-
-// intervalGap2 returns the squared distance between two intervals along
-// one axis (zero when they overlap).
-func intervalGap2[T Float](alo, ahi, blo, bhi T) T {
-	if alo > bhi {
-		d := alo - bhi
-		return T(d * d)
-	}
-	if blo > ahi {
-		d := blo - ahi
-		return T(d * d)
-	}
-	return 0
 }
 
 func axisGap2[T Float](c, lo, hi T) T {

@@ -169,37 +169,65 @@ func (p *Plan) Place(pos geom.Vec3, rmax float64, halo []int) (int, []int) {
 		if !(c[n.axis] < n.cut) {
 			i, far, a, b = far, i, n.lo, n.cut
 		}
-		var g [3]float64
-		if g[n.axis] = wrapGap(c[n.axis], a, b, p.l); g[n.axis] <= reach {
-			halo = p.near(far, &c, g, reach*reach, halo)
+		if d := wrapGap(c[n.axis], a, b, p.l); d <= reach {
+			if f := &p.nodes[far]; f.left == 0 {
+				halo = append(halo, int(f.part))
+			} else {
+				var g [3]float64
+				g[n.axis] = d
+				halo = p.near(f, &c, g, reach*reach, halo)
+			}
 		}
 	}
 	return int(p.nodes[i].part), halo
 }
 
-// near appends to halo the parts under node i whose regions lie within √r2
-// of c; gap is c's per-axis distance to node i's region.
-func (p *Plan) near(i int32, c *[3]float64, gap [3]float64, r2 float64, halo []int) []int {
-	n := &p.nodes[i]
-	if n.left == 0 {
-		return append(halo, int(n.part))
-	}
+// near appends to halo the parts under inner node n whose regions lie
+// within √r2 of c, in tree order; gap is c's per-axis distance to n's
+// region. Leaf children are appended here, so near only recurses into
+// inner ones.
+func (p *Plan) near(n *node, c *[3]float64, gap [3]float64, r2 float64, halo []int) []int {
+	ax := n.axis
 	for side, a, b := int32(0), n.lo, n.cut; side < 2; side, a, b = side+1, n.cut, n.hi {
-		g := gap
-		g[n.axis] = wrapGap(c[n.axis], a, b, p.l)
-		if float64(g[0]*g[0])+float64(g[1]*g[1])+float64(g[2]*g[2]) <= r2 {
-			halo = p.near(n.left+side, c, g, r2, halo)
+		gap[ax] = wrapGap(c[ax], a, b, p.l)
+		if float64(gap[0]*gap[0])+float64(gap[1]*gap[1])+float64(gap[2]*gap[2]) <= r2 {
+			if ch := &p.nodes[n.left+side]; ch.left == 0 {
+				halo = append(halo, int(ch.part))
+			} else {
+				halo = p.near(ch, c, gap, r2, halo)
+			}
 		}
 	}
 	return halo
 }
 
 // wrapGap returns the distance from coordinate c to the interval [a, b],
-// under the periodic wrap of side l when l > 0.
+// a <= b, under the periodic wrap of side l when l > 0: the value
+// min(max(a-c, c-b, 0), max(a-(c-l), c-l-b, 0), max(a-(c+l), c+l-b, 0))
+// for finite operands (catalog.Extent refuses anything else). Below the
+// interval, the image c-l lies farther below it than c (rounding is
+// monotone), so only c+l can be nearer than c; above it, only c-l; inside,
+// the gap is 0. That is two gaps where the three-way max and min took
+// three, and the body stays within the inliner's budget: Place and near
+// make no call for it.
 func wrapGap(c, a, b, l float64) float64 {
-	d := max(a-c, c-b, 0)
-	if l > 0 {
-		d = min(d, max(a-(c-l), c-l-b, 0), max(a-(c+l), c+l-b, 0))
+	d := gap(c, a, b)
+	if d > 0 && l > 0 {
+		if c > b {
+			l = -l
+		}
+		d = min(d, gap(c+l, a, b))
 	}
 	return d
+}
+
+// gap returns the distance from c to [a, b], a <= b: max(a-c, c-b, 0).
+func gap(c, a, b float64) float64 {
+	if c < a {
+		return a - c
+	}
+	if c > b {
+		return c - b
+	}
+	return 0
 }
